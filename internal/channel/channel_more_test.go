@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/types"
 	"repro/internal/values"
 	"repro/internal/wire"
@@ -80,7 +81,7 @@ func TestAnnouncementRetriesOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	b, err := Bind(refFor(id, "Echo"), BindConfig{Transport: n, MaxRetries: 3})
+	b, err := Bind(refFor(id, "Echo"), BindConfig{Transport: n, Policy: policy.RetryPolicy{MaxAttempts: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestInvokeContextCancelled(t *testing.T) {
 }
 
 func TestProbeTimeout(t *testing.T) {
-	// A probe against a black-holed endpoint times out via CallTimeout.
+	// A probe against a black-holed endpoint times out via the policy's AttemptTimeout.
 	n := netsim.New(10)
 	l, err := n.Listen("sim://server")
 	if err != nil {
@@ -239,8 +240,8 @@ func TestProbeTimeout(t *testing.T) {
 	}
 	defer l.Close() // accept but never serve
 	b, err := Bind(refFor(ifaceID(1), "X"), BindConfig{
-		Transport:   n,
-		CallTimeout: 20 * time.Millisecond,
+		Transport: n,
+		Policy:    policy.RetryPolicy{AttemptTimeout: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

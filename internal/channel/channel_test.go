@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/types"
 	"repro/internal/values"
 	"repro/internal/wire"
@@ -491,7 +492,7 @@ func TestRelocationTransparency(t *testing.T) {
 	ref := naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://home1"}
 	reloc.set(ref)
 
-	b, err := Bind(ref, BindConfig{Transport: n, Locator: reloc, MaxRetries: 2})
+	b, err := Bind(ref, BindConfig{Transport: n, Locator: reloc, Policy: policy.RetryPolicy{MaxAttempts: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,9 +583,8 @@ func TestFailureTransparencyRetries(t *testing.T) {
 
 	b, err := Bind(naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://server"},
 		BindConfig{
-			Transport:   n,
-			MaxRetries:  50,
-			CallTimeout: 20 * time.Millisecond,
+			Transport: n,
+			Policy:    policy.RetryPolicy{MaxAttempts: 51, AttemptTimeout: 20 * time.Millisecond},
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -607,7 +607,7 @@ func TestFailureTransparencyRetries(t *testing.T) {
 
 func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 	// An attacker captures a frame and replays it on a fresh connection.
-	env2 := newEnv(t, ServerConfig{ReplayGuard: true})
+	env2 := newEnv(t, ServerConfig{ReplayGuard: true, ReplyCacheSize: 2})
 	m := &wire.Message{
 		Kind:        wire.Call,
 		BindingID:   777,
@@ -652,13 +652,13 @@ func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 	if env2.servant.invokedCount() != 1 {
 		t.Errorf("servant executed %d times, want 1", env2.servant.invokedCount())
 	}
-	// A regressed correlation id (older than anything cached after wrap) is
-	// rejected outright.
+	// A regressed correlation id older than the replay window (2 below the
+	// high-water mark of 5) is rejected outright.
 	old := &wire.Message{
 		Kind:        wire.Call,
 		BindingID:   777,
 		Seq:         2,
-		Correlation: 3, // behind maxSeen=5 and not cached
+		Correlation: 3, // not cached, and 5-3 reaches the window bound
 		Target:      env2.ref.ID,
 		Operation:   "Echo",
 		Args:        []values.Value{values.Str("y")},
@@ -856,7 +856,7 @@ func TestStaleLocationInvalidatedNotRetriedBlind(t *testing.T) {
 		stale: staleRef,
 		fresh: naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://home2", Epoch: 1},
 	}
-	b, err := Bind(staleRef, BindConfig{Transport: n, Locator: loc, MaxRetries: 2})
+	b, err := Bind(staleRef, BindConfig{Transport: n, Locator: loc, Policy: policy.RetryPolicy{MaxAttempts: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func newBindingID() uint64 {
 
 // BindConfig configures the client end of a channel. Transport is
 // required unless Sessions is supplied; everything else has working
-// defaults. The set of stages and the presence of Locator/MaxRetries are
-// normally decided by the transparency configurator from an environment
-// contract.
+// defaults. The set of stages, the presence of a Locator and the recovery
+// Policy are normally decided by the transparency configurator from an
+// environment contract.
 type BindConfig struct {
 	// Transport dials the server's endpoint. Required unless Sessions is
 	// set (a manager carries its own transport).
@@ -62,23 +62,13 @@ type BindConfig struct {
 	// the interface unknown, or the connection fails, the binding re-resolves
 	// the location and replays the interaction. Optional.
 	Locator Locator
-	// MaxRetries enables failure transparency: the number of additional
-	// attempts after a transport failure or per-attempt timeout. Ignored
-	// when Policy is set.
-	MaxRetries int
-	// CallTimeout bounds each attempt of an interrogation. Zero means the
-	// invocation relies solely on the caller's context. When Policy is set
-	// with a non-zero AttemptTimeout, the policy's value wins.
-	CallTimeout time.Duration
-	// Policy, when set, replaces the legacy MaxRetries/CallTimeout pair
-	// with the full recovery policy: attempt count, per-attempt timeout,
-	// one deadline budget shared by all attempts and relocations, and
-	// seeded exponential backoff between retries. Nil keeps the legacy
-	// semantics exactly (immediate retries, a fresh CallTimeout per
-	// attempt, no budget).
-	Policy *policy.RetryPolicy
-	// MaxRelocations bounds location refreshes per invocation (default 3).
-	MaxRelocations int
+	// Policy is the recovery policy — failure transparency: how many
+	// attempts an interaction gets after a transport failure or attempt
+	// timeout, the per-attempt timeout (which also bounds Probe), one
+	// deadline budget shared by all attempts and relocations, and seeded
+	// exponential backoff between retries. The zero value is one attempt
+	// bounded only by the caller's context.
+	Policy policy.RetryPolicy
 	// MaxInFlight bounds the interrogations this binding may have
 	// outstanding at once. Zero means unlimited — a binding pipelines any
 	// number of concurrent Invokes onto its session. With a bound, an
@@ -131,6 +121,13 @@ type Binding struct {
 
 	nextCorrel atomic.Uint64
 	nextSeq    atomic.Uint64
+	// order is held from drawing a call's correlation id to queueing its
+	// frame, so the calls of one binding reach the server in id order
+	// however many goroutines pipeline on it. Without it a caller
+	// descheduled between the two lets its siblings run arbitrarily far
+	// ahead, and the server's replay window (which then only has to absorb
+	// retries) would take the late frame for a replay.
+	order sync.Mutex
 
 	// inflight is the MaxInFlight semaphore (nil when unbounded): one
 	// buffered slot per permitted outstanding interrogation.
@@ -162,9 +159,6 @@ func Bind(ref naming.InterfaceRef, cfg BindConfig) (*Binding, error) {
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = wire.Canonical
-	}
-	if cfg.MaxRelocations == 0 {
-		cfg.MaxRelocations = 3
 	}
 	b := &Binding{
 		cfg:       cfg,
@@ -284,140 +278,27 @@ func (b *Binding) Invoke(ctx context.Context, op string, args []values.Value) (s
 	return term, results, err
 }
 
-// invoke is the uninstrumented interrogation body: the retry/relocation
-// loop around attempt. With a nil Policy it behaves exactly as before the
-// policy layer existed; with one, all attempts share a single deadline
-// budget, retries back off with seeded jitter, and calls to an endpoint
-// whose shared circuit breaker is open fail fast with ErrCircuitOpen.
+// invoke is the uninstrumented interrogation body: one trip through the
+// recovery loop, then the client stub's reading of the reply.
 func (b *Binding) invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-	correl := b.nextCorrel.Add(1)
-
-	pol := b.cfg.Policy
-	maxAttempts := b.cfg.MaxRetries + 1
-	attemptTimeout := b.cfg.CallTimeout
-	if pol != nil {
-		maxAttempts = pol.Attempts()
-		if pol.AttemptTimeout > 0 {
-			attemptTimeout = pol.AttemptTimeout
-		}
-		if pol.Budget > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = pol.WithBudget(ctx)
-			defer cancel()
-		}
+	reply, err := b.interact(ctx, wire.Call, op, args)
+	if err != nil {
+		return "", nil, err
 	}
-
-	relocations := 0
-	attempt := 0
-	for {
-		ref := b.Ref()
-		br := b.breakerFor(ref.Endpoint)
-		if br != nil {
-			if ok, _ := br.Allow(); !ok {
-				return "", nil, fmt.Errorf("%w: endpoint %s", policy.ErrCircuitOpen, ref.Endpoint)
-			}
-		}
-		m := wire.GetMessage()
-		m.Kind = wire.Call
-		m.BindingID = b.bindingID
-		m.Seq = b.nextSeq.Add(1)
-		m.Correlation = correl
-		m.Target = ref.ID
-		m.Epoch = ref.Epoch
-		m.Operation = op
-		m.Args = args
-		reply, err := b.attempt(ctx, m, attemptTimeout)
-		// attempt encodes the request and does not retain it.
-		wire.PutMessage(m)
-		if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			// The attempt's own timer fired while the call as a whole still
-			// has budget: a per-attempt timeout, distinct and retryable.
-			err = fmt.Errorf("%w: %s: attempt %d exceeded %v: %w",
-				ErrAttemptTimeout, ref.Endpoint, attempt+1, attemptTimeout, err)
-		}
-		if br != nil {
-			// Only endpoint-health outcomes feed the breaker: a connection
-			// loss or attempt timeout says the endpoint may be dead; an
-			// application or stage error says it answered.
-			if err == nil {
-				br.Record(true)
-			} else if errors.Is(err, ErrDisconnected) || errors.Is(err, ErrAttemptTimeout) {
-				br.Record(false)
-			} else {
-				br.Record(true)
-			}
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return "", nil, ctx.Err()
-			}
-			if errors.Is(err, ErrClosed) {
-				return "", nil, err
-			}
-			// Transport failure or per-attempt timeout. Failure
-			// transparency: retry if configured; relocation transparency:
-			// re-resolve first in case the failure was a move.
-			if attempt+1 < maxAttempts {
-				attempt++
-				b.retries.Add(1)
-				if ins := b.cfg.Instruments; ins != nil {
-					ins.Retries.Inc()
-				}
-				if pol != nil {
-					if werr := b.backoff(ctx, pol, attempt); werr != nil {
-						return "", nil, werr
-					}
-				}
-				// A lost connection is location-staleness evidence (the
-				// endpoint may be gone because the interface moved), so a
-				// caching locator must be told before the re-resolve; a bare
-				// attempt timeout is not — the endpoint answered slowly, the
-				// cached location is probably fine.
-				if errors.Is(err, ErrDisconnected) {
-					b.invalidateLocation()
-				}
-				if b.refreshLocation() {
-					relocations++
-					b.relocations.Add(1)
-					if ins := b.cfg.Instruments; ins != nil {
-						ins.Relocations.Inc()
-					}
-				}
-				continue
-			}
+	switch reply.Kind {
+	case wire.Reply:
+		if err := b.typeCheckReply(op, reply); err != nil {
 			return "", nil, err
 		}
-		switch reply.Kind {
-		case wire.Reply:
-			if err := b.typeCheckReply(op, reply); err != nil {
-				return "", nil, err
-			}
-			term, results := reply.Termination, reply.Args
-			// The reply was delivered solely to this call; the termination
-			// string and results slice survive recycling the struct.
-			wire.PutMessage(reply)
-			return term, results, nil
-		case wire.ErrReply:
-			if reply.Termination == CodeNoSuchInterface &&
-				b.cfg.Locator != nil && relocations < b.cfg.MaxRelocations {
-				// The interface is not where we thought: the classic stale
-				// location. Invalidate the cached snapshot first — retrying
-				// blind against a caching locator would re-read the same
-				// stale line — then re-resolve and replay (Section 9.2).
-				b.invalidateLocation()
-				if b.refreshLocation() {
-					relocations++
-					b.relocations.Add(1)
-					if ins := b.cfg.Instruments; ins != nil {
-						ins.Relocations.Inc()
-					}
-					continue
-				}
-			}
-			return "", nil, b.remoteError(reply)
-		default:
-			return "", nil, fmt.Errorf("%w: unexpected kind %v", ErrBadReply, reply.Kind)
-		}
+		term, results := reply.Termination, reply.Args
+		// The reply was delivered solely to this call; the termination
+		// string and results slice survive recycling the struct.
+		wire.PutMessage(reply)
+		return term, results, nil
+	case wire.ErrReply:
+		return "", nil, b.remoteError(reply)
+	default:
+		return "", nil, fmt.Errorf("%w: unexpected kind %v", ErrBadReply, reply.Kind)
 	}
 }
 
@@ -428,17 +309,8 @@ func (b *Binding) Announce(ctx context.Context, op string, args []values.Value) 
 		return err
 	}
 	b.invocations.Add(1)
-	ref := b.Ref()
-	m := wire.GetMessage()
-	m.Kind = wire.OneWay
-	m.BindingID = b.bindingID
-	m.Seq = b.nextSeq.Add(1)
-	m.Correlation = b.nextCorrel.Add(1)
-	m.Target = ref.ID
-	m.Epoch = ref.Epoch
-	m.Operation = op
-	m.Args = args
-	return b.sendOneWay(ctx, m)
+	_, err := b.interact(ctx, wire.OneWay, op, args)
+	return err
 }
 
 // Flow emits one element of a stream-interface flow (producer side).
@@ -452,17 +324,8 @@ func (b *Binding) Flow(ctx context.Context, flow string, elem values.Value) erro
 			return fmt.Errorf("%w: flow %q: %v", ErrTypeCheck, flow, err)
 		}
 	}
-	ref := b.Ref()
-	m := wire.GetMessage()
-	m.Kind = wire.FlowMsg
-	m.BindingID = b.bindingID
-	m.Seq = b.nextSeq.Add(1)
-	m.Correlation = b.nextCorrel.Add(1)
-	m.Target = ref.ID
-	m.Epoch = ref.Epoch
-	m.Operation = flow
-	m.Args = []values.Value{elem}
-	return b.sendOneWay(ctx, m)
+	_, err := b.interact(ctx, wire.FlowMsg, flow, []values.Value{elem})
+	return err
 }
 
 // Signal emits one signal-interface primitive.
@@ -481,62 +344,167 @@ func (b *Binding) Signal(ctx context.Context, name string, args []values.Value) 
 			}
 		}
 	}
-	ref := b.Ref()
-	m := wire.GetMessage()
-	m.Kind = wire.SignalMsg
-	m.BindingID = b.bindingID
-	m.Seq = b.nextSeq.Add(1)
-	m.Correlation = b.nextCorrel.Add(1)
-	m.Target = ref.ID
-	m.Epoch = ref.Epoch
-	m.Operation = name
-	m.Args = args
-	return b.sendOneWay(ctx, m)
+	_, err := b.interact(ctx, wire.SignalMsg, name, args)
+	return err
 }
 
 // Probe checks end-to-end liveness of the channel. Probes are coalesced
 // at the session: however many co-located bindings probe concurrently,
 // one heartbeat goes on the wire and all of them share its outcome.
-// A probe also consults the endpoint's shared circuit breaker: an open
-// breaker refuses it, and after the cooling-off period the probe is
-// exactly the single half-open trial whose outcome re-closes (or
-// re-opens) the breaker for every binding sharing it.
+// A probe is a single attempt — bounded by the policy's AttemptTimeout,
+// never retried — and consults the endpoint's shared circuit breaker like
+// any other: an open breaker refuses it, and after the cooling-off period
+// the probe is exactly the single half-open trial whose outcome re-closes
+// (or re-opens) the breaker for every binding sharing it.
 func (b *Binding) Probe(ctx context.Context) error {
-	timeout := b.cfg.CallTimeout
-	if pol := b.cfg.Policy; pol != nil && pol.AttemptTimeout > 0 {
-		timeout = pol.AttemptTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	ep := b.Ref().Endpoint
-	br := b.breakerFor(ep)
-	if br != nil {
-		if ok, _ := br.Allow(); !ok {
-			return fmt.Errorf("%w: endpoint %s", policy.ErrCircuitOpen, ep)
-		}
-	}
-	s, err := b.session(ctx)
-	if err == nil {
-		err = s.probeShared(ctx, b)
-	}
-	if br != nil {
-		switch {
-		case err == nil:
-			br.Record(true)
-		case errors.Is(err, ErrDisconnected), errors.Is(err, context.DeadlineExceeded):
-			br.Record(false)
-		default:
-			br.Record(true) // cancelled or local error: says nothing about the endpoint
-		}
-	}
+	_, err := b.attempt(ctx, b.Ref().Endpoint, nil, 1)
 	return err
 }
 
 // ---------------------------------------------------------------------------
+// the recovery loop
+
+// maxRelocations bounds how often one interrogation chases a stale
+// location (CodeNoSuchInterface, re-resolve, replay) outside its retry
+// count.
+const maxRelocations = 3
+
+// interact carries one interaction — an interrogation (kind Call, reply
+// returned) or a one-way (announcement, flow element, signal; nil reply) —
+// through the binding's recovery loop: attempt, and after a transport
+// failure or attempt timeout count the retry, back off and re-resolve the
+// location before the next one. All attempts share the policy's deadline
+// budget, and a call to an endpoint whose shared circuit breaker is open
+// fails fast with ErrCircuitOpen.
+func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, args []values.Value) (*wire.Message, error) {
+	// A call's correlation id is drawn by its first transmission (see
+	// roundTrip) and kept across retries.
+	var correl uint64
+	if kind != wire.Call {
+		correl = b.nextCorrel.Add(1)
+	}
+	pol := &b.cfg.Policy
+	if pol.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = pol.WithBudget(ctx)
+		defer cancel()
+	}
+	for attempt, relocations := 1, 0; ; {
+		ref := b.Ref()
+		m := b.message(kind, ref, b.nextSeq.Add(1), correl, op, args)
+		reply, err := b.attempt(ctx, ref.Endpoint, m, attempt)
+		// The attempt encodes the request and does not retain it.
+		correl = m.Correlation
+		wire.PutMessage(m)
+		if err == nil {
+			stale := reply != nil && reply.Kind == wire.ErrReply && reply.Termination == CodeNoSuchInterface
+			if stale && b.cfg.Locator != nil && relocations < maxRelocations && b.relocate(true) {
+				// The interface is not where we thought: the classic stale
+				// location. relocate dropped the cached snapshot first —
+				// retrying blind against a caching locator would re-read the
+				// same stale line — then re-resolved; replay (Section 9.2).
+				relocations++
+				continue
+			}
+			return reply, nil
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if errors.Is(err, ErrClosed) || errors.Is(err, policy.ErrCircuitOpen) || attempt >= pol.Attempts() {
+			return nil, err
+		}
+		// Transport failure or per-attempt timeout. Failure transparency:
+		// retry; relocation transparency: re-resolve first in case the
+		// failure was a move.
+		b.retries.Add(1)
+		if ins := b.cfg.Instruments; ins != nil {
+			ins.Retries.Inc()
+		}
+		if werr := b.backoff(ctx, attempt); werr != nil {
+			return nil, werr
+		}
+		attempt++
+		// A lost connection is location-staleness evidence (the endpoint
+		// may be gone because the interface moved), so a caching locator
+		// must be told before the re-resolve; a bare attempt timeout is not
+		// — the endpoint answered slowly, the cached location is probably
+		// fine.
+		b.relocate(errors.Is(err, ErrDisconnected))
+	}
+}
+
+// attempt makes one attempt at the endpoint on behalf of every kind of
+// interaction: breaker admission, the per-attempt timeout, the carry itself
+// (a round trip for a call, a group-committed send for a one-way, the
+// session's shared probe when m is nil), and the single place an outcome
+// is classified and recorded in the endpoint's breaker.
+func (b *Binding) attempt(ctx context.Context, ep naming.Endpoint, m *wire.Message, n int) (*wire.Message, error) {
+	br := b.breakerFor(ep)
+	if br != nil {
+		if ok, _ := br.Allow(); !ok {
+			return nil, fmt.Errorf("%w: endpoint %s", policy.ErrCircuitOpen, ep)
+		}
+	}
+	actx, timeout := ctx, b.cfg.Policy.AttemptTimeout
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	var reply *wire.Message
+	sess, err := b.session(actx)
+	switch {
+	case err != nil:
+	case m == nil:
+		err = sess.probeShared(actx, b)
+	case m.Kind == wire.Call:
+		reply, err = b.roundTrip(actx, sess, m)
+	default:
+		err = b.post(sess, m)
+	}
+	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		// The attempt's own timer fired while the interaction as a whole
+		// still has budget: a per-attempt timeout, distinct and retryable.
+		err = fmt.Errorf("%w: %s: attempt %d exceeded %v: %w",
+			ErrAttemptTimeout, ep, n, timeout, err)
+	}
+	if br != nil {
+		// Only endpoint-health outcomes feed the breaker: a connection loss
+		// or attempt timeout says the endpoint may be dead; an application
+		// or stage error, a local close or a cancellation says nothing.
+		br.Record(err == nil || !(errors.Is(err, ErrDisconnected) || errors.Is(err, ErrAttemptTimeout)))
+	}
+	return reply, err
+}
+
+// ---------------------------------------------------------------------------
 // internals
+
+// message draws a pooled message and fills the header every frame of this
+// binding carries: its replay identity, the position in its sequence and
+// its current view of the target.
+func (b *Binding) message(kind wire.MsgKind, ref naming.InterfaceRef, seq, correl uint64, op string, args []values.Value) *wire.Message {
+	m := wire.GetMessage()
+	m.Kind = kind
+	m.BindingID = b.bindingID
+	m.Seq = seq
+	m.Correlation = correl
+	m.Target = ref.ID
+	m.Epoch = ref.Epoch
+	m.Operation = op
+	m.Args = args
+	return m
+}
+
+// encode runs the outbound stages over m and marshals it into a pooled
+// frame the caller owns.
+func (b *Binding) encode(m *wire.Message) ([]byte, error) {
+	if err := runStages(b.cfg.Stages, Outbound, m); err != nil {
+		return nil, err
+	}
+	return m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
+}
 
 func (b *Binding) typeCheckCall(op string, args []values.Value, announcement bool) error {
 	t := b.cfg.Type
@@ -614,8 +582,8 @@ func (b *Binding) breakerFor(ep naming.Endpoint) *policy.Breaker {
 
 // backoff sleeps the policy's delay before retry number retry, accounting
 // the sleep into the shared policy instruments when present.
-func (b *Binding) backoff(ctx context.Context, pol *policy.RetryPolicy, retry int) error {
-	d := pol.Backoff(retry)
+func (b *Binding) backoff(ctx context.Context, retry int) error {
+	d := b.cfg.Policy.Backoff(retry)
 	if bs := b.sessions.Breakers(); bs != nil {
 		if pins := bs.Instruments(); pins != nil {
 			pins.Retries.Inc()
@@ -625,57 +593,53 @@ func (b *Binding) backoff(ctx context.Context, pol *policy.RetryPolicy, retry in
 	return policy.Wait(ctx, d)
 }
 
-// attempt performs one round trip, including the per-attempt timeout.
-func (b *Binding) attempt(ctx context.Context, m *wire.Message, timeout time.Duration) (*wire.Message, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// roundTrip carries one call to the endpoint and waits for its reply.
+func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message) (*wire.Message, error) {
 	var tr *mgmt.Tracer
 	if b.cfg.Instruments != nil {
 		tr = b.cfg.Instruments.Tracer
+	}
+	var (
+		tsp   *mgmt.ActiveSpan
+		frame []byte
+		ch    chan *wire.Message
+	)
+	b.order.Lock() // until the frame is queued; see the field
+	if m.Correlation == 0 {
+		m.Correlation = b.nextCorrel.Add(1)
 	}
 	_, bsp := tr.Start(ctx, "binder")
 	err := runStages(b.cfg.Stages, Outbound, m)
 	bsp.Fail(err)
 	bsp.End()
+	if err == nil {
+		// The transport span covers encode, send and the wait for the
+		// reply; its context rides the frame's trace extension, so the
+		// server's dispatch span parents under it.
+		_, tsp = tr.Start(ctx, "transport")
+		if sc := tsp.Context(); !sc.IsZero() {
+			m.TraceID = uint64(sc.Trace)
+			m.SpanID = uint64(sc.Span)
+		}
+		frame, err = m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
+	}
+	if err == nil {
+		if ch, err = sess.register(b.bindingID, m.Correlation); err != nil {
+			wire.PutFrame(frame)
+		}
+	}
+	if err == nil {
+		// send takes ownership of the frame: on the batched plane it is
+		// queued to the session's sender goroutine (coalescing with every
+		// concurrent attempt on this session into one vectored write) and
+		// recycled after the write. A send failure has already killed the
+		// session, so every binding sharing it fails over together.
+		if err = sess.send(frame); err != nil {
+			sess.abandon(b.bindingID, m.Correlation, ch)
+		}
+	}
+	b.order.Unlock()
 	if err != nil {
-		return nil, err
-	}
-	sess, err := b.session(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// The transport span covers encode, send and the wait for the reply;
-	// its context rides the frame's trace extension, so the server's
-	// dispatch span parents under it.
-	_, tsp := tr.Start(ctx, "transport")
-	if sc := tsp.Context(); !sc.IsZero() {
-		m.TraceID = uint64(sc.Trace)
-		m.SpanID = uint64(sc.Span)
-	}
-	frame, err := m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
-	if err != nil {
-		tsp.Fail(err)
-		tsp.End()
-		return nil, err
-	}
-	ch, err := sess.register(b.bindingID, m.Correlation)
-	if err != nil {
-		wire.PutFrame(frame)
-		tsp.Fail(err)
-		tsp.End()
-		return nil, err
-	}
-
-	// send takes ownership of the frame: on the batched plane it is queued
-	// to the session's sender goroutine (coalescing with every concurrent
-	// attempt on this session into one vectored write) and recycled after
-	// the write. A send failure has already killed the session, so every
-	// binding sharing it fails over together.
-	if err := sess.send(frame); err != nil {
-		sess.abandon(b.bindingID, m.Correlation, ch)
 		tsp.Fail(err)
 		tsp.End()
 		return nil, err
@@ -704,88 +668,22 @@ func (b *Binding) attempt(ctx context.Context, m *wire.Message, timeout time.Dur
 	}
 }
 
-// sendOneWay transmits a message without expecting any reply, applying
-// failure-transparency retries for transport-level send errors only.
-// One-ways ride the session's batched queue like calls do — concurrent
-// announcements coalesce into one vectored write — but each is flushed
-// before returning (group commit), so a send that can never depart still
-// surfaces its error and engages the retry loop instead of vanishing.
-// The caller must not touch m afterwards: it is recycled here.
-func (b *Binding) sendOneWay(ctx context.Context, m *wire.Message) error {
-	err := runStages(b.cfg.Stages, Outbound, m)
-	if err != nil {
-		wire.PutMessage(m)
-		return err
-	}
-	// Encode once; the encoded bytes are copied into a fresh pooled frame
-	// per attempt because each send consumes its frame.
-	encoded, err := m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
-	wire.PutMessage(m)
+// post transmits one frame that expects no reply. One-ways ride the
+// session's batched queue like calls do — concurrent announcements
+// coalesce into one vectored write — but each is flushed before returning
+// (group commit), so a send that can never depart still surfaces its error
+// to the recovery loop instead of vanishing. A send or flush failure has
+// already killed the session and wrapped the error in ErrDisconnected.
+func (b *Binding) post(sess *Session, m *wire.Message) error {
+	frame, err := b.encode(m)
 	if err != nil {
 		return err
 	}
-	defer wire.PutFrame(encoded)
-	pol := b.cfg.Policy
-	maxAttempts := b.cfg.MaxRetries + 1
-	if pol != nil {
-		maxAttempts = pol.Attempts()
-		if pol.Budget > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = pol.WithBudget(ctx)
-			defer cancel()
-		}
+	if err := sess.send(frame); err != nil { // send owns the frame
+		return err
 	}
-	for attempt := 0; ; attempt++ {
-		ep := b.Ref().Endpoint
-		br := b.breakerFor(ep)
-		if br != nil {
-			if ok, _ := br.Allow(); !ok {
-				return fmt.Errorf("%w: endpoint %s", policy.ErrCircuitOpen, ep)
-			}
-		}
-		sess, err := b.session(ctx)
-		if err == nil {
-			frame := append(wire.GetFrame(len(encoded)), encoded...)
-			if err = sess.send(frame); err == nil { // send owns frame
-				b.oneWayQueued.Add(1)
-				err = sess.flushSends()
-			}
-			if err == nil {
-				if br != nil {
-					br.Record(true)
-				}
-				return nil
-			}
-			// send/flush already killed the session and wrapped the error
-			// in ErrDisconnected; fall through to the retry decision.
-		} else if errors.Is(err, ErrClosed) {
-			if br != nil {
-				br.Record(true) // local close, not endpoint health
-			}
-			return err
-		}
-		if br != nil {
-			br.Record(!errors.Is(err, ErrDisconnected))
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if attempt+1 >= maxAttempts {
-			return err
-		}
-		b.retries.Add(1)
-		if pol != nil {
-			if werr := b.backoff(ctx, pol, attempt+1); werr != nil {
-				return werr
-			}
-		}
-		if errors.Is(err, ErrDisconnected) {
-			b.invalidateLocation()
-		}
-		if b.refreshLocation() {
-			b.relocations.Add(1)
-		}
-	}
+	b.oneWayQueued.Add(1)
+	return sess.flushSends()
 }
 
 // session attaches the binding to its current endpoint and returns that
@@ -814,16 +712,9 @@ func (b *Binding) session(ctx context.Context) (*Session, error) {
 	if err != nil {
 		if !errors.Is(err, ErrClosed) {
 			// An undialable endpoint is staleness evidence too: drop the
-			// cached location so the refresh reaches the authority.
-			b.invalidateLocation()
-			if b.refreshLocation() {
-				// The endpoint may be stale; relocation transparency
-				// refreshes it for the next attempt.
-				b.relocations.Add(1)
-				if ins := b.cfg.Instruments; ins != nil {
-					ins.Relocations.Inc()
-				}
-			}
+			// cached location so the refresh reaches the authority, and the
+			// next attempt dials where the interface is now.
+			b.relocate(true)
 		}
 		return nil, err
 	}
@@ -836,24 +727,22 @@ func (b *Binding) session(ctx context.Context) (*Session, error) {
 	return s, nil
 }
 
-// invalidateLocation tells a caching locator to drop its entry for this
-// binding's interface. No-op for plain locators.
-func (b *Binding) invalidateLocation() {
-	if inv, ok := b.cfg.Locator.(LocationInvalidator); ok {
-		inv.Invalidate(b.Ref().ID)
-	}
-}
-
-// refreshLocation consults the locator and adopts a newer location if one
-// exists. It reports whether the binding's view changed. Adopting a move
-// also fences the old endpoint's session: the first binding to learn of
-// an epoch kills the stale shared session, so every sibling multiplexed
-// on it fails over immediately instead of each waiting out a timeout.
-func (b *Binding) refreshLocation() bool {
+// relocate consults the locator — after first telling a caching locator to
+// drop its entry, when the caller holds staleness evidence — and adopts and
+// accounts a newer location if one exists. It reports whether the binding's
+// view changed. Adopting a move also fences the old endpoint's session: the
+// first binding to learn of an epoch kills the stale shared session, so
+// every sibling multiplexed on it fails over immediately instead of each
+// waiting out a timeout.
+func (b *Binding) relocate(stale bool) bool {
 	if b.cfg.Locator == nil {
 		return false
 	}
-	ref, err := b.cfg.Locator.Lookup(b.Ref().ID)
+	id := b.Ref().ID
+	if inv, ok := b.cfg.Locator.(LocationInvalidator); ok && stale {
+		inv.Invalidate(id)
+	}
+	ref, err := b.cfg.Locator.Lookup(id)
 	if err != nil {
 		return false
 	}
@@ -868,8 +757,15 @@ func (b *Binding) refreshLocation() bool {
 		b.ref = ref
 	}
 	b.mu.Unlock()
+	if !changed {
+		return false
+	}
 	if fenceEpoch > 0 {
 		b.sessions.fence(fenceEP, fenceEpoch)
 	}
-	return changed
+	b.relocations.Add(1)
+	if ins := b.cfg.Instruments; ins != nil {
+		ins.Relocations.Inc()
+	}
+	return true
 }

@@ -69,7 +69,7 @@ func TestPipelinedSessionDeathFailsAllInFlight(t *testing.T) {
 	}
 	mgr := NewSessionManager(env.net)
 	b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
-		BindConfig{Sessions: mgr, MaxInFlight: 64, MaxRetries: 0})
+		BindConfig{Sessions: mgr, MaxInFlight: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -27,7 +28,7 @@ func TestPolicyBudgetBoundsTotalTime(t *testing.T) {
 	env.net.Partition("client", "server") // dials black-hole: every attempt times out
 	b := env.bind(t, BindConfig{
 		Type: echoType(),
-		Policy: &policy.RetryPolicy{
+		Policy: policy.RetryPolicy{
 			MaxAttempts:    4,
 			AttemptTimeout: 60 * time.Millisecond,
 			Budget:         100 * time.Millisecond,
@@ -55,7 +56,7 @@ func TestAttemptTimeoutSentinel(t *testing.T) {
 	env.net.Partition("client", "server")
 	b := env.bind(t, BindConfig{
 		Type: echoType(),
-		Policy: &policy.RetryPolicy{
+		Policy: policy.RetryPolicy{
 			MaxAttempts:    1,
 			AttemptTimeout: 40 * time.Millisecond,
 		},
@@ -75,7 +76,7 @@ func TestPolicyBackoffPacesRetries(t *testing.T) {
 	n := netsim.New(1)
 	b, err := Bind(refTo("sim://nowhere"), BindConfig{
 		Transport: n,
-		Policy: &policy.RetryPolicy{
+		Policy: policy.RetryPolicy{
 			MaxAttempts: 3,
 			BaseBackoff: 30 * time.Millisecond,
 			Multiplier:  2,
@@ -134,7 +135,7 @@ func TestBreakerFailFastShared(t *testing.T) {
 	})
 	mgr.SetBreakers(bs)
 
-	pol := &policy.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 100 * time.Millisecond}
+	pol := policy.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 100 * time.Millisecond}
 	ref := refTo("sim://server")
 	b1, err := Bind(ref, BindConfig{Sessions: mgr, Policy: pol})
 	if err != nil {
@@ -196,5 +197,134 @@ func TestBreakerFailFastShared(t *testing.T) {
 	}
 	if stats := bs.For("sim://server").Stats(); stats.Opens != 1 {
 		t.Fatalf("breaker opened %d times, want exactly 1", stats.Opens)
+	}
+}
+
+// TestOneWayRecoveryReachesManagement: announcements go through the same
+// recovery loop as interrogations, so their retries and relocations are
+// counted in the management instruments, not only in BindingStats.
+func TestOneWayRecoveryReachesManagement(t *testing.T) {
+	n := netsim.New(1)
+	id := ifaceID(31)
+	servants := map[string]*echoServant{}
+	for _, host := range []string{"alpha", "beta"} {
+		l, err := n.Listen(naming.Endpoint("sim://" + host))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, ServerConfig{})
+		servants[host] = &echoServant{}
+		if err := srv.Register(id, echoType(), servants[host]); err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		defer srv.Close()
+	}
+	loc := newFakeLocator()
+	ref := naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://alpha"}
+	loc.set(ref)
+	ins := mgmt.New().ChannelClient("announcer")
+	b, err := Bind(ref, BindConfig{
+		Transport:   n,
+		Locator:     loc,
+		Type:        echoType(),
+		Policy:      policy.RetryPolicy{MaxAttempts: 3},
+		Instruments: ins,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	notify := func(msg string) {
+		t.Helper()
+		if err := b.Announce(context.Background(), "Notify", []values.Value{values.Str(msg)}); err != nil {
+			t.Fatalf("Announce %q: %v", msg, err)
+		}
+	}
+	notified := func(host string) int {
+		s := servants[host]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.notified)
+	}
+	notify("before")
+	waitFor(t, func() bool { return notified("alpha") == 1 })
+
+	// Kill the session under the binding and move the interface.
+	loc.move(id, "sim://beta")
+	n.CrashHost("alpha")
+	notify("after")
+	waitFor(t, func() bool { return notified("beta") == 1 })
+
+	st := b.Stats()
+	if st.Retries == 0 || st.Relocations == 0 {
+		t.Fatalf("announcement crossed a killed session without recovery: %+v", st)
+	}
+	if got := ins.Retries.Load(); got != st.Retries {
+		t.Errorf("management saw %d retries, the binding made %d", got, st.Retries)
+	}
+	if got := ins.Relocations.Load(); got != st.Relocations {
+		t.Errorf("management saw %d relocations, the binding made %d", got, st.Relocations)
+	}
+}
+
+// TestBarePolicySemantics pins what a policy with only an attempt count and
+// a per-attempt timeout means — the configuration BindConfig once spelled
+// MaxRetries/CallTimeout: retries are immediate, every attempt gets a fresh
+// full timeout, no budget spans them, an attempt timeout is retryable, and
+// Probe is bounded by the same timeout.
+func TestBarePolicySemantics(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	cases := []struct {
+		name      string
+		attempts  int
+		partition bool // black-hole the link: every attempt runs out its timeout
+		wantErr   error
+		retries   uint64
+		atLeast   time.Duration
+		atMost    time.Duration
+	}{
+		{"one attempt times out once", 1, true, ErrAttemptTimeout, 0, timeout, 3 * timeout},
+		{"each attempt gets a fresh full timeout, unbudgeted", 3, true, ErrAttemptTimeout, 2, 3 * timeout, 6 * timeout},
+		{"retries against a dead host are immediate", 4, false, ErrDisconnected, 3, 0, timeout},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := newEnv(t, ServerConfig{})
+			ref := env.ref
+			if c.partition {
+				env.net.Partition("client", "server")
+			} else {
+				ref.Endpoint = "sim://nowhere"
+			}
+			b, err := Bind(ref, BindConfig{
+				Transport: env.net,
+				Policy:    policy.RetryPolicy{MaxAttempts: c.attempts, AttemptTimeout: timeout},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			start := time.Now()
+			_, _, err = b.Invoke(context.Background(), "Echo", []values.Value{values.Str("hi")})
+			elapsed := time.Since(start)
+			if !errors.Is(err, c.wantErr) {
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			}
+			if got := b.Stats().Retries; got != c.retries {
+				t.Errorf("retries = %d, want %d", got, c.retries)
+			}
+			if elapsed < c.atLeast || elapsed > c.atMost {
+				t.Errorf("took %v, want between %v and %v", elapsed, c.atLeast, c.atMost)
+			}
+			if !c.partition {
+				return
+			}
+			start = time.Now()
+			err = b.Probe(context.Background())
+			if elapsed := time.Since(start); !errors.Is(err, ErrAttemptTimeout) || elapsed > 3*timeout {
+				t.Errorf("Probe = %v after %v, want one attempt timeout", err, elapsed)
+			}
+		})
 	}
 }

@@ -1,0 +1,180 @@
+package channel
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/naming"
+	"repro/internal/netsim"
+	"repro/internal/values"
+	"repro/internal/wire"
+)
+
+// TestReplayWindowVerdicts pins the guard as a window over correlation
+// distance: an unseen id within ReplyCacheSize below the high-water mark
+// is fresh, anything older is rejected, and eviction follows distance from
+// the mark, never arrival order.
+func TestReplayWindowVerdicts(t *testing.T) {
+	type step struct {
+		correl uint64
+		store  bool // record a reply frame after the check, as a finished call does
+		want   guardVerdict
+	}
+	span := func(from, to uint64, want guardVerdict) []step {
+		var s []step
+		for c := from; c <= to; c++ {
+			s = append(s, step{correl: c, want: want})
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"unseen below the mark is fresh, once", []step{
+			{10, false, guardFresh}, {9, false, guardFresh}, {8, false, guardFresh},
+			{9, false, guardInFlight},
+		}},
+		{"older than the window is rejected", []step{
+			{200, false, guardFresh},
+			{72, false, guardReplayReject}, // 200-128: just outside
+			{73, false, guardFresh},        // just inside
+		}},
+		{"a jump past the window forgets the old one", []step{
+			{5, true, guardFresh}, {1000, false, guardFresh},
+			{5, false, guardReplayReject},
+		}},
+		// With arrival-order eviction the 129th arrival (501) evicted the
+		// first (500) while it was still inside the window, and a replay of
+		// 500 re-executed.
+		{"eviction is by distance, not arrival order", append(append(
+			[]step{{500, true, guardFresh}},
+			span(373, 499, guardFresh)...),
+			step{501, false, guardFresh},
+			step{500, false, guardReplayCached},
+			step{374, false, guardInFlight},
+			step{373, false, guardReplayReject},
+		)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewServer(nil, ServerConfig{ReplayGuard: true})
+			for i, st := range c.steps {
+				m := &wire.Message{Kind: wire.Call, BindingID: 7, Correlation: st.correl}
+				if got, _ := s.guardCheck(m); got != st.want {
+					t.Fatalf("step %d (correlation %d): verdict = %v, want %v", i, st.correl, got, st.want)
+				}
+				if st.store && !s.guardStore(m, []byte{1}) {
+					t.Fatalf("step %d (correlation %d): reply not retained", i, st.correl)
+				}
+			}
+			if n := len(s.guards[7].replies); n > s.cfg.ReplyCacheSize {
+				t.Fatalf("guard tracks %d correlations, window is %d", n, s.cfg.ReplyCacheSize)
+			}
+		})
+	}
+}
+
+// TestReplayGuardPipelinedBinding drives one binding from 8 goroutines
+// against a guarded server over loopback TCP: every call executes exactly
+// once and none is refused as a replay, because the binding queues its
+// frames in the order it drew their ids (a caller descheduled between the
+// two used to let its siblings run hundreds of ids ahead). Afterwards a
+// captured frame inside the window is answered from the cache without
+// executing, and one older than the window is rejected.
+func TestReplayGuardPipelinedBinding(t *testing.T) {
+	tcp := netsim.NewTCP()
+	l, err := tcp.Listen("tcp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l, ServerConfig{ReplayGuard: true})
+	servant := &echoServant{}
+	id := ifaceID(77)
+	if err := srv.Register(id, echoType(), servant); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Close()
+	ref := naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: l.Endpoint()}
+	b, err := Bind(ref, BindConfig{Transport: tcp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	const callers, perCaller = 8, 2500
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				want := fmt.Sprintf("g%d-%d", g, i)
+				term, res, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str(want)})
+				if err != nil {
+					errs <- fmt.Errorf("caller %d call %d: %w", g, i, err)
+					return
+				}
+				if got, _ := res[0].AsString(); term != "OK" || got != want {
+					errs <- fmt.Errorf("caller %d call %d: %q %q, want OK %q", g, i, term, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	const calls = callers * perCaller
+	if got := servant.invokedCount(); got != calls {
+		t.Fatalf("servant executed %d times for %d calls", got, calls)
+	}
+
+	// The binding has used correlations 1..calls. Replay two of them on a
+	// connection of the attacker's own.
+	conn, err := tcp.Dial(context.Background(), l.Endpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	replay := func(correl uint64) *wire.Message {
+		t.Helper()
+		m := &wire.Message{
+			Kind: wire.Call, BindingID: b.bindingID, Correlation: correl,
+			Target: id, Operation: "Echo", Args: []values.Value{values.Str("replayed")},
+		}
+		frame, err := m.Encode(wire.Canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm, err := wire.Decode(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rm
+	}
+	if rm := replay(calls - 5); rm.Kind != wire.Reply || rm.Termination != "OK" {
+		t.Errorf("replay inside the window = %+v, want the cached reply", rm)
+	} else if got, _ := rm.Args[0].AsString(); got == "replayed" {
+		t.Error("replay inside the window was executed, not answered from the cache")
+	}
+	if rm := replay(calls - 128); rm.Kind != wire.ErrReply || rm.Termination != CodeReplay {
+		t.Errorf("replay older than the window = %+v, want %s", rm, CodeReplay)
+	}
+	if got := servant.invokedCount(); got != calls {
+		t.Errorf("replays executed the servant: %d executions for %d calls", got, calls)
+	}
+}

@@ -14,19 +14,19 @@ import (
 // connection into vectored writes. The batching is adaptive — the sender
 // takes whatever is queued the moment it looks, so an isolated frame
 // departs immediately (no delay timer) while concurrent senders coalesce
-// into large writes under load — with MaxBatchBytes bounding a single
+// into large writes under load — with maxBatchBytes bounding a single
 // write and the queue's byte bound providing backpressure to enqueuers.
 // Client side the queue belongs to a Session (every binding multiplexed
 // over the session shares it); server side each accepted connection gets
 // one so concurrent replies to a session batch the same way.
 
-// Default bounds for the batched send path. The queue bound is the
-// backpressure point (enqueuers block when this many bytes are waiting);
-// the batch bound caps one vectored write so a burst cannot form a
-// multi-megabyte iovec.
+// Bounds of the batched send path at both channel ends. The queue bound
+// is the backpressure point (enqueuers block when this many bytes are
+// waiting); the batch bound caps one vectored write so a burst cannot form
+// a multi-megabyte iovec.
 const (
-	defaultSendQueueBytes = 1 << 20
-	defaultMaxBatchBytes  = 256 << 10
+	sendQueueBytes = 1 << 20
+	sendBatchBytes = 256 << 10
 )
 
 // batchInstruments are the nil-safe management hooks of one send queue.
@@ -50,7 +50,6 @@ type qframe struct {
 type frameQueue struct {
 	conn          netsim.Conn
 	batcher       netsim.BatchSender // nil when the transport has no vectored write
-	flusher       netsim.Flusher     // nil when the transport does not coalesce
 	maxQueueBytes int
 	maxBatchBytes int
 	onDead        func(error) // called once, off-lock, when a write fails
@@ -73,12 +72,6 @@ type frameQueue struct {
 }
 
 func newFrameQueue(conn netsim.Conn, maxQueue, maxBatch int, ins batchInstruments, onDead func(error)) *frameQueue {
-	if maxQueue <= 0 {
-		maxQueue = defaultSendQueueBytes
-	}
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatchBytes
-	}
 	q := &frameQueue{
 		conn:          conn,
 		maxQueueBytes: maxQueue,
@@ -89,7 +82,6 @@ func newFrameQueue(conn netsim.Conn, maxQueue, maxBatch int, ins batchInstrument
 		done:          make(chan struct{}),
 	}
 	q.batcher, _ = conn.(netsim.BatchSender)
-	q.flusher, _ = conn.(netsim.Flusher)
 	q.cond = sync.NewCond(&q.mu)
 	go q.senderLoop()
 	return q
@@ -131,9 +123,9 @@ func (q *frameQueue) enqueue(frame []byte, own bool) error {
 	return nil
 }
 
-// flush blocks until every frame accepted so far has been written (and,
-// on a coalescing transport, pushed down to the socket), returning the
-// sender's sticky error if the connection failed along the way.
+// flush blocks until every frame accepted so far has been written,
+// returning the sender's sticky error if the connection failed along the
+// way.
 func (q *frameQueue) flush() error {
 	q.mu.Lock()
 	for (len(q.pend) > 0 || q.writing) && q.err == nil && !q.closed {
@@ -150,11 +142,6 @@ func (q *frameQueue) flush() error {
 		// still write them, but the connection is going away — report the
 		// uncertainty as a retriable disconnect.
 		return ErrSessionClosing
-	}
-	if q.flusher != nil {
-		if ferr := q.flusher.Flush(); ferr != nil {
-			return fmt.Errorf("%w: %v", ErrDisconnected, ferr)
-		}
 	}
 	return nil
 }
@@ -179,8 +166,8 @@ func (q *frameQueue) close() {
 
 // senderLoop is the per-connection sender goroutine: the netchan-style
 // drain loop. Each pass takes everything queued up to maxBatchBytes and
-// writes it as one vectored batch; when the queue runs dry it flushes a
-// coalescing transport so no frame waits on a timer.
+// writes it as one vectored batch; an isolated frame departs at once, so
+// no frame waits on a timer.
 func (q *frameQueue) senderLoop() {
 	defer close(q.done)
 	for range q.kick {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mgmt"
 	"repro/internal/naming"
@@ -49,16 +48,19 @@ type ServerConfig struct {
 	Stages []Stage
 	// ReplayGuard enables the binder's capture-and-replay defence
 	// (tutorial Section 6.1): duplicate calls are answered from a bounded
-	// reply cache, and regressed correlation ids are rejected.
+	// reply cache, and correlation ids older than the cache reaches are
+	// rejected.
 	ReplayGuard bool
-	// ReplyCacheSize bounds the per-binding reply cache (default 128).
+	// ReplyCacheSize is the per-binding replay window (default 128): a
+	// correlation id within this distance below the binding's highest is
+	// executed if new (a retry whose first transmission was lost arrives
+	// below the ids its siblings used meanwhile) or answered from the
+	// reply cache if seen; anything older is rejected.
 	ReplyCacheSize int
 	// MaxGuardBindings bounds how many bindings the replay guard tracks
 	// (default 1024). When full, the oldest binding's state is evicted, so
 	// a flood of fresh binding ids cannot grow the guard without bound.
 	MaxGuardBindings int
-	// HandlerTimeout bounds servant execution per call (default: none).
-	HandlerTimeout time.Duration
 	// Workers bounds how many servant executions run concurrently
 	// (default GOMAXPROCS*4). Calls and announcements are dispatched to a
 	// fixed pool of worker goroutines instead of one goroutine per
@@ -73,11 +75,6 @@ type ServerConfig struct {
 	// client's batched send path. This switch is the measured baseline for
 	// E12 and an escape hatch.
 	Unbatched bool
-	// SendQueueBytes and MaxBatchBytes bound the per-connection reply
-	// writer exactly as SessionConfig bounds the client's (zero = same
-	// defaults).
-	SendQueueBytes int
-	MaxBatchBytes  int
 	// Instruments enables management instrumentation of this channel end:
 	// dispatch spans (parented under the caller's trace extension, when
 	// present) and dispatch metrics. Nil disables it.
@@ -332,7 +329,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 				queueDepth:     ins.ReplyQueueDepth,
 			}
 		}
-		dest.q = newFrameQueue(conn, s.cfg.SendQueueBytes, s.cfg.MaxBatchBytes, bi,
+		dest.q = newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
 			func(error) { conn.Close() }) // a dead writer wakes the read loop
 	}
 	// The conn is one inbound session: the distinct binding ids seen on it
@@ -488,11 +485,6 @@ func (s *Server) handleCall(dest replyDest, m *wire.Message) {
 		}
 	}
 	ctx := context.Background()
-	if s.cfg.HandlerTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.HandlerTimeout)
-		defer cancel()
-	}
 	ins := s.cfg.Instruments
 	var sp *mgmt.ActiveSpan
 	if ins != nil {
@@ -549,13 +541,7 @@ func (s *Server) handleOneWay(m *wire.Message) {
 			return
 		}
 	}
-	ctx := context.Background()
-	if s.cfg.HandlerTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.HandlerTimeout)
-		defer cancel()
-	}
-	if _, _, err := e.handler.Invoke(ctx, m.Operation, m.Args); err != nil {
+	if _, _, err := e.handler.Invoke(context.Background(), m.Operation, m.Args); err != nil {
 		s.errCount.Add(1)
 	}
 }
@@ -849,10 +835,14 @@ const (
 	guardReplayReject
 )
 
+// bindingGuard is one binding's replay window: the correlation high-water
+// mark and the outcome of every correlation seen within ReplyCacheSize
+// below it. A binding queues first transmissions in id order, but a retry
+// whose first transmission was lost arrives below the ids its siblings
+// used meanwhile, so "new" cannot mean "above the mark".
 type bindingGuard struct {
 	maxSeen uint64
 	replies map[uint64][]byte // correlation -> cached reply frame (nil = in flight)
-	order   []uint64          // FIFO for eviction
 }
 
 func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
@@ -877,19 +867,27 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 		}
 		return guardReplayCached, frame
 	}
-	if m.Correlation <= g.maxSeen {
-		// Already seen and evicted (or forged out of order): reject rather
+	window := uint64(s.cfg.ReplyCacheSize)
+	if g.maxSeen >= window && m.Correlation <= g.maxSeen-window {
+		// Older than the window: seen and evicted, or forged. Reject rather
 		// than re-execute — this is the capture-and-replay defence.
 		return guardReplayReject, nil
 	}
-	g.maxSeen = m.Correlation
-	g.replies[m.Correlation] = nil // mark in flight
-	g.order = append(g.order, m.Correlation)
-	for len(g.order) > s.cfg.ReplyCacheSize {
-		evict := g.order[0]
-		g.order = g.order[1:]
-		delete(g.replies, evict)
+	// Unseen and inside the window (or above the mark): never executed,
+	// because eviction is by distance from the mark, never by arrival
+	// order — an id still inside the window cannot have been forgotten.
+	if m.Correlation > g.maxSeen && m.Correlation-g.maxSeen >= window {
+		clear(g.replies) // the whole old window fell behind the new one
+		g.maxSeen = m.Correlation
 	}
+	for g.maxSeen < m.Correlation {
+		// Each step of the mark pushes exactly one id out of the window.
+		g.maxSeen++
+		if g.maxSeen >= window {
+			delete(g.replies, g.maxSeen-window)
+		}
+	}
+	g.replies[m.Correlation] = nil // mark in flight
 	return guardFresh, nil
 }
 

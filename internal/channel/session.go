@@ -39,7 +39,7 @@ type SessionStats struct {
 }
 
 // SessionConfig tunes the session data plane. The zero value is the
-// default: batched sends with the bounds from sendq.go.
+// default: batched sends.
 type SessionConfig struct {
 	// Unbatched disables the per-session sender goroutine: Send calls go
 	// straight to the connection, one write per frame, as before the
@@ -47,12 +47,6 @@ type SessionConfig struct {
 	// as an escape hatch; the batched path is the default because it is
 	// never slower once more than one frame is in flight.
 	Unbatched bool
-	// SendQueueBytes bounds the bytes queued to the sender before
-	// enqueuers block (backpressure). Zero means the default (1 MiB).
-	SendQueueBytes int
-	// MaxBatchBytes bounds one vectored write. Zero means the default
-	// (256 KiB).
-	MaxBatchBytes int
 }
 
 // SessionManager multiplexes all bindings that share one Transport onto
@@ -389,7 +383,7 @@ func newSession(m *SessionManager, ep naming.Endpoint, conn netsim.Conn) *Sessio
 				queueDepth:     ins.SendQueueDepth,
 			}
 		}
-		s.q = newFrameQueue(conn, m.cfg.SendQueueBytes, m.cfg.MaxBatchBytes, bi,
+		s.q = newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
 			func(error) { s.kill(false) })
 	}
 	return s
@@ -681,17 +675,8 @@ func (s *Session) probeOnce(ctx context.Context, b *Binding) error {
 		ins.Probes.Inc()
 	}
 	correl := b.nextCorrel.Add(1)
-	m := wire.GetMessage()
-	m.Kind = wire.Probe
-	m.BindingID = b.bindingID
-	m.Seq = b.nextSeq.Add(1)
-	m.Correlation = correl
-	m.Target = b.Ref().ID
-	if err := runStages(b.cfg.Stages, Outbound, m); err != nil {
-		wire.PutMessage(m)
-		return err
-	}
-	frame, err := m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
+	m := b.message(wire.Probe, b.Ref(), b.nextSeq.Add(1), correl, "", nil)
+	frame, err := b.encode(m)
 	wire.PutMessage(m)
 	if err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/values"
 	"repro/internal/wire"
 )
@@ -100,7 +101,7 @@ func TestSessionKillMidFlightFailsAllPending(t *testing.T) {
 	bindings := make([]*Binding, nb)
 	for i := range bindings {
 		b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
-			BindConfig{Sessions: mgr, MaxRetries: 0})
+			BindConfig{Sessions: mgr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 	bindings := make([]*Binding, nb)
 	for i := range bindings {
 		b, err := Bind(naming.InterfaceRef{ID: ifaceID(9), Endpoint: "sim://server"},
-			BindConfig{Sessions: mgr, CallTimeout: 150 * time.Millisecond})
+			BindConfig{Sessions: mgr, Policy: policy.RetryPolicy{AttemptTimeout: 150 * time.Millisecond}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,10 +302,9 @@ func TestRelocationMovesWholeSessionUnderLoad(t *testing.T) {
 	for i := range bindings {
 		ref, _ := loc.Lookup(ids[i])
 		b, err := Bind(ref, BindConfig{
-			Sessions:    mgr,
-			Locator:     loc,
-			MaxRetries:  8,
-			CallTimeout: time.Second,
+			Sessions: mgr,
+			Locator:  loc,
+			Policy:   policy.RetryPolicy{MaxAttempts: 9, AttemptTimeout: time.Second},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -399,7 +399,7 @@ func TestProbeSingleFlight(t *testing.T) {
 	bindings := make([]*Binding, nb)
 	for i := range bindings {
 		b, err := Bind(naming.InterfaceRef{ID: ifaceID(1), Endpoint: "sim://server"},
-			BindConfig{Sessions: mgr, CallTimeout: 2 * time.Second})
+			BindConfig{Sessions: mgr, Policy: policy.RetryPolicy{AttemptTimeout: 2 * time.Second}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func TestSessionDeathStorm(t *testing.T) {
 		}
 	}()
 
-	pol := &policy.RetryPolicy{
+	pol := policy.RetryPolicy{
 		MaxAttempts:    2,
 		AttemptTimeout: 100 * time.Millisecond,
 		BaseBackoff:    5 * time.Millisecond,

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -192,33 +193,12 @@ func (fs *FlowStream) sendMarker(mark string) error {
 // classification.
 func (fs *FlowStream) sendFrame(elems []values.Value, mark string) error {
 	b := fs.b
-	ref := b.Ref()
-	m := wire.GetMessage()
-	m.Kind = wire.FlowBatch
-	m.BindingID = b.bindingID
-	m.Seq = fs.sentElems
-	m.Correlation = fs.streamID
-	m.Target = ref.ID
-	m.Epoch = ref.Epoch
-	m.Operation = fs.flow
+	m := b.message(wire.FlowBatch, b.Ref(), fs.sentElems, fs.streamID, fs.flow, elems)
 	m.Termination = mark
-	m.Args = elems
-	err := runStages(b.cfg.Stages, Outbound, m)
-	if err != nil {
-		wire.PutMessage(m)
-		return err
-	}
-	frame, err := m.EncodeAppend(wire.GetFrame(m.SizeHint()), b.cfg.Codec)
+	err := b.post(fs.sess, m)
 	wire.PutMessage(m)
-	if err != nil {
-		return err
-	}
-	if err := fs.sess.send(frame); err != nil { // send owns the frame
+	if errors.Is(err, ErrDisconnected) {
 		return fmt.Errorf("%w: flow %q: %w", ErrStreamClosed, fs.flow, err)
 	}
-	b.oneWayQueued.Add(1)
-	if err := fs.sess.flushSends(); err != nil {
-		return fmt.Errorf("%w: flow %q: %w", ErrStreamClosed, fs.flow, err)
-	}
-	return nil
+	return err
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engineering"
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/relocator"
 	"repro/internal/types"
 	"repro/internal/values"
@@ -361,7 +362,7 @@ func TestCheckpointStoreAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bnd, err := nodeA.Bind(ref, channel.BindConfig{Locator: reloc, MaxRetries: 3})
+	bnd, err := nodeA.Bind(ref, channel.BindConfig{Locator: reloc, Policy: policy.RetryPolicy{MaxAttempts: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestReplicaGroupOverRealChannels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnd, err := n.Bind(ref, channel.BindConfig{Locator: reloc, CallTimeout: 200 * time.Millisecond})
+		bnd, err := n.Bind(ref, channel.BindConfig{Locator: reloc, Policy: policy.RetryPolicy{AttemptTimeout: 200 * time.Millisecond}})
 		if err != nil {
 			t.Fatal(err)
 		}

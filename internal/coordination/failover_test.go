@@ -8,6 +8,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/engineering"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/relocator"
 	"repro/internal/values"
 )
@@ -124,7 +125,7 @@ func TestFailoverWithCheckpointRecovery(t *testing.T) {
 
 	cs := NewCheckpointStore()
 	g := NewFailoverGroup()
-	pb, err := channel.Bind(primaryRef, channel.BindConfig{Transport: net.From("client"), Locator: reloc, MaxRetries: 1})
+	pb, err := channel.Bind(primaryRef, channel.BindConfig{Transport: net.From("client"), Locator: reloc, Policy: policy.RetryPolicy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFailoverWithCheckpointRecovery(t *testing.T) {
 	}
 	// The backup invoker targets the SAME interface identity: after
 	// recovery at the backup node the relocator redirects it there.
-	bb, err := channel.Bind(primaryRef, channel.BindConfig{Transport: net.From("client"), Locator: reloc, MaxRetries: 3})
+	bb, err := channel.Bind(primaryRef, channel.BindConfig{Transport: net.From("client"), Locator: reloc, Policy: policy.RetryPolicy{MaxAttempts: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

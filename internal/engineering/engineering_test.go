@@ -10,6 +10,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/relocator"
 	"repro/internal/types"
 	"repro/internal/values"
@@ -129,7 +130,7 @@ func deploy(t *testing.T, n *Node, opts ClusterOptions, start int64) (*Cluster, 
 
 func (f *fixture) bind(t *testing.T, n *Node, ref naming.InterfaceRef) *channel.Binding {
 	t.Helper()
-	b, err := n.Bind(ref, channel.BindConfig{Locator: f.reloc, MaxRetries: 3, Type: counterType()})
+	b, err := n.Bind(ref, channel.BindConfig{Locator: f.reloc, Policy: policy.RetryPolicy{MaxAttempts: 4}, Type: counterType()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestInstantiateFromShippedCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same interface identity now answers at beta.
-	b, err := dst.Bind(ref, channel.BindConfig{Locator: f.reloc, MaxRetries: 3})
+	b, err := dst.Bind(ref, channel.BindConfig{Locator: f.reloc, Policy: policy.RetryPolicy{MaxAttempts: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

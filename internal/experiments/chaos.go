@@ -280,7 +280,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 			Sessions:  mgr,
 		}
 		if policyOn {
-			cfg.Policy = &policy.RetryPolicy{
+			cfg.Policy = policy.RetryPolicy{
 				MaxAttempts:    2,
 				AttemptTimeout: 100 * time.Millisecond,
 				Budget:         250 * time.Millisecond,
@@ -289,10 +289,9 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 				Seed:           17,
 			}
 		} else {
-			// The legacy configuration this PR's bugfix replaced: fixed
+			// The configuration the policy layer's bugfix replaced: fixed
 			// retry count, a fresh full timeout per attempt, no pacing.
-			cfg.MaxRetries = 3
-			cfg.CallTimeout = 150 * time.Millisecond
+			cfg.Policy = policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 150 * time.Millisecond}
 		}
 		b, err := channel.Bind(naming.InterfaceRef{
 			ID:       nodes[h].id,

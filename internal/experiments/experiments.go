@@ -19,6 +19,7 @@ import (
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/odp"
+	"repro/internal/policy"
 	"repro/internal/relocator"
 	"repro/internal/security"
 	"repro/internal/technology"
@@ -548,7 +549,8 @@ func E6RelocationRecovery(samples int) ([]time.Duration, error) {
 		return nil, err
 	}
 	b, err := channel.Bind(ref, channel.BindConfig{
-		Transport: net.From("client"), Locator: reloc, MaxRetries: 5,
+		Transport: net.From("client"), Locator: reloc,
+		Policy: policy.RetryPolicy{MaxAttempts: 6},
 	})
 	if err != nil {
 		return nil, err
@@ -598,9 +600,8 @@ func E6FailureMasking(dropRate float64, calls int) (withRetries, withoutRetries 
 		defer srv.Close()
 		b, err := channel.Bind(naming.InterfaceRef{ID: id, TypeName: "Counter", Endpoint: "sim://srv"},
 			channel.BindConfig{
-				Transport:   net.From("client"),
-				MaxRetries:  retries,
-				CallTimeout: 10 * time.Millisecond,
+				Transport: net.From("client"),
+				Policy:    policy.RetryPolicy{MaxAttempts: retries + 1, AttemptTimeout: 10 * time.Millisecond},
 			})
 		if err != nil {
 			return 0, err

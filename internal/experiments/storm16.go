@@ -238,10 +238,9 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 	}()
 	bind := func(ref naming.InterfaceRef) (*channel.Binding, error) {
 		b, err := channel.Bind(ref, channel.BindConfig{
-			Transport:   net.From("client"),
-			Locator:     reloc,
-			MaxRetries:  3,
-			CallTimeout: 20 * time.Millisecond,
+			Transport: net.From("client"),
+			Locator:   reloc,
+			Policy:    policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 20 * time.Millisecond},
 		})
 		if err == nil {
 			bindings = append(bindings, b)

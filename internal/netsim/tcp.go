@@ -18,33 +18,16 @@ import (
 // corruption or a hostile peer.
 const maxFrame = 64 << 20
 
-// TCPConfig configures the TCP transport.
-type TCPConfig struct {
-	// Coalesce enables Nagle-style batching of small outbound frames:
-	// Send appends to a pending buffer that a background writer drains
-	// into single large socket writes, flushing whenever the socket is
-	// idle (so an isolated frame still departs immediately — there is no
-	// fixed delay timer). Callers needing a hard barrier use the Flusher
-	// interface. Coalescing trades per-frame syscalls for a copy and is
-	// worthwhile when many goroutines share one connection. It exists
-	// only on the TCP transport; the simulated transport stays
-	// synchronous so experiment runs remain deterministic.
-	Coalesce bool
-}
-
 // TCP is the real-network transport: frames travel length-prefixed over
-// TCP connections. Endpoints have the form "tcp://host:port".
-type TCP struct {
-	cfg TCPConfig
-}
+// TCP connections. Endpoints have the form "tcp://host:port". Writes are
+// direct; batching is the caller's business (package channel's session
+// send queue hands whole batches to SendBatch).
+type TCP struct{}
 
 var _ Transport = TCP{}
 
-// NewTCP returns the TCP transport with default (uncoalesced) writes.
+// NewTCP returns the TCP transport.
 func NewTCP() TCP { return TCP{} }
-
-// NewTCPWithConfig returns a TCP transport with explicit configuration.
-func NewTCPWithConfig(cfg TCPConfig) TCP { return TCP{cfg: cfg} }
 
 // Dial connects to a TCP endpoint.
 func (t TCP) Dial(ctx context.Context, ep naming.Endpoint) (Conn, error) {
@@ -53,7 +36,7 @@ func (t TCP) Dial(ctx context.Context, ep naming.Endpoint) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: dial %s: %w", ep, err)
 	}
-	return newTCPConn(nc, ep, t.cfg), nil
+	return newTCPConn(nc, ep), nil
 }
 
 // Listen opens a TCP listener. The address "tcp://127.0.0.1:0" asks the
@@ -63,12 +46,11 @@ func (t TCP) Listen(ep naming.Endpoint) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: listen %s: %w", ep, err)
 	}
-	return &tcpListener{nl: nl, cfg: t.cfg}, nil
+	return &tcpListener{nl: nl}, nil
 }
 
 type tcpListener struct {
-	nl  net.Listener
-	cfg TCPConfig
+	nl net.Listener
 }
 
 func (l *tcpListener) Accept() (Conn, error) {
@@ -76,7 +58,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: accept: %w", err)
 	}
-	return newTCPConn(nc, naming.Endpoint("tcp://"+nc.RemoteAddr().String()), l.cfg), nil
+	return newTCPConn(nc, naming.Endpoint("tcp://"+nc.RemoteAddr().String())), nil
 }
 
 func (l *tcpListener) Close() error { return l.nl.Close() }
@@ -86,60 +68,37 @@ func (l *tcpListener) Endpoint() naming.Endpoint {
 }
 
 type tcpConn struct {
-	nc       net.Conn
-	remote   naming.Endpoint
-	coalesce bool
+	nc     net.Conn
+	remote naming.Endpoint
 
 	readMu sync.Mutex
 	// br buffers reads (guarded by readMu): when the peer batches frames
-	// into one segment (SendBatch/Coalesce), the whole batch is pulled
-	// into the buffer with one read syscall instead of two per frame —
-	// the receive-side complement of the vectored write.
+	// into one segment (SendBatch), the whole batch is pulled into the
+	// buffer with one read syscall instead of two per frame — the
+	// receive-side complement of the vectored write.
 	br      *bufio.Reader
 	writeMu sync.Mutex
-	lenBuf  [4]byte // guarded by writeMu (direct-write path)
+	lenBuf  [4]byte // guarded by writeMu
 
-	// Coalescing state, guarded by writeMu. Send appends length-prefixed
-	// frames to pend; the writer goroutine swaps pend for spare and writes
-	// the whole batch in one syscall, so frames queued while a write is in
-	// flight depart together — flush-on-idle batching with no delay timer.
-	cond    *sync.Cond // signals writers + Flush waiters; tied to writeMu
-	pend    []byte
-	spare   []byte
-	writing bool
-	werr    error
-	closed  bool
-	kick    chan struct{}
-
-	// Vectored-write scratch, guarded by writeMu (direct path only): the
-	// iovec slice handed to net.Buffers and the backing store for the
-	// per-frame length prefixes, both reused across batches.
+	// Vectored-write scratch, guarded by writeMu: the iovec slice handed to
+	// net.Buffers and the backing store for the per-frame length prefixes,
+	// both reused across batches.
 	vecScratch net.Buffers
 	lenScratch []byte
 }
 
 var (
 	_ Conn        = (*tcpConn)(nil)
-	_ Flusher     = (*tcpConn)(nil)
 	_ BatchSender = (*tcpConn)(nil)
 )
 
-func newTCPConn(nc net.Conn, remote naming.Endpoint, cfg TCPConfig) *tcpConn {
-	c := &tcpConn{nc: nc, remote: remote, coalesce: cfg.Coalesce, br: bufio.NewReaderSize(nc, 64<<10)}
-	if c.coalesce {
-		c.cond = sync.NewCond(&c.writeMu)
-		c.kick = make(chan struct{}, 1)
-		go c.writerLoop()
-	}
-	return c
+func newTCPConn(nc net.Conn, remote naming.Endpoint) *tcpConn {
+	return &tcpConn{nc: nc, remote: remote, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
 func (c *tcpConn) Send(frame []byte) error {
 	if len(frame) > maxFrame {
 		return fmt.Errorf("netsim: frame of %d bytes exceeds limit", len(frame))
-	}
-	if c.coalesce {
-		return c.sendCoalesced(frame)
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -155,9 +114,7 @@ func (c *tcpConn) Send(frame []byte) error {
 
 // SendBatch implements BatchSender: the frames depart in order as one
 // vectored write (writev via net.Buffers), each length-prefixed exactly as
-// Send would have framed it. Under Coalesce the batch is appended to the
-// pending buffer in one critical section and the background writer drains
-// it, so a batch still costs one wakeup rather than one per frame.
+// Send would have framed it.
 func (c *tcpConn) SendBatch(frames [][]byte) error {
 	for _, f := range frames {
 		if len(f) > maxFrame {
@@ -165,28 +122,6 @@ func (c *tcpConn) SendBatch(frames [][]byte) error {
 		}
 	}
 	if len(frames) == 0 {
-		return nil
-	}
-	if c.coalesce {
-		c.writeMu.Lock()
-		if c.werr != nil {
-			err := c.werr
-			c.writeMu.Unlock()
-			return err
-		}
-		if c.closed {
-			c.writeMu.Unlock()
-			return ErrClosed
-		}
-		for _, f := range frames {
-			c.pend = binary.BigEndian.AppendUint32(c.pend, uint32(len(f)))
-			c.pend = append(c.pend, f...)
-		}
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
-		c.writeMu.Unlock()
 		return nil
 	}
 	c.writeMu.Lock()
@@ -214,71 +149,6 @@ func (c *tcpConn) SendBatch(frames [][]byte) error {
 	return nil
 }
 
-func (c *tcpConn) sendCoalesced(frame []byte) error {
-	c.writeMu.Lock()
-	if c.werr != nil {
-		err := c.werr
-		c.writeMu.Unlock()
-		return err
-	}
-	if c.closed {
-		c.writeMu.Unlock()
-		return ErrClosed
-	}
-	c.pend = binary.BigEndian.AppendUint32(c.pend, uint32(len(frame)))
-	c.pend = append(c.pend, frame...)
-	// Kick under the lock: Close also closes the channel under it, so a
-	// send on a closed channel is impossible.
-	select {
-	case c.kick <- struct{}{}:
-	default: // writer already has a wakeup pending
-	}
-	c.writeMu.Unlock()
-	return nil
-}
-
-func (c *tcpConn) writerLoop() {
-	for range c.kick {
-		for {
-			c.writeMu.Lock()
-			if len(c.pend) == 0 || c.werr != nil {
-				c.writing = false
-				c.cond.Broadcast() // idle: wake Flush waiters
-				c.writeMu.Unlock()
-				break
-			}
-			batch := c.pend
-			c.pend = c.spare[:0]
-			c.spare = nil
-			c.writing = true
-			c.writeMu.Unlock()
-
-			_, err := c.nc.Write(batch)
-
-			c.writeMu.Lock()
-			c.spare = batch[:0]
-			if err != nil && c.werr == nil {
-				c.werr = fmt.Errorf("netsim: write batch: %w", err)
-			}
-			c.writeMu.Unlock()
-		}
-	}
-}
-
-// Flush implements Flusher: it blocks until every accepted frame has been
-// written to the socket, returning the writer's sticky error if any.
-func (c *tcpConn) Flush() error {
-	if !c.coalesce {
-		return nil
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	for (len(c.pend) > 0 || c.writing) && c.werr == nil && !c.closed {
-		c.cond.Wait()
-	}
-	return c.werr
-}
-
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
@@ -303,19 +173,7 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	return frame, nil
 }
 
-func (c *tcpConn) Close() error {
-	if c.coalesce {
-		_ = c.Flush() // drain accepted frames before tearing the socket down
-		c.writeMu.Lock()
-		if !c.closed {
-			c.closed = true
-			close(c.kick)
-			c.cond.Broadcast()
-		}
-		c.writeMu.Unlock()
-	}
-	return c.nc.Close()
-}
+func (c *tcpConn) Close() error { return c.nc.Close() }
 
 func (c *tcpConn) RemoteEndpoint() naming.Endpoint { return c.remote }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // startPair returns a dialed client connection and the server-side
-// accepted connection for the given TCP config.
-func startPair(t *testing.T, cfg TCPConfig) (client, server Conn) {
+// accepted connection of one loopback TCP connection.
+func startPair(t *testing.T) (client, server Conn) {
 	t.Helper()
-	tr := NewTCPWithConfig(cfg)
+	tr := NewTCP()
 	l, err := tr.Listen("tcp://127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -77,15 +77,14 @@ func sameFrames(t *testing.T, label string, want, got [][]byte) {
 
 // TestBatchBoundariesPreserveFrameSequence is the batching property test:
 // however the sender carves the same logical frame sequence into batches
-// — one frame per Send, SendBatch with every partition width, or the
-// coalescing writer choosing its own boundaries — the receiver observes
-// the byte-identical ordered frame sequence. Batching may only change
-// syscall count, never the stream.
+// — one frame per Send, or SendBatch with every partition width — the
+// receiver observes the byte-identical ordered frame sequence. Batching
+// may only change syscall count, never the stream.
 func TestBatchBoundariesPreserveFrameSequence(t *testing.T) {
 	frames := testFrames(40)
 
 	// Baseline: one Send per frame on the plain transport.
-	client, server := startPair(t, TCPConfig{})
+	client, server := startPair(t)
 	done := make(chan [][]byte, 1)
 	go func() { done <- recvHelper(t, server, len(frames)) }()
 	for _, f := range frames {
@@ -99,7 +98,7 @@ func TestBatchBoundariesPreserveFrameSequence(t *testing.T) {
 	// SendBatch with several partition widths, including a width of 1
 	// (degenerate batch) and one batch holding everything.
 	for _, width := range []int{1, 2, 3, 7, len(frames)} {
-		client, server := startPair(t, TCPConfig{})
+		client, server := startPair(t)
 		done := make(chan [][]byte, 1)
 		go func() { done <- recvHelper(t, server, len(frames)) }()
 		bs, ok := client.(BatchSender)
@@ -117,27 +116,12 @@ func TestBatchBoundariesPreserveFrameSequence(t *testing.T) {
 		}
 		sameFrames(t, fmt.Sprintf("batch width %d", width), frames, <-done)
 	}
-
-	// Coalescing writer: the background goroutine picks its own batch
-	// boundaries depending on scheduling; the sequence must still match.
-	client, server = startPair(t, TCPConfig{Coalesce: true})
-	done = make(chan [][]byte, 1)
-	go func() { done <- recvHelper(t, server, len(frames)) }()
-	for _, f := range frames {
-		if err := client.Send(f); err != nil {
-			t.Fatalf("coalesced Send: %v", err)
-		}
-	}
-	if err := client.(Flusher).Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	sameFrames(t, "coalesced", frames, <-done)
 }
 
 // TestSendBatchEmptyAndOversize pins the edge cases: an empty batch is a
 // no-op and an oversized frame is rejected before any byte departs.
 func TestSendBatchEmptyAndOversize(t *testing.T) {
-	client, server := startPair(t, TCPConfig{})
+	client, server := startPair(t)
 	bs := client.(BatchSender)
 	if err := bs.SendBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)

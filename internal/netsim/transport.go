@@ -57,10 +57,8 @@ type Conn interface {
 	LocalEndpoint() naming.Endpoint
 }
 
-// Flusher is implemented by connections that coalesce small outbound
-// frames (see TCPConfig.Coalesce). Flush blocks until every frame accepted
-// by Send so far has been handed to the underlying transport, and returns
-// any write error the background writer has encountered.
+// Flusher has no implementation and no caller in this module any more; the
+// declaration stays only because the frozen bench/decorators.go names it.
 type Flusher interface {
 	Flush() error
 }

@@ -85,7 +85,7 @@ type System struct {
 	// per client host; defaultPol, when set by SetDefaultPolicy, is the
 	// retry policy Env hands to every binding configured afterwards.
 	breakerCfg *policy.BreakerConfig
-	defaultPol *policy.RetryPolicy
+	defaultPol policy.RetryPolicy
 	// directory, when set by ShardTrader, replaces the single Trader as
 	// the trading function Deploy and ImportAndBind use (nil = s.Trader).
 	directory trader.Shard
@@ -272,9 +272,10 @@ func (s *System) RelocationCache() *relocator.Cache {
 
 // SetDefaultPolicy installs the retry policy that Env (and so Bind and
 // ImportAndBind) hands to every binding configured afterwards whose
-// contract asks for failure transparency. nil restores the legacy
-// fixed-retry semantics. Existing bindings are unaffected.
-func (s *System) SetDefaultPolicy(p *policy.RetryPolicy) {
+// contract asks for failure transparency; what it leaves zero the
+// contract fills (see transparency.Env.Policy). Existing bindings are
+// unaffected.
+func (s *System) SetDefaultPolicy(p policy.RetryPolicy) {
 	s.mu.Lock()
 	s.defaultPol = p
 	s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engineering"
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/types"
 	"repro/internal/values"
 )
@@ -156,9 +157,9 @@ func TestNodeWithRemoteLocationRegistry(t *testing.T) {
 	stale := appRef
 	stale.Endpoint = "sim://wrong"
 	clientSide, err := channel.Bind(appRef, channel.BindConfig{
-		Transport:  net.From("customer"),
-		Locator:    remote,
-		MaxRetries: 2,
+		Transport: net.From("customer"),
+		Locator:   remote,
+		Policy:    policy.RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)

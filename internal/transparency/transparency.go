@@ -76,14 +76,14 @@ type Env struct {
 	// Instruments enables management instrumentation of bindings created
 	// under this environment (tracing, metrics, QoS). Optional.
 	Instruments *mgmt.ChannelClientInstruments
-	// Policy, when set, is the recovery policy applied to every binding
-	// created under this environment whose contract asks for failure
-	// transparency: seeded exponential backoff between retries and one
-	// deadline budget shared by all attempts, instead of the legacy
-	// immediate retries with a fresh CallTimeout each. An engineering
-	// choice, not part of the computational contract, so it lives on the
-	// environment. Optional; nil keeps the legacy semantics.
-	Policy *policy.RetryPolicy
+	// Policy holds the engineering choices of failure transparency for
+	// bindings created under this environment whose contract asks for it:
+	// the deadline budget shared by all attempts and the seeded backoff
+	// between retries. Not part of the computational contract, so it lives
+	// on the environment. Attempt count and per-attempt timeout left zero
+	// are filled from the contract; the zero value is therefore immediate
+	// retries with a fresh timeout each and no budget.
+	Policy policy.RetryPolicy
 }
 
 // Mechanism names the engineering mechanism realising a transparency, for
@@ -146,29 +146,22 @@ func ClientConfig(contract core.Contract, env Env) (channel.BindConfig, error) {
 		cfg.Locator = env.Locator
 	}
 
-	// Failure transparency: retries with a per-attempt bound. The legacy
-	// MaxRetries/CallTimeout pair is always derived (callers inspect it);
-	// when the environment carries a recovery policy, the policy governs
-	// and the pair is only its fallback documentation.
+	// Failure transparency: the contract supplies the retry count and the
+	// per-attempt bound unless the environment's policy already fixes them.
+	// Without it a latency bound still limits the single attempt.
 	if req.Has(core.Failure) {
-		cfg.MaxRetries = contract.EffectiveRetries()
-		if contract.MaxLatency > 0 {
-			cfg.CallTimeout = contract.MaxLatency
-		} else {
-			cfg.CallTimeout = 2 * time.Second
+		cfg.Policy = env.Policy
+		if cfg.Policy.MaxAttempts == 0 {
+			cfg.Policy.MaxAttempts = contract.EffectiveRetries() + 1
 		}
-		if env.Policy != nil {
-			p := *env.Policy
-			if p.MaxAttempts == 0 {
-				p.MaxAttempts = cfg.MaxRetries + 1
+		if cfg.Policy.AttemptTimeout == 0 {
+			cfg.Policy.AttemptTimeout = 2 * time.Second
+			if contract.MaxLatency > 0 {
+				cfg.Policy.AttemptTimeout = contract.MaxLatency
 			}
-			if p.AttemptTimeout == 0 {
-				p.AttemptTimeout = cfg.CallTimeout
-			}
-			cfg.Policy = &p
 		}
-	} else if contract.MaxLatency > 0 {
-		cfg.CallTimeout = contract.MaxLatency
+	} else {
+		cfg.Policy.AttemptTimeout = contract.MaxLatency
 	}
 
 	// Security: credentials first (innermost), audit outermost so it sees

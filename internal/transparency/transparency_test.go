@@ -13,6 +13,7 @@ import (
 	"repro/internal/engineering"
 	"repro/internal/naming"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/relocator"
 	"repro/internal/security"
 	"repro/internal/transactions"
@@ -65,8 +66,8 @@ func TestClientConfigFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MaxRetries != 3 || cfg.CallTimeout != 2*time.Second {
-		t.Errorf("failure defaults: retries=%d timeout=%v", cfg.MaxRetries, cfg.CallTimeout)
+	if want := (policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 2 * time.Second}); cfg.Policy != want {
+		t.Errorf("failure defaults: policy = %+v, want %+v", cfg.Policy, want)
 	}
 	cfg, err = ClientConfig(core.Contract{
 		Require:    core.TransparencySet(core.Failure),
@@ -76,16 +77,37 @@ func TestClientConfigFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.MaxRetries != 7 || cfg.CallTimeout != 100*time.Millisecond {
-		t.Errorf("explicit: retries=%d timeout=%v", cfg.MaxRetries, cfg.CallTimeout)
+	if want := (policy.RetryPolicy{MaxAttempts: 8, AttemptTimeout: 100 * time.Millisecond}); cfg.Policy != want {
+		t.Errorf("explicit: policy = %+v, want %+v", cfg.Policy, want)
 	}
 	// Latency bound applies even without failure transparency.
 	cfg, err = ClientConfig(core.Contract{MaxLatency: 50 * time.Millisecond}, baseEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.CallTimeout != 50*time.Millisecond || cfg.MaxRetries != 0 {
-		t.Errorf("latency only: %v, %d", cfg.CallTimeout, cfg.MaxRetries)
+	if want := (policy.RetryPolicy{AttemptTimeout: 50 * time.Millisecond}); cfg.Policy != want {
+		t.Errorf("latency only: policy = %+v, want %+v", cfg.Policy, want)
+	}
+	// The environment's policy supplies budget and backoff and may fix the
+	// attempt count; what it leaves zero comes from the contract — and
+	// without failure transparency it is not applied at all.
+	env := baseEnv()
+	env.Policy = policy.RetryPolicy{MaxAttempts: 2, Budget: time.Second, BaseBackoff: time.Millisecond}
+	cfg, err = ClientConfig(core.Contract{Require: core.TransparencySet(core.Failure), MaxLatency: 50 * time.Millisecond}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := env.Policy
+	want.AttemptTimeout = 50 * time.Millisecond
+	if cfg.Policy != want {
+		t.Errorf("environment policy: policy = %+v, want %+v", cfg.Policy, want)
+	}
+	cfg, err = ClientConfig(core.Contract{}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Policy != (policy.RetryPolicy{}) {
+		t.Errorf("no failure transparency: policy = %+v, want zero", cfg.Policy)
 	}
 }
 

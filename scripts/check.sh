@@ -21,6 +21,16 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== bench module (build + vet) =="
+# bench/ is a module of its own, so the root build above does not notice
+# when an API removal breaks the benchmark.
+(cd bench && go build ./... && go vet ./...)
+
+echo "== non-test Go lines (excluding bench/) =="
+# The size figure ROADMAP tracks; printed, not gated.
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
+	xargs -0 cat | wc -l
+
 echo "== race detector (hot-path and fan-out packages) =="
 go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/transactions/ ./internal/coordination/ ./internal/trader/ \
