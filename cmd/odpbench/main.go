@@ -12,8 +12,8 @@
 //	odpbench -only e11 -dur 10s  # the chaos experiment, policy on vs off
 //	odpbench -only e12  # pipelining/batching grid, sim + loopback TCP
 //	odpbench -only e12smoke -json  # the CI cell (tcp, 64x8) as JSON
-//	odpbench -only e13  # sharded trader/relocator swarm (full grid)
-//	odpbench -only e13smoke -json  # the CI slice (1-vs-8 grid, 100k swarm)
+//	odpbench -only e13  # sharded trader: shard-count grid + rebalance blackout
+//	odpbench -only e13smoke -json  # the CI slice (1-vs-8 grid)
 //	odpbench -only e14  # streaming credit-flow isolation (sim + tcp)
 //	odpbench -only e14smoke -json  # the CI slice (fewer elements)
 //	odpbench -only e15  # de-singletoned control plane: replicated types, sharded bus, 1M swarm
@@ -24,9 +24,7 @@
 //
 // With -json every section emits the unified experiments.Record shape
 // (experiment id, scenario, numeric params and metrics), one JSON array
-// on stdout — the format BENCH files are generated from. The one
-// exception is -only e12/-only e12smoke, which keeps its original row
-// array because the CI gate's parser predates the unified shape.
+// on stdout — the format BENCH files are generated from.
 package main
 
 import (
@@ -74,8 +72,8 @@ func main() {
 	em := &emitter{json: *asJSON}
 
 	if *only == "e12" || *only == "e12smoke" {
-		// JSON mode keeps the original row array: the CI gate parses it.
-		runE12(*only == "e12smoke", *asJSON, *iters)
+		runE12(em, *only == "e12smoke", *iters)
+		em.flush()
 		return
 	}
 	if *only == "e13" || *only == "e13smoke" {
@@ -202,7 +200,7 @@ func main() {
 
 	runE10(em, *iters)
 	runE11(em, *dur)
-	runE12(false, false, *iters)
+	runE12(em, false, *iters)
 	runE13(em, true)
 	runE14(em, true)
 	runE15(em, true)
@@ -319,9 +317,10 @@ func runE14(em *emitter, smoke bool) {
 	fmt.Println()
 }
 
-// runE13 prints (or records) the sharded-infrastructure swarm: import
-// throughput vs shard count with capacity-gated shards over channels,
-// the large binding swarm, and the per-offer rebalance blackout probe.
+// runE13 prints (or records) the sharded trader: import throughput vs
+// shard count with capacity-gated shards over channels, and the
+// per-offer rebalance blackout probe. (The binding swarm is measured
+// once, at one million bindings, in E15.)
 func runE13(em *emitter, smoke bool) {
 	rep, err := experiments.E13(smoke)
 	if err != nil {
@@ -332,20 +331,13 @@ func runE13(em *emitter, smoke bool) {
 	if em.json {
 		return
 	}
-	section(em, "E13 Sharded trader + relocator: shard scaling, binding swarm, rebalance blackout")
+	section(em, "E13 Sharded trader: shard scaling, rebalance blackout")
 	fmt.Printf("  %-24s %8s %12s %10s %10s\n", "grid (gated shards)", "calls", "imports/sec", "p50", "p99")
 	for _, g := range rep.Grid {
 		fmt.Printf("  %-24s %8d %12.0f %10v %10v\n",
 			fmt.Sprintf("shards=%d workers=%d", g.Shards, g.Workers),
 			g.Calls, g.Throughput, g.P50.Round(time.Microsecond), g.P99.Round(time.Microsecond))
 	}
-	s := rep.Swarm
-	fmt.Printf("  swarm: %d bindings over %d hosts x %d nodes (%d shards): %d lost lookups,\n",
-		s.Bindings, s.Config.Hosts, s.Config.Nodes, s.Config.Shards, s.LostLookups)
-	fmt.Printf("         %d conns, %d dials, cache hit rate %.4f, %d heapB/binding,\n",
-		s.Conns, s.Dials, s.CacheHitRate, s.HeapPerBinding)
-	fmt.Printf("         p50 %v p99 %v, %.0f bindings/sec (%v total)\n",
-		s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.PerSec, s.Elapsed.Round(time.Millisecond))
 	b := rep.Blackout
 	fmt.Printf("  blackout: %d offers probed through add+remove rebalance: %d probes, %d misses,\n",
 		b.Offers, b.Probes, b.Misses)
@@ -354,13 +346,13 @@ func runE13(em *emitter, smoke bool) {
 	fmt.Println()
 }
 
-// runE12 prints (or, for the CI gate, emits as JSON) the pipelining and
+// runE12 prints (or records) the pipelining and
 // frame-batching grid: invocation throughput and latency for batched vs
 // unbatched data planes across bindings × in-flight, on the simulated
 // network and on real loopback TCP. smoke restricts the grid to the CI
 // cell (tcp, 64 bindings × 8 in-flight) plus the single-call latency
 // cell (tcp, 1×1) that guards against batching taxing the idle path.
-func runE12(smoke, asJSON bool, iters int) {
+func runE12(em *emitter, smoke bool, iters int) {
 	type sweep struct {
 		transport          string
 		bindings, inflight []int
@@ -385,13 +377,10 @@ func runE12(smoke, asJSON bool, iters int) {
 		}
 		rows = append(rows, r...)
 	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fmt.Fprintf(os.Stderr, "e12 encode: %v\n", err)
-			os.Exit(1)
-		}
+	for _, r := range rows {
+		em.add(r.Records()...)
+	}
+	if em.json {
 		return
 	}
 	fmt.Println("E12 Invocation pipelining + adaptive frame batching: throughput vs data plane")

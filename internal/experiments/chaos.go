@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -222,7 +221,9 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	if duration < time.Second {
 		duration = time.Second
 	}
-	net := netsim.New(411)
+	f := newFleet(411)
+	defer f.close()
+	net := f.net
 	m := mgmt.New()
 
 	// --- the served replicas --------------------------------------------
@@ -258,8 +259,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	}
 
 	// --- the client: one session manager, one binding per replica ------
-	mgr := channel.NewSessionManager(net.From("client"))
-	defer mgr.Close()
+	mgr := f.sessions(net.From("client"), channel.SessionConfig{})
 	mgr.Instrument(m.Sessions("client"))
 	var chanBreakers, groupBreakers *policy.BreakerSet
 	if policyOn {
@@ -293,7 +293,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 			// retry count, a fresh full timeout per attempt, no pacing.
 			cfg.Policy = policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 150 * time.Millisecond}
 		}
-		b, err := channel.Bind(naming.InterfaceRef{
+		b, err := f.bind(naming.InterfaceRef{
 			ID:       nodes[h].id,
 			Endpoint: naming.Endpoint("sim://" + h),
 		}, cfg)
@@ -400,9 +400,9 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	rep.Availability = frac(okAll, rep.Ops)
 	rep.AvailabilityFaults = frac(okFaults, nFaults)
 	rep.AvailabilityHealed = frac(okHealed, nHealed)
-	rep.P99Overall = e11P99(all)
-	rep.P99Faults = e11P99(faults)
-	rep.P99Healed = e11P99(healed)
+	_, rep.P99Overall = quantiles(all)
+	_, rep.P99Faults = quantiles(faults)
+	_, rep.P99Healed = quantiles(healed)
 
 	// Time to recover: the fifth consecutive in-SLO success after the heal.
 	rep.TimeToRecover = -1
@@ -446,14 +446,4 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-func e11P99(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(lats))
-	copy(s, lats)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)*99)/100]
 }

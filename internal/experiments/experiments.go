@@ -271,27 +271,22 @@ func E4Channel() []Scenario {
 
 	var out []Scenario
 	for i, v := range variants {
-		net := netsim.New(int64(i + 1))
-		l, err := net.Listen(naming.Endpoint(fmt.Sprintf("sim://srv%d", i)))
+		f := newFleet(int64(i + 1))
+		l, err := f.net.Listen(naming.Endpoint(fmt.Sprintf("sim://srv%d", i)))
 		must(err)
-		srv := channel.NewServer(l, channel.ServerConfig{
+		_, ref, err := f.start(l, channel.ServerConfig{
 			Stages:      v.serverStages,
 			ReplayGuard: v.replayGuard,
-		})
-		id := naming.InterfaceID{Nonce: uint64(i + 1)}
-		must(srv.Register(id, echoType, e4Servant{}))
-		srv.Start()
-		b, err := channel.Bind(naming.InterfaceRef{
-			ID: id, TypeName: "Echo", Endpoint: l.Endpoint(),
-		}, channel.BindConfig{Transport: net, Codec: v.codec, Stages: v.clientStages})
+		}, naming.InterfaceID{Nonce: uint64(i + 1)}, echoType, e4Servant{})
+		must(err)
+		b, err := f.bind(ref, channel.BindConfig{Codec: v.codec, Stages: v.clientStages})
 		must(err)
 		arg := []values.Value{values.Str("the quick brown fox")}
 		ctx := context.Background()
-		srvRef, bRef := srv, b
 		out = append(out, Scenario{
 			Name: v.name,
 			Run: func() error {
-				term, _, err := bRef.Invoke(ctx, "Echo", arg)
+				term, _, err := b.Invoke(ctx, "Echo", arg)
 				if err != nil {
 					return err
 				}
@@ -300,10 +295,7 @@ func E4Channel() []Scenario {
 				}
 				return nil
 			},
-			Close: func() {
-				bRef.Close()
-				srvRef.Close()
-			},
+			Close: f.close,
 		})
 	}
 	return out
@@ -510,31 +502,18 @@ func E6Transparency() []Scenario {
 // E6RelocationRecovery measures how long a live binding takes to recover
 // across a migration: the relocation-transparency latency.
 func E6RelocationRecovery(samples int) ([]time.Duration, error) {
-	net := netsim.New(5)
+	f := newFleet(5)
+	defer f.close()
 	reloc := relocator.New()
-	mk := func(name string) *engineering.Node {
-		n, err := engineering.NewNode(engineering.NodeConfig{
-			ID:        naming.NodeID(name),
-			Endpoint:  naming.Endpoint("sim://" + name),
-			Transport: net.From(name),
-			Locations: reloc,
-		})
-		must(err)
-		n.Behaviors().Register("counter", func(values.Value) (engineering.Behavior, error) {
-			return &e6Counter{}, nil
-		})
-		return n
-	}
-	nodes := []*engineering.Node{mk("m0"), mk("m1")}
-	defer nodes[0].Close()
-	defer nodes[1].Close()
 	capsules := make([]*engineering.Capsule, 2)
-	for i, n := range nodes {
-		c, err := n.CreateCapsule()
+	for i, host := range []string{"m0", "m1"} {
+		n, err := f.counterNode(host, reloc)
 		if err != nil {
 			return nil, err
 		}
-		capsules[i] = c
+		if capsules[i], err = n.CreateCapsule(); err != nil {
+			return nil, err
+		}
 	}
 	cluster, err := capsules[0].CreateCluster(engineering.ClusterOptions{})
 	if err != nil {
@@ -548,14 +527,10 @@ func E6RelocationRecovery(samples int) ([]time.Duration, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := channel.Bind(ref, channel.BindConfig{
-		Transport: net.From("client"), Locator: reloc,
-		Policy: policy.RetryPolicy{MaxAttempts: 6},
-	})
+	b, err := f.bind(ref, channel.BindConfig{Locator: reloc, Policy: policy.RetryPolicy{MaxAttempts: 6}})
 	if err != nil {
 		return nil, err
 	}
-	defer b.Close()
 	ctx := context.Background()
 	arg := []values.Value{values.Int(1)}
 	if _, _, err := b.Invoke(ctx, "Inc", arg); err != nil {
@@ -584,29 +559,24 @@ func E6RelocationRecovery(samples int) ([]time.Duration, error) {
 // many succeeded with and without failure transparency.
 func E6FailureMasking(dropRate float64, calls int) (withRetries, withoutRetries int, err error) {
 	run := func(retries int, seed int64) (int, error) {
-		net := netsim.New(seed)
-		net.SetLink("client", "srv", netsim.LinkProfile{DropRate: dropRate})
-		net.SetLink("srv", "client", netsim.LinkProfile{DropRate: dropRate})
-		l, err := net.Listen("sim://srv")
+		f := newFleet(seed)
+		defer f.close()
+		f.net.SetLink("client", "srv", netsim.LinkProfile{DropRate: dropRate})
+		f.net.SetLink("srv", "client", netsim.LinkProfile{DropRate: dropRate})
+		l, err := f.net.Listen("sim://srv")
 		if err != nil {
 			return 0, err
 		}
-		srv := channel.NewServer(l, channel.ServerConfig{ReplayGuard: true})
-		id := naming.InterfaceID{Nonce: 9}
-		if err := srv.Register(id, e6CounterType(), &e6Counter{}); err != nil {
-			return 0, err
-		}
-		srv.Start()
-		defer srv.Close()
-		b, err := channel.Bind(naming.InterfaceRef{ID: id, TypeName: "Counter", Endpoint: "sim://srv"},
-			channel.BindConfig{
-				Transport: net.From("client"),
-				Policy:    policy.RetryPolicy{MaxAttempts: retries + 1, AttemptTimeout: 10 * time.Millisecond},
-			})
+		_, ref, err := f.start(l, channel.ServerConfig{ReplayGuard: true}, naming.InterfaceID{Nonce: 9}, e6CounterType(), &e6Counter{})
 		if err != nil {
 			return 0, err
 		}
-		defer b.Close()
+		b, err := f.bind(ref, channel.BindConfig{
+			Policy: policy.RetryPolicy{MaxAttempts: retries + 1, AttemptTimeout: 10 * time.Millisecond},
+		})
+		if err != nil {
+			return 0, err
+		}
 		ok := 0
 		ctx := context.Background()
 		for i := 0; i < calls; i++ {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
-	"repro/internal/netsim"
 	"repro/internal/odp"
 	"repro/internal/policy"
 	"repro/internal/transactions"
@@ -37,34 +36,28 @@ import (
 func E9Overhead() []Scenario {
 	var out []Scenario
 	for i, on := range []bool{false, true} {
-		net := netsim.New(int64(100 + i))
-		l, err := net.Listen(naming.Endpoint(fmt.Sprintf("sim://e9-%d", i)))
+		f := newFleet(int64(100 + i))
+		l, err := f.net.Listen(naming.Endpoint(fmt.Sprintf("sim://e9-%d", i)))
 		must(err)
-		var m *mgmt.Management
 		scfg := channel.ServerConfig{ReplayGuard: true}
-		bcfg := channel.BindConfig{Transport: net, Codec: wire.Canonical}
+		bcfg := channel.BindConfig{Codec: wire.Canonical}
 		name := "invoke/instrumentation-off"
 		if on {
-			m = mgmt.New()
+			m := mgmt.New()
 			scfg.Instruments = m.ChannelServer("e9")
 			bcfg.Instruments = m.ChannelClient("e9")
 			name = "invoke/instrumentation-on"
 		}
-		srv := channel.NewServer(l, scfg)
-		id := naming.InterfaceID{Nonce: uint64(i + 1)}
-		must(srv.Register(id, echoOpType(), e4Servant{}))
-		srv.Start()
-		b, err := channel.Bind(naming.InterfaceRef{
-			ID: id, TypeName: "Echo", Endpoint: l.Endpoint(),
-		}, bcfg)
+		_, ref, err := f.start(l, scfg, naming.InterfaceID{Nonce: uint64(i + 1)}, echoOpType(), e4Servant{})
+		must(err)
+		b, err := f.bind(ref, bcfg)
 		must(err)
 		arg := []values.Value{values.Str("the quick brown fox")}
 		ctx := context.Background()
-		srvRef, bRef := srv, b
 		out = append(out, Scenario{
 			Name: name,
 			Run: func() error {
-				term, _, err := bRef.Invoke(ctx, "Echo", arg)
+				term, _, err := b.Invoke(ctx, "Echo", arg)
 				if err != nil {
 					return err
 				}
@@ -73,10 +66,7 @@ func E9Overhead() []Scenario {
 				}
 				return nil
 			},
-			Close: func() {
-				bRef.Close()
-				srvRef.Close()
-			},
+			Close: f.close,
 		})
 	}
 	for _, traced := range []bool{false, true} {

@@ -22,13 +22,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
-	"repro/internal/netsim"
 	"repro/internal/values"
 )
 
@@ -45,17 +42,34 @@ import (
 //	           own calls per binding; the CI gate compares batched
 //	           against it.
 type E12PipelineRow struct {
-	Transport string `json:"transport"` // "sim" or "tcp"
-	Mode      string `json:"mode"`      // "batched", "unbatched" or "serial"
-	Bindings  int    `json:"bindings"`
-	InFlight  int    `json:"inflight"` // concurrent interrogations per binding
-	Calls     int    `json:"calls"`    // total invocations measured
+	Transport string // "sim" or "tcp"
+	Mode      string // "batched", "unbatched" or "serial"
+	Bindings  int
+	InFlight  int // concurrent interrogations per binding
+	Calls     int // total invocations measured
 	// Throughput is invocations completed per second across the whole
 	// fleet (the fleet shares one connection, so this is also the
 	// per-connection rate).
-	Throughput float64       `json:"throughput"`
-	P50        time.Duration `json:"p50_ns"`
-	P99        time.Duration `json:"p99_ns"`
+	Throughput float64
+	P50, P99   time.Duration
+}
+
+// Records flattens the row into the unified benchmark-record shape.
+func (r E12PipelineRow) Records() []Record {
+	return []Record{{
+		Experiment: "e12",
+		Scenario:   r.Transport + "/" + r.Mode,
+		Params: map[string]float64{
+			"bindings": float64(r.Bindings),
+			"inflight": float64(r.InFlight),
+		},
+		Metrics: map[string]float64{
+			"calls":      float64(r.Calls),
+			"throughput": r.Throughput,
+			"p50_us":     float64(r.P50.Microseconds()),
+			"p99_us":     float64(r.P99.Microseconds()),
+		},
+	}}
 }
 
 // E12Pipeline measures the grid bindings × inflight in both data-plane
@@ -95,115 +109,62 @@ func e12Cell(transport, mode string, n, k, totalCalls int) (E12PipelineRow, erro
 		maxInFlight = 1
 	}
 
-	var (
-		listener netsim.Listener
-		clientT  netsim.Transport
-		err      error
-	)
-	switch transport {
-	case "sim":
-		net := netsim.New(int64(12000 + n*100 + k))
-		net.SetAcceptBacklog(2 * n)
-		listener, err = net.Listen("sim://server")
-		if err != nil {
-			return E12PipelineRow{}, err
-		}
-		clientT = net.From("client")
-	case "tcp":
-		t := netsim.NewTCP()
-		listener, err = t.Listen("tcp://127.0.0.1:0")
-		if err != nil {
-			return E12PipelineRow{}, err
-		}
-		clientT = t
-	default:
-		return E12PipelineRow{}, fmt.Errorf("unknown transport %q", transport)
-	}
-
-	srv := channel.NewServer(listener, channel.ServerConfig{Unbatched: unbatched})
-	defer srv.Close()
-	id := naming.InterfaceID{Nonce: 12}
-	err = srv.Register(id, nil, channel.HandlerFunc(
-		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-			return "OK", args, nil
-		}))
+	f := newFleet(int64(12000 + n*100 + k))
+	defer f.close()
+	f.net.SetAcceptBacklog(2 * n)
+	listener, clientT, err := f.endpoint(transport)
 	if err != nil {
 		return E12PipelineRow{}, err
 	}
-	srv.Start()
-	ref := naming.InterfaceRef{ID: id, Endpoint: listener.Endpoint()}
+	echo := channel.HandlerFunc(
+		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
+			return "OK", args, nil
+		})
+	_, ref, err := f.start(listener, channel.ServerConfig{Unbatched: unbatched}, naming.InterfaceID{Nonce: 12}, nil, echo)
+	if err != nil {
+		return E12PipelineRow{}, err
+	}
 
-	mgr := channel.NewSessionManagerWithConfig(clientT, channel.SessionConfig{Unbatched: unbatched})
-	defer mgr.Close()
-	fleet := make([]*channel.Binding, n)
-	for i := range fleet {
+	mgr := f.sessions(clientT, channel.SessionConfig{Unbatched: unbatched})
+	bindings := make([]*channel.Binding, n)
+	for i := range bindings {
 		// The in-flight cap equals the worker count (serial mode pins it to
 		// 1), so the semaphore is exercised without ever rejecting (queue
 		// mode, not FailFast).
-		b, err := channel.Bind(ref, channel.BindConfig{Sessions: mgr, MaxInFlight: maxInFlight})
+		b, err := f.bind(ref, channel.BindConfig{Sessions: mgr, MaxInFlight: maxInFlight})
 		if err != nil {
 			return E12PipelineRow{}, err
 		}
-		defer b.Close()
-		fleet[i] = b
+		bindings[i] = b
 	}
 
 	arg := []values.Value{values.Int(1)}
 	ctx := context.Background()
 	// Attach every binding to the shared session before the clock starts.
-	for _, b := range fleet {
+	for _, b := range bindings {
 		if _, _, err := b.Invoke(ctx, "Echo", arg); err != nil {
 			return E12PipelineRow{}, err
 		}
 	}
 
+	// k workers per binding, so each binding has at most k calls in flight.
 	workers := n * k
-	perWorker := totalCalls / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	calls := workers * perWorker
-	durs := make([][]time.Duration, workers)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := fleet[w%n]
-			lat := make([]time.Duration, 0, perWorker)
-			for j := 0; j < perWorker; j++ {
-				t0 := time.Now()
-				if _, _, err := b.Invoke(ctx, "Echo", arg); err != nil {
-					errs <- err
-					return
-				}
-				lat = append(lat, time.Since(t0))
-			}
-			durs[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
+	calls := max(totalCalls/workers, 1) * workers
+	elapsed, lats, err := closedLoop(workers, calls, func(w, _ int) error {
+		_, _, err := bindings[w%n].Invoke(ctx, "Echo", arg)
+		return err
+	})
+	if err != nil {
 		return E12PipelineRow{}, err
 	}
-
-	all := make([]time.Duration, 0, calls)
-	for _, d := range durs {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return E12PipelineRow{
+	row := E12PipelineRow{
 		Transport:  transport,
 		Mode:       mode,
 		Bindings:   n,
 		InFlight:   k,
 		Calls:      calls,
 		Throughput: float64(calls) / elapsed.Seconds(),
-		P50:        all[len(all)/2],
-		P99:        all[len(all)*99/100],
-	}, nil
+	}
+	row.P50, row.P99 = quantiles(lats)
+	return row, nil
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/bank"
-	"repro/internal/channel"
 	"repro/internal/coordination"
 	"repro/internal/naming"
 	"repro/internal/netsim"
@@ -42,40 +41,24 @@ const ForcedLogDelay = 50 * time.Microsecond
 func E6ReplicationScaling() []Scenario {
 	var out []Scenario
 	for _, r := range []int{1, 3, 5, 9} {
-		net := netsim.New(int64(300 + r))
-		net.SetDefaultLink(netsim.LinkProfile{Latency: ReplicaLatency})
-		g := coordination.NewReplicaGroup()
-		var servers []*channel.Server
+		f := newFleet(int64(300 + r))
+		f.net.SetDefaultLink(netsim.LinkProfile{Latency: ReplicaLatency})
+		group := coordination.NewReplicaGroup()
 		for i := 0; i < r; i++ {
 			host := fmt.Sprintf("rep%d", i)
-			l, err := net.Listen(naming.Endpoint("sim://" + host))
+			b, err := f.serve(host, naming.InterfaceID{Nonce: uint64(1000 + i)}, e6CounterType(), &e6Counter{})
 			must(err)
-			srv := channel.NewServer(l, channel.ServerConfig{})
-			id := naming.InterfaceID{Nonce: uint64(1000 + i)}
-			must(srv.Register(id, e6CounterType(), &e6Counter{}))
-			srv.Start()
-			servers = append(servers, srv)
-			b, err := channel.Bind(naming.InterfaceRef{
-				ID: id, TypeName: "Counter", Endpoint: l.Endpoint(),
-			}, channel.BindConfig{Transport: net.From("client")})
-			must(err)
-			must(g.Add(host, b))
+			must(group.Add(host, b))
 		}
 		ctx := context.Background()
 		arg := []values.Value{values.Int(1)}
-		group, srvs := g, servers
 		out = append(out, Scenario{
 			Name: fmt.Sprintf("replication-latent/r=%d", r),
 			Run: func() error {
 				_, _, err := group.Invoke(ctx, "Inc", arg)
 				return err
 			},
-			Close: func() {
-				group.Close()
-				for _, s := range srvs {
-					s.Close()
-				}
-			},
+			Close: f.close,
 		})
 	}
 	return out
@@ -207,13 +190,12 @@ func E8FederationParallel() []Scenario {
 	must(repo.RegisterInterface(bank.TellerType()))
 	must(repo.RegisterInterface(bank.ManagerType()))
 
-	net := netsim.New(77)
-	net.SetDefaultLink(netsim.LinkProfile{Latency: ReplicaLatency})
+	f := newFleet(77)
+	f.net.SetDefaultLink(netsim.LinkProfile{Latency: ReplicaLatency})
 	origin := trader.New("origin", repo)
-	var servers []*channel.Server
-	var remotes []*trader.Remote
 	for i := 0; i < links; i++ {
-		rt := trader.New(fmt.Sprintf("fed%d", i), repo)
+		host := fmt.Sprintf("fed%d", i)
+		rt := trader.New(host, repo)
 		for j := 0; j < 5; j++ {
 			_, err := rt.Export("BankTeller", naming.InterfaceRef{
 				ID:       naming.InterfaceID{Nonce: uint64(100*i + j + 1)},
@@ -222,23 +204,10 @@ func E8FederationParallel() []Scenario {
 			}, values.Record(values.F("queue", values.Int(int64(j)))))
 			must(err)
 		}
-		host := fmt.Sprintf("fed%d", i)
-		l, err := net.Listen(naming.Endpoint("sim://" + host))
+		b, err := f.serve(host, naming.InterfaceID{Nonce: uint64(2000 + i)}, trader.InterfaceType(), &trader.Servant{T: rt})
 		must(err)
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		id := naming.InterfaceID{Nonce: uint64(2000 + i)}
-		must(srv.Register(id, trader.InterfaceType(), &trader.Servant{T: rt}))
-		srv.Start()
-		servers = append(servers, srv)
-		b, err := channel.Bind(naming.InterfaceRef{
-			ID: id, TypeName: "odp.Trader", Endpoint: l.Endpoint(),
-		}, channel.BindConfig{Transport: net.From("client")})
-		must(err)
-		remote := trader.NewRemote(b)
-		remotes = append(remotes, remote)
-		origin.Link(host, remote)
+		origin.Link(host, trader.NewRemote(b))
 	}
-	srvs, rems := servers, remotes
 	return []Scenario{{
 		Name: fmt.Sprintf("import/federated-latent/links=%d", links),
 		Run: func() error {
@@ -251,13 +220,6 @@ func E8FederationParallel() []Scenario {
 			}
 			return nil
 		},
-		Close: func() {
-			for _, r := range rems {
-				r.Close()
-			}
-			for _, s := range srvs {
-				s.Close()
-			}
-		},
+		Close: f.close,
 	}}
 }

@@ -12,13 +12,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
-	"repro/internal/netsim"
 	"repro/internal/values"
 )
 
@@ -52,58 +49,54 @@ func E10SessionScaling(ns []int, callsPerBinding int) ([]E10SessionRow, error) {
 	return rows, nil
 }
 
-func e10Row(mode string, n, calls int) (E10SessionRow, error) {
-	net := netsim.New(int64(9000 + n))
-	// Per-binding mode dials n connections in a burst; keep the accept
-	// backlog out of the measurement.
-	net.SetAcceptBacklog(2 * n)
-	l, err := net.Listen("sim://server")
+// e10Server brings up the one echo server of an E10 cell on a fresh
+// fleet whose accept backlog admits an n-connection burst.
+func e10Server(seed int64, n int) (*fleet, *channel.Server, naming.InterfaceRef, error) {
+	f := newFleet(seed)
+	f.net.SetAcceptBacklog(2 * n)
+	l, _, err := f.endpoint("sim")
 	if err != nil {
-		return E10SessionRow{}, err
+		return nil, nil, naming.InterfaceRef{}, err
 	}
-	srv := channel.NewServer(l, channel.ServerConfig{})
-	defer srv.Close()
-	id := naming.InterfaceID{Nonce: 10}
-	err = srv.Register(id, nil, channel.HandlerFunc(
+	srv, ref, err := f.start(l, channel.ServerConfig{}, naming.InterfaceID{Nonce: 10}, nil, channel.HandlerFunc(
 		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 			return "OK", args, nil
 		}))
 	if err != nil {
+		f.close()
+		return nil, nil, naming.InterfaceRef{}, err
+	}
+	return f, srv, ref, nil
+}
+
+func e10Row(mode string, n, calls int) (E10SessionRow, error) {
+	// Per-binding mode dials n connections in a burst; the backlog keeps
+	// that out of the measurement.
+	f, srv, ref, err := e10Server(int64(9000+n), n)
+	if err != nil {
 		return E10SessionRow{}, err
 	}
-	srv.Start()
-	ref := naming.InterfaceRef{ID: id, Endpoint: "sim://server"}
-
-	var shared *channel.SessionManager
-	var managers []*channel.SessionManager
-	if mode == "shared" {
-		shared = channel.NewSessionManager(net.From("client"))
-		defer shared.Close()
-	}
+	defer f.close()
 
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
+	var managers []*channel.SessionManager
 	bindings := make([]*channel.Binding, n)
 	for i := range bindings {
-		cfg := channel.BindConfig{Sessions: shared}
-		if shared == nil {
-			m := channel.NewSessionManager(net.From("client"))
-			managers = append(managers, m)
-			cfg.Sessions = m
+		if mode != "shared" || i == 0 {
+			managers = append(managers, f.sessions(f.net.From("client"), channel.SessionConfig{}))
 		}
-		b, err := channel.Bind(ref, cfg)
+		b, err := f.bind(ref, channel.BindConfig{Sessions: managers[len(managers)-1]})
 		if err != nil {
 			return E10SessionRow{}, err
 		}
-		defer b.Close()
 		bindings[i] = b
 	}
 	// Establish every binding's session before measuring, concurrently (in
 	// per-binding mode this is the n-dial burst itself).
-	arg := []values.Value{values.Int(1)}
-	if err := e10Fanout(bindings, 1, arg, nil); err != nil {
+	if _, err := e10Fanout(bindings, 1); err != nil {
 		return E10SessionRow{}, err
 	}
 
@@ -116,33 +109,19 @@ func e10Row(mode string, n, calls int) (E10SessionRow, error) {
 	}
 
 	// Latency under concurrent load across all bindings.
-	durs := make([][]time.Duration, n)
-	for i := range durs {
-		durs[i] = make([]time.Duration, 0, calls)
-	}
-	if err := e10Fanout(bindings, calls, arg, durs); err != nil {
+	lats, err := e10Fanout(bindings, calls)
+	if err != nil {
 		return E10SessionRow{}, err
 	}
-	all := make([]time.Duration, 0, n*calls)
-	for _, d := range durs {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-
 	row := E10SessionRow{
 		Mode:     mode,
 		Bindings: n,
 		Conns:    srv.Stats().Sessions,
 		HeapPerB: heapPerB,
-		P50:      all[len(all)/2],
-		P99:      all[len(all)*99/100],
 	}
-	if shared != nil {
-		row.Dials = shared.Stats().Dials
-	} else {
-		for _, m := range managers {
-			row.Dials += m.Stats().Dials
-		}
+	row.P50, row.P99 = quantiles(lats)
+	for _, m := range managers {
+		row.Dials += m.Stats().Dials
 	}
 	return row, nil
 }
@@ -154,73 +133,43 @@ func e10Row(mode string, n, calls int) (E10SessionRow, error) {
 func E10SessionInvoke() []Scenario {
 	var out []Scenario
 	for _, n := range []int{1, 64, 256} {
-		net := netsim.New(int64(9500 + n))
-		net.SetAcceptBacklog(2 * n)
-		l, err := net.Listen("sim://server")
+		f, _, ref, err := e10Server(int64(9500+n), n)
 		must(err)
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		id := naming.InterfaceID{Nonce: 10}
-		must(srv.Register(id, nil, channel.HandlerFunc(
-			func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-				return "OK", args, nil
-			})))
-		srv.Start()
-		ref := naming.InterfaceRef{ID: id, Endpoint: "sim://server"}
-		mgr := channel.NewSessionManager(net.From("client"))
+		mgr := f.sessions(f.net.From("client"), channel.SessionConfig{})
 		bindings := make([]*channel.Binding, n)
 		for i := range bindings {
-			b, err := channel.Bind(ref, channel.BindConfig{Sessions: mgr})
+			b, err := f.bind(ref, channel.BindConfig{Sessions: mgr})
 			must(err)
 			bindings[i] = b
 		}
-		ctx := context.Background()
-		arg := []values.Value{values.Int(1)}
 		// Touch every binding once so the whole fleet is attached to the one
 		// session before measuring.
-		must(e10Fanout(bindings, 1, arg, nil))
-		b0, srv0, all := bindings[0], srv, bindings
+		_, err = e10Fanout(bindings, 1)
+		must(err)
+		ctx := context.Background()
+		arg := []values.Value{values.Int(1)}
+		b0 := bindings[0]
 		out = append(out, Scenario{
 			Name: fmt.Sprintf("session-invoke/siblings=%d", n),
 			Run: func() error {
 				_, _, err := b0.Invoke(ctx, "Echo", arg)
 				return err
 			},
-			Close: func() {
-				for _, b := range all {
-					b.Close()
-				}
-				mgr.Close()
-				srv0.Close()
-			},
+			Close: f.close,
 		})
 	}
 	return out
 }
 
-// e10Fanout runs calls sequential invocations on every binding, all
-// bindings concurrently, optionally recording per-call durations into
-// durs[i].
-func e10Fanout(bindings []*channel.Binding, calls int, arg []values.Value, durs [][]time.Duration) error {
+// e10Fanout invokes every binding calls times — one worker per binding,
+// call n going to binding n mod len(bindings), so each binding is hit
+// exactly calls times — and returns the per-call latencies.
+func e10Fanout(bindings []*channel.Binding, calls int) ([]time.Duration, error) {
 	ctx := context.Background()
-	errs := make(chan error, len(bindings))
-	var wg sync.WaitGroup
-	for i, b := range bindings {
-		wg.Add(1)
-		go func(i int, b *channel.Binding) {
-			defer wg.Done()
-			for j := 0; j < calls; j++ {
-				start := time.Now()
-				if _, _, err := b.Invoke(ctx, "Echo", arg); err != nil {
-					errs <- err
-					return
-				}
-				if durs != nil {
-					durs[i] = append(durs[i], time.Since(start))
-				}
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
+	arg := []values.Value{values.Int(1)}
+	_, lats, err := closedLoop(len(bindings), len(bindings)*calls, func(_, n int) error {
+		_, _, err := bindings[n%len(bindings)].Invoke(ctx, "Echo", arg)
+		return err
+	})
+	return lats, err
 }

@@ -38,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,37 +169,16 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		rep.Mode = "recovery-on"
 	}
 
-	net := netsim.New(cfg.Seed)
+	f := newFleet(cfg.Seed)
+	defer f.close()
+	net := f.net
 	reloc := relocator.New()
 
 	// --- engineering fleet: two WAN domains plus a standby spare -------
-	var nodes []*engineering.Node
-	mkNode := func(host string) (*engineering.Node, error) {
-		n, err := engineering.NewNode(engineering.NodeConfig{
-			ID:        naming.NodeID(host),
-			Endpoint:  naming.Endpoint("sim://" + host),
-			Transport: net.From(host),
-			Locations: reloc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.Behaviors().Register("counter", func(values.Value) (engineering.Behavior, error) {
-			return &e6Counter{}, nil
-		})
-		nodes = append(nodes, n)
-		return n, nil
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
 	hosts := []string{"w0", "w1", "e0", "e1", "spare"}
 	capsules := make(map[string]*engineering.Capsule, len(hosts))
 	for _, h := range hosts {
-		n, err := mkNode(h)
+		n, err := f.counterNode(h, reloc)
 		if err != nil {
 			return rep, err
 		}
@@ -230,22 +208,11 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		return cl, ref, nil
 	}
 
-	var bindings []*channel.Binding
-	defer func() {
-		for _, b := range bindings {
-			b.Close()
-		}
-	}()
 	bind := func(ref naming.InterfaceRef) (*channel.Binding, error) {
-		b, err := channel.Bind(ref, channel.BindConfig{
-			Transport: net.From("client"),
-			Locator:   reloc,
-			Policy:    policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 20 * time.Millisecond},
+		return f.bind(ref, channel.BindConfig{
+			Locator: reloc,
+			Policy:  policy.RetryPolicy{MaxAttempts: 4, AttemptTimeout: 20 * time.Millisecond},
 		})
-		if err == nil {
-			bindings = append(bindings, b)
-		}
-		return b, err
 	}
 
 	var objects []*e16Object // storm pool first, then victims
@@ -277,78 +244,32 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 	rep.Objects = len(objects)
 
 	// --- trader fleet: plain shards + one replica-group shard ----------
-	repo := e13Repo(cfg.Services)
-	fe := trader.NewSharded("fe", repo, 0)
-	var srvs []*channel.Server
-	var closers []func()
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
-	newTraderNode := func(host, traderName string, nonce uint64) (*channel.Binding, error) {
-		l, err := net.Listen(naming.Endpoint("sim://" + host))
-		if err != nil {
-			return nil, err
-		}
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		id := naming.InterfaceID{Nonce: nonce}
-		if err := srv.Register(id, nil, &trader.Servant{T: trader.New(traderName, repo)}); err != nil {
-			return nil, err
-		}
-		srv.Start()
-		srvs = append(srvs, srv)
-		b, err := channel.Bind(naming.InterfaceRef{ID: id, Endpoint: naming.Endpoint("sim://" + host)},
-			channel.BindConfig{Transport: net.From("fe")})
-		if err == nil {
-			closers = append(closers, func() { b.Close() })
-		}
-		return b, err
-	}
-	addPlainShard := func(i int) error {
-		b, err := newTraderNode(fmt.Sprintf("t%d", i), fmt.Sprintf("s%d", i), uint64(100+i))
-		if err != nil {
-			return err
-		}
-		return fe.AddShard(fmt.Sprintf("s%d", i), trader.NewRemote(b))
-	}
-	if err := addPlainShard(0); err != nil {
+	f.types = e13Repo(cfg.Services)
+	fe := trader.NewSharded("fe", f.types, 0)
+	if err := f.addShard(fe, 0, nil); err != nil {
 		return rep, err
 	}
-	if err := addPlainShard(2); err != nil {
+	if err := f.addShard(fe, 2, nil); err != nil {
 		return rep, err
 	}
 	// Shard s1 is a replica group: rep0 + rep1 serving, rep2 a warm
 	// standby outside the group (same trader name, so re-replicated
 	// offers keep their ids). The chaos script kills rep0.
-	group := coordination.NewReplicaGroup()
-	for r := 0; r < 2; r++ {
-		b, err := newTraderNode(fmt.Sprintf("rep%d", r), "sg", uint64(200+r))
-		if err != nil {
-			return rep, err
-		}
-		if err := group.Add(fmt.Sprintf("rep%d", r), b); err != nil {
-			return rep, err
-		}
+	tg, err := f.groupShard("rep0", "rep1")
+	if err != nil {
+		return rep, err
 	}
-	tg := coordination.NewTradingGroup(group)
+	group := tg.G
 	if err := fe.AddShard("s1", tg); err != nil {
 		return rep, err
 	}
-	standbyBinding, err := newTraderNode("rep2", "sg", 202)
+	standbyBinding, err := f.traderNode("rep2", "sg", 202, nil)
 	if err != nil {
 		return rep, err
 	}
 	standby := trader.NewRemote(standbyBinding)
-
-	for i := 0; i < cfg.Services; i++ {
-		if _, err := fe.Export(e13TypeName(i),
-			e13Ref(uint64(5000+i), e13TypeName(i), "sim://nowhere"), values.Null()); err != nil {
-			return rep, err
-		}
+	if err := e13Export(fe, cfg.Services, 5000); err != nil {
+		return rep, err
 	}
 
 	// --- self-healing layer --------------------------------------------
@@ -451,7 +372,7 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		},
 	})
 	defer det.Close()
-	for _, h := range []string{"w0", "w1", "e0", "e1", "spare", "t0", "t2", "rep0", "rep1", "rep2"} {
+	for _, h := range []string{"w0", "w1", "e0", "e1", "spare", "shard0", "shard2", "rep0", "rep1", "rep2"} {
 		host := h
 		ep := naming.Endpoint("sim://" + host)
 		err := det.Watch(host, func(ctx context.Context) (time.Duration, error) {
@@ -469,72 +390,39 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 	}
 
 	// --- probers ---------------------------------------------------------
-	var (
-		gapMu    sync.Mutex
-		lastSeen = make([]time.Time, len(objects))
-		maxGap   = make([]time.Duration, len(objects))
-		probes   atomic.Uint64
-		failures atomic.Uint64
-		stop     atomic.Bool
-	)
+	// One prober per live object, and two walking the trader's service
+	// types; a trader import that errors or finds nothing is a lost
+	// lookup, not a reason to stop probing.
+	objProbe := newGapProbe(len(objects))
 	ctx := context.Background()
 	arg := []values.Value{values.Int(1)}
-	var wg sync.WaitGroup
 	for i := range objects {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			b := objects[i].binding
-			for !stop.Load() {
-				_, _, err := b.Invoke(ctx, "Inc", arg)
-				if err != nil {
-					failures.Add(1)
-					time.Sleep(time.Millisecond) // pace fast-fails
-					continue
-				}
-				probes.Add(1)
-				now := time.Now()
-				gapMu.Lock()
-				if !lastSeen[i].IsZero() {
-					if gap := now.Sub(lastSeen[i]); gap > maxGap[i] {
-						maxGap[i] = gap
-					}
-				}
-				lastSeen[i] = now
-				gapMu.Unlock()
-				runtime.Gosched()
+		i, b := i, objects[i].binding
+		objProbe.start(func(int) (int, bool, error) {
+			if _, _, err := b.Invoke(ctx, "Inc", arg); err != nil {
+				time.Sleep(time.Millisecond) // pace fast-fails
+				return i, false, nil
 			}
-		}(i)
+			return i, true, nil
+		})
 	}
-	var lookups, lost atomic.Uint64
-	for p := 0; p < 2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; !stop.Load(); i++ {
-				lookups.Add(1)
-				got, err := fe.Import(trader.ImportRequest{
-					ServiceType: e13TypeName(i % cfg.Services), MaxMatches: 1})
-				if err != nil || len(got) == 0 {
-					lost.Add(1)
-				}
-				runtime.Gosched()
-			}
-		}(p)
+	lookupProbe := newGapProbe(cfg.Services)
+	for q := 0; q < 2; q++ {
+		importNext := e13Prober(fe, q, cfg.Services)
+		lookupProbe.start(func(k int) (int, bool, error) {
+			i, found, err := importNext(k)
+			return i, found && err == nil, nil
+		})
+	}
+	halt := func() {
+		objProbe.halt()
+		lookupProbe.halt()
 	}
 
 	// Warm up: every object answered once, every counter is live.
-	for warm := false; !warm; {
-		gapMu.Lock()
-		warm = true
-		for i := range lastSeen {
-			if lastSeen[i].IsZero() {
-				warm = false
-				break
-			}
-		}
-		gapMu.Unlock()
-		runtime.Gosched()
+	if err := objProbe.warm(warmDeadline); err != nil {
+		halt()
+		return rep, err
 	}
 	// Stash the victim checkpoints recovery will rescue from, then zero
 	// the window counters: only the storm counts.
@@ -543,22 +431,14 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		ck, err := cl.Checkpoint()
 		if err != nil {
 			crashMu.Unlock()
-			stop.Store(true)
-			wg.Wait()
+			halt()
 			return rep, err
 		}
 		stash = append(stash, ck)
 	}
 	crashMu.Unlock()
-	gapMu.Lock()
-	for i := range maxGap {
-		maxGap[i] = 0
-	}
-	gapMu.Unlock()
-	probes.Store(0)
-	failures.Store(0)
-	lookups.Store(0)
-	lost.Store(0)
+	objProbe.reset()
+	lookupProbe.reset()
 	windowStart := time.Now()
 
 	// --- the storm -------------------------------------------------------
@@ -579,7 +459,7 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 			if err != nil {
 				return err
 			}
-			closers = append(closers, func() { l.Close() })
+			f.own(func() { l.Close() })
 			go func() {
 				for {
 					c, err := l.Accept()
@@ -613,8 +493,7 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		nk, err := o.cluster.MigrateTo(capsules[ring[next]])
 		if err != nil {
 			chaos.Stop()
-			stop.Store(true)
-			wg.Wait()
+			halt()
 			return rep, fmt.Errorf("migration %d (%s): %w", m, o.name, err)
 		}
 		o.cluster, o.at = nk, next
@@ -623,16 +502,13 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 			// Mid-storm ring churn: a shard joins, a shard drains away
 			// through the install-before-withdraw path — two ring epochs
 			// on top of the health-driven failover.
-			if err := addPlainShard(3); err != nil {
-				chaos.Stop()
-				stop.Store(true)
-				wg.Wait()
-				return rep, err
+			err := f.addShard(fe, 3, nil)
+			if err == nil {
+				err = fe.RemoveShard("s0")
 			}
-			if err := fe.RemoveShard("s0"); err != nil {
+			if err != nil {
 				chaos.Stop()
-				stop.Store(true)
-				wg.Wait()
+				halt()
 				return rep, err
 			}
 		}
@@ -646,38 +522,26 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 	// The tail: keep probing so trailing gaps close and dead objects show.
 	tailStart := time.Now()
 	time.Sleep(cfg.Tail)
-	stop.Store(true)
-	wg.Wait()
+	halt()
 	rep.Window = time.Since(windowStart)
 
 	// --- report ----------------------------------------------------------
 	rep.Migrations = migrated
 	rep.Rescues = rescues.Load()
-	rep.Probes = probes.Load()
-	rep.Failures = failures.Load()
+	rep.Probes = objProbe.hits.Load()
+	rep.Failures = objProbe.misses.Load()
 	if rep.Probes+rep.Failures > 0 {
 		rep.Availability = float64(rep.Probes) / float64(rep.Probes+rep.Failures)
 	}
-	gapMu.Lock()
-	var sum time.Duration
-	for i, g := range maxGap {
-		if g > rep.MaxBlackout {
-			rep.MaxBlackout = g
-		}
-		sum += g
-		if lastSeen[i].Before(tailStart) {
-			rep.DeadObjects++
-		}
-	}
-	gapMu.Unlock()
-	rep.MeanBlackout = sum / time.Duration(len(maxGap))
-	rep.TraderLookups = lookups.Load()
-	rep.LostLookups = lost.Load()
+	rep.MaxBlackout = objProbe.worst()
+	rep.MeanBlackout = objProbe.mean()
+	rep.DeadObjects = objProbe.darkSince(tailStart)
+	rep.LostLookups = lookupProbe.misses.Load()
+	rep.TraderLookups = lookupProbe.hits.Load() + rep.LostLookups
 
 	// End-to-end check: every service type must still be importable.
 	for i := 0; i < cfg.Services; i++ {
-		got, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(i), MaxMatches: 1})
-		if err != nil || len(got) == 0 {
+		if e13Import(fe, i) != nil {
 			rep.LostLookups++
 		}
 	}

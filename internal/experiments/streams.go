@@ -18,13 +18,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
-	"repro/internal/netsim"
 	"repro/internal/stream"
 	"repro/internal/types"
 	"repro/internal/values"
@@ -77,44 +75,20 @@ func e14Type() *types.Interface {
 // fleet finishes when it is the slow one), one consumer endpoint draining
 // them all concurrently.
 func E14Cell(cfg E14Config) (E14Row, error) {
-	var (
-		listener netsim.Listener
-		clientT  netsim.Transport
-		err      error
-	)
-	switch cfg.Transport {
-	case "sim":
-		net := netsim.New(int64(14000 + cfg.Streams))
-		net.SetAcceptBacklog(2 * cfg.Streams)
-		listener, err = net.Listen("sim://server")
-		if err != nil {
-			return E14Row{}, err
-		}
-		clientT = net.From("client")
-	case "tcp":
-		t := netsim.NewTCP()
-		listener, err = t.Listen("tcp://127.0.0.1:0")
-		if err != nil {
-			return E14Row{}, err
-		}
-		clientT = t
-	default:
-		return E14Row{}, fmt.Errorf("unknown transport %q", cfg.Transport)
-	}
-
-	srv := channel.NewServer(listener, channel.ServerConfig{})
-	defer srv.Close()
-	cons := stream.NewConsumer(stream.ConsumerConfig{Window: cfg.Window})
-	defer cons.Close()
-	id := naming.InterfaceID{Nonce: 14}
-	if err := srv.Register(id, e14Type(), cons); err != nil {
+	f := newFleet(int64(14000 + cfg.Streams))
+	defer f.close()
+	f.net.SetAcceptBacklog(2 * cfg.Streams)
+	listener, clientT, err := f.endpoint(cfg.Transport)
+	if err != nil {
 		return E14Row{}, err
 	}
-	srv.Start()
-	ref := naming.InterfaceRef{ID: id, TypeName: "E14Feed", Endpoint: listener.Endpoint()}
-
-	mgr := channel.NewSessionManager(clientT)
-	defer mgr.Close()
+	cons := stream.NewConsumer(stream.ConsumerConfig{Window: cfg.Window})
+	defer cons.Close()
+	srv, ref, err := f.start(listener, channel.ServerConfig{}, naming.InterfaceID{Nonce: 14}, e14Type(), cons)
+	if err != nil {
+		return E14Row{}, err
+	}
+	mgr := f.sessions(clientT, channel.SessionConfig{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -126,13 +100,12 @@ func E14Cell(cfg E14Config) (E14Row, error) {
 
 	producers := make([]*stream.Producer, cfg.Streams)
 	for i := 0; i < cfg.Streams; i++ {
-		b, err := channel.Bind(ref, channel.BindConfig{
+		b, err := f.bind(ref, channel.BindConfig{
 			Sessions: mgr, Type: e14Type(), Transport: clientT,
 		})
 		if err != nil {
 			return E14Row{}, err
 		}
-		defer b.Close()
 		p, err := stream.Open(ctx, b, "elems", stream.ProducerConfig{})
 		if err != nil {
 			return E14Row{}, err
@@ -278,11 +251,7 @@ func E14Cell(cfg E14Config) (E14Row, error) {
 		}
 		all = append(all, d...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) > 0 {
-		row.SendP50 = all[len(all)/2]
-		row.SendP99 = all[len(all)*99/100]
-	}
+	row.SendP50, row.SendP99 = quantiles(all)
 
 	slowStats := producers[0].Stats()
 	row.SlowDelivered = slow.delivered

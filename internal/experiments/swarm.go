@@ -1,5 +1,6 @@
-// E13: the sharded-infrastructure swarm. Three measurements of the
-// sharded trader + sharded relocator + client relocation cache stack:
+// E13: the sharded infrastructure. Two measurements of the sharded
+// trader + sharded relocator + client relocation cache stack, plus the
+// binding swarm that E15 runs at full scale:
 //
 //   - grid: import throughput and latency against shard count, with each
 //     shard an ordinary ODP object reached over channels. Every shard
@@ -9,34 +10,33 @@
 //     local goroutines the scheduler happens to run: adding shards adds
 //     servers, and the measured scaling is the sharding's, not the
 //     machine's.
-//   - swarm: hundreds of thousands of client bindings (target one
-//     million across runs) fan out from a few dozen client hosts to a
-//     few dozen server nodes on the simulated network, every binding
-//     resolved through the sharded trader, located through a per-host
-//     relocation cache, attached over shared transport sessions, and
-//     exercised with one invocation. The claim under test is ODP's
-//     scale story end to end: no lookup may be lost, connections stay
-//     O(hosts×nodes) rather than O(bindings), and the cache absorbs
-//     nearly all location traffic.
 //   - blackout: per-offer availability while the ring changes. Probes
 //     import every offer continuously while a shard is added and
 //     another removed; the migration protocol (install on the new
 //     owner before withdrawing from the old, two-phase old-before-new
 //     reads) promises zero misses, and the probe log turns that promise
-//     into a measured per-offer blackout figure.
+//     into a measured per-offer blackout figure. The same probe, given a
+//     replica-group shard and a chaos script, is E15's crash storm.
+//   - swarm (E13Swarm, measured in E15): hundreds of thousands of client
+//     bindings (one million in E15) fan out from a few dozen client
+//     hosts to a few dozen server nodes on the simulated network, every
+//     binding resolved through the sharded trader, located through a
+//     per-host relocation cache, attached over shared transport
+//     sessions, and exercised with one invocation. The claim under test
+//     is ODP's scale story end to end: no lookup may be lost,
+//     connections stay O(hosts×nodes) rather than O(bindings), and the
+//     cache absorbs nearly all location traffic.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"context"
-
 	"repro/internal/channel"
+	"repro/internal/coordination"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/relocator"
@@ -45,24 +45,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/values"
 )
-
-// capacityGate models a shard node with a fixed service capacity: a
-// single-server queue with service time tau. Holding the mutex across
-// the sleep serialises requests, so one gated node completes at most
-// 1/tau operations per second no matter how many clients pile on — the
-// property that makes shard-count scaling measurable on a small host.
-type capacityGate struct {
-	mu    sync.Mutex
-	tau   time.Duration
-	inner channel.Handler
-}
-
-func (g *capacityGate) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	time.Sleep(g.tau)
-	return g.inner.Invoke(ctx, op, args)
-}
 
 func e13TypeName(i int) string { return fmt.Sprintf("SwarmSvc%02d", i) }
 
@@ -87,6 +69,39 @@ func e13Ref(nonce uint64, typeName string, ep naming.Endpoint) naming.InterfaceR
 		ID:       naming.InterfaceID{Nonce: nonce},
 		TypeName: typeName,
 		Endpoint: ep,
+	}
+}
+
+// e13Export advertises one offer per service type 0..n-1 through fe; the
+// offers point nowhere — these experiments import, they never bind.
+func e13Export(fe *trader.ShardedTrader, n int, nonceBase uint64) error {
+	for i := 0; i < n; i++ {
+		name := e13TypeName(i)
+		if _, err := fe.Export(name, e13Ref(nonceBase+uint64(i), name, "sim://nowhere"), values.Null()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// e13Import imports service type i through fe and fails if its offer is
+// not found.
+func e13Import(fe *trader.ShardedTrader, i int) error {
+	got, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(i), MaxMatches: 1})
+	if err == nil && len(got) == 0 {
+		err = fmt.Errorf("import %s: no offer", e13TypeName(i))
+	}
+	return err
+}
+
+// e13Prober returns a gapProbe prober that imports service types first,
+// first+1, … (mod targets) through fe; a target is found when exactly
+// its one live offer comes back.
+func e13Prober(fe *trader.ShardedTrader, first, targets int) func(k int) (int, bool, error) {
+	return func(k int) (int, bool, error) {
+		i := (first + k) % targets
+		got, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(i), MaxMatches: 1})
+		return i, len(got) == 1, err
 	}
 }
 
@@ -136,103 +151,35 @@ func E13Grid(cfg E13GridConfig) ([]E13GridRow, error) {
 }
 
 func e13GridRow(shards int, cfg E13GridConfig) (E13GridRow, error) {
-	net := netsim.New(int64(13000 + shards))
-	net.SetAcceptBacklog(4 * shards)
-	repo := e13Repo(cfg.Types)
-	fe := trader.NewSharded("fe", repo, 0)
-	type leg struct {
-		srv *channel.Server
-		rem *trader.Remote
-	}
-	var legs []leg
-	defer func() {
-		for _, l := range legs {
-			l.rem.Close()
-			l.srv.Close()
-		}
-	}()
+	f := newFleet(int64(13000 + shards))
+	defer f.close()
+	f.net.SetAcceptBacklog(4 * shards)
+	f.types = e13Repo(cfg.Types)
+	fe := trader.NewSharded("fe", f.types, 0)
 	for i := 0; i < shards; i++ {
-		ep := naming.Endpoint(fmt.Sprintf("sim://shard%d", i))
-		l, err := net.Listen(ep)
-		if err != nil {
-			return E13GridRow{}, err
-		}
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		leaf := trader.New(fmt.Sprintf("s%d", i), repo)
-		id := naming.InterfaceID{Nonce: uint64(100 + i)}
-		err = srv.Register(id, nil, &capacityGate{tau: cfg.Tau, inner: &trader.Servant{T: leaf}})
-		if err != nil {
-			return E13GridRow{}, err
-		}
-		srv.Start()
-		b, err := channel.Bind(naming.InterfaceRef{ID: id, Endpoint: ep}, channel.BindConfig{Transport: net})
-		if err != nil {
-			return E13GridRow{}, err
-		}
-		rem := trader.NewRemote(b)
-		legs = append(legs, leg{srv, rem})
-		if err := fe.AddShard(fmt.Sprintf("s%d", i), rem); err != nil {
+		if err := f.addShard(fe, i, &gate{tau: cfg.Tau}); err != nil {
 			return E13GridRow{}, err
 		}
 	}
-	for i := 0; i < cfg.Types; i++ {
-		_, err := fe.Export(e13TypeName(i),
-			e13Ref(uint64(1000+i), e13TypeName(i), "sim://nowhere"),
-			values.Record(values.F("slot", values.Int(int64(i)))))
-		if err != nil {
-			return E13GridRow{}, err
-		}
+	if err := e13Export(fe, cfg.Types, 1000); err != nil {
+		return E13GridRow{}, err
 	}
 
 	calls := cfg.CallsBase + cfg.CallsPerShard*shards
-	var next atomic.Int64
-	durs := make([][]time.Duration, cfg.Workers)
-	errs := make(chan error, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(calls) {
-					return
-				}
-				svc := e13TypeName(int(n) % cfg.Types)
-				t0 := time.Now()
-				got, err := fe.Import(trader.ImportRequest{ServiceType: svc, MaxMatches: 1})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(got) == 0 {
-					errs <- fmt.Errorf("import %s: no offer", svc)
-					return
-				}
-				durs[w] = append(durs[w], time.Since(t0))
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
+	elapsed, lats, err := closedLoop(cfg.Workers, calls, func(_, n int) error {
+		return e13Import(fe, n%cfg.Types)
+	})
+	if err != nil {
 		return E13GridRow{}, err
 	}
-	var all []time.Duration
-	for _, d := range durs {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return E13GridRow{
+	row := E13GridRow{
 		Shards:     shards,
 		Workers:    cfg.Workers,
 		Calls:      calls,
 		Throughput: float64(calls) / elapsed.Seconds(),
-		P50:        all[len(all)/2],
-		P99:        all[len(all)*99/100],
-	}, nil
+	}
+	row.P50, row.P99 = quantiles(lats)
+	return row, nil
 }
 
 // E13SwarmConfig parameterises the binding swarm.
@@ -276,28 +223,27 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 	if cfg.Services < 1 {
 		cfg.Services = 64
 	}
-	net := netsim.New(13999)
-	net.SetAcceptBacklog(4 * cfg.Hosts * cfg.Nodes)
+	f := newFleet(13999)
+	defer f.close()
+	f.net.SetAcceptBacklog(4 * cfg.Hosts * cfg.Nodes)
 	repo := e13Repo(cfg.Services)
 	if cfg.TypeReplicas > 0 {
 		repo = typerepo.NewReplicated(repo, cfg.TypeReplicas)
 	}
 
 	// Server nodes: each hosts the echo servants for its share of the
-	// service types.
+	// service types, so a server carries many registrations — the one
+	// bring-up fleet.start (one interface per server) does not cover.
 	servers := make([]*channel.Server, cfg.Nodes)
 	for i := range servers {
-		l, err := net.Listen(naming.Endpoint(fmt.Sprintf("sim://node%d", i)))
+		l, err := f.net.Listen(naming.Endpoint(fmt.Sprintf("sim://node%d", i)))
 		if err != nil {
 			return E13SwarmReport{}, err
 		}
-		servers[i] = channel.NewServer(l, channel.ServerConfig{})
+		srv := channel.NewServer(l, channel.ServerConfig{})
+		f.own(func() { srv.Close() })
+		servers[i] = srv
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
 
 	// The infrastructure functions: a sharded trader and a sharded
 	// relocator (the over-channels shape is measured by the grid phase;
@@ -342,14 +288,9 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 	mgrs := make([]*channel.SessionManager, cfg.Hosts)
 	caches := make([]*relocator.Cache, cfg.Hosts)
 	for h := range mgrs {
-		mgrs[h] = channel.NewSessionManager(net.From(fmt.Sprintf("client%d", h)))
+		mgrs[h] = f.sessions(f.net.From(fmt.Sprintf("client%d", h)), channel.SessionConfig{})
 		caches[h] = relocator.NewCache(wp, 2*cfg.Services)
 	}
-	defer func() {
-		for _, m := range mgrs {
-			m.Close()
-		}
-	}()
 
 	runtime.GC()
 	var before runtime.MemStats
@@ -357,58 +298,44 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 
 	// Two workers per host keep a couple of invocations in flight per
 	// connection — far below the simulator's frame window, so zero lost
-	// lookups is an assertion about the protocol, not about luck.
+	// lookups is an assertion about the protocol, not about luck. The
+	// bindings are kept by the worker that made them, not by the fleet:
+	// a million release closures would show up in the heap figure.
 	const workersPerHost = 2
 	nWorkers := cfg.Hosts * workersPerHost
-	perWorker := cfg.Bindings / nWorkers
 	bindings := make([][]*channel.Binding, nWorkers)
-	durs := make([][]time.Duration, nWorkers)
-	var lost atomic.Int64
-	errs := make(chan error, nWorkers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < nWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			host := w / workersPerHost
-			bindings[w] = make([]*channel.Binding, 0, perWorker)
-			durs[w] = make([]time.Duration, 0, perWorker)
-			for i := 0; i < perWorker; i++ {
-				gi := w*perWorker + i
-				svc := e13TypeName(gi % cfg.Services)
-				t0 := time.Now()
-				offers, err := fe.Import(trader.ImportRequest{ServiceType: svc, MaxMatches: 1})
-				if err != nil || len(offers) == 0 {
-					lost.Add(1)
-					continue
-				}
-				ref, err := caches[host].Lookup(offers[0].Ref.ID)
-				if err != nil {
-					lost.Add(1)
-					continue
-				}
-				b, err := channel.Bind(ref, channel.BindConfig{
-					Sessions: mgrs[host],
-					Locator:  caches[host],
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if _, _, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("x")}); err != nil {
-					errs <- err
-					return
-				}
-				bindings[w] = append(bindings[w], b)
-				durs[w] = append(durs[w], time.Since(t0))
+	defer func() {
+		for _, bs := range bindings {
+			for _, b := range bs {
+				b.Close()
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
+		}
+	}()
+	var lost atomic.Int64
+	elapsed, lats, err := closedLoop(nWorkers, cfg.Bindings, func(w, n int) error {
+		host := w / workersPerHost
+		offers, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(n % cfg.Services), MaxMatches: 1})
+		if err != nil || len(offers) == 0 {
+			lost.Add(1)
+			return nil
+		}
+		ref, err := caches[host].Lookup(offers[0].Ref.ID)
+		if err != nil {
+			lost.Add(1)
+			return nil
+		}
+		b, err := channel.Bind(ref, channel.BindConfig{
+			Sessions: mgrs[host],
+			Locator:  caches[host],
+		})
+		if err != nil {
+			return err
+		}
+		bindings[w] = append(bindings[w], b)
+		_, _, err = b.Invoke(context.Background(), "Echo", []values.Value{values.Str("x")})
+		return err
+	})
+	if err != nil {
 		return E13SwarmReport{}, err
 	}
 
@@ -424,11 +351,6 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 		heapPerB = (after.HeapAlloc - before.HeapAlloc) / uint64(established)
 	}
 
-	var all []time.Duration
-	for _, d := range durs {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	rep := E13SwarmReport{
 		Config:         cfg,
 		Bindings:       established,
@@ -437,9 +359,7 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 		Elapsed:        elapsed,
 		PerSec:         float64(established) / elapsed.Seconds(),
 	}
-	if len(all) > 0 {
-		rep.P50, rep.P99 = all[len(all)/2], all[len(all)*99/100]
-	}
+	rep.P50, rep.P99 = quantiles(lats)
 	for _, s := range servers {
 		rep.Conns += s.Stats().Sessions
 	}
@@ -452,11 +372,6 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 	}
 	if hits+misses > 0 {
 		rep.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	for _, bs := range bindings {
-		for _, b := range bs {
-			b.Close()
-		}
 	}
 	return rep, nil
 }
@@ -471,198 +386,118 @@ type E13BlackoutReport struct {
 	Rebalances  uint64
 }
 
-// E13Blackout probes every offer continuously — over channels, against
+// rebalanceProbe probes every offer continuously — over channels, against
 // remote shard traders — while the ring gains one shard and loses
-// another. A miss is an import of a live offer that returns nothing; the
-// migration protocol is supposed to make that impossible, and the
-// per-offer gap bounds how long any single offer went unobserved.
-func E13Blackout(offers int) (E13BlackoutReport, error) {
+// another, with the chaos script (if any) playing from the moment the
+// ring starts to move. A miss is an import of a live offer that returns
+// nothing; the migration protocol is supposed to make that impossible,
+// and the per-offer gap bounds how long any single offer went unobserved.
+// With replicaShard, shard s1 is a coordination.ReplicaGroup of two
+// trader replicas on hosts rep0 and rep1, so a script that crashes one
+// of them tests that the group's sequenced fan-out and read failover mask
+// a member crash in the middle of the rebalance.
+func rebalanceProbe(offers int, replicaShard bool, script netsim.Script) (E15CrashReport, error) {
 	if offers < 1 {
 		offers = 64
 	}
-	const initialShards = 3
-	net := netsim.New(13777)
-	net.SetAcceptBacklog(16)
-	repo := e13Repo(offers)
-	fe := trader.NewSharded("fe", repo, 0)
+	f := newFleet(13777)
+	defer f.close()
+	f.net.SetAcceptBacklog(16)
+	f.types = e13Repo(offers)
+	fe := trader.NewSharded("fe", f.types, 0)
 
-	var srvs []*channel.Server
-	var rems []*trader.Remote
-	defer func() {
-		for _, r := range rems {
-			r.Close()
-		}
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
-	newShardNode := func(i int) (*trader.Remote, error) {
-		ep := naming.Endpoint(fmt.Sprintf("sim://shard%d", i))
-		l, err := net.Listen(ep)
-		if err != nil {
-			return nil, err
-		}
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		leaf := trader.New(fmt.Sprintf("s%d", i), repo)
-		id := naming.InterfaceID{Nonce: uint64(100 + i)}
-		if err := srv.Register(id, nil, &trader.Servant{T: leaf}); err != nil {
-			return nil, err
-		}
-		srv.Start()
-		srvs = append(srvs, srv)
-		b, err := channel.Bind(naming.InterfaceRef{ID: id, Endpoint: ep}, channel.BindConfig{Transport: net})
-		if err != nil {
-			return nil, err
-		}
-		rem := trader.NewRemote(b)
-		rems = append(rems, rem)
-		return rem, nil
-	}
-	for i := 0; i < initialShards; i++ {
-		rem, err := newShardNode(i)
-		if err != nil {
-			return E13BlackoutReport{}, err
-		}
-		if err := fe.AddShard(fmt.Sprintf("s%d", i), rem); err != nil {
-			return E13BlackoutReport{}, err
-		}
-	}
-	for i := 0; i < offers; i++ {
-		_, err := fe.Export(e13TypeName(i),
-			e13Ref(uint64(3000+i), e13TypeName(i), "sim://nowhere"),
-			values.Null())
-		if err != nil {
-			return E13BlackoutReport{}, err
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		lastSeen = make([]time.Time, offers)
-		maxGap   = make([]time.Duration, offers)
-		seen     int
-		probes   atomic.Uint64
-		misses   atomic.Uint64
-		stop     atomic.Bool
-	)
-	record := func(i int, ok bool) {
-		if !ok {
-			misses.Add(1)
-			return
-		}
-		probes.Add(1)
-		now := time.Now()
-		mu.Lock()
-		if lastSeen[i].IsZero() {
-			seen++
-		} else if gap := now.Sub(lastSeen[i]); gap > maxGap[i] {
-			maxGap[i] = gap
-		}
-		lastSeen[i] = now
-		mu.Unlock()
-	}
-	const probers = 4
-	errs := make(chan error, probers)
-	var wg sync.WaitGroup
-	for p := 0; p < probers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; !stop.Load(); i++ {
-				idx := i % offers
-				got, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(idx), MaxMatches: 1})
-				if err != nil {
-					errs <- err
-					return
-				}
-				record(idx, len(got) == 1)
-				runtime.Gosched() // single-CPU hosts: let migration interleave
+	var group *coordination.ReplicaGroup
+	for i := 0; i < 3; i++ {
+		var err error
+		if i == 1 && replicaShard {
+			var tg *coordination.TradingGroup
+			if tg, err = f.groupShard("rep0", "rep1"); err == nil {
+				group = tg.G
+				err = fe.AddShard("s1", tg)
 			}
-		}(p)
-	}
-	// Wait until the probes have observed every offer once, so the gap
-	// log covers the whole population before the ring starts moving.
-	for {
-		mu.Lock()
-		warm := seen == offers
-		mu.Unlock()
-		if warm {
-			break
+		} else {
+			err = f.addShard(fe, i, nil)
 		}
-		runtime.Gosched()
+		if err != nil {
+			return E15CrashReport{}, err
+		}
 	}
-	// Reset the gap log: only gaps overlapping the rebalance window count.
-	mu.Lock()
-	for i := range maxGap {
-		maxGap[i] = 0
+	if err := e13Export(fe, offers, 3000); err != nil {
+		return E15CrashReport{}, err
 	}
-	mu.Unlock()
 
-	rem, err := newShardNode(initialShards)
+	probe := newGapProbe(offers)
+	for q := 0; q < 4; q++ {
+		probe.start(e13Prober(fe, q, offers))
+	}
+	if err := probe.warm(warmDeadline); err != nil {
+		probe.halt()
+		return E15CrashReport{}, err
+	}
+	// Only gaps overlapping the rebalance window count.
+	probe.reset()
+
+	chaos := netsim.NewChaos(f.net, netsim.ChaosConfig{}, script)
+	chaos.Start()
+	err := f.addShard(fe, 3, nil)
+	if err == nil {
+		err = fe.RemoveShard("s0")
+	}
+	if err == nil {
+		// Keep probing past the flips and the script so trailing gaps
+		// close and a crashed member is actually exercised (and failed
+		// over).
+		time.Sleep(25 * time.Millisecond)
+	}
+	chaos.Stop()
+	if perr := probe.halt(); err == nil {
+		err = perr
+	}
 	if err != nil {
-		stop.Store(true)
-		wg.Wait()
-		return E13BlackoutReport{}, err
-	}
-	if err := fe.AddShard(fmt.Sprintf("s%d", initialShards), rem); err != nil {
-		stop.Store(true)
-		wg.Wait()
-		return E13BlackoutReport{}, err
-	}
-	if err := fe.RemoveShard("s0"); err != nil {
-		stop.Store(true)
-		wg.Wait()
-		return E13BlackoutReport{}, err
-	}
-	// Keep probing a little past the flips so trailing gaps close.
-	time.Sleep(20 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return E13BlackoutReport{}, err
+		return E15CrashReport{}, err
 	}
 
-	rep := E13BlackoutReport{
-		Offers: offers,
-		Probes: probes.Load(),
-		Misses: misses.Load(),
+	rep := E15CrashReport{
+		E13BlackoutReport: E13BlackoutReport{
+			Offers:      offers,
+			Probes:      probe.hits.Load(),
+			Misses:      probe.misses.Load(),
+			MaxBlackout: probe.worst(),
+		},
+		CrashEvents: len(chaos.Events()),
 	}
-	mu.Lock()
-	for _, g := range maxGap {
-		if g > rep.MaxBlackout {
-			rep.MaxBlackout = g
-		}
+	if group != nil {
+		rep.GroupSize = group.Size()
 	}
-	mu.Unlock()
 	st := fe.ShardStats()
 	rep.Migrated, rep.Rebalances = st.Migrated, st.Rebalances
 	return rep, nil
 }
 
-// E13Report bundles the three phases for odpbench.
+// E13Blackout is the rebalance probe over three plain shards with no
+// faults injected: the pure migration-protocol measurement.
+func E13Blackout(offers int) (E13BlackoutReport, error) {
+	rep, err := rebalanceProbe(offers, false, nil)
+	return rep.E13BlackoutReport, err
+}
+
+// E13Report bundles the two phases for odpbench.
 type E13Report struct {
 	Grid     []E13GridRow
-	Swarm    E13SwarmReport
 	Blackout E13BlackoutReport
 }
 
-// E13 runs the full experiment (or the CI smoke slice: a 1-vs-8 grid and
-// a 100k-binding swarm instead of the 1/2/4/8/16 sweep over 600k).
+// E13 runs the full experiment (or the CI smoke slice: a 1-vs-8 grid
+// instead of the 1/2/4/8/16 sweep).
 func E13(smoke bool) (E13Report, error) {
 	grid := E13GridConfig{ShardCounts: []int{1, 2, 4, 8, 16}, CallsBase: 750, CallsPerShard: 250}
-	swarm := E13SwarmConfig{Bindings: 600_000, Hosts: 16, Nodes: 32, Services: 64, Shards: 4}
 	if smoke {
 		grid.ShardCounts = []int{1, 8}
 		grid.CallsBase, grid.CallsPerShard = 600, 250
-		swarm = E13SwarmConfig{Bindings: 100_000, Hosts: 8, Nodes: 16, Services: 64, Shards: 4}
 	}
 	var rep E13Report
 	var err error
 	if rep.Grid, err = E13Grid(grid); err != nil {
-		return rep, err
-	}
-	if rep.Swarm, err = E13Swarm(swarm); err != nil {
 		return rep, err
 	}
 	if rep.Blackout, err = E13Blackout(64); err != nil {
@@ -690,28 +525,6 @@ func (r E13Report) Records() []Record {
 			},
 		})
 	}
-	s := r.Swarm
-	out = append(out, Record{
-		Experiment: "e13",
-		Scenario:   "swarm",
-		Params: map[string]float64{
-			"hosts":    float64(s.Config.Hosts),
-			"nodes":    float64(s.Config.Nodes),
-			"services": float64(s.Config.Services),
-			"shards":   float64(s.Config.Shards),
-		},
-		Metrics: map[string]float64{
-			"bindings":         float64(s.Bindings),
-			"lost_lookups":     float64(s.LostLookups),
-			"conns":            float64(s.Conns),
-			"dials":            float64(s.Dials),
-			"cache_hit_rate":   s.CacheHitRate,
-			"heap_per_binding": float64(s.HeapPerBinding),
-			"p50_us":           float64(s.P50.Microseconds()),
-			"p99_us":           float64(s.P99.Microseconds()),
-			"bindings_per_sec": s.PerSec,
-		},
-	})
 	b := r.Blackout
 	out = append(out, Record{
 		Experiment: "e13",

@@ -18,124 +18,40 @@
 //   - swarm: the E13 binding swarm raised to one million bindings with
 //     the replicated type repository serving the import path — zero
 //     lost lookups at 1M is the scale gate.
-//   - crash storm: the E13 rebalance-blackout probe with one trader
-//     shard served by a coordination.ReplicaGroup of two trader
-//     replicas, and a chaos script that crashes one replica host while
-//     the ring gains a shard and loses another. Zero probe misses
-//     means the migration protocol and the group's failover combine:
-//     neither the rebalance nor the member crash is observable.
+//   - crash storm: the E13 rebalance-blackout probe (rebalanceProbe,
+//     the same function) with one trader shard served by a
+//     coordination.ReplicaGroup of two trader replicas, and a chaos
+//     script that crashes one replica host while the ring gains a shard
+//     and loses another. Zero probe misses means the migration protocol
+//     and the group's failover combine: neither the rebalance nor the
+//     member crash is observable.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/channel"
 	"repro/internal/coordination"
-	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/trader"
 	"repro/internal/typerepo"
-	"repro/internal/types"
 	"repro/internal/values"
 )
 
-// e15GatedRepo models the type-repository authority as a service with
-// fixed capacity: content reads acquire one mutex and sleep tau, so the
-// authority serves at most 1/tau reads per second no matter how many
-// clients pile on — the capacityGate construction applied at the
-// Repository interface. Writes are not gated (both modes funnel writes
-// to the authority and the measured phase is read-only), and Gen is not
-// gated either: the generation fence is an atomic version counter, not
-// a content read, so both modes observe it for free and the comparison
-// isolates where LookupInterface/IsSubtype traffic lands.
-type e15GatedRepo struct {
-	mu    sync.Mutex
-	tau   time.Duration
-	inner typerepo.Repository
-	reads atomic.Uint64 // gated content reads that reached the authority
-}
+// The shape of the two capacity-gated comparisons. Only the sample
+// counts vary (full run vs CI smoke), so only they are parameters.
+const (
+	e15Tau        = 100 * time.Microsecond // service time of a gated authority or broker
+	e15Services   = 64                     // distinct service types / bus topics
+	e15Shards     = 16                     // trader shards driving repository reads
+	e15Replicas   = 16                     // read replicas in the replicated mode
+	e15Importers  = 8                      // concurrent importers
+	e15Publishers = 32                     // concurrent publishers
+)
 
-var _ typerepo.Repository = (*e15GatedRepo)(nil)
-
-func (g *e15GatedRepo) gate() {
-	g.mu.Lock()
-	g.reads.Add(1)
-	time.Sleep(g.tau)
-	g.mu.Unlock()
-}
-
-func (g *e15GatedRepo) LookupInterface(name string) (*types.Interface, error) {
-	g.gate()
-	return g.inner.LookupInterface(name)
-}
-
-func (g *e15GatedRepo) Interfaces() []string {
-	g.gate()
-	return g.inner.Interfaces()
-}
-
-func (g *e15GatedRepo) IsSubtype(sub, super string) (bool, error) {
-	g.gate()
-	return g.inner.IsSubtype(sub, super)
-}
-
-func (g *e15GatedRepo) Supertypes(name string) ([]string, error) {
-	g.gate()
-	return g.inner.Supertypes(name)
-}
-
-func (g *e15GatedRepo) Subtypes(name string) ([]string, error) {
-	g.gate()
-	return g.inner.Subtypes(name)
-}
-
-func (g *e15GatedRepo) DeclaredSupertypes(name string) []string {
-	g.gate()
-	return g.inner.DeclaredSupertypes(name)
-}
-
-func (g *e15GatedRepo) LookupData(name string) (*values.DataType, error) {
-	g.gate()
-	return g.inner.LookupData(name)
-}
-
-func (g *e15GatedRepo) Related(relation, from string) []string {
-	g.gate()
-	return g.inner.Related(relation, from)
-}
-
-func (g *e15GatedRepo) Gen() uint64 { return g.inner.Gen() }
-
-func (g *e15GatedRepo) RegisterInterface(it *types.Interface) error {
-	return g.inner.RegisterInterface(it)
-}
-
-func (g *e15GatedRepo) RegisterData(name string, dt *values.DataType) error {
-	return g.inner.RegisterData(name, dt)
-}
-
-func (g *e15GatedRepo) DeclareSubtype(sub, super string) error {
-	return g.inner.DeclareSubtype(sub, super)
-}
-
-func (g *e15GatedRepo) Relate(relation, from, to string) error {
-	return g.inner.Relate(relation, from, to)
-}
-
-// E15TypeRepoConfig parameterises the singleton-vs-replicated read
-// throughput comparison.
-type E15TypeRepoConfig struct {
-	Shards   int           // trader shards driving repository reads
-	Replicas int           // read replicas in the replicated mode
-	Workers  int           // concurrent importers
-	Calls    int           // timed imports per mode
-	Tau      time.Duration // authority service time (capacity 1/tau)
-	Services int           // distinct service types
-}
+// e15BusShardCounts are the sharded front-end sizes the bus sweep runs
+// after the singleton.
+var e15BusShardCounts = []int{1, 4, 16}
 
 // E15TypeRepoRow is one mode's measurement.
 type E15TypeRepoRow struct {
@@ -147,31 +63,14 @@ type E15TypeRepoRow struct {
 	ReplicaReads   uint64  // reads served from replica copies (replicated mode)
 }
 
-// E15TypeRepo measures trader-import throughput against the gated
-// authority, first with every shard reading the singleton directly,
-// then with reads served by gen-fenced local replicas.
-func E15TypeRepo(cfg E15TypeRepoConfig) ([]E15TypeRepoRow, error) {
-	if cfg.Shards < 1 {
-		cfg.Shards = 16
-	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 16
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 8
-	}
-	if cfg.Calls < 1 {
-		cfg.Calls = 4000
-	}
-	if cfg.Tau <= 0 {
-		cfg.Tau = 100 * time.Microsecond
-	}
-	if cfg.Services < 1 {
-		cfg.Services = 64
-	}
+// E15TypeRepo measures trader-import throughput over calls timed imports
+// against the gated authority, first with every shard reading the
+// singleton directly, then with reads served by gen-fenced local
+// replicas.
+func E15TypeRepo(calls int) ([]E15TypeRepoRow, error) {
 	var rows []E15TypeRepoRow
 	for _, replicated := range []bool{false, true} {
-		row, err := e15TypeRepoRow(cfg, replicated)
+		row, err := e15TypeRepoRow(calls, replicated)
 		if err != nil {
 			return rows, fmt.Errorf("e15 typerepo (replicated=%v): %w", replicated, err)
 		}
@@ -180,96 +79,51 @@ func E15TypeRepo(cfg E15TypeRepoConfig) ([]E15TypeRepoRow, error) {
 	return rows, nil
 }
 
-func e15TypeRepoRow(cfg E15TypeRepoConfig, replicated bool) (E15TypeRepoRow, error) {
-	gated := &e15GatedRepo{tau: cfg.Tau, inner: e13Repo(cfg.Services)}
-	var repo typerepo.Repository = gated
+func e15TypeRepoRow(calls int, replicated bool) (E15TypeRepoRow, error) {
+	authority := &gate{tau: e15Tau}
+	var repo typerepo.Repository = &gatedRepo{Repository: e13Repo(e15Services), g: authority}
 	var rep *typerepo.Replicated
 	if replicated {
-		rep = typerepo.NewReplicated(gated, cfg.Replicas)
+		rep = typerepo.NewReplicated(repo, e15Replicas)
 		repo = rep
 	}
 	fe := trader.NewSharded("e15", repo, 0)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < e15Shards; i++ {
 		if err := fe.AddShard(fmt.Sprintf("t%d", i), trader.New(fmt.Sprintf("t%d", i), repo)); err != nil {
 			return E15TypeRepoRow{}, err
 		}
 	}
-	for i := 0; i < cfg.Services; i++ {
-		_, err := fe.Export(e13TypeName(i),
-			e13Ref(uint64(4000+i), e13TypeName(i), "sim://nowhere"),
-			values.Null())
-		if err != nil {
-			return E15TypeRepoRow{}, err
-		}
+	if err := e13Export(fe, e15Services, 4000); err != nil {
+		return E15TypeRepoRow{}, err
 	}
 	// Warm-up: one import per service type builds every shard's subtype
 	// closure (no writes run during the timed phase, so the closures stay
 	// valid), and in replicated mode syncs every replica copy.
-	warm := cfg.Services
-	if replicated && warm < cfg.Replicas {
-		warm = cfg.Replicas
-	}
-	for i := 0; i < warm; i++ {
-		svc := e13TypeName(i % cfg.Services)
-		if got, err := fe.Import(trader.ImportRequest{ServiceType: svc, MaxMatches: 1}); err != nil || len(got) == 0 {
-			return E15TypeRepoRow{}, fmt.Errorf("warm-up import %s: %d offers, %v", svc, len(got), err)
+	for i := 0; i < max(e15Services, e15Replicas); i++ {
+		if err := e13Import(fe, i%e15Services); err != nil {
+			return E15TypeRepoRow{}, fmt.Errorf("warm-up: %w", err)
 		}
 	}
 
-	readsBefore := gated.reads.Load()
-	var next atomic.Int64
-	errs := make(chan error, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(cfg.Calls) {
-					return
-				}
-				svc := e13TypeName(int(n) % cfg.Services)
-				got, err := fe.Import(trader.ImportRequest{ServiceType: svc, MaxMatches: 1})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(got) == 0 {
-					errs <- fmt.Errorf("import %s: no offer", svc)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	if err := <-errs; err != nil {
+	readsBefore := authority.passes.Load()
+	elapsed, _, err := closedLoop(e15Importers, calls, func(_, n int) error {
+		return e13Import(fe, n%e15Services)
+	})
+	if err != nil {
 		return E15TypeRepoRow{}, err
 	}
 	row := E15TypeRepoRow{
 		Mode:           "singleton",
-		Calls:          cfg.Calls,
-		Throughput:     float64(cfg.Calls) / elapsed.Seconds(),
-		AuthorityReads: gated.reads.Load() - readsBefore,
+		Calls:          calls,
+		Throughput:     float64(calls) / elapsed.Seconds(),
+		AuthorityReads: authority.passes.Load() - readsBefore,
 	}
 	if replicated {
 		row.Mode = "replicated"
-		row.Replicas = cfg.Replicas
+		row.Replicas = e15Replicas
 		row.ReplicaReads = rep.Stats().Reads
 	}
 	return row, nil
-}
-
-// E15BusConfig parameterises the bus publish-throughput sweep.
-type E15BusConfig struct {
-	ShardCounts []int         // sharded front-end sizes to sweep (singleton always runs)
-	Workers     int           // concurrent publishers
-	Events      int           // timed publishes per mode
-	Topics      int           // distinct topics spread over the ring
-	Tau         time.Duration // per-shard broker service time (capacity 1/tau)
 }
 
 // E15BusRow is one bus mode's measurement.
@@ -280,288 +134,67 @@ type E15BusRow struct {
 	Throughput float64 // publishes per second
 }
 
-// E15Bus measures publish throughput with every shard behind a capacity
-// gate (one broker node per shard, service time tau): the singleton is
-// one gated broker, a k-shard front-end is k of them, and topics spread
-// over the ring keep the gates busy in proportion to the shard count.
-func E15Bus(cfg E15BusConfig) ([]E15BusRow, error) {
-	if len(cfg.ShardCounts) == 0 {
-		cfg.ShardCounts = []int{1, 4, 16}
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 32
-	}
-	if cfg.Events < 1 {
-		cfg.Events = 4000
-	}
-	if cfg.Topics < 1 {
-		cfg.Topics = 64
-	}
-	if cfg.Tau <= 0 {
-		cfg.Tau = 100 * time.Microsecond
-	}
-
-	var rows []E15BusRow
-	{
-		b := coordination.NewBus()
-		row := e15BusRow("singleton", 0, b, func(string) string { return "b0" }, []string{"b0"}, cfg)
-		rows = append(rows, row)
-	}
-	for _, k := range cfg.ShardCounts {
+// E15Bus measures publish throughput over events timed publishes with
+// every shard behind a capacity gate (one broker node per shard): the
+// singleton is one gated broker, a k-shard front-end is k of them, and
+// topics spread over the ring keep the gates busy in proportion to the
+// shard count.
+func E15Bus(events int) []E15BusRow {
+	single := coordination.NewBus()
+	rows := []E15BusRow{e15BusRow("singleton", 0, events, single, func(string) string { return "b0" }, []string{"b0"})}
+	for _, k := range e15BusShardCounts {
 		sb := coordination.NewShardedBus(k)
-		rows = append(rows, e15BusRow("sharded", k, sb, sb.ShardFor, sb.ShardNames(), cfg))
+		rows = append(rows, e15BusRow("sharded", k, events, sb, sb.ShardFor, sb.ShardNames()))
 	}
-	return rows, nil
+	return rows
 }
 
-func e15BusRow(mode string, shards int, bus coordination.EventBus, shardFor func(string) string, names []string, cfg E15BusConfig) E15BusRow {
-	// One gate per shard: the broker node's single-server queue. The
-	// publish runs inside the gate — it is the broker's work.
-	gates := make(map[string]*sync.Mutex, len(names))
+func e15BusRow(mode string, shards, events int, bus coordination.EventBus, shardFor func(string) string, names []string) E15BusRow {
+	// One gate per shard: the broker node's single-server queue.
+	brokers := make(map[string]*gate, len(names))
 	for _, n := range names {
-		gates[n] = &sync.Mutex{}
+		brokers[n] = &gate{tau: e15Tau}
 	}
-	var delivered atomic.Uint64
-	cancel := bus.Subscribe("", nil, func(coordination.Event) { delivered.Add(1) })
+	// One wildcard subscriber, so every publish also delivers.
+	cancel := bus.Subscribe("", nil, func(coordination.Event) {})
 	defer cancel()
 
-	topics := make([]string, cfg.Topics)
+	topics := make([]string, e15Services)
 	for i := range topics {
 		topics[i] = fmt.Sprintf("e15.topic-%02d", i)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(cfg.Events) {
-					return
-				}
-				topic := topics[int(n)%len(topics)]
-				g := gates[shardFor(topic)]
-				g.Lock()
-				time.Sleep(cfg.Tau)
-				bus.Publish(topic, values.Int(n))
-				g.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed, _, _ := closedLoop(e15Publishers, events, func(_, n int) error {
+		topic := topics[n%len(topics)]
+		brokers[shardFor(topic)].pass()
+		bus.Publish(topic, values.Int(int64(n)))
+		return nil
+	})
 	return E15BusRow{
 		Mode:       mode,
 		Shards:     shards,
-		Events:     cfg.Events,
-		Throughput: float64(cfg.Events) / elapsed.Seconds(),
+		Events:     events,
+		Throughput: float64(events) / elapsed.Seconds(),
 	}
 }
 
-// E15CrashReport is the crash-storm rebalance measurement.
+// E15CrashReport is the crash-storm rebalance measurement: the E13
+// blackout figures (misses must be zero) plus what the storm did.
 type E15CrashReport struct {
-	Offers      int
-	Probes      uint64        // successful per-offer imports during the window
-	Misses      uint64        // probes that found nothing (must be zero)
-	MaxBlackout time.Duration // worst per-offer gap overlapping the storm
-	Migrated    uint64        // offers moved live by the ring changes
-	Rebalances  uint64
+	E13BlackoutReport
 	CrashEvents int // chaos faults actually applied (must be >= 1)
 	GroupSize   int // surviving members of the replicated shard
 }
 
 // E15CrashStorm is the E13 blackout probe with two twists: one trader
 // shard is a coordination.ReplicaGroup of two replicas on separate
-// simulated hosts, and a chaos script crashes one of those hosts while
-// the ring gains a shard and loses another. The probes must observe
-// zero misses: the migration protocol masks the rebalance and the
-// group's sequenced fan-out + read failover mask the member crash.
+// simulated hosts, and a chaos script crashes one of those hosts 2ms
+// into the rebalance. The probes must observe zero misses: the migration
+// protocol masks the rebalance and the group's sequenced fan-out + read
+// failover mask the member crash.
 func E15CrashStorm(offers int) (E15CrashReport, error) {
-	if offers < 1 {
-		offers = 64
-	}
-	net := netsim.New(15777)
-	net.SetAcceptBacklog(16)
-	repo := e13Repo(offers)
-	fe := trader.NewSharded("fe", repo, 0)
-
-	var srvs []*channel.Server
-	var closers []func()
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-		for _, s := range srvs {
-			s.Close()
-		}
-	}()
-	newTraderNode := func(host, traderName string, nonce uint64) (*channel.Binding, error) {
-		ep := naming.Endpoint("sim://" + host)
-		l, err := net.Listen(ep)
-		if err != nil {
-			return nil, err
-		}
-		srv := channel.NewServer(l, channel.ServerConfig{})
-		id := naming.InterfaceID{Nonce: nonce}
-		if err := srv.Register(id, nil, &trader.Servant{T: trader.New(traderName, repo)}); err != nil {
-			return nil, err
-		}
-		srv.Start()
-		srvs = append(srvs, srv)
-		return channel.Bind(naming.InterfaceRef{ID: id, Endpoint: ep}, channel.BindConfig{Transport: net})
-	}
-	addPlainShard := func(i int) error {
-		b, err := newTraderNode(fmt.Sprintf("shard%d", i), fmt.Sprintf("s%d", i), uint64(100+i))
-		if err != nil {
-			return err
-		}
-		rem := trader.NewRemote(b)
-		closers = append(closers, func() { rem.Close() })
-		return fe.AddShard(fmt.Sprintf("s%d", i), rem)
-	}
-
-	// Shards s0 and s2 are plain remote traders; s1 is a replica group of
-	// two trader replicas on hosts rep0 and rep1. The replicas share the
-	// trader name "sg": offer ids are minted from the name and a local
-	// counter, so the group's sequenced update stream yields identical ids
-	// on both members.
-	if err := addPlainShard(0); err != nil {
-		return E15CrashReport{}, err
-	}
-	group := coordination.NewReplicaGroup()
-	for r := 0; r < 2; r++ {
-		b, err := newTraderNode(fmt.Sprintf("rep%d", r), "sg", uint64(200+r))
-		if err != nil {
-			return E15CrashReport{}, err
-		}
-		if err := group.Add(fmt.Sprintf("rep%d", r), b); err != nil {
-			return E15CrashReport{}, err
-		}
-	}
-	if err := fe.AddShard("s1", coordination.NewTradingGroup(group)); err != nil {
-		return E15CrashReport{}, err
-	}
-	if err := addPlainShard(2); err != nil {
-		return E15CrashReport{}, err
-	}
-
-	for i := 0; i < offers; i++ {
-		_, err := fe.Export(e13TypeName(i),
-			e13Ref(uint64(5000+i), e13TypeName(i), "sim://nowhere"),
-			values.Null())
-		if err != nil {
-			return E15CrashReport{}, err
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		lastSeen = make([]time.Time, offers)
-		maxGap   = make([]time.Duration, offers)
-		seen     int
-		probes   atomic.Uint64
-		misses   atomic.Uint64
-		stop     atomic.Bool
-	)
-	record := func(i int, ok bool) {
-		if !ok {
-			misses.Add(1)
-			return
-		}
-		probes.Add(1)
-		now := time.Now()
-		mu.Lock()
-		if lastSeen[i].IsZero() {
-			seen++
-		} else if gap := now.Sub(lastSeen[i]); gap > maxGap[i] {
-			maxGap[i] = gap
-		}
-		lastSeen[i] = now
-		mu.Unlock()
-	}
-	const probers = 4
-	errs := make(chan error, probers)
-	var wg sync.WaitGroup
-	for p := 0; p < probers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; !stop.Load(); i++ {
-				idx := i % offers
-				got, err := fe.Import(trader.ImportRequest{ServiceType: e13TypeName(idx), MaxMatches: 1})
-				if err != nil {
-					errs <- err
-					return
-				}
-				record(idx, len(got) == 1)
-				runtime.Gosched() // single-CPU hosts: let migration interleave
-			}
-		}(p)
-	}
-	fail := func(err error) (E15CrashReport, error) {
-		stop.Store(true)
-		wg.Wait()
-		return E15CrashReport{}, err
-	}
-	for {
-		mu.Lock()
-		warm := seen == offers
-		mu.Unlock()
-		if warm {
-			break
-		}
-		runtime.Gosched() // single-CPU hosts: let migration interleave
-	}
-	// Only gaps overlapping the storm window count.
-	mu.Lock()
-	for i := range maxGap {
-		maxGap[i] = 0
-	}
-	mu.Unlock()
-
-	// The storm: rep0 dies 2ms in, while the ring gains s3 and loses s0.
-	chaos := netsim.NewChaos(net, netsim.ChaosConfig{}, netsim.Script{
+	return rebalanceProbe(offers, true, netsim.Script{
 		{At: 2 * time.Millisecond, Fault: netsim.Fault{Kind: netsim.FaultCrash, A: "rep0"}},
 	})
-	chaos.Start()
-	if err := addPlainShard(3); err != nil {
-		chaos.Stop()
-		return fail(err)
-	}
-	if err := fe.RemoveShard("s0"); err != nil {
-		chaos.Stop()
-		return fail(err)
-	}
-	// Keep probing past the flips and the crash so trailing gaps close
-	// and the dead member is actually exercised (and failed over).
-	time.Sleep(25 * time.Millisecond)
-	chaos.Stop()
-	stop.Store(true)
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return E15CrashReport{}, err
-	}
-
-	rep := E15CrashReport{
-		Offers:      offers,
-		Probes:      probes.Load(),
-		Misses:      misses.Load(),
-		CrashEvents: len(chaos.Events()),
-		GroupSize:   group.Size(),
-	}
-	mu.Lock()
-	for _, g := range maxGap {
-		if g > rep.MaxBlackout {
-			rep.MaxBlackout = g
-		}
-	}
-	mu.Unlock()
-	st := fe.ShardStats()
-	rep.Migrated, rep.Rebalances = st.Migrated, st.Rebalances
-	return rep, nil
 }
 
 // E15Report bundles the four phases for odpbench.
@@ -576,24 +209,18 @@ type E15Report struct {
 // sample counts for CI; the swarm stays at one million bindings in both
 // modes — the scale claim is the point, and the CI gate asserts it.
 func E15(smoke bool) (E15Report, error) {
-	tr := E15TypeRepoConfig{Shards: 16, Replicas: 16, Workers: 8, Calls: 4000,
-		Tau: 100 * time.Microsecond, Services: 64}
-	bus := E15BusConfig{ShardCounts: []int{1, 4, 16}, Workers: 32, Events: 4000,
-		Topics: 64, Tau: 100 * time.Microsecond}
+	samples := 4000
+	if smoke {
+		samples = 2000
+	}
 	swarm := E13SwarmConfig{Bindings: 1_000_000, Hosts: 16, Nodes: 32,
 		Services: 64, Shards: 4, TypeReplicas: 4}
-	if smoke {
-		tr.Calls = 2000
-		bus.Events = 2000
-	}
 	var rep E15Report
 	var err error
-	if rep.TypeRepo, err = E15TypeRepo(tr); err != nil {
+	if rep.TypeRepo, err = E15TypeRepo(samples); err != nil {
 		return rep, err
 	}
-	if rep.Bus, err = E15Bus(bus); err != nil {
-		return rep, err
-	}
+	rep.Bus = E15Bus(samples)
 	if rep.Swarm, err = E13Swarm(swarm); err != nil {
 		return rep, err
 	}

@@ -71,8 +71,85 @@ func TestE13BlackoutZeroMisses(t *testing.T) {
 	if rep.Migrated == 0 {
 		t.Fatal("ring changes migrated nothing")
 	}
-	if recs := (E13Report{Blackout: rep}).Records(); len(recs) != 2 {
-		// grid empty -> swarm + blackout records
+	if recs := (E13Report{Blackout: rep}).Records(); len(recs) != 1 {
+		// grid empty -> the blackout record only
 		t.Fatalf("records = %d", len(recs))
+	}
+}
+
+// TestRebalanceProbe runs the one rebalance probe in both shapes it is
+// recorded in: over plain shards with no faults (the E13 blackout) and
+// with a replica-group shard losing a member to a scripted crash
+// mid-rebalance (the E15 crash storm). Zero misses is a protocol
+// property, not a timing one, so this also runs under the race detector.
+func TestRebalanceProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		run   func() (E15CrashReport, error)
+		crash bool
+	}{
+		{"plain", func() (E15CrashReport, error) { return rebalanceProbe(32, false, nil) }, false},
+		{"replica-shard+crash", func() (E15CrashReport, error) { return E15CrashStorm(32) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Misses != 0 {
+				t.Fatalf("%d probe misses during rebalance", rep.Misses)
+			}
+			if rep.Probes == 0 {
+				t.Fatal("no probes ran")
+			}
+			if rep.Migrated == 0 {
+				t.Fatal("ring changes migrated nothing")
+			}
+			// 3 setup AddShards plus the measured add + remove.
+			if rep.Rebalances < 5 {
+				t.Fatalf("rebalances = %d, want >= 5", rep.Rebalances)
+			}
+			if tc.crash && rep.CrashEvents < 1 {
+				t.Fatal("the scripted crash never fired")
+			}
+			if !tc.crash && (rep.CrashEvents != 0 || rep.GroupSize != 0) {
+				t.Fatalf("fault-free probe reports a storm: %+v", rep)
+			}
+		})
+	}
+}
+
+// TestE15TypeRepoAndBusSmoke runs the two capacity-gated comparisons at
+// tiny sample counts and checks what is deterministic about them: where
+// the reads landed, and that every mode produced a row.
+func TestE15TypeRepoAndBusSmoke(t *testing.T) {
+	const calls = 100
+	rows, err := E15TypeRepo(calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Mode != "singleton" || rows[1].Mode != "replicated" {
+		t.Fatalf("typerepo rows: %+v", rows)
+	}
+	single, repl := rows[0], rows[1]
+	if single.AuthorityReads < calls {
+		t.Fatalf("singleton: %d authority reads for %d imports — the gate is not on the read path", single.AuthorityReads, calls)
+	}
+	if repl.AuthorityReads >= single.AuthorityReads || repl.ReplicaReads == 0 {
+		t.Fatalf("replicated: %d authority reads (singleton %d), %d replica reads — reads are not served by the replicas",
+			repl.AuthorityReads, single.AuthorityReads, repl.ReplicaReads)
+	}
+	if single.Throughput <= 0 || repl.Throughput <= 0 {
+		t.Fatalf("degenerate throughput: %+v", rows)
+	}
+
+	bus := E15Bus(200)
+	if len(bus) != 1+len(e15BusShardCounts) || bus[0].Mode != "singleton" {
+		t.Fatalf("bus rows: %+v", bus)
+	}
+	for _, b := range bus {
+		if b.Events != 200 || b.Throughput <= 0 {
+			t.Fatalf("degenerate bus row %+v", b)
+		}
 	}
 }

@@ -451,6 +451,32 @@ func TestConcurrentTransfersPreserveInvariant(t *testing.T) {
 	}
 }
 
+func TestAtomicallyBacksOffBetweenDeadlockRetries(t *testing.T) {
+	c, s := seeded(t, "bank", map[string]int64{"a": 1})
+	attempts := 0
+	err := c.Atomically(ctxT(), func(tx *Tx) error {
+		if attempts++; attempts < 3 {
+			return fmt.Errorf("simulated: %w", ErrDeadlock)
+		}
+		return tx.Write(s, "a", values.Int(2))
+	})
+	if err != nil || attempts != 3 {
+		t.Fatalf("err = %v after %d attempts, want success on the third", err, attempts)
+	}
+
+	// The wait between attempts ends with the caller's context.
+	ctx, cancel := context.WithCancel(context.Background())
+	attempts = 0
+	err = c.Atomically(ctx, func(*Tx) error {
+		attempts++
+		cancel()
+		return ErrDeadlock
+	})
+	if !errors.Is(err, context.Canceled) || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want context.Canceled after one", err, attempts)
+	}
+}
+
 func TestAtomicallyPropagatesApplicationError(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"a": 1})
 	sentinel := errors.New("app failure")

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mgmt"
 	"repro/internal/values"
@@ -348,11 +350,18 @@ func (t *Tx) rollback() {
 // Atomically runs fn inside a transaction, committing on nil and aborting
 // on error; deadlock aborts are retried up to 10 times with fresh
 // transactions, which is the standard application-level response to
-// ErrDeadlock.
+// ErrDeadlock. Retries are paced by a jittered exponential backoff:
+// without it the loser of a shared→exclusive upgrade restarts in
+// lockstep with the winner's next transaction and collides again.
 func (c *Coordinator) Atomically(ctx context.Context, fn func(tx *Tx) error) error {
 	const maxAttempts = 10
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if attempt > 0 {
+			if err := deadlockBackoff(ctx, attempt); err != nil {
+				return err
+			}
+		}
 		tx := c.Begin(ctx)
 		err := fn(tx)
 		if err == nil {
@@ -365,4 +374,27 @@ func (c *Coordinator) Atomically(ctx context.Context, fn func(tx *Tx) error) err
 		lastErr = err
 	}
 	return fmt.Errorf("transactions: giving up after %d deadlock retries: %w", maxAttempts, lastErr)
+}
+
+// deadlockBackoff sleeps before retry number attempt (1-based): a
+// uniformly random delay below 50µs·2^attempt, capped at 5ms, so two
+// transactions that killed each other restart at different times. It
+// returns early with the context's error when ctx ends.
+func deadlockBackoff(ctx context.Context, attempt int) error {
+	const (
+		base    = 50 * time.Microsecond
+		ceiling = 5 * time.Millisecond
+	)
+	limit := base << attempt
+	if limit > ceiling {
+		limit = ceiling
+	}
+	t := time.NewTimer(time.Duration(rand.Int64N(int64(limit))) + 1)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

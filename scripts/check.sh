@@ -26,10 +26,11 @@ echo "== bench module (build + vet) =="
 # when an API removal breaks the benchmark.
 (cd bench && go build ./... && go vet ./...)
 
-echo "== non-test Go lines (excluding bench/) =="
-# The size figure ROADMAP tracks; printed, not gated.
+echo "== non-test Go lines (excluding bench/; then internal/experiments alone) =="
+# The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
+find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 echo "== race detector (hot-path and fan-out packages) =="
 go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
@@ -38,12 +39,15 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/
 
-echo "== E11 chaos smoke (policy-on availability + recovery + no leaked goroutines) =="
-# A short chaos run under the race detector: TestE11ChaosSmoke asserts
-# >=99% availability after the faults heal, a measured time-to-recover,
-# breakers actually opening, a traced degraded read, and that the run
-# winds down without leaking goroutines.
-go test -race -run 'TestE11' ./internal/experiments/
+echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness, under the race detector =="
+# TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
+# the faults heal, a measured time-to-recover, breakers actually opening,
+# a traced degraded read, and no leaked goroutines. TestRebalanceProbe:
+# the E13 blackout and the E15 crash storm (one function) must see zero
+# probe misses — a protocol property, so it holds under the race
+# scheduler too. TestFleet*: the harness's own gate, closed loop and gap
+# probe, including the warm-up deadline.
+go test -race -run 'TestE11|TestRebalanceProbe|TestFleet' ./internal/experiments/
 
 echo "== benchmark smoke + alloc budget (E2 bank invocation) =="
 # The session-layer refactor must keep the single-binding hot path
@@ -92,14 +96,14 @@ e12_ok=0
 for e12_attempt in 1 2 3; do
 	go run ./cmd/odpbench -only e12smoke -json > /tmp/check_e12.json
 	if awk '
-		/"mode"/       { mode = $2; gsub(/[",]/, "", mode) }
+		/"scenario"/   { scen = $2; gsub(/[",]/, "", scen) }
 		/"bindings"/   { bindings = $2 + 0 }
 		/"inflight"/   { inflight = $2 + 0 }
 		/"throughput"/ {
 			thr = $2 + 0
 			if (bindings == 64 && inflight == 8) {
-				if (mode == "batched") batched = thr
-				if (mode == "serial")  serial  = thr
+				if (scen == "tcp/batched") batched = thr
+				if (scen == "tcp/serial")  serial  = thr
 			}
 		}
 		END {
@@ -117,15 +121,16 @@ if [ "$e12_ok" != "1" ]; then
 	exit 1
 fi
 
-echo "== E13 sharding smoke (8-shard >= 3x single-shard; 100k-binding swarm, 0 lost lookups) =="
+echo "== E13 sharding smoke (8-shard >= 3x single-shard; rebalance blackout, 0 misses) =="
 # The sharded trader must actually scale: with every shard node behind
 # the same fixed-capacity gate, 8 shards have to deliver at least 3x the
 # import throughput of 1 (the gate makes this a property of the routing,
 # not of the host's core count, but wall-clock is still noisy on shared
-# hosts — best of three). The swarm and blackout slices are deterministic
-# protocol properties and must hold on every run: >=100k bindings
-# established with zero lost lookups, and zero probe misses while the
-# ring gains and loses a shard mid-lookup.
+# hosts — best of three). The blackout slice is a deterministic protocol
+# property and must hold on every run: zero probe misses while the ring
+# gains and loses a shard mid-lookup. The binding swarm (>= 1M bindings,
+# zero lost lookups) is asserted once, in the E15 block below — E15 runs
+# the same E13Swarm function at ten times the size.
 e13_ok=0
 for e13_attempt in 1 2 3; do
 	go run ./cmd/odpbench -only e13smoke -json > /tmp/check_e13.json
@@ -133,16 +138,12 @@ for e13_attempt in 1 2 3; do
 		/"scenario"/     { scen = $2; gsub(/[",]/, "", scen) }
 		/"shards"/       { shards = $2 + 0 }
 		/"throughput"/   { if (scen == "grid") thr[shards] = $2 + 0 }
-		/"bindings":/    { if (scen == "swarm") bindings = $2 + 0 }
-		/"lost_lookups"/ { lost = $2 + 0 }
 		/"misses"/       { if (scen == "rebalance-blackout") misses = $2 + 0 }
 		/"probes"/       { probes = $2 + 0 }
 		END {
 			if (thr[1] == 0 || thr[8] == 0) { print "e13: grid rows missing from JSON"; exit 1 }
-			printf "e13: 8 shards %.0f imports/s vs 1 shard %.0f: %.2fx; swarm %d bindings, %d lost; blackout %d probes, %d misses\n", \
-				thr[8], thr[1], thr[8] / thr[1], bindings, lost, probes, misses
-			if (bindings < 100000) { print "e13: swarm fell short of 100k bindings"; exit 1 }
-			if (lost != 0)         { print "e13: swarm lost lookups"; exit 1 }
+			printf "e13: 8 shards %.0f imports/s vs 1 shard %.0f: %.2fx; blackout %d probes, %d misses\n", \
+				thr[8], thr[1], thr[8] / thr[1], probes, misses
 			if (probes == 0)       { print "e13: no blackout probes ran"; exit 1 }
 			if (misses != 0)       { print "e13: rebalance blackout misses"; exit 1 }
 			exit !(thr[8] >= 3 * thr[1])
