@@ -1,6 +1,6 @@
-// Command odpnode hosts an ODP engineering node over real TCP, or invokes
-// an interface on one — the multi-process path of the stack (everything
-// else in this repository also runs on the simulated network).
+// Command odpnode is the odp facade as a process: it serves a node of a
+// one-node system over real TCP, or invokes an interface on one — the
+// multi-process path of the stack (the same facade on the simulator).
 //
 // Serve a counter object:
 //
@@ -23,48 +23,70 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"repro/internal/bank"
-	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/engineering"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
-	"repro/internal/netsim"
+	"repro/internal/odp"
 	"repro/internal/transactions"
 	"repro/internal/types"
 	"repro/internal/values"
 )
 
 func main() {
-	var (
-		serve    = flag.Bool("serve", false, "host a node")
-		listen   = flag.String("listen", "tcp://127.0.0.1:0", "listen endpoint (serve mode)")
-		behavior = flag.String("behavior", "counter", "object to host: counter | greeter | bank")
-		nodeName = flag.String("node", "node1", "node name (serve mode)")
-		call     = flag.String("call", "", "interface id to invoke (call mode)")
-		endpoint = flag.String("endpoint", "", "endpoint of the target interface (call mode)")
-		op       = flag.String("op", "", "operation name (call mode)")
-		argsCSV  = flag.String("args", "", "comma-separated operation arguments (call mode)")
-		manage   = flag.Bool("mgmt", true, "serve the Management interface beside the application (serve mode)")
-	)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole command: one system built from the flags, a node
+// served on it or one call made through it, and the system closed on
+// every way out. A cancelled ctx (SIGINT, SIGTERM) ends serve mode with a
+// nil error.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("odpnode", flag.ContinueOnError)
+	var (
+		serve    = fs.Bool("serve", false, "host a node")
+		listen   = fs.String("listen", "tcp://127.0.0.1:0", "listen endpoint (serve mode)")
+		behavior = fs.String("behavior", "counter", "object to host: counter | greeter | bank")
+		nodeName = fs.String("node", "node1", "node name (serve mode)")
+		call     = fs.String("call", "", "interface id to invoke (call mode)")
+		endpoint = fs.String("endpoint", "", "endpoint of the target interface (call mode)")
+		op       = fs.String("op", "", "operation name (call mode)")
+		argsCSV  = fs.String("args", "", "comma-separated operation arguments (call mode)")
+		manage   = fs.Bool("mgmt", true, "serve the Management interface beside the application (serve mode)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sys, err := odp.New(odp.Config{Listen: naming.Endpoint(*listen), Management: *serve && *manage})
+	if err != nil {
+		return err
+	}
+	defer sys.Close() // error paths; runServe closes, and checks, a served system
 	switch {
 	case *serve:
-		runServe(*nodeName, *listen, *behavior, *manage)
+		return runServe(ctx, sys, stdout, *nodeName, *behavior)
 	case *call != "":
-		runCall(*call, *endpoint, *op, *argsCSV)
-	default:
-		flag.Usage()
-		os.Exit(2)
+		return runCall(ctx, sys, stdout, *call, *endpoint, *op, *argsCSV)
 	}
+	fs.Usage()
+	return errors.New("need -serve or -call")
 }
 
 type counter struct{ n int64 }
@@ -104,116 +126,79 @@ func greeterType() *types.Interface {
 	)
 }
 
-func runServe(nodeName, listen, behavior string, manage bool) {
-	var domain *mgmt.Management
-	server := channel.ServerConfig{ReplayGuard: true}
-	if manage {
-		domain = mgmt.New()
-		server.Instruments = domain.ChannelServer(nodeName)
-	}
-	node, err := engineering.NewNode(engineering.NodeConfig{
-		ID:        naming.NodeID(nodeName),
-		Endpoint:  naming.Endpoint(listen),
-		Transport: netsim.NewTCP(),
-		Server:    server,
-	})
+func runServe(ctx context.Context, sys *odp.System, stdout io.Writer, nodeName, behavior string) error {
+	node, err := sys.CreateNode(nodeName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer node.Close()
-
-	node.Behaviors().Register("counter", func(values.Value) (engineering.Behavior, error) {
-		return &counter{}, nil
-	})
-	node.Behaviors().Register("greeter", func(values.Value) (engineering.Behavior, error) {
-		return greeter{}, nil
-	})
-	coord := transactions.NewCoordinator()
-	coord.Instrument(domain.Tx(nodeName))
-	store := transactions.NewStore("branch", nil)
-	bank.RegisterBehavior(node.Behaviors(), coord, store)
-
-	capsule, err := node.CreateCapsule()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster, err := capsule.CreateCluster(engineering.ClusterOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var ifaces []*types.Interface
-	behaviorName := behavior
+	// One object, its interfaces printed in template order.
+	tmpl := core.ObjectTemplate{Name: behavior, Behavior: behavior, Arg: values.Null()}
 	switch behavior {
 	case "counter":
-		ifaces = []*types.Interface{counterType()}
-	case "greeter":
-		ifaces = []*types.Interface{greeterType()}
-	case "bank":
-		behaviorName = "bank.branch"
-		ifaces = []*types.Interface{bank.TellerType(), bank.ManagerType(), bank.LoansOfficerType()}
-	default:
-		log.Fatalf("unknown behavior %q (counter | greeter | bank)", behavior)
-	}
-	obj, err := cluster.CreateObject(behaviorName, values.Null())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, it := range ifaces {
-		ref, err := obj.AddInterface(it)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s %s %s\n", ref.ID, ref.TypeName, node.Endpoint())
-	}
-	if domain != nil {
-		// The management interface is an ordinary operational interface on
-		// an ordinary object: odpstat reaches the node's observability
-		// through the same channel machinery it observes.
-		node.Behaviors().Register("mgmt", func(values.Value) (engineering.Behavior, error) {
-			return channel.HandlerFunc(domain.ServeInvoke), nil
+		node.Behaviors().Register(behavior, func(values.Value) (engineering.Behavior, error) {
+			return &counter{}, nil
 		})
-		mobj, err := cluster.CreateObject("mgmt", values.Null())
-		if err != nil {
-			log.Fatal(err)
+		tmpl.Interfaces = []core.InterfaceDecl{{Type: counterType()}}
+	case "greeter":
+		node.Behaviors().Register(behavior, func(values.Value) (engineering.Behavior, error) {
+			return greeter{}, nil
+		})
+		tmpl.Interfaces = []core.InterfaceDecl{{Type: greeterType()}}
+	case "bank":
+		coord := transactions.NewCoordinator()
+		coord.Instrument(sys.Mgmt().Tx(nodeName))
+		bank.RegisterBehavior(node.Behaviors(), coord, transactions.NewStore("branch", nil))
+		tmpl = bank.Template("branch")
+	default:
+		return fmt.Errorf("unknown behavior %q (counter | greeter | bank)", behavior)
+	}
+	dep, err := sys.Deploy(node, tmpl, values.Null())
+	if err != nil {
+		return err
+	}
+	for _, decl := range tmpl.Interfaces {
+		ref := dep.Refs[decl.Type.Name]
+		fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
+	}
+	// With -mgmt the node registered a Management interface when it was
+	// created; it goes last.
+	for _, ref := range sys.Relocator.Entries() {
+		if ref.TypeName == mgmt.InterfaceTypeName {
+			fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
 		}
-		ref, err := mobj.AddInterface(mgmt.InterfaceType())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s %s %s\n", ref.ID, ref.TypeName, node.Endpoint())
 	}
 	fmt.Fprintf(os.Stderr, "odpnode: serving %s at %s; ctrl-c to stop\n", behavior, node.Endpoint())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	<-ctx.Done()
+	return sys.Close()
 }
 
-func runCall(ifaceID, endpoint, op, argsCSV string) {
+func runCall(ctx context.Context, sys *odp.System, stdout io.Writer, ifaceID, endpoint, op, argsCSV string) error {
 	if endpoint == "" || op == "" {
-		log.Fatal("call mode needs -endpoint and -op")
+		return errors.New("call mode needs -endpoint and -op")
 	}
 	id, err := naming.ParseInterfaceID(ifaceID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	b, err := channel.Bind(naming.InterfaceRef{
-		ID:       id,
-		Endpoint: naming.Endpoint(endpoint),
-	}, channel.BindConfig{Transport: netsim.NewTCP()})
+	// Access transparency alone: the canonical transfer syntax, and the
+	// endpoint given on the command line taken at its word.
+	b, err := sys.Bind("odpnode", naming.InterfaceRef{ID: id, Endpoint: naming.Endpoint(endpoint)},
+		core.Contract{Require: core.TransparencySet(core.Access)})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer b.Close()
-	term, results, err := b.Invoke(context.Background(), op, parseArgs(argsCSV))
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	term, results, err := b.Invoke(ctx, op, parseArgs(argsCSV))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("termination: %s\n", term)
+	fmt.Fprintf(stdout, "termination: %s\n", term)
 	for i, r := range results {
-		fmt.Printf("result[%d]:   %s\n", i, r)
+		fmt.Fprintf(stdout, "result[%d]:   %s\n", i, r)
 	}
+	return nil
 }
 
 func parseArgs(csv string) []values.Value {

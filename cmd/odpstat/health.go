@@ -13,7 +13,7 @@ import (
 // dump (the Metrics operation) and renders the failure-detector gauges —
 // health.<endpoint>.state / .suspicion plus the probe counters — as a
 // liveness table, with the circuit-breaker rows from policy.* below it.
-// The node side needs nothing beyond EnableHealth with management on.
+// The node side needs nothing beyond Config.Health with Management on.
 
 // endpointHealth is one watched endpoint's row, assembled from the
 // health.<endpoint>.* instruments in a metrics dump.

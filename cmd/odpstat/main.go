@@ -14,7 +14,7 @@
 // liveness table (state and suspicion per watched endpoint, probe and
 // miss counters, RTT summary) followed by the circuit-breaker state per
 // failure-policy bundle. The rendering is client-side over the plain
-// Metrics dump, so any node with EnableHealth and management serves it.
+// Metrics dump, so any node with Config.Health and Management serves it.
 //
 // Standalone demo — build a two-replica transactional bank in-process,
 // run one traced deposit and print its span tree:
@@ -24,16 +24,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strconv"
+	"time"
 
-	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/naming"
-	"repro/internal/netsim"
+	"repro/internal/odp"
 	"repro/internal/values"
 )
 
@@ -55,20 +57,25 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runFetch(*id, *endpoint, *op, *trace)
-}
-
-func runFetch(ifaceID, endpoint, op, trace string) {
-	id, err := naming.ParseInterfaceID(ifaceID)
-	if err != nil {
+	if err := runFetch(*id, *endpoint, *op, *trace); err != nil {
 		log.Fatal(err)
 	}
-	b, err := channel.Bind(naming.InterfaceRef{
-		ID:       id,
-		Endpoint: naming.Endpoint(endpoint),
-	}, channel.BindConfig{Transport: netsim.NewTCP()})
+}
+
+// runFetch makes one Management call through a plain system of its own —
+// the same Bind every client of the facade uses, the transport chosen by
+// the endpoint's scheme — and renders the reply.
+func runFetch(ifaceID, endpoint, op, trace string) error {
+	id, err := naming.ParseInterfaceID(ifaceID)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	sys := odp.NewSystem(0)
+	defer sys.Close()
+	b, err := sys.Bind("odpstat", naming.InterfaceRef{ID: id, Endpoint: naming.Endpoint(endpoint)},
+		core.Contract{Require: core.TransparencySet(core.Access)})
+	if err != nil {
+		return err
 	}
 	defer b.Close()
 
@@ -82,17 +89,19 @@ func runFetch(ifaceID, endpoint, op, trace string) {
 	var args []values.Value
 	if op == "Trace" {
 		if trace == "" {
-			log.Fatal("-op Trace needs -trace <hex-id>")
+			return errors.New("-op Trace needs -trace <hex-id>")
 		}
 		n, err := strconv.ParseUint(trace, 16, 64)
 		if err != nil {
-			log.Fatalf("bad trace id %q: %v", trace, err)
+			return fmt.Errorf("bad trace id %q: %v", trace, err)
 		}
 		args = []values.Value{values.Uint(n)}
 	}
-	term, results, err := b.Invoke(context.Background(), op, args)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	term, results, err := b.Invoke(ctx, op, args)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if term != "OK" {
 		detail := ""
@@ -101,13 +110,14 @@ func runFetch(ifaceID, endpoint, op, trace string) {
 				detail = ": " + s
 			}
 		}
-		log.Fatalf("%s%s", term, detail)
+		return fmt.Errorf("%s%s", term, detail)
 	}
 	for _, r := range results {
 		if s, ok := r.AsString(); ok {
 			fmt.Print(renderer(s))
 		}
 	}
+	return nil
 }
 
 func runDemo() {

@@ -17,21 +17,23 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 
 	"repro/internal/bank"
-	"repro/internal/channel"
-	"repro/internal/engineering"
+	"repro/internal/core"
 	"repro/internal/naming"
-	"repro/internal/netsim"
+	"repro/internal/odp"
 	"repro/internal/trader"
-	"repro/internal/typerepo"
-	"repro/internal/values"
+	"repro/internal/types"
 )
 
 type peerList []string
@@ -40,71 +42,76 @@ func (p *peerList) String() string     { return strings.Join(*p, ",") }
 func (p *peerList) Set(s string) error { *p = append(*p, s); return nil }
 
 func main() {
-	var peers peerList
-	name := flag.String("name", "trader", "trader name (prefixes offer ids; unique per federation)")
-	listen := flag.String("listen", "tcp://127.0.0.1:0", "listen endpoint")
-	flag.Var(&peers, "peer", "federation link '<interface-id>@<endpoint>' (repeatable)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run serves the directory of a system named after the trader from one
+// node until ctx is cancelled (SIGINT, SIGTERM), then closes the system.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("odptrader", flag.ContinueOnError)
+	var peers peerList
+	name := fs.String("name", "trader", "trader name (prefixes offer ids; unique per federation)")
+	listen := fs.String("listen", "tcp://127.0.0.1:0", "listen endpoint")
+	fs.Var(&peers, "peer", "federation link '<interface-id>@<endpoint>' (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	sys, err := odp.New(odp.Config{Name: *name, Listen: naming.Endpoint(*listen)})
+	if err != nil {
+		return err
+	}
+	defer sys.Close() // error paths; a served system is closed, and checked, below
 	// The type universe this trader can certify. A production deployment
 	// would replicate a shared repository; here the well-known types are
 	// pre-registered.
-	repo := typerepo.New()
-	must(repo.RegisterInterface(bank.TellerType()))
-	must(repo.RegisterInterface(bank.ManagerType()))
-	must(repo.RegisterInterface(bank.LoansOfficerType()))
-	must(repo.RegisterInterface(trader.InterfaceType()))
+	for _, it := range []*types.Interface{
+		bank.TellerType(), bank.ManagerType(), bank.LoansOfficerType(), trader.InterfaceType(),
+	} {
+		if err := sys.Types.RegisterInterface(it); err != nil {
+			return err
+		}
+	}
+	node, err := sys.CreateNode(*name)
+	if err != nil {
+		return err
+	}
+	ref, err := node.RegisterServant(trader.InterfaceType(), &trader.Servant{T: sys.Directory})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
 
-	t := trader.New(*name, repo)
-
-	node, err := engineering.NewNode(engineering.NodeConfig{
-		ID:        naming.NodeID(*name),
-		Endpoint:  naming.Endpoint(*listen),
-		Transport: netsim.NewTCP(),
-		Server:    channel.ServerConfig{ReplayGuard: true},
-	})
-	must(err)
-	defer node.Close()
-	node.Behaviors().Register("odp.trader", func(values.Value) (engineering.Behavior, error) {
-		return &trader.Servant{T: t}, nil
-	})
-	capsule, err := node.CreateCapsule()
-	must(err)
-	cluster, err := capsule.CreateCluster(engineering.ClusterOptions{})
-	must(err)
-	obj, err := cluster.CreateObject("odp.trader", values.Null())
-	must(err)
-	ref, err := obj.AddInterface(trader.InterfaceType())
-	must(err)
-	fmt.Printf("%s %s %s\n", ref.ID, ref.TypeName, node.Endpoint())
-
+	// A link is a binding like any other; its contract bounds every
+	// federated query sent over it.
+	link := core.Contract{Require: core.TransparencySet(core.Access), MaxLatency: 30 * time.Second}
 	for _, peer := range peers {
 		at := strings.LastIndexByte(peer, '@')
 		if at < 0 {
-			log.Fatalf("peer %q must be '<interface-id>@<endpoint>'", peer)
+			return fmt.Errorf("peer %q must be '<interface-id>@<endpoint>'", peer)
 		}
 		id, err := naming.ParseInterfaceID(peer[:at])
-		must(err)
-		b, err := channel.Bind(naming.InterfaceRef{
+		if err != nil {
+			return err
+		}
+		b, err := sys.Bind(*name, naming.InterfaceRef{
 			ID:       id,
-			TypeName: "odp.Trader",
+			TypeName: ref.TypeName,
 			Endpoint: naming.Endpoint(peer[at+1:]),
-		}, channel.BindConfig{Transport: netsim.NewTCP(), Type: trader.InterfaceType()})
-		must(err)
-		remote := trader.NewRemote(b)
-		t.Link(peer, remote)
+		}, link)
+		if err != nil {
+			return err
+		}
+		// No TraderShards in this config: the directory is the one *Trader.
+		sys.Directory.(*trader.Trader).Link(peer, trader.NewRemote(b))
 		fmt.Fprintf(os.Stderr, "odptrader: linked to %s\n", peer)
 	}
 
 	fmt.Fprintf(os.Stderr, "odptrader: %q serving at %s with %d link(s); ctrl-c to stop\n",
 		*name, node.Endpoint(), len(peers))
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	<-ctx.Done()
+	return sys.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -252,26 +253,49 @@ func TestProbeTimeout(t *testing.T) {
 	}
 }
 
+// Every frame the read loop cannot serve is counted once in ServerStats
+// and once in the management counter odpstat reads — the two must agree —
+// and costs the connection nothing.
 func TestBadFrameCounted(t *testing.T) {
-	env := newEnv(t, ServerConfig{})
+	unknownKind, err := (&wire.Message{Kind: wire.MsgKind(99)}).Encode(wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := (&wire.Message{Kind: wire.Probe, Correlation: 5}).Encode(wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := mgmt.New()
+	env := newEnv(t, ServerConfig{Instruments: domain.ChannelServer("n1")})
 	conn, err := env.net.Dial(context.Background(), "sim://server")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := conn.Send([]byte{0xde, 0xad, 0xbe, 0xef}); err != nil {
+	for i, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"truncated frame", probe[:len(probe)-3]},
+		{"valid frame of a kind no server handles", unknownKind},
+	} {
+		if err := conn.Send(tc.frame); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(i + 1)
+		waitFor(t, func() bool { return env.server.Stats().BadFrames == want })
+		if got := domain.Registry.Counter("channel.server.n1.bad_frames").Load(); got != want {
+			t.Errorf("%s: bad_frames instrument = %d, ServerStats.BadFrames = %d", tc.name, got, want)
+		}
+	}
+	if err := conn.Send(probe); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return env.server.Stats().BadFrames == 1 })
-	// An unroutable-but-valid frame (a Reply arriving at a server) is also
-	// counted as bad.
-	m := &wire.Message{Kind: wire.MsgKind(99)}
-	frame, err := m.Encode(wire.Canonical)
+	frame, err := conn.Recv()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("connection unusable after bad frames: %v", err)
 	}
-	if err := conn.Send(frame); err != nil {
-		t.Fatal(err)
+	if ack, err := wire.Decode(frame); err != nil || ack.Kind != wire.ProbeAck || ack.Correlation != 5 {
+		t.Fatalf("reply after bad frames = %+v, %v", ack, err)
 	}
-	waitFor(t, func() bool { return env.server.Stats().BadFrames == 2 })
 }

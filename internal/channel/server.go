@@ -376,10 +376,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		// buffer can be recycled immediately, whatever the outcome.
 		wire.PutFrame(frame)
 		if err != nil {
-			s.badFrames.Add(1)
-			if ins := s.cfg.Instruments; ins != nil {
-				ins.BadFrames.Inc()
-			}
+			s.badFrame()
 			continue
 		}
 		if m.BindingID != 0 {
@@ -445,9 +442,19 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			s.handleSignal(m)
 			wire.PutMessage(m)
 		default:
-			s.badFrames.Add(1)
+			s.badFrame()
 			wire.PutMessage(m)
 		}
+	}
+}
+
+// badFrame counts an inbound frame the read loop could not serve —
+// undecodable, or of a kind no server handles — in ServerStats and, when
+// instrumented, in the management counter odpstat shows.
+func (s *Server) badFrame() {
+	s.badFrames.Add(1)
+	if ins := s.cfg.Instruments; ins != nil {
+		ins.BadFrames.Inc()
 	}
 }
 

@@ -121,12 +121,14 @@ func echoOpType() *types.Interface {
 // the transaction commit with its per-participant prepare/complete
 // phases.
 func E9TracedTransfer() ([]mgmt.Span, string, error) {
-	system := odp.NewSystem(77)
-	defer system.Close()
-	m := system.EnableManagement()
 	// Breakers on: the client host's set reports under policy.client.*,
 	// so the demo's dump shows breaker state beside the trace.
-	system.EnableBreakers(policy.BreakerConfig{})
+	system, err := odp.New(odp.Config{Seed: 77, Management: true, Breakers: &policy.BreakerConfig{}})
+	if err != nil {
+		return nil, "", err
+	}
+	defer system.Close()
+	m := system.Mgmt()
 
 	var tellers, managers []naming.InterfaceRef
 	for _, host := range []string{"replica-a", "replica-b"} {

@@ -19,29 +19,21 @@ import (
 // relocator bridge, and the relocation cache; a replicated type
 // repository serves the bind path.
 func TestShardedBusAndReplicatedTypesServeSystem(t *testing.T) {
-	s := NewSystem(1)
-	defer s.Close()
-	if _, err := s.ShardBus(0); err == nil {
-		t.Fatal("ShardBus(0) accepted")
+	if _, err := New(Config{BusShards: -1}); err == nil {
+		t.Fatal("BusShards: -1 accepted")
 	}
-	sb, err := s.ShardBus(4)
+	s, err := New(Config{Seed: 1, BusShards: 4, TypeReplicas: 2, TraderShards: 4, RelocationCache: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Bus != coordination.EventBus(sb) {
-		t.Fatal("System.Bus is not the sharded front-end")
+	defer s.Close()
+	if sb, ok := s.Bus.(*coordination.ShardedBus); !ok || len(sb.ShardNames()) != 4 {
+		t.Fatalf("System.Bus = %T, want the 4-shard front-end", s.Bus)
 	}
-	rep := s.ReplicateTypes(2)
-	if s.ReplicateTypes(2) != rep {
-		t.Fatal("ReplicateTypes is not idempotent")
-	}
-	if _, ok := s.Types.(*typerepo.Replicated); !ok {
+	rep, ok := s.Types.(*typerepo.Replicated)
+	if !ok {
 		t.Fatal("System.Types is not the replicated front-end")
 	}
-	if _, err := s.ShardTrader(4); err != nil {
-		t.Fatal(err)
-	}
-	s.EnableRelocationCache(64)
 
 	var deployed, relocated int
 	cancelDep := s.Bus.Subscribe(TopicDeployed, nil, func(coordination.Event) { deployed++ })
@@ -86,12 +78,14 @@ func TestShardedBusAndReplicatedTypesServeSystem(t *testing.T) {
 
 // Breaker transitions surface on the event bus under TopicBreaker.
 func TestBreakerTransitionsPublishOnBus(t *testing.T) {
-	s := NewSystem(1)
-	defer s.Close()
-	s.EnableBreakers(policy.BreakerConfig{
+	s, err := New(Config{Seed: 1, Breakers: &policy.BreakerConfig{
 		ConsecutiveFailures: 2,
 		OpenFor:             10 * time.Millisecond,
-	})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	var events []string
 	cancel := s.Bus.Subscribe(TopicBreaker, nil, func(ev coordination.Event) {
 		stV, _ := ev.Payload.FieldByName("state")

@@ -17,32 +17,44 @@ import (
 // direct detector→controller coupling.
 func TestHealthDetectsAndRecovers(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
-	s := NewSystem(404)
+	s, err := New(Config{
+		Seed:       404,
+		Management: true,
+		Recovery:   &health.ControllerConfig{},
+		Health: &health.Config{
+			Interval:     time.Millisecond,
+			MinTimeout:   5 * time.Millisecond,
+			SuspectAfter: 2,
+			DeadAfter:    4,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
-	m := s.EnableManagement()
+	m := s.Mgmt()
 
 	if _, err := s.CreateNode("n1"); err != nil {
 		t.Fatal(err)
 	}
 
 	var deaths, heals atomic.Int64
-	ctl := s.EnableRecovery(health.ControllerConfig{})
+	ctl := s.Recovery()
+	if s.Detector() == nil || ctl == nil {
+		t.Fatal("accessors returned nil for configured modes")
+	}
 	ctl.SetPlan("n1", health.Plan{
 		OnDead:  func(context.Context, string) error { deaths.Add(1); return nil },
 		OnAlive: func(context.Context, string) error { heals.Add(1); return nil },
 	})
 
-	if err := s.WatchNode("n1"); err == nil {
-		t.Fatal("WatchNode before EnableHealth must fail")
+	plain := NewSystem(1)
+	defer plain.Close()
+	if _, err := plain.CreateNode("n1"); err != nil {
+		t.Fatal(err)
 	}
-	s.EnableHealth(health.Config{
-		Interval:     time.Millisecond,
-		MinTimeout:   5 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    4,
-	})
-	if s.Detector() == nil || s.Recovery() == nil {
-		t.Fatal("accessors returned nil after enablement")
+	if err := plain.WatchNode("n1"); err == nil {
+		t.Fatal("WatchNode without Config.Health must fail")
 	}
 	if err := s.WatchNode("n1"); err != nil {
 		t.Fatal(err)
@@ -70,14 +82,6 @@ func TestHealthDetectsAndRecovers(t *testing.T) {
 	})
 	if st := ctl.Stats(); st.Failures != 0 {
 		t.Fatalf("controller failures = %d, want 0", st.Failures)
-	}
-
-	// Idempotent enablement returns the same objects.
-	if s.EnableHealth(health.Config{}) != s.Detector() {
-		t.Fatal("EnableHealth not idempotent")
-	}
-	if s.EnableRecovery(health.ControllerConfig{}) != ctl {
-		t.Fatal("EnableRecovery not idempotent")
 	}
 }
 

@@ -13,10 +13,12 @@
 package odp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/coordination"
@@ -57,21 +59,81 @@ const (
 	// {host, endpoint, state} published when a breaker trips open or
 	// re-closes.
 	TopicBreaker = "policy.breaker"
+	// TopicLiveness carries the failure detector's liveness transitions:
+	// records minted by health.Transition.ToValue, decoded with
+	// health.TransitionFromValue.
+	TopicLiveness = health.EventTopic
 )
 
-// System is one ODP system: a simulated network, the shared
-// infrastructure objects, and the nodes deployed into it.
+// Config is the whole configuration of a System, read once by New: every
+// mode is a field, so there is no order to switch modes on in. The zero
+// Config is the plain system every example runs.
+type Config struct {
+	// Name names the trading function; it prefixes the offer ids issued
+	// and must be unique within a federation. Zero means "trader".
+	Name string
+	// Listen is where the system's nodes listen; its scheme selects the
+	// transport ("tcp://127.0.0.1:0": a loopback socket per node). Zero
+	// means the simulator, node <n> listening at sim://<n>.
+	Listen naming.Endpoint
+	// Seed seeds the simulated network. Ignored off the simulator.
+	Seed int64
+
+	// Management instruments the network, trader(s), bus, every session
+	// manager and every node; each node then also serves the Management
+	// interface, registered with the relocator like any other. Zero means
+	// no instrumentation at all.
+	Management bool
+	// Breakers gives each client host one shared circuit-breaker set,
+	// reported under policy.<host>.* and, unless OnTransition is set,
+	// published on TopicBreaker. Nil means none; a pointer to the zero
+	// BreakerConfig means the defaults.
+	Breakers *policy.BreakerConfig
+	// Policy is the retry policy Env hands to bindings whose contract
+	// asks for failure transparency; what it leaves zero the contract
+	// fills (see transparency.Env.Policy). Zero: the contract decides.
+	Policy policy.RetryPolicy
+	// TraderShards partitions the trading function over that many local
+	// shards ("shard0"...) behind a *trader.ShardedTrader. Zero means one
+	// unsharded *trader.Trader.
+	TraderShards int
+	// BusShards partitions the event bus by topic behind a
+	// *coordination.ShardedBus. Zero means one *coordination.Bus.
+	BusShards int
+	// TypeReplicas puts that many gen-fenced read replicas in front of
+	// the type repository (a *typerepo.Replicated). Zero means none.
+	TypeReplicas int
+	// RelocationCache is the capacity of the epoch-fenced location cache
+	// Env hands to bindings as their Locator. Zero means no cache: the
+	// relocator itself.
+	RelocationCache int
+	// Health starts the failure detector; transitions are published on
+	// TopicLiveness (and still reach its own OnTransition) and reported
+	// under health.<endpoint>.*. Nil means none, and WatchNode fails.
+	Health *health.Config
+	// Recovery starts the recovery controller, fed from TopicLiveness;
+	// install plans on Recovery(). Breakers does not gate it — recovery
+	// and invocation gating are separate decisions. Nil means none.
+	Recovery *health.ControllerConfig
+}
+
+// System is one ODP system: the shared infrastructure objects and the
+// nodes deployed into it. Everything above mu is written once, by New,
+// and read without a lock.
 type System struct {
+	// Net is the simulated network, nil off the simulator.
 	Net       *netsim.Network
 	Relocator *relocator.Relocator
 	Types     typerepo.Repository
-	Trader    *trader.Trader
-	// Bus is the system event bus: a singleton coordination.Bus by
-	// default, or a topic-sharded front-end once ShardBus has been
-	// called. Reconfigure (ShardBus) during setup, before concurrent
-	// publishers exist; holders should re-read the field (or use the
-	// accessor on System) rather than caching it across a ShardBus call.
-	Bus coordination.EventBus
+	// Directory is the trading function Deploy exports to and
+	// ImportAndBind imports from.
+	Directory trader.Shard
+	Bus       coordination.EventBus
+
+	cfg      Config
+	mgmt     *mgmt.Management
+	health   *health.Detector
+	recovery *health.Controller
 
 	mu    sync.Mutex
 	nodes map[string]*engineering.Node
@@ -80,98 +142,143 @@ type System struct {
 	// replica groups — multiplexes over one transport session per peer
 	// node instead of one connection per binding.
 	sessions map[string]*channel.SessionManager
-	mgmt     *mgmt.Management
-	// breakerCfg, when set by EnableBreakers, mints one shared BreakerSet
-	// per client host; defaultPol, when set by SetDefaultPolicy, is the
-	// retry policy Env hands to every binding configured afterwards.
-	breakerCfg *policy.BreakerConfig
-	defaultPol policy.RetryPolicy
-	// directory, when set by ShardTrader, replaces the single Trader as
-	// the trading function Deploy and ImportAndBind use (nil = s.Trader).
-	directory trader.Shard
-	// cache, when set by EnableRelocationCache, is the bounded
-	// epoch-fenced client-side relocation cache Env hands to bindings as
-	// their Locator; cacheCancel unsubscribes it from the bus.
-	cache       *relocator.Cache
-	cacheCancel func()
-	// bridgeCancel unsubscribes the relocator -> bus event bridge.
-	bridgeCancel func()
-	// health, when set by EnableHealth, is the failure detector whose
-	// transitions are published on TopicLiveness; recovery, when set by
-	// EnableRecovery, is the controller acting on them (recoveryCancel
-	// unsubscribes it from the bus).
-	health         *health.Detector
-	recovery       *health.Controller
-	recoveryCancel func()
+	cache    *relocator.Cache
+	// closers undo New, last first: detector, controller, subscriptions.
+	closers []func()
 }
 
-// bus returns the current event bus under the lock, so publishers racing
-// a ShardBus reconfiguration read a coherent value.
-func (s *System) bus() coordination.EventBus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Bus
-}
-
-// EnableManagement creates the system's management domain and wires it
-// into the shared infrastructure: network frame counters and the trader
-// immediately, server-dispatch instruments on every node created
-// afterwards, and client instruments on every binding configured through
-// Env/Bind/ImportAndBind. Idempotent; returns the domain. Enable before
-// creating nodes to observe their server ends.
-func (s *System) EnableManagement() *mgmt.Management {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mgmt == nil {
+// New builds a system from cfg in the one order that works: the type
+// front-end, the trader(s) reading through it, the bus, the relocator
+// bridge publishing on it, its subscribers (cache, recovery controller),
+// then the detector publishing to them. The management domain comes
+// first and its bundles are nil-safe, so each piece is instrumented as it
+// is built and a mode that is off costs nothing.
+func New(cfg Config) (*System, error) {
+	if min(cfg.TraderShards, cfg.BusShards, cfg.TypeReplicas, cfg.RelocationCache) < 0 {
+		return nil, errors.New("odp: Config shard, replica and cache counts must not be negative")
+	}
+	if cfg.Name == "" {
+		cfg.Name = "trader"
+	}
+	s := &System{
+		Relocator: relocator.New(),
+		Types:     typerepo.New(),
+		cfg:       cfg,
+		nodes:     make(map[string]*engineering.Node),
+		sessions:  make(map[string]*channel.SessionManager),
+	}
+	if cfg.Management {
 		s.mgmt = mgmt.New()
-		s.Net.Instrument(s.mgmt.Net("sim"))
-		s.Trader.Instrument(s.mgmt.TraderInstr("trader"))
-		switch b := s.Bus.(type) {
-		case *coordination.ShardedBus:
-			b.Instrument(s.mgmt)
-		case *coordination.Bus:
-			b.Instrument(s.mgmt.Bus("bus"))
-		}
-		if st, ok := s.directory.(*trader.ShardedTrader); ok {
-			s.instrumentShardedLocked(st)
-		}
-		for host, sm := range s.sessions {
-			sm.Instrument(s.mgmt.Sessions(host))
-			if bs := sm.Breakers(); bs != nil {
-				bs.Instrument(s.mgmt.Policy(host))
+	}
+	if scheme := cfg.Listen.Scheme(); scheme == "" || scheme == "sim" {
+		sim := netsim.New(cfg.Seed)
+		sim.Instrument(s.mgmt.Net("sim"))
+		s.Net = sim
+	}
+
+	if cfg.TypeReplicas > 0 {
+		s.Types = typerepo.NewReplicated(s.Types, cfg.TypeReplicas)
+	}
+	if cfg.TraderShards == 0 {
+		t := trader.New(cfg.Name, s.Types)
+		t.Instrument(s.mgmt.TraderInstr(cfg.Name))
+		s.Directory = t
+	} else {
+		st := trader.NewSharded(cfg.Name, s.Types, 0)
+		st.Instrument(s.mgmt.TraderShards(cfg.Name))
+		st.InstrumentShards(func(shard string) *mgmt.ShardLegInstruments {
+			return s.mgmt.TraderShardLeg(cfg.Name, shard)
+		})
+		for i := 0; i < cfg.TraderShards; i++ {
+			name := fmt.Sprintf("shard%d", i)
+			if err := st.AddShard(name, trader.New(name, s.Types)); err != nil {
+				return nil, err
 			}
 		}
+		s.Directory = st
 	}
-	return s.mgmt
+	if cfg.BusShards == 0 {
+		b := coordination.NewBus()
+		b.Instrument(s.mgmt.Bus("bus"))
+		s.Bus = b
+	} else {
+		sb := coordination.NewShardedBus(cfg.BusShards)
+		sb.Instrument(s.mgmt)
+		s.Bus = sb
+	}
+
+	// Bridge the relocator's callback interface onto the event bus, so
+	// every relocation watcher in the system shares one subscription
+	// surface, sharded or not.
+	s.closers = append(s.closers, s.Relocator.Subscribe(func(ev relocator.Event) {
+		s.Bus.Publish(TopicRelocated, relocationToValue(ev))
+	}))
+	if cfg.RelocationCache > 0 {
+		s.EnableRelocationCache(cfg.RelocationCache)
+	}
+	// The self-healing layer (tutorial §9: failure transparency is a
+	// prescription, not a default). Sensing and acting are decoupled
+	// through the bus: the detector publishes on TopicLiveness, the
+	// controller subscribes there, behind a bounded queue so a burst of
+	// transitions never stalls the bus.
+	if cfg.Recovery != nil {
+		ctl := health.NewController(*cfg.Recovery)
+		s.recovery = ctl
+		s.closers = append(s.closers, ctl.Close, s.Bus.SubscribeQueued(TopicLiveness, nil, 256, func(ev coordination.Event) {
+			if t, err := health.TransitionFromValue(ev.Payload); err == nil {
+				ctl.Handle(t)
+			}
+		}))
+	}
+	if cfg.Health != nil {
+		hc := *cfg.Health
+		if hc.Instruments == nil && s.mgmt != nil {
+			hc.Instruments = s.mgmt.Health
+		}
+		user := hc.OnTransition
+		hc.OnTransition = func(t health.Transition) {
+			s.Bus.Publish(TopicLiveness, t.ToValue())
+			if user != nil {
+				user(t)
+			}
+		}
+		s.health = health.New(hc)
+		s.closers = append(s.closers, s.health.Close)
+	}
+	return s, nil
 }
 
-// EnableBreakers attaches one shared circuit-breaker set per client
-// host's session manager — hosts already known and any created later —
-// so every binding a host holds to a dead endpoint fails fast together,
-// and the single half-open probe that re-closes the breaker is shared
-// too. With management enabled, each set reports under policy.<host>.*
-// (breaker.open, breaker.open_now, breaker.rejected, retry.backoff_ns),
-// which is what lets odpstat show breaker state live.
-func (s *System) EnableBreakers(cfg policy.BreakerConfig) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.breakerCfg = &cfg
-	for host, sm := range s.sessions {
-		s.attachBreakersLocked(host, sm)
+// NewSystem is New(Config{Seed: seed}): the plain system on a seeded
+// simulated network, which cannot fail to build.
+func NewSystem(seed int64) *System {
+	s, err := New(Config{Seed: seed})
+	if err != nil {
+		panic(err)
 	}
+	return s
 }
 
-func (s *System) attachBreakersLocked(host string, sm *channel.SessionManager) {
-	if s.breakerCfg == nil || sm.Breakers() != nil {
-		return
+// transport routes host's dials and listens by endpoint scheme: tcp is
+// real sockets; sim, on the simulator, is the seeded network with host as
+// the calling end, so link profiles and partitions apply. The only place
+// the network is dereferenced.
+func (s *System) transport(host string) *netsim.Registry {
+	r := netsim.NewRegistry()
+	r.Register("tcp", netsim.NewTCP())
+	if s.Net != nil {
+		r.Register("sim", s.Net.From(host))
 	}
-	cfg := *s.breakerCfg
+	return r
+}
+
+// newBreakers mints host's breaker set. Transitions are published keyed
+// by the host whose set tripped; the hook runs outside breaker locks, so
+// slow consumers should subscribe with a bounded queue.
+func (s *System) newBreakers(host string) *policy.BreakerSet {
+	cfg := *s.cfg.Breakers
 	if cfg.OnTransition == nil {
-		// Publish breaker transitions on the system bus, keyed by the
-		// client host whose set tripped. The hook runs outside breaker
-		// locks; slow consumers should subscribe with a bounded queue.
 		cfg.OnTransition = func(key string, to policy.State) {
-			s.bus().Publish(TopicBreaker, values.Record(
+			s.Bus.Publish(TopicBreaker, values.Record(
 				values.F("host", values.Str(host)),
 				values.F("endpoint", values.Str(key)),
 				values.F("state", values.Str(to.String())),
@@ -180,84 +287,29 @@ func (s *System) attachBreakersLocked(host string, sm *channel.SessionManager) {
 	}
 	bs := policy.NewBreakerSet(cfg)
 	bs.Instrument(s.mgmt.Policy(host))
-	sm.SetBreakers(bs)
+	return bs
 }
 
-// Directory returns the trading function clients of this system go
-// through: the single Trader by default, or the sharded front-end once
-// ShardTrader has been called.
-func (s *System) Directory() trader.Shard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.directory != nil {
-		return s.directory
-	}
-	return s.Trader
-}
-
-// ShardTrader partitions the system's trading function: shards local
-// trader objects are created ("shard0".."shardN-1"), joined to a
-// consistent-hash ring keyed by service type, and fronted by a
-// ShardedTrader that Deploy and ImportAndBind use from then on. Offers
-// already exported to the legacy single Trader stay where they are (call
-// this before deploying); new exports route to their owning shard. The
-// front-end is returned so callers can rebalance (AddShard/RemoveShard)
-// or add remote shards.
-func (s *System) ShardTrader(shards int) (*trader.ShardedTrader, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("odp: ShardTrader needs >= 1 shards, got %d", shards)
-	}
-	st := trader.NewSharded("trader", s.Types, 0)
-	for i := 0; i < shards; i++ {
-		name := fmt.Sprintf("shard%d", i)
-		if err := st.AddShard(name, trader.New(name, s.Types)); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.directory = st
-	if s.mgmt != nil {
-		s.instrumentShardedLocked(st)
-	}
-	s.mu.Unlock()
-	return st, nil
-}
-
-func (s *System) instrumentShardedLocked(st *trader.ShardedTrader) {
-	m := s.mgmt
-	st.Instrument(m.TraderShards("trader"))
-	st.InstrumentShards(func(shard string) *mgmt.ShardLegInstruments {
-		return m.TraderShardLeg("trader", shard)
-	})
-}
-
-// EnableRelocationCache puts a bounded, epoch-fenced location cache in
-// front of the system relocator for every binding configured through
-// Env/Bind/ImportAndBind afterwards: the hot re-bind path pays a map
-// read instead of a relocator lookup while its entry is fresh. The cache
-// subscribes to the relocator's events, so co-resident moves and
-// removals fence or invalidate entries immediately; bindings invalidate
-// entries on staleness evidence through channel.LocationInvalidator.
-// Idempotent; returns the cache.
+// EnableRelocationCache is Config.RelocationCache set late, and how New
+// sets it. It stays exported only because the frozen bench/bank.go:315
+// calls it on a NewSystem; the next benchmark PR should pass the field
+// and unexport it (the netsim.Flusher precedent). Idempotent.
 func (s *System) EnableRelocationCache(capacity int) *relocator.Cache {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cache == nil {
 		cache := relocator.NewCache(s.Relocator, capacity)
 		s.cache = cache
-		// The cache is a relocation watcher: it observes the bus bridge
-		// (TopicRelocated) rather than holding a private relocator
-		// callback, so it follows the bus when the bus is sharded. Bus
-		// delivery for inline subscribers is synchronous and per-topic
-		// ordered — the same guarantee the direct subscription gave, which
-		// the cache's epoch fencing relies on.
-		s.cacheCancel = s.Bus.Subscribe(TopicRelocated, nil, func(ev coordination.Event) {
-			rev, err := relocationFromValue(ev.Payload)
-			if err != nil {
-				return
+		// The cache watches the bus bridge, not a private relocator
+		// callback. Inline bus delivery is synchronous and per-topic
+		// ordered — what the cache's epoch fencing relies on — so moves
+		// and removals fence or invalidate entries at once; bindings
+		// invalidate on staleness evidence (channel.LocationInvalidator).
+		s.closers = append(s.closers, s.Bus.Subscribe(TopicRelocated, nil, func(ev coordination.Event) {
+			if rev, err := relocationFromValue(ev.Payload); err == nil {
+				cache.Observe(rev)
 			}
-			cache.Observe(rev)
-		})
+		}))
 	}
 	return s.cache
 }
@@ -270,44 +322,17 @@ func (s *System) RelocationCache() *relocator.Cache {
 	return s.cache
 }
 
-// SetDefaultPolicy installs the retry policy that Env (and so Bind and
-// ImportAndBind) hands to every binding configured afterwards whose
-// contract asks for failure transparency; what it leaves zero the
-// contract fills (see transparency.Env.Policy). Existing bindings are
-// unaffected.
-func (s *System) SetDefaultPolicy(p policy.RetryPolicy) {
-	s.mu.Lock()
-	s.defaultPol = p
-	s.mu.Unlock()
-}
-
 // Mgmt returns the system's management domain, nil when disabled.
-func (s *System) Mgmt() *mgmt.Management {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mgmt
-}
+func (s *System) Mgmt() *mgmt.Management { return s.mgmt }
 
-// NewSystem creates a system over a seeded simulated network.
-func NewSystem(seed int64) *System {
-	repo := typerepo.New()
-	s := &System{
-		Net:       netsim.New(seed),
-		Relocator: relocator.New(),
-		Types:     repo,
-		Trader:    trader.New("trader", repo),
-		Bus:       coordination.NewBus(),
-		nodes:     make(map[string]*engineering.Node),
-		sessions:  make(map[string]*channel.SessionManager),
-	}
-	// Bridge the relocator's callback interface onto the event bus, so
-	// every relocation watcher in the system shares one subscription
-	// surface (and follows the bus when it is sharded).
-	s.bridgeCancel = s.Relocator.Subscribe(func(ev relocator.Event) {
-		s.bus().Publish(TopicRelocated, relocationToValue(ev))
-	})
-	return s
-}
+// Detector returns the system failure detector, nil when disabled. Watch
+// nodes with WatchNode (transport-level dial probes) or Detector().Watch
+// for custom probes through the full channel stack.
+func (s *System) Detector() *health.Detector { return s.health }
+
+// Recovery returns the recovery controller, nil when disabled. Plans
+// (per endpoint or fallback) are installed on it by the caller.
+func (s *System) Recovery() *health.Controller { return s.recovery }
 
 // relocationToValue encodes a relocator event for the bus.
 func relocationToValue(ev relocator.Event) values.Value {
@@ -335,76 +360,44 @@ func relocationFromValue(v values.Value) (relocator.Event, error) {
 	return ev, nil
 }
 
-// ShardBus replaces the system event bus with a topic-sharded front-end
-// of the given shard count and returns it. Call during setup, before
-// subscribers attach: subscriptions made on the previous bus are not
-// migrated. The relocator bridge and Deploy announcements follow the
-// new bus automatically, as do breaker transition events.
-func (s *System) ShardBus(shards int) (*coordination.ShardedBus, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("odp: ShardBus needs >= 1 shards, got %d", shards)
-	}
-	sb := coordination.NewShardedBus(shards)
-	s.mu.Lock()
-	s.Bus = sb
-	if s.mgmt != nil {
-		sb.Instrument(s.mgmt)
-	}
-	s.mu.Unlock()
-	return sb, nil
-}
-
-// ReplicateTypes puts a read-mostly replication front-end with n
-// replicas in front of the type repository: lookups and substitutability
-// checks made through s.Types are served from gen-fenced local replicas,
-// registrations keep funnelling to the former repository (now the
-// authority). Call before ShardTrader and Deploy so traders built
-// afterwards read through the front-end. Idempotent; returns the
-// front-end.
-func (s *System) ReplicateTypes(replicas int) *typerepo.Replicated {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rep, ok := s.Types.(*typerepo.Replicated); ok {
-		return rep
-	}
-	rep := typerepo.NewReplicated(s.Types, replicas)
-	s.Types = rep
-	return rep
-}
-
 // SessionsFor returns the client host's shared session manager, creating
 // it on first use. All of the host's bindings multiplex over it: one
-// connection, read loop and heartbeat per peer node.
+// connection, read loop and heartbeat per peer node — and, with
+// Config.Breakers, one breaker set, so every binding the host holds to a
+// dead endpoint fails fast together and shares the half-open probe.
 func (s *System) SessionsFor(clientHost string) *channel.SessionManager {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sessionsForLocked(clientHost)
-}
-
-func (s *System) sessionsForLocked(clientHost string) *channel.SessionManager {
 	sm, ok := s.sessions[clientHost]
 	if !ok {
-		sm = channel.NewSessionManager(s.Net.From(clientHost))
-		if s.mgmt != nil {
-			sm.Instrument(s.mgmt.Sessions(clientHost))
+		sm = channel.NewSessionManager(s.transport(clientHost))
+		sm.Instrument(s.mgmt.Sessions(clientHost))
+		if s.cfg.Breakers != nil {
+			sm.SetBreakers(s.newBreakers(clientHost))
 		}
-		s.attachBreakersLocked(clientHost, sm)
 		s.sessions[clientHost] = sm
 	}
 	return sm
 }
 
-// CreateNode starts an engineering node on the simulated network.
+// CreateNode starts an engineering node at the system's listen endpoint.
+// With Config.Management the node also serves the Management interface —
+// an ordinary operational interface, reached through the same channel
+// machinery it observes.
 func (s *System) CreateNode(name string) (*engineering.Node, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.nodes[name]; exists {
 		return nil, fmt.Errorf("%w: %q", ErrNodeExists, name)
 	}
+	ep := s.cfg.Listen
+	if ep == "" {
+		ep = naming.Endpoint("sim://" + name)
+	}
 	n, err := engineering.NewNode(engineering.NodeConfig{
 		ID:        naming.NodeID(name),
-		Endpoint:  naming.Endpoint("sim://" + name),
-		Transport: s.Net.From(name),
+		Endpoint:  ep,
+		Transport: s.transport(name),
 		Locations: s.Relocator,
 		Server: channel.ServerConfig{
 			ReplayGuard: true,
@@ -413,6 +406,12 @@ func (s *System) CreateNode(name string) (*engineering.Node, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if s.mgmt != nil {
+		if _, err := n.RegisterServant(mgmt.InterfaceType(), channel.HandlerFunc(s.mgmt.ServeInvoke)); err != nil {
+			n.Close()
+			return nil, err
+		}
 	}
 	s.nodes[name] = n
 	return n, nil
@@ -429,6 +428,31 @@ func (s *System) Node(name string) (*engineering.Node, error) {
 	return n, nil
 }
 
+// WatchNode puts a node of this system under the failure detector with a
+// transport-level dial probe of the node's endpoint: a crashed node fails
+// the probe immediately, a partitioned one hangs it into the adaptive
+// timeout. The probe dials from the synthetic host "healthd", so chaos
+// scripts can partition the monitor itself.
+func (s *System) WatchNode(name string) error {
+	if s.health == nil {
+		return fmt.Errorf("odp: WatchNode %q: Config.Health is not set", name)
+	}
+	node, err := s.Node(name)
+	if err != nil {
+		return err
+	}
+	ep, tr := node.Endpoint(), s.transport("healthd")
+	return s.health.Watch(name, func(ctx context.Context) (time.Duration, error) {
+		start := time.Now()
+		conn, err := tr.Dial(ctx, ep)
+		if err != nil {
+			return 0, err
+		}
+		conn.Close()
+		return time.Since(start), nil
+	})
+}
+
 // Nodes lists node names, sorted.
 func (s *System) Nodes() []string {
 	s.mu.Lock()
@@ -441,46 +465,23 @@ func (s *System) Nodes() []string {
 	return out
 }
 
-// Close shuts every node down.
+// Close stops the detector (sensing first, so no new transitions), then
+// the controller and the bus subscriptions, then every session manager
+// and node.
 func (s *System) Close() error {
 	s.mu.Lock()
-	nodes := make([]*engineering.Node, 0, len(s.nodes))
-	for _, n := range s.nodes {
-		nodes = append(nodes, n)
-	}
+	nodes, managers, closers := s.nodes, s.sessions, s.closers
 	s.nodes = map[string]*engineering.Node{}
-	managers := make([]*channel.SessionManager, 0, len(s.sessions))
-	for _, sm := range s.sessions {
-		managers = append(managers, sm)
-	}
 	s.sessions = map[string]*channel.SessionManager{}
-	cancel := s.cacheCancel
-	s.cacheCancel = nil
-	bridge := s.bridgeCancel
-	s.bridgeCancel = nil
-	det, ctl, recCancel := s.health, s.recovery, s.recoveryCancel
-	s.health, s.recovery, s.recoveryCancel = nil, nil, nil
+	s.closers = nil
 	s.mu.Unlock()
-	// Sensing stops first (no new transitions), then the acting half.
-	if det != nil {
-		det.Close()
+	for i := len(closers) - 1; i >= 0; i-- {
+		closers[i]()
 	}
-	if recCancel != nil {
-		recCancel()
-	}
-	if ctl != nil {
-		ctl.Close()
-	}
-	if cancel != nil {
-		cancel()
-	}
-	if bridge != nil {
-		bridge()
-	}
-	var first error
 	for _, sm := range managers {
 		_ = sm.Close()
 	}
+	var first error
 	for _, n := range nodes {
 		if err := n.Close(); err != nil && first == nil {
 			first = err
@@ -551,13 +552,13 @@ func (s *System) Deploy(node *engineering.Node, tmpl core.ObjectTemplate, props 
 			return nil, err
 		}
 		dep.Refs[decl.Type.Name] = ref
-		offerID, err := s.Directory().Export(decl.Type.Name, ref, props)
+		offerID, err := s.Directory.Export(decl.Type.Name, ref, props)
 		if err != nil {
 			return nil, err
 		}
 		dep.Offers[decl.Type.Name] = offerID
 	}
-	s.bus().Publish(TopicDeployed, values.Record(
+	s.Bus.Publish(TopicDeployed, values.Record(
 		values.F("template", values.Str(tmpl.Name)),
 		values.F("node", values.Str(string(node.ID()))),
 	))
@@ -565,21 +566,18 @@ func (s *System) Deploy(node *engineering.Node, tmpl core.ObjectTemplate, props 
 }
 
 // Env builds the transparency environment for a client at the given
-// simulated host.
+// host. It carries no Transport of its own: the host's session manager
+// already dials through the host's scheme-routed transport.
 func (s *System) Env(clientHost string) transparency.Env {
-	s.mu.Lock()
-	pol := s.defaultPol
 	var loc channel.Locator = s.Relocator
-	if s.cache != nil {
-		loc = s.cache
+	if cache := s.RelocationCache(); cache != nil {
+		loc = cache
 	}
-	s.mu.Unlock()
 	return transparency.Env{
-		Transport:   s.Net.From(clientHost),
 		Sessions:    s.SessionsFor(clientHost),
 		Locator:     loc,
-		Instruments: s.Mgmt().ChannelClient(clientHost),
-		Policy:      pol,
+		Instruments: s.mgmt.ChannelClient(clientHost),
+		Policy:      s.cfg.Policy,
 	}
 }
 
@@ -597,7 +595,7 @@ func (s *System) Bind(clientHost string, ref naming.InterfaceRef, contract core.
 // offer under the contract — the canonical ODP client path:
 // trade, then bind.
 func (s *System) ImportAndBind(clientHost, serviceType, constraintSrc string, contract core.Contract) (*channel.Binding, error) {
-	offers, err := s.Directory().Import(trader.ImportRequest{
+	offers, err := s.Directory.Import(trader.ImportRequest{
 		ServiceType: serviceType,
 		Constraint:  constraintSrc,
 		MaxMatches:  1,

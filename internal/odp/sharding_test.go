@@ -12,17 +12,17 @@ import (
 )
 
 func TestShardTraderServesDeployAndImport(t *testing.T) {
-	s := NewSystem(1)
-	defer s.Close()
-	st, err := s.ShardTrader(4)
+	s, err := New(Config{Seed: 1, TraderShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	st, ok := s.Directory.(*trader.ShardedTrader)
+	if !ok {
+		t.Fatalf("Directory = %T, want the sharded front-end", s.Directory)
+	}
 	if len(st.Shards()) != 4 {
 		t.Fatalf("shards = %v", st.Shards())
-	}
-	if s.Directory() != trader.Shard(st) {
-		t.Fatal("Directory is not the sharded front-end")
 	}
 
 	node, err := s.CreateNode("alpha")
@@ -36,10 +36,7 @@ func TestShardTraderServesDeployAndImport(t *testing.T) {
 	)); err != nil {
 		t.Fatal(err)
 	}
-	// The legacy single trader holds nothing: exports routed to shards.
-	if s.Trader.Len() != 0 {
-		t.Fatalf("legacy trader holds %d offers", s.Trader.Len())
-	}
+	// There is no trader beside the front-end for an export to strand in.
 	if st.ShardStats().Exports == 0 {
 		t.Fatal("no exports reached the front-end")
 	}
@@ -56,18 +53,22 @@ func TestShardTraderServesDeployAndImport(t *testing.T) {
 	}
 	_ = term // any terminations is fine; the wire round-trip is the point
 
-	if _, err := s.ShardTrader(0); err == nil {
-		t.Fatal("ShardTrader(0) accepted")
+	if _, err := New(Config{TraderShards: -1}); err == nil {
+		t.Fatal("TraderShards: -1 accepted")
 	}
 }
 
 func TestRelocationCacheServesBindings(t *testing.T) {
-	s := NewSystem(1)
+	s, err := New(Config{Seed: 1, RelocationCache: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
-	cache := s.EnableRelocationCache(64)
-	if cache == nil || s.RelocationCache() != cache {
+	cache := s.RelocationCache()
+	if cache == nil {
 		t.Fatal("cache not installed")
 	}
+	// The bench shim is the same cache, not a second one.
 	if again := s.EnableRelocationCache(8); again != cache {
 		t.Fatal("EnableRelocationCache not idempotent")
 	}

@@ -20,9 +20,11 @@ func telemetryType() *types.Interface {
 }
 
 func TestSubscribeAndOpenStream(t *testing.T) {
-	s := NewSystem(1)
+	s, err := New(Config{Seed: 1, Management: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
-	s.EnableManagement()
 	if _, err := s.CreateNode("hub"); err != nil {
 		t.Fatal(err)
 	}

@@ -111,10 +111,11 @@ func OfferToValue(o Offer) values.Value { return offerToValue(o) }
 // OfferFromValue decodes an offer encoded by OfferToValue.
 func OfferFromValue(v values.Value) (Offer, error) { return offerFromValue(v) }
 
-// Servant adapts a Trader to channel.Handler so it can be registered as
+// Servant adapts a trading function — a Trader, or any other Shard such
+// as a sharded front-end — to channel.Handler so it can be registered as
 // an interface of an engineering object.
 type Servant struct {
-	T *Trader
+	T Shard
 }
 
 var _ channel.Handler = (*Servant)(nil)

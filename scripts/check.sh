@@ -26,18 +26,36 @@ echo "== bench module (build + vet) =="
 # when an API removal breaks the benchmark.
 (cd bench && go build ./... && go vet ./...)
 
-echo "== non-test Go lines (excluding bench/; then internal/experiments alone) =="
+echo "== facade gate (configuration is a value; the binaries are the facade) =="
+# odp.System is configured by odp.New(Config) alone: no late-bound mutator
+# may come back (EnableRelocationCache is the one shim the frozen bench
+# pins), and odpnode/odptrader/odpstat may not wire a node or a binding by
+# hand beside the facade.
+if grep -nE 'func \(s \*System\) (Enable|Shard|Replicate|SetDefault)' \
+	$(find internal/odp -name '*.go' ! -name '*_test.go') | grep -v 'EnableRelocationCache('; then
+	echo "internal/odp: order-sensitive facade mutator declared (use a Config field)"
+	exit 1
+fi
+if grep -nE 'engineering\.NewNode\(|CreateCapsule\(|CreateCluster\(|channel\.(Bind|NewServer)\(|netsim\.NewTCP\(\)' \
+	$(find cmd/odpnode cmd/odptrader cmd/odpstat -name '*.go' ! -name '*_test.go'); then
+	echo "cmd: a binary wires the engineering layer by hand (go through odp.New)"
+	exit 1
+fi
+
+echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}) =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
 find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+find internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go -name '*.go' ! -name '*_test.go' -print0 |
+	xargs -0 cat | wc -l
 
 echo "== race detector (hot-path and fan-out packages) =="
 go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/transactions/ ./internal/coordination/ ./internal/trader/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
-	./internal/typerepo/ ./internal/health/
+	./internal/typerepo/ ./internal/health/ ./cmd/odpnode/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
