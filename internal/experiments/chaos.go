@@ -213,6 +213,53 @@ type e11Sample struct {
 	err error
 }
 
+// e11 is the E11 section: the same workload under the same fault script
+// for dur per mode, failure-policy layer on and then off. Its text is the
+// error taxonomy of each mode plus the policy-on run's fault timeline and
+// one traced degraded read.
+func e11(_ bool, _ int, dur time.Duration) ([]Record, string, error) {
+	var recs []Record
+	var text strings.Builder
+	var on E11Report
+	for _, policyOn := range []bool{true, false} {
+		rep, err := E11Chaos(dur, policyOn)
+		if err != nil {
+			return nil, "", fmt.Errorf("e11 policyOn=%v: %w", policyOn, err)
+		}
+		if policyOn {
+			on = rep
+		}
+		recs = append(recs, Record{
+			Experiment: "e11",
+			Scenario:   rep.Mode,
+			Params:     map[string]float64{"dur_s": dur.Seconds()},
+			Metrics: map[string]float64{
+				"ops":                 float64(rep.Ops),
+				"availability":        rep.Availability,
+				"availability_faults": rep.AvailabilityFaults,
+				"availability_healed": rep.AvailabilityHealed,
+				"p99_faults_us":       float64(rep.P99Faults.Microseconds()),
+				"p99_healed_us":       float64(rep.P99Healed.Microseconds()),
+				"ttr_ms":              float64(rep.TimeToRecover.Milliseconds()),
+				"breaker_opens":       float64(rep.BreakerOpens),
+				"retries":             float64(rep.Retries),
+				"degraded_reads":      float64(rep.DegradedReads),
+			},
+		})
+		if len(rep.Errors) > 0 {
+			fmt.Fprintf(&text, "  %s errors: %v\n", rep.Mode, rep.Errors) // fmt prints maps in key order
+		}
+	}
+	indent := func(s string) string {
+		return "    " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n    ") + "\n"
+	}
+	text.WriteString("  fault timeline (policy-on run):\n" + indent(on.Timeline))
+	if on.StaleTrace != "" {
+		text.WriteString("  one degraded read, traced (staleness flag is the marker span):\n" + indent(on.StaleTrace))
+	}
+	return recs, text.String(), nil
+}
+
 // E11Chaos runs the bank workload for roughly the given duration under
 // the fixed fault script and returns the report. policyOn selects the
 // failure-policy configuration (budgeted retries, shared breakers,

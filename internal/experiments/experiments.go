@@ -1,14 +1,16 @@
 // Package experiments builds the measurable scenarios of EXPERIMENTS.md —
 // one per figure of the tutorial (the paper has no measured tables; each
-// structural figure is turned into a quantitative experiment). The root
-// bench_test.go wraps these in testing.B benchmarks, and cmd/odpbench
-// prints them as tables.
+// structural figure is turned into a quantitative experiment). Sections
+// is the one table of them: the root bench_test.go wraps its scenario
+// sets in testing.B benchmarks, cmd/odpbench prints every section's
+// records, and Gates holds the claims CI checks against those records.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -51,7 +53,7 @@ func must(err error) {
 
 // E1Consistency builds the full five-viewpoint bank specification and
 // returns a scenario whose Run performs one complete consistency check.
-func E1Consistency() Scenario {
+func E1Consistency() []Scenario {
 	community, err := bank.NewCommunity("branch")
 	must(err)
 	model, err := bank.NewModel()
@@ -72,7 +74,7 @@ func E1Consistency() Scenario {
 			{Action: "ApproveLoan", Interface: "LoansOfficer", Operation: "ApproveLoan"},
 		},
 	}
-	return Scenario{
+	return []Scenario{{
 		Name: "viewpoint-consistency",
 		Run: func() error {
 			if errs := odp.Errors(odp.CheckConsistency(spec, nil)); len(errs) != 0 {
@@ -81,7 +83,7 @@ func E1Consistency() Scenario {
 			return nil
 		},
 		Close: func() {},
-	}
+	}}
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +557,25 @@ func E6RelocationRecovery(samples int) ([]time.Duration, error) {
 	return out, nil
 }
 
+// e6b is the E6b section: the recovery-latency distribution over 20
+// migrations of one bound object.
+func e6b(bool, int, time.Duration) ([]Record, string, error) {
+	samples, err := E6RelocationRecovery(20)
+	if err != nil {
+		return nil, "", err
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return []Record{{
+		Experiment: "e6b",
+		Scenario:   "first-call-after-migration",
+		Metrics: map[string]float64{
+			"p50_us": float64(samples[len(samples)/2].Microseconds()),
+			"p90_us": float64(samples[len(samples)*9/10].Microseconds()),
+			"max_us": float64(samples[len(samples)-1].Microseconds()),
+		},
+	}}, "", nil
+}
+
 // E6FailureMasking runs invocations over a lossy link and reports how
 // many succeeded with and without failure transparency.
 func E6FailureMasking(dropRate float64, calls int) (withRetries, withoutRetries int, err error) {
@@ -592,6 +613,25 @@ func E6FailureMasking(dropRate float64, calls int) (withRetries, withoutRetries 
 	}
 	withoutRetries, err = run(0, 42)
 	return withRetries, withoutRetries, err
+}
+
+// e6c is the E6c section: 200 calls over a link dropping 30% each way,
+// with 25 retries and with none.
+func e6c(bool, int, time.Duration) ([]Record, string, error) {
+	const drop, calls = 0.3, 200
+	withRetries, withoutRetries, err := E6FailureMasking(drop, calls)
+	if err != nil {
+		return nil, "", err
+	}
+	return []Record{{
+		Experiment: "e6c",
+		Scenario:   "failure-masking",
+		Params:     map[string]float64{"drop": drop, "calls": calls},
+		Metrics: map[string]float64{
+			"ok_with_retries": float64(withRetries),
+			"ok_no_retries":   float64(withoutRetries),
+		},
+	}}, "", nil
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func TestE9Overhead(t *testing.T) { runAll(t, E9Overhead()) }
+func TestE9Overhead(t *testing.T) { runSection(t, "e9") }
 
 // TestE9TracedTransfer is the acceptance check for the management
 // subsystem: one replicated, transactional bank deposit must leave a

@@ -72,14 +72,33 @@ func (r E12PipelineRow) Records() []Record {
 	}}
 }
 
+// e12 is the E12 section: the full grid on both transports, four times
+// the sample budget per cell. smoke restricts it to the CI cell (tcp, 64
+// bindings × 8 in-flight) plus the single-call latency cell (tcp, 1×1)
+// that guards against batching taxing the idle path.
+func e12(smoke bool, iters int, _ time.Duration) ([]Record, string, error) {
+	transports, bindings, inflight := []string{"sim", "tcp"}, []int{1, 64, 256}, []int{1, 8, 64}
+	if smoke {
+		transports, bindings, inflight = []string{"tcp"}, []int{1, 64}, []int{1, 8}
+	}
+	var recs []Record
+	for _, transport := range transports {
+		rows, err := E12Pipeline(transport, bindings, inflight, max(iters*4, 2000))
+		if err != nil {
+			return nil, "", err
+		}
+		for _, r := range rows {
+			recs = append(recs, r.Records()...)
+		}
+	}
+	return recs, "", nil
+}
+
 // E12Pipeline measures the grid bindings × inflight in both data-plane
 // modes on one transport. totalCalls is the per-cell invocation budget:
 // each cell runs ~totalCalls invocations however many workers it has, so
 // big cells do not take quadratically longer than small ones.
 func E12Pipeline(transport string, bindings, inflight []int, totalCalls int) ([]E12PipelineRow, error) {
-	if totalCalls < 1 {
-		totalCalls = 1
-	}
 	var rows []E12PipelineRow
 	for _, n := range bindings {
 		for _, k := range inflight {

@@ -33,9 +33,6 @@ type E10SessionRow struct {
 // in ns, in both modes, with callsPerBinding sequential invocations per
 // binding running concurrently across bindings.
 func E10SessionScaling(ns []int, callsPerBinding int) ([]E10SessionRow, error) {
-	if callsPerBinding < 1 {
-		callsPerBinding = 1
-	}
 	var rows []E10SessionRow
 	for _, n := range ns {
 		for _, mode := range []string{"per-binding", "shared"} {
@@ -47,6 +44,31 @@ func E10SessionScaling(ns []int, callsPerBinding int) ([]E10SessionRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// e10 is the E10 section: both modes at 1, 16, 64 and 256 bindings, a
+// hundredth of the sample budget per binding.
+func e10(_ bool, iters int, _ time.Duration) ([]Record, string, error) {
+	rows, err := E10SessionScaling([]int{1, 16, 64, 256}, max(iters/100, 10))
+	if err != nil {
+		return nil, "", err
+	}
+	var recs []Record
+	for _, r := range rows {
+		recs = append(recs, Record{
+			Experiment: "e10",
+			Scenario:   r.Mode,
+			Params:     map[string]float64{"bindings": float64(r.Bindings)},
+			Metrics: map[string]float64{
+				"conns":            float64(r.Conns),
+				"dials":            float64(r.Dials),
+				"heap_per_binding": float64(r.HeapPerB),
+				"p50_us":           float64(r.P50.Microseconds()),
+				"p99_us":           float64(r.P99.Microseconds()),
+			},
+		})
+	}
+	return recs, "", nil
 }
 
 // e10Server brings up the one echo server of an E10 cell on a fresh

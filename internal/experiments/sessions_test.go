@@ -3,12 +3,12 @@ package experiments
 import "testing"
 
 func TestE10SessionScaling(t *testing.T) {
-	rows, err := E10SessionScaling([]int{1, 8}, 5)
+	rows, err := E10SessionScaling([]int{1, 8, 256}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
 	for _, r := range rows {
 		switch r.Mode {

@@ -67,34 +67,6 @@ type E16Config struct {
 	Seed       int64
 }
 
-func (c E16Config) withDefaults() E16Config {
-	if c.Objects < 1 {
-		c.Objects = 24
-	}
-	if c.Victims < 1 {
-		c.Victims = 3
-	}
-	if c.Migrations < 1 {
-		c.Migrations = 120
-	}
-	if c.Services < 1 {
-		c.Services = 24
-	}
-	if c.WANScale <= 0 {
-		c.WANScale = 0.05
-	}
-	if c.Unit <= 0 {
-		c.Unit = 4 * time.Millisecond
-	}
-	if c.Tail <= 0 {
-		c.Tail = 120 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 16777
-	}
-	return c
-}
-
 // E16Report is one mode's measurement.
 type E16Report struct {
 	Mode       string // "recovery-on" or "recovery-off"
@@ -134,10 +106,11 @@ type E16Result struct {
 // E16 runs the storm twice — recovery on, then the same script with the
 // controller disconnected — so the report carries its own control.
 func E16(smoke bool) (E16Result, error) {
-	cfg := E16Config{}
-	if !smoke {
-		cfg = E16Config{Objects: 48, Victims: 6, Migrations: 400, Services: 32,
-			WANScale: 0.1, Unit: 6 * time.Millisecond, Tail: 200 * time.Millisecond}
+	cfg := E16Config{Objects: 48, Victims: 6, Migrations: 400, Services: 32,
+		WANScale: 0.1, Unit: 6 * time.Millisecond, Tail: 200 * time.Millisecond, Seed: 16777}
+	if smoke {
+		cfg = E16Config{Objects: 24, Victims: 3, Migrations: 120, Services: 24,
+			WANScale: 0.05, Unit: 4 * time.Millisecond, Tail: 120 * time.Millisecond, Seed: 16777}
 	}
 	var res E16Result
 	var err error
@@ -162,7 +135,6 @@ type e16Object struct {
 
 // E16MigrationStorm runs one mode of the storm.
 func E16MigrationStorm(cfg E16Config) (E16Report, error) {
-	cfg = cfg.withDefaults()
 	rep := E16Report{Mode: "recovery-off", TimeToRecover: -1,
 		TimeToSuspect: -1, TimeToDead: -1}
 	if cfg.Recovery {

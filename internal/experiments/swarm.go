@@ -127,18 +127,6 @@ type E13GridRow struct {
 // E13Grid measures import throughput through the sharded trader for each
 // shard count, shards reached over channels and capacity-gated at 1/tau.
 func E13Grid(cfg E13GridConfig) ([]E13GridRow, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 48
-	}
-	if cfg.Tau <= 0 {
-		cfg.Tau = 800 * time.Microsecond
-	}
-	if cfg.Types < 1 {
-		cfg.Types = 64
-	}
-	if cfg.CallsBase < 1 {
-		cfg.CallsBase = 750
-	}
 	var rows []E13GridRow
 	for _, k := range cfg.ShardCounts {
 		row, err := e13GridRow(k, cfg)
@@ -490,7 +478,8 @@ type E13Report struct {
 // E13 runs the full experiment (or the CI smoke slice: a 1-vs-8 grid
 // instead of the 1/2/4/8/16 sweep).
 func E13(smoke bool) (E13Report, error) {
-	grid := E13GridConfig{ShardCounts: []int{1, 2, 4, 8, 16}, CallsBase: 750, CallsPerShard: 250}
+	grid := E13GridConfig{ShardCounts: []int{1, 2, 4, 8, 16}, Workers: 48, Tau: 800 * time.Microsecond,
+		Types: 64, CallsBase: 750, CallsPerShard: 250}
 	if smoke {
 		grid.ShardCounts = []int{1, 8}
 		grid.CallsBase, grid.CallsPerShard = 600, 250

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -451,18 +450,6 @@ func (s *System) WatchNode(name string) error {
 		conn.Close()
 		return time.Since(start), nil
 	})
-}
-
-// Nodes lists node names, sorted.
-func (s *System) Nodes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.nodes))
-	for n := range s.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close stops the detector (sensing first, so no new transitions), then
