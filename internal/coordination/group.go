@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/mgmt"
 	"repro/internal/policy"
 	"repro/internal/values"
@@ -25,6 +26,22 @@ type Invoker interface {
 	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
 	Close() error
 }
+
+// servant is the call shape of an object hosted in this process: a
+// *relocator.Servant, a *trader.Servant, a *typerepo.Servant, any
+// channel.Handler.
+type servant interface {
+	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+}
+
+// Member adapts an in-process servant to Invoker, so local replicas and
+// channel bindings to remote ones mix freely in one group. Its Close is
+// a no-op: the servant's lifecycle belongs to its owner.
+func Member(s servant) Invoker { return &localMember{s} }
+
+type localMember struct{ servant }
+
+func (*localMember) Close() error { return nil }
 
 // maxFanout bounds the goroutines any single group operation spawns; a
 // fan-out wider than this is served by maxFanout workers pulling members
@@ -195,10 +212,10 @@ type reply struct {
 	err  error
 }
 
-// fanout invokes op on every member of snap concurrently (bounded at
+// invokeAll invokes op on every member of snap concurrently (bounded at
 // maxFanout goroutines) and returns the collected replies, index-aligned
 // with snap.
-func fanout(ctx context.Context, tr *mgmt.Tracer, snap []member, op string, args []values.Value) []reply {
+func invokeAll(ctx context.Context, tr *mgmt.Tracer, snap []member, op string, args []values.Value) []reply {
 	replies := make([]reply, len(snap))
 	// invokeOne runs one replica's leg under its own child span, so a trace
 	// shows each replica's round trip separately inside the update.
@@ -219,32 +236,7 @@ func fanout(ctx context.Context, tr *mgmt.Tracer, snap []member, op string, args
 		invokeOne(0)
 		return replies
 	}
-	workers := len(snap)
-	if workers > maxFanout {
-		workers = maxFanout
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(snap) {
-				return
-			}
-			invokeOne(i)
-		}
-	}
-	// The calling goroutine is one of the workers, so a fan-out of width w
-	// spawns only w-1 goroutines.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	fanout.Do(len(snap), maxFanout, invokeOne)
 	return replies
 }
 
@@ -320,7 +312,7 @@ func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Valu
 	}
 	var replies []reply
 	if len(legs) > 0 {
-		replies = fanout(uctx, tr, legs, op, args)
+		replies = invokeAll(uctx, tr, legs, op, args)
 	}
 
 	g.seqMu.Lock()

@@ -74,9 +74,9 @@ func TestOnRejoinRacesRingEpoch(t *testing.T) {
 	// "g" (identical minted ids under the sequenced update stream), the
 	// second one behind the failure injector.
 	tg0, tg1 := trader.New("g", repo), trader.New("g", repo)
-	m1 := &flakyInvoker{Invoker: NewTradingMember(tg1)}
+	m1 := &flakyInvoker{Invoker: Member(&trader.Servant{T: tg1})}
 	group := NewReplicaGroup()
-	if err := group.Add("m0", NewTradingMember(tg0)); err != nil {
+	if err := group.Add("m0", Member(&trader.Servant{T: tg0})); err != nil {
 		t.Fatal(err)
 	}
 	if err := group.Add("m1", m1); err != nil {
@@ -132,7 +132,7 @@ func TestOnRejoinRacesRingEpoch(t *testing.T) {
 		Retain:   true,
 		OnRejoin: catchUp,
 	})
-	tgs := NewTradingGroup(group)
+	tgs := trader.NewRemote(group)
 	if err := fe.AddShard("g", tgs); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestOnRejoinRacesRingEpoch(t *testing.T) {
 	// catch-up resurrected after the ring reassigned it.
 	deadline := time.Now().Add(5 * time.Second)
 	for tg0.Len() != 0 || tg1.Len() != 0 {
-		_ = tgs.Withdraw("g/nosuch") // term "Error" on every member: a harmless sequenced update
+		_ = tgs.Withdraw("g/nosuch") // term "NoSuchOffer" on every member: a harmless sequenced update
 		if time.Now().After(deadline) {
 			t.Fatalf("drained group still holds offers: healthy=%d flapped=%d (rejoin resurrected reassigned offers?)",
 				tg0.Len(), tg1.Len())

@@ -159,7 +159,7 @@ func (f *fleet) addShard(fe *trader.ShardedTrader, i int, g *gate) error {
 // the trader name "sg": offer ids are minted from the name and a local
 // counter, so the group's sequenced update stream yields identical ids
 // on every member.
-func (f *fleet) groupShard(hosts ...string) (*coordination.TradingGroup, error) {
+func (f *fleet) groupShard(hosts ...string) (*coordination.ReplicaGroup, error) {
 	group := coordination.NewReplicaGroup()
 	for r, host := range hosts {
 		b, err := f.traderNode(host, "sg", uint64(200+r), nil)
@@ -170,7 +170,7 @@ func (f *fleet) groupShard(hosts ...string) (*coordination.TradingGroup, error) 
 			return nil, err
 		}
 	}
-	return coordination.NewTradingGroup(group), nil
+	return group, nil
 }
 
 // counterNode creates an engineering node at sim://host whose interfaces

@@ -227,12 +227,12 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 	// Shard s1 is a replica group: rep0 + rep1 serving, rep2 a warm
 	// standby outside the group (same trader name, so re-replicated
 	// offers keep their ids). The chaos script kills rep0.
-	tg, err := f.groupShard("rep0", "rep1")
+	group, err := f.groupShard("rep0", "rep1")
 	if err != nil {
 		return rep, err
 	}
-	group := tg.G
-	if err := fe.AddShard("s1", tg); err != nil {
+	shard := trader.NewRemote(group)
+	if err := fe.AddShard("s1", shard); err != nil {
 		return rep, err
 	}
 	standbyBinding, err := f.traderNode("rep2", "sg", 202, nil)
@@ -281,7 +281,7 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 				return err
 			}
 			for i := 0; i < cfg.Services; i++ {
-				offers, err := tg.Import(trader.ImportRequest{ServiceType: e13TypeName(i)})
+				offers, err := shard.Import(trader.ImportRequest{ServiceType: e13TypeName(i)})
 				if err != nil {
 					return fmt.Errorf("re-replicate %s: %w", e13TypeName(i), err)
 				}

@@ -398,10 +398,8 @@ func rebalanceProbe(offers int, replicaShard bool, script netsim.Script) (E15Cra
 	for i := 0; i < 3; i++ {
 		var err error
 		if i == 1 && replicaShard {
-			var tg *coordination.TradingGroup
-			if tg, err = f.groupShard("rep0", "rep1"); err == nil {
-				group = tg.G
-				err = fe.AddShard("s1", tg)
+			if group, err = f.groupShard("rep0", "rep1"); err == nil {
+				err = fe.AddShard("s1", trader.NewRemote(group))
 			}
 		} else {
 			err = f.addShard(fe, i, nil)

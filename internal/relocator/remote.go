@@ -2,10 +2,11 @@ package relocator
 
 // Like the trader, the relocator is an ODP infrastructure object: nodes in
 // other capsules (or other processes) reach it through an ordinary
-// operational interface. Servant adapts a *Relocator to channel.Handler;
-// Remote is the client proxy, satisfying both channel.Locator (for
+// operational interface. Servant adapts a Store to channel.Handler;
+// Remote is the one client proxy, satisfying both channel.Locator (for
 // binders) and engineering.LocationRegistry (for nodes), so a whole node
-// can be pointed at a relocator living elsewhere.
+// can be pointed at a relocator living elsewhere — behind one binding or
+// behind a replica group, which the proxy cannot tell apart.
 
 import (
 	"context"
@@ -48,7 +49,14 @@ func InterfaceType() *types.Interface {
 			types.Term("Unknown"),
 			types.Term("Error", types.P("reason", values.TString())),
 		),
-		types.Announce("Remove", types.P("id", values.TString())),
+		// Remove is an interrogation, not an announcement: it travels
+		// through Invoke on every carrier, and a lost one is an error the
+		// caller's retry policy sees instead of a dangling registration.
+		types.Op("Remove",
+			types.Params(types.P("id", values.TString())),
+			types.Term("OK"),
+			types.Term("Error", types.P("reason", values.TString())),
+		),
 		// Snapshot enumerates every registration — the capability live
 		// shard migration needs to drain a relocator shard.
 		types.Op("Snapshot",
@@ -59,19 +67,27 @@ func InterfaceType() *types.Interface {
 	)
 }
 
-// Servant adapts any location Store (a local *Relocator, a replicated
-// Group, a Sharded front-end) to channel.Handler, so each can be hosted
-// as an ordinary ODP object.
+// Servant adapts any location Store (a local *Relocator, a *Remote, a
+// Sharded front-end) to channel.Handler, so each can be hosted as an
+// ordinary ODP object or joined to a replica group.
 type Servant struct {
 	R Store
 }
 
 var _ channel.Handler = (*Servant)(nil)
 
+// arity is each operation's argument count. The servant checks it itself:
+// registered untyped, or joined to a group in process, it has no stub in
+// front of it to do so.
+var arity = map[string]int{"Register": 1, "Lookup": 1, "Move": 2, "Remove": 1, "Snapshot": 0}
+
 // Invoke implements channel.Handler.
 func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	fail := func(err error) (string, []values.Value, error) {
 		return "Error", []values.Value{values.Str(err.Error())}, nil
+	}
+	if n, ok := arity[op]; ok && len(args) != n {
+		return fail(fmt.Errorf("relocator: %s takes %d arguments, got %d", op, n, len(args)))
 	}
 	switch op {
 	case "Register":
@@ -117,10 +133,10 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 		idStr, _ := args[0].AsString()
 		id, err := naming.ParseInterfaceID(idStr)
 		if err != nil {
-			return "", nil, nil // announcements have no failure path
+			return fail(err)
 		}
 		s.R.Remove(id)
-		return "", nil, nil
+		return "OK", nil, nil
 	case "Snapshot":
 		en, ok := s.R.(Enumerable)
 		if !ok {
@@ -139,24 +155,48 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 	return "", nil, fmt.Errorf("relocator: no operation %q", op)
 }
 
-// Remote is a client proxy to a relocator reachable over a channel. It
-// satisfies channel.Locator and engineering.LocationRegistry, so both
-// binders and whole nodes can use a relocator hosted elsewhere.
-type Remote struct {
-	b *channel.Binding
+// carrier is whatever carries the proxy's calls to the relocator: a
+// *channel.Binding to the one node hosting it, or a
+// *coordination.ReplicaGroup or *coordination.FailoverGroup of such
+// bindings (or of in-process members). The channel decides how a call is
+// carried; the proxy never knows.
+type carrier interface {
+	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	Close() error
 }
 
-// NewRemote wraps a binding to a relocator interface.
-func NewRemote(b *channel.Binding) *Remote { return &Remote{b: b} }
+// Remote is the client proxy to a relocator hosted elsewhere. It
+// satisfies channel.Locator and engineering.LocationRegistry, so both
+// binders and whole nodes can use it, and Store and Enumerable, so it is
+// a shard of a Sharded front-end like a local *Relocator.
+type Remote struct {
+	c carrier
+	// read carries the operations that change nothing (Lookup, Snapshot):
+	// the carrier's InvokeRead when it has one — a replica group answers
+	// those from a single member instead of sequencing them through all —
+	// and its Invoke otherwise.
+	read func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+}
 
-// Close releases the underlying binding.
-func (r *Remote) Close() error { return r.b.Close() }
+// NewRemote returns a proxy whose calls travel over c.
+func NewRemote(c carrier) *Remote {
+	r := &Remote{c: c, read: c.Invoke}
+	if rd, ok := c.(interface {
+		InvokeRead(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	}); ok {
+		r.read = rd.InvokeRead
+	}
+	return r
+}
 
-// Register records an interface location at the remote relocator. A
-// stale registration surfaces as a *StaleError carrying the current
-// epoch, exactly as it would from a local relocator.
+// Close releases the carrier.
+func (r *Remote) Close() error { return r.c.Close() }
+
+// Register records an interface location. A stale registration surfaces
+// as a *StaleError carrying both epochs, exactly as it would from a local
+// relocator.
 func (r *Remote) Register(ref naming.InterfaceRef) error {
-	term, res, err := r.b.Invoke(context.Background(), "Register", []values.Value{ref.ToValue()})
+	term, res, err := r.c.Invoke(context.Background(), "Register", []values.Value{ref.ToValue()})
 	if err != nil {
 		return err
 	}
@@ -180,49 +220,46 @@ func (r *Remote) Register(ref naming.InterfaceRef) error {
 
 // Lookup resolves an interface's current location.
 func (r *Remote) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
-	term, res, err := r.b.Invoke(context.Background(), "Lookup", []values.Value{values.Str(id.String())})
-	if err != nil {
-		return naming.InterfaceRef{}, err
-	}
-	switch term {
-	case "OK":
-		return naming.RefFromValue(res[0])
-	case "Unknown":
-		return naming.InterfaceRef{}, fmt.Errorf("%w: %s", ErrUnknown, id)
-	}
-	return naming.InterfaceRef{}, remoteFailure("Lookup", res)
+	term, res, err := r.read(context.Background(), "Lookup", []values.Value{values.Str(id.String())})
+	return refReply("Lookup", id, term, res, err)
 }
 
-// Move relocates an interface at the remote relocator.
+// Move relocates an interface.
 func (r *Remote) Move(id naming.InterfaceID, to naming.Endpoint) (naming.InterfaceRef, error) {
-	term, res, err := r.b.Invoke(context.Background(), "Move", []values.Value{
+	term, res, err := r.c.Invoke(context.Background(), "Move", []values.Value{
 		values.Str(id.String()), values.Str(string(to)),
 	})
-	if err != nil {
+	return refReply("Move", id, term, res, err)
+}
+
+// refReply decodes the reply Lookup and Move share: the interface's
+// reference, or Unknown rehydrated as ErrUnknown.
+func refReply(op string, id naming.InterfaceID, term string, res []values.Value, err error) (naming.InterfaceRef, error) {
+	switch {
+	case err != nil:
 		return naming.InterfaceRef{}, err
-	}
-	switch term {
-	case "OK":
+	case term == "OK" && len(res) == 1:
 		return naming.RefFromValue(res[0])
-	case "Unknown":
+	case term == "Unknown":
 		return naming.InterfaceRef{}, fmt.Errorf("%w: %s", ErrUnknown, id)
 	}
-	return naming.InterfaceRef{}, remoteFailure("Move", res)
+	return naming.InterfaceRef{}, remoteFailure(op, res)
 }
 
-// Remove deletes an interface's registration (fire-and-forget, like the
-// announcement it is).
+// Remove deletes an interface's registration. The Store signature has no
+// error to return, so a failed call is dropped here — after the carrier's
+// own retry policy or fail-over has had its chance at it.
 func (r *Remote) Remove(id naming.InterfaceID) {
-	_ = r.b.Announce(context.Background(), "Remove", []values.Value{values.Str(id.String())})
+	_, _, _ = r.c.Invoke(context.Background(), "Remove", []values.Value{values.Str(id.String())})
 }
 
-// Snapshot enumerates the remote relocator's registrations.
+// Snapshot enumerates the relocator's registrations.
 func (r *Remote) Snapshot() ([]naming.InterfaceRef, error) {
-	term, res, err := r.b.Invoke(context.Background(), "Snapshot", nil)
+	term, res, err := r.read(context.Background(), "Snapshot", nil)
 	if err != nil {
 		return nil, err
 	}
-	if term != "OK" {
+	if term != "OK" || len(res) != 1 {
 		return nil, remoteFailure("Snapshot", res)
 	}
 	seq := res[0]

@@ -2,13 +2,10 @@ package relocator
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
-	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/types"
@@ -57,56 +54,6 @@ func deployRelocator(t *testing.T, net *netsim.Network) (*Relocator, *Remote) {
 	remote := NewRemote(b)
 	t.Cleanup(func() { remote.Close() })
 	return r, remote
-}
-
-func TestRemoteRelocatorRoundTrip(t *testing.T) {
-	net := netsim.New(1)
-	local, remote := deployRelocator(t, net)
-
-	in := ref(7, "sim://somewhere", 0)
-	if err := remote.Register(in); err != nil {
-		t.Fatalf("remote Register: %v", err)
-	}
-	// Visible locally and remotely.
-	if got, err := local.Lookup(in.ID); err != nil || got != in {
-		t.Errorf("local Lookup = %+v, %v", got, err)
-	}
-	got, err := remote.Lookup(in.ID)
-	if err != nil || got != in {
-		t.Errorf("remote Lookup = %+v, %v", got, err)
-	}
-	// Move through the proxy.
-	moved, err := remote.Move(in.ID, "sim://elsewhere")
-	if err != nil || moved.Endpoint != "sim://elsewhere" || moved.Epoch != 1 {
-		t.Errorf("remote Move = %+v, %v", moved, err)
-	}
-	// Unknown id surfaces ErrUnknown through the proxy.
-	ghost := ref(99, "", 0)
-	if _, err := remote.Lookup(ghost.ID); !errors.Is(err, ErrUnknown) {
-		t.Errorf("remote Lookup(ghost) = %v", err)
-	}
-	if _, err := remote.Move(ghost.ID, "sim://x"); !errors.Is(err, ErrUnknown) {
-		t.Errorf("remote Move(ghost) = %v", err)
-	}
-	// Stale registration rejected remotely.
-	if err := remote.Register(in); err == nil {
-		t.Error("stale remote Register should fail")
-	}
-	// Remove (announcement) eventually clears the entry.
-	remote.Remove(in.ID)
-	deadlineLookup(t, local, in.ID)
-}
-
-func deadlineLookup(t *testing.T, r *Relocator, id naming.InterfaceID) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := r.Lookup(id); errors.Is(err, ErrUnknown) {
-			return
-		}
-		time.Sleep(time.Millisecond) // Remove is an announcement: asynchronous
-	}
-	t.Fatal("entry not removed")
 }
 
 func TestNodeWithRemoteLocationRegistry(t *testing.T) {
@@ -175,4 +122,30 @@ type echoBehavior struct{}
 
 func (echoBehavior) Invoke(_ context.Context, _ string, args []values.Value) (string, []values.Value, error) {
 	return "OK", args, nil
+}
+
+// TestServantArity: a servant registered untyped, or joined to a group in
+// process, has no stub checking argument counts in front of it, so a
+// short call to any declared operation must come back as the Error
+// termination, not a panic.
+func TestServantArity(t *testing.T) {
+	s := &Servant{R: New()}
+	for _, op := range InterfaceType().Operations {
+		n := len(op.Params)
+		if got, ok := arity[op.Name]; !ok || got != n {
+			t.Errorf("arity[%s] = %d, %v; the interface type declares %d parameters", op.Name, got, ok, n)
+		}
+		if n == 0 {
+			continue
+		}
+		for _, args := range [][]values.Value{nil, make([]values.Value, n-1)} {
+			term, res, err := s.Invoke(context.Background(), op.Name, args)
+			if err != nil || term != "Error" || len(res) != 1 {
+				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op.Name, len(args), n, term, res, err)
+			}
+		}
+	}
+	if _, _, err := s.Invoke(context.Background(), "NoSuchOp", nil); err == nil {
+		t.Error("unknown operation should be an error")
+	}
 }

@@ -27,8 +27,8 @@ import (
 var ErrNoShards = errors.New("relocator: sharded relocator has no shards")
 
 // Store is one partition of the location database: the white-pages
-// operations sharding routes. *Relocator, *Remote, *Group and *Sharded
-// all satisfy it (Sharded nests).
+// operations sharding routes. *Relocator, *Remote (over a binding or a
+// replica group) and *Sharded all satisfy it (Sharded nests).
 type Store interface {
 	Register(ref naming.InterfaceRef) error
 	Lookup(id naming.InterfaceID) (naming.InterfaceRef, error)

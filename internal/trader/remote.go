@@ -4,12 +4,15 @@ package trader
 // computational specification can be application objects or ODP
 // infrastructure objects (e.g. a type repository or a trader)" —
 // Section 5). This file provides both halves of that: Servant adapts a
-// *Trader to channel.Handler so it can be offered as an interface of an
-// engineering object, and Remote is the client proxy, itself an Importer,
-// so federation links can span nodes.
+// Shard to channel.Handler so it can be offered as an interface of an
+// engineering object or joined to a replica group, and Remote is the one
+// client proxy, itself a Shard, so federation links and shards can span
+// nodes — behind one binding or behind a replica group, which the proxy
+// cannot tell apart.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/channel"
@@ -33,6 +36,10 @@ func InterfaceType() *types.Interface {
 		types.Op("Withdraw",
 			types.Params(types.P("offer_id", values.TString())),
 			types.Term("OK"),
+			// NoSuchOffer is ErrNoSuchOffer across the boundary: the
+			// sharded front-end's withdraw fallback and its migration
+			// both branch on it.
+			types.Term("NoSuchOffer"),
 			types.Term("Error", types.P("reason", values.TString())),
 		),
 		// Install re-homes an existing offer under its original id — the
@@ -103,14 +110,6 @@ func offerFromValue(v values.Value) (Offer, error) {
 	return o, nil
 }
 
-// OfferToValue encodes an offer in the wire representation the trader
-// servant speaks, for callers (such as a replica-group adapter) that
-// invoke the servant vocabulary directly rather than over a binding.
-func OfferToValue(o Offer) values.Value { return offerToValue(o) }
-
-// OfferFromValue decodes an offer encoded by OfferToValue.
-func OfferFromValue(v values.Value) (Offer, error) { return offerFromValue(v) }
-
 // Servant adapts a trading function — a Trader, or any other Shard such
 // as a sharded front-end — to channel.Handler so it can be registered as
 // an interface of an engineering object.
@@ -120,10 +119,18 @@ type Servant struct {
 
 var _ channel.Handler = (*Servant)(nil)
 
+// arity is each operation's argument count. The servant checks it itself:
+// registered untyped, or joined to a group in process, it has no stub in
+// front of it to do so.
+var arity = map[string]int{"Export": 3, "Withdraw": 1, "Install": 1, "Import": 6}
+
 // Invoke implements channel.Handler.
 func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	fail := func(err error) (string, []values.Value, error) {
 		return "Error", []values.Value{values.Str(err.Error())}, nil
+	}
+	if n, ok := arity[op]; ok && len(args) != n {
+		return fail(fmt.Errorf("%w: %s takes %d arguments, got %d", ErrBadRequest, op, n, len(args)))
 	}
 	switch op {
 	case "Export":
@@ -144,6 +151,9 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 	case "Withdraw":
 		id, _ := args[0].AsString()
 		if err := s.T.Withdraw(id); err != nil {
+			if errors.Is(err, ErrNoSuchOffer) {
+				return "NoSuchOffer", nil, nil
+			}
 			return fail(err)
 		}
 		return "OK", nil, nil
@@ -182,67 +192,97 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 	return "", nil, fmt.Errorf("trader: no operation %q", op)
 }
 
-// Remote is a client proxy to a trader reachable over a channel binding.
-// It satisfies Importer, so it can serve as a federation link target.
-type Remote struct {
-	b *channel.Binding
+// carrier is whatever carries the proxy's calls to the trader: a
+// *channel.Binding to the one node hosting it, or a
+// *coordination.ReplicaGroup or *coordination.FailoverGroup of such
+// bindings (or of in-process members). The channel decides how a call is
+// carried; the proxy never knows.
+//
+// Behind a replica group every member must mint the same offer id for
+// the same sequenced Export, or the group reports divergence. Ids come
+// from the trader's name and a per-trader counter, so members built with
+// New(<one name>, repo) satisfy that; the group's total order does the
+// rest.
+type carrier interface {
+	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	Close() error
 }
 
-var _ Importer = (*Remote)(nil)
+// Remote is the client proxy to a trader hosted elsewhere. It satisfies
+// Shard (and so Importer): it can be a federation link target or a shard
+// of a ShardedTrader like a local *Trader.
+type Remote struct {
+	c carrier
+	// read carries Import: the carrier's InvokeRead when it has one — a
+	// replica group answers a read from a single member instead of
+	// sequencing it through all — and its Invoke otherwise.
+	read func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+}
 
-// NewRemote wraps a binding to a trader interface.
-func NewRemote(b *channel.Binding) *Remote { return &Remote{b: b} }
+// NewRemote returns a proxy whose calls travel over c.
+func NewRemote(c carrier) *Remote {
+	r := &Remote{c: c, read: c.Invoke}
+	if rd, ok := c.(interface {
+		InvokeRead(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	}); ok {
+		r.read = rd.InvokeRead
+	}
+	return r
+}
 
-// Close releases the underlying binding.
-func (r *Remote) Close() error { return r.b.Close() }
+// Close releases the carrier.
+func (r *Remote) Close() error { return r.c.Close() }
 
-// Export advertises a service at the remote trader.
+// update carries one state-changing operation and decodes its failure
+// terminations; on OK it returns the results.
+func (r *Remote) update(op string, args ...values.Value) ([]values.Value, error) {
+	term, res, err := r.c.Invoke(context.Background(), op, args)
+	switch {
+	case err != nil:
+		return nil, err
+	case term == "OK":
+		return res, nil
+	case term == "NoSuchOffer":
+		return nil, fmt.Errorf("trader: remote %s: %w", op, ErrNoSuchOffer)
+	}
+	return nil, remoteFailure(op, res)
+}
+
+// Export advertises a service and returns the offer id the trader (or
+// every replica of it) minted.
 func (r *Remote) Export(serviceType string, ref naming.InterfaceRef, props values.Value) (string, error) {
 	if props.IsNull() {
 		props = values.Record()
 	}
-	term, res, err := r.b.Invoke(context.Background(), "Export", []values.Value{
-		values.Str(serviceType),
-		ref.ToValue(),
-		values.Any(values.TypeOf(props), props),
-	})
+	res, err := r.update("Export",
+		values.Str(serviceType), ref.ToValue(), values.Any(values.TypeOf(props), props))
 	if err != nil {
 		return "", err
 	}
-	if term != "OK" {
-		return "", remoteFailure("Export", res)
+	if len(res) != 1 {
+		return "", remoteFailure("Export", nil)
 	}
 	id, _ := res[0].AsString()
 	return id, nil
 }
 
-// Withdraw removes an offer at the remote trader.
+// Withdraw removes an offer; an id the trader does not hold is
+// ErrNoSuchOffer, as from a local trader.
 func (r *Remote) Withdraw(offerID string) error {
-	term, res, err := r.b.Invoke(context.Background(), "Withdraw", []values.Value{values.Str(offerID)})
-	if err != nil {
-		return err
-	}
-	if term != "OK" {
-		return remoteFailure("Withdraw", res)
-	}
-	return nil
+	_, err := r.update("Withdraw", values.Str(offerID))
+	return err
 }
 
-// Install re-homes an offer (identity preserved) at the remote trader.
+// Install re-homes an offer, identity preserved — the rebalance path, so
+// a shard migrating onto a replica group lands replicated.
 func (r *Remote) Install(o Offer) error {
-	term, res, err := r.b.Invoke(context.Background(), "Install", []values.Value{offerToValue(o)})
-	if err != nil {
-		return err
-	}
-	if term != "OK" {
-		return remoteFailure("Install", res)
-	}
-	return nil
+	_, err := r.update("Install", offerToValue(o))
+	return err
 }
 
-// Import queries the remote trader.
+// Import queries the trader.
 func (r *Remote) Import(req ImportRequest) ([]Offer, error) {
-	term, res, err := r.b.Invoke(context.Background(), "Import", []values.Value{
+	term, res, err := r.read(context.Background(), "Import", []values.Value{
 		values.Str(req.ServiceType),
 		values.Str(req.Constraint),
 		values.Int(int64(req.Preference.Kind)),
@@ -253,7 +293,7 @@ func (r *Remote) Import(req ImportRequest) ([]Offer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if term != "OK" {
+	if term != "OK" || len(res) != 1 {
 		return nil, remoteFailure("Import", res)
 	}
 	seq := res[0]

@@ -1,6 +1,7 @@
 package trader
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/channel"
@@ -53,57 +54,6 @@ func deployTrader(t *testing.T, net *netsim.Network, reloc *relocator.Relocator,
 	return remote, ref
 }
 
-func TestRemoteTraderEndToEnd(t *testing.T) {
-	net := netsim.New(1)
-	reloc := relocator.New()
-	repo := repoWithBank(t)
-	tr := New("T1", repo)
-	remote, _ := deployTrader(t, net, reloc, "traderhost", tr)
-
-	// Export through the channel.
-	id, err := remote.Export("BankTeller", refOf("BankTeller", 7),
-		rec(values.F("queue", values.Int(2))))
-	if err != nil {
-		t.Fatalf("remote Export: %v", err)
-	}
-	if tr.Len() != 1 {
-		t.Errorf("trader offers = %d", tr.Len())
-	}
-	// Import through the channel: constraint + preference survive the trip.
-	offers, err := remote.Import(ImportRequest{
-		ServiceType: "BankTeller",
-		Constraint:  "queue < 5",
-		Preference:  Preference{Kind: PrefMin, Expr: "queue"},
-	})
-	if err != nil || len(offers) != 1 {
-		t.Fatalf("remote Import = %v, %v", offers, err)
-	}
-	got := offers[0]
-	if got.ID != id || got.ServiceType != "BankTeller" || got.Ref.ID.Nonce != 7 {
-		t.Errorf("offer = %+v", got)
-	}
-	if q, ok := got.Properties.FieldByName("queue"); !ok || !q.Equal(values.Int(2)) {
-		t.Errorf("properties = %v", got.Properties)
-	}
-	// Remote failure surfaces as an error.
-	if _, err := remote.Import(ImportRequest{ServiceType: "Ghost"}); err == nil {
-		t.Error("import of unknown type should fail")
-	}
-	if _, err := remote.Export("Ghost", refOf("Ghost", 9), values.Null()); err == nil {
-		t.Error("export of unknown type should fail")
-	}
-	if err := remote.Withdraw("nope"); err == nil {
-		t.Error("withdraw of unknown offer should fail")
-	}
-	// Withdraw through the channel.
-	if err := remote.Withdraw(id); err != nil {
-		t.Fatalf("remote Withdraw: %v", err)
-	}
-	if tr.Len() != 0 {
-		t.Errorf("offers after withdraw = %d", tr.Len())
-	}
-}
-
 func TestCrossNodeFederationViaRemote(t *testing.T) {
 	// Two traders on different nodes, federated through a Remote proxy —
 	// the full "interworking between trading domains" picture.
@@ -150,5 +100,28 @@ func TestOfferValueRoundTrip(t *testing.T) {
 	}
 	if _, err := offerFromValue(values.Record(values.F("id", values.Str("x")))); err == nil {
 		t.Error("missing fields should fail")
+	}
+}
+
+// TestServantArity: a servant registered untyped, or joined to a group in
+// process, has no stub checking argument counts in front of it, so a
+// short call to any declared operation must come back as the Error
+// termination, not a panic.
+func TestServantArity(t *testing.T) {
+	s := &Servant{T: New("T1", repoWithBank(t))}
+	for _, op := range InterfaceType().Operations {
+		n := len(op.Params)
+		if got, ok := arity[op.Name]; !ok || got != n {
+			t.Errorf("arity[%s] = %d, %v; the interface type declares %d parameters", op.Name, got, ok, n)
+		}
+		for _, args := range [][]values.Value{nil, make([]values.Value, n-1)} {
+			term, res, err := s.Invoke(context.Background(), op.Name, args)
+			if err != nil || term != "Error" || len(res) != 1 {
+				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op.Name, len(args), n, term, res, err)
+			}
+		}
+	}
+	if _, _, err := s.Invoke(context.Background(), "NoSuchOp", nil); err == nil {
+		t.Error("unknown operation should be an error")
 	}
 }

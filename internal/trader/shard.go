@@ -12,8 +12,8 @@
 // grows with N instead of every import paying every shard.
 //
 // Shards are ordinary trader objects: a local *Trader, or a *Remote
-// proxy over a channel binding to a trader hosted on another node. The
-// front-end never needs to know which.
+// proxy over a channel binding to a trader hosted on another node or
+// over a replica group of them. The front-end never needs to know which.
 //
 // Rebalancing is live. A ring change (AddShard/RemoveShard) first marks
 // every service type whose owner moved as "in flight" — imports for a
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/constraint"
+	"repro/internal/fanout"
 	"repro/internal/hashring"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
@@ -310,7 +311,7 @@ func (s *ShardedTrader) Withdraw(offerID string) error {
 			}
 			return true, nil
 		}
-		if isNoSuchOffer(err) {
+		if errors.Is(err, ErrNoSuchOffer) {
 			return false, nil
 		}
 		return false, err
@@ -334,12 +335,6 @@ func (s *ShardedTrader) Withdraw(offerID string) error {
 		}
 	}
 	return fmt.Errorf("%w: %q", ErrNoSuchOffer, offerID)
-}
-
-// isNoSuchOffer recognises ErrNoSuchOffer locally and through a remote
-// shard's stringified failure reason.
-func isNoSuchOffer(err error) bool {
-	return errors.Is(err, ErrNoSuchOffer) || strings.Contains(err.Error(), "no such offer")
 }
 
 // Import finds matching offers across the shard set. The request's
@@ -484,33 +479,12 @@ func (s *ShardedTrader) queryLegs(legs []*shardLeg, sub ImportRequest) ([][]Offe
 		}
 		return results, errs
 	}
-	workers := len(legs)
-	if workers > maxLinkFanout {
-		workers = maxLinkFanout
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(legs) {
-				return
-			}
-			results[i], errs[i] = legs[i].shard.Import(sub)
-			if li := legs[i].ins.Load(); li != nil {
-				li.RoutedImports.Inc()
-			}
+	fanout.Do(len(legs), maxLinkFanout, func(i int) {
+		results[i], errs[i] = legs[i].shard.Import(sub)
+		if li := legs[i].ins.Load(); li != nil {
+			li.RoutedImports.Inc()
 		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 	return results, errs
 }
 
@@ -731,7 +705,7 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 				continue
 			}
 			toLeg.offers.Add(1)
-			if err := fromLeg.shard.Withdraw(o.ID); err != nil && !isNoSuchOffer(err) {
+			if err := fromLeg.shard.Withdraw(o.ID); err != nil && !errors.Is(err, ErrNoSuchOffer) {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("trader: withdrawing migrated %s from %s: %w", o.ID, m.from, err)
 				}

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/constraint"
+	"repro/internal/fanout"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/policy"
@@ -522,32 +523,7 @@ func (t *Trader) queryLinks(names []string, linked []Importer, sub ImportRequest
 		queryOne(0)
 		return results, errs
 	}
-	workers := len(linked)
-	if workers > maxLinkFanout {
-		workers = maxLinkFanout
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(linked) {
-				return
-			}
-			queryOne(i)
-		}
-	}
-	// The calling goroutine is one of the workers, so a fan-out of width w
-	// spawns only w-1 goroutines.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	fanout.Do(len(linked), maxLinkFanout, queryOne)
 	return results, errs
 }
 
@@ -584,11 +560,17 @@ func (t *Trader) candidateTypes(serviceType string) []string {
 	}
 
 	t.mu.Lock()
-	if t.closureGen != gen || t.closure == nil {
-		t.closure = make(map[string][]string)
-		t.closureGen = gen
+	// Bucket types are only ever added, so their count is a generation.
+	// A closure computed before an Export or Install grew the set is
+	// stale, and memoising it now would undo the invalidation that growth
+	// performed: the new bucket would stay hidden from this request type.
+	if len(t.buckets) == len(keys) {
+		if t.closureGen != gen || t.closure == nil {
+			t.closure = make(map[string][]string)
+			t.closureGen = gen
+		}
+		t.closure[serviceType] = cands
 	}
-	t.closure[serviceType] = cands
 	t.mu.Unlock()
 	return cands
 }

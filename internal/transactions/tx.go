@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/mgmt"
 	"repro/internal/values"
 )
@@ -200,40 +201,17 @@ func fanoutParticipants(ps []Participant, stopOnErr bool, fn func(Participant) e
 		errs[0] = fn(ps[0])
 		return errs
 	}
-	workers := len(ps)
-	if workers > maxCommitFanout {
-		workers = maxCommitFanout
-	}
-	var cursor atomic.Int64
 	var failed atomic.Bool
-	work := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(ps) {
-				return
-			}
-			if stopOnErr && failed.Load() {
-				errs[i] = errSkipped
-				continue
-			}
-			if err := fn(ps[i]); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
+	fanout.Do(len(ps), maxCommitFanout, func(i int) {
+		if stopOnErr && failed.Load() {
+			errs[i] = errSkipped
+			return
 		}
-	}
-	// The calling goroutine is one of the workers, so a fan-out of width w
-	// spawns only w-1 goroutines.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+		if err := fn(ps[i]); err != nil {
+			errs[i] = err
+			failed.Store(true)
+		}
+	})
 	return errs
 }
 

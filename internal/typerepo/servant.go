@@ -4,9 +4,10 @@ package typerepo
 // lists "a type repository or a trader" as the canonical examples), so
 // it gets the same treatment as the trader and relocator: Servant adapts
 // a Repository to the channel.Handler call shape, which is also exactly
-// the surface a coordination replica group fans out to. That is what
-// lets the registration write path run ReplicaGroup-ordered across a
-// fleet of stores while readers keep the plain Repository interface.
+// the surface a coordination replica group fans out to, and Remote
+// (remote.go) is the client proxy. That is what lets the registration
+// write path run ReplicaGroup-ordered across a fleet of stores while
+// readers keep the plain Repository interface.
 
 import (
 	"context"
@@ -27,6 +28,15 @@ type Servant struct {
 	R Repository
 }
 
+// arity is each operation's argument count. The servant checks it itself:
+// it is registered untyped or joined to a group in process, so it has no
+// stub in front of it to do so.
+var arity = map[string]int{
+	"RegisterInterface": 1, "RegisterData": 2, "DeclareSubtype": 2, "Relate": 3,
+	"LookupInterface": 1, "LookupData": 1, "IsSubtype": 2, "Interfaces": 0,
+	"Supertypes": 1, "Subtypes": 1, "DeclaredSupertypes": 1, "Related": 2, "Gen": 0,
+}
+
 // Invoke dispatches one repository operation.
 func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	fail := func(err error) (string, []values.Value, error) {
@@ -45,6 +55,9 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 			out[i] = values.Str(v)
 		}
 		return values.SeqOwned(out)
+	}
+	if n, ok := arity[op]; ok && len(args) != n {
+		return fail(fmt.Errorf("typerepo: %s takes %d arguments, got %d", op, n, len(args)))
 	}
 	switch op {
 	case "RegisterInterface":

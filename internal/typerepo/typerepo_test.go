@@ -1,8 +1,10 @@
 package typerepo
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -283,4 +285,37 @@ func TestConcurrentUse(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestServantArity: the servant is registered untyped or joined to a
+// group in process, so no stub checks argument counts in front of it: a
+// short call to any operation must come back as the Error termination,
+// not a panic.
+func TestServantArity(t *testing.T) {
+	s := &Servant{R: New()}
+	// The servant's operations are the Repository methods, one for one.
+	repo := reflect.TypeOf((*Repository)(nil)).Elem()
+	for i := 0; i < repo.NumMethod(); i++ {
+		m := repo.Method(i)
+		if n, ok := arity[m.Name]; !ok || n != m.Type.NumIn() {
+			t.Errorf("arity[%s] = %d, %v; Repository.%s takes %d arguments", m.Name, n, ok, m.Name, m.Type.NumIn())
+		}
+	}
+	if len(arity) != repo.NumMethod() {
+		t.Errorf("arity lists %d operations, Repository has %d methods", len(arity), repo.NumMethod())
+	}
+	for op, n := range arity {
+		if n == 0 {
+			continue
+		}
+		for _, args := range [][]values.Value{nil, make([]values.Value, n-1)} {
+			term, res, err := s.Invoke(context.Background(), op, args)
+			if err != nil || term != "Error" || len(res) != 1 {
+				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op, len(args), n, term, res, err)
+			}
+		}
+	}
+	if _, _, err := s.Invoke(context.Background(), "NoSuchOp", nil); err == nil {
+		t.Error("unknown operation should be an error")
+	}
 }

@@ -43,6 +43,16 @@ if grep -nE 'engineering\.NewNode\(|CreateCapsule\(|CreateCluster\(|channel\.(Bi
 	exit 1
 fi
 
+echo "== group gate (the group function is service-agnostic) =="
+# A service's own Remote proxy takes a group as one more carrier; the
+# per-service adapters that made coordination import the services it
+# replicates may not come back. .Imports lists non-test imports only.
+if go list -f '{{join .Imports "\n"}}' ./internal/coordination |
+	grep -E '^repro/internal/(relocator|trader|typerepo)$'; then
+	echo "internal/coordination: imports a service package (give the service's NewRemote the group instead)"
+	exit 1
+fi
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -58,7 +68,8 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/transactions/ ./internal/coordination/ ./internal/trader/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
-	./internal/typerepo/ ./internal/health/ ./cmd/odpnode/ ./cmd/odpbench/
+	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
+	./cmd/odpnode/ ./cmd/odpbench/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
