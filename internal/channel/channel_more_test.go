@@ -253,6 +253,62 @@ func TestProbeTimeout(t *testing.T) {
 	}
 }
 
+// A probe is the binding's ordinary round trip carrying a Probe frame: it
+// crosses the stages in both directions, is traced like a call's transport
+// leg, is not a call at the server, and an abandoned one leaves no waiter
+// behind.
+func TestProbeIsARoundTrip(t *testing.T) {
+	stage := &CountingStage{Label: "client-binder"}
+	domain := mgmt.New()
+	env := newEnv(t, ServerConfig{})
+	b := env.bind(t, BindConfig{Stages: []Stage{stage}, Instruments: domain.ChannelClient("echo")})
+	if err := b.Probe(context.Background()); err != nil {
+		t.Fatalf("Probe: %v", err)
+	}
+	if out, in := stage.OutMsgs.Load(), stage.InMsgs.Load(); out != 1 || in != 1 {
+		t.Errorf("stage saw out=%d in=%d, want 1 and 1", out, in)
+	}
+	transport := 0
+	for _, sp := range domain.Tracer.Spans() {
+		if sp.Name == "transport" && sp.Err == "" {
+			transport++
+		}
+	}
+	if transport != 1 {
+		t.Errorf("transport spans = %d, want 1: %+v", transport, domain.Tracer.Spans())
+	}
+	if st := env.server.Stats(); st.Calls != 0 {
+		t.Errorf("server counted %d calls for a probe", st.Calls)
+	}
+
+	// A peer that accepts and never answers: the probe's context expires.
+	l, err := env.net.Listen("sim://mute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mute, err := Bind(naming.InterfaceRef{ID: ifaceID(1), Endpoint: "sim://mute"}, BindConfig{Transport: env.net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := mute.Probe(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe of a mute peer = %v, want DeadlineExceeded", err)
+	}
+	sess := mute.Sessions().peek("sim://mute")
+	if sess == nil {
+		t.Fatal("no session to the mute peer")
+	}
+	sess.mu.Lock()
+	pending := len(sess.pending)
+	sess.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("expired probe left %d entries in the pending table", pending)
+	}
+}
+
 // Every frame the read loop cannot serve is counted once in ServerStats
 // and once in the management counter odpstat reads — the two must agree —
 // and costs the connection nothing.

@@ -335,13 +335,8 @@ func (b *Binding) Signal(ctx context.Context, name string, args []values.Value) 
 		if !ok {
 			return fmt.Errorf("%w: interface %s has no signal %q", ErrTypeCheck, b.cfg.Type.Name, name)
 		}
-		if len(s.Params) != len(args) {
-			return fmt.Errorf("%w: signal %q expects %d args, got %d", ErrTypeCheck, name, len(s.Params), len(args))
-		}
-		for i, p := range s.Params {
-			if err := p.Type.Check(args[i]); err != nil {
-				return fmt.Errorf("%w: signal %q arg %q: %v", ErrTypeCheck, name, p.Name, err)
-			}
+		if err := (types.Operation{Name: name, Params: s.Params}).CheckArgs(args); err != nil {
+			return fmt.Errorf("%w: signal %v", ErrTypeCheck, err)
 		}
 	}
 	_, err := b.interact(ctx, wire.SignalMsg, name, args)
@@ -521,13 +516,8 @@ func (b *Binding) typeCheckCall(op string, args []values.Value, announcement boo
 	if !announcement && decl.IsAnnouncement() {
 		return fmt.Errorf("%w: %s.%s is an announcement, use Announce", ErrTypeCheck, t.Name, op)
 	}
-	if len(args) != len(decl.Params) {
-		return fmt.Errorf("%w: %s.%s expects %d args, got %d", ErrTypeCheck, t.Name, op, len(decl.Params), len(args))
-	}
-	for i, p := range decl.Params {
-		if err := p.Type.Check(args[i]); err != nil {
-			return fmt.Errorf("%w: %s.%s arg %q: %v", ErrTypeCheck, t.Name, op, p.Name, err)
-		}
+	if err := decl.CheckArgs(args); err != nil {
+		return fmt.Errorf("%w: %s.%v", ErrTypeCheck, t.Name, err)
 	}
 	return nil
 }
@@ -541,20 +531,8 @@ func (b *Binding) typeCheckReply(op string, reply *wire.Message) error {
 	if !ok {
 		return nil // checked on the way out; be lenient here
 	}
-	term, ok := decl.Termination(reply.Termination)
-	if !ok {
-		return fmt.Errorf("%w: %s.%s returned undeclared termination %q",
-			ErrTypeCheck, t.Name, op, reply.Termination)
-	}
-	if len(reply.Args) != len(term.Results) {
-		return fmt.Errorf("%w: %s.%s termination %q carries %d results, want %d",
-			ErrTypeCheck, t.Name, op, reply.Termination, len(reply.Args), len(term.Results))
-	}
-	for i, res := range term.Results {
-		if err := res.Type.Check(reply.Args[i]); err != nil {
-			return fmt.Errorf("%w: %s.%s termination %q result %q: %v",
-				ErrTypeCheck, t.Name, op, reply.Termination, res.Name, err)
-		}
+	if err := decl.CheckTermination(reply.Termination, reply.Args); err != nil {
+		return fmt.Errorf("%w: %s.%v", ErrTypeCheck, t.Name, err)
 	}
 	return nil
 }
@@ -593,7 +571,9 @@ func (b *Binding) backoff(ctx context.Context, retry int) error {
 	return policy.Wait(ctx, d)
 }
 
-// roundTrip carries one call to the endpoint and waits for its reply.
+// roundTrip carries one request that expects an answer — a call, or the
+// session's shared liveness probe — to the endpoint and waits for it: the
+// one place a waiter is registered, a frame queued and a reply awaited.
 func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message) (*wire.Message, error) {
 	var tr *mgmt.Tracer
 	if b.cfg.Instruments != nil {
@@ -629,11 +609,11 @@ func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message)
 		}
 	}
 	if err == nil {
-		// send takes ownership of the frame: on the batched plane it is
-		// queued to the session's sender goroutine (coalescing with every
-		// concurrent attempt on this session into one vectored write) and
-		// recycled after the write. A send failure has already killed the
-		// session, so every binding sharing it fails over together.
+		// send takes ownership of the frame: it is queued to the session's
+		// sender goroutine (coalescing with every concurrent attempt on
+		// this session into one vectored write) and recycled after the
+		// write. A send failure has already killed the session, so every
+		// binding sharing it fails over together.
 		if err = sess.send(frame); err != nil {
 			sess.abandon(b.bindingID, m.Correlation, ch)
 		}

@@ -68,13 +68,6 @@ type ServerConfig struct {
 	// on the connection's read loop, so every message is still handled
 	// and backpressure reaches the transport naturally.
 	Workers int
-	// Unbatched disables the per-connection reply writer: replies go
-	// straight to the connection, one write per frame. The batched writer
-	// is the default — concurrent handlers answering calls from one
-	// session coalesce their replies into vectored writes, mirroring the
-	// client's batched send path. This switch is the measured baseline for
-	// E12 and an escape hatch.
-	Unbatched bool
 	// Instruments enables management instrumentation of this channel end:
 	// dispatch spans (parented under the caller's trace extension, when
 	// present) and dispatch metrics. Nil disables it.
@@ -249,19 +242,17 @@ func (s *Server) Close() error {
 	return err
 }
 
-// task is one unit of servant work for the worker pool: a call (conn set)
-// or an announcement (conn nil). A plain struct rather than a closure so
-// dispatching allocates nothing. q is the connection's reply writer (nil
-// when the server runs unbatched).
+// task is one unit of servant work for the worker pool: a call (q is its
+// connection's reply writer) or an announcement (q nil). A plain struct
+// rather than a closure so dispatching allocates nothing.
 type task struct {
-	conn netsim.Conn
-	q    *frameQueue
-	m    *wire.Message
+	q *frameQueue
+	m *wire.Message
 }
 
 func (s *Server) runTask(t task) {
-	if t.conn != nil {
-		s.handleCall(replyDest{conn: t.conn, q: t.q}, t.m)
+	if t.q != nil {
+		s.handleCall(t.q, t.m)
 	} else {
 		s.handleOneWay(t.m)
 	}
@@ -271,12 +262,8 @@ func (s *Server) runTask(t task) {
 }
 
 // dispatch hands work to the bounded pool, executing inline when the queue
-// is full (or when Start was never called) so no message is ever lost.
+// is full so no message is ever lost.
 func (s *Server) dispatch(t task) {
-	if s.tasks == nil {
-		s.runTask(t)
-		return
-	}
 	select {
 	case s.tasks <- t:
 	default:
@@ -318,20 +305,18 @@ func (s *Server) serveConn(conn netsim.Conn) {
 	// The connection's reply writer: worker-pool handlers answering calls
 	// from this session enqueue here, so concurrent replies coalesce into
 	// vectored writes exactly as the client's concurrent calls did on the
-	// way in.
-	dest := replyDest{conn: conn}
-	if !s.cfg.Unbatched {
-		var bi batchInstruments
-		if ins := s.cfg.Instruments; ins != nil {
-			bi = batchInstruments{
-				framesPerWrite: ins.ReplyFramesPerWrite,
-				batchBytes:     ins.ReplyBatchBytes,
-				queueDepth:     ins.ReplyQueueDepth,
-			}
+	// way in. Frames are queued best-effort: a dead conn fails the
+	// client's call by timeout.
+	var bi batchInstruments
+	if ins := s.cfg.Instruments; ins != nil {
+		bi = batchInstruments{
+			framesPerWrite: ins.ReplyFramesPerWrite,
+			batchBytes:     ins.ReplyBatchBytes,
+			queueDepth:     ins.ReplyQueueDepth,
 		}
-		dest.q = newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
-			func(error) { conn.Close() }) // a dead writer wakes the read loop
 	}
+	q := newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
+		func(error) { conn.Close() }) // a dead writer wakes the read loop
 	// The conn is one inbound session: the distinct binding ids seen on it
 	// are its multiplexed bindings. Only this read loop touches the set.
 	bindings := make(map[uint64]struct{})
@@ -355,11 +340,9 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		if dest.q != nil {
-			// Drain accepted replies (handlers still running will see
-			// ErrSessionClosing and drop theirs, as a dead conn always did).
-			dest.q.close()
-		}
+		// Drain accepted replies (handlers still running will see
+		// ErrSessionClosing and drop theirs, as a dead conn always did).
+		q.close()
 		conn.Close()
 		if ins := s.cfg.Instruments; ins != nil {
 			ins.SessionsOpen.Add(-1)
@@ -385,20 +368,14 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		if err := runStages(s.cfg.Stages, Inbound, m); err != nil {
 			s.errCount.Add(1)
 			if m.Kind == wire.Call {
-				s.sendErr(dest, m, stageCode(err), err.Error())
+				s.sendErr(q, m, stageCode(err), err.Error())
 			}
 			wire.PutMessage(m)
 			continue
 		}
 		switch m.Kind {
 		case wire.Probe:
-			ack := wire.GetMessage()
-			ack.Kind = wire.ProbeAck
-			ack.BindingID = m.BindingID
-			ack.Correlation = m.Correlation
-			ack.Target = m.Target
-			s.reply(dest, m, ack)
-			wire.PutMessage(ack)
+			s.reply(q, m, wire.ProbeAck, "", nil)
 			wire.PutMessage(m)
 		case wire.Call:
 			s.calls.Add(1)
@@ -406,13 +383,13 @@ func (s *Server) serveConn(conn netsim.Conn) {
 				switch verdict, cached := s.guardCheck(m); verdict {
 				case guardReplayCached:
 					// The cached frame stays owned by the reply cache.
-					dest.put(cached, false)
+					_ = q.enqueue(cached, false)
 					s.replays.Add(1)
 					wire.PutMessage(m)
 					continue
 				case guardReplayReject:
 					s.replays.Add(1)
-					s.sendErr(dest, m, CodeReplay, "correlation id regressed")
+					s.sendErr(q, m, CodeReplay, "correlation id regressed")
 					wire.PutMessage(m)
 					continue
 				case guardInFlight:
@@ -421,7 +398,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 					continue // original execution will answer
 				}
 			}
-			s.dispatch(task{conn: conn, q: dest.q, m: m})
+			s.dispatch(task{q: q, m: m})
 		case wire.OneWay:
 			s.oneWays.Add(1)
 			s.dispatch(task{m: m})
@@ -435,7 +412,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			// window guarantees the receiver's bounded buffer can absorb
 			// the batch without blocking, so inline delivery is safe.
 			s.flowBatches.Add(1)
-			s.handleFlowBatch(dest, streams, m)
+			s.handleFlowBatch(q, streams, m)
 			wire.PutMessage(m)
 		case wire.SignalMsg:
 			s.signals.Add(1)
@@ -473,21 +450,21 @@ func (s *Server) lookup(id naming.InterfaceID) (*servantEntry, bool) {
 	return e, ok
 }
 
-func (s *Server) handleCall(dest replyDest, m *wire.Message) {
+func (s *Server) handleCall(q *frameQueue, m *wire.Message) {
 	e, ok := s.lookup(m.Target)
 	if !ok {
-		s.sendErr(dest, m, CodeNoSuchInterface, m.Target.String())
+		s.sendErr(q, m, CodeNoSuchInterface, m.Target.String())
 		return
 	}
 	var decl types.Operation
 	if e.typ != nil {
 		decl, ok = e.typ.Operation(m.Operation)
 		if !ok {
-			s.sendErr(dest, m, CodeNoSuchOperation, m.Operation)
+			s.sendErr(q, m, CodeNoSuchOperation, m.Operation)
 			return
 		}
-		if err := checkArgs(decl, m.Args); err != nil {
-			s.sendErr(dest, m, CodeBadArgs, err.Error())
+		if err := decl.CheckArgs(m.Args); err != nil {
+			s.sendErr(q, m, CodeBadArgs, err.Error())
 			return
 		}
 	}
@@ -509,27 +486,18 @@ func (s *Server) handleCall(dest replyDest, m *wire.Message) {
 	if err != nil {
 		// Handlers may return a *StageError to control the code (e.g. an
 		// activator wrapper reporting a deactivated cluster).
-		s.sendErr(dest, m, stageCode(err), err.Error())
+		s.sendErr(q, m, stageCode(err), err.Error())
 		return
 	}
 	if e.typ != nil && !decl.IsAnnouncement() {
-		if err := checkTermination(decl, term, results); err != nil {
+		if err := decl.CheckTermination(term, results); err != nil {
 			// The servant itself violated its declared type: a server bug,
 			// reported as internal rather than leaking the bad payload.
-			s.sendErr(dest, m, CodeInternal, err.Error())
+			s.sendErr(q, m, CodeInternal, err.Error())
 			return
 		}
 	}
-	rm := wire.GetMessage()
-	rm.Kind = wire.Reply
-	rm.BindingID = m.BindingID
-	rm.Correlation = m.Correlation
-	rm.Target = m.Target
-	rm.Operation = m.Operation
-	rm.Termination = term
-	rm.Args = results
-	s.reply(dest, m, rm)
-	wire.PutMessage(rm)
+	s.reply(q, m, wire.Reply, term, results)
 }
 
 func (s *Server) handleOneWay(m *wire.Message) {
@@ -543,7 +511,7 @@ func (s *Server) handleOneWay(m *wire.Message) {
 			s.errCount.Add(1)
 			return
 		}
-		if err := checkArgs(decl, m.Args); err != nil {
+		if err := decl.CheckArgs(m.Args); err != nil {
 			s.errCount.Add(1)
 			return
 		}
@@ -608,7 +576,7 @@ type streamState struct {
 // reported, so the consumer can still credit them back — the producer
 // already debited its window for them), and end-of-stream tears the
 // record down.
-func (s *Server) handleFlowBatch(dest replyDest, streams map[pendKey]*streamState, m *wire.Message) {
+func (s *Server) handleFlowBatch(q *frameQueue, streams map[pendKey]*streamState, m *wire.Message) {
 	key := pendKey{m.BindingID, m.Correlation}
 	switch m.Termination {
 	case wire.StreamOpenMark:
@@ -636,7 +604,7 @@ func (s *Server) handleFlowBatch(dest replyDest, streams map[pendKey]*streamStat
 		// consumer can grant from any goroutine for the conn's lifetime.
 		binding, stream, codecID := m.BindingID, m.Correlation, m.Codec
 		grant := func(cumElems, cumBytes uint64) {
-			s.sendGrant(dest, binding, stream, codecID, cumElems, cumBytes)
+			s.sendGrant(q, binding, stream, codecID, cumElems, cumBytes)
 		}
 		st := &streamState{flow: m.Operation, recv: recv, elemType: elemType, grant: grant}
 		streams[key] = st
@@ -702,7 +670,7 @@ func (s *Server) handleFlowBatch(dest replyDest, streams map[pendKey]*streamStat
 // grant is a bare header — stream id in Correlation, cumulative element
 // credit in Seq, cumulative byte credit in Epoch — encoded with the
 // producer's own codec.
-func (s *Server) sendGrant(dest replyDest, binding, stream uint64, codecID wire.CodecID, cumElems, cumBytes uint64) {
+func (s *Server) sendGrant(q *frameQueue, binding, stream uint64, codecID wire.CodecID, cumElems, cumBytes uint64) {
 	s.creditGrants.Add(1)
 	m := wire.GetMessage()
 	m.Kind = wire.CreditGrant
@@ -721,7 +689,7 @@ func (s *Server) sendGrant(dest replyDest, binding, stream uint64, codecID wire.
 		wire.PutFrame(frame)
 		return
 	}
-	dest.put(frame, true)
+	_ = q.enqueue(frame, true)
 }
 
 func (s *Server) handleSignal(m *wire.Message) {
@@ -737,78 +705,29 @@ func (s *Server) handleSignal(m *wire.Message) {
 	s.errCount.Add(1)
 }
 
-func checkArgs(decl types.Operation, args []values.Value) error {
-	if len(args) != len(decl.Params) {
-		return fmt.Errorf("operation %s expects %d args, got %d", decl.Name, len(decl.Params), len(args))
-	}
-	for i, p := range decl.Params {
-		if err := p.Type.Check(args[i]); err != nil {
-			return fmt.Errorf("arg %q: %v", p.Name, err)
-		}
-	}
-	return nil
-}
-
-func checkTermination(decl types.Operation, term string, results []values.Value) error {
-	t, ok := decl.Termination(term)
-	if !ok {
-		return fmt.Errorf("operation %s has no termination %q", decl.Name, term)
-	}
-	if len(results) != len(t.Results) {
-		return fmt.Errorf("termination %q expects %d results, got %d", term, len(t.Results), len(results))
-	}
-	for i, r := range t.Results {
-		if err := r.Type.Check(results[i]); err != nil {
-			return fmt.Errorf("termination %q result %q: %v", term, r.Name, err)
-		}
-	}
-	return nil
-}
-
-// replyDest is where one connection's outbound frames go: through the
-// connection's batched reply writer when it has one, straight to the
-// connection otherwise.
-type replyDest struct {
-	conn netsim.Conn
-	q    *frameQueue
-}
-
-// put transmits one frame, best-effort — a dead conn fails the client's
-// call by timeout, exactly as before. own marks the frame as the send
-// path's to recycle (false when the replay-guard cache retains it).
-func (d replyDest) put(frame []byte, own bool) {
-	if d.q != nil {
-		_ = d.q.enqueue(frame, own)
-		return
-	}
-	_ = d.conn.Send(frame)
-	if own {
-		// Send does not keep a reference past return, so the buffer can go
-		// back to the pool unless the replay cache holds it.
-		wire.PutFrame(frame)
-	}
-}
-
-func (s *Server) sendErr(dest replyDest, req *wire.Message, code, detail string) {
+func (s *Server) sendErr(q *frameQueue, req *wire.Message, code, detail string) {
 	s.errCount.Add(1)
 	if ins := s.cfg.Instruments; ins != nil {
 		ins.Errors.Inc()
 	}
-	rm := wire.GetMessage()
-	rm.Kind = wire.ErrReply
-	rm.BindingID = req.BindingID
-	rm.Correlation = req.Correlation
-	rm.Target = req.Target
-	rm.Operation = req.Operation
-	rm.Termination = code
-	rm.Args = []values.Value{values.Str(detail)}
-	s.reply(dest, req, rm)
-	wire.PutMessage(rm)
+	s.reply(q, req, wire.ErrReply, code, []values.Value{values.Str(detail)})
 }
 
-// reply runs the outbound pipeline, mirrors the request codec and sends,
-// recording the frame in the replay guard's reply cache when enabled.
-func (s *Server) reply(dest replyDest, req, m *wire.Message) {
+// reply answers req on its connection's reply writer q, best-effort — a
+// dead conn fails the client's call by timeout: the answer's header mirrors
+// the request's, then the outbound pipeline, the request's codec and the
+// queue, recording the frame in the replay guard's reply cache when
+// enabled.
+func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term string, args []values.Value) {
+	m := wire.GetMessage()
+	defer wire.PutMessage(m)
+	m.Kind = kind
+	m.BindingID = req.BindingID
+	m.Correlation = req.Correlation
+	m.Target = req.Target
+	m.Operation = req.Operation
+	m.Termination = term
+	m.Args = args
 	if err := runStages(s.cfg.Stages, Outbound, m); err != nil {
 		s.errCount.Add(1)
 		return
@@ -827,7 +746,7 @@ func (s *Server) reply(dest replyDest, req, m *wire.Message) {
 	if s.cfg.ReplayGuard && req.Kind == wire.Call {
 		retained = s.guardStore(req, frame)
 	}
-	dest.put(frame, !retained)
+	_ = q.enqueue(frame, !retained)
 }
 
 // ---------------------------------------------------------------------------

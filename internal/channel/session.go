@@ -36,17 +36,10 @@ type SessionStats struct {
 	Deaths          uint64 // sessions that failed under bindings (shared failover events)
 	ProbesSent      uint64 // liveness probes put on the wire
 	ProbesCoalesced uint64 // probes satisfied by one already in flight
-}
-
-// SessionConfig tunes the session data plane. The zero value is the
-// default: batched sends.
-type SessionConfig struct {
-	// Unbatched disables the per-session sender goroutine: Send calls go
-	// straight to the connection, one write per frame, as before the
-	// batched path existed. It exists as the measured baseline for E12 and
-	// as an escape hatch; the batched path is the default because it is
-	// never slower once more than one frame is in flight.
-	Unbatched bool
+	// BadFrames counts inbound frames no session of this manager could
+	// serve — undecodable, or of a kind no client end accepts — over the
+	// manager's lifetime (dead sessions included).
+	BadFrames uint64
 }
 
 // SessionManager multiplexes all bindings that share one Transport onto
@@ -54,7 +47,6 @@ type SessionConfig struct {
 // NewSessionManager. All methods are safe for concurrent use.
 type SessionManager struct {
 	transport netsim.Transport
-	cfg       SessionConfig
 
 	mu      sync.Mutex
 	entries map[naming.Endpoint]*sessionEntry
@@ -68,6 +60,7 @@ type SessionManager struct {
 	deaths          atomic.Uint64
 	probesSent      atomic.Uint64
 	probesCoalesced atomic.Uint64
+	badFrames       atomic.Uint64
 
 	insp     atomic.Pointer[mgmt.SessionInstruments]
 	breakers atomic.Pointer[policy.BreakerSet]
@@ -81,18 +74,10 @@ type sessionEntry struct {
 	dialing chan struct{} // non-nil while a dial is in flight; closed when it resolves
 }
 
-// NewSessionManager creates a session manager dialling over t with the
-// default (batched) data plane.
+// NewSessionManager creates a session manager dialling over t.
 func NewSessionManager(t netsim.Transport) *SessionManager {
-	return NewSessionManagerWithConfig(t, SessionConfig{})
-}
-
-// NewSessionManagerWithConfig creates a session manager with an explicit
-// data-plane configuration.
-func NewSessionManagerWithConfig(t netsim.Transport, cfg SessionConfig) *SessionManager {
 	return &SessionManager{
 		transport: t,
-		cfg:       cfg,
 		entries:   make(map[naming.Endpoint]*sessionEntry),
 		fences:    make(map[naming.Endpoint]uint64),
 	}
@@ -132,6 +117,7 @@ func (m *SessionManager) Stats() SessionStats {
 		Deaths:          m.deaths.Load(),
 		ProbesSent:      m.probesSent.Load(),
 		ProbesCoalesced: m.probesCoalesced.Load(),
+		BadFrames:       m.badFrames.Load(),
 	}
 }
 
@@ -302,6 +288,16 @@ func (m *SessionManager) peek(ep naming.Endpoint) *Session {
 	return nil
 }
 
+// badFrame counts an inbound frame a session's read loop could not serve —
+// undecodable, or of a kind no client end accepts — in SessionStats and,
+// when instrumented, in the management counter odpstat shows.
+func (m *SessionManager) badFrame() {
+	m.badFrames.Add(1)
+	if ins := m.insp.Load(); ins != nil {
+		ins.BadFrames.Inc()
+	}
+}
+
 // sessionDied is the read loop's exit notification: unpublish the session
 // and account for the shared failover.
 func (m *SessionManager) sessionDied(s *Session, graceful bool) {
@@ -344,14 +340,13 @@ type probeFlight struct {
 }
 
 // Session is one shared transport connection: one conn, one read loop,
-// one demux table for every binding multiplexed over it, and (unless the
-// manager was configured Unbatched) one sender goroutine that drains the
-// frame queue into vectored writes.
+// one demux table for every binding multiplexed over it, and one sender
+// goroutine that drains the frame queue into vectored writes.
 type Session struct {
 	mgr  *SessionManager
 	ep   naming.Endpoint
 	conn netsim.Conn
-	q    *frameQueue // nil when the data plane is unbatched
+	q    *frameQueue
 
 	mu       sync.Mutex
 	pending  map[pendKey]chan *wire.Message
@@ -359,7 +354,6 @@ type Session struct {
 	closed   bool
 	graceful bool
 
-	badFrames atomic.Uint64
 	lastProbe atomic.Int64 // unix nanos of the last completed probe
 
 	probeMu sync.Mutex
@@ -374,18 +368,16 @@ func newSession(m *SessionManager, ep naming.Endpoint, conn netsim.Conn) *Sessio
 		pending: make(map[pendKey]chan *wire.Message),
 		grants:  make(map[pendKey]*grantSink),
 	}
-	if !m.cfg.Unbatched {
-		var bi batchInstruments
-		if ins := m.insp.Load(); ins != nil {
-			bi = batchInstruments{
-				framesPerWrite: ins.FramesPerWrite,
-				batchBytes:     ins.BatchBytes,
-				queueDepth:     ins.SendQueueDepth,
-			}
+	var bi batchInstruments
+	if ins := m.insp.Load(); ins != nil {
+		bi = batchInstruments{
+			framesPerWrite: ins.FramesPerWrite,
+			batchBytes:     ins.BatchBytes,
+			queueDepth:     ins.SendQueueDepth,
 		}
-		s.q = newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
-			func(error) { s.kill(false) })
 	}
+	s.q = newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
+		func(error) { s.kill(false) })
 	return s
 }
 
@@ -501,33 +493,17 @@ func (s *Session) abandon(binding, correl uint64, ch chan *wire.Message) {
 
 // send transmits one frame, taking ownership of it: the buffer is
 // recycled by the send path whatever the outcome, so callers must not
-// touch it after the call. On the batched plane the frame is queued to
-// the session's sender goroutine — many bindings' frames coalesce into
-// one vectored write — and a connection failure surfaces either here (as
-// the sender's sticky error) or on the reply channel. A send failure
-// kills the session so every sibling binding fails over together.
-func (s *Session) send(frame []byte) error {
-	if s.q != nil {
-		return s.q.enqueue(frame, true)
-	}
-	err := s.conn.Send(frame)
-	wire.PutFrame(frame)
-	if err != nil {
-		s.kill(false)
-		return fmt.Errorf("%w: %v", ErrDisconnected, err)
-	}
-	return nil
-}
+// touch it after the call. The frame is queued to the session's sender
+// goroutine — many bindings' frames coalesce into one vectored write —
+// and a connection failure surfaces either here (as the sender's sticky
+// error) or on the reply channel; the failed write has already killed the
+// session, so every sibling binding fails over together.
+func (s *Session) send(frame []byte) error { return s.q.enqueue(frame, true) }
 
 // flushSends blocks until every frame handed to send so far is on the
 // wire (one-way interactions use it for group commit: enqueue then flush
 // keeps write errors observable without a write per announcement).
-func (s *Session) flushSends() error {
-	if s.q != nil {
-		return s.q.flush()
-	}
-	return nil
-}
+func (s *Session) flushSends() error { return s.q.flush() }
 
 // kill tears the session down; the read loop's exit performs the
 // cleanup. graceful marks an orderly release (last binding out, manager
@@ -557,7 +533,7 @@ func (s *Session) readLoop() {
 		if err != nil {
 			// A corrupt frame fails only its own call, by that call's
 			// timeout; the session and its other bindings keep going.
-			s.badFrames.Add(1)
+			s.mgr.badFrame()
 			continue
 		}
 		switch m.Kind {
@@ -590,6 +566,8 @@ func (s *Session) readLoop() {
 			wire.PutMessage(m)
 		default:
 			// Client ends do not accept requests.
+			s.mgr.badFrame()
+			wire.PutMessage(m)
 		}
 	}
 	s.mu.Lock()
@@ -617,9 +595,7 @@ func (s *Session) readLoop() {
 			g.onDead(ErrStreamClosed)
 		}
 	}
-	if s.q != nil {
-		s.q.close() // conn is dead; the sender drains by failing fast
-	}
+	s.q.close() // conn is dead; the sender drains by failing fast
 }
 
 // probeShared coalesces liveness probes: however many bindings probe a
@@ -653,8 +629,17 @@ func (s *Session) probeShared(ctx context.Context, b *Binding) error {
 		s.probe = f
 		s.probeMu.Unlock()
 
-		err := s.probeOnce(ctx, b)
+		// The heartbeat is an ordinary round trip of the owning binding, so
+		// a secured channel probes like it invokes.
+		s.mgr.probesSent.Add(1)
+		if ins := s.mgr.insp.Load(); ins != nil {
+			ins.Probes.Inc()
+		}
+		m := b.message(wire.Probe, b.Ref(), b.nextSeq.Add(1), 0, "", nil)
+		ack, err := b.roundTrip(ctx, s, m)
+		wire.PutMessage(m)
 		if err == nil {
+			wire.PutMessage(ack)
 			s.lastProbe.Store(time.Now().UnixNano())
 		}
 
@@ -664,43 +649,5 @@ func (s *Session) probeShared(ctx context.Context, b *Binding) error {
 		f.err = err
 		close(f.done)
 		return err
-	}
-}
-
-// probeOnce performs one probe round trip on this session, running the
-// owning binding's stages so secured channels probe like they invoke.
-func (s *Session) probeOnce(ctx context.Context, b *Binding) error {
-	s.mgr.probesSent.Add(1)
-	if ins := s.mgr.insp.Load(); ins != nil {
-		ins.Probes.Inc()
-	}
-	correl := b.nextCorrel.Add(1)
-	m := b.message(wire.Probe, b.Ref(), b.nextSeq.Add(1), correl, "", nil)
-	frame, err := b.encode(m)
-	wire.PutMessage(m)
-	if err != nil {
-		return err
-	}
-	ch, err := s.register(b.bindingID, correl)
-	if err != nil {
-		wire.PutFrame(frame)
-		return err
-	}
-	if err := s.send(frame); err != nil { // send owns the frame now
-		s.abandon(b.bindingID, correl, ch)
-		return err
-	}
-	select {
-	case reply := <-ch:
-		release(ch)
-		if reply == nil {
-			return ErrDisconnected
-		}
-		err := runStages(b.cfg.Stages, Inbound, reply)
-		wire.PutMessage(reply)
-		return err
-	case <-ctx.Done():
-		s.abandon(b.bindingID, correl, ch)
-		return ctx.Err()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -161,9 +162,27 @@ func TestSessionKillMidFlightFailsAllPending(t *testing.T) {
 }
 
 func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
-	// A corrupt frame on a shared session fails only its own call (by
-	// per-call timeout) and never strands or misroutes the other bindings'
-	// pending calls.
+	// A frame the client end cannot serve — corrupt, or well formed but of
+	// a kind no client accepts — fails only its own call (by per-call
+	// timeout), is counted where an operator can see it, and never strands
+	// or misroutes the other bindings' pending calls.
+	call := &wire.Message{Kind: wire.Call, BindingID: 1, Correlation: 1, Operation: "intruder"}
+	callFrame, err := call.Encode(wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		poison []byte
+	}{
+		{"truncated frame", []byte{0xde, 0xad, 0xbe, 0xef}},
+		{"valid frame of kind Call", callFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) { corruptFrameCase(t, tc.poison) })
+	}
+}
+
+func corruptFrameCase(t *testing.T, poison []byte) {
 	n := netsim.New(3)
 	l, err := n.Listen("sim://server")
 	if err != nil {
@@ -171,7 +190,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 	}
 	defer l.Close()
 	// A raw wire-speaking server: echoes every call, except that the
-	// operation "bad" is answered with garbage bytes.
+	// operation "bad" is answered with the poison frame.
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -190,7 +209,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 						continue
 					}
 					if m.Operation == "bad" {
-						_ = conn.Send([]byte{0xde, 0xad, 0xbe, 0xef})
+						_ = conn.Send(poison)
 						continue
 					}
 					rm := &wire.Message{
@@ -213,6 +232,8 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 	}()
 
 	mgr := NewSessionManager(n)
+	domain := mgmt.New()
+	mgr.Instrument(domain.Sessions("client"))
 	const nb = 4
 	bindings := make([]*Binding, nb)
 	for i := range bindings {
@@ -227,7 +248,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Binding 0 sends the poisoned call; the rest keep invoking while the
-	// corrupt frame arrives and after.
+	// poison frame arrives and after.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -255,15 +276,29 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 		}(i, b)
 	}
 	wg.Wait()
-	if st := mgr.Stats(); st.Dials != 1 || st.Deaths != 0 {
-		t.Errorf("manager stats = %+v: corrupt frame must not kill the session", st)
+	// The poison is behind us on the same session: a sibling still completes.
+	if _, _, err := bindings[1].Invoke(context.Background(), "echo", []values.Value{values.Str("after")}); err != nil {
+		t.Errorf("sibling call after the bad frame: %v", err)
 	}
-	sess := mgr.peek("sim://server")
-	if sess == nil {
-		t.Fatal("session gone after corrupt frame")
+	st := mgr.Stats()
+	if st.Dials != 1 || st.Deaths != 0 {
+		t.Errorf("manager stats = %+v: a bad frame must not kill the session", st)
 	}
-	if got := sess.badFrames.Load(); got != 1 {
-		t.Errorf("badFrames = %d, want 1", got)
+	if mgr.peek("sim://server") == nil {
+		t.Fatal("session gone after bad frame")
+	}
+	if st.BadFrames != 1 {
+		t.Errorf("SessionStats.BadFrames = %d, want 1", st.BadFrames)
+	}
+	if got := domain.Registry.Counter("session.client.bad_frames").Load(); got != 1 {
+		t.Errorf("session.client.bad_frames = %d, want 1", got)
+	}
+	// The count belongs to the manager, so it outlives the session.
+	for _, b := range bindings {
+		b.Close()
+	}
+	if st := mgr.Stats(); st.Open != 0 || st.BadFrames != 1 {
+		t.Errorf("after the session closed: %+v, want Open 0 and BadFrames 1", st)
 	}
 }
 

@@ -21,12 +21,13 @@ type FailoverGroup struct {
 	// its first invocation; a typical hook recovers the primary's last
 	// checkpoint into the backup (coordination.RecoverCluster).
 	OnPromote func(name string) error
-	// Policy, when set, paces the fail-over loop: its budget bounds the
-	// whole invocation (all promotions included), its backoff separates
+	// Policy paces the fail-over loop: its budget bounds the whole
+	// invocation (all promotions included), its backoff separates
 	// consecutive attempts, and a non-zero MaxAttempts caps how many
-	// members are tried. Set before first use; nil keeps the legacy
-	// immediate, unbounded cascade.
-	Policy *policy.RetryPolicy
+	// members are tried. Set before first use; the zero value is the
+	// immediate cascade through every member, bounded only by the
+	// caller's context.
+	Policy policy.RetryPolicy
 
 	mu         sync.Mutex
 	members    []member
@@ -83,11 +84,8 @@ func (g *FailoverGroup) Promotions() uint64 {
 // so promotions stay race-free.
 func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	pol := g.Policy
-	if pol != nil && pol.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = pol.WithBudget(ctx)
-		defer cancel()
-	}
+	ctx, cancel := pol.WithBudget(ctx)
+	defer cancel()
 	attempt := 0
 	for {
 		g.mu.Lock()
@@ -105,7 +103,7 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 			return "", nil, ctx.Err()
 		}
 		attempt++
-		if pol != nil && pol.MaxAttempts > 0 && attempt >= pol.Attempts() {
+		if pol.MaxAttempts > 0 && attempt >= pol.MaxAttempts {
 			return "", nil, err
 		}
 		// Primary is gone: drop it and promote the next member — unless a
@@ -129,12 +127,10 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 			}
 		}
 		g.mu.Unlock()
-		if pol != nil {
-			// Pace the retry against the freshly promoted member; the
-			// promotion itself was immediate and local.
-			if werr := policy.Wait(ctx, pol.Backoff(attempt)); werr != nil {
-				return "", nil, werr
-			}
+		// Pace the retry against the freshly promoted member; the
+		// promotion itself was immediate and local.
+		if werr := policy.Wait(ctx, pol.Backoff(attempt)); werr != nil {
+			return "", nil, werr
 		}
 	}
 }

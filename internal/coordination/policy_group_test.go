@@ -306,7 +306,7 @@ func TestDegradedReadQuorumLoss(t *testing.T) {
 // burning through every backup.
 func TestFailoverGroupPolicyBudget(t *testing.T) {
 	g := NewFailoverGroup()
-	g.Policy = &policy.RetryPolicy{
+	g.Policy = policy.RetryPolicy{
 		BaseBackoff: 20 * time.Millisecond,
 		Multiplier:  1,
 		Budget:      200 * time.Millisecond,
@@ -336,7 +336,7 @@ func TestFailoverGroupPolicyBudget(t *testing.T) {
 // cascade before the membership is exhausted.
 func TestFailoverGroupMaxAttempts(t *testing.T) {
 	g := NewFailoverGroup()
-	g.Policy = &policy.RetryPolicy{MaxAttempts: 1}
+	g.Policy = policy.RetryPolicy{MaxAttempts: 1}
 	if err := g.Add("p", &fakeInvoker{fail: true}); err != nil {
 		t.Fatal(err)
 	}

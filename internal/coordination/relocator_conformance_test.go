@@ -180,7 +180,7 @@ func TestLocationGroupAsShard(t *testing.T) {
 	// Whatever carries it, the store slots into the sharded relocator
 	// unchanged: a shard can be a whole replica group.
 	overLocationCarriers(t, func(t *testing.T, s locationStore, _ []*relocator.Relocator) {
-		sh := relocator.NewSharded(0)
+		sh := relocator.NewSharded()
 		if err := sh.AddShard("g0", s); err != nil {
 			t.Fatal(err)
 		}

@@ -306,7 +306,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	}
 
 	// --- the client: one session manager, one binding per replica ------
-	mgr := f.sessions(net.From("client"), channel.SessionConfig{})
+	mgr := f.sessions(net.From("client"))
 	mgr.Instrument(m.Sessions("client"))
 	var chanBreakers, groupBreakers *policy.BreakerSet
 	if policyOn {

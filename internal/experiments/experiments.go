@@ -316,22 +316,11 @@ func (nopBehavior) Invoke(context.Context, string, []values.Value) (string, []va
 // interface column (one full Figure 5 path) per Run, and a
 // checkpoint/reactivate cycle.
 func E5Structure() []Scenario {
-	newNode := func(name string) *engineering.Node {
-		net := netsim.New(1)
-		n, err := engineering.NewNode(engineering.NodeConfig{
-			ID:        naming.NodeID(name),
-			Endpoint:  naming.Endpoint("sim://" + name),
-			Transport: net.From(name),
-		})
-		must(err)
-		n.Behaviors().Register("nop", func(values.Value) (engineering.Behavior, error) {
-			return nopBehavior{}, nil
-		})
-		return n
-	}
 	ifaceType := types.OpInterface("Nop", types.Op("Nop", nil, types.Term("OK")))
 
-	nodeA := newNode("alpha")
+	fleetA := newFleet(1)
+	nodeA, err := fleetA.nopNode("alpha")
+	must(err)
 	createScenario := Scenario{
 		Name: "create-capsule+cluster+object+interface",
 		Run: func() error {
@@ -350,10 +339,12 @@ func E5Structure() []Scenario {
 			_, err = obj.AddInterface(ifaceType)
 			return err
 		},
-		Close: func() { nodeA.Close() },
+		Close: fleetA.close,
 	}
 
-	nodeB := newNode("beta")
+	fleetB := newFleet(1)
+	nodeB, err := fleetB.nopNode("beta")
+	must(err)
 	capsule, err := nodeB.CreateCapsule()
 	must(err)
 	cluster, err := capsule.CreateCluster(engineering.ClusterOptions{})
@@ -375,7 +366,7 @@ func E5Structure() []Scenario {
 			}
 			return cluster.Reactivate()
 		},
-		Close: func() { nodeB.Close() },
+		Close: fleetB.close,
 	}
 	return []Scenario{createScenario, cycleScenario}
 }

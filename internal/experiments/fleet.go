@@ -113,8 +113,8 @@ func (f *fleet) bind(ref naming.InterfaceRef, cfg channel.BindConfig) (*channel.
 }
 
 // sessions creates a session manager over t that the fleet closes.
-func (f *fleet) sessions(t netsim.Transport, cfg channel.SessionConfig) *channel.SessionManager {
-	m := channel.NewSessionManagerWithConfig(t, cfg)
+func (f *fleet) sessions(t netsim.Transport) *channel.SessionManager {
+	m := channel.NewSessionManager(t)
 	f.own(func() { m.Close() })
 	return m
 }
@@ -173,9 +173,9 @@ func (f *fleet) groupShard(hosts ...string) (*coordination.ReplicaGroup, error) 
 	return group, nil
 }
 
-// counterNode creates an engineering node at sim://host whose interfaces
-// register with reloc and whose "counter" behaviour is an e6Counter.
-func (f *fleet) counterNode(host string, reloc engineering.LocationRegistry) (*engineering.Node, error) {
+// node creates an engineering node at sim://host whose interfaces register
+// with reloc (nil: nowhere) and which creates objects of one behaviour.
+func (f *fleet) node(host string, reloc engineering.LocationRegistry, behavior string, create func() engineering.Behavior) (*engineering.Node, error) {
 	n, err := engineering.NewNode(engineering.NodeConfig{
 		ID:        naming.NodeID(host),
 		Endpoint:  naming.Endpoint("sim://" + host),
@@ -186,10 +186,21 @@ func (f *fleet) counterNode(host string, reloc engineering.LocationRegistry) (*e
 		return nil, err
 	}
 	f.own(func() { _ = n.Close() })
-	n.Behaviors().Register("counter", func(values.Value) (engineering.Behavior, error) {
-		return &e6Counter{}, nil
+	n.Behaviors().Register(behavior, func(values.Value) (engineering.Behavior, error) {
+		return create(), nil
 	})
 	return n, nil
+}
+
+// counterNode is a node whose "counter" behaviour is an e6Counter.
+func (f *fleet) counterNode(host string, reloc engineering.LocationRegistry) (*engineering.Node, error) {
+	return f.node(host, reloc, "counter", func() engineering.Behavior { return &e6Counter{} })
+}
+
+// nopNode is a node outside any relocation domain whose "nop" behaviour
+// answers OK and holds no state: E5's structuring-cost subject.
+func (f *fleet) nopNode(host string) (*engineering.Node, error) {
+	return f.node(host, nil, "nop", func() engineering.Behavior { return nopBehavior{} })
 }
 
 // gate models a node with a fixed service capacity: a single-server

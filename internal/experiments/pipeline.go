@@ -5,18 +5,18 @@
 // holds into one vectored write, so syscalls per invocation fall as load
 // rises while an isolated call still departs immediately (no delay
 // timer). This experiment measures invocation throughput and latency
-// across a (bindings × in-flight-per-binding) grid, with the batched data
-// plane against the unbatched baseline (one write per frame, the
-// pre-batching shape), on both transports.
+// across a (bindings × in-flight-per-binding) grid, with the data plane as
+// shipped against a control built here: the same pipeline over a
+// connection without a vectored write (one Send per frame at both ends,
+// the pre-batching shape), on both transports.
 //
 // The two transports answer different questions. Real loopback TCP is
 // where batching pays: a vectored write replaces N length-prefix +
 // payload write pairs with one writev, so the batched/unbatched ratio at
 // high concurrency is the headline number (and the CI gate). The
-// simulated transport has no vectored path and its Send is a cheap
-// in-memory enqueue, so E12/sim isolates just the pipelining change —
-// decoupling callers from the wire via the send queue — and its ratio is
-// expected to sit near 1×, not 2×.
+// simulated transport has no vectored write either way, so on E12/sim the
+// control and the batched arm are the same pipeline by construction and
+// their ratio sits at 1× within noise.
 package experiments
 
 import (
@@ -26,21 +26,51 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/naming"
+	"repro/internal/netsim"
 	"repro/internal/values"
 )
+
+// frameByFrame is E12's control: a connection that has lost its vectored
+// write. Embedding the Conn interface hides the transport's SendBatch, so
+// the channel's send queue — at whichever end holds the connection —
+// falls back to one Send per frame.
+type frameByFrame struct{ netsim.Conn }
+
+// frameByFrameTransport dials control connections over the embedded
+// transport, and frameByFrameListener accepts them: the control applies
+// to both ends of a session.
+type frameByFrameTransport struct{ netsim.Transport }
+
+func (t frameByFrameTransport) Dial(ctx context.Context, ep naming.Endpoint) (netsim.Conn, error) {
+	c, err := t.Transport.Dial(ctx, ep)
+	if err != nil {
+		return nil, err
+	}
+	return frameByFrame{c}, nil
+}
+
+type frameByFrameListener struct{ netsim.Listener }
+
+func (l frameByFrameListener) Accept() (netsim.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return frameByFrame{c}, nil
+}
 
 // E12PipelineRow is one (transport, mode, bindings, in-flight) measurement.
 // Modes:
 //
-//	batched    the full data plane of this PR: pipelined bindings
+//	batched    the data plane as shipped: pipelined bindings
 //	           (MaxInFlight=k) over the per-session sender goroutine.
-//	unbatched  pipelined bindings, one write per frame — isolates the
-//	           batching contribution.
+//	unbatched  pipelined bindings over frameByFrame connections, one
+//	           write per frame — isolates the batching contribution.
 //	serial     the unpipelined baseline: the same k workers per binding
-//	           forced through MaxInFlight=1, one write per frame. This is
-//	           the pre-pipelining shape a caller saw if it serialised its
-//	           own calls per binding; the CI gate compares batched
-//	           against it.
+//	           forced through MaxInFlight=1, over frameByFrame
+//	           connections. This is the pre-pipelining shape a caller saw
+//	           if it serialised its own calls per binding; the CI gate
+//	           compares batched against it.
 type E12PipelineRow struct {
 	Transport string // "sim" or "tcp"
 	Mode      string // "batched", "unbatched" or "serial"
@@ -122,7 +152,6 @@ func E12Pipeline(transport string, bindings, inflight []int, totalCalls int) ([]
 }
 
 func e12Cell(transport, mode string, n, k, totalCalls int) (E12PipelineRow, error) {
-	unbatched := mode != "batched"
 	maxInFlight := k
 	if mode == "serial" {
 		maxInFlight = 1
@@ -135,16 +164,19 @@ func e12Cell(transport, mode string, n, k, totalCalls int) (E12PipelineRow, erro
 	if err != nil {
 		return E12PipelineRow{}, err
 	}
+	if mode != "batched" {
+		listener, clientT = frameByFrameListener{listener}, frameByFrameTransport{clientT}
+	}
 	echo := channel.HandlerFunc(
 		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 			return "OK", args, nil
 		})
-	_, ref, err := f.start(listener, channel.ServerConfig{Unbatched: unbatched}, naming.InterfaceID{Nonce: 12}, nil, echo)
+	_, ref, err := f.start(listener, channel.ServerConfig{}, naming.InterfaceID{Nonce: 12}, nil, echo)
 	if err != nil {
 		return E12PipelineRow{}, err
 	}
 
-	mgr := f.sessions(clientT, channel.SessionConfig{Unbatched: unbatched})
+	mgr := f.sessions(clientT)
 	bindings := make([]*channel.Binding, n)
 	for i := range bindings {
 		// The in-flight cap equals the worker count (serial mode pins it to

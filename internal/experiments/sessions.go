@@ -108,7 +108,7 @@ func e10Row(mode string, n, calls int) (E10SessionRow, error) {
 	bindings := make([]*channel.Binding, n)
 	for i := range bindings {
 		if mode != "shared" || i == 0 {
-			managers = append(managers, f.sessions(f.net.From("client"), channel.SessionConfig{}))
+			managers = append(managers, f.sessions(f.net.From("client")))
 		}
 		b, err := f.bind(ref, channel.BindConfig{Sessions: managers[len(managers)-1]})
 		if err != nil {
@@ -157,7 +157,7 @@ func E10SessionInvoke() []Scenario {
 	for _, n := range []int{1, 64, 256} {
 		f, _, ref, err := e10Server(int64(9500+n), n)
 		must(err)
-		mgr := f.sessions(f.net.From("client"), channel.SessionConfig{})
+		mgr := f.sessions(f.net.From("client"))
 		bindings := make([]*channel.Binding, n)
 		for i := range bindings {
 			b, err := f.bind(ref, channel.BindConfig{Sessions: mgr})

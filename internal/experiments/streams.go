@@ -88,7 +88,7 @@ func E14Cell(cfg E14Config) (E14Row, error) {
 	if err != nil {
 		return E14Row{}, err
 	}
-	mgr := f.sessions(clientT, channel.SessionConfig{})
+	mgr := f.sessions(clientT)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -243,7 +243,7 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 			return E13SwarmReport{}, err
 		}
 	}
-	wp := relocator.NewSharded(0)
+	wp := relocator.NewSharded()
 	for i := 0; i < cfg.Shards; i++ {
 		if err := wp.AddShard(fmt.Sprintf("r%d", i), relocator.New()); err != nil {
 			return E13SwarmReport{}, err
@@ -276,7 +276,7 @@ func E13Swarm(cfg E13SwarmConfig) (E13SwarmReport, error) {
 	mgrs := make([]*channel.SessionManager, cfg.Hosts)
 	caches := make([]*relocator.Cache, cfg.Hosts)
 	for h := range mgrs {
-		mgrs[h] = f.sessions(f.net.From(fmt.Sprintf("client%d", h)), channel.SessionConfig{})
+		mgrs[h] = f.sessions(f.net.From(fmt.Sprintf("client%d", h)))
 		caches[h] = relocator.NewCache(wp, 2*cfg.Services)
 	}
 

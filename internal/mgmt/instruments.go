@@ -61,6 +61,7 @@ type SessionInstruments struct {
 	BindingsAtDeath *Histogram // bindings attached when a session died or was released
 	Probes          *Counter   // liveness probes actually sent on the wire
 	ProbesCoalesced *Counter   // probes answered by an already in-flight probe
+	BadFrames       *Counter   // inbound frames dropped: undecodable, or of a kind no client end accepts
 
 	// Adaptive frame batching: the per-session sender goroutine drains
 	// whatever is queued into one vectored write, so these show the batch
@@ -279,6 +280,7 @@ func (m *Management) Sessions(name string) *SessionInstruments {
 		BindingsAtDeath: m.Registry.Histogram(p + "bindings_at_death"),
 		Probes:          m.Registry.Counter(p + "probes"),
 		ProbesCoalesced: m.Registry.Counter(p + "probes_coalesced"),
+		BadFrames:       m.Registry.Counter(p + "bad_frames"),
 		FramesPerWrite:  m.Registry.Histogram(p + "frames_per_write"),
 		BatchBytes:      m.Registry.Histogram(p + "batch_bytes"),
 		SendQueueDepth:  m.Registry.Gauge(p + "send_queue_depth"),

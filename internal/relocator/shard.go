@@ -88,11 +88,10 @@ type Sharded struct {
 
 var _ Store = (*Sharded)(nil)
 
-// NewSharded creates an empty sharded relocator front-end. ringReplicas
-// is the virtual-node count per shard (<=0 selects the default).
-func NewSharded(ringReplicas int) *Sharded {
+// NewSharded creates an empty sharded relocator front-end.
+func NewSharded() *Sharded {
 	return &Sharded{
-		ring:   hashring.New(ringReplicas),
+		ring:   hashring.New(0),
 		shards: make(map[string]Store),
 	}
 }
@@ -282,72 +281,66 @@ func (s *Sharded) Snapshot() ([]naming.InterfaceRef, error) {
 // registrations but cannot donate existing ones; AddShard then reports
 // an error after the ring has still been updated.
 func (s *Sharded) AddShard(name string, store Store) error {
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-
-	s.mu.Lock()
-	if _, dup := s.shards[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("relocator: shard %q already present", name)
-	}
-	prev := s.ring
-	next := s.ring.Clone()
-	if err := next.Add(name); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.shards[name] = store
-	s.prev = prev
-	s.ring = next
-	s.ringEpoch.Store(next.Epoch())
-	donors := make(map[string]Store, len(s.shards))
-	for n, st := range s.shards {
-		if n != name {
+	return s.changeRing(func(next *hashring.Ring) (map[string]Store, error) {
+		if _, dup := s.shards[name]; dup {
+			return nil, fmt.Errorf("relocator: shard %q already present", name)
+		}
+		if err := next.Add(name); err != nil {
+			return nil, err
+		}
+		// Every shard already on the ring may hold keys the newcomer takes.
+		donors := make(map[string]Store, len(s.shards))
+		for n, st := range s.shards {
 			donors[n] = st
 		}
-	}
-	s.mu.Unlock()
-
-	err := s.drain(donors, next, prev)
-	s.finishRebalance()
-	return err
+		s.shards[name] = store
+		return donors, nil
+	}, "")
 }
 
 // RemoveShard drains a shard's registrations to their new owners, then
 // drops it from the ring. The shard object itself is not closed.
 func (s *Sharded) RemoveShard(name string) error {
+	return s.changeRing(func(next *hashring.Ring) (map[string]Store, error) {
+		store, ok := s.shards[name]
+		if !ok {
+			return nil, fmt.Errorf("relocator: no shard %q", name)
+		}
+		if len(s.shards) == 1 {
+			return nil, fmt.Errorf("relocator: cannot remove last shard %q", name)
+		}
+		return map[string]Store{name: store}, next.Remove(name)
+	}, name)
+}
+
+// changeRing is the one ring-change protocol. edit changes the membership
+// of next, a clone of the ring, and of s.shards, under s.mu, and returns
+// the shards that may hold registrations the change moves. The ring then
+// flips with the previous one kept for the fallback read, the donors
+// drain, and the window closes; a shard named as leaving stays in
+// s.shards — reachable through that fallback — until then.
+func (s *Sharded) changeRing(edit func(next *hashring.Ring) (donors map[string]Store, err error), leaving string) error {
 	s.rebalanceMu.Lock()
 	defer s.rebalanceMu.Unlock()
 
 	s.mu.Lock()
-	store, ok := s.shards[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("relocator: no shard %q", name)
-	}
-	if len(s.shards) == 1 {
-		s.mu.Unlock()
-		return fmt.Errorf("relocator: cannot remove last shard %q", name)
-	}
-	prev := s.ring
-	next := s.ring.Clone()
-	if err := next.Remove(name); err != nil {
+	prev, next := s.ring, s.ring.Clone()
+	donors, err := edit(next)
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	// The ring flips now; the departing shard stays reachable through the
-	// prev-ring fallback until its registrations drain.
-	s.prev = prev
-	s.ring = next
+	s.prev, s.ring = prev, next
 	s.ringEpoch.Store(next.Epoch())
 	s.mu.Unlock()
 
-	err := s.drain(map[string]Store{name: store}, next, prev)
-	s.finishRebalance()
+	err = s.drain(donors, next, prev)
 
 	s.mu.Lock()
-	delete(s.shards, name)
+	s.prev = nil
+	delete(s.shards, leaving)
 	s.mu.Unlock()
+	s.rebals.Add(1)
 	return err
 }
 
@@ -397,13 +390,6 @@ func (s *Sharded) drain(donors map[string]Store, next, prev *hashring.Ring) erro
 		}
 	}
 	return firstErr
-}
-
-func (s *Sharded) finishRebalance() {
-	s.mu.Lock()
-	s.prev = nil
-	s.mu.Unlock()
-	s.rebals.Add(1)
 }
 
 // Stats returns a snapshot of front-end counters.

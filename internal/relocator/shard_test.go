@@ -13,7 +13,7 @@ import (
 
 func newShardedStore(t *testing.T, n int) (*Sharded, []*Relocator) {
 	t.Helper()
-	s := NewSharded(0)
+	s := NewSharded()
 	stores := make([]*Relocator, n)
 	for i := 0; i < n; i++ {
 		stores[i] = New()
@@ -25,7 +25,7 @@ func newShardedStore(t *testing.T, n int) (*Sharded, []*Relocator) {
 }
 
 func TestShardedEmpty(t *testing.T) {
-	s := NewSharded(0)
+	s := NewSharded()
 	if err := s.Register(ref(1, "sim://a", 0)); !errors.Is(err, ErrNoShards) {
 		t.Fatalf("register on empty ring = %v", err)
 	}

@@ -309,7 +309,7 @@ func (in *Inbound) issueGrant(cumElems, cumBytes uint64) {
 	}
 	opened := in.opened
 	in.lastGrant = time.Now()
-	grant := in.grant
+	grant, granted, grantedB := in.grant, in.granted, in.grantedB
 	in.mu.Unlock()
 	if ins := in.c.cfg.Instruments; ins != nil {
 		// Sampled once per grant cycle: the stream's lifetime delivery rate.
@@ -317,7 +317,9 @@ func (in *Inbound) issueGrant(cumElems, cumBytes uint64) {
 			ins.ElemsPerSec.Observe(uint64(float64(consumedSince) / dt))
 		}
 	}
-	grant(in.granted, in.grantedB)
+	// Cumulative totals: the producer's gate keeps the maximum, so two
+	// grants crossing on the way out cost nothing.
+	grant(granted, grantedB)
 }
 
 // finish marks the stream done and wakes Recv.

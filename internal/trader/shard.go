@@ -28,15 +28,10 @@ package trader
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/constraint"
-	"repro/internal/fanout"
 	"repro/internal/hashring"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
@@ -80,13 +75,22 @@ type shardLeg struct {
 	ins    atomic.Pointer[mgmt.ShardLegInstruments]
 }
 
+// query is one routed shard import.
+func (l *shardLeg) query(sub ImportRequest) ([]Offer, error) {
+	offers, err := l.shard.Import(sub)
+	if li := l.ins.Load(); li != nil {
+		li.RoutedImports.Inc()
+	}
+	return offers, err
+}
+
 // ShardedTrader partitions the offer space over named shards by
 // consistent hashing of the advertised service type. It satisfies Shard
 // itself, so sharded traders nest (a front-end can be a federation link
 // target or even a shard of a bigger one).
 type ShardedTrader struct {
-	name  string
-	types typerepo.Repository
+	importCore
+	name string
 
 	mu     sync.RWMutex
 	ring   *hashring.Ring
@@ -96,27 +100,19 @@ type ShardedTrader struct {
 	// computed over. Correct routing requires all exports to flow through
 	// the front-end; offers slipped directly into a shard are invisible
 	// to closure routing (the same contract a single trader has with its
-	// own store).
+	// own store). A type is never removed from it.
 	advertised map[string]bool
-	advGen     uint64
 	// moving maps a service type mid-rebalance to its previous owner, so
 	// imports during the copy window query both owners.
 	moving map[string]string
-	// closure memoises the advertised-type closure per requested type,
-	// invalidated by type-repository generation or advertised-set changes.
-	closure    map[string][]string
-	closureGen uint64
-	closureAdv uint64
+	// closure is the memo over the advertised set. Ring changes do not
+	// invalidate it — the closure is about types, not owners.
+	closure closureMemo
 
 	rebalanceMu sync.Mutex // serialises ring changes end to end
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	exports   atomic.Uint64
 	withdrs   atomic.Uint64
-	imports   atomic.Uint64
-	matched   atomic.Uint64
 	queried   atomic.Uint64
 	rebals    atomic.Uint64
 	migrated  atomic.Uint64
@@ -131,19 +127,15 @@ var _ Shard = (*ShardedTrader)(nil)
 // repository. ringReplicas is the virtual-node count per shard (<=0
 // selects the default). Add shards with AddShard.
 func NewSharded(name string, repo typerepo.Repository, ringReplicas int) *ShardedTrader {
-	seed := int64(7)
-	for _, c := range name {
-		seed = seed*31 + int64(c)
-	}
-	return &ShardedTrader{
+	s := &ShardedTrader{
 		name:       name,
-		types:      repo,
 		ring:       hashring.New(ringReplicas),
 		shards:     make(map[string]*shardLeg),
 		advertised: make(map[string]bool),
 		moving:     make(map[string]string),
-		rng:        rand.New(rand.NewSource(seed)),
 	}
+	s.importCore.init(repo, name, 7)
+	return s
 }
 
 // Name returns the front-end's name.
@@ -153,12 +145,12 @@ func (s *ShardedTrader) Name() string { return s.name }
 // call at any time; nil detaches.
 func (s *ShardedTrader) Instrument(ins *mgmt.ShardInstruments) {
 	s.insp.Store(ins)
-	if ins != nil {
-		s.mu.RLock()
-		ins.Shards.Set(int64(len(s.shards)))
-		ins.RingEpoch.Set(int64(s.ring.Epoch()))
-		s.mu.RUnlock()
+	if ins == nil {
+		s.meter.Store(nil)
+		return
 	}
+	s.meter.Store(&importMeter{ins.Imports, ins.Matched, ins.ImportLatency})
+	s.publishRing()
 }
 
 // InstrumentShards attaches a per-shard bundle provider: every current
@@ -193,33 +185,57 @@ func (s *ShardedTrader) Shards() []string {
 	return s.ring.Members()
 }
 
-// RingEpoch returns the current ring generation (advances twice per
-// rebalance: once when the ring flips, once when migration completes).
+// RingEpoch returns the current ring generation; it advances when a ring
+// change flips the ring (ShardStats.Rebalances counts the changes that
+// have settled).
 func (s *ShardedTrader) RingEpoch() uint64 { return s.ringEpoch.Load() }
 
 // Export routes the offer to the shard owning its service type. The
 // returned offer id is minted by that shard ("<shard>/<seq>"), which is
 // what lets Withdraw route by prefix.
-//
-// A ring flip racing the export could strand the offer on a shard that
-// just stopped owning the type (landing after the migration pass already
-// enumerated the bucket), so the export re-checks ownership after it
-// lands and re-routes itself if the ground moved.
 func (s *ShardedTrader) Export(serviceType string, ref naming.InterfaceRef, props values.Value) (string, error) {
+	return s.route(&Offer{ServiceType: serviceType, Ref: ref, Properties: props})
+}
+
+// Install routes an identity-preserving insert to the owner of the
+// offer's service type (nesting support; rebalance uses shard.Install
+// directly on the target).
+func (s *ShardedTrader) Install(o Offer) error {
+	if o.ID == "" {
+		return fmt.Errorf("%w: install needs an offer id", ErrBadRequest)
+	}
+	_, err := s.route(&o)
+	return err
+}
+
+// route inserts an offer at the shard owning its service type — an Export
+// when it has no id yet, an Install under the id it has — and returns the
+// id it ended up with.
+//
+// A ring flip racing the insert could strand the offer on a shard that
+// just stopped owning the type (landing after the migration pass already
+// enumerated the bucket), so the insert re-checks ownership after it
+// lands and re-routes itself if the ground moved.
+func (s *ShardedTrader) route(o *Offer) (string, error) {
 	for {
 		s.mu.RLock()
-		owner := s.ring.Owner(serviceType)
+		owner := s.ring.Owner(o.ServiceType)
 		leg := s.shards[owner]
 		s.mu.RUnlock()
 		if leg == nil {
 			return "", ErrNoShards
 		}
-		id, err := leg.shard.Export(serviceType, ref, props)
+		id, err := o.ID, error(nil)
+		if id == "" {
+			id, err = leg.shard.Export(o.ServiceType, o.Ref, o.Properties)
+		} else {
+			err = leg.shard.Install(*o)
+		}
 		if err != nil {
 			return "", err
 		}
-		if !s.settleRouted(serviceType, owner) {
-			// Ownership moved mid-export: pull the offer back from wherever
+		if !s.settleRouted(o.ServiceType, owner) {
+			// Ownership moved mid-insert: pull the offer back from wherever
 			// it ended up (old shard, or already migrated) and try again.
 			_ = s.Withdraw(id)
 			continue
@@ -234,36 +250,6 @@ func (s *ShardedTrader) Export(serviceType string, ref naming.InterfaceRef, prop
 	}
 }
 
-// Install routes an identity-preserving insert to the owner of the
-// offer's service type (nesting support; rebalance uses shard.Install
-// directly on the target). Like Export, it re-routes itself if a ring
-// flip raced the insert.
-func (s *ShardedTrader) Install(o Offer) error {
-	for {
-		s.mu.RLock()
-		owner := s.ring.Owner(o.ServiceType)
-		leg := s.shards[owner]
-		s.mu.RUnlock()
-		if leg == nil {
-			return ErrNoShards
-		}
-		if err := leg.shard.Install(o); err != nil {
-			return err
-		}
-		if !s.settleRouted(o.ServiceType, owner) {
-			_ = s.Withdraw(o.ID)
-			continue
-		}
-		s.exports.Add(1)
-		leg.offers.Add(1)
-		if li := leg.ins.Load(); li != nil {
-			li.RoutedExports.Inc()
-			li.Offers.Set(leg.offers.Load())
-		}
-		return nil
-	}
-}
-
 // settleRouted records the advertised type and confirms the shard the
 // offer landed on still owns its service type. False means a rebalance
 // flipped ownership mid-flight and the caller must re-route.
@@ -271,7 +257,6 @@ func (s *ShardedTrader) settleRouted(serviceType, owner string) bool {
 	s.mu.Lock()
 	if !s.advertised[serviceType] {
 		s.advertised[serviceType] = true
-		s.advGen++
 	}
 	ok := s.ring.Owner(serviceType) == owner
 	s.mu.Unlock()
@@ -351,50 +336,9 @@ func (s *ShardedTrader) Import(req ImportRequest) ([]Offer, error) {
 // shards consulted, LinksFailed the shards that errored (their offers
 // may be missing — Degraded).
 func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
-	if req.ServiceType == "" {
-		return ImportResult{}, fmt.Errorf("%w: empty service type", ErrBadRequest)
-	}
-	if req.MaxMatches < 0 || req.MaxHops < 0 {
-		return ImportResult{}, fmt.Errorf("%w: negative bounds", ErrBadRequest)
-	}
-	if _, err := constraint.Parse(req.Constraint); err != nil {
+	q, err := s.begin(req)
+	if err != nil {
 		return ImportResult{}, err
-	}
-	var prefExpr *constraint.Expr
-	if req.Preference.Kind == PrefMax || req.Preference.Kind == PrefMin {
-		var err error
-		prefExpr, err = constraint.Parse(req.Preference.Expr)
-		if err != nil {
-			return ImportResult{}, err
-		}
-	}
-	if _, err := s.types.LookupInterface(req.ServiceType); err != nil {
-		return ImportResult{}, fmt.Errorf("%w: %q", ErrTypeUnknown, req.ServiceType)
-	}
-
-	s.imports.Add(1)
-	ins := s.insp.Load()
-	var start time.Time
-	if ins != nil {
-		ins.Imports.Inc()
-		start = time.Now()
-	}
-
-	epoch := s.ringEpoch.Load()
-	oldLegs, curLegs := s.targetShards(req.ServiceType)
-	legs := len(oldLegs) + len(curLegs)
-	if legs == 0 {
-		// Nothing advertised substitutes for the request: an empty match,
-		// not an error (same as a single trader with no matching bucket).
-		if ins != nil {
-			ins.ShardsPerImport.Observe(0)
-			ins.ImportLatency.ObserveDuration(time.Since(start))
-		}
-		return ImportResult{}, nil
-	}
-	s.queried.Add(uint64(legs))
-	if ins != nil {
-		ins.ShardsPerImport.Observe(uint64(legs))
 	}
 
 	// Each shard collects everything it has (no truncation, no shard-side
@@ -415,77 +359,34 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	// after targetShards ran routes the import at shards that may donate
 	// their buckets before the reads land — so the import revalidates the
 	// ring epoch afterwards and re-runs under the new routing if it moved.
+	// Nothing advertised substituting for the request is no leg and an
+	// empty match, not an error (same as a single trader with no matching
+	// bucket).
 	var res ImportResult
 	var matches []Offer
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// The epoch is sampled before the routing snapshot, so a flip
-			// between the two is caught by the revalidation below.
-			epoch = s.ringEpoch.Load()
-			oldLegs, curLegs = s.targetShards(req.ServiceType)
-		}
+		// The epoch is sampled before the routing snapshot, so a flip
+		// between the two is caught by the revalidation below.
+		epoch := s.ringEpoch.Load()
+		oldLegs, curLegs := s.targetShards(req.ServiceType)
 		res = ImportResult{}
 		matches = matches[:0]
 		seen := make(map[string]bool)
 		for _, phase := range [][]*shardLeg{oldLegs, curLegs} {
-			if len(phase) == 0 {
-				continue
-			}
-			results, errs := s.queryLegs(phase, sub)
-			res.LinksQueried += len(phase)
-			for i := range phase {
-				if errs[i] != nil {
-					res.LinksFailed++
-					continue
-				}
-				for _, o := range results[i] {
-					if !seen[o.ID] {
-						seen[o.ID] = true
-						matches = append(matches, o)
-					}
-				}
+			if len(phase) > 0 {
+				results, errs := queryAll(phase, sub)
+				matches = res.merge(matches, seen, results, errs)
 			}
 		}
-		res.Degraded = res.LinksFailed > 0
+		s.queried.Add(uint64(res.LinksQueried))
 		if s.ringEpoch.Load() == epoch || attempt >= 3 {
 			break
 		}
 	}
-
-	if err := orderOffers(matches, req.Preference, prefExpr, &s.rngMu, s.rng); err != nil {
-		return ImportResult{}, err
+	if ins := s.insp.Load(); ins != nil {
+		ins.ShardsPerImport.Observe(uint64(res.LinksQueried))
 	}
-	if req.MaxMatches > 0 && len(matches) > req.MaxMatches {
-		matches = matches[:req.MaxMatches]
-	}
-	s.matched.Add(uint64(len(matches)))
-	if ins != nil {
-		ins.Matched.Add(uint64(len(matches)))
-		ins.ImportLatency.ObserveDuration(time.Since(start))
-	}
-	res.Offers = matches
-	return res, nil
-}
-
-// queryLegs fans the sub-request out over the legs, bounded-parallel
-// with the caller as one of the workers, and returns per-leg results.
-func (s *ShardedTrader) queryLegs(legs []*shardLeg, sub ImportRequest) ([][]Offer, []error) {
-	results := make([][]Offer, len(legs))
-	errs := make([]error, len(legs))
-	if len(legs) == 1 {
-		results[0], errs[0] = legs[0].shard.Import(sub)
-		if li := legs[0].ins.Load(); li != nil {
-			li.RoutedImports.Inc()
-		}
-		return results, errs
-	}
-	fanout.Do(len(legs), maxLinkFanout, func(i int) {
-		results[i], errs[i] = legs[i].shard.Import(sub)
-		if li := legs[i].ins.Load(); li != nil {
-			li.RoutedImports.Inc()
-		}
-	})
-	return results, errs
+	return s.finish(q, req, res, matches)
 }
 
 // targetShards maps a requested service type to the legs that must be
@@ -496,7 +397,7 @@ func (s *ShardedTrader) queryLegs(legs []*shardLeg, sub ImportRequest) ([][]Offe
 // shard sets are disjoint, so a leg in the old slice is never the new
 // owner of another moving type.
 func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*shardLeg) {
-	cands := s.candidateTypes(serviceType)
+	cands := closureOver(&s.closure, &s.mu, s.advertised, s.types, serviceType)
 	if len(cands) == 0 {
 		return nil, nil
 	}
@@ -526,65 +427,55 @@ func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*sh
 	return oldLegs, curLegs
 }
 
-// candidateTypes computes the subtype closure of the request over the
-// advertised set, memoised against (type-repo generation, advertised-set
-// generation). Ring changes do not invalidate it — the closure is about
-// types, not owners.
-func (s *ShardedTrader) candidateTypes(serviceType string) []string {
-	gen := s.types.Gen()
-	s.mu.RLock()
-	if s.closure != nil && s.closureGen == gen && s.closureAdv == s.advGen {
-		if cands, ok := s.closure[serviceType]; ok {
-			s.mu.RUnlock()
-			return cands
-		}
-	}
-	adv := make([]string, 0, len(s.advertised))
-	for t := range s.advertised {
-		adv = append(adv, t)
-	}
-	advGen := s.advGen
-	s.mu.RUnlock()
-
-	sort.Strings(adv)
-	cands := make([]string, 0, 1)
-	for _, at := range adv {
-		if at == serviceType {
-			cands = append(cands, at)
-			continue
-		}
-		if ok, err := s.types.IsSubtype(at, serviceType); err == nil && ok {
-			cands = append(cands, at)
-		}
-	}
-
-	s.mu.Lock()
-	if s.closure == nil || s.closureGen != gen || s.closureAdv != advGen {
-		s.closure = make(map[string][]string)
-		s.closureGen = gen
-		s.closureAdv = advGen
-	}
-	s.closure[serviceType] = cands
-	s.mu.Unlock()
-	return cands
-}
-
 // AddShard joins a shard to the ring and live-migrates every bucket
 // whose ownership moved to it. Lookups keep flowing throughout: moving
 // types are double-queried (old + new owner) until their copy completes.
 // The shard name should match the underlying trader's name so withdraw
 // prefix-routing stays exact (mismatches still work via the fallback).
 func (s *ShardedTrader) AddShard(name string, shard Shard) error {
+	leg := &shardLeg{shard: shard}
+	if p := s.legInstr.Load(); p != nil {
+		leg.ins.Store((*p)(name))
+	}
+	return s.changeRing(func(next *hashring.Ring) error {
+		if _, dup := s.shards[name]; dup {
+			return fmt.Errorf("trader: shard %q already present", name)
+		}
+		if err := next.Add(name); err != nil {
+			return err
+		}
+		s.shards[name] = leg
+		return nil
+	}, "")
+}
+
+// RemoveShard drains a shard off the ring, live-migrating its buckets to
+// their new owners, then drops it. The shard object itself is not
+// closed; the caller owns its lifecycle.
+func (s *ShardedTrader) RemoveShard(name string) error {
+	return s.changeRing(func(next *hashring.Ring) error {
+		if _, ok := s.shards[name]; !ok {
+			return fmt.Errorf("trader: no shard %q", name)
+		}
+		if len(s.shards) == 1 {
+			return fmt.Errorf("trader: cannot remove last shard %q", name)
+		}
+		return next.Remove(name)
+	}, name)
+}
+
+// changeRing is the one ring-change protocol. edit changes the membership
+// of next, a clone of the ring, and of s.shards, under s.mu; a shard named
+// as leaving stays in s.shards until its buckets are copied — imports for
+// moving types keep reaching it through the moving map — and is dropped
+// last.
+func (s *ShardedTrader) changeRing(edit func(next *hashring.Ring) error, leaving string) error {
 	s.rebalanceMu.Lock()
 	defer s.rebalanceMu.Unlock()
 
 	s.mu.Lock()
-	if _, dup := s.shards[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("trader: shard %q already present", name)
-	}
 	next := s.ring.Clone()
-	if err := next.Add(name); err != nil {
+	if err := edit(next); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -600,65 +491,25 @@ func (s *ShardedTrader) AddShard(name string, shard Shard) error {
 			moves = append(moves, migration{serviceType: t, from: oldOwner, to: newOwner})
 		}
 	}
-	leg := &shardLeg{shard: shard}
-	if p := s.legInstr.Load(); p != nil {
-		leg.ins.Store((*p)(name))
-	}
-	s.shards[name] = leg
 	s.ring = next
 	s.ringEpoch.Store(next.Epoch())
 	s.mu.Unlock()
 	s.publishRing()
 
 	err := s.migrate(moves)
-	s.finishRebalance(moves)
-	return err
-}
 
-// RemoveShard drains a shard off the ring, live-migrating its buckets to
-// their new owners, then drops it. The shard object itself is not
-// closed; the caller owns its lifecycle.
-func (s *ShardedTrader) RemoveShard(name string) error {
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-
+	// Close the double-query window; the epoch said "flipped", the
+	// rebalance count says "settled".
 	s.mu.Lock()
-	if _, ok := s.shards[name]; !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("trader: no shard %q", name)
+	for _, m := range moves {
+		delete(s.moving, m.serviceType)
 	}
-	if len(s.shards) == 1 {
-		s.mu.Unlock()
-		return fmt.Errorf("trader: cannot remove last shard %q", name)
-	}
-	next := s.ring.Clone()
-	if err := next.Remove(name); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	var moves []migration
-	for t := range s.advertised {
-		oldOwner := s.ring.Owner(t)
-		newOwner := next.Owner(t)
-		if oldOwner != newOwner && oldOwner != "" {
-			s.moving[t] = oldOwner
-			moves = append(moves, migration{serviceType: t, from: oldOwner, to: newOwner})
-		}
-	}
-	// The ring flips now, but the departing shard stays in s.shards until
-	// its buckets are copied: imports for moving types keep reaching it
-	// through the moving map.
-	s.ring = next
-	s.ringEpoch.Store(next.Epoch())
+	delete(s.shards, leaving)
 	s.mu.Unlock()
-	s.publishRing()
-
-	err := s.migrate(moves)
-	s.finishRebalance(moves)
-
-	s.mu.Lock()
-	delete(s.shards, name)
-	s.mu.Unlock()
+	s.rebals.Add(1)
+	if ins := s.insp.Load(); ins != nil {
+		ins.Rebalances.Inc()
+	}
 	s.publishRing()
 	return err
 }
@@ -724,21 +575,6 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 		}
 	}
 	return firstErr
-}
-
-// finishRebalance closes the double-query window and bumps the ring
-// epoch again so observers can tell "flipped" from "settled".
-func (s *ShardedTrader) finishRebalance(moves []migration) {
-	s.mu.Lock()
-	for _, m := range moves {
-		delete(s.moving, m.serviceType)
-	}
-	s.mu.Unlock()
-	s.rebals.Add(1)
-	if ins := s.insp.Load(); ins != nil {
-		ins.Rebalances.Inc()
-	}
-	s.publishRing()
 }
 
 // publishRing refreshes the ring-shaped gauges.

@@ -26,10 +26,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/constraint"
-	"repro/internal/fanout"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/policy"
@@ -133,58 +131,47 @@ type entry struct {
 // Trader is a repository of service offers with type-checked matching and
 // hop-bounded federation.
 type Trader struct {
-	name  string
-	types typerepo.Repository
+	importCore
+	name string
 
 	mu      sync.RWMutex
 	offers  map[string]*entry   // offer id -> entry
-	buckets map[string][]*entry // advertised service type -> entries in export order
+	buckets map[string][]*entry // advertised service type -> entries in export order; a key is never deleted
 	links   map[string]Importer
 	nextID  uint64
-	// closure memoises, per requested service type, which bucket types
-	// substitute for it. It is valid while closureGen matches the type
-	// repository's generation; Export clears it when a brand-new bucket
-	// type appears.
-	closure    map[string][]string
-	closureGen uint64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	closure closureMemo // over the bucket types
 
 	exports      atomic.Uint64
 	withdrs      atomic.Uint64
-	imports      atomic.Uint64
-	matched      atomic.Uint64
 	feder        atomic.Uint64
 	consid       atomic.Uint64
 	linksSkipped atomic.Uint64
 	linksFailed  atomic.Uint64
 
-	insp     atomic.Pointer[mgmt.TraderInstruments]
 	breakers atomic.Pointer[policy.BreakerSet]
 }
 
 // Instrument mirrors the trader's import activity into a management
 // bundle. Safe to call at any time; nil detaches.
 func (t *Trader) Instrument(ins *mgmt.TraderInstruments) {
-	t.insp.Store(ins)
+	if ins == nil {
+		t.meter.Store(nil)
+		return
+	}
+	t.meter.Store(&importMeter{ins.Imports, ins.Matched, ins.ImportLatency})
 }
 
 // New creates a trader backed by a type repository. The name prefixes
 // offer identifiers and must be unique within a federation.
 func New(name string, repo typerepo.Repository) *Trader {
-	seed := int64(1)
-	for _, c := range name {
-		seed = seed*31 + int64(c)
-	}
-	return &Trader{
+	t := &Trader{
 		name:    name,
-		types:   repo,
 		offers:  make(map[string]*entry),
 		buckets: make(map[string][]*entry),
 		links:   make(map[string]Importer),
-		rng:     rand.New(rand.NewSource(seed)),
 	}
+	t.importCore.init(repo, name, 1)
+	return t
 }
 
 // Name returns the trader's name.
@@ -195,41 +182,7 @@ func (t *Trader) Name() string { return t.name }
 // none). The advertised type and the interface's actual type must both be
 // registered, and the actual type must substitute for the advertised one.
 func (t *Trader) Export(serviceType string, ref naming.InterfaceRef, props values.Value) (string, error) {
-	if props.IsNull() {
-		props = values.Record()
-	}
-	if props.Kind() != values.KindRecord {
-		return "", fmt.Errorf("%w: got %v", ErrBadProps, props.Kind())
-	}
-	if _, err := t.types.LookupInterface(serviceType); err != nil {
-		return "", fmt.Errorf("%w: %q", ErrTypeUnknown, serviceType)
-	}
-	if ref.TypeName != serviceType {
-		ok, err := t.types.IsSubtype(ref.TypeName, serviceType)
-		if err != nil {
-			return "", fmt.Errorf("%w: %q", ErrTypeUnknown, ref.TypeName)
-		}
-		if !ok {
-			return "", fmt.Errorf("%w: %q as %q", ErrTypeMismatch, ref.TypeName, serviceType)
-		}
-	}
-	t.mu.Lock()
-	t.nextID++
-	id := fmt.Sprintf("%s/%d", t.name, t.nextID)
-	e := &entry{
-		offer: &Offer{ID: id, ServiceType: serviceType, Ref: ref, Properties: props},
-		seq:   t.nextID,
-	}
-	t.offers[id] = e
-	if _, known := t.buckets[serviceType]; !known {
-		// A brand-new bucket type may belong to closures computed before
-		// it existed; recompute them lazily.
-		t.closure = nil
-	}
-	t.buckets[serviceType] = append(t.buckets[serviceType], e)
-	t.mu.Unlock()
-	t.exports.Add(1)
-	return id, nil
+	return t.insert(&Offer{ServiceType: serviceType, Ref: ref, Properties: props})
 }
 
 // Install inserts an offer under its existing identity. Where Export
@@ -242,38 +195,58 @@ func (t *Trader) Install(o Offer) error {
 	if o.ID == "" {
 		return fmt.Errorf("%w: install needs an offer id", ErrBadRequest)
 	}
-	if o.Properties.IsNull() {
-		o.Properties = values.Record()
+	_, err := t.insert(&o)
+	return err
+}
+
+// recordProps is the one rule for offer properties: a record, Null
+// standing for (and replaced by) the empty one.
+func recordProps(props *values.Value) error {
+	if props.IsNull() {
+		*props = values.Record()
 	}
-	if o.Properties.Kind() != values.KindRecord {
-		return fmt.Errorf("%w: got %v", ErrBadProps, o.Properties.Kind())
+	if props.Kind() != values.KindRecord {
+		return fmt.Errorf("%w: got %v", ErrBadProps, props.Kind())
+	}
+	return nil
+}
+
+// insert type-checks an offer and stores it — the trader keeps o — at the
+// end of the export order: under its own id, replacing whatever held it,
+// or — when it has none yet — under a freshly minted one. It returns the
+// id.
+func (t *Trader) insert(o *Offer) (string, error) {
+	if err := recordProps(&o.Properties); err != nil {
+		return "", err
 	}
 	if _, err := t.types.LookupInterface(o.ServiceType); err != nil {
-		return fmt.Errorf("%w: %q", ErrTypeUnknown, o.ServiceType)
+		return "", fmt.Errorf("%w: %q", ErrTypeUnknown, o.ServiceType)
 	}
 	if o.Ref.TypeName != o.ServiceType {
 		ok, err := t.types.IsSubtype(o.Ref.TypeName, o.ServiceType)
 		if err != nil {
-			return fmt.Errorf("%w: %q", ErrTypeUnknown, o.Ref.TypeName)
+			return "", fmt.Errorf("%w: %q", ErrTypeUnknown, o.Ref.TypeName)
 		}
 		if !ok {
-			return fmt.Errorf("%w: %q as %q", ErrTypeMismatch, o.Ref.TypeName, o.ServiceType)
+			return "", fmt.Errorf("%w: %q as %q", ErrTypeMismatch, o.Ref.TypeName, o.ServiceType)
 		}
 	}
 	t.mu.Lock()
-	if old, ok := t.offers[o.ID]; ok {
+	t.nextID++
+	if o.ID == "" {
+		o.ID = fmt.Sprintf("%s/%d", t.name, t.nextID)
+	} else if old, ok := t.offers[o.ID]; ok {
 		t.removeLocked(old)
 	}
-	t.nextID++
-	e := &entry{offer: &Offer{ID: o.ID, ServiceType: o.ServiceType, Ref: o.Ref, Properties: o.Properties}, seq: t.nextID}
-	t.offers[o.ID] = e
-	if _, known := t.buckets[o.ServiceType]; !known {
-		t.closure = nil
-	}
+	id := o.ID // o is shared once stored
+	e := &entry{offer: o, seq: t.nextID}
+	t.offers[id] = e
+	// A brand-new bucket type grows the universe the closure memo is
+	// versioned by, which is all the invalidation it needs.
 	t.buckets[o.ServiceType] = append(t.buckets[o.ServiceType], e)
 	t.mu.Unlock()
 	t.exports.Add(1)
-	return nil
+	return id, nil
 }
 
 // removeLocked unlinks an entry from the offer map and its bucket. Caller
@@ -307,11 +280,8 @@ func (t *Trader) Withdraw(offerID string) error {
 
 // Modify replaces an offer's properties.
 func (t *Trader) Modify(offerID string, props values.Value) error {
-	if props.IsNull() {
-		props = values.Record()
-	}
-	if props.Kind() != values.KindRecord {
-		return fmt.Errorf("%w: got %v", ErrBadProps, props.Kind())
+	if err := recordProps(&props); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -391,198 +361,83 @@ func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
 // were consulted, skipped on an open circuit, or failed, and whether the
 // result is therefore partial.
 func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
-	if req.ServiceType == "" {
-		return ImportResult{}, fmt.Errorf("%w: empty service type", ErrBadRequest)
-	}
-	if req.MaxMatches < 0 || req.MaxHops < 0 {
-		return ImportResult{}, fmt.Errorf("%w: negative bounds", ErrBadRequest)
-	}
-	expr, err := constraint.Parse(req.Constraint)
+	q, err := t.begin(req)
 	if err != nil {
 		return ImportResult{}, err
 	}
-	var prefExpr *constraint.Expr
-	if req.Preference.Kind == PrefMax || req.Preference.Kind == PrefMin {
-		prefExpr, err = constraint.Parse(req.Preference.Expr)
-		if err != nil {
-			return ImportResult{}, err
-		}
-	}
-	if _, err := t.types.LookupInterface(req.ServiceType); err != nil {
-		return ImportResult{}, fmt.Errorf("%w: %q", ErrTypeUnknown, req.ServiceType)
-	}
-
-	t.imports.Add(1)
-	ins := t.insp.Load()
-	var start time.Time
-	if ins != nil {
-		ins.Imports.Inc()
-		start = time.Now()
-	}
-
-	matches, err := t.localMatches(req.ServiceType, expr)
-	if err != nil {
-		return ImportResult{}, err
-	}
+	matches := t.localMatches(req.ServiceType, q.expr)
 	var res ImportResult
 
 	// Federation: propagate with a decremented hop budget — concurrently
 	// across links — and merge at the origin, deduplicating by offer id
 	// (diamond topologies would otherwise duplicate).
 	if req.MaxHops > 0 {
-		t.mu.RLock()
-		names := make([]string, 0, len(t.links))
-		for n := range t.links {
-			names = append(names, n)
-		}
-		sort.Strings(names) // deterministic merge order
-		linked := make([]Importer, len(names))
-		for i, n := range names {
-			linked[i] = t.links[n]
-		}
-		t.mu.RUnlock()
-		if len(linked) > 0 {
+		if links := t.linkLegs(); len(links) > 0 {
 			sub := req
 			sub.MaxHops = req.MaxHops - 1
 			sub.MaxMatches = 0 // collect everything; order and truncate at the origin
 			sub.Preference = Preference{}
-			t.feder.Add(uint64(len(linked)))
-			remote, errs := t.queryLinks(names, linked, sub)
-			res.LinksQueried = len(linked)
-			for _, lerr := range errs {
-				switch {
-				case lerr == nil:
-				case errors.Is(lerr, policy.ErrCircuitOpen):
-					res.LinksSkipped++
-				default:
-					res.LinksFailed++
-				}
-			}
-			if res.LinksSkipped > 0 {
-				t.linksSkipped.Add(uint64(res.LinksSkipped))
-			}
-			if res.LinksFailed > 0 {
-				t.linksFailed.Add(uint64(res.LinksFailed))
-			}
-			res.Degraded = res.LinksSkipped+res.LinksFailed > 0
+			t.feder.Add(uint64(len(links)))
+			results, errs := queryAll(links, sub)
 			seen := make(map[string]bool, len(matches))
 			for _, o := range matches {
 				seen[o.ID] = true
 			}
-			for _, batch := range remote {
-				for _, o := range batch {
-					if !seen[o.ID] {
-						seen[o.ID] = true
-						matches = append(matches, o)
-					}
-				}
-			}
+			matches = res.merge(matches, seen, results, errs)
+			t.linksSkipped.Add(uint64(res.LinksSkipped))
+			t.linksFailed.Add(uint64(res.LinksFailed))
 		}
 	}
-
-	if err := t.orderMatches(matches, req.Preference, prefExpr); err != nil {
-		return ImportResult{}, err
-	}
-	if req.MaxMatches > 0 && len(matches) > req.MaxMatches {
-		matches = matches[:req.MaxMatches]
-	}
-	t.matched.Add(uint64(len(matches)))
-	if ins != nil {
-		ins.Matched.Add(uint64(len(matches)))
-		ins.ImportLatency.ObserveDuration(time.Since(start))
-	}
-	res.Offers = matches
-	return res, nil
+	return t.finish(q, req, res, matches)
 }
 
-// queryLinks imports from every linked trader concurrently (bounded at
-// maxLinkFanout goroutines) and returns the per-link results and errors,
-// index-aligned with linked. A dead federation partner must not fail the
-// import: its error is reported for the degradation metadata, its batch
-// stays nil, and its circuit breaker (when attached) records the outcome
-// so the next import skips it without waiting.
-func (t *Trader) queryLinks(names []string, linked []Importer, sub ImportRequest) ([][]Offer, []error) {
-	results := make([][]Offer, len(linked))
-	errs := make([]error, len(linked))
+// linkLeg is one federation link as an import queries it. A dead
+// federation partner must not fail the import: its error is reported for
+// the degradation metadata, and its circuit breaker (when a set is
+// attached) records the outcome so the next import skips it without
+// waiting.
+type linkLeg struct {
+	name     string
+	target   Importer
+	breakers *policy.BreakerSet
+}
+
+func (l linkLeg) query(sub ImportRequest) ([]Offer, error) {
+	if l.breakers == nil {
+		return l.target.Import(sub)
+	}
+	br := l.breakers.For(l.name)
+	if ok, _ := br.Allow(); !ok {
+		return nil, fmt.Errorf("%w: federation link %s", policy.ErrCircuitOpen, l.name)
+	}
+	offers, err := l.target.Import(sub)
+	br.Record(err == nil)
+	return offers, err
+}
+
+// linkLegs snapshots the federation links in name order (a deterministic
+// merge order).
+func (t *Trader) linkLegs() []linkLeg {
 	bs := t.breakers.Load()
-	queryOne := func(i int) {
-		var br *policy.Breaker
-		if bs != nil {
-			br = bs.For(names[i])
-			if ok, _ := br.Allow(); !ok {
-				errs[i] = fmt.Errorf("%w: federation link %s", policy.ErrCircuitOpen, names[i])
-				return
-			}
-		}
-		results[i], errs[i] = linked[i].Import(sub)
-		if br != nil {
-			br.Record(errs[i] == nil)
-		}
-	}
-	if len(linked) == 1 {
-		queryOne(0)
-		return results, errs
-	}
-	fanout.Do(len(linked), maxLinkFanout, queryOne)
-	return results, errs
-}
-
-// candidateTypes returns the bucket types whose offers can satisfy an
-// import of serviceType — the subtype closure of the request over the
-// types currently advertised. The result is memoised until the type
-// repository's generation moves (new type facts) or a new bucket type
-// appears (Export clears the cache).
-func (t *Trader) candidateTypes(serviceType string) []string {
-	gen := t.types.Gen()
 	t.mu.RLock()
-	if t.closureGen == gen && t.closure != nil {
-		if cands, ok := t.closure[serviceType]; ok {
-			t.mu.RUnlock()
-			return cands
-		}
-	}
-	keys := make([]string, 0, len(t.buckets))
-	for bt := range t.buckets {
-		keys = append(keys, bt)
+	legs := make([]linkLeg, 0, len(t.links))
+	for n, target := range t.links {
+		legs = append(legs, linkLeg{name: n, target: target, breakers: bs})
 	}
 	t.mu.RUnlock()
-
-	sort.Strings(keys)
-	cands := make([]string, 0, 1)
-	for _, bt := range keys {
-		if bt == serviceType {
-			cands = append(cands, bt)
-			continue
-		}
-		if ok, err := t.types.IsSubtype(bt, serviceType); err == nil && ok {
-			cands = append(cands, bt)
-		}
-	}
-
-	t.mu.Lock()
-	// Bucket types are only ever added, so their count is a generation.
-	// A closure computed before an Export or Install grew the set is
-	// stale, and memoising it now would undo the invalidation that growth
-	// performed: the new bucket would stay hidden from this request type.
-	if len(t.buckets) == len(keys) {
-		if t.closureGen != gen || t.closure == nil {
-			t.closure = make(map[string][]string)
-			t.closureGen = gen
-		}
-		t.closure[serviceType] = cands
-	}
-	t.mu.Unlock()
-	return cands
+	sort.Slice(legs, func(i, j int) bool { return legs[i].name < legs[j].name })
+	return legs
 }
 
-// localMatches scans only the candidate buckets for serviceType. The scan
-// runs under the read lock (so Modify cannot race the constraint
-// evaluation; concurrent imports still proceed in parallel) and copies out
-// only the offers that match.
-func (t *Trader) localMatches(serviceType string, expr *constraint.Expr) ([]Offer, error) {
-	cands := t.candidateTypes(serviceType)
+// localMatches scans only the candidate buckets for serviceType — its
+// subtype closure over the types currently advertised. The scan runs under
+// the read lock (so Modify cannot race the constraint evaluation;
+// concurrent imports still proceed in parallel) and copies out only the
+// offers that match.
+func (t *Trader) localMatches(serviceType string, expr *constraint.Expr) []Offer {
+	cands := closureOver(&t.closure, &t.mu, t.buckets, t.types, serviceType)
 	if len(cands) == 0 {
-		return nil, nil
+		return nil
 	}
 	var out []Offer
 	var seqs []uint64
@@ -612,7 +467,7 @@ func (t *Trader) localMatches(serviceType string, expr *constraint.Expr) ([]Offe
 		// (a single bucket is already in export order).
 		sort.Sort(bySeq{out, seqs})
 	}
-	return out, nil
+	return out
 }
 
 // bySeq sorts matched offers by their export sequence numbers.
@@ -628,13 +483,7 @@ func (s bySeq) Swap(i, j int) {
 	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
 }
 
-func (t *Trader) orderMatches(matches []Offer, pref Preference, prefExpr *constraint.Expr) error {
-	return orderOffers(matches, pref, prefExpr, &t.rngMu, t.rng)
-}
-
-// orderOffers applies a preference ordering in place. Shared by the local
-// trader and the sharded front-end (which merges matches from several
-// shards and must re-order at the origin).
+// orderOffers applies a preference ordering in place.
 func orderOffers(matches []Offer, pref Preference, prefExpr *constraint.Expr, rngMu *sync.Mutex, rng *rand.Rand) error {
 	switch pref.Kind {
 	case PrefFirst:

@@ -94,6 +94,38 @@ func (o Operation) Termination(name string) (Termination, bool) {
 	return Termination{}, false
 }
 
+// CheckArgs reports whether args are a well-typed argument list for the
+// operation: the stub's check, the same at the client and the server end.
+func (o Operation) CheckArgs(args []values.Value) error {
+	if len(args) != len(o.Params) {
+		return fmt.Errorf("%s expects %d args, got %d", o.Name, len(o.Params), len(args))
+	}
+	for i, p := range o.Params {
+		if err := p.Type.Check(args[i]); err != nil {
+			return fmt.Errorf("%s arg %q: %v", o.Name, p.Name, err)
+		}
+	}
+	return nil
+}
+
+// CheckTermination reports whether term is a declared termination of the
+// operation and results are well typed for it.
+func (o Operation) CheckTermination(term string, results []values.Value) error {
+	t, ok := o.Termination(term)
+	if !ok {
+		return fmt.Errorf("%s has no termination %q", o.Name, term)
+	}
+	if len(results) != len(t.Results) {
+		return fmt.Errorf("%s termination %q expects %d results, got %d", o.Name, term, len(t.Results), len(results))
+	}
+	for i, r := range t.Results {
+		if err := r.Type.Check(results[i]); err != nil {
+			return fmt.Errorf("%s termination %q result %q: %v", o.Name, term, r.Name, err)
+		}
+	}
+	return nil
+}
+
 // FlowDirection states which side of a stream interface emits the flow.
 type FlowDirection int
 

@@ -53,7 +53,18 @@ if go list -f '{{join .Imports "\n"}}' ./internal/coordination |
 	exit 1
 fi
 
-echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench) and this script =="
+echo "== fork gate (the data plane has one shape) =="
+# The channel decides how a frame is carried and nobody above it chooses:
+# the unbatched plane and the config type and constructor that selected it
+# may not come back. E12's control arm is built in the experiment, from a
+# connection without a vectored write. (bench/ is frozen and names none.)
+if grep -rnE 'Unbatched|NewSessionManagerWithConfig|channel\.SessionConfig' --include='*.go' \
+	--exclude-dir=bench --exclude-dir=.bench_build .; then
+	echo "a second data plane is selectable again (wrap the connection in the experiment instead)"
+	exit 1
+fi
+
+echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
@@ -61,6 +72,8 @@ find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 ca
 find internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go -name '*.go' ! -name '*_test.go' -print0 |
 	xargs -0 cat | wc -l
 find cmd/odpbench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+find internal/channel -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+find internal/trader internal/relocator -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 wc -l scripts/check.sh
 
 echo "== race detector (hot-path and fan-out packages) =="
