@@ -607,12 +607,12 @@ func TestFailureTransparencyRetries(t *testing.T) {
 
 func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 	// An attacker captures a frame and replays it on a fresh connection.
-	env2 := newEnv(t, ServerConfig{ReplayGuard: true, ReplyCacheSize: 2})
+	env2 := newEnv(t, ServerConfig{ReplayGuard: true})
 	m := &wire.Message{
 		Kind:        wire.Call,
 		BindingID:   777,
 		Seq:         1,
-		Correlation: 5,
+		Correlation: 500,
 		Target:      env2.ref.ID,
 		Operation:   "Echo",
 		Args:        []values.Value{values.Str("x")},
@@ -652,13 +652,13 @@ func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 	if env2.servant.invokedCount() != 1 {
 		t.Errorf("servant executed %d times, want 1", env2.servant.invokedCount())
 	}
-	// A regressed correlation id older than the replay window (2 below the
-	// high-water mark of 5) is rejected outright.
+	// A regressed correlation id older than the replay window (128 below the
+	// high-water mark of 500) is rejected outright.
 	old := &wire.Message{
 		Kind:        wire.Call,
 		BindingID:   777,
 		Seq:         2,
-		Correlation: 3, // not cached, and 5-3 reaches the window bound
+		Correlation: 372, // not cached, and 500-372 reaches the window bound
 		Target:      env2.ref.ID,
 		Operation:   "Echo",
 		Args:        []values.Value{values.Str("y")},

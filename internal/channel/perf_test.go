@@ -3,6 +3,7 @@ package channel
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,14 +14,56 @@ import (
 	"repro/internal/wire"
 )
 
+// blockingServant parks every Invoke until release is closed and reports how
+// many are parked, so a test can count servant executions running at once.
+type blockingServant struct {
+	cur     atomic.Int64
+	release chan struct{}
+}
+
+func (g *blockingServant) Invoke(context.Context, string, []values.Value) (string, []values.Value, error) {
+	g.cur.Add(1)
+	<-g.release
+	g.cur.Add(-1)
+	return "OK", nil, nil
+}
+
+// TestWorkerPoolDefaults pins the pool's size: a server runs GOMAXPROCS×4
+// servant executions at once, and that many calls all reach their servant
+// while every earlier one is still executing.
 func TestWorkerPoolDefaults(t *testing.T) {
 	env := newEnv(t, ServerConfig{})
-	if env.server.cfg.Workers <= 0 {
-		t.Fatalf("default Workers = %d, want > 0", env.server.cfg.Workers)
+	g := &blockingServant{release: make(chan struct{})}
+	id := ifaceID(78)
+	if err := env.server.Register(id, nil, g); err != nil {
+		t.Fatal(err)
 	}
-	if env.server.cfg.MaxGuardBindings != 1024 {
-		t.Fatalf("default MaxGuardBindings = %d, want 1024", env.server.cfg.MaxGuardBindings)
+	bg, err := Bind(naming.InterfaceRef{ID: id, TypeName: "Gate", Endpoint: "sim://server"},
+		BindConfig{Transport: env.net})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer bg.Close()
+	workers := runtime.GOMAXPROCS(0) * 4
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := bg.Invoke(context.Background(), "Anything", nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for g.cur.Load() < int64(workers) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d executions in flight, want %d (GOMAXPROCS×4)", g.cur.Load(), workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(g.release)
+	wg.Wait()
 }
 
 // gateServant counts concurrent Invoke executions and answers after a
@@ -42,12 +85,12 @@ func (g *gateServant) Invoke(context.Context, string, []values.Value) (string, [
 	return "OK", nil, nil
 }
 
-// TestWorkerPoolBoundsConcurrency drives many concurrent calls down one
-// connection with a single-worker pool: at most the worker plus the
-// connection's read loop (inline overflow) may execute servant code at
-// once, and every call must still be answered.
+// TestWorkerPoolBoundsConcurrency drives many more concurrent calls than
+// the pool and its queue hold down one connection: at most the GOMAXPROCS×4
+// workers plus the connection's read loop (inline overflow) may execute
+// servant code at once, and every call must still be answered.
 func TestWorkerPoolBoundsConcurrency(t *testing.T) {
-	env := newEnv(t, ServerConfig{Workers: 1})
+	env := newEnv(t, ServerConfig{})
 	g := &gateServant{}
 	id := ifaceID(77)
 	if err := env.server.Register(id, nil, g); err != nil {
@@ -60,7 +103,8 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	}
 	defer bg.Close()
 
-	const calls = 40
+	workers := runtime.GOMAXPROCS(0) * 4
+	calls := workers * 8 // the queue holds workers×4: the rest overflow inline
 	var wg sync.WaitGroup
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
@@ -80,18 +124,19 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if m := g.max.Load(); m > 2 {
-		t.Fatalf("max concurrent executions = %d, want <= 2 (1 worker + inline read loop)", m)
+	if m := g.max.Load(); m > int64(workers)+1 {
+		t.Fatalf("max concurrent executions = %d, want <= %d (GOMAXPROCS×4 workers + inline read loop)", m, workers+1)
 	}
 }
 
 // TestServerCloseDrainsWorkers ensures Close waits for queued work: after
 // Close returns, no servant execution is still in flight.
 func TestServerCloseDrainsWorkers(t *testing.T) {
-	env := newEnv(t, ServerConfig{Workers: 2})
+	env := newEnv(t, ServerConfig{})
 	b := env.bind(t, BindConfig{})
 	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
+	// Twice the pool, so Close finds work queued behind busy workers.
+	for i := 0; i < runtime.GOMAXPROCS(0)*4*2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -108,24 +153,29 @@ func TestServerCloseDrainsWorkers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGuardEviction checks the replay guard's binding bound: tracking a
-// binding beyond MaxGuardBindings evicts the oldest tracked binding.
+// TestGuardEviction checks the replay guard's binding bound: it tracks
+// 1,024 bindings, and the 1,025th evicts the oldest.
 func TestGuardEviction(t *testing.T) {
-	s := NewServer(nil, ServerConfig{ReplayGuard: true, MaxGuardBindings: 2})
-	for bid := uint64(1); bid <= 4; bid++ {
+	s := NewServer(nil, ServerConfig{ReplayGuard: true})
+	for bid := uint64(1); bid <= 1025; bid++ {
 		v, _ := s.guardCheck(&wire.Message{Kind: wire.Call, BindingID: bid, Correlation: 1})
 		if v != guardFresh {
 			t.Fatalf("binding %d: verdict = %v, want fresh", bid, v)
 		}
+		if bid == 1024 {
+			if _, ok := s.guards[1]; !ok {
+				t.Fatal("binding 1 evicted before the guard was full")
+			}
+		}
 	}
-	if len(s.guards) != 2 {
-		t.Fatalf("guards tracked = %d, want 2", len(s.guards))
+	if len(s.guards) != 1024 {
+		t.Fatalf("guards tracked = %d, want 1024", len(s.guards))
 	}
 	if _, ok := s.guards[1]; ok {
 		t.Fatal("oldest binding 1 still tracked after eviction")
 	}
-	if _, ok := s.guards[4]; !ok {
-		t.Fatal("newest binding 4 not tracked")
+	if _, ok := s.guards[1025]; !ok {
+		t.Fatal("newest binding 1025 not tracked")
 	}
 	// An evicted binding that reappears is tracked afresh (its correlation
 	// history restarts, so the duplicate defence degrades gracefully rather
@@ -133,8 +183,8 @@ func TestGuardEviction(t *testing.T) {
 	if v, _ := s.guardCheck(&wire.Message{Kind: wire.Call, BindingID: 1, Correlation: 9}); v != guardFresh {
 		t.Fatalf("re-tracked binding verdict = %v, want fresh", v)
 	}
-	if len(s.guards) != 2 {
-		t.Fatalf("guards tracked after re-track = %d, want 2", len(s.guards))
+	if len(s.guards) != 1024 {
+		t.Fatalf("guards tracked after re-track = %d, want 1024", len(s.guards))
 	}
 }
 
@@ -143,9 +193,9 @@ func TestGuardEviction(t *testing.T) {
 // aliasing bug (a frame recycled while a decoded view or cached reply still
 // needs it) surfaces as a wrong echo or a race report under -race.
 func TestPooledFrameAliasingStress(t *testing.T) {
-	env := newEnv(t, ServerConfig{ReplayGuard: true, ReplyCacheSize: 8})
+	env := newEnv(t, ServerConfig{ReplayGuard: true})
 	const goroutines = 8
-	const calls = 150
+	const calls = 400 // three replay windows, so cached reply frames are evicted throughout
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Churn the frame pool from outside the invocation path to maximise

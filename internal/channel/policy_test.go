@@ -79,7 +79,6 @@ func TestPolicyBackoffPacesRetries(t *testing.T) {
 		Policy: policy.RetryPolicy{
 			MaxAttempts: 3,
 			BaseBackoff: 30 * time.Millisecond,
-			Multiplier:  2,
 		},
 	})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestReplayWindowVerdicts pins the guard as a window over correlation
-// distance: an unseen id within ReplyCacheSize below the high-water mark
+// distance: an unseen id within the window (128) below the high-water mark
 // is fresh, anything older is rejected, and eviction follows distance from
 // the mark, never arrival order.
 func TestReplayWindowVerdicts(t *testing.T) {
@@ -42,6 +42,14 @@ func TestReplayWindowVerdicts(t *testing.T) {
 			{72, false, guardReplayReject}, // 200-128: just outside
 			{73, false, guardFresh},        // just inside
 		}},
+		// The window is 128 ids wide: the lowest it holds is high-127.
+		{"the oldest id in the window is still answered from the cache", append(append(
+			[]step{{373, true, guardFresh}},
+			span(374, 500, guardFresh)...),
+			step{373, false, guardReplayCached}, // 500-127
+			step{501, false, guardFresh},
+			step{373, false, guardReplayReject}, // 501-128
+		)},
 		{"a jump past the window forgets the old one", []step{
 			{5, true, guardFresh}, {1000, false, guardFresh},
 			{5, false, guardReplayReject},
@@ -70,8 +78,8 @@ func TestReplayWindowVerdicts(t *testing.T) {
 					t.Fatalf("step %d (correlation %d): reply not retained", i, st.correl)
 				}
 			}
-			if n := len(s.guards[7].replies); n > s.cfg.ReplyCacheSize {
-				t.Fatalf("guard tracks %d correlations, window is %d", n, s.cfg.ReplyCacheSize)
+			if n := len(s.guards[7].replies); n > 128 {
+				t.Fatalf("guard tracks %d correlations, window is 128", n)
 			}
 		})
 	}

@@ -51,28 +51,24 @@ type ServerConfig struct {
 	// reply cache, and correlation ids older than the cache reaches are
 	// rejected.
 	ReplayGuard bool
-	// ReplyCacheSize is the per-binding replay window (default 128): a
-	// correlation id within this distance below the binding's highest is
-	// executed if new (a retry whose first transmission was lost arrives
-	// below the ids its siblings used meanwhile) or answered from the
-	// reply cache if seen; anything older is rejected.
-	ReplyCacheSize int
-	// MaxGuardBindings bounds how many bindings the replay guard tracks
-	// (default 1024). When full, the oldest binding's state is evicted, so
-	// a flood of fresh binding ids cannot grow the guard without bound.
-	MaxGuardBindings int
-	// Workers bounds how many servant executions run concurrently
-	// (default GOMAXPROCS*4). Calls and announcements are dispatched to a
-	// fixed pool of worker goroutines instead of one goroutine per
-	// message; when the pool's queue is full the message executes inline
-	// on the connection's read loop, so every message is still handled
-	// and backpressure reaches the transport naturally.
-	Workers int
 	// Instruments enables management instrumentation of this channel end:
 	// dispatch spans (parented under the caller's trace extension, when
 	// present) and dispatch metrics. Nil disables it.
 	Instruments *mgmt.ChannelServerInstruments
 }
+
+// The server end's bounds, at the values every deployment runs with.
+const (
+	// replayWindow is how far below a binding's highest correlation id the
+	// replay guard remembers outcomes (see bindingGuard): twice the deepest
+	// pipelining a binding does (MaxInFlight 64).
+	replayWindow uint64 = 128
+	// maxGuardBindings bounds the bindings the guard tracks (see guardCheck).
+	maxGuardBindings = 1024
+	// workersPerProc sizes the pool that runs servant code, per GOMAXPROCS:
+	// servants block on locks and nested calls, so a few per processor.
+	workersPerProc = 4
+)
 
 // ServerStats counts channel events at the server end.
 type ServerStats struct {
@@ -139,15 +135,6 @@ type Server struct {
 
 // NewServer wraps a listener. Call Start to begin accepting.
 func NewServer(l netsim.Listener, cfg ServerConfig) *Server {
-	if cfg.ReplyCacheSize <= 0 {
-		cfg.ReplyCacheSize = 128
-	}
-	if cfg.MaxGuardBindings <= 0 {
-		cfg.MaxGuardBindings = 1024
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0) * 4
-	}
 	return &Server{
 		cfg:      cfg,
 		listener: l,
@@ -187,8 +174,9 @@ func (s *Server) Unregister(id naming.InterfaceID) {
 // Start begins accepting connections; it returns immediately. Use Close to
 // stop and wait for connection handlers to drain.
 func (s *Server) Start() {
-	s.tasks = make(chan task, s.cfg.Workers*4)
-	for i := 0; i < s.cfg.Workers; i++ {
+	workers := runtime.GOMAXPROCS(0) * workersPerProc
+	s.tasks = make(chan task, workers*4)
+	for i := 0; i < workers; i++ {
 		s.workerWG.Add(1)
 		go func() {
 			defer s.workerWG.Done()
@@ -762,7 +750,7 @@ const (
 )
 
 // bindingGuard is one binding's replay window: the correlation high-water
-// mark and the outcome of every correlation seen within ReplyCacheSize
+// mark and the outcome of every correlation seen within replayWindow
 // below it. A binding queues first transmissions in id order, but a retry
 // whose first transmission was lost arrives below the ids its siblings
 // used meanwhile, so "new" cannot mean "above the mark".
@@ -778,7 +766,7 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 	if !ok {
 		// Bound the number of tracked bindings: evict oldest-first so a
 		// flood of fresh binding ids cannot grow the guard without bound.
-		for len(s.guards) >= s.cfg.MaxGuardBindings && len(s.guardOrder) > 0 {
+		for len(s.guards) >= maxGuardBindings && len(s.guardOrder) > 0 {
 			evict := s.guardOrder[0]
 			s.guardOrder = s.guardOrder[1:]
 			delete(s.guards, evict)
@@ -793,8 +781,7 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 		}
 		return guardReplayCached, frame
 	}
-	window := uint64(s.cfg.ReplyCacheSize)
-	if g.maxSeen >= window && m.Correlation <= g.maxSeen-window {
+	if g.maxSeen >= replayWindow && m.Correlation <= g.maxSeen-replayWindow {
 		// Older than the window: seen and evicted, or forged. Reject rather
 		// than re-execute — this is the capture-and-replay defence.
 		return guardReplayReject, nil
@@ -802,15 +789,15 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 	// Unseen and inside the window (or above the mark): never executed,
 	// because eviction is by distance from the mark, never by arrival
 	// order — an id still inside the window cannot have been forgotten.
-	if m.Correlation > g.maxSeen && m.Correlation-g.maxSeen >= window {
+	if m.Correlation > g.maxSeen && m.Correlation-g.maxSeen >= replayWindow {
 		clear(g.replies) // the whole old window fell behind the new one
 		g.maxSeen = m.Correlation
 	}
 	for g.maxSeen < m.Correlation {
 		// Each step of the mark pushes exactly one id out of the window.
 		g.maxSeen++
-		if g.maxSeen >= window {
-			delete(g.replies, g.maxSeen-window)
+		if g.maxSeen >= replayWindow {
+			delete(g.replies, g.maxSeen-replayWindow)
 		}
 	}
 	g.replies[m.Correlation] = nil // mark in flight

@@ -54,9 +54,8 @@ func TestBusWildcardAndFilter(t *testing.T) {
 	if filtered != 1 {
 		t.Errorf("filtered deliveries = %d", filtered)
 	}
-	published, delivered := b.Stats()
-	if published != 3 || delivered != 4 {
-		t.Errorf("stats = %d, %d", published, delivered)
+	if st := b.Stats(); st.Published != 3 || st.Delivered != 4 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -7,10 +7,12 @@ package coordination
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/hashring"
 	"repro/internal/mgmt"
 	"repro/internal/values"
 )
@@ -22,14 +24,25 @@ var ErrNoSubscriber = errors.New("coordination: no subscriber for topic")
 type Event struct {
 	Topic   string
 	Payload values.Value
-	Seq     uint64 // bus-assigned, totally ordered per bus
+	Seq     uint64 // shard-assigned, totally ordered per shard
 }
 
 // Filter selects events a subscriber wants; nil accepts all.
 type Filter func(Event) bool
 
 // Bus is the event-notification function: typed publish/subscribe with
-// per-subscriber filters. A Bus is safe for concurrent use.
+// per-subscriber filters, at any shard count. Each topic is routed to one
+// shard by consistent hash — the ring the trader and relocator shard with
+// — so publishers on unrelated topics do not contend on one sequencing
+// lock; the singleton (NewBus) is the one-shard case, which routes without
+// touching the ring. Routing depends only on the ring's membership, not on
+// join order or ring epoch, and membership is fixed at construction (which
+// makes lock-free routing reads sound). A Bus is safe for concurrent use.
+//
+// Ordering: Seq numbers and total order are per shard. Events on one
+// topic (one shard) are totally ordered; a wildcard ("" topic) subscriber
+// is fanned out to every shard and sees each shard's events in that
+// shard's Seq order, with no ordering defined across shards.
 //
 // Two delivery modes exist. Subscribe registers an inline subscriber:
 // delivery is synchronous and in publication order, so tests and
@@ -38,12 +51,22 @@ type Filter func(Event) bool
 // SubscribeQueued registers a bounded-queue subscriber: Publish enqueues
 // (never blocks) and a dedicated drain goroutine invokes the callback, so
 // one slow subscriber can no longer stall publishers bus-wide. Events are
-// enqueued while the bus lock that assigned their sequence number is
+// enqueued while the shard lock that assigned their sequence number is
 // still held, so each queued subscriber observes events in strictly
 // ascending Seq order — the same order an inline subscriber would see —
-// and a full queue drops the new event (counted in QueueStats) rather
-// than blocking or reordering.
+// and a full queue drops the new event (counted in Stats) rather than
+// blocking or reordering.
 type Bus struct {
+	ring   *hashring.Ring
+	shards []*busShard // in ShardNames order
+	byName map[string]*busShard
+}
+
+// busShard is one sequencing domain: its own lock, Seq counter,
+// subscriber table and counters.
+type busShard struct {
+	name string
+
 	mu      sync.Mutex
 	nextSub int
 	nextSeq uint64
@@ -68,32 +91,83 @@ type subscription struct {
 	done chan struct{} // closed when the drain goroutine exits
 }
 
-// NewBus returns an empty bus.
-func NewBus() *Bus {
-	return &Bus{subs: make(map[int]*subscription)}
+// NewBus returns an empty bus of one shard, named "bus".
+func NewBus() *Bus { return newBus("bus") }
+
+// NewShardedBus returns a bus with n topic shards, named b0..b<n-1> on a
+// 64-virtual-point ring; n < 1 is NewBus.
+func NewShardedBus(n int) *Bus {
+	if n < 1 {
+		return NewBus()
+	}
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("b%d", i)
+	}
+	return newBus(names...)
 }
 
-// Subscribe registers fn for events on topic (empty topic = all topics),
-// optionally filtered. The returned function cancels the subscription.
-func (b *Bus) Subscribe(topic string, filter Filter, fn func(Event)) (cancel func()) {
-	b.mu.Lock()
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = &subscription{id: id, topic: topic, filter: filter, fn: fn}
-	b.mu.Unlock()
-	return func() {
-		b.mu.Lock()
-		delete(b.subs, id)
-		b.mu.Unlock()
+func newBus(names ...string) *Bus {
+	b := &Bus{ring: hashring.New(64), byName: make(map[string]*busShard, len(names))}
+	for _, name := range names {
+		sh := &busShard{name: name, subs: make(map[int]*subscription)}
+		b.ring.Add(name)
+		b.shards = append(b.shards, sh)
+		b.byName[name] = sh
 	}
+	return b
+}
+
+// shard routes a topic to its shard.
+func (b *Bus) shard(topic string) *busShard {
+	if len(b.shards) == 1 {
+		return b.shards[0]
+	}
+	return b.byName[b.ring.Owner(topic)]
+}
+
+// shardsFor is where a subscription to topic registers: the topic's
+// shard, or every shard for the wildcard "".
+func (b *Bus) shardsFor(topic string) []*busShard {
+	if topic == "" {
+		return b.shards
+	}
+	return []*busShard{b.shard(topic)}
+}
+
+// ShardFor reports which shard the topic routes to (exported so tests
+// and operators can check placement).
+func (b *Bus) ShardFor(topic string) string { return b.shard(topic).name }
+
+// ShardNames returns the shard names in construction order.
+func (b *Bus) ShardNames() []string {
+	names := make([]string, len(b.shards))
+	for i, sh := range b.shards {
+		names[i] = sh.name
+	}
+	return names
+}
+
+// Subscribe registers fn for events on topic (empty topic = all topics,
+// on every shard), optionally filtered. The returned function cancels the
+// subscription.
+func (b *Bus) Subscribe(topic string, filter Filter, fn func(Event)) (cancel func()) {
+	var cancels []func()
+	for _, sh := range b.shardsFor(topic) {
+		cancels = append(cancels, sh.add(&subscription{topic: topic, filter: filter, fn: fn}))
+	}
+	return callAll(cancels)
 }
 
 // SubscribeQueued registers fn behind a bounded delivery queue of the
 // given capacity (minimum 1). Publish enqueues without blocking; a
 // dedicated goroutine drains the queue and invokes fn, so a slow fn
 // delays only this subscriber. When the queue is full the new event is
-// dropped for this subscriber and counted in QueueStats().Dropped. The
-// filter runs in the drain goroutine, off the publisher's path.
+// dropped for this subscriber and counted in Stats().Dropped. The
+// filter runs in the drain goroutine, off the publisher's path. A
+// wildcard subscriber gets one queue (and one drain goroutine) per shard,
+// each of the given capacity, so a slow wildcard consumer still cannot
+// couple the shards to each other.
 //
 // Per-subscriber order: events arrive in strictly ascending Seq order
 // (enqueueing happens under the same lock that assigns Seq), with gaps
@@ -103,67 +177,85 @@ func (b *Bus) Subscribe(topic string, filter Filter, fn func(Event)) (cancel fun
 // already-queued event has been delivered and the drain goroutine has
 // exited, so callers can tear down without leaking goroutines.
 func (b *Bus) SubscribeQueued(topic string, filter Filter, capacity int, fn func(Event)) (cancel func()) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &subscription{
-		topic:  topic,
-		filter: filter,
-		fn:     fn,
-		q:      make(chan Event, capacity),
-		done:   make(chan struct{}),
-	}
-	go b.drain(s)
-	b.mu.Lock()
-	s.id = b.nextSub
-	b.nextSub++
-	b.subs[s.id] = s
-	b.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			b.mu.Lock()
-			delete(b.subs, s.id)
-			b.mu.Unlock()
+	var cancels []func()
+	for _, sh := range b.shardsFor(topic) {
+		s := &subscription{
+			topic:  topic,
+			filter: filter,
+			fn:     fn,
+			q:      make(chan Event, max(capacity, 1)),
+			done:   make(chan struct{}),
+		}
+		go sh.drain(s)
+		remove := sh.add(s)
+		cancels = append(cancels, func() {
+			remove()
 			// No publisher can reach s.q any more (enqueues happen under
-			// b.mu, and the subscription is gone), so closing it is safe
-			// and lets the drain goroutine finish the backlog and exit.
+			// the shard lock, and the subscription is gone), so closing it
+			// is safe and lets the drain goroutine finish the backlog and
+			// exit.
 			close(s.q)
 			<-s.done
 		})
 	}
+	var once sync.Once
+	cancelAll := callAll(cancels)
+	return func() { once.Do(cancelAll) }
+}
+
+func callAll(fns []func()) func() {
+	return func() {
+		for _, fn := range fns {
+			fn()
+		}
+	}
+}
+
+// add installs s and returns the function that removes it.
+func (sh *busShard) add(s *subscription) (remove func()) {
+	sh.mu.Lock()
+	s.id = sh.nextSub
+	sh.nextSub++
+	sh.subs[s.id] = s
+	sh.mu.Unlock()
+	return func() {
+		sh.mu.Lock()
+		delete(sh.subs, s.id)
+		sh.mu.Unlock()
+	}
 }
 
 // drain is the per-queued-subscriber delivery loop.
-func (b *Bus) drain(s *subscription) {
+func (sh *busShard) drain(s *subscription) {
 	defer close(s.done)
 	for ev := range s.q {
-		b.queued.Add(-1)
-		if ins := b.ins.Load(); ins != nil {
+		sh.queued.Add(-1)
+		if ins := sh.ins.Load(); ins != nil {
 			ins.QueueDepth.Add(-1)
 		}
 		if s.filter != nil && !s.filter(ev) {
 			continue
 		}
 		s.fn(ev)
-		b.delivered.Add(1)
+		sh.delivered.Add(1)
 	}
 }
 
-// Publish delivers an event to every matching subscriber and returns the
-// number of deliveries (for a queued subscriber, a successful enqueue
-// counts as a delivery; the callback runs asynchronously). Inline
-// subscribers are called synchronously in subscription order; queued
-// subscribers are enqueued under the sequencing lock, so each queue
-// receives events in Seq order, and a full queue drops the event rather
-// than stalling the publisher.
+// Publish delivers an event to every matching subscriber of the topic's
+// shard and returns the number of deliveries (for a queued subscriber, a
+// successful enqueue counts as a delivery; the callback runs
+// asynchronously). Inline subscribers are called synchronously in
+// subscription order; queued subscribers are enqueued under the
+// sequencing lock, so each queue receives events in Seq order, and a full
+// queue drops the event rather than stalling the publisher.
 func (b *Bus) Publish(topic string, payload values.Value) int {
-	b.mu.Lock()
-	b.nextSeq++
-	ev := Event{Topic: topic, Payload: payload, Seq: b.nextSeq}
+	sh := b.shard(topic)
+	sh.mu.Lock()
+	sh.nextSeq++
+	ev := Event{Topic: topic, Payload: payload, Seq: sh.nextSeq}
 	var inline []*subscription
 	n, stalled := 0, false
-	for _, s := range b.subs {
+	for _, s := range sh.subs {
 		if s.topic != "" && s.topic != topic {
 			continue
 		}
@@ -173,26 +265,26 @@ func (b *Bus) Publish(topic string, payload values.Value) int {
 		}
 		select {
 		case s.q <- ev:
-			b.queued.Add(1)
-			if ins := b.ins.Load(); ins != nil {
+			sh.queued.Add(1)
+			if ins := sh.ins.Load(); ins != nil {
 				ins.QueueDepth.Add(1)
 			}
 			n++
 		default:
-			b.dropped.Add(1)
+			sh.dropped.Add(1)
 			stalled = true
-			if ins := b.ins.Load(); ins != nil {
+			if ins := sh.ins.Load(); ins != nil {
 				ins.Dropped.Inc()
 			}
 		}
 	}
 	sort.Slice(inline, func(i, j int) bool { return inline[i].id < inline[j].id })
-	b.mu.Unlock()
-	b.published.Add(1)
+	sh.mu.Unlock()
+	sh.published.Add(1)
 	if stalled {
-		b.stalls.Add(1)
+		sh.stalls.Add(1)
 	}
-	if ins := b.ins.Load(); ins != nil {
+	if ins := sh.ins.Load(); ins != nil {
 		ins.Published.Inc()
 	}
 
@@ -206,7 +298,7 @@ func (b *Bus) Publish(topic string, payload values.Value) int {
 	}
 	// Atomic counters spare Publish a second lock round trip for the
 	// delivery count (and keep Stats race-free against publishers).
-	b.delivered.Add(uint64(ni))
+	sh.delivered.Add(uint64(ni))
 	return n + ni
 }
 
@@ -218,12 +310,7 @@ func (b *Bus) PublishSync(topic string, payload values.Value) error {
 	return nil
 }
 
-// Stats returns (events published, deliveries made).
-func (b *Bus) Stats() (published, delivered uint64) {
-	return b.published.Load(), b.delivered.Load()
-}
-
-// BusStats is the full counter snapshot, including the bounded-queue
+// BusStats is the bus's counter snapshot, including the bounded-queue
 // accounting: Dropped counts events discarded at full subscriber queues,
 // Stalls counts publishes that found at least one queue full, and Queued
 // is the number of events currently sitting in subscriber queues.
@@ -235,19 +322,24 @@ type BusStats struct {
 	Queued    int64
 }
 
-// QueueStats returns the full counter snapshot.
-func (b *Bus) QueueStats() BusStats {
-	return BusStats{
-		Published: b.published.Load(),
-		Delivered: b.delivered.Load(),
-		Dropped:   b.dropped.Load(),
-		Stalls:    b.stalls.Load(),
-		Queued:    b.queued.Load(),
+// Stats returns the counter snapshot, summed across shards.
+func (b *Bus) Stats() BusStats {
+	var out BusStats
+	for _, sh := range b.shards {
+		out.Published += sh.published.Load()
+		out.Delivered += sh.delivered.Load()
+		out.Dropped += sh.dropped.Load()
+		out.Stalls += sh.stalls.Load()
+		out.Queued += sh.queued.Load()
 	}
+	return out
 }
 
-// Instrument attaches (or detaches, with nil) a management bundle: a
-// queue-depth gauge plus published/dropped counters.
-func (b *Bus) Instrument(ins *mgmt.BusInstruments) {
-	b.ins.Store(ins)
+// Instrument resolves one management bundle per shard from m — a
+// queue-depth gauge plus published/dropped counters under bus.<shard>.* —
+// or detaches them all with a nil m.
+func (b *Bus) Instrument(m *mgmt.Management) {
+	for _, sh := range b.shards {
+		sh.ins.Store(m.Bus(sh.name))
+	}
 }

@@ -308,7 +308,6 @@ func TestFailoverGroupPolicyBudget(t *testing.T) {
 	g := NewFailoverGroup()
 	g.Policy = policy.RetryPolicy{
 		BaseBackoff: 20 * time.Millisecond,
-		Multiplier:  1,
 		Budget:      200 * time.Millisecond,
 	}
 	for _, n := range []string{"p", "b1", "b2"} {
@@ -322,7 +321,7 @@ func TestFailoverGroupPolicyBudget(t *testing.T) {
 	if err == nil {
 		t.Fatal("all-dead failover group succeeded")
 	}
-	// Three members, two backoffs of 20ms: at least 40ms elapsed; the
+	// Three members, backoffs of 20ms and 40ms: at least 40ms elapsed; the
 	// legacy path would return in microseconds.
 	if elapsed < 40*time.Millisecond {
 		t.Fatalf("failover cascade finished in %v; backoff not applied", elapsed)

@@ -46,18 +46,18 @@ func TestQueuedSubscriberPreservesOrder(t *testing.T) {
 			t.Fatalf("delivery out of order at %d: seq %d after %d", i, seqs[i], seqs[i-1])
 		}
 	}
-	if st := b.QueueStats(); st.Dropped != 0 || st.Queued != 0 {
+	if st := b.Stats(); st.Dropped != 0 || st.Queued != 0 {
 		t.Fatalf("unexpected queue stats: %+v", st)
 	}
 }
 
 // A full bounded queue drops new events for that subscriber (counted)
 // instead of stalling the publisher, and the drops are visible in both
-// QueueStats and the mgmt gauges.
+// Stats and the mgmt gauges (the singleton's one shard is named "bus").
 func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 	b := NewBus()
 	m := mgmt.New()
-	b.Instrument(m.Bus("b0"))
+	b.Instrument(m)
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -84,15 +84,15 @@ func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 			t.Fatalf("full-queue Publish reported %d deliveries, want 0", got)
 		}
 	}
-	st := b.QueueStats()
+	st := b.Stats()
 	if st.Dropped != extra {
 		t.Fatalf("Dropped = %d, want %d", st.Dropped, extra)
 	}
 	if st.Stalls != extra {
 		t.Fatalf("Stalls = %d, want %d", st.Stalls, extra)
 	}
-	if got := m.Registry.Gauge("bus.b0.queue_depth").Load(); got != 1 {
-		t.Fatalf("bus.b0.queue_depth = %d while one event queued, want 1", got)
+	if got := m.Registry.Gauge("bus.bus.queue_depth").Load(); got != 1 {
+		t.Fatalf("bus.bus.queue_depth = %d while one event queued, want 1", got)
 	}
 	close(release)
 	cancel()
@@ -102,11 +102,11 @@ func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("delivered %d events, want 2 (wedged + queued)", got)
 	}
-	if got := m.Registry.Gauge("bus.b0.queue_depth").Load(); got != 0 {
-		t.Fatalf("bus.b0.queue_depth = %d after drain, want 0", got)
+	if got := m.Registry.Gauge("bus.bus.queue_depth").Load(); got != 0 {
+		t.Fatalf("bus.bus.queue_depth = %d after drain, want 0", got)
 	}
-	if got := m.Registry.Counter("bus.b0.dropped").Load(); got != extra {
-		t.Fatalf("bus.b0.dropped = %d, want %d", got, extra)
+	if got := m.Registry.Counter("bus.bus.dropped").Load(); got != extra {
+		t.Fatalf("bus.bus.dropped = %d, want %d", got, extra)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestSlowQueuedSubscriberDoesNotStallBus(t *testing.T) {
 	close(release)
 	cancelSlow()
 	cancelFast()
-	if st := b.QueueStats(); st.Dropped == 0 {
+	if st := b.Stats(); st.Dropped == 0 {
 		t.Fatalf("expected drops at the wedged subscriber, got %+v", st)
 	}
 }
@@ -227,9 +227,8 @@ func TestShardedBusTopicDelivery(t *testing.T) {
 			}
 		}
 	}
-	pub, del := sb.Stats()
-	if pub != uint64(per*len(topics)) || del != uint64(per*len(topics)) {
-		t.Fatalf("Stats = (%d, %d), want (%d, %d)", pub, del, per*len(topics), per*len(topics))
+	if st := sb.Stats(); st.Published != uint64(per*len(topics)) || st.Delivered != uint64(per*len(topics)) {
+		t.Fatalf("Stats = %+v, want %d published and delivered", st, per*len(topics))
 	}
 }
 
@@ -297,7 +296,7 @@ func TestShardedBusWildcardSeesAllShards(t *testing.T) {
 	}
 }
 
-// The sharded front-end aggregates queue stats and resolves one mgmt
+// A many-shard bus sums its stats across shards and resolves one mgmt
 // bundle per shard.
 func TestShardedBusStatsAndInstruments(t *testing.T) {
 	sb := NewShardedBus(2)
@@ -311,9 +310,8 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("wildcard saw %d events, want 2", seen)
 	}
-	st := sb.QueueStats()
-	if st.Published != 2 {
-		t.Fatalf("QueueStats.Published = %d, want 2", st.Published)
+	if st := sb.Stats(); st.Published != 2 {
+		t.Fatalf("Stats.Published = %d, want 2", st.Published)
 	}
 	var published uint64
 	for _, name := range sb.ShardNames() {
@@ -321,5 +319,135 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 	}
 	if published != 2 {
 		t.Fatalf("per-shard published counters sum to %d, want 2", published)
+	}
+}
+
+// TestBusOneShardAndManyShardsAgree is the bus's differential oracle, the
+// counterpart of the trader's TestSingletonOneShardAndManyShardsAgree: one
+// script of named-topic, wildcard, filtered, inline and queued
+// subscriptions, publishes, a cancel and a full-queue drop runs against
+// the singleton, a one-shard and a four-shard bus. Every subscriber's
+// per-topic delivery sequence and the final Stats are identical across
+// the three; the singleton and the one-shard bus also agree on every Seq;
+// and a wildcard subscriber sees each shard's events in that shard's Seq
+// order.
+func TestBusOneShardAndManyShardsAgree(t *testing.T) {
+	type delivery struct {
+		payload int64
+		seq     uint64
+	}
+	type outcome struct {
+		got   map[string][]delivery // "subscriber/topic" -> deliveries in arrival order
+		stats BusStats
+	}
+	topics := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+
+	run := func(t *testing.T, b *Bus) outcome {
+		var mu sync.Mutex
+		got := map[string][]delivery{}
+		lastSeq := map[string]uint64{} // "subscriber/shard" -> last Seq seen
+		record := func(sub string) func(Event) {
+			return func(ev Event) {
+				n, _ := ev.Payload.AsInt()
+				mu.Lock()
+				defer mu.Unlock()
+				got[sub+"/"+ev.Topic] = append(got[sub+"/"+ev.Topic], delivery{n, ev.Seq})
+				k := sub + "/" + b.ShardFor(ev.Topic)
+				if ev.Seq <= lastSeq[k] {
+					t.Errorf("%s: seq %d after %d on one shard", k, ev.Seq, lastSeq[k])
+				}
+				lastSeq[k] = ev.Seq
+			}
+		}
+		even := func(ev Event) bool { n, _ := ev.Payload.AsInt(); return n%2 == 0 }
+
+		var cancels []func()
+		for _, topic := range topics {
+			cancels = append(cancels, b.Subscribe(topic, nil, record("named")))
+		}
+		cancels = append(cancels,
+			b.Subscribe("", nil, record("wildcard")),
+			b.Subscribe("alpha", even, record("filtered")),
+			b.SubscribeQueued("beta", nil, 256, record("queued")),
+			b.SubscribeQueued("", even, 256, record("queued-wildcard")))
+		cancelDelta := b.Subscribe("delta", nil, record("cancelled"))
+
+		publishAll := func(from, to int64) {
+			for n := from; n < to; n++ {
+				for _, topic := range topics {
+					b.Publish(topic, values.Int(n))
+				}
+			}
+		}
+		publishAll(0, 10)
+		cancelDelta()
+		publishAll(10, 20)
+		if err := b.PublishSync("nobody-listens-by-name", values.Int(0)); err != nil {
+			t.Errorf("PublishSync with a wildcard subscriber: %v", err)
+		}
+
+		// The full-queue drop: a capacity-1 subscriber wedged in its first
+		// callback holds one more event queued; the next two are dropped.
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		wedged := record("wedged")
+		cancelWedged := b.SubscribeQueued("gamma", nil, 1, func(ev Event) {
+			wedged(ev)
+			once.Do(func() { close(entered); <-release })
+		})
+		b.Publish("gamma", values.Int(100))
+		<-entered
+		for n := int64(101); n <= 103; n++ {
+			b.Publish("gamma", values.Int(n))
+		}
+		close(release)
+		cancelWedged()
+		for _, c := range cancels {
+			c()
+		}
+		if b.Publish("alpha", values.Int(0)) != 0 {
+			t.Error("a delivery after every subscription was cancelled")
+		}
+		return outcome{got: got, stats: b.Stats()}
+	}
+
+	fourBus, hit := NewShardedBus(4), map[string]bool{}
+	for _, topic := range topics {
+		hit[fourBus.ShardFor(topic)] = true
+	}
+	if len(hit) != 4 {
+		t.Fatalf("script topics cover %d of 4 shards", len(hit))
+	}
+	single, one, four := run(t, NewBus()), run(t, NewShardedBus(1)), run(t, fourBus)
+	if n := len(single.got["wedged/gamma"]); n != 2 {
+		t.Fatalf("wedged subscriber received %d events, want 2 (wedged + queued)", n)
+	}
+	if st := single.stats; st.Dropped != 2 || st.Stalls != 2 || st.Queued != 0 {
+		t.Fatalf("singleton stats = %+v, want 2 drops, 2 stalls, nothing queued", st)
+	}
+	payloads := func(ds []delivery) []int64 {
+		out := make([]int64, len(ds))
+		for i, d := range ds {
+			out[i] = d.payload
+		}
+		return out
+	}
+	for name, o := range map[string]outcome{"one shard": one, "four shards": four} {
+		if o.stats != single.stats {
+			t.Errorf("%s: stats = %+v, singleton has %+v", name, o.stats, single.stats)
+		}
+		if len(o.got) != len(single.got) {
+			t.Errorf("%s: %d subscriber/topic sequences, singleton has %d", name, len(o.got), len(single.got))
+		}
+		for k, want := range single.got {
+			if g, w := fmt.Sprint(payloads(o.got[k])), fmt.Sprint(payloads(want)); g != w {
+				t.Errorf("%s: %s received %s, singleton's received %s", name, k, g, w)
+			}
+		}
+	}
+	for k, want := range single.got {
+		if g, w := fmt.Sprint(one.got[k]), fmt.Sprint(want); g != w {
+			t.Errorf("one shard: %s (payload, Seq) = %s, singleton's = %s", k, g, w)
+		}
 	}
 }

@@ -41,9 +41,8 @@ func TestBusStatsUnderContention(t *testing.T) {
 	wg.Wait()
 	close(done)
 
-	published, delivered := b.Stats()
-	if published != workers*per || delivered != 2*workers*per {
+	if st := b.Stats(); st.Published != workers*per || st.Delivered != 2*workers*per {
 		t.Fatalf("stats = %d published / %d delivered, want %d / %d",
-			published, delivered, workers*per, 2*workers*per)
+			st.Published, st.Delivered, workers*per, 2*workers*per)
 	}
 }

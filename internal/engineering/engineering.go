@@ -80,9 +80,6 @@ type NodeConfig struct {
 	// constrain the structuring as Section 6.2 permits.
 	MaxClustersPerCapsule int
 	MaxObjectsPerCluster  int
-	// Seed makes interface nonces reproducible in tests. Zero means the
-	// node derives a seed from its ID.
-	Seed int64
 }
 
 // Node is a computer system in the engineering viewpoint: a nucleus plus
@@ -119,11 +116,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engineering: node %s: %w", cfg.ID, err)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		for _, c := range cfg.ID {
-			seed = seed*31 + int64(c)
-		}
+	// Interface nonces are reproducible: their seed is a hash of the ID.
+	var seed int64
+	for _, c := range cfg.ID {
+		seed = seed*31 + int64(c)
 	}
 	n := &Node{
 		cfg:      cfg,

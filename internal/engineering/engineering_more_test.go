@@ -150,3 +150,21 @@ func TestCapsuleAccessorsAndCheckpoint(t *testing.T) {
 		t.Error("Server() nil")
 	}
 }
+
+// TestInterfaceNoncesDeriveFromNodeID: a node seeds its interface nonces
+// from its ID and nothing else, so the same deployment mints the same
+// references in every process that runs it (what lets odpnode print a
+// reference a client on another host can be handed in advance), and two
+// nodes never share a nonce sequence.
+func TestInterfaceNoncesDeriveFromNodeID(t *testing.T) {
+	first := func(node string) uint64 {
+		_, ref := deploy(t, newFixture().node(t, node, NodeConfig{}), ClusterOptions{}, 0)
+		return ref.ID.Nonce
+	}
+	if a, b := first("alpha"), first("alpha"); a != b {
+		t.Errorf("node alpha minted nonce %x in one system and %x in another", a, b)
+	}
+	if a, b := first("alpha"), first("beta"); a == b {
+		t.Errorf("nodes alpha and beta minted the same first nonce %x", a)
+	}
+}

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
 // Section is one row of the experiment table: what odpbench prints under
-// one heading, and what the root benchmarks and the tier-1 smoke tests
-// fetch by id. Exactly one of Sets and Run is set.
+// one heading, and what the tier-1 smoke tests fetch by id. Exactly one of
+// Sets and Run is set.
 type Section struct {
 	ID    string // the -only name, and the Experiment of every record
 	Title string
@@ -104,7 +105,9 @@ func (s Section) Measure(smoke bool, iters int, dur time.Duration) ([]Record, st
 
 // timeScenarios warms every scenario up for a tenth of iters, times iters
 // runs of it, and closes the whole set at the end (a set may share one
-// deployment, released by one scenario's Close).
+// deployment, released by one scenario's Close). The allocation figures
+// are process-wide runtime.MemStats deltas over the timed runs — a
+// scenario's servers allocate too — which is what -benchmem reports.
 func timeScenarios(id string, iters int, scenarios []Scenario) ([]Record, error) {
 	defer func() {
 		for _, s := range scenarios {
@@ -114,8 +117,10 @@ func timeScenarios(id string, iters int, scenarios []Scenario) ([]Record, error)
 	var recs []Record
 	for _, s := range scenarios {
 		var start time.Time
+		var before, after runtime.MemStats
 		for i := -iters / 10; i < iters; i++ { // the runs below zero are the warm-up
 			if i == 0 {
+				runtime.ReadMemStats(&before)
 				start = time.Now()
 			}
 			if err := s.Run(); err != nil {
@@ -123,10 +128,16 @@ func timeScenarios(id string, iters int, scenarios []Scenario) ([]Record, error)
 			}
 		}
 		nsPerOp := float64(time.Since(start).Nanoseconds()) / float64(iters)
+		runtime.ReadMemStats(&after)
 		recs = append(recs, Record{
 			Experiment: id,
 			Scenario:   s.Name,
-			Metrics:    map[string]float64{"ns_per_op": nsPerOp, "ops_sec": 1e9 / nsPerOp},
+			Metrics: map[string]float64{
+				"ns_per_op":     nsPerOp,
+				"ops_sec":       1e9 / nsPerOp,
+				"allocs_per_op": float64(after.Mallocs-before.Mallocs) / float64(iters),
+				"bytes_per_op":  float64(after.TotalAlloc-before.TotalAlloc) / float64(iters),
+			},
 		})
 	}
 	return recs, nil

@@ -136,23 +136,22 @@ type E15BusRow struct {
 
 // E15Bus measures publish throughput over events timed publishes with
 // every shard behind a capacity gate (one broker node per shard): the
-// singleton is one gated broker, a k-shard front-end is k of them, and
-// topics spread over the ring keep the gates busy in proportion to the
-// shard count.
+// singleton is one gated broker, a k-shard bus is k of them, and topics
+// spread over the ring keep the gates busy in proportion to the shard
+// count. The singleton and the one-shard bus are one type on one code
+// path (only the shard's name differs): those two rows repeat each other.
 func E15Bus(events int) []E15BusRow {
-	single := coordination.NewBus()
-	rows := []E15BusRow{e15BusRow("singleton", 0, events, single, func(string) string { return "b0" }, []string{"b0"})}
+	rows := []E15BusRow{e15BusRow("singleton", 0, events, coordination.NewBus())}
 	for _, k := range e15BusShardCounts {
-		sb := coordination.NewShardedBus(k)
-		rows = append(rows, e15BusRow("sharded", k, events, sb, sb.ShardFor, sb.ShardNames()))
+		rows = append(rows, e15BusRow("sharded", k, events, coordination.NewShardedBus(k)))
 	}
 	return rows
 }
 
-func e15BusRow(mode string, shards, events int, bus coordination.EventBus, shardFor func(string) string, names []string) E15BusRow {
+func e15BusRow(mode string, shards, events int, bus *coordination.Bus) E15BusRow {
 	// One gate per shard: the broker node's single-server queue.
-	brokers := make(map[string]*gate, len(names))
-	for _, n := range names {
+	brokers := make(map[string]*gate)
+	for _, n := range bus.ShardNames() {
 		brokers[n] = &gate{tau: e15Tau}
 	}
 	// One wildcard subscriber, so every publish also delivers.
@@ -165,7 +164,7 @@ func e15BusRow(mode string, shards, events int, bus coordination.EventBus, shard
 	}
 	elapsed, _, _ := closedLoop(e15Publishers, events, func(_, n int) error {
 		topic := topics[n%len(topics)]
-		brokers[shardFor(topic)].pass()
+		brokers[bus.ShardFor(topic)].pass()
 		bus.Publish(topic, values.Int(int64(n)))
 		return nil
 	})

@@ -33,41 +33,12 @@ type Plan struct {
 
 // ControllerConfig parameterises a Controller.
 type ControllerConfig struct {
-	// Queue bounds the pending-transition queue (default 64). When it
-	// is full, Handle drops the transition and counts it — the detector
-	// will fire again if the condition persists.
-	Queue int
-	// Retries is how many extra attempts a failed action gets
-	// (default 2).
-	Retries int
 	// RetryDelay separates attempts (default 5ms).
 	RetryDelay time.Duration
-	// Timeout bounds one action attempt (default 5s).
-	Timeout time.Duration
 	// Breakers, when set, gates OnAlive re-admission per endpoint: heal
-	// actions claim the breaker's half-open probe so a flapping
-	// endpoint is re-admitted at most once per breaker open interval.
+	// actions claim the breaker's half-open probe so a flapping endpoint
+	// is re-admitted at most once per breaker open interval.
 	Breakers *policy.BreakerSet
-	// Log, when set, receives one line per action outcome.
-	Log func(format string, args ...any)
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Queue <= 0 {
-		c.Queue = 64
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 5 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
-	return c
 }
 
 // ControllerStats counts recovery activity.
@@ -104,10 +75,13 @@ type Controller struct {
 // NewController creates a controller and starts its worker.
 func NewController(cfg ControllerConfig) *Controller {
 	ctx, cancel := context.WithCancel(context.Background())
+	if cfg.RetryDelay <= 0 {
+		cfg.RetryDelay = 5 * time.Millisecond
+	}
 	c := &Controller{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		plans:  make(map[string]Plan),
-		q:      make(chan Transition, cfg.withDefaults().Queue),
+		q:      make(chan Transition, transitionQueue),
 		done:   make(chan struct{}),
 		cancel: cancel,
 	}
@@ -218,7 +192,6 @@ func (c *Controller) act(ctx context.Context, t Transition) {
 		allowed, probe := br.Allow()
 		if !allowed {
 			c.failures.Add(1)
-			c.logf("health: %s heal deferred: breaker open", t.Endpoint)
 			return
 		}
 		if !probe {
@@ -239,19 +212,14 @@ func (c *Controller) act(ctx context.Context, t Transition) {
 		if t.To == Alive && br != nil {
 			c.readmissions.Add(1)
 		}
-		c.logf("health: %s -> %s handled", t.Endpoint, t.To)
-	case ctx.Err() != nil:
-		// Shutting down: return the unused outcome politely. Record
-		// already ran above when a probe was claimed.
-	default:
+	case ctx.Err() == nil: // an action cut short by shutdown is not a failure
 		c.failures.Add(1)
-		c.logf("health: %s -> %s failed: %v", t.Endpoint, t.To, err)
 	}
 }
 
 func (c *Controller) attempt(ctx context.Context, hook func(context.Context, string) error, ep string) error {
 	var err error
-	for i := 0; i <= c.cfg.Retries; i++ {
+	for i := 0; i < actionAttempts; i++ {
 		if i > 0 {
 			select {
 			case <-ctx.Done():
@@ -259,18 +227,12 @@ func (c *Controller) attempt(ctx context.Context, hook func(context.Context, str
 			case <-time.After(c.cfg.RetryDelay):
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+		actx, cancel := context.WithTimeout(ctx, actionTimeout)
 		err = hook(actx, ep)
 		cancel()
 		if err == nil {
 			return nil
 		}
 	}
-	return fmt.Errorf("health: %d attempts: %w", c.cfg.Retries+1, err)
-}
-
-func (c *Controller) logf(format string, args ...any) {
-	if c.cfg.Log != nil {
-		c.cfg.Log(format, args...)
-	}
+	return fmt.Errorf("health: %d attempts: %w", actionAttempts, err)
 }

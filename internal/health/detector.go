@@ -75,15 +75,6 @@ type Config struct {
 	Interval time.Duration
 	// MinTimeout floors the per-probe timeout (default 4×Interval).
 	MinTimeout time.Duration
-	// RTTFactor scales the windowed round trip into the adaptive probe
-	// timeout: timeout = max(MinTimeout, RTTFactor × mean window RTT).
-	// A WAN latency regime shift therefore first shows up as misses —
-	// suspicion — and then, if probes start succeeding again, widens the
-	// window and the timeout follows the new regime (default 4).
-	RTTFactor float64
-	// Window is how many successful round trips the smoothing window
-	// holds (default 32).
-	Window int
 	// SuspectAfter is the consecutive misses before Suspect (default 2).
 	SuspectAfter int
 	// DeadAfter is the consecutive misses before Dead (default 4; must
@@ -98,18 +89,37 @@ type Config struct {
 	Instruments func(endpoint string) *mgmt.HealthInstruments
 }
 
+// The package's bounds, at the values every deployment runs with.
+const (
+	// rttFactor scales the windowed round trip into the adaptive probe
+	// timeout, max(MinTimeout, rttFactor × mean window RTT): a WAN latency
+	// regime shift first shows up as misses — suspicion — and then, once
+	// probes succeed again, the window and the timeout follow the new
+	// regime. 4× is the margin MinTimeout's default keeps over Interval.
+	rttFactor = 4
+	// rttWindow is how many successful round trips an endpoint's smoothing
+	// window holds: 32 probes forget a past regime in under a second at
+	// the default Interval.
+	rttWindow = 32
+	// transitionQueue bounds the controller's pending transitions. When it
+	// is full Handle drops the transition and counts it — the detector
+	// fires again if the condition persists.
+	transitionQueue = 64
+	// actionAttempts is how often the controller tries a failing action
+	// before counting a failure: two retries ride out a ring change or a
+	// promotion racing the action.
+	actionAttempts = 3
+	// actionTimeout bounds one attempt: a plan hook is a handful of
+	// control-plane calls, so one still running after 5s is stuck.
+	actionTimeout = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 20 * time.Millisecond
 	}
 	if c.MinTimeout <= 0 {
 		c.MinTimeout = 4 * c.Interval
-	}
-	if c.RTTFactor <= 0 {
-		c.RTTFactor = 4
-	}
-	if c.Window <= 0 {
-		c.Window = 32
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
@@ -149,7 +159,7 @@ type endpointState struct {
 	mu      sync.Mutex
 	state   State
 	misses  int
-	window  []time.Duration // ring of successful round trips
+	window  [rttWindow]time.Duration // ring of successful round trips
 	wi, wn  int
 	rttSum  time.Duration
 	lastRTT time.Duration
@@ -184,7 +194,6 @@ func (d *Detector) Watch(endpoint string, probe ProbeFunc) error {
 		probe:  probe,
 		cancel: cancel,
 		done:   make(chan struct{}),
-		window: make([]time.Duration, d.cfg.Window),
 	}
 	if d.cfg.Instruments != nil {
 		e.ins = d.cfg.Instruments(endpoint)
@@ -323,11 +332,7 @@ func (d *Detector) timeout(e *endpointState) time.Duration {
 	e.mu.Lock()
 	mean := e.meanLocked()
 	e.mu.Unlock()
-	to := time.Duration(float64(mean) * d.cfg.RTTFactor)
-	if to < d.cfg.MinTimeout {
-		to = d.cfg.MinTimeout
-	}
-	return to
+	return max(rttFactor*mean, d.cfg.MinTimeout)
 }
 
 func (e *endpointState) meanLocked() time.Duration {

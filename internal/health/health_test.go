@@ -123,8 +123,6 @@ func TestDetectorRTTWindowDrivesSuspicion(t *testing.T) {
 	d := New(Config{
 		Interval:     time.Millisecond,
 		MinTimeout:   2 * time.Millisecond,
-		RTTFactor:    2,
-		Window:       8,
 		SuspectAfter: 2,
 		DeadAfter:    6,
 	})
@@ -142,7 +140,7 @@ func TestDetectorRTTWindowDrivesSuspicion(t *testing.T) {
 	})
 
 	// A latency regime shift: probes still "succeed" but report round
-	// trips far beyond the adaptive timeout (2 × ~1ms window). The
+	// trips far beyond the adaptive timeout (4 × ~1ms window). The
 	// detector must count them as misses and raise suspicion.
 	probe.rtt.Store(int64(500 * time.Millisecond))
 	waitFor(t, "suspect on slow probes", func() bool {
@@ -156,6 +154,79 @@ func TestDetectorRTTWindowDrivesSuspicion(t *testing.T) {
 		st, susp, _ := d.State("wan")
 		return st == Alive && susp == 0
 	})
+}
+
+// steppedProbe hands the test one probe at a time: each call announces
+// itself on entered and then reports the round trip the test sends on rtt,
+// so every sample is judged before the next is chosen.
+type steppedProbe struct {
+	entered chan struct{}
+	rtt     chan time.Duration
+	quit    chan struct{}
+}
+
+func (p *steppedProbe) fn() ProbeFunc {
+	return func(context.Context) (time.Duration, error) {
+		select {
+		case p.entered <- struct{}{}:
+		case <-p.quit:
+			return 0, errors.New("probe: test over")
+		}
+		select {
+		case d := <-p.rtt:
+			return d, nil
+		case <-p.quit:
+			return 0, errors.New("probe: test over")
+		}
+	}
+}
+
+// TestDetectorAdaptiveTimeoutBounds pins the adaptive timeout's two bounds
+// through reported round trips: a probe is a miss beyond 4× the smoothed
+// RTT and not at it, and the smoothing window forgets a sample after
+// exactly 32 newer ones.
+func TestDetectorAdaptiveTimeoutBounds(t *testing.T) {
+	defer leakcheck.Guard(t, 2, 5*time.Second)()
+	p := &steppedProbe{entered: make(chan struct{}), rtt: make(chan time.Duration), quit: make(chan struct{})}
+	d := New(Config{Interval: time.Microsecond, MinTimeout: 10 * time.Millisecond, SuspectAfter: 100, DeadAfter: 100})
+	defer d.Close()
+	defer close(p.quit)
+	if err := d.Watch("wan", p.fn()); err != nil {
+		t.Fatal(err)
+	}
+	// report feeds one round trip and returns the endpoint's status once
+	// the detector has judged it (the next probe has begun).
+	<-p.entered
+	report := func(rtt time.Duration) EndpointStatus {
+		p.rtt <- rtt
+		<-p.entered
+		return d.Snapshot()[0]
+	}
+	var st EndpointStatus
+	for i := 0; i < 32; i++ {
+		st = report(10 * time.Millisecond)
+	}
+	if st.RTT != 10*time.Millisecond || st.Misses != 0 {
+		t.Fatalf("after 32×10ms: %+v, want RTT 10ms and no misses", st)
+	}
+	if st = report(41 * time.Millisecond); st.Misses != 1 {
+		t.Fatalf("41ms against a 10ms window: misses = %d, want 1 (timeout is 4×RTT = 40ms)", st.Misses)
+	}
+	if st = report(40 * time.Millisecond); st.Misses != 0 {
+		t.Fatalf("40ms against a 10ms window: misses = %d, want 0 (within 4×RTT)", st.Misses)
+	}
+	// The window now holds 31×10ms and, newest, one 40ms (a miss is not a
+	// sample). 31 samples of 2ms leave only that 40ms of the old regime;
+	// the 32nd pushes it out.
+	for i := 0; i < 31; i++ {
+		st = report(2 * time.Millisecond)
+	}
+	if want := (40 + 31*2) * time.Millisecond / 32; st.RTT != want {
+		t.Fatalf("after 31 newer samples: RTT = %v, want %v (one old sample left)", st.RTT, want)
+	}
+	if st = report(2 * time.Millisecond); st.RTT != 2*time.Millisecond {
+		t.Fatalf("after 32 newer samples: RTT = %v, want 2ms (old regime forgotten)", st.RTT)
+	}
 }
 
 func TestDetectorPassiveObserve(t *testing.T) {
@@ -280,7 +351,7 @@ func TestControllerRunsPlanOnTransitions(t *testing.T) {
 func TestControllerRetriesThenFails(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
 	var calls atomic.Int64
-	ctl := NewController(ControllerConfig{Retries: 2, RetryDelay: time.Millisecond})
+	ctl := NewController(ControllerConfig{RetryDelay: time.Millisecond})
 	defer ctl.Close()
 	ctl.SetFallbackPlan(Plan{
 		OnDead: func(context.Context, string) error {
@@ -293,6 +364,37 @@ func TestControllerRetriesThenFails(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", got)
 	}
+}
+
+// TestControllerBounds pins the controller's queue and per-attempt
+// deadline: behind one blocked action 64 transitions queue and the 65th is
+// dropped and counted, and every attempt's context expires in 5s.
+func TestControllerBounds(t *testing.T) {
+	defer leakcheck.Guard(t, 2, 5*time.Second)()
+	ctl := NewController(ControllerConfig{})
+	defer ctl.Close()
+	started, release := make(chan time.Duration, 1), make(chan struct{})
+	ctl.SetFallbackPlan(Plan{OnDead: func(ctx context.Context, _ string) error {
+		dl, _ := ctx.Deadline()
+		select {
+		case started <- time.Until(dl):
+		default:
+		}
+		<-release
+		return nil
+	}})
+	ctl.Handle(Transition{Endpoint: "m0", To: Dead})
+	if left := <-started; left > 5*time.Second || left < 4*time.Second {
+		t.Fatalf("action deadline %v away, want 5s", left)
+	}
+	for i := 0; i < 65; i++ { // the worker is busy: these only queue
+		ctl.Handle(Transition{Endpoint: "m0", To: Dead})
+	}
+	if st := ctl.Stats(); st.Handled != 65 || st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want 65 handled (1 running + 64 queued) and 1 dropped", st)
+	}
+	close(release)
+	waitFor(t, "queue drained", func() bool { return ctl.Stats().Actions == 65 })
 }
 
 func TestControllerBreakerGatedReadmission(t *testing.T) {

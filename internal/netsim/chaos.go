@@ -132,8 +132,6 @@ type ChaosConfig struct {
 	// and recover state. The harness itself does nothing at the network
 	// level: a restarted process simply calls Listen again.
 	Restart func(host string) error
-	// Log, when set, receives one rendered line per applied fault.
-	Log func(string)
 }
 
 // Chaos plays a Script against a Network. Drive it either in step mode
@@ -317,9 +315,6 @@ func (c *Chaos) apply(s Schedule) {
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	c.mu.Unlock()
-	if c.cfg.Log != nil {
-		c.cfg.Log(ev.String())
-	}
 }
 
 // domainPrefix marks a fault host as a federated-domain reference.

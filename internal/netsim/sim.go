@@ -388,8 +388,9 @@ type simConn struct {
 	closed bool
 	done   chan struct{} // closed with the conn; stops the delivery goroutine
 
-	sendQ    chan []byte // delayed-path queue, created lazily
+	sendQ    chan delayedFrame // delayed-path queue, created lazily
 	sendOnce sync.Once
+	txFree   time.Time // when this direction's link finishes serialising what was sent
 }
 
 func newSimConn(n *Network, local, remote naming.Endpoint) *simConn {
@@ -428,8 +429,7 @@ func (c *simConn) Send(frame []byte) error {
 		c.peer.deliver(append(bufpool.Get(len(frame)), frame...))
 		return nil
 	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
+	cp := append([]byte(nil), frame...)
 	// Imperfect link: apply loss/duplication now (seeded RNG), delay in the
 	// per-direction delivery goroutine to preserve FIFO order.
 	n.mu.Lock()
@@ -444,19 +444,25 @@ func (c *simConn) Send(frame []byte) error {
 		n.countDropped(false)
 		return nil
 	}
-	delay := p.Latency + jitter
-	if p.Bandwidth > 0 {
-		delay += time.Duration(float64(len(cp)) / float64(p.Bandwidth) * float64(time.Second))
+	// The arrival instant is fixed here, at Send: serialisation occupies
+	// the link in series (txFree), propagation does not — a link of latency
+	// L delays every frame by L, it does not carry one frame per L.
+	c.mu.Lock()
+	if now := time.Now(); c.txFree.Before(now) {
+		c.txFree = now
 	}
+	if p.Bandwidth > 0 {
+		c.txFree = c.txFree.Add(time.Duration(float64(len(cp)) / float64(p.Bandwidth) * float64(time.Second)))
+	}
+	at := c.txFree.Add(p.Latency + jitter)
+	c.mu.Unlock()
 	c.sendOnce.Do(func() {
-		c.sendQ = make(chan []byte, 1024) // bounded in-flight window for the delayed path
+		c.sendQ = make(chan delayedFrame, 1024) // bounded in-flight window for the delayed path
 		go c.deliveryLoop()
 	})
 	deliverOnce := func(b []byte) {
-		env := append(delayEnvelope{}, delayHeader(delay)...)
-		env = append(env, b...)
 		select {
-		case c.sendQ <- env:
+		case c.sendQ <- delayedFrame{frame: b, at: at}:
 		default:
 			// Window full: a real link would also drop under overload.
 			n.countDropped(false)
@@ -464,42 +470,29 @@ func (c *simConn) Send(frame []byte) error {
 	}
 	deliverOnce(cp)
 	if dup {
-		cp2 := make([]byte, len(cp))
-		copy(cp2, cp)
-		deliverOnce(cp2)
+		deliverOnce(append([]byte(nil), cp...)) // the receiver owns, and may recycle, each copy
 	}
 	return nil
 }
 
-// delayEnvelope prefixes a frame with its delivery delay so the single
-// delivery goroutine can sleep the right amount while preserving order.
-type delayEnvelope = []byte
-
-func delayHeader(d time.Duration) []byte {
-	u := uint64(d)
-	return []byte{
-		byte(u >> 56), byte(u >> 48), byte(u >> 40), byte(u >> 32),
-		byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u),
-	}
-}
-
-func parseDelayHeader(b []byte) (time.Duration, []byte) {
-	u := uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-	return time.Duration(u), b[8:]
+// delayedFrame is one frame on the delayed path and the instant it
+// arrives. The single delivery goroutine sleeps until then, so order is
+// FIFO: a frame whose jitter would overtake waits behind its predecessor.
+type delayedFrame struct {
+	frame []byte
+	at    time.Time
 }
 
 func (c *simConn) deliveryLoop() {
 	for {
 		var held bool
 		select {
-		case env := <-c.sendQ:
-			delay, frame := parseDelayHeader(env)
-			if delay > 0 {
+		case d := <-c.sendQ:
+			if wait := time.Until(d.at); wait > 0 {
 				// Interruptible sleep: a closed conn must release this
 				// goroutine even mid-latency-spike, or every flapped link
 				// leaks one.
-				t := time.NewTimer(delay)
+				t := time.NewTimer(wait)
 				select {
 				case <-t.C:
 				case <-c.done:
@@ -508,7 +501,7 @@ func (c *simConn) deliveryLoop() {
 				}
 			}
 			if !held {
-				c.peer.deliver(frame)
+				c.peer.deliver(d.frame)
 				continue
 			}
 		case <-c.done:

@@ -261,6 +261,52 @@ func TestSimLatencyOrdering(t *testing.T) {
 	}
 }
 
+// TestSimLatencyIsPipelined: a link's latency delays every frame, it does
+// not space them — 50 back-to-back frames over a 5 ms link all arrive, in
+// order, about 5 ms after they were sent (250 ms if each waited out its
+// own latency behind the previous one).
+func TestSimLatencyIsPipelined(t *testing.T) {
+	n := New(3)
+	n.SetLink("client", "server", LinkProfile{Latency: 5 * time.Millisecond})
+	l, err := n.Listen("sim://server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
+	conn, err := n.Dial(context.Background(), "sim://server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	server := <-accepted
+	const k = 50
+	start := time.Now()
+	for i := 0; i < k; i++ {
+		if err := conn.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		got, err := server.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(i) {
+			t.Fatalf("frame %d arrived out of order: %d", i, got[0])
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 5*time.Millisecond || elapsed > 100*time.Millisecond {
+		t.Errorf("%d frames over a 5ms link took %v, want about 5ms", k, elapsed)
+	}
+}
+
 func TestSimPartition(t *testing.T) {
 	n := New(5)
 	startEcho(t, n, "sim://server")

@@ -3,12 +3,13 @@ package odp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bank"
-	"repro/internal/coordination"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/mgmt"
@@ -86,17 +87,23 @@ func TestConfigWiring(t *testing.T) {
 			default:
 				t.Errorf("Directory = %T", d)
 			}
-			switch b := s.Bus.(type) {
-			case *coordination.Bus:
-				if cfg.BusShards != 0 {
-					t.Errorf("Bus is unsharded with BusShards %d", cfg.BusShards)
+			// Zero BusShards is the one-shard bus, its shard named "bus".
+			wantShards := []string{"bus"}
+			if cfg.BusShards > 0 {
+				wantShards = nil
+				for i := 0; i < cfg.BusShards; i++ {
+					wantShards = append(wantShards, fmt.Sprintf("b%d", i))
 				}
-			case *coordination.ShardedBus:
-				if len(b.ShardNames()) != cfg.BusShards {
-					t.Errorf("bus shards = %v, want %d", b.ShardNames(), cfg.BusShards)
+			}
+			if got := s.Bus.ShardNames(); !reflect.DeepEqual(got, wantShards) {
+				t.Errorf("bus shards = %v, want %v", got, wantShards)
+			}
+			if m := s.Mgmt(); m != nil {
+				for _, sh := range wantShards {
+					if name := "bus." + sh + ".published"; !strings.Contains(m.Registry.Dump(), name) {
+						t.Errorf("no %s instrument in the management dump", name)
+					}
 				}
-			default:
-				t.Errorf("Bus = %T", b)
 			}
 			if _, ok := s.Types.(*typerepo.Replicated); ok != (cfg.TypeReplicas > 0) {
 				t.Errorf("Types = %T with TypeReplicas %d", s.Types, cfg.TypeReplicas)
@@ -184,7 +191,7 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 	}
 
 	dump := s.Mgmt().Registry.Dump()
-	busShard := s.Bus.(*coordination.ShardedBus).ShardNames()[0]
+	busShard := s.Bus.ShardNames()[0]
 	for _, name := range []string{
 		"trader.trader.shard.shard0.offers",
 		"trader.trader.shards.count",

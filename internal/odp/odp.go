@@ -96,8 +96,8 @@ type Config struct {
 	// shards ("shard0"...) behind a *trader.ShardedTrader. Zero means one
 	// unsharded *trader.Trader.
 	TraderShards int
-	// BusShards partitions the event bus by topic behind a
-	// *coordination.ShardedBus. Zero means one *coordination.Bus.
+	// BusShards partitions the event bus by topic over that many shards
+	// ("b0"...). Zero means one shard, named "bus".
 	BusShards int
 	// TypeReplicas puts that many gen-fenced read replicas in front of
 	// the type repository (a *typerepo.Replicated). Zero means none.
@@ -127,7 +127,7 @@ type System struct {
 	// Directory is the trading function Deploy exports to and
 	// ImportAndBind imports from.
 	Directory trader.Shard
-	Bus       coordination.EventBus
+	Bus       *coordination.Bus
 
 	cfg      Config
 	mgmt     *mgmt.Management
@@ -196,15 +196,8 @@ func New(cfg Config) (*System, error) {
 		}
 		s.Directory = st
 	}
-	if cfg.BusShards == 0 {
-		b := coordination.NewBus()
-		b.Instrument(s.mgmt.Bus("bus"))
-		s.Bus = b
-	} else {
-		sb := coordination.NewShardedBus(cfg.BusShards)
-		sb.Instrument(s.mgmt)
-		s.Bus = sb
-	}
+	s.Bus = coordination.NewShardedBus(cfg.BusShards)
+	s.Bus.Instrument(s.mgmt)
 
 	// Bridge the relocator's callback interface onto the event bus, so
 	// every relocation watcher in the system shares one subscription

@@ -35,17 +35,9 @@ func (s State) String() string {
 // BreakerConfig tunes a circuit breaker. The zero value gets working
 // defaults (see the field comments).
 type BreakerConfig struct {
-	// Window is the sliding window over which the failure rate is
-	// computed (two half-window buckets). Default 10s.
-	Window time.Duration
-	// MinSamples is the minimum window population before the failure
-	// rate can trip the breaker. Default 5.
-	MinSamples int
-	// FailureRate in (0, 1]: the windowed rate at or above which the
-	// breaker opens. Default 0.5.
-	FailureRate float64
-	// ConsecutiveFailures opens the breaker regardless of rate after
-	// this many back-to-back failures. Default 5; negative disables.
+	// ConsecutiveFailures opens the breaker after this many back-to-back
+	// failures, whatever the windowed failure rate (see rateThreshold).
+	// Default 5; negative disables.
 	ConsecutiveFailures int
 	// OnTransition, when set, is called after a breaker trips Open or
 	// re-closes (the implicit Open -> HalfOpen probe admission is not a
@@ -63,15 +55,6 @@ type BreakerConfig struct {
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 5
-	}
-	if c.FailureRate <= 0 || c.FailureRate > 1 {
-		c.FailureRate = 0.5
-	}
 	if c.ConsecutiveFailures == 0 {
 		c.ConsecutiveFailures = 5
 	}
@@ -246,7 +229,7 @@ func (b *Breaker) Record(success bool) {
 		fails := b.curFail + b.prevFail
 		total := fails + b.curOK + b.prevOK
 		if (b.cfg.ConsecutiveFailures > 0 && b.consec >= b.cfg.ConsecutiveFailures) ||
-			(total >= b.cfg.MinSamples && float64(fails)/float64(total) >= b.cfg.FailureRate) {
+			(total >= rateMinSamples && float64(fails)/float64(total) >= rateThreshold) {
 			b.toOpenLocked(now)
 			fired, transitioned = Open, true
 		}
@@ -285,16 +268,15 @@ func (b *Breaker) toClosedLocked() {
 // rollWindowLocked shifts the two-bucket window forward when a
 // half-window has elapsed.
 func (b *Breaker) rollWindowLocked(now time.Time) {
-	half := b.cfg.Window / 2
 	if b.bucketAt.IsZero() {
 		b.bucketAt = now
 		return
 	}
 	elapsed := now.Sub(b.bucketAt)
-	if elapsed < half {
+	if elapsed < rateWindow/2 {
 		return
 	}
-	if elapsed < b.cfg.Window {
+	if elapsed < rateWindow {
 		b.prevOK, b.prevFail = b.curOK, b.curFail
 	} else {
 		b.prevOK, b.prevFail = 0, 0

@@ -33,6 +33,26 @@ var (
 	ErrCircuitOpen = errors.New("policy: circuit open")
 )
 
+// The package's bounds, at the values every deployment runs with.
+const (
+	// backoffDoublings is how often Backoff doubles the delay before it
+	// stops growing: four, so the cap is 16×BaseBackoff. Doubling thins a
+	// retry storm out; a cap that close to the base keeps an interaction's
+	// last retries inside its Budget instead of sleeping through it.
+	backoffDoublings = 4
+	// rateWindow is the sliding window (two half-window buckets) over
+	// which a closed Breaker computes its failure rate: long against any
+	// AttemptTimeout in use, so one slow call is never the whole sample.
+	rateWindow = 10 * time.Second
+	// rateMinSamples is the window population below which the rate cannot
+	// trip — the five outcomes ConsecutiveFailures defaults to, so a quiet
+	// endpoint is not opened on less evidence than a busy one.
+	rateMinSamples = 5
+	// rateThreshold is the windowed failure rate at or above which the
+	// breaker opens: an endpoint failing every other call is not serving.
+	rateThreshold = 0.5
+)
+
 // RetryPolicy bounds the attempts of one interaction. The zero value
 // means "one attempt, no timeout, no backoff" — the degenerate policy.
 type RetryPolicy struct {
@@ -47,14 +67,9 @@ type RetryPolicy struct {
 	// means the interaction is bounded only by the caller's context.
 	Budget time.Duration
 	// BaseBackoff is the delay before the first retry; each further retry
-	// multiplies it by Multiplier. Zero disables backoff (retries are
+	// doubles it, up to 16×BaseBackoff. Zero disables backoff (retries are
 	// immediate, the pre-policy behaviour).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the grown delay. Zero means 16×BaseBackoff.
-	MaxBackoff time.Duration
-	// Multiplier grows the delay between consecutive retries. Values
-	// below 1 mean 2.
-	Multiplier float64
 	// Jitter in [0, 1] subtracts up to that fraction of the delay,
 	// deterministically from Seed and the retry index, so co-ordinated
 	// retry storms decorrelate yet every run with the same seed sleeps
@@ -78,24 +93,7 @@ func (p RetryPolicy) Backoff(retry int) time.Duration {
 	if p.BaseBackoff <= 0 || retry < 1 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 16 * p.BaseBackoff
-	}
-	d := float64(p.BaseBackoff)
-	for i := 1; i < retry; i++ {
-		d *= mult
-		if d >= float64(max) {
-			break
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
+	d := float64(p.BaseBackoff << min(retry-1, backoffDoublings))
 	if j := p.Jitter; j > 0 {
 		if j > 1 {
 			j = 1

@@ -22,8 +22,9 @@ func TestAttemptsDefaults(t *testing.T) {
 }
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, Multiplier: 2, MaxBackoff: 50 * time.Millisecond}
-	want := []time.Duration{10, 20, 40, 50, 50}
+	// The delay doubles from the base and never exceeds 16× it.
+	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond}
+	want := []time.Duration{10, 20, 40, 80, 160, 160, 160}
 	for i, w := range want {
 		if got := p.Backoff(i + 1); got != w*time.Millisecond {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
@@ -32,10 +33,9 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 	if got := (RetryPolicy{}).Backoff(3); got != 0 {
 		t.Errorf("zero policy backoff = %v, want 0", got)
 	}
-	// Default cap is 16×base.
 	p2 := RetryPolicy{BaseBackoff: time.Millisecond}
 	if got := p2.Backoff(30); got != 16*time.Millisecond {
-		t.Errorf("default cap backoff = %v, want 16ms", got)
+		t.Errorf("capped backoff = %v, want 16ms", got)
 	}
 }
 
@@ -170,40 +170,72 @@ func TestBreakerConsecutiveFailuresOpen(t *testing.T) {
 }
 
 func TestBreakerFailureRateWindow(t *testing.T) {
-	b, _ := newTestBreaker(BreakerConfig{
-		MinSamples: 10, FailureRate: 0.5, ConsecutiveFailures: -1, Window: time.Minute,
-	})
-	// 5 successes + 4 failures: 9 samples, below MinSamples.
-	for i := 0; i < 5; i++ {
-		b.Record(true)
-	}
-	for i := 0; i < 4; i++ {
-		b.Record(false)
+	b, _ := newTestBreaker(BreakerConfig{ConsecutiveFailures: -1})
+	// 2 successes + 2 failures: the rate is 0.5 already, but 4 samples are
+	// below the minimum of 5.
+	for _, ok := range []bool{true, true, false, false} {
+		b.Record(ok)
 	}
 	if b.State() != Closed {
-		t.Fatalf("below MinSamples tripped: %v", b.State())
+		t.Fatalf("below the sample minimum tripped: %v", b.State())
 	}
-	// 10th sample takes the rate to 5/10 = 0.5 ≥ 0.5: trip.
+	// The 5th sample takes the rate to 3/5 ≥ 0.5: trip.
 	b.Record(false)
 	if b.State() != Open {
-		t.Fatalf("rate 0.5 did not trip: %v", b.State())
+		t.Fatalf("rate 0.6 over 5 samples did not trip: %v", b.State())
 	}
 }
 
 func TestBreakerWindowExpiry(t *testing.T) {
-	b, clk := newTestBreaker(BreakerConfig{
-		MinSamples: 4, FailureRate: 0.5, ConsecutiveFailures: -1, Window: 10 * time.Second,
-	})
+	b, clk := newTestBreaker(BreakerConfig{ConsecutiveFailures: -1})
 	b.Record(false)
 	b.Record(false)
-	// A full window later those failures have aged out entirely.
+	// A full 10 s window later those failures have aged out entirely: with
+	// them the next failure would be the 3rd of 5 samples and trip.
 	clk.Advance(11 * time.Second)
 	b.Record(true)
 	b.Record(true)
 	b.Record(false)
-	b.Record(false) // window: 2 ok, 2 fail → rate 0.5 over 4 ≥ MinSamples… trips
+	b.Record(false)
+	if b.State() != Closed {
+		t.Fatalf("failures older than the window still count: %v", b.State())
+	}
+	b.Record(false) // fresh window: 2 ok, 3 fail → rate 0.6 over 5 samples
 	if b.State() != Open {
 		t.Fatalf("fresh-window rate should trip: %v", b.State())
+	}
+}
+
+// TestBreakerRateTripBounds pins the rate trip's three bounds through the
+// clock seam: at least 5 outcomes, inside one 10 s window, at least half
+// of them failures.
+func TestBreakerRateTripBounds(t *testing.T) {
+	type sample struct {
+		after time.Duration // clock advance before the outcome
+		ok    bool
+	}
+	cases := []struct {
+		name    string
+		samples []sample
+		want    State
+	}{
+		{"4 samples at 50% stay closed", []sample{{0, true}, {0, false}, {0, true}, {0, false}}, Closed},
+		{"5 samples at 40% stay closed", []sample{{0, true}, {0, true}, {0, true}, {0, false}, {0, false}}, Closed},
+		{"6 samples at 50% trip", []sample{{0, true}, {0, true}, {0, true}, {0, false}, {0, false}, {0, false}}, Open},
+		{"5 failures inside 10s trip", []sample{{0, false}, {0, false}, {0, false}, {6 * time.Second, false}, {0, false}}, Open},
+		{"5 failures spread over more than 10s do not", []sample{{0, false}, {0, false}, {0, false}, {10 * time.Second, false}, {0, false}}, Closed},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b, clk := newTestBreaker(BreakerConfig{ConsecutiveFailures: -1})
+			for _, s := range c.samples {
+				clk.Advance(s.after)
+				b.Record(s.ok)
+			}
+			if got := b.State(); got != c.want {
+				t.Fatalf("state = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
@@ -192,11 +193,24 @@ func NewRemote(c carrier) *Remote {
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
 
+// callTimeout bounds every cross-process wait of the proxy (netchan's rule
+// 1: use timeouts): its operations' signatures carry no context, and a
+// partitioned relocator host must not block them for ever. 30s is what
+// odpnode -call, odpstat and odptrader's link contract allow a call.
+const callTimeout = 30 * time.Second
+
+// call carries one operation over invoke under callTimeout.
+func call(invoke func(context.Context, string, []values.Value) (string, []values.Value, error), op string, args []values.Value) (string, []values.Value, error) {
+	ctx, cancel := context.WithTimeout(context.TODO(), callTimeout)
+	defer cancel()
+	return invoke(ctx, op, args)
+}
+
 // Register records an interface location. A stale registration surfaces
 // as a *StaleError carrying both epochs, exactly as it would from a local
 // relocator.
 func (r *Remote) Register(ref naming.InterfaceRef) error {
-	term, res, err := r.c.Invoke(context.Background(), "Register", []values.Value{ref.ToValue()})
+	term, res, err := call(r.c.Invoke, "Register", []values.Value{ref.ToValue()})
 	if err != nil {
 		return err
 	}
@@ -220,13 +234,13 @@ func (r *Remote) Register(ref naming.InterfaceRef) error {
 
 // Lookup resolves an interface's current location.
 func (r *Remote) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
-	term, res, err := r.read(context.Background(), "Lookup", []values.Value{values.Str(id.String())})
+	term, res, err := call(r.read, "Lookup", []values.Value{values.Str(id.String())})
 	return refReply("Lookup", id, term, res, err)
 }
 
 // Move relocates an interface.
 func (r *Remote) Move(id naming.InterfaceID, to naming.Endpoint) (naming.InterfaceRef, error) {
-	term, res, err := r.c.Invoke(context.Background(), "Move", []values.Value{
+	term, res, err := call(r.c.Invoke, "Move", []values.Value{
 		values.Str(id.String()), values.Str(string(to)),
 	})
 	return refReply("Move", id, term, res, err)
@@ -250,12 +264,12 @@ func refReply(op string, id naming.InterfaceID, term string, res []values.Value,
 // error to return, so a failed call is dropped here — after the carrier's
 // own retry policy or fail-over has had its chance at it.
 func (r *Remote) Remove(id naming.InterfaceID) {
-	_, _, _ = r.c.Invoke(context.Background(), "Remove", []values.Value{values.Str(id.String())})
+	_, _, _ = call(r.c.Invoke, "Remove", []values.Value{values.Str(id.String())})
 }
 
 // Snapshot enumerates the relocator's registrations.
 func (r *Remote) Snapshot() ([]naming.InterfaceRef, error) {
-	term, res, err := r.read(context.Background(), "Snapshot", nil)
+	term, res, err := call(r.read, "Snapshot", nil)
 	if err != nil {
 		return nil, err
 	}

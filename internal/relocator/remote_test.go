@@ -2,7 +2,10 @@ package relocator
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
@@ -147,5 +150,52 @@ func TestServantArity(t *testing.T) {
 	}
 	if _, _, err := s.Invoke(context.Background(), "NoSuchOp", nil); err == nil {
 		t.Error("unknown operation should be an error")
+	}
+}
+
+// deadlineCarrier records how far away each operation's context deadline
+// was, then fails the call the way a partitioned host would: by waiting a
+// deadline out — a millisecond child of the proxy's context, so the test
+// does not sit through the proxy's own.
+type deadlineCarrier struct {
+	mu   sync.Mutex
+	left map[string]time.Duration // op -> time left at the call; absent without a deadline
+}
+
+func (c *deadlineCarrier) Invoke(ctx context.Context, op string, _ []values.Value) (string, []values.Value, error) {
+	if dl, ok := ctx.Deadline(); ok {
+		c.mu.Lock()
+		c.left[op] = time.Until(dl)
+		c.mu.Unlock()
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+	defer cancel()
+	<-ctx.Done()
+	return "", nil, ctx.Err()
+}
+
+func (c *deadlineCarrier) Close() error { return nil }
+
+// TestRemoteCallsCarryADeadline: every operation of the proxy's table
+// reaches its carrier under the 30 s call deadline, and a call that waits
+// its deadline out returns an error wrapping context.DeadlineExceeded.
+func TestRemoteCallsCarryADeadline(t *testing.T) {
+	c := &deadlineCarrier{left: map[string]time.Duration{}}
+	r := NewRemote(c)
+	id := ref(1, "sim://a", 1).ID
+	ops := map[string]func() error{
+		"Register": func() error { return r.Register(ref(1, "sim://a", 1)) },
+		"Lookup":   func() error { _, err := r.Lookup(id); return err },
+		"Move":     func() error { _, err := r.Move(id, "sim://b"); return err },
+		"Remove":   func() error { r.Remove(id); return context.DeadlineExceeded }, // has no error to return
+		"Snapshot": func() error { _, err := r.Snapshot(); return err },
+	}
+	for op, do := range ops {
+		if err := do(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s against a carrier that never answers = %v, want context.DeadlineExceeded", op, err)
+		}
+		if left, ok := c.left[op]; !ok || left > 30*time.Second || left < 29*time.Second {
+			t.Errorf("%s reached the carrier with deadline %v away (set: %v), want 30s", op, left, ok)
+		}
 	}
 }

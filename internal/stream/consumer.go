@@ -19,9 +19,6 @@ type ConsumerConfig struct {
 	// consumer's per-stream buffer ceiling — the two are the same number,
 	// which is the whole point of credit flow control.
 	Window int
-	// WindowBytes is the byte-denominated window (default 1 MiB),
-	// measured with the same wire.ValueSizeHint on both ends.
-	WindowBytes int
 	// Instruments enables mgmt metrics for this consumer. Nil disables.
 	Instruments *mgmt.StreamInstruments
 }
@@ -47,9 +44,6 @@ type streamKey struct{ binding, stream uint64 }
 func NewConsumer(cfg ConsumerConfig) *Consumer {
 	if cfg.Window <= 0 {
 		cfg.Window = 256
-	}
-	if cfg.WindowBytes <= 0 {
-		cfg.WindowBytes = 1 << 20
 	}
 	return &Consumer{
 		cfg:     cfg,
@@ -119,7 +113,7 @@ func (c *Consumer) StreamBatch(b channel.StreamBatch) {
 		}
 		// The initial window, granted before anyone Accepts: open is the
 		// only round-trip a stream ever pays.
-		in.issueGrant(uint64(c.cfg.Window), uint64(c.cfg.WindowBytes))
+		in.issueGrant(uint64(c.cfg.Window), windowBytes)
 	case channel.StreamElems:
 		c.mu.Lock()
 		in := c.streams[key]
@@ -281,16 +275,14 @@ func (in *Inbound) Recv(ctx context.Context) (values.Value, error) {
 func (in *Inbound) maybeGrant() {
 	in.mu.Lock()
 	targetE := in.consElems + uint64(in.c.cfg.Window)
-	targetB := in.consBytes + uint64(in.c.cfg.WindowBytes)
+	targetB := in.consBytes + windowBytes
 	due := !in.done &&
 		(targetE-in.granted >= uint64(in.c.cfg.Window)/2 ||
-			targetB-in.grantedB >= uint64(in.c.cfg.WindowBytes)/2)
-	if !due {
-		in.mu.Unlock()
-		return
-	}
+			targetB-in.grantedB >= windowBytes/2)
 	in.mu.Unlock()
-	in.issueGrant(targetE, targetB)
+	if due {
+		in.issueGrant(targetE, targetB)
+	}
 }
 
 // issueGrant records and transmits one cumulative grant.

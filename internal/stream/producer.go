@@ -14,15 +14,6 @@ import (
 
 // ProducerConfig configures the producing end of one flow stream.
 type ProducerConfig struct {
-	// MaxBatch bounds elements per FlowBatch frame (default 64). The pump
-	// batches adaptively: a slow wire grows batches toward this bound, an
-	// idle one sends singletons immediately — the same shape as the
-	// session sender's frame batching, one level up.
-	MaxBatch int
-	// Buffer is the hand-off queue between Send and the pump goroutine,
-	// in elements (default 256). Together with the credit window it is
-	// the producer's whole memory ceiling: Send blocks when it is full.
-	Buffer int
 	// FailFast makes Send return ErrNoCredit when the window is empty
 	// instead of blocking (load shedding for sources that cannot pause).
 	FailFast bool
@@ -70,12 +61,6 @@ type Producer struct {
 // grant arrives; the first Send blocks for it (the open round-trip is the
 // stream's only latency cost — after it, credit pipelines with data).
 func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConfig) (*Producer, error) {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 256
-	}
 	gate := newCreditGate()
 	ins := cfg.Instruments
 	onGrant := func(cumElems, cumBytes uint64) {
@@ -94,7 +79,7 @@ func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConf
 		fs:   fs,
 		gate: gate,
 		cfg:  cfg,
-		pump: make(chan values.Value, cfg.Buffer),
+		pump: make(chan values.Value, sendBuffer),
 		done: make(chan struct{}),
 	}
 	go p.run()
@@ -104,7 +89,7 @@ func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConf
 // Send writes one element to the stream. It blocks while the credit
 // window is exhausted (the consumer is behind) or the local buffer is
 // full — that blocking IS the backpressure; memory never grows past
-// Buffer + the batch in flight. With FailFast it returns ErrNoCredit
+// sendBuffer + the batch in flight. With FailFast it returns ErrNoCredit
 // instead of blocking on credit. A dead stream returns an error chain
 // matching both channel.ErrStreamClosed and channel.ErrDisconnected.
 func (p *Producer) Send(ctx context.Context, v values.Value) error {
@@ -188,13 +173,13 @@ func (p *Producer) fail(err error) {
 
 // run is the pump: the single goroutine that owns the wire end, so
 // elements from concurrent Senders serialise into per-flow FIFO order. It
-// batches adaptively — everything already buffered (up to MaxBatch) goes
+// batches adaptively — everything already buffered (up to maxBatch) goes
 // out in one frame — and after a wire failure it keeps draining so no
 // Sender stays blocked on a full buffer.
 func (p *Producer) run() {
 	defer close(p.done)
 	ins := p.cfg.Instruments
-	scratch := make([]values.Value, 0, p.cfg.MaxBatch)
+	scratch := make([]values.Value, 0, maxBatch)
 	open := true
 	for open {
 		v, ok := <-p.pump
@@ -203,7 +188,7 @@ func (p *Producer) run() {
 		}
 		batch := append(scratch[:0], v)
 	fill:
-		for len(batch) < p.cfg.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case v2, ok2 := <-p.pump:
 				if !ok2 {

@@ -23,6 +23,19 @@ import (
 	"time"
 )
 
+// The package's bounds: beside the consumer's Window, a stream's memory ceiling.
+const (
+	// maxBatch bounds elements per FlowBatch frame: the pump sends whatever
+	// is buffered, so batches grow toward it only behind a slow wire.
+	maxBatch = 64
+	// sendBuffer is the hand-off queue between Send and the pump, in
+	// elements: four batches, so the pump is fed while one is on the wire.
+	sendBuffer = 256
+	// windowBytes is the credit window in bytes (wire.ValueSizeHint at both
+	// ends): 1 MiB, the session send queue's own bound.
+	windowBytes uint64 = 1 << 20
+)
+
 // ErrNoCredit is returned by a fail-fast producer's Send when the credit
 // window is exhausted: the consumer has not yet absorbed what it already
 // granted. It is the streaming analogue of channel.ErrTooManyInFlight —

@@ -150,7 +150,7 @@ func TestStreamBackpressure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	p, err := Open(ctx, b, "ticks", ProducerConfig{Buffer: 4, MaxBatch: 4})
+	p, err := Open(ctx, b, "ticks", ProducerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestStreamBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Nobody Recvs: sends must stop within window + local buffer.
+	// Nobody Recvs: sends must stop at the window edge.
 	sent := make(chan int, 1)
 	go func() {
 		n := 0
@@ -175,9 +175,10 @@ func TestStreamBackpressure(t *testing.T) {
 		sent <- n
 	}()
 	n := <-sent
-	// Admission is bounded by the element window plus the producer's local
-	// buffer (4) and the batch in flight (4).
-	if n > window+8 {
+	// Credit is debited before the hand-off to the pump, so the local buffer
+	// (256) and the batch in flight (64) only ever hold credited elements:
+	// a stalled consumer admits its window and nothing more.
+	if n > window {
 		t.Fatalf("producer pushed %d elements into a stalled stream (window %d)", n, window)
 	}
 	if n < window {
@@ -207,7 +208,7 @@ func TestStreamFailFast(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	p, err := Open(ctx, b, "ticks", ProducerConfig{FailFast: true, Buffer: 2})
+	p, err := Open(ctx, b, "ticks", ProducerConfig{FailFast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestStreamMistypedElements(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	p, err := Open(ctx, b, "ticks", ProducerConfig{MaxBatch: 1})
+	p, err := Open(ctx, b, "ticks", ProducerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestStreamSessionDeath(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	p, err := Open(ctx, b, "ticks", ProducerConfig{Buffer: 1, MaxBatch: 1})
+	p, err := Open(ctx, b, "ticks", ProducerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestStreamSessionDeath(t *testing.T) {
 func TestStream64ProducersOneSession(t *testing.T) {
 	const (
 		producers   = 64
-		perProducer = 50
+		perProducer = 400     // past the producer's whole local bound (256 + 64)
 		stride      = 1 << 20 // element = idx*stride + seq
 	)
 	e := newEnv(t, ConsumerConfig{Window: 16})
@@ -386,7 +387,7 @@ func TestStream64ProducersOneSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bind %d: %v", i, err)
 		}
-		p, err := Open(ctx, b, "ticks", ProducerConfig{MaxBatch: 8, Buffer: 8})
+		p, err := Open(ctx, b, "ticks", ProducerConfig{})
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
@@ -472,6 +473,105 @@ func TestStream64ProducersOneSession(t *testing.T) {
 	}
 	if got := e.srv.Stats().FlowTypeErrors; got != 0 {
 		t.Errorf("flow type errors: %d", got)
+	}
+}
+
+// gatedTransport is a netsim transport whose dialled connections stop
+// sending while the gate is held: the wire a producer's pump blocks behind.
+type gatedTransport struct {
+	netsim.Transport
+	mu   sync.Mutex
+	held chan struct{} // nil when open; closed by release
+}
+
+func (g *gatedTransport) hold() {
+	g.mu.Lock()
+	g.held = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedTransport) release() {
+	g.mu.Lock()
+	if g.held != nil {
+		close(g.held)
+		g.held = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *gatedTransport) Dial(ctx context.Context, ep naming.Endpoint) (netsim.Conn, error) {
+	c, err := g.Transport.Dial(ctx, ep)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
+type gatedConn struct {
+	netsim.Conn
+	g *gatedTransport
+}
+
+func (c *gatedConn) Send(frame []byte) error {
+	c.g.mu.Lock()
+	held := c.g.held
+	c.g.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	return c.Conn.Send(frame)
+}
+
+// TestProducerMemoryCeiling pins the producer's local bounds behind a
+// stalled wire with credit to spare: one batch in the pump's hands plus a
+// 256-element hand-off buffer is all it holds before Send blocks, and the
+// buffered elements leave in frames of 64.
+func TestProducerMemoryCeiling(t *testing.T) {
+	e := newEnv(t, ConsumerConfig{Window: 1024})
+	wire := &gatedTransport{Transport: e.net}
+	defer wire.release()
+	b, err := channel.Bind(e.ref, channel.BindConfig{Transport: wire, Type: feedType()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	p, err := Open(ctx, b, "ticks", ProducerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	waitFor(t, func() bool { return p.Stats().CreditElems == 1024 }, "initial grant never arrived: %+v", p.Stats())
+
+	// The wire stalls. The first element reaches the pump, which blocks
+	// writing it; the next 256 fill the hand-off buffer.
+	wire.hold()
+	if err := p.Send(ctx, values.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return p.Stats().MaxBuffered == 1 }, "pump never took the first element: %+v", p.Stats())
+	for i := 1; i <= 256; i++ {
+		if err := p.Send(ctx, values.Int(int64(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	// Buffer full, 767 elements of credit left: Send blocks on the hand-off.
+	sctx, scancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	err = p.Send(sctx, values.Int(257))
+	scancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("send past a full buffer = %v, want it to block", err)
+	}
+	if st := p.Stats(); st.Sent != 0 || st.CreditElems == 0 {
+		t.Fatalf("stalled wire: %+v, want nothing sent and credit to spare", st)
+	}
+
+	// The wire recovers: the 256 buffered elements go out 64 to a frame.
+	wire.release()
+	waitFor(t, func() bool { return p.Stats().Sent == 257 }, "buffer never drained: %+v", p.Stats())
+	if st := p.Stats(); st.Batches != 1+256/64 || st.MaxBuffered > 256+64 {
+		t.Fatalf("after drain: %+v, want 5 batches (1 + 4×64) and at most 320 buffered", st)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
@@ -233,10 +234,23 @@ func NewRemote(c carrier) *Remote {
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
 
+// callTimeout bounds every cross-process wait of the proxy (netchan's rule
+// 1: use timeouts): its operations' signatures carry no context, and a
+// partitioned trader host must not block them for ever. 30s is what
+// odpnode -call, odpstat and odptrader's link contract allow a call.
+const callTimeout = 30 * time.Second
+
+// call carries one operation over invoke under callTimeout.
+func call(invoke func(context.Context, string, []values.Value) (string, []values.Value, error), op string, args []values.Value) (string, []values.Value, error) {
+	ctx, cancel := context.WithTimeout(context.TODO(), callTimeout)
+	defer cancel()
+	return invoke(ctx, op, args)
+}
+
 // update carries one state-changing operation and decodes its failure
 // terminations; on OK it returns the results.
 func (r *Remote) update(op string, args ...values.Value) ([]values.Value, error) {
-	term, res, err := r.c.Invoke(context.Background(), op, args)
+	term, res, err := call(r.c.Invoke, op, args)
 	switch {
 	case err != nil:
 		return nil, err
@@ -282,7 +296,7 @@ func (r *Remote) Install(o Offer) error {
 
 // Import queries the trader.
 func (r *Remote) Import(req ImportRequest) ([]Offer, error) {
-	term, res, err := r.read(context.Background(), "Import", []values.Value{
+	term, res, err := call(r.read, "Import", []values.Value{
 		values.Str(req.ServiceType),
 		values.Str(req.Constraint),
 		values.Int(int64(req.Preference.Kind)),

@@ -2,7 +2,10 @@ package trader
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
@@ -123,5 +126,52 @@ func TestServantArity(t *testing.T) {
 	}
 	if _, _, err := s.Invoke(context.Background(), "NoSuchOp", nil); err == nil {
 		t.Error("unknown operation should be an error")
+	}
+}
+
+// deadlineCarrier records how far away each operation's context deadline
+// was, then fails the call the way a partitioned host would: by waiting a
+// deadline out — a millisecond child of the proxy's context, so the test
+// does not sit through the proxy's own.
+type deadlineCarrier struct {
+	mu   sync.Mutex
+	left map[string]time.Duration // op -> time left at the call; absent without a deadline
+}
+
+func (c *deadlineCarrier) Invoke(ctx context.Context, op string, _ []values.Value) (string, []values.Value, error) {
+	if dl, ok := ctx.Deadline(); ok {
+		c.mu.Lock()
+		c.left[op] = time.Until(dl)
+		c.mu.Unlock()
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Millisecond)
+	defer cancel()
+	<-ctx.Done()
+	return "", nil, ctx.Err()
+}
+
+func (c *deadlineCarrier) Close() error { return nil }
+
+// TestRemoteCallsCarryADeadline: every operation of the proxy's table
+// reaches its carrier under the 30 s call deadline, and a call that waits
+// its deadline out returns an error wrapping context.DeadlineExceeded.
+func TestRemoteCallsCarryADeadline(t *testing.T) {
+	c := &deadlineCarrier{left: map[string]time.Duration{}}
+	r := NewRemote(c)
+	ops := map[string]func() error{
+		"Export":   func() error { _, err := r.Export("BankTeller", refOf("BankTeller", 1), values.Null()); return err },
+		"Withdraw": func() error { return r.Withdraw("T/1") },
+		"Install": func() error {
+			return r.Install(Offer{ID: "T/1", ServiceType: "BankTeller", Ref: refOf("BankTeller", 1)})
+		},
+		"Import": func() error { _, err := r.Import(ImportRequest{ServiceType: "BankTeller"}); return err },
+	}
+	for op, do := range ops {
+		if err := do(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s against a carrier that never answers = %v, want context.DeadlineExceeded", op, err)
+		}
+		if left, ok := c.left[op]; !ok || left > 30*time.Second || left < 29*time.Second {
+			t.Errorf("%s reached the carrier with deadline %v away (set: %v), want 30s", op, left, ok)
+		}
 	}
 }

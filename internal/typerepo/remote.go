@@ -3,6 +3,7 @@ package typerepo
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/types"
 	"repro/internal/values"
@@ -48,6 +49,19 @@ func NewRemote(c carrier) *Remote {
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
 
+// callTimeout bounds every cross-process wait of the proxy (netchan's rule
+// 1: use timeouts): its operations' signatures carry no context, and a
+// partitioned repository host must not block them for ever. 30s is what
+// odpnode -call, odpstat and odptrader's link contract allow a call.
+const callTimeout = 30 * time.Second
+
+// call carries one operation over invoke under callTimeout.
+func call(invoke func(context.Context, string, []values.Value) (string, []values.Value, error), op string, args []values.Value) (string, []values.Value, error) {
+	ctx, cancel := context.WithTimeout(context.TODO(), callTimeout)
+	defer cancel()
+	return invoke(ctx, op, args)
+}
+
 // reply decodes a call's outcome: the results on OK, and otherwise the
 // sentinel condition the servant encoded in the termination, so
 // errors.Is works across the boundary.
@@ -74,14 +88,14 @@ func reply(op, term string, res []values.Value, err error) ([]values.Value, erro
 }
 
 func (r *Remote) write(op string, args ...values.Value) error {
-	term, res, err := r.c.Invoke(context.Background(), op, args)
+	term, res, err := call(r.c.Invoke, op, args)
 	_, err = reply(op, term, res, err)
 	return err
 }
 
 // query returns the single result every read operation answers with.
 func (r *Remote) query(op string, args ...values.Value) (values.Value, error) {
-	term, res, err := r.read(context.Background(), op, args)
+	term, res, err := call(r.read, op, args)
 	res, err = reply(op, term, res, err)
 	if err != nil {
 		return values.Value{}, err
