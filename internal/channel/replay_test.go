@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/naming"
@@ -78,7 +79,7 @@ func TestReplayWindowVerdicts(t *testing.T) {
 					t.Fatalf("step %d (correlation %d): reply not retained", i, st.correl)
 				}
 			}
-			if n := len(s.guards[7].replies); n > 128 {
+			if n := len(s.guards[7].slots); n > 128 {
 				t.Fatalf("guard tracks %d correlations, window is 128", n)
 			}
 		})
@@ -184,5 +185,171 @@ func TestReplayGuardPipelinedBinding(t *testing.T) {
 	}
 	if got := servant.invokedCount(); got != calls {
 		t.Errorf("replays executed the servant: %d executions for %d calls", got, calls)
+	}
+}
+
+// TestReplayAnswerSurvivesSlotReuse replays correlation c while calls
+// c+1…c+300 on the same binding carry the window past it twice over, so c's
+// slot is reused while replays of c are being answered — on the connection
+// the calls use, and on a second one. Every answer to a replay is c's
+// original reply or CodeReplay, never another call's bytes, and every
+// replay is counted.
+func TestReplayAnswerSurvivesSlotReuse(t *testing.T) {
+	for _, conns := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d connections", conns), func(t *testing.T) {
+			env := newEnv(t, ServerConfig{ReplayGuard: true})
+			const c, calls = 1000, 300
+			call := func(correl uint64) []byte {
+				m := &wire.Message{
+					Kind: wire.Call, BindingID: 777, Correlation: correl, Target: env.ref.ID,
+					Operation: "Echo", Args: []values.Value{values.Str(fmt.Sprintf("call-%d", correl))},
+				}
+				frame, err := m.Encode(wire.Canonical)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return frame
+			}
+			callConn, err := env.net.Dial(context.Background(), "sim://server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer callConn.Close()
+			replayConn := callConn
+			if conns == 2 {
+				if replayConn, err = env.net.Dial(context.Background(), "sim://server"); err != nil {
+					t.Fatal(err)
+				}
+				defer replayConn.Close()
+			}
+			// One reader per connection checks every reply against the call
+			// its correlation names.
+			var cached, rejected, echoed atomic.Int64
+			read := func(conn netsim.Conn) {
+				for {
+					frame, err := conn.Recv()
+					if err != nil {
+						return
+					}
+					m, err := wire.Decode(frame)
+					if err != nil {
+						t.Errorf("undecodable reply: %v", err)
+						return
+					}
+					got := ""
+					if len(m.Args) == 1 {
+						got, _ = m.Args[0].AsString()
+					}
+					switch {
+					case m.Kind == wire.ErrReply && m.Correlation == c && m.Termination == CodeReplay:
+						rejected.Add(1)
+					case m.Kind == wire.Reply && got == fmt.Sprintf("call-%d", m.Correlation):
+						if m.Correlation == c {
+							cached.Add(1)
+						} else {
+							echoed.Add(1)
+						}
+					default:
+						t.Errorf("reply to %d = %v %q %q", m.Correlation, m.Kind, m.Termination, got)
+					}
+				}
+			}
+			go read(callConn)
+			if conns == 2 {
+				go read(replayConn)
+			}
+			replayed := int64(-1) // the first transmission of c is not a replay
+			replay := func() {
+				if err := replayConn.Send(call(c)); err != nil {
+					t.Error(err)
+				}
+				replayed++
+			}
+			replay()
+			waitFor(t, func() bool { return cached.Load() == 1 })
+			replay() // before the race: answered from the slot
+			waitFor(t, func() bool { return cached.Load() == 2 })
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for k := uint64(1); k <= calls; k++ {
+					if err := callConn.Send(call(c + k)); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			for racing := true; racing; {
+				select {
+				case <-done:
+					racing = false
+				default:
+					replay()
+				}
+			}
+			waitFor(t, func() bool { return echoed.Load() == calls })
+			replay() // after it: c is two windows behind the mark
+			waitFor(t, func() bool { return cached.Load()-1+rejected.Load() == replayed })
+			if cached.Load() < 2 || rejected.Load() < 1 {
+				t.Errorf("%d replays answered from the slot, %d rejected: want both", cached.Load()-1, rejected.Load())
+			}
+			if got := env.server.Stats().Replays; int64(got) != replayed {
+				t.Errorf("Replays = %d, sent %d", got, replayed)
+			}
+			if got := env.servant.invokedCount(); got != calls+1 {
+				t.Errorf("servant executed %d times for %d calls", got, calls+1)
+			}
+		})
+	}
+}
+
+// TestReplayGuardCostsNoAllocation: remembering a reply is a copy into the
+// slot's own buffer and the frame goes back to the pool after the write, so
+// a guarded round trip allocates what an unguarded one does.
+func TestReplayGuardCostsNoAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
+	}
+	roundTrip := func(guard bool) float64 {
+		env := newEnv(t, ServerConfig{ReplayGuard: guard})
+		b := env.bind(t, BindConfig{Type: echoType()})
+		args := []values.Value{values.Str("x")}
+		invoke := func() {
+			if _, _, err := b.Invoke(context.Background(), "Echo", args); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*int(replayWindow); i++ { // every slot has its buffer
+			invoke()
+		}
+		return testing.AllocsPerRun(200, invoke)
+	}
+	if on, off := roundTrip(true), roundTrip(false); on != off {
+		t.Errorf("round trip with the replay guard = %v allocs, without = %v", on, off)
+	}
+}
+
+// TestReplaySlotDropsLargeBuffer: a slot reuses its buffer for the next
+// reply it records, but not one grown past replayKeep by a single large
+// reply — that one is remembered, replayed, and let go with its slot.
+func TestReplaySlotDropsLargeBuffer(t *testing.T) {
+	s := NewServer(nil, ServerConfig{ReplayGuard: true})
+	record := func(correl uint64, reply []byte) {
+		t.Helper()
+		m := &wire.Message{Kind: wire.Call, BindingID: 7, Correlation: correl}
+		if v, _ := s.guardCheck(m); v != guardFresh {
+			t.Fatalf("correlation %d: verdict %v", correl, v)
+		}
+		if !s.guardStore(m, reply) {
+			t.Fatalf("correlation %d: reply not recorded", correl)
+		}
+	}
+	large := make([]byte, 16*replayKeep)
+	record(1, large)
+	if v, got := s.guardCheck(&wire.Message{Kind: wire.Call, BindingID: 7, Correlation: 1}); v != guardReplayCached || len(got) != len(large) {
+		t.Fatalf("replay of the large reply = %v, %d bytes", v, len(got))
+	}
+	record(1+replayWindow, []byte{1, 2, 3}) // the same slot, one window on
+	if got := cap(s.guards[7].slot(1).reply); got > replayKeep {
+		t.Errorf("slot keeps a %d-byte buffer for a 3-byte reply, bound %d", got, replayKeep)
 	}
 }

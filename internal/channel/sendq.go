@@ -36,17 +36,8 @@ type batchInstruments struct {
 	queueDepth     *mgmt.Gauge
 }
 
-// qframe is one queued frame. own marks frames the queue is responsible
-// for recycling after the write (almost all of them); a frame retained
-// elsewhere — the server's replay-guard reply cache — is queued with
-// own=false so the cache keeps its buffer.
-type qframe struct {
-	frame []byte
-	own   bool
-}
-
 // frameQueue is the bounded queue plus its sender goroutine. All fields
-// below mu are guarded by it; scratch is touched only by the sender.
+// below mu are guarded by it.
 type frameQueue struct {
 	conn          netsim.Conn
 	batcher       netsim.BatchSender // nil when the transport has no vectored write
@@ -57,9 +48,9 @@ type frameQueue struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond // space, drain and close transitions
-	pend      []qframe
+	pend      [][]byte
 	pendBytes int
-	spare     []qframe // recycled pend backing array
+	spare     [][]byte // recycled pend backing array
 	writing   bool
 	closed    bool
 	err       error
@@ -67,8 +58,6 @@ type frameQueue struct {
 	done      chan struct{}
 
 	deadOnce sync.Once
-
-	scratch [][]byte // sender-only: the frame slice handed to SendBatch
 }
 
 func newFrameQueue(conn netsim.Conn, maxQueue, maxBatch int, ins batchInstruments, onDead func(error)) *frameQueue {
@@ -88,13 +77,13 @@ func newFrameQueue(conn netsim.Conn, maxQueue, maxBatch int, ins batchInstrument
 }
 
 // enqueue hands one frame to the sender, taking ownership of it: the
-// queue recycles the buffer after the write (or on failure) when own is
-// true. Enqueue blocks while the queue is at its byte bound — that is the
+// queue recycles the buffer after the write (or on failure). Enqueue
+// blocks while the queue is at its byte bound — that is the
 // backpressure path — and fails with ErrSessionClosing once the queue has
 // closed, or with the sender's sticky write error once the connection has
 // failed; both match errors.Is(err, ErrDisconnected), so retry policy
 // treats a frame lost to a mid-close race exactly like a broken wire.
-func (q *frameQueue) enqueue(frame []byte, own bool) error {
+func (q *frameQueue) enqueue(frame []byte) error {
 	q.mu.Lock()
 	for q.pendBytes >= q.maxQueueBytes && !q.closed && q.err == nil {
 		q.cond.Wait()
@@ -102,15 +91,13 @@ func (q *frameQueue) enqueue(frame []byte, own bool) error {
 	if q.err != nil || q.closed {
 		err := q.err
 		q.mu.Unlock()
-		if own {
-			wire.PutFrame(frame)
-		}
+		wire.PutFrame(frame)
 		if err != nil {
 			return err
 		}
 		return ErrSessionClosing
 	}
-	q.pend = append(q.pend, qframe{frame: frame, own: own})
+	q.pend = append(q.pend, frame)
 	q.pendBytes += len(frame)
 	if q.ins.queueDepth != nil {
 		q.ins.queueDepth.Add(1)
@@ -195,13 +182,13 @@ func (q *frameQueue) drain() {
 		take := len(q.pend)
 		bytes := 0
 		for i := range q.pend {
-			if i > 0 && bytes+len(q.pend[i].frame) > q.maxBatchBytes {
+			if i > 0 && bytes+len(q.pend[i]) > q.maxBatchBytes {
 				take = i
 				break
 			}
-			bytes += len(q.pend[i].frame)
+			bytes += len(q.pend[i])
 		}
-		var batch []qframe
+		var batch [][]byte
 		if take == len(q.pend) {
 			batch = q.pend
 			if q.spare != nil {
@@ -215,7 +202,7 @@ func (q *frameQueue) drain() {
 			// the batch owns its backing array exclusively — enqueuers
 			// appending to pend while the write is in flight must never
 			// touch the slots the sender is reading.
-			var np []qframe
+			var np [][]byte
 			if q.spare != nil {
 				np = q.spare[:0]
 				q.spare = nil
@@ -256,35 +243,22 @@ func (q *frameQueue) drain() {
 // dropLocked recycles everything still queued after a write error; the
 // frames can never depart.
 func (q *frameQueue) dropLocked() {
-	for i := range q.pend {
-		if q.pend[i].own {
-			wire.PutFrame(q.pend[i].frame)
-		}
-		q.pend[i] = qframe{}
-	}
 	if q.ins.queueDepth != nil && len(q.pend) > 0 {
 		q.ins.queueDepth.Add(-int64(len(q.pend)))
 	}
+	wire.PutFrames(q.pend) // recycles and nils every entry
 	q.pend = q.pend[:0]
 	q.pendBytes = 0
 }
 
 // write puts one batch on the wire — a single vectored write when the
-// transport supports it — then recycles the owned frames.
-func (q *frameQueue) write(batch []qframe, bytes int) error {
-	q.scratch = q.scratch[:0]
-	owned := 0
-	for i := range batch {
-		q.scratch = append(q.scratch, batch[i].frame)
-		if batch[i].own {
-			owned++
-		}
-	}
+// transport supports it — then recycles the frames.
+func (q *frameQueue) write(batch [][]byte, bytes int) error {
 	var err error
 	if q.batcher != nil && len(batch) > 1 {
-		err = q.batcher.SendBatch(q.scratch)
+		err = q.batcher.SendBatch(batch)
 	} else {
-		for _, f := range q.scratch {
+		for _, f := range batch {
 			if err = q.conn.Send(f); err != nil {
 				break
 			}
@@ -296,18 +270,6 @@ func (q *frameQueue) write(batch []qframe, bytes int) error {
 	if q.ins.batchBytes != nil {
 		q.ins.batchBytes.Observe(uint64(bytes))
 	}
-	if owned == len(batch) {
-		wire.PutFrames(q.scratch) // recycles and nils every entry
-	} else {
-		for i := range batch {
-			if batch[i].own {
-				wire.PutFrame(batch[i].frame)
-			}
-		}
-		clear(q.scratch)
-	}
-	for i := range batch {
-		batch[i] = qframe{}
-	}
+	wire.PutFrames(batch) // recycles and nils every entry
 	return err
 }

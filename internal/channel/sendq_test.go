@@ -34,7 +34,7 @@ func TestSendQueueBackpressure(t *testing.T) {
 	conn := &gatedConn{admit: make(chan struct{})}
 	q := newFrameQueue(conn, bound, sendBatchBytes, batchInstruments{}, nil)
 	enqueue := func() error {
-		return q.enqueue(append(wire.GetFrame(frameLen), make([]byte, frameLen)...), true)
+		return q.enqueue(append(wire.GetFrame(frameLen), make([]byte, frameLen)...))
 	}
 	queued := func() (bytes int, writing bool) {
 		q.mu.Lock()

@@ -63,6 +63,9 @@ const (
 	// replay guard remembers outcomes (see bindingGuard): twice the deepest
 	// pipelining a binding does (MaxInFlight 64).
 	replayWindow uint64 = 128
+	// replayKeep is the largest buffer a replay slot keeps for its next
+	// reply: one large reply must not stay pinned for the binding's lifetime.
+	replayKeep = 4 << 10
 	// maxGuardBindings bounds the bindings the guard tracks (see guardCheck).
 	maxGuardBindings = 1024
 	// workersPerProc sizes the pool that runs servant code, per GOMAXPROCS:
@@ -370,8 +373,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			if s.cfg.ReplayGuard {
 				switch verdict, cached := s.guardCheck(m); verdict {
 				case guardReplayCached:
-					// The cached frame stays owned by the reply cache.
-					_ = q.enqueue(cached, false)
+					_ = q.enqueue(cached)
 					s.replays.Add(1)
 					wire.PutMessage(m)
 					continue
@@ -677,7 +679,7 @@ func (s *Server) sendGrant(q *frameQueue, binding, stream uint64, codecID wire.C
 		wire.PutFrame(frame)
 		return
 	}
-	_ = q.enqueue(frame, true)
+	_ = q.enqueue(frame)
 }
 
 func (s *Server) handleSignal(m *wire.Message) {
@@ -704,8 +706,7 @@ func (s *Server) sendErr(q *frameQueue, req *wire.Message, code, detail string) 
 // reply answers req on its connection's reply writer q, best-effort — a
 // dead conn fails the client's call by timeout: the answer's header mirrors
 // the request's, then the outbound pipeline, the request's codec and the
-// queue, recording the frame in the replay guard's reply cache when
-// enabled.
+// queue, recording a copy in the replay guard's window when enabled.
 func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term string, args []values.Value) {
 	m := wire.GetMessage()
 	defer wire.PutMessage(m)
@@ -730,11 +731,10 @@ func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term
 		wire.PutFrame(frame)
 		return
 	}
-	retained := false
 	if s.cfg.ReplayGuard && req.Kind == wire.Call {
-		retained = s.guardStore(req, frame)
+		s.guardStore(req, frame)
 	}
-	_ = q.enqueue(frame, !retained)
+	_ = q.enqueue(frame)
 }
 
 // ---------------------------------------------------------------------------
@@ -753,12 +753,41 @@ const (
 // mark and the outcome of every correlation seen within replayWindow
 // below it. A binding queues first transmissions in id order, but a retry
 // whose first transmission was lost arrives below the ids its siblings
-// used meanwhile, so "new" cannot mean "above the mark".
+// used meanwhile, so "new" cannot mean "above the mark". The window is a
+// ring indexed by correlation % replayWindow — the ids inside it are
+// consecutive, so no two share a slot — grown on first use, and each slot
+// keeps its own copy of the reply in a buffer it reuses: no frame is ever
+// shared between the guard and a reply queue.
 type bindingGuard struct {
 	maxSeen uint64
-	replies map[uint64][]byte // correlation -> cached reply frame (nil = in flight)
+	slots   []replaySlot
 }
 
+type replaySlot struct {
+	correlation uint64
+	state       slotState
+	reply       []byte // the encoded reply, when answered; capacity kept across reuse
+}
+
+type slotState uint8
+
+const (
+	slotEmpty slotState = iota
+	slotInFlight
+	slotAnswered
+)
+
+// slot returns the ring slot that correlation maps to.
+func (g *bindingGuard) slot(correlation uint64) *replaySlot {
+	i := int(correlation % replayWindow)
+	if i >= len(g.slots) {
+		g.slots = append(g.slots, make([]replaySlot, i+1-len(g.slots))...)
+	}
+	return &g.slots[i]
+}
+
+// guardCheck classifies a call. For guardReplayCached it also returns the
+// recorded reply, copied into a pooled frame the caller owns.
 func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -771,15 +800,16 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 			s.guardOrder = s.guardOrder[1:]
 			delete(s.guards, evict)
 		}
-		g = &bindingGuard{replies: make(map[uint64][]byte)}
+		g = &bindingGuard{}
 		s.guards[m.BindingID] = g
 		s.guardOrder = append(s.guardOrder, m.BindingID)
 	}
-	if frame, seen := g.replies[m.Correlation]; seen {
-		if frame == nil {
+	sl := g.slot(m.Correlation)
+	if sl.state != slotEmpty && sl.correlation == m.Correlation {
+		if sl.state == slotInFlight {
 			return guardInFlight, nil
 		}
-		return guardReplayCached, frame
+		return guardReplayCached, append(wire.GetFrame(len(sl.reply)), sl.reply...)
 	}
 	if g.maxSeen >= replayWindow && m.Correlation <= g.maxSeen-replayWindow {
 		// Older than the window: seen and evicted, or forged. Reject rather
@@ -790,23 +820,24 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 	// because eviction is by distance from the mark, never by arrival
 	// order — an id still inside the window cannot have been forgotten.
 	if m.Correlation > g.maxSeen && m.Correlation-g.maxSeen >= replayWindow {
-		clear(g.replies) // the whole old window fell behind the new one
+		for i := range g.slots {
+			g.slots[i].state = slotEmpty // the whole old window fell behind the new one
+		}
 		g.maxSeen = m.Correlation
 	}
 	for g.maxSeen < m.Correlation {
-		// Each step of the mark pushes exactly one id out of the window.
+		// Each step of the mark pushes exactly one id out of the window:
+		// the one that shares the new mark's slot.
 		g.maxSeen++
-		if g.maxSeen >= replayWindow {
-			delete(g.replies, g.maxSeen-replayWindow)
-		}
+		g.slot(g.maxSeen).state = slotEmpty
 	}
-	g.replies[m.Correlation] = nil // mark in flight
+	sl = g.slot(m.Correlation)
+	sl.correlation, sl.state = m.Correlation, slotInFlight
 	return guardFresh, nil
 }
 
-// guardStore records the reply frame for replay answering. It reports
-// whether the frame was retained: a retained frame is owned by the cache
-// and must not be recycled by the caller.
+// guardStore records a call's encoded reply for replay answering, copying
+// it into the call's slot, and reports whether the call was still tracked.
 func (s *Server) guardStore(req *wire.Message, frame []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -814,9 +845,13 @@ func (s *Server) guardStore(req *wire.Message, frame []byte) bool {
 	if !ok {
 		return false
 	}
-	if _, tracked := g.replies[req.Correlation]; tracked {
-		g.replies[req.Correlation] = frame
-		return true
+	sl := g.slot(req.Correlation)
+	if sl.state == slotEmpty || sl.correlation != req.Correlation {
+		return false
 	}
-	return false
+	if cap(sl.reply) > replayKeep {
+		sl.reply = nil
+	}
+	sl.reply, sl.state = append(sl.reply[:0], frame...), slotAnswered
+	return true
 }

@@ -498,7 +498,7 @@ func (s *Session) abandon(binding, correl uint64, ch chan *wire.Message) {
 // and a connection failure surfaces either here (as the sender's sticky
 // error) or on the reply channel; the failed write has already killed the
 // session, so every sibling binding fails over together.
-func (s *Session) send(frame []byte) error { return s.q.enqueue(frame, true) }
+func (s *Session) send(frame []byte) error { return s.q.enqueue(frame) }
 
 // flushSends blocks until every frame handed to send so far is on the
 // wire (one-way interactions use it for group commit: enqueue then flush

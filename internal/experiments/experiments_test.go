@@ -75,11 +75,20 @@ func scenarioAllocs(t *testing.T, id, name string) float64 {
 	return 0
 }
 
-// TestE2DepositAllocBudget keeps the single-binding hot path
-// allocation-lean: the deposit's 20 allocs/op budget with 5% headroom.
+// TestE2DepositAllocBudget keeps the single-binding hot path to what an
+// invocation hands on: both argument slices, the Tx, the store key, the
+// result, and for a write the record and its one log copy (7, and 2 spare).
 func TestE2DepositAllocBudget(t *testing.T) {
-	if allocs := scenarioAllocs(t, "e2", "deposit"); allocs > 21 {
-		t.Fatalf("E2 deposit = %v allocs/op, budget 21", allocs)
+	if allocs := scenarioAllocs(t, "e2", "deposit"); allocs > 9 {
+		t.Fatalf("E2 deposit = %v allocs/op, budget 9", allocs)
+	}
+}
+
+// TestE2BalanceAllocBudget: a read pays the same less the write's two (5,
+// and 1 spare) — no log record, no decision entry, no commit machinery.
+func TestE2BalanceAllocBudget(t *testing.T) {
+	if allocs := scenarioAllocs(t, "e2", "balance"); allocs > 6 {
+		t.Fatalf("E2 balance = %v allocs/op, budget 6", allocs)
 	}
 }
 

@@ -73,7 +73,7 @@ type forcedParticipant struct {
 
 func (f forcedParticipant) Name() string { return f.inner.Name() }
 
-func (f forcedParticipant) Prepare(txID uint64) error {
+func (f forcedParticipant) Prepare(txID uint64) (transactions.Vote, error) {
 	time.Sleep(f.delay)
 	return f.inner.Prepare(txID)
 }

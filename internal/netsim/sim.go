@@ -384,6 +384,7 @@ type simConn struct {
 
 	mu     sync.Mutex
 	queue  [][]byte
+	base   [][]byte      // queue's backing array from its start: Recv slices queue forward, and restarts it here once drained
 	notify chan struct{} // capacity 1: wake one waiting Recv
 	closed bool
 	done   chan struct{} // closed with the conn; stops the delivery goroutine
@@ -529,7 +530,11 @@ func (c *simConn) deliver(frame []byte) {
 		c.net.countDropped(false)
 		return
 	}
+	grows := len(c.queue) == cap(c.queue)
 	c.queue = append(c.queue, frame)
+	if grows {
+		c.base = c.queue[:0]
+	}
 	c.mu.Unlock()
 	c.net.countDelivered()
 	select {
@@ -543,8 +548,12 @@ func (c *simConn) Recv() ([]byte, error) {
 		c.mu.Lock()
 		if len(c.queue) > 0 {
 			frame := c.queue[0]
+			c.queue[0] = nil // the receiver owns the frame now; the array must not pin it
 			c.queue = c.queue[1:]
 			more := len(c.queue) > 0
+			if !more {
+				c.queue = c.base
+			}
 			c.mu.Unlock()
 			if more {
 				// Pass the wakeup on: another Recv may be waiting for a

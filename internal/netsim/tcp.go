@@ -77,6 +77,7 @@ type tcpConn struct {
 	// buffer with one read syscall instead of two per frame — the
 	// receive-side complement of the vectored write.
 	br      *bufio.Reader
+	rlenBuf [4]byte // guarded by readMu: a local would escape through io.ReadFull
 	writeMu sync.Mutex
 	lenBuf  [4]byte // guarded by writeMu
 
@@ -152,14 +153,13 @@ func (c *tcpConn) SendBatch(frames [][]byte) error {
 func (c *tcpConn) Recv() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rlenBuf[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, net.ErrClosed) {
 			return nil, ErrClosed
 		}
 		return nil, fmt.Errorf("netsim: read length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(c.rlenBuf[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("netsim: frame of %d bytes exceeds limit", n)
 	}

@@ -13,8 +13,8 @@ import (
 type vetoPart struct{ committed bool }
 
 func (v *vetoPart) Name() string { return "veto" }
-func (v *vetoPart) Prepare(txID uint64) error {
-	return errors.New("resource refuses")
+func (v *vetoPart) Prepare(txID uint64) (Vote, error) {
+	return VoteCommit, errors.New("resource refuses")
 }
 func (v *vetoPart) Commit(txID uint64) error {
 	v.committed = true

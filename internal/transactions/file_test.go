@@ -95,7 +95,7 @@ func TestFileLogInDoubtResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prepared but never decided: the crash window of 2PC.
-	if err := store.Prepare(tx.ID()); err != nil {
+	if _, err := store.Prepare(tx.ID()); err != nil {
 		t.Fatal(err)
 	}
 	fl.Close()

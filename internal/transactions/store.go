@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/values"
@@ -21,10 +23,22 @@ var (
 // it; so could any other transactional resource.
 type Participant interface {
 	Name() string
-	Prepare(txID uint64) error
+	Prepare(txID uint64) (Vote, error)
 	Commit(txID uint64) error
 	Abort(txID uint64) error
 }
+
+// Vote is a participant's answer in the voting phase; an error is the veto.
+type Vote int
+
+const (
+	// VoteCommit: the participant forced a prepare record, holds its locks
+	// and awaits the decision.
+	VoteCommit Vote = iota
+	// VoteReadOnly: the transaction changed nothing here. The participant
+	// has released everything, logged nothing, and hears no more of it.
+	VoteReadOnly
+)
 
 // Store is a transactional key/value resource holding values. Reads take
 // shared locks, writes exclusive locks (strict 2PL); updates are deferred
@@ -38,11 +52,12 @@ type Store struct {
 
 	mu        sync.Mutex
 	committed map[string]values.Value
-	writeSets map[uint64]map[string]WriteOp
+	// writeSets holds each transaction's staged ops, one per key. A
+	// transaction writes a handful of keys, so a slice scanned by key
+	// replaces the map a general write set would use.
+	writeSets map[uint64][]WriteOp
 	prepared  map[uint64]bool
-	// wsFree recycles write-set maps between transactions (cleared, so the
-	// bucket arrays are reused instead of reallocated every transaction).
-	wsFree []map[string]WriteOp
+	wsFree    [][]WriteOp // finished write sets, emptied, for reuse
 }
 
 var _ Participant = (*Store)(nil)
@@ -57,7 +72,7 @@ func NewStore(name string, log *Log) *Store {
 		lm:        newLockManager(),
 		log:       log,
 		committed: make(map[string]values.Value),
-		writeSets: make(map[uint64]map[string]WriteOp),
+		writeSets: make(map[uint64][]WriteOp),
 		prepared:  make(map[uint64]bool),
 	}
 }
@@ -76,15 +91,14 @@ func (s *Store) get(ctx context.Context, txID uint64, key string) (values.Value,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ws, ok := s.writeSets[txID]; ok {
-		if op, ok := ws[key]; ok {
-			if op.Delete {
-				return values.Value{}, fmt.Errorf("%w: %q", ErrNotFound, key)
-			}
-			return op.Value, nil
+	v, ok := s.committed[key]
+	ws := s.writeSets[txID]
+	for i := range ws {
+		if ws[i].Key == key {
+			v, ok = ws[i].Value, !ws[i].Delete
+			break
 		}
 	}
-	v, ok := s.committed[key]
 	if !ok {
 		return values.Value{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -93,77 +107,72 @@ func (s *Store) get(ctx context.Context, txID uint64, key string) (values.Value,
 
 // put stages a write under an exclusive lock.
 func (s *Store) put(ctx context.Context, txID uint64, key string, v values.Value) error {
-	if err := s.lm.acquire(ctx, txID, key, lockExclusive); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ws, ok := s.writeSets[txID]
-	if !ok {
-		ws = s.newWriteSet()
-		s.writeSets[txID] = ws
-	}
-	ws[key] = WriteOp{Key: key, Value: v}
-	return nil
-}
-
-// newWriteSet returns an empty write-set map, reusing a recycled one when
-// available. Callers hold s.mu.
-func (s *Store) newWriteSet() map[string]WriteOp {
-	if n := len(s.wsFree); n > 0 {
-		ws := s.wsFree[n-1]
-		s.wsFree = s.wsFree[:n-1]
-		return ws
-	}
-	return make(map[string]WriteOp)
-}
-
-// recycleWriteSet clears a finished transaction's write set and keeps it
-// for reuse. Callers hold s.mu.
-func (s *Store) recycleWriteSet(ws map[string]WriteOp) {
-	if ws == nil || len(s.wsFree) >= 16 {
-		return
-	}
-	clear(ws)
-	s.wsFree = append(s.wsFree, ws)
+	return s.stage(ctx, txID, WriteOp{Key: key, Value: v})
 }
 
 // del stages a deletion under an exclusive lock.
 func (s *Store) del(ctx context.Context, txID uint64, key string) error {
-	if err := s.lm.acquire(ctx, txID, key, lockExclusive); err != nil {
+	return s.stage(ctx, txID, WriteOp{Key: key, Delete: true})
+}
+
+// stage takes the exclusive lock and records op as the transaction's
+// latest word on its key.
+func (s *Store) stage(ctx context.Context, txID uint64, op WriteOp) error {
+	if err := s.lm.acquire(ctx, txID, op.Key, lockExclusive); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws, ok := s.writeSets[txID]
-	if !ok {
-		ws = s.newWriteSet()
-		s.writeSets[txID] = ws
+	for i := range ws {
+		if ws[i].Key == op.Key {
+			ws[i] = op
+			return nil
+		}
 	}
-	ws[key] = WriteOp{Key: key, Delete: true}
+	if n := len(s.wsFree); !ok && n > 0 {
+		ws, s.wsFree = s.wsFree[n-1], s.wsFree[:n-1]
+	}
+	s.writeSets[txID] = append(ws, op)
 	return nil
 }
 
-// Prepare forces the transaction's write set to the log and votes yes.
-// A transaction that never touched this store may still be prepared (it
-// votes yes with an empty write set).
-func (s *Store) Prepare(txID uint64) error {
+// dropWriteSet forgets a finished transaction's write set, emptying it
+// for reuse. Callers hold s.mu.
+func (s *Store) dropWriteSet(txID uint64) {
+	ws := s.writeSets[txID]
+	delete(s.writeSets, txID)
+	if ws != nil && len(s.wsFree) < 16 {
+		clear(ws)
+		s.wsFree = append(s.wsFree, ws[:0])
+	}
+}
+
+// Prepare forces the transaction's write set to the log, in key order, and
+// votes to commit. A transaction that wrote nothing here — it only read, or
+// never touched this store — votes read-only instead: all its work is done
+// by the time it commits, so its locks are released at the vote and it
+// leaves no record.
+func (s *Store) Prepare(txID uint64) (Vote, error) {
 	s.mu.Lock()
+	ws := s.writeSets[txID]
+	if len(ws) == 0 {
+		s.mu.Unlock()
+		s.lm.releaseAll(txID)
+		return VoteReadOnly, nil
+	}
 	defer s.mu.Unlock()
 	if s.prepared[txID] {
-		return nil // idempotent
+		return VoteCommit, nil // idempotent
 	}
-	ws := s.writeSets[txID]
-	ops := make([]WriteOp, 0, len(ws))
-	for _, op := range ws {
-		ops = append(ops, op)
+	if len(ws) > 1 {
+		slices.SortFunc(ws, func(a, b WriteOp) int { return strings.Compare(a.Key, b.Key) })
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Key < ops[j].Key })
-	if err := s.appendLog(Record{Kind: RecPrepare, TxID: txID, Writes: ops}); err != nil {
-		return err
+	if err := s.appendLog(Record{Kind: RecPrepare, TxID: txID, Writes: ws}); err != nil {
+		return VoteCommit, err
 	}
 	s.prepared[txID] = true
-	return nil
+	return VoteCommit, nil
 }
 
 // appendLog forces the record to stable storage when the WAL is
@@ -187,17 +196,15 @@ func (s *Store) Commit(txID uint64) error {
 		s.mu.Unlock()
 		return err
 	}
-	ws := s.writeSets[txID]
-	for key, op := range ws {
+	for _, op := range s.writeSets[txID] {
 		if op.Delete {
-			delete(s.committed, key)
+			delete(s.committed, op.Key)
 		} else {
-			s.committed[key] = op.Value
+			s.committed[op.Key] = op.Value
 		}
 	}
-	delete(s.writeSets, txID)
+	s.dropWriteSet(txID)
 	delete(s.prepared, txID)
-	s.recycleWriteSet(ws)
 	s.mu.Unlock()
 	s.lm.releaseAll(txID)
 	return nil
@@ -207,13 +214,11 @@ func (s *Store) Commit(txID uint64) error {
 // transaction the store has never seen is a no-op.
 func (s *Store) Abort(txID uint64) error {
 	s.mu.Lock()
-	ws, hadWrites := s.writeSets[txID]
-	if hadWrites || s.prepared[txID] {
+	if _, hadWrites := s.writeSets[txID]; hadWrites || s.prepared[txID] {
 		_ = s.appendLog(Record{Kind: RecAbort, TxID: txID}) // abort is presumed anyway
 	}
-	delete(s.writeSets, txID)
+	s.dropWriteSet(txID)
 	delete(s.prepared, txID)
-	s.recycleWriteSet(ws)
 	s.mu.Unlock()
 	s.lm.releaseAll(txID)
 	return nil

@@ -274,10 +274,12 @@ func TestTwoPhaseCommitAcrossStores(t *testing.T) {
 // vetoParticipant votes no in phase 1.
 type vetoParticipant struct{ aborted bool }
 
-func (v *vetoParticipant) Name() string         { return "veto" }
-func (v *vetoParticipant) Prepare(uint64) error { return errors.New("cannot prepare") }
-func (v *vetoParticipant) Commit(uint64) error  { return nil }
-func (v *vetoParticipant) Abort(uint64) error   { v.aborted = true; return nil }
+func (v *vetoParticipant) Name() string { return "veto" }
+func (v *vetoParticipant) Prepare(uint64) (Vote, error) {
+	return VoteCommit, errors.New("cannot prepare")
+}
+func (v *vetoParticipant) Commit(uint64) error { return nil }
+func (v *vetoParticipant) Abort(uint64) error  { v.aborted = true; return nil }
 
 func TestVetoAbortsEverywhere(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"alice": 100})
@@ -358,7 +360,7 @@ func TestRecoveryResolvesInDoubt(t *testing.T) {
 	if err := tx.Write(s, "x", values.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prepare(tx.ID()); err != nil { // phase 1 reached the store...
+	if _, err := s.Prepare(tx.ID()); err != nil { // phase 1 reached the store...
 		t.Fatal(err)
 	}
 	// ...but the commit decision was taken at the coordinator only.
@@ -383,7 +385,7 @@ func TestRecoveryResolvesInDoubt(t *testing.T) {
 	if err := tx2.Write(s2, "y", values.Int(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Prepare(tx2.ID()); err != nil {
+	if _, err := s2.Prepare(tx2.ID()); err != nil {
 		t.Fatal(err)
 	}
 	recovered2 := Recover("bank2", log2, func(txID uint64) bool {
@@ -522,10 +524,10 @@ func TestPrepareIdempotent(t *testing.T) {
 	if err := tx.Write(s, "a", values.Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prepare(tx.ID()); err != nil {
+	if _, err := s.Prepare(tx.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Prepare(tx.ID()); err != nil {
+	if _, err := s.Prepare(tx.ID()); err != nil {
 		t.Fatal(err)
 	}
 	prepares := 0
@@ -540,7 +542,7 @@ func TestPrepareIdempotent(t *testing.T) {
 	if err := s.Commit(tx.ID()); err != nil {
 		t.Fatal(err)
 	}
-	c.finish(tx, true)
+	c.finish(tx.ID(), true, true)
 }
 
 func BenchmarkLocalCommit(b *testing.B) {

@@ -30,12 +30,13 @@ type Decision struct {
 // Coordinator is the ACID transaction function: it creates transactions
 // and drives two-phase commit across their participants, recording every
 // decision durably before announcing it (the standard presumed-abort
-// discipline: no decision record means abort).
+// discipline: no decision record means abort). A transaction that wrote
+// nowhere records none: the question is only ever asked about a
+// transaction some store holds a prepare record for.
 type Coordinator struct {
 	mu        sync.Mutex
 	nextTx    uint64
 	decisions map[uint64]bool
-	active    map[uint64]*Tx
 
 	commits uint64
 	aborts  uint64
@@ -52,10 +53,7 @@ func (c *Coordinator) Instrument(ins *mgmt.TxInstruments) {
 
 // NewCoordinator returns a coordinator with an empty decision log.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{
-		decisions: make(map[uint64]bool),
-		active:    make(map[uint64]*Tx),
-	}
+	return &Coordinator{decisions: make(map[uint64]bool)}
 }
 
 // Begin starts a transaction. The context bounds every lock wait inside
@@ -64,13 +62,9 @@ func (c *Coordinator) Begin(ctx context.Context) *Tx {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextTx++
-	t := &Tx{
-		id:    c.nextTx,
-		ctx:   ctx,
-		coord: c,
-	}
+	t := &Tx{id: c.nextTx, coord: c}
+	t.amb = ambient{Context: ctx, tx: t}
 	t.participants = t.partBuf[:0]
-	c.active[t.id] = t
 	return t
 }
 
@@ -95,12 +89,15 @@ func (c *Coordinator) Stats() (commits, aborts uint64) {
 	return c.commits, c.aborts
 }
 
-func (c *Coordinator) finish(t *Tx, committed bool) {
+// finish counts the outcome and, for a commit some participant holds a
+// prepare record for (decide), logs the decision.
+func (c *Coordinator) finish(txID uint64, committed, decide bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.active, t.id)
+	if decide {
+		c.decisions[txID] = true
+	}
 	if committed {
-		c.decisions[t.id] = true
 		c.commits++
 	} else {
 		c.aborts++
@@ -120,18 +117,37 @@ const (
 // concurrent work in separate transactions.
 type Tx struct {
 	id    uint64
-	ctx   context.Context
+	amb   ambient // the caller's context, bounding every lock wait, plus t itself
 	coord *Coordinator
 	// participants is deduplicated by name. Most transactions touch one or
 	// two resources, so it lives in a small inline buffer and a linear scan
-	// replaces the map a general registry would use.
+	// replaces the map a general registry would use. Commit nils the entry
+	// of a participant that voted read-only: it is finished.
 	participants []Participant
 	partBuf      [4]Participant
 	state        txState
 }
 
+// ambient is the transaction as a context value: allocated with the Tx,
+// so handing a servant its transaction costs no context.WithValue node.
+type ambient struct {
+	context.Context
+	tx *Tx
+}
+
+func (a *ambient) Value(key any) any {
+	if k, ok := key.(*Tx); ok && k == nil {
+		return a.tx
+	}
+	return a.Context.Value(key)
+}
+
 // ID returns the transaction identifier.
 func (t *Tx) ID() uint64 { return t.id }
+
+// Context returns the context the transaction began under with the
+// transaction itself as its value for the key (*Tx)(nil).
+func (t *Tx) Context() context.Context { return &t.amb }
 
 // enlist registers a participant, replacing any previous one of the same
 // name (matching the map semantics this list replaces).
@@ -161,7 +177,7 @@ func (t *Tx) Read(s *Store, key string) (values.Value, error) {
 		return values.Value{}, ErrTxDone
 	}
 	t.enlist(s)
-	return s.get(t.ctx, t.id, key)
+	return s.get(t.amb.Context, t.id, key)
 }
 
 // Write stages a write to a store within the transaction.
@@ -170,7 +186,7 @@ func (t *Tx) Write(s *Store, key string, v values.Value) error {
 		return ErrTxDone
 	}
 	t.enlist(s)
-	return s.put(t.ctx, t.id, key, v)
+	return s.put(t.amb.Context, t.id, key, v)
 }
 
 // Delete stages a deletion within the transaction.
@@ -179,7 +195,7 @@ func (t *Tx) Delete(s *Store, key string) error {
 		return ErrTxDone
 	}
 	t.enlist(s)
-	return s.del(t.ctx, t.id, key)
+	return s.del(t.amb.Context, t.id, key)
 }
 
 // maxCommitFanout bounds the goroutines a single commit or abort spawns;
@@ -187,38 +203,81 @@ func (t *Tx) Delete(s *Store, key string) error {
 // shared cursor.
 const maxCommitFanout = 16
 
-// fanoutParticipants calls fn on every participant concurrently (bounded
-// at maxCommitFanout goroutines; a single participant is called inline)
-// and returns the index-aligned errors. When stopOnErr is set, a failure
-// makes the not-yet-started calls return errSkipped instead of running —
-// the first veto cancels the rest of the voting round.
-func fanoutParticipants(ps []Participant, stopOnErr bool, fn func(Participant) error) []error {
-	errs := make([]error, len(ps))
-	if len(ps) == 0 {
-		return errs
-	}
-	if len(ps) == 1 {
-		errs[0] = fn(ps[0])
-		return errs
-	}
-	var failed atomic.Bool
-	fanout.Do(len(ps), maxCommitFanout, func(i int) {
-		if stopOnErr && failed.Load() {
-			errs[i] = errSkipped
-			return
-		}
-		if err := fn(ps[i]); err != nil {
-			errs[i] = err
-			failed.Store(true)
-		}
-	})
-	return errs
-}
-
 // errSkipped marks a vote that was never solicited because an earlier
 // participant had already vetoed. A skipped participant holds no prepare
 // record, so the presumed-abort rollback covers it.
 var errSkipped = errors.New("transactions: prepare skipped after veto")
+
+// leg is one round of calls on the participants: the vote, the completion
+// or the rollback. Its value is the round's span-name prefix.
+type leg string
+
+const (
+	legPrepare  leg = "tx.prepare:"
+	legComplete leg = "tx.complete:"
+	legAbort    leg = ""
+)
+
+// call runs one participant's part of a round under its span (a child of
+// the commit span riding cctx). A read-only vote finishes the participant:
+// its entry is cleared and the later rounds pass over it.
+func (t *Tx) call(l leg, cctx context.Context, tr *mgmt.Tracer, i int) (err error) {
+	p := t.participants[i]
+	if p == nil {
+		return nil
+	}
+	// Span names are built only when tracing: the concatenation would
+	// otherwise allocate on every uninstrumented commit.
+	var sp *mgmt.ActiveSpan
+	if tr != nil && l != legAbort {
+		_, sp = tr.Start(cctx, string(l)+p.Name())
+	}
+	switch l {
+	case legPrepare:
+		var v Vote
+		if v, err = p.Prepare(t.id); err == nil && v == VoteReadOnly {
+			t.participants[i] = nil
+		}
+	case legComplete:
+		err = p.Commit(t.id)
+	case legAbort:
+		err = p.Abort(t.id)
+	}
+	sp.Fail(err)
+	sp.End()
+	return err
+}
+
+// round runs one leg on every participant — a lone one inline, two or
+// more concurrently on at most maxCommitFanout goroutines — and returns
+// the first failure in participant order with its index. In the voting
+// round a failure makes the not-yet-started calls skip instead of running:
+// the first veto cancels the rest of the vote.
+func (t *Tx) round(l leg, cctx context.Context, tr *mgmt.Tracer) (int, error) {
+	switch len(t.participants) {
+	case 0:
+		return 0, nil
+	case 1:
+		return 0, t.call(l, cctx, tr, 0)
+	}
+	errs := make([]error, len(t.participants))
+	var failed atomic.Bool
+	fanout.Do(len(errs), maxCommitFanout, func(i int) {
+		if l == legPrepare && failed.Load() {
+			errs[i] = errSkipped
+			return
+		}
+		if errs[i] = t.call(l, cctx, tr, i); errs[i] != nil {
+			failed.Store(true)
+		}
+	})
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, errSkipped) {
+			return i, err
+		}
+	}
+	return 0, nil
+}
 
 // Commit runs two-phase commit: every participant prepares concurrently
 // (forcing its redo log); if all vote yes the decision is logged — exactly
@@ -228,7 +287,9 @@ var errSkipped = errors.New("transactions: prepare skipped after veto")
 // (max of the participant costs instead of their sum); the log discipline
 // is untouched: prepare records are forced before voting yes, the
 // decision record is the commit point, and participants that prepared
-// recover forward from it.
+// recover forward from it. A participant that votes read-only is finished
+// at its vote and sits out the second phase (the read-only optimisation
+// of presumed-abort 2PC); when all do, there is no decision to log.
 func (t *Tx) Commit() error {
 	if t.state != txActive {
 		return ErrTxDone
@@ -241,57 +302,34 @@ func (t *Tx) Commit() error {
 	// The commit span parents under whatever trace rides the transaction's
 	// context (typically a server dispatch span); each participant's
 	// prepare and completion legs are child spans.
-	cctx, csp := tr.Start(t.ctx, "tx.commit")
+	cctx, csp := tr.Start(t.amb.Context, "tx.commit")
 	// Phase 1: voting.
-	errs := fanoutParticipants(t.participants, true, func(p Participant) error {
-		// Span names are built only when tracing: the concatenation would
-		// otherwise allocate on every uninstrumented commit.
-		var sp *mgmt.ActiveSpan
-		if tr != nil {
-			_, sp = tr.Start(cctx, "tx.prepare:"+p.Name())
+	if i, err := t.round(legPrepare, cctx, tr); err != nil {
+		if ins != nil {
+			ins.Vetoes.Inc()
 		}
-		err := p.Prepare(t.id)
-		sp.Fail(err)
-		sp.End()
-		return err
-	})
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errSkipped) {
-			if ins != nil {
-				ins.Vetoes.Inc()
-			}
-			t.rollback()
-			verr := fmt.Errorf("%w: %s: %v", ErrVetoed, t.participants[i].Name(), err)
-			csp.Fail(verr)
-			csp.End()
-			return verr
-		}
+		t.rollback()
+		verr := fmt.Errorf("%w: %s: %v", ErrVetoed, t.participants[i].Name(), err)
+		csp.Fail(verr)
+		csp.End()
+		return verr
 	}
 	// Decision point: once logged, the transaction IS committed, whatever
 	// happens to individual participants afterwards (they hold prepare
 	// records and recover forward).
-	t.coord.finish(t, true)
+	wrote := false
+	for _, p := range t.participants {
+		wrote = wrote || p != nil
+	}
+	t.coord.finish(t.id, true, wrote)
 	t.state = txCommitted
 	if ins != nil {
 		ins.Commits.Inc()
 	}
 	// Phase 2: completion.
-	errs = fanoutParticipants(t.participants, false, func(p Participant) error {
-		var sp *mgmt.ActiveSpan
-		if tr != nil {
-			_, sp = tr.Start(cctx, "tx.complete:"+p.Name())
-		}
-		err := p.Commit(t.id)
-		sp.Fail(err)
-		sp.End()
-		return err
-	})
 	var after error
-	for i, err := range errs {
-		if err != nil {
-			after = fmt.Errorf("transactions: participant %s failed after decision: %w", t.participants[i].Name(), err)
-			break
-		}
+	if i, err := t.round(legComplete, cctx, tr); err != nil {
+		after = fmt.Errorf("transactions: participant %s failed after decision: %w", t.participants[i].Name(), err)
 	}
 	csp.Fail(after)
 	d := csp.End()
@@ -318,10 +356,8 @@ func (t *Tx) rollback() {
 	// slowest participant, not the sum. Abort is idempotent and aborting a
 	// participant that never prepared is a no-op (presumed abort), so no
 	// ordering is required.
-	fanoutParticipants(t.participants, false, func(p Participant) error {
-		return p.Abort(t.id)
-	})
-	t.coord.finish(t, false)
+	_, _ = t.round(legAbort, nil, nil)
+	t.coord.finish(t.id, false, false)
 	t.state = txAborted
 }
 

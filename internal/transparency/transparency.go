@@ -255,8 +255,6 @@ func Replicate(refs []naming.InterfaceRef, contract core.Contract, env Env) (*co
 // ---------------------------------------------------------------------------
 // transaction transparency: object refinement
 
-type txCtxKey struct{}
-
 // TxFrom extracts the ambient transaction installed by Transactional. A
 // refined object uses it to report its reads and writes to the
 // transaction function:
@@ -267,14 +265,15 @@ type txCtxKey struct{}
 //		...
 //	}
 func TxFrom(ctx context.Context) *transactions.Tx {
-	tx, _ := ctx.Value(txCtxKey{}).(*transactions.Tx)
+	tx, _ := ctx.Value((*transactions.Tx)(nil)).(*transactions.Tx)
 	return tx
 }
 
-// WithTx installs a transaction into a context (exposed for tests and for
-// callers composing their own refinements).
+// WithTx installs a transaction into a foreign context (exposed for tests
+// and for callers composing their own refinements), under the key
+// tx.Context() answers to; Transactional passes tx.Context() itself.
 func WithTx(ctx context.Context, tx *transactions.Tx) context.Context {
-	return context.WithValue(ctx, txCtxKey{}, tx)
+	return context.WithValue(ctx, (*transactions.Tx)(nil), tx)
 }
 
 // Transactional refines a handler into a transaction-transparent one:
@@ -288,7 +287,7 @@ func Transactional(coord *transactions.Coordinator, inner channel.Handler) chann
 		var results []values.Value
 		err := coord.Atomically(ctx, func(tx *transactions.Tx) error {
 			var err error
-			term, results, err = inner.Invoke(WithTx(ctx, tx), op, args)
+			term, results, err = inner.Invoke(tx.Context(), op, args)
 			if err != nil {
 				return err
 			}

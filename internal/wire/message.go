@@ -223,57 +223,66 @@ func Decode(data []byte) (*Message, error) {
 	m := GetMessage()
 	m.Kind = MsgKind(data[4])
 	m.Codec = codec.ID()
+	if err := m.decodeBody(data, codec); err != nil {
+		PutMessage(m) // a corrupt frame must cost no more than a good one
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeBody parses everything after the fixed six-byte prefix into m.
+func (m *Message) decodeBody(data []byte, codec Codec) (err error) {
 	flags := data[5]
 	off := 6
 
 	if m.BindingID, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Seq, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Correlation, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Epoch, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	var nodeB []byte
 	if nodeB, off, err = readHdrBytes(data, off); err != nil {
-		return nil, err
+		return err
 	}
 	m.Target.Object.Cluster.Capsule.Node = naming.NodeID(internBytes(nodeB))
 	var u32 uint32
 	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	m.Target.Object.Cluster.Capsule.Seq = u32
 	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	m.Target.Object.Cluster.Seq = u32
 	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	m.Target.Object.Seq = u32
 	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	m.Target.Seq = u32
 	if m.Target.Nonce, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return nil, err
+		return err
 	}
 	var opB, termB, authB []byte
 	if opB, off, err = readHdrBytes(data, off); err != nil {
-		return nil, err
+		return err
 	}
 	m.Operation = internBytes(opB)
 	if termB, off, err = readHdrBytes(data, off); err != nil {
-		return nil, err
+		return err
 	}
 	m.Termination = internBytes(termB)
 	if authB, off, err = readHdrBytes(data, off); err != nil {
-		return nil, err
+		return err
 	}
 	if len(authB) > 0 {
 		m.Auth = make([]byte, len(authB))
@@ -281,11 +290,11 @@ func Decode(data []byte) (*Message, error) {
 	}
 	if flags&flagExtensions != 0 {
 		if off, err = m.readExtensions(data, off); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if off+2 > len(data) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	argc := binary.BigEndian.Uint16(data[off:])
 	off += 2
@@ -298,15 +307,15 @@ func Decode(data []byte) (*Message, error) {
 		for i := 0; i < int(argc); i++ {
 			var v values.Value
 			if v, off, err = codec.ReadValue(data, off); err != nil {
-				return nil, fmt.Errorf("wire: decoding argument %d: %w", i, err)
+				return fmt.Errorf("wire: decoding argument %d: %w", i, err)
 			}
 			m.Args = append(m.Args, v)
 		}
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-off)
+		return fmt.Errorf("wire: %d trailing bytes", len(data)-off)
 	}
-	return m, nil
+	return nil
 }
 
 // readExtensions parses the extension block: a count byte, then per

@@ -17,8 +17,8 @@ import (
 // buffer; PutFrame ends it. A frame may be recycled once no decoded view
 // of it can escape — Decode copies out every string and byte payload
 // precisely so that received frames can be recycled immediately after
-// decoding. A frame that is retained (for example in a replay-guard reply
-// cache) must NOT be put back.
+// decoding. Whoever must remember a frame's bytes (the replay guard does)
+// copies them; nothing retains a frame past its PutFrame.
 
 // GetFrame returns a pooled zero-length buffer with capacity at least
 // sizeHint, for use with Message.EncodeAppend.

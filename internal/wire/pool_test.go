@@ -191,3 +191,44 @@ func TestFramePoolRoundTrip(t *testing.T) {
 		t.Fatalf("round trip through pooled frame: %+v", dec)
 	}
 }
+
+// TestDecodeErrorRecyclesMessage: a frame that fails to decode hands its
+// pooled Message back, so a flood of corrupt frames costs no Message each.
+// The frame is cut inside its argument section — in the count, where the
+// error is the bare ErrTruncated, and in the last value, where building the
+// error message is all that allocates besides the argument slice.
+func TestDecodeErrorRecyclesMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
+	}
+	m := sampleMessage()
+	m.Auth = nil
+	frame, err := m.Encode(Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := *m
+	empty.Args = nil
+	header, err := empty.Encode(Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		cut    int
+		budget float64
+	}{
+		{"in the argument count", len(header) - 1, 0},
+		{"in the last argument", len(frame) - 1, 3},
+	} {
+		bad := frame[:c.cut]
+		allocs := testing.AllocsPerRun(200, func() {
+			if got, err := Decode(bad); err == nil {
+				t.Fatalf("decoded a truncated frame: %+v", got)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("cut %s: %v allocs per failed Decode, budget %v", c.name, allocs, c.budget)
+		}
+	}
+}

@@ -20,10 +20,13 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== bench module (build + vet) =="
+echo "== bench module (build + vet + test) =="
 # bench/ is a module of its own, so the root build above does not notice
-# when an API removal breaks the benchmark.
-(cd bench && go build ./... && go vet ./...)
+# when an API removal breaks the benchmark. Its smoke test drives all seven
+# workloads for 300 ms each with the bank, trader and stream oracles on
+# (10 s in all), so a hot-path change that breaks an oracle fails here
+# instead of at the driver.
+(cd bench && go build ./... && go vet ./... && go test ./...)
 
 echo "== facade gate (configuration is a value; the binaries are the facade) =="
 # odp.System is configured by odp.New(Config) alone: no late-bound mutator
