@@ -147,6 +147,10 @@ func runServe(ctx context.Context, sys *odp.System, stdout io.Writer, nodeName, 
 	case "bank":
 		coord := transactions.NewCoordinator()
 		coord.Instrument(sys.Mgmt().Tx(nodeName))
+		mgmt.Read(sys.Mgmt(), "tx."+nodeName+".", func() struct{ Commits, Aborts uint64 } {
+			commits, aborts := coord.Stats()
+			return struct{ Commits, Aborts uint64 }{commits, aborts}
+		})
 		bank.RegisterBehavior(node.Behaviors(), coord, transactions.NewStore("branch", nil))
 		tmpl = bank.Template("branch")
 	default:

@@ -98,6 +98,8 @@ type ServerStats struct {
 	// bindings, so with session-sharing clients this stays O(peer nodes)
 	// while Calls grows O(bindings × calls).
 	Sessions uint64
+	// Open is the number of inbound sessions live right now.
+	Open int
 }
 
 type servantEntry struct {
@@ -264,6 +266,9 @@ func (s *Server) dispatch(t task) {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() ServerStats {
+	s.mu.RLock()
+	open := len(s.conns)
+	s.mu.RUnlock()
 	return ServerStats{
 		Calls:          s.calls.Load(),
 		OneWays:        s.oneWays.Load(),
@@ -276,6 +281,7 @@ func (s *Server) Stats() ServerStats {
 		FlowTypeErrors: s.flowTypeErrors.Load(),
 		FlowBatches:    s.flowBatches.Load(),
 		CreditGrants:   s.creditGrants.Load(),
+		Open:           open,
 	}
 }
 
@@ -289,10 +295,6 @@ func (s *Server) serveConn(conn netsim.Conn) {
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	s.sessions.Add(1)
-	if ins := s.cfg.Instruments; ins != nil {
-		ins.SessionsTotal.Inc()
-		ins.SessionsOpen.Add(1)
-	}
 	// The connection's reply writer: worker-pool handlers answering calls
 	// from this session enqueue here, so concurrent replies coalesce into
 	// vectored writes exactly as the client's concurrent calls did on the
@@ -336,7 +338,6 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		q.close()
 		conn.Close()
 		if ins := s.cfg.Instruments; ins != nil {
-			ins.SessionsOpen.Add(-1)
 			ins.BindingsPerSession.Observe(uint64(len(bindings)))
 		}
 	}()
@@ -350,7 +351,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		// buffer can be recycled immediately, whatever the outcome.
 		wire.PutFrame(frame)
 		if err != nil {
-			s.badFrame()
+			s.badFrames.Add(1)
 			continue
 		}
 		if m.BindingID != 0 {
@@ -409,19 +410,9 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			s.handleSignal(m)
 			wire.PutMessage(m)
 		default:
-			s.badFrame()
+			s.badFrames.Add(1)
 			wire.PutMessage(m)
 		}
-	}
-}
-
-// badFrame counts an inbound frame the read loop could not serve —
-// undecodable, or of a kind no server handles — in ServerStats and, when
-// instrumented, in the management counter odpstat shows.
-func (s *Server) badFrame() {
-	s.badFrames.Add(1)
-	if ins := s.cfg.Instruments; ins != nil {
-		ins.BadFrames.Inc()
 	}
 }
 
@@ -462,7 +453,6 @@ func (s *Server) handleCall(q *frameQueue, m *wire.Message) {
 	ins := s.cfg.Instruments
 	var sp *mgmt.ActiveSpan
 	if ins != nil {
-		ins.Dispatches.Inc()
 		// Parent under the caller's transport span when the frame carried a
 		// trace extension; an untraced caller still gets a local root span.
 		ctx, sp = ins.Tracer.StartRemote(ctx, "dispatch:"+m.Operation,
@@ -513,14 +503,11 @@ func (s *Server) handleOneWay(m *wire.Message) {
 
 // flowTypeError records one flow interaction the server stub rejected on
 // type grounds. It still counts toward Errors (the historical behaviour)
-// but also the dedicated FlowTypeErrors counter and mgmt metric, so a
-// chaos run can assert no element was silently dropped for type reasons.
+// but also the dedicated FlowTypeErrors counter, so a chaos run can assert
+// no element was silently dropped for type reasons.
 func (s *Server) flowTypeError() {
 	s.errCount.Add(1)
 	s.flowTypeErrors.Add(1)
-	if ins := s.cfg.Instruments; ins != nil {
-		ins.FlowTypeErrors.Inc()
-	}
 }
 
 func (s *Server) handleFlow(m *wire.Message) {
@@ -697,9 +684,6 @@ func (s *Server) handleSignal(m *wire.Message) {
 
 func (s *Server) sendErr(q *frameQueue, req *wire.Message, code, detail string) {
 	s.errCount.Add(1)
-	if ins := s.cfg.Instruments; ins != nil {
-		ins.Errors.Inc()
-	}
 	s.reply(q, req, wire.ErrReply, code, []values.Value{values.Str(detail)})
 }
 

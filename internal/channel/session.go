@@ -243,10 +243,6 @@ func (m *SessionManager) session(ctx context.Context, ep naming.Endpoint) (*Sess
 		e.sess = s
 		m.mu.Unlock()
 		close(latch)
-		if ins := m.insp.Load(); ins != nil {
-			ins.Dials.Inc()
-			ins.SessionsOpen.Add(1)
-		}
 		go s.readLoop()
 		return s, nil
 	}
@@ -288,16 +284,6 @@ func (m *SessionManager) peek(ep naming.Endpoint) *Session {
 	return nil
 }
 
-// badFrame counts an inbound frame a session's read loop could not serve —
-// undecodable, or of a kind no client end accepts — in SessionStats and,
-// when instrumented, in the management counter odpstat shows.
-func (m *SessionManager) badFrame() {
-	m.badFrames.Add(1)
-	if ins := m.insp.Load(); ins != nil {
-		ins.BadFrames.Inc()
-	}
-}
-
 // sessionDied is the read loop's exit notification: unpublish the session
 // and account for the shared failover.
 func (m *SessionManager) sessionDied(s *Session, graceful bool) {
@@ -315,11 +301,7 @@ func (m *SessionManager) sessionDied(s *Session, graceful bool) {
 		m.deaths.Add(1)
 	}
 	if ins := m.insp.Load(); ins != nil {
-		ins.SessionsOpen.Add(-1)
 		ins.BindingsAtDeath.Observe(uint64(refs))
-		if !graceful {
-			ins.Reconnects.Inc()
-		}
 	}
 }
 
@@ -533,7 +515,7 @@ func (s *Session) readLoop() {
 		if err != nil {
 			// A corrupt frame fails only its own call, by that call's
 			// timeout; the session and its other bindings keep going.
-			s.mgr.badFrame()
+			s.mgr.badFrames.Add(1)
 			continue
 		}
 		switch m.Kind {
@@ -566,7 +548,7 @@ func (s *Session) readLoop() {
 			wire.PutMessage(m)
 		default:
 			// Client ends do not accept requests.
-			s.mgr.badFrame()
+			s.mgr.badFrames.Add(1)
 			wire.PutMessage(m)
 		}
 	}
@@ -608,9 +590,6 @@ func (s *Session) probeShared(ctx context.Context, b *Binding) error {
 		if f := s.probe; f != nil {
 			s.probeMu.Unlock()
 			s.mgr.probesCoalesced.Add(1)
-			if ins := s.mgr.insp.Load(); ins != nil {
-				ins.ProbesCoalesced.Inc()
-			}
 			select {
 			case <-f.done:
 				// If the probe owner's context (not ours) was cancelled,
@@ -632,9 +611,6 @@ func (s *Session) probeShared(ctx context.Context, b *Binding) error {
 		// The heartbeat is an ordinary round trip of the owning binding, so
 		// a secured channel probes like it invokes.
 		s.mgr.probesSent.Add(1)
-		if ins := s.mgr.insp.Load(); ins != nil {
-			ins.Probes.Inc()
-		}
 		m := b.message(wire.Probe, b.Ref(), b.nextSeq.Add(1), 0, "", nil)
 		ack, err := b.roundTrip(ctx, s, m)
 		wire.PutMessage(m)

@@ -77,7 +77,6 @@ type busShard struct {
 	dropped   atomic.Uint64
 	stalls    atomic.Uint64
 	queued    atomic.Int64
-	ins       atomic.Pointer[mgmt.BusInstruments]
 }
 
 type subscription struct {
@@ -230,9 +229,6 @@ func (sh *busShard) drain(s *subscription) {
 	defer close(s.done)
 	for ev := range s.q {
 		sh.queued.Add(-1)
-		if ins := sh.ins.Load(); ins != nil {
-			ins.QueueDepth.Add(-1)
-		}
 		if s.filter != nil && !s.filter(ev) {
 			continue
 		}
@@ -266,16 +262,10 @@ func (b *Bus) Publish(topic string, payload values.Value) int {
 		select {
 		case s.q <- ev:
 			sh.queued.Add(1)
-			if ins := sh.ins.Load(); ins != nil {
-				ins.QueueDepth.Add(1)
-			}
 			n++
 		default:
 			sh.dropped.Add(1)
 			stalled = true
-			if ins := sh.ins.Load(); ins != nil {
-				ins.Dropped.Inc()
-			}
 		}
 	}
 	sort.Slice(inline, func(i, j int) bool { return inline[i].id < inline[j].id })
@@ -283,9 +273,6 @@ func (b *Bus) Publish(topic string, payload values.Value) int {
 	sh.published.Add(1)
 	if stalled {
 		sh.stalls.Add(1)
-	}
-	if ins := sh.ins.Load(); ins != nil {
-		ins.Published.Inc()
 	}
 
 	ni := 0
@@ -326,20 +313,31 @@ type BusStats struct {
 func (b *Bus) Stats() BusStats {
 	var out BusStats
 	for _, sh := range b.shards {
-		out.Published += sh.published.Load()
-		out.Delivered += sh.delivered.Load()
-		out.Dropped += sh.dropped.Load()
-		out.Stalls += sh.stalls.Load()
-		out.Queued += sh.queued.Load()
+		s := sh.stats()
+		out.Published += s.Published
+		out.Delivered += s.Delivered
+		out.Dropped += s.Dropped
+		out.Stalls += s.Stalls
+		out.Queued += s.Queued
 	}
 	return out
 }
 
-// Instrument resolves one management bundle per shard from m — a
-// queue-depth gauge plus published/dropped counters under bus.<shard>.* —
-// or detaches them all with a nil m.
+// stats is one shard's counter snapshot.
+func (sh *busShard) stats() BusStats {
+	return BusStats{
+		Published: sh.published.Load(),
+		Delivered: sh.delivered.Load(),
+		Dropped:   sh.dropped.Load(),
+		Stalls:    sh.stalls.Load(),
+		Queued:    sh.queued.Load(),
+	}
+}
+
+// Instrument makes every shard's counters readable through m, under
+// bus.<shard>.* (bus.b3.queued, bus.b3.dropped, …); a nil m is a no-op.
 func (b *Bus) Instrument(m *mgmt.Management) {
 	for _, sh := range b.shards {
-		sh.ins.Store(m.Bus(sh.name))
+		mgmt.Read(m, "bus."+sh.name+".", sh.stats)
 	}
 }

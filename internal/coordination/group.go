@@ -250,7 +250,6 @@ func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Valu
 	ins := g.insp.Load()
 	var tr *mgmt.Tracer
 	if ins != nil {
-		ins.Updates.Inc()
 		tr = ins.Tracer
 	}
 
@@ -362,9 +361,6 @@ func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Valu
 	}
 	if len(failed) > 0 {
 		g.failovers.Add(uint64(len(failed)))
-		if ins != nil {
-			ins.Failovers.Add(uint64(len(failed)))
-		}
 		if mp == nil || !mp.Retain {
 			g.drop(failed)
 			for _, m := range failed {
@@ -494,25 +490,17 @@ func (g *ReplicaGroup) InvokeReadMeta(ctx context.Context, op string, args []val
 			meta.Stale = meta.Skipped+meta.Failovers > 0 || live*2 <= peak
 			if meta.Stale {
 				g.degradedReads.Add(1)
-				if ins := g.insp.Load(); ins != nil {
-					if ins.DegradedReads != nil {
-						ins.DegradedReads.Inc()
-					}
-					if ins.Tracer != nil {
-						// The staleness flag in the trace: a zero-length
-						// marker span under the read's context.
-						_, sp := ins.Tracer.Start(ctx, "replica.read.stale:"+m.name)
-						sp.End()
-					}
+				if ins := g.insp.Load(); ins != nil && ins.Tracer != nil {
+					// The staleness flag in the trace: a zero-length
+					// marker span under the read's context.
+					_, sp := ins.Tracer.Start(ctx, "replica.read.stale:"+m.name)
+					sp.End()
 				}
 			}
 			return term, res, meta, nil
 		}
 		meta.Failovers++
 		g.failovers.Add(1)
-		if ins := g.insp.Load(); ins != nil {
-			ins.Failovers.Inc()
-		}
 		lastErr = err
 		if ctx.Err() != nil {
 			return "", nil, meta, ctx.Err()

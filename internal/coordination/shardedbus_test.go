@@ -2,6 +2,8 @@ package coordination
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -53,7 +55,7 @@ func TestQueuedSubscriberPreservesOrder(t *testing.T) {
 
 // A full bounded queue drops new events for that subscriber (counted)
 // instead of stalling the publisher, and the drops are visible in both
-// Stats and the mgmt gauges (the singleton's one shard is named "bus").
+// Stats and the management dump (the singleton's one shard is named "bus").
 func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 	b := NewBus()
 	m := mgmt.New()
@@ -91,8 +93,8 @@ func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 	if st.Stalls != extra {
 		t.Fatalf("Stalls = %d, want %d", st.Stalls, extra)
 	}
-	if got := m.Registry.Gauge("bus.bus.queue_depth").Load(); got != 1 {
-		t.Fatalf("bus.bus.queue_depth = %d while one event queued, want 1", got)
+	if got := dumped(t, m, "bus.bus.queued"); got != 1 {
+		t.Fatalf("bus.bus.queued = %d while one event queued, want 1", got)
 	}
 	close(release)
 	cancel()
@@ -102,12 +104,28 @@ func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("delivered %d events, want 2 (wedged + queued)", got)
 	}
-	if got := m.Registry.Gauge("bus.bus.queue_depth").Load(); got != 0 {
-		t.Fatalf("bus.bus.queue_depth = %d after drain, want 0", got)
+	if got := dumped(t, m, "bus.bus.queued"); got != 0 {
+		t.Fatalf("bus.bus.queued = %d after drain, want 0", got)
 	}
-	if got := m.Registry.Counter("bus.bus.dropped").Load(); got != extra {
+	if got := dumped(t, m, "bus.bus.dropped"); got != extra {
 		t.Fatalf("bus.bus.dropped = %d, want %d", got, extra)
 	}
+}
+
+// dumped is the value Management's dump shows for a counter or gauge.
+func dumped(t *testing.T, m *mgmt.Management, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(m.Registry.Dump(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == name {
+			v, err := strconv.ParseInt(f[2], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no %s in the management dump", name)
+	return 0
 }
 
 // A slow queued subscriber must not stall publishers or other
@@ -296,8 +314,8 @@ func TestShardedBusWildcardSeesAllShards(t *testing.T) {
 	}
 }
 
-// A many-shard bus sums its stats across shards and resolves one mgmt
-// bundle per shard.
+// A many-shard bus sums its stats across shards and shows each shard's
+// counters through Management.
 func TestShardedBusStatsAndInstruments(t *testing.T) {
 	sb := NewShardedBus(2)
 	m := mgmt.New()
@@ -313,9 +331,9 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 	if st := sb.Stats(); st.Published != 2 {
 		t.Fatalf("Stats.Published = %d, want 2", st.Published)
 	}
-	var published uint64
+	var published int64
 	for _, name := range sb.ShardNames() {
-		published += m.Registry.Counter("bus." + name + ".published").Load()
+		published += dumped(t, m, "bus."+name+".published")
 	}
 	if published != 2 {
 		t.Fatalf("per-shard published counters sum to %d, want 2", published)

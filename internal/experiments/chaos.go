@@ -308,6 +308,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	// --- the client: one session manager, one binding per replica ------
 	mgr := f.sessions(net.From("client"))
 	mgr.Instrument(m.Sessions("client"))
+	mgmt.Read(m, "session.client.", mgr.Stats)
 	var chanBreakers, groupBreakers *policy.BreakerSet
 	if policyOn {
 		chanBreakers = policy.NewBreakerSet(policy.BreakerConfig{
@@ -320,6 +321,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 
 	group := coordination.NewReplicaGroup()
 	group.Instrument(m.Group("bank"))
+	mgmt.Read(m, "replica.bank.", group.Stats)
 	defer group.Close()
 	for _, h := range e11Hosts {
 		cfg := channel.BindConfig{

@@ -138,6 +138,10 @@ func E9TracedTransfer() ([]mgmt.Span, string, error) {
 		}
 		coord := transactions.NewCoordinator()
 		coord.Instrument(m.Tx(host))
+		mgmt.Read(m, "tx."+host+".", func() struct{ Commits, Aborts uint64 } {
+			commits, aborts := coord.Stats()
+			return struct{ Commits, Aborts uint64 }{commits, aborts}
+		})
 		store := transactions.NewStore(host, nil)
 		bank.RegisterBehavior(node.Behaviors(), coord, store)
 		dep, err := system.Deploy(node, bank.Template("branch-"+host), values.Null())
@@ -162,6 +166,7 @@ func E9TracedTransfer() ([]mgmt.Span, string, error) {
 			return nil, err
 		}
 		g.Instrument(m.Group(groupName))
+		mgmt.Read(m, "replica."+groupName+".", g.Stats)
 		return g, nil
 	}
 	mg, err := bindGroup(managers, "BankManager", "managers")

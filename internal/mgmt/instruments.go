@@ -6,12 +6,14 @@ import (
 	"sync"
 )
 
-// This file defines the per-component instrument bundles. Each
-// instrumented package (channel, coordination, transactions, trader,
-// netsim) takes exactly one optional pointer to its bundle; a nil bundle
-// disables that component's instrumentation at the cost of one nil check,
-// which is what lets the hooks ship permanently inside the hot paths that
-// earlier perf work tuned.
+// This file defines the per-component instrument bundles. A bundle holds
+// only what no component counts for itself — the tracer, histograms, QoS
+// monitors and aggregates over a set of components; a count a component's
+// own Stats() already keeps is read through (see Read), never mirrored.
+// Each instrumented package takes exactly one optional pointer to its
+// bundle; a nil bundle disables that component's instrumentation at the
+// cost of one nil check, which is what lets the hooks ship permanently
+// inside the hot paths that earlier perf work tuned.
 
 // ChannelClientInstruments instrument the client end of a channel: the
 // stub, binder and protocol stages of one binding (or a family of
@@ -30,18 +32,12 @@ type ChannelClientInstruments struct {
 
 // ChannelServerInstruments instrument the server end: dispatch of inbound
 // calls to servants, and the transport sessions those calls arrive on
-// (each accepted connection is one multi-binding session).
+// (each accepted connection is one multi-binding session). The server's
+// counters are its ServerStats, read through.
 type ChannelServerInstruments struct {
 	Tracer *Tracer
 
-	Dispatches      *Counter   // calls dispatched to servants
-	Errors          *Counter   // error replies sent
-	BadFrames       *Counter   // undecodable inbound frames
-	FlowTypeErrors  *Counter   // flow traffic rejected by the server stub's type checks
-	DispatchLatency *Histogram // servant execution latency, ns
-
-	SessionsOpen       *Gauge     // live inbound sessions (accepted conns)
-	SessionsTotal      *Counter   // sessions accepted over the server's lifetime
+	DispatchLatency    *Histogram // servant execution latency, ns
 	BindingsPerSession *Histogram // distinct binding ids seen, observed at session close
 
 	// Reply batching: concurrent replies to one inbound session coalesce
@@ -53,15 +49,9 @@ type ChannelServerInstruments struct {
 
 // SessionInstruments instrument the client-side session layer: the
 // per-(transport, endpoint) shared connections that bindings multiplex
-// over.
+// over. The manager's counters are its SessionStats, read through.
 type SessionInstruments struct {
-	SessionsOpen    *Gauge     // live outbound sessions
-	Dials           *Counter   // transport dials (single-flight: one per session establishment)
-	Reconnects      *Counter   // session deaths — every binding on the session failed over at once
 	BindingsAtDeath *Histogram // bindings attached when a session died or was released
-	Probes          *Counter   // liveness probes actually sent on the wire
-	ProbesCoalesced *Counter   // probes answered by an already in-flight probe
-	BadFrames       *Counter   // inbound frames dropped: undecodable, or of a kind no client end accepts
 
 	// Adaptive frame batching: the per-session sender goroutine drains
 	// whatever is queued into one vectored write, so these show the batch
@@ -88,42 +78,33 @@ type StreamInstruments struct {
 	QueuedElems  *Gauge     // consumer elements buffered awaiting Recv
 }
 
-// GroupInstruments instrument a replica group (coordination).
+// GroupInstruments instrument a replica group (coordination); its
+// counters are its GroupStats, read through.
 type GroupInstruments struct {
 	Tracer *Tracer
 
-	Updates       *Counter
-	Failovers     *Counter
-	DegradedReads *Counter   // reads served with the staleness flag set
 	UpdateLatency *Histogram // full fan-out latency, ns
 }
 
-// TxInstruments instrument a transaction coordinator.
+// TxInstruments instrument a transaction coordinator; its commit and abort
+// counts are its Stats, read through.
 type TxInstruments struct {
 	Tracer *Tracer
 
-	Commits       *Counter
-	Aborts        *Counter
 	Vetoes        *Counter
 	CommitLatency *Histogram // two-phase commit latency, ns
 }
 
-// TraderInstruments instrument a trader's import (lookup) path.
+// TraderInstruments instrument a trader's import (lookup) path; its
+// counters are its Stats, read through.
 type TraderInstruments struct {
-	Imports       *Counter
-	Matched       *Counter
 	ImportLatency *Histogram // import latency, ns
 }
 
-// ShardInstruments instrument a sharded-trader (or sharded-relocator)
-// front-end: the ring shape and the routing work per import.
+// ShardInstruments instrument a sharded-trader front-end: the routing work
+// per import. The ring shape and the counters are its ShardStats, read
+// through.
 type ShardInstruments struct {
-	Shards          *Gauge     // shards currently on the ring
-	RingEpoch       *Gauge     // ring generation (bumps on flip and on settle)
-	Rebalances      *Counter   // completed ring changes
-	MigratedOffers  *Counter   // offers moved live during rebalances
-	Imports         *Counter   // imports answered by the front-end
-	Matched         *Counter   // offers returned
 	ShardsPerImport *Histogram // shard queries issued per import
 	ImportLatency   *Histogram // front-end import latency, ns
 }
@@ -150,14 +131,6 @@ type PolicyInstruments struct {
 	BackoffNs     *Counter // total nanoseconds slept in retry backoff
 }
 
-// NetInstruments instrument a transport/network: frame-level counters.
-type NetInstruments struct {
-	Sent        *Counter
-	Delivered   *Counter
-	Dropped     *Counter
-	Partitioned *Counter // drops caused specifically by a partition
-}
-
 // HealthInstruments instrument one endpoint monitored by the failure
 // detector: its liveness state and suspicion level as gauges (what the
 // odpstat health table renders), plus probe activity.
@@ -168,14 +141,6 @@ type HealthInstruments struct {
 	Misses      *Counter   // probes that failed or exceeded the adaptive timeout
 	Transitions *Counter   // liveness transitions
 	RTT         *Histogram // successful probe round trips, ns
-}
-
-// BusInstruments instrument one event-bus shard: the depth of its bounded
-// subscriber queues plus publish/drop counters.
-type BusInstruments struct {
-	QueueDepth *Gauge   // events sitting in bounded subscriber queues
-	Published  *Counter // events published on this shard
-	Dropped    *Counter // events dropped at full subscriber queues
 }
 
 // ---------------------------------------------------------------------------
@@ -252,13 +217,7 @@ func (m *Management) ChannelServer(name string) *ChannelServerInstruments {
 	p := "channel.server." + name + "."
 	return &ChannelServerInstruments{
 		Tracer:              m.Tracer,
-		Dispatches:          m.Registry.Counter(p + "dispatches"),
-		Errors:              m.Registry.Counter(p + "errors"),
-		BadFrames:           m.Registry.Counter(p + "bad_frames"),
-		FlowTypeErrors:      m.Registry.Counter(p + "flow_type_errors"),
 		DispatchLatency:     m.Registry.Histogram(p + "dispatch_latency_ns"),
-		SessionsOpen:        m.Registry.Gauge(p + "sessions_open"),
-		SessionsTotal:       m.Registry.Counter(p + "sessions_total"),
 		BindingsPerSession:  m.Registry.Histogram(p + "bindings_per_session"),
 		ReplyFramesPerWrite: m.Registry.Histogram(p + "reply_frames_per_write"),
 		ReplyBatchBytes:     m.Registry.Histogram(p + "reply_batch_bytes"),
@@ -274,13 +233,7 @@ func (m *Management) Sessions(name string) *SessionInstruments {
 	}
 	p := "session." + name + "."
 	return &SessionInstruments{
-		SessionsOpen:    m.Registry.Gauge(p + "open"),
-		Dials:           m.Registry.Counter(p + "dials"),
-		Reconnects:      m.Registry.Counter(p + "reconnects"),
 		BindingsAtDeath: m.Registry.Histogram(p + "bindings_at_death"),
-		Probes:          m.Registry.Counter(p + "probes"),
-		ProbesCoalesced: m.Registry.Counter(p + "probes_coalesced"),
-		BadFrames:       m.Registry.Counter(p + "bad_frames"),
 		FramesPerWrite:  m.Registry.Histogram(p + "frames_per_write"),
 		BatchBytes:      m.Registry.Histogram(p + "batch_bytes"),
 		SendQueueDepth:  m.Registry.Gauge(p + "send_queue_depth"),
@@ -315,9 +268,6 @@ func (m *Management) Group(name string) *GroupInstruments {
 	p := "replica." + name + "."
 	return &GroupInstruments{
 		Tracer:        m.Tracer,
-		Updates:       m.Registry.Counter(p + "updates"),
-		Failovers:     m.Registry.Counter(p + "failovers"),
-		DegradedReads: m.Registry.Counter(p + "degraded_reads"),
 		UpdateLatency: m.Registry.Histogram(p + "update_latency_ns"),
 	}
 }
@@ -330,8 +280,6 @@ func (m *Management) Tx(name string) *TxInstruments {
 	p := "tx." + name + "."
 	return &TxInstruments{
 		Tracer:        m.Tracer,
-		Commits:       m.Registry.Counter(p + "commits"),
-		Aborts:        m.Registry.Counter(p + "aborts"),
 		Vetoes:        m.Registry.Counter(p + "vetoes"),
 		CommitLatency: m.Registry.Histogram(p + "commit_latency_ns"),
 	}
@@ -344,8 +292,6 @@ func (m *Management) TraderInstr(name string) *TraderInstruments {
 	}
 	p := "trader." + name + "."
 	return &TraderInstruments{
-		Imports:       m.Registry.Counter(p + "imports"),
-		Matched:       m.Registry.Counter(p + "matched"),
 		ImportLatency: m.Registry.Histogram(p + "import_latency_ns"),
 	}
 }
@@ -358,12 +304,6 @@ func (m *Management) TraderShards(name string) *ShardInstruments {
 	}
 	p := "trader." + name + ".shards."
 	return &ShardInstruments{
-		Shards:          m.Registry.Gauge(p + "count"),
-		RingEpoch:       m.Registry.Gauge(p + "ring_epoch"),
-		Rebalances:      m.Registry.Counter(p + "rebalances"),
-		MigratedOffers:  m.Registry.Counter(p + "migrated_offers"),
-		Imports:         m.Registry.Counter(p + "imports"),
-		Matched:         m.Registry.Counter(p + "matched"),
 		ShardsPerImport: m.Registry.Histogram(p + "shards_per_import"),
 		ImportLatency:   m.Registry.Histogram(p + "import_latency_ns"),
 	}
@@ -403,35 +343,6 @@ func (m *Management) Policy(name string) *PolicyInstruments {
 		Rejected:      m.Registry.Counter(p + "breaker.rejected"),
 		Retries:       m.Registry.Counter(p + "retry.attempts"),
 		BackoffNs:     m.Registry.Counter(p + "retry.backoff_ns"),
-	}
-}
-
-// Net resolves a network bundle.
-func (m *Management) Net(name string) *NetInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "net." + name + "."
-	return &NetInstruments{
-		Sent:        m.Registry.Counter(p + "sent"),
-		Delivered:   m.Registry.Counter(p + "delivered"),
-		Dropped:     m.Registry.Counter(p + "dropped"),
-		Partitioned: m.Registry.Counter(p + "partitioned"),
-	}
-}
-
-// Bus resolves an event-bus shard bundle. Metric names follow the
-// bus.<shard>.* convention ("bus.b3.queue_depth", "bus.b3.dropped"); a
-// sharded bus resolves one bundle per shard.
-func (m *Management) Bus(shard string) *BusInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "bus." + shard + "."
-	return &BusInstruments{
-		QueueDepth: m.Registry.Gauge(p + "queue_depth"),
-		Published:  m.Registry.Counter(p + "published"),
-		Dropped:    m.Registry.Counter(p + "dropped"),
 	}
 }
 

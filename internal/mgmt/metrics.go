@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 )
 
 // Counter is a monotonically increasing atomic counter. A nil *Counter
@@ -190,11 +192,14 @@ func bucketUpper(i int) uint64 {
 // Registry names and owns instruments. Components resolve their
 // instruments once at configuration time (the returned pointers are
 // stable), so the per-operation path never touches the registry's lock.
+// Beside the instruments it owns, a registry reads the counters components
+// keep themselves: see Read.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	sources  map[string]func() any // name prefix -> a component's Stats
 }
 
 // NewRegistry returns an empty registry.
@@ -203,7 +208,24 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		sources:  make(map[string]func() any),
 	}
+}
+
+// Read makes a component's own counters visible through m: every Dump
+// calls stats and prints each exported integer field of its result as
+// <prefix><snake_case(field)>, unsigned fields as counters and signed ones
+// as gauges. A component that already counts an event in its Stats is
+// observed this way rather than counting the event a second time.
+// Registering a prefix again replaces its source; a nil m is a no-op.
+func Read[S any](m *Management, prefix string, stats func() S) {
+	if m == nil {
+		return
+	}
+	r := m.Registry
+	r.mu.Lock()
+	r.sources[prefix] = func() any { return stats() }
+	r.mu.Unlock()
 }
 
 // Counter returns the named counter, creating it on first use. A nil
@@ -252,48 +274,100 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Dump renders every instrument as sorted text, the form served by the
-// management interface and printed by odpstat.
+// Dump renders every instrument and every Read source as sorted text, the
+// form served by the management interface and printed by odpstat.
+// Histograms whose name ends in _ns print as durations, the rest as plain
+// numbers.
 func (r *Registry) Dump() string {
 	if r == nil {
 		return "(metrics disabled)\n"
 	}
+	counters := make(map[string]uint64)
+	gauges := make(map[string]int64)
 	r.mu.Lock()
-	counterNames := sortedKeys(r.counters)
-	gaugeNames := sortedKeys(r.gauges)
-	histNames := sortedKeys(r.hists)
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	for k, c := range r.counters {
+		counters[k] = c.Load()
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
+	for k, g := range r.gauges {
+		gauges[k] = g.Load()
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
+	for k, h := range r.hists {
+		hists[k] = h
+	}
+	sources := make(map[string]func() any, len(r.sources))
+	for k, src := range r.sources {
+		sources[k] = src
 	}
 	r.mu.Unlock()
+	// Sources run outside the registry lock: one may take its component's
+	// lock, under which that component may resolve an instrument here.
+	for prefix, src := range sources {
+		flatten(prefix, src(), counters, gauges)
+	}
 
 	var b strings.Builder
-	for _, name := range counterNames {
-		fmt.Fprintf(&b, "counter   %-44s %d\n", name, counters[name].Load())
+	for _, name := range sortedKeys(counters) {
+		fmt.Fprintf(&b, "counter   %-44s %d\n", name, counters[name])
 	}
-	for _, name := range gaugeNames {
-		fmt.Fprintf(&b, "gauge     %-44s %d\n", name, gauges[name].Load())
+	for _, name := range sortedKeys(gauges) {
+		fmt.Fprintf(&b, "gauge     %-44s %d\n", name, gauges[name])
 	}
-	for _, name := range histNames {
+	for _, name := range sortedKeys(hists) {
 		s := hists[name].Snapshot()
-		fmt.Fprintf(&b, "histogram %-44s n=%d mean=%s p50=%s p99=%s max≤%s\n",
-			name, s.Count,
-			time.Duration(s.Mean()).Round(time.Microsecond),
-			time.Duration(s.Quantile(0.50)).Round(time.Microsecond),
-			time.Duration(s.Quantile(0.99)).Round(time.Microsecond),
-			time.Duration(s.Quantile(1)).Round(time.Microsecond))
+		if strings.HasSuffix(name, "_ns") {
+			fmt.Fprintf(&b, "histogram %-44s n=%d mean=%s p50=%s p99=%s max≤%s\n",
+				name, s.Count,
+				time.Duration(s.Mean()).Round(time.Microsecond),
+				time.Duration(s.Quantile(0.50)).Round(time.Microsecond),
+				time.Duration(s.Quantile(0.99)).Round(time.Microsecond),
+				time.Duration(s.Quantile(1)).Round(time.Microsecond))
+			continue
+		}
+		fmt.Fprintf(&b, "histogram %-44s n=%d mean=%.1f p50=%d p99=%d max≤%d\n",
+			name, s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.99), s.Quantile(1))
 	}
 	if b.Len() == 0 {
 		return "(no instruments)\n"
+	}
+	return b.String()
+}
+
+// flatten adds each exported integer field of the struct v under
+// prefix+snake(field): unsigned fields to counters, signed ones to gauges.
+// Fields of any other kind are skipped.
+func flatten(prefix string, v any, counters map[string]uint64, gauges map[string]int64) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Struct {
+		return
+	}
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		switch fv := rv.Field(i); fv.Kind() {
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			counters[prefix+snake(f.Name)] = fv.Uint()
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			gauges[prefix+snake(f.Name)] = fv.Int()
+		}
+	}
+}
+
+// snake turns a Go field name into a metric name: FlowTypeErrors is
+// flow_type_errors, and a run of capitals is one word, so RTTNs is rtt_ns.
+func snake(name string) string {
+	var b strings.Builder
+	for i, c := range name {
+		if unicode.IsUpper(c) && i > 0 {
+			prevLower := !unicode.IsUpper(rune(name[i-1]))
+			nextLower := i+1 < len(name) && unicode.IsLower(rune(name[i+1]))
+			if prevLower || nextLower {
+				b.WriteByte('_')
+			}
+		}
+		b.WriteRune(unicode.ToLower(c))
 	}
 	return b.String()
 }

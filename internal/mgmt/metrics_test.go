@@ -161,3 +161,125 @@ func TestRegistryResolvesAndDumps(t *testing.T) {
 		t.Fatal("nil registry dump empty")
 	}
 }
+
+// TestDumpHistogramUnits: histogram values are dimensionless, so only a
+// histogram named *_ns renders as a duration; a count renders as itself
+// (before, frames_per_write = 3 printed as 0s).
+func TestDumpHistogramUnits(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 3; i++ {
+		r.Histogram("x.frames_per_write").Observe(3)
+		r.Histogram("x.rtt_ns").Observe(3 * uint64(time.Millisecond))
+	}
+	lines := dumpLines(r)
+	if got := lines["x.frames_per_write"]; !strings.Contains(got, " p50=3 ") || !strings.Contains(got, "mean=3.0 ") {
+		t.Errorf("frames_per_write line = %q, want p50=3 and mean=3.0", got)
+	}
+	if got := lines["x.rtt_ns"]; !strings.Contains(got, "ms") || strings.Contains(got, "p50=3 ") {
+		t.Errorf("rtt_ns line = %q, want durations", got)
+	}
+}
+
+// readStats exercises every field kind Read meets.
+type readStats struct {
+	FlowTypeErrors uint64
+	RTTNs          uint32
+	Open           int
+	Queued         int64
+	Ratio          float64
+	Name           string
+	hidden         uint64
+}
+
+// TestReadFlattensStats: a Read source's exported integer fields appear
+// in the dump under prefix+snake_case(field), unsigned as counters and
+// signed as gauges; every other field is skipped.
+func TestReadFlattensStats(t *testing.T) {
+	m := New()
+	Read(m, "x.", func() readStats {
+		return readStats{FlowTypeErrors: 7, RTTNs: 9, Open: 2, Queued: -1, Ratio: 0.5, Name: "n", hidden: 4}
+	})
+	lines := dumpLines(m.Registry)
+	for _, tc := range []struct{ name, kind, value string }{
+		{"x.flow_type_errors", "counter", "7"},
+		{"x.rtt_ns", "counter", "9"},
+		{"x.open", "gauge", "2"},
+		{"x.queued", "gauge", "-1"},
+	} {
+		f := strings.Fields(lines[tc.name])
+		if len(f) != 3 || f[0] != tc.kind || f[2] != tc.value {
+			t.Errorf("%s: line %q, want %s %s", tc.name, lines[tc.name], tc.kind, tc.value)
+		}
+	}
+	for _, skipped := range []string{"x.ratio", "x.name", "x.hidden"} {
+		if line, ok := lines[skipped]; ok {
+			t.Errorf("%s dumped: %q", skipped, line)
+		}
+	}
+	if len(lines) != 4 {
+		t.Errorf("dump has %d lines, want 4:\n%s", len(lines), m.Registry.Dump())
+	}
+}
+
+func TestSnakeCase(t *testing.T) {
+	for in, want := range map[string]string{
+		"FlowTypeErrors": "flow_type_errors",
+		"RTTNs":          "rtt_ns",
+		"Open":           "open",
+		"OneWays":        "one_ways",
+		"ShardsQueried":  "shards_queried",
+		"ID":             "id",
+	} {
+		if got := snake(in); got != want {
+			t.Errorf("snake(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestReadReplacesAndNil: registering a prefix again replaces the earlier
+// source (a restarted component does not print twice), and a nil domain
+// is a no-op.
+func TestReadReplacesAndNil(t *testing.T) {
+	m := New()
+	Read(m, "node.", func() struct{ Calls uint64 } { return struct{ Calls uint64 }{1} })
+	Read(m, "node.", func() struct{ Calls uint64 } { return struct{ Calls uint64 }{2} })
+	if got := dumpLines(m.Registry)["node.calls"]; !strings.HasSuffix(got, " 2") {
+		t.Errorf("node.calls = %q, want the second source's 2", got)
+	}
+	if n := strings.Count(m.Registry.Dump(), "node.calls"); n != 1 {
+		t.Errorf("node.calls printed %d times", n)
+	}
+	Read(nil, "node.", func() struct{ Calls uint64 } { return struct{ Calls uint64 }{3} })
+}
+
+// TestReadSourceMayResolveInstruments: Dump calls sources outside the
+// registry lock, so a source may resolve an instrument (as a component
+// holding its own lock may) without deadlocking.
+func TestReadSourceMayResolveInstruments(t *testing.T) {
+	m := New()
+	Read(m, "y.", func() struct{ Reads uint64 } {
+		m.Registry.Counter("y.resolved").Inc()
+		return struct{ Reads uint64 }{1}
+	})
+	done := make(chan string)
+	go func() { done <- m.Registry.Dump() }()
+	select {
+	case dump := <-done:
+		if !strings.Contains(dump, "y.reads") {
+			t.Fatalf("dump lacks the source:\n%s", dump)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dump deadlocked on a source that resolves an instrument")
+	}
+}
+
+// dumpLines indexes a registry dump by metric name.
+func dumpLines(r *Registry) map[string]string {
+	out := map[string]string{}
+	for _, line := range strings.Split(r.Dump(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 {
+			out[f[1]] = line
+		}
+	}
+	return out
+}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/mgmt"
 	"repro/internal/naming"
 )
 
@@ -57,40 +56,12 @@ type Network struct {
 	delivered      atomic.Uint64
 	dropped        atomic.Uint64
 	partitionDrops atomic.Uint64
-
-	insp atomic.Pointer[mgmt.NetInstruments]
-}
-
-// Instrument mirrors the network's frame counters into a management
-// bundle. Safe to call at any time; nil detaches.
-func (n *Network) Instrument(ins *mgmt.NetInstruments) {
-	n.insp.Store(ins)
-}
-
-func (n *Network) countSent() {
-	n.sent.Add(1)
-	if ins := n.insp.Load(); ins != nil {
-		ins.Sent.Inc()
-	}
-}
-
-func (n *Network) countDelivered() {
-	n.delivered.Add(1)
-	if ins := n.insp.Load(); ins != nil {
-		ins.Delivered.Inc()
-	}
 }
 
 func (n *Network) countDropped(partition bool) {
 	n.dropped.Add(1)
 	if partition {
 		n.partitionDrops.Add(1)
-	}
-	if ins := n.insp.Load(); ins != nil {
-		ins.Dropped.Inc()
-		if partition {
-			ins.Partitioned.Inc()
-		}
 	}
 }
 
@@ -415,7 +386,7 @@ func (c *simConn) Send(frame []byte) error {
 		return ErrClosed
 	}
 	n := c.net
-	n.countSent()
+	n.sent.Add(1)
 	if n.partitioned(c.local.Address(), c.remote.Address()) {
 		n.countDropped(true)
 		return nil // black hole
@@ -536,7 +507,7 @@ func (c *simConn) deliver(frame []byte) {
 		c.base = c.queue[:0]
 	}
 	c.mu.Unlock()
-	c.net.countDelivered()
+	c.net.delivered.Add(1)
 	select {
 	case c.notify <- struct{}{}:
 	default:

@@ -194,13 +194,17 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 	busShard := s.Bus.ShardNames()[0]
 	for _, name := range []string{
 		"trader.trader.shard.shard0.offers",
-		"trader.trader.shards.count",
+		"trader.trader.ring_epoch",
 		"bus." + busShard + ".published",
 		"policy.client.breaker.open_now",
 		"session.client.",
-		"channel.server.alpha.dispatches",
+		"channel.server.alpha.calls",
 		"health.ghost.state",
 		"net.sim.sent",
+		"relocator.lookups",
+		"relocator.cache.evictions",
+		"typerepo.resyncs",
+		"recovery.dropped",
 	} {
 		if !strings.Contains(dump, name) {
 			t.Errorf("no %s instrument in the management dump", name)
@@ -320,7 +324,7 @@ func TestFacadeOverTCP(t *testing.T) {
 	if err != nil || term != "OK" {
 		t.Fatalf("Metrics = %q, %v", term, err)
 	}
-	if text, _ := res[0].AsString(); !strings.Contains(text, "channel.server.alpha.dispatches") {
+	if text, _ := res[0].AsString(); !strings.Contains(text, "channel.server.alpha.calls") {
 		t.Fatalf("metrics served over tcp lack the node's dispatch counter:\n%s", text)
 	}
 

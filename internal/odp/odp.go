@@ -150,8 +150,9 @@ type System struct {
 // front-end, the trader(s) reading through it, the bus, the relocator
 // bridge publishing on it, its subscribers (cache, recovery controller),
 // then the detector publishing to them. The management domain comes
-// first and its bundles are nil-safe, so each piece is instrumented as it
-// is built and a mode that is off costs nothing.
+// first and its bundles are nil-safe, so each piece is instrumented — its
+// Stats read through, its histograms and tracer attached — as it is built,
+// and a mode that is off costs nothing.
 func New(cfg Config) (*System, error) {
 	if min(cfg.TraderShards, cfg.BusShards, cfg.TypeReplicas, cfg.RelocationCache) < 0 {
 		return nil, errors.New("odp: Config shard, replica and cache counts must not be negative")
@@ -171,20 +172,28 @@ func New(cfg Config) (*System, error) {
 	}
 	if scheme := cfg.Listen.Scheme(); scheme == "" || scheme == "sim" {
 		sim := netsim.New(cfg.Seed)
-		sim.Instrument(s.mgmt.Net("sim"))
+		mgmt.Read(s.mgmt, "net.sim.", sim.Stats)
 		s.Net = sim
 	}
+	mgmt.Read(s.mgmt, "relocator.", func() relocatorStats {
+		lookups, misses, relocates := s.Relocator.Stats()
+		return relocatorStats{lookups, misses, relocates}
+	})
 
 	if cfg.TypeReplicas > 0 {
-		s.Types = typerepo.NewReplicated(s.Types, cfg.TypeReplicas)
+		rep := typerepo.NewReplicated(s.Types, cfg.TypeReplicas)
+		mgmt.Read(s.mgmt, "typerepo.", rep.Stats)
+		s.Types = rep
 	}
 	if cfg.TraderShards == 0 {
 		t := trader.New(cfg.Name, s.Types)
 		t.Instrument(s.mgmt.TraderInstr(cfg.Name))
+		mgmt.Read(s.mgmt, "trader."+cfg.Name+".", t.Stats)
 		s.Directory = t
 	} else {
 		st := trader.NewSharded(cfg.Name, s.Types, 0)
 		st.Instrument(s.mgmt.TraderShards(cfg.Name))
+		mgmt.Read(s.mgmt, "trader."+cfg.Name+".", st.ShardStats)
 		st.InstrumentShards(func(shard string) *mgmt.ShardLegInstruments {
 			return s.mgmt.TraderShardLeg(cfg.Name, shard)
 		})
@@ -215,6 +224,7 @@ func New(cfg Config) (*System, error) {
 	// transitions never stalls the bus.
 	if cfg.Recovery != nil {
 		ctl := health.NewController(*cfg.Recovery)
+		mgmt.Read(s.mgmt, "recovery.", ctl.Stats)
 		s.recovery = ctl
 		s.closers = append(s.closers, ctl.Close, s.Bus.SubscribeQueued(TopicLiveness, nil, 256, func(ev coordination.Event) {
 			if t, err := health.TransitionFromValue(ev.Payload); err == nil {
@@ -291,6 +301,7 @@ func (s *System) EnableRelocationCache(capacity int) *relocator.Cache {
 	defer s.mu.Unlock()
 	if s.cache == nil {
 		cache := relocator.NewCache(s.Relocator, capacity)
+		mgmt.Read(s.mgmt, "relocator.cache.", cache.Stats)
 		s.cache = cache
 		// The cache watches the bus bridge, not a private relocator
 		// callback. Inline bus delivery is synchronous and per-topic
@@ -313,6 +324,9 @@ func (s *System) RelocationCache() *relocator.Cache {
 	defer s.mu.Unlock()
 	return s.cache
 }
+
+// relocatorStats names the three counts Relocator.Stats returns, for Read.
+type relocatorStats struct{ Lookups, Misses, Relocates uint64 }
 
 // Mgmt returns the system's management domain, nil when disabled.
 func (s *System) Mgmt() *mgmt.Management { return s.mgmt }
@@ -364,6 +378,7 @@ func (s *System) SessionsFor(clientHost string) *channel.SessionManager {
 	if !ok {
 		sm = channel.NewSessionManager(s.transport(clientHost))
 		sm.Instrument(s.mgmt.Sessions(clientHost))
+		mgmt.Read(s.mgmt, "session."+clientHost+".", sm.Stats)
 		if s.cfg.Breakers != nil {
 			sm.SetBreakers(s.newBreakers(clientHost))
 		}
@@ -405,6 +420,7 @@ func (s *System) CreateNode(name string) (*engineering.Node, error) {
 			return nil, err
 		}
 	}
+	mgmt.Read(s.mgmt, "channel.server."+name+".", n.Server().Stats)
 	s.nodes[name] = n
 	return n, nil
 }

@@ -33,13 +33,7 @@ type importCore struct {
 	rng   *rand.Rand // PrefRandom's generator
 
 	imports, matched atomic.Uint64
-	meter            atomic.Pointer[importMeter]
-}
-
-// importMeter is the part of a management bundle an import touches.
-type importMeter struct {
-	imports, matched *mgmt.Counter
-	latency          *mgmt.Histogram
+	latency          atomic.Pointer[mgmt.Histogram] // the management bundle's import latency, nil when off
 }
 
 // init seeds the generator from the trader's name, so a run is
@@ -56,7 +50,7 @@ func (c *importCore) init(repo typerepo.Repository, name string, seed int64) {
 type importQuery struct {
 	expr     *constraint.Expr // the parsed constraint
 	prefExpr *constraint.Expr // the parsed preference expression, for PrefMax/PrefMin
-	meter    *importMeter
+	latency  *mgmt.Histogram
 	start    time.Time // set when metered
 }
 
@@ -83,8 +77,7 @@ func (c *importCore) begin(req ImportRequest) (importQuery, error) {
 		return q, fmt.Errorf("%w: %q", ErrTypeUnknown, req.ServiceType)
 	}
 	c.imports.Add(1)
-	if q.meter = c.meter.Load(); q.meter != nil {
-		q.meter.imports.Inc()
+	if q.latency = c.latency.Load(); q.latency != nil {
 		q.start = time.Now()
 	}
 	return q, nil
@@ -100,9 +93,8 @@ func (c *importCore) finish(q importQuery, req ImportRequest, res ImportResult, 
 		matches = matches[:req.MaxMatches]
 	}
 	c.matched.Add(uint64(len(matches)))
-	if q.meter != nil {
-		q.meter.matched.Add(uint64(len(matches)))
-		q.meter.latency.ObserveDuration(time.Since(q.start))
+	if q.latency != nil {
+		q.latency.ObserveDuration(time.Since(q.start))
 	}
 	res.Offers = matches
 	return res, nil

@@ -66,6 +66,7 @@ type ShardStats struct {
 	Rebalances    uint64 // completed ring changes
 	Migrated      uint64 // offers moved live by rebalances
 	RingEpoch     uint64
+	Shards        int // shards on the ring
 }
 
 // shardLeg is the per-shard routing state the front-end keeps.
@@ -141,16 +142,16 @@ func NewSharded(name string, repo typerepo.Repository, ringReplicas int) *Sharde
 // Name returns the front-end's name.
 func (s *ShardedTrader) Name() string { return s.name }
 
-// Instrument mirrors front-end activity into a management bundle. Safe to
-// call at any time; nil detaches.
+// Instrument attaches a management bundle's routing histograms (the
+// counters and ring shape are ShardStats, read through). Safe to call at
+// any time; nil detaches.
 func (s *ShardedTrader) Instrument(ins *mgmt.ShardInstruments) {
 	s.insp.Store(ins)
 	if ins == nil {
-		s.meter.Store(nil)
+		s.latency.Store(nil)
 		return
 	}
-	s.meter.Store(&importMeter{ins.Imports, ins.Matched, ins.ImportLatency})
-	s.publishRing()
+	s.latency.Store(ins.ImportLatency)
 }
 
 // InstrumentShards attaches a per-shard bundle provider: every current
@@ -494,7 +495,6 @@ func (s *ShardedTrader) changeRing(edit func(next *hashring.Ring) error, leaving
 	s.ring = next
 	s.ringEpoch.Store(next.Epoch())
 	s.mu.Unlock()
-	s.publishRing()
 
 	err := s.migrate(moves)
 
@@ -507,10 +507,6 @@ func (s *ShardedTrader) changeRing(edit func(next *hashring.Ring) error, leaving
 	delete(s.shards, leaving)
 	s.mu.Unlock()
 	s.rebals.Add(1)
-	if ins := s.insp.Load(); ins != nil {
-		ins.Rebalances.Inc()
-	}
-	s.publishRing()
 	return err
 }
 
@@ -563,9 +559,6 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 			}
 			fromLeg.offers.Add(-1)
 			s.migrated.Add(1)
-			if ins := s.insp.Load(); ins != nil {
-				ins.MigratedOffers.Inc()
-			}
 		}
 		if li := fromLeg.ins.Load(); li != nil {
 			li.Offers.Set(fromLeg.offers.Load())
@@ -577,20 +570,11 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 	return firstErr
 }
 
-// publishRing refreshes the ring-shaped gauges.
-func (s *ShardedTrader) publishRing() {
-	ins := s.insp.Load()
-	if ins == nil {
-		return
-	}
-	s.mu.RLock()
-	ins.Shards.Set(int64(len(s.shards)))
-	ins.RingEpoch.Set(int64(s.ring.Epoch()))
-	s.mu.RUnlock()
-}
-
 // ShardStats returns a snapshot of front-end counters.
 func (s *ShardedTrader) ShardStats() ShardStats {
+	s.mu.RLock()
+	shards := len(s.shards)
+	s.mu.RUnlock()
 	return ShardStats{
 		Exports:       s.exports.Load(),
 		Withdraws:     s.withdrs.Load(),
@@ -600,5 +584,6 @@ func (s *ShardedTrader) ShardStats() ShardStats {
 		Rebalances:    s.rebals.Load(),
 		Migrated:      s.migrated.Load(),
 		RingEpoch:     s.ringEpoch.Load(),
+		Shards:        shards,
 	}
 }

@@ -151,14 +151,15 @@ type Trader struct {
 	breakers atomic.Pointer[policy.BreakerSet]
 }
 
-// Instrument mirrors the trader's import activity into a management
-// bundle. Safe to call at any time; nil detaches.
+// Instrument attaches the import-latency histogram of a management bundle
+// (the counters are Stats, read through). Safe to call at any time; nil
+// detaches.
 func (t *Trader) Instrument(ins *mgmt.TraderInstruments) {
 	if ins == nil {
-		t.meter.Store(nil)
+		t.latency.Store(nil)
 		return
 	}
-	t.meter.Store(&importMeter{ins.Imports, ins.Matched, ins.ImportLatency})
+	t.latency.Store(ins.ImportLatency)
 }
 
 // New creates a trader backed by a type repository. The name prefixes

@@ -45,7 +45,7 @@ type Coordinator struct {
 }
 
 // Instrument attaches management instruments to the coordinator: commit
-// spans with per-participant children, and commit/abort/veto metrics.
+// spans with per-participant children, veto and commit-latency metrics.
 // Safe to call at any time; nil detaches.
 func (c *Coordinator) Instrument(ins *mgmt.TxInstruments) {
 	c.insp.Store(ins)
@@ -323,9 +323,6 @@ func (t *Tx) Commit() error {
 	}
 	t.coord.finish(t.id, true, wrote)
 	t.state = txCommitted
-	if ins != nil {
-		ins.Commits.Inc()
-	}
 	// Phase 2: completion.
 	var after error
 	if i, err := t.round(legComplete, cctx, tr); err != nil {
@@ -349,9 +346,6 @@ func (t *Tx) Abort() error {
 }
 
 func (t *Tx) rollback() {
-	if ins := t.coord.insp.Load(); ins != nil {
-		ins.Aborts.Inc()
-	}
 	// Aborts fan out concurrently too: rollback latency also tracks the
 	// slowest participant, not the sum. Abort is idempotent and aborting a
 	// participant that never prepared is a no-op (presumed abort), so no

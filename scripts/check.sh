@@ -78,6 +78,17 @@ if grep -rnE 'ReplyCacheSize|MaxGuardBindings|MaxBackoff|RTTFactor|WindowBytes|c
 	exit 1
 fi
 
+echo "== count-once gate (Management reads the counters Stats() keeps) =="
+# A count a component's own Stats() already keeps reaches Management through
+# one mgmt.Read line, never through a second mgmt counter bumped beside it:
+# the network and bus bundles and the mirrored bundle fields may not come
+# back outside internal/mgmt.
+if grep -nE 'mgmt\.(NetInstruments|BusInstruments)|func \([a-z]+ \*Network\) Instrument\(|\.(Dispatches|SessionsTotal|SessionsOpen|Reconnects|ProbesCoalesced|Dials|Updates|DegradedReads|Commits|Aborts|Rebalances|MigratedOffers|Published|QueueDepth|Partitioned)\.(Inc|Add|Set)\(' \
+	$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/mgmt/*' ! -path './.bench_build/*'); then
+	echo "a component counts an event twice (register its Stats with mgmt.Read instead)"
+	exit 1
+fi
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -99,7 +110,7 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
-	./cmd/odpnode/ ./cmd/odpbench/
+	./cmd/odpnode/ ./cmd/odpbench/ ./cmd/odpstat/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
