@@ -1,18 +1,16 @@
-// Command odpbench regenerates every experiment in EXPERIMENTS.md from
-// the one section table in internal/experiments: the per-figure
-// micro-benchmarks (E1–E9) and the behavioural measurements that are not
-// ns/op-shaped (E6b–E16). Every section yields the unified
-// experiments.Record shape, printed as one generic table.
+// Command odpbench regenerates the measured experiments of EXPERIMENTS.md
+// from the one section table in internal/experiments (E6b–E16; the
+// figures E1–E9 are package tests, their per-call cost is bench/'s). Every
+// section yields the unified experiments.Record shape, printed as one
+// generic table.
 //
 // Usage:
 //
 //	odpbench                 # every section (E13–E16 at their smoke size)
-//	odpbench -only e12       # one section at full size; any id, e1 … e16
+//	odpbench -only e12       # one section at full size; any id, e6b … e16
 //	odpbench -only e13smoke  # the section's CI slice, held to its rows of
 //	                         # the gate table: one verdict per row on
 //	                         # stderr, exit status 1 when a gate fails
-//	odpbench -iters N        # samples per scenario (default 2000)
-//	odpbench -dur 10s        # per-mode wall clock of the e11 chaos run
 //	odpbench -json           # one JSON array of records instead of tables
 package main
 
@@ -26,7 +24,6 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -46,9 +43,7 @@ func run(table []experiments.Section, args []string, stdout, stderr io.Writer) e
 	fs := flag.NewFlagSet("odpbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		iters  = fs.Int("iters", 2000, "samples per scenario")
-		only   = fs.String("only", "", "run only the section with this id (e1 … e16); <id>smoke runs its CI slice and holds it to its gates")
-		dur    = fs.Duration("dur", 6*time.Second, "per-mode wall-clock duration of the e11 chaos run")
+		only   = fs.String("only", "", "run only the section with this id (e6b … e16); <id>smoke runs its CI slice and holds it to its gates")
 		asJSON = fs.Bool("json", false, "emit one JSON array of records instead of tables")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,7 +71,7 @@ func run(table []experiments.Section, args []string, stdout, stderr io.Writer) e
 	var all []experiments.Record
 	for _, s := range selected {
 		recs, text, err := experiments.Hold(gates, s.ID, func() ([]experiments.Record, string, error) {
-			return s.Measure(smoke || (*only == "" && s.SmokeInFull), *iters, *dur)
+			return s.Run(smoke || (*only == "" && s.SmokeInFull))
 		}, stderr)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.ID, err)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -18,7 +17,7 @@ func stub(id string, runs *int, err error) experiments.Section {
 	return experiments.Section{
 		ID:    id,
 		Title: "section " + id,
-		Run: func(smoke bool, _ int, _ time.Duration) ([]experiments.Record, string, error) {
+		Run: func(smoke bool) ([]experiments.Record, string, error) {
 			*runs++
 			if err != nil {
 				return nil, "", err

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/values"
@@ -302,30 +303,73 @@ func TestReplayAnswerSurvivesSlotReuse(t *testing.T) {
 	}
 }
 
+// echoAllocs returns what one warmed-up Echo on b allocates. The count is
+// process-wide, so it covers the server end too.
+func echoAllocs(t *testing.T, b *Binding) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
+	}
+	args := []values.Value{values.Str("the quick brown fox")}
+	invoke := func() {
+		if _, _, err := b.Invoke(context.Background(), "Echo", args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*int(replayWindow); i++ { // every replay slot has its buffer
+		invoke()
+	}
+	return testing.AllocsPerRun(200, invoke)
+}
+
 // TestReplayGuardCostsNoAllocation: remembering a reply is a copy into the
 // slot's own buffer and the frame goes back to the pool after the write, so
 // a guarded round trip allocates what an unguarded one does.
 func TestReplayGuardCostsNoAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
-	}
 	roundTrip := func(guard bool) float64 {
 		env := newEnv(t, ServerConfig{ReplayGuard: guard})
-		b := env.bind(t, BindConfig{Type: echoType()})
-		args := []values.Value{values.Str("x")}
-		invoke := func() {
-			if _, _, err := b.Invoke(context.Background(), "Echo", args); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 2*int(replayWindow); i++ { // every slot has its buffer
-			invoke()
-		}
-		return testing.AllocsPerRun(200, invoke)
+		return echoAllocs(t, env.bind(t, BindConfig{Type: echoType()}))
 	}
 	if on, off := roundTrip(true), roundTrip(false); on != off {
 		t.Errorf("round trip with the replay guard = %v allocs, without = %v", on, off)
 	}
+}
+
+// TestE9DisabledInstrumentationAllocParity pins the management subsystem's
+// contract that disabled instrumentation is a nil check: a guarded echo
+// over the canonical codec with nil Instruments at both ends allocates 2
+// per call at most. The same call with mgmt instruments is the positive
+// control: it must allocate more, or a broken nil check could hide.
+func TestE9DisabledInstrumentationAllocParity(t *testing.T) {
+	echo := func(instrumented bool) float64 {
+		scfg, bcfg := ServerConfig{ReplayGuard: true}, BindConfig{Codec: wire.Canonical}
+		if instrumented {
+			m := mgmt.New()
+			scfg.Instruments, bcfg.Instruments = m.ChannelServer("e9"), m.ChannelClient("e9")
+		}
+		// A servant that hands its arguments back allocates nothing, so the
+		// count is the channel's alone.
+		env := newEnv(t, scfg)
+		env.ref = refFor(ifaceID(9), "Echo")
+		if err := env.server.Register(env.ref.ID, echoType(), HandlerFunc(
+			func(_ context.Context, _ string, args []values.Value) (string, []values.Value, error) {
+				return "OK", args, nil
+			})); err != nil {
+			t.Fatal(err)
+		}
+		return echoAllocs(t, env.bind(t, bcfg))
+	}
+	off, on := echo(false), echo(true)
+	t.Run("instrumentation-off", func(t *testing.T) {
+		if off > 2 {
+			t.Errorf("uninstrumented echo = %v allocs/op, budget 2", off)
+		}
+	})
+	t.Run("instrumentation-on", func(t *testing.T) {
+		if on <= off {
+			t.Errorf("instrumented echo = %v allocs/op, not more than uninstrumented %v: the control measures nothing", on, off)
+		}
+	})
 }
 
 // TestReplaySlotDropsLargeBuffer: a slot reuses its buffer for the next

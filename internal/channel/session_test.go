@@ -79,6 +79,30 @@ func TestSharedSessionSingleConn(t *testing.T) {
 	waitFor(t, func() bool { return mgr.Stats().Open == 0 })
 }
 
+// TestE10bSiblingsAllocBudget: one Echo on a session shared with up to 255
+// sibling bindings allocates no more than on a session it has to itself —
+// the per-call price of multiplexing is a demux-table lookup, not a heap
+// object.
+func TestE10bSiblingsAllocBudget(t *testing.T) {
+	echo := func(t *testing.T, n int) float64 {
+		_, _, bindings := sharedEnv(t, ServerConfig{}, n, BindConfig{})
+		for _, b := range bindings { // every sibling attached to the one session
+			if _, _, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("hi")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return echoAllocs(t, bindings[0])
+	}
+	alone := echo(t, 1)
+	for _, siblings := range []int{1, 63, 255} {
+		t.Run(fmt.Sprintf("siblings=%d", siblings), func(t *testing.T) {
+			if crowded := echo(t, 1+siblings); crowded > alone {
+				t.Errorf("echo beside %d siblings = %v allocs/op, alone = %v", siblings, crowded, alone)
+			}
+		})
+	}
+}
+
 func TestSessionKillMidFlightFailsAllPending(t *testing.T) {
 	// Concurrent Invokes across 8 bindings sharing one session while the
 	// session is killed mid-flight: every pending call fails with

@@ -336,6 +336,88 @@ func TestDeactivateReactivate(t *testing.T) {
 	}
 }
 
+// TestFigure5Cycles repeats the two Figure 5 paths a node walks most: a
+// new capsule, cluster, object and interface column, each reachable at
+// once; and a cluster's checkpoint, deactivation and reactivation, after
+// which every object keeps its state and its bindings.
+func TestFigure5Cycles(t *testing.T) {
+	const cycles = 3
+	ctx := context.Background()
+	inc := func(t *testing.T, b *channel.Binding) int64 {
+		t.Helper()
+		_, res, err := b.Invoke(ctx, "Inc", []values.Value{values.Int(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := res[0].AsInt()
+		return n
+	}
+	t.Run("create-capsule+cluster+object+interface", func(t *testing.T) {
+		f := newFixture()
+		n := f.node(t, "alpha", NodeConfig{})
+		seen := map[naming.InterfaceID]bool{}
+		for i := 0; i < cycles; i++ {
+			_, ref := deploy(t, n, ClusterOptions{}, int64(10*i))
+			if seen[ref.ID] {
+				t.Fatalf("column %d reuses interface %s", i, ref.ID)
+			}
+			seen[ref.ID] = true
+			if got := inc(t, f.bind(t, n, ref)); got != int64(10*i+1) {
+				t.Errorf("column %d counted %d, want %d", i, got, 10*i+1)
+			}
+		}
+		if got := len(n.Capsules()); got != cycles {
+			t.Errorf("capsules = %d, want %d", got, cycles)
+		}
+	})
+	for _, objects := range []int{1, 16} {
+		t.Run(fmt.Sprintf("checkpoint+deactivate+reactivate/objects=%d", objects), func(t *testing.T) {
+			f := newFixture()
+			n := f.node(t, "alpha", NodeConfig{})
+			capsule, err := n.CreateCapsule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := capsule.CreateCluster(ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindings := make([]*channel.Binding, objects)
+			for i := range bindings {
+				o, err := k.CreateObject("counter", values.Int(int64(100*i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := o.AddInterface(counterType())
+				if err != nil {
+					t.Fatal(err)
+				}
+				bindings[i] = f.bind(t, n, ref)
+			}
+			for c := 1; c <= cycles; c++ {
+				cp, err := k.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cp.Objects) != objects {
+					t.Errorf("cycle %d: checkpoint holds %d objects, want %d", c, len(cp.Objects), objects)
+				}
+				if err := k.Deactivate(); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.Reactivate(); err != nil {
+					t.Fatal(err)
+				}
+				for i, b := range bindings {
+					if got, want := inc(t, b), int64(100*i+c); got != want {
+						t.Errorf("cycle %d: object %d counted %d, want %d", c, i, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestPersistenceTransparencyAutoReactivate(t *testing.T) {
 	// Section 9: persistence transparency masks deactivation and
 	// reactivation — the client just calls, the cluster wakes up.

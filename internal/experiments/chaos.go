@@ -214,10 +214,11 @@ type e11Sample struct {
 }
 
 // e11 is the E11 section: the same workload under the same fault script
-// for dur per mode, failure-policy layer on and then off. Its text is the
+// for 6 s per mode, failure-policy layer on and then off. Its text is the
 // error taxonomy of each mode plus the policy-on run's fault timeline and
 // one traced degraded read.
-func e11(_ bool, _ int, dur time.Duration) ([]Record, string, error) {
+func e11(bool) ([]Record, string, error) {
+	const dur = 6 * time.Second
 	var recs []Record
 	var text strings.Builder
 	var on E11Report

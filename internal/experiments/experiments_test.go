@@ -1,107 +1,52 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 )
 
-// Every scenario must run cleanly: these are the EXPERIMENTS.md
-// generators, so a broken scenario means an unreproducible experiment.
-
-func runAll(t *testing.T, scenarios []Scenario) {
+// timedSection runs section id at its smoke size and checks that it timed
+// exactly the named scenarios, in order, and, in a subtest per scenario,
+// that each has a mean cost and ordered quantiles: these are the
+// EXPERIMENTS.md generators, so a broken scenario means an unreproducible
+// experiment, and a renamed one a broken history.
+func timedSection(t *testing.T, id string, scenarios ...string) {
 	t.Helper()
-	for _, s := range scenarios {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			for i := 0; i < 3; i++ {
-				if err := s.Run(); err != nil {
-					t.Fatalf("run %d: %v", i, err)
-				}
+	i := slices.IndexFunc(Sections, func(s Section) bool { return s.ID == id })
+	if i < 0 {
+		t.Fatalf("the section table has no %q", id)
+	}
+	recs, _, err := Sections[i].Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.Scenario)
+	}
+	if !slices.Equal(got, scenarios) {
+		t.Errorf("%s timed %q, want %q", id, got, scenarios)
+	}
+	for _, r := range recs {
+		t.Run(r.Scenario, func(t *testing.T) {
+			if m := r.Metrics; m["ns_per_op"] <= 0 || m["p50_us"] <= 0 || m["p99_us"] < m["p50_us"] {
+				t.Errorf("metrics %v", m)
 			}
 		})
 	}
-	for _, s := range scenarios {
-		s.Close()
-	}
 }
 
-// runSection runs every scenario set the table has under id.
-func runSection(t *testing.T, id string) {
-	t.Helper()
-	scenarios := Scenarios(id)
-	if len(scenarios) == 0 {
-		t.Fatalf("the section table has no scenario set under %q", id)
-	}
-	runAll(t, scenarios)
+func TestE6d(t *testing.T) {
+	timedSection(t, "e6d", "replication-latent/r=1", "replication-latent/r=3", "replication-latent/r=5", "replication-latent/r=9")
 }
 
-func TestE1(t *testing.T)        { runSection(t, "e1") }
-func TestE2(t *testing.T)        { runSection(t, "e2") }
-func TestE3(t *testing.T)        { runSection(t, "e3") }
-func TestE4(t *testing.T)        { runSection(t, "e4") }
-func TestE5(t *testing.T)        { runSection(t, "e5") }
-func TestE6(t *testing.T)        { runSection(t, "e6") }
-func TestE6d(t *testing.T)       { runSection(t, "e6d") }
-func TestE7(t *testing.T)        { runSection(t, "e7") }
-func TestE7b(t *testing.T)       { runSection(t, "e7b") }
-func TestE8(t *testing.T)        { runSection(t, "e8") }
-func TestE8b(t *testing.T)       { runSection(t, "e8b") }
-func TestE10Invoke(t *testing.T) { runSection(t, "e10b") }
-
-// scenarioAllocs returns the allocations of one warmed-up run of the
-// named scenario of section id. Allocation counts are deterministic where
-// wall-clock figures are not, which is what makes them tier-1 material.
-func scenarioAllocs(t *testing.T, id, name string) float64 {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
-	}
-	scenarios := Scenarios(id)
-	defer func() {
-		for _, s := range scenarios {
-			s.Close()
-		}
-	}()
-	for _, s := range scenarios {
-		if s.Name != name {
-			continue
-		}
-		return testing.AllocsPerRun(200, func() {
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	t.Fatalf("section %s has no scenario %q", id, name)
-	return 0
+func TestE7b(t *testing.T) {
+	timedSection(t, "e7b", "durable-commit/participants=1", "durable-commit/participants=2",
+		"durable-commit/participants=4", "durable-commit/participants=8")
 }
 
-// TestE2DepositAllocBudget keeps the single-binding hot path to what an
-// invocation hands on: both argument slices, the Tx, the store key, the
-// result, and for a write the record and its one log copy (7, and 2 spare).
-func TestE2DepositAllocBudget(t *testing.T) {
-	if allocs := scenarioAllocs(t, "e2", "deposit"); allocs > 9 {
-		t.Fatalf("E2 deposit = %v allocs/op, budget 9", allocs)
-	}
-}
-
-// TestE2BalanceAllocBudget: a read pays the same less the write's two (5,
-// and 1 spare) — no log record, no decision entry, no commit machinery.
-func TestE2BalanceAllocBudget(t *testing.T) {
-	if allocs := scenarioAllocs(t, "e2", "balance"); allocs > 6 {
-		t.Fatalf("E2 balance = %v allocs/op, budget 6", allocs)
-	}
-}
-
-// TestE9DisabledInstrumentationAllocParity pins the management
-// subsystem's contract that disabled instrumentation is a nil check: an
-// uninstrumented invocation allocates no more than the E4 replay-binder
-// baseline, the identical channel configuration built before mgmt existed.
-func TestE9DisabledInstrumentationAllocParity(t *testing.T) {
-	off := scenarioAllocs(t, "e9", "invoke/instrumentation-off")
-	base := scenarioAllocs(t, "e4", "replay-binder")
-	if off > base {
-		t.Fatalf("instrumentation-off = %v allocs/op, E4 replay-binder = %v", off, base)
-	}
+func TestE8b(t *testing.T) {
+	timedSection(t, "e8b", "import/offers=10000/types=50", "import/federated-latent/links=4")
 }
 
 func TestE6RelocationRecovery(t *testing.T) {

@@ -197,12 +197,6 @@ func (f *fleet) counterNode(host string, reloc engineering.LocationRegistry) (*e
 	return f.node(host, reloc, "counter", func() engineering.Behavior { return &e6Counter{} })
 }
 
-// nopNode is a node outside any relocation domain whose "nop" behaviour
-// answers OK and holds no state: E5's structuring-cost subject.
-func (f *fleet) nopNode(host string) (*engineering.Node, error) {
-	return f.node(host, nil, "nop", func() engineering.Behavior { return nopBehavior{} })
-}
-
 // gate models a node with a fixed service capacity: a single-server
 // queue with service time tau. Holding the mutex across the sleep
 // serialises requests, so one gated node admits at most 1/tau operations

@@ -1,10 +1,9 @@
-// E9 — management & observability: what the mgmt subsystem costs, and
-// what it shows. The overhead scenarios quantify the instrumentation tax
-// on the E4-style invocation path (disabled instrumentation must stay
-// within the noise), and the traced-transfer demo produces the
-// channel-stage trace of one replicated, transactional bank deposit —
-// the end-to-end picture the tutorial's engineering viewpoint describes
-// in prose.
+// E9 — management & observability: what the mgmt subsystem shows. The
+// traced-transfer demo produces the channel-stage trace of one replicated,
+// transactional bank deposit — the end-to-end picture the tutorial's
+// engineering viewpoint describes in prose. (What instrumentation costs is
+// bench/'s loadgen.trace_overhead_share; that disabled instrumentation
+// allocates nothing is a tier-1 budget in internal/channel.)
 package experiments
 
 import (
@@ -13,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/bank"
-	"repro/internal/channel"
 	"repro/internal/coordination"
 	"repro/internal/core"
 	"repro/internal/mgmt"
@@ -22,96 +20,8 @@ import (
 	"repro/internal/policy"
 	"repro/internal/transactions"
 	"repro/internal/transparency"
-	"repro/internal/types"
 	"repro/internal/values"
-	"repro/internal/wire"
 )
-
-// E9Overhead returns paired scenarios measuring the observability tax:
-// the same echo invocation with instrumentation absent and fully enabled
-// (metrics + tracing + QoS), and the same frame encoded/decoded with and
-// without the trace extension. The "off" variants are the ones held to
-// parity with E4 — a channel that was never instrumented must not pay for
-// the subsystem's existence.
-func E9Overhead() []Scenario {
-	var out []Scenario
-	for i, on := range []bool{false, true} {
-		f := newFleet(int64(100 + i))
-		l, err := f.net.Listen(naming.Endpoint(fmt.Sprintf("sim://e9-%d", i)))
-		must(err)
-		scfg := channel.ServerConfig{ReplayGuard: true}
-		bcfg := channel.BindConfig{Codec: wire.Canonical}
-		name := "invoke/instrumentation-off"
-		if on {
-			m := mgmt.New()
-			scfg.Instruments = m.ChannelServer("e9")
-			bcfg.Instruments = m.ChannelClient("e9")
-			name = "invoke/instrumentation-on"
-		}
-		_, ref, err := f.start(l, scfg, naming.InterfaceID{Nonce: uint64(i + 1)}, echoOpType(), e4Servant{})
-		must(err)
-		b, err := f.bind(ref, bcfg)
-		must(err)
-		arg := []values.Value{values.Str("the quick brown fox")}
-		ctx := context.Background()
-		out = append(out, Scenario{
-			Name: name,
-			Run: func() error {
-				term, _, err := b.Invoke(ctx, "Echo", arg)
-				if err != nil {
-					return err
-				}
-				if term != "OK" {
-					return fmt.Errorf("term = %q", term)
-				}
-				return nil
-			},
-			Close: f.close,
-		})
-	}
-	for _, traced := range []bool{false, true} {
-		msg := &wire.Message{
-			Kind:        wire.Call,
-			BindingID:   1,
-			Seq:         1,
-			Correlation: 1,
-			Operation:   "Echo",
-			Args:        []values.Value{values.Str("the quick brown fox")},
-		}
-		name := "frame/untraced"
-		if traced {
-			msg.TraceID, msg.SpanID = 0xA11C0FFEE, 0x1
-			name = "frame/traced"
-		}
-		buf := make([]byte, 0, 256)
-		out = append(out, Scenario{
-			Name: name,
-			Run: func() error {
-				b, err := msg.EncodeAppend(buf[:0], wire.Canonical)
-				if err != nil {
-					return err
-				}
-				dm, err := wire.Decode(b)
-				if err != nil {
-					return err
-				}
-				wire.PutMessage(dm)
-				return nil
-			},
-			Close: func() {},
-		})
-	}
-	return out
-}
-
-// echoOpType returns the one-operation interface used by the overhead
-// scenarios (the E4 echo shape, kept local so E4 and E9 stay independent).
-func echoOpType() *types.Interface {
-	return types.OpInterface("Echo",
-		types.Op("Echo", types.Params(types.P("x", values.TString())),
-			types.Term("OK", types.P("x", values.TString()))),
-	)
-}
 
 // E9TracedTransfer builds a two-replica transactional bank, runs one
 // deposit through the full stack with management enabled, and returns the

@@ -5,8 +5,6 @@ import (
 	"testing"
 )
 
-func TestE9Overhead(t *testing.T) { runSection(t, "e9") }
-
 // TestE9TracedTransfer is the acceptance check for the management
 // subsystem: one replicated, transactional bank deposit must leave a
 // single trace crossing every instrumented layer — client stub, binder,

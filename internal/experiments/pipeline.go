@@ -102,18 +102,19 @@ func (r E12PipelineRow) Records() []Record {
 	}}
 }
 
-// e12 is the E12 section: the full grid on both transports, four times
-// the sample budget per cell. smoke restricts it to the CI cell (tcp, 64
-// bindings × 8 in-flight) plus the single-call latency cell (tcp, 1×1)
-// that guards against batching taxing the idle path.
-func e12(smoke bool, iters int, _ time.Duration) ([]Record, string, error) {
+// e12 is the E12 section: the full grid on both transports, 8,000 calls
+// per cell. smoke restricts it to the CI cell (tcp, 64 bindings × 8
+// in-flight) plus the single-call latency cell (tcp, 1×1) that guards
+// against batching taxing the idle path.
+func e12(smoke bool) ([]Record, string, error) {
+	const callsPerCell = 8000
 	transports, bindings, inflight := []string{"sim", "tcp"}, []int{1, 64, 256}, []int{1, 8, 64}
 	if smoke {
 		transports, bindings, inflight = []string{"tcp"}, []int{1, 64}, []int{1, 8}
 	}
 	var recs []Record
 	for _, transport := range transports {
-		rows, err := E12Pipeline(transport, bindings, inflight, max(iters*4, 2000))
+		rows, err := E12Pipeline(transport, bindings, inflight, callsPerCell)
 		if err != nil {
 			return nil, "", err
 		}

@@ -46,10 +46,10 @@ func E10SessionScaling(ns []int, callsPerBinding int) ([]E10SessionRow, error) {
 	return rows, nil
 }
 
-// e10 is the E10 section: both modes at 1, 16, 64 and 256 bindings, a
-// hundredth of the sample budget per binding.
-func e10(_ bool, iters int, _ time.Duration) ([]Record, string, error) {
-	rows, err := E10SessionScaling([]int{1, 16, 64, 256}, max(iters/100, 10))
+// e10 is the E10 section: both modes at 1, 16, 64 and 256 bindings, 20
+// calls per binding.
+func e10(bool) ([]Record, string, error) {
+	rows, err := E10SessionScaling([]int{1, 16, 64, 256}, 20)
 	if err != nil {
 		return nil, "", err
 	}
@@ -71,34 +71,23 @@ func e10(_ bool, iters int, _ time.Duration) ([]Record, string, error) {
 	return recs, "", nil
 }
 
-// e10Server brings up the one echo server of an E10 cell on a fresh
-// fleet whose accept backlog admits an n-connection burst.
-func e10Server(seed int64, n int) (*fleet, *channel.Server, naming.InterfaceRef, error) {
-	f := newFleet(seed)
+func e10Row(mode string, n, calls int) (E10SessionRow, error) {
+	// Per-binding mode dials n connections in a burst; the backlog keeps
+	// that out of the measurement.
+	f := newFleet(int64(9000 + n))
+	defer f.close()
 	f.net.SetAcceptBacklog(2 * n)
 	l, _, err := f.endpoint("sim")
 	if err != nil {
-		return nil, nil, naming.InterfaceRef{}, err
+		return E10SessionRow{}, err
 	}
 	srv, ref, err := f.start(l, channel.ServerConfig{}, naming.InterfaceID{Nonce: 10}, nil, channel.HandlerFunc(
 		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 			return "OK", args, nil
 		}))
 	if err != nil {
-		f.close()
-		return nil, nil, naming.InterfaceRef{}, err
-	}
-	return f, srv, ref, nil
-}
-
-func e10Row(mode string, n, calls int) (E10SessionRow, error) {
-	// Per-binding mode dials n connections in a burst; the backlog keeps
-	// that out of the measurement.
-	f, srv, ref, err := e10Server(int64(9000+n), n)
-	if err != nil {
 		return E10SessionRow{}, err
 	}
-	defer f.close()
 
 	runtime.GC()
 	var before runtime.MemStats
@@ -146,41 +135,6 @@ func e10Row(mode string, n, calls int) (E10SessionRow, error) {
 		row.Dials += m.Stats().Dials
 	}
 	return row, nil
-}
-
-// E10SessionInvoke is the benchmark-shaped slice of E10: the cost of one
-// invocation through a binding whose session is shared with {0, 63, 255}
-// sibling bindings to the same node. It isolates the demux-table overhead
-// on the hot path — the per-call price of multiplexing.
-func E10SessionInvoke() []Scenario {
-	var out []Scenario
-	for _, n := range []int{1, 64, 256} {
-		f, _, ref, err := e10Server(int64(9500+n), n)
-		must(err)
-		mgr := f.sessions(f.net.From("client"))
-		bindings := make([]*channel.Binding, n)
-		for i := range bindings {
-			b, err := f.bind(ref, channel.BindConfig{Sessions: mgr})
-			must(err)
-			bindings[i] = b
-		}
-		// Touch every binding once so the whole fleet is attached to the one
-		// session before measuring.
-		_, err = e10Fanout(bindings, 1)
-		must(err)
-		ctx := context.Background()
-		arg := []values.Value{values.Int(1)}
-		b0 := bindings[0]
-		out = append(out, Scenario{
-			Name: fmt.Sprintf("session-invoke/siblings=%d", n),
-			Run: func() error {
-				_, _, err := b0.Invoke(ctx, "Echo", arg)
-				return err
-			},
-			Close: f.close,
-		})
-	}
-	return out
 }
 
 // e10Fanout invokes every binding calls times — one worker per binding,

@@ -3,14 +3,21 @@ package odp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bank"
+	"repro/internal/channel"
 	"repro/internal/coordination"
 	"repro/internal/core"
+	"repro/internal/engineering"
+	"repro/internal/naming"
 	"repro/internal/technology"
 	"repro/internal/trader"
 	"repro/internal/transactions"
+	"repro/internal/transparency"
+	"repro/internal/types"
 	"repro/internal/values"
 )
 
@@ -118,6 +125,99 @@ func TestTradeThenBindThenInvoke(t *testing.T) {
 	}
 }
 
+// fundedTeller returns a teller on the branch of Figure 2 as every example
+// reaches it — deployed by newBankSystem, bound through the trader with
+// access, location and relocation transparency — and the arguments that
+// name alice's account, funded with 1,000,000.
+func fundedTeller(t *testing.T) (*channel.Binding, []values.Value) {
+	t.Helper()
+	s, _ := newBankSystem(t)
+	contract := core.Contract{Require: core.TransparencySet(core.Access | core.Location | core.Relocation)}
+	bind := func(serviceType string) *channel.Binding {
+		b, err := s.ImportAndBind("client", serviceType, "", contract)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		return b
+	}
+	teller, manager := bind("BankTeller"), bind("BankManager")
+	call := func(b *channel.Binding, op string, args ...values.Value) []values.Value {
+		term, res, err := b.Invoke(context.Background(), op, args)
+		if err != nil || term != "OK" {
+			t.Fatalf("%s = %q, %v", op, term, err)
+		}
+		return res
+	}
+	acct := call(manager, "CreateAccount", values.Str("alice"))[0]
+	call(teller, "Deposit", values.Str("alice"), acct, values.Int(1_000_000))
+	return teller, []values.Value{values.Str("alice"), acct}
+}
+
+// TestTellerTerminations: each teller operation reaches the branch through
+// the trader and ends in the termination its signature declares — for a
+// withdrawal over the daily limit NotToday, with the day's withdrawals and
+// the limit.
+func TestTellerTerminations(t *testing.T) {
+	for _, c := range []struct {
+		name, op string
+		amount   []values.Value
+		term     string
+		results  []int64
+	}{
+		{"deposit", "Deposit", []values.Value{values.Int(1)}, "OK", []int64{1_000_001}},
+		{"balance", "Balance", nil, "OK", []int64{1_000_000}},
+		{"withdraw", "Withdraw", []values.Value{values.Int(400)}, "OK", []int64{999_600}},
+		{"withdraw-denied", "Withdraw", []values.Value{values.Int(bank.DailyLimit + 1)}, "NotToday", []int64{0, bank.DailyLimit}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			teller, acct := fundedTeller(t)
+			term, res, err := teller.Invoke(context.Background(), c.op, append(acct, c.amount...))
+			if err != nil || term != c.term || len(res) != len(c.results) {
+				t.Fatalf("%s = %q %v, %v; want %q with %d results", c.op, term, res, err, c.term, len(c.results))
+			}
+			for i, want := range c.results {
+				if got, _ := res[i].AsInt(); got != want {
+					t.Errorf("%s result %d = %d, want %d", c.op, i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// tellerAllocs returns what one warmed-up teller call op allocates on a
+// fundedTeller. Each call must terminate OK.
+func tellerAllocs(t *testing.T, op string, amount ...values.Value) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
+	}
+	teller, acct := fundedTeller(t)
+	args := append(acct, amount...)
+	return testing.AllocsPerRun(200, func() {
+		if term, _, err := teller.Invoke(context.Background(), op, args); err != nil || term != "OK" {
+			t.Fatalf("%s = %q, %v", op, term, err)
+		}
+	})
+}
+
+// TestE2DepositAllocBudget keeps the single-binding hot path to what an
+// invocation hands on: both argument slices, the Tx, the store key, the
+// result, and for a write the record and its one log copy (7, and 2 spare).
+func TestE2DepositAllocBudget(t *testing.T) {
+	if allocs := tellerAllocs(t, "Deposit", values.Int(1)); allocs > 9 {
+		t.Fatalf("E2 deposit = %v allocs/op, budget 9", allocs)
+	}
+}
+
+// TestE2BalanceAllocBudget: a read pays the same less the write's two (5,
+// and 1 spare) — no log record, no decision entry, no commit machinery.
+func TestE2BalanceAllocBudget(t *testing.T) {
+	if allocs := tellerAllocs(t, "Balance"); allocs > 6 {
+		t.Fatalf("E2 balance = %v allocs/op, budget 6", allocs)
+	}
+}
+
 func TestDeployErrors(t *testing.T) {
 	s := NewSystem(1)
 	defer s.Close()
@@ -187,6 +287,125 @@ func TestBusSeesDeployments(t *testing.T) {
 	}
 	if len(seen) != 1 || seen[0] != "branch-x" {
 		t.Errorf("deployment events = %v", seen)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// the transparencies: one counter under each contract
+
+type counter struct{ n atomic.Int64 }
+
+func (c *counter) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
+	if op == "Inc" {
+		d, _ := args[0].AsInt()
+		return "OK", []values.Value{values.Int(c.n.Add(d))}, nil
+	}
+	return "OK", []values.Value{values.Int(c.n.Load())}, nil
+}
+
+func (c *counter) CheckpointState() (values.Value, error) { return values.Int(c.n.Load()), nil }
+func (c *counter) RestoreState(v values.Value) error {
+	n, _ := v.AsInt()
+	c.n.Store(n)
+	return nil
+}
+
+// deployCounter deploys a counter on a new node host of s, its interface
+// under contract.
+func deployCounter(t *testing.T, s *System, host string, contract core.Contract) naming.InterfaceRef {
+	t.Helper()
+	node, err := s.CreateNode(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Behaviors().Register("counter", func(values.Value) (engineering.Behavior, error) { return &counter{}, nil })
+	dep, err := s.Deploy(node, core.ObjectTemplate{
+		Name:     "counter",
+		Behavior: "counter",
+		Interfaces: []core.InterfaceDecl{{Type: types.OpInterface("Counter",
+			types.Op("Inc", types.Params(types.P("d", values.TInt())), types.Term("OK", types.P("n", values.TInt()))),
+			types.Op("Get", nil, types.Term("OK", types.P("n", values.TInt()))),
+		), Contract: contract}},
+	}, values.Null())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := dep.Ref("Counter")
+	return ref
+}
+
+// TestTransparencyMatrix: whatever transparencies a contract requires, the
+// counter behind it counts each call exactly once; behind a replica group
+// every replica counts it.
+func TestTransparencyMatrix(t *testing.T) {
+	type invoker interface {
+		Invoke(context.Context, string, []values.Value) (string, []values.Value, error)
+	}
+	call := func(t *testing.T, b invoker, op string, args ...values.Value) int64 {
+		t.Helper()
+		term, res, err := b.Invoke(context.Background(), op, args)
+		if err != nil || term != "OK" {
+			t.Fatalf("%s = %q, %v", op, term, err)
+		}
+		n, _ := res[0].AsInt()
+		return n
+	}
+	countsThree := func(t *testing.T, b invoker) {
+		t.Helper()
+		for want := int64(1); want <= 3; want++ {
+			if n := call(t, b, "Inc", values.Int(1)); n != want {
+				t.Fatalf("call %d counted %d", want, n)
+			}
+		}
+	}
+	for i, set := range []struct {
+		name string
+		req  core.Transparency
+	}{
+		{"none", 0},
+		{"access", core.Access},
+		{"access+location+relocation", core.Access | core.Location | core.Relocation},
+		{"access+failure", core.Access | core.Failure},
+		{"all-channel", core.Access | core.Location | core.Relocation | core.Migration | core.Persistence | core.Failure},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			s := NewSystem(int64(i + 1))
+			t.Cleanup(func() { s.Close() })
+			contract := core.Contract{Require: core.TransparencySet(set.req)}
+			b, err := s.Bind("client", deployCounter(t, s, "n", contract), contract)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			countsThree(t, b)
+		})
+	}
+	for _, r := range []int{1, 3, 5} {
+		t.Run(fmt.Sprintf("replication/r=%d", r), func(t *testing.T) {
+			s := NewSystem(int64(100 + r))
+			t.Cleanup(func() { s.Close() })
+			contract := core.Contract{Require: core.TransparencySet(core.Replication | core.Location | core.Relocation), Replicas: r}
+			refs := make([]naming.InterfaceRef, r)
+			for i := range refs {
+				refs[i] = deployCounter(t, s, fmt.Sprintf("r%d", i), contract)
+			}
+			g, err := transparency.Replicate(refs, contract, s.Env("client"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { g.Close() })
+			countsThree(t, g)
+			for i, ref := range refs {
+				b, err := s.Bind("client", ref, core.Contract{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { b.Close() })
+				if n := call(t, b, "Get"); n != 3 {
+					t.Errorf("replica %d counted %d of 3 calls", i, n)
+				}
+			}
+		})
 	}
 }
 

@@ -69,11 +69,12 @@ func newSecureEnv(t *testing.T) *secureEnv {
 	return env
 }
 
-func (e *secureEnv) bindAs(t *testing.T, principal string, secret []byte) *channel.Binding {
+// bindAs binds as principal, signing with secret behind the stages of front.
+func (e *secureEnv) bindAs(t *testing.T, principal string, secret []byte, front ...channel.Stage) *channel.Binding {
 	t.Helper()
 	b, err := channel.Bind(e.ref, channel.BindConfig{
 		Transport: e.net,
-		Stages:    []channel.Stage{&SignStage{Principal: principal, Secret: secret}},
+		Stages:    append(front, &SignStage{Principal: principal, Secret: secret}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,16 +83,95 @@ func (e *secureEnv) bindAs(t *testing.T, principal string, secret []byte) *chann
 	return b
 }
 
+// TestAuthenticatedInvocation drives the whole channel of Figure 4: an
+// audit stub ahead of the signer at the client, the verifier behind the
+// replay guard at the server.
 func TestAuthenticatedInvocation(t *testing.T) {
 	env := newSecureEnv(t)
-	b := env.bindAs(t, "alice", []byte("alice-secret"))
+	stub := &channel.MemoryAudit{}
+	b := env.bindAs(t, "alice", []byte("alice-secret"), &channel.AuditStage{Sink: stub.Record})
 	term, res, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("hi")})
 	if err != nil || term != "OK" {
 		t.Fatalf("Invoke = %q, %v, %v", term, res, err)
 	}
+	if es := stub.Entries(); len(es) != 2 {
+		t.Errorf("audit stub = %+v, want the call and its reply", es)
+	}
 	ds := env.audit.Decisions()
 	if len(ds) != 1 || !ds[0].Allowed || ds[0].Principal != "alice" || ds[0].Operation != "Echo" {
 		t.Errorf("audit = %+v", ds)
+	}
+}
+
+// TestChannelCompositions builds the channel of Figure 4 one component at
+// a time, from a bare binding under either codec to the full pipeline: at
+// every step the echo comes back intact, the audit stub sees each call and
+// its reply, and the verifier decides each call.
+func TestChannelCompositions(t *testing.T) {
+	realm, policy := NewRealm(), NewPolicy()
+	realm.AddPrincipal("alice", []byte("alice-secret"))
+	policy.Allow("alice", "Echo")
+	for i, c := range []struct {
+		name          string
+		codec         wire.Codec
+		guard         bool
+		audit, secure bool
+	}{
+		{name: "bare/native", codec: wire.Native},
+		{name: "bare/canonical", codec: wire.Canonical},
+		{name: "replay-binder", codec: wire.Canonical, guard: true},
+		{name: "audit-stub", codec: wire.Canonical, guard: true, audit: true},
+		{name: "security", codec: wire.Canonical, guard: true, secure: true},
+		{name: "full-pipeline", codec: wire.Canonical, guard: true, audit: true, secure: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := netsim.New(int64(i + 1))
+			l, err := net.Listen("sim://server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg, bcfg := channel.ServerConfig{ReplayGuard: c.guard}, channel.BindConfig{Transport: net, Codec: c.codec}
+			stub, decisions := &channel.MemoryAudit{}, &AuditLog{}
+			if c.audit {
+				bcfg.Stages = append(bcfg.Stages, &channel.AuditStage{Sink: stub.Record})
+			}
+			if c.secure {
+				bcfg.Stages = append(bcfg.Stages, &SignStage{Principal: "alice", Secret: []byte("alice-secret")})
+				scfg.Stages = []channel.Stage{&VerifyStage{Realm: realm, Policy: policy, Audit: decisions.Record}}
+			}
+			server := channel.NewServer(l, scfg)
+			id := naming.InterfaceID{Nonce: 1}
+			if err := server.Register(id, echoType(), echoServant{}); err != nil {
+				t.Fatal(err)
+			}
+			server.Start()
+			t.Cleanup(func() { server.Close() })
+			b, err := channel.Bind(naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://server"}, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+			const calls = 3
+			for i := 0; i < calls; i++ {
+				term, res, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("the quick brown fox")})
+				if err != nil || term != "OK" || len(res) != 1 || !res[0].Equal(values.Str("the quick brown fox")) {
+					t.Fatalf("Echo = %q %v, %v", term, res, err)
+				}
+			}
+			audited, decided := 0, 0
+			if c.audit {
+				audited = 2 * calls
+			}
+			if c.secure {
+				decided = calls
+			}
+			if n := len(stub.Entries()); n != audited {
+				t.Errorf("audit stub saw %d messages, want %d", n, audited)
+			}
+			if n := len(decisions.Decisions()); n != decided {
+				t.Errorf("verifier decided %d calls, want %d", n, decided)
+			}
+		})
 	}
 }
 

@@ -90,6 +90,9 @@ func TestSingletonOneShardAndManyShardsAgree(t *testing.T) {
 	rows = append(rows,
 		row{name: "constraint", req: ImportRequest{ServiceType: "BankTeller", Constraint: "zone == 'z1' and cost > 3"}},
 		row{name: "constraint matches nothing", req: ImportRequest{ServiceType: "BankTeller", Constraint: "cost > 1000"}},
+		row{name: "compound constraint, arithmetic preference", req: ImportRequest{ServiceType: "BankTeller",
+			Constraint: "(cost < 5 and zone == 'z1') or (cost < 2 and not (zone == 'z0'))",
+			Preference: Preference{Kind: PrefMin, Expr: "cost * 2 + 1"}}},
 		row{name: "bad constraint", req: ImportRequest{ServiceType: "BankTeller", Constraint: "(("}, wantErr: constraint.ErrSyntax},
 		row{name: "bad preference expression", req: ImportRequest{ServiceType: "BankTeller", Preference: Preference{Kind: PrefMin, Expr: "(("}}, wantErr: constraint.ErrSyntax},
 		row{name: "unknown preference", req: ImportRequest{ServiceType: "BankTeller", Preference: Preference{Kind: 99}}, wantErr: ErrBadRequest},

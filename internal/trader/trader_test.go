@@ -313,6 +313,90 @@ func TestFederation(t *testing.T) {
 	}
 }
 
+// TestImportAtScale: a trader answers exactly the offers a constraint
+// selects however many it holds, in the order a preference expression
+// sets, and a federated import reaches offers only as many links away as
+// its hop budget allows.
+func TestImportAtScale(t *testing.T) {
+	repo := repoWithBank(t)
+	cities := []string{"brisbane", "perth", "sydney"}
+	// populate exports that many tellers to tr; the i-th has queue i%10 and
+	// city cities[i%3].
+	populate := func(t *testing.T, tr *Trader, offers int) {
+		for i := 0; i < offers; i++ {
+			if _, err := tr.Export("BankTeller", refOf("BankTeller", uint64(i+1)), rec(
+				values.F("queue", values.Int(int64(i%10))), values.F("city", values.Str(cities[i%3])))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queue := func(o Offer) int64 {
+		v, _ := o.Properties.FieldByName("queue")
+		q, _ := v.AsInt()
+		return q
+	}
+	for _, offers := range []int{10, 100, 1000} {
+		t.Run(fmt.Sprintf("offers=%d/simple", offers), func(t *testing.T) {
+			tr := New("T", repo)
+			populate(t, tr, offers)
+			got, err := tr.Import(ImportRequest{ServiceType: "BankTeller", Constraint: "queue < 5"})
+			if err != nil || len(got) != offers/2 {
+				t.Fatalf("import = %d offers, %v; want %d", len(got), err, offers/2)
+			}
+			for _, o := range got {
+				if queue(o) >= 5 {
+					t.Errorf("offer %d with queue %d matched", o.Ref.ID.Nonce, queue(o))
+				}
+			}
+		})
+	}
+	t.Run("offers=100/complex", func(t *testing.T) {
+		tr := New("T", repo)
+		populate(t, tr, 100)
+		want := 0
+		for i := 0; i < 100; i++ {
+			q, city := i%10, cities[i%3]
+			if (q < 5 && city == "brisbane") || (q < 2 && city != "perth") {
+				want++
+			}
+		}
+		got, err := tr.Import(ImportRequest{
+			ServiceType: "BankTeller",
+			Constraint:  "(queue < 5 and city == 'brisbane') or (queue < 2 and not (city == 'perth'))",
+			Preference:  Preference{Kind: PrefMin, Expr: "queue * 2 + 1"},
+		})
+		if err != nil || len(got) != want {
+			t.Fatalf("import = %d offers, %v; want %d", len(got), err, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if queue(got[i]) < queue(got[i-1]) {
+				t.Fatalf("offer %d (queue %d) ranked after queue %d", i, queue(got[i]), queue(got[i-1]))
+			}
+		}
+	})
+	// A chain F0 → F1 → F2 → F3 with every offer three links from F0.
+	chain := make([]*Trader, 4)
+	for i := range chain {
+		chain[i] = New(fmt.Sprintf("F%d", i), repo)
+		if i > 0 {
+			chain[i-1].Link("next", chain[i])
+		}
+	}
+	populate(t, chain[3], 10)
+	for hops := 0; hops <= 3; hops++ {
+		t.Run(fmt.Sprintf("federated/hops=%d", hops), func(t *testing.T) {
+			want := 0
+			if hops == 3 {
+				want = 10
+			}
+			got, err := chain[0].Import(ImportRequest{ServiceType: "BankTeller", MaxHops: hops})
+			if err != nil || len(got) != want {
+				t.Errorf("import = %d offers, %v; want %d", len(got), err, want)
+			}
+		})
+	}
+}
+
 func TestFederationCycleAndDiamond(t *testing.T) {
 	repo := repoWithBank(t)
 	a := New("A", repo)

@@ -271,6 +271,77 @@ func TestTwoPhaseCommitAcrossStores(t *testing.T) {
 	}
 }
 
+// TestOutcomeAtParticipantCount: however many stores a transaction writes,
+// a commit makes every write visible in every store, each store logging a
+// prepare and a commit per transaction, and an abort leaves no write and no
+// lock anywhere, each store logging the abort alone.
+func TestOutcomeAtParticipantCount(t *testing.T) {
+	for _, c := range []struct {
+		participants int
+		commit       bool
+	}{{1, true}, {2, true}, {4, true}, {8, true}, {1, false}, {4, false}} {
+		outcome := "abort"
+		if c.commit {
+			outcome = "commit"
+		}
+		t.Run(fmt.Sprintf("%s/participants=%d", outcome, c.participants), func(t *testing.T) {
+			const rounds = 3
+			coord := NewCoordinator()
+			stores := make([]*Store, c.participants)
+			for i := range stores {
+				stores[i] = NewStore(fmt.Sprintf("s%d", i), nil)
+			}
+			for r := 1; r <= rounds; r++ {
+				tx := coord.Begin(ctxT())
+				for _, s := range stores {
+					if err := tx.Write(s, fmt.Sprintf("k%d", r), values.Int(int64(r))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				end := tx.Abort
+				if c.commit {
+					end = tx.Commit
+				}
+				if err := end(); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range stores {
+					if n := s.lm.heldKeys(tx.ID()); n != 0 {
+						t.Errorf("%s: tx %d still holds %d locks", s.Name(), r, n)
+					}
+				}
+			}
+			perTx := []RecordKind{RecAbort}
+			if c.commit {
+				perTx = []RecordKind{RecPrepare, RecCommit}
+			}
+			for _, s := range stores {
+				snap, recs := s.Snapshot(), s.Log().Records()
+				if !c.commit && len(snap) != 0 {
+					t.Errorf("%s after aborts: state %v", s.Name(), snap)
+				}
+				for r := 1; c.commit && r <= rounds; r++ {
+					if v, ok := snap[fmt.Sprintf("k%d", r)]; !ok || !v.Equal(values.Int(int64(r))) {
+						t.Errorf("%s: k%d = %v, %v", s.Name(), r, v, ok)
+					}
+				}
+				if len(recs) != len(perTx)*rounds {
+					t.Fatalf("%s log = %v", s.Name(), recs)
+				}
+				for i, rec := range recs {
+					if want := perTx[i%len(perTx)]; rec.Kind != want {
+						t.Errorf("%s log record %d = %v, want %v", s.Name(), i, rec.Kind, want)
+					}
+				}
+			}
+			commits, aborts := coord.Stats()
+			if c.commit && (commits != rounds || aborts != 0) || !c.commit && (commits != 0 || aborts != rounds) {
+				t.Errorf("stats = %d commits, %d aborts", commits, aborts)
+			}
+		})
+	}
+}
+
 // vetoParticipant votes no in phase 1.
 type vetoParticipant struct{ aborted bool }
 

@@ -136,6 +136,56 @@ func TestIsSubtype(t *testing.T) {
 	}
 }
 
+// synthetic returns an operational interface of ops operations, each with
+// three integer parameters and an OK and an Error termination.
+func synthetic(name string, ops int) *types.Interface {
+	operations := make([]types.Operation, ops)
+	for i := range operations {
+		operations[i] = types.Op(fmt.Sprintf("op%d", i),
+			types.Params(types.P("p0", values.TInt()), types.P("p1", values.TInt()), types.P("p2", values.TInt())),
+			types.Term("OK", types.P("r", values.TInt())),
+			types.Term("Error", types.P("reason", values.TString())),
+		)
+	}
+	return types.OpInterface(name, operations...)
+}
+
+// TestExtensionIsSubtypeAtEverySize: an interface extended by one
+// announcement substitutes for it, structurally and through the
+// repository's memo, and not the other way round, however many operations
+// the two share.
+func TestExtensionIsSubtypeAtEverySize(t *testing.T) {
+	for _, ops := range []int{1, 4, 16, 64} {
+		t.Run(fmt.Sprintf("structural/ops=%d", ops), func(t *testing.T) {
+			super := synthetic("Super", ops)
+			sub := types.Extend("Sub", super, types.Announce("extra"))
+			if err := types.Subtype(sub, super); err != nil {
+				t.Errorf("extension is not a subtype: %v", err)
+			}
+			if err := types.Subtype(super, sub); !errors.Is(err, types.ErrNotSubtype) {
+				t.Errorf("supertype substitutes for its extension: %v", err)
+			}
+		})
+	}
+	t.Run("repository-memoised/ops=16", func(t *testing.T) {
+		r := New()
+		super := synthetic("Super", 16)
+		for _, it := range []*types.Interface{super, types.Extend("Sub", super, types.Announce("extra"))} {
+			if err := r.RegisterInterface(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // the first answer computes, the rest are remembered
+			if ok, err := r.IsSubtype("Sub", "Super"); err != nil || !ok {
+				t.Errorf("IsSubtype(Sub, Super) #%d = %v, %v", i, ok, err)
+			}
+			if ok, err := r.IsSubtype("Super", "Sub"); err != nil || ok {
+				t.Errorf("IsSubtype(Super, Sub) #%d = %v, %v", i, ok, err)
+			}
+		}
+	})
+}
+
 func TestHierarchyQueries(t *testing.T) {
 	r := bankRepo(t)
 	subs, err := r.Subtypes("BankTeller")

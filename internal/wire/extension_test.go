@@ -20,22 +20,34 @@ func tracedSample() *Message {
 
 const extBlockLen = 1 + 3 + 16 // count, kind+len, trace payload
 
+// TestTraceExtensionRoundTrip: under either codec a frame carries its
+// trace context, flagged in the header, and a frame without one decodes
+// without one and sets no flag.
 func TestTraceExtensionRoundTrip(t *testing.T) {
 	for _, c := range codecs() {
-		m := sampleMessage()
-		m.TraceID = 42
-		m.SpanID = 7
-		frame, err := m.Encode(c)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", c.Name(), err)
-		}
-		got, err := Decode(frame)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", c.Name(), err)
-		}
-		if got.TraceID != 42 || got.SpanID != 7 {
-			t.Fatalf("%s: trace context lost: trace=%d span=%d",
-				c.Name(), got.TraceID, got.SpanID)
+		for _, traced := range []bool{true, false} {
+			name, trace, span, flags := c.Name()+"/traced", uint64(42), uint64(7), flagExtensions
+			if !traced {
+				name, trace, span, flags = c.Name()+"/untraced", 0, 0, 0
+			}
+			t.Run(name, func(t *testing.T) {
+				m := sampleMessage()
+				m.TraceID, m.SpanID = trace, span
+				frame, err := m.Encode(c)
+				if err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				if frame[5] != flags {
+					t.Errorf("flags = %#x, want %#x", frame[5], flags)
+				}
+				got, err := Decode(frame)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				if got.TraceID != trace || got.SpanID != span {
+					t.Fatalf("trace context: trace=%d span=%d, want %d and %d", got.TraceID, got.SpanID, trace, span)
+				}
+			})
 		}
 	}
 }

@@ -89,6 +89,17 @@ if grep -nE 'mgmt\.(NetInstruments|BusInstruments)|func \([a-z]+ \*Network\) Ins
 	exit 1
 fi
 
+echo "== one-ruler gate (bench/ prices a call; the E-series does not time it again) =="
+# What one operation costs is measured once, by bench/. A figure of the
+# tutorial is pinned by its package test, a budget by a tier-1 test in the
+# package it holds: the ns/op scenario machinery of internal/experiments and
+# odpbench's sample-budget and duration flags may not come back.
+if grep -rnE 'type (Scenario|Set)\b|timeScenarios' --include='*.go' internal/experiments ||
+	grep -nE '\("(iters|dur)",' cmd/odpbench/*.go; then
+	echo "a second timing ruler is back (add a bench/ row, or a tier-1 test in the package it pins)"
+	exit 1
+fi
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -127,8 +138,10 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # odpbench holds each smoke slice to its rows of the gate table
 # (internal/experiments/gates.go): a verdict per row on stderr, wall-clock
 # rows best of three, a non-zero exit on a failed gate. The deterministic
-# budgets (E2 deposit allocations, E10 one connection for 256 bindings,
-# disabled-instrumentation parity) are tier-1 tests in internal/experiments.
+# budgets are tier-1 tests in the packages they pin: the E2 deposit and
+# balance allocations in internal/odp, disabled-instrumentation parity and
+# the flat allocations beside 255 sibling bindings in internal/channel, and
+# E10's one connection for 256 bindings in internal/experiments.
 for id in e12 e13 e14 e15 e16; do
 	go run ./cmd/odpbench -only "${id}smoke"
 done
