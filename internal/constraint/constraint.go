@@ -51,7 +51,7 @@ func (e *Expr) String() string { return e.src }
 // always-true constraint.
 func Parse(src string) (*Expr, error) {
 	if strings.TrimSpace(src) == "" {
-		return &Expr{root: litNode{values.Bool(true)}, src: src}, nil
+		return &Expr{root: alwaysTrue, src: src}, nil
 	}
 	toks, err := lex(src)
 	if err != nil {
@@ -67,6 +67,9 @@ func Parse(src string) (*Expr, error) {
 	}
 	return &Expr{root: root, src: src}, nil
 }
+
+// alwaysTrue is the root of every empty constraint: nodes are immutable.
+var alwaysTrue node = litNode{values.Bool(true)}
 
 // Eval evaluates the expression against a property record.
 func (e *Expr) Eval(props values.Value) (values.Value, error) {
@@ -105,7 +108,7 @@ type token struct {
 }
 
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)) // a token is at least one byte long
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -161,7 +164,7 @@ func lex(src string) ([]token, error) {
 			}
 			switch c {
 			case '<', '>', '+', '-', '*', '/', '(', ')':
-				toks = append(toks, token{tokOp, string(c)})
+				toks = append(toks, token{tokOp, src[i : i+1]})
 				i++
 			default:
 				return nil, fmt.Errorf("%w: unexpected character %q", ErrSyntax, string(c))
@@ -358,12 +361,12 @@ func (p *parser) parsePrimary() (node, error) {
 				return nil, fmt.Errorf("%w: exist requires a property name", ErrSyntax)
 			}
 			p.pos++
-			return existNode{path: strings.Split(name.text, ".")}, nil
+			return existNode{path: name.text}, nil
 		case "and", "or", "not":
 			return nil, fmt.Errorf("%w: unexpected keyword %q", ErrSyntax, t.text)
 		default:
 			p.pos++
-			return identNode{path: strings.Split(t.text, ".")}, nil
+			return identNode{path: t.text}, nil
 		}
 	case tokOp:
 		if t.text == "(" {
@@ -392,33 +395,38 @@ type litNode struct{ v values.Value }
 
 func (n litNode) eval(values.Value) (values.Value, error) { return n.v, nil }
 
-type identNode struct{ path []string }
+// identNode names a property; a dotted path (a.b) is kept as written and
+// walked segment by segment at evaluation.
+type identNode struct{ path string }
 
 func (n identNode) eval(props values.Value) (values.Value, error) {
 	v, ok := lookup(props, n.path)
 	if !ok {
-		return values.Value{}, fmt.Errorf("%w: no property %q", ErrEval, strings.Join(n.path, "."))
+		return values.Value{}, fmt.Errorf("%w: no property %q", ErrEval, n.path)
 	}
 	return v, nil
 }
 
-type existNode struct{ path []string }
+type existNode struct{ path string }
 
 func (n existNode) eval(props values.Value) (values.Value, error) {
 	_, ok := lookup(props, n.path)
 	return values.Bool(ok), nil
 }
 
-func lookup(props values.Value, path []string) (values.Value, bool) {
+func lookup(props values.Value, path string) (values.Value, bool) {
 	cur := props
-	for _, seg := range path {
+	for {
+		seg, rest, dotted := strings.Cut(path, ".")
 		next, ok := cur.FieldByName(seg)
 		if !ok {
 			return values.Value{}, false
 		}
-		cur = next
+		if !dotted {
+			return next, true
+		}
+		cur, path = next, rest
 	}
-	return cur, true
 }
 
 type notNode struct{ inner node }

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/values"
@@ -49,6 +50,7 @@ func TestConstraintMatches(t *testing.T) {
 		{"loc.city == 'perth'", false},
 		{"exist loc.city", true},
 		{"exist loc.country", false},
+		{"exist loc.city.zip", false}, // a path cannot descend into a string
 		{"cost + 5 == 15", true},
 		{"cost - 5 == 5", true},
 		{"cost * 2 == 20", true},
@@ -183,4 +185,59 @@ func TestExprString(t *testing.T) {
 	if e.String() != "cost == 10" {
 		t.Errorf("String = %q", e.String())
 	}
+}
+
+// TestParseAllocBudget: a parse allocates its token slice once, its nodes
+// and the Expr — an identifier keeps its name as written, dotted or not —
+// and the empty constraint shares one always-true root. The rows are the
+// trader bench's preference and constraint shapes.
+func TestParseAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		budget float64
+	}{
+		{"", 1},
+		{"cost", 3},
+		{"load < 42", 5},
+		{"region == 'fr'", 5},
+		{"secure == false and load < 42", 9},
+		{"load > 42 or region == 'fr'", 9},
+		{"not (load < 42)", 6},
+		{"load * 2 >= 42", 7},
+		{"exist cost and load <= 42", 7},
+		{"(load < 42 or load > 57) and region != 'fr'", 13},
+		{"loc.city == 'brisbane'", 5},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(c.src); err != nil {
+				t.Fatalf("Parse(%q): %v", c.src, err)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("Parse(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
+		}
+	}
+}
+
+// TestExprSharedAcrossGoroutines: an Expr is immutable after Parse, so the
+// legs of one trader import evaluate it concurrently.
+func TestExprSharedAcrossGoroutines(t *testing.T) {
+	e, err := Parse("(cost < 20 and loc.city == 'brisbane') or exist missing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if ok, err := e.Matches(props()); err != nil || !ok {
+					t.Errorf("Matches = %v, %v", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -42,6 +42,10 @@ import (
 // ErrNoShards reports an operation on a sharded trader with an empty ring.
 var ErrNoShards = errors.New("trader: sharded trader has no shards")
 
+// presizeK is the largest MaxMatches an import's merge is sized for up
+// front.
+const presizeK = 64
+
 // Shard is one partition of the offer space: the trading operations the
 // front-end routes to. *Trader and *Remote both satisfy it.
 type Shard interface {
@@ -325,9 +329,10 @@ func (s *ShardedTrader) Withdraw(offerID string) error {
 
 // Import finds matching offers across the shard set. The request's
 // subtype closure over the advertised types picks the candidate shards;
-// they are queried bounded-parallel, merged with origin-side dedupe (an
-// offer mid-migration may answer from two shards), ordered by the
-// preference, and truncated to MaxMatches.
+// each is asked for its own best MaxMatches (subRequest), bounded-parallel,
+// and their answers are merged with origin-side dedupe (an offer
+// mid-migration may answer from two shards), ordered by the preference,
+// and truncated to MaxMatches.
 func (s *ShardedTrader) Import(req ImportRequest) ([]Offer, error) {
 	res, err := s.ImportEx(req)
 	return res.Offers, err
@@ -341,13 +346,7 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	if err != nil {
 		return ImportResult{}, err
 	}
-
-	// Each shard collects everything it has (no truncation, no shard-side
-	// ordering): the origin merges, orders, truncates — the same split a
-	// federated import uses.
-	sub := req
-	sub.MaxMatches = 0
-	sub.Preference = Preference{}
+	sub := q.subRequest(req)
 
 	// Previous owners of in-flight buckets are queried strictly BEFORE the
 	// current owners. Migration installs the copy on the new owner before
@@ -371,8 +370,16 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 		epoch := s.ringEpoch.Load()
 		oldLegs, curLegs := s.targetShards(req.ServiceType)
 		res = ImportResult{}
-		matches = matches[:0]
-		seen := make(map[string]bool)
+		// A lone leg's answer is the merge; several legs' best k each fit
+		// in legs × k without regrowth. k comes from the caller, possibly
+		// off the wire, so past presizeK the merge grows as answers arrive.
+		matches = nil
+		var seen map[string]bool
+		if legs := len(oldLegs) + len(curLegs); legs > 1 {
+			n := legs * min(sub.MaxMatches, presizeK)
+			matches = make([]Offer, 0, n)
+			seen = make(map[string]bool, n)
+		}
 		for _, phase := range [][]*shardLeg{oldLegs, curLegs} {
 			if len(phase) > 0 {
 				results, errs := queryAll(phase, sub)
@@ -387,7 +394,7 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	if ins := s.insp.Load(); ins != nil {
 		ins.ShardsPerImport.Observe(uint64(res.LinksQueried))
 	}
-	return s.finish(q, req, res, matches)
+	return s.finish(q, req, res, matches), nil
 }
 
 // targetShards maps a requested service type to the legs that must be
@@ -404,6 +411,7 @@ func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*sh
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	curLegs = make([]*shardLeg, 0, min(len(cands), len(s.shards)))
 	names := make(map[string]bool, 2)
 	add := func(name string, old bool) {
 		leg := s.shards[name]

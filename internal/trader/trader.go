@@ -22,7 +22,7 @@ package trader
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,10 +87,18 @@ type ImportRequest struct {
 	MaxMatches int
 	// MaxHops bounds federation traversal: 0 searches only this trader.
 	MaxHops int
+
+	// expr and prefExpr carry the parse of Constraint and Preference.Expr
+	// from an import to the sub-request it puts to its legs, so a leg in
+	// this process does not parse them again. A Remote sends only the
+	// exported fields; the trader at the far end parses.
+	expr, prefExpr *constraint.Expr
 }
 
 // Importer is anything that can answer an import — a local trader or a
-// proxy to a remote one. Federation links hold Importers.
+// proxy to a remote one. Federation links hold Importers. The offers
+// returned are the caller's: an import reorders a lone leg's answer in
+// place.
 type Importer interface {
 	Import(req ImportRequest) ([]Offer, error)
 }
@@ -100,7 +108,7 @@ type Stats struct {
 	Exports      uint64
 	Withdraws    uint64
 	Imports      uint64
-	Matched      uint64
+	Matched      uint64 // offers returned by imports (see Trader.Stats)
 	Federated    uint64 // imports forwarded to linked traders
 	Considered   uint64 // offers examined during matching
 	LinksSkipped uint64 // federation links passed over with an open circuit
@@ -366,7 +374,8 @@ func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 	if err != nil {
 		return ImportResult{}, err
 	}
-	matches := t.localMatches(req.ServiceType, q.expr)
+	sub := q.subRequest(req)
+	matches := t.localMatches(q, req.ServiceType, sub.MaxMatches)
 	var res ImportResult
 
 	// Federation: propagate with a decremented hop budget — concurrently
@@ -374,10 +383,7 @@ func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 	// (diamond topologies would otherwise duplicate).
 	if req.MaxHops > 0 {
 		if links := t.linkLegs(); len(links) > 0 {
-			sub := req
 			sub.MaxHops = req.MaxHops - 1
-			sub.MaxMatches = 0 // collect everything; order and truncate at the origin
-			sub.Preference = Preference{}
 			t.feder.Add(uint64(len(links)))
 			results, errs := queryAll(links, sub)
 			seen := make(map[string]bool, len(matches))
@@ -389,7 +395,7 @@ func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 			t.linksFailed.Add(uint64(res.LinksFailed))
 		}
 	}
-	return t.finish(q, req, res, matches)
+	return t.finish(q, req, res, matches), nil
 }
 
 // linkLeg is one federation link as an import queries it. A dead
@@ -430,107 +436,79 @@ func (t *Trader) linkLegs() []linkLeg {
 	return legs
 }
 
-// localMatches scans only the candidate buckets for serviceType — its
-// subtype closure over the types currently advertised. The scan runs under
-// the read lock (so Modify cannot race the constraint evaluation;
-// concurrent imports still proceed in parallel) and copies out only the
-// offers that match.
-func (t *Trader) localMatches(serviceType string, expr *constraint.Expr) []Offer {
+// localMatches answers an import from this trader's own store: the offers
+// of the candidate buckets for serviceType — its subtype closure over the
+// types currently advertised — that satisfy the constraint; with k > 0 the
+// best k under the preference, in rank order, else all of them in export
+// order. The scan runs under the read lock (so Modify cannot race the
+// evaluation; concurrent imports still proceed in parallel) and ranks
+// entries, so only the offers returned are copied.
+func (t *Trader) localMatches(q importQuery, serviceType string, k int) []Offer {
 	cands := closureOver(&t.closure, &t.mu, t.buckets, t.types, serviceType)
 	if len(cands) == 0 {
 		return nil
 	}
-	var out []Offer
-	var seqs []uint64
+	type pick struct {
+		e *entry
+		r rank
+	}
+	// A small k is selected in place: picks, on the stack, holds the best k
+	// so far and a slot to insert into before the worst drops out. Any other
+	// k — 0 for all, or a large one, which may come off the wire and would
+	// cost up to k moves per match — collects every match and sorts once.
+	var buf [16]pick
+	picks := buf[:0]
+	selecting := k > 0 && k < len(buf)
 	considered := 0
 	t.mu.RLock()
 	for _, bt := range cands {
 		for _, e := range t.buckets[bt] {
 			considered++
-			ok, err := expr.Matches(e.offer.Properties)
-			if err != nil {
+			if ok, err := q.expr.Matches(e.offer.Properties); err != nil || !ok {
 				// A constraint referencing properties this offer lacks simply
 				// does not match it; true evaluation errors (type abuse) do
 				// the same rather than failing the whole import.
 				continue
 			}
-			if ok {
-				out = append(out, *e.offer)
-				seqs = append(seqs, e.seq)
+			p := pick{e, rank{pos: e.seq}}
+			if k > 0 {
+				p.r = q.rankOf(e.offer.Properties, e.seq)
+			}
+			if !selecting {
+				picks = append(picks, p)
+				continue
+			}
+			if len(picks) == k && compareRanks(p.r, picks[k-1].r) > 0 {
+				continue
+			}
+			i := sort.Search(len(picks), func(i int) bool { return compareRanks(p.r, picks[i].r) < 0 })
+			if picks = slices.Insert(picks, i, p); len(picks) > k {
+				picks = picks[:k]
 			}
 		}
+	}
+	if !selecting && (k > 0 || len(cands) > 1) {
+		// Unranked matches from one bucket are in export order already.
+		slices.SortFunc(picks, func(a, b pick) int { return compareRanks(a.r, b.r) })
+		if k > 0 && len(picks) > k {
+			picks = picks[:k]
+		}
+	}
+	out := make([]Offer, len(picks))
+	for i, p := range picks {
+		out[i] = *p.e.offer
 	}
 	t.mu.RUnlock()
 
 	t.consid.Add(uint64(considered))
-	if len(cands) > 1 {
-		// Matches from several buckets: restore the global export order
-		// (a single bucket is already in export order).
-		sort.Sort(bySeq{out, seqs})
-	}
 	return out
 }
 
-// bySeq sorts matched offers by their export sequence numbers.
-type bySeq struct {
-	offers []Offer
-	seqs   []uint64
-}
-
-func (s bySeq) Len() int           { return len(s.offers) }
-func (s bySeq) Less(i, j int) bool { return s.seqs[i] < s.seqs[j] }
-func (s bySeq) Swap(i, j int) {
-	s.offers[i], s.offers[j] = s.offers[j], s.offers[i]
-	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
-}
-
-// orderOffers applies a preference ordering in place.
-func orderOffers(matches []Offer, pref Preference, prefExpr *constraint.Expr, rngMu *sync.Mutex, rng *rand.Rand) error {
-	switch pref.Kind {
-	case PrefFirst:
-		// already in export order (local first, then federation arrivals)
-		return nil
-	case PrefRandom:
-		rngMu.Lock()
-		rng.Shuffle(len(matches), func(i, j int) {
-			matches[i], matches[j] = matches[j], matches[i]
-		})
-		rngMu.Unlock()
-		return nil
-	case PrefMax, PrefMin:
-		type scored struct {
-			offer Offer
-			score float64
-			ok    bool
-		}
-		rows := make([]scored, len(matches))
-		for i, o := range matches {
-			rows[i] = scored{offer: o}
-			v, err := prefExpr.Eval(o.Properties)
-			if err != nil {
-				continue // unscoreable offers sort last
-			}
-			rows[i].score, rows[i].ok = constraint.AsFloat(v)
-		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			si, sj := rows[i], rows[j]
-			if si.ok != sj.ok {
-				return si.ok // scoreable offers ahead of unscoreable
-			}
-			if pref.Kind == PrefMax {
-				return si.score > sj.score
-			}
-			return si.score < sj.score
-		})
-		for i, r := range rows {
-			matches[i] = r.offer
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: unknown preference %d", ErrBadRequest, pref.Kind)
-}
-
-// Stats returns a snapshot of trading counters.
+// Stats returns a snapshot of trading counters. Matched counts the offers
+// the trader returned, so at a shard or a federation link it is at most
+// the caller's MaxMatches per sub-request, not every offer that matched;
+// Considered still counts every offer examined. A front-end's
+// ShardStats.Matched counts what the front-end returned to its callers.
 func (t *Trader) Stats() Stats {
 	return Stats{
 		Exports:      t.exports.Load(),

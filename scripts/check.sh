@@ -6,8 +6,8 @@
 # over the packages that share pooled buffers across goroutines (wire,
 # channel, netsim) and the packages that fan work out across goroutines
 # (transactions' parallel 2PC, coordination's sequencer fan-out, trader's
-# concurrent federation), and the experiment gates that run too long for
-# tier 1.
+# concurrent federation and shard legs, and the parsed constraint those legs
+# share), and the experiment gates that run too long for tier 1.
 #
 # Run from the repository root:  ./scripts/check.sh
 set -eu
@@ -118,6 +118,7 @@ wc -l scripts/check.sh
 echo "== race detector (hot-path and fan-out packages) =="
 go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/transactions/ ./internal/coordination/ ./internal/trader/ \
+	./internal/constraint/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
@@ -140,8 +141,11 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # rows best of three, a non-zero exit on a failed gate. The deterministic
 # budgets are tier-1 tests in the packages they pin: the E2 deposit and
 # balance allocations in internal/odp, disabled-instrumentation parity and
-# the flat allocations beside 255 sibling bindings in internal/channel, and
-# E10's one connection for 256 bindings in internal/experiments.
+# the flat allocations beside 255 sibling bindings in internal/channel, the
+# leaf, mid-level and root import allocations and their flatness in the
+# number of matches in internal/trader (TestImportAllocBudget), the parse
+# allocations in internal/constraint (TestParseAllocBudget), and E10's one
+# connection for 256 bindings in internal/experiments.
 for id in e12 e13 e14 e15 e16; do
 	go run ./cmd/odpbench -only "${id}smoke"
 done
