@@ -144,8 +144,8 @@ func main() {
 		b, _ := res[0].AsInt()
 		fmt.Printf("  %s %s balance=%d\n", who, acct, b)
 	}
-	lookups, misses, relocates := system.Relocator.Stats()
-	fmt.Printf("relocator: %d lookups, %d misses, %d relocations\n", lookups, misses, relocates)
+	st := system.Relocator.Stats()
+	fmt.Printf("relocator: %d lookups, %d misses, %d relocations\n", st.Lookups, st.Misses, st.Relocates)
 }
 
 func must(err error) {

@@ -3,39 +3,39 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/health"
 	"repro/internal/mgmt"
+	"repro/internal/policy"
 )
 
-// TestRenderHealth feeds a real Registry dump — populated through the
-// same mgmt.Health / mgmt.Policy bundles the detector and breaker set
-// write — through the client-side renderer and checks the table rows.
+// TestRenderHealth feeds a real Registry dump — read from the same Stats
+// types the detector and a host's breaker set report, under the prefixes
+// the odp facade registers — through the client-side renderer and checks
+// the table rows.
 func TestRenderHealth(t *testing.T) {
 	m := mgmt.New()
 
-	n1 := m.Health("n1")
-	n1.State.Set(int64(health.Alive))
-	n1.Suspicion.Set(0)
-	n1.Probes.Add(120)
-	n1.Transitions.Add(1)
-	n1.RTT.Observe(250_000)
+	var rtt mgmt.Histogram
+	rtt.Observe(250_000)
+	mgmt.Read(m, "health.", func() map[string]health.EndpointStats {
+		return map[string]health.EndpointStats{
+			"n1": {State: health.Alive, Probes: 120, Transitions: 1, RTTNs: rtt.Snapshot()},
+			// A dotted watch key must not split wrong.
+			"10.0.0.2:9000": {State: health.Dead, Suspicion: 1000, Probes: 80, Misses: 6, Transitions: 2},
+		}
+	})
 
-	// A dotted watch key must not split wrong.
-	h2 := m.Health("10.0.0.2:9000")
-	h2.State.Set(int64(health.Dead))
-	h2.Suspicion.Set(1000)
-	h2.Probes.Add(80)
-	h2.Misses.Add(6)
-	h2.Transitions.Add(2)
-
-	def := m.Policy("")
-	def.BreakerOpens.Add(3)
-	def.BreakerCloses.Add(2)
-	def.BreakersOpen.Set(1)
-	def.Rejected.Add(14)
-	named := m.Policy("t")
-	named.Probes.Add(5)
+	tripped := policy.NewBreakerSet(policy.BreakerConfig{ConsecutiveFailures: 1, OpenFor: time.Hour})
+	tripped.For("sim://a").Record(false)
+	for i := 0; i < 14; i++ {
+		tripped.For("sim://a").Allow()
+	}
+	mgmt.Read(m, "policy.client.breaker.", tripped.Stats)
+	quiet := policy.NewBreakerSet(policy.BreakerConfig{})
+	quiet.For("sim://b").Record(true)
+	mgmt.Read(m, "policy.t.breaker.", quiet.Stats)
 
 	out := renderHealth(m.Registry.Dump())
 
@@ -64,11 +64,11 @@ func TestRenderHealth(t *testing.T) {
 		!strings.Contains(l, "6") {
 		t.Fatalf("dotted-endpoint row wrong: %q", l)
 	}
-	if l := find("(default) "); !strings.Contains(l, "1") || !strings.Contains(l, "14") {
-		t.Fatalf("default breaker row wrong: %q", l)
+	if l := strings.Fields(find("client ")); strings.Join(l[1:], " ") != "1 1 0 0 14" {
+		t.Fatalf("client breaker row wrong: %q", l)
 	}
-	if l := find("t "); !strings.Contains(l, "5") {
-		t.Fatalf("named breaker row wrong: %q", l)
+	if l := strings.Fields(find("t ")); strings.Join(l[1:], " ") != "0 0 0 0 0" {
+		t.Fatalf("quiet breaker row wrong: %q", l)
 	}
 
 	// No health instruments at all: a hint, not an empty table.

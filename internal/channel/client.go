@@ -81,8 +81,9 @@ type BindConfig struct {
 	// Ignored when MaxInFlight is zero.
 	FailFast bool
 	// Instruments enables management instrumentation of this channel end:
-	// stub/binder/transport spans, invocation metrics and the optional QoS
-	// monitor. Nil disables it at the cost of a nil check per invocation.
+	// stub/binder/transport spans, the invocation latency histogram and the
+	// optional QoS monitor. Nil disables it at the cost of a nil check per
+	// invocation. (The counts are the session manager's SessionStats.)
 	Instruments *mgmt.ChannelClientInstruments
 }
 
@@ -259,17 +260,21 @@ func (b *Binding) Invoke(ctx context.Context, op string, args []values.Value) (s
 		defer func() { <-b.inflight }()
 	}
 	b.invocations.Add(1)
+	b.sessions.invocations.Add(1)
 	ins := b.cfg.Instruments
 	if ins == nil {
-		return b.invoke(ctx, op, args)
+		term, results, err := b.invoke(ctx, op, args)
+		if err != nil {
+			b.sessions.failures.Add(1)
+		}
+		return term, results, err
 	}
-	ins.Invocations.Inc()
 	ctx, sp := ins.Tracer.Start(ctx, "stub:"+op)
 	start := time.Now()
 	term, results, err := b.invoke(ctx, op, args)
 	if err != nil {
 		sp.Fail(err)
-		ins.Failures.Inc()
+		b.sessions.failures.Add(1)
 	}
 	sp.End()
 	d := time.Since(start)
@@ -309,7 +314,11 @@ func (b *Binding) Announce(ctx context.Context, op string, args []values.Value) 
 		return err
 	}
 	b.invocations.Add(1)
+	b.sessions.invocations.Add(1)
 	_, err := b.interact(ctx, wire.OneWay, op, args)
+	if err != nil {
+		b.sessions.failures.Add(1)
+	}
 	return err
 }
 
@@ -413,9 +422,7 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 		// retry; relocation transparency: re-resolve first in case the
 		// failure was a move.
 		b.retries.Add(1)
-		if ins := b.cfg.Instruments; ins != nil {
-			ins.Retries.Inc()
-		}
+		b.sessions.retries.Add(1)
 		if werr := b.backoff(ctx, attempt); werr != nil {
 			return nil, werr
 		}
@@ -559,15 +566,10 @@ func (b *Binding) breakerFor(ep naming.Endpoint) *policy.Breaker {
 }
 
 // backoff sleeps the policy's delay before retry number retry, accounting
-// the sleep into the shared policy instruments when present.
+// the delay in the session manager's BackoffNs.
 func (b *Binding) backoff(ctx context.Context, retry int) error {
 	d := b.cfg.Policy.Backoff(retry)
-	if bs := b.sessions.Breakers(); bs != nil {
-		if pins := bs.Instruments(); pins != nil {
-			pins.Retries.Inc()
-			pins.BackoffNs.Add(uint64(d))
-		}
-	}
+	b.sessions.backoffNs.Add(uint64(d))
 	return policy.Wait(ctx, d)
 }
 
@@ -744,8 +746,6 @@ func (b *Binding) relocate(stale bool) bool {
 		b.sessions.fence(fenceEP, fenceEpoch)
 	}
 	b.relocations.Add(1)
-	if ins := b.cfg.Instruments; ins != nil {
-		ins.Relocations.Inc()
-	}
+	b.sessions.relocations.Add(1)
 	return true
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -201,7 +200,8 @@ func TestBreakerFailFastShared(t *testing.T) {
 
 // TestOneWayRecoveryReachesManagement: announcements go through the same
 // recovery loop as interrogations, so their retries and relocations are
-// counted in the management instruments, not only in BindingStats.
+// counted in the session manager's stats — what Management reads — not
+// only in BindingStats.
 func TestOneWayRecoveryReachesManagement(t *testing.T) {
 	n := netsim.New(1)
 	id := ifaceID(31)
@@ -222,13 +222,11 @@ func TestOneWayRecoveryReachesManagement(t *testing.T) {
 	loc := newFakeLocator()
 	ref := naming.InterfaceRef{ID: id, TypeName: "Echo", Endpoint: "sim://alpha"}
 	loc.set(ref)
-	ins := mgmt.New().ChannelClient("announcer")
 	b, err := Bind(ref, BindConfig{
-		Transport:   n,
-		Locator:     loc,
-		Type:        echoType(),
-		Policy:      policy.RetryPolicy{MaxAttempts: 3},
-		Instruments: ins,
+		Transport: n,
+		Locator:   loc,
+		Type:      echoType(),
+		Policy:    policy.RetryPolicy{MaxAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,11 +257,9 @@ func TestOneWayRecoveryReachesManagement(t *testing.T) {
 	if st.Retries == 0 || st.Relocations == 0 {
 		t.Fatalf("announcement crossed a killed session without recovery: %+v", st)
 	}
-	if got := ins.Retries.Load(); got != st.Retries {
-		t.Errorf("management saw %d retries, the binding made %d", got, st.Retries)
-	}
-	if got := ins.Relocations.Load(); got != st.Relocations {
-		t.Errorf("management saw %d relocations, the binding made %d", got, st.Relocations)
+	ss := b.Sessions().Stats()
+	if ss.Retries != st.Retries || ss.Relocations != st.Relocations || ss.Invocations != st.Invocations {
+		t.Errorf("session manager counts %+v, the binding %+v", ss, st)
 	}
 }
 

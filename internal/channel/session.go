@@ -40,6 +40,14 @@ type SessionStats struct {
 	// serve — undecodable, or of a kind no client end accepts — over the
 	// manager's lifetime (dead sessions included).
 	BadFrames uint64
+
+	// The interactions of every binding multiplexed over this manager: the
+	// sums of their BindingStats, plus what a binding does not keep.
+	Invocations uint64 // interrogations and announcements started
+	Failures    uint64 // interrogations and announcements that returned an error
+	Retries     uint64 // failure-transparency retries
+	Relocations uint64 // relocation-transparency refreshes that moved a binding
+	BackoffNs   uint64 // nanoseconds of retry backoff the policy asked for
 }
 
 // SessionManager multiplexes all bindings that share one Transport onto
@@ -61,6 +69,11 @@ type SessionManager struct {
 	probesSent      atomic.Uint64
 	probesCoalesced atomic.Uint64
 	badFrames       atomic.Uint64
+	invocations     atomic.Uint64
+	failures        atomic.Uint64
+	retries         atomic.Uint64
+	relocations     atomic.Uint64
+	backoffNs       atomic.Uint64
 
 	insp     atomic.Pointer[mgmt.SessionInstruments]
 	breakers atomic.Pointer[policy.BreakerSet]
@@ -118,6 +131,11 @@ func (m *SessionManager) Stats() SessionStats {
 		ProbesSent:      m.probesSent.Load(),
 		ProbesCoalesced: m.probesCoalesced.Load(),
 		BadFrames:       m.badFrames.Load(),
+		Invocations:     m.invocations.Load(),
+		Failures:        m.failures.Load(),
+		Retries:         m.retries.Load(),
+		Relocations:     m.relocations.Load(),
+		BackoffNs:       m.backoffNs.Load(),
 	}
 }
 

@@ -337,7 +337,11 @@ func (sh *busShard) stats() BusStats {
 // Instrument makes every shard's counters readable through m, under
 // bus.<shard>.* (bus.b3.queued, bus.b3.dropped, …); a nil m is a no-op.
 func (b *Bus) Instrument(m *mgmt.Management) {
-	for _, sh := range b.shards {
-		mgmt.Read(m, "bus."+sh.name+".", sh.stats)
-	}
+	mgmt.Read(m, "bus.", func() map[string]BusStats {
+		out := make(map[string]BusStats, len(b.shards))
+		for _, sh := range b.shards {
+			out[sh.name] = sh.stats()
+		}
+		return out
+	})
 }

@@ -60,8 +60,8 @@ type E11Report struct {
 
 	BreakerOpens    uint64 // channel + group breaker transitions to open
 	BreakerRejected uint64 // calls refused while a breaker was open
-	Retries         uint64 // policy-paced retries
-	BackoffNs       uint64 // nanoseconds spent in retry backoff
+	Retries         uint64 // channel retries, from the client's SessionStats
+	BackoffNs       uint64 // nanoseconds of retry backoff, likewise
 	SkippedLegs     uint64 // update legs sat out on an open breaker
 	DegradedReads   uint64 // reads served with the staleness flag
 	MembersEnd      int    // replicas still in the group at the end
@@ -316,7 +316,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 			ConsecutiveFailures: 3,
 			OpenFor:             200 * time.Millisecond,
 		})
-		chanBreakers.Instrument(m.Policy("client"))
+		mgmt.Read(m, "policy.client.breaker.", chanBreakers.Stats)
 		mgr.SetBreakers(chanBreakers)
 	}
 
@@ -359,7 +359,7 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 			ConsecutiveFailures: 2,
 			OpenFor:             200 * time.Millisecond,
 		})
-		groupBreakers.Instrument(m.Policy("group"))
+		mgmt.Read(m, "policy.group.breaker.", groupBreakers.Stats)
 		group.SetMemberPolicy(&coordination.MemberPolicy{
 			Breakers: groupBreakers,
 			Retain:   true,
@@ -476,13 +476,12 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 		if bs == nil {
 			continue
 		}
-		for _, st := range bs.Snapshot() {
-			rep.BreakerOpens += st.Opens
-			rep.BreakerRejected += st.Rejected
-		}
+		st := bs.Stats()
+		rep.BreakerOpens += st.Opens
+		rep.BreakerRejected += st.Rejected
 	}
-	rep.Retries = m.Registry.Counter("policy.client.retry.attempts").Load()
-	rep.BackoffNs = m.Registry.Counter("policy.client.retry.backoff_ns").Load()
+	sst := mgr.Stats()
+	rep.Retries, rep.BackoffNs = sst.Retries, sst.BackoffNs
 	gst := group.Stats()
 	rep.SkippedLegs = gst.SkippedLegs
 	rep.DegradedReads = gst.DegradedReads

@@ -70,8 +70,9 @@ func TestE11PolicyOffRuns(t *testing.T) {
 	if rep.Mode != "policy-off" {
 		t.Fatalf("mode = %q", rep.Mode)
 	}
-	if rep.BreakerOpens != 0 || rep.Retries != 0 {
-		t.Fatalf("legacy mode used policy machinery: opens=%d retries=%d",
-			rep.BreakerOpens, rep.Retries)
+	// The legacy configuration retries, but immediately: no backoff.
+	if rep.BreakerOpens != 0 || rep.BackoffNs != 0 {
+		t.Fatalf("legacy mode used policy machinery: opens=%d backoff=%dns",
+			rep.BreakerOpens, rep.BackoffNs)
 	}
 }

@@ -31,7 +31,7 @@ import (
 // the transaction commit with its per-participant prepare/complete
 // phases.
 func E9TracedTransfer() ([]mgmt.Span, string, error) {
-	// Breakers on: the client host's set reports under policy.client.*,
+	// Breakers on: the client host's set reports under policy.client.breaker.*,
 	// so the demo's dump shows breaker state beside the trace.
 	system, err := odp.New(odp.Config{Seed: 77, Management: true, Breakers: &policy.BreakerConfig{}})
 	if err != nil {

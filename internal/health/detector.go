@@ -84,9 +84,6 @@ type Config struct {
 	// outside detector locks (the odp facade uses it to publish
 	// EventTopic records on the system bus).
 	OnTransition func(Transition)
-	// Instruments, when set, resolves the per-endpoint mgmt bundle
-	// (typically Management.Health). Nil disables instrumentation.
-	Instruments func(endpoint string) *mgmt.HealthInstruments
 }
 
 // The package's bounds, at the values every deployment runs with.
@@ -139,6 +136,16 @@ type EndpointStatus struct {
 	Misses    int           // consecutive misses right now
 }
 
+// EndpointStats is one watched endpoint's counters, as Stats reports them.
+type EndpointStats struct {
+	State       State
+	Suspicion   int64  // suspicion level, per-mille (0..1000)
+	Probes      uint64 // probes completed (active and passive samples)
+	Misses      uint64 // probes that failed or exceeded the adaptive timeout
+	Transitions uint64 // liveness transitions
+	RTTNs       mgmt.HistogramSnapshot
+}
+
 // Detector runs one probe loop per watched endpoint and keeps the
 // per-endpoint suspicion state machine.
 type Detector struct {
@@ -152,7 +159,6 @@ type Detector struct {
 type endpointState struct {
 	name   string
 	probe  ProbeFunc
-	ins    *mgmt.HealthInstruments
 	cancel context.CancelFunc
 	done   chan struct{}
 
@@ -163,6 +169,9 @@ type endpointState struct {
 	wi, wn  int
 	rttSum  time.Duration
 	lastRTT time.Duration
+
+	probes, missed, transitions uint64
+	rtt                         mgmt.Histogram // successful probe round trips, ns
 }
 
 // New creates a detector. Endpoints are added with Watch; Close stops
@@ -195,18 +204,6 @@ func (d *Detector) Watch(endpoint string, probe ProbeFunc) error {
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	if d.cfg.Instruments != nil {
-		e.ins = d.cfg.Instruments(endpoint)
-	}
-	if e.ins == nil {
-		// No management plane: an empty bundle, whose nil instruments
-		// swallow updates, keeps the hot path branch-free.
-		e.ins = &mgmt.HealthInstruments{}
-	}
-	// Publish the initial gauges so odpstat shows the endpoint before
-	// its first probe lands.
-	e.ins.State.Set(int64(Alive))
-	e.ins.Suspicion.Set(0)
 	d.eps[endpoint] = e
 	go d.loop(ctx, e)
 	return nil
@@ -262,12 +259,7 @@ func (d *Detector) State(endpoint string) (st State, suspicion float64, ok bool)
 
 // Snapshot lists every watched endpoint's status, sorted by name.
 func (d *Detector) Snapshot() []EndpointStatus {
-	d.mu.Lock()
-	eps := make([]*endpointState, 0, len(d.eps))
-	for _, e := range d.eps {
-		eps = append(eps, e)
-	}
-	d.mu.Unlock()
+	eps := d.watched()
 	out := make([]EndpointStatus, 0, len(eps))
 	for _, e := range eps {
 		e.mu.Lock()
@@ -282,6 +274,37 @@ func (d *Detector) Snapshot() []EndpointStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
+}
+
+// Stats returns every watched endpoint's counters, keyed by endpoint; an
+// endpoint leaves it at Unwatch.
+func (d *Detector) Stats() map[string]EndpointStats {
+	eps := d.watched()
+	out := make(map[string]EndpointStats, len(eps))
+	for _, e := range eps {
+		e.mu.Lock()
+		out[e.name] = EndpointStats{
+			State:       e.state,
+			Suspicion:   int64(e.suspicionLocked(d.cfg) * 1000),
+			Probes:      e.probes,
+			Misses:      e.missed,
+			Transitions: e.transitions,
+			RTTNs:       e.rtt.Snapshot(),
+		}
+		e.mu.Unlock()
+	}
+	return out
+}
+
+// watched returns the endpoints being probed.
+func (d *Detector) watched() []*endpointState {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	eps := make([]*endpointState, 0, len(d.eps))
+	for _, e := range d.eps {
+		eps = append(eps, e)
+	}
+	return eps
 }
 
 // Observe feeds one passive sample — a round trip (or failure) seen by
@@ -356,6 +379,7 @@ func (d *Detector) observe(e *endpointState, ok bool, rtt time.Duration) {
 	cfg := d.cfg
 	e.mu.Lock()
 	from := e.state
+	e.probes++
 	if ok {
 		old := e.window[e.wi]
 		e.window[e.wi] = rtt
@@ -367,9 +391,11 @@ func (d *Detector) observe(e *endpointState, ok bool, rtt time.Duration) {
 		}
 		e.rttSum += rtt
 		e.lastRTT = rtt
+		e.rtt.Observe(uint64(rtt))
 		e.misses = 0
 		e.state = Alive
 	} else {
+		e.missed++
 		e.misses++
 		if e.misses >= cfg.DeadAfter {
 			e.state = Dead
@@ -378,22 +404,16 @@ func (d *Detector) observe(e *endpointState, ok bool, rtt time.Duration) {
 		}
 	}
 	to := e.state
+	if to != from {
+		e.transitions++
+	}
 	suspicion := e.suspicionLocked(cfg)
 	smoothed := e.meanLocked()
 	e.mu.Unlock()
 
-	e.ins.Probes.Inc()
-	if !ok {
-		e.ins.Misses.Inc()
-	} else {
-		e.ins.RTT.Observe(uint64(rtt))
-	}
-	e.ins.State.Set(int64(to))
-	e.ins.Suspicion.Set(int64(suspicion * 1000))
 	if to == from {
 		return
 	}
-	e.ins.Transitions.Inc()
 	if cb := cfg.OnTransition; cb != nil {
 		cb(Transition{
 			Endpoint:  e.name,

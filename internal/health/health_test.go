@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,7 +266,10 @@ func TestDetectorPassiveObserve(t *testing.T) {
 	}
 }
 
-func TestDetectorGauges(t *testing.T) {
+// TestDetectorStatsThroughManagement: Management reads the detector's
+// per-endpoint Stats, so the gauges follow the state machine and an
+// unwatched endpoint leaves the dump.
+func TestDetectorStatsThroughManagement(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
 	m := mgmt.New()
 	probe := &flakyProbe{}
@@ -274,21 +278,35 @@ func TestDetectorGauges(t *testing.T) {
 		Interval:     time.Millisecond,
 		SuspectAfter: 1,
 		DeadAfter:    2,
-		Instruments:  m.Health,
 	})
 	defer d.Close()
+	mgmt.Read(m, "health.", d.Stats)
 	if err := d.Watch("m2", probe.fn()); err != nil {
 		t.Fatal(err)
 	}
-	state := m.Registry.Gauge("health.m2.state")
-	susp := m.Registry.Gauge("health.m2.suspicion")
+	gauge := func(name string) string {
+		for _, line := range strings.Split(m.Registry.Dump(), "\n") {
+			if f := strings.Fields(line); len(f) == 3 && f[0] == "gauge" && f[1] == name {
+				return f[2]
+			}
+		}
+		return ""
+	}
 	waitFor(t, "dead gauge", func() bool {
-		return state.Load() == int64(Dead) && susp.Load() == 1000
+		return gauge("health.m2.state") == "2" && gauge("health.m2.suspicion") == "1000"
 	})
 	probe.failing.Store(false)
 	waitFor(t, "alive gauge", func() bool {
-		return state.Load() == int64(Alive) && susp.Load() == 0
+		return gauge("health.m2.state") == "0" && gauge("health.m2.suspicion") == "0"
 	})
+	st := d.Stats()["m2"]
+	if st.Transitions < 2 || st.Misses < 2 || st.Probes <= st.Misses || st.RTTNs.Count == 0 {
+		t.Fatalf("m2 stats = %+v", st)
+	}
+	d.Unwatch("m2")
+	if dump := m.Registry.Dump(); strings.Contains(dump, "health.m2.") {
+		t.Fatalf("unwatched endpoint still shown:\n%s", dump)
+	}
 }
 
 func TestTransitionValueRoundTrip(t *testing.T) {

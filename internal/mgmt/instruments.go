@@ -7,9 +7,10 @@ import (
 )
 
 // This file defines the per-component instrument bundles. A bundle holds
-// only what no component counts for itself — the tracer, histograms, QoS
-// monitors and aggregates over a set of components; a count a component's
-// own Stats() already keeps is read through (see Read), never mirrored.
+// only what no component counts for itself — the tracer, histograms,
+// queue-depth gauges and QoS monitors; a count a component's own Stats()
+// already keeps, for one component or for a set of them, is read through
+// (see Read), never mirrored.
 // Each instrumented package takes exactly one optional pointer to its
 // bundle; a nil bundle disables that component's instrumentation at the
 // cost of one nil check, which is what lets the hooks ship permanently
@@ -17,14 +18,11 @@ import (
 
 // ChannelClientInstruments instrument the client end of a channel: the
 // stub, binder and protocol stages of one binding (or a family of
-// bindings sharing a name).
+// bindings sharing a name). The invocation, failure, retry and relocation
+// counts are the session manager's SessionStats, read through.
 type ChannelClientInstruments struct {
 	Tracer *Tracer
 
-	Invocations   *Counter   // interrogations + announcements started
-	Failures      *Counter   // invocations returning infrastructure errors
-	Retries       *Counter   // failure-transparency retries
-	Relocations   *Counter   // relocation-transparency refreshes
 	InvokeLatency *Histogram // end-to-end interrogation latency, ns
 
 	QoS *Monitor // optional envelope over invocation latency/errors
@@ -63,19 +61,12 @@ type SessionInstruments struct {
 }
 
 // StreamInstruments instrument one end of the streaming data plane: a
-// producer's credit window and stall behaviour, or a consumer's delivery
-// rate and queue ceiling. One bundle per stream family (producer and
-// consumer ends resolve distinct names, so their gauges never collide).
+// producer's stall times or a consumer's delivery rate. The counts and the
+// credit and queue levels are ProducerStats and ConsumerStats, read
+// through.
 type StreamInstruments struct {
-	ElementsSent *Counter   // elements handed to the wire (producer end)
-	ElementsRecv *Counter   // elements delivered to the application (consumer end)
-	Batches      *Counter   // flow-batch frames sent or delivered
-	CreditElems  *Gauge     // credit remaining, elements (producer: granted-used; consumer: granted-consumed)
-	CreditBytes  *Gauge     // credit remaining, bytes
-	Stalls       *Counter   // producer sends that blocked at zero credit
-	StallNs      *Histogram // time spent blocked per stall, ns
-	ElemsPerSec  *Histogram // consumer delivery rate sampled per grant cycle
-	QueuedElems  *Gauge     // consumer elements buffered awaiting Recv
+	StallNs     *Histogram // time spent blocked per stall, ns (producer end)
+	ElemsPerSec *Histogram // delivery rate sampled per grant cycle (consumer end)
 }
 
 // GroupInstruments instrument a replica group (coordination); its
@@ -107,40 +98,6 @@ type TraderInstruments struct {
 type ShardInstruments struct {
 	ShardsPerImport *Histogram // shard queries issued per import
 	ImportLatency   *Histogram // front-end import latency, ns
-}
-
-// ShardLegInstruments instrument one shard as seen from a front-end: the
-// per-shard gauges that show whether the ring is balanced.
-type ShardLegInstruments struct {
-	Offers        *Gauge   // offers currently homed on this shard
-	RoutedExports *Counter // exports (and installs) routed here
-	RoutedImports *Counter // shard queries routed here
-}
-
-// PolicyInstruments instrument the failure-policy layer: circuit-breaker
-// state transitions and retry/backoff activity. One bundle is shared by
-// every breaker in a BreakerSet and by the bindings applying a
-// RetryPolicy, so odpstat shows breaker state and retry pressure live.
-type PolicyInstruments struct {
-	BreakerOpens  *Counter // transitions into the open state
-	BreakerCloses *Counter // successful half-open probes re-closing a breaker
-	BreakersOpen  *Gauge   // breakers currently open
-	Probes        *Counter // half-open probes admitted
-	Rejected      *Counter // calls refused while a breaker was open
-	Retries       *Counter // policy-paced retries performed
-	BackoffNs     *Counter // total nanoseconds slept in retry backoff
-}
-
-// HealthInstruments instrument one endpoint monitored by the failure
-// detector: its liveness state and suspicion level as gauges (what the
-// odpstat health table renders), plus probe activity.
-type HealthInstruments struct {
-	State       *Gauge     // 0=alive 1=suspect 2=dead
-	Suspicion   *Gauge     // suspicion level, per-mille (0..1000)
-	Probes      *Counter   // probes completed (active and passive samples)
-	Misses      *Counter   // probes that failed or exceeded the adaptive timeout
-	Transitions *Counter   // liveness transitions
-	RTT         *Histogram // successful probe round trips, ns
 }
 
 // ---------------------------------------------------------------------------
@@ -200,10 +157,6 @@ func (m *Management) ChannelClient(name string) *ChannelClientInstruments {
 	p := "channel.client." + name + "."
 	return &ChannelClientInstruments{
 		Tracer:        m.Tracer,
-		Invocations:   m.Registry.Counter(p + "invocations"),
-		Failures:      m.Registry.Counter(p + "failures"),
-		Retries:       m.Registry.Counter(p + "retries"),
-		Relocations:   m.Registry.Counter(p + "relocations"),
 		InvokeLatency: m.Registry.Histogram(p + "invoke_latency_ns"),
 	}
 }
@@ -248,15 +201,8 @@ func (m *Management) Stream(name string) *StreamInstruments {
 	}
 	p := "stream." + name + "."
 	return &StreamInstruments{
-		ElementsSent: m.Registry.Counter(p + "elements_sent"),
-		ElementsRecv: m.Registry.Counter(p + "elements_recv"),
-		Batches:      m.Registry.Counter(p + "batches"),
-		CreditElems:  m.Registry.Gauge(p + "credit_elems"),
-		CreditBytes:  m.Registry.Gauge(p + "credit_bytes"),
-		Stalls:       m.Registry.Counter(p + "stalls"),
-		StallNs:      m.Registry.Histogram(p + "stall_ns"),
-		ElemsPerSec:  m.Registry.Histogram(p + "elements_per_sec"),
-		QueuedElems:  m.Registry.Gauge(p + "queued_elems"),
+		StallNs:     m.Registry.Histogram(p + "stall_wait_ns"),
+		ElemsPerSec: m.Registry.Histogram(p + "elements_per_sec"),
 	}
 }
 
@@ -306,61 +252,6 @@ func (m *Management) TraderShards(name string) *ShardInstruments {
 	return &ShardInstruments{
 		ShardsPerImport: m.Registry.Histogram(p + "shards_per_import"),
 		ImportLatency:   m.Registry.Histogram(p + "import_latency_ns"),
-	}
-}
-
-// TraderShardLeg resolves the per-shard gauges of one shard leg. Metrics
-// land under trader.<name>.shard.<shard>.*.
-func (m *Management) TraderShardLeg(name, shard string) *ShardLegInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "trader." + name + ".shard." + shard + "."
-	return &ShardLegInstruments{
-		Offers:        m.Registry.Gauge(p + "offers"),
-		RoutedExports: m.Registry.Counter(p + "routed_exports"),
-		RoutedImports: m.Registry.Counter(p + "routed_imports"),
-	}
-}
-
-// Policy resolves a failure-policy bundle. Metrics land under
-// policy.<name>.* — or directly under policy.* when name is empty — so
-// the breaker counters the chaos experiment watches are
-// policy.breaker.open and policy.retry.backoff_ns.
-func (m *Management) Policy(name string) *PolicyInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "policy."
-	if name != "" {
-		p += name + "."
-	}
-	return &PolicyInstruments{
-		BreakerOpens:  m.Registry.Counter(p + "breaker.open"),
-		BreakerCloses: m.Registry.Counter(p + "breaker.close"),
-		BreakersOpen:  m.Registry.Gauge(p + "breaker.open_now"),
-		Probes:        m.Registry.Counter(p + "breaker.probes"),
-		Rejected:      m.Registry.Counter(p + "breaker.rejected"),
-		Retries:       m.Registry.Counter(p + "retry.attempts"),
-		BackoffNs:     m.Registry.Counter(p + "retry.backoff_ns"),
-	}
-}
-
-// Health resolves the failure-detector bundle of one monitored endpoint.
-// Metrics land under health.<endpoint>.* ("health.m0.state",
-// "health.m0.suspicion"), which is what odpstat's health table reads.
-func (m *Management) Health(endpoint string) *HealthInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "health." + endpoint + "."
-	return &HealthInstruments{
-		State:       m.Registry.Gauge(p + "state"),
-		Suspicion:   m.Registry.Gauge(p + "suspicion"),
-		Probes:      m.Registry.Counter(p + "probes"),
-		Misses:      m.Registry.Counter(p + "misses"),
-		Transitions: m.Registry.Counter(p + "transitions"),
-		RTT:         m.Registry.Histogram(p + "rtt_ns"),
 	}
 }
 

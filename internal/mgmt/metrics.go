@@ -215,9 +215,14 @@ func NewRegistry() *Registry {
 // Read makes a component's own counters visible through m: every Dump
 // calls stats and prints each exported integer field of its result as
 // <prefix><snake_case(field)>, unsigned fields as counters and signed ones
-// as gauges. A component that already counts an event in its Stats is
-// observed this way rather than counting the event a second time.
-// Registering a prefix again replaces its source; a nil m is a no-op.
+// as gauges; a HistogramSnapshot field prints as a histogram (one a set's
+// member keeps itself, so it leaves the dump with the member). A result
+// that is a map keyed by string is a set whose members come and go (the
+// endpoints a detector watches, the shards on a ring): each member prints
+// as <prefix><key>.<field>, and one that has left is no longer shown. A
+// component that already counts an event in its Stats is observed this
+// way rather than counting the event a second time. Registering a prefix
+// again replaces its source; a nil m is a no-op.
 func Read[S any](m *Management, prefix string, stats func() S) {
 	if m == nil {
 		return
@@ -291,9 +296,9 @@ func (r *Registry) Dump() string {
 	for k, g := range r.gauges {
 		gauges[k] = g.Load()
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
+	hists := make(map[string]HistogramSnapshot, len(r.hists))
 	for k, h := range r.hists {
-		hists[k] = h
+		hists[k] = h.Snapshot()
 	}
 	sources := make(map[string]func() any, len(r.sources))
 	for k, src := range r.sources {
@@ -303,7 +308,7 @@ func (r *Registry) Dump() string {
 	// Sources run outside the registry lock: one may take its component's
 	// lock, under which that component may resolve an instrument here.
 	for prefix, src := range sources {
-		flatten(prefix, src(), counters, gauges)
+		flatten(prefix, reflect.ValueOf(src()), counters, gauges, hists)
 	}
 
 	var b strings.Builder
@@ -314,7 +319,7 @@ func (r *Registry) Dump() string {
 		fmt.Fprintf(&b, "gauge     %-44s %d\n", name, gauges[name])
 	}
 	for _, name := range sortedKeys(hists) {
-		s := hists[name].Snapshot()
+		s := hists[name]
 		if strings.HasSuffix(name, "_ns") {
 			fmt.Fprintf(&b, "histogram %-44s n=%d mean=%s p50=%s p99=%s max≤%s\n",
 				name, s.Count,
@@ -333,24 +338,38 @@ func (r *Registry) Dump() string {
 	return b.String()
 }
 
-// flatten adds each exported integer field of the struct v under
-// prefix+snake(field): unsigned fields to counters, signed ones to gauges.
-// Fields of any other kind are skipped.
-func flatten(prefix string, v any, counters map[string]uint64, gauges map[string]int64) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Struct {
+// flatten adds each exported field of the struct v under
+// prefix+snake(field): unsigned integers to counters, signed ones to
+// gauges, histogram snapshots to hists. A map keyed by string flattens
+// each member under prefix+key+".". Anything else is skipped.
+func flatten(prefix string, v reflect.Value, counters map[string]uint64, gauges map[string]int64, hists map[string]HistogramSnapshot) {
+	switch v.Kind() {
+	case reflect.Map:
+		if v.Type().Key().Kind() == reflect.String {
+			for it := v.MapRange(); it.Next(); {
+				flatten(prefix+it.Key().String()+".", it.Value(), counters, gauges, hists)
+			}
+		}
+		return
+	case reflect.Struct:
+	default:
 		return
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		f := rv.Type().Field(i)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
 		if !f.IsExported() {
 			continue
 		}
-		switch fv := rv.Field(i); fv.Kind() {
+		name := prefix + snake(f.Name)
+		switch fv := v.Field(i); fv.Kind() {
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-			counters[prefix+snake(f.Name)] = fv.Uint()
+			counters[name] = fv.Uint()
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			gauges[prefix+snake(f.Name)] = fv.Int()
+			gauges[name] = fv.Int()
+		case reflect.Struct:
+			if h, ok := fv.Interface().(HistogramSnapshot); ok {
+				hists[name] = h
+			}
 		}
 	}
 }

@@ -252,6 +252,44 @@ func TestReadReplacesAndNil(t *testing.T) {
 	Read(nil, "node.", func() struct{ Calls uint64 } { return struct{ Calls uint64 }{3} })
 }
 
+// memberStats is one member of a keyed Read source.
+type memberStats struct {
+	Probes uint64
+	State  int32
+	RTTNs  HistogramSnapshot
+}
+
+// TestReadMapSource: a source returning a map prints each member as
+// <prefix><key>.<field> — a dotted key stays whole, a histogram snapshot
+// prints as a histogram — and a member that leaves the map leaves the dump.
+func TestReadMapSource(t *testing.T) {
+	m := New()
+	var rtt Histogram
+	rtt.Observe(2_000_000)
+	members := map[string]memberStats{
+		"n1":            {Probes: 3},
+		"10.0.0.2:9000": {Probes: 8, State: 2, RTTNs: rtt.Snapshot()},
+	}
+	Read(m, "health.", func() map[string]memberStats { return members })
+	lines := dumpLines(m.Registry)
+	for _, tc := range []struct{ name, kind, value string }{
+		{"health.n1.probes", "counter", "3"},
+		{"health.n1.state", "gauge", "0"},
+		{"health.10.0.0.2:9000.probes", "counter", "8"},
+		{"health.10.0.0.2:9000.state", "gauge", "2"},
+		{"health.10.0.0.2:9000.rtt_ns", "histogram", "n=1"},
+	} {
+		f := strings.Fields(lines[tc.name])
+		if len(f) < 3 || f[0] != tc.kind || f[2] != tc.value {
+			t.Errorf("%s: line %q, want %s %s", tc.name, lines[tc.name], tc.kind, tc.value)
+		}
+	}
+	delete(members, "n1")
+	if dump := m.Registry.Dump(); strings.Contains(dump, "health.n1.") {
+		t.Errorf("a departed member is still shown:\n%s", dump)
+	}
+}
+
 // TestReadSourceMayResolveInstruments: Dump calls sources outside the
 // registry lock, so a source may resolve an instrument (as a component
 // holding its own lock may) without deadlocking.

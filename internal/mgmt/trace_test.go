@@ -143,7 +143,6 @@ func TestManagementDomainAndService(t *testing.T) {
 
 	m := New()
 	cc := m.ChannelClient("teller")
-	cc.Invocations.Inc()
 	cc.InvokeLatency.Observe(1500)
 	ctx, sp := m.Tracer.Start(context.Background(), "op")
 	_, child := m.Tracer.Start(ctx, "inner")
@@ -155,7 +154,7 @@ func TestManagementDomainAndService(t *testing.T) {
 		t.Fatalf("Dump: %s %v", term, err)
 	}
 	text, _ := res[0].AsString()
-	if !strings.Contains(text, "channel.client.teller.invocations") {
+	if !strings.Contains(text, "channel.client.teller.invoke_latency_ns") {
 		t.Fatalf("dump missing metric:\n%s", text)
 	}
 	if !strings.Contains(text, "== traces ==") {

@@ -68,8 +68,9 @@ func TestHealthDetectsAndRecovers(t *testing.T) {
 	// Crash at the transport level: the listener dies, dial probes fail.
 	s.Net.CrashHost("n1")
 	waitOdp(t, "failover plan ran", func() bool { return deaths.Load() == 1 })
-	if g := m.Registry.Gauge("health.n1.state"); g.Load() != int64(health.Dead) {
-		t.Fatalf("health.n1.state gauge = %d, want %d", g.Load(), int64(health.Dead))
+	state := func() string { return dumpValues(m.Registry.Dump(), nil)["health.n1.state"] }
+	if g := state(); g != "2" {
+		t.Fatalf("health.n1.state gauge = %s, want 2 (dead)", g)
 	}
 
 	// "Restart" the process: listen again; probes succeed, plan heals.
@@ -77,9 +78,7 @@ func TestHealthDetectsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitOdp(t, "heal plan ran", func() bool { return heals.Load() == 1 })
-	waitOdp(t, "alive gauge", func() bool {
-		return m.Registry.Gauge("health.n1.state").Load() == int64(health.Alive)
-	})
+	waitOdp(t, "alive gauge", func() bool { return state() == "0" })
 	if st := ctl.Stats(); st.Failures != 0 {
 		t.Fatalf("controller failures = %d, want 0", st.Failures)
 	}

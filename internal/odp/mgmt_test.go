@@ -15,9 +15,13 @@ import (
 	"repro/internal/coordination"
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/naming"
+	"repro/internal/policy"
+	"repro/internal/stream"
 	"repro/internal/trader"
 	"repro/internal/transactions"
 	"repro/internal/typerepo"
+	"repro/internal/types"
 	"repro/internal/values"
 )
 
@@ -25,18 +29,22 @@ import (
 // counters, not a second count of the same events. A system with every
 // read-through source is driven through calls, a one-way the server stub
 // refuses, a bad frame, a publish to a full queued subscriber, a trader
-// export/import and a shard add; then every source's dump lines must equal
-// the component's Stats(). (Before the read-through, the server's mirrored
-// errors counter missed the refused one-way.)
+// export/import and a shard add, a health probe and a stream; then every
+// source's dump lines must equal the component's Stats(), and no name is
+// printed twice. (Before the read-through, the server's mirrored errors
+// counter missed the refused one-way.)
 func TestManagementReadsStats(t *testing.T) {
 	s, err := New(Config{
 		Seed:            5,
 		Management:      true,
+		Breakers:        &policy.BreakerConfig{},
 		TraderShards:    2,
 		BusShards:       2,
 		TypeReplicas:    2,
 		RelocationCache: 16,
 		Recovery:        &health.ControllerConfig{},
+		// One probe at Watch, the next an hour later: the counts hold still.
+		Health: &health.Config{Interval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,23 +127,52 @@ func TestManagementReadsStats(t *testing.T) {
 		t.Fatalf("front-end stats = %+v, want 3 ring changes and an import", st)
 	}
 
+	// A health probe of the node.
+	if err := s.WatchNode("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	waitOdp(t, "the first probe", func() bool { return s.Detector().Stats()["alpha"].Probes == 1 })
+
+	// A stream: three elements sent, two read.
+	cons, sref, err := s.Subscribe("alpha", telemetryType(), stream.ConsumerConfig{Window: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, pb, err := s.OpenStream(ctx, "client", sref, "readings", core.Contract{}, stream.ProducerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Close()
+	defer prod.Close()
+	for i := 0; i < 3; i++ {
+		if err := prod.Send(ctx, reading(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, err := cons.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := in.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitOdp(t, "the third element", func() bool { return cons.Stats().Queued == 1 && prod.Stats().Sent == 3 })
+
 	// expected names every component's Stats() fields as Management should;
-	// the bus's shards are summed, as Bus.Stats sums them.
+	// a keyed set's members are <prefix><key>.<field>, and the bus's shards
+	// are summed, as Bus.Stats sums them.
 	expected := func() map[string]string {
 		want := map[string]string{}
-		lookups, misses, relocates := s.Relocator.Stats()
-		for prefix, st := range map[string]any{
-			"net.sim.":              s.Net.Stats(),
-			"relocator.":            struct{ Lookups, Misses, Relocates uint64 }{lookups, misses, relocates},
-			"relocator.cache.":      s.RelocationCache().Stats(),
-			"typerepo.":             s.Types.(*typerepo.Replicated).Stats(),
-			"trader.trader.":        front.ShardStats(),
-			"recovery.":             s.Recovery().Stats(),
-			"session.client.":       s.SessionsFor("client").Stats(),
-			"channel.server.alpha.": srv.Stats(),
-			"bus.":                  s.Bus.Stats(),
-		} {
-			v := reflect.ValueOf(st)
+		var add func(prefix string, v reflect.Value)
+		add = func(prefix string, v reflect.Value) {
+			if v.Kind() == reflect.Map {
+				for it := v.MapRange(); it.Next(); {
+					add(prefix+it.Key().String()+".", it.Value())
+				}
+				return
+			}
 			for i := 0; i < v.NumField(); i++ {
 				var b strings.Builder
 				for j, c := range v.Type().Field(i).Name {
@@ -144,14 +181,38 @@ func TestManagementReadsStats(t *testing.T) {
 					}
 					b.WriteRune(unicode.ToLower(c))
 				}
-				want[prefix+b.String()] = fmt.Sprint(v.Field(i).Interface())
+				switch f := v.Field(i); {
+				case f.CanUint():
+					want[prefix+b.String()] = strconv.FormatUint(f.Uint(), 10)
+				case f.CanInt():
+					want[prefix+b.String()] = strconv.FormatInt(f.Int(), 10)
+				}
 			}
+		}
+		for prefix, st := range map[string]any{
+			"net.sim.":                         s.Net.Stats(),
+			"relocator.":                       s.Relocator.Stats(),
+			"relocator.cache.":                 s.RelocationCache().Stats(),
+			"typerepo.":                        s.Types.(*typerepo.Replicated).Stats(),
+			"trader.trader.":                   front.ShardStats(),
+			"trader.trader.shard.":             front.LegStats(),
+			"recovery.":                        s.Recovery().Stats(),
+			"session.client.":                  s.SessionsFor("client").Stats(),
+			"policy.client.breaker.":           s.SessionsFor("client").Breakers().Stats(),
+			"health.":                          s.Detector().Stats(),
+			"stream.client.readings.producer.": prod.Stats(),
+			"stream.alpha.Telemetry.consumer.": cons.Stats(),
+			"channel.server.alpha.":            srv.Stats(),
+			"bus.":                             s.Bus.Stats(),
+		} {
+			add(prefix, reflect.ValueOf(st))
 		}
 		return want
 	}
 	for attempt := 0; ; attempt++ {
 		before := expected()
-		live := dumpValues(s.Mgmt().Registry.Dump(), s.Bus.ShardNames())
+		dump := s.Mgmt().Registry.Dump()
+		live := dumpValues(dump, s.Bus.ShardNames())
 		if after := expected(); !reflect.DeepEqual(before, after) {
 			// Something was still moving (a connection closing, say).
 			if attempt == 100 {
@@ -166,10 +227,81 @@ func TestManagementReadsStats(t *testing.T) {
 			}
 		}
 		if before["channel.server.alpha.errors"] == "0" || before["bus.dropped"] != "1" ||
-			before["channel.server.alpha.bad_frames"] != "1" || before["trader.trader.shards"] != "3" {
+			before["channel.server.alpha.bad_frames"] != "1" || before["trader.trader.shards"] != "3" ||
+			before["session.client.invocations"] == "0" || before["policy.client.breaker.opens"] != "0" ||
+			before["health.alpha.probes"] != "1" || before["trader.trader.shard.shard9.offers"] == "" ||
+			before["stream.client.readings.producer.sent"] != "3" ||
+			before["stream.alpha.Telemetry.consumer.queued"] != "1" {
 			t.Errorf("the drive left no trace: %v", before)
 		}
+		// No counter, gauge and histogram share a name.
+		kinds := map[string]string{}
+		for _, line := range strings.Split(dump, "\n") {
+			if f := strings.Fields(line); len(f) >= 3 {
+				if kinds[f[1]] != "" {
+					t.Errorf("%s printed as both %s and %s", f[1], kinds[f[1]], f[0])
+				}
+				kinds[f[1]] = f[0]
+			}
+		}
 		return
+	}
+}
+
+// TestManagementForgetsDepartedMembers: a keyed set's member that leaves
+// — an endpoint the detector stops watching, a shard drained off the ring —
+// leaves Management with it. (The pushed gauges these replaced stayed in
+// the registry for the life of the node.)
+func TestManagementForgetsDepartedMembers(t *testing.T) {
+	s, err := New(Config{
+		Seed:         7,
+		Management:   true,
+		TraderShards: 2,
+		Health:       &health.Config{Interval: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.CreateNode("n1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WatchNode("n1"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		typ := types.OpInterface(fmt.Sprintf("Svc%d", i))
+		if err := s.Types.RegisterInterface(typ); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Directory.Export(typ.Name, naming.InterfaceRef{TypeName: typ.Name}, values.Null()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shown := func(prefix string) int {
+		n := 0
+		for name := range dumpValues(s.Mgmt().Registry.Dump(), nil) {
+			if strings.HasPrefix(name, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	waitOdp(t, "the first probe", func() bool { return s.Detector().Stats()["n1"].Probes == 1 })
+	if shown("health.n1.") == 0 || shown("trader.trader.shard.shard0.") == 0 {
+		t.Fatalf("members not shown before they leave:\n%s", s.Mgmt().Registry.Dump())
+	}
+
+	s.Detector().Unwatch("n1")
+	if err := s.Directory.(*trader.ShardedTrader).RemoveShard("shard0"); err != nil {
+		t.Fatal(err)
+	}
+	dump := s.Mgmt().Registry.Dump()
+	if strings.Contains(dump, "health.n1.") || strings.Contains(dump, "trader.trader.shard.shard0.") {
+		t.Errorf("a departed member is still shown:\n%s", dump)
+	}
+	if got := dumpValues(dump, nil)["trader.trader.shard.shard1.offers"]; got != "8" {
+		t.Errorf("the remaining shard holds %s offers, want all 8", got)
 	}
 }
 

@@ -84,9 +84,9 @@ type Config struct {
 	// no instrumentation at all.
 	Management bool
 	// Breakers gives each client host one shared circuit-breaker set,
-	// reported under policy.<host>.* and, unless OnTransition is set,
-	// published on TopicBreaker. Nil means none; a pointer to the zero
-	// BreakerConfig means the defaults.
+	// reported under policy.<host>.breaker.* and, unless OnTransition is
+	// set, published on TopicBreaker. Nil means none; a pointer to the
+	// zero BreakerConfig means the defaults.
 	Breakers *policy.BreakerConfig
 	// Policy is the retry policy Env hands to bindings whose contract
 	// asks for failure transparency; what it leaves zero the contract
@@ -175,10 +175,7 @@ func New(cfg Config) (*System, error) {
 		mgmt.Read(s.mgmt, "net.sim.", sim.Stats)
 		s.Net = sim
 	}
-	mgmt.Read(s.mgmt, "relocator.", func() relocatorStats {
-		lookups, misses, relocates := s.Relocator.Stats()
-		return relocatorStats{lookups, misses, relocates}
-	})
+	mgmt.Read(s.mgmt, "relocator.", s.Relocator.Stats)
 
 	if cfg.TypeReplicas > 0 {
 		rep := typerepo.NewReplicated(s.Types, cfg.TypeReplicas)
@@ -194,9 +191,7 @@ func New(cfg Config) (*System, error) {
 		st := trader.NewSharded(cfg.Name, s.Types, 0)
 		st.Instrument(s.mgmt.TraderShards(cfg.Name))
 		mgmt.Read(s.mgmt, "trader."+cfg.Name+".", st.ShardStats)
-		st.InstrumentShards(func(shard string) *mgmt.ShardLegInstruments {
-			return s.mgmt.TraderShardLeg(cfg.Name, shard)
-		})
+		mgmt.Read(s.mgmt, "trader."+cfg.Name+".shard.", st.LegStats)
 		for i := 0; i < cfg.TraderShards; i++ {
 			name := fmt.Sprintf("shard%d", i)
 			if err := st.AddShard(name, trader.New(name, s.Types)); err != nil {
@@ -234,9 +229,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Health != nil {
 		hc := *cfg.Health
-		if hc.Instruments == nil && s.mgmt != nil {
-			hc.Instruments = s.mgmt.Health
-		}
 		user := hc.OnTransition
 		hc.OnTransition = func(t health.Transition) {
 			s.Bus.Publish(TopicLiveness, t.ToValue())
@@ -245,6 +237,7 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 		s.health = health.New(hc)
+		mgmt.Read(s.mgmt, "health.", s.health.Stats)
 		s.closers = append(s.closers, s.health.Close)
 	}
 	return s, nil
@@ -288,7 +281,7 @@ func (s *System) newBreakers(host string) *policy.BreakerSet {
 		}
 	}
 	bs := policy.NewBreakerSet(cfg)
-	bs.Instrument(s.mgmt.Policy(host))
+	mgmt.Read(s.mgmt, "policy."+host+".breaker.", bs.Stats)
 	return bs
 }
 
@@ -324,9 +317,6 @@ func (s *System) RelocationCache() *relocator.Cache {
 	defer s.mu.Unlock()
 	return s.cache
 }
-
-// relocatorStats names the three counts Relocator.Stats returns, for Read.
-type relocatorStats struct{ Lookups, Misses, Relocates uint64 }
 
 // Mgmt returns the system's management domain, nil when disabled.
 func (s *System) Mgmt() *mgmt.Management { return s.mgmt }

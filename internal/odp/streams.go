@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/stream"
 	"repro/internal/types"
@@ -42,14 +43,16 @@ func (s *System) Subscribe(nodeName string, typ *types.Interface, cfg stream.Con
 	if err := s.Types.RegisterInterface(typ); err != nil {
 		return nil, naming.InterfaceRef{}, err
 	}
+	name := nodeName + "." + typ.Name + ".consumer"
 	if cfg.Instruments == nil {
-		cfg.Instruments = s.Mgmt().Stream(nodeName + "." + typ.Name + ".consumer")
+		cfg.Instruments = s.mgmt.Stream(name)
 	}
 	cons := stream.NewConsumer(cfg)
 	ref, err := node.RegisterServant(typ, cons)
 	if err != nil {
 		return nil, naming.InterfaceRef{}, err
 	}
+	mgmt.Read(s.mgmt, "stream."+name+".", cons.Stats)
 	return cons, ref, nil
 }
 
@@ -59,7 +62,9 @@ func (s *System) Subscribe(nodeName string, typ *types.Interface, cfg stream.Con
 // locator), causality is checked against the repository type — the flow
 // must be a Producer flow whose element type the consuming end accepts —
 // and the returned producer pushes elements under the consumer's credit
-// window. Close the producer first, then the binding.
+// window. Close the producer first, then the binding. Management shows
+// the producer under stream.<clientHost>.<flow>.producer.*; a later
+// producer on the same host and flow takes those names over.
 func (s *System) OpenStream(ctx context.Context, clientHost string, ref naming.InterfaceRef, flow string, contract core.Contract, cfg stream.ProducerConfig) (*stream.Producer, *channel.Binding, error) {
 	if it, err := s.Types.LookupInterface(ref.TypeName); err == nil {
 		// The client's view is the registered type; the consuming end's is
@@ -73,13 +78,15 @@ func (s *System) OpenStream(ctx context.Context, clientHost string, ref naming.I
 	if err != nil {
 		return nil, nil, err
 	}
+	name := clientHost + "." + flow + ".producer"
 	if cfg.Instruments == nil {
-		cfg.Instruments = s.Mgmt().Stream(clientHost + "." + flow + ".producer")
+		cfg.Instruments = s.mgmt.Stream(name)
 	}
 	p, err := stream.Open(ctx, b, flow, cfg)
 	if err != nil {
 		b.Close()
 		return nil, nil, err
 	}
+	mgmt.Read(s.mgmt, "stream."+name+".", p.Stats)
 	return p, b, nil
 }

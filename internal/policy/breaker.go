@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/mgmt"
 )
 
 // State is a circuit breaker's position.
@@ -71,6 +69,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type BreakerStats struct {
 	State     State
 	Opens     uint64 // transitions into Open
+	Closes    uint64 // half-open probes that re-closed the breaker
 	Probes    uint64 // half-open probes admitted
 	Rejected  uint64 // calls refused while Open/HalfOpen
 	Successes uint64
@@ -82,7 +81,6 @@ type BreakerStats struct {
 // was refused must not Record. Safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
-	ins *instrRef
 	key string // the breaker's key within its set; "" when standalone
 
 	mu       sync.Mutex
@@ -99,6 +97,7 @@ type Breaker struct {
 	prevFail int
 
 	opens    atomic.Uint64
+	closes   atomic.Uint64
 	probes   atomic.Uint64
 	rejected atomic.Uint64
 	succ     atomic.Uint64
@@ -107,7 +106,7 @@ type Breaker struct {
 
 // NewBreaker creates a breaker with the given (defaulted) configuration.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults(), ins: &instrRef{}}
+	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // State returns the breaker's current position, accounting for an
@@ -127,6 +126,7 @@ func (b *Breaker) Stats() BreakerStats {
 	return BreakerStats{
 		State:     b.State(),
 		Opens:     b.opens.Load(),
+		Closes:    b.closes.Load(),
 		Probes:    b.probes.Load(),
 		Rejected:  b.rejected.Load(),
 		Successes: b.succ.Load(),
@@ -149,9 +149,6 @@ func (b *Breaker) Allow() (ok, probe bool) {
 		if b.cfg.Clock().Sub(b.openedAt) < b.cfg.OpenFor {
 			b.mu.Unlock()
 			b.rejected.Add(1)
-			if ins := b.ins.load(); ins != nil {
-				ins.Rejected.Inc()
-			}
 			return false, false
 		}
 		b.state = HalfOpen
@@ -160,17 +157,11 @@ func (b *Breaker) Allow() (ok, probe bool) {
 		if b.probing {
 			b.mu.Unlock()
 			b.rejected.Add(1)
-			if ins := b.ins.load(); ins != nil {
-				ins.Rejected.Inc()
-			}
 			return false, false
 		}
 		b.probing = true
 		b.mu.Unlock()
 		b.probes.Add(1)
-		if ins := b.ins.load(); ins != nil {
-			ins.Probes.Inc()
-		}
 		return true, true
 	}
 	b.mu.Unlock()
@@ -247,10 +238,6 @@ func (b *Breaker) toOpenLocked(now time.Time) {
 	b.consec = 0
 	b.curOK, b.curFail, b.prevOK, b.prevFail = 0, 0, 0, 0
 	b.opens.Add(1)
-	if ins := b.ins.load(); ins != nil {
-		ins.BreakerOpens.Inc()
-		ins.BreakersOpen.Add(1)
-	}
 }
 
 // toClosedLocked re-closes the breaker after a successful probe.
@@ -259,10 +246,7 @@ func (b *Breaker) toClosedLocked() {
 	b.consec = 0
 	b.curOK, b.curFail, b.prevOK, b.prevFail = 0, 0, 0, 0
 	b.bucketAt = time.Time{}
-	if ins := b.ins.load(); ins != nil {
-		ins.BreakerCloses.Inc()
-		ins.BreakersOpen.Add(-1)
-	}
+	b.closes.Add(1)
 }
 
 // rollWindowLocked shifts the two-bucket window forward when a
@@ -285,26 +269,12 @@ func (b *Breaker) rollWindowLocked(now time.Time) {
 	b.bucketAt = now
 }
 
-// instrRef is the nil-safe instrument pointer a BreakerSet shares with
-// its breakers.
-type instrRef struct {
-	p atomic.Pointer[mgmt.PolicyInstruments]
-}
-
-func (r *instrRef) load() *mgmt.PolicyInstruments {
-	if r == nil {
-		return nil
-	}
-	return r.p.Load()
-}
-
 // BreakerSet shares circuit breakers across callers, keyed by endpoint
 // (or any identity string): every binding, replica proxy or federation
 // link naming the same key consults the same breaker, so one endpoint
 // death opens one breaker for everyone. Safe for concurrent use.
 type BreakerSet struct {
 	cfg BreakerConfig
-	ins *instrRef
 
 	mu sync.Mutex
 	m  map[string]*Breaker
@@ -312,20 +282,7 @@ type BreakerSet struct {
 
 // NewBreakerSet creates a set minting breakers with cfg.
 func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
-	return &BreakerSet{cfg: cfg.withDefaults(), ins: &instrRef{}, m: make(map[string]*Breaker)}
-}
-
-// Instrument attaches (nil detaches) management instrumentation, shared
-// by every breaker in the set — existing and future.
-func (s *BreakerSet) Instrument(ins *mgmt.PolicyInstruments) {
-	s.ins.p.Store(ins)
-}
-
-// Instruments returns the currently attached bundle (nil when detached),
-// so the components applying retry policies alongside this set can
-// account their backoff into the same metric family.
-func (s *BreakerSet) Instruments() *mgmt.PolicyInstruments {
-	return s.ins.load()
+	return &BreakerSet{cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
 }
 
 // For returns the breaker for key, minting a closed one on first use.
@@ -334,7 +291,6 @@ func (s *BreakerSet) For(key string) *Breaker {
 	b := s.m[key]
 	if b == nil {
 		b = NewBreaker(s.cfg)
-		b.ins = s.ins
 		b.key = key
 		s.m[key] = b
 	}
@@ -347,6 +303,15 @@ func (s *BreakerSet) Peek(key string) *Breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m[key]
+}
+
+// BreakerSetStats sums the counters of every breaker in a set.
+type BreakerSetStats struct {
+	Opens    uint64 // transitions into Open
+	Closes   uint64 // half-open probes that re-closed a breaker
+	Probes   uint64 // half-open probes admitted
+	Rejected uint64 // calls refused while a breaker was Open/HalfOpen
+	OpenNow  int    // breakers not Closed right now
 }
 
 // Snapshot returns per-key breaker statistics.
@@ -362,6 +327,22 @@ func (s *BreakerSet) Snapshot() map[string]BreakerStats {
 	out := make(map[string]BreakerStats, len(keys))
 	for i, k := range keys {
 		out[k] = brs[i].Stats()
+	}
+	return out
+}
+
+// Stats sums the set's breakers. OpenNow is read from each breaker's
+// State at the time of the call, so it cannot drift from the breakers.
+func (s *BreakerSet) Stats() BreakerSetStats {
+	var out BreakerSetStats
+	for _, st := range s.Snapshot() {
+		out.Opens += st.Opens
+		out.Closes += st.Closes
+		out.Probes += st.Probes
+		out.Rejected += st.Rejected
+		if st.State != Closed {
+			out.OpenNow++
+		}
 	}
 	return out
 }

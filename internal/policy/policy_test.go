@@ -2,6 +2,7 @@ package policy
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -261,30 +262,44 @@ func TestBreakerSetSharing(t *testing.T) {
 	}
 }
 
-func TestBreakerInstrumentation(t *testing.T) {
+// TestBreakerSetStatsThroughManagement: Management reads the set's own
+// counters, so a breaker that trips, fails its half-open probe (re-opening)
+// and then passes the next one shows nothing open. (The pushed open_now
+// gauge this replaced read 1 here: the failed probe added a second +1.)
+func TestBreakerSetStatsThroughManagement(t *testing.T) {
 	m := mgmt.New()
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	s := NewBreakerSet(BreakerConfig{ConsecutiveFailures: 1, OpenFor: time.Second, Clock: clk.Now})
-	s.Instrument(m.Policy("t"))
+	mgmt.Read(m, "policy.t.breaker.", s.Stats)
 	br := s.For("x")
 	br.Record(false) // open
 	if ok, _ := br.Allow(); ok {
 		t.Fatal("open breaker allowed before OpenFor")
 	}
-	clk.Advance(time.Second)
-	ok, probe := br.Allow()
-	if !ok || !probe {
-		t.Fatalf("expected probe admission, got ok=%v probe=%v", ok, probe)
+	for _, success := range []bool{false, true} { // re-open, then close
+		clk.Advance(time.Second)
+		if ok, probe := br.Allow(); !ok || !probe {
+			t.Fatalf("expected probe admission, got ok=%v probe=%v", ok, probe)
+		}
+		br.Record(success)
 	}
-	br.Record(true) // close
-	if got := m.Registry.Counter("policy.t.breaker.open").Load(); got != 1 {
-		t.Fatalf("breaker.open counter = %d, want 1", got)
+	want := map[string]string{
+		"policy.t.breaker.open_now": "gauge 0",
+		"policy.t.breaker.opens":    "counter 2",
+		"policy.t.breaker.closes":   "counter 1",
+		"policy.t.breaker.probes":   "counter 2",
+		"policy.t.breaker.rejected": "counter 1",
 	}
-	if got := m.Registry.Counter("policy.t.breaker.close").Load(); got != 1 {
-		t.Fatalf("breaker.close counter = %d, want 1", got)
+	for _, line := range strings.Split(m.Registry.Dump(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && want[f[1]] != "" {
+			if got := f[0] + " " + f[2]; got != want[f[1]] {
+				t.Errorf("%s = %s, want %s", f[1], got, want[f[1]])
+			}
+			delete(want, f[1])
+		}
 	}
-	if got := m.Registry.Gauge("policy.t.breaker.open_now").Load(); got != 0 {
-		t.Fatalf("breaker.open_now gauge = %d, want 0", got)
+	if len(want) > 0 {
+		t.Errorf("Management lacks %v", want)
 	}
 }
 

@@ -169,9 +169,16 @@ func (r *Relocator) Entries() []naming.InterfaceRef {
 	return out
 }
 
+// Stats counts a Relocator's traffic since it was created.
+type Stats struct {
+	Lookups   uint64
+	Misses    uint64 // lookups of an unregistered interface
+	Relocates uint64 // moves
+}
+
 // Stats reports cumulative lookup, miss and relocation counts.
-func (r *Relocator) Stats() (lookups, misses, relocates uint64) {
-	return r.lookups.Load(), r.misses.Load(), r.relocates.Load()
+func (r *Relocator) Stats() Stats {
+	return Stats{Lookups: r.lookups.Load(), Misses: r.misses.Load(), Relocates: r.relocates.Load()}
 }
 
 func (r *Relocator) snapshot() []func(Event) {

@@ -34,9 +34,8 @@ func TestRegisterLookup(t *testing.T) {
 	if err != nil || got != in {
 		t.Errorf("Lookup = %+v, %v", got, err)
 	}
-	lookups, misses, relocs := r.Stats()
-	if lookups != 1 || misses != 0 || relocs != 0 {
-		t.Errorf("stats = %d %d %d", lookups, misses, relocs)
+	if st := r.Stats(); st != (Stats{Lookups: 1}) {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -45,8 +44,7 @@ func TestLookupUnknown(t *testing.T) {
 	if _, err := r.Lookup(ref(9, "", 0).ID); !errors.Is(err, ErrUnknown) {
 		t.Errorf("err = %v", err)
 	}
-	_, misses, _ := r.Stats()
-	if misses != 1 {
+	if misses := r.Stats().Misses; misses != 1 {
 		t.Errorf("misses = %d", misses)
 	}
 }
@@ -78,8 +76,7 @@ func TestMoveBumpsEpoch(t *testing.T) {
 	if _, err := r.Move(ref(99, "", 0).ID, "sim://x"); !errors.Is(err, ErrUnknown) {
 		t.Errorf("move unknown = %v", err)
 	}
-	_, _, relocs := r.Stats()
-	if relocs != 1 {
+	if relocs := r.Stats().Relocates; relocs != 1 {
 		t.Errorf("relocates = %d", relocs)
 	}
 }

@@ -49,9 +49,8 @@ func TestStatsUnderContention(t *testing.T) {
 	wg.Wait()
 	close(done)
 
-	lookups, misses, relocates := r.Stats()
-	if lookups != 2*workers*per || misses != workers*per || relocates != 0 {
-		t.Fatalf("stats = %d/%d/%d, want %d/%d/0",
-			lookups, misses, relocates, 2*workers*per, workers*per)
+	if st := r.Stats(); st != (Stats{Lookups: 2 * workers * per, Misses: workers * per}) {
+		t.Fatalf("stats = %+v, want %d lookups, %d misses, no relocates",
+			st, 2*workers*per, workers*per)
 	}
 }

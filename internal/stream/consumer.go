@@ -19,7 +19,8 @@ type ConsumerConfig struct {
 	// consumer's per-stream buffer ceiling — the two are the same number,
 	// which is the whole point of credit flow control.
 	Window int
-	// Instruments enables mgmt metrics for this consumer. Nil disables.
+	// Instruments enables the delivery-rate histogram for this consumer
+	// (the counts are its Stats). Nil disables.
 	Instruments *mgmt.StreamInstruments
 }
 
@@ -31,8 +32,11 @@ type ConsumerConfig struct {
 type Consumer struct {
 	cfg ConsumerConfig
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// streams holds every stream from open until it is finished and
+	// drained; then its final counts move into retired.
 	streams map[streamKey]*Inbound
+	retired ConsumerStats
 	pending []*Inbound    // opened, not yet Accepted
 	notify  chan struct{} // signalled when pending grows
 	closed  bool
@@ -94,6 +98,7 @@ func (c *Consumer) StreamBatch(b channel.StreamBatch) {
 	case channel.StreamOpen:
 		in := &Inbound{
 			c:      c,
+			key:    key,
 			flow:   b.Flow,
 			grant:  b.Grant,
 			notify: make(chan struct{}, 1),
@@ -125,7 +130,6 @@ func (c *Consumer) StreamBatch(b channel.StreamBatch) {
 	case channel.StreamClose:
 		c.mu.Lock()
 		in := c.streams[key]
-		delete(c.streams, key)
 		c.mu.Unlock()
 		if in != nil {
 			in.finish(b.Err)
@@ -142,10 +146,52 @@ func (c *Consumer) Close() {
 	for _, in := range c.streams {
 		streams = append(streams, in)
 	}
-	c.streams = make(map[streamKey]*Inbound)
 	c.mu.Unlock()
 	for _, in := range streams {
 		in.finish(channel.ErrStreamClosed)
+	}
+}
+
+// ConsumerStats sums a consumer's streams, finished ones included.
+type ConsumerStats struct {
+	Streams  int    // streams open, or finished with elements still buffered
+	Received uint64 // elements arrived from the wire (including dropped)
+	Consumed uint64 // elements the application has read, or the stub dropped
+	Dropped  uint64 // mistyped elements the server stub removed
+	SeqGaps  uint64 // batches arriving out of FIFO position
+	Batches  uint64 // flow-batch frames delivered
+	Queued   int64  // elements buffered awaiting Recv
+}
+
+func (s *ConsumerStats) add(in InboundStats) {
+	s.Received += in.Received
+	s.Consumed += in.Consumed
+	s.Dropped += in.Dropped
+	s.SeqGaps += in.SeqGaps
+	s.Batches += in.Batches
+	s.Queued += int64(in.Queued)
+}
+
+// Stats sums the accounting of every stream the consumer has had.
+func (c *Consumer) Stats() ConsumerStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.retired
+	out.Streams = len(c.streams)
+	for _, in := range c.streams {
+		out.add(in.Stats())
+	}
+	return out
+}
+
+// retire moves a finished, drained stream's final counts out of the
+// stream table. The caller must not hold in.mu.
+func (c *Consumer) retire(in *Inbound) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.streams[in.key] == in {
+		delete(c.streams, in.key)
+		c.retired.add(in.Stats())
 	}
 }
 
@@ -157,6 +203,8 @@ type InboundStats struct {
 	SeqGaps      uint64 // batches arriving out of FIFO position
 	MaxQueued    uint64 // buffer high-water mark (bounded by the window)
 	GrantedElems uint64 // cumulative element credit granted
+	Batches      uint64 // flow-batch frames delivered
+	Queued       int    // elements buffered awaiting Recv
 }
 
 // Inbound is one stream as seen by the consumer: a window-bounded element
@@ -164,6 +212,7 @@ type InboundStats struct {
 // grants flow back automatically as the application consumes.
 type Inbound struct {
 	c     *Consumer
+	key   streamKey
 	flow  string
 	grant func(cumElems, cumBytes uint64)
 
@@ -178,6 +227,7 @@ type Inbound struct {
 	dropped   uint64
 	seqGaps   uint64
 	maxQueued uint64
+	batches   uint64
 	done      bool
 	err       error
 
@@ -217,14 +267,8 @@ func (in *Inbound) push(b channel.StreamBatch) {
 	in.consElems += b.DroppedElems
 	in.consBytes += b.DroppedBytes
 	in.dropped += b.DroppedElems
+	in.batches++
 	in.mu.Unlock()
-	if ins := in.c.cfg.Instruments; ins != nil {
-		ins.ElementsRecv.Add(uint64(len(b.Elems)))
-		ins.Batches.Inc()
-		in.mu.Lock()
-		ins.QueuedElems.Set(int64(len(in.queue)))
-		in.mu.Unlock()
-	}
 	in.maybeGrant()
 	select {
 	case in.notify <- struct{}{}:
@@ -247,7 +291,11 @@ func (in *Inbound) Recv(ctx context.Context) (values.Value, error) {
 			}
 			in.consElems++
 			in.consBytes += uint64(wire.ValueSizeHint(v))
+			drained := in.done && in.queue == nil
 			in.mu.Unlock()
+			if drained {
+				in.c.retire(in)
+			}
 			in.maybeGrant()
 			return v, nil
 		}
@@ -314,7 +362,9 @@ func (in *Inbound) issueGrant(cumElems, cumBytes uint64) {
 	grant(granted, grantedB)
 }
 
-// finish marks the stream done and wakes Recv.
+// finish marks the stream done and wakes Recv. A stream with nothing
+// left to read retires at once; otherwise Recv retires it with the last
+// element.
 func (in *Inbound) finish(err error) {
 	in.mu.Lock()
 	if in.done {
@@ -323,7 +373,11 @@ func (in *Inbound) finish(err error) {
 	}
 	in.done = true
 	in.err = err
+	drained := len(in.queue) == 0
 	in.mu.Unlock()
+	if drained {
+		in.c.retire(in)
+	}
 	select {
 	case in.notify <- struct{}{}:
 	default:
@@ -341,5 +395,7 @@ func (in *Inbound) Stats() InboundStats {
 		SeqGaps:      in.seqGaps,
 		MaxQueued:    in.maxQueued,
 		GrantedElems: in.granted,
+		Batches:      in.batches,
+		Queued:       len(in.queue),
 	}
 }

@@ -17,7 +17,8 @@ type ProducerConfig struct {
 	// FailFast makes Send return ErrNoCredit when the window is empty
 	// instead of blocking (load shedding for sources that cannot pause).
 	FailFast bool
-	// Instruments enables mgmt metrics for this producer. Nil disables.
+	// Instruments enables the stall-time histogram for this producer (the
+	// counts are its Stats). Nil disables.
 	Instruments *mgmt.StreamInstruments
 }
 
@@ -28,8 +29,8 @@ type ProducerStats struct {
 	Stalls      uint64 // Sends that blocked (or failed fast) at zero credit
 	StallNs     uint64 // total time blocked awaiting credit
 	MaxBuffered uint64 // high-water mark of elements buffered locally
-	CreditElems uint64 // window currently open, elements
-	CreditBytes uint64 // window currently open, bytes
+	CreditElems int64  // window currently open, elements
+	CreditBytes int64  // window currently open, bytes
 }
 
 // Producer is the producing end of one flow stream: the computational
@@ -62,16 +63,7 @@ type Producer struct {
 // stream's only latency cost — after it, credit pipelines with data).
 func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConfig) (*Producer, error) {
 	gate := newCreditGate()
-	ins := cfg.Instruments
-	onGrant := func(cumElems, cumBytes uint64) {
-		gate.grant(cumElems, cumBytes)
-		if ins != nil {
-			e, by := gate.remaining()
-			ins.CreditElems.Set(int64(e))
-			ins.CreditBytes.Set(int64(by))
-		}
-	}
-	fs, err := b.OpenFlowStream(ctx, flow, onGrant, gate.fail)
+	fs, err := b.OpenFlowStream(ctx, flow, gate.grant, gate.fail)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +91,6 @@ func (p *Producer) Send(ctx context.Context, v values.Value) error {
 	bytes := uint64(wire.ValueSizeHint(v))
 	stallNs, err := p.gate.acquire(ctx, bytes, p.cfg.FailFast)
 	if ins := p.cfg.Instruments; ins != nil && stallNs > 0 {
-		ins.Stalls.Inc()
 		ins.StallNs.Observe(stallNs)
 	}
 	if err != nil {
@@ -178,7 +169,6 @@ func (p *Producer) fail(err error) {
 // Sender stays blocked on a full buffer.
 func (p *Producer) run() {
 	defer close(p.done)
-	ins := p.cfg.Instruments
 	scratch := make([]values.Value, 0, maxBatch)
 	open := true
 	for open {
@@ -212,10 +202,6 @@ func (p *Producer) run() {
 		}
 		p.sent.Add(uint64(len(batch)))
 		p.batches.Add(1)
-		if ins != nil {
-			ins.ElementsSent.Add(uint64(len(batch)))
-			ins.Batches.Inc()
-		}
 	}
 	if err := p.fs.Close(); err != nil && p.stickyErr() == nil {
 		// EOS did not go out: the consumer learns from conn teardown.

@@ -149,14 +149,14 @@ func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) (
 }
 
 // remaining reports the window still open, in elements and bytes.
-func (g *creditGate) remaining() (elems, bytes uint64) {
+func (g *creditGate) remaining() (elems, bytes int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.grantedElems > g.usedElems {
-		elems = g.grantedElems - g.usedElems
+		elems = int64(g.grantedElems - g.usedElems)
 	}
 	if g.grantedBytes > g.usedBytes {
-		bytes = g.grantedBytes - g.usedBytes
+		bytes = int64(g.grantedBytes - g.usedBytes)
 	}
 	return elems, bytes
 }

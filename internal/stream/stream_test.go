@@ -140,6 +140,56 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
+// TestConsumerStatsSumsStreams: a consumer's Stats sum its streams, a
+// finished stream keeps counting after it leaves the stream table, and
+// Streams and Queued follow what is still buffered.
+func TestConsumerStatsSumsStreams(t *testing.T) {
+	e := newEnv(t, ConsumerConfig{Window: 32})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	const n = 10
+	var ins []*Inbound
+	for i := 0; i < 2; i++ {
+		p, err := Open(ctx, e.bind(t), "ticks", ProducerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < n; j++ {
+			if err := p.Send(ctx, values.Int(int64(j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		in, err := e.cons.Accept(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	waitFor(t, func() bool { return e.cons.Stats().Received == 2*n }, "elements never arrived: %+v", e.cons.Stats())
+	drain := func(in *Inbound) {
+		t.Helper()
+		for j := 0; j < n; j++ {
+			if _, err := in.Recv(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drain(ins[0])
+	waitFor(t, func() bool { return e.cons.Stats().Streams == 1 }, "first stream never retired: %+v", e.cons.Stats())
+	batches := ins[0].Stats().Batches + ins[1].Stats().Batches
+	if st := e.cons.Stats(); st.Received != 2*n || st.Consumed != n || st.Queued != n || st.Batches != batches {
+		t.Fatalf("one stream drained: %+v, want %d batches", st, batches)
+	}
+	drain(ins[1])
+	waitFor(t, func() bool { return e.cons.Stats().Streams == 0 }, "second stream never retired: %+v", e.cons.Stats())
+	if st := e.cons.Stats(); st.Streams != 0 || st.Received != 2*n || st.Consumed != 2*n || st.Queued != 0 || st.Batches != batches {
+		t.Fatalf("both drained: %+v", st)
+	}
+}
+
 // TestStreamBackpressure pins the heart of the design: a consumer that
 // stops reading stalls its producer at the window edge instead of letting
 // the backlog grow.

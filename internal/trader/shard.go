@@ -73,20 +73,25 @@ type ShardStats struct {
 	Shards        int // shards on the ring
 }
 
+// LegStats counts one shard's routing as the front-end sees it.
+type LegStats struct {
+	Offers        int64  // offers homed on the shard now
+	RoutedExports uint64 // exports (and installs) routed to it
+	RoutedImports uint64 // shard queries routed to it
+}
+
 // shardLeg is the per-shard routing state the front-end keeps.
 type shardLeg struct {
-	shard  Shard
-	offers atomic.Int64 // offers routed here minus withdrawn/migrated away
-	ins    atomic.Pointer[mgmt.ShardLegInstruments]
+	shard   Shard
+	offers  atomic.Int64 // offers routed here minus withdrawn/migrated away
+	exports atomic.Uint64
+	imports atomic.Uint64
 }
 
 // query is one routed shard import.
 func (l *shardLeg) query(sub ImportRequest) ([]Offer, error) {
-	offers, err := l.shard.Import(sub)
-	if li := l.ins.Load(); li != nil {
-		li.RoutedImports.Inc()
-	}
-	return offers, err
+	l.imports.Add(1)
+	return l.shard.Import(sub)
 }
 
 // ShardedTrader partitions the offer space over named shards by
@@ -122,7 +127,6 @@ type ShardedTrader struct {
 	rebals    atomic.Uint64
 	migrated  atomic.Uint64
 	insp      atomic.Pointer[mgmt.ShardInstruments]
-	legInstr  atomic.Pointer[func(shard string) *mgmt.ShardLegInstruments]
 	ringEpoch atomic.Uint64
 }
 
@@ -156,31 +160,6 @@ func (s *ShardedTrader) Instrument(ins *mgmt.ShardInstruments) {
 		return
 	}
 	s.latency.Store(ins.ImportLatency)
-}
-
-// InstrumentShards attaches a per-shard bundle provider: every current
-// and future shard leg gets a bundle keyed by its shard name (offers
-// gauge, routed-export/-import counters). nil detaches.
-func (s *ShardedTrader) InstrumentShards(provider func(shard string) *mgmt.ShardLegInstruments) {
-	if provider == nil {
-		s.legInstr.Store(nil)
-		s.mu.RLock()
-		for _, leg := range s.shards {
-			leg.ins.Store(nil)
-		}
-		s.mu.RUnlock()
-		return
-	}
-	s.legInstr.Store(&provider)
-	s.mu.RLock()
-	for name, leg := range s.shards {
-		li := provider(name)
-		leg.ins.Store(li)
-		if li != nil {
-			li.Offers.Set(leg.offers.Load())
-		}
-	}
-	s.mu.RUnlock()
 }
 
 // Shards returns the sorted shard names on the ring.
@@ -246,11 +225,8 @@ func (s *ShardedTrader) route(o *Offer) (string, error) {
 			continue
 		}
 		s.exports.Add(1)
+		leg.exports.Add(1)
 		leg.offers.Add(1)
-		if li := leg.ins.Load(); li != nil {
-			li.RoutedExports.Inc()
-			li.Offers.Set(leg.offers.Load())
-		}
 		return id, nil
 	}
 }
@@ -296,9 +272,6 @@ func (s *ShardedTrader) Withdraw(offerID string) error {
 		if err == nil {
 			s.withdrs.Add(1)
 			leg.offers.Add(-1)
-			if li := leg.ins.Load(); li != nil {
-				li.Offers.Set(leg.offers.Load())
-			}
 			return true, nil
 		}
 		if errors.Is(err, ErrNoSuchOffer) {
@@ -443,9 +416,6 @@ func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*sh
 // prefix-routing stays exact (mismatches still work via the fallback).
 func (s *ShardedTrader) AddShard(name string, shard Shard) error {
 	leg := &shardLeg{shard: shard}
-	if p := s.legInstr.Load(); p != nil {
-		leg.ins.Store((*p)(name))
-	}
 	return s.changeRing(func(next *hashring.Ring) error {
 		if _, dup := s.shards[name]; dup {
 			return fmt.Errorf("trader: shard %q already present", name)
@@ -568,12 +538,6 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 			fromLeg.offers.Add(-1)
 			s.migrated.Add(1)
 		}
-		if li := fromLeg.ins.Load(); li != nil {
-			li.Offers.Set(fromLeg.offers.Load())
-		}
-		if li := toLeg.ins.Load(); li != nil {
-			li.Offers.Set(toLeg.offers.Load())
-		}
 	}
 	return firstErr
 }
@@ -594,4 +558,20 @@ func (s *ShardedTrader) ShardStats() ShardStats {
 		RingEpoch:     s.ringEpoch.Load(),
 		Shards:        shards,
 	}
+}
+
+// LegStats returns each shard's routing counts, keyed by shard name; a
+// shard leaves it once RemoveShard has drained it.
+func (s *ShardedTrader) LegStats() map[string]LegStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]LegStats, len(s.shards))
+	for name, leg := range s.shards {
+		out[name] = LegStats{
+			Offers:        leg.offers.Load(),
+			RoutedExports: leg.exports.Load(),
+			RoutedImports: leg.imports.Load(),
+		}
+	}
+	return out
 }

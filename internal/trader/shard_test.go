@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,11 @@ func TestShardedExportImportRoutes(t *testing.T) {
 	stats := st.ShardStats()
 	if stats.Imports != 1 || stats.ShardsQueried != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	// The owning leg counts every export and the one routed query.
+	owner := st.LegStats()[strings.SplitN(ids[0], "/", 2)[0]]
+	if owner != (LegStats{Offers: 20, RoutedExports: 20, RoutedImports: 1}) {
+		t.Fatalf("owner leg = %+v (all legs %+v)", owner, st.LegStats())
 	}
 	for _, id := range ids {
 		if err := st.Withdraw(id); err != nil {
@@ -195,6 +201,11 @@ func TestShardedRebalanceRemoveShard(t *testing.T) {
 	}
 	if len(got) != 30 {
 		t.Fatalf("after remove: %d offers", len(got))
+	}
+	// The drained shard leaves LegStats; the survivors home every offer.
+	legs := st.LegStats()
+	if _, ok := legs["s1"]; ok || len(legs) != 2 || legs["s0"].Offers+legs["s2"].Offers != 30 {
+		t.Fatalf("legs after remove = %+v", legs)
 	}
 	// Withdraw still works even for ids minted by the departed shard
 	// (prefix miss falls back to the survivors).

@@ -79,11 +79,12 @@ if grep -rnE 'ReplyCacheSize|MaxGuardBindings|MaxBackoff|RTTFactor|WindowBytes|c
 fi
 
 echo "== count-once gate (Management reads the counters Stats() keeps) =="
-# A count a component's own Stats() already keeps reaches Management through
-# one mgmt.Read line, never through a second mgmt counter bumped beside it:
-# the network and bus bundles and the mirrored bundle fields may not come
-# back outside internal/mgmt.
-if grep -nE 'mgmt\.(NetInstruments|BusInstruments)|func \([a-z]+ \*Network\) Instrument\(|\.(Dispatches|SessionsTotal|SessionsOpen|Reconnects|ProbesCoalesced|Dials|Updates|DegradedReads|Commits|Aborts|Rebalances|MigratedOffers|Published|QueueDepth|Partitioned)\.(Inc|Add|Set)\(' \
+# A count a component's own Stats() already keeps — for one component or,
+# as a keyed set, for its members — reaches Management through one mgmt.Read
+# line, never through a second mgmt counter bumped beside it: the network,
+# bus, policy and shard-leg bundles, the attach APIs that carried them and
+# the mirrored bundle fields may not come back outside internal/mgmt.
+if grep -nE 'mgmt\.(NetInstruments|BusInstruments|PolicyInstruments|ShardLegInstruments)|func \([a-z]+ \*(Network|BreakerSet)\) Instrument\(|InstrumentShards|\.(Dispatches|SessionsTotal|SessionsOpen|Reconnects|ProbesCoalesced|Dials|Updates|DegradedReads|Commits|Aborts|Rebalances|MigratedOffers|Published|QueueDepth|Partitioned|BreakerOpens|BreakerCloses|BreakersOpen|RoutedExports|RoutedImports|ElementsSent|ElementsRecv|CreditElems|CreditBytes|QueuedElems|Misses|Transitions|Invocations|Failures)\.(Inc|Add|Set)\(' \
 	$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/mgmt/*' ! -path './.bench_build/*'); then
 	echo "a component counts an event twice (register its Stats with mgmt.Read instead)"
 	exit 1
