@@ -105,8 +105,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// No TraderShards in this config: the directory is the one *Trader.
-		sys.Directory.(*trader.Trader).Link(peer, trader.NewRemote(b))
+		sys.Directory.Link(peer, trader.NewRemote(b))
 		fmt.Fprintf(os.Stderr, "odptrader: linked to %s\n", peer)
 	}
 

@@ -23,10 +23,14 @@ func main() {
 	must(repo.RegisterInterface(bank.ManagerType()))
 	must(repo.RegisterInterface(bank.LoansOfficerType()))
 
-	// Three trading domains: city, state, national.
-	city := trader.New("city", repo)
-	state := trader.New("state", repo)
-	national := trader.New("national", repo)
+	// Three trading domains: city, state, national, each a front-end over
+	// one store named after it (the name prefixes the offer ids it mints).
+	domain := func(name string) *trader.ShardedTrader {
+		fe := trader.NewSharded(name, repo, 0)
+		must(fe.AddShard(name, trader.New(name, repo)))
+		return fe
+	}
+	city, state, national := domain("city"), domain("state"), domain("national")
 	city.Link("state", state)
 	state.Link("national", national)
 
@@ -66,7 +70,7 @@ func main() {
 	show("one hop", 1)
 	show("two hops", 2)
 
-	st := city.Stats()
+	st := city.ShardStats()
 	fmt.Printf("city trader stats: imports=%d federated=%d matched=%d\n",
 		st.Imports, st.Federated, st.Matched)
 }

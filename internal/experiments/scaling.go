@@ -241,7 +241,10 @@ func federationParallel(calls int) (Record, error) {
 	f := newFleet(77)
 	defer f.close()
 	f.net.SetDefaultLink(netsim.LinkProfile{Latency: ReplicaLatency})
-	origin := trader.New("origin", repo)
+	origin := trader.NewSharded("origin", repo, 0) // one shard, no offers
+	if err := origin.AddShard("origin", trader.New("origin", repo)); err != nil {
+		return Record{}, err
+	}
 	for i := 0; i < links; i++ {
 		host := fmt.Sprintf("fed%d", i)
 		rt := trader.New(host, repo)

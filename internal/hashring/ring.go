@@ -17,9 +17,11 @@ package hashring
 // epochs).
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // defaultRingReplicas is the virtual-node count per member when the
@@ -73,16 +75,25 @@ func (r *Ring) Clone() *Ring {
 // virtual points ("m#0".."m#63") — and any family of similar keys —
 // collapse into one tight cluster on the ring. The finalizer (the
 // 64-bit mix from MurmurHash3) spreads them across the whole space.
-func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+func ringHash(s string) uint64 { return finalize(fnv1a(fnvOffset, s)) }
+
+// fnv1a continues the 64-bit FNV-1a hash h (fnvOffset to start) over s,
+// as hash/fnv computes it but with no hasher or copy of s to allocate.
+// Hashing a string in pieces equals hashing it whole.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211 // the FNV prime
+	}
+	return h
+}
+
+const fnvOffset = 14695981039346656037
+
+// finalize is MurmurHash3's 64-bit mix.
+func finalize(x uint64) uint64 {
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // Add places a member on the ring and bumps the epoch. Adding an existing
@@ -92,13 +103,18 @@ func (r *Ring) Add(member string) error {
 		return fmt.Errorf("hashring: ring member %q already present", member)
 	}
 	r.members[member] = true
+	// Virtual point i is ringHash("<member>#<i>"): the shared prefix is
+	// hashed once and each point continues from it over i's digits.
+	prefix := fnv1a(fnv1a(fnvOffset, member), "#")
+	var digits [20]byte
+	r.points = slices.Grow(r.points, r.replicas)
 	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, ringPoint{
-			hash:   ringHash(fmt.Sprintf("%s#%d", member, i)),
+			hash:   finalize(fnv1a(prefix, strconv.AppendInt(digits[:0], int64(i), 10))),
 			member: member,
 		})
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	slices.SortFunc(r.points, func(a, b ringPoint) int { return cmp.Compare(a.hash, b.hash) })
 	r.epoch++
 	return nil
 }

@@ -2,8 +2,78 @@ package hashring
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 )
+
+// refHash is the reference the inline hash must match: hash/fnv's FNV-1a
+// and the finalizer. Placement is this function of "<member>#<i>" and the
+// key.
+func refHash(s string) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(s))
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
+// TestRingHashMatchesFNV: the inline hash is the reference's, key by key,
+// and a member's virtual points are the reference's hashes of m#0…m#63.
+func TestRingHashMatchesFNV(t *testing.T) {
+	keys := []string{"", "a", "shard0", "trader-0", "BankTeller", "node1/c0/k0/o0/i0#c67fa7dcbac34b51", "ünïcode"}
+	for i := 0; i < defaultRingReplicas; i++ {
+		keys = append(keys, fmt.Sprintf("m#%d", i))
+	}
+	for _, k := range keys {
+		if got, want := ringHash(k), refHash(k); got != want {
+			t.Errorf("ringHash(%q) = %#x, reference %#x", k, got, want)
+		}
+	}
+	r := New(0)
+	if err := r.Add("m"); err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for i := 0; i < defaultRingReplicas; i++ {
+		want = append(want, refHash(fmt.Sprintf("m#%d", i)))
+	}
+	slices.Sort(want)
+	got := make([]uint64, len(r.points))
+	for i, p := range r.points {
+		got[i] = p.hash
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("m's virtual points moved:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestAddAllocBudget: a member joins for the growth of the point slice
+// (and of the member set), not an allocation per virtual point.
+func TestAddAllocBudget(t *testing.T) {
+	const runs = 100
+	rings := make([]*Ring, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range rings {
+		rings[i] = New(0)
+		if err := rings[i].Add("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := rings[next].Add("b"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 2 {
+		t.Errorf("Add = %v allocs, budget 2", allocs)
+	}
+}
 
 func TestOwnerStableAndTotal(t *testing.T) {
 	r := New(0)

@@ -86,15 +86,9 @@ type TxInstruments struct {
 	CommitLatency *Histogram // two-phase commit latency, ns
 }
 
-// TraderInstruments instrument a trader's import (lookup) path; its
-// counters are its Stats, read through.
-type TraderInstruments struct {
-	ImportLatency *Histogram // import latency, ns
-}
-
-// ShardInstruments instrument a sharded-trader front-end: the routing work
-// per import. The ring shape and the counters are its ShardStats, read
-// through.
+// ShardInstruments instrument the trading function's front-end: the
+// routing work and latency per import. The ring shape and the counters are
+// its ShardStats, read through.
 type ShardInstruments struct {
 	ShardsPerImport *Histogram // shard queries issued per import
 	ImportLatency   *Histogram // front-end import latency, ns
@@ -231,18 +225,7 @@ func (m *Management) Tx(name string) *TxInstruments {
 	}
 }
 
-// Trader resolves a trader bundle.
-func (m *Management) TraderInstr(name string) *TraderInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "trader." + name + "."
-	return &TraderInstruments{
-		ImportLatency: m.Registry.Histogram(p + "import_latency_ns"),
-	}
-}
-
-// TraderShards resolves a sharded front-end bundle. Metrics land under
+// TraderShards resolves a trading front-end bundle. Metrics land under
 // trader.<name>.shards.*.
 func (m *Management) TraderShards(name string) *ShardInstruments {
 	if m == nil {

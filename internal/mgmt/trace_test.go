@@ -130,7 +130,7 @@ func TestManagementDomainAndService(t *testing.T) {
 	var disabled *Management
 	if disabled.ChannelClient("x") != nil || disabled.ChannelServer("x") != nil ||
 		disabled.Group("x") != nil || disabled.Tx("x") != nil ||
-		disabled.TraderInstr("x") != nil || disabled.Sessions("x") != nil {
+		disabled.TraderShards("x") != nil || disabled.Sessions("x") != nil {
 		t.Fatal("disabled domain handed out instruments")
 	}
 	if !strings.Contains(disabled.Dump(), "disabled") {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
-	"repro/internal/trader"
 	"repro/internal/transactions"
 	"repro/internal/typerepo"
 	"repro/internal/values"
@@ -75,17 +74,14 @@ func TestConfigWiring(t *testing.T) {
 			if got := s.Mgmt() != nil; got != cfg.Management {
 				t.Errorf("management domain present = %v", got)
 			}
-			switch d := s.Directory.(type) {
-			case *trader.Trader:
-				if cfg.TraderShards != 0 {
-					t.Errorf("Directory is unsharded with TraderShards %d", cfg.TraderShards)
-				}
-			case *trader.ShardedTrader:
-				if len(d.Shards()) != cfg.TraderShards {
-					t.Errorf("directory shards = %v, want %d", d.Shards(), cfg.TraderShards)
-				}
-			default:
-				t.Errorf("Directory = %T", d)
+			// Zero TraderShards is the one-shard front-end, its shard named
+			// after the system.
+			wantTrader := []string{"trader-0"}
+			for i := 1; i < cfg.TraderShards; i++ {
+				wantTrader = append(wantTrader, fmt.Sprintf("trader-%d", i))
+			}
+			if got := s.Directory.Shards(); !reflect.DeepEqual(got, wantTrader) {
+				t.Errorf("directory shards = %v, want %v", got, wantTrader)
 			}
 			// Zero BusShards is the one-shard bus, its shard named "bus".
 			wantShards := []string{"bus"}
@@ -193,7 +189,7 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 	dump := s.Mgmt().Registry.Dump()
 	busShard := s.Bus.ShardNames()[0]
 	for _, name := range []string{
-		"trader.trader.shard.shard0.offers",
+		"trader.trader.shard.trader-0.offers",
 		"trader.trader.ring_epoch",
 		"bus." + busShard + ".published",
 		"policy.client.breaker.open_now",

@@ -34,6 +34,7 @@ import (
 // printed twice. (Before the read-through, the server's mirrored errors
 // counter missed the refused one-way.)
 func TestManagementReadsStats(t *testing.T) {
+	t.Run("zero Config trader", testZeroConfigTraderLines)
 	s, err := New(Config{
 		Seed:            5,
 		Management:      true,
@@ -119,7 +120,7 @@ func TestManagementReadsStats(t *testing.T) {
 	}
 
 	// A shard joins the trader's ring.
-	front := s.Directory.(*trader.ShardedTrader)
+	front := s.Directory
 	if err := front.AddShard("shard9", trader.New("shard9", s.Types)); err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +249,55 @@ func TestManagementReadsStats(t *testing.T) {
 	}
 }
 
+// testZeroConfigTraderLines: the zero Config's trader is the one-shard
+// front-end, and every line the singleton trader showed is still shown —
+// the front-end's counters under the same names, the store's considered
+// count in its shard's keyed set, the import latency among the front-end's
+// histograms — and equals what the front-end reads.
+func testZeroConfigTraderLines(t *testing.T) {
+	s, err := New(Config{Management: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	node, err := s.CreateNode("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank.RegisterBehavior(node.Behaviors(), transactions.NewCoordinator(), transactions.NewStore("b", nil))
+	if _, err := s.Deploy(node, bank.Template("branch"), values.Null()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.ImportAndBind("client", "BankManager", "", core.Contract{Require: core.TransparencySet(core.Access)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	fe, store := s.Directory.ShardStats(), s.Directory.LegStats()["trader-0"]
+	if fe.Exports == 0 || fe.Imports == 0 || store.Considered == 0 {
+		t.Fatalf("the drive left no trace: %+v, %+v", fe, store)
+	}
+	dump := s.Mgmt().Registry.Dump()
+	live := dumpValues(dump, nil)
+	for name, v := range map[string]uint64{
+		"trader.trader.exports":                   fe.Exports,
+		"trader.trader.withdraws":                 fe.Withdraws,
+		"trader.trader.imports":                   fe.Imports,
+		"trader.trader.matched":                   fe.Matched,
+		"trader.trader.federated":                 fe.Federated,
+		"trader.trader.links_skipped":             fe.LinksSkipped,
+		"trader.trader.links_failed":              fe.LinksFailed,
+		"trader.trader.shard.trader-0.considered": store.Considered,
+	} {
+		if want := strconv.FormatUint(v, 10); live[name] != want {
+			t.Errorf("Management shows %s = %q, want %s", name, live[name], want)
+		}
+	}
+	if !strings.Contains(dump, "histogram trader.trader.shards.import_latency_ns ") {
+		t.Errorf("no import latency histogram in the dump:\n%s", dump)
+	}
+}
+
 // TestManagementForgetsDepartedMembers: a keyed set's member that leaves
 // — an endpoint the detector stops watching, a shard drained off the ring —
 // leaves Management with it. (The pushed gauges these replaced stayed in
@@ -288,19 +338,19 @@ func TestManagementForgetsDepartedMembers(t *testing.T) {
 		return n
 	}
 	waitOdp(t, "the first probe", func() bool { return s.Detector().Stats()["n1"].Probes == 1 })
-	if shown("health.n1.") == 0 || shown("trader.trader.shard.shard0.") == 0 {
+	if shown("health.n1.") == 0 || shown("trader.trader.shard.trader-0.") == 0 {
 		t.Fatalf("members not shown before they leave:\n%s", s.Mgmt().Registry.Dump())
 	}
 
 	s.Detector().Unwatch("n1")
-	if err := s.Directory.(*trader.ShardedTrader).RemoveShard("shard0"); err != nil {
+	if err := s.Directory.RemoveShard("trader-0"); err != nil {
 		t.Fatal(err)
 	}
 	dump := s.Mgmt().Registry.Dump()
-	if strings.Contains(dump, "health.n1.") || strings.Contains(dump, "trader.trader.shard.shard0.") {
+	if strings.Contains(dump, "health.n1.") || strings.Contains(dump, "trader.trader.shard.trader-0.") {
 		t.Errorf("a departed member is still shown:\n%s", dump)
 	}
-	if got := dumpValues(dump, nil)["trader.trader.shard.shard1.offers"]; got != "8" {
+	if got := dumpValues(dump, nil)["trader.trader.shard.trader-1.offers"]; got != "8" {
 		t.Errorf("the remaining shard holds %s offers, want all 8", got)
 	}
 }

@@ -68,8 +68,9 @@ const (
 // mode is a field, so there is no order to switch modes on in. The zero
 // Config is the plain system every example runs.
 type Config struct {
-	// Name names the trading function; it prefixes the offer ids issued
-	// and must be unique within a federation. Zero means "trader".
+	// Name names the trading function and its shards, whose names prefix
+	// the offer ids issued; it must be unique within a federation. Zero
+	// means "trader".
 	Name string
 	// Listen is where the system's nodes listen; its scheme selects the
 	// transport ("tcp://127.0.0.1:0": a loopback socket per node). Zero
@@ -78,7 +79,7 @@ type Config struct {
 	// Seed seeds the simulated network. Ignored off the simulator.
 	Seed int64
 
-	// Management instruments the network, trader(s), bus, every session
+	// Management instruments the network, trader, bus, every session
 	// manager and every node; each node then also serves the Management
 	// interface, registered with the relocator like any other. Zero means
 	// no instrumentation at all.
@@ -92,9 +93,8 @@ type Config struct {
 	// asks for failure transparency; what it leaves zero the contract
 	// fills (see transparency.Env.Policy). Zero: the contract decides.
 	Policy policy.RetryPolicy
-	// TraderShards partitions the trading function over that many local
-	// shards ("shard0"...) behind a *trader.ShardedTrader. Zero means one
-	// unsharded *trader.Trader.
+	// TraderShards partitions the trading function's front-end over that
+	// many local shards, named "<Name>-0"... Zero means one shard.
 	TraderShards int
 	// BusShards partitions the event bus by topic over that many shards
 	// ("b0"...). Zero means one shard, named "bus".
@@ -125,8 +125,8 @@ type System struct {
 	Relocator *relocator.Relocator
 	Types     typerepo.Repository
 	// Directory is the trading function Deploy exports to and
-	// ImportAndBind imports from.
-	Directory trader.Shard
+	// ImportAndBind imports from, and the one federation links are set on.
+	Directory *trader.ShardedTrader
 	Bus       *coordination.Bus
 
 	cfg      Config
@@ -147,7 +147,7 @@ type System struct {
 }
 
 // New builds a system from cfg in the one order that works: the type
-// front-end, the trader(s) reading through it, the bus, the relocator
+// front-end, the trader reading through it, the bus, the relocator
 // bridge publishing on it, its subscribers (cache, recovery controller),
 // then the detector publishing to them. The management domain comes
 // first and its bundles are nil-safe, so each piece is instrumented — its
@@ -182,23 +182,16 @@ func New(cfg Config) (*System, error) {
 		mgmt.Read(s.mgmt, "typerepo.", rep.Stats)
 		s.Types = rep
 	}
-	if cfg.TraderShards == 0 {
-		t := trader.New(cfg.Name, s.Types)
-		t.Instrument(s.mgmt.TraderInstr(cfg.Name))
-		mgmt.Read(s.mgmt, "trader."+cfg.Name+".", t.Stats)
-		s.Directory = t
-	} else {
-		st := trader.NewSharded(cfg.Name, s.Types, 0)
-		st.Instrument(s.mgmt.TraderShards(cfg.Name))
-		mgmt.Read(s.mgmt, "trader."+cfg.Name+".", st.ShardStats)
-		mgmt.Read(s.mgmt, "trader."+cfg.Name+".shard.", st.LegStats)
-		for i := 0; i < cfg.TraderShards; i++ {
-			name := fmt.Sprintf("shard%d", i)
-			if err := st.AddShard(name, trader.New(name, s.Types)); err != nil {
-				return nil, err
-			}
+	s.Directory = trader.NewSharded(cfg.Name, s.Types, 0)
+	s.Directory.Instrument(s.mgmt.TraderShards(cfg.Name))
+	mgmt.Read(s.mgmt, "trader."+cfg.Name+".", s.Directory.ShardStats)
+	mgmt.Read(s.mgmt, "trader."+cfg.Name+".shard.", s.Directory.LegStats)
+	for i := 0; i < max(1, cfg.TraderShards); i++ {
+		// Named after the system, so federated systems mint distinct ids.
+		name := fmt.Sprintf("%s-%d", cfg.Name, i)
+		if err := s.Directory.AddShard(name, trader.New(name, s.Types)); err != nil {
+			return nil, err
 		}
-		s.Directory = st
 	}
 	s.Bus = coordination.NewShardedBus(cfg.BusShards)
 	s.Bus.Instrument(s.mgmt)

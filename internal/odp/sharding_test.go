@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/naming"
 	"repro/internal/trader"
 	"repro/internal/transactions"
 	"repro/internal/values"
@@ -17,10 +18,7 @@ func TestShardTraderServesDeployAndImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, ok := s.Directory.(*trader.ShardedTrader)
-	if !ok {
-		t.Fatalf("Directory = %T, want the sharded front-end", s.Directory)
-	}
+	st := s.Directory
 	if len(st.Shards()) != 4 {
 		t.Fatalf("shards = %v", st.Shards())
 	}
@@ -98,5 +96,39 @@ func TestRelocationCacheServesBindings(t *testing.T) {
 	stats := cache.Stats()
 	if stats.Hits == 0 {
 		t.Fatalf("no cache hits: %+v", stats)
+	}
+}
+
+// TestFederatedShardedSystemsKeepTheirOffers: shard names derive from
+// Config.Name, so two sharded systems federated at one origin mint
+// distinct offer ids. Shards named alike in every system would mint the
+// same ids, and the origin's dedupe by id would drop one of the offers.
+func TestFederatedShardedSystemsKeepTheirOffers(t *testing.T) {
+	origin, err := New(Config{Name: "origin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	if err := origin.Types.RegisterInterface(bank.TellerType()); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a", "b"} {
+		s, err := New(Config{Name: name, TraderShards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Types.RegisterInterface(bank.TellerType()); err != nil {
+			t.Fatal(err)
+		}
+		ref := naming.InterfaceRef{ID: naming.InterfaceID{Nonce: uint64(i + 1)}, TypeName: "BankTeller", Endpoint: naming.Endpoint("sim://" + name)}
+		if _, err := s.Directory.Export("BankTeller", ref, values.Null()); err != nil {
+			t.Fatal(err)
+		}
+		origin.Directory.Link(name, s.Directory)
+	}
+	offers, err := origin.Directory.Import(trader.ImportRequest{ServiceType: "BankTeller", MaxHops: 1})
+	if err != nil || len(offers) != 2 {
+		t.Fatalf("origin import = %d offers, %v; want both systems' offer", len(offers), err)
 	}
 }

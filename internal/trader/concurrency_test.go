@@ -151,13 +151,13 @@ func TestConcurrentExportImportWithdraw(t *testing.T) {
 // imports.
 func TestConcurrentFederationDedup(t *testing.T) {
 	repo := repoWithBank(t)
-	origin := New("origin", repo)
-	mid1 := New("mid1", repo)
-	mid2 := New("mid2", repo)
-	shared := New("shared", repo)
+	origin, _ := frontEnd(t, repo, "origin", 1)
+	mid1, _ := frontEnd(t, repo, "mid1", 1)
+	mid2, _ := frontEnd(t, repo, "mid2", 1)
+	shared, _ := frontEnd(t, repo, "shared", 1)
 
 	nonce := uint64(0)
-	exportN := func(tr *Trader, n int) {
+	exportN := func(tr Shard, n int) {
 		for i := 0; i < n; i++ {
 			nonce++
 			if _, err := tr.Export("BankTeller", refOf("BankTeller", nonce), values.Null()); err != nil {
@@ -204,7 +204,7 @@ func TestConcurrentFederationDedup(t *testing.T) {
 	}
 	wg.Wait()
 
-	if st := origin.Stats(); st.Federated != 6*10*2 {
+	if st := origin.ShardStats(); st.Federated != 6*10*2 {
 		t.Errorf("origin Federated = %d, want %d", st.Federated, 6*10*2)
 	}
 }

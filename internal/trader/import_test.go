@@ -63,9 +63,9 @@ func refImport(t *testing.T, x Importer, req ImportRequest) []Offer {
 }
 
 // refCollect is every offer x holds that matches req, in the order the
-// copy-all path merged them: a trader's own in export order, then its
-// links' in link-name order; a front-end's previous owners, then its
-// current ones; the first occurrence of each offer id only.
+// copy-all path merged them: a store's in export order; a front-end's
+// previous owners, then its current ones, then its links' in link-name
+// order; the first occurrence of each offer id only.
 func refCollect(t *testing.T, x Importer, req ImportRequest, hops int) []Offer {
 	t.Helper()
 	var out []Offer
@@ -105,15 +105,15 @@ func refCollect(t *testing.T, x Importer, req ImportRequest, hops int) []Offer {
 		for _, i := range order {
 			add(local[i : i+1])
 		}
-		if hops > 0 {
-			for _, l := range x.linkLegs() {
-				add(refCollect(t, l.target, req, hops-1))
-			}
-		}
 	case *ShardedTrader:
 		oldLegs, curLegs := x.targetShards(req.ServiceType)
 		for _, leg := range append(oldLegs, curLegs...) {
 			add(refCollect(t, leg.shard, req, hops))
+		}
+		if hops > 0 {
+			for _, l := range x.linkLegs() {
+				add(refCollect(t, l.target, req, hops-1))
+			}
 		}
 	default:
 		t.Fatalf("no reference for %T", x)
@@ -137,8 +137,9 @@ func selectionRepo(t *testing.T) typerepo.Repository {
 }
 
 // selectionFixture is one offer set held four ways: by a trader, by a
-// one-shard and a four-shard front-end, and across a federated diamond
-// A → {B, C} → D whose B and C hold some offers under the same id.
+// one-shard and a four-shard front-end, and across a federated diamond of
+// one-shard front-ends A → {B, C} → D whose B and C hold some offers under
+// the same id.
 type selectionFixture struct {
 	deployments []deployment
 	stores      []*Trader // every trader holding offers
@@ -157,27 +158,18 @@ func newSelectionFixture(t *testing.T, repo typerepo.Repository, seed int64) *se
 	rng := rand.New(rand.NewSource(seed))
 	f := &selectionFixture{}
 	single := New("single", repo)
-	sharded := func(name string, n int) (*ShardedTrader, map[string]*Trader) {
-		st := NewSharded(name, repo, 0)
-		shards := make(map[string]*Trader, n)
-		for i := 0; i < n; i++ {
-			sn := fmt.Sprintf("%s-s%d", name, i)
-			shards[sn] = New(sn, repo)
-			if err := st.AddShard(sn, shards[sn]); err != nil {
-				t.Fatal(err)
-			}
-			f.stores = append(f.stores, shards[sn])
-		}
-		return st, shards
+	f.stores = append(f.stores, single)
+	sharded := func(name string, n int) *ShardedTrader {
+		fe, stores := frontEnd(t, repo, name, n)
+		f.stores = append(f.stores, stores...)
+		return fe
 	}
-	one, _ := sharded("one", 1)
-	four, fourShards := sharded("four", 4)
-	fed := []*Trader{New("A", repo), New("B", repo), New("C", repo), New("D", repo)}
+	one, four := sharded("one", 1), sharded("four", 4)
+	fed := []*ShardedTrader{sharded("A", 1), sharded("B", 1), sharded("C", 1), sharded("D", 1)}
 	fed[0].Link("b", fed[1])
 	fed[0].Link("c", fed[2])
 	fed[1].Link("d", fed[3])
 	fed[2].Link("d", fed[3])
-	f.stores = append(append(f.stores, single), fed...)
 
 	// Few distinct costs make heavy ties; some offers have no cost or a NaN
 	// one, which no preference can score.
@@ -208,7 +200,7 @@ func newSelectionFixture(t *testing.T, repo typerepo.Repository, seed int64) *se
 			t.Fatal(err)
 		}
 		if home == fed[1] && rng.Intn(2) == 0 {
-			o, _ := home.Offer(id)
+			o, _ := home.shards["B-s0"].shard.(*Trader).Offer(id)
 			if err := fed[2].Install(o); err != nil {
 				t.Fatal(err)
 			}
@@ -225,8 +217,9 @@ func newSelectionFixture(t *testing.T, repo typerepo.Repository, seed int64) *se
 	}
 	four.moving["BankManager"] = from
 	four.mu.Unlock()
-	for _, e := range fourShards[owner].buckets["BankManager"] {
-		if err := fourShards[from].Install(*e.offer); err != nil {
+	store := func(name string) *Trader { return four.shards[name].shard.(*Trader) }
+	for _, e := range store(owner).buckets["BankManager"] {
+		if err := store(from).Install(*e.offer); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,8 +14,7 @@ import (
 // trips, subsequent imports skip it without invoking, and the result is
 // flagged degraded with the skip counted.
 func TestLinkBreakerSkipsDeadPartner(t *testing.T) {
-	repo := repoWithBank(t)
-	a := New("A", repo)
+	a, _ := frontEnd(t, repoWithBank(t), "A", 1)
 	var deadCalls atomic.Int64
 	a.Link("dead", importerFunc(func(ImportRequest) ([]Offer, error) {
 		deadCalls.Add(1)
@@ -30,12 +29,13 @@ func TestLinkBreakerSkipsDeadPartner(t *testing.T) {
 	req := ImportRequest{ServiceType: "BankTeller", MaxHops: 1}
 
 	// Two failing imports trip the breaker; the local offer still answers.
+	// Each consults two legs: A's one shard and the link.
 	for i := 0; i < 2; i++ {
 		res, err := a.ImportEx(req)
 		if err != nil || len(res.Offers) != 1 {
 			t.Fatalf("import %d = %+v, %v", i, res, err)
 		}
-		if !res.Degraded || res.LinksFailed != 1 || res.LinksQueried != 1 {
+		if !res.Degraded || res.LinksFailed != 1 || res.LinksQueried != 2 {
 			t.Fatalf("import %d metadata = %+v, want degraded with 1 failed link", i, res)
 		}
 	}
@@ -50,7 +50,7 @@ func TestLinkBreakerSkipsDeadPartner(t *testing.T) {
 	if got := deadCalls.Load(); got != 2 {
 		t.Fatalf("dead link invoked %d times, want 2", got)
 	}
-	st := a.Stats()
+	st := a.ShardStats()
 	if st.LinksSkipped != 1 || st.LinksFailed != 2 {
 		t.Fatalf("stats = %+v, want LinksSkipped=1 LinksFailed=2", st)
 	}
@@ -60,7 +60,7 @@ func TestLinkBreakerSkipsDeadPartner(t *testing.T) {
 // and the import view stops being degraded.
 func TestLinkBreakerRecovers(t *testing.T) {
 	repo := repoWithBank(t)
-	a := New("A", repo)
+	a, _ := frontEnd(t, repo, "A", 1)
 	b := New("B", repo)
 	if _, err := b.Export("BankTeller", refOf("BankTeller", 2), values.Null()); err != nil {
 		t.Fatal(err)
@@ -98,8 +98,7 @@ func TestLinkBreakerRecovers(t *testing.T) {
 // TestLinkBreakerSharedAcrossImports: all imports share the per-link
 // breaker, so one import tripping it shields every later caller.
 func TestLinkBreakerSharedAcrossImports(t *testing.T) {
-	repo := repoWithBank(t)
-	a := New("A", repo)
+	a, _ := frontEnd(t, repoWithBank(t), "A", 1)
 	var calls atomic.Int64
 	a.Link("dead", importerFunc(func(ImportRequest) ([]Offer, error) {
 		calls.Add(1)

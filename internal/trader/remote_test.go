@@ -17,7 +17,7 @@ import (
 
 // deployTrader hosts a trader as an infrastructure object on a node and
 // returns a Remote proxy bound to it.
-func deployTrader(t *testing.T, net *netsim.Network, reloc *relocator.Relocator, host string, tr *Trader) (*Remote, naming.InterfaceRef) {
+func deployTrader(t *testing.T, net *netsim.Network, reloc *relocator.Relocator, host string, tr Shard) (*Remote, naming.InterfaceRef) {
 	t.Helper()
 	node, err := engineering.NewNode(engineering.NodeConfig{
 		ID:        naming.NodeID(host),
@@ -63,7 +63,7 @@ func TestCrossNodeFederationViaRemote(t *testing.T) {
 	net := netsim.New(2)
 	reloc := relocator.New()
 	repo := repoWithBank(t)
-	t1 := New("T1", repo)
+	t1, _ := frontEnd(t, repo, "T1", 1)
 	t2 := New("T2", repo)
 	_, _ = deployTrader(t, net, reloc, "host1", t1)
 	remote2, _ := deployTrader(t, net, reloc, "host2", t2)

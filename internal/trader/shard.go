@@ -14,6 +14,8 @@
 // Shards are ordinary trader objects: a local *Trader, or a *Remote
 // proxy over a channel binding to a trader hosted on another node or
 // over a replica group of them. The front-end never needs to know which.
+// One shard is the singleton trader: the front-end is the trading
+// function at every shard count, and it alone federates (see federate).
 //
 // Rebalancing is live. A ring change (AddShard/RemoveShard) first marks
 // every service type whose owner moved as "in flight" — imports for a
@@ -28,6 +30,7 @@ package trader
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,6 +38,7 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
+	"repro/internal/policy"
 	"repro/internal/typerepo"
 	"repro/internal/values"
 )
@@ -70,7 +74,10 @@ type ShardStats struct {
 	Rebalances    uint64 // completed ring changes
 	Migrated      uint64 // offers moved live by rebalances
 	RingEpoch     uint64
-	Shards        int // shards on the ring
+	Shards        int    // shards on the ring
+	Federated     uint64 // link queries issued by imports
+	LinksSkipped  uint64 // federation links passed over with an open circuit
+	LinksFailed   uint64 // federation links that answered an import with an error
 }
 
 // LegStats counts one shard's routing as the front-end sees it.
@@ -78,6 +85,7 @@ type LegStats struct {
 	Offers        int64  // offers homed on the shard now
 	RoutedExports uint64 // exports (and installs) routed to it
 	RoutedImports uint64 // shard queries routed to it
+	Considered    uint64 // offers a local *Trader shard examined (a remote counts its own)
 }
 
 // shardLeg is the per-shard routing state the front-end keeps.
@@ -118,6 +126,7 @@ type ShardedTrader struct {
 	// closure is the memo over the advertised set. Ring changes do not
 	// invalidate it — the closure is about types, not owners.
 	closure closureMemo
+	links   map[string]Importer // federation links by name
 
 	rebalanceMu sync.Mutex // serialises ring changes end to end
 
@@ -128,6 +137,9 @@ type ShardedTrader struct {
 	migrated  atomic.Uint64
 	insp      atomic.Pointer[mgmt.ShardInstruments]
 	ringEpoch atomic.Uint64
+
+	feder, linksSkipped, linksFailed atomic.Uint64
+	breakers                         atomic.Pointer[policy.BreakerSet]
 }
 
 var _ Shard = (*ShardedTrader)(nil)
@@ -142,6 +154,7 @@ func NewSharded(name string, repo typerepo.Repository, ringReplicas int) *Sharde
 		shards:     make(map[string]*shardLeg),
 		advertised: make(map[string]bool),
 		moving:     make(map[string]string),
+		links:      make(map[string]Importer),
 	}
 	s.importCore.init(repo, name, 7)
 	return s
@@ -300,20 +313,19 @@ func (s *ShardedTrader) Withdraw(offerID string) error {
 	return fmt.Errorf("%w: %q", ErrNoSuchOffer, offerID)
 }
 
-// Import finds matching offers across the shard set. The request's
-// subtype closure over the advertised types picks the candidate shards;
-// each is asked for its own best MaxMatches (subRequest), bounded-parallel,
-// and their answers are merged with origin-side dedupe (an offer
-// mid-migration may answer from two shards), ordered by the preference,
-// and truncated to MaxMatches.
+// Import finds matching offers across the shard set, then the federation
+// links. The request's subtype closure over the advertised types picks the
+// candidate shards; each leg is asked for its own best MaxMatches
+// (subRequest), bounded-parallel, and their answers are merged with
+// origin-side dedupe (an offer mid-migration may answer from two shards),
+// ordered by the preference, and truncated to MaxMatches.
 func (s *ShardedTrader) Import(req ImportRequest) ([]Offer, error) {
 	res, err := s.ImportEx(req)
 	return res.Offers, err
 }
 
-// ImportEx is Import plus degradation metadata: LinksQueried counts the
-// shards consulted, LinksFailed the shards that errored (their offers
-// may be missing — Degraded).
+// ImportEx is Import plus the degradation metadata of ImportResult, its
+// legs being the shards queried and then the federation links.
 func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	q, err := s.begin(req)
 	if err != nil {
@@ -367,7 +379,107 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	if ins := s.insp.Load(); ins != nil {
 		ins.ShardsPerImport.Observe(uint64(res.LinksQueried))
 	}
+	if req.MaxHops > 0 {
+		sub.MaxHops = req.MaxHops - 1
+		matches = s.federate(sub, &res, matches)
+	}
 	return s.finish(q, req, res, matches), nil
+}
+
+// federate puts the sub-request, one hop shorter, to every federation link
+// — concurrently, through the shards' fan-out — and merges their answers
+// after the shards' matches, deduplicated by offer id (a diamond answers
+// twice). Without a link it allocates nothing.
+func (s *ShardedTrader) federate(sub ImportRequest, res *ImportResult, matches []Offer) []Offer {
+	links := s.linkLegs()
+	if len(links) == 0 {
+		return matches
+	}
+	seen := make(map[string]bool, len(matches))
+	for _, o := range matches {
+		seen[o.ID] = true
+	}
+	s.feder.Add(uint64(len(links)))
+	skipped, failed := res.LinksSkipped, res.LinksFailed
+	results, errs := queryAll(links, sub)
+	matches = res.merge(matches, seen, results, errs)
+	s.linksSkipped.Add(uint64(res.LinksSkipped - skipped))
+	s.linksFailed.Add(uint64(res.LinksFailed - failed))
+	return matches
+}
+
+// Link federates this trading function with another (or with a proxy to a
+// remote one). Imports with MaxHops > 0 propagate along links.
+func (s *ShardedTrader) Link(name string, target Importer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.links[name] = target
+}
+
+// Unlink removes a federation link.
+func (s *ShardedTrader) Unlink(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.links, name)
+}
+
+// Links returns the sorted names of federation links.
+func (s *ShardedTrader) Links() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, 0, len(s.links))
+	for n := range s.links {
+		out = append(out, n)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SetLinkBreakers attaches (nil detaches) a circuit-breaker set over the
+// federation links, keyed by link name: imports skip links whose breaker
+// is open instead of waiting out their failure, returning a partial
+// result marked Degraded. Sharing one set across front-ends makes a dead
+// partner trip once for the whole federation client.
+func (s *ShardedTrader) SetLinkBreakers(bs *policy.BreakerSet) {
+	s.breakers.Store(bs)
+}
+
+// linkLeg is one federation link as an import queries it. A dead
+// federation partner must not fail the import: its error is reported for
+// the degradation metadata, and its circuit breaker (when a set is
+// attached) records the outcome so the next import skips it without
+// waiting.
+type linkLeg struct {
+	name     string
+	target   Importer
+	breakers *policy.BreakerSet
+}
+
+func (l linkLeg) query(sub ImportRequest) ([]Offer, error) {
+	if l.breakers == nil {
+		return l.target.Import(sub)
+	}
+	br := l.breakers.For(l.name)
+	if ok, _ := br.Allow(); !ok {
+		return nil, fmt.Errorf("%w: federation link %s", policy.ErrCircuitOpen, l.name)
+	}
+	offers, err := l.target.Import(sub)
+	br.Record(err == nil)
+	return offers, err
+}
+
+// linkLegs snapshots the federation links in name order (a deterministic
+// merge order); nil when there are none.
+func (s *ShardedTrader) linkLegs() []linkLeg {
+	bs := s.breakers.Load()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var legs []linkLeg
+	for n, target := range s.links {
+		legs = append(legs, linkLeg{name: n, target: target, breakers: bs})
+	}
+	slices.SortFunc(legs, func(a, b linkLeg) int { return strings.Compare(a.name, b.name) })
+	return legs
 }
 
 // targetShards maps a requested service type to the legs that must be
@@ -557,6 +669,9 @@ func (s *ShardedTrader) ShardStats() ShardStats {
 		Migrated:      s.migrated.Load(),
 		RingEpoch:     s.ringEpoch.Load(),
 		Shards:        shards,
+		Federated:     s.feder.Load(),
+		LinksSkipped:  s.linksSkipped.Load(),
+		LinksFailed:   s.linksFailed.Load(),
 	}
 }
 
@@ -567,11 +682,15 @@ func (s *ShardedTrader) LegStats() map[string]LegStats {
 	defer s.mu.RUnlock()
 	out := make(map[string]LegStats, len(s.shards))
 	for name, leg := range s.shards {
-		out[name] = LegStats{
+		ls := LegStats{
 			Offers:        leg.offers.Load(),
 			RoutedExports: leg.exports.Load(),
 			RoutedImports: leg.imports.Load(),
 		}
+		if t, ok := leg.shard.(*Trader); ok {
+			ls.Considered = t.consid.Load()
+		}
+		out[name] = ls
 	}
 	return out
 }

@@ -60,9 +60,10 @@ func TestShardedExportImportRoutes(t *testing.T) {
 	if stats.Imports != 1 || stats.ShardsQueried != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// The owning leg counts every export and the one routed query.
+	// The owning leg counts every export and the one routed query, and its
+	// store the 20 offers that query examined.
 	owner := st.LegStats()[strings.SplitN(ids[0], "/", 2)[0]]
-	if owner != (LegStats{Offers: 20, RoutedExports: 20, RoutedImports: 1}) {
+	if owner != (LegStats{Offers: 20, RoutedExports: 20, RoutedImports: 1, Considered: 20}) {
 		t.Fatalf("owner leg = %+v (all legs %+v)", owner, st.LegStats())
 	}
 	for _, id := range ids {

@@ -6,17 +6,18 @@
 // by service type and a constraint over the properties (package
 // constraint); matching uses the type repository's substitutability
 // relation, so an offer of a subtype satisfies an import of its supertype
-// (the BankManager-for-BankTeller rule of Figure 3). Traders federate
-// through links, giving hop-bounded import propagation across trading
-// domains.
+// (the BankManager-for-BankTeller rule of Figure 3). The trading function
+// is the front-end (ShardedTrader) over one or more offer stores (Trader);
+// front-ends federate through links, giving hop-bounded import
+// propagation across trading domains.
 //
 // The offer store is indexed by advertised service type: an import scans
 // only the buckets whose type substitutes for the requested one, and the
 // set of such buckets (the subtype closure of the request) is memoised
 // against the type repository's generation, so the common import touches
 // a handful of map lookups plus the matching bucket — not the full offer
-// population. Federation links are queried concurrently and merged,
-// deduplicated, at the origin.
+// population. Shards and federation links are queried concurrently and
+// merged, deduplicated, at the origin.
 package trader
 
 import (
@@ -28,9 +29,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/constraint"
-	"repro/internal/mgmt"
 	"repro/internal/naming"
-	"repro/internal/policy"
 	"repro/internal/typerepo"
 	"repro/internal/values"
 )
@@ -44,8 +43,8 @@ var (
 	ErrBadProps     = errors.New("trader: offer properties must be a record")
 )
 
-// maxLinkFanout bounds the goroutines a single import spawns to query
-// federation links.
+// maxLinkFanout bounds the goroutines a single import spawns to query its
+// shards or its federation links.
 const maxLinkFanout = 16
 
 // Offer is one service advertisement held by a trader.
@@ -85,7 +84,7 @@ type ImportRequest struct {
 	Preference Preference
 	// MaxMatches bounds the result (0 = all).
 	MaxMatches int
-	// MaxHops bounds federation traversal: 0 searches only this trader.
+	// MaxHops bounds federation traversal: 0 asks no federation link.
 	MaxHops int
 
 	// expr and prefExpr carry the parse of Constraint and Preference.Expr
@@ -95,37 +94,34 @@ type ImportRequest struct {
 	expr, prefExpr *constraint.Expr
 }
 
-// Importer is anything that can answer an import — a local trader or a
-// proxy to a remote one. Federation links hold Importers. The offers
+// Importer is anything that can answer an import — a front-end, a store
+// or a proxy to a remote one. Federation links hold Importers. The offers
 // returned are the caller's: an import reorders a lone leg's answer in
 // place.
 type Importer interface {
 	Import(req ImportRequest) ([]Offer, error)
 }
 
-// Stats counts trading activity.
+// Stats counts an offer store's activity.
 type Stats struct {
-	Exports      uint64
-	Withdraws    uint64
-	Imports      uint64
-	Matched      uint64 // offers returned by imports (see Trader.Stats)
-	Federated    uint64 // imports forwarded to linked traders
-	Considered   uint64 // offers examined during matching
-	LinksSkipped uint64 // federation links passed over with an open circuit
-	LinksFailed  uint64 // federation links that answered an import with an error
+	Exports    uint64
+	Withdraws  uint64
+	Imports    uint64
+	Matched    uint64 // offers returned by imports (see Trader.Stats)
+	Considered uint64 // offers examined during matching
 }
 
 // ImportResult is an import's answer plus its degradation metadata: when
-// federation links were skipped (open circuit) or failed, the offers are
-// still the best available but the view is partial.
+// legs (shards, federation links) were skipped (open circuit) or failed,
+// the offers are still the best available but the view is partial.
 type ImportResult struct {
 	Offers []Offer
-	// Degraded is set when at least one federation link did not
-	// contribute: its offers may be missing from the result.
+	// Degraded is set when at least one leg did not contribute: its offers
+	// may be missing from the result.
 	Degraded     bool
-	LinksQueried int // links consulted this import
-	LinksSkipped int // links passed over because their circuit was open
-	LinksFailed  int // links that returned an error
+	LinksQueried int // legs consulted this import, shards and links
+	LinksSkipped int // legs passed over because their circuit was open
+	LinksFailed  int // legs that returned an error
 }
 
 // entry is one stored offer plus its export sequence number, which
@@ -136,8 +132,8 @@ type entry struct {
 	seq   uint64
 }
 
-// Trader is a repository of service offers with type-checked matching and
-// hop-bounded federation.
+// Trader is a repository of service offers with type-checked matching: the
+// store a front-end routes to.
 type Trader struct {
 	importCore
 	name string
@@ -145,29 +141,12 @@ type Trader struct {
 	mu      sync.RWMutex
 	offers  map[string]*entry   // offer id -> entry
 	buckets map[string][]*entry // advertised service type -> entries in export order; a key is never deleted
-	links   map[string]Importer
 	nextID  uint64
 	closure closureMemo // over the bucket types
 
-	exports      atomic.Uint64
-	withdrs      atomic.Uint64
-	feder        atomic.Uint64
-	consid       atomic.Uint64
-	linksSkipped atomic.Uint64
-	linksFailed  atomic.Uint64
-
-	breakers atomic.Pointer[policy.BreakerSet]
-}
-
-// Instrument attaches the import-latency histogram of a management bundle
-// (the counters are Stats, read through). Safe to call at any time; nil
-// detaches.
-func (t *Trader) Instrument(ins *mgmt.TraderInstruments) {
-	if ins == nil {
-		t.latency.Store(nil)
-		return
-	}
-	t.latency.Store(ins.ImportLatency)
+	exports atomic.Uint64
+	withdrs atomic.Uint64
+	consid  atomic.Uint64
 }
 
 // New creates a trader backed by a type repository. The name prefixes
@@ -177,7 +156,6 @@ func New(name string, repo typerepo.Repository) *Trader {
 		name:    name,
 		offers:  make(map[string]*entry),
 		buckets: make(map[string][]*entry),
-		links:   make(map[string]Importer),
 	}
 	t.importCore.init(repo, name, 1)
 	return t
@@ -320,120 +298,23 @@ func (t *Trader) Len() int {
 	return len(t.offers)
 }
 
-// Link federates this trader with another (or with a proxy to a remote
-// one). Imports with MaxHops > 0 propagate along links.
-func (t *Trader) Link(name string, target Importer) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.links[name] = target
-}
-
-// Unlink removes a federation link.
-func (t *Trader) Unlink(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.links, name)
-}
-
-// Links returns the sorted names of federation links.
-func (t *Trader) Links() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.links))
-	for n := range t.links {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SetLinkBreakers attaches (nil detaches) a circuit-breaker set over the
-// federation links, keyed by link name: imports skip links whose breaker
-// is open instead of waiting out their failure, returning a partial
-// result marked Degraded. Sharing one set across traders makes a dead
-// partner trip once for the whole federation client.
-func (t *Trader) SetLinkBreakers(bs *policy.BreakerSet) {
-	t.breakers.Store(bs)
-}
-
-// Import finds offers matching the request: correct (sub)type, constraint
-// satisfied, ordered by the preference, truncated to MaxMatches, searching
-// linked traders up to MaxHops away. Federation links are queried
-// concurrently, so a federated import costs the slowest link, not the sum
-// of all links. Degradation metadata is discarded; use ImportEx to see it.
+// Import finds the offers this store holds matching the request: correct
+// (sub)type, constraint satisfied, ordered by the preference, truncated to
+// MaxMatches. A store has no federation links, so MaxHops is not consulted.
 func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
 	res, err := t.ImportEx(req)
 	return res.Offers, err
 }
 
-// ImportEx is Import plus degradation metadata: which federation links
-// were consulted, skipped on an open circuit, or failed, and whether the
-// result is therefore partial.
+// ImportEx is Import as a front-end's ImportEx answers it; a store has no
+// legs to degrade, so the metadata is always zero.
 func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 	q, err := t.begin(req)
 	if err != nil {
 		return ImportResult{}, err
 	}
-	sub := q.subRequest(req)
-	matches := t.localMatches(q, req.ServiceType, sub.MaxMatches)
-	var res ImportResult
-
-	// Federation: propagate with a decremented hop budget — concurrently
-	// across links — and merge at the origin, deduplicating by offer id
-	// (diamond topologies would otherwise duplicate).
-	if req.MaxHops > 0 {
-		if links := t.linkLegs(); len(links) > 0 {
-			sub.MaxHops = req.MaxHops - 1
-			t.feder.Add(uint64(len(links)))
-			results, errs := queryAll(links, sub)
-			seen := make(map[string]bool, len(matches))
-			for _, o := range matches {
-				seen[o.ID] = true
-			}
-			matches = res.merge(matches, seen, results, errs)
-			t.linksSkipped.Add(uint64(res.LinksSkipped))
-			t.linksFailed.Add(uint64(res.LinksFailed))
-		}
-	}
-	return t.finish(q, req, res, matches), nil
-}
-
-// linkLeg is one federation link as an import queries it. A dead
-// federation partner must not fail the import: its error is reported for
-// the degradation metadata, and its circuit breaker (when a set is
-// attached) records the outcome so the next import skips it without
-// waiting.
-type linkLeg struct {
-	name     string
-	target   Importer
-	breakers *policy.BreakerSet
-}
-
-func (l linkLeg) query(sub ImportRequest) ([]Offer, error) {
-	if l.breakers == nil {
-		return l.target.Import(sub)
-	}
-	br := l.breakers.For(l.name)
-	if ok, _ := br.Allow(); !ok {
-		return nil, fmt.Errorf("%w: federation link %s", policy.ErrCircuitOpen, l.name)
-	}
-	offers, err := l.target.Import(sub)
-	br.Record(err == nil)
-	return offers, err
-}
-
-// linkLegs snapshots the federation links in name order (a deterministic
-// merge order).
-func (t *Trader) linkLegs() []linkLeg {
-	bs := t.breakers.Load()
-	t.mu.RLock()
-	legs := make([]linkLeg, 0, len(t.links))
-	for n, target := range t.links {
-		legs = append(legs, linkLeg{name: n, target: target, breakers: bs})
-	}
-	t.mu.RUnlock()
-	sort.Slice(legs, func(i, j int) bool { return legs[i].name < legs[j].name })
-	return legs
+	matches := t.localMatches(q, req.ServiceType, q.subRequest(req).MaxMatches)
+	return t.finish(q, req, ImportResult{}, matches), nil
 }
 
 // localMatches answers an import from this trader's own store: the offers
@@ -504,20 +385,17 @@ func (t *Trader) localMatches(q importQuery, serviceType string, k int) []Offer 
 	return out
 }
 
-// Stats returns a snapshot of trading counters. Matched counts the offers
-// the trader returned, so at a shard or a federation link it is at most
-// the caller's MaxMatches per sub-request, not every offer that matched;
-// Considered still counts every offer examined. A front-end's
-// ShardStats.Matched counts what the front-end returned to its callers.
+// Stats returns a snapshot of the store's counters. Matched counts the
+// offers the store returned, so at a shard it is at most the caller's
+// MaxMatches per sub-request, not every offer that matched; Considered
+// still counts every offer examined. A front-end's ShardStats.Matched
+// counts what the front-end returned to its callers.
 func (t *Trader) Stats() Stats {
 	return Stats{
-		Exports:      t.exports.Load(),
-		Withdraws:    t.withdrs.Load(),
-		Imports:      t.imports.Load(),
-		Matched:      t.matched.Load(),
-		Federated:    t.feder.Load(),
-		Considered:   t.consid.Load(),
-		LinksSkipped: t.linksSkipped.Load(),
-		LinksFailed:  t.linksFailed.Load(),
+		Exports:    t.exports.Load(),
+		Withdraws:  t.withdrs.Load(),
+		Imports:    t.imports.Load(),
+		Matched:    t.matched.Load(),
+		Considered: t.consid.Load(),
 	}
 }

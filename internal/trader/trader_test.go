@@ -45,6 +45,23 @@ func repoWithBank(t *testing.T) typerepo.Repository {
 	return repo
 }
 
+// frontEnd is the trading function as odp builds it: a front-end named
+// name over n local stores named <name>-s0…, returned beside it. At n = 1
+// it is what the federation tests link.
+func frontEnd(t *testing.T, repo typerepo.Repository, name string, n int) (*ShardedTrader, []*Trader) {
+	t.Helper()
+	fe := NewSharded(name, repo, 0)
+	stores := make([]*Trader, n)
+	for i := range stores {
+		sn := fmt.Sprintf("%s-s%d", name, i)
+		stores[i] = New(sn, repo)
+		if err := fe.AddShard(sn, stores[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fe, stores
+}
+
 func refOf(typeName string, nonce uint64) naming.InterfaceRef {
 	return naming.InterfaceRef{
 		ID: naming.InterfaceID{
@@ -277,9 +294,9 @@ func TestWithdrawAndModify(t *testing.T) {
 
 func TestFederation(t *testing.T) {
 	repo := repoWithBank(t)
-	t1 := New("T1", repo)
-	t2 := New("T2", repo)
-	t3 := New("T3", repo)
+	t1, _ := frontEnd(t, repo, "T1", 1)
+	t2, _ := frontEnd(t, repo, "T2", 1)
+	t3, _ := frontEnd(t, repo, "T3", 1)
 	// Chain T1 -> T2 -> T3.
 	t1.Link("t2", t2)
 	t2.Link("t3", t3)
@@ -305,7 +322,7 @@ func TestFederation(t *testing.T) {
 	if err != nil || len(offers) != 2 {
 		t.Fatalf("hops 2 = %v, %v", nonces(offers), err)
 	}
-	if st := t1.Stats(); st.Federated == 0 {
+	if st := t1.ShardStats(); st.Federated == 0 {
 		t.Errorf("federation stats = %+v", st)
 	}
 	if links := t1.Links(); len(links) != 1 || links[0] != "t2" {
@@ -322,7 +339,7 @@ func TestImportAtScale(t *testing.T) {
 	cities := []string{"brisbane", "perth", "sydney"}
 	// populate exports that many tellers to tr; the i-th has queue i%10 and
 	// city cities[i%3].
-	populate := func(t *testing.T, tr *Trader, offers int) {
+	populate := func(t *testing.T, tr Shard, offers int) {
 		for i := 0; i < offers; i++ {
 			if _, err := tr.Export("BankTeller", refOf("BankTeller", uint64(i+1)), rec(
 				values.F("queue", values.Int(int64(i%10))), values.F("city", values.Str(cities[i%3])))); err != nil {
@@ -375,9 +392,9 @@ func TestImportAtScale(t *testing.T) {
 		}
 	})
 	// A chain F0 → F1 → F2 → F3 with every offer three links from F0.
-	chain := make([]*Trader, 4)
+	chain := make([]*ShardedTrader, 4)
 	for i := range chain {
-		chain[i] = New(fmt.Sprintf("F%d", i), repo)
+		chain[i], _ = frontEnd(t, repo, fmt.Sprintf("F%d", i), 1)
 		if i > 0 {
 			chain[i-1].Link("next", chain[i])
 		}
@@ -399,10 +416,10 @@ func TestImportAtScale(t *testing.T) {
 
 func TestFederationCycleAndDiamond(t *testing.T) {
 	repo := repoWithBank(t)
-	a := New("A", repo)
-	b := New("B", repo)
-	c := New("C", repo)
-	d := New("D", repo)
+	a, _ := frontEnd(t, repo, "A", 1)
+	b, _ := frontEnd(t, repo, "B", 1)
+	c, _ := frontEnd(t, repo, "C", 1)
+	d, _ := frontEnd(t, repo, "D", 1)
 	// Diamond with a cycle: A->B, A->C, B->D, C->D, D->A.
 	a.Link("b", b)
 	a.Link("c", c)
@@ -423,8 +440,7 @@ func TestFederationCycleAndDiamond(t *testing.T) {
 }
 
 func TestFederationPartnerFailureTolerated(t *testing.T) {
-	repo := repoWithBank(t)
-	a := New("A", repo)
+	a, _ := frontEnd(t, repoWithBank(t), "A", 1)
 	a.Link("dead", importerFunc(func(ImportRequest) ([]Offer, error) {
 		return nil, errors.New("partner down")
 	}))

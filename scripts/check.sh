@@ -43,6 +43,15 @@ if grep -nE 'engineering\.NewNode\(|CreateCapsule\(|CreateCluster\(|channel\.(Bi
 	echo "cmd: a binary wires the engineering layer by hand (go through odp.New)"
 	exit 1
 fi
+# The trading function is one type at every shard count: System.Directory
+# is the front-end, which alone holds federation links and the one trader
+# bundle, so neither a type switch on it nor the singleton's links and
+# bundle may come back.
+if grep -rnE 'Directory\.\((type|\*?trader\.)|TraderInstr|func \(t \*Trader\) (Link|Unlink|Links|SetLinkBreakers)\(' \
+	--include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
+	echo "the singleton trader is back beside the front-end (the directory is *trader.ShardedTrader at every shard count)"
+	exit 1
+fi
 
 echo "== group gate (the group function is service-agnostic) =="
 # A service's own Remote proxy takes a group as one more carrier; the
@@ -101,7 +110,7 @@ if grep -rnE 'type (Scenario|Set)\b|timeScenarios' --include='*.go' internal/exp
 	exit 1
 fi
 
-echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
+echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
@@ -110,7 +119,7 @@ find internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go -name '*.go' ! -
 	xargs -0 cat | wc -l
 find cmd/odpbench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/channel -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/trader internal/relocator -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+find internal/trader internal/relocator internal/hashring -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/policy internal/health -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/stream -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/coordination -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -123,7 +132,7 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
-	./cmd/odpnode/ ./cmd/odpbench/ ./cmd/odpstat/
+	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
