@@ -107,7 +107,7 @@ func NewShardedBus(n int) *Bus {
 }
 
 func newBus(names ...string) *Bus {
-	b := &Bus{ring: hashring.New(64), byName: make(map[string]*busShard, len(names))}
+	b := &Bus{ring: hashring.New(), byName: make(map[string]*busShard, len(names))}
 	for _, name := range names {
 		sh := &busShard{name: name, subs: make(map[int]*subscription)}
 		b.ring.Add(name)

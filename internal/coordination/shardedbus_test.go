@@ -181,7 +181,7 @@ func TestShardedBusRoutingStableAcrossEpochs(t *testing.T) {
 	// A ring that reached the same membership through extra epochs
 	// (members added in reverse, a transient member added and removed)
 	// owns every topic identically.
-	ring := hashring.New(64)
+	ring := hashring.New()
 	for i := 3; i >= 0; i-- {
 		ring.Add(fmt.Sprintf("b%d", i))
 	}

@@ -1,7 +1,7 @@
 // Package hashring is the consistent-hash ring shared by the sharded
-// infrastructure functions. It is a leaf package (no repo imports), so
-// both the trader and the relocator can partition over it without
-// dependency cycles.
+// infrastructure functions, and the one live shard-move protocol over it
+// (Partition). It is a leaf package (no repo imports), so both the trader
+// and the relocator can partition over it without dependency cycles.
 package hashring
 
 // The ring partitions the infrastructure functions
@@ -10,11 +10,10 @@ package hashring
 // adding or removing one member moves only ~1/n of the key space — the
 // property that makes live shard rebalancing affordable.
 //
-// A Ring is an immutable-ish value guarded by its owner: the sharded
-// trader and relocator mutate it only under their own locks, and every
-// mutation bumps the epoch so readers can tell two ring generations
-// apart (the same fencing idea the session layer uses for relocation
-// epochs).
+// A Ring is an immutable-ish value guarded by its owner: a Partition
+// mutates only a clone under its change lock, and every mutation bumps
+// the epoch so readers can tell two ring generations apart (the same
+// fencing idea the session layer uses for relocation epochs).
 
 import (
 	"cmp"
@@ -24,19 +23,18 @@ import (
 	"strconv"
 )
 
-// defaultRingReplicas is the virtual-node count per member when the
-// caller does not choose one. 64 keeps the load imbalance across shards
-// in the few-percent range without making ring rebuilds noticeable.
-const defaultRingReplicas = 64
+// replicas is the virtual-node count per member. 64 keeps the load
+// imbalance across shards in the few-percent range without making ring
+// rebuilds noticeable.
+const replicas = 64
 
 // Ring is a consistent-hash ring over named members. It is NOT safe for
 // concurrent mutation; owners guard it with their own lock (reads of a
 // snapshot obtained under that lock are safe).
 type Ring struct {
-	replicas int
-	members  map[string]bool
-	points   []ringPoint // sorted by hash
-	epoch    uint64
+	members map[string]bool
+	points  []ringPoint // sorted by hash
+	epoch   uint64
 }
 
 type ringPoint struct {
@@ -44,23 +42,20 @@ type ringPoint struct {
 	member string
 }
 
-// New returns an empty ring with the given virtual-node count per
-// member (<=0 selects the default).
-func New(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultRingReplicas
-	}
-	return &Ring{replicas: replicas, members: make(map[string]bool)}
+// New returns an empty ring. Every ring places 64 virtual points per
+// member; an argument is ignored, and accepted only because the frozen
+// bench/replay.go calls New(0) — the next benchmark PR drops it.
+func New(_ ...int) *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // Clone returns an independent copy of the ring (same epoch). Owners use
 // it to prepare the post-rebalance ring while the old one keeps serving.
 func (r *Ring) Clone() *Ring {
 	c := &Ring{
-		replicas: r.replicas,
-		members:  make(map[string]bool, len(r.members)),
-		points:   make([]ringPoint, len(r.points)),
-		epoch:    r.epoch,
+		members: make(map[string]bool, len(r.members)),
+		points:  make([]ringPoint, len(r.points)),
+		epoch:   r.epoch,
 	}
 	for m := range r.members {
 		c.members[m] = true
@@ -107,8 +102,8 @@ func (r *Ring) Add(member string) error {
 	// hashed once and each point continues from it over i's digits.
 	prefix := fnv1a(fnv1a(fnvOffset, member), "#")
 	var digits [20]byte
-	r.points = slices.Grow(r.points, r.replicas)
-	for i := 0; i < r.replicas; i++ {
+	r.points = slices.Grow(r.points, replicas)
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:   finalize(fnv1a(prefix, strconv.AppendInt(digits[:0], int64(i), 10))),
 			member: member,
@@ -151,16 +146,6 @@ func (r *Ring) Owner(key string) string {
 		i = 0
 	}
 	return r.points[i].member
-}
-
-// Members returns the sorted member names.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Size returns the member count.

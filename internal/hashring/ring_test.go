@@ -26,7 +26,7 @@ func refHash(s string) uint64 {
 // and a member's virtual points are the reference's hashes of m#0…m#63.
 func TestRingHashMatchesFNV(t *testing.T) {
 	keys := []string{"", "a", "shard0", "trader-0", "BankTeller", "node1/c0/k0/o0/i0#c67fa7dcbac34b51", "ünïcode"}
-	for i := 0; i < defaultRingReplicas; i++ {
+	for i := 0; i < replicas; i++ {
 		keys = append(keys, fmt.Sprintf("m#%d", i))
 	}
 	for _, k := range keys {
@@ -34,12 +34,12 @@ func TestRingHashMatchesFNV(t *testing.T) {
 			t.Errorf("ringHash(%q) = %#x, reference %#x", k, got, want)
 		}
 	}
-	r := New(0)
+	r := New()
 	if err := r.Add("m"); err != nil {
 		t.Fatal(err)
 	}
 	var want []uint64
-	for i := 0; i < defaultRingReplicas; i++ {
+	for i := 0; i < replicas; i++ {
 		want = append(want, refHash(fmt.Sprintf("m#%d", i)))
 	}
 	slices.Sort(want)
@@ -58,7 +58,7 @@ func TestAddAllocBudget(t *testing.T) {
 	const runs = 100
 	rings := make([]*Ring, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range rings {
-		rings[i] = New(0)
+		rings[i] = New()
 		if err := rings[i].Add("a"); err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestAddAllocBudget(t *testing.T) {
 }
 
 func TestOwnerStableAndTotal(t *testing.T) {
-	r := New(0)
+	r := New()
 	if got := r.Owner("anything"); got != "" {
 		t.Fatalf("empty ring Owner = %q", got)
 	}
@@ -99,7 +99,7 @@ func TestOwnerStableAndTotal(t *testing.T) {
 }
 
 func TestAddMovesOnlyAFraction(t *testing.T) {
-	r := New(0)
+	r := New()
 	for _, m := range []string{"s0", "s1", "s2", "s3"} {
 		if err := r.Add(m); err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestAddMovesOnlyAFraction(t *testing.T) {
 }
 
 func TestRemoveRedistributesToSurvivors(t *testing.T) {
-	r := New(0)
+	r := New()
 	for _, m := range []string{"s0", "s1", "s2"} {
 		if err := r.Add(m); err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestRemoveRedistributesToSurvivors(t *testing.T) {
 }
 
 func TestEpochAndErrors(t *testing.T) {
-	r := New(8)
+	r := New()
 	e0 := r.Epoch()
 	if err := r.Add("a"); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestEpochAndErrors(t *testing.T) {
 	if c.Epoch() != r.Epoch()+1 {
 		t.Fatalf("clone epoch = %d, base = %d", c.Epoch(), r.Epoch())
 	}
-	if got := r.Members(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("base members disturbed: %v", got)
+	if r.Size() != 1 || !r.members["a"] {
+		t.Fatalf("base members disturbed: %v", r.members)
 	}
 }

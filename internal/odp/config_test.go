@@ -25,15 +25,14 @@ import (
 // whose wiring used to depend on the order of the Enable*/Shard* calls.
 func allModes() Config {
 	return Config{
-		Seed:            9,
-		Management:      true,
-		Breakers:        &policy.BreakerConfig{},
-		Policy:          policy.RetryPolicy{MaxAttempts: 3},
-		TraderShards:    3,
-		BusShards:       4,
-		TypeReplicas:    2,
-		RelocationCache: 32,
-		Recovery:        &health.ControllerConfig{},
+		Seed:         9,
+		Management:   true,
+		Breakers:     &policy.BreakerConfig{},
+		Policy:       policy.RetryPolicy{MaxAttempts: 3},
+		TraderShards: 3,
+		BusShards:    4,
+		TypeReplicas: 2,
+		Recovery:     &health.ControllerConfig{},
 		Health: &health.Config{
 			Interval:     time.Millisecond,
 			MinTimeout:   5 * time.Millisecond,
@@ -57,7 +56,6 @@ func TestConfigWiring(t *testing.T) {
 		{"trader-shards", Config{TraderShards: 2}},
 		{"bus-shards", Config{BusShards: 3}},
 		{"type-replicas", Config{TypeReplicas: 2}},
-		{"relocation-cache", Config{RelocationCache: 16}},
 		{"health", Config{Health: &health.Config{}}},
 		{"recovery", Config{Recovery: &health.ControllerConfig{}}},
 		{"all", allModes()},
@@ -105,12 +103,9 @@ func TestConfigWiring(t *testing.T) {
 				t.Errorf("Types = %T with TypeReplicas %d", s.Types, cfg.TypeReplicas)
 			}
 			env := s.Env("client")
-			if cache := s.RelocationCache(); cfg.RelocationCache > 0 {
-				if cache == nil || env.Locator != cache {
-					t.Errorf("cache = %v, Env locator = %T", cache, env.Locator)
-				}
-			} else if cache != nil || env.Locator != s.Relocator {
-				t.Errorf("cache = %v, Env locator = %T without RelocationCache", cache, env.Locator)
+			// Every system locates through its relocation cache.
+			if cache := s.RelocationCache(); cache == nil || env.Locator != cache {
+				t.Errorf("cache = %v, Env locator = %T", cache, env.Locator)
 			}
 			if env.Policy != cfg.Policy {
 				t.Errorf("Env policy = %+v, want %+v", env.Policy, cfg.Policy)
@@ -210,7 +205,7 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
-		{TraderShards: -1}, {BusShards: -1}, {TypeReplicas: -1}, {RelocationCache: -1},
+		{TraderShards: -1}, {BusShards: -1}, {TypeReplicas: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted a negative count", cfg)

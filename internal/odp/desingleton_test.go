@@ -22,7 +22,7 @@ func TestShardedBusAndReplicatedTypesServeSystem(t *testing.T) {
 	if _, err := New(Config{BusShards: -1}); err == nil {
 		t.Fatal("BusShards: -1 accepted")
 	}
-	s, err := New(Config{Seed: 1, BusShards: 4, TypeReplicas: 2, TraderShards: 4, RelocationCache: 64})
+	s, err := New(Config{Seed: 1, BusShards: 4, TypeReplicas: 2, TraderShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

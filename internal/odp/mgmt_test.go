@@ -36,14 +36,13 @@ import (
 func TestManagementReadsStats(t *testing.T) {
 	t.Run("zero Config trader", testZeroConfigTraderLines)
 	s, err := New(Config{
-		Seed:            5,
-		Management:      true,
-		Breakers:        &policy.BreakerConfig{},
-		TraderShards:    2,
-		BusShards:       2,
-		TypeReplicas:    2,
-		RelocationCache: 16,
-		Recovery:        &health.ControllerConfig{},
+		Seed:         5,
+		Management:   true,
+		Breakers:     &policy.BreakerConfig{},
+		TraderShards: 2,
+		BusShards:    2,
+		TypeReplicas: 2,
+		Recovery:     &health.ControllerConfig{},
 		// One probe at Watch, the next an hour later: the counts hold still.
 		Health: &health.Config{Interval: time.Hour},
 	})

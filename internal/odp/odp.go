@@ -102,10 +102,6 @@ type Config struct {
 	// TypeReplicas puts that many gen-fenced read replicas in front of
 	// the type repository (a *typerepo.Replicated). Zero means none.
 	TypeReplicas int
-	// RelocationCache is the capacity of the epoch-fenced location cache
-	// Env hands to bindings as their Locator. Zero means no cache: the
-	// relocator itself.
-	RelocationCache int
 	// Health starts the failure detector; transitions are published on
 	// TopicLiveness (and still reach its own OnTransition) and reported
 	// under health.<endpoint>.*. Nil means none, and WatchNode fails.
@@ -130,6 +126,7 @@ type System struct {
 	Bus       *coordination.Bus
 
 	cfg      Config
+	cache    *relocator.Cache // Env's Locator
 	mgmt     *mgmt.Management
 	health   *health.Detector
 	recovery *health.Controller
@@ -141,21 +138,20 @@ type System struct {
 	// replica groups — multiplexes over one transport session per peer
 	// node instead of one connection per binding.
 	sessions map[string]*channel.SessionManager
-	cache    *relocator.Cache
 	// closers undo New, last first: detector, controller, subscriptions.
 	closers []func()
 }
 
 // New builds a system from cfg in the one order that works: the type
 // front-end, the trader reading through it, the bus, the relocator
-// bridge publishing on it, its subscribers (cache, recovery controller),
-// then the detector publishing to them. The management domain comes
-// first and its bundles are nil-safe, so each piece is instrumented — its
-// Stats read through, its histograms and tracer attached — as it is built,
-// and a mode that is off costs nothing.
+// bridge publishing on it, its subscribers (the relocation cache, the
+// recovery controller), then the detector publishing to them. The
+// management domain comes first and its bundles are nil-safe, so each
+// piece is instrumented — its Stats read through, its histograms and
+// tracer attached — as it is built, and a mode that is off costs nothing.
 func New(cfg Config) (*System, error) {
-	if min(cfg.TraderShards, cfg.BusShards, cfg.TypeReplicas, cfg.RelocationCache) < 0 {
-		return nil, errors.New("odp: Config shard, replica and cache counts must not be negative")
+	if min(cfg.TraderShards, cfg.BusShards, cfg.TypeReplicas) < 0 {
+		return nil, errors.New("odp: Config shard and replica counts must not be negative")
 	}
 	if cfg.Name == "" {
 		cfg.Name = "trader"
@@ -202,9 +198,18 @@ func New(cfg Config) (*System, error) {
 	s.closers = append(s.closers, s.Relocator.Subscribe(func(ev relocator.Event) {
 		s.Bus.Publish(TopicRelocated, relocationToValue(ev))
 	}))
-	if cfg.RelocationCache > 0 {
-		s.EnableRelocationCache(cfg.RelocationCache)
-	}
+	// Bindings locate through the client-side cache, which watches the bus
+	// bridge rather than a private relocator callback. Inline bus delivery
+	// is synchronous and per-topic ordered — what the cache's epoch fencing
+	// relies on — so moves and removals fence or invalidate entries at once;
+	// bindings invalidate on staleness evidence (channel.LocationInvalidator).
+	s.cache = relocator.NewCache(s.Relocator, 0)
+	mgmt.Read(s.mgmt, "relocator.cache.", s.cache.Stats)
+	s.closers = append(s.closers, s.Bus.Subscribe(TopicRelocated, nil, func(ev coordination.Event) {
+		if rev, err := relocationFromValue(ev.Payload); err == nil {
+			s.cache.Observe(rev)
+		}
+	}))
 	// The self-healing layer (tutorial §9: failure transparency is a
 	// prescription, not a default). Sensing and acting are decoupled
 	// through the bus: the detector publishes on TopicLiveness, the
@@ -278,38 +283,16 @@ func (s *System) newBreakers(host string) *policy.BreakerSet {
 	return bs
 }
 
-// EnableRelocationCache is Config.RelocationCache set late, and how New
-// sets it. It stays exported only because the frozen bench/bank.go:315
-// calls it on a NewSystem; the next benchmark PR should pass the field
-// and unexport it (the netsim.Flusher precedent). Idempotent.
-func (s *System) EnableRelocationCache(capacity int) *relocator.Cache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cache == nil {
-		cache := relocator.NewCache(s.Relocator, capacity)
-		mgmt.Read(s.mgmt, "relocator.cache.", cache.Stats)
-		s.cache = cache
-		// The cache watches the bus bridge, not a private relocator
-		// callback. Inline bus delivery is synchronous and per-topic
-		// ordered — what the cache's epoch fencing relies on — so moves
-		// and removals fence or invalidate entries at once; bindings
-		// invalidate on staleness evidence (channel.LocationInvalidator).
-		s.closers = append(s.closers, s.Bus.Subscribe(TopicRelocated, nil, func(ev coordination.Event) {
-			if rev, err := relocationFromValue(ev.Payload); err == nil {
-				cache.Observe(rev)
-			}
-		}))
-	}
-	return s.cache
-}
+// EnableRelocationCache returns RelocationCache(); the capacity is
+// ignored. It stays exported only because the frozen bench/bank.go calls
+// it on a NewSystem; the next benchmark PR drops the call and this method
+// (the netsim.Flusher precedent).
+func (s *System) EnableRelocationCache(capacity int) *relocator.Cache { return s.cache }
 
-// RelocationCache returns the client-side relocation cache, nil when
-// disabled.
-func (s *System) RelocationCache() *relocator.Cache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache
-}
+// RelocationCache returns the client-side relocation cache every binding
+// Env configures locates through (1,024 records, relocator.NewCache's
+// default).
+func (s *System) RelocationCache() *relocator.Cache { return s.cache }
 
 // Mgmt returns the system's management domain, nil when disabled.
 func (s *System) Mgmt() *mgmt.Management { return s.mgmt }
@@ -548,13 +531,9 @@ func (s *System) Deploy(node *engineering.Node, tmpl core.ObjectTemplate, props 
 // host. It carries no Transport of its own: the host's session manager
 // already dials through the host's scheme-routed transport.
 func (s *System) Env(clientHost string) transparency.Env {
-	var loc channel.Locator = s.Relocator
-	if cache := s.RelocationCache(); cache != nil {
-		loc = cache
-	}
 	return transparency.Env{
 		Sessions:    s.SessionsFor(clientHost),
-		Locator:     loc,
+		Locator:     s.cache,
 		Instruments: s.mgmt.ChannelClient(clientHost),
 		Policy:      s.cfg.Policy,
 	}

@@ -57,7 +57,7 @@ func TestShardTraderServesDeployAndImport(t *testing.T) {
 }
 
 func TestRelocationCacheServesBindings(t *testing.T) {
-	s, err := New(Config{Seed: 1, RelocationCache: 64})
+	s, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/hashring"
 	"repro/internal/naming"
 )
 
@@ -184,10 +185,7 @@ func TestShardedDrainFencedByEpoch(t *testing.T) {
 	s, _ := newShardedStore(t, 2)
 	w2 := New()
 	// Pick an id whose ownership will move to w2 when it joins.
-	next := s.ring.Clone()
-	if err := next.Add("w2"); err != nil {
-		t.Fatal(err)
-	}
+	next := ringOf(t, "w0", "w1", "w2")
 	var in naming.InterfaceRef
 	for nonce := uint64(1); ; nonce++ {
 		cand := ref(nonce, "sim://old", 0)
@@ -216,6 +214,63 @@ func TestShardedDrainFencedByEpoch(t *testing.T) {
 	}
 	if got.Epoch < 5 || got.Endpoint != "sim://new" {
 		t.Fatalf("drain regressed the registration: %+v", got)
+	}
+}
+
+// ringOf is the ring a front-end over these shards routes by.
+func ringOf(t *testing.T, members ...string) *hashring.Ring {
+	t.Helper()
+	r := hashring.New()
+	for _, m := range members {
+		if err := r.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// gatedStore holds the first registration made at it — a drain's copy —
+// until released: the window in which a client call races the drain.
+type gatedStore struct {
+	*Relocator
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) Register(ref naming.InterfaceRef) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Relocator.Register(ref)
+}
+
+// TestShardedRemoveRacingDrainStaysRemoved: a registration removed after
+// the drain read its donor, but before the copy landed at the new owner,
+// does not come back there.
+func TestShardedRemoveRacingDrainStaysRemoved(t *testing.T) {
+	s, _ := newShardedStore(t, 1)
+	next := ringOf(t, "w0", "w1")
+	var in naming.InterfaceRef
+	for nonce := uint64(1); ; nonce++ {
+		if in = ref(nonce, "sim://a", 0); next.Owner(in.ID.String()) == "w1" {
+			break
+		}
+	}
+	if err := s.Register(in); err != nil {
+		t.Fatal(err)
+	}
+	w1 := &gatedStore{Relocator: New(), entered: make(chan struct{}), release: make(chan struct{})}
+	added := make(chan error, 1)
+	go func() { added <- s.AddShard("w1", w1) }()
+	<-w1.entered
+	s.Remove(in.ID)
+	close(w1.release)
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Lookup(in.ID); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("a removed registration is back after the drain: %+v, %v", got, err)
 	}
 }
 

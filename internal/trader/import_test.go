@@ -106,7 +106,7 @@ func refCollect(t *testing.T, x Importer, req ImportRequest, hops int) []Offer {
 			add(local[i : i+1])
 		}
 	case *ShardedTrader:
-		oldLegs, curLegs := x.targetShards(req.ServiceType)
+		_, oldLegs, curLegs := x.targetShards(req.ServiceType)
 		for _, leg := range append(oldLegs, curLegs...) {
 			add(refCollect(t, leg.shard, req, hops))
 		}
@@ -200,26 +200,26 @@ func newSelectionFixture(t *testing.T, repo typerepo.Repository, seed int64) *se
 			t.Fatal(err)
 		}
 		if home == fed[1] && rng.Intn(2) == 0 {
-			o, _ := home.shards["B-s0"].shard.(*Trader).Offer(id)
+			b, _ := home.part.View().Member("B-s0")
+			o, _ := b.shard.(*Trader).Offer(id)
 			if err := fed[2].Install(o); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
-	// Mid-migration at the four-shard front-end: BankManager's offers are
-	// on their owner and, under the same ids, on the shard they are moving
-	// from, which imports read first.
-	four.mu.Lock()
-	owner, from := four.ring.Owner("BankManager"), "four-s0"
-	if from == owner {
-		from = "four-s1"
+	// Mid-migration at the four-shard front-end: BankManager's owner is
+	// leaving, and its offers are on it, which imports read first, and,
+	// under the same ids, on the shard they are moving to.
+	from, _, _ := four.part.View().Owner("BankManager")
+	holdWindow(t, four, from)
+	owner, _, _ := four.part.View().Owner("BankManager")
+	store := func(name string) *Trader {
+		leg, _ := four.part.View().Member(name)
+		return leg.shard.(*Trader)
 	}
-	four.moving["BankManager"] = from
-	four.mu.Unlock()
-	store := func(name string) *Trader { return four.shards[name].shard.(*Trader) }
-	for _, e := range store(owner).buckets["BankManager"] {
-		if err := store(from).Install(*e.offer); err != nil {
+	for _, e := range store(from).buckets["BankManager"] {
+		if err := store(owner).Install(*e.offer); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,6 +231,28 @@ func newSelectionFixture(t *testing.T, repo typerepo.Repository, seed int64) *se
 		{"federated diamond", fed[0], []int{1, 2}},
 	}
 	return f
+}
+
+// holdWindow starts removing shard leaving from fe and holds the change in
+// its drain, moving nothing, until the test ends: meanwhile fe's ring has
+// flipped and the window is open, the leaving shard the previous owner of
+// every type it held.
+func holdWindow(t *testing.T, fe *ShardedTrader, leaving string) {
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- fe.part.Remove(leaving, func(string, *shardLeg, func(string) (*shardLeg, bool)) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+	t.Cleanup(func() {
+		close(release)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // selectionRequests is every request the oracle puts to a deployment.

@@ -17,14 +17,11 @@
 // One shard is the singleton trader: the front-end is the trading
 // function at every shard count, and it alone federates (see federate).
 //
-// Rebalancing is live. A ring change (AddShard/RemoveShard) first marks
-// every service type whose owner moved as "in flight" — imports for a
-// moving type query both the old and the new owner, and the origin-side
-// dedupe absorbs the window where an offer is visible on both — then
-// copies each moving bucket with Install (identity-preserving) before
-// withdrawing it from the old owner. A live offer is therefore always
-// visible on at least one queried shard: the per-offer blackout during
-// rebalance is zero by construction, which experiment E13 measures.
+// Rebalancing is live: a ring change (AddShard/RemoveShard) is
+// hashring.Partition's shard-move protocol, to which the front-end adds the
+// bucket move (drain) — Install at the new owner, then Withdraw at the old
+// — and reads that the origin-side dedupe absorbs. The per-offer blackout
+// during rebalance is zero by construction, which experiment E13 measures.
 package trader
 
 import (
@@ -109,10 +106,9 @@ func (l *shardLeg) query(sub ImportRequest) ([]Offer, error) {
 type ShardedTrader struct {
 	importCore
 	name string
+	part hashring.Partition[*shardLeg] // the shards, keyed by service type
 
-	mu     sync.RWMutex
-	ring   *hashring.Ring
-	shards map[string]*shardLeg
+	mu sync.RWMutex
 	// advertised is the set of service types exported (or installed)
 	// through this front-end: the universe the import-side closure is
 	// computed over. Correct routing requires all exports to flow through
@@ -120,23 +116,16 @@ type ShardedTrader struct {
 	// to closure routing (the same contract a single trader has with its
 	// own store). A type is never removed from it.
 	advertised map[string]bool
-	// moving maps a service type mid-rebalance to its previous owner, so
-	// imports during the copy window query both owners.
-	moving map[string]string
 	// closure is the memo over the advertised set. Ring changes do not
 	// invalidate it — the closure is about types, not owners.
 	closure closureMemo
 	links   map[string]Importer // federation links by name
 
-	rebalanceMu sync.Mutex // serialises ring changes end to end
-
-	exports   atomic.Uint64
-	withdrs   atomic.Uint64
-	queried   atomic.Uint64
-	rebals    atomic.Uint64
-	migrated  atomic.Uint64
-	insp      atomic.Pointer[mgmt.ShardInstruments]
-	ringEpoch atomic.Uint64
+	exports  atomic.Uint64
+	withdrs  atomic.Uint64
+	queried  atomic.Uint64
+	migrated atomic.Uint64
+	insp     atomic.Pointer[mgmt.ShardInstruments]
 
 	feder, linksSkipped, linksFailed atomic.Uint64
 	breakers                         atomic.Pointer[policy.BreakerSet]
@@ -145,15 +134,14 @@ type ShardedTrader struct {
 var _ Shard = (*ShardedTrader)(nil)
 
 // NewSharded creates an empty sharded front-end over the type
-// repository. ringReplicas is the virtual-node count per shard (<=0
-// selects the default). Add shards with AddShard.
+// repository. Add shards with AddShard. ringReplicas is ignored — every
+// ring places 64 virtual points per shard — and stays only because the
+// frozen bench/trade.go calls NewSharded with it; the next benchmark PR
+// drops it (the EnableRelocationCache precedent).
 func NewSharded(name string, repo typerepo.Repository, ringReplicas int) *ShardedTrader {
 	s := &ShardedTrader{
 		name:       name,
-		ring:       hashring.New(ringReplicas),
-		shards:     make(map[string]*shardLeg),
 		advertised: make(map[string]bool),
-		moving:     make(map[string]string),
 		links:      make(map[string]Importer),
 	}
 	s.importCore.init(repo, name, 7)
@@ -175,17 +163,14 @@ func (s *ShardedTrader) Instrument(ins *mgmt.ShardInstruments) {
 	s.latency.Store(ins.ImportLatency)
 }
 
-// Shards returns the sorted shard names on the ring.
-func (s *ShardedTrader) Shards() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring.Members()
-}
+// Shards returns the sorted names of the shards the front-end routes to —
+// a leaving shard among them until its buckets have drained.
+func (s *ShardedTrader) Shards() []string { return slices.Clone(s.part.View().Names()) }
 
 // RingEpoch returns the current ring generation; it advances when a ring
 // change flips the ring (ShardStats.Rebalances counts the changes that
 // have settled).
-func (s *ShardedTrader) RingEpoch() uint64 { return s.ringEpoch.Load() }
+func (s *ShardedTrader) RingEpoch() uint64 { return s.part.View().Epoch() }
 
 // Export routes the offer to the shard owning its service type. The
 // returned offer id is minted by that shard ("<shard>/<seq>"), which is
@@ -210,16 +195,16 @@ func (s *ShardedTrader) Install(o Offer) error {
 // id it ended up with.
 //
 // A ring flip racing the insert could strand the offer on a shard that
-// just stopped owning the type (landing after the migration pass already
-// enumerated the bucket), so the insert re-checks ownership after it
-// lands and re-routes itself if the ground moved.
+// just stopped owning the type (landing after the drain already read the
+// bucket), so the insert re-checks ownership after it lands. If the
+// ground moved, it waits the change out and pulls the offer back from
+// where it landed. A fresh export the drain carried over is then where it
+// belongs; anything else goes again, an install because the drain may
+// have carried an older copy of it.
 func (s *ShardedTrader) route(o *Offer) (string, error) {
 	for {
-		s.mu.RLock()
-		owner := s.ring.Owner(o.ServiceType)
-		leg := s.shards[owner]
-		s.mu.RUnlock()
-		if leg == nil {
+		owner, leg, ok := s.part.View().Owner(o.ServiceType)
+		if !ok {
 			return "", ErrNoShards
 		}
 		id, err := o.ID, error(nil)
@@ -231,30 +216,35 @@ func (s *ShardedTrader) route(o *Offer) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if !s.settleRouted(o.ServiceType, owner) {
-			// Ownership moved mid-insert: pull the offer back from wherever
-			// it ended up (old shard, or already migrated) and try again.
-			_ = s.Withdraw(id)
-			continue
-		}
-		s.exports.Add(1)
 		leg.exports.Add(1)
 		leg.offers.Add(1)
+		s.advertise(o.ServiceType)
+		if !s.part.Owns(o.ServiceType, owner) {
+			s.part.Settle()
+			switch err := leg.shard.Withdraw(id); {
+			case err == nil:
+				leg.offers.Add(-1)
+				continue
+			case !errors.Is(err, ErrNoSuchOffer):
+				return "", err
+			case o.ID != "":
+				continue
+			}
+		}
+		s.exports.Add(1)
 		return id, nil
 	}
 }
 
-// settleRouted records the advertised type and confirms the shard the
-// offer landed on still owns its service type. False means a rebalance
-// flipped ownership mid-flight and the caller must re-route.
-func (s *ShardedTrader) settleRouted(serviceType, owner string) bool {
+// advertise records a service type as exported through the front-end. It
+// happens before the insert's ownership check, so a ring change that the
+// check does not see reads the type when it drains.
+func (s *ShardedTrader) advertise(serviceType string) {
 	s.mu.Lock()
 	if !s.advertised[serviceType] {
 		s.advertised[serviceType] = true
 	}
-	ok := s.ring.Owner(serviceType) == owner
 	s.mu.Unlock()
-	return ok
 }
 
 // Withdraw removes an offer. Offer ids carry the minting shard's name as
@@ -263,54 +253,49 @@ func (s *ShardedTrader) settleRouted(serviceType, owner string) bool {
 // ids, not homes), the front-end falls back to asking the remaining
 // shards.
 func (s *ShardedTrader) Withdraw(offerID string) error {
-	s.mu.RLock()
-	var first *shardLeg
-	var firstName string
+	var first string
 	if i := strings.IndexByte(offerID, '/'); i > 0 {
-		firstName = offerID[:i]
-		first = s.shards[firstName]
+		first = offerID[:i]
 	}
-	rest := make([]*shardLeg, 0, len(s.shards))
-	for name, leg := range s.shards {
-		if name != firstName {
-			rest = append(rest, leg)
+	// Two passes, each over the shards then routed to: a scan racing a
+	// live migration can read the new owner before the copy lands and the
+	// old owner after it is withdrawn. The copy is installed before the
+	// original is withdrawn, so a second scan started after the first
+	// missed is guaranteed to see it.
+	for pass := 0; pass < 2; pass++ {
+		v := s.part.View()
+		names, legs := v.Names(), v.Members()
+		if len(legs) == 0 {
+			return ErrNoShards
 		}
-	}
-	s.mu.RUnlock()
-	if first == nil && len(rest) == 0 {
-		return ErrNoShards
-	}
-	try := func(leg *shardLeg) (bool, error) {
-		err := leg.shard.Withdraw(offerID)
-		if err == nil {
-			s.withdrs.Add(1)
-			leg.offers.Add(-1)
-			return true, nil
+		done, err := false, error(nil)
+		if leg, ok := v.Member(first); ok {
+			done, err = s.withdrawAt(leg, offerID)
 		}
-		if errors.Is(err, ErrNoSuchOffer) {
-			return false, nil
-		}
-		return false, err
-	}
-	// Two passes: a scan racing a live migration can read the new owner
-	// before the copy lands and the old owner after it is withdrawn. The
-	// copy is installed before the original is withdrawn, so a second scan
-	// started after the first missed is guaranteed to see it.
-	for attempt := 0; attempt < 2; attempt++ {
-		if first != nil {
-			done, err := try(first)
-			if done || err != nil {
-				return err
+		for i := 0; i < len(legs) && !done && err == nil; i++ {
+			if names[i] != first {
+				done, err = s.withdrawAt(legs[i], offerID)
 			}
 		}
-		for _, leg := range rest {
-			done, err := try(leg)
-			if done || err != nil {
-				return err
-			}
+		if done || err != nil {
+			return err
 		}
 	}
 	return fmt.Errorf("%w: %q", ErrNoSuchOffer, offerID)
+}
+
+// withdrawAt withdraws an offer from one shard; done reports it was there.
+func (s *ShardedTrader) withdrawAt(leg *shardLeg, offerID string) (done bool, err error) {
+	switch err := leg.shard.Withdraw(offerID); {
+	case err == nil:
+		s.withdrs.Add(1)
+		leg.offers.Add(-1)
+		return true, nil
+	case errors.Is(err, ErrNoSuchOffer):
+		return false, nil
+	default:
+		return false, err
+	}
 }
 
 // Import finds matching offers across the shard set, then the federation
@@ -333,27 +318,16 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	}
 	sub := q.subRequest(req)
 
-	// Previous owners of in-flight buckets are queried strictly BEFORE the
-	// current owners. Migration installs the copy on the new owner before
-	// withdrawing the original, so this ordering makes a miss impossible:
-	// if the old owner has already given the bucket up by the time it is
-	// read, the copy was on the new owner before the (later) read of it
-	// started. Reading in the other order is the classic double-read race.
-	//
-	// The leg snapshot itself can also be overtaken — a ring that flips
-	// after targetShards ran routes the import at shards that may donate
-	// their buckets before the reads land — so the import revalidates the
-	// ring epoch afterwards and re-runs under the new routing if it moved.
-	// Nothing advertised substituting for the request is no leg and an
-	// empty match, not an error (same as a single trader with no matching
-	// bucket).
+	// Previous owners of moving buckets are queried strictly before the
+	// current owners, and the import re-runs if the ring epoch moved: the
+	// window rule of hashring.Partition, without which a miss is the classic
+	// double-read race. Nothing advertised substituting for the request is
+	// no leg and an empty match, not an error (same as a single trader with
+	// no matching bucket).
 	var res ImportResult
 	var matches []Offer
 	for attempt := 0; ; attempt++ {
-		// The epoch is sampled before the routing snapshot, so a flip
-		// between the two is caught by the revalidation below.
-		epoch := s.ringEpoch.Load()
-		oldLegs, curLegs := s.targetShards(req.ServiceType)
+		epoch, oldLegs, curLegs := s.targetShards(req.ServiceType)
 		res = ImportResult{}
 		// A lone leg's answer is the merge; several legs' best k each fit
 		// in legs × k without regrowth. k comes from the caller, possibly
@@ -372,7 +346,7 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 			}
 		}
 		s.queried.Add(uint64(res.LinksQueried))
-		if s.ringEpoch.Load() == epoch || attempt >= 3 {
+		if s.part.View().Epoch() == epoch || attempt >= 3 {
 			break
 		}
 	}
@@ -483,42 +457,31 @@ func (s *ShardedTrader) linkLegs() []linkLeg {
 }
 
 // targetShards maps a requested service type to the legs that must be
-// queried, split into the previous owners of types mid-rebalance (read
-// first) and the current owners of every advertised candidate type (read
-// after — see ImportEx for why the order matters). A leg appears in at
-// most one slice; within one rebalance window the donating and receiving
-// shard sets are disjoint, so a leg in the old slice is never the new
-// owner of another moving type.
-func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*shardLeg) {
+// queried under one routing view, whose epoch it returns: the previous
+// owners of candidate types a ring change is moving (read first) and the
+// current owners of every advertised candidate type (read after — see
+// ImportEx for why the order matters). A leg appears in at most one slice;
+// within one change window the donating and receiving shard sets are
+// disjoint, so a leg in the old slice is never the new owner of another
+// moving type.
+func (s *ShardedTrader) targetShards(serviceType string) (epoch uint64, oldLegs, curLegs []*shardLeg) {
 	cands := closureOver(&s.closure, &s.mu, s.advertised, s.types, serviceType)
+	v := s.part.View()
 	if len(cands) == 0 {
-		return nil, nil
+		return v.Epoch(), nil, nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	curLegs = make([]*shardLeg, 0, min(len(cands), len(s.shards)))
-	names := make(map[string]bool, 2)
-	add := func(name string, old bool) {
-		leg := s.shards[name]
-		if leg == nil || names[name] {
-			return
-		}
-		names[name] = true
-		if old {
+	curLegs = make([]*shardLeg, 0, min(len(cands), len(v.Members())))
+	for _, ct := range cands {
+		if leg, ok := v.Prev(ct); ok && !slices.Contains(oldLegs, leg) {
 			oldLegs = append(oldLegs, leg)
-		} else {
+		}
+	}
+	for _, ct := range cands {
+		if _, leg, ok := v.Owner(ct); ok && !slices.Contains(oldLegs, leg) && !slices.Contains(curLegs, leg) {
 			curLegs = append(curLegs, leg)
 		}
 	}
-	for _, ct := range cands {
-		if old, inFlight := s.moving[ct]; inFlight {
-			add(old, true)
-		}
-	}
-	for _, ct := range cands {
-		add(s.ring.Owner(ct), false)
-	}
-	return oldLegs, curLegs
+	return v.Epoch(), oldLegs, curLegs
 }
 
 // AddShard joins a shard to the ring and live-migrates every bucket
@@ -527,125 +490,64 @@ func (s *ShardedTrader) targetShards(serviceType string) (oldLegs, curLegs []*sh
 // The shard name should match the underlying trader's name so withdraw
 // prefix-routing stays exact (mismatches still work via the fallback).
 func (s *ShardedTrader) AddShard(name string, shard Shard) error {
-	leg := &shardLeg{shard: shard}
-	return s.changeRing(func(next *hashring.Ring) error {
-		if _, dup := s.shards[name]; dup {
-			return fmt.Errorf("trader: shard %q already present", name)
-		}
-		if err := next.Add(name); err != nil {
-			return err
-		}
-		s.shards[name] = leg
-		return nil
-	}, "")
+	return s.part.Add(name, &shardLeg{shard: shard}, s.drain)
 }
 
 // RemoveShard drains a shard off the ring, live-migrating its buckets to
 // their new owners, then drops it. The shard object itself is not
 // closed; the caller owns its lifecycle.
 func (s *ShardedTrader) RemoveShard(name string) error {
-	return s.changeRing(func(next *hashring.Ring) error {
-		if _, ok := s.shards[name]; !ok {
-			return fmt.Errorf("trader: no shard %q", name)
-		}
-		if len(s.shards) == 1 {
-			return fmt.Errorf("trader: cannot remove last shard %q", name)
-		}
-		return next.Remove(name)
-	}, name)
+	return s.part.Remove(name, s.drain)
 }
 
-// changeRing is the one ring-change protocol. edit changes the membership
-// of next, a clone of the ring, and of s.shards, under s.mu; a shard named
-// as leaving stays in s.shards until its buckets are copied — imports for
-// moving types keep reaching it through the moving map — and is dropped
-// last.
-func (s *ShardedTrader) changeRing(edit func(next *hashring.Ring) error, leaving string) error {
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-
-	s.mu.Lock()
-	next := s.ring.Clone()
-	if err := edit(next); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	// Service types whose owner changes under the new ring enter the
-	// double-query window before the ring flips, so no import observes
-	// the new routing without the old owner as fallback.
-	var moves []migration
+// drain is the trader's half of a ring change: it moves each bucket the
+// donor gives up to its new owner. The bucket is read through the import
+// interface, so a remote shard donates too, and each offer is installed at
+// the new owner (Install keeps its id) before it is withdrawn from the
+// donor — an offer is always importable from at least one double-queried
+// owner. A copy stays only if the donor still held the original: a client
+// withdraw that reached the donor after the bucket was read leaves
+// ErrNoSuchOffer there, and the copy is withdrawn too.
+func (s *ShardedTrader) drain(from string, fromLeg *shardLeg, dest func(string) (*shardLeg, bool)) error {
+	s.mu.RLock()
+	types := make([]string, 0, len(s.advertised))
 	for t := range s.advertised {
-		oldOwner := s.ring.Owner(t)
-		newOwner := next.Owner(t)
-		if oldOwner != newOwner && oldOwner != "" {
-			s.moving[t] = oldOwner
-			moves = append(moves, migration{serviceType: t, from: oldOwner, to: newOwner})
+		types = append(types, t)
+	}
+	s.mu.RUnlock()
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	s.ring = next
-	s.ringEpoch.Store(next.Epoch())
-	s.mu.Unlock()
-
-	err := s.migrate(moves)
-
-	// Close the double-query window; the epoch said "flipped", the
-	// rebalance count says "settled".
-	s.mu.Lock()
-	for _, m := range moves {
-		delete(s.moving, m.serviceType)
-	}
-	delete(s.shards, leaving)
-	s.mu.Unlock()
-	s.rebals.Add(1)
-	return err
-}
-
-type migration struct {
-	serviceType string
-	from, to    string
-}
-
-// migrate copies each moving bucket to its new owner (Install preserves
-// offer ids) and only then withdraws from the old — an offer is always
-// importable from at least one double-queried owner.
-func (s *ShardedTrader) migrate(moves []migration) error {
-	var firstErr error
-	for _, m := range moves {
-		s.mu.RLock()
-		fromLeg := s.shards[m.from]
-		toLeg := s.shards[m.to]
-		s.mu.RUnlock()
-		if fromLeg == nil || toLeg == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("trader: migration %s: shard missing (%s -> %s)", m.serviceType, m.from, m.to)
-			}
+	for _, t := range types {
+		toLeg, ok := dest(t)
+		if !ok {
 			continue
 		}
-		// Enumerate the bucket through the import interface (works for
-		// remote shards too); the exact-type filter drops subtype offers
-		// that live in other buckets.
-		batch, err := fromLeg.shard.Import(ImportRequest{ServiceType: m.serviceType})
+		batch, err := fromLeg.shard.Import(ImportRequest{ServiceType: t})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("trader: migrating %s off %s: %w", m.serviceType, m.from, err)
-			}
+			fail(fmt.Errorf("trader: migrating %s off %s: %w", t, from, err))
 			continue
 		}
 		for _, o := range batch {
-			if o.ServiceType != m.serviceType {
-				continue
+			if o.ServiceType != t {
+				continue // a subtype's offer, which lives in its own bucket
 			}
 			if err := toLeg.shard.Install(o); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("trader: installing %s on %s: %w", o.ID, m.to, err)
-				}
+				fail(fmt.Errorf("trader: installing %s off %s: %w", o.ID, from, err))
 				continue
 			}
 			toLeg.offers.Add(1)
-			if err := fromLeg.shard.Withdraw(o.ID); err != nil && !errors.Is(err, ErrNoSuchOffer) {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("trader: withdrawing migrated %s from %s: %w", o.ID, m.from, err)
+			switch err := fromLeg.shard.Withdraw(o.ID); {
+			case errors.Is(err, ErrNoSuchOffer):
+				if toLeg.shard.Withdraw(o.ID) == nil {
+					toLeg.offers.Add(-1)
 				}
+				continue
+			case err != nil:
+				fail(fmt.Errorf("trader: withdrawing migrated %s from %s: %w", o.ID, from, err))
 			}
 			fromLeg.offers.Add(-1)
 			s.migrated.Add(1)
@@ -656,19 +558,17 @@ func (s *ShardedTrader) migrate(moves []migration) error {
 
 // ShardStats returns a snapshot of front-end counters.
 func (s *ShardedTrader) ShardStats() ShardStats {
-	s.mu.RLock()
-	shards := len(s.shards)
-	s.mu.RUnlock()
+	v := s.part.View()
 	return ShardStats{
 		Exports:       s.exports.Load(),
 		Withdraws:     s.withdrs.Load(),
 		Imports:       s.imports.Load(),
 		Matched:       s.matched.Load(),
 		ShardsQueried: s.queried.Load(),
-		Rebalances:    s.rebals.Load(),
+		Rebalances:    v.Settled(),
 		Migrated:      s.migrated.Load(),
-		RingEpoch:     s.ringEpoch.Load(),
-		Shards:        shards,
+		RingEpoch:     v.Epoch(),
+		Shards:        len(v.Members()),
 		Federated:     s.feder.Load(),
 		LinksSkipped:  s.linksSkipped.Load(),
 		LinksFailed:   s.linksFailed.Load(),
@@ -678,10 +578,10 @@ func (s *ShardedTrader) ShardStats() ShardStats {
 // LegStats returns each shard's routing counts, keyed by shard name; a
 // shard leaves it once RemoveShard has drained it.
 func (s *ShardedTrader) LegStats() map[string]LegStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]LegStats, len(s.shards))
-	for name, leg := range s.shards {
+	v := s.part.View()
+	names := v.Names()
+	out := make(map[string]LegStats, len(names))
+	for i, leg := range v.Members() {
 		ls := LegStats{
 			Offers:        leg.offers.Load(),
 			RoutedExports: leg.exports.Load(),
@@ -690,7 +590,7 @@ func (s *ShardedTrader) LegStats() map[string]LegStats {
 		if t, ok := leg.shard.(*Trader); ok {
 			ls.Considered = t.consid.Load()
 		}
-		out[name] = ls
+		out[names[i]] = ls
 	}
 	return out
 }

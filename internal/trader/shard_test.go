@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/hashring"
 	"repro/internal/values"
 )
 
@@ -292,6 +293,60 @@ func TestShardedRebalanceNoBlackout(t *testing.T) {
 	}
 	if got, _ := st.Import(ImportRequest{ServiceType: "BankTeller"}); len(got) != offers {
 		t.Fatalf("settled offer count = %d", len(got))
+	}
+}
+
+// gatedShard holds the first offer installed at it — a drain's copy —
+// until released: the window in which a client call races the drain.
+type gatedShard struct {
+	*Trader
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedShard) Install(o Offer) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Trader.Install(o)
+}
+
+// TestShardedWithdrawRacingDrainStaysWithdrawn: an offer withdrawn after
+// the drain read its bucket, but before the copy landed at the new owner,
+// does not come back there.
+func TestShardedWithdrawRacingDrainStaysWithdrawn(t *testing.T) {
+	st := newShardedBank(t, 1)
+	id, err := st.Export("BankTeller", refOf("BankTeller", 1), values.Null())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A shard name BankTeller's bucket moves to when it joins.
+	name := ""
+	for i := 1; name == ""; i++ {
+		ring, n := hashring.New(), fmt.Sprintf("s%d", i)
+		for _, m := range []string{"s0", n} {
+			if err := ring.Add(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ring.Owner("BankTeller") == n {
+			name = n
+		}
+	}
+	gated := &gatedShard{Trader: New(name, st.types), entered: make(chan struct{}), release: make(chan struct{})}
+	added := make(chan error, 1)
+	go func() { added <- st.AddShard(name, gated) }()
+	<-gated.entered
+	if err := st.Withdraw(id); err != nil {
+		t.Fatalf("withdraw %s mid-drain: %v", id, err)
+	}
+	close(gated.release)
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Import(ImportRequest{ServiceType: "BankTeller"}); err != nil || len(got) != 0 {
+		t.Fatalf("a withdrawn offer is back after the drain: %v, %v", offerIDs(got), err)
 	}
 }
 

@@ -63,6 +63,26 @@ if go list -f '{{join .Imports "\n"}}' ./internal/coordination |
 	exit 1
 fi
 
+echo "== one-protocol gate (one shard move for the trader and the relocator) =="
+# The live ring change — ring, previous ring, epoch, change lock, member
+# set — is hashring.Partition's alone: neither front-end may declare its own
+# changeRing, change lock, moving map or ring field again. Every ring places
+# 64 virtual points per member (bench/ still passes the ignored argument),
+# and hashring stays a leaf package.
+if grep -nE 'func \([a-z]+ \*[A-Za-z]+\) changeRing\(|rebalanceMu|\bmoving +map\[|\*hashring\.Ring\b' \
+	$(find internal/trader internal/relocator -name '*.go' ! -name '*_test.go'); then
+	echo "internal/trader, internal/relocator: a second ring-change protocol is back (route through hashring.Partition)"
+	exit 1
+fi
+if grep -rnE 'hashring\.New\([^)]' --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
+	echo "hashring.New takes no replica count"
+	exit 1
+fi
+if go list -f '{{join .Imports "\n"}}' ./internal/hashring | grep -E '^repro/'; then
+	echo "internal/hashring: imports a repository package (it must stay a leaf)"
+	exit 1
+fi
+
 echo "== fork gate (the data plane has one shape) =="
 # The channel decides how a frame is carried and nobody above it chooses:
 # the unbatched plane and the config type and constructor that selected it
