@@ -3,6 +3,8 @@
 // depositing and withdrawing while the branch's cluster migrates between
 // nodes. The clients never see the move — their binders re-resolve
 // through the relocator and replay (relocation transparency, Section 9.2).
+// It exits non-zero when a customer saw a failure or a balance is not
+// 10,000 plus the customer's accepted deposits minus accepted withdrawals.
 //
 // Usage:
 //
@@ -13,143 +15,167 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/engineering"
 	"repro/internal/odp"
 	"repro/internal/transactions"
 	"repro/internal/values"
 )
 
 func main() {
-	customers := flag.Int("customers", 4, "concurrent customers")
-	ops := flag.Int("ops", 200, "operations per customer")
-	migrations := flag.Int("migrations", 3, "live migrations during the run")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole demo: deploy the branch, let the customers work while
+// the branch migrates, and report what they saw.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bankdemo", flag.ContinueOnError)
+	var (
+		customers  = fs.Int("customers", 4, "concurrent customers")
+		ops        = fs.Int("ops", 200, "operations per customer")
+		migrations = fs.Int("migrations", 3, "live migrations during the run")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	system := odp.NewSystem(2026)
 	defer system.Close()
-
 	coord := transactions.NewCoordinator()
 	store := transactions.NewStore("branch-cbd", nil)
-	nodeA, err := system.CreateNode("alpha")
-	must(err)
-	nodeB, err := system.CreateNode("beta")
-	must(err)
-	bank.RegisterBehavior(nodeA.Behaviors(), coord, store)
-	bank.RegisterBehavior(nodeB.Behaviors(), coord, store)
-
-	dep, err := system.Deploy(nodeA, bank.Template("branch-cbd"), values.Record(
+	nodes := make([]*engineering.Node, 2)
+	capsules := make([]*engineering.Capsule, 2)
+	for i, name := range []string{"alpha", "beta"} {
+		n, err := system.CreateNode(name)
+		if err != nil {
+			return err
+		}
+		bank.RegisterBehavior(n.Behaviors(), coord, store)
+		if capsules[i], err = n.CreateCapsule(); err != nil {
+			return err
+		}
+		nodes[i] = n
+	}
+	dep, err := system.Deploy(nodes[0], bank.Template("branch-cbd"), values.Record(
 		values.F("city", values.Str("brisbane")),
 	))
-	must(err)
-	fmt.Printf("deployed branch on %s with interfaces:\n", nodeA.ID())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "deployed branch on %s with interfaces:\n", nodes[0].ID())
 	for name, ref := range dep.Refs {
-		fmt.Printf("  %-14s %s\n", name, ref)
+		fmt.Fprintf(stdout, "  %-14s %s\n", name, ref)
 	}
 
 	contract := core.Contract{Require: core.TransparencySet(
 		core.Access | core.Location | core.Relocation | core.Failure | core.Transaction)}
-	ctx := context.Background()
-
-	// The manager opens one account per customer.
 	manager, err := system.ImportAndBind("branch-office", "BankManager", "", contract)
-	must(err)
+	if err != nil {
+		return err
+	}
 	defer manager.Close()
-	accounts := make([]string, *customers)
-	for i := range accounts {
-		who := fmt.Sprintf("customer-%d", i)
+
+	// customer opens an account through the manager with 10,000 in it,
+	// deposits and withdraws through a teller binding of its own, and
+	// returns its account and the balance the branch then reports — which
+	// must be what the branch accepted. It stops at its first failure.
+	var okOps, denied, failures atomic.Int64
+	customer := func(who string) (string, int64, error) {
 		term, res, err := manager.Invoke(ctx, "CreateAccount", []values.Value{values.Str(who)})
-		must(err)
-		if term != "OK" {
-			log.Fatalf("CreateAccount: %s", term)
+		if err != nil || term != "OK" {
+			return "", 0, fmt.Errorf("CreateAccount: %q %v", term, err)
 		}
-		accounts[i], _ = res[0].AsString()
-		_, _, err = manager.Invoke(ctx, "Deposit",
-			[]values.Value{values.Str(who), values.Str(accounts[i]), values.Int(10_000)})
-		must(err)
+		acct, _ := res[0].AsString()
+		teller, err := system.ImportAndBind(who, "BankTeller", "city == 'brisbane'", contract)
+		if err != nil {
+			return acct, 0, err
+		}
+		defer teller.Close()
+		call := func(op string, amount int64) (string, []values.Value, error) {
+			return teller.Invoke(ctx, op, []values.Value{values.Str(who), values.Str(acct), values.Int(amount)})
+		}
+		want := int64(10_000)
+		if term, _, err := call("Deposit", want); err != nil || term != "OK" {
+			return acct, 0, fmt.Errorf("opening deposit: %q %v", term, err)
+		}
+		for n := 0; n < *ops; n++ {
+			op, amount := "Deposit", int64(2)
+			if n%2 == 1 {
+				op, amount = "Withdraw", 1
+			}
+			switch term, _, err := call(op, amount); {
+			case err != nil:
+				return acct, 0, fmt.Errorf("%s: %w", op, err)
+			case term == "OK" && op == "Deposit":
+				okOps.Add(1)
+				want += amount
+			case term == "OK":
+				okOps.Add(1)
+				want -= amount
+			case term == "NotToday":
+				denied.Add(1)
+			default:
+				return acct, 0, fmt.Errorf("%s: unexpected termination %s", op, term)
+			}
+		}
+		term, res, err = teller.Invoke(ctx, "Balance", []values.Value{values.Str(who), values.Str(acct)})
+		if err != nil || term != "OK" {
+			return acct, 0, fmt.Errorf("Balance: %q %v", term, err)
+		}
+		if got, _ := res[0].AsInt(); got != want {
+			return acct, got, fmt.Errorf("balance %d, want %d", got, want)
+		}
+		return acct, want, nil
 	}
 
 	// Customers hammer the branch while migrations happen underneath.
-	var okOps, denied atomic.Int64
+	lines := make([]string, *customers)
 	var wg sync.WaitGroup
-	for i := 0; i < *customers; i++ {
+	for i := range lines {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			who := fmt.Sprintf("customer-%d", i)
-			binding, err := system.ImportAndBind(who, "BankTeller", "city == 'brisbane'", contract)
+			acct, balance, err := customer(who)
 			if err != nil {
-				log.Printf("%s: bind: %v", who, err)
-				return
+				failures.Add(1)
+				log.Printf("%s: %v", who, err)
 			}
-			defer binding.Close()
-			for n := 0; n < *ops; n++ {
-				op, amount := "Deposit", int64(2)
-				if n%2 == 1 {
-					op, amount = "Withdraw", 1
-				}
-				term, _, err := binding.Invoke(ctx, op,
-					[]values.Value{values.Str(who), values.Str(accounts[i]), values.Int(amount)})
-				if err != nil {
-					log.Printf("%s: %s: %v", who, op, err)
-					return
-				}
-				switch term {
-				case "OK":
-					okOps.Add(1)
-				case "NotToday":
-					denied.Add(1)
-				}
-			}
+			lines[i] = fmt.Sprintf("  %s %s balance=%d\n", who, acct, balance)
 		}(i)
 	}
 
 	// Live migrations, ping-ponging the cluster between the nodes.
-	capsuleB, err := nodeB.CreateCapsule()
-	must(err)
-	capsuleA, err := nodeA.CreateCapsule()
-	must(err)
 	cluster := dep.Cluster
-	homes := []string{"alpha", "beta"}
-	for m := 0; m < *migrations; m++ {
-		dst := capsuleB
-		if m%2 == 1 {
-			dst = capsuleA
+	var migErr error
+	for m := 1; m <= *migrations && migErr == nil; m++ {
+		if cluster, migErr = cluster.MigrateTo(capsules[m%2]); migErr == nil {
+			fmt.Fprintf(stdout, "migrated branch -> %s (epoch advances; clients unaware)\n", cluster.ID().Capsule.Node)
 		}
-		nk, err := cluster.MigrateTo(dst)
-		must(err)
-		cluster = nk
-		fmt.Printf("migrated branch -> %s (epoch advances; clients unaware)\n", homes[(m+1)%2])
 	}
 	wg.Wait()
+	if migErr != nil {
+		return migErr
+	}
 
-	fmt.Printf("\nresults: %d successful operations, %d denied by the daily limit, 0 client-visible failures\n",
-		okOps.Load(), denied.Load())
-
-	// The books still balance: every account holds 10_000 + deposits - withdrawals.
-	teller, err := system.ImportAndBind("auditor", "BankTeller", "", contract)
-	must(err)
-	defer teller.Close()
-	for i, acct := range accounts {
-		who := fmt.Sprintf("customer-%d", i)
-		term, res, err := teller.Invoke(ctx, "Balance", []values.Value{values.Str(who), values.Str(acct)})
-		must(err)
-		if term != "OK" {
-			log.Fatalf("Balance: %s", term)
-		}
-		b, _ := res[0].AsInt()
-		fmt.Printf("  %s %s balance=%d\n", who, acct, b)
+	fmt.Fprintf(stdout, "\nresults: %d successful operations, %d denied by the daily limit, %d client-visible failures\n",
+		okOps.Load(), denied.Load(), failures.Load())
+	for _, l := range lines {
+		fmt.Fprint(stdout, l)
 	}
 	st := system.Relocator.Stats()
-	fmt.Printf("relocator: %d lookups, %d misses, %d relocations\n", st.Lookups, st.Misses, st.Relocates)
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
+	fmt.Fprintf(stdout, "relocator: %d lookups, %d misses, %d relocations\n", st.Lookups, st.Misses, st.Relocates)
+	if n := failures.Load(); n > 0 {
+		return fmt.Errorf("%d of %d customers saw a failure or a wrong balance", n, *customers)
 	}
+	return nil
 }

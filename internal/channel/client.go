@@ -226,7 +226,7 @@ func (b *Binding) Close() error {
 	b.attached = false
 	b.mu.Unlock()
 	if attached {
-		b.sessions.detach(ep)
+		b.sessions.detach(ep, false)
 	}
 	if b.ownSess {
 		return b.sessions.Close()
@@ -368,18 +368,14 @@ func (b *Binding) Probe(ctx context.Context) error {
 // ---------------------------------------------------------------------------
 // the recovery loop
 
-// maxRelocations bounds how often one interrogation chases a stale
-// location (CodeNoSuchInterface, re-resolve, replay) outside its retry
-// count.
-const maxRelocations = 3
-
 // interact carries one interaction — an interrogation (kind Call, reply
 // returned) or a one-way (announcement, flow element, signal; nil reply) —
 // through the binding's recovery loop: attempt, and after a transport
 // failure or attempt timeout count the retry, back off and re-resolve the
-// location before the next one. All attempts share the policy's deadline
-// budget, and a call to an endpoint whose shared circuit breaker is open
-// fails fast with ErrCircuitOpen.
+// location before the next one. A CodeNoSuchInterface answer is followed,
+// outside the retry count, while the locator offers a newer location. All
+// of it shares the caller's context and the policy's deadline budget, and
+// a call to an endpoint whose circuit breaker is open fails fast.
 func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, args []values.Value) (*wire.Message, error) {
 	// A call's correlation id is drawn by its first transmission (see
 	// roundTrip) and kept across retries.
@@ -393,7 +389,7 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 		ctx, cancel = pol.WithBudget(ctx)
 		defer cancel()
 	}
-	for attempt, relocations := 1, 0; ; {
+	for attempt := 1; ; {
 		ref := b.Ref()
 		m := b.message(kind, ref, b.nextSeq.Add(1), correl, op, args)
 		reply, err := b.attempt(ctx, ref.Endpoint, m, attempt)
@@ -402,12 +398,12 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 		wire.PutMessage(m)
 		if err == nil {
 			stale := reply != nil && reply.Kind == wire.ErrReply && reply.Termination == CodeNoSuchInterface
-			if stale && b.cfg.Locator != nil && relocations < maxRelocations && b.relocate(true) {
+			if stale && b.cfg.Locator != nil && (b.relocate(true) || b.Ref() != ref) {
 				// The interface is not where we thought: the classic stale
 				// location. relocate dropped the cached snapshot first —
 				// retrying blind against a caching locator would re-read the
-				// same stale line — then re-resolved; replay (Section 9.2).
-				relocations++
+				// same stale line — then re-resolved, unless a sibling call
+				// already had; replay (Section 9.2).
 				continue
 			}
 			return reply, nil
@@ -680,10 +676,11 @@ func (b *Binding) session(ctx context.Context) (*Session, error) {
 	ep := b.ref.Endpoint
 	if !b.attached || b.attachedEP != ep {
 		// The binding moved endpoints (relocation): move its session
-		// reference in one step. detach/attach only touch the manager's
-		// lock, never this binding's.
+		// reference in one step, leaving its sibling calls still pending
+		// at the old endpoint to be answered there. detach/attach never
+		// take this binding's lock.
 		if b.attached {
-			b.sessions.detach(b.attachedEP)
+			b.sessions.detach(b.attachedEP, true)
 		}
 		b.sessions.attach(ep)
 		b.attached, b.attachedEP = true, ep
@@ -712,10 +709,7 @@ func (b *Binding) session(ctx context.Context) (*Session, error) {
 // relocate consults the locator — after first telling a caching locator to
 // drop its entry, when the caller holds staleness evidence — and adopts and
 // accounts a newer location if one exists. It reports whether the binding's
-// view changed. Adopting a move also fences the old endpoint's session: the
-// first binding to learn of an epoch kills the stale shared session, so
-// every sibling multiplexed on it fails over immediately instead of each
-// waiting out a timeout.
+// view changed.
 func (b *Binding) relocate(stale bool) bool {
 	if b.cfg.Locator == nil {
 		return false
@@ -730,20 +724,12 @@ func (b *Binding) relocate(stale bool) bool {
 	}
 	b.mu.Lock()
 	changed := ref.Epoch > b.ref.Epoch || ref.Endpoint != b.ref.Endpoint
-	var fenceEP naming.Endpoint
-	var fenceEpoch uint64
 	if changed {
-		if old := b.ref.Endpoint; old != ref.Endpoint && ref.Epoch > 0 {
-			fenceEP, fenceEpoch = old, ref.Epoch
-		}
 		b.ref = ref
 	}
 	b.mu.Unlock()
 	if !changed {
 		return false
-	}
-	if fenceEpoch > 0 {
-		b.sessions.fence(fenceEP, fenceEpoch)
 	}
 	b.relocations.Add(1)
 	b.sessions.relocations.Add(1)

@@ -76,7 +76,7 @@ func TestReplayWindowVerdicts(t *testing.T) {
 				if got, _ := s.guardCheck(m); got != st.want {
 					t.Fatalf("step %d (correlation %d): verdict = %v, want %v", i, st.correl, got, st.want)
 				}
-				if st.store && !s.guardStore(m, []byte{1}) {
+				if st.store && !s.guardStore(m, []byte{1}, true) {
 					t.Fatalf("step %d (correlation %d): reply not retained", i, st.correl)
 				}
 			}
@@ -303,6 +303,63 @@ func TestReplayAnswerSurvivesSlotReuse(t *testing.T) {
 	}
 }
 
+// TestReplayGuardForgetsCallsThatNeverRan: a call answered
+// CodeNoSuchInterface never reached a servant, so the guard does not
+// remember that answer. When the same call (same binding, same correlation)
+// follows its object back to a node the interface has returned to, it runs
+// there once, and only its real reply is replayed from then on.
+func TestReplayGuardForgetsCallsThatNeverRan(t *testing.T) {
+	env := newEnv(t, ServerConfig{ReplayGuard: true})
+	conn, err := env.net.Dial(context.Background(), "sim://server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := (&wire.Message{
+		Kind: wire.Call, BindingID: 5, Correlation: 1, Target: env.ref.ID,
+		Operation: "Echo", Args: []values.Value{values.Str("hello")},
+	}).Encode(wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() *wire.Message {
+		t.Helper()
+		if err := conn.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wire.Decode(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	env.server.Unregister(env.ref.ID) // the interface moved away
+	if m := call(); m.Kind != wire.ErrReply || m.Termination != CodeNoSuchInterface {
+		t.Fatalf("call to an absent interface = %v %q, want %s", m.Kind, m.Termination, CodeNoSuchInterface)
+	}
+	if err := env.server.Register(env.ref.ID, echoType(), env.servant); err != nil { // and came back
+		t.Fatal(err)
+	}
+	for i := 2; i <= 3; i++ { // the run, then its replay from the window
+		m := call()
+		var got string
+		if m.Kind == wire.Reply && len(m.Args) == 1 {
+			got, _ = m.Args[0].AsString()
+		}
+		if got != "hello" {
+			t.Errorf("transmission %d = %v %q %q, want the echo", i, m.Kind, m.Termination, got)
+		}
+	}
+	if got := env.servant.invokedCount(); got != 1 {
+		t.Errorf("servant executed %d times, want 1", got)
+	}
+}
+
 // echoAllocs returns what one warmed-up Echo on b allocates. The count is
 // process-wide, so it covers the server end too.
 func echoAllocs(t *testing.T, b *Binding) float64 {
@@ -383,7 +440,7 @@ func TestReplaySlotDropsLargeBuffer(t *testing.T) {
 		if v, _ := s.guardCheck(m); v != guardFresh {
 			t.Fatalf("correlation %d: verdict %v", correl, v)
 		}
-		if !s.guardStore(m, reply) {
+		if !s.guardStore(m, reply, true) {
 			t.Fatalf("correlation %d: reply not recorded", correl)
 		}
 	}

@@ -716,7 +716,7 @@ func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term
 		return
 	}
 	if s.cfg.ReplayGuard && req.Kind == wire.Call {
-		s.guardStore(req, frame)
+		s.guardStore(req, frame, kind != wire.ErrReply || term != CodeNoSuchInterface)
 	}
 	_ = q.enqueue(frame)
 }
@@ -821,8 +821,10 @@ func (s *Server) guardCheck(m *wire.Message) (guardVerdict, []byte) {
 }
 
 // guardStore records a call's encoded reply for replay answering, copying
-// it into the call's slot, and reports whether the call was still tracked.
-func (s *Server) guardStore(req *wire.Message, frame []byte) bool {
+// it into the call's slot, and reports whether it did. A call that never
+// ran (answered CodeNoSuchInterface) is forgotten instead: when it follows
+// its object back here it runs, once.
+func (s *Server) guardStore(req *wire.Message, frame []byte, ran bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g, ok := s.guards[req.BindingID]
@@ -831,6 +833,10 @@ func (s *Server) guardStore(req *wire.Message, frame []byte) bool {
 	}
 	sl := g.slot(req.Correlation)
 	if sl.state == slotEmpty || sl.correlation != req.Correlation {
+		return false
+	}
+	if !ran {
+		sl.state = slotEmpty
 		return false
 	}
 	if cap(sl.reply) > replayKeep {

@@ -25,9 +25,7 @@ import (
 // so any number of bindings can interleave interrogations on one
 // connection. Failure detection is shared: when the session's read loop
 // dies, every pending call on every binding fails at once with
-// ErrDisconnected, and relocation epoch fencing lets the first binding
-// that observes a move kill the stale session so its siblings fail over
-// in one step instead of one timeout each.
+// ErrDisconnected.
 
 // SessionStats is a snapshot of a SessionManager's counters.
 type SessionStats struct {
@@ -58,11 +56,7 @@ type SessionManager struct {
 
 	mu      sync.Mutex
 	entries map[naming.Endpoint]*sessionEntry
-	// fences records the highest relocation epoch seen leaving each
-	// endpoint, so one epoch announcement kills the stale session exactly
-	// once rather than once per binding that notices the move.
-	fences map[naming.Endpoint]uint64
-	closed bool
+	closed  bool
 
 	dials           atomic.Uint64
 	deaths          atomic.Uint64
@@ -92,7 +86,6 @@ func NewSessionManager(t netsim.Transport) *SessionManager {
 	return &SessionManager{
 		transport: t,
 		entries:   make(map[naming.Endpoint]*sessionEntry),
-		fences:    make(map[naming.Endpoint]uint64),
 	}
 }
 
@@ -171,8 +164,9 @@ func (m *SessionManager) attach(ep naming.Endpoint) {
 }
 
 // detach drops one binding's reference to ep; the last reference out
-// closes the endpoint's session.
-func (m *SessionManager) detach(ep naming.Endpoint) {
+// closes the endpoint's session — at once when the binding closes, and
+// once the calls still pending there are answered when it moved away.
+func (m *SessionManager) detach(ep naming.Endpoint, moved bool) {
 	m.mu.Lock()
 	e := m.entries[ep]
 	if e == nil {
@@ -188,7 +182,11 @@ func (m *SessionManager) detach(ep naming.Endpoint) {
 		}
 	}
 	m.mu.Unlock()
-	if last != nil {
+	switch {
+	case last == nil:
+	case moved:
+		last.retire()
+	default:
 		last.kill(true)
 	}
 }
@@ -266,32 +264,6 @@ func (m *SessionManager) session(ctx context.Context, ep naming.Endpoint) (*Sess
 	}
 }
 
-// fence records that interfaces behind ep relocated at epoch and, the
-// first time a given epoch is seen, kills the stale session so every
-// binding still multiplexed on it fails over immediately rather than
-// waiting out its own timeout. Correctness never depends on the fence —
-// each binding's own locator refresh is the authority — this only turns
-// N discovery timeouts into one.
-func (m *SessionManager) fence(ep naming.Endpoint, epoch uint64) {
-	if epoch == 0 {
-		return
-	}
-	m.mu.Lock()
-	if m.fences[ep] >= epoch {
-		m.mu.Unlock()
-		return
-	}
-	m.fences[ep] = epoch
-	var stale *Session
-	if e := m.entries[ep]; e != nil {
-		stale = e.sess
-	}
-	m.mu.Unlock()
-	if stale != nil {
-		stale.kill(false)
-	}
-}
-
 // peek returns the live session for ep without dialling, or nil.
 func (m *SessionManager) peek(ep naming.Endpoint) *Session {
 	m.mu.Lock()
@@ -353,6 +325,7 @@ type Session struct {
 	grants   map[pendKey]*grantSink
 	closed   bool
 	graceful bool
+	retired  bool // no binding is attached: close once nothing is pending
 
 	lastProbe atomic.Int64 // unix nanos of the last completed probe
 
@@ -470,7 +443,11 @@ func (s *Session) unregister(binding, correl uint64) bool {
 	if ok {
 		delete(s.pending, k)
 	}
+	idle := s.retired && len(s.pending) == 0
 	s.mu.Unlock()
+	if idle {
+		s.kill(true)
+	}
 	return ok
 }
 
@@ -504,6 +481,17 @@ func (s *Session) send(frame []byte) error { return s.q.enqueue(frame) }
 // wire (one-way interactions use it for group commit: enqueue then flush
 // keeps write errors observable without a write per announcement).
 func (s *Session) flushSends() error { return s.q.flush() }
+
+// retire closes the session once no interrogation waits on it.
+func (s *Session) retire() {
+	s.mu.Lock()
+	s.retired = true
+	idle := len(s.pending) == 0
+	s.mu.Unlock()
+	if idle {
+		s.kill(true)
+	}
+}
 
 // kill tears the session down; the read loop's exit performs the
 // cleanup. graceful marks an orderly release (last binding out, manager
@@ -544,6 +532,7 @@ func (s *Session) readLoop() {
 			if ok {
 				delete(s.pending, k)
 			}
+			idle := s.retired && len(s.pending) == 0
 			s.mu.Unlock()
 			if ok {
 				// Removing the key made this goroutine the channel's sole
@@ -551,6 +540,9 @@ func (s *Session) readLoop() {
 				ch <- m
 			} else {
 				wire.PutMessage(m) // late or unsolicited; nobody will read it
+			}
+			if idle {
+				s.kill(true)
 			}
 		case wire.CreditGrant:
 			// The streaming back-channel: route the grant to its stream's

@@ -322,9 +322,11 @@ func corruptFrameCase(t *testing.T, poison []byte) {
 
 func TestRelocationMovesWholeSessionUnderLoad(t *testing.T) {
 	// 8 bindings share one session to server A while invoking under load;
-	// the interface migrates to server B. Epoch fencing kills the stale
-	// session once, every binding fails over, and the replay guard at B
-	// sees no sequence regressions (no ERR_REPLAY terminations).
+	// the interface migrates to server B. Each binding's next call at A
+	// draws CodeNoSuchInterface, re-resolves and replays at B; the session
+	// to A closes when its last binding has left (nothing kills it), and
+	// the replay guard at B sees no sequence regressions (no ERR_REPLAY
+	// terminations).
 	n := netsim.New(4)
 	mkServer := func(host string) (*Server, *echoServant) {
 		l, err := n.Listen(naming.Endpoint("sim://" + host))
@@ -430,6 +432,91 @@ func TestRelocationMovesWholeSessionUnderLoad(t *testing.T) {
 			t.Errorf("binding %d still at %s", i, got)
 		}
 	}
+}
+
+// TestPipelinedBindingRelocatesWithCallsInFlight: one binding has three
+// calls inside the servant at A when the interface moves to B, and eight
+// more start after the move. The first to draw CodeNoSuchInterface moves
+// the binding to B; the others follow it there although their own lookup
+// finds nothing newer than the binding already holds, and the session to A
+// stays up until the three calls still pending on it are answered, so
+// every call succeeds on its first transmission and runs once.
+func TestPipelinedBindingRelocatesWithCallsInFlight(t *testing.T) {
+	n := netsim.New(6)
+	mkServer := func(host string) *Server {
+		l, err := n.Listen(naming.Endpoint("sim://" + host))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, ServerConfig{ReplayGuard: true})
+		srv.Start()
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	srvA, srvB := mkServer("alpha"), mkServer("beta")
+	id := ifaceID(31)
+	var entered atomic.Int64
+	release := make(chan struct{})
+	if err := srvA.Register(id, nil, HandlerFunc(
+		func(_ context.Context, _ string, args []values.Value) (string, []values.Value, error) {
+			entered.Add(1)
+			<-release
+			return "OK", args, nil
+		})); err != nil {
+		t.Fatal(err)
+	}
+	servantB := &echoServant{}
+	loc := newFakeLocator()
+	loc.set(naming.InterfaceRef{ID: id, Endpoint: "sim://alpha"})
+	ref, _ := loc.Lookup(id)
+	mgr := NewSessionManager(n)
+	b, err := Bind(ref, BindConfig{Sessions: mgr, Locator: loc}) // one attempt: nothing is retried
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
+		want := fmt.Sprintf("call-%d", i)
+		term, res, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str(want)})
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
+			return
+		}
+		if got, _ := res[0].AsString(); term != "OK" || got != want {
+			t.Errorf("call %d = %q %q", i, term, got)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go call(i)
+	}
+	waitFor(t, func() bool { return entered.Load() == 3 })
+	if err := srvB.Register(id, nil, servantB); err != nil {
+		t.Fatal(err)
+	}
+	loc.move(id, "sim://beta")
+	srvA.Unregister(id)
+	for i := 3; i < 11; i++ {
+		wg.Add(1)
+		go call(i)
+	}
+	waitFor(t, func() bool { return servantB.invokedCount() == 8 })
+	if got := srvA.Stats().Open; got != 1 {
+		t.Errorf("A serves %d sessions with three calls pending, want 1", got)
+	}
+	close(release)
+	wg.Wait()
+
+	if got := entered.Load(); got != 3 {
+		t.Errorf("A ran %d calls, want 3", got)
+	}
+	if st := b.Stats(); st.Retries != 0 {
+		t.Errorf("binding retried %d times: a session was killed under its calls", st.Retries)
+	}
+	waitFor(t, func() bool { return srvA.Stats().Open == 0 }) // its last call answered, A's session closes
 }
 
 func TestProbeSingleFlight(t *testing.T) {

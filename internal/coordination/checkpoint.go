@@ -116,8 +116,9 @@ func (g *Checkpointer) Start(k *engineering.Cluster, cs *CheckpointStore, interv
 		for {
 			select {
 			case <-ticker.C:
-				// A failed checkpoint (e.g. mid-migration) is skipped; the
-				// previous recovery point stays valid.
+				// A failed checkpoint (the cluster migrated away or was
+				// deleted: ErrNoSuchCluster) is skipped; the previous
+				// recovery point stays valid.
 				_ = CheckpointNow(k, cs)
 			case <-stop:
 				return

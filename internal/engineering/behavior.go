@@ -67,6 +67,25 @@ func (r *BehaviorRegistry) New(name string, arg values.Value) (Behavior, error) 
 	return b, nil
 }
 
+// revive re-creates an object's behaviour from its checkpoint, for
+// reactivation and instantiation alike.
+func (r *BehaviorRegistry) revive(oc ObjectCheckpoint) (Behavior, error) {
+	b, err := r.New(oc.Behavior, oc.Arg)
+	if err != nil {
+		return nil, err
+	}
+	if oc.HasState {
+		cb, ok := b.(Checkpointable)
+		if !ok {
+			return nil, fmt.Errorf("%w: behaviour %q", ErrNotCheckpointable, oc.Behavior)
+		}
+		if err := cb.RestoreState(oc.State); err != nil {
+			return nil, fmt.Errorf("engineering: restoring object %d: %w", oc.Seq, err)
+		}
+	}
+	return b, nil
+}
+
 // Known reports whether name is registered.
 func (r *BehaviorRegistry) Known(name string) bool {
 	r.mu.RLock()

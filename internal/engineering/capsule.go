@@ -56,6 +56,7 @@ func (c *Capsule) CreateCluster(opts ClusterOptions) (*Cluster, error) {
 		objects: make(map[uint32]*Object),
 		state:   clusterActive,
 	}
+	k.idle.L = &k.mu
 	c.clusters[seq] = k
 	return k, nil
 }
@@ -101,15 +102,16 @@ func (c *Capsule) Checkpoint() ([]*ClusterCheckpoint, error) {
 // migration and of reactivating a deactivated capsule on a new node. The
 // re-created cluster preserves every interface identity from the
 // checkpoint; interface locations are moved to this node in the location
-// registry so that bindings elsewhere can re-resolve.
+// registry, last, so that bindings elsewhere can re-resolve. A failed
+// instantiation leaves no cluster behind and, short of the relocator's own
+// failure, no location moved.
 func (c *Capsule) Instantiate(ck *ClusterCheckpoint, opts ClusterOptions) (*Cluster, error) {
 	k, err := c.CreateCluster(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := k.restore(ck, true); err != nil {
-		// Leave no half-built cluster behind.
-		_ = c.DeleteCluster(k.id.Seq)
+	if err := k.restore(ck); err != nil {
+		k.withdraw()
 		return nil, err
 	}
 	return k, nil
@@ -130,7 +132,7 @@ func (c *Capsule) DeleteCluster(seq uint32) error {
 	return nil
 }
 
-// removeCluster detaches a cluster that migrated away.
+// removeCluster detaches a withdrawn cluster.
 func (c *Capsule) removeCluster(seq uint32) {
 	c.mu.Lock()
 	delete(c.clusters, seq)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
@@ -20,15 +21,28 @@ const (
 	clusterGone // deleted or migrated away
 )
 
+// drainBound is how long a state change waits for the calls inside the
+// cluster's behaviours to leave before it is abandoned.
+const drainBound = time.Second
+
 // Cluster is a set of related basic engineering objects that are always
 // co-located; it is the unit of checkpointing, deactivation and migration.
 // The Cluster type is also the cluster manager's interface (Section 8.1).
+//
+// Every state change passes one admission gate: it holds newly arriving
+// calls and drains the admitted ones, for at most drainBound, or is
+// abandoned with the cluster still serving. Deactivation and migration are
+// the same freeze, revived here or elsewhere.
 type Cluster struct {
 	capsule *Capsule
 	id      naming.ClusterID
 	opts    ClusterOptions
 
 	mu         sync.Mutex
+	idle       sync.Cond     // on mu; broadcast when a change reopens the gate
+	changing   bool          // a state change holds the gate
+	admitted   int           // calls inside a behaviour
+	drained    chan struct{} // closed when admitted reaches 0 while changing
 	state      clusterState
 	objects    map[uint32]*Object
 	nextObject uint32
@@ -47,6 +61,74 @@ func (k *Cluster) Active() bool {
 	return k.state == clusterActive
 }
 
+// lockIdle locks the cluster once no state change holds the gate.
+func (k *Cluster) lockIdle() {
+	k.mu.Lock()
+	for k.changing {
+		k.idle.Wait()
+	}
+}
+
+// change runs f, without k.mu, behind the gate once the admitted calls
+// have left, and reopens the gate.
+func (k *Cluster) change(f func() error) error {
+	k.lockIdle()
+	k.changing, k.drained = true, make(chan struct{})
+	drained := k.drained
+	k.settle()
+	k.mu.Unlock()
+	var err error
+	select {
+	case <-drained:
+		err = f()
+	case <-time.After(drainBound):
+		err = fmt.Errorf("engineering: cluster %s: calls still running after %v, change abandoned", k.id, drainBound)
+	}
+	k.mu.Lock()
+	k.changing, k.drained = false, nil
+	k.idle.Broadcast()
+	k.mu.Unlock()
+	return err
+}
+
+// settle ends a change's drain once no call is admitted.
+func (k *Cluster) settle() {
+	if k.admitted == 0 && k.drained != nil {
+		close(k.drained)
+		k.drained = nil
+	}
+}
+
+// admit is the gate a call passes into o's behaviour: it waits out a state
+// change, reactivates on demand, and counts the call in until it leaves.
+func (o *Object) admit() (Behavior, error) {
+	k := o.cluster
+	k.lockIdle()
+	defer k.mu.Unlock()
+	if k.state == clusterDeactivated {
+		if !k.opts.AutoReactivate {
+			return nil, &channel.StageError{Code: channel.CodeUnavailable, Detail: k.id.String() + " is deactivated"}
+		}
+		if err := k.reactivateLocked(); err != nil {
+			return nil, err
+		}
+	}
+	if k.state == clusterGone || o.behavior == nil {
+		// Migrated away (the relocator already names the new home) or
+		// deleted: the binder's relocation signal.
+		return nil, &channel.StageError{Code: channel.CodeNoSuchInterface, Detail: o.id.String()}
+	}
+	k.admitted++
+	return o.behavior, nil
+}
+
+func (k *Cluster) leave() {
+	k.mu.Lock()
+	k.admitted--
+	k.settle()
+	k.mu.Unlock()
+}
+
 // CreateObject instantiates a basic engineering object inside the cluster
 // from a registered behaviour. The behaviour name and arg are recorded so
 // checkpoints can re-create the object elsewhere.
@@ -56,7 +138,7 @@ func (k *Cluster) CreateObject(behavior string, arg values.Value) (*Object, erro
 	if err != nil {
 		return nil, err
 	}
-	k.mu.Lock()
+	k.lockIdle()
 	defer k.mu.Unlock()
 	if k.state != clusterActive {
 		return nil, fmt.Errorf("%w: %s", ErrDeactivated, k.id)
@@ -103,7 +185,9 @@ func (k *Cluster) Objects() []*Object {
 
 // Checkpoint captures the cluster: for every object, its behaviour name,
 // creation argument, state (when the behaviour is Checkpointable) and
-// interface identities. The cluster keeps running.
+// interface identities. The cluster keeps running. The checkpoint of a
+// deactivated cluster is the one its deactivation took; a cluster that was
+// deleted or migrated away has none (ErrNoSuchCluster).
 func (k *Cluster) Checkpoint() (*ClusterCheckpoint, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -111,14 +195,19 @@ func (k *Cluster) Checkpoint() (*ClusterCheckpoint, error) {
 }
 
 func (k *Cluster) checkpointLocked() (*ClusterCheckpoint, error) {
+	switch k.state {
+	case clusterDeactivated:
+		return k.lastCheckpoint, nil
+	case clusterGone:
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchCluster, k.id)
+	}
 	ck := &ClusterCheckpoint{
 		Origin:         k.id,
 		NextObject:     k.nextObject,
 		AutoReactivate: k.opts.AutoReactivate,
 	}
 	for _, seq := range sortedKeys(k.objects) {
-		o := k.objects[seq]
-		oc, err := o.checkpoint()
+		oc, err := k.objects[seq].checkpoint()
 		if err != nil {
 			return nil, err
 		}
@@ -127,33 +216,33 @@ func (k *Cluster) checkpointLocked() (*ClusterCheckpoint, error) {
 	return ck, nil
 }
 
-// Deactivate checkpoints the cluster and releases its behaviours. The
-// node keeps serving the interface identities: incoming calls either
-// trigger reactivation (AutoReactivate) or fail with
+// Deactivate drains the cluster, checkpoints it and releases its
+// behaviours. The node keeps serving the interface identities: incoming
+// calls either trigger reactivation (AutoReactivate) or fail with
 // channel.CodeUnavailable until Reactivate is called.
 func (k *Cluster) Deactivate() error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.state != clusterActive {
-		return fmt.Errorf("%w: %s", ErrDeactivated, k.id)
-	}
-	ck, err := k.checkpointLocked()
-	if err != nil {
-		return err
-	}
-	k.lastCheckpoint = ck
-	k.state = clusterDeactivated
-	for _, o := range k.objects {
-		o.mu.Lock()
-		o.behavior = nil // release application state
-		o.mu.Unlock()
-	}
-	return nil
+	return k.change(func() error {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		if k.state != clusterActive {
+			return fmt.Errorf("%w: %s", ErrDeactivated, k.id)
+		}
+		ck, err := k.checkpointLocked()
+		if err != nil {
+			return err
+		}
+		k.lastCheckpoint = ck
+		k.state = clusterDeactivated
+		for _, o := range k.objects {
+			o.behavior = nil // release application state
+		}
+		return nil
+	})
 }
 
 // Reactivate restores the cluster from its deactivation checkpoint.
 func (k *Cluster) Reactivate() error {
-	k.mu.Lock()
+	k.lockIdle()
 	defer k.mu.Unlock()
 	return k.reactivateLocked()
 }
@@ -162,83 +251,69 @@ func (k *Cluster) reactivateLocked() error {
 	if k.state == clusterActive {
 		return fmt.Errorf("%w: %s", ErrActive, k.id)
 	}
-	if k.state == clusterGone || k.lastCheckpoint == nil {
+	if k.state == clusterGone {
 		return fmt.Errorf("%w: %s", ErrNoSuchCluster, k.id)
 	}
-	registry := k.capsule.node.registry
 	for _, oc := range k.lastCheckpoint.Objects {
 		o, ok := k.objects[oc.Seq]
 		if !ok {
 			return fmt.Errorf("%w: object %d vanished from cluster %s", ErrNoSuchObject, oc.Seq, k.id)
 		}
-		b, err := registry.New(oc.Behavior, oc.Arg)
+		b, err := k.capsule.node.registry.revive(oc)
 		if err != nil {
 			return err
 		}
-		if oc.HasState {
-			cb, ok := b.(Checkpointable)
-			if !ok {
-				return fmt.Errorf("%w: behaviour %q", ErrNotCheckpointable, oc.Behavior)
-			}
-			if err := cb.RestoreState(oc.State); err != nil {
-				return fmt.Errorf("engineering: restoring object %d: %w", oc.Seq, err)
-			}
-		}
-		o.mu.Lock()
 		o.behavior = b
-		o.mu.Unlock()
 	}
 	k.state = clusterActive
 	k.lastCheckpoint = nil
 	return nil
 }
 
-// MigrateTo moves the cluster to another capsule (possibly on another
-// node): checkpoint, deregister here, re-instantiate there, update the
-// location registry. Interface identities are preserved, so bindings held
-// by clients remain valid — their binders re-resolve through the
-// relocator on the next call (relocation transparency) or fail over if
-// configured. Returns the new cluster.
+// MigrateTo moves the cluster to a capsule on another node (the source
+// still serves its identities while the destination installs them): drain,
+// checkpoint, instantiate at the destination, which moves the locations
+// there last, and only then withdraw here. Interface identities are
+// preserved, so a call held at the gate or arriving later is answered
+// channel.CodeNoSuchInterface after the relocator names the new home, and
+// its binder re-resolves and replays (relocation transparency). A failed
+// install leaves the cluster serving here. Returns the new cluster.
 func (k *Cluster) MigrateTo(dst *Capsule) (*Cluster, error) {
-	k.mu.Lock()
-	if k.state == clusterGone {
-		k.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchCluster, k.id)
-	}
-	ck, err := k.checkpointLocked()
-	if err != nil {
-		k.mu.Unlock()
-		return nil, err
-	}
-	opts := k.opts
-	// Stop serving here: unregister the interfaces so stale calls get
-	// CodeNoSuchInterface, which is what triggers client-side relocation.
-	srcServer := k.capsule.node.server
-	for _, o := range k.objects {
-		o.mu.Lock()
-		for _, oi := range o.interfaces {
-			srcServer.Unregister(oi.ref.ID)
+	var nk *Cluster
+	err := k.change(func() error {
+		ck, err := k.Checkpoint()
+		if err != nil {
+			return err
 		}
-		o.mu.Unlock()
-	}
-	k.state = clusterGone
-	k.mu.Unlock()
-	k.capsule.removeCluster(k.id.Seq)
-
-	nk, err := dst.Instantiate(ck, opts)
-	if err != nil {
-		return nil, fmt.Errorf("engineering: migration of %s failed at destination: %w", k.id, err)
-	}
-	return nk, nil
+		if nk, err = dst.Instantiate(ck, ClusterOptions{}); err != nil { // the options travel in ck
+			return fmt.Errorf("engineering: migration of %s failed at destination: %w", k.id, err)
+		}
+		k.withdraw()
+		return nil
+	})
+	return nk, err
 }
 
-// delete tears the cluster down permanently.
-func (k *Cluster) delete() {
+// withdraw stops serving the cluster at this node, leaving the relocator's
+// entries to the cluster that carries its identities on (or still does).
+func (k *Cluster) withdraw() {
+	srv := k.capsule.node.server
 	k.mu.Lock()
-	objs := make([]*Object, 0, len(k.objects))
+	k.state = clusterGone
 	for _, o := range k.objects {
-		objs = append(objs, o)
+		for _, oi := range o.interfaces {
+			srv.Unregister(oi.ref.ID)
+		}
 	}
+	k.mu.Unlock()
+	k.capsule.removeCluster(k.id.Seq)
+}
+
+// delete tears the cluster down permanently. It waits out a state change
+// but drains nothing: a call already inside a behaviour finishes on it.
+func (k *Cluster) delete() {
+	k.lockIdle()
+	objs := k.objects
 	k.objects = map[uint32]*Object{}
 	k.state = clusterGone
 	k.mu.Unlock()
@@ -250,10 +325,11 @@ func (k *Cluster) delete() {
 // DeleteObject removes one object (the object-management deletion
 // function).
 func (k *Cluster) DeleteObject(seq uint32) error {
-	k.mu.Lock()
+	k.lockIdle()
 	o, ok := k.objects[seq]
 	if ok {
 		delete(k.objects, seq)
+		o.behavior = nil
 	}
 	k.mu.Unlock()
 	if !ok {
@@ -263,31 +339,20 @@ func (k *Cluster) DeleteObject(seq uint32) error {
 	return nil
 }
 
-// restore populates a fresh cluster from a checkpoint. When move is true
-// the interface identities from the checkpoint are preserved and their
-// locations moved to this node.
-func (k *Cluster) restore(ck *ClusterCheckpoint, move bool) error {
+// restore populates a fresh cluster from a checkpoint, preserving every
+// interface identity. Every step that can fail here — behaviour, state,
+// interface type, servant registration — comes first; moving the
+// locations to this node, which publishes the new epoch, comes last.
+func (k *Cluster) restore(ck *ClusterCheckpoint) error {
 	node := k.capsule.node
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.state != clusterActive {
-		return fmt.Errorf("%w: %s", ErrDeactivated, k.id)
-	}
 	k.nextObject = ck.NextObject
 	k.opts.AutoReactivate = ck.AutoReactivate
 	for _, oc := range ck.Objects {
-		b, err := node.registry.New(oc.Behavior, oc.Arg)
+		b, err := node.registry.revive(oc)
 		if err != nil {
 			return err
-		}
-		if oc.HasState {
-			cb, ok := b.(Checkpointable)
-			if !ok {
-				return fmt.Errorf("%w: behaviour %q", ErrNotCheckpointable, oc.Behavior)
-			}
-			if err := cb.RestoreState(oc.State); err != nil {
-				return fmt.Errorf("engineering: restoring object %d: %w", oc.Seq, err)
-			}
 		}
 		o := &Object{
 			cluster:    k,
@@ -297,37 +362,19 @@ func (k *Cluster) restore(ck *ClusterCheckpoint, move bool) error {
 			factoryArg: oc.Arg,
 			interfaces: make(map[uint32]*objectInterface),
 		}
+		k.objects[oc.Seq] = o // from here a failed restore's withdraw unregisters it
 		for _, ic := range oc.Interfaces {
 			it, err := types.InterfaceFromValue(ic.Type)
 			if err != nil {
 				return fmt.Errorf("engineering: object %d interface %d: %w", oc.Seq, ic.Seq, err)
 			}
-			var ifID naming.InterfaceID
-			if move {
-				// Identity is preserved verbatim across any number of
-				// moves: clients hold this name forever.
-				ifID = ic.Ref.ID
-			} else {
-				ifID = naming.InterfaceID{Object: o.id, Seq: ic.Seq, Nonce: node.nonce()}
-			}
+			// Identity is preserved verbatim across any number of moves:
+			// clients hold this name forever.
 			oi := &objectInterface{
 				typ: it,
-				ref: naming.InterfaceRef{
-					ID:       ifID,
-					TypeName: it.Name,
-					Endpoint: node.endpoint,
-				},
+				ref: naming.InterfaceRef{ID: ic.Ref.ID, TypeName: it.Name, Endpoint: node.endpoint},
 			}
-			if err := node.server.Register(ifID, it, &objectHandler{object: o}); err != nil {
-				return err
-			}
-			if move {
-				moved, err := node.moveLocation(oi.ref)
-				if err != nil {
-					return err
-				}
-				oi.ref = moved
-			} else if err := node.registerLocation(oi.ref); err != nil {
+			if err := node.server.Register(oi.ref.ID, it, &objectHandler{object: o}); err != nil {
 				return err
 			}
 			o.interfaces[ic.Seq] = oi
@@ -335,7 +382,14 @@ func (k *Cluster) restore(ck *ClusterCheckpoint, move bool) error {
 				o.nextInterface = ic.Seq + 1
 			}
 		}
-		k.objects[oc.Seq] = o
+	}
+	for _, o := range k.objects {
+		for _, oi := range o.interfaces {
+			var err error
+			if oi.ref, err = node.moveLocation(oi.ref); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -356,8 +410,8 @@ type Object struct {
 	factory    string
 	factoryArg values.Value
 
-	mu            sync.Mutex
-	behavior      Behavior
+	// Guarded by cluster.mu.
+	behavior      Behavior // nil while deactivated
 	interfaces    map[uint32]*objectInterface
 	nextInterface uint32
 }
@@ -372,36 +426,31 @@ func (o *Object) AddInterface(it *types.Interface) (naming.InterfaceRef, error) 
 	if err := it.Validate(); err != nil {
 		return naming.InterfaceRef{}, err
 	}
-	node := o.cluster.capsule.node
-	o.mu.Lock()
+	k := o.cluster
+	node := k.capsule.node
+	k.mu.Lock()
 	seq := o.nextInterface
 	o.nextInterface++
+	k.mu.Unlock()
 	id := naming.InterfaceID{Object: o.id, Seq: seq, Nonce: node.nonce()}
 	ref := naming.InterfaceRef{ID: id, TypeName: it.Name, Endpoint: node.endpoint}
-	oi := &objectInterface{typ: it, ref: ref}
-	o.interfaces[seq] = oi
-	o.mu.Unlock()
-
 	if err := node.server.Register(id, it, &objectHandler{object: o}); err != nil {
-		o.mu.Lock()
-		delete(o.interfaces, seq)
-		o.mu.Unlock()
 		return naming.InterfaceRef{}, err
 	}
 	if err := node.registerLocation(ref); err != nil {
 		node.server.Unregister(id)
-		o.mu.Lock()
-		delete(o.interfaces, seq)
-		o.mu.Unlock()
 		return naming.InterfaceRef{}, err
 	}
+	k.mu.Lock()
+	o.interfaces[seq] = &objectInterface{typ: it, ref: ref}
+	k.mu.Unlock()
 	return ref, nil
 }
 
 // Interfaces returns the object's interface references ordered by sequence.
 func (o *Object) Interfaces() []naming.InterfaceRef {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	o.cluster.mu.Lock()
+	defer o.cluster.mu.Unlock()
 	out := make([]naming.InterfaceRef, 0, len(o.interfaces))
 	for _, seq := range sortedKeys(o.interfaces) {
 		out = append(out, o.interfaces[seq].ref)
@@ -411,21 +460,20 @@ func (o *Object) Interfaces() []naming.InterfaceRef {
 
 // Behavior returns the object's live behaviour (nil while deactivated).
 func (o *Object) Behavior() Behavior {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	o.cluster.mu.Lock()
+	defer o.cluster.mu.Unlock()
 	return o.behavior
 }
 
 // checkpoint captures the object (object-management checkpoint function).
+// The caller holds o.cluster.mu.
 func (o *Object) checkpoint() (ObjectCheckpoint, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	oc := ObjectCheckpoint{
 		Seq:      o.id.Seq,
 		Behavior: o.factory,
 		Arg:      o.factoryArg,
 	}
-	if cb, ok := o.behavior.(Checkpointable); ok && o.behavior != nil {
+	if cb, ok := o.behavior.(Checkpointable); ok {
 		state, err := cb.CheckpointState()
 		if err != nil {
 			return ObjectCheckpoint{}, fmt.Errorf("engineering: checkpointing %s: %w", o.id, err)
@@ -444,25 +492,23 @@ func (o *Object) checkpoint() (ObjectCheckpoint, error) {
 	return oc, nil
 }
 
-// remove deregisters all interfaces and drops the behaviour.
+// remove deregisters all interfaces, here and in the relocator.
 func (o *Object) remove() {
-	node := o.cluster.capsule.node
-	o.mu.Lock()
-	ifaces := make([]*objectInterface, 0, len(o.interfaces))
-	for _, oi := range o.interfaces {
-		ifaces = append(ifaces, oi)
-	}
+	k := o.cluster
+	k.mu.Lock()
+	ifaces := o.interfaces
 	o.interfaces = map[uint32]*objectInterface{}
-	o.behavior = nil
-	o.mu.Unlock()
+	k.mu.Unlock()
+	node := k.capsule.node
 	for _, oi := range ifaces {
 		node.server.Unregister(oi.ref.ID)
 		node.removeLocation(oi.ref.ID)
 	}
 }
 
-// objectHandler adapts an Object to channel.Handler, adding the
-// activation check: it is the node-side half of persistence transparency.
+// objectHandler adapts an Object to channel.Handler: every call passes
+// the cluster's admission gate, the node-side half of persistence and
+// relocation transparency.
 type objectHandler struct {
 	object *Object
 }
@@ -474,61 +520,36 @@ var (
 )
 
 func (h *objectHandler) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-	b, err := h.object.liveBehavior()
+	b, err := h.object.admit()
 	if err != nil {
 		return "", nil, err
 	}
+	defer h.object.cluster.leave()
 	return b.Invoke(ctx, op, args)
 }
 
 func (h *objectHandler) Flow(flow string, elem values.Value) {
-	b, err := h.object.liveBehavior()
-	if err != nil {
-		return
-	}
-	if fr, ok := b.(channel.FlowReceiver); ok {
+	if fr, ok := h.object.current().(channel.FlowReceiver); ok {
 		fr.Flow(flow, elem)
 	}
 }
 
 func (h *objectHandler) Signal(name string, args []values.Value) {
-	b, err := h.object.liveBehavior()
-	if err != nil {
-		return
-	}
-	if sr, ok := b.(channel.SignalReceiver); ok {
+	if sr, ok := h.object.current().(channel.SignalReceiver); ok {
 		sr.Signal(name, args)
 	}
 }
 
-// liveBehavior returns the object's behaviour, reactivating the cluster on
-// demand when it is configured to.
-func (o *Object) liveBehavior() (Behavior, error) {
+// current returns the behaviour a flow element or signal goes to: on the
+// session's read loop, so never waiting at (or reactivating behind) the gate.
+func (o *Object) current() Behavior {
 	k := o.cluster
 	k.mu.Lock()
-	switch k.state {
-	case clusterActive:
-	case clusterDeactivated:
-		if !k.opts.AutoReactivate {
-			k.mu.Unlock()
-			return nil, &channel.StageError{Code: channel.CodeUnavailable, Detail: k.id.String() + " is deactivated"}
-		}
-		if err := k.reactivateLocked(); err != nil {
-			k.mu.Unlock()
-			return nil, err
-		}
-	default:
-		k.mu.Unlock()
-		return nil, &channel.StageError{Code: channel.CodeUnavailable, Detail: k.id.String() + " is gone"}
+	defer k.mu.Unlock()
+	if !k.changing && k.state == clusterDeactivated && k.opts.AutoReactivate {
+		_ = k.reactivateLocked() // a failed revival leaves no behaviour, and the element is dropped
 	}
-	k.mu.Unlock()
-	o.mu.Lock()
-	b := o.behavior
-	o.mu.Unlock()
-	if b == nil {
-		return nil, &channel.StageError{Code: channel.CodeUnavailable, Detail: o.id.String() + " has no behaviour"}
-	}
-	return b, nil
+	return o.behavior
 }
 
 func sortedKeys[M ~map[uint32]V, V any](m M) []uint32 {

@@ -495,28 +495,89 @@ func TestMigrationPreservesStateAndBindings(t *testing.T) {
 	}
 }
 
+// TestMigrationRequiresBehaviorAtDestination: a destination that cannot
+// instantiate the cluster fails the migration, and the failure changes
+// nothing — the cluster stays active, the relocator still names the source
+// and a live binding reads the state it had.
 func TestMigrationRequiresBehaviorAtDestination(t *testing.T) {
 	f := newFixture()
 	src := f.node(t, "alpha", NodeConfig{})
-	dst := f.node(t, "beta", NodeConfig{})
-	// Strip the destination registry.
-	dst.Behaviors().Register("counter", nil) // overwrite with nil factory is invalid; use fresh node instead
-	dst2, err := NewNode(NodeConfig{
+	// A destination whose registry knows no behaviours.
+	dst, err := NewNode(NodeConfig{
 		ID: "gamma", Endpoint: "sim://gamma", Transport: f.net.From("gamma"), Locations: f.reloc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dst2.Close()
-	k, _ := deploy(t, src, ClusterOptions{}, 0)
-	cap2, err := dst2.CreateCapsule()
+	defer dst.Close()
+	k, ref := deploy(t, src, ClusterOptions{}, 0)
+	b := f.bind(t, src, ref)
+	ctx := context.Background()
+	if _, _, err := b.Invoke(ctx, "Inc", []values.Value{values.Int(5)}); err != nil {
+		t.Fatal(err)
+	}
+	cap2, err := dst.CreateCapsule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.MigrateTo(cap2); !errors.Is(err, ErrNoSuchBehavior) {
 		t.Errorf("migration without behaviour = %v", err)
 	}
-	_ = dst
+	if !k.Active() {
+		t.Error("a failed install deactivated the source cluster")
+	}
+	if at, err := f.reloc.Lookup(ref.ID); err != nil || at.Endpoint != "sim://alpha" {
+		t.Errorf("relocator after the failed install = %+v, %v; want the source", at, err)
+	}
+	_, res, err := b.Invoke(ctx, "Get", nil)
+	if err != nil {
+		t.Fatalf("Get after the failed install: %v", err)
+	}
+	if v, _ := res[0].AsInt(); v != 5 {
+		t.Errorf("counter after the failed install = %d, want 5", v)
+	}
+}
+
+// TestDeactivatedClusterKeepsItsCheckpoint: the checkpoint of a
+// deactivated cluster is the one its deactivation took, so migrating it
+// carries its state; a cluster that migrated away has no checkpoint.
+func TestDeactivatedClusterKeepsItsCheckpoint(t *testing.T) {
+	f := newFixture()
+	src := f.node(t, "alpha", NodeConfig{})
+	dst := f.node(t, "beta", NodeConfig{})
+	k, ref := deploy(t, src, ClusterOptions{}, 7)
+	b := f.bind(t, src, ref)
+	ctx := context.Background()
+	if _, _, err := b.Invoke(ctx, "Inc", []values.Value{values.Int(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Deactivate(); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := k.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := ck.Objects[0].State.AsInt(); !ck.Objects[0].HasState || got != 10 {
+		t.Errorf("checkpoint of the deactivated cluster holds %v (has state %v), want 10", ck.Objects[0].State, ck.Objects[0].HasState)
+	}
+	capB, err := dst.CreateCapsule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.MigrateTo(capB); err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := b.Invoke(ctx, "Get", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := res[0].AsInt(); v != 10 {
+		t.Errorf("counter after migrating the deactivated cluster = %d, want 10", v)
+	}
+	if _, err := k.Checkpoint(); !errors.Is(err, ErrNoSuchCluster) {
+		t.Errorf("checkpoint of a cluster that migrated away = %v, want ErrNoSuchCluster", err)
+	}
 }
 
 func TestCheckpointValueRoundTrip(t *testing.T) {

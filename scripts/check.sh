@@ -83,6 +83,22 @@ if go list -f '{{join .Imports "\n"}}' ./internal/hashring | grep -E '^repro/'; 
 	exit 1
 fi
 
+echo "== one-move gate (a cluster changes state behind one gate; nobody above it compensates) =="
+# Deactivate, MigrateTo and deletion share one admission gate per cluster,
+# and MigrateTo drains, installs at the destination and only then withdraws,
+# so a held call is answered CodeNoSuchInterface once the relocator already
+# names the new home. The binder's relocation cap, the session fence, the
+# "is gone" answer and restore's fresh-identity mode may not come back.
+if grep -nE 'maxRelocations|\bfences\b|func \(m \*SessionManager\) fence\(' \
+	$(find internal/channel -name '*.go' ! -name '*_test.go'); then
+	echo "internal/channel: the binder or the session layer compensates for a move again (the cluster's gate answers after the move)"
+	exit 1
+fi
+if grep -nE '" is gone"|restore\([^,)]*,' $(find internal/engineering -name '*.go' ! -name '*_test.go'); then
+	echo "internal/engineering: a withdraw-first migration answer or a second restore mode is back (drain, install, then withdraw)"
+	exit 1
+fi
+
 echo "== fork gate (the data plane has one shape) =="
 # The channel decides how a frame is carried and nobody above it chooses:
 # the unbatched plane and the config type and constructor that selected it
@@ -152,7 +168,8 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
-	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/
+	./internal/engineering/ \
+	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
