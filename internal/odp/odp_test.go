@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -185,36 +186,57 @@ func TestTellerTerminations(t *testing.T) {
 	}
 }
 
-// tellerAllocs returns what one warmed-up teller call op allocates on a
-// fundedTeller. Each call must terminate OK.
-func tellerAllocs(t *testing.T, op string, amount ...values.Value) float64 {
+// tellerCost returns what one warmed-up teller call op allocates on a
+// fundedTeller, in allocations and in bytes: the mean over 200 calls,
+// taken as testing.AllocsPerRun takes it. Each call must terminate OK.
+func tellerCost(t *testing.T, op string, amount ...values.Value) (allocs, bytes uint64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
 	}
 	teller, acct := fundedTeller(t)
 	args := append(acct, amount...)
-	return testing.AllocsPerRun(200, func() {
+	call := func() {
 		if term, _, err := teller.Invoke(context.Background(), op, args); err != nil || term != "OK" {
 			t.Fatalf("%s = %q, %v", op, term, err)
 		}
-	})
+	}
+	const runs = 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	call()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 // TestE2DepositAllocBudget keeps the single-binding hot path to what an
 // invocation hands on: both argument slices, the Tx, the store key, the
-// result, and for a write the record and its one log copy (7, and 2 spare).
+// result, and for a write the record and its one log copy (7, and 2 spare),
+// at 40-byte values (1,088 B, and the same 2/7 spare: 1,400).
 func TestE2DepositAllocBudget(t *testing.T) {
-	if allocs := tellerAllocs(t, "Deposit", values.Int(1)); allocs > 9 {
-		t.Fatalf("E2 deposit = %v allocs/op, budget 9", allocs)
+	allocs, bytes := tellerCost(t, "Deposit", values.Int(1))
+	if allocs > 9 {
+		t.Errorf("E2 deposit = %d allocs/op, budget 9", allocs)
+	}
+	if bytes > 1400 {
+		t.Errorf("E2 deposit = %d B/op, budget 1400", bytes)
 	}
 }
 
 // TestE2BalanceAllocBudget: a read pays the same less the write's two (5,
-// and 1 spare) — no log record, no decision entry, no commit machinery.
+// and 1 spare) — no log record, no decision entry, no commit machinery —
+// and 464 B (1/5 spare: 560).
 func TestE2BalanceAllocBudget(t *testing.T) {
-	if allocs := tellerAllocs(t, "Balance"); allocs > 6 {
-		t.Fatalf("E2 balance = %v allocs/op, budget 6", allocs)
+	allocs, bytes := tellerCost(t, "Balance")
+	if allocs > 6 {
+		t.Errorf("E2 balance = %d allocs/op, budget 6", allocs)
+	}
+	if bytes > 560 {
+		t.Errorf("E2 balance = %d B/op, budget 560", bytes)
 	}
 }
 

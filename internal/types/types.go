@@ -354,46 +354,67 @@ func validateParams(ps []Parameter) error {
 //     producer flows are covariant, consumer flows contravariant;
 //   - signal: sub must declare every signal of super with the same
 //     primitive; outgoing signals are covariant, incoming contravariant.
-func Subtype(sub, super *Interface) error {
+func Subtype(sub, super *Interface) error { return subtype(sub, super, true) }
+
+// subtype is the one walk of the rules for Subtype and IsSubtype. Only
+// with explain does a violation format its explanation; without, the walk
+// returns the bare ErrNotSubtype at the first violation, so a negative
+// answer costs no allocation (the trader asks it of every registered type
+// whenever it recomputes a subtype closure).
+func subtype(sub, super *Interface, explain bool) error {
 	if sub == nil || super == nil {
-		return fmt.Errorf("%w: nil interface", ErrNotSubtype)
+		return violated(explain, func() error { return fmt.Errorf("%w: nil interface", ErrNotSubtype) })
 	}
 	if sub.Kind != super.Kind {
-		return fmt.Errorf("%w: %s is %v, %s is %v", ErrNotSubtype, sub.Name, sub.Kind, super.Name, super.Kind)
+		return violated(explain, func() error {
+			return fmt.Errorf("%w: %s is %v, %s is %v", ErrNotSubtype, sub.Name, sub.Kind, super.Name, super.Kind)
+		})
 	}
 	switch super.Kind {
 	case Operational:
 		for _, sop := range super.Operations {
 			bop, ok := sub.Operation(sop.Name)
 			if !ok {
-				return fmt.Errorf("%w: %s lacks operation %q required by %s",
-					ErrNotSubtype, sub.Name, sop.Name, super.Name)
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: %s lacks operation %q required by %s",
+						ErrNotSubtype, sub.Name, sop.Name, super.Name)
+				})
 			}
-			if err := operationConforms(bop, sop); err != nil {
-				return fmt.Errorf("%w: %s.%s: %v", ErrNotSubtype, sub.Name, sop.Name, err)
+			if err := operationConforms(bop, sop, explain); err != nil {
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: %s.%s: %v", ErrNotSubtype, sub.Name, sop.Name, err)
+				})
 			}
 		}
 	case Stream:
 		for _, sf := range super.Flows {
 			bf, ok := sub.Flow(sf.Name)
 			if !ok {
-				return fmt.Errorf("%w: %s lacks flow %q required by %s",
-					ErrNotSubtype, sub.Name, sf.Name, super.Name)
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: %s lacks flow %q required by %s",
+						ErrNotSubtype, sub.Name, sf.Name, super.Name)
+				})
 			}
 			if bf.Direction != sf.Direction {
-				return fmt.Errorf("%w: flow %q: direction %v, want %v",
-					ErrNotSubtype, sf.Name, bf.Direction, sf.Direction)
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: flow %q: direction %v, want %v",
+						ErrNotSubtype, sf.Name, bf.Direction, sf.Direction)
+				})
 			}
 			switch sf.Direction {
 			case Producer: // sub produces: what it emits must fit what super promises
 				if !bf.Elem.AssignableTo(sf.Elem) {
-					return fmt.Errorf("%w: producer flow %q: %s not assignable to %s",
-						ErrNotSubtype, sf.Name, bf.Elem, sf.Elem)
+					return violated(explain, func() error {
+						return fmt.Errorf("%w: producer flow %q: %s not assignable to %s",
+							ErrNotSubtype, sf.Name, bf.Elem, sf.Elem)
+					})
 				}
 			case Consumer: // sub consumes: it must accept everything super accepts
 				if !sf.Elem.AssignableTo(bf.Elem) {
-					return fmt.Errorf("%w: consumer flow %q: %s not assignable to %s",
-						ErrNotSubtype, sf.Name, sf.Elem, bf.Elem)
+					return violated(explain, func() error {
+						return fmt.Errorf("%w: consumer flow %q: %s not assignable to %s",
+							ErrNotSubtype, sf.Name, sf.Elem, bf.Elem)
+					})
 				}
 			}
 		}
@@ -401,50 +422,73 @@ func Subtype(sub, super *Interface) error {
 		for _, ss := range super.Signals {
 			bs, ok := sub.Signal(ss.Name)
 			if !ok {
-				return fmt.Errorf("%w: %s lacks signal %q required by %s",
-					ErrNotSubtype, sub.Name, ss.Name, super.Name)
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: %s lacks signal %q required by %s",
+						ErrNotSubtype, sub.Name, ss.Name, super.Name)
+				})
 			}
 			if bs.Primitive != ss.Primitive {
-				return fmt.Errorf("%w: signal %q: primitive %v, want %v",
-					ErrNotSubtype, ss.Name, bs.Primitive, ss.Primitive)
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: signal %q: primitive %v, want %v",
+						ErrNotSubtype, ss.Name, bs.Primitive, ss.Primitive)
+				})
 			}
 			if len(bs.Params) != len(ss.Params) {
-				return fmt.Errorf("%w: signal %q: arity %d, want %d",
-					ErrNotSubtype, ss.Name, len(bs.Params), len(ss.Params))
+				return violated(explain, func() error {
+					return fmt.Errorf("%w: signal %q: arity %d, want %d",
+						ErrNotSubtype, ss.Name, len(bs.Params), len(ss.Params))
+				})
 			}
 			for i := range ss.Params {
 				if ss.Primitive.Outgoing() {
 					if !bs.Params[i].Type.AssignableTo(ss.Params[i].Type) {
-						return fmt.Errorf("%w: signal %q param %q: covariance violated",
-							ErrNotSubtype, ss.Name, ss.Params[i].Name)
+						return violated(explain, func() error {
+							return fmt.Errorf("%w: signal %q param %q: covariance violated",
+								ErrNotSubtype, ss.Name, ss.Params[i].Name)
+						})
 					}
 				} else {
 					if !ss.Params[i].Type.AssignableTo(bs.Params[i].Type) {
-						return fmt.Errorf("%w: signal %q param %q: contravariance violated",
-							ErrNotSubtype, ss.Name, ss.Params[i].Name)
+						return violated(explain, func() error {
+							return fmt.Errorf("%w: signal %q param %q: contravariance violated",
+								ErrNotSubtype, ss.Name, ss.Params[i].Name)
+						})
 					}
 				}
 			}
 		}
 	default:
-		return fmt.Errorf("%w: unknown kind %v", ErrNotSubtype, super.Kind)
+		return violated(explain, func() error { return fmt.Errorf("%w: unknown kind %v", ErrNotSubtype, super.Kind) })
 	}
 	return nil
 }
 
-func operationConforms(sub, super Operation) error {
+// violated is what a broken rule returns: with explain the error msg
+// formats, without it the bare ErrNotSubtype.
+func violated(explain bool, msg func() error) error {
+	if !explain {
+		return ErrNotSubtype
+	}
+	return msg()
+}
+
+func operationConforms(sub, super Operation, explain bool) error {
 	if sub.IsAnnouncement() != super.IsAnnouncement() {
-		return errors.New("announcement/interrogation mismatch")
+		return violated(explain, func() error { return errors.New("announcement/interrogation mismatch") })
 	}
 	if len(sub.Params) != len(super.Params) {
-		return fmt.Errorf("parameter arity %d, want %d", len(sub.Params), len(super.Params))
+		return violated(explain, func() error {
+			return fmt.Errorf("parameter arity %d, want %d", len(sub.Params), len(super.Params))
+		})
 	}
 	// Contravariance: the subtype must accept every argument the supertype's
 	// clients may pass, so super's parameter types must be assignable to sub's.
 	for i := range super.Params {
 		if !super.Params[i].Type.AssignableTo(sub.Params[i].Type) {
-			return fmt.Errorf("parameter %d (%q): contravariance violated: %s not assignable to %s",
-				i, super.Params[i].Name, super.Params[i].Type, sub.Params[i].Type)
+			return violated(explain, func() error {
+				return fmt.Errorf("parameter %d (%q): contravariance violated: %s not assignable to %s",
+					i, super.Params[i].Name, super.Params[i].Type, sub.Params[i].Type)
+			})
 		}
 	}
 	// Termination containment: anything sub can reply with must be expected
@@ -452,17 +496,21 @@ func operationConforms(sub, super Operation) error {
 	for _, bt := range sub.Terminations {
 		st, ok := super.Termination(bt.Name)
 		if !ok {
-			return fmt.Errorf("termination %q not declared by supertype", bt.Name)
+			return violated(explain, func() error { return fmt.Errorf("termination %q not declared by supertype", bt.Name) })
 		}
 		if len(bt.Results) != len(st.Results) {
-			return fmt.Errorf("termination %q: result arity %d, want %d",
-				bt.Name, len(bt.Results), len(st.Results))
+			return violated(explain, func() error {
+				return fmt.Errorf("termination %q: result arity %d, want %d",
+					bt.Name, len(bt.Results), len(st.Results))
+			})
 		}
 		// Covariance: what sub returns must fit what super promised.
 		for i := range bt.Results {
 			if !bt.Results[i].Type.AssignableTo(st.Results[i].Type) {
-				return fmt.Errorf("termination %q result %d (%q): covariance violated: %s not assignable to %s",
-					bt.Name, i, st.Results[i].Name, bt.Results[i].Type, st.Results[i].Type)
+				return violated(explain, func() error {
+					return fmt.Errorf("termination %q result %d (%q): covariance violated: %s not assignable to %s",
+						bt.Name, i, st.Results[i].Name, bt.Results[i].Type, st.Results[i].Type)
+				})
 			}
 		}
 	}
@@ -470,7 +518,7 @@ func operationConforms(sub, super Operation) error {
 }
 
 // IsSubtype is the boolean form of Subtype.
-func IsSubtype(sub, super *Interface) bool { return Subtype(sub, super) == nil }
+func IsSubtype(sub, super *Interface) bool { return subtype(sub, super, false) == nil }
 
 // Equal reports whether two interface types are mutually substitutable.
 func Equal(a, b *Interface) bool { return IsSubtype(a, b) && IsSubtype(b, a) }

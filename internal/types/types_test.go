@@ -178,6 +178,42 @@ func TestSubtypeErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), tt.errPart) {
 				t.Errorf("error %q should mention %q", err, tt.errPart)
 			}
+			if IsSubtype(tt.sub, tt.super) {
+				t.Error("IsSubtype disagrees with Subtype")
+			}
+		})
+	}
+}
+
+// TestIsSubtypeNegativeAllocatesNothing: the boolean form stops at the
+// first violated rule without formatting why, for one failing pair of each
+// rule, while Subtype still explains the same pair.
+func TestIsSubtypeNegativeAllocatesNothing(t *testing.T) {
+	osi := SignalInterface("OSI", Sig("connect", Request, P("addr", values.TString())))
+	for _, c := range []struct {
+		name       string
+		sub, super *Interface
+	}{
+		{"missing-operation", OpInterface("T"), tellerType()},
+		{"arity", OpInterface("T", Op("Get", Params(P("a", values.TInt())), Term("OK"))),
+			OpInterface("U", Op("Get", nil, Term("OK")))},
+		{"termination", OpInterface("T", Op("Get", nil, Term("OK"), Term("Surprise"))),
+			OpInterface("U", Op("Get", nil, Term("OK")))},
+		{"stream-direction", StreamInterface("S", FlowOf("video", Consumer, values.TBytes())),
+			StreamInterface("U", FlowOf("video", Producer, values.TBytes()))},
+		{"signal-primitive", SignalInterface("W", Sig("connect", Indicate, P("addr", values.TString()))), osi},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := Subtype(c.sub, c.super); !errors.Is(err, ErrNotSubtype) || err == ErrNotSubtype {
+				t.Fatalf("Subtype = %v, want an explained ErrNotSubtype", err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() {
+				if IsSubtype(c.sub, c.super) {
+					t.Fatal("IsSubtype = true")
+				}
+			}); allocs != 0 {
+				t.Errorf("IsSubtype allocates %v per negative answer, want 0", allocs)
+			}
 		})
 	}
 }

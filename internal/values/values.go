@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the shape of a Value or DataType.
@@ -76,14 +77,31 @@ type Field struct {
 // Construct values with the Bool, Int, Uint, Float, Str, Bytes, Enum,
 // Record, Seq and Any constructors; the zero Value is Null.
 type Value struct {
-	kind   Kind
-	num    uint64 // bool / int / uint / float payload
-	str    string // string payload or enum symbol
-	bytes  []byte
-	fields []Field // record members
-	elems  []Value // sequence elements
-	anyTyp *DataType
-	anyVal *Value
+	// A Value is 40 bytes — a kind, one 8-byte scalar, one string header
+	// and one pointer — because every argument, result, record field and
+	// offer copies it. A kind uses at most two of the payload fields:
+	//
+	//   - bool, int, uint, float: num;
+	//   - string, enum: str;
+	//   - bytes: str, holding octets BytesVal copied in once;
+	//   - record, seq: num is the length and tail points at the first Field
+	//     or Value of the backing array (Record and Seq copy into it, the
+	//     *Owned constructors take it over);
+	//   - any: tail points at an anyTail.
+	//
+	// Nothing writes a tail or the octets once a value holds them, so
+	// copies of a value share both safely.
+	_    [0]func()      // not comparable: == would compare tails by address
+	kind Kind           // selects the fields below
+	num  uint64         // scalar payload, or a composite's length
+	str  string         // string, enum symbol, or the octets of a bytes value
+	tail unsafe.Pointer // *Field, *Value or *anyTail
+}
+
+// anyTail is what an any value's tail points at.
+type anyTail struct {
+	typ *DataType
+	val Value
 }
 
 // Null is the null value.
@@ -111,11 +129,7 @@ func Float(v float64) Value { return Value{kind: KindFloat, num: math.Float64bit
 func Str(v string) Value { return Value{kind: KindString, str: v} }
 
 // BytesVal constructs an opaque octet-sequence value. The input is copied.
-func BytesVal(v []byte) Value {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Value{kind: KindBytes, bytes: cp}
-}
+func BytesVal(v []byte) Value { return Value{kind: KindBytes, str: string(v)} }
 
 // Enum constructs an enumeration value holding the given symbol.
 func Enum(symbol string) Value { return Value{kind: KindEnum, str: symbol} }
@@ -125,7 +139,7 @@ func Enum(symbol string) Value { return Value{kind: KindEnum, str: symbol} }
 func Record(fields ...Field) Value {
 	cp := make([]Field, len(fields))
 	copy(cp, fields)
-	return Value{kind: KindRecord, fields: cp}
+	return RecordOwned(cp)
 }
 
 // F is shorthand for constructing a record Field.
@@ -136,26 +150,49 @@ func F(name string, v Value) Field { return Field{Name: name, Value: v} }
 // afterwards. Decoders use this to build a record in a single allocation;
 // everyone else should prefer Record, whose defensive copy preserves the
 // value's immutability no matter what the caller does with the slice.
-func RecordOwned(fields []Field) Value { return Value{kind: KindRecord, fields: fields} }
+func RecordOwned(fields []Field) Value {
+	return Value{kind: KindRecord, num: uint64(len(fields)), tail: unsafe.Pointer(unsafe.SliceData(fields))}
+}
 
 // SeqOwned constructs a sequence value that takes ownership of elems: the
 // slice is not copied, and the caller must neither read nor modify it
 // afterwards. See RecordOwned.
-func SeqOwned(elems []Value) Value { return Value{kind: KindSeq, elems: elems} }
+func SeqOwned(elems []Value) Value {
+	return Value{kind: KindSeq, num: uint64(len(elems)), tail: unsafe.Pointer(unsafe.SliceData(elems))}
+}
 
 // Seq constructs a sequence value from the given elements. The slice is copied.
 func Seq(elems ...Value) Value {
 	cp := make([]Value, len(elems))
 	copy(cp, elems)
-	return Value{kind: KindSeq, elems: cp}
+	return SeqOwned(cp)
 }
 
 // Any wraps a value together with its data type for dynamically-typed
 // transmission (the ODP "any" used e.g. in trader property lists).
 func Any(t *DataType, v Value) Value {
-	cv := v
-	return Value{kind: KindAny, anyTyp: t, anyVal: &cv}
+	return Value{kind: KindAny, tail: unsafe.Pointer(&anyTail{typ: t, val: v})}
 }
+
+// fields returns a record's members, nil for any other kind. The slice
+// aliases the value's immutable tail: read it, never write it.
+func (v Value) fields() []Field {
+	if v.kind != KindRecord {
+		return nil
+	}
+	return unsafe.Slice((*Field)(v.tail), v.num)
+}
+
+// elems is fields for a sequence's elements.
+func (v Value) elems() []Value {
+	if v.kind != KindSeq {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.tail), v.num)
+}
+
+// any returns an any value's tail: its data type and inner value.
+func (v Value) any() *anyTail { return (*anyTail)(v.tail) }
 
 // Kind returns the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -208,8 +245,8 @@ func (v Value) AsBytes() ([]byte, bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	cp := make([]byte, len(v.bytes))
-	copy(cp, v.bytes)
+	cp := make([]byte, len(v.str))
+	copy(cp, v.str)
 	return cp, true
 }
 
@@ -220,7 +257,9 @@ func (v Value) BytesView() ([]byte, bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	return v.bytes, true
+	// The view aliases the octets v holds as an immutable string, so a
+	// write through it would change every copy of v.
+	return unsafe.Slice(unsafe.StringData(v.str), len(v.str)), true
 }
 
 // AsEnum returns the enum symbol; ok is false if the kind differs.
@@ -232,10 +271,10 @@ func (v Value) AsEnum() (string, bool) {
 }
 
 // NumFields returns the number of record fields (0 for non-records).
-func (v Value) NumFields() int { return len(v.fields) }
+func (v Value) NumFields() int { return len(v.fields()) }
 
 // FieldAt returns the i'th record field.
-func (v Value) FieldAt(i int) Field { return v.fields[i] }
+func (v Value) FieldAt(i int) Field { return v.fields()[i] }
 
 // FieldByName returns the named record field's value; ok is false if absent
 // or if the value is not a record.
@@ -243,7 +282,7 @@ func (v Value) FieldByName(name string) (Value, bool) {
 	if v.kind != KindRecord {
 		return Value{}, false
 	}
-	for _, f := range v.fields {
+	for _, f := range v.fields() {
 		if f.Name == name {
 			return f.Value, true
 		}
@@ -252,15 +291,16 @@ func (v Value) FieldByName(name string) (Value, bool) {
 }
 
 // Len returns the number of sequence elements (0 for non-sequences).
-func (v Value) Len() int { return len(v.elems) }
+func (v Value) Len() int { return len(v.elems()) }
 
 // ElemAt returns the i'th sequence element.
-func (v Value) ElemAt(i int) Value { return v.elems[i] }
+func (v Value) ElemAt(i int) Value { return v.elems()[i] }
 
 // Elems returns a copy of the sequence elements.
 func (v Value) Elems() []Value {
-	cp := make([]Value, len(v.elems))
-	copy(cp, v.elems)
+	es := v.elems()
+	cp := make([]Value, len(es))
+	copy(cp, es)
 	return cp
 }
 
@@ -269,7 +309,8 @@ func (v Value) AsAny() (*DataType, Value, bool) {
 	if v.kind != KindAny {
 		return nil, Value{}, false
 	}
-	return v.anyTyp, *v.anyVal, true
+	a := v.any()
+	return a.typ, a.val, true
 }
 
 // Equal reports deep structural equality. Float NaN compares unequal to
@@ -287,40 +328,33 @@ func (v Value) Equal(w Value) bool {
 		a, _ := v.AsFloat()
 		b, _ := w.AsFloat()
 		return a == b
-	case KindString, KindEnum:
+	case KindString, KindEnum, KindBytes:
 		return v.str == w.str
-	case KindBytes:
-		if len(v.bytes) != len(w.bytes) {
-			return false
-		}
-		for i := range v.bytes {
-			if v.bytes[i] != w.bytes[i] {
-				return false
-			}
-		}
-		return true
 	case KindRecord:
-		if len(v.fields) != len(w.fields) {
+		vf, wf := v.fields(), w.fields()
+		if len(vf) != len(wf) {
 			return false
 		}
-		for i := range v.fields {
-			if v.fields[i].Name != w.fields[i].Name || !v.fields[i].Value.Equal(w.fields[i].Value) {
+		for i := range vf {
+			if vf[i].Name != wf[i].Name || !vf[i].Value.Equal(wf[i].Value) {
 				return false
 			}
 		}
 		return true
 	case KindSeq:
-		if len(v.elems) != len(w.elems) {
+		ve, we := v.elems(), w.elems()
+		if len(ve) != len(we) {
 			return false
 		}
-		for i := range v.elems {
-			if !v.elems[i].Equal(w.elems[i]) {
+		for i := range ve {
+			if !ve[i].Equal(we[i]) {
 				return false
 			}
 		}
 		return true
 	case KindAny:
-		return v.anyTyp.Equal(w.anyTyp) && v.anyVal.Equal(*w.anyVal)
+		va, wa := v.any(), w.any()
+		return va.typ.Equal(wa.typ) && va.val.Equal(wa.val)
 	}
 	return false
 }
@@ -354,13 +388,13 @@ func (v Value) format(sb *strings.Builder) {
 	case KindString:
 		sb.WriteString(strconv.Quote(v.str))
 	case KindBytes:
-		sb.WriteString(fmt.Sprintf("0x%x", v.bytes))
+		sb.WriteString(fmt.Sprintf("0x%x", v.str))
 	case KindEnum:
 		sb.WriteByte('#')
 		sb.WriteString(v.str)
 	case KindRecord:
 		sb.WriteByte('{')
-		for i, f := range v.fields {
+		for i, f := range v.fields() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -371,7 +405,7 @@ func (v Value) format(sb *strings.Builder) {
 		sb.WriteByte('}')
 	case KindSeq:
 		sb.WriteByte('[')
-		for i, e := range v.elems {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -380,9 +414,10 @@ func (v Value) format(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindAny:
 		sb.WriteString("any<")
-		sb.WriteString(v.anyTyp.String())
+		a := v.any()
+		sb.WriteString(a.typ.String())
 		sb.WriteString(">(")
-		v.anyVal.format(sb)
+		a.val.format(sb)
 		sb.WriteByte(')')
 	}
 }
@@ -467,8 +502,8 @@ func (v Value) SortFieldsCopy() Value {
 	if v.kind != KindRecord {
 		return v
 	}
-	cp := make([]Field, len(v.fields))
-	copy(cp, v.fields)
+	cp := make([]Field, v.num)
+	copy(cp, v.fields())
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Name < cp[j].Name })
-	return Value{kind: KindRecord, fields: cp}
+	return RecordOwned(cp)
 }

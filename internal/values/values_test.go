@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -88,6 +89,25 @@ func TestAccessorKindMismatch(t *testing.T) {
 	}
 	if _, _, ok := v.AsAny(); ok {
 		t.Error("AsAny on string should fail")
+	}
+	// A composite's length shares the scalar slot, so the length
+	// accessors must look at the kind first.
+	if n := Int(5).Len(); n != 0 {
+		t.Errorf("Int(5).Len() = %d, want 0", n)
+	}
+	if n := Uint(3).NumFields(); n != 0 {
+		t.Errorf("Uint(3).NumFields() = %d, want 0", n)
+	}
+}
+
+// TestValueWidth pins the narrow layout: every argument, result, record
+// field and offer copies a Value.
+func TestValueWidth(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Errorf("Value is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(Field{}); got != 56 {
+		t.Errorf("Field is %d bytes, want 56", got)
 	}
 }
 

@@ -146,6 +146,18 @@ if grep -rnE 'type (Scenario|Set)\b|timeScenarios' --include='*.go' internal/exp
 	exit 1
 fi
 
+echo "== narrow-value gate (unsafe stays in the value model) =="
+# values.Value is 40 bytes because its composite tail is an unsafe.Pointer
+# read back through unsafe.Slice; that is the one place the repository
+# steps outside the type system, and the race run below (which turns on
+# checkptr) and FuzzValue cover it. No other non-test file may import
+# unsafe.
+if grep -rlE '^[[:space:]]*(import[[:space:]]+)?"unsafe"' --include='*.go' --exclude='*_test.go' \
+	--exclude-dir=.bench_build . | grep -vx './internal/values/values.go'; then
+	echo "unsafe is imported outside internal/values/values.go"
+	exit 1
+fi
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -162,7 +174,8 @@ find internal/coordination -name '*.go' ! -name '*_test.go' -print0 | xargs -0 c
 wc -l scripts/check.sh
 
 echo "== race detector (hot-path and fan-out packages) =="
-go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
+go test -race ./internal/values/ ./internal/types/ \
+	./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/transactions/ ./internal/coordination/ ./internal/trader/ \
 	./internal/constraint/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
@@ -170,6 +183,9 @@ go test -race ./internal/wire/ ./internal/channel/ ./internal/netsim/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
 	./internal/engineering/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
+
+echo "== FuzzValue (the narrow value against its reference model, 10 s) =="
+go test -run='^$' -fuzz=FuzzValue -fuzztime=10s ./internal/values/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
