@@ -21,15 +21,30 @@
 // record-valued properties. Comparisons follow values.Compare, so ints,
 // uints and floats compare across kinds and strings compare
 // lexicographically.
+//
+// An expression is bounded: at most 4,096 operators and operands, and
+// parentheses nested at most 32 deep. Parse refuses a larger one with
+// ErrSyntax before it builds anything, so an expression that arrives off
+// the wire costs at most that much to parse and to evaluate.
 package constraint
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/values"
+)
+
+// The bounds of an expression. Parsing and evaluation recurse once per
+// level of parentheses, through a fixed number of grammar levels; a chain
+// (a or b or c, a + b - c) and a run of prefix operators (not not a) are
+// walked in a loop, so neither counts towards the depth.
+const (
+	maxNodes = 4096 // operators and operands
+	maxDepth = 32   // parentheses open at once
 )
 
 // Constraint error sentinels.
@@ -40,8 +55,11 @@ var (
 
 // Expr is a parsed constraint or preference expression.
 type Expr struct {
-	root node
+	// One flat program, immutable once parsed, so the legs of one import
+	// evaluate it concurrently.
 	src  string
+	prog []node // nil for the empty, always-true constraint
+	root int32  // the node the program's value is
 }
 
 // String returns the original source text.
@@ -51,29 +69,33 @@ func (e *Expr) String() string { return e.src }
 // always-true constraint.
 func Parse(src string) (*Expr, error) {
 	if strings.TrimSpace(src) == "" {
-		return &Expr{root: alwaysTrue, src: src}, nil
+		return &Expr{src: src}, nil
 	}
-	toks, err := lex(src)
+	// A first pass lexes the whole source, so a lexical error anywhere is
+	// reported before any grammatical one, and counts the nodes; the parse
+	// then fills a program of that size, lexing again as it goes.
+	n, err := measure(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
-	root, err := p.parseOr()
+	p := parser{src: src, prog: make([]node, 0, n)}
+	p.next()
+	root, err := p.parse(orLevel)
 	if err != nil {
 		return nil, err
 	}
-	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("%w: trailing input at %q", ErrSyntax, p.toks[p.pos].text)
+	if p.tok.kind != tokEnd {
+		return nil, fmt.Errorf("%w: trailing input at %q", ErrSyntax, p.text())
 	}
-	return &Expr{root: root, src: src}, nil
+	return &Expr{src: src, prog: p.prog, root: root}, nil
 }
-
-// alwaysTrue is the root of every empty constraint: nodes are immutable.
-var alwaysTrue node = litNode{values.Bool(true)}
 
 // Eval evaluates the expression against a property record.
 func (e *Expr) Eval(props values.Value) (values.Value, error) {
-	return e.root.eval(props)
+	if e.prog == nil {
+		return values.Bool(true), nil
+	}
+	return e.eval(e.root, props)
 }
 
 // Matches evaluates the expression and requires a boolean result.
@@ -92,86 +114,79 @@ func (e *Expr) Matches(props values.Value) (bool, error) {
 // ---------------------------------------------------------------------------
 // lexer
 
-type tokKind int
+type tokKind uint8
 
 const (
-	tokIdent tokKind = iota + 1
+	tokEnd tokKind = iota // past the last token
+	tokIdent
 	tokInt
 	tokFloat
 	tokString
 	tokOp // punctuation operators
 )
 
+// token is one lexeme: its text is src[at:end], a string literal's without
+// its quotes.
 type token struct {
-	kind tokKind
-	text string
+	kind    tokKind
+	at, end int
 }
 
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)) // a token is at least one byte long
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c >= '0' && c <= '9':
-			j := i
-			isFloat := false
-			for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
-				if src[j] == '.' {
-					if isFloat {
-						return nil, fmt.Errorf("%w: bad number at %q", ErrSyntax, src[i:])
-					}
-					isFloat = true
+// scan lexes the token that starts at or after src[i], and returns where
+// the next scan starts.
+func scan(src string, i int) (token, int, error) {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	if i == len(src) {
+		return token{tokEnd, i, i}, i, nil
+	}
+	c := src[i]
+	switch {
+	case c >= '0' && c <= '9':
+		j := i
+		isFloat := false
+		for j < len(src) && (src[j] >= '0' && src[j] <= '9' || src[j] == '.') {
+			if src[j] == '.' {
+				if isFloat {
+					return token{}, 0, fmt.Errorf("%w: bad number at %q", ErrSyntax, src[i:])
 				}
-				j++
+				isFloat = true
 			}
-			kind := tokInt
-			if isFloat {
-				kind = tokFloat
-			}
-			toks = append(toks, token{kind, src[i:j]})
-			i = j
-		case c == '\'' || c == '"':
-			quote := c
-			j := i + 1
-			for j < len(src) && src[j] != quote {
-				j++
-			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("%w: unterminated string", ErrSyntax)
-			}
-			toks = append(toks, token{tokString, src[i+1 : j]})
-			i = j + 1
-		case isIdentStart(c):
-			j := i
-			for j < len(src) && isIdentPart(src[j]) {
-				j++
-			}
-			toks = append(toks, token{tokIdent, src[i:j]})
-			i = j
-		default:
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			switch two {
-			case "==", "!=", "<=", ">=":
-				toks = append(toks, token{tokOp, two})
-				i += 2
-				continue
-			}
-			switch c {
-			case '<', '>', '+', '-', '*', '/', '(', ')':
-				toks = append(toks, token{tokOp, src[i : i+1]})
-				i++
-			default:
-				return nil, fmt.Errorf("%w: unexpected character %q", ErrSyntax, string(c))
-			}
+			j++
+		}
+		kind := tokInt
+		if isFloat {
+			kind = tokFloat
+		}
+		return token{kind, i, j}, j, nil
+	case c == '\'' || c == '"':
+		j := i + 1
+		for j < len(src) && src[j] != c {
+			j++
+		}
+		if j >= len(src) {
+			return token{}, 0, fmt.Errorf("%w: unterminated string", ErrSyntax)
+		}
+		return token{tokString, i + 1, j}, j + 1, nil
+	case isIdentStart(c):
+		j := i
+		for j < len(src) && isIdentPart(src[j]) {
+			j++
+		}
+		return token{tokIdent, i, j}, j, nil
+	}
+	if i+1 < len(src) {
+		switch src[i : i+2] {
+		case "==", "!=", "<=", ">=":
+			return token{tokOp, i, i + 2}, i + 2, nil
 		}
 	}
-	return toks, nil
+	switch c {
+	case '<', '>', '+', '-', '*', '/', '(', ')':
+		return token{tokOp, i, i + 1}, i + 1, nil
+	}
+	return token{}, 0, fmt.Errorf("%w: unexpected character %q", ErrSyntax, string(c))
 }
 
 func isIdentStart(c byte) bool {
@@ -182,236 +197,363 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || c >= '0' && c <= '9' || c == '.'
 }
 
+// measure is Parse's first pass: it lexes the whole source, refuses one
+// beyond the bounds, and returns how many nodes its program can have — at
+// most one per token but the parentheses, which make none.
+func measure(src string) (nodes int, err error) {
+	depth := 0
+	for i := 0; ; {
+		var t token
+		if t, i, err = scan(src, i); err != nil || t.kind == tokEnd {
+			return nodes, err
+		}
+		switch text := src[t.at:t.end]; {
+		case t.kind == tokOp && text == "(":
+			if depth++; depth > maxDepth {
+				return 0, fmt.Errorf("%w: parentheses nested deeper than %d", ErrSyntax, maxDepth)
+			}
+		case t.kind == tokOp && text == ")":
+			depth = max(depth-1, 0)
+		default:
+			if nodes++; nodes > maxNodes {
+				return 0, fmt.Errorf("%w: more than %d operators and operands", ErrSyntax, maxNodes)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // parser
 
+// opcode is what a node computes.
+type opcode uint8
+
+const (
+	opInt opcode = iota + 1
+	opFloat
+	opBool
+	opStr
+	opIdent
+	opExist
+	opNot // a run of num nots
+	opNeg // a run of num unary minuses
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opOr // a link of a left-associative chain, like every opcode after it
+	opAnd
+	opAdd
+	opSub
+	opMul
+	opDiv
+)
+
+// opText is the token an operator is written as.
+var opText = [...]string{
+	opNot: "not", opNeg: "-",
+	opEq: "==", opNe: "!=", opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
+	opOr: "or", opAnd: "and", opAdd: "+", opSub: "-", opMul: "*", opDiv: "/",
+}
+
+// node is one instruction of a program. Operands are indices of other
+// nodes, which the parse writes first.
+//
+// A chain — a or b or c, a + b - c — is one link per operator: the first
+// link holds the chain's first operand in a and its own right operand in
+// b, each later link only its right operand in b, and next leads from one
+// link to the one after (0 ends the chain: node 0 is always an operand).
+// The chain evaluates left to right, exactly as the left-nested pairs it
+// stands for.
+type node struct {
+	op   opcode
+	a, b int32  // operands: left and right, or a prefix run's one in a
+	next int32  // a chain link's successor
+	num  uint64 // an int's or a float's bits, a bool, a prefix run's length
+	str  string // a string literal, or a property path as written
+}
+
+// parser builds a program over a source measure has lexed, so lexing
+// again cannot fail.
 type parser struct {
-	toks []token
-	pos  int
 	src  string
+	pos  int   // where the token after tok starts
+	tok  token // the lookahead
+	prog []node
 }
 
-func (p *parser) peek() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
-	}
-	return p.toks[p.pos], true
-}
+func (p *parser) next() { p.tok, p.pos, _ = scan(p.src, p.pos) }
 
-func (p *parser) acceptIdent(word string) bool {
-	if t, ok := p.peek(); ok && t.kind == tokIdent && t.text == word {
-		p.pos++
-		return true
-	}
-	return false
-}
+func (p *parser) text() string { return p.src[p.tok.at:p.tok.end] }
 
-func (p *parser) acceptOp(ops ...string) (string, bool) {
-	t, ok := p.peek()
-	if !ok || t.kind != tokOp {
-		return "", false
-	}
+// accept consumes the lookahead if it is the token one of ops is written
+// as, and says which.
+func (p *parser) accept(ops ...opcode) (opcode, bool) {
 	for _, op := range ops {
-		if t.text == op {
-			p.pos++
+		kind := tokOp
+		if op == opOr || op == opAnd || op == opNot {
+			kind = tokIdent
+		}
+		if p.tok.kind == kind && p.text() == opText[op] {
+			p.next()
 			return op, true
 		}
 	}
-	return "", false
+	return 0, false
 }
 
-func (p *parser) parseOr() (node, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptIdent("or") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = boolNode{op: "or", left: left, right: right}
-	}
-	return left, nil
+func (p *parser) emit(n node) int32 {
+	p.prog = append(p.prog, n)
+	return int32(len(p.prog) - 1)
 }
 
-func (p *parser) parseAnd() (node, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptIdent("and") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = boolNode{op: "and", left: left, right: right}
-	}
-	return left, nil
-}
+// level is a rung of the grammar, loosest first; each parses the next.
+type level uint8
 
-func (p *parser) parseNot() (node, error) {
-	if p.acceptIdent("not") {
-		inner, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return notNode{inner}, nil
-	}
-	return p.parseCmp()
-}
+const (
+	orLevel level = iota
+	andLevel
+	notLevel
+	cmpLevel
+	sumLevel
+	prodLevel
+	unaryLevel
+	primaryLevel
+)
 
-func (p *parser) parseCmp() (node, error) {
-	left, err := p.parseSum()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := p.acceptOp("==", "!=", "<=", ">=", "<", ">"); ok {
-		right, err := p.parseSum()
-		if err != nil {
-			return nil, err
-		}
-		return cmpNode{op: op, left: left, right: right}, nil
-	}
-	return left, nil
-}
-
-func (p *parser) parseSum() (node, error) {
-	left, err := p.parseProd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op, ok := p.acceptOp("+", "-")
-		if !ok {
-			return left, nil
-		}
-		right, err := p.parseProd()
-		if err != nil {
-			return nil, err
-		}
-		left = arithNode{op: op, left: left, right: right}
-	}
-}
-
-func (p *parser) parseProd() (node, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		op, ok := p.acceptOp("*", "/")
-		if !ok {
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = arithNode{op: op, left: left, right: right}
-	}
-}
-
-func (p *parser) parseUnary() (node, error) {
-	if _, ok := p.acceptOp("-"); ok {
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return negNode{inner}, nil
+func (p *parser) parse(l level) (int32, error) {
+	switch l {
+	case orLevel:
+		return p.chain(andLevel, opOr)
+	case andLevel:
+		return p.chain(notLevel, opAnd)
+	case notLevel:
+		return p.prefix(opNot, cmpLevel)
+	case cmpLevel:
+		return p.parseCmp()
+	case sumLevel:
+		return p.chain(prodLevel, opAdd, opSub)
+	case prodLevel:
+		return p.chain(unaryLevel, opMul, opDiv)
+	case unaryLevel:
+		return p.prefix(opNeg, primaryLevel)
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (node, error) {
-	t, ok := p.peek()
-	if !ok {
-		return nil, fmt.Errorf("%w: unexpected end of expression", ErrSyntax)
+// chain parses operand (op operand)*, op one of ops: a chain of links, or
+// the lone operand.
+func (p *parser) chain(operand level, ops ...opcode) (int32, error) {
+	first, err := p.parse(operand)
+	if err != nil {
+		return 0, err
 	}
-	switch t.kind {
+	head, last := first, int32(0)
+	for {
+		op, ok := p.accept(ops...)
+		if !ok {
+			return head, nil
+		}
+		right, err := p.parse(operand)
+		if err != nil {
+			return 0, err
+		}
+		at := p.emit(node{op: op, a: first, b: right})
+		if last == 0 {
+			head = at
+		} else {
+			p.prog[last].next = at
+		}
+		last = at
+	}
+}
+
+// prefix parses op* operand: one node for the whole run of ops, or the
+// lone operand.
+func (p *parser) prefix(op opcode, operand level) (int32, error) {
+	var run uint64
+	for ; ; run++ {
+		if _, ok := p.accept(op); !ok {
+			break
+		}
+	}
+	inner, err := p.parse(operand)
+	if err != nil || run == 0 {
+		return inner, err
+	}
+	return p.emit(node{op: op, a: inner, num: run}), nil
+}
+
+func (p *parser) parseCmp() (int32, error) {
+	left, err := p.parse(sumLevel)
+	if err != nil {
+		return 0, err
+	}
+	if op, ok := p.accept(opEq, opNe, opLe, opGe, opLt, opGt); ok {
+		right, err := p.parse(sumLevel)
+		if err != nil {
+			return 0, err
+		}
+		return p.emit(node{op: op, a: left, b: right}), nil
+	}
+	return left, nil
+}
+
+func (p *parser) parsePrimary() (int32, error) {
+	text := p.text()
+	switch p.tok.kind {
+	case tokEnd:
+		return 0, fmt.Errorf("%w: unexpected end of expression", ErrSyntax)
 	case tokInt:
-		p.pos++
-		n, err := strconv.ParseInt(t.text, 10, 64)
+		p.next()
+		n, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
+			return 0, fmt.Errorf("%w: %v", ErrSyntax, err)
 		}
-		return litNode{values.Int(n)}, nil
+		return p.emit(node{op: opInt, num: uint64(n)}), nil
 	case tokFloat:
-		p.pos++
-		f, err := strconv.ParseFloat(t.text, 64)
+		p.next()
+		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
+			return 0, fmt.Errorf("%w: %v", ErrSyntax, err)
 		}
-		return litNode{values.Float(f)}, nil
+		return p.emit(node{op: opFloat, num: math.Float64bits(f)}), nil
 	case tokString:
-		p.pos++
-		return litNode{values.Str(t.text)}, nil
+		p.next()
+		return p.emit(node{op: opStr, str: text}), nil
 	case tokIdent:
-		switch t.text {
-		case "true":
-			p.pos++
-			return litNode{values.Bool(true)}, nil
-		case "false":
-			p.pos++
-			return litNode{values.Bool(false)}, nil
-		case "exist":
-			p.pos++
-			name, ok := p.peek()
-			if !ok || name.kind != tokIdent {
-				return nil, fmt.Errorf("%w: exist requires a property name", ErrSyntax)
+		switch text {
+		case "true", "false":
+			p.next()
+			n := node{op: opBool}
+			if text == "true" {
+				n.num = 1
 			}
-			p.pos++
-			return existNode{path: name.text}, nil
+			return p.emit(n), nil
+		case "exist":
+			p.next()
+			if p.tok.kind != tokIdent {
+				return 0, fmt.Errorf("%w: exist requires a property name", ErrSyntax)
+			}
+			path := p.text()
+			p.next()
+			return p.emit(node{op: opExist, str: path}), nil
 		case "and", "or", "not":
-			return nil, fmt.Errorf("%w: unexpected keyword %q", ErrSyntax, t.text)
+			return 0, fmt.Errorf("%w: unexpected keyword %q", ErrSyntax, text)
 		default:
-			p.pos++
-			return identNode{path: t.text}, nil
+			p.next()
+			return p.emit(node{op: opIdent, str: text}), nil
 		}
 	case tokOp:
-		if t.text == "(" {
-			p.pos++
-			inner, err := p.parseOr()
+		if text == "(" {
+			p.next()
+			inner, err := p.parse(orLevel)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			if _, ok := p.acceptOp(")"); !ok {
-				return nil, fmt.Errorf("%w: missing closing parenthesis", ErrSyntax)
+			if p.tok.kind != tokOp || p.text() != ")" {
+				return 0, fmt.Errorf("%w: missing closing parenthesis", ErrSyntax)
 			}
+			p.next()
 			return inner, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: unexpected token %q", ErrSyntax, t.text)
+	return 0, fmt.Errorf("%w: unexpected token %q", ErrSyntax, text)
 }
 
 // ---------------------------------------------------------------------------
 // evaluation
 
-type node interface {
-	eval(props values.Value) (values.Value, error)
+// eval computes node i of the program.
+func (e *Expr) eval(i int32, props values.Value) (values.Value, error) {
+	n := &e.prog[i]
+	switch n.op {
+	case opInt:
+		return values.Int(int64(n.num)), nil
+	case opFloat:
+		return values.Float(math.Float64frombits(n.num)), nil
+	case opBool:
+		return values.Bool(n.num != 0), nil
+	case opStr:
+		return values.Str(n.str), nil
+	case opIdent:
+		v, ok := lookup(props, n.str)
+		if !ok {
+			return values.Value{}, fmt.Errorf("%w: no property %q", ErrEval, n.str)
+		}
+		return v, nil
+	case opExist:
+		_, ok := lookup(props, n.str)
+		return values.Bool(ok), nil
+	case opNot:
+		v, err := e.eval(n.a, props)
+		if err != nil {
+			return values.Value{}, err
+		}
+		b, ok := v.AsBool()
+		if !ok {
+			return values.Value{}, fmt.Errorf("%w: 'not' requires a boolean", ErrEval)
+		}
+		return values.Bool(b != (n.num%2 == 1)), nil
+	case opNeg:
+		v, err := e.eval(n.a, props)
+		if err != nil {
+			return values.Value{}, err
+		}
+		return negate(v, n.num%2 == 1)
+	case opEq, opNe, opLt, opLe, opGt, opGe:
+		lv, err := e.eval(n.a, props)
+		if err != nil {
+			return values.Value{}, err
+		}
+		rv, err := e.eval(n.b, props)
+		if err != nil {
+			return values.Value{}, err
+		}
+		return compare(n.op, lv, rv)
+	}
+	return e.chain(i, props)
 }
 
-type litNode struct{ v values.Value }
-
-func (n litNode) eval(values.Value) (values.Value, error) { return n.v, nil }
-
-// identNode names a property; a dotted path (a.b) is kept as written and
-// walked segment by segment at evaluation.
-type identNode struct{ path string }
-
-func (n identNode) eval(props values.Value) (values.Value, error) {
-	v, ok := lookup(props, n.path)
-	if !ok {
-		return values.Value{}, fmt.Errorf("%w: no property %q", ErrEval, n.path)
+// chain evaluates the chain whose first link is node i.
+func (e *Expr) chain(i int32, props values.Value) (values.Value, error) {
+	v, err := e.eval(e.prog[i].a, props)
+	for ; err == nil && i != 0; i = e.prog[i].next {
+		n := &e.prog[i]
+		if n.op == opOr || n.op == opAnd {
+			lb, ok := v.AsBool()
+			if !ok {
+				return values.Value{}, fmt.Errorf("%w: %q requires booleans", ErrEval, opText[n.op])
+			}
+			// Short circuit: the rest of the chain is decided too.
+			if n.op == opAnd && !lb {
+				return values.Bool(false), nil
+			}
+			if n.op == opOr && lb {
+				return values.Bool(true), nil
+			}
+			var rv values.Value
+			if rv, err = e.eval(n.b, props); err != nil {
+				break
+			}
+			rb, ok := rv.AsBool()
+			if !ok {
+				return values.Value{}, fmt.Errorf("%w: %q requires booleans", ErrEval, opText[n.op])
+			}
+			v = values.Bool(rb)
+			continue
+		}
+		var rv values.Value
+		if rv, err = e.eval(n.b, props); err == nil {
+			v, err = arith(n.op, v, rv)
+		}
+	}
+	if err != nil {
+		return values.Value{}, err
 	}
 	return v, nil
-}
-
-type existNode struct{ path string }
-
-func (n existNode) eval(props values.Value) (values.Value, error) {
-	_, ok := lookup(props, n.path)
-	return values.Bool(ok), nil
 }
 
 func lookup(props values.Value, path string) (values.Value, bool) {
@@ -429,132 +571,47 @@ func lookup(props values.Value, path string) (values.Value, bool) {
 	}
 }
 
-type notNode struct{ inner node }
-
-func (n notNode) eval(props values.Value) (values.Value, error) {
-	v, err := n.inner.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	b, ok := v.AsBool()
-	if !ok {
-		return values.Value{}, fmt.Errorf("%w: 'not' requires a boolean", ErrEval)
-	}
-	return values.Bool(!b), nil
-}
-
-type boolNode struct {
-	op          string
-	left, right node
-}
-
-func (n boolNode) eval(props values.Value) (values.Value, error) {
-	lv, err := n.left.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	lb, ok := lv.AsBool()
-	if !ok {
-		return values.Value{}, fmt.Errorf("%w: %q requires booleans", ErrEval, n.op)
-	}
-	// Short circuit.
-	if n.op == "and" && !lb {
-		return values.Bool(false), nil
-	}
-	if n.op == "or" && lb {
-		return values.Bool(true), nil
-	}
-	rv, err := n.right.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	rb, ok := rv.AsBool()
-	if !ok {
-		return values.Value{}, fmt.Errorf("%w: %q requires booleans", ErrEval, n.op)
-	}
-	return values.Bool(rb), nil
-}
-
-type cmpNode struct {
-	op          string
-	left, right node
-}
-
-func (n cmpNode) eval(props values.Value) (values.Value, error) {
-	lv, err := n.left.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	rv, err := n.right.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	if n.op == "==" || n.op == "!=" {
-		// Equality is defined for every kind; ordering is not.
-		if c, ok := values.Compare(lv, rv); ok {
-			eq := c == 0
-			if n.op == "!=" {
-				eq = !eq
-			}
-			return values.Bool(eq), nil
-		}
-		eq := lv.Equal(rv)
-		if n.op == "!=" {
-			eq = !eq
-		}
-		return values.Bool(eq), nil
-	}
-	c, ok := values.Compare(lv, rv)
-	if !ok {
-		return values.Value{}, fmt.Errorf("%w: cannot order %v against %v", ErrEval, lv.Kind(), rv.Kind())
-	}
-	switch n.op {
-	case "<":
-		return values.Bool(c < 0), nil
-	case "<=":
-		return values.Bool(c <= 0), nil
-	case ">":
-		return values.Bool(c > 0), nil
-	case ">=":
-		return values.Bool(c >= 0), nil
-	}
-	return values.Value{}, fmt.Errorf("%w: unknown comparison %q", ErrEval, n.op)
-}
-
-type negNode struct{ inner node }
-
-func (n negNode) eval(props values.Value) (values.Value, error) {
-	v, err := n.inner.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
+// negate checks that v can be negated and, when odd, does.
+func negate(v values.Value, odd bool) (values.Value, error) {
 	switch v.Kind() {
 	case values.KindInt:
-		i, _ := v.AsInt()
-		return values.Int(-i), nil
+		if i, _ := v.AsInt(); odd {
+			return values.Int(-i), nil
+		}
+		return v, nil
 	case values.KindFloat:
-		f, _ := v.AsFloat()
-		return values.Float(-f), nil
+		if f, _ := v.AsFloat(); odd {
+			return values.Float(-f), nil
+		}
+		return v, nil
 	}
 	return values.Value{}, fmt.Errorf("%w: cannot negate %v", ErrEval, v.Kind())
 }
 
-type arithNode struct {
-	op          string
-	left, right node
+func compare(op opcode, lv, rv values.Value) (values.Value, error) {
+	c, ok := values.Compare(lv, rv)
+	if op == opEq || op == opNe {
+		// Equality is defined for every kind; ordering is not.
+		eq := ok && c == 0 || !ok && lv.Equal(rv)
+		return values.Bool(eq != (op == opNe)), nil
+	}
+	if !ok {
+		return values.Value{}, fmt.Errorf("%w: cannot order %v against %v", ErrEval, lv.Kind(), rv.Kind())
+	}
+	switch op {
+	case opLt:
+		return values.Bool(c < 0), nil
+	case opLe:
+		return values.Bool(c <= 0), nil
+	case opGt:
+		return values.Bool(c > 0), nil
+	}
+	return values.Bool(c >= 0), nil
 }
 
-func (n arithNode) eval(props values.Value) (values.Value, error) {
-	lv, err := n.left.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
-	rv, err := n.right.eval(props)
-	if err != nil {
-		return values.Value{}, err
-	}
+func arith(op opcode, lv, rv values.Value) (values.Value, error) {
 	// String concatenation with "+".
-	if n.op == "+" && lv.Kind() == values.KindString && rv.Kind() == values.KindString {
+	if op == opAdd && lv.Kind() == values.KindString && rv.Kind() == values.KindString {
 		ls, _ := lv.AsString()
 		rs, _ := rv.AsString()
 		return values.Str(ls + rs), nil
@@ -563,39 +620,36 @@ func (n arithNode) eval(props values.Value) (values.Value, error) {
 	if lv.Kind() == values.KindInt && rv.Kind() == values.KindInt {
 		li, _ := lv.AsInt()
 		ri, _ := rv.AsInt()
-		switch n.op {
-		case "+":
+		switch op {
+		case opAdd:
 			return values.Int(li + ri), nil
-		case "-":
+		case opSub:
 			return values.Int(li - ri), nil
-		case "*":
+		case opMul:
 			return values.Int(li * ri), nil
-		case "/":
-			if ri == 0 {
-				return values.Value{}, fmt.Errorf("%w: division by zero", ErrEval)
-			}
-			return values.Int(li / ri), nil
 		}
+		if ri == 0 {
+			return values.Value{}, fmt.Errorf("%w: division by zero", ErrEval)
+		}
+		return values.Int(li / ri), nil
 	}
 	lf, lok := AsFloat(lv)
 	rf, rok := AsFloat(rv)
 	if !lok || !rok {
 		return values.Value{}, fmt.Errorf("%w: arithmetic on %v and %v", ErrEval, lv.Kind(), rv.Kind())
 	}
-	switch n.op {
-	case "+":
+	switch op {
+	case opAdd:
 		return values.Float(lf + rf), nil
-	case "-":
+	case opSub:
 		return values.Float(lf - rf), nil
-	case "*":
+	case opMul:
 		return values.Float(lf * rf), nil
-	case "/":
-		if rf == 0 {
-			return values.Value{}, fmt.Errorf("%w: division by zero", ErrEval)
-		}
-		return values.Float(lf / rf), nil
 	}
-	return values.Value{}, fmt.Errorf("%w: unknown operator %q", ErrEval, n.op)
+	if rf == 0 {
+		return values.Value{}, fmt.Errorf("%w: division by zero", ErrEval)
+	}
+	return values.Float(lf / rf), nil
 }
 
 // AsFloat widens a numeric value to float64; ok is false for

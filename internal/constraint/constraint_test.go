@@ -2,8 +2,10 @@ package constraint
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/values"
 )
@@ -139,6 +141,9 @@ func TestConstraintShortCircuit(t *testing.T) {
 	for _, src := range []string{
 		"false and missing == 1",
 		"true or missing == 1",
+		"false and 1/0 == 1",
+		"fast and false and 1/0 == 1 and missing", // the rest of the chain too
+		"false or true or 1/0 == 1",
 	} {
 		e, err := Parse(src)
 		if err != nil {
@@ -187,26 +192,29 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-// TestParseAllocBudget: a parse allocates its token slice once, its nodes
-// and the Expr — an identifier keeps its name as written, dotted or not —
-// and the empty constraint shares one always-true root. The rows are the
-// trader bench's preference and constraint shapes.
+// TestParseAllocBudget: a parse allocates the Expr and its program, one
+// array of nodes, whatever the expression's size — an identifier or a
+// string keeps its text as written, in the source — and the empty
+// constraint only the Expr. The rows are the trader bench's preference and
+// constraint shapes, and one of 59 nodes.
 func TestParseAllocBudget(t *testing.T) {
+	wide := strings.TrimSuffix(strings.Repeat("(load < 42 or load > 57) and region != 'fr' or ", 5), " or ")
 	for _, c := range []struct {
 		src    string
 		budget float64
 	}{
 		{"", 1},
-		{"cost", 3},
-		{"load < 42", 5},
-		{"region == 'fr'", 5},
-		{"secure == false and load < 42", 9},
-		{"load > 42 or region == 'fr'", 9},
-		{"not (load < 42)", 6},
-		{"load * 2 >= 42", 7},
-		{"exist cost and load <= 42", 7},
-		{"(load < 42 or load > 57) and region != 'fr'", 13},
-		{"loc.city == 'brisbane'", 5},
+		{"cost", 2},
+		{"load < 42", 2},
+		{"region == 'fr'", 2},
+		{"secure == false and load < 42", 2},
+		{"load > 42 or region == 'fr'", 2},
+		{"not (load < 42)", 2},
+		{"load * 2 >= 42", 2},
+		{"exist cost and load <= 42", 2},
+		{"(load < 42 or load > 57) and region != 'fr'", 2},
+		{"loc.city == 'brisbane'", 2},
+		{wide, 2},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := Parse(c.src); err != nil {
@@ -215,6 +223,82 @@ func TestParseAllocBudget(t *testing.T) {
 		})
 		if allocs > c.budget {
 			t.Errorf("Parse(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
+		}
+	}
+}
+
+// TestMatchesAllocatesNothing: evaluation walks the program and builds
+// values on the stack; only an error allocates.
+func TestMatchesAllocatesNothing(t *testing.T) {
+	p := props()
+	for _, src := range []string{
+		"", "cost", "(cost < 20 or cost > 57) and name != 'fr'", "not not fast",
+		"-cost * 2 + rate >= 0", "exist loc.city and loc.city == 'brisbane'",
+	} {
+		e, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { e.Eval(p) }); allocs != 0 {
+			t.Errorf("Eval(%q) = %v allocs", src, allocs)
+		}
+	}
+}
+
+// TestHostileInputIsRefused: three sources at the wire's frame limit that
+// nest or chain millions deep. Each used to overflow the stack, in the
+// parse or in the evaluation, and kill the process; the first pass now
+// refuses each, without recursion and before any program is built.
+func TestHostileInputIsRefused(t *testing.T) {
+	for name, src := range hostileSources() {
+		start := time.Now()
+		_, err := Parse(src)
+		if !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: Parse = %v, want ErrSyntax", name, err)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Errorf("%s: refused in %v", name, d)
+		}
+	}
+}
+
+// hostileSources are the three: each is at most wire.MaxLen (16 MiB) long.
+func hostileSources() map[string]string {
+	return map[string]string{
+		"nested parentheses": strings.Repeat("(", 8_388_607) + "1" + strings.Repeat(")", 8_388_607),
+		"a run of nots":      strings.Repeat("not ", 4_194_303) + "true",
+		"a chain of sums":    "1" + strings.Repeat("+1", 8_388_607),
+	}
+}
+
+// TestBoundsAreExact: an expression at both bounds parses and evaluates —
+// a chain and a prefix run as long as the node bound, in a loop — and one
+// more operand, or one more parenthesis, is refused.
+func TestBoundsAreExact(t *testing.T) {
+	chain := func(nodes int) string { return "1" + strings.Repeat("+1", (nodes-1)/2) } // nodes odd
+	nots := func(nodes int) string { return strings.Repeat("not ", nodes-1) + "fast" }
+	parens := func(depth int) string {
+		return strings.Repeat("(", depth) + "cost" + strings.Repeat(")", depth) + " == 10"
+	}
+	for _, c := range []struct {
+		src  string
+		want values.Value
+	}{
+		{chain(maxNodes - 1), values.Int(maxNodes / 2)},
+		{nots(maxNodes), values.Bool(false)}, // an odd number of nots
+		{parens(maxDepth), values.Bool(true)},
+	} {
+		e, err := Parse(c.src)
+		if err != nil {
+			t.Fatalf("Parse(%.20q…): %v", c.src, err)
+		}
+		if got, err := e.Eval(props()); err != nil || !got.Equal(c.want) {
+			t.Errorf("Eval(%.20q…) = %v, %v; want %v", c.src, got, err, c.want)
+		}
+	}
+	for _, src := range []string{chain(maxNodes + 1), nots(maxNodes + 1), parens(maxDepth + 1)} {
+		if _, err := Parse(src); !errors.Is(err, ErrSyntax) {
+			t.Errorf("Parse(%.20q…) = %v, want ErrSyntax", src, err)
 		}
 	}
 }

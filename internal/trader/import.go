@@ -227,47 +227,49 @@ type queryable interface {
 
 // queryAll puts the sub-request to every leg — inline for one, else
 // bounded-parallel (maxLinkFanout) with the caller as one of the workers,
-// so the import costs the slowest leg, not their sum — and returns the
-// per-leg answers and errors, index-aligned with legs.
-func queryAll[L queryable](legs []L, sub ImportRequest) ([][]Offer, []error) {
+// so the import costs the slowest leg, not their sum — and folds the
+// answers into the result in leg order (add).
+func queryAll[L queryable](legs []L, sub ImportRequest, res *ImportResult, matches []Offer, seen map[string]bool) []Offer {
+	if len(legs) == 1 {
+		offers, err := legs[0].query(sub)
+		return res.add(matches, seen, offers, err)
+	}
 	results := make([][]Offer, len(legs))
 	errs := make([]error, len(legs))
-	if len(legs) == 1 {
-		results[0], errs[0] = legs[0].query(sub)
-		return results, errs
-	}
 	fanout.Do(len(legs), maxLinkFanout, func(i int) {
 		results[i], errs[i] = legs[i].query(sub)
 	})
-	return results, errs
+	for i := range legs {
+		matches = res.add(matches, seen, results[i], errs[i])
+	}
+	return matches
 }
 
-// merge folds one round of leg answers into the result: the offers of the
-// legs that answered join matches unless seen already — origin-side
-// dedupe by offer id, since a diamond federation or an offer mid-migration
-// answers twice — and the legs that did not are counted by cause, which
-// marks the view partial. seen is nil when the import has a single leg:
-// its answer, which an Importer hands to its caller, is then the merge.
-func (res *ImportResult) merge(matches []Offer, seen map[string]bool, results [][]Offer, errs []error) []Offer {
-	res.LinksQueried += len(errs)
-	for i, err := range errs {
-		switch {
-		case err == nil && seen == nil:
-			matches = results[i]
-		case err == nil:
-			for _, o := range results[i] {
-				if !seen[o.ID] {
-					seen[o.ID] = true
-					matches = append(matches, o)
-				}
+// add folds one leg's answer into the result: if the leg answered, its
+// offers join matches unless seen already — origin-side dedupe by offer
+// id, since a diamond federation or an offer mid-migration answers twice —
+// and if it did not, it is counted by cause, which marks the view partial.
+// seen is nil when the import has a single leg: its answer, which an
+// Importer hands to its caller, is then the merge.
+func (res *ImportResult) add(matches []Offer, seen map[string]bool, offers []Offer, err error) []Offer {
+	res.LinksQueried++
+	switch {
+	case err == nil && seen == nil:
+		return offers
+	case err == nil:
+		for _, o := range offers {
+			if !seen[o.ID] {
+				seen[o.ID] = true
+				matches = append(matches, o)
 			}
-		case errors.Is(err, policy.ErrCircuitOpen):
-			res.LinksSkipped++
-		default:
-			res.LinksFailed++
 		}
+	case errors.Is(err, policy.ErrCircuitOpen):
+		res.LinksSkipped++
+		res.Degraded = true
+	default:
+		res.LinksFailed++
+		res.Degraded = true
 	}
-	res.Degraded = res.LinksSkipped+res.LinksFailed > 0
 	return matches
 }
 

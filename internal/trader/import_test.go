@@ -106,7 +106,10 @@ func refCollect(t *testing.T, x Importer, req ImportRequest, hops int) []Offer {
 			add(local[i : i+1])
 		}
 	case *ShardedTrader:
-		_, oldLegs, curLegs := x.targetShards(req.ServiceType)
+		_, lone, oldLegs, curLegs := x.targetShards(req.ServiceType)
+		if lone != nil {
+			curLegs = []*shardLeg{lone}
+		}
 		for _, leg := range append(oldLegs, curLegs...) {
 			add(refCollect(t, leg.shard, req, hops))
 		}
@@ -533,9 +536,9 @@ func TestImportAllocBudget(t *testing.T) {
 		name, serviceType string
 		budget            float64
 	}{
-		{"leaf", "SvcL0", 18},      // 16: one shard, no fan-out, no merge
-		{"mid-level", "SvcM0", 27}, // 25: three shards
-		{"root", "SvcR0", 31},      // 29: four shards
+		{"leaf", "SvcL0", 7},       // 5: one shard, asked directly, no merge
+		{"mid-level", "SvcM0", 19}, // 17: three shards
+		{"root", "SvcR0", 23},      // 21: four shards
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if allocs := importAllocs(t, front, row.serviceType, constraint); allocs > row.budget {
@@ -547,6 +550,68 @@ func TestImportAllocBudget(t *testing.T) {
 		small, large := importAllocs(t, benchShaped(t, 2_000), "SvcR0", ""), importAllocs(t, front, "SvcR0", "")
 		if small != large {
 			t.Errorf("root import = %v allocs over 2,000 offers, %v over 10,000", small, large)
+		}
+	})
+}
+
+// TestLoneLegCostsWhatTheStoreCosts: an import whose subtype closure lands
+// on one shard is that shard's import — the front-end builds no leg slice
+// and no per-leg answers — so it allocates exactly what the bare store
+// does: at a one-shard front-end over the store's own offers, and at the
+// bench-shaped four-shard one for every type whose closure one shard holds.
+func TestLoneLegCostsWhatTheStoreCosts(t *testing.T) {
+	const constraint = "load < 90 and region != 'fr'"
+	four := benchShaped(t, 2_000)
+	t.Run("one shard", func(t *testing.T) {
+		bare := New("bare", four.types)
+		one := NewSharded("one", four.types, 0)
+		if err := one.AddShard("one-0", New("one-0", four.types)); err != nil {
+			t.Fatal(err)
+		}
+		for _, leg := range four.part.View().Members() {
+			for _, bucket := range leg.shard.(*Trader).buckets {
+				for _, e := range bucket {
+					if err := bare.Install(*e.offer); err != nil {
+						t.Fatal(err)
+					}
+					if err := one.Install(*e.offer); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for _, typ := range []string{"SvcL0", "SvcM0", "SvcR0"} {
+			if got, want := importAllocs(t, one, typ, constraint), storeAllocs(t, bare, typ, constraint); got != want {
+				t.Errorf("%s: one-shard front-end = %v allocs, the store %v", typ, got, want)
+			}
+		}
+	})
+	t.Run("four shards", func(t *testing.T) {
+		lone := 0
+		for typ := range four.advertised {
+			_, leg, _, _ := four.targetShards(typ)
+			if leg == nil {
+				continue
+			}
+			lone++
+			if got, want := importAllocs(t, four, typ, constraint), storeAllocs(t, leg.shard.(*Trader), typ, constraint); got != want {
+				t.Errorf("%s: four-shard front-end = %v allocs, its one shard %v", typ, got, want)
+			}
+		}
+		if lone < 30 { // the 30 leaves at least
+			t.Errorf("%d of 50 types land on one shard", lone)
+		}
+	})
+}
+
+// storeAllocs is importAllocs at a bare store.
+func storeAllocs(t *testing.T, store *Trader, serviceType, constraint string) float64 {
+	t.Helper()
+	req := ImportRequest{ServiceType: serviceType, Constraint: constraint,
+		Preference: Preference{Kind: PrefMin, Expr: "cost"}, MaxMatches: 10}
+	return testing.AllocsPerRun(200, func() {
+		if res, err := store.ImportEx(req); err != nil || len(res.Offers) != 10 {
+			t.Fatalf("import %s: %d offers, %v", serviceType, len(res.Offers), err)
 		}
 	})
 }

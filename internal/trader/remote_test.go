@@ -3,16 +3,19 @@ package trader
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/constraint"
 	"repro/internal/engineering"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/relocator"
 	"repro/internal/values"
+	"repro/internal/wire"
 )
 
 // deployTrader hosts a trader as an infrastructure object on a node and
@@ -172,6 +175,37 @@ func TestRemoteCallsCarryADeadline(t *testing.T) {
 		}
 		if left, ok := c.left[op]; !ok || left > 30*time.Second || left < 29*time.Second {
 			t.Errorf("%s reached the carrier with deadline %v away (set: %v), want 30s", op, left, ok)
+		}
+	}
+}
+
+// TestServantRefusesHostileConstraint: a peer's Import carries its
+// constraint as a string of up to the wire's frame limit. Three that nest
+// or chain millions deep used to overflow the trader's stack — a fatal
+// error no recover catches, which took the whole process down; each is now
+// answered with the Error termination, quickly.
+func TestServantRefusesHostileConstraint(t *testing.T) {
+	s := &Servant{T: New("t", repoWithBank(t))}
+	for name, src := range map[string]string{
+		"nested parentheses": strings.Repeat("(", 8_388_607) + "1" + strings.Repeat(")", 8_388_607),
+		"a run of nots":      strings.Repeat("not ", 4_194_303) + "true",
+		"a chain of sums":    "1" + strings.Repeat("+1", 8_388_607),
+	} {
+		if len(src) > wire.MaxLen {
+			t.Fatalf("%s: %d bytes, over the frame limit", name, len(src))
+		}
+		start := time.Now()
+		term, res, err := s.Invoke(context.Background(), "Import", []values.Value{
+			values.Str("BankTeller"), values.Str(src), values.Int(int64(PrefFirst)), values.Str(""), values.Int(0), values.Int(0),
+		})
+		if err != nil || term != "Error" || len(res) != 1 {
+			t.Fatalf("%s: Import = %s %v, %v; want the Error termination", name, term, res, err)
+		}
+		if msg, _ := res[0].AsString(); !strings.Contains(msg, constraint.ErrSyntax.Error()) {
+			t.Errorf("%s: Error says %.80q", name, msg)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Errorf("%s: answered in %v", name, d)
 		}
 	}
 }

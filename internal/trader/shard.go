@@ -327,22 +327,28 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	var res ImportResult
 	var matches []Offer
 	for attempt := 0; ; attempt++ {
-		epoch, oldLegs, curLegs := s.targetShards(req.ServiceType)
+		epoch, lone, oldLegs, curLegs := s.targetShards(req.ServiceType)
 		res = ImportResult{}
-		// A lone leg's answer is the merge; several legs' best k each fit
-		// in legs × k without regrowth. k comes from the caller, possibly
-		// off the wire, so past presizeK the merge grows as answers arrive.
-		matches = nil
-		var seen map[string]bool
-		if legs := len(oldLegs) + len(curLegs); legs > 1 {
-			n := legs * min(sub.MaxMatches, presizeK)
-			matches = make([]Offer, 0, n)
-			seen = make(map[string]bool, n)
-		}
-		for _, phase := range [][]*shardLeg{oldLegs, curLegs} {
-			if len(phase) > 0 {
-				results, errs := queryAll(phase, sub)
-				matches = res.merge(matches, seen, results, errs)
+		if lone != nil {
+			// The lone leg's answer is the merge, and the import costs what
+			// the leg's own does.
+			offers, err := lone.query(sub)
+			matches = res.add(nil, nil, offers, err)
+		} else {
+			// Several legs' best k each fit in legs × k without regrowth. k
+			// comes from the caller, possibly off the wire, so past presizeK
+			// the merge grows as answers arrive.
+			matches = nil
+			var seen map[string]bool
+			if legs := len(oldLegs) + len(curLegs); legs > 1 {
+				n := legs * min(sub.MaxMatches, presizeK)
+				matches = make([]Offer, 0, n)
+				seen = make(map[string]bool, n)
+			}
+			for _, phase := range [][]*shardLeg{oldLegs, curLegs} {
+				if len(phase) > 0 {
+					matches = queryAll(phase, sub, &res, matches, seen)
+				}
 			}
 		}
 		s.queried.Add(uint64(res.LinksQueried))
@@ -375,8 +381,7 @@ func (s *ShardedTrader) federate(sub ImportRequest, res *ImportResult, matches [
 	}
 	s.feder.Add(uint64(len(links)))
 	skipped, failed := res.LinksSkipped, res.LinksFailed
-	results, errs := queryAll(links, sub)
-	matches = res.merge(matches, seen, results, errs)
+	matches = queryAll(links, sub, res, matches, seen)
 	s.linksSkipped.Add(uint64(res.LinksSkipped - skipped))
 	s.linksFailed.Add(uint64(res.LinksFailed - failed))
 	return matches
@@ -463,12 +468,23 @@ func (s *ShardedTrader) linkLegs() []linkLeg {
 // ImportEx for why the order matters). A leg appears in at most one slice;
 // within one change window the donating and receiving shard sets are
 // disjoint, so a leg in the old slice is never the new owner of another
-// moving type.
-func (s *ShardedTrader) targetShards(serviceType string) (epoch uint64, oldLegs, curLegs []*shardLeg) {
+// moving type. When one current owner holds every candidate type and none
+// of them is moving, as for most imports, that owner is lone and no slice
+// is built.
+func (s *ShardedTrader) targetShards(serviceType string) (epoch uint64, lone *shardLeg, oldLegs, curLegs []*shardLeg) {
 	cands := closureOver(&s.closure, &s.mu, s.advertised, s.types, serviceType)
 	v := s.part.View()
-	if len(cands) == 0 {
-		return v.Epoch(), nil, nil
+	for i, ct := range cands {
+		_, moving := v.Prev(ct)
+		_, leg, ok := v.Owner(ct)
+		if moving || !ok || i > 0 && leg != lone {
+			lone = nil
+			break
+		}
+		lone = leg
+	}
+	if lone != nil || len(cands) == 0 {
+		return v.Epoch(), lone, nil, nil
 	}
 	curLegs = make([]*shardLeg, 0, min(len(cands), len(v.Members())))
 	for _, ct := range cands {
@@ -481,7 +497,7 @@ func (s *ShardedTrader) targetShards(serviceType string) (epoch uint64, oldLegs,
 			curLegs = append(curLegs, leg)
 		}
 	}
-	return v.Epoch(), oldLegs, curLegs
+	return v.Epoch(), nil, oldLegs, curLegs
 }
 
 // AddShard joins a shard to the ring and live-migrates every bucket

@@ -158,6 +158,17 @@ if grep -rlE '^[[:space:]]*(import[[:space:]]+)?"unsafe"' --include='*.go' --exc
 	exit 1
 fi
 
+echo "== one-program gate (a constraint is one flat program) =="
+# Parse compiles an expression into one array of nodes that Eval walks with
+# a switch; the recursive tree of node interfaces it replaced lives on only
+# as the reference model in reference_test.go. No non-test file of
+# internal/constraint may declare an interface type again.
+if grep -nE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+interface[[:space:]]*\{' \
+	$(find internal/constraint -name '*.go' ! -name '*_test.go'); then
+	echo "internal/constraint: an interface type is back beside the flat program (evaluate nodes with a switch)"
+	exit 1
+fi
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
 # The size figures ROADMAP tracks; printed, not gated.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
@@ -187,6 +198,9 @@ go test -race ./internal/values/ ./internal/types/ \
 echo "== FuzzValue (the narrow value against its reference model, 10 s) =="
 go test -run='^$' -fuzz=FuzzValue -fuzztime=10s ./internal/values/
 
+echo "== FuzzConstraint (the flat program against the tree it replaced, 10 s) =="
+go test -run='^$' -fuzz=FuzzConstraint -fuzztime=10s ./internal/constraint/
+
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after
 # the faults heal, a measured time-to-recover, breakers actually opening,
@@ -206,9 +220,10 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # balance allocations in internal/odp, disabled-instrumentation parity and
 # the flat allocations beside 255 sibling bindings in internal/channel, the
 # leaf, mid-level and root import allocations and their flatness in the
-# number of matches in internal/trader (TestImportAllocBudget), the parse
-# allocations in internal/constraint (TestParseAllocBudget), and E10's one
-# connection for 256 bindings in internal/experiments.
+# number of matches in internal/trader (TestImportAllocBudget), with a lone
+# leg's parity with the bare store (TestLoneLegCostsWhatTheStoreCosts), the
+# parse allocations in internal/constraint (TestParseAllocBudget), and E10's
+# one connection for 256 bindings in internal/experiments.
 for id in e12 e13 e14 e15 e16; do
 	go run ./cmd/odpbench -only "${id}smoke"
 done
