@@ -412,9 +412,18 @@ func TestRelocationMovesWholeSessionUnderLoad(t *testing.T) {
 		loc.move(id, "sim://beta")
 		srvA.Unregister(id)
 	}
-	// Let the fleet run on the new endpoint for a while.
+	// Let the fleet run on the new endpoint for a while, until every
+	// binding has made a call there and the session to alpha has closed: a
+	// binding the scheduler starved may not have called since the move.
 	moved := calls.Load()
-	waitFor(t, func() bool { return calls.Load() > moved+200 })
+	waitFor(t, func() bool {
+		for _, b := range bindings {
+			if b.Ref().Endpoint != "sim://beta" {
+				return false
+			}
+		}
+		return calls.Load() > moved+200 && mgr.Stats().Open == 1
+	})
 	close(stop)
 	wg.Wait()
 

@@ -21,7 +21,8 @@ import (
 //	store := transactions.Recover("bank", log.Log(), decide)
 //
 // with the in-memory Log carrying the replayed history and the file
-// continuing to receive new records.
+// continuing to receive new records. The file keeps the whole history; the
+// store checkpoints only the in-memory mirror, as it does any Log.
 type FileLog struct {
 	mu   sync.Mutex
 	mem  *Log

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -175,9 +174,27 @@ func (s *Store) Prepare(txID uint64) (Vote, error) {
 	return VoteCommit, nil
 }
 
+// minLogRecords is the fewest records at which appendLog checkpoints the
+// in-memory log. The bound is max(minLogRecords, 2 × (committed keys +
+// prepared transactions)), so a checkpoint is paid for by at least as many
+// appends as it writes operations and records.
+const minLogRecords = 1024
+
+// logBound is the most records a store's in-memory log holds.
+func logBound(keys, prepared int) int {
+	return max(minLogRecords, 2*(keys+prepared))
+}
+
 // appendLog forces the record to stable storage when the WAL is
-// file-backed, and always mirrors it in memory.
+// file-backed, and always mirrors it in memory. Once the in-memory log
+// holds logBound records it is first truncated to a checkpoint of the
+// committed state plus the prepare records of the transactions still
+// prepared — before the record is appended, so a commit record always
+// follows the prepare record it completes. Callers hold s.mu.
 func (s *Store) appendLog(r Record) error {
+	if s.log.Len() >= logBound(len(s.committed), len(s.prepared)) {
+		s.log.checkpoint(s.committed, s.prepared)
+	}
 	if s.forced != nil {
 		return s.forced.Append(r) // mirrors into s.log
 	}
@@ -196,18 +213,23 @@ func (s *Store) Commit(txID uint64) error {
 		s.mu.Unlock()
 		return err
 	}
-	for _, op := range s.writeSets[txID] {
+	s.apply(s.writeSets[txID])
+	s.dropWriteSet(txID)
+	delete(s.prepared, txID)
+	s.mu.Unlock()
+	s.lm.releaseAll(txID)
+	return nil
+}
+
+// apply makes a write set committed state. Callers hold s.mu or own s.
+func (s *Store) apply(ws []WriteOp) {
+	for _, op := range ws {
 		if op.Delete {
 			delete(s.committed, op.Key)
 		} else {
 			s.committed[op.Key] = op.Value
 		}
 	}
-	s.dropWriteSet(txID)
-	delete(s.prepared, txID)
-	s.mu.Unlock()
-	s.lm.releaseAll(txID)
-	return nil
 }
 
 // Abort discards the write set and releases the locks. Aborting a
@@ -238,10 +260,15 @@ func (s *Store) Snapshot() map[string]values.Value {
 
 // InDoubt lists transactions that prepared at this store but have no
 // recorded outcome — after a crash these must be resolved against the
-// coordinator's decision log.
+// coordinator's decision log. A checkpoint settles every transaction
+// before it; the prepare records after it name those still in doubt.
 func InDoubt(log *Log) []uint64 {
 	state := map[uint64]RecordKind{}
 	for _, r := range log.Records() {
+		if r.Kind == RecCheckpoint {
+			clear(state)
+			continue
+		}
 		state[r.TxID] = r.Kind
 	}
 	var out []uint64
@@ -250,14 +277,16 @@ func InDoubt(log *Log) []uint64 {
 			out = append(out, tx)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// Recover rebuilds a store from its write-ahead log, redoing the write
-// sets of committed transactions. In-doubt transactions (prepared, no
-// outcome) are resolved by the decide callback — normally a lookup in the
-// coordinator's decision log; deciding false aborts them.
+// Recover rebuilds a store from its write-ahead log: the committed state
+// is exactly the checkpoint's, if the log holds one, with the write sets of
+// the transactions committed after it redone. In-doubt transactions
+// (prepared, no outcome) are resolved by the decide callback — normally a
+// lookup in the coordinator's decision log; deciding false aborts them.
+// The recovered store owns log from then on.
 func Recover(name string, log *Log, decide func(txID uint64) bool) *Store {
 	return recoverInto(name, log, decide, nil)
 }
@@ -265,42 +294,37 @@ func Recover(name string, log *Log, decide func(txID uint64) bool) *Store {
 func recoverInto(name string, log *Log, decide func(txID uint64) bool, forced *FileLog) *Store {
 	s := NewStore(name, log)
 	s.forced = forced
-	prepared := map[uint64][]WriteOp{}
 	for _, r := range log.Records() {
 		switch r.Kind {
+		case RecCheckpoint:
+			clear(s.committed)
+			clear(s.writeSets)
+			s.apply(r.Writes)
 		case RecPrepare:
-			prepared[r.TxID] = r.Writes
+			s.writeSets[r.TxID] = r.Writes
 		case RecCommit:
-			for _, op := range prepared[r.TxID] {
-				if op.Delete {
-					delete(s.committed, op.Key)
-				} else {
-					s.committed[op.Key] = op.Value
-				}
-			}
-			delete(prepared, r.TxID)
+			s.apply(s.writeSets[r.TxID])
+			delete(s.writeSets, r.TxID)
 		case RecAbort:
-			delete(prepared, r.TxID)
+			delete(s.writeSets, r.TxID)
 		}
 	}
-	// Resolve in-doubt transactions, deterministically ordered.
-	var inDoubt []uint64
-	for tx := range prepared {
+	// What is left is in doubt: prepared here, as its record says. Resolve
+	// it, deterministically ordered, through Commit and Abort, which log the
+	// outcome as any other does.
+	inDoubt := make([]uint64, 0, len(s.writeSets))
+	for tx := range s.writeSets {
+		s.prepared[tx] = true
 		inDoubt = append(inDoubt, tx)
 	}
-	sort.Slice(inDoubt, func(i, j int) bool { return inDoubt[i] < inDoubt[j] })
+	slices.Sort(inDoubt)
+	// Abort always succeeds; a commit whose record cannot be forced stays
+	// prepared, in doubt again at the next recovery.
 	for _, tx := range inDoubt {
 		if decide != nil && decide(tx) {
-			_ = s.appendLog(Record{Kind: RecCommit, TxID: tx})
-			for _, op := range prepared[tx] {
-				if op.Delete {
-					delete(s.committed, op.Key)
-				} else {
-					s.committed[op.Key] = op.Value
-				}
-			}
+			_ = s.Commit(tx)
 		} else {
-			_ = s.appendLog(Record{Kind: RecAbort, TxID: tx})
+			_ = s.Abort(tx)
 		}
 	}
 	return s

@@ -571,7 +571,8 @@ func TestAtomicallyPropagatesApplicationError(t *testing.T) {
 
 func TestRecordKindString(t *testing.T) {
 	for k, want := range map[RecordKind]string{
-		RecPrepare: "prepare", RecCommit: "commit", RecAbort: "abort", RecordKind(0): "unknown",
+		RecPrepare: "prepare", RecCommit: "commit", RecAbort: "abort", RecCheckpoint: "checkpoint",
+		RecordKind(0): "unknown",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q", int(k), got)

@@ -195,6 +195,14 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/engineering/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
 
+echo "== bounded log (recovery across checkpoints, three schedules under the race detector) =="
+# The store truncates its in-memory log to a checkpoint plus the prepare
+# records still awaiting an outcome. TestRecoverAcrossCheckpoints holds
+# recovery, InDoubt and the bound to a reference map over 20,000 seeded
+# transactions on one to three stores; -count=3 runs its two-phase fan-out
+# on more than one schedule.
+go test -race -count=3 -run 'Checkpoint|Recover|InDoubt' ./internal/transactions/
+
 echo "== FuzzValue (the narrow value against its reference model, 10 s) =="
 go test -run='^$' -fuzz=FuzzValue -fuzztime=10s ./internal/values/
 
@@ -222,8 +230,12 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # leaf, mid-level and root import allocations and their flatness in the
 # number of matches in internal/trader (TestImportAllocBudget), with a lone
 # leg's parity with the bare store (TestLoneLegCostsWhatTheStoreCosts), the
-# parse allocations in internal/constraint (TestParseAllocBudget), and E10's
-# one connection for 256 bindings in internal/experiments.
+# parse allocations in internal/constraint (TestParseAllocBudget), the
+# bounded transaction log in internal/transactions (a warmed one-key commit
+# allocating nothing in the log, TestLogAppendSteadyStateAllocatesNothing, and
+# 300,000 deposits within the bound on an arena that stops growing,
+# TestBoundedLogSoak), and E10's one connection for 256 bindings in
+# internal/experiments.
 for id in e12 e13 e14 e15 e16; do
 	go run ./cmd/odpbench -only "${id}smoke"
 done
