@@ -11,7 +11,7 @@
 //	<interface-id> <type> <endpoint>
 //
 // Unless -mgmt=false, the last line is a Management interface: point
-// cmd/odpstat at it to dump the node's metrics, QoS state and traces.
+// cmd/odpstat at it to dump the node's metrics and traces.
 //
 // Invoke from another process:
 //

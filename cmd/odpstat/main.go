@@ -1,7 +1,7 @@
-// Command odpstat renders the management view of an ODP node: metrics,
-// QoS envelope state and channel-stage traces, fetched over the node's
-// own Management interface (the subsystem is reached through the same
-// channel machinery it observes).
+// Command odpstat renders the management view of an ODP node: metrics and
+// channel-stage traces, fetched over the node's own Management interface
+// (the subsystem is reached through the same channel machinery it
+// observes).
 //
 // Against a served node (take the Management line from odpnode's output):
 //

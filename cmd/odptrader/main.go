@@ -5,7 +5,8 @@
 //
 //	odptrader -name city -listen tcp://127.0.0.1:9100
 //
-// It prints its own trader interface as "<interface-id> odp.Trader <endpoint>".
+// It prints its own trader interface as "<interface-id> odp.Trader <endpoint>",
+// once its federation links are in place.
 // Start a second one federated with the first:
 //
 //	odptrader -name state -listen tcp://127.0.0.1:9101 \
@@ -83,8 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
-
 	// A link is a binding like any other; its contract bounds every
 	// federated query sent over it.
 	link := core.Contract{Require: core.TransparencySet(core.Access), MaxLatency: 30 * time.Second}
@@ -108,6 +107,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		sys.Directory.Link(peer, trader.NewRemote(b))
 		fmt.Fprintf(os.Stderr, "odptrader: linked to %s\n", peer)
 	}
+	// The reference is printed once every link is in place, so whoever
+	// reads it can rely on the federation it names.
+	fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
 
 	fmt.Fprintf(os.Stderr, "odptrader: %q serving at %s with %d link(s); ctrl-c to stop\n",
 		*name, node.Endpoint(), len(peers))

@@ -1,14 +1,14 @@
 // The grand-tour integration test: one scenario exercising every major
 // subsystem together — a secured, audited, transactional bank branch that
 // migrates between nodes while authenticated customers keep using it, with
-// periodic checkpoints guarding against node loss. This is the
+// checkpoints guarding against node loss. This is the
 // repository's answer to "does the whole reference model compose?".
 package repro_test
 
 import (
 	"context"
+	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/bank"
 	"repro/internal/channel"
@@ -41,9 +41,9 @@ func TestGrandTour(t *testing.T) {
 		policy.Allow("alice", op)
 	}
 	audit := &security.AuditLog{}
-	serverCfg := transparency.ServerConfig(transparency.ServerEnv{
-		Realm: realm, Policy: policy, Audit: audit.Record,
-	})
+	serverCfg := channel.ServerConfig{ReplayGuard: true, Stages: []channel.Stage{
+		&security.VerifyStage{Realm: realm, Policy: policy, Audit: audit.Record},
+	}}
 
 	// Two nodes sharing the branch's transactional store (a real deployment
 	// would recover it from the durable WAL; TestDurableStoreSurvivesRestart
@@ -94,11 +94,8 @@ func TestGrandTour(t *testing.T) {
 	_, err = tr.Export("BankManager", managerRef, values.Record(values.F("city", values.Str("brisbane"))))
 	must(err)
 
-	// Periodic checkpointing guards the branch.
+	// Checkpoints guard the branch.
 	cs := coordination.NewCheckpointStore()
-	var guard coordination.Checkpointer
-	must(guard.Start(cluster, cs, 5*time.Millisecond))
-	defer guard.Stop()
 
 	// Alice binds through the full contract: access + location + relocation
 	// + failure + authenticated-and-audited security.
@@ -150,17 +147,15 @@ func TestGrandTour(t *testing.T) {
 		t.Fatalf("mallory deposit = %v", err)
 	}
 
-	// Wait for at least one recovery point. The checkpointer keeps running
-	// through the state changes below: a deactivated cluster's checkpoint
-	// is its deactivation checkpoint, and one that migrated away has none,
-	// so no recovery point is overwritten with an empty one.
-	deadline := time.Now().Add(2 * time.Second)
-	for cs.Saves() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// A recovery point, taken again through the state changes below: a
+	// deactivated cluster's checkpoint is its deactivation checkpoint, and
+	// one that migrated away has none, so no recovery point is overwritten
+	// with an empty one.
+	must(coordination.CheckpointNow(cluster, cs))
 	// The branch deactivates (resource pressure); alice's next call
 	// transparently reactivates it — persistence transparency.
 	must(cluster.Deactivate())
+	must(coordination.CheckpointNow(cluster, cs))
 	if term, _, err = manager.Invoke(ctx, "Balance",
 		[]values.Value{values.Str("alice"), values.Str(acct)}); err != nil || term != "OK" {
 		t.Fatalf("Balance during deactivation = %q, %v", term, err)
@@ -185,6 +180,9 @@ func TestGrandTour(t *testing.T) {
 	if manager.Stats().Relocations == 0 {
 		t.Error("binding should have relocated")
 	}
+	if err := coordination.CheckpointNow(cluster, cs); !errors.Is(err, engineering.ErrNoSuchCluster) {
+		t.Errorf("checkpoint of the cluster that migrated away = %v, want ErrNoSuchCluster", err)
+	}
 
 	// The daily limit still binds across all that churn.
 	if term, _, _ = manager.Invoke(ctx, "Withdraw",
@@ -206,8 +204,8 @@ func TestGrandTour(t *testing.T) {
 	if denied == 0 {
 		t.Error("server audit should show mallory's denial")
 	}
-	// And the checkpoint store holds recovery points.
-	if cs.Saves() == 0 {
-		t.Error("checkpointer never ran")
+	// And the checkpoint store holds both recovery points.
+	if cs.Saves() != 2 {
+		t.Errorf("checkpoint store saves = %d, want 2", cs.Saves())
 	}
 }

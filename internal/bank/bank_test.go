@@ -298,7 +298,11 @@ func TestViewpointBuilders(t *testing.T) {
 	if err := tmpl.Validate(); err != nil {
 		t.Errorf("template: %v", err)
 	}
-	if _, ok := tmpl.Interface("BankManager"); !ok {
+	offers := false
+	for _, d := range tmpl.Interfaces {
+		offers = offers || d.Type.Name == "BankManager"
+	}
+	if !offers {
 		t.Error("template should offer BankManager")
 	}
 }

@@ -146,8 +146,8 @@ func (e *testEnv) bind(t *testing.T, cfg BindConfig) *Binding {
 }
 
 func TestInvokeRoundTrip(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.Canonical, wire.Native} {
-		t.Run(codec.Name(), func(t *testing.T) {
+	for name, codec := range map[string]wire.Codec{"canonical": wire.Canonical, "native": wire.Native} {
+		t.Run(name, func(t *testing.T) {
 			env := newEnv(t, ServerConfig{})
 			b := env.bind(t, BindConfig{Codec: codec, Type: echoType()})
 			term, res, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("hi")})
@@ -417,8 +417,8 @@ func TestProbe(t *testing.T) {
 }
 
 func TestStagesTraversedBothEnds(t *testing.T) {
-	clientStage := &CountingStage{Label: "client-binder"}
-	serverStage := &CountingStage{Label: "server-binder"}
+	clientStage := &CountingStage{}
+	serverStage := &CountingStage{}
 	env := newEnv(t, ServerConfig{Stages: []Stage{serverStage}})
 	b := env.bind(t, BindConfig{Stages: []Stage{clientStage}})
 	if _, _, err := b.Invoke(context.Background(), "Echo", []values.Value{values.Str("x")}); err != nil {
@@ -617,7 +617,7 @@ func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 		Operation:   "Echo",
 		Args:        []values.Value{values.Str("x")},
 	}
-	frame, err := m.Encode(wire.Canonical)
+	frame, err := m.EncodeAppend(nil, wire.Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestReplayGuardRejectsCapturedFrame(t *testing.T) {
 		Operation:   "Echo",
 		Args:        []values.Value{values.Str("y")},
 	}
-	oldFrame, err := old.Encode(wire.Canonical)
+	oldFrame, err := old.EncodeAppend(nil, wire.Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}

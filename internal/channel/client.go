@@ -81,9 +81,9 @@ type BindConfig struct {
 	// Ignored when MaxInFlight is zero.
 	FailFast bool
 	// Instruments enables management instrumentation of this channel end:
-	// stub/binder/transport spans, the invocation latency histogram and the
-	// optional QoS monitor. Nil disables it at the cost of a nil check per
-	// invocation. (The counts are the session manager's SessionStats.)
+	// stub/binder/transport spans and the invocation latency histogram.
+	// Nil disables it at the cost of a nil check per invocation. (The
+	// counts are the session manager's SessionStats.)
 	Instruments *mgmt.ChannelClientInstruments
 }
 
@@ -277,9 +277,7 @@ func (b *Binding) Invoke(ctx context.Context, op string, args []values.Value) (s
 		b.sessions.failures.Add(1)
 	}
 	sp.End()
-	d := time.Since(start)
-	ins.InvokeLatency.ObserveDuration(d)
-	ins.QoS.Observe(d, err != nil)
+	ins.InvokeLatency.ObserveDuration(time.Since(start))
 	return term, results, err
 }
 
@@ -573,6 +571,11 @@ func (b *Binding) backoff(ctx context.Context, retry int) error {
 // session's shared liveness probe — to the endpoint and waits for it: the
 // one place a waiter is registered, a frame queued and a reply awaited.
 func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message) (*wire.Message, error) {
+	// A caller that has already given up sends nothing: the wait below
+	// could otherwise take a fast reply over the done context.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	var tr *mgmt.Tracer
 	if b.cfg.Instruments != nil {
 		tr = b.cfg.Instruments.Tracer

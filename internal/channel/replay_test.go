@@ -159,7 +159,7 @@ func TestReplayGuardPipelinedBinding(t *testing.T) {
 			Kind: wire.Call, BindingID: b.bindingID, Correlation: correl,
 			Target: id, Operation: "Echo", Args: []values.Value{values.Str("replayed")},
 		}
-		frame, err := m.Encode(wire.Canonical)
+		frame, err := m.EncodeAppend(nil, wire.Canonical)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestReplayAnswerSurvivesSlotReuse(t *testing.T) {
 					Kind: wire.Call, BindingID: 777, Correlation: correl, Target: env.ref.ID,
 					Operation: "Echo", Args: []values.Value{values.Str(fmt.Sprintf("call-%d", correl))},
 				}
-				frame, err := m.Encode(wire.Canonical)
+				frame, err := m.EncodeAppend(nil, wire.Canonical)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func TestReplayGuardForgetsCallsThatNeverRan(t *testing.T) {
 	frame, err := (&wire.Message{
 		Kind: wire.Call, BindingID: 5, Correlation: 1, Target: env.ref.ID,
 		Operation: "Echo", Args: []values.Value{values.Str("hello")},
-	}).Encode(wire.Canonical)
+	}).EncodeAppend(nil, wire.Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -18,11 +17,9 @@ type gatedConn struct {
 	sent  atomic.Int64
 }
 
-func (c *gatedConn) Send([]byte) error               { <-c.admit; c.sent.Add(1); return nil }
-func (c *gatedConn) Recv() ([]byte, error)           { return nil, netsim.ErrClosed }
-func (c *gatedConn) Close() error                    { return nil }
-func (c *gatedConn) RemoteEndpoint() naming.Endpoint { return "" }
-func (c *gatedConn) LocalEndpoint() naming.Endpoint  { return "" }
+func (c *gatedConn) Send([]byte) error     { <-c.admit; c.sent.Add(1); return nil }
+func (c *gatedConn) Recv() ([]byte, error) { return nil, netsim.ErrClosed }
+func (c *gatedConn) Close() error          { return nil }
 
 // TestSendQueueBackpressure exercises the queue's byte bound, which the
 // 1 MiB production constant keeps out of every other test's reach:

@@ -149,9 +149,6 @@ func NewServer(l netsim.Listener, cfg ServerConfig) *Server {
 	}
 }
 
-// Endpoint returns the listener's endpoint.
-func (s *Server) Endpoint() naming.Endpoint { return s.listener.Endpoint() }
-
 // Register installs a servant for an interface. The interface type enables
 // the server stub's type checking; pass nil to serve untyped.
 func (s *Server) Register(id naming.InterfaceID, typ *types.Interface, h Handler) error {

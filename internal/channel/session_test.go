@@ -190,7 +190,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 	// timeout), is counted where an operator can see it, and never strands
 	// or misroutes the other bindings' pending calls.
 	call := &wire.Message{Kind: wire.Call, BindingID: 1, Correlation: 1, Operation: "intruder"}
-	callFrame, err := call.Encode(wire.Canonical)
+	callFrame, err := call.EncodeAppend(nil, wire.Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func corruptFrameCase(t *testing.T, poison []byte) {
 						Termination: "OK",
 						Args:        m.Args,
 					}
-					out, err := rm.Encode(wire.Canonical)
+					out, err := rm.EncodeAppend(nil, wire.Canonical)
 					if err != nil {
 						continue
 					}

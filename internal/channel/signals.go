@@ -36,9 +36,6 @@ type SignalTraceStage struct {
 
 var _ Stage = (*SignalTraceStage)(nil)
 
-// Name identifies the stage.
-func (*SignalTraceStage) Name() string { return "signal-trace" }
-
 // Process maps the message to its primitive and passes it through.
 func (s *SignalTraceStage) Process(dir Direction, m *wire.Message) error {
 	if s.Sink == nil {

@@ -35,7 +35,6 @@ func (d Direction) String() string {
 // Stages must be safe for concurrent use: one stage instance serves every
 // interaction on its channel end.
 type Stage interface {
-	Name() string
 	Process(dir Direction, m *wire.Message) error
 }
 
@@ -78,9 +77,6 @@ type AuditStage struct {
 
 var _ Stage = (*AuditStage)(nil)
 
-// Name identifies the stage.
-func (*AuditStage) Name() string { return "audit-stub" }
-
 // Process records the interaction and passes it through unchanged.
 func (s *AuditStage) Process(dir Direction, m *wire.Message) error {
 	if s.Sink != nil {
@@ -122,15 +118,11 @@ func (a *MemoryAudit) Entries() []AuditEntry {
 // CountingStage counts messages through the pipeline; used by benchmarks
 // to model a minimal stage and by tests to observe pipeline traversal.
 type CountingStage struct {
-	Label   string
 	OutMsgs atomic.Uint64
 	InMsgs  atomic.Uint64
 }
 
 var _ Stage = (*CountingStage)(nil)
-
-// Name identifies the stage.
-func (s *CountingStage) Name() string { return s.Label }
 
 // Process counts the message and passes it through unchanged.
 func (s *CountingStage) Process(dir Direction, m *wire.Message) error {

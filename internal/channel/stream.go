@@ -137,12 +137,6 @@ func (b *Binding) OpenFlowStream(ctx context.Context, flow string, onGrant func(
 // Flow returns the stream's flow name.
 func (fs *FlowStream) Flow() string { return fs.flow }
 
-// StreamID returns the stream's wire id.
-func (fs *FlowStream) StreamID() uint64 { return fs.streamID }
-
-// ElemType returns the flow's declared element type (nil when untyped).
-func (fs *FlowStream) ElemType() *values.DataType { return fs.elemType }
-
 // SendBatch sends one batch of elements, riding the session's batched
 // send queue (enqueue then flush: group commit, so a write error is
 // observed here, not swallowed). Elements are type-checked against the
@@ -166,9 +160,6 @@ func (fs *FlowStream) SendBatch(elems []values.Value) error {
 	fs.sentElems += uint64(len(elems))
 	return nil
 }
-
-// SentElems returns the cumulative element count handed to the session.
-func (fs *FlowStream) SentElems() uint64 { return fs.sentElems }
 
 // Close ends the stream: an end-of-stream marker is sent (best effort —
 // on a dead session the consumer learns of the close from the connection

@@ -49,9 +49,6 @@ func (c *gateConn) Close() error {
 	return nil
 }
 
-func (c *gateConn) LocalEndpoint() naming.Endpoint  { return "stub://client" }
-func (c *gateConn) RemoteEndpoint() naming.Endpoint { return "stub://peer" }
-
 // gateTransport dials the one wedged connection, whatever the endpoint.
 type gateTransport struct{ conn *gateConn }
 

@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engineering"
 )
 
-// Checkpoint error sentinels.
-var (
-	ErrNoCheckpoint = errors.New("coordination: no checkpoint for cluster")
-	ErrGuardRunning = errors.New("coordination: checkpointer already running")
-)
+// ErrNoCheckpoint reports a recovery from a cluster key with no checkpoint.
+var ErrNoCheckpoint = errors.New("coordination: no checkpoint for cluster")
 
 // CheckpointStore is the stable repository of cluster checkpoints used by
 // the checkpoint-and-recovery function. Keys are cluster identities at
@@ -89,53 +85,4 @@ func RecoverCluster(dst *engineering.Capsule, cs *CheckpointStore, key string, o
 		return nil, err
 	}
 	return dst.Instantiate(ck, opts)
-}
-
-// Checkpointer periodically checkpoints a cluster into a store.
-type Checkpointer struct {
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Start begins checkpointing the cluster every interval. One Checkpointer
-// drives one cluster; Start on a running Checkpointer fails.
-func (g *Checkpointer) Start(k *engineering.Cluster, cs *CheckpointStore, interval time.Duration) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.stop != nil {
-		return ErrGuardRunning
-	}
-	g.stop = make(chan struct{})
-	g.done = make(chan struct{})
-	stop, done := g.stop, g.done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				// A failed checkpoint (the cluster migrated away or was
-				// deleted: ErrNoSuchCluster) is skipped; the previous
-				// recovery point stays valid.
-				_ = CheckpointNow(k, cs)
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return nil
-}
-
-// Stop halts periodic checkpointing and waits for the loop to exit.
-func (g *Checkpointer) Stop() {
-	g.mu.Lock()
-	stop, done := g.stop, g.done
-	g.stop, g.done = nil, nil
-	g.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
+	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/policy"
@@ -54,21 +55,21 @@ func TestBusWildcardAndFilter(t *testing.T) {
 	if filtered != 1 {
 		t.Errorf("filtered deliveries = %d", filtered)
 	}
-	if st := b.Stats(); st.Published != 3 || st.Delivered != 4 {
+	if st := totals(b); st.Published != 3 || st.Delivered != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
-func TestBusCancelAndPublishSync(t *testing.T) {
+func TestBusCancel(t *testing.T) {
 	b := NewBus()
 	calls := 0
 	cancel := b.Subscribe("t", nil, func(Event) { calls++ })
-	if err := b.PublishSync("t", values.Null()); err != nil {
-		t.Errorf("PublishSync = %v", err)
+	if n := b.Publish("t", values.Null()); n != 1 {
+		t.Errorf("Publish delivered %d, want 1", n)
 	}
 	cancel()
-	if err := b.PublishSync("t", values.Null()); !errors.Is(err, ErrNoSubscriber) {
-		t.Errorf("after cancel = %v", err)
+	if n := b.Publish("t", values.Null()); n != 0 {
+		t.Errorf("after cancel, Publish delivered %d", n)
 	}
 	if calls != 1 {
 		t.Errorf("calls = %d", calls)
@@ -410,42 +411,6 @@ func TestCheckpointStoreAndRecovery(t *testing.T) {
 	}
 }
 
-func TestCheckpointerPeriodic(t *testing.T) {
-	net := netsim.New(1)
-	reloc := relocator.New()
-	node := newNode(t, net, reloc, "alpha")
-	capA, _ := node.CreateCapsule()
-	k, err := capA.CreateCluster(engineering.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.CreateObject("counter", values.Null()); err != nil {
-		t.Fatal(err)
-	}
-	cs := NewCheckpointStore()
-	var g Checkpointer
-	if err := g.Start(k, cs, 2*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(k, cs, time.Millisecond); !errors.Is(err, ErrGuardRunning) {
-		t.Errorf("double start = %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for cs.Saves() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	g.Stop()
-	g.Stop() // idempotent
-	if cs.Saves() < 2 {
-		t.Errorf("saves = %d, want >= 2", cs.Saves())
-	}
-	// Restartable after stop.
-	if err := g.Start(k, cs, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	g.Stop()
-}
-
 func TestReplicaGroupOverRealChannels(t *testing.T) {
 	// Three replica objects on three nodes behind one group proxy: the
 	// client sees a single interface; killing one node is masked.
@@ -505,5 +470,53 @@ func TestReplicaGroupOverRealChannels(t *testing.T) {
 	}
 	if n, _ := res[0].AsInt(); n != 10 {
 		t.Errorf("read state = %d", n)
+	}
+}
+
+// TestReplicaGroupInstrument: an instrumented group traces each update as
+// one span with a child per replica leg — a failed leg failing its child —
+// and records the update's latency; detaching stops both.
+func TestReplicaGroupInstrument(t *testing.T) {
+	g := NewReplicaGroup()
+	replicas := []*fakeInvoker{{}, {}, {fail: true}}
+	for i, r := range replicas {
+		if err := g.Add(fmt.Sprintf("r%d", i), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := mgmt.New()
+	ins := m.Group("bank")
+	g.Instrument(ins)
+	if _, _, err := g.Invoke(context.Background(), "Inc", []values.Value{values.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	ids := m.Tracer.TraceIDs()
+	if len(ids) != 1 {
+		t.Fatalf("traces = %v, want one", ids)
+	}
+	spans := map[string]mgmt.Span{}
+	for _, sp := range m.Tracer.Trace(ids[0]) {
+		spans[sp.Name] = sp
+	}
+	root, ok := spans["replica.update:Inc"]
+	if !ok || root.Parent != 0 {
+		t.Fatalf("update span = %+v (found %v)", root, ok)
+	}
+	for i := range replicas {
+		leg, ok := spans[fmt.Sprintf("replica:r%d", i)]
+		if !ok || leg.Parent != root.ID || (leg.Err != "") != (i == 2) {
+			t.Fatalf("leg r%d = %+v (found %v)", i, leg, ok)
+		}
+	}
+	if n := ins.UpdateLatency.Snapshot().Count; n != 1 {
+		t.Fatalf("update latency count = %d, want 1", n)
+	}
+	g.Instrument(nil)
+	started := m.Tracer.Stats().Started
+	if _, _, err := g.Invoke(context.Background(), "Inc", []values.Value{values.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Tracer.Stats().Started != started || ins.UpdateLatency.Snapshot().Count != 1 {
+		t.Fatal("a detached group still records")
 	}
 }

@@ -6,7 +6,6 @@
 package coordination
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -16,9 +15,6 @@ import (
 	"repro/internal/mgmt"
 	"repro/internal/values"
 )
-
-// ErrNoSubscriber is returned by PublishSync when nobody listens.
-var ErrNoSubscriber = errors.New("coordination: no subscriber for topic")
 
 // Event is one notification: a topic plus a payload value.
 type Event struct {
@@ -289,14 +285,6 @@ func (b *Bus) Publish(topic string, payload values.Value) int {
 	return n + ni
 }
 
-// PublishSync is Publish that fails when no subscriber received the event.
-func (b *Bus) PublishSync(topic string, payload values.Value) error {
-	if b.Publish(topic, payload) == 0 {
-		return ErrNoSubscriber
-	}
-	return nil
-}
-
 // BusStats is the bus's counter snapshot, including the bounded-queue
 // accounting: Dropped counts events discarded at full subscriber queues,
 // Stalls counts publishes that found at least one queue full, and Queued
@@ -307,20 +295,6 @@ type BusStats struct {
 	Dropped   uint64
 	Stalls    uint64
 	Queued    int64
-}
-
-// Stats returns the counter snapshot, summed across shards.
-func (b *Bus) Stats() BusStats {
-	var out BusStats
-	for _, sh := range b.shards {
-		s := sh.stats()
-		out.Published += s.Published
-		out.Delivered += s.Delivered
-		out.Dropped += s.Dropped
-		out.Stalls += s.Stalls
-		out.Queued += s.Queued
-	}
-	return out
 }
 
 // stats is one shard's counter snapshot.

@@ -19,7 +19,9 @@ import (
 type FailoverGroup struct {
 	// OnPromote, when set, runs before the newly promoted member serves
 	// its first invocation; a typical hook recovers the primary's last
-	// checkpoint into the backup (coordination.RecoverCluster).
+	// checkpoint into the backup (coordination.RecoverCluster). When it
+	// fails, that invocation returns its error and the next one runs it
+	// again before the member serves.
 	OnPromote func(name string) error
 	// Policy paces the fail-over loop: its budget bounds the whole
 	// invocation (all promotions included), its backoff separates
@@ -32,6 +34,10 @@ type FailoverGroup struct {
 	mu         sync.Mutex
 	members    []member
 	promotions uint64
+	// unrecovered is set from a promotion until OnPromote has succeeded
+	// for the primary: until then the primary serves nothing, and every
+	// invocation runs the hook again first.
+	unrecovered bool
 }
 
 // NewFailoverGroup returns an empty group; the first member added becomes
@@ -94,6 +100,15 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 			return "", nil, ErrEmptyGroup
 		}
 		primary := g.members[0]
+		if g.unrecovered {
+			// The hook runs under the lock: the promoted member must not
+			// serve an invocation before its state is recovered.
+			if perr := g.OnPromote(primary.name); perr != nil {
+				g.mu.Unlock()
+				return "", nil, fmt.Errorf("coordination: promotion of %q failed: %w", primary.name, perr)
+			}
+			g.unrecovered = false
+		}
 		g.mu.Unlock()
 		term, res, err := primary.inv.Invoke(ctx, op, args)
 		if err == nil {
@@ -116,19 +131,11 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 			g.members[last] = member{} // clear the vacated slot
 			g.members = g.members[:last]
 			g.promotions++
-			if len(g.members) > 0 && g.OnPromote != nil {
-				// The hook runs under the lock: the promoted member must
-				// not serve an invocation before its state is recovered.
-				if perr := g.OnPromote(g.members[0].name); perr != nil {
-					name := g.members[0].name
-					g.mu.Unlock()
-					return "", nil, fmt.Errorf("coordination: promotion of %q failed: %w", name, perr)
-				}
-			}
+			g.unrecovered = g.OnPromote != nil && len(g.members) > 0
 		}
 		g.mu.Unlock()
-		// Pace the retry against the freshly promoted member; the
-		// promotion itself was immediate and local.
+		// Pace the retry against the freshly promoted member, whose
+		// recovery runs first.
 		if werr := policy.Wait(ctx, pol.Backoff(attempt)); werr != nil {
 			return "", nil, werr
 		}

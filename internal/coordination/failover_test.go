@@ -3,6 +3,7 @@ package coordination
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/channel"
@@ -71,17 +72,45 @@ func TestFailoverGroupExhaustion(t *testing.T) {
 	}
 }
 
+// TestFailoverGroupPromotionHookFailure: a promoted member whose recovery
+// failed serves nothing until a later invocation has run the hook again
+// and it succeeded.
 func TestFailoverGroupPromotionHookFailure(t *testing.T) {
 	g := NewFailoverGroup()
-	g.OnPromote = func(string) error { return errors.New("recovery failed") }
+	var hooks []string
+	recoverErr := errors.New("recovery failed")
+	g.OnPromote = func(name string) error {
+		hooks = append(hooks, name)
+		return recoverErr
+	}
 	if err := g.Add("a", &fakeInvoker{fail: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Add("b", &fakeInvoker{}); err != nil {
+	b := &fakeInvoker{}
+	if err := g.Add("b", b); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.Invoke(context.Background(), "Get", nil); err == nil {
-		t.Error("promotion hook failure should surface")
+	if _, _, err := g.Invoke(context.Background(), "Get", nil); !errors.Is(err, recoverErr) {
+		t.Fatalf("first invoke = %v, want the promotion hook's failure", err)
+	}
+	// b is the primary now, but unrecovered: the next invocation retries
+	// the hook, and while it fails b still serves nothing.
+	if _, _, err := g.Invoke(context.Background(), "Get", nil); !errors.Is(err, recoverErr) {
+		t.Fatalf("second invoke = %v, want the retried hook's failure", err)
+	}
+	if b.calls != 0 {
+		t.Fatalf("the unrecovered member served %d invocations", b.calls)
+	}
+	recoverErr = nil
+	if _, _, err := g.Invoke(context.Background(), "Get", nil); err != nil {
+		t.Fatalf("invoke after a successful recovery = %v", err)
+	}
+	if _, _, err := g.Invoke(context.Background(), "Get", nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"b", "b", "b"}; !reflect.DeepEqual(hooks, want) || b.calls != 2 || g.Promotions() != 1 {
+		t.Errorf("hooks %v, b served %d, promotions %d; want hooks %v, 2 served, 1 promotion",
+			hooks, b.calls, g.Promotions(), want)
 	}
 }
 

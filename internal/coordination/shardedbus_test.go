@@ -48,7 +48,7 @@ func TestQueuedSubscriberPreservesOrder(t *testing.T) {
 			t.Fatalf("delivery out of order at %d: seq %d after %d", i, seqs[i], seqs[i-1])
 		}
 	}
-	if st := b.Stats(); st.Dropped != 0 || st.Queued != 0 {
+	if st := totals(b); st.Dropped != 0 || st.Queued != 0 {
 		t.Fatalf("unexpected queue stats: %+v", st)
 	}
 }
@@ -86,7 +86,7 @@ func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
 			t.Fatalf("full-queue Publish reported %d deliveries, want 0", got)
 		}
 	}
-	st := b.Stats()
+	st := totals(b)
 	if st.Dropped != extra {
 		t.Fatalf("Dropped = %d, want %d", st.Dropped, extra)
 	}
@@ -155,7 +155,7 @@ func TestSlowQueuedSubscriberDoesNotStallBus(t *testing.T) {
 	close(release)
 	cancelSlow()
 	cancelFast()
-	if st := b.Stats(); st.Dropped == 0 {
+	if st := totals(b); st.Dropped == 0 {
 		t.Fatalf("expected drops at the wedged subscriber, got %+v", st)
 	}
 }
@@ -226,8 +226,8 @@ func TestShardedBusTopicDelivery(t *testing.T) {
 	const per = 20
 	for i := 0; i < per; i++ {
 		for _, topic := range topics {
-			if err := sb.PublishSync(topic, values.Int(int64(i))); err != nil {
-				t.Fatalf("PublishSync(%s): %v", topic, err)
+			if n := sb.Publish(topic, values.Int(int64(i))); n == 0 {
+				t.Fatalf("Publish(%s): no subscriber received it", topic)
 			}
 		}
 	}
@@ -245,7 +245,7 @@ func TestShardedBusTopicDelivery(t *testing.T) {
 			}
 		}
 	}
-	if st := sb.Stats(); st.Published != uint64(per*len(topics)) || st.Delivered != uint64(per*len(topics)) {
+	if st := totals(sb); st.Published != uint64(per*len(topics)) || st.Delivered != uint64(per*len(topics)) {
 		t.Fatalf("Stats = %+v, want %d published and delivered", st, per*len(topics))
 	}
 }
@@ -328,7 +328,7 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 	if seen != 2 {
 		t.Fatalf("wildcard saw %d events, want 2", seen)
 	}
-	if st := sb.Stats(); st.Published != 2 {
+	if st := totals(sb); st.Published != 2 {
 		t.Fatalf("Stats.Published = %d, want 2", st.Published)
 	}
 	var published int64
@@ -400,8 +400,8 @@ func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 		publishAll(0, 10)
 		cancelDelta()
 		publishAll(10, 20)
-		if err := b.PublishSync("nobody-listens-by-name", values.Int(0)); err != nil {
-			t.Errorf("PublishSync with a wildcard subscriber: %v", err)
+		if b.Publish("nobody-listens-by-name", values.Int(0)) == 0 {
+			t.Error("Publish with a wildcard subscriber reached nobody")
 		}
 
 		// The full-queue drop: a capacity-1 subscriber wedged in its first
@@ -426,7 +426,7 @@ func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 		if b.Publish("alpha", values.Int(0)) != 0 {
 			t.Error("a delivery after every subscription was cancelled")
 		}
-		return outcome{got: got, stats: b.Stats()}
+		return outcome{got: got, stats: totals(b)}
 	}
 
 	fourBus, hit := NewShardedBus(4), map[string]bool{}

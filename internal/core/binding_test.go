@@ -154,7 +154,7 @@ func TestStreamBindingObjectFansOut(t *testing.T) {
 	}
 
 	// Bad sink reference value.
-	if term, _, err := ctrl.Invoke(ctx, "AddSink", []values.Value{naming.RefDataType().ZeroValue()}); err != nil {
+	if term, _, err := ctrl.Invoke(ctx, "AddSink", []values.Value{naming.InterfaceRef{}.ToValue()}); err != nil {
 		t.Fatal(err)
 	} else if term != "Error" {
 		// A zero ref decodes but fails to bind.

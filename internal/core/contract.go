@@ -52,16 +52,6 @@ type TransparencySet uint16
 // Has reports whether the set requires t.
 func (s TransparencySet) Has(t Transparency) bool { return uint16(s)&uint16(t) != 0 }
 
-// With returns the set extended with t.
-func (s TransparencySet) With(t Transparency) TransparencySet {
-	return TransparencySet(uint16(s) | uint16(t))
-}
-
-// Without returns the set with t removed.
-func (s TransparencySet) Without(t Transparency) TransparencySet {
-	return TransparencySet(uint16(s) &^ uint16(t))
-}
-
 // String lists the set's members, e.g. "access+relocation".
 func (s TransparencySet) String() string {
 	if s == 0 {
@@ -77,33 +67,6 @@ func (s TransparencySet) String() string {
 		parts = append(parts, fmt.Sprintf("unknown(%#x)", extra))
 	}
 	return strings.Join(parts, "+")
-}
-
-// ParseTransparencies parses a "+"-separated list of transparency names,
-// e.g. "access+relocation+failure". The empty string and "none" denote the
-// empty set; "all" denotes the full prescribed set.
-func ParseTransparencies(s string) (TransparencySet, error) {
-	switch s {
-	case "", "none":
-		return 0, nil
-	case "all":
-		return TransparencySet(AllTransparencies), nil
-	}
-	var out TransparencySet
-	for _, part := range strings.Split(s, "+") {
-		found := false
-		for _, tn := range transparencyNames {
-			if tn.name == part {
-				out = out.With(tn.t)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, fmt.Errorf("%w: unknown transparency %q", ErrBadContract, part)
-		}
-	}
-	return out, nil
 }
 
 // SecurityLevel states the security a binding requires, realised by

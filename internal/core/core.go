@@ -78,13 +78,3 @@ func (t *ObjectTemplate) Validate() error {
 	}
 	return nil
 }
-
-// Interface returns the declaration for the named interface type.
-func (t *ObjectTemplate) Interface(typeName string) (InterfaceDecl, bool) {
-	for _, d := range t.Interfaces {
-		if d.Type.Name == typeName {
-			return d, true
-		}
-	}
-	return InterfaceDecl{}, false
-}

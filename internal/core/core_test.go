@@ -55,25 +55,10 @@ func TestTemplateValidate(t *testing.T) {
 	}
 }
 
-func TestTemplateInterfaceLookup(t *testing.T) {
-	tmpl := validTemplate()
-	if d, ok := tmpl.Interface("U"); !ok || !d.Contract.Require.Has(Relocation) {
-		t.Errorf("Interface(U) = %+v, %v", d, ok)
-	}
-	if _, ok := tmpl.Interface("Ghost"); ok {
-		t.Error("Interface(Ghost) should not be found")
-	}
-}
-
 func TestTransparencySet(t *testing.T) {
-	var s TransparencySet
-	s = s.With(Access).With(Failure)
+	s := TransparencySet(Access | Failure)
 	if !s.Has(Access) || !s.Has(Failure) || s.Has(Migration) {
 		t.Errorf("set membership wrong: %v", s)
-	}
-	s = s.Without(Access)
-	if s.Has(Access) {
-		t.Error("Without failed")
 	}
 	if got := TransparencySet(0).String(); got != "none" {
 		t.Errorf("empty set = %q", got)
@@ -83,40 +68,6 @@ func TestTransparencySet(t *testing.T) {
 	}
 	if got := TransparencySet(1 << 12).String(); got == "none" {
 		t.Errorf("unknown bits should be reported: %q", got)
-	}
-}
-
-func TestParseTransparencies(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    TransparencySet
-		wantErr bool
-	}{
-		{"", 0, false},
-		{"none", 0, false},
-		{"all", TransparencySet(AllTransparencies), false},
-		{"access", TransparencySet(Access), false},
-		{"access+relocation+failure", TransparencySet(Access | Relocation | Failure), false},
-		{"bogus", 0, true},
-		{"access+bogus", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseTransparencies(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseTransparencies(%q) error = %v", c.in, err)
-			continue
-		}
-		if !c.wantErr && got != c.want {
-			t.Errorf("ParseTransparencies(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	// Round trip every single transparency.
-	for _, tr := range []Transparency{Access, Location, Relocation, Migration, Persistence, Failure, Replication, Transaction} {
-		s := TransparencySet(tr)
-		got, err := ParseTransparencies(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip %v: %v, %v", s, got, err)
-		}
 	}
 }
 
@@ -308,5 +259,35 @@ func TestActivityContextCancellationStopsSequence(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+type activityKey struct{}
+
+// TestActivityContext: the activity's context is the one its actions
+// run under — it carries the caller's values, is live while the activity
+// runs, and is cancelled when the activity ends.
+func TestActivityContext(t *testing.T) {
+	a := NewActivity(context.WithValue(context.Background(), activityKey{}, "teller"))
+	ctx := a.Context()
+	if got := ctx.Value(activityKey{}); got != "teller" {
+		t.Fatalf("activity context value = %v, want the caller's", got)
+	}
+	if err := a.Do(func(actx context.Context) error {
+		if actx != ctx {
+			t.Error("action ran under a context other than the activity's")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("activity context done before End")
+	}
+	if err := a.End(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("activity context after End: %v, want canceled", ctx.Err())
 	}
 }

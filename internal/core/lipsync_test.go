@@ -150,3 +150,50 @@ func TestLipSyncControlDelegation(t *testing.T) {
 		t.Errorf("state kind = %v", state.Kind())
 	}
 }
+
+// TestLipSyncRestoreRebindsSinks: a lip-sync binding restored from
+// another's checkpoint re-binds to the same sinks and keeps aligning its
+// flows to them; a state that is not a sink list is refused.
+func TestLipSyncRestoreRebindsSinks(t *testing.T) {
+	c := &orderedCollector{}
+	var bound []naming.InterfaceRef
+	reg := engineering.NewBehaviorRegistry()
+	RegisterLipSyncBinding(reg, "lipsync", func(ref naming.InterfaceRef) (FlowSender, error) {
+		bound = append(bound, ref)
+		return directSender{c}, nil
+	}, LipSyncConfig{Flows: []string{"audio", "video"}})
+	newBinding := func() *lipSyncBinding {
+		b, err := reg.New("lipsync", values.Null())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.(*lipSyncBinding)
+	}
+
+	src := newBinding()
+	sink := naming.InterfaceRef{ID: naming.InterfaceID{Nonce: 7}, TypeName: "Screen", Endpoint: "sim://tv"}
+	src.inner.sinks[sink.ID] = sinkEntry{ref: sink, sender: directSender{c}}
+	state, err := src.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := newBinding()
+	if err := dst.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	if len(bound) != 1 || bound[0] != sink {
+		t.Fatalf("restore bound %v, want the checkpointed sink", bound)
+	}
+	if _, res, err := dst.Invoke(context.Background(), "SinkCount", nil); err != nil || !res[0].Equal(values.Int(1)) {
+		t.Fatalf("SinkCount after restore = %v, %v", res, err)
+	}
+	dst.Flow("video", values.Uint(0))
+	dst.Flow("audio", values.Uint(0))
+	if got := strings.Join(c.snapshot(), ","); got != "audio:0,video:0" {
+		t.Fatalf("restored binding delivered %q", got)
+	}
+	if err := newBinding().RestoreState(values.Int(1)); err == nil {
+		t.Fatal("a non-seq state was restored")
+	}
+}

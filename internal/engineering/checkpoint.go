@@ -1,15 +1,9 @@
 package engineering
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/naming"
 	"repro/internal/values"
 )
-
-// ErrBadCheckpoint is wrapped by checkpoint decoding failures.
-var ErrBadCheckpoint = errors.New("engineering: malformed checkpoint")
 
 // InterfaceCheckpoint captures one interface's identity and type, enough
 // to re-register it after reactivation or migration. The full reference is
@@ -33,159 +27,10 @@ type ObjectCheckpoint struct {
 }
 
 // ClusterCheckpoint captures a whole cluster: the unit of deactivation,
-// reactivation, migration and failure recovery. Checkpoints serialise to
-// values (ToValue/ClusterCheckpointFromValue) so they can be shipped over
-// ordinary channels between nodes.
+// reactivation, migration and failure recovery.
 type ClusterCheckpoint struct {
 	Origin         naming.ClusterID // identity at capture time
 	NextObject     uint32
 	AutoReactivate bool
 	Objects        []ObjectCheckpoint
-}
-
-// ToValue encodes the checkpoint for transmission or storage.
-func (c *ClusterCheckpoint) ToValue() values.Value {
-	objs := make([]values.Value, len(c.Objects))
-	for i, oc := range c.Objects {
-		ifaces := make([]values.Value, len(oc.Interfaces))
-		for j, ic := range oc.Interfaces {
-			ifaces[j] = values.Record(
-				values.F("seq", values.Uint(uint64(ic.Seq))),
-				values.F("ref", ic.Ref.ToValue()),
-				values.F("type", ic.Type),
-			)
-		}
-		objs[i] = values.Record(
-			values.F("seq", values.Uint(uint64(oc.Seq))),
-			values.F("behavior", values.Str(oc.Behavior)),
-			values.F("arg", oc.Arg),
-			values.F("state", oc.State),
-			values.F("has_state", values.Bool(oc.HasState)),
-			values.F("interfaces", values.Seq(ifaces...)),
-		)
-	}
-	return values.Record(
-		values.F("node", values.Str(string(c.Origin.Capsule.Node))),
-		values.F("capsule", values.Uint(uint64(c.Origin.Capsule.Seq))),
-		values.F("cluster", values.Uint(uint64(c.Origin.Seq))),
-		values.F("next_object", values.Uint(uint64(c.NextObject))),
-		values.F("auto_reactivate", values.Bool(c.AutoReactivate)),
-		values.F("objects", values.Seq(objs...)),
-	)
-}
-
-// ClusterCheckpointFromValue decodes a checkpoint produced by ToValue.
-func ClusterCheckpointFromValue(v values.Value) (*ClusterCheckpoint, error) {
-	if v.Kind() != values.KindRecord {
-		return nil, fmt.Errorf("%w: not a record", ErrBadCheckpoint)
-	}
-	str := func(name string) (string, error) {
-		fv, ok := v.FieldByName(name)
-		if !ok {
-			return "", fmt.Errorf("%w: missing %s", ErrBadCheckpoint, name)
-		}
-		s, ok := fv.AsString()
-		if !ok {
-			return "", fmt.Errorf("%w: %s not a string", ErrBadCheckpoint, name)
-		}
-		return s, nil
-	}
-	u64 := func(name string) (uint64, error) {
-		fv, ok := v.FieldByName(name)
-		if !ok {
-			return 0, fmt.Errorf("%w: missing %s", ErrBadCheckpoint, name)
-		}
-		u, ok := fv.AsUint()
-		if !ok {
-			return 0, fmt.Errorf("%w: %s not a uint", ErrBadCheckpoint, name)
-		}
-		return u, nil
-	}
-	node, err := str("node")
-	if err != nil {
-		return nil, err
-	}
-	capSeq, err := u64("capsule")
-	if err != nil {
-		return nil, err
-	}
-	cluSeq, err := u64("cluster")
-	if err != nil {
-		return nil, err
-	}
-	nextObj, err := u64("next_object")
-	if err != nil {
-		return nil, err
-	}
-	auto := false
-	if av, ok := v.FieldByName("auto_reactivate"); ok {
-		auto, _ = av.AsBool()
-	}
-	ck := &ClusterCheckpoint{
-		Origin: naming.ClusterID{
-			Capsule: naming.CapsuleID{Node: naming.NodeID(node), Seq: uint32(capSeq)},
-			Seq:     uint32(cluSeq),
-		},
-		NextObject:     uint32(nextObj),
-		AutoReactivate: auto,
-	}
-	objsV, ok := v.FieldByName("objects")
-	if !ok || objsV.Kind() != values.KindSeq {
-		return nil, fmt.Errorf("%w: missing objects", ErrBadCheckpoint)
-	}
-	for i := 0; i < objsV.Len(); i++ {
-		ov := objsV.ElemAt(i)
-		seqV, ok := ov.FieldByName("seq")
-		if !ok {
-			return nil, fmt.Errorf("%w: object %d missing seq", ErrBadCheckpoint, i)
-		}
-		seq, _ := seqV.AsUint()
-		behV, ok := ov.FieldByName("behavior")
-		if !ok {
-			return nil, fmt.Errorf("%w: object %d missing behavior", ErrBadCheckpoint, i)
-		}
-		beh, _ := behV.AsString()
-		arg, _ := ov.FieldByName("arg")
-		state, _ := ov.FieldByName("state")
-		hasStateV, _ := ov.FieldByName("has_state")
-		hasState, _ := hasStateV.AsBool()
-		oc := ObjectCheckpoint{
-			Seq:      uint32(seq),
-			Behavior: beh,
-			Arg:      arg,
-			State:    state,
-			HasState: hasState,
-		}
-		ifacesV, ok := ov.FieldByName("interfaces")
-		if !ok || ifacesV.Kind() != values.KindSeq {
-			return nil, fmt.Errorf("%w: object %d missing interfaces", ErrBadCheckpoint, i)
-		}
-		for j := 0; j < ifacesV.Len(); j++ {
-			iv := ifacesV.ElemAt(j)
-			isV, ok := iv.FieldByName("seq")
-			if !ok {
-				return nil, fmt.Errorf("%w: object %d interface %d missing seq", ErrBadCheckpoint, i, j)
-			}
-			iseq, _ := isV.AsUint()
-			rV, ok := iv.FieldByName("ref")
-			if !ok {
-				return nil, fmt.Errorf("%w: object %d interface %d missing ref", ErrBadCheckpoint, i, j)
-			}
-			ref, err := naming.RefFromValue(rV)
-			if err != nil {
-				return nil, fmt.Errorf("%w: object %d interface %d: %v", ErrBadCheckpoint, i, j, err)
-			}
-			tV, ok := iv.FieldByName("type")
-			if !ok {
-				return nil, fmt.Errorf("%w: object %d interface %d missing type", ErrBadCheckpoint, i, j)
-			}
-			oc.Interfaces = append(oc.Interfaces, InterfaceCheckpoint{
-				Seq:  uint32(iseq),
-				Ref:  ref,
-				Type: tV,
-			})
-		}
-		ck.Objects = append(ck.Objects, oc)
-	}
-	return ck, nil
 }

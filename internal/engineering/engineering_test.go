@@ -580,59 +580,13 @@ func TestDeactivatedClusterKeepsItsCheckpoint(t *testing.T) {
 	}
 }
 
-func TestCheckpointValueRoundTrip(t *testing.T) {
-	f := newFixture()
-	n := f.node(t, "alpha", NodeConfig{})
-	k, _ := deploy(t, n, ClusterOptions{AutoReactivate: true}, 9)
-	ck, err := k.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ck.ToValue()
-	got, err := ClusterCheckpointFromValue(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Origin != ck.Origin || got.NextObject != ck.NextObject || got.AutoReactivate != ck.AutoReactivate {
-		t.Errorf("header mismatch: %+v vs %+v", got, ck)
-	}
-	if len(got.Objects) != len(ck.Objects) {
-		t.Fatalf("objects = %d, want %d", len(got.Objects), len(ck.Objects))
-	}
-	o0, w0 := got.Objects[0], ck.Objects[0]
-	if o0.Behavior != w0.Behavior || o0.HasState != w0.HasState || !o0.State.Equal(w0.State) {
-		t.Errorf("object mismatch: %+v vs %+v", o0, w0)
-	}
-	if len(o0.Interfaces) != 1 || o0.Interfaces[0].Ref != w0.Interfaces[0].Ref {
-		t.Errorf("interfaces mismatch")
-	}
-}
-
-func TestCheckpointFromValueErrors(t *testing.T) {
-	bad := []values.Value{
-		values.Int(1),
-		values.Record(),
-		values.Record(values.F("node", values.Str("a"))),
-	}
-	for i, v := range bad {
-		if _, err := ClusterCheckpointFromValue(v); !errors.Is(err, ErrBadCheckpoint) {
-			t.Errorf("case %d: err = %v", i, err)
-		}
-	}
-}
-
-func TestInstantiateFromShippedCheckpoint(t *testing.T) {
-	// Checkpoint on alpha, serialise to a value (as if sent over a
-	// channel), instantiate on beta.
+func TestInstantiateCheckpointOnAnotherNode(t *testing.T) {
+	// Checkpoint on alpha, lose alpha, instantiate on beta.
 	f := newFixture()
 	src := f.node(t, "alpha", NodeConfig{})
 	dst := f.node(t, "beta", NodeConfig{})
 	k, ref := deploy(t, src, ClusterOptions{}, 123)
 	ck, err := k.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := ClusterCheckpointFromValue(ck.ToValue())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +598,7 @@ func TestInstantiateFromShippedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := capB.Instantiate(shipped, ClusterOptions{}); err != nil {
+	if _, err := capB.Instantiate(ck, ClusterOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// The same interface identity now answers at beta.
@@ -755,5 +709,44 @@ func TestNodeCloseIsIdempotentAndTearsDown(t *testing.T) {
 	}
 	if _, err := f.reloc.Lookup(ref.ID); !errors.Is(err, relocator.ErrUnknown) {
 		t.Errorf("locations should be cleaned up: %v", err)
+	}
+}
+
+// TestRegisterServant: a standalone servant gets a reference under the
+// node's synthetic object, registered with the location registry and
+// reachable over a typed binding; each servant gets its own nonce and an
+// invalid type is refused before anything is registered.
+func TestRegisterServant(t *testing.T) {
+	f := newFixture()
+	n := f.node(t, "a", NodeConfig{})
+	before := len(f.reloc.Entries())
+	ref, err := n.RegisterServant(counterType(), &counterBehavior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.TypeName != "Counter" || ref.Endpoint != "sim://a" || ref.ID.Object != (naming.ObjectID{Cluster: naming.ClusterID{Capsule: naming.CapsuleID{Node: "a"}}}) {
+		t.Fatalf("servant ref = %+v", ref)
+	}
+	if got, err := f.reloc.Lookup(ref.ID); err != nil || got != ref {
+		t.Fatalf("registry lookup = %+v, %v", got, err)
+	}
+	other, err := n.RegisterServant(nil, &counterBehavior{})
+	if err != nil || other.ID.Nonce == ref.ID.Nonce || other.TypeName != "" {
+		t.Fatalf("second servant = %+v, %v", other, err)
+	}
+	if _, err := n.RegisterServant(&types.Interface{Kind: types.Operational}, &counterBehavior{}); err == nil {
+		t.Fatal("an unnamed interface type was accepted")
+	}
+	if got := len(f.reloc.Entries()); got != before+2 {
+		t.Fatalf("registry holds %d new entries, want 2", got-before)
+	}
+
+	b, err := channel.Bind(ref, channel.BindConfig{Transport: f.net.From("client"), Type: counterType()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if term, res, err := b.Invoke(context.Background(), "Inc", []values.Value{values.Int(2)}); err != nil || term != "OK" || !res[0].Equal(values.Int(2)) {
+		t.Fatalf("Inc = %s %v %v", term, res, err)
 	}
 }

@@ -321,3 +321,44 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestPerformativesListing(t *testing.T) {
+	c := bankCommunity(t)
+	if got := c.Performatives(); len(got) != 0 {
+		t.Fatalf("performatives before any declaration = %v", got)
+	}
+	noop := func(*Mutator, values.Value) error { return nil }
+	for _, name := range []string{"RaiseLimit", "CloseAccount"} {
+		if err := c.DeclarePerformative(PerformativeAction{Name: name, Role: "manager", Effect: noop}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Performatives(); len(got) != 2 || got[0] != "CloseAccount" || got[1] != "RaiseLimit" {
+		t.Fatalf("performatives = %v, want sorted [CloseAccount RaiseLimit]", got)
+	}
+}
+
+// TestObligeDirect: an obligation created directly shares the numbering
+// and the outstanding list with those a rule creates.
+func TestObligeDirect(t *testing.T) {
+	c := bankCommunity(t)
+	o := c.Oblige("teller", "BalanceTill", "audit")
+	if o.ID != 1 || o.Role != "teller" || o.Duty != "BalanceTill" || o.Origin != "audit" || o.Discharged {
+		t.Fatalf("obligation = %+v", o)
+	}
+	if _, err := c.Check("kerry", "SetInterestRate", params()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Outstanding(""); len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
+		t.Fatalf("outstanding = %+v, want the direct obligation then the rule's", got)
+	}
+	if got := c.Outstanding("teller"); len(got) != 1 || got[0].Duty != "BalanceTill" {
+		t.Fatalf("teller's outstanding = %+v", got)
+	}
+	if err := c.Discharge(o.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Outstanding("teller"); len(got) != 0 {
+		t.Fatalf("teller's outstanding after discharge = %+v", got)
+	}
+}

@@ -17,12 +17,13 @@
 //     Import/Install enumeration the live rebalance uses, re-admit.
 //     Zero lost lookups is the gate — the failover must be invisible;
 //   - a whole victim host dies with live objects on it; recovery
-//     re-instantiates its clusters from stashed checkpoints on a spare
-//     node, and the victims' bindings re-resolve — availability through
-//     the storm stays above the gate. The same script with recovery
-//     off leaves the victims permanently dark: the contrast is the
-//     point (failure transparency is a prescribed property, and this
-//     is the machinery the prescription buys);
+//     recovers its clusters from their checkpoints (coordination's
+//     checkpoint store) on a spare node, and the victims' bindings
+//     re-resolve — availability through the storm stays above the
+//     gate. The same script with recovery off leaves the victims
+//     permanently dark: the contrast is the point (failure transparency
+//     is a prescribed property, and this is the machinery the
+//     prescription buys);
 //   - mid-storm the trader ring itself rebalances (a shard joins, a
 //     shard drains away) so the epoch-fenced migration path runs
 //     concurrently with the health-driven failover.
@@ -298,20 +299,27 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 			return nil
 		},
 	})
-	// w0's plan: the victim rescue. Re-instantiate each stashed cluster
+	// w0's plan: the victim rescue. Recover each victim cluster from its
 	// checkpoint on the spare node — interface identities survive, the
 	// relocator fences a new epoch, and the victims' bindings re-resolve.
-	var stash []*engineering.ClusterCheckpoint
+	// The store holds only the victims' checkpoints, and each is rescued
+	// at most once: a later OnDead rescues only the keys saved since.
+	checkpoints := coordination.NewCheckpointStore()
+	rescued := map[string]bool{}
 	var rescues atomic.Uint64
 	ctl.SetPlan("w0", health.Plan{
 		OnDead: func(ctx context.Context, ep string) error {
 			breakers.For(ep).Record(false)
 			crashMu.Lock()
-			cks := stash
-			stash = nil
+			var keys []string
+			for _, key := range checkpoints.Keys() {
+				if !rescued[key] {
+					keys, rescued[key] = append(keys, key), true
+				}
+			}
 			crashMu.Unlock()
-			for _, ck := range cks {
-				if _, err := capsules["spare"].Instantiate(ck, engineering.ClusterOptions{}); err != nil {
+			for _, key := range keys {
+				if _, err := coordination.RecoverCluster(capsules["spare"], checkpoints, key, engineering.ClusterOptions{}); err != nil {
 					return err
 				}
 				rescues.Add(1)
@@ -396,17 +404,15 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		halt()
 		return rep, err
 	}
-	// Stash the victim checkpoints recovery will rescue from, then zero
-	// the window counters: only the storm counts.
+	// Checkpoint the victims recovery will rescue, then zero the window
+	// counters: only the storm counts.
 	crashMu.Lock()
 	for _, cl := range victimClusters {
-		ck, err := cl.Checkpoint()
-		if err != nil {
+		if err := coordination.CheckpointNow(cl, checkpoints); err != nil {
 			crashMu.Unlock()
 			halt()
 			return rep, err
 		}
-		stash = append(stash, ck)
 	}
 	crashMu.Unlock()
 	objProbe.reset()

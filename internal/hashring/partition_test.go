@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // toy is a keyed store for the protocol tests: a set of keys behind a lock.
@@ -303,5 +304,42 @@ func TestPartitionViewIsImmutable(t *testing.T) {
 	}
 	if now := p.View(); now.Epoch() != 5 || fmt.Sprint(now.Names()) != "[c]" {
 		t.Fatalf("current view: epoch %d, members %v", now.Epoch(), now.Names())
+	}
+}
+
+// TestPartitionSettleWaitsForChange: Settle blocks while a change drains
+// and returns once it has settled; with no change in progress it returns
+// at once.
+func TestPartitionSettleWaitsForChange(t *testing.T) {
+	var p Partition[string]
+	p.Settle()
+	nop := func(string, string, func(string) (string, bool)) error { return nil }
+	if err := p.Add("a", "store-a", nop); err != nil {
+		t.Fatal(err)
+	}
+	draining, release := make(chan struct{}), make(chan struct{})
+	go p.Add("b", "store-b", func(string, string, func(string) (string, bool)) error {
+		close(draining)
+		<-release
+		return nil
+	})
+	<-draining
+	if v := p.View(); v.Epoch() != 2 || v.Settled() != 1 {
+		t.Fatalf("mid-change view: epoch %d, settled %d; want 2, 1", v.Epoch(), v.Settled())
+	}
+	settled := make(chan struct{})
+	go func() {
+		p.Settle()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		t.Fatal("Settle returned while a change was draining")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-settled
+	if v := p.View(); v.Epoch() != 2 || v.Settled() != 2 || fmt.Sprint(v.Names()) != "[a b]" {
+		t.Fatalf("settled view: epoch %d, settled %d, %v", v.Epoch(), v.Settled(), v.Names())
 	}
 }

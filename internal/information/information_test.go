@@ -2,6 +2,7 @@ package information
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -479,5 +480,23 @@ func TestInvariantPreservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDynamicsListing: the declared dynamic schemas are listed sorted and
+// each is found by name; an undeclared one is not.
+func TestDynamicsListing(t *testing.T) {
+	m := bankModel(t)
+	if got := m.Dynamics(); !slices.Equal(got, []string{"Deposit", "MidnightReset", "Withdraw"}) {
+		t.Fatalf("Dynamics() = %v", got)
+	}
+	if !m.HasDynamic("Withdraw") {
+		t.Error("HasDynamic(Withdraw) = false")
+	}
+	if m.HasDynamic("Transfer") {
+		t.Error("HasDynamic(Transfer) = true for an undeclared schema")
+	}
+	if got := NewModel().Dynamics(); len(got) != 0 {
+		t.Errorf("empty model Dynamics() = %v", got)
 	}
 }

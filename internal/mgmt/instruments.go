@@ -3,14 +3,13 @@ package mgmt
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // This file defines the per-component instrument bundles. A bundle holds
-// only what no component counts for itself — the tracer, histograms,
-// queue-depth gauges and QoS monitors; a count a component's own Stats()
-// already keeps, for one component or for a set of them, is read through
-// (see Read), never mirrored.
+// only what no component counts for itself — the tracer, histograms and
+// queue-depth gauges; a count a component's own Stats() already keeps,
+// for one component or for a set of them, is read through (see Read),
+// never mirrored.
 // Each instrumented package takes exactly one optional pointer to its
 // bundle; a nil bundle disables that component's instrumentation at the
 // cost of one nil check, which is what lets the hooks ship permanently
@@ -24,8 +23,6 @@ type ChannelClientInstruments struct {
 	Tracer *Tracer
 
 	InvokeLatency *Histogram // end-to-end interrogation latency, ns
-
-	QoS *Monitor // optional envelope over invocation latency/errors
 }
 
 // ChannelServerInstruments instrument the server end: dispatch of inbound
@@ -60,15 +57,6 @@ type SessionInstruments struct {
 	SendQueueDepth *Gauge     // frames queued awaiting the sender
 }
 
-// StreamInstruments instrument one end of the streaming data plane: a
-// producer's stall times or a consumer's delivery rate. The counts and the
-// credit and queue levels are ProducerStats and ConsumerStats, read
-// through.
-type StreamInstruments struct {
-	StallNs     *Histogram // time spent blocked per stall, ns (producer end)
-	ElemsPerSec *Histogram // delivery rate sampled per grant cycle (consumer end)
-}
-
 // GroupInstruments instrument a replica group (coordination); its
 // counters are its GroupStats, read through.
 type GroupInstruments struct {
@@ -97,15 +85,12 @@ type ShardInstruments struct {
 // ---------------------------------------------------------------------------
 // Management: the per-node (or per-system) aggregate
 
-// Management bundles one observability domain: a tracer, a metrics
-// registry and the QoS monitors, with the constructors that wire them to
-// components and the text dumps that the management interface serves.
+// Management bundles one observability domain: a tracer and a metrics
+// registry, with the constructors that wire them to components and the
+// text dumps that the management interface serves.
 type Management struct {
 	Registry *Registry
 	Tracer   *Tracer
-
-	mu       sync.Mutex
-	monitors []*Monitor
 }
 
 // New creates an enabled management domain with a default-capacity
@@ -116,30 +101,6 @@ func New() *Management {
 		Registry: NewRegistry(),
 		Tracer:   NewTracer(0),
 	}
-}
-
-// Monitor creates and registers a QoS monitor under this domain.
-func (m *Management) Monitor(env Envelope, pub Publisher) *Monitor {
-	if m == nil {
-		return nil
-	}
-	mon := NewMonitor(env, pub)
-	m.mu.Lock()
-	m.monitors = append(m.monitors, mon)
-	m.mu.Unlock()
-	return mon
-}
-
-// Monitors returns the registered QoS monitors.
-func (m *Management) Monitors() []*Monitor {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Monitor, len(m.monitors))
-	copy(out, m.monitors)
-	return out
 }
 
 // ChannelClient resolves a client-channel bundle named name (e.g. the
@@ -187,19 +148,6 @@ func (m *Management) Sessions(name string) *SessionInstruments {
 	}
 }
 
-// Stream resolves a streaming bundle named name (e.g. "<flow>.producer"
-// or "<flow>.consumer"). Metrics land under stream.<name>.*.
-func (m *Management) Stream(name string) *StreamInstruments {
-	if m == nil {
-		return nil
-	}
-	p := "stream." + name + "."
-	return &StreamInstruments{
-		StallNs:     m.Registry.Histogram(p + "stall_wait_ns"),
-		ElemsPerSec: m.Registry.Histogram(p + "elements_per_sec"),
-	}
-}
-
 // Group resolves a replica-group bundle.
 func (m *Management) Group(name string) *GroupInstruments {
 	if m == nil {
@@ -238,8 +186,8 @@ func (m *Management) TraderShards(name string) *ShardInstruments {
 	}
 }
 
-// Dump renders the whole domain — metrics, QoS monitors, tracer stats and
-// recent traces — as text.
+// Dump renders the whole domain — metrics, tracer stats and recent
+// traces — as text.
 func (m *Management) Dump() string {
 	if m == nil {
 		return "(management disabled)\n"
@@ -247,12 +195,6 @@ func (m *Management) Dump() string {
 	var b strings.Builder
 	b.WriteString("== metrics ==\n")
 	b.WriteString(m.Registry.Dump())
-	if mons := m.Monitors(); len(mons) > 0 {
-		b.WriteString("== qos ==\n")
-		for _, mon := range mons {
-			b.WriteString(mon.Dump())
-		}
-	}
 	ts := m.Tracer.Stats()
 	fmt.Fprintf(&b, "== traces ==\nspans started=%d finished=%d dropped=%d\n",
 		ts.Started, ts.Finished, ts.Dropped)

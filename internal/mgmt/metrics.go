@@ -39,14 +39,6 @@ func (c *Counter) Load() uint64 {
 // Gauge is an atomic instantaneous value (queue depth, live bindings).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
@@ -120,20 +112,6 @@ type HistogramSnapshot struct {
 	Count   uint64
 	Sum     uint64
 	Buckets [histBuckets]uint64
-}
-
-// Merge returns the combination of two snapshots: the histogram that
-// would have resulted from observing both inputs' samples. Because the
-// buckets are fixed and aligned, merge is exact — merging per-shard
-// histograms equals the histogram of the whole population.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	for i := range out.Buckets {
-		out.Buckets[i] += o.Buckets[i]
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) as the upper bound of the

@@ -2,18 +2,15 @@
 // engineering viewpoint: the tutorial names node, object and channel
 // management as first-class parts of the infrastructure, and this package
 // gives them something to manage with — per-invocation tracing across the
-// channel stages (stub, binder, protocol object, server dispatch),
-// a metrics registry of atomic counters, gauges and mergeable log-bucketed
-// histograms, and QoS monitors that evaluate declared envelopes over
-// sliding windows.
+// channel stages (stub, binder, protocol object, server dispatch) and a
+// metrics registry of atomic counters, gauges and log-bucketed histograms.
 //
 // Everything here is built to be safe to leave in hot paths permanently:
 // every instrument pointer may be nil, and every method on a nil receiver
 // is a no-op, so the disabled path costs exactly one nil check. The
-// package depends only on internal/values (for QoS event payloads and the
-// management service), never on the packages it instruments, so channel,
-// coordination, transactions, trader and netsim can all import it without
-// cycles.
+// package depends only on internal/values (for the management service),
+// never on the packages it instruments, so channel, coordination,
+// transactions, trader and netsim can all import it without cycles.
 package mgmt
 
 import (
@@ -181,18 +178,9 @@ func (a *ActiveSpan) Fail(err error) {
 	a.span.Err = err.Error()
 }
 
-// FailTermination annotates the span with a non-OK application
-// termination (which is not an infrastructure error, but worth seeing).
-func (a *ActiveSpan) FailTermination(term string) {
-	if a == nil {
-		return
-	}
-	a.span.Err = "termination: " + term
-}
-
 // End finishes the span and commits it to the tracer's ring. It reports
 // the span's duration so callers can feed the same measurement into a
-// histogram or QoS monitor without a second clock read.
+// histogram without a second clock read.
 func (a *ActiveSpan) End() time.Duration {
 	if a == nil {
 		return 0

@@ -3,9 +3,13 @@ package mgmt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/values"
 )
 
 func TestNilTracerAndSpan(t *testing.T) {
@@ -18,7 +22,6 @@ func TestNilTracerAndSpan(t *testing.T) {
 		t.Fatal("nil tracer injected a span context")
 	}
 	sp.Fail(errors.New("boom"))
-	sp.FailTermination("Error")
 	if sp.End() != 0 {
 		t.Fatal("nil span has a duration")
 	}
@@ -159,5 +162,124 @@ func TestManagementDomainAndService(t *testing.T) {
 	}
 	if !strings.Contains(text, "== traces ==") {
 		t.Fatalf("dump missing trace section:\n%s", text)
+	}
+}
+
+// stepClock is a time source that advances by step on every read.
+func stepClock(step time.Duration) func() time.Time {
+	now := time.Unix(1000, 0)
+	return func() time.Time {
+		now = now.Add(step)
+		return now
+	}
+}
+
+// TestTracerSetClock: span start times and durations come from the clock
+// the tracer is given; a nil clock (or a nil tracer) changes nothing.
+func TestTracerSetClock(t *testing.T) {
+	tr := NewTracer(4)
+	tr.SetClock(stepClock(time.Millisecond))
+	tr.SetClock(nil)
+	var nilTracer *Tracer
+	nilTracer.SetClock(time.Now)
+	_, sp := tr.Start(context.Background(), "op")
+	if d := sp.End(); d != time.Millisecond {
+		t.Fatalf("duration = %v, want one clock step", d)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || !spans[0].Start.Equal(time.Unix(1000, 0).Add(time.Millisecond)) {
+		t.Fatalf("spans = %+v", spans)
+	}
+}
+
+// TestServiceAnswersConformToInterfaceType: every answer the management
+// servant gives — failures included — is a declared termination of
+// InterfaceType with well-typed results, as a typed client checks it.
+func TestServiceAnswersConformToInterfaceType(t *testing.T) {
+	it := InterfaceType()
+	if err := it.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if it.Name != InterfaceTypeName || len(it.Operations) != 4 {
+		t.Fatalf("interface type = %s with %d operations", it.Name, len(it.Operations))
+	}
+	m := New()
+	_, sp := m.Tracer.Start(context.Background(), "op")
+	sp.End()
+	id := values.Uint(uint64(m.Tracer.TraceIDs()[0]))
+	calls := []struct {
+		op   string
+		args []values.Value
+		term string
+	}{
+		{"Dump", nil, "OK"},
+		{"Metrics", nil, "OK"},
+		{"Traces", nil, "OK"},
+		{"Trace", []values.Value{id}, "OK"},
+		{"Trace", []values.Value{values.Uint(1)}, "Error"},
+		{"Trace", []values.Value{values.Str("x")}, "Error"},
+		{"Trace", nil, "Error"},
+	}
+	for _, c := range calls {
+		op, ok := it.Operation(c.op)
+		if !ok {
+			t.Fatalf("%s is not an operation of %s", c.op, it.Name)
+		}
+		if c.term == "OK" {
+			if err := op.CheckArgs(c.args); err != nil {
+				t.Fatalf("%s args: %v", c.op, err)
+			}
+		}
+		term, res, err := m.ServeInvoke(context.Background(), c.op, c.args)
+		if err != nil || term != c.term {
+			t.Fatalf("%s%v = %s, %v; want %s", c.op, c.args, term, err, c.term)
+		}
+		if err := op.CheckTermination(term, res); err != nil {
+			t.Fatalf("%s%v answer: %v", c.op, c.args, err)
+		}
+	}
+	if term, _, _ := m.ServeInvoke(context.Background(), "Reboot", nil); term != "Error" {
+		t.Fatalf("unknown operation answered %s", term)
+	}
+}
+
+// TestServiceTraceIndex: Traces lists one line per retained trace — id,
+// span count, root name, root duration — and Trace renders one of them,
+// whether its id arrives unsigned or signed.
+func TestServiceTraceIndex(t *testing.T) {
+	m := New()
+	text := func(op string, args ...values.Value) string {
+		t.Helper()
+		term, res, err := m.ServeInvoke(context.Background(), op, args)
+		if err != nil || term != "OK" {
+			t.Fatalf("%s = %s, %v", op, term, err)
+		}
+		s, _ := res[0].AsString()
+		return s
+	}
+	if got := text("Traces"); got != "(no traces retained)\n" {
+		t.Fatalf("empty index = %q", got)
+	}
+	var disabled *Management
+	if got := disabled.dumpTraceIndex(); !strings.Contains(got, "disabled") {
+		t.Fatalf("disabled index = %q", got)
+	}
+
+	m.Tracer.SetClock(stepClock(time.Microsecond))
+	ctx, root := m.Tracer.Start(context.Background(), "transfer")
+	_, child := m.Tracer.Start(ctx, "withdraw")
+	child.End()
+	root.End()
+	id := root.Context().Trace
+	want := fmt.Sprintf("%016x  spans=2   root=%-30q total=%dns\n", uint64(id), "transfer", 3000)
+	if got := text("Traces"); got != want {
+		t.Fatalf("index = %q, want %q", got, want)
+	}
+	rendered := RenderTrace(m.Tracer.Trace(id))
+	if got := text("Trace", values.Uint(uint64(id))); got != rendered {
+		t.Fatalf("Trace(uint) = %q, want %q", got, rendered)
+	}
+	if got := text("Trace", values.Int(int64(id))); got != rendered {
+		t.Fatalf("Trace(int) = %q, want %q", got, rendered)
 	}
 }

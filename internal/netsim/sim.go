@@ -375,9 +375,6 @@ func newSimConn(n *Network, local, remote naming.Endpoint) *simConn {
 	}
 }
 
-func (c *simConn) LocalEndpoint() naming.Endpoint  { return c.local }
-func (c *simConn) RemoteEndpoint() naming.Endpoint { return c.remote }
-
 func (c *simConn) Send(frame []byte) error {
 	c.mu.Lock()
 	closed := c.closed

@@ -58,9 +58,6 @@ func TestFromTransportView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.LocalEndpoint() != "sim://alpha" {
-		t.Errorf("local endpoint = %q", conn.LocalEndpoint())
-	}
 }
 
 func TestBandwidthDelaysLargeFrames(t *testing.T) {

@@ -80,12 +80,6 @@ func TestSimEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.RemoteEndpoint() != "sim://server" {
-		t.Errorf("remote = %q", conn.RemoteEndpoint())
-	}
-	if conn.LocalEndpoint() != "sim://alpha" {
-		t.Errorf("local = %q", conn.LocalEndpoint())
-	}
 }
 
 func TestSimDialNoListener(t *testing.T) {

@@ -36,7 +36,7 @@ func (t TCP) Dial(ctx context.Context, ep naming.Endpoint) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: dial %s: %w", ep, err)
 	}
-	return newTCPConn(nc, ep), nil
+	return newTCPConn(nc), nil
 }
 
 // Listen opens a TCP listener. The address "tcp://127.0.0.1:0" asks the
@@ -58,7 +58,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: accept: %w", err)
 	}
-	return newTCPConn(nc, naming.Endpoint("tcp://"+nc.RemoteAddr().String())), nil
+	return newTCPConn(nc), nil
 }
 
 func (l *tcpListener) Close() error { return l.nl.Close() }
@@ -68,8 +68,7 @@ func (l *tcpListener) Endpoint() naming.Endpoint {
 }
 
 type tcpConn struct {
-	nc     net.Conn
-	remote naming.Endpoint
+	nc net.Conn
 
 	readMu sync.Mutex
 	// br buffers reads (guarded by readMu): when the peer batches frames
@@ -93,8 +92,8 @@ var (
 	_ BatchSender = (*tcpConn)(nil)
 )
 
-func newTCPConn(nc net.Conn, remote naming.Endpoint) *tcpConn {
-	return &tcpConn{nc: nc, remote: remote, br: bufio.NewReaderSize(nc, 64<<10)}
+func newTCPConn(nc net.Conn) *tcpConn {
+	return &tcpConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
 func (c *tcpConn) Send(frame []byte) error {
@@ -174,9 +173,3 @@ func (c *tcpConn) Recv() ([]byte, error) {
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }
-
-func (c *tcpConn) RemoteEndpoint() naming.Endpoint { return c.remote }
-
-func (c *tcpConn) LocalEndpoint() naming.Endpoint {
-	return naming.Endpoint("tcp://" + c.nc.LocalAddr().String())
-}

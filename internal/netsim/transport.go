@@ -51,10 +51,6 @@ type Conn interface {
 	Recv() ([]byte, error)
 	// Close tears down both directions.
 	Close() error
-	// RemoteEndpoint names the peer.
-	RemoteEndpoint() naming.Endpoint
-	// LocalEndpoint names this end.
-	LocalEndpoint() naming.Endpoint
 }
 
 // Flusher has no implementation and no caller in this module any more; the

@@ -50,8 +50,6 @@ var (
 	WANMetro = LinkProfile{Latency: time.Millisecond, Jitter: 200 * time.Microsecond}
 	// WANContinental is a cross-continent hop: ~30ms with a little loss.
 	WANContinental = LinkProfile{Latency: 30 * time.Millisecond, Jitter: 3 * time.Millisecond, DropRate: 0.001}
-	// WANIntercontinental is an ocean crossing: ~80ms, jittery, lossier.
-	WANIntercontinental = LinkProfile{Latency: 80 * time.Millisecond, Jitter: 8 * time.Millisecond, DropRate: 0.005}
 )
 
 // SetLinkHosts installs forward on every a→b link and reverse on every

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,12 @@ func TestConfigWiring(t *testing.T) {
 			for i := 1; i < cfg.TraderShards; i++ {
 				wantTrader = append(wantTrader, fmt.Sprintf("trader-%d", i))
 			}
-			if got := s.Directory.Shards(); !reflect.DeepEqual(got, wantTrader) {
+			var got []string
+			for name := range s.Directory.LegStats() {
+				got = append(got, name)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, wantTrader) {
 				t.Errorf("directory shards = %v, want %v", got, wantTrader)
 			}
 			// Zero BusShards is the one-shard bus, its shard named "bus".

@@ -17,7 +17,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/naming"
 	"repro/internal/policy"
-	"repro/internal/stream"
 	"repro/internal/trader"
 	"repro/internal/transactions"
 	"repro/internal/typerepo"
@@ -29,9 +28,9 @@ import (
 // counters, not a second count of the same events. A system with every
 // read-through source is driven through calls, a one-way the server stub
 // refuses, a bad frame, a publish to a full queued subscriber, a trader
-// export/import and a shard add, a health probe and a stream; then every
-// source's dump lines must equal the component's Stats(), and no name is
-// printed twice. (Before the read-through, the server's mirrored errors
+// export/import and a shard add and a health probe; then every source's
+// dump lines must equal the component's Stats(), and no name is printed
+// twice. (Before the read-through, the server's mirrored errors
 // counter missed the refused one-way.)
 func TestManagementReadsStats(t *testing.T) {
 	t.Run("zero Config trader", testZeroConfigTraderLines)
@@ -114,8 +113,8 @@ func TestManagementReadsStats(t *testing.T) {
 	s.Bus.Publish("test.full", values.Int(3))
 	close(release)
 	unsub()
-	if st := s.Bus.Stats(); st.Dropped != 1 || st.Stalls != 1 {
-		t.Fatalf("bus stats = %+v, want one drop", st)
+	if live := dumpValues(s.Mgmt().Registry.Dump(), s.Bus.ShardNames()); live["bus.dropped"] != "1" || live["bus.stalls"] != "1" {
+		t.Fatalf("bus dropped %s, stalls %s, want one of each", live["bus.dropped"], live["bus.stalls"])
 	}
 
 	// A shard joins the trader's ring.
@@ -133,36 +132,8 @@ func TestManagementReadsStats(t *testing.T) {
 	}
 	waitOdp(t, "the first probe", func() bool { return s.Detector().Stats()["alpha"].Probes == 1 })
 
-	// A stream: three elements sent, two read.
-	cons, sref, err := s.Subscribe("alpha", telemetryType(), stream.ConsumerConfig{Window: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, pb, err := s.OpenStream(ctx, "client", sref, "readings", core.Contract{}, stream.ProducerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
-	defer prod.Close()
-	for i := 0; i < 3; i++ {
-		if err := prod.Send(ctx, reading(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	in, err := cons.Accept(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := in.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitOdp(t, "the third element", func() bool { return cons.Stats().Queued == 1 && prod.Stats().Sent == 3 })
-
 	// expected names every component's Stats() fields as Management should;
-	// a keyed set's members are <prefix><key>.<field>, and the bus's shards
-	// are summed, as Bus.Stats sums them.
+	// a keyed set's members are <prefix><key>.<field>.
 	expected := func() map[string]string {
 		want := map[string]string{}
 		var add func(prefix string, v reflect.Value)
@@ -190,20 +161,17 @@ func TestManagementReadsStats(t *testing.T) {
 			}
 		}
 		for prefix, st := range map[string]any{
-			"net.sim.":                         s.Net.Stats(),
-			"relocator.":                       s.Relocator.Stats(),
-			"relocator.cache.":                 s.RelocationCache().Stats(),
-			"typerepo.":                        s.Types.(*typerepo.Replicated).Stats(),
-			"trader.trader.":                   front.ShardStats(),
-			"trader.trader.shard.":             front.LegStats(),
-			"recovery.":                        s.Recovery().Stats(),
-			"session.client.":                  s.SessionsFor("client").Stats(),
-			"policy.client.breaker.":           s.SessionsFor("client").Breakers().Stats(),
-			"health.":                          s.Detector().Stats(),
-			"stream.client.readings.producer.": prod.Stats(),
-			"stream.alpha.Telemetry.consumer.": cons.Stats(),
-			"channel.server.alpha.":            srv.Stats(),
-			"bus.":                             s.Bus.Stats(),
+			"net.sim.":               s.Net.Stats(),
+			"relocator.":             s.Relocator.Stats(),
+			"relocator.cache.":       s.RelocationCache().Stats(),
+			"typerepo.":              s.Types.(*typerepo.Replicated).Stats(),
+			"trader.trader.":         front.ShardStats(),
+			"trader.trader.shard.":   front.LegStats(),
+			"recovery.":              s.Recovery().Stats(),
+			"session.client.":        s.SessionsFor("client").Stats(),
+			"policy.client.breaker.": s.SessionsFor("client").Breakers().Stats(),
+			"health.":                s.Detector().Stats(),
+			"channel.server.alpha.":  srv.Stats(),
 		} {
 			add(prefix, reflect.ValueOf(st))
 		}
@@ -226,12 +194,10 @@ func TestManagementReadsStats(t *testing.T) {
 				t.Errorf("Management shows %s = %q, Stats() = %s", name, live[name], v)
 			}
 		}
-		if before["channel.server.alpha.errors"] == "0" || before["bus.dropped"] != "1" ||
+		if before["channel.server.alpha.errors"] == "0" ||
 			before["channel.server.alpha.bad_frames"] != "1" || before["trader.trader.shards"] != "3" ||
 			before["session.client.invocations"] == "0" || before["policy.client.breaker.opens"] != "0" ||
-			before["health.alpha.probes"] != "1" || before["trader.trader.shard.shard9.offers"] == "" ||
-			before["stream.client.readings.producer.sent"] != "3" ||
-			before["stream.alpha.Telemetry.consumer.queued"] != "1" {
+			before["health.alpha.probes"] != "1" || before["trader.trader.shard.shard9.offers"] == "" {
 			t.Errorf("the drive left no trace: %v", before)
 		}
 		// No counter, gauge and histogram share a name.

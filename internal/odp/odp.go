@@ -42,10 +42,8 @@ var (
 	ErrNoOffers   = errors.New("odp: no matching offers")
 )
 
-// Bus topics the facade publishes on. Together with mgmt.ViolationTopic
-// (QoS violations, published by monitors handed the system bus) these
-// are the control-plane event streams a sharded bus spreads across
-// shards.
+// Bus topics the facade publishes on: the control-plane event streams a
+// sharded bus spreads across shards.
 const (
 	// TopicDeployed announces each successful Deploy.
 	TopicDeployed = "odp.deployed"

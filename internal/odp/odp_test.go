@@ -276,7 +276,7 @@ func TestDeployPersistenceContractPropagates(t *testing.T) {
 	coord := transactions.NewCoordinator()
 	bank.RegisterBehavior(node.Behaviors(), coord, transactions.NewStore("b", nil))
 	tmpl := bank.Template("branch")
-	tmpl.Interfaces[0].Contract.Require = tmpl.Interfaces[0].Contract.Require.With(core.Persistence)
+	tmpl.Interfaces[0].Contract.Require |= core.TransparencySet(core.Persistence)
 	dep, err := s.Deploy(node, tmpl, values.Null())
 	if err != nil {
 		t.Fatal(err)

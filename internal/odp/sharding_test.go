@@ -19,8 +19,8 @@ func TestShardTraderServesDeployAndImport(t *testing.T) {
 	}
 	defer s.Close()
 	st := s.Directory
-	if len(st.Shards()) != 4 {
-		t.Fatalf("shards = %v", st.Shards())
+	if legs := st.LegStats(); len(legs) != 4 {
+		t.Fatalf("shards = %v", legs)
 	}
 
 	node, err := s.CreateNode("alpha")

@@ -325,3 +325,44 @@ func TestBreakerConcurrency(t *testing.T) {
 		t.Fatal("no outcomes recorded")
 	}
 }
+
+func TestBreakerStateString(t *testing.T) {
+	for s, want := range map[State]string{Closed: "closed", Open: "open", HalfOpen: "half-open", State(9): "state(?)"} {
+		if got := s.String(); got != want {
+			t.Errorf("State(%d).String() = %q, want %q", int32(s), got, want)
+		}
+	}
+}
+
+// TestBreakerReturnProbe: a probe handed back unused leaves the breaker
+// half-open with the probe slot free, so the next caller becomes the
+// probe; a ReturnProbe outside a probe changes nothing.
+func TestBreakerReturnProbe(t *testing.T) {
+	b, clk := newTestBreaker(BreakerConfig{ConsecutiveFailures: 1, OpenFor: time.Second})
+	b.ReturnProbe() // closed: no-op
+	if ok, probe := b.Allow(); !ok || probe {
+		t.Fatalf("closed breaker after stray ReturnProbe: ok=%v probe=%v", ok, probe)
+	}
+	b.Record(false)
+	clk.Advance(time.Second)
+	if ok, probe := b.Allow(); !ok || !probe {
+		t.Fatalf("first caller after OpenFor: ok=%v probe=%v, want probe", ok, probe)
+	}
+	if ok, _ := b.Allow(); ok {
+		t.Fatal("second caller admitted while probe in flight")
+	}
+	b.ReturnProbe()
+	if b.State() != HalfOpen {
+		t.Fatalf("state after ReturnProbe = %v, want half-open", b.State())
+	}
+	if ok, probe := b.Allow(); !ok || !probe {
+		t.Fatalf("caller after ReturnProbe: ok=%v probe=%v, want the probe", ok, probe)
+	}
+	b.Record(true)
+	if b.State() != Closed {
+		t.Fatalf("state after successful probe = %v, want closed", b.State())
+	}
+	if st := b.Stats(); st.Probes != 2 || st.Closes != 1 {
+		t.Fatalf("stats = %+v, want Probes=2 Closes=1", st)
+	}
+}

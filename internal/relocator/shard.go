@@ -15,8 +15,6 @@ package relocator
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync/atomic"
 
 	"repro/internal/hashring"
 	"repro/internal/naming"
@@ -52,44 +50,18 @@ var (
 // capability (same data, error-bearing signature).
 func (r *Relocator) Snapshot() ([]naming.InterfaceRef, error) { return r.Entries(), nil }
 
-// ShardedStats counts sharded-relocation activity at the front-end.
-type ShardedStats struct {
-	Lookups    uint64
-	Fallbacks  uint64 // lookups answered by the previous owner mid-rebalance
-	Misses     uint64
-	Registers  uint64
-	Moves      uint64
-	Rebalances uint64
-	Migrated   uint64 // registrations moved live by rebalances
-	RingEpoch  uint64
-}
-
 // Sharded partitions the location database over named shards by
 // consistent hashing of the interface id. It satisfies Store (and
 // channel.Locator / engineering.LocationRegistry through it), so a node
 // or a whole system can be pointed at it unchanged.
 type Sharded struct {
 	part hashring.Partition[Store] // the shards, keyed by interface id
-
-	lookups   atomic.Uint64
-	fallbacks atomic.Uint64
-	misses    atomic.Uint64
-	registers atomic.Uint64
-	moves     atomic.Uint64
-	migrated  atomic.Uint64
 }
 
 var _ Store = (*Sharded)(nil)
 
 // NewSharded creates an empty sharded relocator front-end.
 func NewSharded() *Sharded { return &Sharded{} }
-
-// Shards returns the sorted names of the shards the front-end routes to —
-// a leaving shard among them until its registrations have drained.
-func (s *Sharded) Shards() []string { return slices.Clone(s.part.View().Names()) }
-
-// RingEpoch returns the current ring generation.
-func (s *Sharded) RingEpoch() uint64 { return s.part.View().Epoch() }
 
 // Register records a location at the owner of its interface id, under the
 // partition's write rule: a registration landing on a shard the drain has
@@ -106,7 +78,6 @@ func (s *Sharded) Register(ref naming.InterfaceRef) error {
 			return err
 		}
 		if s.part.Owns(key, name) {
-			s.registers.Add(1)
 			return nil
 		}
 		s.part.Settle()
@@ -120,7 +91,6 @@ func (s *Sharded) Register(ref naming.InterfaceRef) error {
 // that ordering opens is closed by re-reading the current owner after the
 // previous one (the partition's window rule).
 func (s *Sharded) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
-	s.lookups.Add(1)
 	key := id.String()
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -136,11 +106,9 @@ func (s *Sharded) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
 		}
 		if old, ok := v.Prev(key); ok && errors.Is(err, ErrUnknown) {
 			if ref, ferr := old.Lookup(id); ferr == nil {
-				s.fallbacks.Add(1)
 				return ref, nil
 			}
 			if ref, rerr := cur.Lookup(id); rerr == nil {
-				s.fallbacks.Add(1)
 				return ref, nil
 			}
 		}
@@ -148,7 +116,6 @@ func (s *Sharded) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
 			break
 		}
 	}
-	s.misses.Add(1)
 	return naming.InterfaceRef{}, err
 }
 
@@ -168,7 +135,6 @@ func (s *Sharded) Move(id naming.InterfaceID, to naming.Endpoint) (naming.Interf
 		var ref naming.InterfaceRef
 		ref, err = cur.Move(id, to)
 		if err == nil {
-			s.moves.Add(1)
 			return ref, nil
 		}
 		if old, ok := v.Prev(key); ok && errors.Is(err, ErrUnknown) {
@@ -177,14 +143,12 @@ func (s *Sharded) Move(id naming.InterfaceID, to naming.Endpoint) (naming.Interf
 				oldRef.Endpoint = to
 				oldRef.Epoch++
 				if rerr := cur.Register(oldRef); rerr == nil {
-					s.moves.Add(1)
 					return oldRef, nil
 				}
 			}
 			// Same double-read race as Lookup: the drain may have landed the
 			// entry on the current owner between the two reads.
 			if ref, rerr := cur.Move(id, to); rerr == nil {
-				s.moves.Add(1)
 				return ref, nil
 			}
 		}
@@ -244,12 +208,6 @@ func (s *Sharded) AddShard(name string, store Store) error {
 	return s.part.Add(name, store, s.drain)
 }
 
-// RemoveShard drains a shard's registrations to their new owners, then
-// drops it from the ring. The shard object itself is not closed.
-func (s *Sharded) RemoveShard(name string) error {
-	return s.part.Remove(name, s.drain)
-}
-
 // drain is the relocator's half of a ring change: Snapshot the donor,
 // Register each registration it gives up at the new owner, then Remove it
 // from the donor. Register's epoch ordering makes the copy safe against
@@ -289,22 +247,6 @@ func (s *Sharded) drain(name string, donor Store, dest func(string) (Store, bool
 			continue
 		}
 		donor.Remove(ref.ID)
-		s.migrated.Add(1)
 	}
 	return firstErr
-}
-
-// Stats returns a snapshot of front-end counters.
-func (s *Sharded) Stats() ShardedStats {
-	v := s.part.View()
-	return ShardedStats{
-		Lookups:    s.lookups.Load(),
-		Fallbacks:  s.fallbacks.Load(),
-		Misses:     s.misses.Load(),
-		Registers:  s.registers.Load(),
-		Moves:      s.moves.Load(),
-		Rebalances: v.Settled(),
-		Migrated:   s.migrated.Load(),
-		RingEpoch:  v.Epoch(),
-	}
 }

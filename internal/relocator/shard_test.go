@@ -57,10 +57,6 @@ func TestShardedRegisterLookupMoveRemove(t *testing.T) {
 	if _, err := s.Lookup(ref(2, "", 0).ID); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("lookup after remove = %v", err)
 	}
-	stats := s.Stats()
-	if stats.Registers != n || stats.Moves != 1 || stats.Misses != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
 	refs, err := s.Snapshot()
 	if err != nil || len(refs) != n-1 {
 		t.Fatalf("snapshot = %d refs, %v", len(refs), err)
@@ -75,7 +71,8 @@ func TestShardedAddShardDrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.AddShard("w2", New()); err != nil {
+	w2 := New()
+	if err := s.AddShard("w2", w2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -83,7 +80,7 @@ func TestShardedAddShardDrains(t *testing.T) {
 			t.Fatalf("lookup %d after add: %v", i, err)
 		}
 	}
-	if s.Stats().Migrated == 0 {
+	if len(w2.Entries()) == 0 {
 		t.Fatal("no registrations migrated")
 	}
 	// No entry is duplicated across shards after the drain settles.
@@ -94,33 +91,6 @@ func TestShardedAddShardDrains(t *testing.T) {
 	refs, _ := s.Snapshot()
 	if len(refs) != n || total > n {
 		t.Fatalf("snapshot = %d, donor entries = %d", len(refs), total)
-	}
-}
-
-func TestShardedRemoveShardDrains(t *testing.T) {
-	s, _ := newShardedStore(t, 3)
-	const n = 60
-	for i := 0; i < n; i++ {
-		if err := s.Register(ref(uint64(i+1), "sim://a", 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RemoveShard("w1"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := s.Lookup(ref(uint64(i+1), "", 0).ID); err != nil {
-			t.Fatalf("lookup %d after remove: %v", i, err)
-		}
-	}
-	if err := s.RemoveShard("ghost"); err == nil {
-		t.Fatal("removing unknown shard accepted")
-	}
-	if err := s.RemoveShard("w0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveShard("w2"); err == nil {
-		t.Fatal("removing last shard accepted")
 	}
 }
 
@@ -166,10 +136,6 @@ func TestShardedLookupDuringDrain(t *testing.T) {
 		}
 		waitProbes(probes.Load() + n)
 	}
-	if err := s.RemoveShard("w0"); err != nil {
-		t.Fatal(err)
-	}
-	waitProbes(probes.Load() + n)
 	stop.Store(true)
 	wg.Wait()
 
@@ -292,5 +258,16 @@ func TestStaleErrorCarriesEpochs(t *testing.T) {
 	}
 	if se.Current != 1 || se.Refused != 0 {
 		t.Fatalf("stale epochs = %+v", se)
+	}
+}
+
+// TestStaleErrorMessage: the refusal reads as ErrStale and names the
+// interface with both epochs, which is what a log line needs.
+func TestStaleErrorMessage(t *testing.T) {
+	id := ref(7, "", 0).ID
+	msg := (&StaleError{ID: id, Current: 3, Refused: 2}).Error()
+	want := fmt.Sprintf("%v: %s has epoch 3, refusing epoch 2", ErrStale, id)
+	if msg != want {
+		t.Fatalf("message = %q, want %q", msg, want)
 	}
 }

@@ -114,9 +114,6 @@ type SignStage struct {
 
 var _ channel.Stage = (*SignStage)(nil)
 
-// Name identifies the stage.
-func (*SignStage) Name() string { return "security-sign" }
-
 // Process signs outbound requests; replies pass through.
 func (s *SignStage) Process(dir channel.Direction, m *wire.Message) error {
 	if dir != channel.Outbound {
@@ -149,9 +146,6 @@ type VerifyStage struct {
 }
 
 var _ channel.Stage = (*VerifyStage)(nil)
-
-// Name identifies the stage.
-func (*VerifyStage) Name() string { return "security-verify" }
 
 // Process verifies inbound requests; outbound replies pass through.
 func (s *VerifyStage) Process(dir channel.Direction, m *wire.Message) error {

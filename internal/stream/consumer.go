@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/mgmt"
 	"repro/internal/values"
 	"repro/internal/wire"
 )
@@ -19,9 +18,6 @@ type ConsumerConfig struct {
 	// consumer's per-stream buffer ceiling — the two are the same number,
 	// which is the whole point of credit flow control.
 	Window int
-	// Instruments enables the delivery-rate histogram for this consumer
-	// (the counts are its Stats). Nil disables.
-	Instruments *mgmt.StreamInstruments
 }
 
 // Consumer is the consuming end of a stream interface: register it as a
@@ -102,7 +98,6 @@ func (c *Consumer) StreamBatch(b channel.StreamBatch) {
 			flow:   b.Flow,
 			grant:  b.Grant,
 			notify: make(chan struct{}, 1),
-			opened: time.Now(),
 		}
 		c.mu.Lock()
 		if c.closed {
@@ -232,7 +227,6 @@ type Inbound struct {
 	err       error
 
 	notify    chan struct{}
-	opened    time.Time
 	lastGrant time.Time
 }
 
@@ -340,23 +334,15 @@ func (in *Inbound) issueGrant(cumElems, cumBytes uint64) {
 		in.mu.Unlock()
 		return
 	}
-	consumedSince := in.consElems
 	if cumElems > in.granted {
 		in.granted = cumElems
 	}
 	if cumBytes > in.grantedB {
 		in.grantedB = cumBytes
 	}
-	opened := in.opened
 	in.lastGrant = time.Now()
 	grant, granted, grantedB := in.grant, in.granted, in.grantedB
 	in.mu.Unlock()
-	if ins := in.c.cfg.Instruments; ins != nil {
-		// Sampled once per grant cycle: the stream's lifetime delivery rate.
-		if dt := time.Since(opened).Seconds(); dt > 0 && consumedSince > 0 {
-			ins.ElemsPerSec.Observe(uint64(float64(consumedSince) / dt))
-		}
-	}
 	// Cumulative totals: the producer's gate keeps the maximum, so two
 	// grants crossing on the way out cost nothing.
 	grant(granted, grantedB)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/channel"
-	"repro/internal/mgmt"
 	"repro/internal/values"
 	"repro/internal/wire"
 )
@@ -17,9 +16,6 @@ type ProducerConfig struct {
 	// FailFast makes Send return ErrNoCredit when the window is empty
 	// instead of blocking (load shedding for sources that cannot pause).
 	FailFast bool
-	// Instruments enables the stall-time histogram for this producer (the
-	// counts are its Stats). Nil disables.
-	Instruments *mgmt.StreamInstruments
 }
 
 // ProducerStats is a snapshot of one producer's counters.
@@ -89,11 +85,7 @@ func (p *Producer) Send(ctx context.Context, v values.Value) error {
 		return err
 	}
 	bytes := uint64(wire.ValueSizeHint(v))
-	stallNs, err := p.gate.acquire(ctx, bytes, p.cfg.FailFast)
-	if ins := p.cfg.Instruments; ins != nil && stallNs > 0 {
-		ins.StallNs.Observe(stallNs)
-	}
-	if err != nil {
+	if err := p.gate.acquire(ctx, bytes, p.cfg.FailFast); err != nil {
 		return err
 	}
 	p.mu.RLock()
@@ -143,9 +135,6 @@ func (p *Producer) Stats() ProducerStats {
 		CreditBytes: cb,
 	}
 }
-
-// Err returns the sticky wire failure, if the stream has died.
-func (p *Producer) Err() error { return p.stickyErr() }
 
 func (p *Producer) stickyErr() error {
 	p.errMu.Lock()

@@ -98,16 +98,16 @@ func (g *creditGate) fail(err error) {
 }
 
 // acquire debits credit for one element of the given size, blocking until
-// the window admits it (or failing fast when failFast is set). It returns
-// the time spent stalled, for the producer's stats and mgmt histograms.
-func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) (stallNs uint64, err error) {
+// the window admits it (or failing fast when failFast is set). The time
+// spent stalled goes to the producer's stats.
+func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) error {
 	var stallStart time.Time
 	for {
 		g.mu.Lock()
 		if g.err != nil {
 			err := g.err
 			g.mu.Unlock()
-			return stallNs, err
+			return err
 		}
 		// Byte credit may overshoot by at most one element: an element is
 		// admitted whenever any byte credit remains, then debited in full.
@@ -119,11 +119,10 @@ func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) (
 			g.usedElems++
 			g.usedBytes += bytes
 			if !stallStart.IsZero() {
-				stallNs = uint64(time.Since(stallStart))
-				g.stallNs += stallNs
+				g.stallNs += uint64(time.Since(stallStart))
 			}
 			g.mu.Unlock()
-			return stallNs, nil
+			return nil
 		}
 		ch := g.notify
 		if stallStart.IsZero() {
@@ -132,18 +131,18 @@ func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) (
 		}
 		g.mu.Unlock()
 		if failFast {
-			return stallNs, ErrNoCredit
+			return ErrNoCredit
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
 			if !stallStart.IsZero() {
-				stallNs = uint64(time.Since(stallStart))
+				stalled := uint64(time.Since(stallStart))
 				g.mu.Lock()
-				g.stallNs += stallNs
+				g.stallNs += stalled
 				g.mu.Unlock()
 			}
-			return stallNs, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

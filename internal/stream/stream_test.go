@@ -655,3 +655,16 @@ func waitFor(t *testing.T, cond func() bool, format string, args ...any) {
 	}
 	t.Fatalf(format, args...)
 }
+
+// TestConsumerRefusesOperations: a stream interface declares no
+// operations, so the consumer end answers any call as a stage rejection
+// the server turns into a no-such-operation reply.
+func TestConsumerRefusesOperations(t *testing.T) {
+	cons := NewConsumer(ConsumerConfig{})
+	defer cons.Close()
+	term, res, err := cons.Invoke(context.Background(), "Get", nil)
+	var se *channel.StageError
+	if term != "" || res != nil || !errors.As(err, &se) || se.Code != channel.CodeNoSuchOperation {
+		t.Fatalf("Invoke = %q, %v, %v; want a %s stage error", term, res, err, channel.CodeNoSuchOperation)
+	}
+}

@@ -127,16 +127,6 @@ func TestConcurrentExportImportWithdraw(t *testing.T) {
 	if got, want := tr.Len(), exporters*perWorker-withdrawn; got != want {
 		t.Errorf("Len = %d, want %d", got, want)
 	}
-	st := tr.Stats()
-	if st.Exports != exporters*perWorker {
-		t.Errorf("Exports = %d, want %d", st.Exports, exporters*perWorker)
-	}
-	if st.Withdraws != uint64(withdrawn) {
-		t.Errorf("Withdraws = %d, want %d", st.Withdraws, withdrawn)
-	}
-	if st.Imports != importers*perWorker {
-		t.Errorf("Imports = %d, want %d", st.Imports, importers*perWorker)
-	}
 	// The survivors must all still be importable.
 	offers, err := tr.Import(ImportRequest{ServiceType: "BankTeller"})
 	if err != nil || len(offers) != tr.Len() {

@@ -174,16 +174,16 @@ func TestSingletonOneShardAndManyShardsAgree(t *testing.T) {
 
 	t.Run("as exported", func(t *testing.T) { check(t, false) })
 
-	for _, st := range []*ShardedTrader{one, four} {
-		joined := st.Name() + "-joined"
+	for name, st := range map[string]*ShardedTrader{"one": one, "four": four} {
+		joined := name + "-joined"
 		if err := st.AddShard(joined, New(joined, repo)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.RemoveShard(st.Name() + "-s0"); err != nil {
+		if err := st.RemoveShard(name + "-s0"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := len(one.Shards()); n != 1 {
+	if n := len(one.LegStats()); n != 1 {
 		t.Fatalf("one-shard front-end has %d shards after add+remove", n)
 	}
 	t.Run("after AddShard and RemoveShard", func(t *testing.T) { check(t, true) })

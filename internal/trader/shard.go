@@ -35,7 +35,6 @@ import (
 	"repro/internal/hashring"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
-	"repro/internal/policy"
 	"repro/internal/typerepo"
 	"repro/internal/values"
 )
@@ -105,7 +104,6 @@ func (l *shardLeg) query(sub ImportRequest) ([]Offer, error) {
 // target or even a shard of a bigger one).
 type ShardedTrader struct {
 	importCore
-	name string
 	part hashring.Partition[*shardLeg] // the shards, keyed by service type
 
 	mu sync.RWMutex
@@ -128,7 +126,6 @@ type ShardedTrader struct {
 	insp     atomic.Pointer[mgmt.ShardInstruments]
 
 	feder, linksSkipped, linksFailed atomic.Uint64
-	breakers                         atomic.Pointer[policy.BreakerSet]
 }
 
 var _ Shard = (*ShardedTrader)(nil)
@@ -140,16 +137,12 @@ var _ Shard = (*ShardedTrader)(nil)
 // drops it (the EnableRelocationCache precedent).
 func NewSharded(name string, repo typerepo.Repository, ringReplicas int) *ShardedTrader {
 	s := &ShardedTrader{
-		name:       name,
 		advertised: make(map[string]bool),
 		links:      make(map[string]Importer),
 	}
 	s.importCore.init(repo, name, 7)
 	return s
 }
-
-// Name returns the front-end's name.
-func (s *ShardedTrader) Name() string { return s.name }
 
 // Instrument attaches a management bundle's routing histograms (the
 // counters and ring shape are ShardStats, read through). Safe to call at
@@ -162,15 +155,6 @@ func (s *ShardedTrader) Instrument(ins *mgmt.ShardInstruments) {
 	}
 	s.latency.Store(ins.ImportLatency)
 }
-
-// Shards returns the sorted names of the shards the front-end routes to —
-// a leaving shard among them until its buckets have drained.
-func (s *ShardedTrader) Shards() []string { return slices.Clone(s.part.View().Names()) }
-
-// RingEpoch returns the current ring generation; it advances when a ring
-// change flips the ring (ShardStats.Rebalances counts the changes that
-// have settled).
-func (s *ShardedTrader) RingEpoch() uint64 { return s.part.View().Epoch() }
 
 // Export routes the offer to the shard owning its service type. The
 // returned offer id is minted by that shard ("<shard>/<seq>"), which is
@@ -395,67 +379,24 @@ func (s *ShardedTrader) Link(name string, target Importer) {
 	s.links[name] = target
 }
 
-// Unlink removes a federation link.
-func (s *ShardedTrader) Unlink(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.links, name)
-}
-
-// Links returns the sorted names of federation links.
-func (s *ShardedTrader) Links() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.links))
-	for n := range s.links {
-		out = append(out, n)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// SetLinkBreakers attaches (nil detaches) a circuit-breaker set over the
-// federation links, keyed by link name: imports skip links whose breaker
-// is open instead of waiting out their failure, returning a partial
-// result marked Degraded. Sharing one set across front-ends makes a dead
-// partner trip once for the whole federation client.
-func (s *ShardedTrader) SetLinkBreakers(bs *policy.BreakerSet) {
-	s.breakers.Store(bs)
-}
-
 // linkLeg is one federation link as an import queries it. A dead
 // federation partner must not fail the import: its error is reported for
-// the degradation metadata, and its circuit breaker (when a set is
-// attached) records the outcome so the next import skips it without
-// waiting.
+// the degradation metadata.
 type linkLeg struct {
-	name     string
-	target   Importer
-	breakers *policy.BreakerSet
+	name   string
+	target Importer
 }
 
-func (l linkLeg) query(sub ImportRequest) ([]Offer, error) {
-	if l.breakers == nil {
-		return l.target.Import(sub)
-	}
-	br := l.breakers.For(l.name)
-	if ok, _ := br.Allow(); !ok {
-		return nil, fmt.Errorf("%w: federation link %s", policy.ErrCircuitOpen, l.name)
-	}
-	offers, err := l.target.Import(sub)
-	br.Record(err == nil)
-	return offers, err
-}
+func (l linkLeg) query(sub ImportRequest) ([]Offer, error) { return l.target.Import(sub) }
 
 // linkLegs snapshots the federation links in name order (a deterministic
 // merge order); nil when there are none.
 func (s *ShardedTrader) linkLegs() []linkLeg {
-	bs := s.breakers.Load()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var legs []linkLeg
 	for n, target := range s.links {
-		legs = append(legs, linkLeg{name: n, target: target, breakers: bs})
+		legs = append(legs, linkLeg{name: n, target: target})
 	}
 	slices.SortFunc(legs, func(a, b linkLeg) int { return strings.Compare(a.name, b.name) })
 	return legs

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/hashring"
+	"repro/internal/mgmt"
 	"repro/internal/values"
 )
 
@@ -157,12 +158,12 @@ func TestShardedRebalanceAddShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	epochBefore := st.RingEpoch()
+	changesBefore := st.ShardStats().Rebalances
 	if err := st.AddShard("s2", New("s2", repo)); err != nil {
 		t.Fatal(err)
 	}
-	if st.RingEpoch() <= epochBefore {
-		t.Fatalf("ring epoch did not advance: %d -> %d", epochBefore, st.RingEpoch())
+	if got := st.ShardStats().Rebalances; got != changesBefore+1 {
+		t.Fatalf("ring changes = %d after AddShard, want %d", got, changesBefore+1)
 	}
 	got, err := st.Import(ImportRequest{ServiceType: "BankTeller"})
 	if err != nil {
@@ -368,5 +369,43 @@ func TestShardedNesting(t *testing.T) {
 	got, err := outer.Import(ImportRequest{ServiceType: "BankTeller"})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("nested import = %v, %v", got, err)
+	}
+}
+
+// TestShardedInstrument: an instrumented front-end records, per import,
+// the shard legs it queried and its latency under the bundle's names;
+// detaching stops both.
+func TestShardedInstrument(t *testing.T) {
+	fe, _ := frontEnd(t, repoWithBank(t), "A", 2)
+	if _, err := fe.Export("BankTeller", refOf("BankTeller", 1), values.Null()); err != nil {
+		t.Fatal(err)
+	}
+	m := mgmt.New()
+	ins := m.TraderShards("A")
+	fe.Instrument(ins)
+	req := ImportRequest{ServiceType: "BankTeller"}
+	for i := 0; i < 3; i++ {
+		if offers, err := fe.Import(req); err != nil || len(offers) != 1 {
+			t.Fatalf("import %d = %v, %v", i, offers, err)
+		}
+	}
+	if s := ins.ShardsPerImport.Snapshot(); s.Count != 3 || s.Sum != 3 {
+		t.Fatalf("shards per import = %d imports, %d legs; want 3, 3", s.Count, s.Sum)
+	}
+	if n := ins.ImportLatency.Snapshot().Count; n != 3 {
+		t.Fatalf("import latency count = %d, want 3", n)
+	}
+	dump := m.Registry.Dump()
+	for _, name := range []string{"trader.A.shards.shards_per_import", "trader.A.shards.import_latency_ns"} {
+		if !strings.Contains(dump, name) {
+			t.Fatalf("registry dump lacks %s:\n%s", name, dump)
+		}
+	}
+	fe.Instrument(nil)
+	if _, err := fe.Import(req); err != nil {
+		t.Fatal(err)
+	}
+	if ins.ShardsPerImport.Snapshot().Count != 3 || ins.ImportLatency.Snapshot().Count != 3 {
+		t.Fatal("a detached front-end still records")
 	}
 }

@@ -102,15 +102,6 @@ type Importer interface {
 	Import(req ImportRequest) ([]Offer, error)
 }
 
-// Stats counts an offer store's activity.
-type Stats struct {
-	Exports    uint64
-	Withdraws  uint64
-	Imports    uint64
-	Matched    uint64 // offers returned by imports (see Trader.Stats)
-	Considered uint64 // offers examined during matching
-}
-
 // ImportResult is an import's answer plus its degradation metadata: when
 // legs (shards, federation links) were skipped (open circuit) or failed,
 // the offers are still the best available but the view is partial.
@@ -144,9 +135,7 @@ type Trader struct {
 	nextID  uint64
 	closure closureMemo // over the bucket types
 
-	exports atomic.Uint64
-	withdrs atomic.Uint64
-	consid  atomic.Uint64
+	consid atomic.Uint64
 }
 
 // New creates a trader backed by a type repository. The name prefixes
@@ -160,9 +149,6 @@ func New(name string, repo typerepo.Repository) *Trader {
 	t.importCore.init(repo, name, 1)
 	return t
 }
-
-// Name returns the trader's name.
-func (t *Trader) Name() string { return t.name }
 
 // Export advertises a service: the interface in ref, offered as
 // serviceType, with the given properties (a record value, or Null for
@@ -232,7 +218,6 @@ func (t *Trader) insert(o *Offer) (string, error) {
 	// versioned by, which is all the invalidation it needs.
 	t.buckets[o.ServiceType] = append(t.buckets[o.ServiceType], e)
 	t.mu.Unlock()
-	t.exports.Add(1)
 	return id, nil
 }
 
@@ -261,7 +246,6 @@ func (t *Trader) Withdraw(offerID string) error {
 	}
 	t.removeLocked(e)
 	t.mu.Unlock()
-	t.withdrs.Add(1)
 	return nil
 }
 
@@ -383,19 +367,4 @@ func (t *Trader) localMatches(q importQuery, serviceType string, k int) []Offer 
 
 	t.consid.Add(uint64(considered))
 	return out
-}
-
-// Stats returns a snapshot of the store's counters. Matched counts the
-// offers the store returned, so at a shard it is at most the caller's
-// MaxMatches per sub-request, not every offer that matched; Considered
-// still counts every offer examined. A front-end's ShardStats.Matched
-// counts what the front-end returned to its callers.
-func (t *Trader) Stats() Stats {
-	return Stats{
-		Exports:    t.exports.Load(),
-		Withdraws:  t.withdrs.Load(),
-		Imports:    t.imports.Load(),
-		Matched:    t.matched.Load(),
-		Considered: t.consid.Load(),
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/naming"
+	"repro/internal/policy"
 	"repro/internal/typerepo"
 	"repro/internal/types"
 	"repro/internal/values"
@@ -325,9 +326,6 @@ func TestFederation(t *testing.T) {
 	if st := t1.ShardStats(); st.Federated == 0 {
 		t.Errorf("federation stats = %+v", st)
 	}
-	if links := t1.Links(); len(links) != 1 || links[0] != "t2" {
-		t.Errorf("links = %v", links)
-	}
 }
 
 // TestImportAtScale: a trader answers exactly the offers a constraint
@@ -447,30 +445,43 @@ func TestFederationPartnerFailureTolerated(t *testing.T) {
 	if _, err := a.Export("BankTeller", refOf("BankTeller", 1), values.Null()); err != nil {
 		t.Fatal(err)
 	}
-	offers, err := a.Import(ImportRequest{ServiceType: "BankTeller", MaxHops: 1})
-	if err != nil || len(offers) != 1 {
-		t.Errorf("import with dead partner = %v, %v", nonces(offers), err)
+	// The local offer still answers, flagged degraded with the failed
+	// link counted. Each import consults two legs: A's one shard and the
+	// link.
+	res, err := a.ImportEx(ImportRequest{ServiceType: "BankTeller", MaxHops: 1})
+	if err != nil || len(res.Offers) != 1 {
+		t.Fatalf("import with dead partner = %v, %v", nonces(res.Offers), err)
 	}
-	a.Unlink("dead")
-	if len(a.Links()) != 0 {
-		t.Errorf("links after unlink = %v", a.Links())
+	if !res.Degraded || res.LinksFailed != 1 || res.LinksQueried != 2 {
+		t.Errorf("metadata = %+v, want degraded with 1 failed link", res)
+	}
+	if st := a.ShardStats(); st.LinksFailed != 1 || st.LinksSkipped != 0 {
+		t.Errorf("stats = %+v, want LinksFailed=1", st)
+	}
+}
+
+// TestFederationOpenCircuitSkipped: a link that answers with an open
+// circuit is counted skipped, not failed, and still marks the view partial.
+func TestFederationOpenCircuitSkipped(t *testing.T) {
+	a, _ := frontEnd(t, repoWithBank(t), "A", 1)
+	a.Link("open", importerFunc(func(ImportRequest) ([]Offer, error) {
+		return nil, fmt.Errorf("%w: partner", policy.ErrCircuitOpen)
+	}))
+	if _, err := a.Export("BankTeller", refOf("BankTeller", 1), values.Null()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.ImportEx(ImportRequest{ServiceType: "BankTeller", MaxHops: 1})
+	if err != nil || len(res.Offers) != 1 {
+		t.Fatalf("import with open circuit = %v, %v", nonces(res.Offers), err)
+	}
+	if !res.Degraded || res.LinksSkipped != 1 || res.LinksFailed != 0 || res.LinksQueried != 2 {
+		t.Errorf("metadata = %+v, want degraded with 1 skipped link", res)
+	}
+	if st := a.ShardStats(); st.LinksSkipped != 1 || st.LinksFailed != 0 {
+		t.Errorf("stats = %+v, want LinksSkipped=1", st)
 	}
 }
 
 type importerFunc func(ImportRequest) ([]Offer, error)
 
 func (f importerFunc) Import(req ImportRequest) ([]Offer, error) { return f(req) }
-
-func TestStats(t *testing.T) {
-	tr := New("T1", repoWithBank(t))
-	if _, err := tr.Export("BankTeller", refOf("BankTeller", 1), values.Null()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Import(ImportRequest{ServiceType: "BankTeller"}); err != nil {
-		t.Fatal(err)
-	}
-	st := tr.Stats()
-	if st.Exports != 1 || st.Imports != 1 || st.Matched != 1 || st.Considered != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}

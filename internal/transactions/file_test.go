@@ -190,3 +190,43 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Error("garbage frame should fail")
 	}
 }
+
+// TestFileLogLogMirrorsFile: the in-memory view holds what was appended,
+// and a reopened log replays the file into it and keeps appending.
+func TestFileLogLogMirrorsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mirror.wal")
+	fl, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fl.Log().Len(); n != 0 {
+		t.Fatalf("fresh log holds %d records", n)
+	}
+	for _, r := range []Record{
+		{Kind: RecPrepare, TxID: 1, Writes: []WriteOp{{Key: "a", Value: values.Int(1)}}},
+		{Kind: RecCommit, TxID: 1},
+	} {
+		if err := fl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs := fl.Log().Records(); len(recs) != 2 || recs[0].Kind != RecPrepare || recs[1].Kind != RecCommit {
+		t.Fatalf("in-memory records = %+v", recs)
+	}
+	if err := fl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fl2, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl2.Close()
+	if err := fl2.Append(Record{Kind: RecAbort, TxID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	recs := fl2.Log().Records()
+	if len(recs) != 3 || recs[0].TxID != 1 || len(recs[0].Writes) != 1 || recs[2].Kind != RecAbort || recs[2].TxID != 2 {
+		t.Fatalf("replayed records = %+v", recs)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mgmt"
 	"repro/internal/values"
 )
 
@@ -629,5 +630,108 @@ func BenchmarkLocalCommit(b *testing.B) {
 		if err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+type ctxKey struct{}
+
+// TestTxContext: a transaction's context answers (*Tx)(nil) with the
+// transaction, delegates every other key to the context it began under,
+// and is cancelled with it.
+func TestTxContext(t *testing.T) {
+	parent, cancel := context.WithCancel(context.WithValue(ctxT(), ctxKey{}, "caller"))
+	tx := NewCoordinator().Begin(parent)
+	defer tx.Abort()
+	ctx := tx.Context()
+	if got, _ := ctx.Value((*Tx)(nil)).(*Tx); got != tx {
+		t.Fatalf("Value((*Tx)(nil)) = %v, want the transaction", ctx.Value((*Tx)(nil)))
+	}
+	if got := ctx.Value(ctxKey{}); got != "caller" {
+		t.Fatalf("Value(ctxKey) = %v, want the parent's value", got)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("context done before its parent was cancelled")
+	}
+	cancel()
+	select {
+	case <-ctx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("transaction context not cancelled with its parent")
+	}
+}
+
+// TestInstrumentedCommit: an instrumented coordinator traces a commit as
+// a tx.commit span with one child per participant leg and records its
+// latency; a vetoed commit counts a veto and fails its span; detaching
+// stops both.
+func TestInstrumentedCommit(t *testing.T) {
+	c, s := seeded(t, "bank", map[string]int64{"alice": 100})
+	m := mgmt.New()
+	ins := m.Tx("bank")
+	c.Instrument(ins)
+
+	tx := c.Begin(ctxT())
+	if err := tx.Write(s, "alice", values.Int(150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ids := m.Tracer.TraceIDs()
+	if len(ids) != 1 {
+		t.Fatalf("traces = %v, want one", ids)
+	}
+	names := map[string]mgmt.Span{}
+	for _, sp := range m.Tracer.Trace(ids[0]) {
+		names[sp.Name] = sp
+	}
+	root, ok := names["tx.commit"]
+	if !ok || root.Parent != 0 || root.Err != "" {
+		t.Fatalf("commit span = %+v (found %v)", root, ok)
+	}
+	for _, leg := range []string{"tx.prepare:bank", "tx.complete:bank"} {
+		if sp, ok := names[leg]; !ok || sp.Parent != root.ID {
+			t.Fatalf("leg %s = %+v (found %v), want a child of the commit span", leg, sp, ok)
+		}
+	}
+	if n := ins.CommitLatency.Snapshot().Count; n != 1 {
+		t.Fatalf("commit latency count = %d, want 1", n)
+	}
+
+	tx = c.Begin(ctxT())
+	if err := tx.Write(s, "alice", values.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Enlist(&vetoParticipant{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrVetoed) {
+		t.Fatalf("commit = %v, want ErrVetoed", err)
+	}
+	if n := ins.Vetoes.Load(); n != 1 {
+		t.Fatalf("vetoes = %d, want 1", n)
+	}
+	if n := ins.CommitLatency.Snapshot().Count; n != 1 {
+		t.Fatalf("commit latency count after veto = %d, want still 1", n)
+	}
+	ids = m.Tracer.TraceIDs()
+	if len(ids) != 2 {
+		t.Fatalf("traces = %v, want two", ids)
+	}
+	var vetoed bool
+	for _, sp := range m.Tracer.Trace(ids[1]) {
+		vetoed = vetoed || (sp.Name == "tx.commit" && sp.Err != "")
+	}
+	if !vetoed {
+		t.Fatal("vetoed commit span carries no failure")
+	}
+
+	c.Instrument(nil)
+	started := m.Tracer.Stats().Started
+	if err := c.Atomically(ctxT(), func(tx *Tx) error { return tx.Write(s, "alice", values.Int(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	if m.Tracer.Stats().Started != started || ins.CommitLatency.Snapshot().Count != 1 {
+		t.Fatal("a detached coordinator still records")
 	}
 }

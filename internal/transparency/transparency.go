@@ -74,7 +74,7 @@ type Env struct {
 	// Type enables client-side type checking when known.
 	Type *types.Interface
 	// Instruments enables management instrumentation of bindings created
-	// under this environment (tracing, metrics, QoS). Optional.
+	// under this environment (tracing, metrics). Optional.
 	Instruments *mgmt.ChannelClientInstruments
 	// Policy holds the engineering choices of failure transparency for
 	// bindings created under this environment whose contract asks for it:
@@ -84,30 +84,6 @@ type Env struct {
 	// are filled from the contract; the zero value is therefore immediate
 	// retries with a fresh timeout each and no budget.
 	Policy policy.RetryPolicy
-}
-
-// Mechanism names the engineering mechanism realising a transparency, for
-// documentation and tooling.
-func Mechanism(t core.Transparency) string {
-	switch t {
-	case core.Access:
-		return "canonical transfer syntax in marshalling stubs"
-	case core.Location:
-		return "relocator-resolved interface references"
-	case core.Relocation:
-		return "binder re-resolution and replay on stale location"
-	case core.Migration:
-		return "cluster migration with preserved interface identity"
-	case core.Persistence:
-		return "on-demand cluster reactivation"
-	case core.Failure:
-		return "retry/failover binder and checkpoint recovery"
-	case core.Replication:
-		return "sequenced replica group proxy"
-	case core.Transaction:
-		return "object refinement reporting to the transaction function"
-	}
-	return "unknown"
 }
 
 // ClientConfig assembles the client channel configuration that realises
@@ -203,30 +179,6 @@ func ClusterOptions(contract core.Contract) engineering.ClusterOptions {
 	}
 }
 
-// ServerEnv configures the server end of a node's channels.
-type ServerEnv struct {
-	Realm  *security.Realm
-	Policy *security.Policy
-	Audit  func(security.Decision)
-	// ReplayGuard defends against capture-and-replay; on unless disabled.
-	DisableReplayGuard bool
-	// Instruments enables management instrumentation of the server end.
-	Instruments *mgmt.ChannelServerInstruments
-}
-
-// ServerConfig assembles the node-wide server channel configuration.
-func ServerConfig(env ServerEnv) channel.ServerConfig {
-	cfg := channel.ServerConfig{ReplayGuard: !env.DisableReplayGuard, Instruments: env.Instruments}
-	if env.Realm != nil {
-		cfg.Stages = append(cfg.Stages, &security.VerifyStage{
-			Realm:  env.Realm,
-			Policy: env.Policy,
-			Audit:  env.Audit,
-		})
-	}
-	return cfg
-}
-
 // Replicate builds the replication-transparency proxy: one binding per
 // replica reference, assembled into a sequencing group that presents the
 // common interface. The group size must meet the contract's replica
@@ -267,13 +219,6 @@ func Replicate(refs []naming.InterfaceRef, contract core.Contract, env Env) (*co
 func TxFrom(ctx context.Context) *transactions.Tx {
 	tx, _ := ctx.Value((*transactions.Tx)(nil)).(*transactions.Tx)
 	return tx
-}
-
-// WithTx installs a transaction into a foreign context (exposed for tests
-// and for callers composing their own refinements), under the key
-// tx.Context() answers to; Transactional passes tx.Context() itself.
-func WithTx(ctx context.Context, tx *transactions.Tx) context.Context {
-	return context.WithValue(ctx, (*transactions.Tx)(nil), tx)
 }
 
 // Transactional refines a handler into a transaction-transparent one:

@@ -15,7 +15,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/relocator"
-	"repro/internal/security"
 	"repro/internal/transactions"
 	"repro/internal/types"
 	"repro/internal/values"
@@ -122,15 +121,15 @@ func TestClientConfigSecurity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Stages) != 1 || cfg.Stages[0].Name() != "security-sign" {
-		t.Errorf("stages = %v", stageNames(cfg.Stages))
+	if got := stageTypes(cfg.Stages); got != "[*security.SignStage]" {
+		t.Errorf("stages = %s", got)
 	}
 	cfg, err = ClientConfig(core.Contract{Security: core.SecurityAudited}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Stages) != 2 || cfg.Stages[0].Name() != "audit-stub" || cfg.Stages[1].Name() != "security-sign" {
-		t.Errorf("stages = %v", stageNames(cfg.Stages))
+	if got := stageTypes(cfg.Stages); got != "[*channel.AuditStage *security.SignStage]" {
+		t.Errorf("stages = %s", got)
 	}
 }
 
@@ -143,12 +142,13 @@ func TestClientConfigValidation(t *testing.T) {
 	}
 }
 
-func stageNames(stages []channel.Stage) []string {
+// stageTypes renders a pipeline as its stages' types, in order.
+func stageTypes(stages []channel.Stage) string {
 	out := make([]string, len(stages))
 	for i, s := range stages {
-		out[i] = s.Name()
+		out[i] = fmt.Sprintf("%T", s)
 	}
-	return out
+	return fmt.Sprint(out)
 }
 
 func TestClusterOptions(t *testing.T) {
@@ -157,38 +157,6 @@ func TestClusterOptions(t *testing.T) {
 	}
 	if ClusterOptions(core.Contract{}).AutoReactivate {
 		t.Error("no persistence should not auto-reactivate")
-	}
-}
-
-func TestServerConfig(t *testing.T) {
-	cfg := ServerConfig(ServerEnv{})
-	if !cfg.ReplayGuard || len(cfg.Stages) != 0 {
-		t.Errorf("default server config = %+v", cfg)
-	}
-	cfg = ServerConfig(ServerEnv{Realm: security.NewRealm(), DisableReplayGuard: true})
-	if cfg.ReplayGuard || len(cfg.Stages) != 1 {
-		t.Errorf("secured server config = %+v", cfg)
-	}
-}
-
-func TestMechanismNames(t *testing.T) {
-	all := []core.Transparency{
-		core.Access, core.Location, core.Relocation, core.Migration,
-		core.Persistence, core.Failure, core.Replication, core.Transaction,
-	}
-	seen := map[string]bool{}
-	for _, tr := range all {
-		m := Mechanism(tr)
-		if m == "" || m == "unknown" {
-			t.Errorf("Mechanism(%v) = %q", tr, m)
-		}
-		if seen[m] {
-			t.Errorf("mechanism %q duplicated", m)
-		}
-		seen[m] = true
-	}
-	if Mechanism(core.Transparency(1<<12)) != "unknown" {
-		t.Error("unknown transparency should say so")
 	}
 }
 
@@ -396,8 +364,7 @@ func TestTxFromWithoutTransaction(t *testing.T) {
 	coord := transactions.NewCoordinator()
 	tx := coord.Begin(context.Background())
 	defer tx.Abort()
-	ctx := WithTx(context.Background(), tx)
-	if TxFrom(ctx) != tx {
-		t.Error("WithTx/TxFrom round trip failed")
+	if TxFrom(tx.Context()) != tx {
+		t.Error("TxFrom(tx.Context()) is not the transaction")
 	}
 }

@@ -68,3 +68,19 @@ func TestRemoteCallsCarryADeadline(t *testing.T) {
 		}
 	}
 }
+
+type closeCarrier struct {
+	deadlineCarrier
+	closed int
+}
+
+func (c *closeCarrier) Close() error { c.closed++; return errors.New("closed") }
+
+// TestRemoteCloseReleasesCarrier: closing the proxy closes its carrier
+// and reports the carrier's answer.
+func TestRemoteCloseReleasesCarrier(t *testing.T) {
+	c := &closeCarrier{}
+	if err := NewRemote(c).Close(); err == nil || err.Error() != "closed" || c.closed != 1 {
+		t.Fatalf("Close() = %v after %d carrier closes", err, c.closed)
+	}
+}

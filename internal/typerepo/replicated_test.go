@@ -183,3 +183,30 @@ func TestReplicatedDelegatesColdPaths(t *testing.T) {
 		t.Fatalf("Related = %v", got)
 	}
 }
+
+// TestReplicatedSubtypesAndAuthority: the front-end answers the downward
+// query from a replica with the authority's answer, and hands back the
+// authority it writes through.
+func TestReplicatedSubtypesAndAuthority(t *testing.T) {
+	auth := New()
+	rep := NewReplicated(auth, 2)
+	if rep.Authority() != Repository(auth) {
+		t.Fatal("Authority() is not the wrapped repository")
+	}
+	for _, it := range []*types.Interface{teller(), manager(), loans()} {
+		if err := rep.RegisterInterface(it); err != nil {
+			t.Fatalf("RegisterInterface(%s): %v", it.Name, err)
+		}
+	}
+	want, err := auth.Subtypes("BankTeller")
+	if err != nil || len(want) == 0 {
+		t.Fatalf("authority Subtypes(BankTeller) = %v, %v", want, err)
+	}
+	got, err := rep.Subtypes("BankTeller")
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Subtypes(BankTeller) = %v, %v; want %v", got, err, want)
+	}
+	if _, err := rep.Subtypes("Nope"); err == nil {
+		t.Fatal("Subtypes of an unknown type succeeded")
+	}
+}

@@ -430,3 +430,36 @@ func TestEnumStrings(t *testing.T) {
 		t.Error("Outgoing classification wrong")
 	}
 }
+
+// TestOperationCheckArgs: the stub's argument check refuses a wrong arity
+// and an ill-typed argument, naming the parameter.
+func TestOperationCheckArgs(t *testing.T) {
+	op, _ := tellerType().Operation("Deposit")
+	if err := op.CheckArgs([]values.Value{values.Str("c"), values.Str("a"), values.Int(5)}); err != nil {
+		t.Fatalf("well-typed args refused: %v", err)
+	}
+	if err := op.CheckArgs([]values.Value{values.Str("c")}); err == nil || !strings.Contains(err.Error(), "expects 3 args, got 1") {
+		t.Fatalf("short arg list: %v", err)
+	}
+	if err := op.CheckArgs([]values.Value{values.Str("c"), values.Str("a"), values.Str("5")}); err == nil || !strings.Contains(err.Error(), `arg "d"`) {
+		t.Fatalf("ill-typed arg: %v", err)
+	}
+}
+
+// TestOperationCheckTermination: a result list is checked against the
+// named termination — its existence, its arity and each result's type.
+func TestOperationCheckTermination(t *testing.T) {
+	op, _ := tellerType().Operation("Withdraw")
+	if err := op.CheckTermination("NotToday", []values.Value{values.Int(1), values.Int(2)}); err != nil {
+		t.Fatalf("well-typed termination refused: %v", err)
+	}
+	if err := op.CheckTermination("Overdrawn", nil); err == nil || !strings.Contains(err.Error(), `no termination "Overdrawn"`) {
+		t.Fatalf("unknown termination: %v", err)
+	}
+	if err := op.CheckTermination("OK", nil); err == nil || !strings.Contains(err.Error(), "expects 1 results, got 0") {
+		t.Fatalf("missing result: %v", err)
+	}
+	if err := op.CheckTermination("OK", []values.Value{values.Str("x")}); err == nil || !strings.Contains(err.Error(), `result "new_balance"`) {
+		t.Fatalf("ill-typed result: %v", err)
+	}
+}

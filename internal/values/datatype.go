@@ -316,39 +316,3 @@ func TypeOf(v Value) *DataType {
 	}
 	return TNull()
 }
-
-// ZeroValue returns the canonical zero value of the data type: false, 0,
-// "", empty bytes, the first enum symbol, a record of zero fields, or an
-// empty sequence.
-func (t *DataType) ZeroValue() Value {
-	switch t.Kind {
-	case KindBool:
-		return Bool(false)
-	case KindInt:
-		return Int(0)
-	case KindUint:
-		return Uint(0)
-	case KindFloat:
-		return Float(0)
-	case KindString:
-		return Str("")
-	case KindBytes:
-		return BytesVal(nil)
-	case KindEnum:
-		if len(t.Symbols) > 0 {
-			return Enum(t.Symbols[0])
-		}
-		return Enum("")
-	case KindRecord:
-		fields := make([]Field, len(t.Fields))
-		for i, f := range t.Fields {
-			fields[i] = F(f.Name, f.Type.ZeroValue())
-		}
-		return Record(fields...)
-	case KindSeq:
-		return Seq()
-	case KindAny:
-		return Any(TNull(), Null())
-	}
-	return Null()
-}

@@ -129,46 +129,6 @@ func TestCheckEnumOK(t *testing.T) {
 	}
 }
 
-func TestZeroValue(t *testing.T) {
-	tests := []struct {
-		t    *DataType
-		want Value
-	}{
-		{TBool(), Bool(false)},
-		{TInt(), Int(0)},
-		{TUint(), Uint(0)},
-		{TFloat(), Float(0)},
-		{TString(), Str("")},
-		{TEnum("E", "first", "second"), Enum("first")},
-		{TSeq(TInt()), Seq()},
-		{TNull(), Null()},
-	}
-	for _, tt := range tests {
-		got := tt.t.ZeroValue()
-		if !got.Equal(tt.want) {
-			t.Errorf("ZeroValue(%s) = %v, want %v", tt.t, got, tt.want)
-		}
-		if err := tt.t.Check(got); err != nil {
-			t.Errorf("zero value of %s fails own check: %v", tt.t, err)
-		}
-	}
-	// Record zero value conforms to its own type.
-	acct := accountRecord()
-	if err := acct.Check(acct.ZeroValue()); err != nil {
-		t.Errorf("record zero value: %v", err)
-	}
-	// Bytes and any zero values have the right kinds.
-	if TBytes().ZeroValue().Kind() != KindBytes {
-		t.Error("bytes zero kind")
-	}
-	if TAny().ZeroValue().Kind() != KindAny {
-		t.Error("any zero kind")
-	}
-	if TEnum("Empty").ZeroValue().Kind() != KindEnum {
-		t.Error("empty enum zero kind")
-	}
-}
-
 func TestDataTypeString(t *testing.T) {
 	tests := []struct {
 		t    *DataType

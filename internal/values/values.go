@@ -15,7 +15,6 @@ package values
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -240,19 +239,9 @@ func (v Value) AsString() (string, bool) {
 	return v.str, true
 }
 
-// AsBytes returns a copy of the octet payload; ok is false if the kind differs.
-func (v Value) AsBytes() ([]byte, bool) {
-	if v.kind != KindBytes {
-		return nil, false
-	}
-	cp := make([]byte, len(v.str))
-	copy(cp, v.str)
-	return cp, true
-}
-
-// BytesView returns the octet payload without the defensive copy of
-// AsBytes; the caller must not modify the returned slice. Encoders use it
-// to marshal bytes values allocation-free. ok is false if the kind differs.
+// BytesView returns the octet payload without a copy; the caller must not
+// modify the returned slice. Encoders use it to marshal bytes values
+// allocation-free. ok is false if the kind differs.
 func (v Value) BytesView() ([]byte, bool) {
 	if v.kind != KindBytes {
 		return nil, false
@@ -295,14 +284,6 @@ func (v Value) Len() int { return len(v.elems()) }
 
 // ElemAt returns the i'th sequence element.
 func (v Value) ElemAt(i int) Value { return v.elems()[i] }
-
-// Elems returns a copy of the sequence elements.
-func (v Value) Elems() []Value {
-	es := v.elems()
-	cp := make([]Value, len(es))
-	copy(cp, es)
-	return cp
-}
 
 // AsAny unwraps a dynamically-typed value; ok is false if the kind differs.
 func (v Value) AsAny() (*DataType, Value, bool) {
@@ -494,16 +475,4 @@ func cmpFloat(a, b float64) int {
 		return 1
 	}
 	return 0
-}
-
-// SortFieldsCopy returns a copy of the record with fields sorted by name.
-// Useful when a canonical field order is required (e.g. hashing).
-func (v Value) SortFieldsCopy() Value {
-	if v.kind != KindRecord {
-		return v
-	}
-	cp := make([]Field, v.num)
-	copy(cp, v.fields())
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Name < cp[j].Name })
-	return RecordOwned(cp)
 }

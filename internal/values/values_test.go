@@ -59,8 +59,8 @@ func TestScalarAccessors(t *testing.T) {
 	if e, ok := Enum("OK").AsEnum(); !ok || e != "OK" {
 		t.Errorf("Enum(OK).AsEnum() = %v, %v", e, ok)
 	}
-	if b, ok := BytesVal([]byte{1, 2}).AsBytes(); !ok || len(b) != 2 {
-		t.Errorf("BytesVal.AsBytes() = %v, %v", b, ok)
+	if b, ok := BytesVal([]byte{1, 2}).BytesView(); !ok || len(b) != 2 {
+		t.Errorf("BytesVal.BytesView() = %v, %v", b, ok)
 	}
 }
 
@@ -78,8 +78,8 @@ func TestAccessorKindMismatch(t *testing.T) {
 	if _, ok := v.AsFloat(); ok {
 		t.Error("AsFloat on string should fail")
 	}
-	if _, ok := v.AsBytes(); ok {
-		t.Error("AsBytes on string should fail")
+	if _, ok := v.BytesView(); ok {
+		t.Error("BytesView on string should fail")
 	}
 	if _, ok := v.AsEnum(); ok {
 		t.Error("AsEnum on string should fail")
@@ -124,18 +124,12 @@ func TestNull(t *testing.T) {
 	}
 }
 
-func TestBytesCopiedOnConstructionAndAccess(t *testing.T) {
+func TestBytesCopiedOnConstruction(t *testing.T) {
 	src := []byte{1, 2, 3}
 	v := BytesVal(src)
 	src[0] = 9
-	got, _ := v.AsBytes()
-	if got[0] != 1 {
+	if got, _ := v.BytesView(); got[0] != 1 {
 		t.Error("BytesVal must copy its input")
-	}
-	got[1] = 9
-	got2, _ := v.AsBytes()
-	if got2[1] != 2 {
-		t.Error("AsBytes must return a copy")
 	}
 }
 
@@ -165,11 +159,6 @@ func TestSeq(t *testing.T) {
 	}
 	if !v.ElemAt(1).Equal(Int(2)) {
 		t.Errorf("ElemAt(1) = %v", v.ElemAt(1))
-	}
-	es := v.Elems()
-	es[0] = Int(99)
-	if !v.ElemAt(0).Equal(Int(1)) {
-		t.Error("Elems must return a copy")
 	}
 }
 
@@ -277,20 +266,6 @@ func TestCompare(t *testing.T) {
 				t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", tt.a, tt.b, got, ok, tt.want, tt.wantOK)
 			}
 		})
-	}
-}
-
-func TestSortFieldsCopy(t *testing.T) {
-	v := Record(F("b", Int(2)), F("a", Int(1)))
-	s := v.SortFieldsCopy()
-	if s.FieldAt(0).Name != "a" || s.FieldAt(1).Name != "b" {
-		t.Errorf("sorted = %v", s)
-	}
-	if v.FieldAt(0).Name != "b" {
-		t.Error("original must be unchanged")
-	}
-	if got := Int(1).SortFieldsCopy(); !got.Equal(Int(1)) {
-		t.Error("SortFieldsCopy on non-record should be identity")
 	}
 }
 

@@ -49,8 +49,6 @@ const (
 type Codec interface {
 	// ID returns the codec's frame identifier.
 	ID() CodecID
-	// Name returns the codec's human-readable name.
-	Name() string
 	// AppendValue appends the encoding of v to dst and returns the
 	// extended slice.
 	AppendValue(dst []byte, v values.Value) ([]byte, error)
@@ -83,8 +81,7 @@ var (
 
 type nativeCodec struct{}
 
-func (nativeCodec) ID() CodecID  { return CodecNative }
-func (nativeCodec) Name() string { return "native" }
+func (nativeCodec) ID() CodecID { return CodecNative }
 
 func (c nativeCodec) AppendValue(dst []byte, v values.Value) ([]byte, error) {
 	dst = append(dst, byte(v.Kind()))
@@ -164,8 +161,7 @@ func (c nativeCodec) ReadValue(data []byte, off int) (values.Value, int, error) 
 
 type canonicalCodec struct{}
 
-func (canonicalCodec) ID() CodecID  { return CodecCanonical }
-func (canonicalCodec) Name() string { return "canonical" }
+func (canonicalCodec) ID() CodecID { return CodecCanonical }
 
 func (c canonicalCodec) AppendValue(dst []byte, v values.Value) ([]byte, error) {
 	dst = append(dst, byte(v.Kind()))

@@ -26,14 +26,14 @@ const extBlockLen = 1 + 3 + 16 // count, kind+len, trace payload
 func TestTraceExtensionRoundTrip(t *testing.T) {
 	for _, c := range codecs() {
 		for _, traced := range []bool{true, false} {
-			name, trace, span, flags := c.Name()+"/traced", uint64(42), uint64(7), flagExtensions
+			name, trace, span, flags := codecName(c)+"/traced", uint64(42), uint64(7), flagExtensions
 			if !traced {
-				name, trace, span, flags = c.Name()+"/untraced", 0, 0, 0
+				name, trace, span, flags = codecName(c)+"/untraced", 0, 0, 0
 			}
 			t.Run(name, func(t *testing.T) {
 				m := sampleMessage()
 				m.TraceID, m.SpanID = trace, span
-				frame, err := m.Encode(c)
+				frame, err := m.EncodeAppend(nil, c)
 				if err != nil {
 					t.Fatalf("encode: %v", err)
 				}
@@ -61,11 +61,11 @@ func TestUntracedFrameIsPreExtensionEncoding(t *testing.T) {
 	plain := tracedSample()
 	plain.TraceID, plain.SpanID = 0, 0
 
-	tf, err := traced.Encode(Canonical)
+	tf, err := traced.EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := plain.Encode(Canonical)
+	pf, err := plain.EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestUntracedFrameIsPreExtensionEncoding(t *testing.T) {
 // kinds it does not recognise by their declared length, both when the
 // unknown kind stands alone and when it precedes a trace extension.
 func TestUnknownExtensionKindSkipped(t *testing.T) {
-	frame, err := tracedSample().Encode(Canonical)
+	frame, err := tracedSample().EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestUnknownExtensionKindSkipped(t *testing.T) {
 // block: truncation inside the block, a declared length running past the
 // frame, and a length beyond the per-extension cap.
 func TestExtensionMalformed(t *testing.T) {
-	frame, err := tracedSample().Encode(Canonical)
+	frame, err := tracedSample().EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestExtensionMalformed(t *testing.T) {
 		// the frame must not decode cleanly into the original message.
 		plain := tracedSample()
 		plain.TraceID, plain.SpanID = 0, 0
-		pf, err := plain.Encode(Canonical)
+		pf, err := plain.EncodeAppend(nil, Canonical)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, c := range codecs() {
 		for _, m := range msgs {
-			frame, err := m.Encode(c)
+			frame, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				tb.Fatalf("seed encode: %v", err)
 			}
@@ -82,7 +82,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// A frame that decodes must re-encode: the decoded message contains
 		// only representable values.
-		if _, err := m.Encode(Canonical); err != nil {
+		if _, err := m.EncodeAppend(nil, Canonical); err != nil {
 			t.Fatalf("decoded message fails to re-encode: %v", err)
 		}
 	})
@@ -141,7 +141,7 @@ func TestStreamFrameCorruptions(t *testing.T) {
 	}
 	for _, m := range []*Message{grant, batch} {
 		for _, c := range codecs() {
-			frame, err := m.Encode(c)
+			frame, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatalf("%v/%v: encode: %v", m.Kind, c.ID(), err)
 			}
@@ -158,7 +158,7 @@ func TestStreamFrameCorruptions(t *testing.T) {
 	// argument count. Forging a huge count with no payload behind it must
 	// read as truncation — not an allocation or an over-read.
 	for _, c := range codecs() {
-		frame, err := grant.Encode(c)
+		frame, err := grant.EncodeAppend(nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestStreamFramesRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		for _, c := range codecs() {
-			frame, err := m.Encode(c)
+			frame, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatalf("%v/%v: encode: %v", m.Kind, c.ID(), err)
 			}

@@ -142,11 +142,6 @@ type Message struct {
 	Codec CodecID
 }
 
-// Encode serialises the message using the given codec for the payload.
-func (m *Message) Encode(codec Codec) ([]byte, error) {
-	return m.EncodeAppend(make([]byte, 0, m.SizeHint()), codec)
-}
-
 // SizeHint returns a conservative estimate of the encoded frame size — an
 // upper bound for either codec — so encode buffers are right-sized on
 // first use instead of growing through several reallocations.

@@ -42,9 +42,9 @@ func sampleMessage() *Message {
 
 func TestMessageRoundTrip(t *testing.T) {
 	for _, c := range codecs() {
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(codecName(c), func(t *testing.T) {
 			m := sampleMessage()
-			buf, err := m.Encode(c)
+			buf, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestMessageRoundTripVariants(t *testing.T) {
 		{Kind: SignalMsg, Operation: "connect"},
 	}
 	for _, m := range variants {
-		buf, err := m.Encode(Canonical)
+		buf, err := m.EncodeAppend(nil, Canonical)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
 		}
@@ -103,7 +103,7 @@ func TestMessageRoundTripVariants(t *testing.T) {
 
 func TestDecodeRejectsBadFrames(t *testing.T) {
 	m := sampleMessage()
-	buf, err := m.Encode(Native)
+	buf, err := m.EncodeAppend(nil, Native)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestHeaderAlwaysCanonical(t *testing.T) {
 	// header region (bytes before the payload): heterogeneous peers parse
 	// headers before knowing the payload codec.
 	m := &Message{Kind: Call, Target: sampleTarget(), Operation: "Op"}
-	a, err := m.Encode(Native)
+	a, err := m.EncodeAppend(nil, Native)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Encode(Canonical)
+	b, err := m.EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,14 @@ import (
 	"repro/internal/values"
 )
 
-func TestEncodeAppendMatchesEncode(t *testing.T) {
+func TestEncodeAppendPreservesPrefix(t *testing.T) {
 	for _, c := range codecs() {
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(codecName(c), func(t *testing.T) {
 			m := sampleMessage()
-			want, err := m.Encode(c)
+			want, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.EncodeAppend(nil, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("EncodeAppend(nil) differs from Encode:\n%x\n%x", got, want)
-			}
-			// Appending after an existing prefix must preserve it.
 			prefix := []byte("prefix")
 			buf := append([]byte(nil), prefix...)
 			buf, err = m.EncodeAppend(buf, c)
@@ -34,7 +26,7 @@ func TestEncodeAppendMatchesEncode(t *testing.T) {
 				t.Fatal("EncodeAppend clobbered existing bytes")
 			}
 			if !bytes.Equal(buf[len(prefix):], want) {
-				t.Fatal("EncodeAppend after prefix differs from Encode")
+				t.Fatal("EncodeAppend after prefix differs from EncodeAppend(nil)")
 			}
 		})
 	}
@@ -55,12 +47,12 @@ func TestSizeHintBoundsEncodedSize(t *testing.T) {
 	}
 	for _, c := range codecs() {
 		for _, m := range msgs {
-			enc, err := m.Encode(c)
+			enc, err := m.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hint := m.SizeHint(); len(enc) > hint {
-				t.Errorf("%s %v: encoded %d bytes > SizeHint %d", c.Name(), m.Kind, len(enc), hint)
+				t.Errorf("%s %v: encoded %d bytes > SizeHint %d", codecName(c), m.Kind, len(enc), hint)
 			}
 		}
 	}
@@ -71,11 +63,11 @@ func TestSizeHintBoundsEncodedSize(t *testing.T) {
 // affecting any decoded payload.
 func TestDecodeCopiesOutOfFrame(t *testing.T) {
 	for _, c := range codecs() {
-		t.Run(c.Name(), func(t *testing.T) {
+		t.Run(codecName(c), func(t *testing.T) {
 			src := sampleMessage()
 			src.Args = append(src.Args, values.BytesVal([]byte{0xAA, 0xBB}),
 				values.Record(values.F("k", values.Str("deep"))))
-			frame, err := src.Encode(c)
+			frame, err := src.EncodeAppend(nil, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +87,7 @@ func TestDecodeCopiesOutOfFrame(t *testing.T) {
 			if s, _ := m.Args[0].AsString(); s != "alice" {
 				t.Errorf("string arg corrupted by frame reuse: %q", s)
 			}
-			if b, _ := m.Args[3].AsBytes(); !bytes.Equal(b, []byte{0xAA, 0xBB}) {
+			if b, _ := m.Args[3].BytesView(); !bytes.Equal(b, []byte{0xAA, 0xBB}) {
 				t.Errorf("bytes arg corrupted by frame reuse: %x", b)
 			}
 			if f, ok := m.Args[4].FieldByName("k"); !ok {
@@ -203,13 +195,13 @@ func TestDecodeErrorRecyclesMessage(t *testing.T) {
 	}
 	m := sampleMessage()
 	m.Auth = nil
-	frame, err := m.Encode(Canonical)
+	frame, err := m.EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty := *m
 	empty.Args = nil
-	header, err := empty.Encode(Canonical)
+	header, err := empty.EncodeAppend(nil, Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,4 +223,35 @@ func TestDecodeErrorRecyclesMessage(t *testing.T) {
 			t.Errorf("cut %s: %v allocs per failed Decode, budget %v", c.name, allocs, c.budget)
 		}
 	}
+}
+
+// TestValueSizeHintBoundsEncodedValue: the per-value bound the streaming
+// layer debits credit by is never below a value's encoded size under
+// either codec.
+func TestValueSizeHintBoundsEncodedValue(t *testing.T) {
+	for _, c := range codecs() {
+		for _, v := range sampleValues() {
+			enc, err := c.AppendValue(nil, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hint := ValueSizeHint(v); len(enc) > hint {
+				t.Errorf("%s %v: encoded %d bytes > ValueSizeHint %d", codecName(c), v, len(enc), hint)
+			}
+		}
+	}
+}
+
+// TestPutFramesClearsBatch: recycling a batch clears its entries, so a
+// reused batch slice cannot reach a buffer the pool has handed out again.
+func TestPutFramesClearsBatch(t *testing.T) {
+	batch := [][]byte{GetFrame(64), GetFrame(128), nil}
+	batch[0] = append(batch[0], 1, 2, 3)
+	PutFrames(batch)
+	for i, f := range batch {
+		if f != nil {
+			t.Fatalf("batch[%d] still holds a recycled frame", i)
+		}
+	}
+	PutFrames(nil)
 }

@@ -169,10 +169,30 @@ if grep -nE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+i
 	exit 1
 fi
 
+echo "== no-QoS gate (management owns no second, unwired monitor) =="
+# The QoS monitors were wired to no binary: nothing constructed one, and
+# every instrumented call checked a field nothing set. Neither the monitor,
+# its envelope and violation topic, nor a QoS field on an instrument bundle
+# may come back to internal/mgmt.
+if grep -rnE 'type Monitor\b|\bEnvelope\b|ViolationTopic|^[[:space:]]+QoS[[:space:]]' internal/mgmt; then
+	echo "internal/mgmt: a QoS monitor is back (a bundle holds only what a binary sets)"
+	exit 1
+fi
+
+echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner) =="
+# A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
+# the deadcode build tag, so tier 1 never builds it): an unreached
+# declaration that scripts/deadcode/allow.txt does not own, a stale allow
+# pattern, or a reason naming a test that does not exist fails. Its two
+# figures print with the line counts below.
+reach=$(go test -tags deadcode -count=1 -v ./scripts/deadcode/ 2>&1) || { echo "$reach"; exit 1; }
+
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
-# The size figures ROADMAP tracks; printed, not gated.
+# The size figures ROADMAP tracks; printed, not gated. The first line is
+# followed by the reachability scan's two figures.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
+echo "$reach" | grep '^deadcode:'
 find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go -name '*.go' ! -name '*_test.go' -print0 |
 	xargs -0 cat | wc -l
