@@ -18,7 +18,7 @@ import (
 
 // loopback hosts h as an interface of a node of its own and returns a
 // binding to it from another host of the same simulated network: the
-// single-peer carrier. A nil type serves and binds h unchecked.
+// single-peer carrier.
 func loopback(t *testing.T, it *types.Interface, h channel.Handler) *channel.Binding {
 	t.Helper()
 	net := netsim.New(1)

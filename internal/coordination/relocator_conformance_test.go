@@ -33,48 +33,86 @@ type locationStore interface {
 	relocator.Enumerable
 }
 
-// locationCarriers is the relocator's conformance table: each row builds
-// a store and returns with it every local relocator a write through the
-// store must reach (a fail-over group's backups receive no traffic, so
-// only its primary is listed).
+// locationCarriers is the relocator's conformance table: each row carries
+// a store's calls to the two stores it is given, of which a write reaches
+// the first reach (a fail-over group's backup receives no traffic).
 var locationCarriers = []struct {
 	name  string
-	build func(t *testing.T) (locationStore, []*relocator.Relocator)
+	carry func(t *testing.T, a, b locationStore) locationStore
+	reach int
 }{
-	{"local", func(*testing.T) (locationStore, []*relocator.Relocator) {
-		r := relocator.New()
-		return r, []*relocator.Relocator{r}
-	}},
-	{"binding", func(t *testing.T) (locationStore, []*relocator.Relocator) {
-		r := relocator.New()
-		remote := relocator.NewRemote(loopback(t, relocator.InterfaceType(), &relocator.Servant{R: r}))
+	{"local", func(_ *testing.T, a, _ locationStore) locationStore { return a }, 1},
+	{"binding", func(t *testing.T, a, _ locationStore) locationStore {
+		remote := relocator.NewRemote(loopback(t, relocator.InterfaceType(), &relocator.Servant{R: a}))
 		t.Cleanup(func() { remote.Close() })
-		return remote, []*relocator.Relocator{r}
-	}},
-	{"replicagroup", func(t *testing.T) (locationStore, []*relocator.Relocator) {
-		r0, r1 := relocator.New(), relocator.New()
-		g := replicaGroupOf(t, &relocator.Servant{R: r0}, &relocator.Servant{R: r1})
-		return relocator.NewRemote(g), []*relocator.Relocator{r0, r1}
-	}},
-	{"failovergroup", func(t *testing.T) (locationStore, []*relocator.Relocator) {
-		stores := []*relocator.Relocator{relocator.New(), relocator.New()}
+		return remote
+	}, 1},
+	{"replicagroup", func(t *testing.T, a, b locationStore) locationStore {
+		return relocator.NewRemote(replicaGroupOf(t, &relocator.Servant{R: a}, &relocator.Servant{R: b}))
+	}, 2},
+	{"failovergroup", func(t *testing.T, a, b locationStore) locationStore {
 		g := NewFailoverGroup()
 		for i, name := range []string{"primary", "backup"} {
-			if err := g.Add(name, Member(&relocator.Servant{R: stores[i]})); err != nil {
+			if err := g.Add(name, Member(&relocator.Servant{R: []locationStore{a, b}[i]})); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return relocator.NewRemote(g), stores[:1]
-	}},
+		return relocator.NewRemote(g)
+	}, 1},
 }
 
-// overLocationCarriers runs check once per row of the table.
+// overLocationCarriers runs check once per row of the table, over two
+// fresh relocators.
 func overLocationCarriers(t *testing.T, check func(t *testing.T, s locationStore, backing []*relocator.Relocator)) {
 	for _, c := range locationCarriers {
 		t.Run(c.name, func(t *testing.T) {
-			s, backing := c.build(t)
-			check(t, s, backing)
+			backing := []*relocator.Relocator{relocator.New(), relocator.New()}
+			check(t, c.carry(t, backing[0], backing[1]), backing[:c.reach])
 		})
+	}
+}
+
+// TestLocationErrorsKeepTheirIdentity: one failing call per sentinel. On
+// every carrier the error satisfies errors.Is for the sentinel and reads
+// as the local store's does.
+func TestLocationErrorsKeepTheirIdentity(t *testing.T) {
+	in := wpRef(1, "sim://a", 0)
+	plain := func() locationStore { return relocator.New() }
+	for _, tc := range []struct {
+		name  string
+		is    error
+		store func() locationStore
+		call  func(s locationStore) error
+	}{
+		{"unknown lookup", relocator.ErrUnknown, plain, func(s locationStore) error { _, err := s.Lookup(in.ID); return err }},
+		{"unknown move", relocator.ErrUnknown, plain, func(s locationStore) error { _, err := s.Move(in.ID, "sim://b"); return err }},
+		{"zero reference", relocator.ErrUnknown, plain, func(s locationStore) error { return s.Register(naming.InterfaceRef{}) }},
+		{"stale", relocator.ErrStale, plain, func(s locationStore) error {
+			if err := s.Register(in); err != nil {
+				return err
+			}
+			if _, err := s.Move(in.ID, "sim://b"); err != nil {
+				return err
+			}
+			return s.Register(in)
+		}},
+		{"no shards lookup", relocator.ErrNoShards, func() locationStore { return relocator.NewSharded() },
+			func(s locationStore) error { _, err := s.Lookup(in.ID); return err }},
+		{"no shards move", relocator.ErrNoShards, func() locationStore { return relocator.NewSharded() },
+			func(s locationStore) error { _, err := s.Move(in.ID, "sim://b"); return err }},
+	} {
+		var local error
+		for _, c := range locationCarriers {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				err := tc.call(c.carry(t, tc.store(), tc.store()))
+				if c.name == "local" {
+					local = err
+				}
+				if !errors.Is(err, tc.is) || local == nil || err.Error() != local.Error() {
+					t.Errorf("error %v, want %v wrapping %v", err, local, tc.is)
+				}
+			})
+		}
 	}
 }
 

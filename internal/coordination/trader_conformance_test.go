@@ -21,46 +21,92 @@ type tradingFixture struct {
 	group   *ReplicaGroup
 }
 
-// tradingCarriers is the trader's conformance table. Group members share
-// the trader name "tg": offer ids are minted from the name and a local
-// counter, so the sequenced update stream yields identical ids on every
-// replica (no divergence).
+// tradingCarriers is the trader's conformance table: each row carries a
+// shard's calls to the two shards it is given, of which an update reaches
+// the first reach, and returns the replica group when that is the carrier.
 var tradingCarriers = []struct {
 	name  string
-	build func(t *testing.T, repo *typerepo.Local) tradingFixture
+	carry func(t *testing.T, a, b trader.Shard) (trader.Shard, *ReplicaGroup)
+	reach int
 }{
-	{"local", func(_ *testing.T, repo *typerepo.Local) tradingFixture {
-		tr := trader.New("tg", repo)
-		return tradingFixture{shard: tr, backing: []*trader.Trader{tr}}
-	}},
-	{"binding", func(t *testing.T, repo *typerepo.Local) tradingFixture {
-		tr := trader.New("tg", repo)
-		remote := trader.NewRemote(loopback(t, trader.InterfaceType(), &trader.Servant{T: tr}))
+	{"local", func(_ *testing.T, a, _ trader.Shard) (trader.Shard, *ReplicaGroup) { return a, nil }, 1},
+	{"binding", func(t *testing.T, a, _ trader.Shard) (trader.Shard, *ReplicaGroup) {
+		remote := trader.NewRemote(loopback(t, trader.InterfaceType(), &trader.Servant{T: a}))
 		t.Cleanup(func() { remote.Close() })
-		return tradingFixture{shard: remote, backing: []*trader.Trader{tr}}
-	}},
-	{"replicagroup", func(t *testing.T, repo *typerepo.Local) tradingFixture {
-		t0, t1 := trader.New("tg", repo), trader.New("tg", repo)
-		g := replicaGroupOf(t, &trader.Servant{T: t0}, &trader.Servant{T: t1})
-		return tradingFixture{shard: trader.NewRemote(g), backing: []*trader.Trader{t0, t1}, group: g}
-	}},
+		return remote, nil
+	}, 1},
+	{"replicagroup", func(t *testing.T, a, b trader.Shard) (trader.Shard, *ReplicaGroup) {
+		g := replicaGroupOf(t, &trader.Servant{T: a}, &trader.Servant{T: b})
+		return trader.NewRemote(g), g
+	}, 2},
 }
 
-// overTradingCarriers runs check once per row of the table, over a
-// repository holding BankTeller and its subtype BankManager.
+// bankRepo returns a repository holding BankTeller and its subtype
+// BankManager.
+func bankRepo(t *testing.T) *typerepo.Local {
+	t.Helper()
+	repo := typerepo.New()
+	for _, it := range []*types.Interface{tellerType(), managerType()} {
+		if err := repo.RegisterInterface(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return repo
+}
+
+// overTradingCarriers runs check once per row of the table, over two
+// traders on one bankRepo. They share the trader name "tg": offer ids are
+// minted from the name and a local counter, so the sequenced update
+// stream yields identical ids on every replica (no divergence).
 func overTradingCarriers(t *testing.T, check func(t *testing.T, f tradingFixture)) {
 	for _, c := range tradingCarriers {
 		t.Run(c.name, func(t *testing.T) {
-			repo := typerepo.New()
-			for _, it := range []*types.Interface{tellerType(), managerType()} {
-				if err := repo.RegisterInterface(it); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f := c.build(t, repo)
-			f.repo = repo
-			check(t, f)
+			repo := bankRepo(t)
+			backing := []*trader.Trader{trader.New("tg", repo), trader.New("tg", repo)}
+			shard, group := c.carry(t, backing[0], backing[1])
+			check(t, tradingFixture{shard: shard, backing: backing[:c.reach], repo: repo, group: group})
 		})
+	}
+}
+
+// TestTradingErrorsKeepTheirIdentity: one failing call per sentinel. On
+// every carrier the error satisfies errors.Is for the sentinel and reads
+// as the local store's does.
+func TestTradingErrorsKeepTheirIdentity(t *testing.T) {
+	plain := func(repo *typerepo.Local) trader.Shard { return trader.New("tg", repo) }
+	teller := wpRef(7, "sim://a", 0)
+	for _, tc := range []struct {
+		name  string
+		is    error
+		store func(repo *typerepo.Local) trader.Shard
+		call  func(s trader.Shard) error
+	}{
+		{"no such offer", trader.ErrNoSuchOffer, plain, func(s trader.Shard) error { return s.Withdraw("tg/999") }},
+		{"no shards", trader.ErrNoShards, func(repo *typerepo.Local) trader.Shard { return trader.NewSharded("fe", repo, 0) },
+			func(s trader.Shard) error { _, err := s.Export("BankTeller", teller, values.Null()); return err }},
+		{"unknown type", trader.ErrTypeUnknown, plain,
+			func(s trader.Shard) error { _, err := s.Import(trader.ImportRequest{ServiceType: "Ghost"}); return err }},
+		{"type mismatch", trader.ErrTypeMismatch, plain,
+			func(s trader.Shard) error { _, err := s.Export("BankManager", teller, values.Null()); return err }},
+		{"bad request", trader.ErrBadRequest, plain,
+			func(s trader.Shard) error { _, err := s.Import(trader.ImportRequest{}); return err }},
+		{"bad properties", trader.ErrBadProps, plain,
+			func(s trader.Shard) error { _, err := s.Export("BankTeller", teller, values.Int(1)); return err }},
+	} {
+		var local error
+		for _, c := range tradingCarriers {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				repo := bankRepo(t)
+				s, _ := c.carry(t, tc.store(repo), tc.store(repo))
+				err := tc.call(s)
+				if c.name == "local" {
+					local = err
+				}
+				if !errors.Is(err, tc.is) || local == nil || err.Error() != local.Error() {
+					t.Errorf("error %v, want %v wrapping %v", err, local, tc.is)
+				}
+			})
+		}
 	}
 }
 

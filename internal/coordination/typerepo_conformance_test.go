@@ -30,37 +30,75 @@ func managerType() *types.Interface {
 }
 
 // typeCarriers is the type repository's conformance table: each row
-// builds a repository and returns with it every local store a
-// registration through it must reach. The servant has no interface type
-// of its own, so the binding row serves and binds it unchecked.
+// carries a repository's calls to the two stores it is given, of which a
+// registration reaches the first reach.
 var typeCarriers = []struct {
 	name  string
-	build func(t *testing.T) (typerepo.Repository, []*typerepo.Local)
+	carry func(t *testing.T, a, b typerepo.Repository) typerepo.Repository
+	reach int
 }{
-	{"local", func(*testing.T) (typerepo.Repository, []*typerepo.Local) {
-		r := typerepo.New()
-		return r, []*typerepo.Local{r}
-	}},
-	{"binding", func(t *testing.T) (typerepo.Repository, []*typerepo.Local) {
-		r := typerepo.New()
-		remote := typerepo.NewRemote(loopback(t, nil, &typerepo.Servant{R: r}))
+	{"local", func(_ *testing.T, a, _ typerepo.Repository) typerepo.Repository { return a }, 1},
+	{"binding", func(t *testing.T, a, _ typerepo.Repository) typerepo.Repository {
+		remote := typerepo.NewRemote(loopback(t, typerepo.InterfaceType(), &typerepo.Servant{R: a}))
 		t.Cleanup(func() { remote.Close() })
-		return remote, []*typerepo.Local{r}
-	}},
-	{"replicagroup", func(t *testing.T) (typerepo.Repository, []*typerepo.Local) {
-		r0, r1 := typerepo.New(), typerepo.New()
-		g := replicaGroupOf(t, &typerepo.Servant{R: r0}, &typerepo.Servant{R: r1})
-		return typerepo.NewRemote(g), []*typerepo.Local{r0, r1}
-	}},
+		return remote
+	}, 1},
+	{"replicagroup", func(t *testing.T, a, b typerepo.Repository) typerepo.Repository {
+		return typerepo.NewRemote(replicaGroupOf(t, &typerepo.Servant{R: a}, &typerepo.Servant{R: b}))
+	}, 2},
 }
 
-// overTypeCarriers runs check once per row of the table.
+// overTypeCarriers runs check once per row of the table, over two fresh
+// stores.
 func overTypeCarriers(t *testing.T, check func(t *testing.T, repo typerepo.Repository, backing []*typerepo.Local)) {
 	for _, c := range typeCarriers {
 		t.Run(c.name, func(t *testing.T) {
-			repo, backing := c.build(t)
-			check(t, repo, backing)
+			backing := []*typerepo.Local{typerepo.New(), typerepo.New()}
+			check(t, c.carry(t, backing[0], backing[1]), backing[:c.reach])
 		})
+	}
+}
+
+// TestTypeErrorsKeepTheirIdentity: one failing call per sentinel, against
+// a repository holding BankTeller and BankManager. On every carrier the
+// error satisfies errors.Is for the sentinel and reads as the local
+// store's does.
+func TestTypeErrorsKeepTheirIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		is   error
+		call func(r typerepo.Repository) error
+	}{
+		{"not found", typerepo.ErrNotFound, func(r typerepo.Repository) error { _, err := r.LookupInterface("X"); return err }},
+		{"conflict", typerepo.ErrConflict, func(r typerepo.Repository) error {
+			return r.RegisterInterface(types.OpInterface("BankTeller", types.Op("Different", types.Params(), types.Term("OK"))))
+		}},
+		{"unsound declaration", typerepo.ErrBadDecl, func(r typerepo.Repository) error { return r.DeclareSubtype("BankTeller", "BankManager") }},
+		{"empty name", typerepo.ErrBadName, func(r typerepo.Repository) error { return r.RegisterData("", values.TInt()) }},
+		{"invalid type", typerepo.ErrBadType, func(r typerepo.Repository) error {
+			op := types.Op("Twice", types.Params(), types.Term("OK"))
+			return r.RegisterInterface(types.OpInterface("Bad", op, op))
+		}},
+		{"unregistered endpoint", typerepo.ErrBadRelate, func(r typerepo.Repository) error { return r.Relate("audits", "BankManager", "Ghost") }},
+	} {
+		var local error
+		for _, c := range typeCarriers {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				r := c.carry(t, typerepo.New(), typerepo.New())
+				for _, it := range []*types.Interface{tellerType(), managerType()} {
+					if err := r.RegisterInterface(it); err != nil {
+						t.Fatal(err)
+					}
+				}
+				err := tc.call(r)
+				if c.name == "local" {
+					local = err
+				}
+				if !errors.Is(err, tc.is) || local == nil || err.Error() != local.Error() {
+					t.Errorf("error %v, want %v wrapping %v", err, local, tc.is)
+				}
+			})
+		}
 	}
 }
 

@@ -2,28 +2,39 @@ package relocator
 
 // Like the trader, the relocator is an ODP infrastructure object: nodes in
 // other capsules (or other processes) reach it through an ordinary
-// operational interface. Servant adapts a Store to channel.Handler;
-// Remote is the one client proxy, satisfying both channel.Locator (for
-// binders) and engineering.LocationRegistry (for nodes), so a whole node
-// can be pointed at a relocator living elsewhere — behind one binding or
-// behind a replica group, which the proxy cannot tell apart.
+// operational interface, served by Servant and called through Remote —
+// behind one binding or behind a replica group, which the proxy cannot
+// tell apart.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
+	"repro/internal/stub"
 	"repro/internal/types"
 	"repro/internal/values"
 )
 
+// failures is the relocator's failure table: each sentinel crosses the
+// wire as itself. A sharded front-end's drain takes Unknown from a donor
+// to mean a client removed the entry, so a store that is failing —
+// NoShards, or a nested proxy's transport error — must not answer Unknown.
+var failures = stub.Failures{
+	{Term: "Unknown", Err: ErrUnknown},
+	{Term: "NoShards", Err: ErrNoShards},
+}
+
+var contract = stub.Contract{Service: "relocator", Type: InterfaceType(), Failures: failures}
+
 // InterfaceType returns the relocator's operational interface type.
 func InterfaceType() *types.Interface {
+	id := types.P("id", values.TString())
+	ref := types.Term("OK", types.P("ref", naming.RefDataType()))
 	return types.OpInterface("odp.Relocator",
-		types.Op("Register",
+		failures.Op("Register",
 			types.Params(types.P("ref", naming.RefDataType())),
 			types.Term("OK"),
 			// Stale carries the epoch the relocator currently holds, so a
@@ -33,38 +44,17 @@ func InterfaceType() *types.Interface {
 				types.P("current_epoch", values.TInt()),
 				types.P("refused_epoch", values.TInt()),
 			),
-			types.Term("Error", types.P("reason", values.TString())),
 		),
-		types.Op("Lookup",
-			types.Params(types.P("id", values.TString())),
-			types.Term("OK", types.P("ref", naming.RefDataType())),
-			types.Term("Unknown"),
-			types.Term("Error", types.P("reason", values.TString())),
-		),
-		types.Op("Move",
-			types.Params(
-				types.P("id", values.TString()),
-				types.P("to", values.TString()),
-			),
-			types.Term("OK", types.P("ref", naming.RefDataType())),
-			types.Term("Unknown"),
-			types.Term("Error", types.P("reason", values.TString())),
-		),
+		failures.Op("Lookup", types.Params(id), ref),
+		failures.Op("Move", types.Params(id, types.P("to", values.TString())), ref),
 		// Remove is an interrogation, not an announcement: it travels
 		// through Invoke on every carrier, and a lost one is an error the
 		// caller's retry policy sees instead of a dangling registration.
-		types.Op("Remove",
-			types.Params(types.P("id", values.TString())),
-			types.Term("OK"),
-			types.Term("Error", types.P("reason", values.TString())),
-		),
+		failures.Op("Remove", types.Params(id), types.Term("OK")),
 		// Snapshot enumerates every registration — the capability live
 		// shard migration needs to drain a relocator shard.
-		types.Op("Snapshot",
-			types.Params(),
-			types.Term("OK", types.P("refs", values.TSeq(naming.RefDataType()))),
-			types.Term("Error", types.P("reason", values.TString())),
-		),
+		failures.Op("Snapshot", types.Params(),
+			types.Term("OK", types.P("refs", values.TSeq(naming.RefDataType())))),
 	)
 }
 
@@ -77,93 +67,58 @@ type Servant struct {
 
 var _ channel.Handler = (*Servant)(nil)
 
-// arity is each operation's argument count. The servant checks it itself:
-// registered untyped, or joined to a group in process, it has no stub in
-// front of it to do so.
-var arity = map[string]int{"Register": 1, "Lookup": 1, "Move": 2, "Remove": 1, "Snapshot": 0}
-
 // Invoke implements channel.Handler.
 func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
-	fail := func(err error) (string, []values.Value, error) {
-		return "Error", []values.Value{values.Str(err.Error())}, nil
-	}
-	if n, ok := arity[op]; ok && len(args) != n {
-		return fail(fmt.Errorf("relocator: %s takes %d arguments, got %d", op, n, len(args)))
+	if err := contract.Admit(op, args); err != nil {
+		return contract.Reply(err)
 	}
 	switch op {
 	case "Register":
 		ref, err := naming.RefFromValue(args[0])
-		if err != nil {
-			return fail(err)
+		if err == nil {
+			err = s.R.Register(ref)
 		}
-		if err := s.R.Register(ref); err != nil {
-			var stale *StaleError
-			if errors.As(err, &stale) {
-				return "Stale", []values.Value{
-					values.Int(int64(stale.Current)),
-					values.Int(int64(stale.Refused)),
-				}, nil
-			}
-			return fail(err)
+		var stale *StaleError
+		if errors.As(err, &stale) {
+			return "Stale", []values.Value{values.Int(int64(stale.Current)), values.Int(int64(stale.Refused))}, nil
 		}
-		return "OK", nil, nil
+		return contract.Reply(err)
 	case "Lookup":
-		idStr, _ := args[0].AsString()
-		id, err := naming.ParseInterfaceID(idStr)
+		id, err := idFromValue(args[0])
 		if err != nil {
-			return fail(err)
+			return contract.Reply(err)
 		}
 		ref, err := s.R.Lookup(id)
-		if err != nil {
-			return "Unknown", nil, nil
-		}
-		return "OK", []values.Value{ref.ToValue()}, nil
+		return contract.Reply(err, ref.ToValue())
 	case "Move":
-		idStr, _ := args[0].AsString()
+		id, err := idFromValue(args[0])
+		if err != nil {
+			return contract.Reply(err)
+		}
 		to, _ := args[1].AsString()
-		id, err := naming.ParseInterfaceID(idStr)
-		if err != nil {
-			return fail(err)
-		}
 		ref, err := s.R.Move(id, naming.Endpoint(to))
-		if err != nil {
-			return "Unknown", nil, nil
-		}
-		return "OK", []values.Value{ref.ToValue()}, nil
+		return contract.Reply(err, ref.ToValue())
 	case "Remove":
-		idStr, _ := args[0].AsString()
-		id, err := naming.ParseInterfaceID(idStr)
-		if err != nil {
-			return fail(err)
+		id, err := idFromValue(args[0])
+		if err == nil {
+			s.R.Remove(id)
 		}
-		s.R.Remove(id)
-		return "OK", nil, nil
+		return contract.Reply(err)
 	case "Snapshot":
 		en, ok := s.R.(Enumerable)
 		if !ok {
-			return fail(fmt.Errorf("relocator: store cannot enumerate"))
+			return contract.Reply(fmt.Errorf("relocator: store cannot enumerate"))
 		}
 		refs, err := en.Snapshot()
-		if err != nil {
-			return fail(err)
-		}
-		out := make([]values.Value, len(refs))
-		for i, ref := range refs {
-			out[i] = ref.ToValue()
-		}
-		return "OK", []values.Value{values.Seq(out...)}, nil
+		return contract.Reply(err, stub.Seq(refs, naming.InterfaceRef.ToValue))
 	}
 	return "", nil, fmt.Errorf("relocator: no operation %q", op)
 }
 
-// carrier is whatever carries the proxy's calls to the relocator: a
-// *channel.Binding to the one node hosting it, or a
-// *coordination.ReplicaGroup or *coordination.FailoverGroup of such
-// bindings (or of in-process members). The channel decides how a call is
-// carried; the proxy never knows.
-type carrier interface {
-	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
-	Close() error
+// idFromValue decodes the interface id Lookup, Move and Remove name.
+func idFromValue(v values.Value) (naming.InterfaceID, error) {
+	s, _ := v.AsString()
+	return naming.ParseInterfaceID(s)
 }
 
 // Remote is the client proxy to a relocator hosted elsewhere. It
@@ -171,129 +126,59 @@ type carrier interface {
 // binders and whole nodes can use it, and Store and Enumerable, so it is
 // a shard of a Sharded front-end like a local *Relocator.
 type Remote struct {
-	c carrier
-	// read carries the operations that change nothing (Lookup, Snapshot):
-	// the carrier's InvokeRead when it has one — a replica group answers
-	// those from a single member instead of sequencing them through all —
-	// and its Invoke otherwise.
-	read func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	c stub.Client
 }
 
 // NewRemote returns a proxy whose calls travel over c.
-func NewRemote(c carrier) *Remote {
-	r := &Remote{c: c, read: c.Invoke}
-	if rd, ok := c.(interface {
-		InvokeRead(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
-	}); ok {
-		r.read = rd.InvokeRead
-	}
-	return r
-}
+func NewRemote(c stub.Carrier) *Remote { return &Remote{c: contract.Client(c)} }
 
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
-
-// callTimeout bounds every cross-process wait of the proxy (netchan's rule
-// 1: use timeouts): its operations' signatures carry no context, and a
-// partitioned relocator host must not block them for ever. 30s is what
-// odpnode -call, odpstat and odptrader's link contract allow a call.
-const callTimeout = 30 * time.Second
-
-// call carries one operation over invoke under callTimeout.
-func call(invoke func(context.Context, string, []values.Value) (string, []values.Value, error), op string, args []values.Value) (string, []values.Value, error) {
-	ctx, cancel := context.WithTimeout(context.TODO(), callTimeout)
-	defer cancel()
-	return invoke(ctx, op, args)
-}
 
 // Register records an interface location. A stale registration surfaces
 // as a *StaleError carrying both epochs, exactly as it would from a local
 // relocator.
 func (r *Remote) Register(ref naming.InterfaceRef) error {
-	term, res, err := call(r.c.Invoke, "Register", []values.Value{ref.ToValue()})
-	if err != nil {
-		return err
+	_, err := r.c.Update("Register", ref.ToValue())
+	var f *stub.Failed
+	if errors.As(err, &f) && f.Term == "Stale" && len(f.Results) == 2 {
+		current, _ := f.Results[0].AsInt()
+		refused, _ := f.Results[1].AsInt()
+		return &StaleError{ID: ref.ID, Current: uint64(current), Refused: uint64(refused)}
 	}
-	switch term {
-	case "OK":
-		return nil
-	case "Stale":
-		se := &StaleError{ID: ref.ID, Refused: ref.Epoch}
-		if len(res) == 2 {
-			if cur, ok := res[0].AsInt(); ok {
-				se.Current = uint64(cur)
-			}
-			if got, ok := res[1].AsInt(); ok {
-				se.Refused = uint64(got)
-			}
-		}
-		return se
-	}
-	return remoteFailure("Register", res)
+	return err
 }
 
 // Lookup resolves an interface's current location.
 func (r *Remote) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
-	term, res, err := call(r.read, "Lookup", []values.Value{values.Str(id.String())})
-	return refReply("Lookup", id, term, res, err)
+	return refReply(r.c.Read("Lookup", values.Str(id.String())))
 }
 
 // Move relocates an interface.
 func (r *Remote) Move(id naming.InterfaceID, to naming.Endpoint) (naming.InterfaceRef, error) {
-	term, res, err := call(r.c.Invoke, "Move", []values.Value{
-		values.Str(id.String()), values.Str(string(to)),
-	})
-	return refReply("Move", id, term, res, err)
+	return refReply(r.c.Update("Move", values.Str(id.String()), values.Str(string(to))))
 }
 
-// refReply decodes the reply Lookup and Move share: the interface's
-// reference, or Unknown rehydrated as ErrUnknown.
-func refReply(op string, id naming.InterfaceID, term string, res []values.Value, err error) (naming.InterfaceRef, error) {
-	switch {
-	case err != nil:
+// refReply decodes the reference Lookup and Move answer with.
+func refReply(res []values.Value, err error) (naming.InterfaceRef, error) {
+	if err != nil {
 		return naming.InterfaceRef{}, err
-	case term == "OK" && len(res) == 1:
-		return naming.RefFromValue(res[0])
-	case term == "Unknown":
-		return naming.InterfaceRef{}, fmt.Errorf("%w: %s", ErrUnknown, id)
 	}
-	return naming.InterfaceRef{}, remoteFailure(op, res)
+	return naming.RefFromValue(res[0])
 }
 
 // Remove deletes an interface's registration. The Store signature has no
 // error to return, so a failed call is dropped here — after the carrier's
 // own retry policy or fail-over has had its chance at it.
 func (r *Remote) Remove(id naming.InterfaceID) {
-	_, _, _ = call(r.c.Invoke, "Remove", []values.Value{values.Str(id.String())})
+	_, _ = r.c.Update("Remove", values.Str(id.String()))
 }
 
 // Snapshot enumerates the relocator's registrations.
 func (r *Remote) Snapshot() ([]naming.InterfaceRef, error) {
-	term, res, err := call(r.read, "Snapshot", nil)
+	res, err := r.c.Read("Snapshot")
 	if err != nil {
 		return nil, err
 	}
-	if term != "OK" || len(res) != 1 {
-		return nil, remoteFailure("Snapshot", res)
-	}
-	seq := res[0]
-	out := make([]naming.InterfaceRef, 0, seq.Len())
-	for i := 0; i < seq.Len(); i++ {
-		ref, err := naming.RefFromValue(seq.ElemAt(i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ref)
-	}
-	return out, nil
-}
-
-func remoteFailure(op string, res []values.Value) error {
-	reason := "unknown"
-	if len(res) == 1 {
-		if s, ok := res[0].AsString(); ok {
-			reason = s
-		}
-	}
-	return fmt.Errorf("relocator: remote %s failed: %s", op, reason)
+	return stub.Elems(res[0], naming.RefFromValue)
 }

@@ -3,9 +3,7 @@ package relocator
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
@@ -129,19 +127,17 @@ func (echoBehavior) Invoke(_ context.Context, _ string, args []values.Value) (st
 
 // TestServantArity: a servant registered untyped, or joined to a group in
 // process, has no stub checking argument counts in front of it, so a
-// short call to any declared operation must come back as the Error
-// termination, not a panic.
+// short or long call to any declared operation must come back as the
+// Error termination, not a panic.
 func TestServantArity(t *testing.T) {
 	s := &Servant{R: New()}
 	for _, op := range InterfaceType().Operations {
 		n := len(op.Params)
-		if got, ok := arity[op.Name]; !ok || got != n {
-			t.Errorf("arity[%s] = %d, %v; the interface type declares %d parameters", op.Name, got, ok, n)
+		calls := [][]values.Value{make([]values.Value, n+1)}
+		if n > 0 {
+			calls = append(calls, nil, make([]values.Value, n-1))
 		}
-		if n == 0 {
-			continue
-		}
-		for _, args := range [][]values.Value{nil, make([]values.Value, n-1)} {
+		for _, args := range calls {
 			term, res, err := s.Invoke(context.Background(), op.Name, args)
 			if err != nil || term != "Error" || len(res) != 1 {
 				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op.Name, len(args), n, term, res, err)
@@ -153,49 +149,22 @@ func TestServantArity(t *testing.T) {
 	}
 }
 
-// deadlineCarrier records how far away each operation's context deadline
-// was, then fails the call the way a partitioned host would: by waiting a
-// deadline out — a millisecond child of the proxy's context, so the test
-// does not sit through the proxy's own.
-type deadlineCarrier struct {
-	mu   sync.Mutex
-	left map[string]time.Duration // op -> time left at the call; absent without a deadline
-}
+// direct carries a proxy's calls straight to a servant in process.
+type direct struct{ channel.Handler }
 
-func (c *deadlineCarrier) Invoke(ctx context.Context, op string, _ []values.Value) (string, []values.Value, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		c.mu.Lock()
-		c.left[op] = time.Until(dl)
-		c.mu.Unlock()
-	}
-	ctx, cancel := context.WithTimeout(ctx, time.Millisecond)
-	defer cancel()
-	<-ctx.Done()
-	return "", nil, ctx.Err()
-}
+func (direct) Close() error { return nil }
 
-func (c *deadlineCarrier) Close() error { return nil }
-
-// TestRemoteCallsCarryADeadline: every operation of the proxy's table
-// reaches its carrier under the 30 s call deadline, and a call that waits
-// its deadline out returns an error wrapping context.DeadlineExceeded.
-func TestRemoteCallsCarryADeadline(t *testing.T) {
-	c := &deadlineCarrier{left: map[string]time.Duration{}}
-	r := NewRemote(c)
+// TestRemoteFailingStoreIsNotUnknown: behind a proxy, a store that fails
+// — here a sharded front-end with no shards — answers with its own
+// sentinel, not ErrUnknown, which a sharded front-end's drain would take
+// to mean that a client removed the entry.
+func TestRemoteFailingStoreIsNotUnknown(t *testing.T) {
+	r := NewRemote(direct{&Servant{R: NewSharded()}})
 	id := ref(1, "sim://a", 1).ID
-	ops := map[string]func() error{
-		"Register": func() error { return r.Register(ref(1, "sim://a", 1)) },
-		"Lookup":   func() error { _, err := r.Lookup(id); return err },
-		"Move":     func() error { _, err := r.Move(id, "sim://b"); return err },
-		"Remove":   func() error { r.Remove(id); return context.DeadlineExceeded }, // has no error to return
-		"Snapshot": func() error { _, err := r.Snapshot(); return err },
+	if _, err := r.Lookup(id); !errors.Is(err, ErrNoShards) || errors.Is(err, ErrUnknown) {
+		t.Errorf("Lookup = %v, want ErrNoShards", err)
 	}
-	for op, do := range ops {
-		if err := do(); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s against a carrier that never answers = %v, want context.DeadlineExceeded", op, err)
-		}
-		if left, ok := c.left[op]; !ok || left > 30*time.Second || left < 29*time.Second {
-			t.Errorf("%s reached the carrier with deadline %v away (set: %v), want 30s", op, left, ok)
-		}
+	if _, err := r.Move(id, "sim://b"); !errors.Is(err, ErrNoShards) || errors.Is(err, ErrUnknown) {
+		t.Errorf("Move = %v, want ErrNoShards", err)
 	}
 }

@@ -1,22 +1,121 @@
 package typerepo
 
+// The type repository is itself an ODP infrastructure object (Section 5
+// lists "a type repository or a trader" as the canonical examples), served
+// like the trader and the relocator: Servant adapts a Repository to
+// channel.Handler, the surface a node serves and a coordination replica
+// group fans out to, and Remote is the client proxy. That lets the
+// registration write path run ReplicaGroup-ordered across a fleet of
+// stores while readers keep the plain Repository interface.
+
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"repro/internal/stub"
 	"repro/internal/types"
 	"repro/internal/values"
 )
 
-// carrier is whatever carries the proxy's calls to the repository: a
-// *channel.Binding to the one node hosting it, or a
-// *coordination.ReplicaGroup or *coordination.FailoverGroup of such
-// bindings (or of in-process members). It is declared here, not
-// imported, so typerepo stays a leaf package.
-type carrier interface {
-	Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
-	Close() error
+// failures is the repository's failure table: each sentinel crosses the
+// wire as itself.
+var failures = stub.Failures{
+	{Term: "NotFound", Err: ErrNotFound},
+	{Term: "Conflict", Err: ErrConflict},
+	{Term: "BadDecl", Err: ErrBadDecl},
+	{Term: "BadName", Err: ErrBadName},
+	{Term: "BadType", Err: ErrBadType},
+	{Term: "BadRelate", Err: ErrBadRelate},
+}
+
+var contract = stub.Contract{Service: "typerepo", Type: InterfaceType(), Failures: failures}
+
+// InterfaceType returns the type repository's operational interface type:
+// one operation per Repository method. Encoded types travel as any.
+func InterfaceType() *types.Interface {
+	str := func(name string) types.Parameter { return types.P(name, values.TString()) }
+	typ := types.P("type", values.TAny())
+	ok := types.Term("OK")
+	names := types.Term("OK", types.P("names", values.TSeq(values.TString())))
+	return types.OpInterface("odp.TypeRepository",
+		failures.Op("RegisterInterface", types.Params(typ), ok),
+		failures.Op("RegisterData", types.Params(str("name"), typ), ok),
+		failures.Op("DeclareSubtype", types.Params(str("sub"), str("super")), ok),
+		failures.Op("Relate", types.Params(str("relation"), str("from"), str("to")), ok),
+		failures.Op("LookupInterface", types.Params(str("name")), types.Term("OK", typ)),
+		failures.Op("LookupData", types.Params(str("name")), types.Term("OK", typ)),
+		failures.Op("IsSubtype", types.Params(str("sub"), str("super")),
+			types.Term("OK", types.P("verdict", values.TBool()))),
+		failures.Op("Interfaces", types.Params(), names),
+		failures.Op("Supertypes", types.Params(str("name")), names),
+		failures.Op("Subtypes", types.Params(str("name")), names),
+		failures.Op("DeclaredSupertypes", types.Params(str("name")), names),
+		failures.Op("Related", types.Params(str("relation"), str("from")), names),
+		failures.Op("Gen", types.Params(), types.Term("OK", types.P("gen", values.TInt()))),
+	)
+}
+
+// Servant adapts a Repository to the servant call shape
+// (op string, args []values.Value) -> (term, results, error).
+type Servant struct {
+	R Repository
+}
+
+// Invoke dispatches one repository operation.
+func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
+	if err := contract.Admit(op, args); err != nil {
+		return contract.Reply(err)
+	}
+	str := func(i int) string { v, _ := args[i].AsString(); return v }
+	names := func(ss []string, err error) (string, []values.Value, error) {
+		return contract.Reply(err, stub.Seq(ss, values.Str))
+	}
+	switch op {
+	case "RegisterInterface":
+		it, err := types.InterfaceFromValue(stub.Bare(args[0]))
+		if err != nil {
+			return contract.Reply(fmt.Errorf("%w: %v", ErrBadType, err))
+		}
+		return contract.Reply(s.R.RegisterInterface(it))
+	case "RegisterData":
+		dt, err := types.DataTypeFromValue(stub.Bare(args[1]))
+		if err != nil {
+			return contract.Reply(fmt.Errorf("%w: %v", ErrBadType, err))
+		}
+		return contract.Reply(s.R.RegisterData(str(0), dt))
+	case "DeclareSubtype":
+		return contract.Reply(s.R.DeclareSubtype(str(0), str(1)))
+	case "Relate":
+		return contract.Reply(s.R.Relate(str(0), str(1), str(2)))
+	case "LookupInterface":
+		it, err := s.R.LookupInterface(str(0))
+		if err != nil {
+			return contract.Reply(err)
+		}
+		return contract.Reply(nil, stub.Any(it.ToValue()))
+	case "LookupData":
+		dt, err := s.R.LookupData(str(0))
+		if err != nil {
+			return contract.Reply(err)
+		}
+		return contract.Reply(nil, stub.Any(types.DataTypeToValue(dt)))
+	case "IsSubtype":
+		ok, err := s.R.IsSubtype(str(0), str(1))
+		return contract.Reply(err, values.Bool(ok))
+	case "Interfaces":
+		return names(s.R.Interfaces(), nil)
+	case "Supertypes":
+		return names(s.R.Supertypes(str(0)))
+	case "Subtypes":
+		return names(s.R.Subtypes(str(0)))
+	case "DeclaredSupertypes":
+		return names(s.R.DeclaredSupertypes(str(0)), nil)
+	case "Related":
+		return names(s.R.Related(str(0), str(1)), nil)
+	case "Gen":
+		return contract.Reply(nil, values.Int(int64(s.R.Gen())))
+	}
+	return "", nil, fmt.Errorf("typerepo: no operation %q", op)
 }
 
 // Remote is the client proxy to a repository hosted elsewhere: a
@@ -27,83 +126,29 @@ type carrier interface {
 // NewReplicated, whose gen-fenced local replicas serve the hot reads
 // while the rare writes funnel through the group's total order.
 type Remote struct {
-	c carrier
-	// read carries the operations that register nothing: the carrier's
-	// InvokeRead when it has one, and its Invoke otherwise.
-	read func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
+	c stub.Client
 }
 
 var _ Repository = (*Remote)(nil)
 
 // NewRemote returns a proxy whose calls travel over c.
-func NewRemote(c carrier) *Remote {
-	r := &Remote{c: c, read: c.Invoke}
-	if rd, ok := c.(interface {
-		InvokeRead(ctx context.Context, op string, args []values.Value) (string, []values.Value, error)
-	}); ok {
-		r.read = rd.InvokeRead
-	}
-	return r
-}
+func NewRemote(c stub.Carrier) *Remote { return &Remote{c: contract.Client(c)} }
 
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
 
-// callTimeout bounds every cross-process wait of the proxy (netchan's rule
-// 1: use timeouts): its operations' signatures carry no context, and a
-// partitioned repository host must not block them for ever. 30s is what
-// odpnode -call, odpstat and odptrader's link contract allow a call.
-const callTimeout = 30 * time.Second
-
-// call carries one operation over invoke under callTimeout.
-func call(invoke func(context.Context, string, []values.Value) (string, []values.Value, error), op string, args []values.Value) (string, []values.Value, error) {
-	ctx, cancel := context.WithTimeout(context.TODO(), callTimeout)
-	defer cancel()
-	return invoke(ctx, op, args)
-}
-
-// reply decodes a call's outcome: the results on OK, and otherwise the
-// sentinel condition the servant encoded in the termination, so
-// errors.Is works across the boundary.
-func reply(op, term string, res []values.Value, err error) ([]values.Value, error) {
-	if err != nil {
-		return nil, err
-	}
-	if term == "OK" {
-		return res, nil
-	}
-	reason := "unknown"
-	if len(res) == 1 {
-		if s, ok := res[0].AsString(); ok {
-			reason = s
-		}
-	}
-	switch term {
-	case "NotFound":
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, reason)
-	case "Conflict":
-		return nil, fmt.Errorf("%w: %s", ErrConflict, reason)
-	}
-	return nil, fmt.Errorf("typerepo: remote %s failed: %s", op, reason)
-}
-
 func (r *Remote) write(op string, args ...values.Value) error {
-	term, res, err := call(r.c.Invoke, op, args)
-	_, err = reply(op, term, res, err)
+	_, err := r.c.Update(op, args...)
 	return err
 }
 
 // query returns the single result every read operation answers with.
 func (r *Remote) query(op string, args ...values.Value) (values.Value, error) {
-	term, res, err := call(r.read, op, args)
-	res, err = reply(op, term, res, err)
+	res, err := r.c.Read(op, args...)
 	if err != nil {
 		return values.Value{}, err
 	}
-	if len(res) != 1 {
-		return values.Value{}, fmt.Errorf("typerepo: remote %s returned %d results, want 1", op, len(res))
-	}
-	return res[0], nil
+	return stub.Bare(res[0]), nil
 }
 
 // names is query for the operations that answer with a list of type
@@ -113,20 +158,16 @@ func (r *Remote) names(op string, args ...values.Value) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, 0, v.Len())
-	for i := 0; i < v.Len(); i++ {
-		s, _ := v.ElemAt(i).AsString()
-		out = append(out, s)
-	}
-	return out, nil
+	return stub.Elems(v, func(e values.Value) (string, error) { s, _ := e.AsString(); return s, nil })
 }
 
-// RegisterInterface registers an interface type.
+// RegisterInterface registers an interface type. A type the store would
+// refuse is refused before it travels, as the store would.
 func (r *Remote) RegisterInterface(it *types.Interface) error {
-	if it == nil {
-		return fmt.Errorf("%w: nil interface", ErrBadType)
+	if err := checkInterface(it); err != nil {
+		return err
 	}
-	return r.write("RegisterInterface", it.ToValue())
+	return r.write("RegisterInterface", stub.Any(it.ToValue()))
 }
 
 // RegisterData registers a named data type.
@@ -134,7 +175,7 @@ func (r *Remote) RegisterData(name string, dt *values.DataType) error {
 	if dt == nil {
 		return fmt.Errorf("%w: nil data type", ErrBadType)
 	}
-	return r.write("RegisterData", values.Str(name), types.DataTypeToValue(dt))
+	return r.write("RegisterData", values.Str(name), stub.Any(types.DataTypeToValue(dt)))
 }
 
 // DeclareSubtype records a declared subtype edge.

@@ -87,11 +87,8 @@ func New() *Local {
 // idempotent; registering a different type under an existing name fails
 // with ErrConflict.
 func (r *Local) RegisterInterface(it *types.Interface) error {
-	if it == nil {
-		return fmt.Errorf("%w: nil interface", ErrBadType)
-	}
-	if err := it.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadType, err)
+	if err := checkInterface(it); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -108,6 +105,18 @@ func (r *Local) RegisterInterface(it *types.Interface) error {
 	// closure) know theirs went stale too.
 	r.subCache = make(map[subKey]bool)
 	r.gen.Add(1)
+	return nil
+}
+
+// checkInterface is the one admission rule for an interface type: the
+// store applies it, and a proxy applies it before the type travels.
+func checkInterface(it *types.Interface) error {
+	if it == nil {
+		return fmt.Errorf("%w: nil interface", ErrBadType)
+	}
+	if err := it.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadType, err)
+	}
 	return nil
 }
 

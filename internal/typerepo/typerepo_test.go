@@ -339,29 +339,33 @@ func TestConcurrentUse(t *testing.T) {
 
 // TestServantArity: the servant is registered untyped or joined to a
 // group in process, so no stub checks argument counts in front of it: a
-// short call to any operation must come back as the Error termination,
-// not a panic.
+// short or long call to any operation must come back as the Error
+// termination, not a panic.
 func TestServantArity(t *testing.T) {
 	s := &Servant{R: New()}
-	// The servant's operations are the Repository methods, one for one.
+	// The interface type's operations are the Repository methods, one for
+	// one, each taking the method's arguments.
+	it := InterfaceType()
 	repo := reflect.TypeOf((*Repository)(nil)).Elem()
 	for i := 0; i < repo.NumMethod(); i++ {
 		m := repo.Method(i)
-		if n, ok := arity[m.Name]; !ok || n != m.Type.NumIn() {
-			t.Errorf("arity[%s] = %d, %v; Repository.%s takes %d arguments", m.Name, n, ok, m.Name, m.Type.NumIn())
+		if op, ok := it.Operation(m.Name); !ok || len(op.Params) != m.Type.NumIn() {
+			t.Errorf("operation %s: %d parameters, declared %v; Repository.%s takes %d arguments", m.Name, len(op.Params), ok, m.Name, m.Type.NumIn())
 		}
 	}
-	if len(arity) != repo.NumMethod() {
-		t.Errorf("arity lists %d operations, Repository has %d methods", len(arity), repo.NumMethod())
+	if len(it.Operations) != repo.NumMethod() {
+		t.Errorf("the interface type declares %d operations, Repository has %d methods", len(it.Operations), repo.NumMethod())
 	}
-	for op, n := range arity {
-		if n == 0 {
-			continue
+	for _, op := range it.Operations {
+		n := len(op.Params)
+		calls := [][]values.Value{make([]values.Value, n+1)}
+		if n > 0 {
+			calls = append(calls, nil, make([]values.Value, n-1))
 		}
-		for _, args := range [][]values.Value{nil, make([]values.Value, n-1)} {
-			term, res, err := s.Invoke(context.Background(), op, args)
+		for _, args := range calls {
+			term, res, err := s.Invoke(context.Background(), op.Name, args)
 			if err != nil || term != "Error" || len(res) != 1 {
-				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op, len(args), n, term, res, err)
+				t.Errorf("%s with %d of %d arguments = %q, %v, %v; want the Error termination", op.Name, len(args), n, term, res, err)
 			}
 		}
 	}

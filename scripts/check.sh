@@ -63,6 +63,30 @@ if go list -f '{{join .Imports "\n"}}' ./internal/coordination |
 	exit 1
 fi
 
+echo "== one wire contract gate (the infrastructure objects share one client and server stub) =="
+# How a trader, relocator or type repository call is carried and how its
+# failures cross the wire is internal/stub's alone: the carrier interface,
+# the InvokeRead routing, the call timeout, the reply decoder, the argument
+# count and the error-to-termination mapping. No service may declare its
+# own again, and the stub's context.TODO() stays the only one outside
+# bench/. internal/stub imports only the standard library, types and
+# values, so typerepo stays a leaf.
+if grep -nE 'callTimeout|type carrier\b|remoteFailure|var arity\b|context\.TODO' \
+	$(find internal/trader internal/relocator internal/typerepo -name '*.go' ! -name '*_test.go'); then
+	echo "internal/{trader,relocator,typerepo}: a service hand-writes its stub again (declare a stub.Contract)"
+	exit 1
+fi
+todo=$(grep -rlF 'context.TODO()' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | wc -l)
+if [ "$todo" -gt 1 ]; then
+	grep -rlF 'context.TODO()' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build .
+	echo "context.TODO() in $todo non-test files (internal/stub's call timeout is the one)"
+	exit 1
+fi
+if go list -f '{{join .Imports "\n"}}' ./internal/stub | grep -E '^repro/' | grep -vxE 'repro/internal/(types|values)'; then
+	echo "internal/stub: imports a repository package other than types and values"
+	exit 1
+fi
+
 echo "== one-protocol gate (one shard move for the trader and the relocator) =="
 # The live ring change — ring, previous ring, epoch, change lock, member
 # set — is hashring.Partition's alone: neither front-end may declare its own
@@ -212,7 +236,7 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
-	./internal/engineering/ \
+	./internal/engineering/ ./internal/stub/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
 
 echo "== bounded log (recovery across checkpoints, three schedules under the race detector) =="
