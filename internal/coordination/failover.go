@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/policy"
 	"repro/internal/values"
@@ -31,85 +32,52 @@ type FailoverGroup struct {
 	// caller's context.
 	Policy policy.RetryPolicy
 
-	mu         sync.Mutex
-	members    []member
-	promotions uint64
-	// unrecovered is set from a promotion until OnPromote has succeeded
-	// for the primary: until then the primary serves nothing, and every
-	// invocation runs the hook again first.
-	unrecovered bool
+	membership
+	promotions atomic.Uint64
+	recovery   sync.Mutex // held while OnPromote runs: one recovery at a time
 }
 
 // NewFailoverGroup returns an empty group; the first member added becomes
 // the primary.
 func NewFailoverGroup() *FailoverGroup { return &FailoverGroup{} }
 
-// Add appends a member (primary first, then backups in promotion order).
-func (g *FailoverGroup) Add(name string, inv Invoker) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m.name == name {
-			return fmt.Errorf("coordination: member %q already in group", name)
-		}
-	}
-	g.members = append(g.members, member{name: name, inv: inv})
-	return nil
-}
-
-// Size returns the number of live members.
-func (g *FailoverGroup) Size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
-}
-
 // Primary returns the current primary's name ("" when the group is empty).
 func (g *FailoverGroup) Primary() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.members) == 0 {
-		return ""
+	if v := g.load(); len(v.members) > 0 {
+		return v.members[0].name
 	}
-	return g.members[0].name
+	return ""
 }
 
 // Promotions returns how many fail-overs have occurred.
-func (g *FailoverGroup) Promotions() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.promotions
-}
+func (g *FailoverGroup) Promotions() uint64 { return g.promotions.Load() }
 
 // Invoke sends the operation to the primary, failing over through the
-// backups until one answers. The group lock is held only to read the
-// primary and to promote — never across the network call — so concurrent
-// invocations proceed in parallel against the primary. When the primary
-// fails under several callers at once, exactly one of them performs the
-// demotion and promotion (the others observe the new primary and retry),
-// so promotions stay race-free.
+// backups until one answers. No lock is held across the network call,
+// so concurrent invocations proceed in parallel against the primary.
+// When the primary fails under several callers at once, exactly one of
+// them demotes it and promotes the next member (a compare-and-swap of
+// the membership; the others observe the new primary and retry), so
+// promotions stay race-free.
 func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	pol := g.Policy
 	ctx, cancel := pol.WithBudget(ctx)
 	defer cancel()
 	attempt := 0
 	for {
-		g.mu.Lock()
-		if len(g.members) == 0 {
-			g.mu.Unlock()
+		v := g.load()
+		if len(v.members) == 0 {
 			return "", nil, ErrEmptyGroup
 		}
-		primary := g.members[0]
-		if g.unrecovered {
-			// The hook runs under the lock: the promoted member must not
-			// serve an invocation before its state is recovered.
-			if perr := g.OnPromote(primary.name); perr != nil {
-				g.mu.Unlock()
-				return "", nil, fmt.Errorf("coordination: promotion of %q failed: %w", primary.name, perr)
+		primary := v.members[0]
+		if v.unrecovered {
+			// The promoted member serves nothing before its state is
+			// recovered; one caller runs the hook, the rest wait for it.
+			if err := g.recover(primary); err != nil {
+				return "", nil, err
 			}
-			g.unrecovered = false
+			continue
 		}
-		g.mu.Unlock()
 		term, res, err := primary.inv.Invoke(ctx, op, args)
 		if err == nil {
 			return term, res, nil
@@ -123,17 +91,17 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 		}
 		// Primary is gone: drop it and promote the next member — unless a
 		// concurrent caller already did (then just retry the new primary).
-		g.mu.Lock()
-		if len(g.members) > 0 && g.members[0].inv == primary.inv {
+		if g.change(func(v view) (view, bool) {
+			if len(v.members) == 0 || v.members[0] != primary {
+				return v, false
+			}
+			v.members = append([]member(nil), v.members[1:]...)
+			v.unrecovered = g.OnPromote != nil && len(v.members) > 0
+			return v, true
+		}) {
+			g.promotions.Add(1)
 			_ = primary.inv.Close()
-			copy(g.members, g.members[1:])
-			last := len(g.members) - 1
-			g.members[last] = member{} // clear the vacated slot
-			g.members = g.members[:last]
-			g.promotions++
-			g.unrecovered = g.OnPromote != nil && len(g.members) > 0
 		}
-		g.mu.Unlock()
 		// Pace the retry against the freshly promoted member, whose
 		// recovery runs first.
 		if werr := policy.Wait(ctx, pol.Backoff(attempt)); werr != nil {
@@ -142,17 +110,21 @@ func (g *FailoverGroup) Invoke(ctx context.Context, op string, args []values.Val
 	}
 }
 
-// Close releases every member channel.
-func (g *FailoverGroup) Close() error {
-	g.mu.Lock()
-	members := g.members
-	g.members = nil
-	g.mu.Unlock()
-	var first error
-	for _, m := range members {
-		if err := m.inv.Close(); err != nil && first == nil {
-			first = err
-		}
+// recover runs OnPromote for primary unless another caller already has,
+// and marks the primary recovered when the hook succeeds.
+func (g *FailoverGroup) recover(primary member) error {
+	g.recovery.Lock()
+	defer g.recovery.Unlock()
+	if v := g.load(); !v.unrecovered || len(v.members) == 0 || v.members[0] != primary {
+		return nil
 	}
-	return first
+	if err := g.OnPromote(primary.name); err != nil {
+		return fmt.Errorf("coordination: promotion of %q failed: %w", primary.name, err)
+	}
+	g.change(func(v view) (view, bool) {
+		ok := v.unrecovered && len(v.members) > 0 && v.members[0] == primary
+		v.unrecovered = false
+		return v, ok
+	})
+	return nil
 }

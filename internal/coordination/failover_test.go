@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/channel"
@@ -111,6 +113,59 @@ func TestFailoverGroupPromotionHookFailure(t *testing.T) {
 	if want := []string{"b", "b", "b"}; !reflect.DeepEqual(hooks, want) || b.calls != 2 || g.Promotions() != 1 {
 		t.Errorf("hooks %v, b served %d, promotions %d; want hooks %v, 2 served, 1 promotion",
 			hooks, b.calls, g.Promotions(), want)
+	}
+}
+
+// recoveryCheck is a backup that notes every invocation it serves before
+// its promotion hook has run.
+type recoveryCheck struct {
+	fakeInvoker
+	recovered atomic.Bool
+	early     atomic.Int64
+}
+
+func (r *recoveryCheck) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
+	if !r.recovered.Load() {
+		r.early.Add(1)
+	}
+	return r.fakeInvoker.Invoke(ctx, op, args)
+}
+
+// TestFailoverGroupConcurrentPromotion: when the primary fails under
+// several callers at once, exactly one of them promotes, the hook runs
+// once, and the promoted member serves no caller before it has.
+func TestFailoverGroupConcurrentPromotion(t *testing.T) {
+	const callers, calls = 8, 20
+	g := NewFailoverGroup()
+	b := &recoveryCheck{}
+	var hooks atomic.Int64
+	g.OnPromote = func(name string) error {
+		hooks.Add(1)
+		b.recovered.Store(true)
+		return nil
+	}
+	if err := g.Add("a", &fakeInvoker{fail: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add("b", b); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, _, err := g.Invoke(context.Background(), "Get", nil); err != nil {
+					t.Errorf("invoke: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if g.Promotions() != 1 || hooks.Load() != 1 || b.early.Load() != 0 || g.Primary() != "b" {
+		t.Fatalf("promotions %d, hooks %d, served before recovery %d, primary %q; want 1, 1, 0, b",
+			g.Promotions(), hooks.Load(), b.early.Load(), g.Primary())
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fanout"
@@ -88,6 +88,108 @@ type ReadMeta struct {
 	Failovers int    // members that failed before one answered
 }
 
+// member is one replica or backup: its unique name and its channel.
+type member struct {
+	name string
+	inv  Invoker
+}
+
+// view is one published membership. Nothing writes a view, or the member
+// slice it holds, once it is published: a change builds the next view and
+// swaps it in whole.
+type view struct {
+	members []member
+	peak    int // largest membership ever seen; the quorum baseline
+	// unrecovered marks a FailoverGroup primary that was promoted and has
+	// not yet been recovered by OnPromote. It changes with the promotion,
+	// in one swap, so no caller can see the new primary without it.
+	unrecovered bool
+}
+
+// membership is the member list both group forms share. Readers load the
+// current view without a lock and without a copy.
+type membership struct{ cur atomic.Pointer[view] }
+
+func (g *membership) load() view {
+	if v := g.cur.Load(); v != nil {
+		return *v
+	}
+	return view{}
+}
+
+// change publishes the view f makes of the current one, retrying from the
+// newer view when a concurrent change got there first. f reports whether
+// it changes anything; nothing is published when it does not.
+func (g *membership) change(f func(v view) (view, bool)) bool {
+	for {
+		old := g.cur.Load()
+		var v view
+		if old != nil {
+			v = *old
+		}
+		next, ok := f(v)
+		if !ok {
+			return false
+		}
+		next.peak = max(next.peak, len(next.members))
+		if g.cur.CompareAndSwap(old, &next) {
+			return true
+		}
+	}
+}
+
+// remove publishes the current view without the members gone picks and
+// returns them, so the caller that removed a member is the one that
+// closes it.
+func (g *membership) remove(gone func(member) bool) []member {
+	var removed []member
+	g.change(func(v view) (view, bool) {
+		removed = nil
+		kept := make([]member, 0, len(v.members))
+		for _, m := range v.members {
+			if gone(m) {
+				removed = append(removed, m)
+			} else {
+				kept = append(kept, m)
+			}
+		}
+		v.members = kept
+		return v, len(removed) > 0
+	})
+	return removed
+}
+
+// Add attaches a member under a unique name. A FailoverGroup promotes its
+// members in the order they were added, the first being the primary.
+func (g *membership) Add(name string, inv Invoker) error {
+	var err error
+	g.change(func(v view) (view, bool) {
+		for _, m := range v.members {
+			if m.name == name {
+				err = fmt.Errorf("coordination: member %q already in group", name)
+				return v, false
+			}
+		}
+		v.members = append(slices.Clip(v.members), member{name: name, inv: inv})
+		return v, true
+	})
+	return err
+}
+
+// Size returns the number of members.
+func (g *membership) Size() int { return len(g.load().members) }
+
+// Close releases every member channel.
+func (g *membership) Close() error {
+	var first error
+	for _, m := range g.remove(func(member) bool { return true }) {
+		if err := m.inv.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // ReplicaGroup realises replication transparency (Section 9): it
 // "maintains consistency of a group of replica objects with a common
 // interface" while presenting the interface of a single object.
@@ -95,12 +197,14 @@ type ReadMeta struct {
 // The mechanism is active replication behind a sequencer: the group proxy
 // serialises updates (it is the sequencer) and applies each to every live
 // replica in the same order, so deterministic replicas stay identical.
-// The sequencer holds the group lock only long enough to assign the
-// update its place in the total order and snapshot the membership; the
-// update itself then fans out to all replicas concurrently, so one update
-// costs max(replica round trip), not the sum. A per-group ticket keeps
-// fan-outs strictly in sequence order — replica i receives update k+1
-// only after every replica has finished update k — which is what keeps
+// The sequencer is one slot that an update holds from before it reads the
+// membership until it has recorded every replica's outcome and dropped
+// the replicas that failed; an update whose context ends while it waits
+// for the slot returns ctx.Err() and is applied nowhere. Inside the slot
+// the update fans out to all replicas concurrently, so one update costs
+// max(replica round trip), not the sum. Replica i therefore receives
+// update k+1 only after every replica has finished update k, and update
+// k+1 reaches no replica that failed update k — which is what keeps
 // deterministic replicas identical under concurrent callers.
 //
 // Replies are compared; divergence is counted and reported. Reads go to a
@@ -116,18 +220,9 @@ type ReadMeta struct {
 // multiplexes over one transport session per node, so adding replicas on
 // a node adds bindings, not connections.
 type ReplicaGroup struct {
-	mu      sync.Mutex
-	members []member
-	next    int    // read rotation cursor
-	ticket  uint64 // next update sequence number to hand out
-
-	// The sequencer's admission gate: fan-outs run one at a time, in
-	// ticket order.
-	seqMu   sync.Mutex
-	seqCond *sync.Cond
-	serving uint64 // ticket currently admitted to fan out
-
-	peak int // largest membership ever seen; the quorum baseline
+	membership
+	slot chan struct{} // the sequencer: full while an update is in it
+	next atomic.Uint64 // read rotation cursor
 
 	updates       atomic.Uint64
 	reads         atomic.Uint64
@@ -153,56 +248,27 @@ func (g *ReplicaGroup) Instrument(ins *mgmt.GroupInstruments) {
 	g.insp.Store(ins)
 }
 
-type member struct {
-	name string
-	inv  Invoker
-}
-
 // NewReplicaGroup returns an empty group.
 func NewReplicaGroup() *ReplicaGroup {
-	g := &ReplicaGroup{}
-	g.seqCond = sync.NewCond(&g.seqMu)
-	return g
-}
-
-// Add attaches a replica under a unique name.
-func (g *ReplicaGroup) Add(name string, inv Invoker) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m.name == name {
-			return fmt.Errorf("coordination: member %q already in group", name)
-		}
-	}
-	g.members = append(g.members, member{name: name, inv: inv})
-	if len(g.members) > g.peak {
-		g.peak = len(g.members)
-	}
-	return nil
+	return &ReplicaGroup{slot: make(chan struct{}, 1)}
 }
 
 // Remove detaches a replica and closes its channel.
 func (g *ReplicaGroup) Remove(name string) error {
-	g.mu.Lock()
-	for i, m := range g.members {
-		if m.name == name {
-			copy(g.members[i:], g.members[i+1:])
-			last := len(g.members) - 1
-			g.members[last] = member{} // clear the vacated slot
-			g.members = g.members[:last]
-			g.mu.Unlock()
-			return m.inv.Close()
-		}
+	gone := g.remove(func(m member) bool { return m.name == name })
+	if len(gone) == 0 {
+		return fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
 	}
-	g.mu.Unlock()
-	return fmt.Errorf("%w: %q", ErrNoSuchGroup, name)
+	return gone[0].inv.Close()
 }
 
-// Size returns the number of attached replicas.
-func (g *ReplicaGroup) Size() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
+// drop removes and closes the given members, matching by identity as
+// well as name so a replica re-added under a reused name is not removed
+// by a stale failure.
+func (g *ReplicaGroup) drop(failed []member) {
+	for _, m := range g.remove(func(m member) bool { return slices.Contains(failed, m) }) {
+		_ = m.inv.Close()
+	}
 }
 
 // reply is one replica's answer to a fanned-out update.
@@ -212,39 +278,54 @@ type reply struct {
 	err  error
 }
 
-// invokeAll invokes op on every member of snap concurrently (bounded at
+// invokeAll invokes op on every member of legs concurrently (bounded at
 // maxFanout goroutines) and returns the collected replies, index-aligned
-// with snap.
-func invokeAll(ctx context.Context, tr *mgmt.Tracer, snap []member, op string, args []values.Value) []reply {
-	replies := make([]reply, len(snap))
-	// invokeOne runs one replica's leg under its own child span, so a trace
-	// shows each replica's round trip separately inside the update.
-	invokeOne := func(i int) {
-		// The span name is built only when tracing: the concatenation would
-		// otherwise allocate on every uninstrumented leg.
-		cctx := ctx
-		var sp *mgmt.ActiveSpan
-		if tr != nil {
-			cctx, sp = tr.Start(ctx, "replica:"+snap[i].name)
-		}
-		r := &replies[i]
-		r.term, r.res, r.err = snap[i].inv.Invoke(cctx, op, args)
-		sp.Fail(r.err)
-		sp.End()
-	}
-	if len(snap) == 1 {
-		invokeOne(0)
+// with legs.
+func invokeAll(ctx context.Context, tr *mgmt.Tracer, legs []member, op string, args []values.Value) []reply {
+	replies := make([]reply, len(legs))
+	if len(legs) == 1 {
+		invokeLeg(ctx, tr, legs[0], &replies[0], op, args)
 		return replies
 	}
-	fanout.Do(len(snap), maxFanout, invokeOne)
+	fanout.Do(len(legs), maxFanout, func(i int) { invokeLeg(ctx, tr, legs[i], &replies[i], op, args) })
 	return replies
 }
 
-// Invoke applies an update to every replica in one total order (the
-// ticket is the sequencer). Failed replicas are dropped from the group on
-// completion — that is the failure-masking half of replication
-// transparency. The reply is the first successful one; disagreement among
-// successful replies is counted as divergence and reported as an error.
+// invokeLeg runs one replica's leg under its own child span, so a trace
+// shows each replica's round trip separately inside the update.
+func invokeLeg(ctx context.Context, tr *mgmt.Tracer, m member, r *reply, op string, args []values.Value) {
+	// The span name is built only when tracing: the concatenation would
+	// otherwise allocate on every uninstrumented leg.
+	var sp *mgmt.ActiveSpan
+	if tr != nil {
+		ctx, sp = tr.Start(ctx, "replica:"+m.name)
+	}
+	r.term, r.res, r.err = m.inv.Invoke(ctx, op, args)
+	sp.Fail(r.err)
+	sp.End()
+}
+
+// enter takes the sequencer's slot, or returns ctx.Err() when the
+// caller's context ends first.
+func (g *ReplicaGroup) enter(ctx context.Context) error {
+	select {
+	case g.slot <- struct{}{}:
+		if err := ctx.Err(); err != nil { // both were ready: do not apply
+			<-g.slot
+			return err
+		}
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Invoke applies an update to every replica in one total order (the slot
+// is the sequencer). Failed replicas are dropped from the group before
+// the next update starts — that is the failure-masking half of
+// replication transparency. The reply is the first successful one;
+// disagreement among successful replies is counted as divergence and
+// reported as an error.
 func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	g.updates.Add(1)
 	ins := g.insp.Load()
@@ -253,45 +334,35 @@ func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Valu
 		tr = ins.Tracer
 	}
 
-	// Serial section: assign the sequence number, snapshot the membership.
-	g.mu.Lock()
-	if len(g.members) == 0 {
-		g.mu.Unlock()
-		return "", nil, ErrEmptyGroup
-	}
-	ticket := g.ticket
-	g.ticket++
-	snap := make([]member, len(g.members))
-	copy(snap, g.members)
-	g.mu.Unlock()
-
-	// The update span covers the wait for the total order plus the whole
-	// fan-out; each replica leg is a child span.
+	// The update span covers the wait for the slot plus the whole fan-out;
+	// each replica leg is a child span.
 	uctx := ctx
 	var usp *mgmt.ActiveSpan
 	if tr != nil {
 		uctx, usp = tr.Start(ctx, "replica.update:"+op)
 	}
-
-	// Wait for this update's place in the total order, fan out, release.
-	g.seqMu.Lock()
-	for g.serving != ticket {
-		g.seqCond.Wait()
+	fail := func(err error) (string, []values.Value, error) {
+		usp.Fail(err)
+		endUpdate(ins, usp)
+		return "", nil, err
 	}
-	g.seqMu.Unlock()
+	if err := g.enter(ctx); err != nil {
+		return fail(err)
+	}
 
-	// Inside the sequence slot: gate each member on its breaker. Members
-	// whose circuit is open sit the update out (a skipped leg, not a
-	// failure); a member granted its half-open probe is first caught up by
-	// OnRejoin, so it re-enters having seen every update before this one.
+	// Inside the slot: gate each member on its breaker. Members whose
+	// circuit is open sit the update out (a skipped leg, not a failure); a
+	// member granted its half-open probe is first caught up by OnRejoin,
+	// so it re-enters having seen every update before this one.
+	members := g.load().members
 	mp := g.mpol.Load()
-	legs := snap
+	legs := members
 	var brs []*policy.Breaker
 	skipped := 0
 	if mp != nil && mp.Breakers != nil {
-		legs = make([]member, 0, len(snap))
-		brs = make([]*policy.Breaker, 0, len(snap))
-		for _, m := range snap {
+		legs = make([]member, 0, len(members))
+		brs = make([]*policy.Breaker, 0, len(members))
+		for _, m := range members {
 			br := mp.Breakers.For(m.name)
 			ok, probe := br.Allow()
 			if !ok {
@@ -309,76 +380,42 @@ func (g *ReplicaGroup) Invoke(ctx context.Context, op string, args []values.Valu
 			brs = append(brs, br)
 		}
 	}
-	var replies []reply
-	if len(legs) > 0 {
-		replies = invokeAll(uctx, tr, legs, op, args)
-	}
-
-	g.seqMu.Lock()
-	g.serving++
-	g.seqMu.Unlock()
-	g.seqCond.Broadcast()
-
-	for i := range brs {
-		brs[i].Record(replies[i].err == nil)
-	}
-	if skipped > 0 {
-		g.skippedLegs.Add(uint64(skipped))
-	}
-	if len(legs) == 0 {
-		err := fmt.Errorf("%w: all %d replicas of the group", policy.ErrCircuitOpen, len(snap))
-		usp.Fail(err)
-		endUpdate(ins, usp)
-		return "", nil, err
-	}
-
-	// Post-processing is local: detect divergence on the collected set,
-	// then drop the replicas that failed (unless the policy retains them
-	// for a later rejoin).
+	replies := invokeAll(uctx, tr, legs, op, args)
+	// Settle the update before leaving the slot: each outcome reaches its
+	// breaker and the failed members leave the group (unless the policy
+	// retains them for a later rejoin), so the next update sees both.
 	var first *reply
 	var failed []member
 	diverged := false
 	for i := range replies {
 		r := &replies[i]
-		if r.err != nil {
+		if brs != nil {
+			brs[i].Record(r.err == nil)
+		}
+		switch {
+		case r.err != nil:
 			failed = append(failed, legs[i])
-			continue
-		}
-		if first == nil {
+		case first == nil:
 			first = r
-			continue
-		}
-		if r.term != first.term || len(r.res) != len(first.res) {
+		case r.term != first.term || !slices.EqualFunc(r.res, first.res, values.Value.Equal):
 			diverged = true
-			continue
-		}
-		for j := range r.res {
-			if !r.res[j].Equal(first.res[j]) {
-				diverged = true
-				break
-			}
 		}
 	}
-	if len(failed) > 0 {
-		g.failovers.Add(uint64(len(failed)))
-		if mp == nil || !mp.Retain {
-			g.drop(failed)
-			for _, m := range failed {
-				_ = m.inv.Close()
-			}
-		}
+	if len(failed) > 0 && (mp == nil || !mp.Retain) {
+		g.drop(failed)
 	}
-	if first == nil {
-		usp.Fail(ErrEmptyGroup)
-		endUpdate(ins, usp)
-		return "", nil, ErrEmptyGroup
-	}
-	if diverged {
+	<-g.slot
+
+	g.failovers.Add(uint64(len(failed)))
+	g.skippedLegs.Add(uint64(skipped))
+	switch {
+	case len(legs) == 0 && skipped > 0:
+		return fail(fmt.Errorf("%w: all %d replicas of the group", policy.ErrCircuitOpen, skipped))
+	case first == nil:
+		return fail(ErrEmptyGroup)
+	case diverged:
 		g.divergences.Add(1)
-		err := fmt.Errorf("%w: operation %s", ErrDiverged, op)
-		usp.Fail(err)
-		endUpdate(ins, usp)
-		return "", nil, err
+		return fail(fmt.Errorf("%w: operation %s", ErrDiverged, op))
 	}
 	endUpdate(ins, usp)
 	return first.term, first.res, nil
@@ -393,37 +430,10 @@ func endUpdate(ins *mgmt.GroupInstruments, usp *mgmt.ActiveSpan) {
 	}
 }
 
-// drop removes the given members, matching by identity as well as name so
-// a replica re-added under a reused name is not removed by a stale
-// failure. Vacated tail slots are cleared so dropped invokers can be
-// collected.
-func (g *ReplicaGroup) drop(failed []member) {
-	g.mu.Lock()
-	kept := g.members[:0]
-	for _, m := range g.members {
-		dead := false
-		for _, f := range failed {
-			if f.name == m.name && f.inv == m.inv {
-				dead = true
-				break
-			}
-		}
-		if !dead {
-			kept = append(kept, m)
-		}
-	}
-	for i := len(kept); i < len(g.members); i++ {
-		g.members[i] = member{}
-	}
-	g.members = kept
-	g.mu.Unlock()
-}
-
 // InvokeRead sends a read-only operation to one replica, rotating across
 // members and failing over (and, without a retaining member policy,
-// dropping) dead ones. The group lock is held only to pick the replica,
-// never across the network call, so readers proceed in parallel with
-// each other and with in-flight updates.
+// dropping) dead ones. It loads the membership without a lock, so readers
+// proceed in parallel with each other and with in-flight updates.
 func (g *ReplicaGroup) InvokeRead(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	term, res, _, err := g.InvokeReadMeta(ctx, op, args)
 	return term, res, err
@@ -434,27 +444,22 @@ func (g *ReplicaGroup) InvokeRead(ctx context.Context, op string, args []values.
 // circuit-open, the read is still served from a surviving replica, but
 // the answer is flagged Stale — it may predate updates the unreachable
 // majority could have seen. One full rotation over the membership
-// snapshot bounds the attempt count.
+// the read loaded bounds the attempt count.
 func (g *ReplicaGroup) InvokeReadMeta(ctx context.Context, op string, args []values.Value) (string, []values.Value, ReadMeta, error) {
 	g.reads.Add(1)
 	var meta ReadMeta
 	mp := g.mpol.Load()
 
-	g.mu.Lock()
-	if len(g.members) == 0 {
-		g.mu.Unlock()
+	v := g.load()
+	n := len(v.members)
+	if n == 0 {
 		return "", nil, meta, ErrEmptyGroup
 	}
-	snap := make([]member, len(g.members))
-	copy(snap, g.members)
-	start := g.next % len(snap)
-	g.next = (start + 1) % len(snap)
-	peak := g.peak
-	g.mu.Unlock()
+	start := int((g.next.Add(1) - 1) % uint64(n))
 
 	var lastErr error
-	for k := 0; k < len(snap); k++ {
-		m := snap[(start+k)%len(snap)]
+	for k := 0; k < n; k++ {
+		m := v.members[(start+k)%n]
 		var br *policy.Breaker
 		if mp != nil && mp.Breakers != nil {
 			br = mp.Breakers.For(m.name)
@@ -486,8 +491,8 @@ func (g *ReplicaGroup) InvokeReadMeta(ctx context.Context, op string, args []val
 			// members, or when the survivors no longer form a majority of
 			// the group's peak membership — either way updates may exist
 			// that this replica has not seen.
-			live := len(snap) - meta.Skipped - meta.Failovers
-			meta.Stale = meta.Skipped+meta.Failovers > 0 || live*2 <= peak
+			live := n - meta.Skipped - meta.Failovers
+			meta.Stale = meta.Skipped+meta.Failovers > 0 || live*2 <= v.peak
 			if meta.Stale {
 				g.degradedReads.Add(1)
 				if ins := g.insp.Load(); ins != nil && ins.Tracer != nil {
@@ -507,28 +512,12 @@ func (g *ReplicaGroup) InvokeReadMeta(ctx context.Context, op string, args []val
 		}
 		if mp == nil || !mp.Retain {
 			g.drop([]member{m})
-			_ = m.inv.Close()
 		}
 	}
 	if lastErr == nil {
 		lastErr = ErrEmptyGroup
 	}
 	return "", nil, meta, lastErr
-}
-
-// Close releases every member channel.
-func (g *ReplicaGroup) Close() error {
-	g.mu.Lock()
-	members := g.members
-	g.members = nil
-	g.mu.Unlock()
-	var first error
-	for _, m := range members {
-		if err := m.inv.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Stats returns a snapshot of group counters.

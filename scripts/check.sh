@@ -63,6 +63,18 @@ if go list -f '{{join .Imports "\n"}}' ./internal/coordination |
 	exit 1
 fi
 
+echo "== one-membership gate (both group forms share one member view; the sequencer is one slot) =="
+# ReplicaGroup and FailoverGroup publish one immutable member view that a
+# change swaps whole, and an update holds one context-aware slot from
+# before it reads that view until its failed members are recorded and
+# dropped. The ticket, the condition variable it waited on and the member
+# slice rewritten in place may not come back.
+if grep -nE 'seqCond|serving|ticket|copy\(g\.members|g\.members\[' \
+	$(find internal/coordination -name '*.go' ! -name '*_test.go'); then
+	echo "internal/coordination: a second sequencer or an in-place member slice is back (change the view, hold the slot)"
+	exit 1
+fi
+
 echo "== one wire contract gate (the infrastructure objects share one client and server stub) =="
 # How a trader, relocator or type repository call is carried and how its
 # failures cross the wire is internal/stub's alone: the carrier interface,
@@ -238,6 +250,13 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
 	./internal/engineering/ ./internal/stub/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
+
+echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
+# TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
+# concurrent updaters against a retained member that fails once; it must
+# apply no later update and no reply may diverge. TestOnRejoinRacesRingEpoch
+# is the ring-epoch drain whose divergences that property explains.
+go test -race -count=50 -run 'TestOnRejoinRacesRingEpoch|TestRetainedFailureMissesNoLaterUpdate' ./internal/coordination/
 
 echo "== bounded log (recovery across checkpoints, three schedules under the race detector) =="
 # The store truncates its in-memory log to a checkpoint plus the prepare
