@@ -158,7 +158,7 @@ func Bind(ref naming.InterfaceRef, cfg BindConfig) (*Binding, error) {
 	if ref.IsZero() {
 		return nil, fmt.Errorf("channel: cannot bind to zero reference")
 	}
-	if cfg.Codec == nil {
+	if cfg.Codec == (wire.Codec{}) {
 		cfg.Codec = wire.Canonical
 	}
 	b := &Binding{
@@ -409,7 +409,10 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if errors.Is(err, ErrClosed) || errors.Is(err, policy.ErrCircuitOpen) || attempt >= pol.Attempts() {
+		// A refused encode (an argument nested past the transfer syntax's
+		// depth bound) would be refused again: it is not retried.
+		if errors.Is(err, ErrClosed) || errors.Is(err, policy.ErrCircuitOpen) ||
+			errors.Is(err, wire.ErrTooDeep) || attempt >= pol.Attempts() {
 			return nil, err
 		}
 		// Transport failure or per-attempt timeout. Failure transparency:

@@ -687,7 +687,10 @@ func (s *Server) sendErr(q *frameQueue, req *wire.Message, code, detail string) 
 // reply answers req on its connection's reply writer q, best-effort — a
 // dead conn fails the client's call by timeout: the answer's header mirrors
 // the request's, then the outbound pipeline, the request's codec and the
-// queue, recording a copy in the replay guard's window when enabled.
+// queue, recording a copy in the replay guard's window when enabled. A
+// result the codec refuses (nested past the transfer syntax's depth bound)
+// is answered CodeInternal instead, so neither the caller nor a resend of
+// the call waits on an answer that was never sent.
 func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term string, args []values.Value) {
 	m := wire.GetMessage()
 	defer wire.PutMessage(m)
@@ -708,8 +711,11 @@ func (s *Server) reply(q *frameQueue, req *wire.Message, kind wire.MsgKind, term
 	}
 	frame, err := m.EncodeAppend(wire.GetFrame(m.SizeHint()), codec)
 	if err != nil {
-		s.errCount.Add(1)
-		wire.PutFrame(frame)
+		if kind == wire.ErrReply {
+			s.errCount.Add(1)
+		} else {
+			s.sendErr(q, req, CodeInternal, err.Error())
+		}
 		return
 	}
 	if s.cfg.ReplayGuard && req.Kind == wire.Call {

@@ -162,13 +162,12 @@ type endpointState struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu      sync.Mutex
-	state   State
-	misses  int
-	window  [rttWindow]time.Duration // ring of successful round trips
-	wi, wn  int
-	rttSum  time.Duration
-	lastRTT time.Duration
+	mu     sync.Mutex
+	state  State
+	misses int
+	window [rttWindow]time.Duration // ring of successful round trips
+	wi, wn int
+	rttSum time.Duration
 
 	probes, missed, transitions uint64
 	rtt                         mgmt.Histogram // successful probe round trips, ns
@@ -390,7 +389,6 @@ func (d *Detector) observe(e *endpointState, ok bool, rtt time.Duration) {
 			e.rttSum -= old
 		}
 		e.rttSum += rtt
-		e.lastRTT = rtt
 		e.rtt.Observe(uint64(rtt))
 		e.misses = 0
 		e.state = Alive

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/channel"
 	"repro/internal/values"
@@ -214,7 +213,6 @@ type Inbound struct {
 	mu        sync.Mutex
 	queue     []values.Value
 	recvElems uint64 // wire-arrived elements, kept + dropped
-	recvBytes uint64
 	consElems uint64 // consumed: read by the app, or dropped by the stub
 	consBytes uint64
 	granted   uint64 // cumulative element credit issued
@@ -226,8 +224,7 @@ type Inbound struct {
 	done      bool
 	err       error
 
-	notify    chan struct{}
-	lastGrant time.Time
+	notify chan struct{}
 }
 
 // Flow returns the stream's flow name.
@@ -235,10 +232,6 @@ func (in *Inbound) Flow() string { return in.flow }
 
 // push absorbs one element batch on the read-loop goroutine.
 func (in *Inbound) push(b channel.StreamBatch) {
-	var batchBytes uint64
-	for _, v := range b.Elems {
-		batchBytes += uint64(wire.ValueSizeHint(v))
-	}
 	in.mu.Lock()
 	if in.done {
 		in.mu.Unlock()
@@ -254,7 +247,6 @@ func (in *Inbound) push(b channel.StreamBatch) {
 		in.maxQueued = q
 	}
 	in.recvElems += uint64(len(b.Elems)) + b.DroppedElems
-	in.recvBytes += batchBytes + b.DroppedBytes
 	// Dropped elements are consumed on arrival: the producer debited its
 	// window for them, and nothing will ever Recv them, so their credit
 	// comes back immediately or the window shrinks by every drop.
@@ -340,7 +332,6 @@ func (in *Inbound) issueGrant(cumElems, cumBytes uint64) {
 	if cumBytes > in.grantedB {
 		in.grantedB = cumBytes
 	}
-	in.lastGrant = time.Now()
 	grant, granted, grantedB := in.grant, in.granted, in.grantedB
 	in.mu.Unlock()
 	// Cumulative totals: the producer's gate keeps the maximum, so two

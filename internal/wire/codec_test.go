@@ -169,11 +169,14 @@ func TestDecodeOversizedLength(t *testing.T) {
 	}
 }
 
-// randomValue mirrors the generator in package values' tests.
+// randomValue mirrors the generator in package values' tests, with anys
+// over nested data types and enums besides. String, symbol and byte
+// lengths cover every residue mod 4, so canonical padding of 0 to 3 bytes
+// is exercised.
 func randomValue(r *rand.Rand, depth int) values.Value {
-	max := 8
+	max := 10
 	if depth <= 0 {
-		max = 6
+		max = 7
 	}
 	switch r.Intn(max) {
 	case 0:
@@ -185,22 +188,22 @@ func randomValue(r *rand.Rand, depth int) values.Value {
 	case 3:
 		return values.Float(r.NormFloat64())
 	case 4:
-		var sb strings.Builder
-		for i, n := 0, r.Intn(20); i < n; i++ {
-			sb.WriteRune(rune('a' + r.Intn(26)))
-		}
-		return values.Str(sb.String())
+		return values.Str(randomString(r))
 	case 5:
 		b := make([]byte, r.Intn(32))
 		r.Read(b)
 		return values.BytesVal(b)
 	case 6:
+		return values.Enum(randomString(r))
+	case 7:
 		n := r.Intn(5)
 		fields := make([]values.Field, n)
 		for i := range fields {
 			fields[i] = values.F(string(rune('a'+i)), randomValue(r, depth-1))
 		}
 		return values.Record(fields...)
+	case 8:
+		return values.Any(randomDataType(r, depth-1), randomValue(r, depth-1))
 	default:
 		n := r.Intn(5)
 		elems := make([]values.Value, n)
@@ -208,6 +211,45 @@ func randomValue(r *rand.Rand, depth int) values.Value {
 			elems[i] = randomValue(r, depth-1)
 		}
 		return values.Seq(elems...)
+	}
+}
+
+func randomString(r *rand.Rand) string {
+	var sb strings.Builder
+	for i, n := 0, r.Intn(20); i < n; i++ {
+		sb.WriteRune(rune('a' + r.Intn(26)))
+	}
+	return sb.String()
+}
+
+// randomDataType draws the data type an any carries: nil, a scalar, or an
+// enum, record or sequence type nested up to depth more levels.
+func randomDataType(r *rand.Rand, depth int) *values.DataType {
+	max := 5
+	if depth <= 0 {
+		max = 3
+	}
+	switch r.Intn(max) {
+	case 0:
+		return nil
+	case 1:
+		scalars := []*values.DataType{values.TNull(), values.TBool(), values.TInt(), values.TUint(),
+			values.TFloat(), values.TString(), values.TBytes(), values.TAny()}
+		return scalars[r.Intn(len(scalars))]
+	case 2:
+		syms := make([]string, r.Intn(4))
+		for i := range syms {
+			syms[i] = randomString(r)
+		}
+		return values.TEnum(randomString(r), syms...)
+	case 3:
+		fields := make([]values.FieldType, r.Intn(4))
+		for i := range fields {
+			fields[i] = values.FT(randomString(r), randomDataType(r, depth-1))
+		}
+		return values.TRecord(randomString(r), fields...)
+	default:
+		return values.TSeq(randomDataType(r, depth-1))
 	}
 }
 

@@ -75,6 +75,12 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x0D, 0x09, 0x01})
+	// At the depth bound a frame decodes; one level past it is refused,
+	// not a stack overflow.
+	for _, c := range codecs() {
+		f.Add(deepFrame(f, c, maxDepth))
+		f.Add(deepFrame(f, c, maxDepth+1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

@@ -171,15 +171,15 @@ func (m *Message) EncodeAppend(dst []byte, codec Codec) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
 	dst = binary.BigEndian.AppendUint64(dst, m.Correlation)
 	dst = binary.BigEndian.AppendUint64(dst, m.Epoch)
-	dst = appendHdrString(dst, string(m.Target.Object.Cluster.Capsule.Node))
+	dst = appendHdr(dst, string(m.Target.Object.Cluster.Capsule.Node))
 	dst = binary.BigEndian.AppendUint32(dst, m.Target.Object.Cluster.Capsule.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, m.Target.Object.Cluster.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, m.Target.Object.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, m.Target.Seq)
 	dst = binary.BigEndian.AppendUint64(dst, m.Target.Nonce)
-	dst = appendHdrString(dst, m.Operation)
-	dst = appendHdrString(dst, m.Termination)
-	dst = appendHdrBytes(dst, m.Auth)
+	dst = appendHdr(dst, m.Operation)
+	dst = appendHdr(dst, m.Termination)
+	dst = appendHdr(dst, m.Auth)
 	if flags&flagExtensions != 0 {
 		dst = append(dst, 1)               // extension count
 		dst = append(dst, extTrace, 0, 16) // kind, u16 length
@@ -218,7 +218,7 @@ func Decode(data []byte) (*Message, error) {
 	m := GetMessage()
 	m.Kind = MsgKind(data[4])
 	m.Codec = codec.ID()
-	if err := m.decodeBody(data, codec); err != nil {
+	if err := m.decodeBody(&reader{data: data, off: 6, codec: codec}); err != nil {
 		PutMessage(m) // a corrupt frame must cost no more than a good one
 		return nil, err
 	}
@@ -226,89 +226,44 @@ func Decode(data []byte) (*Message, error) {
 }
 
 // decodeBody parses everything after the fixed six-byte prefix into m.
-func (m *Message) decodeBody(data []byte, codec Codec) (err error) {
-	flags := data[5]
-	off := 6
-
-	if m.BindingID, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return err
+func (m *Message) decodeBody(r *reader) error {
+	m.BindingID = r.be64()
+	m.Seq = r.be64()
+	m.Correlation = r.be64()
+	m.Epoch = r.be64()
+	t := &m.Target
+	t.Object.Cluster.Capsule.Node = naming.NodeID(internBytes(r.hdrBytes()))
+	t.Object.Cluster.Capsule.Seq = r.be32()
+	t.Object.Cluster.Seq = r.be32()
+	t.Object.Seq = r.be32()
+	t.Seq = r.be32()
+	t.Nonce = r.be64()
+	m.Operation = internBytes(r.hdrBytes())
+	m.Termination = internBytes(r.hdrBytes())
+	if auth := r.hdrBytes(); len(auth) > 0 {
+		m.Auth = make([]byte, len(auth))
+		copy(m.Auth, auth)
 	}
-	if m.Seq, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return err
+	if r.data[5]&flagExtensions != 0 {
+		m.readExtensions(r)
 	}
-	if m.Correlation, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	if m.Epoch, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	var nodeB []byte
-	if nodeB, off, err = readHdrBytes(data, off); err != nil {
-		return err
-	}
-	m.Target.Object.Cluster.Capsule.Node = naming.NodeID(internBytes(nodeB))
-	var u32 uint32
-	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	m.Target.Object.Cluster.Capsule.Seq = u32
-	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	m.Target.Object.Cluster.Seq = u32
-	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	m.Target.Object.Seq = u32
-	if u32, off, err = readU32(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	m.Target.Seq = u32
-	if m.Target.Nonce, off, err = readU64(data, off, binary.BigEndian); err != nil {
-		return err
-	}
-	var opB, termB, authB []byte
-	if opB, off, err = readHdrBytes(data, off); err != nil {
-		return err
-	}
-	m.Operation = internBytes(opB)
-	if termB, off, err = readHdrBytes(data, off); err != nil {
-		return err
-	}
-	m.Termination = internBytes(termB)
-	if authB, off, err = readHdrBytes(data, off); err != nil {
-		return err
-	}
-	if len(authB) > 0 {
-		m.Auth = make([]byte, len(authB))
-		copy(m.Auth, authB)
-	}
-	if flags&flagExtensions != 0 {
-		if off, err = m.readExtensions(data, off); err != nil {
-			return err
-		}
-	}
-	if off+2 > len(data) {
-		return ErrTruncated
-	}
-	argc := binary.BigEndian.Uint16(data[off:])
-	off += 2
-	if argc > 0 {
-		reserve := int(argc)
-		if reserve > 64 {
-			reserve = 64 // a forged count must not reserve huge capacity
-		}
-		m.Args = make([]values.Value, 0, reserve)
-		for i := 0; i < int(argc); i++ {
-			var v values.Value
-			if v, off, err = codec.ReadValue(data, off); err != nil {
-				return fmt.Errorf("wire: decoding argument %d: %w", i, err)
+	argc := int(r.be16())
+	if argc > 0 && r.err == nil {
+		// A forged count must not reserve huge capacity.
+		m.Args = make([]values.Value, 0, min(argc, 64))
+		for i := 0; i < argc; i++ {
+			v := r.value()
+			if r.err != nil {
+				return fmt.Errorf("wire: decoding argument %d: %w", i, r.err)
 			}
 			m.Args = append(m.Args, v)
 		}
 	}
-	if off != len(data) {
-		return fmt.Errorf("wire: %d trailing bytes", len(data)-off)
+	if r.err != nil {
+		return r.err
+	}
+	if r.off != len(r.data) {
+		return fmt.Errorf("wire: %d trailing bytes", len(r.data)-r.off)
 	}
 	return nil
 }
@@ -319,32 +274,18 @@ func (m *Message) decodeBody(data []byte, codec Codec) (err error) {
 // interop rule that lets a peer introduce new extensions without this
 // decoder rejecting its frames. A declared length past the end of the
 // frame is truncation, as everywhere else in the header.
-func (m *Message) readExtensions(data []byte, off int) (int, error) {
-	if off >= len(data) {
-		return off, ErrTruncated
-	}
-	count := int(data[off])
-	off++
-	for i := 0; i < count; i++ {
-		if off+3 > len(data) {
-			return off, ErrTruncated
-		}
-		kind := data[off]
-		n := int(binary.BigEndian.Uint16(data[off+1:]))
-		off += 3
+func (m *Message) readExtensions(r *reader) {
+	for i, count := 0, int(r.u8()); i < count && r.err == nil; i++ {
+		kind, n := r.u8(), int(r.be16())
 		if n > maxExtensionLen {
-			return off, fmt.Errorf("%w: extension %d bytes", ErrTooLarge, n)
+			r.fail(fmt.Errorf("%w: extension %d bytes", ErrTooLarge, n))
+			return
 		}
-		if off+n > len(data) {
-			return off, ErrTruncated
+		if b := r.take(n); kind == extTrace && n == 16 && b != nil {
+			m.TraceID = binary.BigEndian.Uint64(b)
+			m.SpanID = binary.BigEndian.Uint64(b[8:])
 		}
-		if kind == extTrace && n == 16 {
-			m.TraceID = binary.BigEndian.Uint64(data[off:])
-			m.SpanID = binary.BigEndian.Uint64(data[off+8:])
-		}
-		off += n
 	}
-	return off, nil
 }
 
 // ValueSizeHint exposes the per-value size bound to the streaming layer:
@@ -417,27 +358,9 @@ func dataTypeSizeHint(t *values.DataType) int {
 	return n
 }
 
-func appendHdrBytes(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-func appendHdrString(dst []byte, s string) []byte {
+// appendHdr appends a header string or byte slice: a big-endian length
+// and the bytes, unpadded, whichever codec carries the payload.
+func appendHdr[T string | []byte](dst []byte, s T) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
-}
-
-func readHdrBytes(data []byte, off int) ([]byte, int, error) {
-	n, off2, err := readU32(data, off, binary.BigEndian)
-	if err != nil {
-		return nil, off, err
-	}
-	if n > MaxLen {
-		return nil, off, fmt.Errorf("%w: header field %d bytes", ErrTooLarge, n)
-	}
-	end := off2 + int(n)
-	if end > len(data) {
-		return nil, off2, ErrTruncated
-	}
-	return data[off2:end], end, nil
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -184,6 +186,65 @@ func TestHeaderAlwaysCanonical(t *testing.T) {
 		}
 		if a[i] != b[i] {
 			t.Fatalf("header byte %d differs between codecs", i)
+		}
+	}
+}
+
+// TestFramesByteIdentical pins the bytes of one traced Deposit Call and its
+// Reply under each codec, as the two hand-written encoders wrote them: the
+// transfer syntax is a contract with every peer already deployed, so a
+// change to how it is written may not change what it writes. Each frame is
+// the header (magic, version, codec, kind, flags; binding, seq,
+// correlation, epoch; target; operation, termination and auth, each
+// length-prefixed), the Call's trace extension, then the argument count
+// and the arguments in the codec's representation.
+func TestFramesByteIdentical(t *testing.T) {
+	call := &Message{Kind: Call, BindingID: 0x1d, Seq: 7, Correlation: 42, Epoch: 1,
+		Target: sampleTarget(), Operation: "Deposit",
+		TraceID: 0x0123456789abcdef, SpanID: 0xfedcba9876543210,
+		Args: []values.Value{values.Str("alice"), values.Str("acct-1"), values.Int(100)}}
+	reply := &Message{Kind: Reply, BindingID: 0x1d, Correlation: 42, Target: sampleTarget(),
+		Operation: "Deposit", Termination: "OK", Args: []values.Value{values.Int(10100)}}
+	const (
+		target  = "00000005616c7068610000000100000002000000030000000400000000feedface"
+		binding = "000000000000001d"
+		corr    = "000000000000002a"
+	)
+	for _, tc := range []struct {
+		name  string
+		c     Codec
+		m     *Message
+		frame string
+	}{
+		{"native call", Native, call, "0d9001020101" + binding + "0000000000000007" + corr + "0000000000000001" + target +
+			"000000074465706f736974" + "00000000" + "00000000" +
+			"01" + "010010" + "0123456789abcdef" + "fedcba9876543210" +
+			"0003" + "0505000000616c696365" + "0506000000616363742d31" + "026400000000000000"},
+		{"native reply", Native, reply, "0d9001020200" + binding + "0000000000000000" + corr + "0000000000000000" + target +
+			"000000074465706f736974" + "000000024f4b" + "00000000" +
+			"0001" + "027427000000000000"},
+		{"canonical call", Canonical, call, "0d9001010101" + binding + "0000000000000007" + corr + "0000000000000001" + target +
+			"000000074465706f736974" + "00000000" + "00000000" +
+			"01" + "010010" + "0123456789abcdef" + "fedcba9876543210" +
+			"0003" + "0500000005616c696365000000" + "0500000006616363742d310000" + "020000000000000064"},
+		{"canonical reply", Canonical, reply, "0d9001010200" + binding + "0000000000000000" + corr + "0000000000000000" + target +
+			"000000074465706f736974" + "000000024f4b" + "00000000" +
+			"0001" + "020000000000002774"},
+	} {
+		got, err := tc.m.EncodeAppend(nil, tc.c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if hex.EncodeToString(got) != tc.frame {
+			t.Errorf("%s:\n got %x\nwant %s", tc.name, got, tc.frame)
+		}
+		back, err := Decode(got)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		again, err := back.EncodeAppend(nil, tc.c)
+		if err != nil || !bytes.Equal(again, got) {
+			t.Errorf("%s: decoded frame re-encodes to %x, %v", tc.name, again, err)
 		}
 	}
 }

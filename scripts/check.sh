@@ -205,6 +205,24 @@ if grep -nE '^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]+i
 	exit 1
 fi
 
+echo "== one-transfer-syntax gate (two representations, one encoder, one cursor) =="
+# Native and Canonical are the two values of one Codec struct: one encoder
+# writes both, choosing byte order and widening from the value, and one
+# bounded cursor reads the header and the payload. The Codec interface, a
+# second AppendValue and a decoder that threads a binary.ByteOrder through
+# every call — the hand-copied codecs they replaced live on only as the
+# reference model in reference_test.go — may not come back.
+wire_src=$(find internal/wire -name '*.go' ! -name '*_test.go')
+if grep -nE 'type[[:space:]]+Codec[[:space:]]+interface|binary\.(Append)?ByteOrder' $wire_src; then
+	echo "internal/wire: a codec interface or a byte-order parameter is back (choose from the Codec value)"
+	exit 1
+fi
+appends=$(cat $wire_src | grep -cE '^func \([^)]*\) AppendValue\(' || true)
+if [ "$appends" -ne 1 ]; then
+	echo "internal/wire: $appends AppendValue methods (one encoder writes both representations)"
+	exit 1
+fi
+
 echo "== no-QoS gate (management owns no second, unwired monitor) =="
 # The QoS monitors were wired to no binary: nothing constructed one, and
 # every instrumented call checked a field nothing set. Neither the monitor,
@@ -215,17 +233,18 @@ if grep -rnE 'type Monitor\b|\bEnvelope\b|ViolationTopic|^[[:space:]]+QoS[[:spac
 	exit 1
 fi
 
-echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner) =="
+echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read) =="
 # A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
 # the deadcode build tag, so tier 1 never builds it): an unreached
-# declaration that scripts/deadcode/allow.txt does not own, a stale allow
-# pattern, or a reason naming a test that does not exist fails. Its two
-# figures print with the line counts below.
+# declaration or an unexported struct field written but never read that
+# scripts/deadcode/allow.txt does not own, a stale allow pattern, or a
+# reason naming a test that does not exist fails. Its three figures print
+# with the line counts below.
 reach=$(go test -tags deadcode -count=1 -v ./scripts/deadcode/ 2>&1) || { echo "$reach"; exit 1; }
 
-echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination) and this script =="
+echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination; internal/wire) and this script =="
 # The size figures ROADMAP tracks; printed, not gated. The first line is
-# followed by the reachability scan's two figures.
+# followed by the reachability scan's three figures.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
 echo "$reach" | grep '^deadcode:'
@@ -238,6 +257,7 @@ find internal/trader internal/relocator internal/hashring -name '*.go' ! -name '
 find internal/policy internal/health -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/stream -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 find internal/coordination -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+find internal/wire -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 wc -l scripts/check.sh
 
 echo "== race detector (hot-path and fan-out packages) =="
@@ -271,6 +291,12 @@ go test -run='^$' -fuzz=FuzzValue -fuzztime=10s ./internal/values/
 
 echo "== FuzzConstraint (the flat program against the tree it replaced, 10 s) =="
 go test -run='^$' -fuzz=FuzzConstraint -fuzztime=10s ./internal/constraint/
+
+echo "== FuzzCodecMatchesReference (the one encoder and cursor against the codecs they replaced, 10 s) =="
+go test -run='^$' -fuzz='^FuzzCodecMatchesReference$' -fuzztime=10s ./internal/wire/
+
+echo "== FuzzDecode (the frame parser is total and bounded, 10 s) =="
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/wire/
 
 echo "== E11 chaos smoke + zero-miss rebalance probe + fleet harness + gate evaluator, under the race detector =="
 # TestE11ChaosSmoke: a short chaos run asserting >=99% availability after

@@ -32,8 +32,14 @@ func TestInternalReachability(t *testing.T) {
 	fmt.Printf("deadcode: %d unreached declarations in internal/, %d lines with their doc comments\n",
 		len(res.unreached), res.lines)
 	fmt.Printf("deadcode: %d exported names in internal/ used only inside their own package\n", res.ownOnly)
+	fmt.Printf("deadcode: %d unexported struct fields in internal/ never read\n", len(res.unread))
 	unowned, stale := check(res, allow)
 	for _, d := range unowned {
+		if d.field {
+			t.Errorf("%s: field %s is written but never read: delete it, or name its owner in allow.txt",
+				rel(root, d.pos.String()), d.name)
+			continue
+		}
 		t.Errorf("%s: %s is run by no binary, example or bench row (%d lines): delete it, or name its owner in allow.txt",
 			rel(root, d.pos.String()), d.name, d.lines)
 	}
@@ -79,7 +85,8 @@ func testNames(root string) (map[string]bool, error) {
 }
 
 // TestScanFixture runs the scan on testdata/fixture, a module whose one
-// binary reaches some of a library, so the gate cannot pass vacuously.
+// binary reaches some of a library and writes a field nothing reads, so the
+// gate cannot pass vacuously.
 func TestScanFixture(t *testing.T) {
 	root, err := filepath.Abs("testdata/fixture")
 	if err != nil {
@@ -103,6 +110,7 @@ func TestScanFixture(t *testing.T) {
 		"lib.Unused",           // a func nothing calls
 		"lib.unusedType",       // a type nothing names, with its method
 		"lib.unusedType.Twice",
+		"lib.Counter.spare", // a field Inc writes and nothing reads
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %q, want %q", got, want)

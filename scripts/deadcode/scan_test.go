@@ -33,11 +33,12 @@ type config struct {
 }
 
 // decl is one top-level declaration — a func, method, type, var or const —
-// of a scanned package.
+// of a scanned package, or one field of a struct type it declares.
 type decl struct {
-	name  string // "pkg.Name" or "pkg.Type.Method", pkg relative to config.scanned
+	name  string // "pkg.Name", "pkg.Type.Method" or "pkg.Type.field", pkg relative to config.scanned
 	pos   token.Position
-	lines int // with its doc comment
+	lines int  // with its doc comment
+	field bool // a struct field, rather than a declaration
 }
 
 // result is what a scan finds.
@@ -45,6 +46,7 @@ type result struct {
 	unreached []decl // sorted by name
 	lines     int    // the unreached declarations' lines, doc comments included
 	ownOnly   int    // exported scanned names no other package uses
+	unread    []decl // unexported struct fields no code reads, sorted by name
 }
 
 // pkg is one type-checked package of the module (non-test files only).
@@ -422,7 +424,86 @@ func scan(cfg config) (*result, error) {
 	}
 	sort.Slice(res.unreached, func(i, j int) bool { return res.unreached[i].name < res.unreached[j].name })
 	res.ownOnly = countOwnOnly(p, nodes)
+	res.unread = unreadFields(p, scannedPrefix)
 	return res, nil
+}
+
+// unreadFields returns the unexported named fields of the struct types the
+// scanned packages declare that no code reads: a field only ever assigned,
+// incremented or set in a composite literal is state nothing consults. A
+// field read through a longer path (x.f.g = v, x.f[i] = v, &x.f) counts as
+// read, and so does every field of a struct used as a map key.
+func unreadFields(p *program, scannedPrefix string) []decl {
+	fields := map[types.Object]decl{}
+	read := map[types.Object]bool{}
+	for _, pk := range p.pkgs {
+		scanned := strings.HasPrefix(pk.path+"/", scannedPrefix)
+		rel := strings.TrimPrefix(pk.path, scannedPrefix)
+		for _, f := range pk.files {
+			written := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || !scanned {
+						break
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.Name != "_" && !id.IsExported() {
+								fields[pk.info.Defs[id]] = decl{name: rel + "." + n.Name.Name + "." + id.Name,
+									pos: p.fset.Position(id.Pos()), lines: 1, field: true}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel.Sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						written[sel.Sel] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				case *ast.MapType:
+					// A map key's every field is read by hashing and ==.
+					id, _ := n.Key.(*ast.Ident)
+					if sel, ok := n.Key.(*ast.SelectorExpr); ok {
+						id = sel.Sel
+					}
+					if tn, ok := pk.info.Uses[id].(*types.TypeName); ok {
+						if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+							for i := 0; i < st.NumFields(); i++ {
+								read[canon(st.Field(i))] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !written[id] {
+					if obj := pk.info.Uses[id]; obj != nil {
+						read[canon(obj)] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []decl
+	for obj, d := range fields {
+		if !read[obj] {
+			out = append(out, d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // implementing returns the method named name that makes tn (or *tn) satisfy
@@ -541,11 +622,12 @@ func expand(pattern string) []string {
 	return out
 }
 
-// check splits a scan against an allow list: the unreached declarations no
-// pattern matches, and the patterns that match no unreached declaration.
+// check splits a scan against an allow list: the unreached declarations
+// and unread fields no pattern matches, and the patterns that match
+// neither.
 func check(res *result, allow []allowEntry) (unowned []decl, stale []allowEntry) {
 	used := make([]bool, len(allow))
-	for _, d := range res.unreached {
+	for _, d := range append(res.unreached[:len(res.unreached):len(res.unreached)], res.unread...) {
 		owned := false
 		for i, a := range allow {
 			if ok, _ := path.Match(a.pattern, d.name); ok {

@@ -9,5 +9,7 @@ import (
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(s.Area(), lib.Check(), s)
+	c := lib.NewCounter()
+	c.Inc()
+	fmt.Println(s.Area(), lib.Check(), s, c.Value())
 }

@@ -42,3 +42,24 @@ func AlsoAllowed() {}
 type unusedType struct{}
 
 func (unusedType) Twice(n int) int { return 2 * n }
+
+// Counter is reached from main.
+type Counter struct {
+	n     int // read by Value
+	spare int // written by Inc and in New, read by nothing
+	total int // read: Inc takes its address
+}
+
+// NewCounter is called by main.
+func NewCounter() *Counter { return &Counter{spare: 1} }
+
+// Inc is called by main.
+func (c *Counter) Inc() {
+	c.n++
+	c.spare += 2
+	p := &c.total
+	*p = c.n
+}
+
+// Value is called by main.
+func (c *Counter) Value() int { return c.n }
