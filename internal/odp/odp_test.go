@@ -221,30 +221,33 @@ func tellerCost(t *testing.T, op string, amount ...values.Value) (allocs, bytes 
 }
 
 // TestE2DepositAllocBudget keeps the single-binding hot path to what an
-// invocation hands on: both argument slices, the Tx, the store key, the
-// result and, for a write, the record (6, and 2 spare). The log copies the
-// write set into an arena its checkpoints reuse, so it adds nothing. At
-// 40-byte values that is 608 B (and the same 2/7 spare: 790).
+// invocation hands on: both argument slices, the store key, the result
+// and, for a write, the record (5, and 1 spare). The Tx is recycled, the
+// lone branch store commits in one phase with no decision entry, and the
+// log copies the write set into an arena its checkpoints reuse, so none of
+// them adds anything. At 40-byte values that is 464 B (1/5 spare: 560,
+// under the 608 B an unrecycled Tx would cost).
 func TestE2DepositAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Deposit", values.Int(1))
-	if allocs > 8 {
-		t.Errorf("E2 deposit = %d allocs/op, budget 8", allocs)
+	if allocs > 6 {
+		t.Errorf("E2 deposit = %d allocs/op, budget 6", allocs)
 	}
-	if bytes > 790 {
-		t.Errorf("E2 deposit = %d B/op, budget 790", bytes)
+	if bytes > 560 {
+		t.Errorf("E2 deposit = %d B/op, budget 560", bytes)
 	}
 }
 
 // TestE2BalanceAllocBudget: a read pays the same less the write's record
-// (5, and 1 spare) — no log record, no decision entry, no commit
-// machinery — and 336 B (1/5 spare: 410).
+// (4, and 1 spare) — no log record, no decision entry, no commit
+// machinery — and 192 B (1/4 spare: 240, under the 336 B an unrecycled Tx
+// would cost).
 func TestE2BalanceAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Balance")
-	if allocs > 6 {
-		t.Errorf("E2 balance = %d allocs/op, budget 6", allocs)
+	if allocs > 5 {
+		t.Errorf("E2 balance = %d allocs/op, budget 5", allocs)
 	}
-	if bytes > 410 {
-		t.Errorf("E2 balance = %d B/op, budget 410", bytes)
+	if bytes > 240 {
+		t.Errorf("E2 balance = %d B/op, budget 240", bytes)
 	}
 }
 

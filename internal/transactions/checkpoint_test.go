@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,18 +25,18 @@ func arenaCap(l *Log) int {
 func TestRecordsIsACopy(t *testing.T) {
 	_, s := seeded(t, "bank", map[string]int64{"alice": 100, "bob": 7})
 	recs := s.Log().Records()
-	if len(recs) != 2 || len(recs[0].Writes) != 2 {
-		t.Fatalf("log = %+v, want prepare of two writes + commit", recs)
+	if len(recs) != 1 || len(recs[0].Writes) != 2 {
+		t.Fatalf("log = %+v, want a one-phase commit of two writes", recs)
 	}
 	recs[0].Writes[0] = WriteOp{Key: "mallory", Value: values.Int(1e9)}
 	recs[0].Writes[1].Value = values.Int(-1)
-	recs[1].Kind = RecAbort
+	recs[0].Kind = RecAbort
 	again := s.Log().Records()
 	if w := again[0].Writes; w[0].Key != "alice" || !w[0].Value.Equal(values.Int(100)) || !w[1].Value.Equal(values.Int(7)) {
 		t.Errorf("a caller's edit reached the log's write set: %+v", w)
 	}
-	if again[1].Kind != RecCommit {
-		t.Errorf("a caller's edit reached the log: record 1 = %v", again[1].Kind)
+	if again[0].Kind != RecCommit {
+		t.Errorf("a caller's edit reached the log: record 0 = %v", again[0].Kind)
 	}
 	want := map[string]values.Value{"alice": values.Int(100), "bob": values.Int(7)}
 	if got := Recover("bank", logOf(again), nil).Snapshot(); !sameState(got, want) {
@@ -52,17 +53,33 @@ type heldTx struct {
 	since  map[int]int               // store → its checkpoint count at the prepare
 	wait   int                       // checkpoints to wait at every store
 	commit bool                      // how decide resolves it
+	lost   bool                      // committed by the coordinator, its acknowledgement lost
 }
+
+// lostAck is a store whose completion never reaches the coordinator: it
+// prepares, but its Commit is lost and the store stays prepared, as one
+// that crashed before its commit record would. Not a *Store, it keeps
+// two-phase commit even alone.
+type lostAck struct{ s *Store }
+
+func (l lostAck) Name() string                      { return l.s.Name() }
+func (l lostAck) Prepare(txID uint64) (Vote, error) { return l.s.Prepare(txID) }
+func (l lostAck) Commit(uint64) error               { return errors.New("acknowledgement lost") }
+func (l lostAck) Abort(txID uint64) error           { return l.s.Abort(txID) }
 
 // TestRecoverAcrossCheckpoints is the bounded log's recovery property,
 // seeded: 20,000 transactions on one, two and three stores — writes,
-// deletes, reads, application aborts, vetoed commits, and transactions
-// left prepared across at least three checkpoints before decide resolves
-// them either way. The reference is a map per store that takes a
-// transaction's writes when its commit returns nil. After every checkpoint
-// of a store, recovery from a copy of its log rebuilds both the live state
-// and the reference, InDoubt names exactly the transactions still
-// prepared there, and the log has never held more than its bound.
+// deletes, reads, application aborts, vetoed commits, one-phase commits of
+// a lone store, and transactions left prepared across at least three
+// checkpoints before decide resolves them either way. Some of those the
+// coordinator committed, their acknowledgement lost: its decision must
+// outlive the checkpoints, and decide asks it. The reference is a map per
+// store that takes a transaction's writes when its commit returns nil.
+// After every checkpoint of a store, recovery from a copy of its log
+// rebuilds both the live state and the reference, InDoubt names exactly
+// the transactions still prepared there, and the log has never held more
+// than its bound. At the end the decision table holds exactly the
+// decisions whose acknowledgement was lost.
 func TestRecoverAcrossCheckpoints(t *testing.T) {
 	for n := 1; n <= 3; n++ {
 		t.Run(fmt.Sprintf("stores=%d", n), func(t *testing.T) { recoverAcrossCheckpoints(t, n, 20_000) })
@@ -84,6 +101,7 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 	}
 	var held []*heldTx
 	resolved := map[bool]int{}
+	lost := 0
 	// A lock wait the model failed to foresee fails the test instead of
 	// hanging it.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -122,7 +140,16 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 	check := func(si int, extra *heldTx) {
 		t.Helper()
 		s := stores[si]
-		decide := func(tx uint64) bool { return extra != nil && tx == extra.id && extra.commit }
+		decide := func(tx uint64) bool {
+			if extra == nil || tx != extra.id {
+				return false
+			}
+			if extra.lost {
+				committed, _ := c.Decided(tx)
+				return committed
+			}
+			return extra.commit
+		}
 		got := Recover(s.Name(), logOf(s.Log().Records()), decide).Snapshot()
 		if want := state(si, extra); !sameState(got, want) {
 			t.Fatalf("%s after %d checkpoints: recovered %v, reference %v", s.Name(), checkpoints[si], got, want)
@@ -200,7 +227,24 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 			}
 		case r < 30 && len(held) < maxHeld && len(writes) > 0:
 			h := &heldTx{id: tx.ID(), writes: writes, since: map[int]int{}, wait: 3 + rng.Intn(3), commit: rng.Intn(2) == 0}
+			if h.lost = h.commit && rng.Intn(3) == 0; h.lost {
+				for si := range writes {
+					if err := tx.Enlist(lostAck{stores[si]}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err == nil || errors.Is(err, ErrVetoed) {
+					t.Fatalf("tx %d: Commit = %v, want a failed completion", tx.ID(), err)
+				}
+				if committed, known := c.Decided(tx.ID()); !committed || !known {
+					t.Fatalf("tx %d: decision forgotten before every participant acknowledged it", tx.ID())
+				}
+				lost++
+			}
 			for si := range touched {
+				if h.lost {
+					break
+				}
 				if _, err := stores[si].Prepare(tx.ID()); err != nil {
 					t.Fatal(err)
 				}
@@ -267,9 +311,12 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 			t.Errorf("%s checkpointed %d times in %d transactions", s.Name(), checkpoints[si], txs)
 		}
 	}
-	t.Logf("checkpoints %v, held transactions resolved: %d committed, %d aborted", checkpoints, resolved[true], resolved[false])
-	if resolved[true] < 10 || resolved[false] < 10 {
-		t.Errorf("held transactions resolved: %d committed, %d aborted", resolved[true], resolved[false])
+	t.Logf("checkpoints %v, held transactions resolved: %d committed (%d with the acknowledgement lost), %d aborted", checkpoints, resolved[true], lost, resolved[false])
+	if resolved[true] < 10 || resolved[false] < 10 || lost < 5 {
+		t.Errorf("held transactions resolved: %d committed (%d with the acknowledgement lost), %d aborted", resolved[true], lost, resolved[false])
+	}
+	if got := decisionCount(c); got != lost {
+		t.Errorf("decision table holds %d entries, want the %d whose acknowledgement was lost", got, lost)
 	}
 }
 
@@ -375,5 +422,68 @@ func TestBoundedLogSoak(t *testing.T) {
 	}
 	if v := s.Snapshot()["acct000"]; !v.Equal(values.Int(deposits / accounts)) {
 		t.Errorf("acct000 = %v, want %d", v, deposits/accounts)
+	}
+}
+
+// TestDecisionTableSoak drives 300,000 transactions through one
+// coordinator from four goroutines, each on keys of its own: half write a
+// lone store, half two stores. A lone store commits in one phase and
+// never gains a decision entry — the table is nil while those run, so one
+// would panic — and logs only commit records. With two stores the table
+// never holds more than the transactions in flight: each decision is
+// forgotten once both stores have acknowledged it.
+func TestDecisionTableSoak(t *testing.T) {
+	const workers, txs = 4, 300_000
+	const each = txs / 2 / workers
+	c := NewCoordinator()
+	lone, a, b := NewStore("lone", nil), NewStore("a", nil), NewStore("b", nil)
+	run := func(stores ...*Store) {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					key := fmt.Sprintf("w%d-k%02d", w, i%16)
+					if err := c.Atomically(ctxT(), func(tx *Tx) error {
+						for _, s := range stores {
+							if err := tx.Write(s, key, values.Int(int64(i))); err != nil {
+								return err
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+					if n := decisionCount(c); n > workers {
+						t.Errorf("decision table holds %d entries with %d transactions in flight", n, workers)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	c.decisions = nil
+	run(lone)
+	for _, r := range lone.Log().Records() {
+		if r.Kind != RecCommit && r.Kind != RecCheckpoint {
+			t.Fatalf("a lone store logged a %v record", r.Kind)
+		}
+	}
+	c.decisions = map[uint64]bool{}
+	run(a, b)
+	if n := decisionCount(c); n != 0 {
+		t.Errorf("decision table holds %d entries after every commit was acknowledged", n)
+	}
+	key, last := fmt.Sprintf("w3-k%02d", (each-1)%16), values.Int(each-1)
+	for _, s := range []*Store{lone, a, b} {
+		if got := Recover(s.Name(), logOf(s.Log().Records()), nil).Snapshot(); !sameState(got, s.Snapshot()) {
+			t.Errorf("%s: recovered %v, live %v", s.Name(), got, s.Snapshot())
+		}
+		if v := s.Snapshot()[key]; !v.Equal(last) {
+			t.Errorf("%s: %s = %v, want %v", s.Name(), key, v, last)
+		}
 	}
 }

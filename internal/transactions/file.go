@@ -27,6 +27,7 @@ type FileLog struct {
 	mu   sync.Mutex
 	mem  *Log
 	file *os.File
+	end  int64 // the file offset just past the last whole record
 }
 
 // OpenFileLog opens (creating if absent) a durable log at path and
@@ -58,17 +59,29 @@ func (fl *FileLog) Append(r Record) error {
 	defer fl.mu.Unlock()
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := fl.file.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("transactions: log write: %w", err)
+	if _, err = fl.file.Write(lenBuf[:]); err == nil {
+		_, err = fl.file.Write(frame)
 	}
-	if _, err := fl.file.Write(frame); err != nil {
-		return fmt.Errorf("transactions: log write: %w", err)
+	if err == nil {
+		err = fl.file.Sync()
 	}
-	if err := fl.file.Sync(); err != nil {
-		return fmt.Errorf("transactions: log sync: %w", err)
+	if err != nil {
+		_ = fl.cut() // what reached the file of a record not forced
+		return fmt.Errorf("transactions: log append: %w", err)
 	}
+	fl.end += int64(len(lenBuf) + len(frame))
 	fl.mem.Append(r)
 	return nil
+}
+
+// cut truncates the file to its last whole record and places the next
+// append there, so no record lands after a torn one, where replay stops.
+func (fl *FileLog) cut() error {
+	if err := fl.file.Truncate(fl.end); err != nil {
+		return fmt.Errorf("transactions: log truncate: %w", err)
+	}
+	_, err := fl.file.Seek(fl.end, io.SeekStart)
+	return err
 }
 
 // Close releases the file handle.
@@ -80,7 +93,7 @@ func (fl *FileLog) Close() error {
 
 // replay loads existing records. A truncated trailing record (torn write
 // during a crash) is tolerated: replay stops there, matching standard WAL
-// recovery semantics.
+// recovery semantics, and cuts it off.
 func (fl *FileLog) replay() error {
 	if _, err := fl.file.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -103,10 +116,9 @@ func (fl *FileLog) replay() error {
 			break // corrupt tail
 		}
 		fl.mem.Append(r)
+		fl.end += int64(len(lenBuf)) + int64(n)
 	}
-	// Position at the end for subsequent appends.
-	_, err := fl.file.Seek(0, io.SeekEnd)
-	return err
+	return fl.cut()
 }
 
 // encodeRecord serialises a record with the canonical transfer syntax.

@@ -2,10 +2,12 @@ package transactions
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/mgmt"
 	"repro/internal/values"
 )
 
@@ -30,7 +32,8 @@ func TestDurableStoreSurvivesRestart(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// An aborted transaction leaves a durable abort record too.
+	// An aborted transaction, never prepared, leaves no record: recovery
+	// presumes the abort.
 	tx2 := coord.Begin(context.Background())
 	if err := tx2.Write(store, "alice", values.Int(0)); err != nil {
 		t.Fatal(err)
@@ -140,6 +143,121 @@ func TestFileLogToleratesTornTail(t *testing.T) {
 	defer fl2.Close()
 	if v, ok := recovered.Snapshot()["x"]; !ok || !v.Equal(values.Int(1)) {
 		t.Errorf("state after torn tail = %v", recovered.Snapshot())
+	}
+}
+
+// TestFileLogAppendsAfterTornTail: a restart over a torn tail cuts it off,
+// so a record forced after the restart follows the last whole one and the
+// next restart replays both.
+func TestFileLogAppendsAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.wal")
+	fl, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Append(Record{Kind: RecCommit, TxID: 1, Writes: []WriteOp{{Key: "x", Value: values.Int(1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	fl.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0, 0, 1, 0, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	fl, err = OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Append(Record{Kind: RecCommit, TxID: 2, Writes: []WriteOp{{Key: "y", Value: values.Int(2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	fl.Close()
+	fl, err = OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	if recs := fl.Log().Records(); len(recs) != 2 || recs[0].TxID != 1 || recs[1].TxID != 2 {
+		t.Fatalf("after a torn tail and one more append the log holds %+v, want transactions 1 and 2", recs)
+	}
+}
+
+// TestRecoverOnePhaseCommitFromFile: a durable lone store commits in one
+// phase — one forced record per writing transaction, none for a read or an
+// abort, no decision — and a restart redoes those records. A commit whose
+// record cannot be forced is a veto: the transaction aborts, its writes
+// are nowhere, its locks are free, and no later replay sees it.
+func TestRecoverOnePhaseCommitFromFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lone.wal")
+	c := NewCoordinator()
+	m := mgmt.New()
+	ins := m.Tx("lone")
+	c.Instrument(ins)
+	store, fl, err := NewDurableStore("lone", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(s *Store, key string, v int64) error {
+		return c.Atomically(ctxT(), func(tx *Tx) error { return tx.Write(s, key, values.Int(v)) })
+	}
+	for i, key := range []string{"a", "b", "a"} {
+		if err := write(store, key, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Atomically(ctxT(), func(tx *Tx) error { return tx.Delete(store, "b") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Atomically(ctxT(), func(tx *Tx) error {
+		_, err := tx.Read(store, "a")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Atomically(ctxT(), func(tx *Tx) error {
+		_ = tx.Write(store, "a", values.Int(99))
+		return errors.New("application abort")
+	}); err == nil {
+		t.Fatal("an application error committed")
+	}
+	recs := store.Log().Records()
+	if len(recs) != 4 {
+		t.Fatalf("log = %+v, want four one-phase commit records", recs)
+	}
+	for _, r := range recs {
+		if r.Kind != RecCommit || len(r.Writes) != 1 {
+			t.Fatalf("record %+v, want a one-phase commit of one write", r)
+		}
+	}
+	if n := decisionCount(c); n != 0 {
+		t.Fatalf("one-phase commits left %d decisions", n)
+	}
+
+	fl.Close() // the next record cannot be forced
+	var id uint64
+	err = c.Atomically(ctxT(), func(tx *Tx) error { id = tx.ID(); return tx.Write(store, "c", values.Int(3)) })
+	if !errors.Is(err, ErrVetoed) {
+		t.Fatalf("commit with an unforced record = %v, want ErrVetoed", err)
+	}
+	if n := ins.Vetoes.Load(); n != 1 {
+		t.Fatalf("vetoes = %d, want 1", n)
+	}
+	if _, ok := store.Snapshot()["c"]; ok || store.lm.heldKeys(id) != 0 || len(store.lm.locks) != 0 {
+		t.Fatalf("a vetoed one-phase commit left its write or its locks: %v, %v", store.Snapshot(), store.lm.locks)
+	}
+
+	recovered, fl2, err := RecoverDurable("lone", path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl2.Close()
+	want := map[string]values.Value{"a": values.Int(2)}
+	if got := recovered.Snapshot(); !sameState(got, want) || !sameState(store.Snapshot(), want) {
+		t.Fatalf("recovered %v, live %v, want %v", got, store.Snapshot(), want)
 	}
 }
 

@@ -136,6 +136,7 @@ func (lm *lockManager) acquire(ctx context.Context, tx uint64, key string, mode 
 			}
 		}
 		delete(lm.waits, tx)
+		lm.grantQueued(e) // what queued behind it may now be grantable
 		lm.mu.Unlock()
 		return ctx.Err()
 	}

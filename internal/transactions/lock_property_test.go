@@ -2,7 +2,9 @@ package transactions
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -119,5 +121,52 @@ func TestLockManagerDrainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCancelledWaiterUnblocksQueue: T1 holds k shared, T2 waits for it
+// exclusive and T3 shared behind T2. When T2's context ends, nothing is
+// left between T3 and the shared holder, so T3 is granted before T2's
+// acquire returns — not when T1 releases.
+func TestCancelledWaiterUnblocksQueue(t *testing.T) {
+	lm := newLockManager()
+	queued := func(n int) {
+		for {
+			lm.mu.Lock()
+			got := len(lm.locks["k"].queue)
+			lm.mu.Unlock()
+			if got == n {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	if err := lm.acquire(context.Background(), 1, "k", lockShared); err != nil {
+		t.Fatal(err)
+	}
+	ctx2, cancel := context.WithCancel(context.Background())
+	t2, t3 := make(chan error, 1), make(chan error, 1)
+	go func() { t2 <- lm.acquire(ctx2, 2, "k", lockExclusive) }()
+	queued(1)
+	go func() { t3 <- lm.acquire(context.Background(), 3, "k", lockShared) }()
+	queued(2)
+	cancel()
+	if err := <-t2; !errors.Is(err, context.Canceled) {
+		t.Fatalf("T2's acquire = %v, want context.Canceled", err)
+	}
+	lm.mu.Lock()
+	mode, granted := lm.locks["k"].holders[3]
+	waiting := len(lm.locks["k"].queue)
+	lm.mu.Unlock()
+	if !granted || mode != lockShared || waiting != 0 {
+		t.Fatalf("after T2 gave up: T3 holds k %v (mode %v), %d still queued", granted, mode, waiting)
+	}
+	if err := <-t3; err != nil {
+		t.Fatal(err)
+	}
+	lm.releaseAll(1)
+	lm.releaseAll(3)
+	if len(lm.locks) != 0 || len(lm.waits) != 0 {
+		t.Fatalf("locks %v, waits %v left after every release", lm.locks, lm.waits)
 	}
 }

@@ -16,7 +16,9 @@ var ErrBadLog = errors.New("transactions: malformed log")
 type RecordKind int
 
 // The log record kinds. A store's log carries Prepare (with the redo
-// write set), Commit and Abort records, and at most one Checkpoint, first:
+// write set), Commit (with the write set too when the store committed the
+// transaction in one phase, unprepared) and Abort records, and at most one
+// Checkpoint, first:
 // the store's committed state, as a key-sorted write set, at the moment the
 // log was truncated. The coordinator's decision log carries Commit/Abort
 // decisions only.
@@ -42,7 +44,7 @@ func (k RecordKind) String() string {
 	return "unknown"
 }
 
-// WriteOp is one redo operation in a prepare record.
+// WriteOp is one redo operation in a record.
 type WriteOp struct {
 	Key    string
 	Value  values.Value
@@ -53,7 +55,7 @@ type WriteOp struct {
 type Record struct {
 	Kind   RecordKind
 	TxID   uint64
-	Writes []WriteOp // RecPrepare and RecCheckpoint only
+	Writes []WriteOp // RecPrepare, RecCheckpoint and a one-phase RecCommit only
 }
 
 // Log is an append-only record log. The in-memory implementation stands

@@ -33,10 +33,13 @@ func waitQueued(t *testing.T, s *Store, key string, n int) {
 }
 
 // gatePart votes to commit once its gate opens, and records what the
-// second phase brought it.
+// second phase brought it and whether the coordinator held the commit
+// decision when it did.
 type gatePart struct {
 	gate      chan struct{}
+	coord     *Coordinator
 	committed bool
+	decided   bool
 }
 
 func (g *gatePart) Name() string { return "gate" }
@@ -44,14 +47,19 @@ func (g *gatePart) Prepare(uint64) (Vote, error) {
 	<-g.gate
 	return VoteCommit, nil
 }
-func (g *gatePart) Commit(uint64) error { g.committed = true; return nil }
-func (g *gatePart) Abort(uint64) error  { return nil }
+func (g *gatePart) Commit(txID uint64) error {
+	g.committed = true
+	g.decided, _ = g.coord.Decided(txID)
+	return nil
+}
+func (g *gatePart) Abort(uint64) error { return nil }
 
 // TestReadOnlyTransactionLeavesNoTrace: a transaction that only read
 // commits without a log record or a decision entry, is still counted, and
 // gives its locks up when it votes — a writer queued behind a reader is
 // granted while another participant is still voting, before any second
-// phase.
+// phase. The participant that voted to commit learns a decision the
+// coordinator holds, and forgets once it has acknowledged it.
 func TestReadOnlyTransactionLeavesNoTrace(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"alice": 100})
 	logLen, decisions := s.Log().Len(), decisionCount(c)
@@ -82,7 +90,7 @@ func TestReadOnlyTransactionLeavesNoTrace(t *testing.T) {
 
 	reader := c.Begin(ctxT())
 	readInt(t, reader, s, "alice")
-	gate := &gatePart{gate: make(chan struct{})}
+	gate := &gatePart{gate: make(chan struct{}), coord: c}
 	if err := reader.Enlist(gate); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +115,11 @@ func TestReadOnlyTransactionLeavesNoTrace(t *testing.T) {
 	if !gate.committed {
 		t.Error("the participant that voted to commit was left out of phase 2")
 	}
-	if _, known := c.Decided(reader.ID()); !known {
+	if !gate.decided {
 		t.Error("a transaction with a prepared participant logged no decision")
+	}
+	if _, known := c.Decided(reader.ID()); known {
+		t.Error("a decision every participant acknowledged is still kept")
 	}
 	if err := writer.Commit(); err != nil {
 		t.Fatal(err)
@@ -146,8 +157,8 @@ func TestMixedReadOnlyAndWritingParticipants(t *testing.T) {
 	if len(recs) != 2 || recs[0].Kind != RecPrepare || recs[1].Kind != RecCommit || recs[0].TxID != tx.ID() {
 		t.Errorf("the written store's log = %+v, want prepare + commit of tx %d", recs, tx.ID())
 	}
-	if committed, known := c.Decided(tx.ID()); !committed || !known {
-		t.Errorf("Decided = %v, %v", committed, known)
+	if committed, known := c.Decided(tx.ID()); committed || known {
+		t.Errorf("Decided = %v, %v after every participant acknowledged", committed, known)
 	}
 	if v := ws.Snapshot()["total"]; !v.Equal(values.Int(30)) {
 		t.Errorf("total = %v", v)
@@ -206,9 +217,12 @@ func sameState(a, b map[string]values.Value) bool {
 
 // TestRecoverEquivalenceWithReads runs a seeded mix of read-only and
 // writing transactions over two stores. Recovery from each log rebuilds the
-// live state; no read-only transaction appears in a log or the decision
-// table; and a log cut after any prepare record resolves by the
-// coordinator's decision exactly as the uncut log went on to.
+// live state; no read-only transaction appears in a log; no transaction
+// is left in the decision table once its commit has returned (every
+// participant acknowledged it); and a log cut after any prepare record
+// resolves by the decision the coordinator held while that record was in
+// doubt — commit, for every transaction that wrote — exactly as the uncut
+// log went on to.
 func TestRecoverEquivalenceWithReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := NewCoordinator()
@@ -238,17 +252,14 @@ func TestRecoverEquivalenceWithReads(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if _, known := c.Decided(tx.ID()); known != wrote[tx.ID()] {
-			t.Fatalf("tx %d: wrote %v, decision known %v", tx.ID(), wrote[tx.ID()], known)
+		if _, known := c.Decided(tx.ID()); known {
+			t.Fatalf("tx %d: wrote %v, decision still known after every participant acknowledged", tx.ID(), wrote[tx.ID()])
 		}
 	}
 	if len(wrote) < 50 || len(wrote) > 250 {
 		t.Fatalf("%d of 300 transactions wrote: the mix is not one", len(wrote))
 	}
-	decide := func(tx uint64) bool {
-		committed, _ := c.Decided(tx)
-		return committed
-	}
+	decide := func(tx uint64) bool { return wrote[tx] }
 	for _, s := range stores {
 		recs := s.Log().Records()
 		if got := Recover(s.Name(), logOf(recs), decide).Snapshot(); !sameState(got, s.Snapshot()) {
@@ -276,7 +287,8 @@ func TestRecoverEquivalenceWithReads(t *testing.T) {
 
 // TestWriteSetSliceSemantics asserts on the slice what the map it replaced
 // gave for free: the last write to a key wins, a transaction sees its own
-// writes and deletions, and the prepare record is sorted by key.
+// writes and deletions, and the record carrying the write set — here a
+// lone store's one-phase commit record — is sorted by key.
 func TestWriteSetSliceSemantics(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"c": 7, "q": 8})
 	tx := c.Begin(ctxT())
@@ -309,13 +321,13 @@ func TestWriteSetSliceSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := s.Log().Records()
-	prep := recs[len(recs)-2]
+	last := recs[len(recs)-1]
 	var keys []string
-	for _, op := range prep.Writes {
+	for _, op := range last.Writes {
 		keys = append(keys, op.Key)
 	}
-	if got, want := fmt.Sprint(keys), "[a c m q z]"; prep.Kind != RecPrepare || got != want {
-		t.Errorf("prepare record %v keys = %s, want %s", prep.Kind, got, want)
+	if got, want := fmt.Sprint(keys), "[a c m q z]"; last.Kind != RecCommit || got != want {
+		t.Errorf("one-phase commit record %v keys = %s, want %s", last.Kind, got, want)
 	}
 	want := map[string]values.Value{"a": values.Int(3), "m": values.Int(4), "q": values.Int(9), "z": values.Int(5)}
 	if got := s.Snapshot(); !sameState(got, want) {
@@ -326,9 +338,9 @@ func TestWriteSetSliceSemantics(t *testing.T) {
 	}
 }
 
-// TestAtomicallyAllocBudget: a transaction allocates what it hands on — a
-// read its Tx; a read-modify-write its Tx too, since the log copies the
-// redo set into an arena it reuses.
+// TestAtomicallyAllocBudget: a transaction allocates nothing it does not
+// hand on — Atomically recycles its Tx, and a read-modify-write's one
+// commit record is copied into an arena the log reuses.
 func TestAtomicallyAllocBudget(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"k": 0})
 	read := func(tx *Tx) error {
@@ -347,7 +359,7 @@ func TestAtomicallyAllocBudget(t *testing.T) {
 		name   string
 		fn     func(*Tx) error
 		budget float64
-	}{{"read", read, 1}, {"read-modify-write", rmw, 1}} {
+	}{{"read", read, 0}, {"read-modify-write", rmw, 0}} {
 		allocs := testing.AllocsPerRun(200, func() {
 			if err := c.Atomically(ctxT(), b.fn); err != nil {
 				t.Fatal(err)

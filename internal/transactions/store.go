@@ -51,9 +51,9 @@ type Store struct {
 
 	mu        sync.Mutex
 	committed map[string]values.Value
-	// writeSets holds each transaction's staged ops, one per key. A
-	// transaction writes a handful of keys, so a slice scanned by key
-	// replaces the map a general write set would use.
+	// writeSets holds each transaction's staged ops, one per key, sorted
+	// by key as every record carries them. A transaction writes a handful
+	// of keys, so a slice replaces the map a general write set would use.
 	writeSets map[uint64][]WriteOp
 	prepared  map[uint64]bool
 	wsFree    [][]WriteOp // finished write sets, emptied, for reuse
@@ -123,16 +123,15 @@ func (s *Store) stage(ctx context.Context, txID uint64, op WriteOp) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws, ok := s.writeSets[txID]
-	for i := range ws {
-		if ws[i].Key == op.Key {
-			ws[i] = op
-			return nil
-		}
-	}
 	if n := len(s.wsFree); !ok && n > 0 {
 		ws, s.wsFree = s.wsFree[n-1], s.wsFree[:n-1]
 	}
-	s.writeSets[txID] = append(ws, op)
+	i, found := slices.BinarySearchFunc(ws, op.Key, func(w WriteOp, key string) int { return strings.Compare(w.Key, key) })
+	if found {
+		ws[i] = op
+	} else {
+		s.writeSets[txID] = slices.Insert(ws, i, op)
+	}
 	return nil
 }
 
@@ -147,8 +146,8 @@ func (s *Store) dropWriteSet(txID uint64) {
 	}
 }
 
-// Prepare forces the transaction's write set to the log, in key order, and
-// votes to commit. A transaction that wrote nothing here — it only read, or
+// Prepare forces the transaction's write set to the log and votes to
+// commit. A transaction that wrote nothing here — it only read, or
 // never touched this store — votes read-only instead: all its work is done
 // by the time it commits, so its locks are released at the vote and it
 // leaves no record.
@@ -164,14 +163,31 @@ func (s *Store) Prepare(txID uint64) (Vote, error) {
 	if s.prepared[txID] {
 		return VoteCommit, nil // idempotent
 	}
-	if len(ws) > 1 {
-		slices.SortFunc(ws, func(a, b WriteOp) int { return strings.Compare(a.Key, b.Key) })
-	}
 	if err := s.appendLog(Record{Kind: RecPrepare, TxID: txID, Writes: ws}); err != nil {
 		return VoteCommit, err
 	}
 	s.prepared[txID] = true
 	return VoteCommit, nil
+}
+
+// commitOnePhase commits a transaction this store is the only participant
+// of. With no one else to vote, one forced commit record carrying the
+// write set is both its prepare and its outcome; a transaction that wrote
+// nothing here logs nothing. On an error the transaction is still active
+// here, for the coordinator to abort.
+func (s *Store) commitOnePhase(txID uint64) error {
+	s.mu.Lock()
+	if ws := s.writeSets[txID]; len(ws) > 0 {
+		if err := s.appendLog(Record{Kind: RecCommit, TxID: txID, Writes: ws}); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.apply(ws)
+		s.dropWriteSet(txID)
+	}
+	s.mu.Unlock()
+	s.lm.releaseAll(txID)
+	return nil
 }
 
 // minLogRecords is the fewest records at which appendLog checkpoints the
@@ -233,10 +249,12 @@ func (s *Store) apply(ws []WriteOp) {
 }
 
 // Abort discards the write set and releases the locks. Aborting a
-// transaction the store has never seen is a no-op.
+// transaction the store has never seen is a no-op. Only a prepared
+// transaction leaves an abort record: without a prepare record recovery
+// presumes the abort anyway.
 func (s *Store) Abort(txID uint64) error {
 	s.mu.Lock()
-	if _, hadWrites := s.writeSets[txID]; hadWrites || s.prepared[txID] {
+	if s.prepared[txID] {
 		_ = s.appendLog(Record{Kind: RecAbort, TxID: txID}) // abort is presumed anyway
 	}
 	s.dropWriteSet(txID)
@@ -283,7 +301,8 @@ func InDoubt(log *Log) []uint64 {
 
 // Recover rebuilds a store from its write-ahead log: the committed state
 // is exactly the checkpoint's, if the log holds one, with the write sets of
-// the transactions committed after it redone. In-doubt transactions
+// the transactions committed after it redone, from their prepare records
+// or, committed in one phase, their commit records. In-doubt transactions
 // (prepared, no outcome) are resolved by the decide callback — normally a
 // lookup in the coordinator's decision log; deciding false aborts them.
 // The recovered store owns log from then on.
@@ -304,6 +323,7 @@ func recoverInto(name string, log *Log, decide func(txID uint64) bool, forced *F
 			s.writeSets[r.TxID] = r.Writes
 		case RecCommit:
 			s.apply(s.writeSets[r.TxID])
+			s.apply(r.Writes) // a one-phase commit's; none after a prepare
 			delete(s.writeSets, r.TxID)
 		case RecAbort:
 			delete(s.writeSets, r.TxID)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,78 @@ func TestTxDoneGuards(t *testing.T) {
 	}
 	if err := tx.Enlist(s); !errors.Is(err, ErrTxDone) {
 		t.Errorf("enlist after commit = %v", err)
+	}
+}
+
+// TestRetainedTxAnswersDone: Atomically recycles its Tx, so a Tx or a
+// context kept past fn — after a commit, a deadlock retry or an
+// application abort — is finished: it answers ErrTxDone and its context no
+// longer carries it. Every attempt runs under a fresh id, and a Tx from a
+// bare Begin is never recycled.
+func TestRetainedTxAnswersDone(t *testing.T) {
+	c, s := seeded(t, "bank", map[string]int64{"a": 1})
+	var kept []*Tx
+	var ctxs []context.Context
+	ids := map[uint64]bool{}
+	keep := func(tx *Tx) {
+		if got, _ := tx.Context().Value((*Tx)(nil)).(*Tx); got != tx {
+			t.Fatalf("inside fn, the context carries %v, want the transaction", got)
+		}
+		if ids[tx.ID()] {
+			t.Fatalf("tx id %d reused", tx.ID())
+		}
+		ids[tx.ID()] = true
+		kept, ctxs = append(kept, tx), append(ctxs, tx.Context())
+	}
+	attempts := 0
+	if err := c.Atomically(ctxT(), func(tx *Tx) error {
+		keep(tx)
+		if attempts++; attempts == 1 {
+			return fmt.Errorf("simulated: %w", ErrDeadlock)
+		}
+		return tx.Write(s, "a", values.Int(2))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := errors.New("app failure")
+	if err := c.Atomically(ctxT(), func(tx *Tx) error {
+		keep(tx)
+		_ = tx.Write(s, "a", values.Int(3))
+		return sentinel
+	}); !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the application's", err)
+	}
+	if len(ids) != 3 {
+		t.Fatalf("%d ids over three attempts", len(ids))
+	}
+	for i, tx := range kept {
+		if _, err := tx.Read(s, "a"); !errors.Is(err, ErrTxDone) {
+			t.Errorf("retained tx %d: Read = %v", i, err)
+		}
+		if err := tx.Write(s, "a", values.Int(9)); !errors.Is(err, ErrTxDone) {
+			t.Errorf("retained tx %d: Write = %v", i, err)
+		}
+		if err := tx.Delete(s, "a"); !errors.Is(err, ErrTxDone) {
+			t.Errorf("retained tx %d: Delete = %v", i, err)
+		}
+		if err := tx.Enlist(s); !errors.Is(err, ErrTxDone) {
+			t.Errorf("retained tx %d: Enlist = %v", i, err)
+		}
+		if v := ctxs[i].Value((*Tx)(nil)); v != nil {
+			t.Errorf("retained context %d: Value((*Tx)(nil)) = %v, want nil", i, v)
+		}
+	}
+	if v := s.Snapshot()["a"]; !v.Equal(values.Int(2)) {
+		t.Errorf("a = %v, want 2", v)
+	}
+
+	free := len(c.free)
+	bare := c.Begin(ctxT())
+	if err := bare.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if bare.ID() == 0 || len(c.free) != max(free-1, 0) {
+		t.Errorf("a bare Begin's Tx was recycled: id %d, free list %d → %d", bare.ID(), free, len(c.free))
 	}
 }
 
@@ -273,9 +346,10 @@ func TestTwoPhaseCommitAcrossStores(t *testing.T) {
 }
 
 // TestOutcomeAtParticipantCount: however many stores a transaction writes,
-// a commit makes every write visible in every store, each store logging a
-// prepare and a commit per transaction, and an abort leaves no write and no
-// lock anywhere, each store logging the abort alone.
+// a commit makes every write visible in every store — a lone store logging
+// one commit record per transaction, each of two or more a prepare and a
+// commit — and an abort leaves no write, no lock and, since nothing was
+// prepared, no record anywhere.
 func TestOutcomeAtParticipantCount(t *testing.T) {
 	for _, c := range []struct {
 		participants int
@@ -312,8 +386,11 @@ func TestOutcomeAtParticipantCount(t *testing.T) {
 					}
 				}
 			}
-			perTx := []RecordKind{RecAbort}
-			if c.commit {
+			var perTx []RecordKind
+			switch {
+			case c.commit && c.participants == 1:
+				perTx = []RecordKind{RecCommit}
+			case c.commit:
 				perTx = []RecordKind{RecPrepare, RecCommit}
 			}
 			for _, s := range stores {
@@ -332,6 +409,10 @@ func TestOutcomeAtParticipantCount(t *testing.T) {
 				for i, rec := range recs {
 					if want := perTx[i%len(perTx)]; rec.Kind != want {
 						t.Errorf("%s log record %d = %v, want %v", s.Name(), i, rec.Kind, want)
+					}
+					// Only a one-phase commit record carries the write set.
+					if onePhase := len(perTx) == 1; rec.Kind == RecCommit && (len(rec.Writes) == 1) != onePhase {
+						t.Errorf("%s log record %d carries %d writes", s.Name(), i, len(rec.Writes))
 					}
 				}
 			}
@@ -662,76 +743,110 @@ func TestTxContext(t *testing.T) {
 
 // TestInstrumentedCommit: an instrumented coordinator traces a commit as
 // a tx.commit span with one child per participant leg and records its
-// latency; a vetoed commit counts a veto and fails its span; detaching
-// stops both.
+// latency — a lone store's one-phase commit one tx.complete leg and no
+// vote, two stores a prepare and a completion leg each; a vetoed commit
+// counts a veto and fails its span; detaching stops both.
 func TestInstrumentedCommit(t *testing.T) {
-	c, s := seeded(t, "bank", map[string]int64{"alice": 100})
-	m := mgmt.New()
-	ins := m.Tx("bank")
-	c.Instrument(ins)
-
-	tx := c.Begin(ctxT())
-	if err := tx.Write(s, "alice", values.Int(150)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	ids := m.Tracer.TraceIDs()
-	if len(ids) != 1 {
-		t.Fatalf("traces = %v, want one", ids)
-	}
-	names := map[string]mgmt.Span{}
-	for _, sp := range m.Tracer.Trace(ids[0]) {
-		names[sp.Name] = sp
-	}
-	root, ok := names["tx.commit"]
-	if !ok || root.Parent != 0 || root.Err != "" {
-		t.Fatalf("commit span = %+v (found %v)", root, ok)
-	}
-	for _, leg := range []string{"tx.prepare:bank", "tx.complete:bank"} {
-		if sp, ok := names[leg]; !ok || sp.Parent != root.ID {
-			t.Fatalf("leg %s = %+v (found %v), want a child of the commit span", leg, sp, ok)
+	// legs commits one write to each store and returns the legs its trace
+	// holds, each checked to be a child of the commit span.
+	legs := func(t *testing.T, m *mgmt.Management, c *Coordinator, stores ...*Store) []string {
+		t.Helper()
+		tx := c.Begin(ctxT())
+		for _, s := range stores {
+			if err := tx.Write(s, "alice", values.Int(150)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if n := ins.CommitLatency.Snapshot().Count; n != 1 {
-		t.Fatalf("commit latency count = %d, want 1", n)
-	}
-
-	tx = c.Begin(ctxT())
-	if err := tx.Write(s, "alice", values.Int(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Enlist(&vetoParticipant{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrVetoed) {
-		t.Fatalf("commit = %v, want ErrVetoed", err)
-	}
-	if n := ins.Vetoes.Load(); n != 1 {
-		t.Fatalf("vetoes = %d, want 1", n)
-	}
-	if n := ins.CommitLatency.Snapshot().Count; n != 1 {
-		t.Fatalf("commit latency count after veto = %d, want still 1", n)
-	}
-	ids = m.Tracer.TraceIDs()
-	if len(ids) != 2 {
-		t.Fatalf("traces = %v, want two", ids)
-	}
-	var vetoed bool
-	for _, sp := range m.Tracer.Trace(ids[1]) {
-		vetoed = vetoed || (sp.Name == "tx.commit" && sp.Err != "")
-	}
-	if !vetoed {
-		t.Fatal("vetoed commit span carries no failure")
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		ids := m.Tracer.TraceIDs()
+		spans := m.Tracer.Trace(ids[len(ids)-1])
+		var root mgmt.Span
+		for _, sp := range spans {
+			if sp.Name == "tx.commit" {
+				root = sp
+			}
+		}
+		if root.Name == "" || root.Parent != 0 || root.Err != "" {
+			t.Fatalf("commit span = %+v", root)
+		}
+		var out []string
+		for _, sp := range spans {
+			if sp.ID == root.ID {
+				continue
+			}
+			if sp.Parent != root.ID {
+				t.Fatalf("leg %+v is not a child of the commit span", sp)
+			}
+			out = append(out, sp.Name)
+		}
+		slices.Sort(out)
+		return out
 	}
 
-	c.Instrument(nil)
-	started := m.Tracer.Stats().Started
-	if err := c.Atomically(ctxT(), func(tx *Tx) error { return tx.Write(s, "alice", values.Int(1)) }); err != nil {
-		t.Fatal(err)
-	}
-	if m.Tracer.Stats().Started != started || ins.CommitLatency.Snapshot().Count != 1 {
-		t.Fatal("a detached coordinator still records")
-	}
+	t.Run("lone store", func(t *testing.T) {
+		c, s := seeded(t, "bank", map[string]int64{"alice": 100})
+		m := mgmt.New()
+		ins := m.Tx("bank")
+		c.Instrument(ins)
+		if got, want := legs(t, m, c, s), []string{"tx.complete:bank"}; !slices.Equal(got, want) {
+			t.Fatalf("legs = %v, want %v", got, want)
+		}
+		if n := ins.CommitLatency.Snapshot().Count; n != 1 {
+			t.Fatalf("commit latency count = %d, want 1", n)
+		}
+	})
+
+	t.Run("two stores", func(t *testing.T) {
+		c, s := seeded(t, "bank", map[string]int64{"alice": 100})
+		audit := NewStore("audit", nil)
+		m := mgmt.New()
+		ins := m.Tx("bank")
+		c.Instrument(ins)
+		want := []string{"tx.complete:audit", "tx.complete:bank", "tx.prepare:audit", "tx.prepare:bank"}
+		if got := legs(t, m, c, s, audit); !slices.Equal(got, want) {
+			t.Fatalf("legs = %v, want %v", got, want)
+		}
+		if n := ins.CommitLatency.Snapshot().Count; n != 1 {
+			t.Fatalf("commit latency count = %d, want 1", n)
+		}
+
+		tx := c.Begin(ctxT())
+		if err := tx.Write(s, "alice", values.Int(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Enlist(&vetoParticipant{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); !errors.Is(err, ErrVetoed) {
+			t.Fatalf("commit = %v, want ErrVetoed", err)
+		}
+		if n := ins.Vetoes.Load(); n != 1 {
+			t.Fatalf("vetoes = %d, want 1", n)
+		}
+		if n := ins.CommitLatency.Snapshot().Count; n != 1 {
+			t.Fatalf("commit latency count after veto = %d, want still 1", n)
+		}
+		ids := m.Tracer.TraceIDs()
+		if len(ids) != 2 {
+			t.Fatalf("traces = %v, want two", ids)
+		}
+		var vetoed bool
+		for _, sp := range m.Tracer.Trace(ids[1]) {
+			vetoed = vetoed || (sp.Name == "tx.commit" && sp.Err != "")
+		}
+		if !vetoed {
+			t.Fatal("vetoed commit span carries no failure")
+		}
+
+		c.Instrument(nil)
+		started := m.Tracer.Stats().Started
+		if err := c.Atomically(ctxT(), func(tx *Tx) error { return tx.Write(s, "alice", values.Int(1)) }); err != nil {
+			t.Fatal(err)
+		}
+		if m.Tracer.Stats().Started != started || ins.CommitLatency.Snapshot().Count != 1 {
+			t.Fatal("a detached coordinator still records")
+		}
+	})
 }

@@ -28,15 +28,16 @@ type Decision struct {
 }
 
 // Coordinator is the ACID transaction function: it creates transactions
-// and drives two-phase commit across their participants, recording every
-// decision durably before announcing it (the standard presumed-abort
-// discipline: no decision record means abort). A transaction that wrote
-// nowhere records none: the question is only ever asked about a
-// transaction some store holds a prepare record for.
+// and drives presumed-abort two-phase commit across their participants,
+// recording a commit decision before any participant learns it and
+// forgetting it once every participant has acknowledged it; no decision
+// means abort. A transaction that wrote nowhere, or that a lone store
+// commits in one phase, records none.
 type Coordinator struct {
 	mu        sync.Mutex
 	nextTx    uint64
 	decisions map[uint64]bool
+	free      []*Tx // finished Atomically transactions, zeroed, for reuse
 
 	commits uint64
 	aborts  uint64
@@ -62,14 +63,33 @@ func (c *Coordinator) Begin(ctx context.Context) *Tx {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextTx++
-	t := &Tx{id: c.nextTx, coord: c}
+	var t *Tx
+	if n := len(c.free); n > 0 {
+		t, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t = new(Tx)
+	}
+	t.id, t.coord, t.active = c.nextTx, c, true
 	t.amb = ambient{Context: ctx, tx: t}
 	t.participants = t.partBuf[:0]
 	return t
 }
 
-// Decided reports the durable outcome of a transaction: committed, and
-// whether any decision exists. Recovery uses it as the decide callback:
+// recycle zeroes a finished transaction — so it answers ErrTxDone and
+// keeps no caller context alive — and keeps it for a later Begin.
+func (c *Coordinator) recycle(t *Tx) {
+	*t = Tx{amb: ambient{Context: context.Background()}}
+	c.mu.Lock()
+	if len(c.free) < 64 {
+		c.free = append(c.free, t)
+	}
+	c.mu.Unlock()
+}
+
+// Decided reports the recorded outcome of a transaction: committed, and
+// whether any decision exists. Unknown means aborted, or committed and
+// acknowledged by every participant, which then reads "committed" from its
+// own log. Recovery uses it as the decide callback:
 //
 //	transactions.Recover("bank", log, func(tx uint64) bool {
 //		committed, _ := coord.Decided(tx)
@@ -90,7 +110,7 @@ func (c *Coordinator) Stats() (commits, aborts uint64) {
 }
 
 // finish counts the outcome and, for a commit some participant holds a
-// prepare record for (decide), logs the decision.
+// prepare record for (decide), records the decision until forget.
 func (c *Coordinator) finish(txID uint64, committed, decide bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,13 +124,12 @@ func (c *Coordinator) finish(txID uint64, committed, decide bool) {
 	}
 }
 
-type txState int
-
-const (
-	txActive txState = iota
-	txCommitted
-	txAborted
-)
+// forget drops a decision every participant has acknowledged.
+func (c *Coordinator) forget(txID uint64) {
+	c.mu.Lock()
+	delete(c.decisions, txID)
+	c.mu.Unlock()
+}
 
 // Tx is one ACID transaction. It is not safe for concurrent use by
 // multiple goroutines (like database transactions generally); run
@@ -122,10 +141,10 @@ type Tx struct {
 	// participants is deduplicated by name. Most transactions touch one or
 	// two resources, so it lives in a small inline buffer and a linear scan
 	// replaces the map a general registry would use. Commit nils the entry
-	// of a participant that voted read-only: it is finished.
+	// of a participant that is finished (see call).
 	participants []Participant
 	partBuf      [4]Participant
-	state        txState
+	active       bool // false once finished, and in a recycled Tx
 }
 
 // ambient is the transaction as a context value: allocated with the Tx,
@@ -136,7 +155,7 @@ type ambient struct {
 }
 
 func (a *ambient) Value(key any) any {
-	if k, ok := key.(*Tx); ok && k == nil {
+	if k, ok := key.(*Tx); ok && k == nil && a.tx != nil { // nil once recycled
 		return a.tx
 	}
 	return a.Context.Value(key)
@@ -164,7 +183,7 @@ func (t *Tx) enlist(p Participant) {
 
 // Enlist adds a participant; stores enlist automatically on first touch.
 func (t *Tx) Enlist(p Participant) error {
-	if t.state != txActive {
+	if !t.active {
 		return ErrTxDone
 	}
 	t.enlist(p)
@@ -173,7 +192,7 @@ func (t *Tx) Enlist(p Participant) error {
 
 // Read reads a key from a store within the transaction.
 func (t *Tx) Read(s *Store, key string) (values.Value, error) {
-	if t.state != txActive {
+	if !t.active {
 		return values.Value{}, ErrTxDone
 	}
 	t.enlist(s)
@@ -182,7 +201,7 @@ func (t *Tx) Read(s *Store, key string) (values.Value, error) {
 
 // Write stages a write to a store within the transaction.
 func (t *Tx) Write(s *Store, key string, v values.Value) error {
-	if t.state != txActive {
+	if !t.active {
 		return ErrTxDone
 	}
 	t.enlist(s)
@@ -191,7 +210,7 @@ func (t *Tx) Write(s *Store, key string, v values.Value) error {
 
 // Delete stages a deletion within the transaction.
 func (t *Tx) Delete(s *Store, key string) error {
-	if t.state != txActive {
+	if !t.active {
 		return ErrTxDone
 	}
 	t.enlist(s)
@@ -208,19 +227,23 @@ const maxCommitFanout = 16
 // record, so the presumed-abort rollback covers it.
 var errSkipped = errors.New("transactions: prepare skipped after veto")
 
-// leg is one round of calls on the participants: the vote, the completion
-// or the rollback. Its value is the round's span-name prefix.
-type leg string
+// leg is one round of calls on the participants.
+type leg int
 
 const (
-	legPrepare  leg = "tx.prepare:"
-	legComplete leg = "tx.complete:"
-	legAbort    leg = ""
+	legPrepare leg = iota
+	legComplete
+	legOnePhase
+	legAbort
 )
 
+// legSpan is each traced leg's span-name prefix.
+var legSpan = [...]string{legPrepare: "tx.prepare:", legComplete: "tx.complete:", legOnePhase: "tx.complete:"}
+
 // call runs one participant's part of a round under its span (a child of
-// the commit span riding cctx). A read-only vote finishes the participant:
-// its entry is cleared and the later rounds pass over it.
+// the commit span riding cctx). A read-only vote or a one-phase commit
+// finishes the participant: its entry is cleared and the later rounds pass
+// over it.
 func (t *Tx) call(l leg, cctx context.Context, tr *mgmt.Tracer, i int) (err error) {
 	p := t.participants[i]
 	if p == nil {
@@ -230,7 +253,7 @@ func (t *Tx) call(l leg, cctx context.Context, tr *mgmt.Tracer, i int) (err erro
 	// otherwise allocate on every uninstrumented commit.
 	var sp *mgmt.ActiveSpan
 	if tr != nil && l != legAbort {
-		_, sp = tr.Start(cctx, string(l)+p.Name())
+		_, sp = tr.Start(cctx, legSpan[l]+p.Name())
 	}
 	switch l {
 	case legPrepare:
@@ -240,6 +263,10 @@ func (t *Tx) call(l leg, cctx context.Context, tr *mgmt.Tracer, i int) (err erro
 		}
 	case legComplete:
 		err = p.Commit(t.id)
+	case legOnePhase:
+		if err = p.(*Store).commitOnePhase(t.id); err == nil {
+			t.participants[i] = nil
+		}
 	case legAbort:
 		err = p.Abort(t.id)
 	}
@@ -289,9 +316,13 @@ func (t *Tx) round(l leg, cctx context.Context, tr *mgmt.Tracer) (int, error) {
 // decision record is the commit point, and participants that prepared
 // recover forward from it. A participant that votes read-only is finished
 // at its vote and sits out the second phase (the read-only optimisation
-// of presumed-abort 2PC); when all do, there is no decision to log.
+// of presumed-abort 2PC); when all do, there is no decision to log. The
+// decision is forgotten once every completion leg returns nil; a failed
+// leg keeps it for its participant's recovery. A lone store skips the
+// vote: its forced commit record is the commit point, with no decision,
+// and a record it cannot force is its veto.
 func (t *Tx) Commit() error {
-	if t.state != txActive {
+	if !t.active {
 		return ErrTxDone
 	}
 	ins := t.coord.insp.Load()
@@ -303,8 +334,15 @@ func (t *Tx) Commit() error {
 	// context (typically a server dispatch span); each participant's
 	// prepare and completion legs are child spans.
 	cctx, csp := tr.Start(t.amb.Context, "tx.commit")
-	// Phase 1: voting.
-	if i, err := t.round(legPrepare, cctx, tr); err != nil {
+	// Phase 1: voting, or a lone store's whole commit (a participant that
+	// wraps a store votes).
+	first := legPrepare
+	if len(t.participants) == 1 {
+		if _, ok := t.participants[0].(*Store); ok {
+			first = legOnePhase
+		}
+	}
+	if i, err := t.round(first, cctx, tr); err != nil {
 		if ins != nil {
 			ins.Vetoes.Inc()
 		}
@@ -322,11 +360,13 @@ func (t *Tx) Commit() error {
 		wrote = wrote || p != nil
 	}
 	t.coord.finish(t.id, true, wrote)
-	t.state = txCommitted
+	t.active = false
 	// Phase 2: completion.
 	var after error
 	if i, err := t.round(legComplete, cctx, tr); err != nil {
 		after = fmt.Errorf("transactions: participant %s failed after decision: %w", t.participants[i].Name(), err)
+	} else if wrote {
+		t.coord.forget(t.id)
 	}
 	csp.Fail(after)
 	d := csp.End()
@@ -338,7 +378,7 @@ func (t *Tx) Commit() error {
 
 // Abort rolls the transaction back everywhere.
 func (t *Tx) Abort() error {
-	if t.state != txActive {
+	if !t.active {
 		return ErrTxDone
 	}
 	t.rollback()
@@ -352,7 +392,7 @@ func (t *Tx) rollback() {
 	// ordering is required.
 	_, _ = t.round(legAbort, nil, nil)
 	t.coord.finish(t.id, false, false)
-	t.state = txAborted
+	t.active = false
 }
 
 // Atomically runs fn inside a transaction, committing on nil and aborting
@@ -361,6 +401,10 @@ func (t *Tx) rollback() {
 // ErrDeadlock. Retries are paced by a jittered exponential backoff:
 // without it the loser of a shared→exclusive upgrade restarts in
 // lockstep with the winner's next transaction and collides again.
+//
+// The Tx and tx.Context() are valid until fn returns: Atomically then
+// recycles the Tx. Until it is reused, a kept Tx answers ErrTxDone and its
+// context's Value((*Tx)(nil)) is nil.
 func (c *Coordinator) Atomically(ctx context.Context, fn func(tx *Tx) error) error {
 	const maxAttempts = 10
 	var lastErr error
@@ -373,9 +417,12 @@ func (c *Coordinator) Atomically(ctx context.Context, fn func(tx *Tx) error) err
 		tx := c.Begin(ctx)
 		err := fn(tx)
 		if err == nil {
-			return tx.Commit()
+			err = tx.Commit()
+			c.recycle(tx)
+			return err
 		}
 		_ = tx.Abort()
+		c.recycle(tx)
 		if !errors.Is(err, ErrDeadlock) {
 			return err
 		}

@@ -216,6 +216,10 @@ func Replicate(refs []naming.InterfaceRef, contract core.Contract, env Env) (*co
 //		bal, err := tx.Read(b.store, key)
 //		...
 //	}
+//
+// The transaction is valid until Invoke returns: the coordinator then
+// recycles it, so a kept Tx answers transactions.ErrTxDone and the kept
+// context no longer yields it.
 func TxFrom(ctx context.Context) *transactions.Tx {
 	tx, _ := ctx.Value((*transactions.Tx)(nil)).(*transactions.Tx)
 	return tx
@@ -225,7 +229,9 @@ func TxFrom(ctx context.Context) *transactions.Tx {
 // every invocation runs inside its own ACID transaction, committed when
 // the handler succeeds and aborted when it fails (an application
 // termination whose name starts with "Error" also aborts, so failed
-// business outcomes roll back). Deadlocks retry via the coordinator.
+// business outcomes roll back). Deadlocks retry via the coordinator. The
+// context inner sees carries its transaction only until inner returns
+// (see TxFrom).
 func Transactional(coord *transactions.Coordinator, inner channel.Handler) channel.Handler {
 	return channel.HandlerFunc(func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 		var term string

@@ -278,13 +278,17 @@ echo "== group slot (a failed member misses every later update; the rejoin race,
 # is the ring-epoch drain whose divergences that property explains.
 go test -race -count=50 -run 'TestOnRejoinRacesRingEpoch|TestRetainedFailureMissesNoLaterUpdate' ./internal/coordination/
 
-echo "== bounded log (recovery across checkpoints, three schedules under the race detector) =="
+echo "== bounded log and commitment (recovery across checkpoints, three schedules under the race detector) =="
 # The store truncates its in-memory log to a checkpoint plus the prepare
 # records still awaiting an outcome. TestRecoverAcrossCheckpoints holds
 # recovery, InDoubt and the bound to a reference map over 20,000 seeded
-# transactions on one to three stores; -count=3 runs its two-phase fan-out
-# on more than one schedule.
-go test -race -count=3 -run 'Checkpoint|Recover|InDoubt' ./internal/transactions/
+# transactions on one to three stores, one-phase commits and lost
+# acknowledgements among them; -count=3 runs its two-phase fan-out on more
+# than one schedule. The soaks bound the log and the decision table.
+go test -race -count=3 -run 'Checkpoint|Recover|InDoubt|Soak|RetainedTx' ./internal/transactions/
+
+echo "== lock queue (a cancelled waiter grants what queued behind it, 50 times under the race detector) =="
+go test -race -count=50 -run 'TestCancelledWaiterUnblocksQueue' ./internal/transactions/
 
 echo "== FuzzValue (the narrow value against its reference model, 10 s) =="
 go test -run='^$' -fuzz=FuzzValue -fuzztime=10s ./internal/values/
