@@ -584,9 +584,10 @@ func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message)
 		tr = b.cfg.Instruments.Tracer
 	}
 	var (
-		tsp   *mgmt.ActiveSpan
-		frame []byte
-		ch    chan *wire.Message
+		tsp    *mgmt.ActiveSpan
+		frame  []byte
+		ch     chan *wire.Message
+		writer bool
 	)
 	b.order.Lock() // until the frame is queued; see the field
 	if m.Correlation == 0 {
@@ -613,16 +614,17 @@ func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message)
 		}
 	}
 	if err == nil {
-		// send takes ownership of the frame: it is queued to the session's
-		// sender goroutine (coalescing with every concurrent attempt on
-		// this session into one vectored write) and recycled after the
+		// The queue takes ownership of the frame and recycles it after the
 		// write. A send failure has already killed the session, so every
 		// binding sharing it fails over together.
-		if err = sess.send(frame); err != nil {
+		if writer, err = sess.q.push(frame); err != nil {
 			sess.abandon(b.bindingID, m.Correlation, ch)
 		}
 	}
 	b.order.Unlock()
+	if writer {
+		sess.q.drain() // outside order, so the binding's other callers join the write
+	}
 	if err != nil {
 		tsp.Fail(err)
 		tsp.End()

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/mgmt"
@@ -10,15 +11,15 @@ import (
 )
 
 // This file is the batched send path shared by both channel ends: a
-// bounded queue of encoded frames drained by one sender goroutine per
-// connection into vectored writes. The batching is adaptive — the sender
+// bounded queue of encoded frames with no goroutine of its own. The
+// caller that finds it idle is its writer and drains it into vectored
+// writes; callers that find a writer at work append and return. A write
 // takes whatever is queued the moment it looks, so an isolated frame
-// departs immediately (no delay timer) while concurrent senders coalesce
-// into large writes under load — with maxBatchBytes bounding a single
-// write and the queue's byte bound providing backpressure to enqueuers.
-// Client side the queue belongs to a Session (every binding multiplexed
-// over the session shares it); server side each accepted connection gets
-// one so concurrent replies to a session batch the same way.
+// departs at once (no delay timer) while concurrent senders coalesce
+// under load, maxBatchBytes bounding one write and the byte bound pushing
+// back on enqueuers. Client side the queue belongs to a Session (every
+// binding multiplexed over it shares it); server side each accepted
+// connection gets one so concurrent replies batch the same way.
 
 // Bounds of the batched send path at both channel ends. The queue bound
 // is the backpressure point (enqueuers block when this many bytes are
@@ -36,8 +37,8 @@ type batchInstruments struct {
 	queueDepth     *mgmt.Gauge
 }
 
-// frameQueue is the bounded queue plus its sender goroutine. All fields
-// below mu are guarded by it.
+// frameQueue is the bounded queue and the flag that names its writer.
+// All fields below mu are guarded by it.
 type frameQueue struct {
 	conn          netsim.Conn
 	batcher       netsim.BatchSender // nil when the transport has no vectored write
@@ -51,11 +52,9 @@ type frameQueue struct {
 	pend      [][]byte
 	pendBytes int
 	spare     [][]byte // recycled pend backing array
-	writing   bool
+	writing   bool     // a caller is draining pend; pend is empty whenever this is false
 	closed    bool
 	err       error
-	kick      chan struct{}
-	done      chan struct{}
 
 	deadOnce sync.Once
 }
@@ -67,51 +66,61 @@ func newFrameQueue(conn netsim.Conn, maxQueue, maxBatch int, ins batchInstrument
 		maxBatchBytes: maxBatch,
 		onDead:        onDead,
 		ins:           ins,
-		kick:          make(chan struct{}, 1),
-		done:          make(chan struct{}),
 	}
 	q.batcher, _ = conn.(netsim.BatchSender)
 	q.cond = sync.NewCond(&q.mu)
-	go q.senderLoop()
 	return q
 }
 
-// enqueue hands one frame to the sender, taking ownership of it: the
-// queue recycles the buffer after the write (or on failure). Enqueue
-// blocks while the queue is at its byte bound — that is the
-// backpressure path — and fails with ErrSessionClosing once the queue has
-// closed, or with the sender's sticky write error once the connection has
-// failed; both match errors.Is(err, ErrDisconnected), so retry policy
-// treats a frame lost to a mid-close race exactly like a broken wire.
+// enqueue hands one frame to the queue, which recycles it after the
+// write. A caller that finds the queue idle writes it and everything
+// queued behind it, returning when its last write does: with a full
+// socket buffer, when the peer reads, with no deadline (both transports
+// return once the connection is closed). Enqueue blocks at the byte bound
+// and fails with ErrSessionClosing once the queue has closed, or with the
+// sticky write error once the connection has failed; both match
+// ErrDisconnected, so retry policy treats them like a broken wire. An
+// accepted frame reports nil even if its write fails: onDead kills the
+// connection.
 func (q *frameQueue) enqueue(frame []byte) error {
+	writer, err := q.push(frame)
+	if writer {
+		q.drain()
+	}
+	return err
+}
+
+// push is enqueue's first half: it queues the frame and reports whether
+// the caller became the writer, which then owes the queue one drain. A
+// binding pushes under its order lock and drains after releasing it, so
+// its ids reach the wire in order and its other callers join the batch.
+func (q *frameQueue) push(frame []byte) (writer bool, err error) {
 	q.mu.Lock()
 	for q.pendBytes >= q.maxQueueBytes && !q.closed && q.err == nil {
 		q.cond.Wait()
 	}
 	if q.err != nil || q.closed {
 		err := q.err
+		if err == nil {
+			err = ErrSessionClosing
+		}
 		q.mu.Unlock()
 		wire.PutFrame(frame)
-		if err != nil {
-			return err
-		}
-		return ErrSessionClosing
+		return false, err
 	}
 	q.pend = append(q.pend, frame)
 	q.pendBytes += len(frame)
 	if q.ins.queueDepth != nil {
 		q.ins.queueDepth.Add(1)
 	}
-	select {
-	case q.kick <- struct{}{}:
-	default: // sender already has a wakeup pending
-	}
+	writer = !q.writing
+	q.writing = true
 	q.mu.Unlock()
-	return nil
+	return writer, nil
 }
 
 // flush blocks until every frame accepted so far has been written,
-// returning the sender's sticky error if the connection failed along the
+// returning the sticky write error if the connection failed along the
 // way.
 func (q *frameQueue) flush() error {
 	q.mu.Lock()
@@ -125,46 +134,39 @@ func (q *frameQueue) flush() error {
 		return err
 	}
 	if !drained {
-		// Closed mid-flush with frames still queued: the final drain may
-		// still write them, but the connection is going away — report the
+		// Closed mid-flush with frames still queued: the writer may still
+		// write them, but the connection is going away — report the
 		// uncertainty as a retriable disconnect.
 		return ErrSessionClosing
 	}
 	return nil
 }
 
-// close stops the queue and waits for the sender to exit. Frames already
-// accepted are still written (best effort — on a dead connection the
-// writes fail instantly and the buffers are recycled), so a graceful
-// session teardown flushes its tail.
+// close stops the queue and waits for its writer, if any, to finish.
+// Frames already accepted are still written (best effort — on a dead
+// connection the writes fail instantly and the buffers are recycled), so
+// a graceful session teardown flushes its tail.
 func (q *frameQueue) close() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		<-q.done
-		return
-	}
 	q.closed = true
-	close(q.kick) // enqueue kicks only under mu with closed==false
 	q.cond.Broadcast()
-	q.mu.Unlock()
-	<-q.done
-}
-
-// senderLoop is the per-connection sender goroutine: the netchan-style
-// drain loop. Each pass takes everything queued up to maxBatchBytes and
-// writes it as one vectored batch; an isolated frame departs at once, so
-// no frame waits on a timer.
-func (q *frameQueue) senderLoop() {
-	defer close(q.done)
-	for range q.kick {
-		q.drain()
+	for q.writing {
+		q.cond.Wait()
 	}
-	// Queue closed: write whatever was accepted before the close.
-	q.drain()
+	q.mu.Unlock()
 }
 
+// drain is the writer's loop, run by the caller that found the queue
+// idle. Each pass takes everything queued up to maxBatchBytes and writes
+// it as one vectored batch; the writer clears writing, under mu, only
+// when it finds pend empty, so no frame is ever left queued without one.
 func (q *frameQueue) drain() {
+	// Yield once before the first write so that callers about to queue
+	// join it. Without the yield the writer takes its own frame alone:
+	// the next caller finds the queue busy an instant later and waits for
+	// the following write, so under a pipelined load nearly every write
+	// carries one frame.
+	runtime.Gosched()
 	for {
 		q.mu.Lock()
 		if len(q.pend) == 0 || q.err != nil {
@@ -201,7 +203,7 @@ func (q *frameQueue) drain() {
 			// Byte-bound split: move the tail onto a fresh queue slice so
 			// the batch owns its backing array exclusively — enqueuers
 			// appending to pend while the write is in flight must never
-			// touch the slots the sender is reading.
+			// touch the slots the writer is reading.
 			var np [][]byte
 			if q.spare != nil {
 				np = q.spare[:0]
@@ -213,7 +215,6 @@ func (q *frameQueue) drain() {
 			q.pend = np
 		}
 		q.pendBytes -= bytes
-		q.writing = true
 		if q.ins.queueDepth != nil {
 			q.ins.queueDepth.Add(-int64(take))
 		}
@@ -252,10 +253,11 @@ func (q *frameQueue) dropLocked() {
 }
 
 // write puts one batch on the wire — a single vectored write when the
-// transport supports it — then recycles the frames.
+// transport supports it, one Send per frame when it does not — then
+// recycles the frames.
 func (q *frameQueue) write(batch [][]byte, bytes int) error {
 	var err error
-	if q.batcher != nil && len(batch) > 1 {
+	if q.batcher != nil {
 		err = q.batcher.SendBatch(batch)
 	} else {
 		for _, f := range batch {

@@ -292,11 +292,11 @@ func (s *Server) serveConn(conn netsim.Conn) {
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	s.sessions.Add(1)
-	// The connection's reply writer: worker-pool handlers answering calls
-	// from this session enqueue here, so concurrent replies coalesce into
-	// vectored writes exactly as the client's concurrent calls did on the
-	// way in. Frames are queued best-effort: a dead conn fails the
-	// client's call by timeout.
+	// The connection's reply queue: worker-pool handlers answering calls
+	// from this session enqueue here, and whichever finds it idle writes,
+	// so concurrent replies coalesce into vectored writes exactly as the
+	// client's concurrent calls did on the way in. Frames are queued
+	// best-effort: a dead conn fails the client's call by timeout.
 	var bi batchInstruments
 	if ins := s.cfg.Instruments; ins != nil {
 		bi = batchInstruments{
@@ -330,10 +330,11 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		// Drain accepted replies (handlers still running will see
-		// ErrSessionClosing and drop theirs, as a dead conn always did).
-		q.close()
+		// Close before waiting for the queue's writer, which a peer that
+		// stopped reading can hold forever; handlers still running see
+		// ErrSessionClosing and drop their replies, as on any dead conn.
 		conn.Close()
+		q.close()
 		if ins := s.cfg.Instruments; ins != nil {
 			ins.BindingsPerSession.Observe(uint64(len(bindings)))
 		}

@@ -312,8 +312,8 @@ type probeFlight struct {
 }
 
 // Session is one shared transport connection: one conn, one read loop,
-// one demux table for every binding multiplexed over it, and one sender
-// goroutine that drains the frame queue into vectored writes.
+// one demux table for every binding multiplexed over it, and one frame
+// queue that the caller who finds it idle writes in vectored batches.
 type Session struct {
 	mgr  *SessionManager
 	ep   naming.Endpoint
@@ -470,11 +470,12 @@ func (s *Session) abandon(binding, correl uint64, ch chan *wire.Message) {
 
 // send transmits one frame, taking ownership of it: the buffer is
 // recycled by the send path whatever the outcome, so callers must not
-// touch it after the call. The frame is queued to the session's sender
-// goroutine — many bindings' frames coalesce into one vectored write —
-// and a connection failure surfaces either here (as the sender's sticky
-// error) or on the reply channel; the failed write has already killed the
-// session, so every sibling binding fails over together.
+// touch it after the call. The frame joins the session's queue — many
+// bindings' frames coalesce into one vectored write, written by whichever
+// caller found the queue idle — and a connection failure surfaces either
+// here (as the queue's sticky error) or on the reply channel; the failed
+// write has already killed the session, so every sibling binding fails
+// over together.
 func (s *Session) send(frame []byte) error { return s.q.enqueue(frame) }
 
 // flushSends blocks until every frame handed to send so far is on the
@@ -587,7 +588,7 @@ func (s *Session) readLoop() {
 			g.onDead(ErrStreamClosed)
 		}
 	}
-	s.q.close() // conn is dead; the sender drains by failing fast
+	s.q.close() // conn is dead; a writer still at work fails fast
 }
 
 // probeShared coalesces liveness probes: however many bindings probe a

@@ -178,7 +178,7 @@ func (fs *FlowStream) sendMarker(mark string) error {
 }
 
 // sendFrame builds, encodes and group-commits one FlowBatch frame on the
-// pinned session. Session-layer failures (ErrSessionClosing, a sender's
+// pinned session. Session-layer failures (ErrSessionClosing, the queue's
 // sticky write error) are wrapped in ErrStreamClosed: the stream is dead
 // either way, and the chain keeps ErrDisconnected visible for retry
 // classification.

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/naming"
 	"repro/internal/netsim"
 	"repro/internal/values"
+	"repro/internal/wire"
 )
 
 // gateConn is a stub connection whose writes wedge: Send blocks until the
@@ -63,9 +65,11 @@ func (t *gateTransport) Listen(naming.Endpoint) (netsim.Listener, error) {
 // TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing pins the satellite
 // contract: a one-way accepted by the session's send queue but still
 // unwritten when the session tears down must surface ErrSessionClosing —
-// not hang, and not report success — from both the Flow and Signal paths,
-// and the error must keep matching ErrDisconnected so retry policy treats
-// it like any broken wire.
+// not hang, and not report success — and the error must keep matching
+// ErrDisconnected so retry policy treats it like any broken wire. The
+// Flow that found the queue idle is its writer: it stays in the wedged
+// write, and returns nil once the write (and the Signal's behind it)
+// does.
 func TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing(t *testing.T) {
 	conn := newGateConn()
 	tr := &gateTransport{conn: conn}
@@ -76,40 +80,152 @@ func TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	defer close(conn.gate) // unwedge the sender so background teardown finishes
+	openGate := sync.OnceFunc(func() { close(conn.gate) })
+	defer openGate() // unwedge the writer so background teardown finishes
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	// First one-way: the sender goroutine takes its frame and wedges in
-	// Send, leaving Flow blocked in flush.
+	// First one-way: it finds the queue idle, so its caller writes the
+	// frame and wedges in Send.
 	flowErr := make(chan error, 1)
 	go func() { flowErr <- b.Flow(ctx, "video", values.Int(1)) }()
 	select {
 	case <-conn.entered:
 	case <-ctx.Done():
-		t.Fatal("sender never reached the wedged write")
+		t.Fatal("the writer never reached the wedged write")
 	}
-	// Second one-way: queued behind the wedged write, blocked in flush too.
+	// Second one-way: queued behind the wedged write, blocked in flush.
 	sigErr := make(chan error, 1)
 	go func() { sigErr <- b.Signal(ctx, "hangup", nil) }()
-	waitFor(t, func() bool { return b.Stats().OneWayQueued == 2 })
+	sess := mgr.peek("stub://peer")
+	if sess == nil {
+		t.Fatal("no live session")
+	}
+	waitFor(t, func() bool {
+		sess.q.mu.Lock()
+		defer sess.q.mu.Unlock()
+		return len(sess.q.pend) == 1
+	})
 
-	// Graceful teardown with both frames stranded: flush waiters must wake
-	// with the typed closing error immediately, not wait out the write.
+	// Graceful teardown with the Signal stranded: its flush must wake with
+	// the typed closing error immediately, not wait out the write.
 	mgr.Close()
 
-	for name, ch := range map[string]chan error{"Flow": flowErr, "Signal": sigErr} {
-		select {
-		case err := <-ch:
-			if !errors.Is(err, ErrSessionClosing) {
-				t.Errorf("%s stranded at teardown = %v, want ErrSessionClosing", name, err)
-			}
-			if !errors.Is(err, ErrDisconnected) {
-				t.Errorf("%s teardown error lost ErrDisconnected: %v", name, err)
-			}
-		case <-ctx.Done():
-			t.Fatalf("%s never returned after session teardown", name)
+	select {
+	case err := <-sigErr:
+		if !errors.Is(err, ErrSessionClosing) {
+			t.Errorf("Signal stranded at teardown = %v, want ErrSessionClosing", err)
 		}
+		if !errors.Is(err, ErrDisconnected) {
+			t.Errorf("Signal teardown error lost ErrDisconnected: %v", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("Signal never returned after session teardown")
+	}
+
+	// The Flow returns when its write does, and every frame it took on
+	// was written.
+	openGate()
+	select {
+	case err := <-flowErr:
+		if err != nil {
+			t.Errorf("Flow that wrote its frame = %v, want nil", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("Flow never returned after its write did")
+	}
+}
+
+// stuckPeerConn is a server's connection to a peer that stopped reading:
+// it delivers one call, every write then blocks until Close, and once a
+// write is blocked the next read fails with the connection still open —
+// as a TCP read does on an over-long length prefix.
+type stuckPeerConn struct {
+	call      []byte
+	reads     atomic.Int32
+	blocked   chan struct{} // closed when the first Send blocks
+	dead      chan struct{} // closed by Close
+	blockOnce sync.Once
+	closeOnce sync.Once
+}
+
+func (c *stuckPeerConn) Recv() ([]byte, error) {
+	if c.reads.Add(1) == 1 {
+		return c.call, nil
+	}
+	<-c.blocked
+	return nil, errors.New("stuckpeer: frame of 4294967295 bytes exceeds limit")
+}
+
+func (c *stuckPeerConn) Send([]byte) error {
+	c.blockOnce.Do(func() { close(c.blocked) })
+	<-c.dead
+	return netsim.ErrClosed
+}
+
+func (c *stuckPeerConn) Close() error {
+	c.closeOnce.Do(func() { close(c.dead) })
+	return nil
+}
+
+// oneConnListener accepts its one connection, then blocks until closed.
+type oneConnListener struct {
+	conn      netsim.Conn
+	accepted  atomic.Bool
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (l *oneConnListener) Accept() (netsim.Conn, error) {
+	if l.accepted.CompareAndSwap(false, true) {
+		return l.conn, nil
+	}
+	<-l.closed
+	return nil, netsim.ErrClosed
+}
+
+func (l *oneConnListener) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *oneConnListener) Endpoint() naming.Endpoint { return "stub://server" }
+
+// TestServerCloseDoesNotWaitOnAStuckPeer: a connection whose reply write
+// is blocked by a peer that stopped reading, and whose read loop then
+// fails, is closed by its own teardown — which unblocks the write — so
+// Server.Close returns instead of waiting forever on a connection it no
+// longer tracks.
+func TestServerCloseDoesNotWaitOnAStuckPeer(t *testing.T) {
+	call := &wire.Message{Kind: wire.Call, BindingID: 3, Correlation: 1, Target: ifaceID(42), Operation: "Ping"}
+	frame, err := call.EncodeAppend(wire.GetFrame(call.SizeHint()), wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &stuckPeerConn{call: frame, blocked: make(chan struct{}), dead: make(chan struct{})}
+	t.Cleanup(func() { conn.Close() }) // lets a hung server go at the end of a failed run
+	srv := NewServer(&oneConnListener{conn: conn, closed: make(chan struct{})}, ServerConfig{})
+	if err := srv.Register(ifaceID(42), nil, HandlerFunc(
+		func(context.Context, string, []values.Value) (string, []values.Value, error) {
+			return "OK", nil, nil
+		})); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	select {
+	case <-conn.blocked:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the reply never reached the stuck write")
+	}
+	// The read loop has failed once the server stops counting the
+	// connection as open.
+	waitFor(t, func() bool { return srv.Stats().Open == 0 })
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Server.Close had not returned after 3 s: teardown waits on a peer that stopped reading")
 	}
 }

@@ -1,8 +1,8 @@
 // E12: invocation pipelining + adaptive frame batching. The session data
 // plane claims that once many interrogations are in flight on one shared
 // connection, the per-call cost should be dominated by the work, not the
-// writes: the per-session sender goroutine coalesces whatever its queue
-// holds into one vectored write, so syscalls per invocation fall as load
+// writes: the caller that finds a session's queue idle writes whatever
+// it holds as one vectored write, so syscalls per invocation fall as load
 // rises while an isolated call still departs immediately (no delay
 // timer). This experiment measures invocation throughput and latency
 // across a (bindings × in-flight-per-binding) grid, with the data plane as
@@ -63,7 +63,7 @@ func (l frameByFrameListener) Accept() (netsim.Conn, error) {
 // Modes:
 //
 //	batched    the data plane as shipped: pipelined bindings
-//	           (MaxInFlight=k) over the per-session sender goroutine.
+//	           (MaxInFlight=k) over the session's combining send queue.
 //	unbatched  pipelined bindings over frameByFrame connections, one
 //	           write per frame — isolates the batching contribution.
 //	serial     the unpipelined baseline: the same k workers per binding

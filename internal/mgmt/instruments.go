@@ -36,7 +36,7 @@ type ChannelServerInstruments struct {
 	BindingsPerSession *Histogram // distinct binding ids seen, observed at session close
 
 	// Reply batching: concurrent replies to one inbound session coalesce
-	// into vectored writes, mirroring the client-side session sender.
+	// into vectored writes, mirroring the client-side session queue.
 	ReplyFramesPerWrite *Histogram // reply frames per transport write
 	ReplyBatchBytes     *Histogram // bytes per batched reply write
 	ReplyQueueDepth     *Gauge     // reply frames queued awaiting the writer
@@ -48,13 +48,13 @@ type ChannelServerInstruments struct {
 type SessionInstruments struct {
 	BindingsAtDeath *Histogram // bindings attached when a session died or was released
 
-	// Adaptive frame batching: the per-session sender goroutine drains
-	// whatever is queued into one vectored write, so these show the batch
-	// sizes the workload actually achieves (1 frame/write when idle,
-	// growing under concurrent load).
+	// Adaptive frame batching: the caller that finds a session's queue
+	// idle writes whatever is queued as one vectored write, so these show
+	// the batch sizes the workload actually achieves (1 frame/write when
+	// idle, growing under concurrent load).
 	FramesPerWrite *Histogram // frames per transport write
 	BatchBytes     *Histogram // bytes per transport write
-	SendQueueDepth *Gauge     // frames queued awaiting the sender
+	SendQueueDepth *Gauge     // frames queued awaiting the writer
 }
 
 // GroupInstruments instrument a replica group (coordination); its

@@ -85,3 +85,36 @@ func TestSimQueueReusesBacking(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPWritesAllocateNothing pins the one write path: Send is a batch
+// of one, and SendBatch writes from the connection's own iovec, so
+// neither allocates in the steady state.
+func TestTCPWritesAllocateNothing(t *testing.T) {
+	client, server := connPair(t, NewTCP(), "tcp://127.0.0.1:0")
+	frames := [][]byte{make([]byte, 100), make([]byte, 7), make([]byte, 300)}
+	bs := client.(BatchSender)
+	for _, tc := range []struct {
+		name  string
+		n     int
+		write func() error
+	}{
+		{"Send", 1, func() error { return client.Send(frames[0]) }},
+		{"SendBatch", len(frames), func() error { return bs.SendBatch(frames) }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := tc.write(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.n; i++ {
+				got, err := server.Recv()
+				if err != nil || len(got) != len(frames[i]) {
+					t.Fatalf("Recv = %d bytes, %v", len(got), err)
+				}
+				bufpool.Put(got)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s over loopback TCP = %v allocs, want 0", tc.name, allocs)
+		}
+	}
+}

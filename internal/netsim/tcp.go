@@ -78,13 +78,16 @@ type tcpConn struct {
 	br      *bufio.Reader
 	rlenBuf [4]byte // guarded by readMu: a local would escape through io.ReadFull
 	writeMu sync.Mutex
-	lenBuf  [4]byte // guarded by writeMu
 
 	// Vectored-write scratch, guarded by writeMu: the iovec slice handed to
 	// net.Buffers and the backing store for the per-frame length prefixes,
-	// both reused across batches.
+	// both reused across batches, and the net.Buffers that WriteTo
+	// consumes — a field, not a local, because WriteTo takes its address
+	// through an interface, which would move a local to the heap on every
+	// write.
 	vecScratch net.Buffers
 	lenScratch []byte
+	out        net.Buffers
 }
 
 var (
@@ -96,21 +99,9 @@ func newTCPConn(nc net.Conn) *tcpConn {
 	return &tcpConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
-func (c *tcpConn) Send(frame []byte) error {
-	if len(frame) > maxFrame {
-		return fmt.Errorf("netsim: frame of %d bytes exceeds limit", len(frame))
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	binary.BigEndian.PutUint32(c.lenBuf[:], uint32(len(frame)))
-	if _, err := c.nc.Write(c.lenBuf[:]); err != nil {
-		return fmt.Errorf("netsim: write length: %w", err)
-	}
-	if _, err := c.nc.Write(frame); err != nil {
-		return fmt.Errorf("netsim: write frame: %w", err)
-	}
-	return nil
-}
+// Send writes one frame as a batch of one: its length prefix and payload
+// leave in one writev.
+func (c *tcpConn) Send(frame []byte) error { return c.SendBatch([][]byte{frame}) }
 
 // SendBatch implements BatchSender: the frames depart in order as one
 // vectored write (writev via net.Buffers), each length-prefixed exactly as
@@ -138,8 +129,8 @@ func (c *tcpConn) SendBatch(frames [][]byte) error {
 		c.lenScratch = binary.BigEndian.AppendUint32(c.lenScratch, uint32(len(f)))
 		c.vecScratch = append(c.vecScratch, c.lenScratch[off:off+4], f)
 	}
-	bufs := c.vecScratch
-	_, err := bufs.WriteTo(c.nc)
+	c.out = c.vecScratch
+	_, err := c.out.WriteTo(c.nc)
 	// WriteTo consumes the slice; drop the frame references so the scratch
 	// does not pin recycled buffers until the next batch.
 	clear(c.vecScratch)

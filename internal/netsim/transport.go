@@ -65,8 +65,8 @@ type Flusher interface {
 // to Send individually — batching changes the syscall count, never the
 // byte stream the peer observes. Like Send, implementations must not
 // retain the slices after SendBatch returns, so callers may recycle the
-// buffers immediately. Senders that batch (package channel's session
-// sender) probe for this interface and fall back to per-frame Send when a
+// buffers immediately. Senders that batch (package channel's send queue)
+// probe for this interface and fall back to per-frame Send when a
 // transport does not provide it.
 type BatchSender interface {
 	SendBatch(frames [][]byte) error

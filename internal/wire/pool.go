@@ -29,8 +29,8 @@ func GetFrame(sizeHint int) []byte { return bufpool.Get(sizeHint) }
 func PutFrame(b []byte) { bufpool.Put(b) }
 
 // PutFrames recycles a batch of frame buffers at once and clears the slice
-// entries so a reused batch slice cannot pin recycled buffers. The batched
-// session sender uses it after a vectored write: the frames were appended
+// entries so a reused batch slice cannot pin recycled buffers. A channel
+// end's send queue uses it after a vectored write: the frames were appended
 // into the shared batch without copying, so returning them here is the
 // single ownership hand-back for the whole write.
 func PutFrames(frames [][]byte) {

@@ -146,6 +146,27 @@ if grep -rnE 'Unbatched|NewSessionManagerWithConfig|channel\.SessionConfig' --in
 	exit 1
 fi
 
+echo "== one-writer gate (the caller that finds a connection's queue idle writes it) =="
+# A connection end has no sender goroutine: its frames are written by the
+# caller that queued into an idle send queue. The sender loop and the
+# channel that woke it may not come back, and internal/channel starts no
+# goroutine but the session's read loop (session.go) and the server's
+# workers, accept loop and per-connection read loop (server.go).
+ch_src=$(find internal/channel -name '*.go' ! -name '*_test.go')
+if grep -nwE 'senderLoop|kick' $ch_src; then
+	echo "internal/channel: a sender goroutine is back (the caller that finds the queue idle writes)"
+	exit 1
+fi
+gostmt='^[[:space:]]*go[[:space:]]'
+if grep -lE "$gostmt" $ch_src | grep -vxE 'internal/channel/(session|server)\.go' ||
+	[ "$(grep -cE "$gostmt" internal/channel/session.go)" -ne 1 ] ||
+	! grep -qE '^[[:space:]]*go s\.readLoop\(\)$' internal/channel/session.go ||
+	[ "$(grep -cE "$gostmt" internal/channel/server.go)" -ne 3 ]; then
+	grep -nE "$gostmt" $ch_src
+	echo "internal/channel: a goroutine beside the read loops, the accept loop and the workers"
+	exit 1
+fi
+
 echo "== option gate (one value in use is a constant; the bus is one type) =="
 # The tunables no binary, example, experiment or benchmark ever set are
 # constants beside the code that uses them, and the event bus is one type
@@ -270,6 +291,14 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
 	./internal/engineering/ ./internal/stub/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
+
+echo "== combining send queue (nothing stranded, per-sender order, one binding's pipeline batched; 20 times under the race detector) =="
+# TestFrameQueueStrandsNothing: 32 goroutines enqueue and flush through one
+# queue whose byte bound and batch cap are small enough to park enqueuers
+# and split batches, then two enqueuers race the writer's exit 10,000
+# times. TestOneBindingBatchesItsPipeline: 64 callers of one binding queue
+# behind a held write, which pins the write outside the binding's order lock.
+go test -race -count=20 -run 'TestFrameQueueStrandsNothing|TestOneBindingBatchesItsPipeline' ./internal/channel/
 
 echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
 # TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
