@@ -1,6 +1,7 @@
 package trader
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,4 +198,98 @@ func TestConcurrentFederationDedup(t *testing.T) {
 	if st := origin.ShardStats(); st.Federated != 6*10*2 {
 		t.Errorf("origin Federated = %d, want %d", st.Federated, 6*10*2)
 	}
+}
+
+// TestModifyDuringMultiLegImport: an import merges pointers to the stored
+// offers and copies the ones it returns after every store's read lock is
+// released, so no stored offer may ever be written: Modify is
+// copy-on-write. Modifiers flip the offers of the bench-shaped four-shard
+// front-end between versions whose two fields agree, while importers ask
+// for root types, whose closures span every shard; each offer returned
+// must hold one whole version. Under the race detector (scripts/check.sh
+// runs it 20 times) a write to a stored offer is also a reported race.
+func TestModifyDuringMultiLegImport(t *testing.T) {
+	front := benchShaped(t, 2_000)
+	v := front.part.View()
+	stores := make(map[string]*Trader)
+	for i, name := range v.Names() {
+		stores[name] = v.Members()[i].shard.(*Trader)
+	}
+	// Version n keeps the offer's cost, so the ranking holds still.
+	version := func(o Offer, n int64) values.Value {
+		cost, _ := o.Properties.FieldByName("cost")
+		return values.Record(values.F("cost", cost), values.F("a", values.Int(n)), values.F("b", values.Int(n)))
+	}
+	roots := []string{"SvcR0", "SvcR1", "SvcR2", "SvcR3", "SvcR4"}
+	var offers []Offer
+	for _, root := range roots {
+		res, err := front.ImportEx(ImportRequest{ServiceType: root})
+		if err != nil || res.LinksQueried < 2 {
+			t.Fatalf("%s: %d legs, %v; want a multi-leg import", root, res.LinksQueried, err)
+		}
+		offers = append(offers, res.Offers...)
+	}
+	modify := func(o Offer, n int64) error {
+		return stores[o.ID[:strings.IndexByte(o.ID, '/')]].Modify(o.ID, version(o, n))
+	}
+	for _, o := range offers {
+		if err := modify(o, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var modifiers, importers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		modifiers.Add(1)
+		go func(w int) {
+			defer modifiers.Done()
+			for n := int64(1); ; n++ {
+				for i := w; i < len(offers); i += 2 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := modify(offers[i], n); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	reqs := []ImportRequest{
+		{Preference: Preference{Kind: PrefMin, Expr: "cost"}, MaxMatches: 10},
+		{Preference: Preference{Kind: PrefFirst}},
+		{Preference: Preference{Kind: PrefRandom}, MaxMatches: 5},
+	}
+	for w := 0; w < 2; w++ {
+		importers.Add(1)
+		go func(w int) {
+			defer importers.Done()
+			for i := 0; i < 60; i++ {
+				req := reqs[i%len(reqs)]
+				req.ServiceType = roots[(i+w)%len(roots)]
+				got, err := front.Import(req)
+				if err != nil || len(got) == 0 {
+					t.Errorf("import %+v = %d offers, %v", req, len(got), err)
+					return
+				}
+				for _, o := range got {
+					a, _ := o.Properties.FieldByName("a")
+					b, _ := o.Properties.FieldByName("b")
+					an, aok := a.AsInt()
+					bn, bok := b.AsInt()
+					if !aok || !bok || an != bn {
+						t.Errorf("offer %s holds a = %v, b = %v: no one version", o.ID, a, b)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	importers.Wait()
+	close(stop)
+	modifiers.Wait()
 }

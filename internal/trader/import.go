@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +25,11 @@ import (
 // import. The trading function is one function however it is deployed, so
 // the pipeline is written once: validate and parse the request (begin),
 // find which advertised types can satisfy it (closureOver), put one
-// sub-request (subRequest) to the stores that hold them (queryAll —
-// federation links at a trader, shards at a front-end), merge their
-// answers at the origin (ImportResult.merge), then order, truncate and
-// count (finish). Only the middle — which stores, in which order — belongs
-// to the deployment.
+// sub-request (subRequest) to the stores that hold them (queryAll — the
+// shards, then the links, at a front-end; its own store at a trader), and
+// merge the answers, by reference (hit), at the origin: dedupe, order,
+// truncate, copy each offer kept once, count (finish). Only the middle —
+// which stores, in which order — belongs to the deployment.
 
 // importCore is the state of the pipeline's two ends.
 type importCore struct {
@@ -72,6 +73,9 @@ func (c *importCore) begin(req ImportRequest) (importQuery, error) {
 	if req.MaxMatches < 0 || req.MaxHops < 0 {
 		return q, fmt.Errorf("%w: negative bounds", ErrBadRequest)
 	}
+	if req.MaxHops > maxHops {
+		return q, fmt.Errorf("%w: %d hops, at most %d", ErrBadRequest, req.MaxHops, maxHops)
+	}
 	var err error
 	if q.expr, err = parsed(req.expr, req.Constraint); err != nil {
 		return q, err
@@ -106,8 +110,7 @@ func parsed(carried *constraint.Expr, src string) (*constraint.Expr, error) {
 }
 
 // subRequest is the one request an import puts to each of its legs: the
-// shards of a front-end, the federation links of a trader, and the trader's
-// own store. A leg answers with its best MaxMatches under the caller's
+// shards and the federation links of a front-end, or a trader's own store. A leg answers with its best MaxMatches under the caller's
 // preference, and the origin merges, dedupes, orders and truncates. That
 // loses nothing: an offer among the best k of the merge is among the best
 // k of its own leg, since the leg ranks by the same (scoreable, score,
@@ -126,53 +129,47 @@ func (q importQuery) subRequest(req ImportRequest) ImportRequest {
 	return sub
 }
 
-// finish turns the merged matches into the import's answer: ordered by
-// the preference, truncated to MaxMatches, counted.
-func (c *importCore) finish(q importQuery, req ImportRequest, res ImportResult, matches []Offer) ImportResult {
-	res.Offers = c.order(q, matches, req.MaxMatches)
-	c.matched.Add(uint64(len(res.Offers)))
-	if q.latency != nil {
-		q.latency.ObserveDuration(time.Since(q.start))
+// finish turns the merge — every leg's hits, appended in leg order — into
+// the import's answer: deduplicated by offer id, put in the preference's
+// order (PrefFirst keeps the merge order), truncated to MaxMatches, and
+// only then copied, the offers kept and no other, into the one slice the
+// import returns; then counted.
+func (c *importCore) finish(q importQuery, req ImportRequest, res ImportResult, all []hit) ImportResult {
+	for i := range all {
+		all[i].r.pos = uint64(i)
 	}
+	if res.LinksQueried > 1 {
+		// A diamond federation, or an offer mid-migration, answers twice:
+		// sorted by id, each offer's earliest merge position comes first.
+		slices.SortFunc(all, func(a, b hit) int {
+			return cmp.Or(strings.Compare(a.o.ID, b.o.ID), cmp.Compare(a.r.pos, b.r.pos))
+		})
+		all = slices.CompactFunc(all, func(a, b hit) bool { return a.o.ID == b.o.ID })
+	}
+	slices.SortFunc(all, func(a, b hit) int { return compareRanks(a.r, b.r) })
+	if q.kind == PrefRandom {
+		c.rngMu.Lock()
+		c.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		c.rngMu.Unlock()
+	}
+	if k := req.MaxMatches; k > 0 && len(all) > k {
+		all = all[:k]
+	}
+	res.Offers = make([]Offer, len(all))
+	for i, h := range all {
+		res.Offers[i] = *h.o
+	}
+	c.count(q, len(res.Offers))
 	return res
 }
 
-// order puts the merged matches in the preference's order and keeps the
-// first k (0 = all). PrefFirst keeps the merge order: local export order,
-// then the legs' answers in leg order.
-func (c *importCore) order(q importQuery, matches []Offer, k int) []Offer {
-	switch q.kind {
-	case PrefRandom:
-		c.rngMu.Lock()
-		c.rng.Shuffle(len(matches), func(i, j int) {
-			matches[i], matches[j] = matches[j], matches[i]
-		})
-		c.rngMu.Unlock()
-	case PrefMax, PrefMin:
-		var buf [64]rank // the usual merge, legs × k, ranks on the stack
-		ranks := buf[:0]
-		for i := range matches {
-			ranks = append(ranks, q.rankOf(matches[i].Properties, uint64(i)))
-		}
-		slices.SortStableFunc(ranks, compareRanks)
-		if k > 0 && len(ranks) > k {
-			ranks = ranks[:k]
-		}
-		for i, r := range ranks {
-			if r.pos != uint64(i) {
-				// Not already in order, as a lone leg's ranked answer is.
-				out := make([]Offer, len(ranks))
-				for i, r := range ranks {
-					out[i] = matches[r.pos]
-				}
-				return out
-			}
-		}
+// count closes an import's accounting: the offers it answered with and,
+// when metered, its latency.
+func (c *importCore) count(q importQuery, matched int) {
+	c.matched.Add(uint64(matched))
+	if q.latency != nil {
+		q.latency.ObserveDuration(time.Since(q.start))
 	}
-	if k > 0 && len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches
 }
 
 // rank is an offer's place under the import's preference: scoreable offers
@@ -220,57 +217,92 @@ func compareRanks(a, b rank) int {
 	return cmp.Compare(a.pos, b.pos)
 }
 
-// queryable is one store an import fans out to.
-type queryable interface {
-	query(sub ImportRequest) ([]Offer, error)
+// hit is one offer of a leg's answer, by reference, and its rank: the
+// store's own for a store in this process, the origin's for any other leg.
+// The merge position replaces pos at the origin.
+type hit struct {
+	o *Offer
+	r rank
 }
 
-// queryAll puts the sub-request to every leg — inline for one, else
-// bounded-parallel (maxLinkFanout) with the caller as one of the workers,
-// so the import costs the slowest leg, not their sum — and folds the
-// answers into the result in leg order (add).
-func queryAll[L queryable](legs []L, sub ImportRequest, res *ImportResult, matches []Offer, seen map[string]bool) []Offer {
-	if len(legs) == 1 {
-		offers, err := legs[0].query(sub)
-		return res.add(matches, seen, offers, err)
+// leg is one store an import asks: a shard, which counts the imports
+// routed to it, or a federation link.
+type leg struct {
+	imp    Importer
+	routed *atomic.Uint64 // nil for a link
+}
+
+// query puts the sub-request to the leg and appends its answer to dst. A
+// store in this process answers by reference (Trader.answerLeg); any other
+// leg through its Import, whose offers are referenced in place.
+func (l leg) query(q importQuery, sub ImportRequest, dst []hit) ([]hit, error) {
+	if l.routed != nil {
+		l.routed.Add(1)
 	}
-	results := make([][]Offer, len(legs))
-	errs := make([]error, len(legs))
-	fanout.Do(len(legs), maxLinkFanout, func(i int) {
-		results[i], errs[i] = legs[i].query(sub)
+	if t, ok := l.imp.(*Trader); ok {
+		return t.answerLeg(sub, dst)
+	}
+	offers, err := l.imp.Import(sub)
+	for i := 0; err == nil && i < len(offers); i++ {
+		dst = append(dst, hit{&offers[i], q.rankOf(offers[i].Properties, 0)})
+	}
+	return dst, err
+}
+
+// queryAll puts the sub-request to every leg and appends their answers to
+// all in leg order: inline for one leg, so a store selects straight into
+// the merge; else bounded-parallel (maxLinkFanout) with the caller as one
+// of the workers, so the import costs the slowest leg, not their sum, each
+// leg selecting into its own stretch of one slab.
+func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, all []hit) []hit {
+	switch len(legs) {
+	case 0:
+		return all
+	case 1:
+		all, err := legs[0].query(q, sub, all)
+		res.asked(err)
+		return all
+	}
+	w := 0 // room for the best k and one more, to insert before the worst drops out
+	if k := sub.MaxMatches; k > 0 && k < mergeBuf {
+		w = k + 1
+	}
+	slab := make([]hit, len(legs)*w)
+	// A call carries its leg, so the closure, which escapes, captures calls
+	// alone, and legs and all stay on the caller's stack.
+	type call struct {
+		l    leg
+		hits []hit
+		err  error
+	}
+	calls := make([]call, len(legs))
+	for i := range calls {
+		calls[i] = call{l: legs[i], hits: slab[i*w : i*w : (i+1)*w]}
+	}
+	fanout.Do(len(calls), maxLinkFanout, func(i int) {
+		c := &calls[i]
+		c.hits, c.err = c.l.query(q, sub, c.hits)
 	})
-	for i := range legs {
-		matches = res.add(matches, seen, results[i], errs[i])
+	for _, c := range calls {
+		res.asked(c.err)
+		all = append(all, c.hits...)
 	}
-	return matches
+	return all
 }
 
-// add folds one leg's answer into the result: if the leg answered, its
-// offers join matches unless seen already — origin-side dedupe by offer
-// id, since a diamond federation or an offer mid-migration answers twice —
-// and if it did not, it is counted by cause, which marks the view partial.
-// seen is nil when the import has a single leg: its answer, which an
-// Importer hands to its caller, is then the merge.
-func (res *ImportResult) add(matches []Offer, seen map[string]bool, offers []Offer, err error) []Offer {
+// asked counts one leg asked and, if it did not answer, why: either cause
+// marks the view partial.
+func (res *ImportResult) asked(err error) {
 	res.LinksQueried++
 	switch {
-	case err == nil && seen == nil:
-		return offers
 	case err == nil:
-		for _, o := range offers {
-			if !seen[o.ID] {
-				seen[o.ID] = true
-				matches = append(matches, o)
-			}
-		}
+		return
 	case errors.Is(err, policy.ErrCircuitOpen):
 		res.LinksSkipped++
-		res.Degraded = true
 	default:
 		res.LinksFailed++
-		res.Degraded = true
 	}
-	return matches
+	res.Degraded = true
 }
 
 // closureMemo memoises, per requested service type, which types of a

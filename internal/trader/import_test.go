@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -106,16 +107,13 @@ func refCollect(t *testing.T, x Importer, req ImportRequest, hops int) []Offer {
 			add(local[i : i+1])
 		}
 	case *ShardedTrader:
-		_, lone, oldLegs, curLegs := x.targetShards(req.ServiceType)
-		if lone != nil {
-			curLegs = []*shardLeg{lone}
-		}
+		_, oldLegs, curLegs := x.targetShards(req.ServiceType, nil)
 		for _, leg := range append(oldLegs, curLegs...) {
-			add(refCollect(t, leg.shard, req, hops))
+			add(refCollect(t, leg.imp, req, hops))
 		}
 		if hops > 0 {
 			for _, l := range x.linkLegs() {
-				add(refCollect(t, l.target, req, hops-1))
+				add(refCollect(t, l.imp, req, hops-1))
 			}
 		}
 	default:
@@ -450,6 +448,81 @@ func TestNaNScoresRankLast(t *testing.T) {
 	}
 }
 
+// TestMergeDedupesPastTheStackBuffer: an offer installed on two shards —
+// the shape of an offer mid-migration — answers from both legs of an
+// import, and with MaxMatches 0 more than mergeBuf matches arrive, so the
+// merge runs on the heap. Under every preference the answer is the
+// copy-all reference's; the offer is in it once, and under PrefFirst at
+// its earliest merge position.
+func TestMergeDedupesPastTheStackBuffer(t *testing.T) {
+	repo := selectionRepo(t)
+	four, _ := frontEnd(t, repo, "four", 4)
+	kinds := []string{"BankTeller", "BankManager", "BankDirector"}
+	export := func(from, to int) {
+		for i := from; i < to; i++ {
+			typ := kinds[i%len(kinds)]
+			if _, err := four.Export(typ, refOf(typ, uint64(i+1)), rec(values.F("cost", values.Int(int64(i%7))))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Halfway, copy one early offer of a type onto the owner of another: a
+	// BankTeller import asks both shards, both answer it, and neither copy
+	// is at the end of its leg's answer.
+	export(0, mergeBuf)
+	v := four.part.View()
+	var dup Offer
+	for _, from := range kinds {
+		for _, to := range kinds {
+			_, src, _ := v.Owner(from)
+			_, dst, _ := v.Owner(to)
+			if src == dst || dup.ID != "" {
+				continue
+			}
+			store := src.shard.(*Trader)
+			store.mu.RLock()
+			dup = *store.buckets[from][1].offer
+			store.mu.RUnlock()
+			if err := dst.shard.Install(dup); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if dup.ID == "" {
+		t.Fatal("the three bank types share one shard")
+	}
+	export(mergeBuf, 2*mergeBuf)
+	for _, pref := range []Preference{{Kind: PrefFirst}, {Kind: PrefMax, Expr: "cost"}, {Kind: PrefRandom}} {
+		req := ImportRequest{ServiceType: "BankTeller", Preference: pref}
+		res, err := four.ImportEx(req)
+		if err != nil || res.LinksQueried < 2 || len(res.Offers) <= mergeBuf {
+			t.Fatalf("%+v: %d offers from %d legs, %v", pref, len(res.Offers), res.LinksQueried, err)
+		}
+		checkSelection(t, "duplicated offer", four, req)
+		at := -1
+		for i, o := range res.Offers {
+			if o.ID != dup.ID {
+				continue
+			}
+			if at >= 0 {
+				t.Errorf("%+v: offer %s at %d and %d", pref, dup.ID, at, i)
+			}
+			at = i
+		}
+		if at < 0 {
+			t.Errorf("%+v: offer %s is missing", pref, dup.ID)
+		}
+		if pref.Kind != PrefFirst {
+			continue
+		}
+		for i, o := range refCollect(t, four, req, 0) {
+			if o.ID == dup.ID && i != at {
+				t.Errorf("PrefFirst: offer %s at %d, its earliest merge position is %d", dup.ID, at, i)
+			}
+		}
+	}
+}
+
 // benchShaped builds a four-shard front-end of the trader bench's shape:
 // 50 service types in a three-level hierarchy — five roots, three
 // mid-level types under each, two leaves under each of those — with
@@ -515,34 +588,60 @@ func benchShaped(t *testing.T, offers int) *ShardedTrader {
 // allocates at front.
 func importAllocs(t *testing.T, front *ShardedTrader, serviceType, constraint string) float64 {
 	t.Helper()
+	return testing.AllocsPerRun(200, importOnce(t, front, serviceType, constraint))
+}
+
+// importBytes is how many bytes that import allocates, averaged over 200
+// runs, measured as testing.AllocsPerRun counts allocations.
+func importBytes(t *testing.T, front *ShardedTrader, serviceType, constraint string) float64 {
+	t.Helper()
+	run := importOnce(t, front, serviceType, constraint)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 200
+}
+
+// importOnce is one import of the best 10 by min cost at front.
+func importOnce(t *testing.T, front *ShardedTrader, serviceType, constraint string) func() {
 	req := ImportRequest{ServiceType: serviceType, Constraint: constraint,
 		Preference: Preference{Kind: PrefMin, Expr: "cost"}, MaxMatches: 10}
-	return testing.AllocsPerRun(200, func() {
+	return func() {
 		if res, err := front.ImportEx(req); err != nil || len(res.Offers) != 10 {
 			t.Fatalf("import %s: %d offers, %v", serviceType, len(res.Offers), err)
 		}
-	})
+	}
 }
 
 // TestImportAllocBudget is the absolute floor under trade_import's
-// allocs_per_op: an import copies only the offers it returns, so what it
-// allocates depends on how many shards it asks — a leaf type's one, a
-// mid-level type's three buckets, a root's ten — and not on how many
-// offers match.
+// allocs_per_op and alloc_bytes_per_op: an import copies only the offers
+// it returns, once, so what it allocates depends on how many shards it
+// asks — a leaf type's one, a mid-level type's three buckets, a root's ten
+// — and not on how many offers match. A leg answers by reference, so
+// beside the ten offers returned (1,680 B) a multi-leg import pays only
+// its fan-out and the slab its legs select into.
 func TestImportAllocBudget(t *testing.T) {
 	front := benchShaped(t, 10_000)
 	const constraint = "load < 90 and region != 'fr'"
 	for _, row := range []struct {
 		name, serviceType string
-		budget            float64
+		allocs, bytes     float64
 	}{
-		{"leaf", "SvcL0", 7},       // 5: one shard, asked directly, no merge
-		{"mid-level", "SvcM0", 19}, // 17: three shards
-		{"root", "SvcR0", 23},      // 21: four shards
+		{"leaf", "SvcL0", 7, 2_450},       // 5 and 2,224 B: one shard, asked inline
+		{"mid-level", "SvcM0", 12, 3_700}, // 10 and 3,360 B: three shards
+		{"root", "SvcR0", 14, 4_720},      // 12 and 4,288 B: four shards
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			if allocs := importAllocs(t, front, row.serviceType, constraint); allocs > row.budget {
-				t.Errorf("%s import = %v allocs, budget %v", row.serviceType, allocs, row.budget)
+			if allocs := importAllocs(t, front, row.serviceType, constraint); allocs > row.allocs {
+				t.Errorf("%s import = %v allocs, budget %v", row.serviceType, allocs, row.allocs)
+			}
+			if bytes := importBytes(t, front, row.serviceType, constraint); bytes > row.bytes {
+				t.Errorf("%s import = %.0f B, budget %v", row.serviceType, bytes, row.bytes)
 			}
 		})
 	}
@@ -589,12 +688,12 @@ func TestLoneLegCostsWhatTheStoreCosts(t *testing.T) {
 	t.Run("four shards", func(t *testing.T) {
 		lone := 0
 		for typ := range four.advertised {
-			_, leg, _, _ := four.targetShards(typ)
-			if leg == nil {
+			_, oldLegs, curLegs := four.targetShards(typ, nil)
+			if len(oldLegs)+len(curLegs) != 1 {
 				continue
 			}
 			lone++
-			if got, want := importAllocs(t, four, typ, constraint), storeAllocs(t, leg.shard.(*Trader), typ, constraint); got != want {
+			if got, want := importAllocs(t, four, typ, constraint), storeAllocs(t, curLegs[0].imp.(*Trader), typ, constraint); got != want {
 				t.Errorf("%s: four-shard front-end = %v allocs, its one shard %v", typ, got, want)
 			}
 		}

@@ -42,10 +42,6 @@ import (
 // ErrNoShards reports an operation on a sharded trader with an empty ring.
 var ErrNoShards = errors.New("trader: sharded trader has no shards")
 
-// presizeK is the largest MaxMatches an import's merge is sized for up
-// front.
-const presizeK = 64
-
 // Shard is one partition of the offer space: the trading operations the
 // front-end routes to. *Trader and *Remote both satisfy it.
 type Shard interface {
@@ -90,12 +86,6 @@ type shardLeg struct {
 	offers  atomic.Int64 // offers routed here minus withdrawn/migrated away
 	exports atomic.Uint64
 	imports atomic.Uint64
-}
-
-// query is one routed shard import.
-func (l *shardLeg) query(sub ImportRequest) ([]Offer, error) {
-	l.imports.Add(1)
-	return l.shard.Import(sub)
 }
 
 // ShardedTrader partitions the offer space over named shards by
@@ -307,34 +297,16 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	// window rule of hashring.Partition, without which a miss is the classic
 	// double-read race. Nothing advertised substituting for the request is
 	// no leg and an empty match, not an error (same as a single trader with
-	// no matching bucket).
+	// no matching bucket). One leg or several, the answers meet in finish.
+	var buf [mergeBuf]hit
+	var legBuf [8]leg
 	var res ImportResult
-	var matches []Offer
+	var all []hit
 	for attempt := 0; ; attempt++ {
-		epoch, lone, oldLegs, curLegs := s.targetShards(req.ServiceType)
-		res = ImportResult{}
-		if lone != nil {
-			// The lone leg's answer is the merge, and the import costs what
-			// the leg's own does.
-			offers, err := lone.query(sub)
-			matches = res.add(nil, nil, offers, err)
-		} else {
-			// Several legs' best k each fit in legs × k without regrowth. k
-			// comes from the caller, possibly off the wire, so past presizeK
-			// the merge grows as answers arrive.
-			matches = nil
-			var seen map[string]bool
-			if legs := len(oldLegs) + len(curLegs); legs > 1 {
-				n := legs * min(sub.MaxMatches, presizeK)
-				matches = make([]Offer, 0, n)
-				seen = make(map[string]bool, n)
-			}
-			for _, phase := range [][]*shardLeg{oldLegs, curLegs} {
-				if len(phase) > 0 {
-					matches = queryAll(phase, sub, &res, matches, seen)
-				}
-			}
-		}
+		epoch, oldLegs, curLegs := s.targetShards(req.ServiceType, legBuf[:0])
+		res, all = ImportResult{}, buf[:0]
+		all = queryAll(q, oldLegs, sub, &res, all)
+		all = queryAll(q, curLegs, sub, &res, all)
 		s.queried.Add(uint64(res.LinksQueried))
 		if s.part.View().Epoch() == epoch || attempt >= 3 {
 			break
@@ -345,30 +317,26 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 	}
 	if req.MaxHops > 0 {
 		sub.MaxHops = req.MaxHops - 1
-		matches = s.federate(sub, &res, matches)
+		all = s.federate(q, sub, &res, all)
 	}
-	return s.finish(q, req, res, matches), nil
+	return s.finish(q, req, res, all), nil
 }
 
 // federate puts the sub-request, one hop shorter, to every federation link
-// — concurrently, through the shards' fan-out — and merges their answers
-// after the shards' matches, deduplicated by offer id (a diamond answers
-// twice). Without a link it allocates nothing.
-func (s *ShardedTrader) federate(sub ImportRequest, res *ImportResult, matches []Offer) []Offer {
+// — concurrently, through the shards' fan-out — whose answers the merge
+// takes after the shards' (a diamond answers twice; finish dedupes).
+// Without a link it allocates nothing.
+func (s *ShardedTrader) federate(q importQuery, sub ImportRequest, res *ImportResult, all []hit) []hit {
 	links := s.linkLegs()
 	if len(links) == 0 {
-		return matches
-	}
-	seen := make(map[string]bool, len(matches))
-	for _, o := range matches {
-		seen[o.ID] = true
+		return all
 	}
 	s.feder.Add(uint64(len(links)))
 	skipped, failed := res.LinksSkipped, res.LinksFailed
-	matches = queryAll(links, sub, res, matches, seen)
+	all = queryAll(q, links, sub, res, all)
 	s.linksSkipped.Add(uint64(res.LinksSkipped - skipped))
 	s.linksFailed.Add(uint64(res.LinksFailed - failed))
-	return matches
+	return all
 }
 
 // Link federates this trading function with another (or with a proxy to a
@@ -379,66 +347,51 @@ func (s *ShardedTrader) Link(name string, target Importer) {
 	s.links[name] = target
 }
 
-// linkLeg is one federation link as an import queries it. A dead
-// federation partner must not fail the import: its error is reported for
-// the degradation metadata.
-type linkLeg struct {
-	name   string
-	target Importer
-}
-
-func (l linkLeg) query(sub ImportRequest) ([]Offer, error) { return l.target.Import(sub) }
-
 // linkLegs snapshots the federation links in name order (a deterministic
-// merge order); nil when there are none.
-func (s *ShardedTrader) linkLegs() []linkLeg {
+// merge order). A dead federation partner must not fail the import: its
+// error is reported for the degradation metadata.
+func (s *ShardedTrader) linkLegs() []leg {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var legs []linkLeg
-	for n, target := range s.links {
-		legs = append(legs, linkLeg{name: n, target: target})
+	names := make([]string, 0, len(s.links))
+	for n := range s.links {
+		names = append(names, n)
 	}
-	slices.SortFunc(legs, func(a, b linkLeg) int { return strings.Compare(a.name, b.name) })
+	slices.Sort(names)
+	legs := make([]leg, len(names))
+	for i, n := range names {
+		legs[i].imp = s.links[n]
+	}
 	return legs
 }
 
-// targetShards maps a requested service type to the legs that must be
-// queried under one routing view, whose epoch it returns: the previous
+// targetShards maps a requested service type to the shard legs that must
+// be queried under one routing view, whose epoch it returns: the previous
 // owners of candidate types a ring change is moving (read first) and the
 // current owners of every advertised candidate type (read after — see
-// ImportEx for why the order matters). A leg appears in at most one slice;
-// within one change window the donating and receiving shard sets are
-// disjoint, so a leg in the old slice is never the new owner of another
-// moving type. When one current owner holds every candidate type and none
-// of them is moving, as for most imports, that owner is lone and no slice
-// is built.
-func (s *ShardedTrader) targetShards(serviceType string) (epoch uint64, lone *shardLeg, oldLegs, curLegs []*shardLeg) {
+// ImportEx for why the order matters), both appended to buf. A leg appears
+// in at most one slice; within one change window the donating and
+// receiving shard sets are disjoint, so a leg in the old slice is never
+// the new owner of another moving type. Most imports have one current
+// owner and no moving type: one leg, which costs what its store does.
+func (s *ShardedTrader) targetShards(serviceType string, buf []leg) (epoch uint64, oldLegs, curLegs []leg) {
 	cands := closureOver(&s.closure, &s.mu, s.advertised, s.types, serviceType)
 	v := s.part.View()
-	for i, ct := range cands {
-		_, moving := v.Prev(ct)
-		_, leg, ok := v.Owner(ct)
-		if moving || !ok || i > 0 && leg != lone {
-			lone = nil
-			break
-		}
-		lone = leg
-	}
-	if lone != nil || len(cands) == 0 {
-		return v.Epoch(), lone, nil, nil
-	}
-	curLegs = make([]*shardLeg, 0, min(len(cands), len(v.Members())))
-	for _, ct := range cands {
-		if leg, ok := v.Prev(ct); ok && !slices.Contains(oldLegs, leg) {
-			oldLegs = append(oldLegs, leg)
+	legs := buf[:0]
+	add := func(l *shardLeg, ok bool) {
+		if ok && !slices.ContainsFunc(legs, func(x leg) bool { return x.routed == &l.imports }) {
+			legs = append(legs, leg{imp: l.shard, routed: &l.imports})
 		}
 	}
 	for _, ct := range cands {
-		if _, leg, ok := v.Owner(ct); ok && !slices.Contains(oldLegs, leg) && !slices.Contains(curLegs, leg) {
-			curLegs = append(curLegs, leg)
-		}
+		add(v.Prev(ct))
 	}
-	return v.Epoch(), nil, oldLegs, curLegs
+	n := len(legs)
+	for _, ct := range cands {
+		_, l, ok := v.Owner(ct)
+		add(l, ok)
+	}
+	return v.Epoch(), legs[:n], legs[n:]
 }
 
 // AddShard joins a shard to the ring and live-migrates every bucket

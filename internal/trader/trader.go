@@ -47,6 +47,13 @@ var (
 // shards or its federation links.
 const maxLinkFanout = 16
 
+// maxHops bounds an import's MaxHops: each hop nests an import, and a
+// cycle of links answers for as long as hops remain.
+const maxHops = 8
+
+// mergeBuf is how many hits an import merges on the stack.
+const mergeBuf = 64
+
 // Offer is one service advertisement held by a trader.
 type Offer struct {
 	ID          string              // unique within the federation: "<trader>/<seq>"
@@ -96,8 +103,8 @@ type ImportRequest struct {
 
 // Importer is anything that can answer an import — a front-end, a store
 // or a proxy to a remote one. Federation links hold Importers. The offers
-// returned are the caller's: an import reorders a lone leg's answer in
-// place.
+// returned are the caller's, and an import in this process never writes
+// them: it merges them by reference and copies out the ones it keeps.
 type Importer interface {
 	Import(req ImportRequest) ([]Offer, error)
 }
@@ -249,7 +256,9 @@ func (t *Trader) Withdraw(offerID string) error {
 	return nil
 }
 
-// Modify replaces an offer's properties.
+// Modify replaces an offer's properties. It is copy-on-write: a stored
+// offer is never written, so an import that read a pointer to it under the
+// read lock may copy it after releasing the lock; Modify stores a fresh one.
 func (t *Trader) Modify(offerID string, props values.Value) error {
 	if err := recordProps(&props); err != nil {
 		return err
@@ -260,7 +269,9 @@ func (t *Trader) Modify(offerID string, props values.Value) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchOffer, offerID)
 	}
-	e.offer.Properties = props
+	o := *e.offer
+	o.Properties = props
+	e.offer = &o
 	return nil
 }
 
@@ -290,40 +301,52 @@ func (t *Trader) Import(req ImportRequest) ([]Offer, error) {
 	return res.Offers, err
 }
 
-// ImportEx is Import as a front-end's ImportEx answers it; a store has no
-// legs to degrade, so the metadata is always zero.
+// ImportEx is Import as a front-end's ImportEx answers it, with its own
+// store as the one leg: nothing to degrade, so the metadata is always zero.
 func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 	q, err := t.begin(req)
 	if err != nil {
 		return ImportResult{}, err
 	}
-	matches := t.localMatches(q, req.ServiceType, q.subRequest(req).MaxMatches)
-	return t.finish(q, req, ImportResult{}, matches), nil
+	var buf [mergeBuf]hit
+	return t.finish(q, req, ImportResult{}, t.localMatches(q, req.ServiceType, q.subRequest(req).MaxMatches, buf[:0])), nil
 }
 
-// localMatches answers an import from this trader's own store: the offers
-// of the candidate buckets for serviceType — its subtype closure over the
-// types currently advertised — that satisfy the constraint; with k > 0 the
-// best k under the preference, in rank order, else all of them in export
-// order. The scan runs under the read lock (so Modify cannot race the
-// evaluation; concurrent imports still proceed in parallel) and ranks
-// entries, so only the offers returned are copied.
-func (t *Trader) localMatches(q importQuery, serviceType string, k int) []Offer {
+// answerLeg is the store's import as a leg of an import in this process
+// asks it: counted as the store's own, answered by reference
+// (localMatches), appended to dst.
+func (t *Trader) answerLeg(sub ImportRequest, dst []hit) ([]hit, error) {
+	q, err := t.begin(sub)
+	if err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	dst = t.localMatches(q, sub.ServiceType, sub.MaxMatches, dst)
+	t.count(q, len(dst)-n)
+	return dst, nil
+}
+
+// localMatches answers an import from this trader's own store and appends
+// the answer to dst: the offers of the candidate buckets for serviceType —
+// its subtype closure over the types currently advertised — that satisfy
+// the constraint, each with its rank; with k > 0 the best k under the
+// preference, in rank order, else all of them in export order (rank order
+// when several buckets merge). The scan runs under the read lock, so Modify
+// cannot race the evaluation, and answers pointers to the stored offers:
+// Modify is copy-on-write, so they stay whole once the lock is released,
+// and nothing is copied here.
+func (t *Trader) localMatches(q importQuery, serviceType string, k int, dst []hit) []hit {
 	cands := closureOver(&t.closure, &t.mu, t.buckets, t.types, serviceType)
 	if len(cands) == 0 {
-		return nil
+		return dst
 	}
-	type pick struct {
-		e *entry
-		r rank
-	}
-	// A small k is selected in place: picks, on the stack, holds the best k
-	// so far and a slot to insert into before the worst drops out. Any other
-	// k — 0 for all, or a large one, which may come off the wire and would
-	// cost up to k moves per match — collects every match and sorts once.
-	var buf [16]pick
-	picks := buf[:0]
-	selecting := k > 0 && k < len(buf)
+	// A k that dst has room for is selected in place: dst's tail holds the
+	// best k so far and a slot to insert into before the worst drops out.
+	// Any other k — 0 for all, or a large one, which may come off the wire
+	// and would cost up to k moves per match — collects every match and
+	// sorts once.
+	base := len(dst)
+	selecting := k > 0 && base+k < cap(dst)
 	considered := 0
 	t.mu.RLock()
 	for _, bt := range cands {
@@ -335,36 +358,28 @@ func (t *Trader) localMatches(q importQuery, serviceType string, k int) []Offer 
 				// the same rather than failing the whole import.
 				continue
 			}
-			p := pick{e, rank{pos: e.seq}}
-			if k > 0 {
-				p.r = q.rankOf(e.offer.Properties, e.seq)
-			}
+			h := hit{e.offer, q.rankOf(e.offer.Properties, e.seq)}
 			if !selecting {
-				picks = append(picks, p)
+				dst = append(dst, h)
 				continue
 			}
-			if len(picks) == k && compareRanks(p.r, picks[k-1].r) > 0 {
+			best := dst[base:]
+			if len(best) == k && compareRanks(h.r, best[k-1].r) > 0 {
 				continue
 			}
-			i := sort.Search(len(picks), func(i int) bool { return compareRanks(p.r, picks[i].r) < 0 })
-			if picks = slices.Insert(picks, i, p); len(picks) > k {
-				picks = picks[:k]
-			}
+			i := sort.Search(len(best), func(i int) bool { return compareRanks(h.r, best[i].r) < 0 })
+			best = slices.Insert(best, i, h)
+			dst = dst[:base+min(len(best), k)]
 		}
-	}
-	if !selecting && (k > 0 || len(cands) > 1) {
-		// Unranked matches from one bucket are in export order already.
-		slices.SortFunc(picks, func(a, b pick) int { return compareRanks(a.r, b.r) })
-		if k > 0 && len(picks) > k {
-			picks = picks[:k]
-		}
-	}
-	out := make([]Offer, len(picks))
-	for i, p := range picks {
-		out[i] = *p.e.offer
 	}
 	t.mu.RUnlock()
-
+	if !selecting && (k > 0 || len(cands) > 1) {
+		// Matches from one bucket are in export order already.
+		slices.SortFunc(dst[base:], func(a, b hit) int { return compareRanks(a.r, b.r) })
+		if k > 0 && len(dst)-base > k {
+			dst = dst[:base+k]
+		}
+	}
 	t.consid.Add(uint64(considered))
-	return out
+	return dst
 }

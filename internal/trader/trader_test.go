@@ -1,8 +1,10 @@
 package trader
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/constraint"
@@ -434,6 +436,45 @@ func TestFederationCycleAndDiamond(t *testing.T) {
 	}
 	if len(offers) != 1 {
 		t.Errorf("diamond dedup: %d offers, want 1", len(offers))
+	}
+}
+
+// TestFederationCycleRefusesHostileHops: MaxHops comes off the wire
+// unchecked by the Servant, and on a cycle of links every hop is one more
+// nested import, so a million of them overflowed the stack — a fatal error
+// that took the process down. An import asking for more than maxHops is
+// refused before any leg is asked, in process and through a Servant, and
+// one asking for maxHops still walks the cycle.
+func TestFederationCycleRefusesHostileHops(t *testing.T) {
+	repo := repoWithBank(t)
+	a, _ := frontEnd(t, repo, "A", 1)
+	b, _ := frontEnd(t, repo, "B", 1)
+	a.Link("b", b)
+	b.Link("a", a)
+	if _, err := b.Export("BankTeller", refOf("BankTeller", 1), values.Null()); err != nil {
+		t.Fatal(err)
+	}
+	const hostile = 1 << 20
+	if _, err := a.Import(ImportRequest{ServiceType: "BankTeller", MaxHops: hostile}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("in process, MaxHops %d = %v; want ErrBadRequest", hostile, err)
+	}
+	if st := a.ShardStats(); st.Imports != 0 || st.ShardsQueried != 0 || st.Federated != 0 {
+		t.Errorf("a refused import asked legs: %+v", st)
+	}
+	offers, err := a.Import(ImportRequest{ServiceType: "BankTeller", MaxHops: maxHops})
+	if err != nil || len(offers) != 1 {
+		t.Errorf("MaxHops %d = %v, %v; want the one offer", maxHops, nonces(offers), err)
+	}
+
+	s := &Servant{T: a}
+	term, res, err := s.Invoke(context.Background(), "Import", []values.Value{
+		values.Str("BankTeller"), values.Str(""), values.Int(int64(PrefFirst)), values.Str(""), values.Int(0), values.Int(hostile),
+	})
+	if err != nil || term != "BadRequest" || len(res) != 1 {
+		t.Fatalf("through a Servant, MaxHops %d = %s %v, %v; want the BadRequest termination", hostile, term, res, err)
+	}
+	if msg, _ := res[0].AsString(); !strings.Contains(msg, "hops") {
+		t.Errorf("BadRequest says %q", msg)
 	}
 }
 

@@ -300,6 +300,15 @@ echo "== combining send queue (nothing stranded, per-sender order, one binding's
 # behind a held write, which pins the write outside the binding's order lock.
 go test -race -count=20 -run 'TestFrameQueueStrandsNothing|TestOneBindingBatchesItsPipeline' ./internal/channel/
 
+echo "== copy-on-write offers (an import copies stored offers after the read lock; 20 times under the race detector) =="
+# TestModifyDuringMultiLegImport: an import merges pointers to stored offers
+# and copies the ones it returns once every store's read lock is released,
+# so Modify must store a fresh offer and never write one in place.
+# Modifiers flip offers between internally consistent versions while root
+# imports span all four shards of a bench-shaped front-end; an in-place
+# write is a reported race, or a torn version in an answer.
+go test -race -count=20 -run 'TestModifyDuringMultiLegImport' ./internal/trader/
+
 echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
 # TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
 # concurrent updaters against a retained member that fails once; it must
@@ -349,15 +358,15 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # budgets are tier-1 tests in the packages they pin: the E2 deposit and
 # balance allocations in internal/odp, disabled-instrumentation parity and
 # the flat allocations beside 255 sibling bindings in internal/channel, the
-# leaf, mid-level and root import allocations and their flatness in the
-# number of matches in internal/trader (TestImportAllocBudget), with a lone
-# leg's parity with the bare store (TestLoneLegCostsWhatTheStoreCosts), the
-# parse allocations in internal/constraint (TestParseAllocBudget), the
-# bounded transaction log in internal/transactions (a warmed one-key commit
-# allocating nothing in the log, TestLogAppendSteadyStateAllocatesNothing, and
-# 300,000 deposits within the bound on an arena that stops growing,
-# TestBoundedLogSoak), and E10's one connection for 256 bindings in
-# internal/experiments.
+# leaf, mid-level and root import allocations and bytes and their flatness
+# in the number of matches in internal/trader (TestImportAllocBudget), with
+# a lone leg's parity with the bare store
+# (TestLoneLegCostsWhatTheStoreCosts), the parse allocations in
+# internal/constraint (TestParseAllocBudget), the bounded transaction log
+# in internal/transactions (a warmed one-key commit allocating nothing in
+# the log, TestLogAppendSteadyStateAllocatesNothing, and 300,000 deposits
+# within the bound on an arena that stops growing, TestBoundedLogSoak), and
+# E10's one connection for 256 bindings in internal/experiments.
 for id in e12 e13 e14 e15 e16; do
 	go run ./cmd/odpbench -only "${id}smoke"
 done
