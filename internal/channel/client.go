@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	mathrand "math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -288,16 +289,16 @@ func (b *Binding) invoke(ctx context.Context, op string, args []values.Value) (s
 	if err != nil {
 		return "", nil, err
 	}
+	// The reply was delivered solely to this call, so every path recycles
+	// it. Its results are borrowed from the message (see wire.PutMessage):
+	// the one hand-off that outlives the frame copies them.
+	defer wire.PutMessage(reply)
 	switch reply.Kind {
 	case wire.Reply:
 		if err := b.typeCheckReply(op, reply); err != nil {
 			return "", nil, err
 		}
-		term, results := reply.Termination, reply.Args
-		// The reply was delivered solely to this call; the termination
-		// string and results slice survive recycling the struct.
-		wire.PutMessage(reply)
-		return term, results, nil
+		return reply.Termination, slices.Clone(reply.Args), nil
 	case wire.ErrReply:
 		return "", nil, b.remoteError(reply)
 	default:
@@ -402,6 +403,7 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 				// retrying blind against a caching locator would re-read the
 				// same stale line — then re-resolved, unless a sibling call
 				// already had; replay (Section 9.2).
+				wire.PutMessage(reply)
 				continue
 			}
 			return reply, nil

@@ -19,6 +19,11 @@ import (
 // Handler is the application-facing side of a servant: the server stub
 // unmarshals a call, type-checks it against the interface type, and hands
 // it to the Handler, which returns a termination name and its results.
+//
+// Every delivery to a servant borrows its arguments: the args slice lives
+// in the received message's own buffer, valid until Invoke returns (a
+// handler may return it as its results, which are encoded first). The
+// values in it may be kept; a handler that keeps the slice copies it.
 type Handler interface {
 	Invoke(ctx context.Context, op string, args []values.Value) (termination string, results []values.Value, err error)
 }
@@ -37,6 +42,7 @@ type FlowReceiver interface {
 }
 
 // SignalReceiver is implemented by servants that accept raw signals.
+// Like Handler's, the args slice is borrowed until Signal returns.
 type SignalReceiver interface {
 	Signal(name string, args []values.Value)
 }
@@ -246,8 +252,9 @@ func (s *Server) runTask(t task) {
 	} else {
 		s.handleOneWay(t.m)
 	}
-	// The request message is finished: handlers pass on operation names and
-	// argument slices, never the Message itself, so it can be recycled.
+	// The request message is finished: its reply is encoded and the
+	// handler has returned, which ends its borrow of the arguments (see
+	// Handler), so the message and its argument buffer can be recycled.
 	wire.PutMessage(t.m)
 }
 

@@ -49,7 +49,7 @@ type StreamBatch struct {
 	Stream  uint64 // stream id (the producer's correlation space)
 	Flow    string
 	Seq     uint64         // cumulative elements before this batch (FIFO position)
-	Elems   []values.Value // type-checked survivors; retained safely (decode allocates)
+	Elems   []values.Value // type-checked survivors; borrowed until StreamBatch returns, values may be kept
 
 	// DroppedElems/DroppedBytes count mistyped elements the server stub
 	// removed from this batch. They were sent — the producer debited

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,9 +94,11 @@ func TestDetectorCrashTransitions(t *testing.T) {
 	}
 
 	probe.failing.Store(false)
-	waitFor(t, "recovery", func() bool {
-		st, _, _ := d.State("m0")
-		return st == Alive
+	// OnTransition runs after the new state is published, outside the
+	// detector's locks, so State can read Alive before the log has the
+	// transition: wait for the log itself.
+	waitFor(t, "the recovery transition", func() bool {
+		return slices.ContainsFunc(log.snapshot(), func(tr Transition) bool { return tr.To == Alive })
 	})
 
 	seq := log.snapshot()

@@ -221,33 +221,35 @@ func tellerCost(t *testing.T, op string, amount ...values.Value) (allocs, bytes 
 }
 
 // TestE2DepositAllocBudget keeps the single-binding hot path to what an
-// invocation hands on: both argument slices, the store key, the result
-// and, for a write, the record (5, and 1 spare). The Tx is recycled, the
-// lone branch store commits in one phase with no decision entry, and the
-// log copies the write set into an arena its checkpoints reuse, so none of
-// them adds anything. At 40-byte values that is 464 B (1/5 spare: 560,
-// under the 608 B an unrecycled Tx would cost).
+// invocation hands on: the client's copy of its results, the store key,
+// the result and, for a write, the record (4, and 1 spare). The server
+// reads the call's arguments from the request message's own buffer, the
+// Tx is recycled, the lone branch store commits in one phase with no
+// decision entry, and the log copies the write set into an arena its
+// checkpoints reuse, so none of them adds anything. At 40-byte values
+// that is 336 B (400 with spare, under the 464 B a freshly allocated
+// argument slice would cost).
 func TestE2DepositAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Deposit", values.Int(1))
-	if allocs > 6 {
-		t.Errorf("E2 deposit = %d allocs/op, budget 6", allocs)
+	if allocs > 5 {
+		t.Errorf("E2 deposit = %d allocs/op, budget 5", allocs)
 	}
-	if bytes > 560 {
-		t.Errorf("E2 deposit = %d B/op, budget 560", bytes)
+	if bytes > 400 {
+		t.Errorf("E2 deposit = %d B/op, budget 400", bytes)
 	}
 }
 
 // TestE2BalanceAllocBudget: a read pays the same less the write's record
-// (4, and 1 spare) — no log record, no decision entry, no commit
-// machinery — and 192 B (1/4 spare: 240, under the 336 B an unrecycled Tx
-// would cost).
+// (3, and 1 spare) — no log record, no decision entry, no commit
+// machinery — and 112 B (140 with spare, under the 192 B a freshly
+// allocated argument slice would cost).
 func TestE2BalanceAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Balance")
-	if allocs > 5 {
-		t.Errorf("E2 balance = %d allocs/op, budget 5", allocs)
+	if allocs > 4 {
+		t.Errorf("E2 balance = %d allocs/op, budget 4", allocs)
 	}
-	if bytes > 240 {
-		t.Errorf("E2 balance = %d B/op, budget 240", bytes)
+	if bytes > 140 {
+		t.Errorf("E2 balance = %d B/op, budget 140", bytes)
 	}
 }
 

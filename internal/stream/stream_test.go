@@ -140,6 +140,65 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBorrowedElemsConsumerValuesIntact: a batch's elements are borrowed
+// from the server's received message until StreamBatch returns, so the
+// consumer copies the values into its queue. Every batch is delivered, and
+// its message recycled into the next batch's decode, before anything is
+// received; each element still reads back as sent.
+func TestBorrowedElemsConsumerValuesIntact(t *testing.T) {
+	namesType := types.StreamInterface("Names",
+		types.FlowOf("names", types.Producer, values.TString()))
+	n := netsim.New(1)
+	l, err := n.Listen("sim://server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := channel.NewServer(l, channel.ServerConfig{})
+	const groups, perGroup = 8, 8
+	cons := NewConsumer(ConsumerConfig{Window: groups * perGroup})
+	id := ifaceID(78)
+	if err := srv.Register(id, namesType, cons); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer func() { srv.Close(); cons.Close() }()
+	b, err := channel.Bind(naming.InterfaceRef{ID: id, TypeName: "Names", Endpoint: "sim://server"},
+		channel.BindConfig{Transport: n, Type: namesType})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	p, err := Open(ctx, b, "names", ProducerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	in, err := cons.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < groups; g++ {
+		for i := 0; i < perGroup; i++ {
+			if err := p.Send(ctx, values.Str(fmt.Sprintf("name-%d", g*perGroup+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := uint64((g + 1) * perGroup)
+		waitFor(t, func() bool { return in.Stats().Received == want }, "received %+v, want %d", in.Stats(), want)
+	}
+	for i := 0; i < groups*perGroup; i++ {
+		v, err := in.Recv(ctx)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if got, _ := v.AsString(); got != fmt.Sprintf("name-%d", i) {
+			t.Fatalf("recv %d: got %v", i, v)
+		}
+	}
+}
+
 // TestConsumerStatsSumsStreams: a consumer's Stats sum its streams, a
 // finished stream keeps counting after it leaves the stream table, and
 // Streams and Queued follow what is still buffered.

@@ -140,7 +140,15 @@ type Message struct {
 	// Decode and ignored by Encode (which takes the codec explicitly);
 	// servers use it to mirror the client's representation in replies.
 	Codec CodecID
+
+	// argBuf is the argument storage Decode fills and Args points into.
+	// PutMessage keeps it across recycling (see pool.go).
+	argBuf []values.Value
 }
+
+// maxArgReserve caps the argument capacity a frame's count may reserve
+// before its values are read, and the capacity a recycled Message keeps.
+const maxArgReserve = 64
 
 // SizeHint returns a conservative estimate of the encoded frame size — an
 // upper bound for either codec — so encode buffers are right-sized on
@@ -199,8 +207,9 @@ func (m *Message) EncodeAppend(dst []byte, codec Codec) ([]byte, error) {
 // Decode parses a frame produced by Encode, selecting the payload codec
 // from the header. Every string and byte payload is copied out of data, so
 // the caller may recycle the frame (PutFrame) as soon as Decode returns.
-// The Message itself comes from a pool; a caller that remains its last
-// holder may hand it back with PutMessage.
+// The Message itself comes from a pool, and Args lives in its own buffer:
+// a caller that remains its last holder hands it back with PutMessage,
+// which ends the life of Args too.
 func Decode(data []byte) (*Message, error) {
 	if len(data) < 6 {
 		return nil, ErrTruncated
@@ -250,14 +259,17 @@ func (m *Message) decodeBody(r *reader) error {
 	argc := int(r.be16())
 	if argc > 0 && r.err == nil {
 		// A forged count must not reserve huge capacity.
-		m.Args = make([]values.Value, 0, min(argc, 64))
+		if n := min(argc, maxArgReserve); cap(m.argBuf) < n {
+			m.argBuf = make([]values.Value, 0, n)
+		}
 		for i := 0; i < argc; i++ {
 			v := r.value()
 			if r.err != nil {
 				return fmt.Errorf("wire: decoding argument %d: %w", i, r.err)
 			}
-			m.Args = append(m.Args, v)
+			m.argBuf = append(m.argBuf, v)
 		}
+		m.Args = m.argBuf
 	}
 	if r.err != nil {
 		return r.err

@@ -19,6 +19,12 @@ import (
 // precisely so that received frames can be recycled immediately after
 // decoding. Whoever must remember a frame's bytes (the replay guard does)
 // copies them; nothing retains a frame past its PutFrame.
+//
+// A decoded Message is owned the same way: Decode hands it out, PutMessage
+// ends it. Its Args slice is the message's own argument buffer, borrowed
+// by whoever reads the message and valid until its PutMessage; the values
+// in it own their payloads and may be kept. Whoever must keep the slice
+// (the client keeping a call's results) copies it.
 
 // GetFrame returns a pooled zero-length buffer with capacity at least
 // sizeHint, for use with Message.EncodeAppend.
@@ -48,24 +54,33 @@ func PutFrames(frames [][]byte) {
 // copy) and keeps a hostile length prefix from reserving huge capacity
 // up front.
 
-// messagePool recycles Message structs themselves. Decode draws from it,
-// so a channel end that knows a message is finished (for example a server
-// that has answered a call) can return the struct with PutMessage and make
-// the next Decode allocation-free. Recycling only zeroes the struct: any
-// slices it referenced (Args, Auth) keep whatever owners they escaped to.
+// messagePool recycles Message structs themselves, with their argument
+// buffers. Decode draws from it, so a channel end that knows a message is
+// finished (for example a server that has answered a call) can return the
+// struct with PutMessage and make the next Decode allocation-free, its
+// arguments included.
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
 // GetMessage returns a zeroed Message from the pool.
 func GetMessage() *Message { return messagePool.Get().(*Message) }
 
 // PutMessage recycles a Message. The caller must be the last holder of the
-// pointer: a Message handed to application code that may retain it (for
-// example a reply delivered to an Invoke caller) must not be put back.
+// pointer, and the Args of a decoded message die with it: PutMessage
+// zeroes the argument buffer they point into, so a slice kept past it
+// reads zero Values (the values it held live on wherever they were
+// copied). Args set by a sender are never pooled, only the buffer Decode
+// filled; a buffer grown past decode's reservation clamp is dropped, so
+// one huge frame does not pin its arguments' capacity in the pool.
 func PutMessage(m *Message) {
 	if m == nil {
 		return
 	}
+	buf := m.argBuf
+	clear(buf)
 	*m = Message{}
+	if cap(buf) <= maxArgReserve {
+		m.argBuf = buf[:0]
+	}
 	messagePool.Put(m)
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -158,6 +159,89 @@ func TestMessagePoolZeroes(t *testing.T) {
 		t.Fatalf("pooled message not zeroed: %+v", got)
 	}
 	PutMessage(got)
+}
+
+// depositFrame encodes a call shaped like a teller's Deposit: customer,
+// account and amount.
+func depositFrame(t *testing.T) []byte {
+	t.Helper()
+	m := sampleMessage()
+	m.Operation, m.Auth = "Deposit", nil
+	m.Args = []values.Value{values.Str("alice"), values.Str("acct-1"), values.Int(1)}
+	frame, err := m.EncodeAppend(nil, Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestDecodeReusesRecycledArgs: a call decoded into a recycled Message
+// reads its arguments into the message's own buffer, so with its names
+// interned it allocates nothing at all.
+func TestDecodeReusesRecycledArgs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
+	}
+	frame := depositFrame(t)
+	decode := func() {
+		m, err := Decode(frame)
+		if err != nil || len(m.Args) != 3 {
+			t.Fatalf("Decode = %+v, %v", m, err)
+		}
+		PutMessage(m)
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+		t.Errorf("Decode into a recycled Message = %v allocs, want 0", allocs)
+	}
+}
+
+// TestPutMessageBoundsArgBuffer: a recycled Message keeps its argument
+// buffer, emptied, up to decode's reservation clamp and no further — a
+// 1,000-argument frame's buffer is dropped, not pooled.
+func TestPutMessageBoundsArgBuffer(t *testing.T) {
+	for _, c := range []struct {
+		argc int
+		kept bool
+	}{{3, true}, {maxArgReserve, true}, {1000, false}} {
+		m := sampleMessage()
+		m.Args = make([]values.Value, c.argc)
+		for i := range m.Args {
+			m.Args[i] = values.Int(int64(i))
+		}
+		frame, err := m.EncodeAppend(nil, Canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Decode(frame)
+		if err != nil || len(d.Args) != c.argc {
+			t.Fatalf("%d arguments: Decode = %v, %v", c.argc, len(d.Args), err)
+		}
+		PutMessage(d)
+		if kept := d.argBuf != nil; kept != c.kept || len(d.argBuf) != 0 {
+			t.Errorf("%d arguments: PutMessage kept len %d cap %d, want kept=%v", c.argc, len(d.argBuf), cap(d.argBuf), c.kept)
+		}
+	}
+}
+
+// TestRetainedArgsReadZero pins the borrow: a decoded message's Args die
+// with it, so a slice kept past PutMessage reads zero Values, while a
+// value copied out of it before survives intact.
+func TestRetainedArgsReadZero(t *testing.T) {
+	m, err := Decode(depositFrame(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, first := m.Args, m.Args[0]
+	PutMessage(m)
+	for i, v := range kept {
+		if !reflect.DeepEqual(v, values.Value{}) {
+			t.Errorf("Args[%d] = %v after PutMessage, want the zero Value", i, v)
+		}
+	}
+	if s, _ := first.AsString(); s != "alice" {
+		t.Errorf("value copied out before PutMessage = %v, want alice", first)
+	}
 }
 
 func TestFramePoolRoundTrip(t *testing.T) {

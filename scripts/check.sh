@@ -300,6 +300,17 @@ echo "== combining send queue (nothing stranded, per-sender order, one binding's
 # behind a held write, which pins the write outside the binding's order lock.
 go test -race -count=20 -run 'TestFrameQueueStrandsNothing|TestOneBindingBatchesItsPipeline' ./internal/channel/
 
+echo "== borrowed arguments (a delivery's values outlive its recycled message; 20 times under the race detector) =="
+# A decoded message's Args live in its own pooled buffer, valid until the
+# callee returns and zeroed when the message is recycled.
+# TestBorrowedArgsEchoPipelined: a servant answering with its args slice
+# answers 64 pipelined callers on one session correctly (the reply is
+# encoded before the request is recycled). TestBorrowedArgsClearedAfterInvoke:
+# a kept args slice reads zero once Invoke has returned.
+# TestBorrowedArgsSignalValuesIntact and TestBorrowedElemsConsumerValuesIntact:
+# a SignalReceiver and a stream consumer keep intact values.
+go test -race -count=20 -run 'TestBorrowed' ./internal/channel/ ./internal/stream/
+
 echo "== copy-on-write offers (an import copies stored offers after the read lock; 20 times under the race detector) =="
 # TestModifyDuringMultiLegImport: an import merges pointers to stored offers
 # and copies the ones it returns once every store's read lock is released,
