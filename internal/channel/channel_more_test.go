@@ -220,56 +220,10 @@ func TestInvokeContextCancelled(t *testing.T) {
 	}
 }
 
-func TestProbeTimeout(t *testing.T) {
-	// A probe against a black-holed endpoint times out via the policy's AttemptTimeout.
-	n := netsim.New(10)
-	l, err := n.Listen("sim://server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close() // accept but never serve
-	b, err := Bind(refFor(ifaceID(1), "X"), BindConfig{
-		Transport: n,
-		Policy:    policy.RetryPolicy{AttemptTimeout: 20 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Probe(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("probe = %v", err)
-	}
-}
-
-// A probe is the binding's ordinary round trip carrying a Probe frame: it
-// crosses the stages in both directions, is traced like a call's transport
-// leg, is not a call at the server, and an abandoned one leaves no waiter
-// behind.
-func TestProbeIsARoundTrip(t *testing.T) {
-	stage := &CountingStage{}
-	domain := mgmt.New()
+// A call whose context expires against a peer that accepts and never
+// answers leaves no waiter behind in the session's pending table.
+func TestExpiredCallLeavesNoWaiter(t *testing.T) {
 	env := newEnv(t, ServerConfig{})
-	b := env.bind(t, BindConfig{Stages: []Stage{stage}, Instruments: domain.ChannelClient("echo")})
-	if err := b.Probe(context.Background()); err != nil {
-		t.Fatalf("Probe: %v", err)
-	}
-	if out, in := stage.OutMsgs.Load(), stage.InMsgs.Load(); out != 1 || in != 1 {
-		t.Errorf("stage saw out=%d in=%d, want 1 and 1", out, in)
-	}
-	transport := 0
-	for _, sp := range domain.Tracer.Spans() {
-		if sp.Name == "transport" && sp.Err == "" {
-			transport++
-		}
-	}
-	if transport != 1 {
-		t.Errorf("transport spans = %d, want 1: %+v", transport, domain.Tracer.Spans())
-	}
-	if st := env.server.Stats(); st.Calls != 0 {
-		t.Errorf("server counted %d calls for a probe", st.Calls)
-	}
-
-	// A peer that accepts and never answers: the probe's context expires.
 	l, err := env.net.Listen("sim://mute")
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +236,8 @@ func TestProbeIsARoundTrip(t *testing.T) {
 	defer mute.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := mute.Probe(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("probe of a mute peer = %v, want DeadlineExceeded", err)
+	if _, _, err := mute.Invoke(ctx, "Echo", nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call to a mute peer = %v, want DeadlineExceeded", err)
 	}
 	sess := mute.Sessions().peek("sim://mute")
 	if sess == nil {
@@ -293,7 +247,7 @@ func TestProbeIsARoundTrip(t *testing.T) {
 	pending := len(sess.pending)
 	sess.mu.Unlock()
 	if pending != 0 {
-		t.Errorf("expired probe left %d entries in the pending table", pending)
+		t.Errorf("expired call left %d entries in the pending table", pending)
 	}
 }
 
@@ -305,11 +259,12 @@ func TestBadFrameCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := (&wire.Message{Kind: wire.Probe, Correlation: 5}).EncodeAppend(nil, wire.Canonical)
+	env := newEnv(t, ServerConfig{})
+	call, err := (&wire.Message{Kind: wire.Call, Correlation: 5, Target: env.ref.ID, Operation: "Echo",
+		Args: []values.Value{values.Str("x")}}).EncodeAppend(nil, wire.Canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := newEnv(t, ServerConfig{})
 	conn, err := env.net.Dial(context.Background(), "sim://server")
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +274,7 @@ func TestBadFrameCounted(t *testing.T) {
 		name  string
 		frame []byte
 	}{
-		{"truncated frame", probe[:len(probe)-3]},
+		{"truncated frame", call[:len(call)-3]},
 		{"valid frame of a kind no server handles", unknownKind},
 	} {
 		if err := conn.Send(tc.frame); err != nil {
@@ -328,14 +283,43 @@ func TestBadFrameCounted(t *testing.T) {
 		want := uint64(i + 1)
 		waitFor(t, func() bool { return env.server.Stats().BadFrames == want })
 	}
-	if err := conn.Send(probe); err != nil {
+	if err := conn.Send(call); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := conn.Recv()
 	if err != nil {
 		t.Fatalf("connection unusable after bad frames: %v", err)
 	}
-	if ack, err := wire.Decode(frame); err != nil || ack.Kind != wire.ProbeAck || ack.Correlation != 5 {
-		t.Fatalf("reply after bad frames = %+v, %v", ack, err)
+	if reply, err := wire.Decode(frame); err != nil || reply.Kind != wire.Reply || reply.Correlation != 5 {
+		t.Fatalf("reply after bad frames = %+v, %v", reply, err)
+	}
+}
+
+// A peer that cycles binding ids on one connection grows nothing: the
+// server counts at most maxGuardBindings of them for BindingsPerSession.
+func TestBindingsPerSessionIsBounded(t *testing.T) {
+	domain := mgmt.New()
+	ins := domain.ChannelServer("server")
+	env := newEnv(t, ServerConfig{Instruments: ins})
+	conn, err := env.net.Dial(context.Background(), "sim://server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids = 5000
+	for id := uint64(1); id <= ids; id++ {
+		// A kind no server handles: counted, never answered.
+		frame, err := (&wire.Message{Kind: wire.MsgKind(99), BindingID: id}).EncodeAppend(nil, wire.Canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return env.server.Stats().BadFrames == ids })
+	conn.Close()
+	waitFor(t, func() bool { return ins.BindingsPerSession.Snapshot().Count == 1 })
+	if got := ins.BindingsPerSession.Snapshot().Sum; got > maxGuardBindings {
+		t.Errorf("BindingsPerSession observed %d bindings for %d ids, want at most %d", got, ids, maxGuardBindings)
 	}
 }

@@ -408,14 +408,6 @@ func TestSignalTypeCheck(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	env := newEnv(t, ServerConfig{})
-	b := env.bind(t, BindConfig{})
-	if err := b.Probe(context.Background()); err != nil {
-		t.Fatalf("Probe: %v", err)
-	}
-}
-
 func TestStagesTraversedBothEnds(t *testing.T) {
 	clientStage := &CountingStage{}
 	serverStage := &CountingStage{}

@@ -47,7 +47,7 @@ type BindConfig struct {
 	Transport netsim.Transport
 	// Sessions multiplexes this binding over shared per-endpoint
 	// sessions: every binding handed the same manager shares one
-	// connection, read loop, failure detector and heartbeat per remote
+	// connection, read loop, send queue and circuit breaker per remote
 	// endpoint. Nil gives the binding a private manager — the same code
 	// path, with sessions degenerating to one per binding.
 	Sessions *SessionManager
@@ -65,22 +65,11 @@ type BindConfig struct {
 	Locator Locator
 	// Policy is the recovery policy — failure transparency: how many
 	// attempts an interaction gets after a transport failure or attempt
-	// timeout, the per-attempt timeout (which also bounds Probe), one
-	// deadline budget shared by all attempts and relocations, and seeded
-	// exponential backoff between retries. The zero value is one attempt
-	// bounded only by the caller's context.
+	// timeout, the per-attempt timeout, one deadline budget shared by all
+	// attempts and relocations, and seeded exponential backoff between
+	// retries. The zero value is one attempt bounded only by the caller's
+	// context.
 	Policy policy.RetryPolicy
-	// MaxInFlight bounds the interrogations this binding may have
-	// outstanding at once. Zero means unlimited — a binding pipelines any
-	// number of concurrent Invokes onto its session. With a bound, an
-	// Invoke beyond it either queues for a slot (the default, honouring the
-	// caller's context) or fails fast with ErrTooManyInFlight when FailFast
-	// is set.
-	MaxInFlight int
-	// FailFast makes an Invoke beyond MaxInFlight return
-	// ErrTooManyInFlight immediately instead of waiting for a slot.
-	// Ignored when MaxInFlight is zero.
-	FailFast bool
 	// Instruments enables management instrumentation of this channel end:
 	// stub/binder/transport spans and the invocation latency histogram.
 	// Nil disables it at the cost of a nil check per invocation. (The
@@ -100,11 +89,6 @@ type BindingStats struct {
 	// binding handed to the session's batched send queue (each is still
 	// flushed before the call returns, so send errors stay observable).
 	OneWayQueued uint64
-	// LastProbe is when the binding's current session last completed a
-	// liveness probe (zero if never, or if the session is gone). Probes
-	// are coalesced per session, so this may have been paid for by a
-	// sibling binding.
-	LastProbe time.Time
 }
 
 // Binding is the client end of an engineering channel, bound to one remote
@@ -130,10 +114,6 @@ type Binding struct {
 	// ahead, and the server's replay window (which then only has to absorb
 	// retries) would take the late frame for a replay.
 	order sync.Mutex
-
-	// inflight is the MaxInFlight semaphore (nil when unbounded): one
-	// buffered slot per permitted outstanding interrogation.
-	inflight chan struct{}
 
 	invocations  atomic.Uint64
 	retries      atomic.Uint64
@@ -167,9 +147,6 @@ func Bind(ref naming.InterfaceRef, cfg BindConfig) (*Binding, error) {
 		bindingID: newBindingID(),
 		ref:       ref,
 	}
-	if cfg.MaxInFlight > 0 {
-		b.inflight = make(chan struct{}, cfg.MaxInFlight)
-	}
 	if cfg.Sessions != nil {
 		b.sessions = cfg.Sessions
 	} else {
@@ -193,24 +170,13 @@ func (b *Binding) Sessions() *SessionManager { return b.sessions }
 
 // Stats returns a snapshot of the binding's counters.
 func (b *Binding) Stats() BindingStats {
-	st := BindingStats{
+	return BindingStats{
 		Invocations:  b.invocations.Load(),
 		Retries:      b.retries.Load(),
 		Relocations:  b.relocations.Load(),
 		Reconnects:   b.reconnects.Load(),
 		OneWayQueued: b.oneWayQueued.Load(),
 	}
-	b.mu.Lock()
-	attached, ep := b.attached, b.attachedEP
-	b.mu.Unlock()
-	if attached {
-		if s := b.sessions.peek(ep); s != nil {
-			if ns := s.lastProbe.Load(); ns > 0 {
-				st.LastProbe = time.Unix(0, ns)
-			}
-		}
-	}
-	return st
 }
 
 // Close detaches the binding from its session (the last binding out
@@ -242,23 +208,6 @@ func (b *Binding) Close() error {
 func (b *Binding) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	if err := b.typeCheckCall(op, args, false); err != nil {
 		return "", nil, err
-	}
-	if b.inflight != nil {
-		// The in-flight cap covers the whole interrogation, retries
-		// included, so a retry storm cannot exceed the pipelining bound.
-		select {
-		case b.inflight <- struct{}{}:
-		default:
-			if b.cfg.FailFast {
-				return "", nil, fmt.Errorf("%w: binding cap %d", ErrTooManyInFlight, b.cfg.MaxInFlight)
-			}
-			select {
-			case b.inflight <- struct{}{}:
-			case <-ctx.Done():
-				return "", nil, ctx.Err()
-			}
-		}
-		defer func() { <-b.inflight }()
 	}
 	b.invocations.Add(1)
 	b.sessions.invocations.Add(1)
@@ -351,19 +300,6 @@ func (b *Binding) Signal(ctx context.Context, name string, args []values.Value) 
 	return err
 }
 
-// Probe checks end-to-end liveness of the channel. Probes are coalesced
-// at the session: however many co-located bindings probe concurrently,
-// one heartbeat goes on the wire and all of them share its outcome.
-// A probe is a single attempt — bounded by the policy's AttemptTimeout,
-// never retried — and consults the endpoint's shared circuit breaker like
-// any other: an open breaker refuses it, and after the cooling-off period
-// the probe is exactly the single half-open trial whose outcome re-closes
-// (or re-opens) the breaker for every binding sharing it.
-func (b *Binding) Probe(ctx context.Context) error {
-	_, err := b.attempt(ctx, b.Ref().Endpoint, nil, 1)
-	return err
-}
-
 // ---------------------------------------------------------------------------
 // the recovery loop
 
@@ -437,9 +373,9 @@ func (b *Binding) interact(ctx context.Context, kind wire.MsgKind, op string, ar
 
 // attempt makes one attempt at the endpoint on behalf of every kind of
 // interaction: breaker admission, the per-attempt timeout, the carry itself
-// (a round trip for a call, a group-committed send for a one-way, the
-// session's shared probe when m is nil), and the single place an outcome
-// is classified and recorded in the endpoint's breaker.
+// (a round trip for a call, a group-committed send for a one-way), and the
+// single place an outcome is classified and recorded in the endpoint's
+// breaker.
 func (b *Binding) attempt(ctx context.Context, ep naming.Endpoint, m *wire.Message, n int) (*wire.Message, error) {
 	br := b.breakerFor(ep)
 	if br != nil {
@@ -457,8 +393,6 @@ func (b *Binding) attempt(ctx context.Context, ep naming.Endpoint, m *wire.Messa
 	sess, err := b.session(actx)
 	switch {
 	case err != nil:
-	case m == nil:
-		err = sess.probeShared(actx, b)
 	case m.Kind == wire.Call:
 		reply, err = b.roundTrip(actx, sess, m)
 	default:
@@ -572,8 +506,7 @@ func (b *Binding) backoff(ctx context.Context, retry int) error {
 	return policy.Wait(ctx, d)
 }
 
-// roundTrip carries one request that expects an answer — a call, or the
-// session's shared liveness probe — to the endpoint and waits for it: the
+// roundTrip carries one call to the endpoint and waits for its answer: the
 // one place a waiter is registered, a frame queued and a reply awaited.
 func (b *Binding) roundTrip(ctx context.Context, sess *Session, m *wire.Message) (*wire.Message, error) {
 	// A caller that has already given up sends nothing: the wait below

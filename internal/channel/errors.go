@@ -51,13 +51,6 @@ var ErrSessionClosing = fmt.Errorf("%w: session closing, frame not sent", ErrDis
 // distinguish "this stream is gone, reopen it" from transient send errors.
 var ErrStreamClosed = fmt.Errorf("channel: stream closed: %w", ErrDisconnected)
 
-// ErrTooManyInFlight reports that an Invoke was refused because the binding
-// already had BindConfig.MaxInFlight interrogations outstanding and the
-// binding is configured to fail fast rather than queue. It is not a
-// connection failure — errors.Is(err, ErrDisconnected) is false — so retry
-// policies do not burn attempts on it.
-var ErrTooManyInFlight = errors.New("channel: too many in-flight invocations")
-
 // Infrastructure error codes carried in ErrReply frames. These are channel
 // failures, distinct from application terminations (which are ordinary
 // Reply frames with a termination name from the interface type).

@@ -20,7 +20,7 @@ import (
 func TestPipelinedInvokesSingleBinding(t *testing.T) {
 	env := newEnv(t, ServerConfig{})
 	mgr := NewSessionManager(env.net)
-	b, err := Bind(env.ref, BindConfig{Sessions: mgr, MaxInFlight: 64})
+	b, err := Bind(env.ref, BindConfig{Sessions: mgr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPipelinedSessionDeathFailsAllInFlight(t *testing.T) {
 	}
 	mgr := NewSessionManager(env.net)
 	b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
-		BindConfig{Sessions: mgr, MaxInFlight: 64})
+		BindConfig{Sessions: mgr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,139 +114,6 @@ func TestPipelinedSessionDeathFailsAllInFlight(t *testing.T) {
 	}
 	if n != calls {
 		t.Errorf("resolved %d calls, want %d", n, calls)
-	}
-}
-
-// TestMaxInFlightFailFast fills a 2-deep binding and requires the next
-// Invoke to be rejected immediately with ErrTooManyInFlight — which must
-// NOT satisfy errors.Is(err, ErrDisconnected), so the retry and
-// relocation machinery never treats admission rejection as link failure.
-func TestMaxInFlightFailFast(t *testing.T) {
-	env := newEnv(t, ServerConfig{})
-	slow := ifaceID(79)
-	block := make(chan struct{})
-	defer close(block)
-	var parked atomic.Int64
-	if err := env.server.Register(slow, nil, HandlerFunc(
-		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-			parked.Add(1)
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
-			return "OK", args, nil
-		})); err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewSessionManager(env.net)
-	b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
-		BindConfig{Sessions: mgr, MaxInFlight: 2, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := b.Invoke(context.Background(), "Sleep", nil); err != nil {
-				t.Errorf("parked call: %v", err)
-			}
-		}()
-	}
-	waitFor(t, func() bool { return parked.Load() == 2 })
-
-	_, _, err = b.Invoke(context.Background(), "Sleep", nil)
-	if !errors.Is(err, ErrTooManyInFlight) {
-		t.Fatalf("over-cap invoke = %v, want ErrTooManyInFlight", err)
-	}
-	if errors.Is(err, ErrDisconnected) {
-		t.Fatal("ErrTooManyInFlight must not match ErrDisconnected")
-	}
-	block <- struct{}{}
-	block <- struct{}{}
-	wg.Wait()
-
-	// With the slots free again the binding admits calls normally.
-	go func() { block <- struct{}{} }()
-	if _, _, err := b.Invoke(context.Background(), "Sleep", nil); err != nil {
-		t.Fatalf("invoke after drain: %v", err)
-	}
-}
-
-// TestMaxInFlightQueueMode exercises the default (queueing) admission
-// policy: an over-cap Invoke waits for a slot instead of failing, and a
-// cancelled context releases the waiter with ctx.Err().
-func TestMaxInFlightQueueMode(t *testing.T) {
-	env := newEnv(t, ServerConfig{})
-	slow := ifaceID(80)
-	block := make(chan struct{})
-	var parked atomic.Int64
-	if err := env.server.Register(slow, nil, HandlerFunc(
-		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-			parked.Add(1)
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
-			return "OK", args, nil
-		})); err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewSessionManager(env.net)
-	b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
-		BindConfig{Sessions: mgr, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	first := make(chan error, 1)
-	go func() {
-		_, _, err := b.Invoke(context.Background(), "Sleep", nil)
-		first <- err
-	}()
-	waitFor(t, func() bool { return parked.Load() == 1 })
-
-	// A queued waiter with a cancelled context gives up with ctx.Err()
-	// without ever taking the slot.
-	ctx, cancel := context.WithCancel(context.Background())
-	queued := make(chan error, 1)
-	go func() {
-		_, _, err := b.Invoke(ctx, "Sleep", nil)
-		queued <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let it park on the semaphore
-	cancel()
-	select {
-	case err := <-queued:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled waiter = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled waiter hung on the in-flight semaphore")
-	}
-
-	// A patient waiter runs once the slot frees.
-	second := make(chan error, 1)
-	go func() {
-		_, _, err := b.Invoke(context.Background(), "Sleep", nil)
-		second <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(block) // unblock everything from here on
-	if err := <-first; err != nil {
-		t.Fatalf("first call: %v", err)
-	}
-	select {
-	case err := <-second:
-		if err != nil {
-			t.Fatalf("queued call: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued call never admitted after slot freed")
 	}
 }
 

@@ -266,8 +266,7 @@ func TestOneWayRecoveryReachesManagement(t *testing.T) {
 // TestBarePolicySemantics pins what a policy with only an attempt count and
 // a per-attempt timeout means — the configuration BindConfig once spelled
 // MaxRetries/CallTimeout: retries are immediate, every attempt gets a fresh
-// full timeout, no budget spans them, an attempt timeout is retryable, and
-// Probe is bounded by the same timeout.
+// full timeout, no budget spans them, and an attempt timeout is retryable.
 func TestBarePolicySemantics(t *testing.T) {
 	const timeout = 40 * time.Millisecond
 	cases := []struct {
@@ -311,14 +310,6 @@ func TestBarePolicySemantics(t *testing.T) {
 			}
 			if elapsed < c.atLeast || elapsed > c.atMost {
 				t.Errorf("took %v, want between %v and %v", elapsed, c.atLeast, c.atMost)
-			}
-			if !c.partition {
-				return
-			}
-			start = time.Now()
-			err = b.Probe(context.Background())
-			if elapsed := time.Since(start); !errors.Is(err, ErrAttemptTimeout) || elapsed > 3*timeout {
-				t.Errorf("Probe = %v after %v, want one attempt timeout", err, elapsed)
 			}
 		})
 	}

@@ -311,7 +311,7 @@ func TestOneBindingBatchesItsPipeline(t *testing.T) {
 	tr := &heldTransport{Transport: env.net, conn: conn}
 	mgr := NewSessionManager(tr)
 	defer mgr.Close()
-	b, err := Bind(env.ref, BindConfig{Transport: tr, Sessions: mgr, MaxInFlight: 64})
+	b, err := Bind(env.ref, BindConfig{Transport: tr, Sessions: mgr})
 	if err != nil {
 		t.Fatal(err)
 	}

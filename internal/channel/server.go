@@ -67,12 +67,13 @@ type ServerConfig struct {
 const (
 	// replayWindow is how far below a binding's highest correlation id the
 	// replay guard remembers outcomes (see bindingGuard): twice the deepest
-	// pipelining a binding does (MaxInFlight 64).
+	// pipelining a test asks of one binding (64 calls in flight).
 	replayWindow uint64 = 128
 	// replayKeep is the largest buffer a replay slot keeps for its next
 	// reply: one large reply must not stay pinned for the binding's lifetime.
 	replayKeep = 4 << 10
-	// maxGuardBindings bounds the bindings the guard tracks (see guardCheck).
+	// maxGuardBindings bounds the bindings the guard tracks (see guardCheck)
+	// and the ones a connection counts for BindingsPerSession.
 	maxGuardBindings = 1024
 	// workersPerProc sizes the pool that runs servant code, per GOMAXPROCS:
 	// servants block on locks and nested calls, so a few per processor.
@@ -315,8 +316,13 @@ func (s *Server) serveConn(conn netsim.Conn) {
 	q := newFrameQueue(conn, sendQueueBytes, sendBatchBytes, bi,
 		func(error) { conn.Close() }) // a dead writer wakes the read loop
 	// The conn is one inbound session: the distinct binding ids seen on it
-	// are its multiplexed bindings. Only this read loop touches the set.
-	bindings := make(map[uint64]struct{})
+	// are its multiplexed bindings, counted only for the instruments and
+	// only up to maxGuardBindings, so a peer cycling ids cannot grow the
+	// set. Only this read loop touches it.
+	var bindings map[uint64]struct{}
+	if s.cfg.Instruments != nil {
+		bindings = make(map[uint64]struct{})
+	}
 	// Open flow streams carried by this conn, keyed by (binding, stream).
 	// Only the read loop touches the map; the grant closures inside escape
 	// to consumer goroutines but go through the thread-safe reply writer.
@@ -359,7 +365,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			s.badFrames.Add(1)
 			continue
 		}
-		if m.BindingID != 0 {
+		if bindings != nil && m.BindingID != 0 && len(bindings) < maxGuardBindings {
 			bindings[m.BindingID] = struct{}{}
 		}
 		if err := runStages(s.cfg.Stages, Inbound, m); err != nil {
@@ -371,9 +377,6 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			continue
 		}
 		switch m.Kind {
-		case wire.Probe:
-			s.reply(q, m, wire.ProbeAck, "", nil)
-			wire.PutMessage(m)
 		case wire.Call:
 			s.calls.Add(1)
 			if s.cfg.ReplayGuard {

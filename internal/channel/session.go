@@ -2,11 +2,9 @@ package channel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mgmt"
 	"repro/internal/naming"
@@ -29,11 +27,9 @@ import (
 
 // SessionStats is a snapshot of a SessionManager's counters.
 type SessionStats struct {
-	Open            int    // live sessions right now
-	Dials           uint64 // transport dials performed (single-flight: one per establishment)
-	Deaths          uint64 // sessions that failed under bindings (shared failover events)
-	ProbesSent      uint64 // liveness probes put on the wire
-	ProbesCoalesced uint64 // probes satisfied by one already in flight
+	Open   int    // live sessions right now
+	Dials  uint64 // transport dials performed (single-flight: one per establishment)
+	Deaths uint64 // sessions that failed under bindings (shared failover events)
 	// BadFrames counts inbound frames no session of this manager could
 	// serve — undecodable, or of a kind no client end accepts — over the
 	// manager's lifetime (dead sessions included).
@@ -58,16 +54,14 @@ type SessionManager struct {
 	entries map[naming.Endpoint]*sessionEntry
 	closed  bool
 
-	dials           atomic.Uint64
-	deaths          atomic.Uint64
-	probesSent      atomic.Uint64
-	probesCoalesced atomic.Uint64
-	badFrames       atomic.Uint64
-	invocations     atomic.Uint64
-	failures        atomic.Uint64
-	retries         atomic.Uint64
-	relocations     atomic.Uint64
-	backoffNs       atomic.Uint64
+	dials       atomic.Uint64
+	deaths      atomic.Uint64
+	badFrames   atomic.Uint64
+	invocations atomic.Uint64
+	failures    atomic.Uint64
+	retries     atomic.Uint64
+	relocations atomic.Uint64
+	backoffNs   atomic.Uint64
 
 	insp     atomic.Pointer[mgmt.SessionInstruments]
 	breakers atomic.Pointer[policy.BreakerSet]
@@ -118,17 +112,15 @@ func (m *SessionManager) Stats() SessionStats {
 	}
 	m.mu.Unlock()
 	return SessionStats{
-		Open:            open,
-		Dials:           m.dials.Load(),
-		Deaths:          m.deaths.Load(),
-		ProbesSent:      m.probesSent.Load(),
-		ProbesCoalesced: m.probesCoalesced.Load(),
-		BadFrames:       m.badFrames.Load(),
-		Invocations:     m.invocations.Load(),
-		Failures:        m.failures.Load(),
-		Retries:         m.retries.Load(),
-		Relocations:     m.relocations.Load(),
-		BackoffNs:       m.backoffNs.Load(),
+		Open:        open,
+		Dials:       m.dials.Load(),
+		Deaths:      m.deaths.Load(),
+		BadFrames:   m.badFrames.Load(),
+		Invocations: m.invocations.Load(),
+		Failures:    m.failures.Load(),
+		Retries:     m.retries.Load(),
+		Relocations: m.relocations.Load(),
+		BackoffNs:   m.backoffNs.Load(),
 	}
 }
 
@@ -264,16 +256,6 @@ func (m *SessionManager) session(ctx context.Context, ep naming.Endpoint) (*Sess
 	}
 }
 
-// peek returns the live session for ep without dialling, or nil.
-func (m *SessionManager) peek(ep naming.Endpoint) *Session {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.entries[ep]; e != nil {
-		return e.sess
-	}
-	return nil
-}
-
 // sessionDied is the read loop's exit notification: unpublish the session
 // and account for the shared failover.
 func (m *SessionManager) sessionDied(s *Session, graceful bool) {
@@ -304,13 +286,6 @@ type pendKey struct {
 	correl  uint64
 }
 
-// probeFlight is the latch for one in-flight liveness probe shared by all
-// bindings on the session.
-type probeFlight struct {
-	done chan struct{}
-	err  error
-}
-
 // Session is one shared transport connection: one conn, one read loop,
 // one demux table for every binding multiplexed over it, and one frame
 // queue that the caller who finds it idle writes in vectored batches.
@@ -326,11 +301,6 @@ type Session struct {
 	closed   bool
 	graceful bool
 	retired  bool // no binding is attached: close once nothing is pending
-
-	lastProbe atomic.Int64 // unix nanos of the last completed probe
-
-	probeMu sync.Mutex
-	probe   *probeFlight
 }
 
 func newSession(m *SessionManager, ep naming.Endpoint, conn netsim.Conn) *Session {
@@ -526,7 +496,7 @@ func (s *Session) readLoop() {
 			continue
 		}
 		switch m.Kind {
-		case wire.Reply, wire.ErrReply, wire.ProbeAck:
+		case wire.Reply, wire.ErrReply:
 			k := pendKey{m.BindingID, m.Correlation}
 			s.mu.Lock()
 			ch, ok := s.pending[k]
@@ -589,52 +559,4 @@ func (s *Session) readLoop() {
 		}
 	}
 	s.q.close() // conn is dead; a writer still at work fails fast
-}
-
-// probeShared coalesces liveness probes: however many bindings probe a
-// session concurrently, one Probe frame goes on the wire and everyone
-// shares its outcome. b supplies the wire identity (binding id, seq,
-// correlation) for the probe that is actually sent.
-func (s *Session) probeShared(ctx context.Context, b *Binding) error {
-	for {
-		s.probeMu.Lock()
-		if f := s.probe; f != nil {
-			s.probeMu.Unlock()
-			s.mgr.probesCoalesced.Add(1)
-			select {
-			case <-f.done:
-				// If the probe owner's context (not ours) was cancelled,
-				// the shared result says nothing about liveness; retry as
-				// the new owner.
-				if f.err != nil && ctx.Err() == nil &&
-					(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
-					continue
-				}
-				return f.err
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		f := &probeFlight{done: make(chan struct{})}
-		s.probe = f
-		s.probeMu.Unlock()
-
-		// The heartbeat is an ordinary round trip of the owning binding, so
-		// a secured channel probes like it invokes.
-		s.mgr.probesSent.Add(1)
-		m := b.message(wire.Probe, b.Ref(), b.nextSeq.Add(1), 0, "", nil)
-		ack, err := b.roundTrip(ctx, s, m)
-		wire.PutMessage(m)
-		if err == nil {
-			wire.PutMessage(ack)
-			s.lastProbe.Store(time.Now().UnixNano())
-		}
-
-		s.probeMu.Lock()
-		s.probe = nil
-		s.probeMu.Unlock()
-		f.err = err
-		close(f.done)
-		return err
-	}
 }

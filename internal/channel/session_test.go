@@ -16,6 +16,16 @@ import (
 	"repro/internal/wire"
 )
 
+// peek returns the manager's live session for ep without dialling, or nil.
+func (m *SessionManager) peek(ep naming.Endpoint) *Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[ep]; e != nil {
+		return e.sess
+	}
+	return nil
+}
+
 // sharedEnv builds a server plus a shared SessionManager and n bindings
 // to the same echo interface over it.
 func sharedEnv(t *testing.T, scfg ServerConfig, n int, cfg BindConfig) (*testEnv, *SessionManager, []*Binding) {
@@ -526,69 +536,6 @@ func TestPipelinedBindingRelocatesWithCallsInFlight(t *testing.T) {
 		t.Errorf("binding retried %d times: a session was killed under its calls", st.Retries)
 	}
 	waitFor(t, func() bool { return srvA.Stats().Open == 0 }) // its last call answered, A's session closes
-}
-
-func TestProbeSingleFlight(t *testing.T) {
-	// 8 bindings probing concurrently cost one heartbeat on the wire; the
-	// rest coalesce onto it, and every binding's stats surface the probe.
-	n := netsim.New(5)
-	lat := netsim.LinkProfile{Latency: 25 * time.Millisecond}
-	n.SetLink("client", "server", lat)
-	n.SetLink("server", "client", lat)
-	l, err := n.Listen("sim://server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(l, ServerConfig{})
-	srv.Start()
-	t.Cleanup(func() { srv.Close() })
-
-	mgr := NewSessionManager(n)
-	const nb = 8
-	bindings := make([]*Binding, nb)
-	for i := range bindings {
-		b, err := Bind(naming.InterfaceRef{ID: ifaceID(1), Endpoint: "sim://server"},
-			BindConfig{Sessions: mgr, Policy: policy.RetryPolicy{AttemptTimeout: 2 * time.Second}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		bindings[i] = b
-	}
-	// Establish the session first so the probes race only each other, not
-	// the single-flight dial.
-	if err := bindings[0].Probe(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	first := mgr.Stats()
-
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, b := range bindings {
-		wg.Add(1)
-		go func(b *Binding) {
-			defer wg.Done()
-			<-start
-			if err := b.Probe(context.Background()); err != nil {
-				t.Errorf("probe: %v", err)
-			}
-		}(b)
-	}
-	close(start)
-	wg.Wait()
-
-	st := mgr.Stats()
-	sent := st.ProbesSent - first.ProbesSent
-	coalesced := st.ProbesCoalesced - first.ProbesCoalesced
-	if sent != 1 || coalesced != nb-1 {
-		t.Errorf("probes sent=%d coalesced=%d, want 1/%d (one heartbeat for the fleet)",
-			sent, coalesced, nb-1)
-	}
-	for i, b := range bindings {
-		if b.Stats().LastProbe.IsZero() {
-			t.Errorf("binding %d LastProbe is zero after shared probe", i)
-		}
-	}
 }
 
 func TestSingleFlightDial(t *testing.T) {

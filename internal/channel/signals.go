@@ -43,13 +43,13 @@ func (s *SignalTraceStage) Process(dir Direction, m *wire.Message) error {
 	}
 	var prim types.SignalPrimitive
 	switch m.Kind {
-	case wire.Call, wire.OneWay, wire.FlowMsg, wire.SignalMsg, wire.Probe, wire.FlowBatch:
+	case wire.Call, wire.OneWay, wire.FlowMsg, wire.SignalMsg, wire.FlowBatch:
 		if dir == Outbound {
 			prim = types.Request
 		} else {
 			prim = types.Indicate
 		}
-	case wire.Reply, wire.ErrReply, wire.ProbeAck, wire.CreditGrant:
+	case wire.Reply, wire.ErrReply, wire.CreditGrant:
 		if dir == Outbound {
 			prim = types.Response
 		} else {

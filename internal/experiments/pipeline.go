@@ -22,6 +22,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/channel"
@@ -62,15 +63,15 @@ func (l frameByFrameListener) Accept() (netsim.Conn, error) {
 // E12PipelineRow is one (transport, mode, bindings, in-flight) measurement.
 // Modes:
 //
-//	batched    the data plane as shipped: pipelined bindings
-//	           (MaxInFlight=k) over the session's combining send queue.
-//	unbatched  pipelined bindings over frameByFrame connections, one
-//	           write per frame — isolates the batching contribution.
+//	batched    the data plane as shipped: k workers pipeline their calls
+//	           on each binding over the session's combining send queue.
+//	unbatched  the same pipelined bindings over frameByFrame connections,
+//	           one write per frame — isolates the batching contribution.
 //	serial     the unpipelined baseline: the same k workers per binding
-//	           forced through MaxInFlight=1, over frameByFrame
-//	           connections. This is the pre-pipelining shape a caller saw
-//	           if it serialised its own calls per binding; the CI gate
-//	           compares batched against it.
+//	           take turns on a lock of that binding's own, so it has one
+//	           call in flight, over frameByFrame connections. This is the
+//	           shape a caller that serialises its calls per binding sees;
+//	           the CI gate compares batched against it.
 type E12PipelineRow struct {
 	Transport string // "sim" or "tcp"
 	Mode      string // "batched", "unbatched" or "serial"
@@ -141,7 +142,7 @@ func E12Pipeline(transport string, bindings, inflight []int, totalCalls int) ([]
 				modes = []string{"serial", "unbatched", "batched"}
 			}
 			for _, mode := range modes {
-				row, err := e12Cell(transport, mode, n, k, totalCalls)
+				row, err := e12Cell(transport, mode, n, k, totalCalls, echo)
 				if err != nil {
 					return rows, fmt.Errorf("e12 %s/%s n=%d k=%d: %w", transport, mode, n, k, err)
 				}
@@ -152,12 +153,15 @@ func E12Pipeline(transport string, bindings, inflight []int, totalCalls int) ([]
 	return rows, nil
 }
 
-func e12Cell(transport, mode string, n, k, totalCalls int) (E12PipelineRow, error) {
-	maxInFlight := k
-	if mode == "serial" {
-		maxInFlight = 1
-	}
+// echo is E12's servant: it answers every call with its arguments.
+var echo = channel.HandlerFunc(
+	func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
+		return "OK", args, nil
+	})
 
+// e12Cell measures one cell against servant. Binding i's calls carry the
+// argument Int(i), so a servant can tell the bindings apart.
+func e12Cell(transport, mode string, n, k, totalCalls int, servant channel.Handler) (E12PipelineRow, error) {
 	f := newFleet(int64(12000 + n*100 + k))
 	defer f.close()
 	f.net.SetAcceptBacklog(2 * n)
@@ -168,42 +172,46 @@ func e12Cell(transport, mode string, n, k, totalCalls int) (E12PipelineRow, erro
 	if mode != "batched" {
 		listener, clientT = frameByFrameListener{listener}, frameByFrameTransport{clientT}
 	}
-	echo := channel.HandlerFunc(
-		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
-			return "OK", args, nil
-		})
-	_, ref, err := f.start(listener, channel.ServerConfig{}, naming.InterfaceID{Nonce: 12}, nil, echo)
+	_, ref, err := f.start(listener, channel.ServerConfig{}, naming.InterfaceID{Nonce: 12}, nil, servant)
 	if err != nil {
 		return E12PipelineRow{}, err
 	}
 
 	mgr := f.sessions(clientT)
 	bindings := make([]*channel.Binding, n)
+	args := make([][]values.Value, n)
 	for i := range bindings {
-		// The in-flight cap equals the worker count (serial mode pins it to
-		// 1), so the semaphore is exercised without ever rejecting (queue
-		// mode, not FailFast).
-		b, err := f.bind(ref, channel.BindConfig{Sessions: mgr, MaxInFlight: maxInFlight})
+		b, err := f.bind(ref, channel.BindConfig{Sessions: mgr})
 		if err != nil {
 			return E12PipelineRow{}, err
 		}
-		bindings[i] = b
+		bindings[i], args[i] = b, []values.Value{values.Int(int64(i))}
 	}
 
-	arg := []values.Value{values.Int(1)}
 	ctx := context.Background()
 	// Attach every binding to the shared session before the clock starts.
-	for _, b := range bindings {
-		if _, _, err := b.Invoke(ctx, "Echo", arg); err != nil {
+	for i, b := range bindings {
+		if _, _, err := b.Invoke(ctx, "Echo", args[i]); err != nil {
 			return E12PipelineRow{}, err
 		}
 	}
 
-	// k workers per binding, so each binding has at most k calls in flight.
+	// k workers per binding, so each binding has at most k calls in flight
+	// — one in serial mode, where its workers queue on its lock, and the
+	// wait counts in their latency.
+	var turns []sync.Mutex
+	if mode == "serial" {
+		turns = make([]sync.Mutex, n)
+	}
 	workers := n * k
 	calls := max(totalCalls/workers, 1) * workers
 	elapsed, lats, err := closedLoop(workers, calls, func(w, _ int) error {
-		_, _, err := bindings[w%n].Invoke(ctx, "Echo", arg)
+		i := w % n
+		if turns != nil {
+			turns[i].Lock()
+			defer turns[i].Unlock()
+		}
+		_, _, err := bindings[i].Invoke(ctx, "Echo", args[i])
 		return err
 	})
 	if err != nil {

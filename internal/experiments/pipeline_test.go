@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
@@ -147,5 +148,39 @@ func TestE12PipelineArms(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("scenarios = %v, want %v", got, want)
 		}
+	}
+}
+
+// The serial arm is a control only if each binding really has one call in
+// flight: a servant that counts the calls of each binding it is running
+// must never see two at once, while on the batched arm of the same cell it
+// must.
+func TestE12SerialArmHasOneCallPerBinding(t *testing.T) {
+	const n, k = 4, 8
+	// peak runs one cell and returns the most calls of one binding the
+	// servant ran at once.
+	peak := func(mode string) int64 {
+		running := make([]atomic.Int64, n)
+		var most atomic.Int64
+		recorder := channel.HandlerFunc(
+			func(_ context.Context, _ string, args []values.Value) (string, []values.Value, error) {
+				i, _ := args[0].AsInt()
+				now := running[i].Add(1)
+				for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+				}
+				time.Sleep(200 * time.Microsecond) // long enough for a sibling to arrive
+				running[i].Add(-1)
+				return "OK", args, nil
+			})
+		if _, err := e12Cell("sim", mode, n, k, 640, recorder); err != nil {
+			t.Fatal(err)
+		}
+		return most.Load()
+	}
+	if p := peak("serial"); p != 1 {
+		t.Errorf("serial: %d calls of one binding ran at once, want 1", p)
+	}
+	if p := peak("batched"); p < 2 {
+		t.Errorf("batched: at most %d call of one binding ran at once; the servant cannot see overlap", p)
 	}
 }

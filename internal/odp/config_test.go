@@ -29,7 +29,6 @@ func allModes() Config {
 		Seed:         9,
 		Management:   true,
 		Breakers:     &policy.BreakerConfig{},
-		Policy:       policy.RetryPolicy{MaxAttempts: 3},
 		TraderShards: 3,
 		BusShards:    4,
 		TypeReplicas: 2,
@@ -53,7 +52,6 @@ func TestConfigWiring(t *testing.T) {
 		{"zero", Config{}},
 		{"management", Config{Management: true}},
 		{"breakers", Config{Breakers: &policy.BreakerConfig{}}},
-		{"policy", Config{Policy: policy.RetryPolicy{MaxAttempts: 5}}},
 		{"trader-shards", Config{TraderShards: 2}},
 		{"bus-shards", Config{BusShards: 3}},
 		{"type-replicas", Config{TypeReplicas: 2}},
@@ -112,9 +110,6 @@ func TestConfigWiring(t *testing.T) {
 			// Every system locates through its relocation cache.
 			if cache := s.RelocationCache(); cache == nil || env.Locator != cache {
 				t.Errorf("cache = %v, Env locator = %T", cache, env.Locator)
-			}
-			if env.Policy != cfg.Policy {
-				t.Errorf("Env policy = %+v, want %+v", env.Policy, cfg.Policy)
 			}
 			if env.Sessions != s.SessionsFor("client") {
 				t.Error("Env does not share the host's session manager")

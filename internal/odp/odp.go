@@ -87,10 +87,6 @@ type Config struct {
 	// set, published on TopicBreaker. Nil means none; a pointer to the
 	// zero BreakerConfig means the defaults.
 	Breakers *policy.BreakerConfig
-	// Policy is the retry policy Env hands to bindings whose contract
-	// asks for failure transparency; what it leaves zero the contract
-	// fills (see transparency.Env.Policy). Zero: the contract decides.
-	Policy policy.RetryPolicy
 	// TraderShards partitions the trading function's front-end over that
 	// many local shards, named "<Name>-0"... Zero means one shard.
 	TraderShards int
@@ -332,7 +328,7 @@ func relocationFromValue(v values.Value) (relocator.Event, error) {
 
 // SessionsFor returns the client host's shared session manager, creating
 // it on first use. All of the host's bindings multiplex over it: one
-// connection, read loop and heartbeat per peer node — and, with
+// connection, read loop and send queue per peer node — and, with
 // Config.Breakers, one breaker set, so every binding the host holds to a
 // dead endpoint fails fast together and shares the half-open probe.
 func (s *System) SessionsFor(clientHost string) *channel.SessionManager {
@@ -533,7 +529,6 @@ func (s *System) Env(clientHost string) transparency.Env {
 		Sessions:    s.SessionsFor(clientHost),
 		Locator:     s.cache,
 		Instruments: s.mgmt.ChannelClient(clientHost),
-		Policy:      s.cfg.Policy,
 	}
 }
 

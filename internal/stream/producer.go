@@ -11,18 +11,16 @@ import (
 	"repro/internal/wire"
 )
 
-// ProducerConfig configures the producing end of one flow stream.
-type ProducerConfig struct {
-	// FailFast makes Send return ErrNoCredit when the window is empty
-	// instead of blocking (load shedding for sources that cannot pause).
-	FailFast bool
-}
+// ProducerConfig has no fields: a producer's only behaviour is to wait
+// for credit. The type stays only because the frozen bench/stream.go
+// passes ProducerConfig{} to Open.
+type ProducerConfig struct{}
 
 // ProducerStats is a snapshot of one producer's counters.
 type ProducerStats struct {
 	Sent        uint64 // elements handed to the wire
 	Batches     uint64 // FlowBatch frames sent
-	Stalls      uint64 // Sends that blocked (or failed fast) at zero credit
+	Stalls      uint64 // Sends that blocked at zero credit
 	StallNs     uint64 // total time blocked awaiting credit
 	MaxBuffered uint64 // high-water mark of elements buffered locally
 	CreditElems int64  // window currently open, elements
@@ -38,7 +36,6 @@ type ProducerStats struct {
 type Producer struct {
 	fs   *channel.FlowStream
 	gate *creditGate
-	cfg  ProducerConfig
 
 	mu     sync.RWMutex // held shared by Send, exclusively by Close
 	pump   chan values.Value
@@ -57,7 +54,7 @@ type Producer struct {
 // interface. The producer holds zero credit until the consumer's initial
 // grant arrives; the first Send blocks for it (the open round-trip is the
 // stream's only latency cost — after it, credit pipelines with data).
-func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConfig) (*Producer, error) {
+func Open(ctx context.Context, b *channel.Binding, flow string, _ ProducerConfig) (*Producer, error) {
 	gate := newCreditGate()
 	fs, err := b.OpenFlowStream(ctx, flow, gate.grant, gate.fail)
 	if err != nil {
@@ -66,7 +63,6 @@ func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConf
 	p := &Producer{
 		fs:   fs,
 		gate: gate,
-		cfg:  cfg,
 		pump: make(chan values.Value, sendBuffer),
 		done: make(chan struct{}),
 	}
@@ -77,15 +73,14 @@ func Open(ctx context.Context, b *channel.Binding, flow string, cfg ProducerConf
 // Send writes one element to the stream. It blocks while the credit
 // window is exhausted (the consumer is behind) or the local buffer is
 // full — that blocking IS the backpressure; memory never grows past
-// sendBuffer + the batch in flight. With FailFast it returns ErrNoCredit
-// instead of blocking on credit. A dead stream returns an error chain
+// sendBuffer + the batch in flight. A dead stream returns an error chain
 // matching both channel.ErrStreamClosed and channel.ErrDisconnected.
 func (p *Producer) Send(ctx context.Context, v values.Value) error {
 	if err := p.stickyErr(); err != nil {
 		return err
 	}
 	bytes := uint64(wire.ValueSizeHint(v))
-	if err := p.gate.acquire(ctx, bytes, p.cfg.FailFast); err != nil {
+	if err := p.gate.acquire(ctx, bytes); err != nil {
 		return err
 	}
 	p.mu.RLock()

@@ -18,7 +18,6 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -35,12 +34,6 @@ const (
 	// ends): 1 MiB, the session send queue's own bound.
 	windowBytes uint64 = 1 << 20
 )
-
-// ErrNoCredit is returned by a fail-fast producer's Send when the credit
-// window is exhausted: the consumer has not yet absorbed what it already
-// granted. It is the streaming analogue of channel.ErrTooManyInFlight —
-// not a connection failure, so callers shed load instead of retrying.
-var ErrNoCredit = errors.New("stream: credit window exhausted")
 
 // creditGate is the producer-side credit window: cumulative grants arrive
 // from the consumer (via the session read loop) and Send debits against
@@ -98,9 +91,9 @@ func (g *creditGate) fail(err error) {
 }
 
 // acquire debits credit for one element of the given size, blocking until
-// the window admits it (or failing fast when failFast is set). The time
-// spent stalled goes to the producer's stats.
-func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) error {
+// the window admits it. The time spent stalled goes to the producer's
+// stats.
+func (g *creditGate) acquire(ctx context.Context, bytes uint64) error {
 	var stallStart time.Time
 	for {
 		g.mu.Lock()
@@ -130,18 +123,13 @@ func (g *creditGate) acquire(ctx context.Context, bytes uint64, failFast bool) e
 			stallStart = time.Now()
 		}
 		g.mu.Unlock()
-		if failFast {
-			return ErrNoCredit
-		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			if !stallStart.IsZero() {
-				stalled := uint64(time.Since(stallStart))
-				g.mu.Lock()
-				g.stallNs += stalled
-				g.mu.Unlock()
-			}
+			stalled := uint64(time.Since(stallStart))
+			g.mu.Lock()
+			g.stallNs += stalled
+			g.mu.Unlock()
 			return ctx.Err()
 		}
 	}

@@ -310,48 +310,6 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-func TestStreamFailFast(t *testing.T) {
-	const window = 8
-	e := newEnv(t, ConsumerConfig{Window: window})
-	b := e.bind(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	p, err := Open(ctx, b, "ticks", ProducerConfig{FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := e.cons.Accept(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// The initial grant races the first Send; wait for the window to open,
-	// then exhaust it and expect ErrNoCredit once it is gone.
-	deadline := time.Now().Add(2 * time.Second)
-	sent := 0
-	for time.Now().Before(deadline) {
-		err := p.Send(ctx, values.Int(int64(sent)))
-		if err == nil {
-			sent++
-			continue
-		}
-		if errors.Is(err, ErrNoCredit) {
-			if sent == 0 {
-				// The initial grant has not arrived yet: fail-fast refuses
-				// rather than waiting, which is exactly its contract.
-				time.Sleep(time.Millisecond)
-				continue
-			}
-			if sent < window {
-				t.Fatalf("ErrNoCredit after %d sends, window %d", sent, window)
-			}
-			return
-		}
-		t.Fatalf("send: %v", err)
-	}
-	t.Fatal("never hit ErrNoCredit with an unread consumer")
-}
-
 // TestStreamMistypedElements covers the satellite fix end to end: mistyped
 // elements are dropped server-side but counted, surfaced in ServerStats,
 // and their credit still returns to the producer.

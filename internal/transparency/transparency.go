@@ -37,7 +37,6 @@ import (
 	"repro/internal/mgmt"
 	"repro/internal/naming"
 	"repro/internal/netsim"
-	"repro/internal/policy"
 	"repro/internal/security"
 	"repro/internal/transactions"
 	"repro/internal/types"
@@ -59,7 +58,7 @@ type Env struct {
 	Transport netsim.Transport
 	// Sessions multiplexes every binding created under this environment
 	// over shared per-endpoint transport sessions (one connection, one
-	// read loop and one heartbeat per remote node, however many bindings
+	// read loop and one send queue per remote node, however many bindings
 	// and replica proxies point there). Optional; nil gives each binding
 	// a private session.
 	Sessions *channel.SessionManager
@@ -76,14 +75,6 @@ type Env struct {
 	// Instruments enables management instrumentation of bindings created
 	// under this environment (tracing, metrics). Optional.
 	Instruments *mgmt.ChannelClientInstruments
-	// Policy holds the engineering choices of failure transparency for
-	// bindings created under this environment whose contract asks for it:
-	// the deadline budget shared by all attempts and the seeded backoff
-	// between retries. Not part of the computational contract, so it lives
-	// on the environment. Attempt count and per-attempt timeout left zero
-	// are filled from the contract; the zero value is therefore immediate
-	// retries with a fresh timeout each and no budget.
-	Policy policy.RetryPolicy
 }
 
 // ClientConfig assembles the client channel configuration that realises
@@ -123,18 +114,14 @@ func ClientConfig(contract core.Contract, env Env) (channel.BindConfig, error) {
 	}
 
 	// Failure transparency: the contract supplies the retry count and the
-	// per-attempt bound unless the environment's policy already fixes them.
+	// per-attempt bound (2 s when it states no latency); retries follow
+	// each other immediately, with no budget beyond the caller's context.
 	// Without it a latency bound still limits the single attempt.
 	if req.Has(core.Failure) {
-		cfg.Policy = env.Policy
-		if cfg.Policy.MaxAttempts == 0 {
-			cfg.Policy.MaxAttempts = contract.EffectiveRetries() + 1
-		}
-		if cfg.Policy.AttemptTimeout == 0 {
-			cfg.Policy.AttemptTimeout = 2 * time.Second
-			if contract.MaxLatency > 0 {
-				cfg.Policy.AttemptTimeout = contract.MaxLatency
-			}
+		cfg.Policy.MaxAttempts = contract.EffectiveRetries() + 1
+		cfg.Policy.AttemptTimeout = 2 * time.Second
+		if contract.MaxLatency > 0 {
+			cfg.Policy.AttemptTimeout = contract.MaxLatency
 		}
 	} else {
 		cfg.Policy.AttemptTimeout = contract.MaxLatency

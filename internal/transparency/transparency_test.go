@@ -87,21 +87,9 @@ func TestClientConfigFailure(t *testing.T) {
 	if want := (policy.RetryPolicy{AttemptTimeout: 50 * time.Millisecond}); cfg.Policy != want {
 		t.Errorf("latency only: policy = %+v, want %+v", cfg.Policy, want)
 	}
-	// The environment's policy supplies budget and backoff and may fix the
-	// attempt count; what it leaves zero comes from the contract — and
-	// without failure transparency it is not applied at all.
-	env := baseEnv()
-	env.Policy = policy.RetryPolicy{MaxAttempts: 2, Budget: time.Second, BaseBackoff: time.Millisecond}
-	cfg, err = ClientConfig(core.Contract{Require: core.TransparencySet(core.Failure), MaxLatency: 50 * time.Millisecond}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := env.Policy
-	want.AttemptTimeout = 50 * time.Millisecond
-	if cfg.Policy != want {
-		t.Errorf("environment policy: policy = %+v, want %+v", cfg.Policy, want)
-	}
-	cfg, err = ClientConfig(core.Contract{}, env)
+	// Without failure transparency or a latency bound there is one
+	// attempt, bounded only by the caller's context.
+	cfg, err = ClientConfig(core.Contract{}, baseEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

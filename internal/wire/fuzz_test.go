@@ -29,7 +29,6 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}},
 		{Kind: ErrReply, Termination: "Error",
 			Args: []values.Value{values.Str("detail")}},
-		{Kind: Probe, BindingID: 3},
 		// Traced frames: the extension block path must be in the corpus.
 		{Kind: Call, BindingID: 9, Operation: "Get",
 			TraceID: 0xa11c0ffee, SpanID: 0x1,

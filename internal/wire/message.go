@@ -43,9 +43,10 @@ type MsgKind uint8
 
 // The frame kinds exchanged by protocol objects. Call/Reply carry
 // interrogations, OneWay carries announcements, SignalMsg carries raw
-// signal-interface primitives, FlowMsg carries stream elements, ErrReply
-// carries infrastructure failures (as opposed to application terminations),
-// and Probe/ProbeAck support liveness checks.
+// signal-interface primitives, FlowMsg carries stream elements, and ErrReply
+// carries infrastructure failures (as opposed to application terminations).
+// Liveness is not a frame kind: a peer is alive when it answers a dial or a
+// call. The values are the frame's kind byte and never move.
 const (
 	Call MsgKind = iota + 1
 	Reply
@@ -53,8 +54,8 @@ const (
 	SignalMsg
 	FlowMsg
 	ErrReply
-	Probe
-	ProbeAck
+	_ // 7: retired (a liveness probe)
+	_ // 8: retired (its acknowledgement)
 	// CreditGrant is the streaming back-channel: the consumer end grants
 	// transmission credit to the producer of one flow stream. It reuses
 	// existing header fields instead of a payload so a grant costs a bare
@@ -95,10 +96,6 @@ func (k MsgKind) String() string {
 		return "flow"
 	case ErrReply:
 		return "error"
-	case Probe:
-		return "probe"
-	case ProbeAck:
-		return "probeack"
 	case CreditGrant:
 		return "creditgrant"
 	case FlowBatch:
@@ -113,7 +110,7 @@ func (k MsgKind) String() string {
 // The (BindingID, Correlation) pair is the session demux key: many
 // bindings multiplex one transport session (package channel's session
 // layer), and since correlations are allocated per binding, the pair
-// uniquely routes every Reply/ErrReply/ProbeAck on a shared connection
+// uniquely routes every Reply/ErrReply on a shared connection
 // without any extra wire fields.
 type Message struct {
 	Kind        MsgKind

@@ -80,8 +80,6 @@ func TestMessageRoundTripVariants(t *testing.T) {
 		{Kind: Reply, Termination: "OK", Correlation: 1, Args: []values.Value{values.Int(500)}},
 		{Kind: OneWay, Operation: "Notify"},
 		{Kind: ErrReply, Termination: "ERR_NO_SUCH_OPERATION", Correlation: 9},
-		{Kind: Probe},
-		{Kind: ProbeAck},
 		{Kind: FlowMsg, Operation: "video", Args: []values.Value{values.BytesVal([]byte{9})}},
 		{Kind: SignalMsg, Operation: "connect"},
 	}
@@ -152,9 +150,14 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 }
 
 func TestMsgKindString(t *testing.T) {
+	// The kind is the frame's fourth byte: a retired kind leaves a hole, so
+	// every remaining frame keeps its encoding.
+	if CreditGrant != 9 || FlowBatch != 10 {
+		t.Fatalf("CreditGrant = %d, FlowBatch = %d; want 9 and 10", CreditGrant, FlowBatch)
+	}
 	for k, want := range map[MsgKind]string{
 		Call: "call", Reply: "reply", OneWay: "oneway", SignalMsg: "signal",
-		FlowMsg: "flow", ErrReply: "error", Probe: "probe", ProbeAck: "probeack",
+		FlowMsg: "flow", ErrReply: "error",
 		MsgKind(99): "msgkind(99)",
 	} {
 		if got := k.String(); got != want {

@@ -180,6 +180,18 @@ if grep -rnE 'ReplyCacheSize|MaxGuardBindings|MaxBackoff|RTTFactor|WindowBytes|c
 	exit 1
 fi
 
+echo "== no-heartbeat gate (a binding has no in-flight cap and sends no probe; its contract alone fills its retry policy) =="
+# Only their own tests ever set the binding's in-flight cap, the two
+# fail-fast modes or a facade-wide retry policy, or sent the session
+# heartbeat: none may come back (bench/ names none). Wire kinds 7 and 8
+# stay retired holes, so CreditGrant and FlowBatch keep their bytes.
+if grep -rnE 'MaxInFlight|\bFailFast\b|ErrTooManyInFlight|ErrNoCredit|probeShared|LastProbe|ProbesSent|ProbesCoalesced|\.Probe\(|wire\.Probe\b|ProbeAck' --include='*.go' \
+	--exclude-dir=bench --exclude-dir=.bench_build . ||
+	grep -rn 'RetryPolicy' --include='*.go' --exclude='*_test.go' internal/odp internal/transparency cmd examples; then
+	echo "a knob no workload sets, or the heartbeat, is back (the contract is the only knob; liveness is a dial or a call)"
+	exit 1
+fi
+
 echo "== count-once gate (Management reads the counters Stats() keeps) =="
 # A count a component's own Stats() already keeps — for one component or,
 # as a keyed set, for its members — reaches Management through one mgmt.Read
@@ -254,18 +266,20 @@ if grep -rnE 'type Monitor\b|\bEnvelope\b|ViolationTopic|^[[:space:]]+QoS[[:spac
 	exit 1
 fi
 
-echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read) =="
+echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read; every setting is set) =="
 # A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
 # the deadcode build tag, so tier 1 never builds it): an unreached
-# declaration or an unexported struct field written but never read that
-# scripts/deadcode/allow.txt does not own, a stale allow pattern, or a
-# reason naming a test that does not exist fails. Its three figures print
-# with the line counts below.
+# declaration, an unexported struct field written but never read, or a
+# setting (an exported field of a *Config/*Options/*Policy struct or of
+# transparency.Env) that reached code reads and nothing outside its
+# package sets, that scripts/deadcode/allow.txt does not own, a stale
+# allow pattern, or a reason naming a test that does not exist fails. Its
+# four figures print with the line counts below.
 reach=$(go test -tags deadcode -count=1 -v ./scripts/deadcode/ 2>&1) || { echo "$reach"; exit 1; }
 
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination; internal/wire) and this script =="
 # The size figures ROADMAP tracks; printed, not gated. The first line is
-# followed by the reachability scan's three figures.
+# followed by the reachability scan's four figures.
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 |
 	xargs -0 cat | wc -l
 echo "$reach" | grep '^deadcode:'

@@ -33,8 +33,14 @@ func TestInternalReachability(t *testing.T) {
 		len(res.unreached), res.lines)
 	fmt.Printf("deadcode: %d exported names in internal/ used only inside their own package\n", res.ownOnly)
 	fmt.Printf("deadcode: %d unexported struct fields in internal/ never read\n", len(res.unread))
+	fmt.Printf("deadcode: %d settings in internal/ read but set only by their own package\n", len(res.knobs))
 	unowned, stale := check(res, allow)
 	for _, d := range unowned {
+		if d.knob {
+			t.Errorf("%s: setting %s is read, but nothing outside its package sets it: delete it, or name its owner in allow.txt",
+				rel(root, d.pos.String()), d.name)
+			continue
+		}
 		if d.field {
 			t.Errorf("%s: field %s is written but never read: delete it, or name its owner in allow.txt",
 				rel(root, d.pos.String()), d.name)
@@ -85,8 +91,8 @@ func testNames(root string) (map[string]bool, error) {
 }
 
 // TestScanFixture runs the scan on testdata/fixture, a module whose one
-// binary reaches some of a library and writes a field nothing reads, so the
-// gate cannot pass vacuously.
+// binary reaches some of a library, writes a field nothing reads and leaves
+// a setting to the library alone, so the gate cannot pass vacuously.
 func TestScanFixture(t *testing.T) {
 	root, err := filepath.Abs("testdata/fixture")
 	if err != nil {
@@ -111,6 +117,7 @@ func TestScanFixture(t *testing.T) {
 		"lib.unusedType",       // a type nothing names, with its method
 		"lib.unusedType.Twice",
 		"lib.Counter.spare", // a field Inc writes and nothing reads
+		"lib.Config.Depth",  // a setting Run reads and only lib writes
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flagged %q, want %q", got, want)

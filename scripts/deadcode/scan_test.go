@@ -39,6 +39,7 @@ type decl struct {
 	pos   token.Position
 	lines int  // with its doc comment
 	field bool // a struct field, rather than a declaration
+	knob  bool // a configuration field only its own package sets
 }
 
 // result is what a scan finds.
@@ -47,6 +48,7 @@ type result struct {
 	lines     int    // the unreached declarations' lines, doc comments included
 	ownOnly   int    // exported scanned names no other package uses
 	unread    []decl // unexported struct fields no code reads, sorted by name
+	knobs     []decl // configuration fields reached code reads and only their own package sets, sorted by name
 }
 
 // pkg is one type-checked package of the module (non-test files only).
@@ -425,7 +427,127 @@ func scan(cfg config) (*result, error) {
 	sort.Slice(res.unreached, func(i, j int) bool { return res.unreached[i].name < res.unreached[j].name })
 	res.ownOnly = countOwnOnly(p, nodes)
 	res.unread = unreadFields(p, scannedPrefix)
+	res.knobs = knobFields(p, scannedPrefix, reached, linked)
 	return res, nil
+}
+
+// knobFields returns the exported fields of the scanned packages'
+// configuration structs — a struct type named *Config, *Options or
+// *Policy, or transparency.Env — that reached code reads while no reached
+// code outside the field's own package writes it: a setting no binary,
+// example or bench row can choose. A write is an assignment or increment
+// through the field (x.F = v and x.F.G = v both write F), taking its
+// address, or a keyed composite literal; an unkeyed literal of another
+// package's struct is left out, as go vet refuses it.
+func knobFields(p *program, scannedPrefix string, reached map[types.Object]bool, linked map[*types.Package]bool) []decl {
+	fields := map[types.Object]decl{}
+	read, setOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, pk := range p.pkgs {
+		scanned := strings.HasPrefix(pk.path+"/", scannedPrefix)
+		rel := strings.TrimPrefix(pk.path, scannedPrefix)
+		for _, f := range pk.files {
+			for _, d := range f.Decls {
+				live := false
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						live = linked[pk.types]
+					} else {
+						live = reached[pk.info.Defs[d.Name]]
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							st, ok := s.Type.(*ast.StructType)
+							if !scanned || !ok || !isKnobStruct(rel, s.Name.Name) {
+								continue
+							}
+							for _, fl := range st.Fields.List {
+								for _, id := range fl.Names {
+									if id.IsExported() {
+										fields[pk.info.Defs[id]] = decl{name: rel + "." + s.Name.Name + "." + id.Name,
+											pos: p.fset.Position(id.Pos()), lines: 1, knob: true}
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							// A package-level initializer runs when the
+							// package is linked in.
+							live = live || len(s.Values) > 0 && linked[pk.types]
+							for _, id := range s.Names {
+								live = live || reached[pk.info.Defs[id]]
+							}
+						}
+					}
+				}
+				if !live {
+					continue
+				}
+				written := map[*ast.Ident]bool{}
+				writes := func(x ast.Expr) {
+					for {
+						switch e := ast.Unparen(x).(type) {
+						case *ast.SelectorExpr:
+							written[e.Sel] = true
+							x = e.X
+						case *ast.IndexExpr:
+							x = e.X
+						case *ast.StarExpr:
+							x = e.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							writes(lhs)
+						}
+					case *ast.IncDecStmt:
+						writes(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							writes(n.X)
+						}
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							written[id] = true
+						}
+					case *ast.Ident:
+						v, ok := pk.info.Uses[n].(*types.Var)
+						if !ok || !v.IsField() {
+							break
+						}
+						v = v.Origin()
+						if !written[n] {
+							read[v] = true
+						} else if v.Pkg() != pk.types {
+							setOutside[v] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []decl
+	for obj, d := range fields {
+		if read[obj] && !setOutside[obj] {
+			out = append(out, d)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// isKnobStruct reports whether the struct type name, declared in the
+// scanned package rel, is a configuration whose fields are settings.
+func isKnobStruct(rel, name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+		strings.HasSuffix(name, "Policy") || rel == "transparency" && name == "Env"
 }
 
 // unreadFields returns the unexported named fields of the struct types the
@@ -622,12 +744,13 @@ func expand(pattern string) []string {
 	return out
 }
 
-// check splits a scan against an allow list: the unreached declarations
-// and unread fields no pattern matches, and the patterns that match
-// neither.
+// check splits a scan against an allow list: the unreached declarations,
+// unread fields and knobs no pattern matches, and the patterns that match
+// none of them.
 func check(res *result, allow []allowEntry) (unowned []decl, stale []allowEntry) {
 	used := make([]bool, len(allow))
-	for _, d := range append(res.unreached[:len(res.unreached):len(res.unreached)], res.unread...) {
+	all := append(append(res.unreached[:len(res.unreached):len(res.unreached)], res.unread...), res.knobs...)
+	for _, d := range all {
 		owned := false
 		for i, a := range allow {
 			if ok, _ := path.Match(a.pattern, d.name); ok {

@@ -63,3 +63,21 @@ func (c *Counter) Inc() {
 
 // Value is called by main.
 func (c *Counter) Value() int { return c.n }
+
+// Config is read by Run. Size and Width are set by main, Depth only by
+// lib itself, Owned by nobody but allow.txt, and Ignored is read by nothing.
+type Config struct {
+	Size    int
+	Width   int
+	Depth   int
+	Owned   int
+	Ignored int
+}
+
+// Run is called by main.
+func Run(c Config) int {
+	if c.Depth == 0 {
+		c.Depth = 1
+	}
+	return c.Size * c.Width * c.Depth * c.Owned
+}
