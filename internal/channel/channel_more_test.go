@@ -295,6 +295,57 @@ func TestBadFrameCounted(t *testing.T) {
 	}
 }
 
+// retiredFrame encodes a bare frame of a kind the wire no longer defines:
+// 7 and 8 were a liveness probe and its acknowledgement, which a peer
+// built before their removal may still send.
+func retiredFrame(t *testing.T, kind wire.MsgKind, binding, corr uint64) []byte {
+	t.Helper()
+	frame, err := (&wire.Message{Kind: kind, BindingID: binding, Correlation: corr}).EncodeAppend(nil, wire.Canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// A frame of a retired kind is a bad frame like any unknown kind: the
+// server counts it, answers nothing, and serves the connection's next call.
+func TestRetiredKindsAreBadFrames(t *testing.T) {
+	for _, kind := range []wire.MsgKind{7, 8} {
+		t.Run(kind.String(), func(t *testing.T) {
+			env := newEnv(t, ServerConfig{})
+			conn, err := env.net.Dial(context.Background(), "sim://server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.Send(retiredFrame(t, kind, 1, 4)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return env.server.Stats().BadFrames == 1 })
+			call, err := (&wire.Message{Kind: wire.Call, BindingID: 1, Correlation: 5, Target: env.ref.ID,
+				Operation: "Echo", Args: []values.Value{values.Str("x")}}).EncodeAppend(nil, wire.Canonical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Send(call); err != nil {
+				t.Fatal(err)
+			}
+			// The server's replies leave in order, so an answer to the
+			// retired frame would arrive before the call's reply.
+			frame, err := conn.Recv()
+			if err != nil {
+				t.Fatalf("connection unusable after a %v frame: %v", kind, err)
+			}
+			if reply, err := wire.Decode(frame); err != nil || reply.Kind != wire.Reply || reply.Correlation != 5 {
+				t.Fatalf("first frame after a %v frame = %+v, %v; want the call's reply", kind, reply, err)
+			}
+			if st := env.server.Stats(); st.BadFrames != 1 || st.Calls != 1 {
+				t.Errorf("stats = %+v, want 1 bad frame and 1 call", st)
+			}
+		})
+	}
+}
+
 // A peer that cycles binding ids on one connection grows nothing: the
 // server counts at most maxGuardBindings of them for BindingsPerSession.
 func TestBindingsPerSessionIsBounded(t *testing.T) {

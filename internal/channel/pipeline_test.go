@@ -117,6 +117,75 @@ func TestPipelinedSessionDeathFailsAllInFlight(t *testing.T) {
 	}
 }
 
+// A binding admits every caller: with calls parked in the servant, one
+// more call still reaches it, and a caller that gives up while its call
+// runs gets its context's error — not a link failure — and disturbs
+// neither the parked calls nor the binding.
+func TestBindingAdmitsEveryCaller(t *testing.T) {
+	env := newEnv(t, ServerConfig{})
+	slow := ifaceID(80)
+	block := make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	var parked atomic.Int64
+	if err := env.server.Register(slow, nil, HandlerFunc(
+		func(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
+			parked.Add(1)
+			select {
+			case <-block:
+			case <-ctx.Done():
+			}
+			return "OK", args, nil
+		})); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Bind(naming.InterfaceRef{ID: slow, Endpoint: "sim://server"},
+		BindConfig{Sessions: NewSessionManager(env.net)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// Fewer calls than the server's smallest worker pool (workersPerProc
+	// at GOMAXPROCS 1), so every parked call holds a worker of its own.
+	const calls = workersPerProc - 1
+	done := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, _, err := b.Invoke(context.Background(), "Sleep", nil)
+			done <- err
+		}()
+	}
+	waitFor(t, func() bool { return parked.Load() == calls })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	quitter := make(chan error, 1)
+	go func() {
+		_, _, err := b.Invoke(ctx, "Sleep", nil)
+		quitter <- err
+	}()
+	waitFor(t, func() bool { return parked.Load() == calls+1 })
+	cancel()
+	select {
+	case err := <-quitter:
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDisconnected) {
+			t.Fatalf("abandoned call = %v, want context.Canceled and not ErrDisconnected", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("abandoned call did not return")
+	}
+
+	release()
+	for i := 0; i < calls; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("parked call: %v", err)
+		}
+	}
+	if _, _, err := b.Invoke(context.Background(), "Sleep", nil); err != nil {
+		t.Fatalf("call after the others: %v", err)
+	}
+}
+
 // TestOneWayQueuedCounter sends announcements, flow elements and signals
 // through the batched plane and checks BindingStats.OneWayQueued counts
 // every frame handed to the send queue.

@@ -210,6 +210,7 @@ func TestSessionCorruptFrameDoesNotStrandOthers(t *testing.T) {
 	}{
 		{"truncated frame", []byte{0xde, 0xad, 0xbe, 0xef}},
 		{"valid frame of kind Call", callFrame},
+		{"valid frame of a retired kind", retiredFrame(t, 8, 1, 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) { corruptFrameCase(t, tc.poison) })
 	}

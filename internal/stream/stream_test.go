@@ -310,6 +310,83 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
+// A Send with no credit left waits for a grant or for its own context,
+// nothing else: an expired or cancelled Send returns the context's error,
+// debits no credit and delivers nothing, so after a drain the stream goes
+// on with the next element the producer sends.
+func TestStalledSendEndsWithItsContext(t *testing.T) {
+	const window = 8
+	e := newEnv(t, ConsumerConfig{Window: window})
+	b := e.bind(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	p, err := Open(ctx, b, "ticks", ProducerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	in, err := e.cons.Accept(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		if err := p.Send(ctx, values.Int(int64(i))); err != nil {
+			t.Fatalf("send %d inside the window: %v", i, err)
+		}
+	}
+
+	expiring, done := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer done()
+	if err := p.Send(expiring, values.Int(-1)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("send past the window = %v, want DeadlineExceeded", err)
+	}
+	cancelled, cancelSend := context.WithCancel(ctx)
+	stalled := make(chan error, 1)
+	go func() { stalled <- p.Send(cancelled, values.Int(-2)) }()
+	time.Sleep(10 * time.Millisecond) // let it wait on the gate
+	cancelSend()
+	select {
+	case err := <-stalled:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled send = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled send still waiting for credit")
+	}
+	if st := p.Stats(); st.Stalls < 2 {
+		t.Errorf("stalls = %d, want one per stalled send", st.Stalls)
+	}
+
+	for i := 0; i < window; i++ {
+		v, err := in.Recv(ctx)
+		if err != nil {
+			t.Fatalf("drain %d: %v", i, err)
+		}
+		if got, _ := v.AsInt(); got != int64(i) {
+			t.Fatalf("element %d = %d", i, got)
+		}
+	}
+	// The refused sends took no credit: the drained window admits a whole
+	// window again, and only those elements arrive.
+	refill, stop := context.WithTimeout(ctx, time.Second)
+	defer stop()
+	for i := 0; i < window; i++ {
+		if err := p.Send(refill, values.Int(int64(100+i))); err != nil {
+			t.Fatalf("send %d of the refilled window: %v", i, err)
+		}
+	}
+	for i := 0; i < window; i++ {
+		v, err := in.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := v.AsInt(); got != int64(100+i) {
+			t.Fatalf("element %d after drain = %d, want %d: a refused send was delivered", i, got, 100+i)
+		}
+	}
+}
+
 // TestStreamMistypedElements covers the satellite fix end to end: mistyped
 // elements are dropped server-side but counted, surfaced in ServerStats,
 // and their credit still returns to the producer.

@@ -215,6 +215,37 @@ func TestBindWithContractEndToEnd(t *testing.T) {
 	}
 }
 
+// A contract-driven binding retries exactly as often as its contract says:
+// against a host that is gone, every attempt fails at once and the binding
+// counts the contract's retries, whatever else the environment holds.
+func TestContractAloneSetsRetries(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		contract core.Contract
+		retries  uint64
+	}{
+		{"failure transparency, default retries", core.Contract{Require: core.TransparencySet(core.Failure)}, 3},
+		{"failure transparency, one retry", core.Contract{Require: core.TransparencySet(core.Failure), MaxRetries: 1}, 1},
+		{"no failure transparency", core.Contract{}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := Env{Transport: netsim.New(1), Principal: "client", Type: counterIface()}
+			ref := naming.InterfaceRef{ID: naming.InterfaceID{Nonce: 7}, TypeName: "Counter", Endpoint: "sim://nowhere"}
+			b, err := Bind(ref, c.contract, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if _, _, err := b.Invoke(context.Background(), "Get", nil); !errors.Is(err, channel.ErrDisconnected) {
+				t.Fatalf("call to a gone host = %v, want ErrDisconnected", err)
+			}
+			if got := b.Stats().Retries; got != c.retries {
+				t.Errorf("retries = %d, want %d", got, c.retries)
+			}
+		})
+	}
+}
+
 func TestReplicateEndToEnd(t *testing.T) {
 	net := netsim.New(2)
 	reloc := relocator.New()

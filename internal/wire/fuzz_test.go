@@ -29,6 +29,12 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}},
 		{Kind: ErrReply, Termination: "Error",
 			Args: []values.Value{values.Str("detail")}},
+		// The unbatched one-way kinds: a signal primitive and a lone flow
+		// element.
+		{Kind: SignalMsg, BindingID: 3, Operation: "connect",
+			Args: []values.Value{values.Str("peer"), values.Bool(false)}},
+		{Kind: FlowMsg, BindingID: 3, Operation: "video", Seq: 17,
+			Args: []values.Value{values.BytesVal([]byte{9, 8, 7})}},
 		// Traced frames: the extension block path must be in the corpus.
 		{Kind: Call, BindingID: 9, Operation: "Get",
 			TraceID: 0xa11c0ffee, SpanID: 0x1,
