@@ -104,8 +104,10 @@ func TestGrandTour(t *testing.T) {
 		Security: core.SecurityAudited,
 	}
 	clientAudit := &channel.MemoryAudit{}
+	sessions := channel.NewSessionManager(net.From("alice-laptop"))
+	defer sessions.Close()
 	env := transparency.Env{
-		Transport: net.From("alice-laptop"),
+		Sessions:  sessions,
 		Locator:   reloc,
 		Principal: "alice",
 		Secret:    []byte("alice-secret"),

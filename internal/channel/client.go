@@ -611,42 +611,49 @@ func (b *Binding) post(sess *Session, m *wire.Message) error {
 // endpoint's shared session, dialling (single-flight across bindings) if
 // necessary.
 func (b *Binding) session(ctx context.Context) (*Session, error) {
-	b.mu.Lock()
-	if b.closed {
+	for {
+		b.mu.Lock()
+		if b.closed {
+			b.mu.Unlock()
+			return nil, ErrClosed
+		}
+		ep := b.ref.Endpoint
+		if !b.attached || b.attachedEP != ep {
+			// The binding moved endpoints (relocation): move its session
+			// reference in one step, leaving its sibling calls still pending
+			// at the old endpoint to be answered there. detach/attach never
+			// take this binding's lock.
+			if b.attached {
+				b.sessions.detach(b.attachedEP, true)
+			}
+			b.sessions.attach(ep)
+			b.attached, b.attachedEP = true, ep
+		}
 		b.mu.Unlock()
-		return nil, ErrClosed
-	}
-	ep := b.ref.Endpoint
-	if !b.attached || b.attachedEP != ep {
-		// The binding moved endpoints (relocation): move its session
-		// reference in one step, leaving its sibling calls still pending
-		// at the old endpoint to be answered there. detach/attach never
-		// take this binding's lock.
-		if b.attached {
-			b.sessions.detach(b.attachedEP, true)
-		}
-		b.sessions.attach(ep)
-		b.attached, b.attachedEP = true, ep
-	}
-	b.mu.Unlock()
 
-	s, err := b.sessions.session(ctx, ep)
-	if err != nil {
-		if !errors.Is(err, ErrClosed) {
-			// An undialable endpoint is staleness evidence too: drop the
-			// cached location so the refresh reaches the authority, and the
-			// next attempt dials where the interface is now.
-			b.relocate(true)
+		s, err := b.sessions.session(ctx, ep)
+		if errors.Is(err, errDetached) {
+			// A sibling call moved the binding on after ep was read here,
+			// and took the last reference to ep with it: follow it.
+			continue
 		}
-		return nil, err
+		if err != nil {
+			if !errors.Is(err, ErrClosed) {
+				// An undialable endpoint is staleness evidence too: drop the
+				// cached location so the refresh reaches the authority, and
+				// the next attempt dials where the interface is now.
+				b.relocate(true)
+			}
+			return nil, err
+		}
+		b.mu.Lock()
+		if b.lastSess != s {
+			b.lastSess = s
+			b.reconnects.Add(1)
+		}
+		b.mu.Unlock()
+		return s, nil
 	}
-	b.mu.Lock()
-	if b.lastSess != s {
-		b.lastSess = s
-		b.reconnects.Add(1)
-	}
-	b.mu.Unlock()
-	return s, nil
 }
 
 // relocate consults the locator — after first telling a caching locator to

@@ -34,6 +34,13 @@ var (
 	ErrAttemptTimeout = errors.New("channel: attempt timed out")
 )
 
+// errDetached is SessionManager.session's answer when no binding is
+// attached to the endpoint any more: the requester closed, or a sibling
+// call relocated it, after it read the endpoint. Binding.session re-reads
+// its endpoint and asks again; only a closed binding or manager is
+// ErrClosed.
+var errDetached = errors.New("channel: endpoint detached")
+
 // ErrSessionClosing reports that a frame was handed to a session whose send
 // path had already begun shutting down, so the frame was never written.
 // Before the batched sender existed this window was a silent drop: Send on

@@ -195,10 +195,9 @@ func (m *SessionManager) session(ctx context.Context, ep naming.Endpoint) (*Sess
 		}
 		e := m.entries[ep]
 		if e == nil {
-			// No binding is attached here any more: the requester detached
-			// (closed) concurrently. Don't dial a connection nobody owns.
+			// Don't dial a connection nobody owns.
 			m.mu.Unlock()
-			return nil, ErrClosed
+			return nil, errDetached
 		}
 		if e.sess != nil && !e.sess.isClosed() {
 			s := e.sess
@@ -237,7 +236,7 @@ func (m *SessionManager) session(ctx context.Context, ep naming.Endpoint) (*Sess
 			if err == nil {
 				conn.Close()
 			}
-			return nil, ErrClosed
+			return nil, errDetached // asked again, a closed manager answers ErrClosed
 		}
 		if err != nil {
 			m.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -561,5 +562,63 @@ func TestSingleFlightDial(t *testing.T) {
 	}
 	if st := env.server.Stats(); st.Sessions != 1 {
 		t.Errorf("server sessions = %d, want 1", st.Sessions)
+	}
+}
+
+// TestSessionFollowsASiblingsMove: a call that read its binding's endpoint
+// just before a sibling call moved the binding on, taking the last
+// reference to that endpoint with it, follows the binding to where it is
+// now; ErrClosed ("channel: binding closed") is for a closed binding
+// only. Eight callers ask for the session while the test flips the
+// binding between two live servers, and keeps flipping until every caller
+// has made its calls.
+func TestSessionFollowsASiblingsMove(t *testing.T) {
+	n := netsim.New(5)
+	eps := [2]naming.Endpoint{"sim://alpha", "sim://beta"}
+	for _, ep := range eps {
+		l, err := n.Listen(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, ServerConfig{})
+		srv.Start()
+		t.Cleanup(func() { srv.Close() })
+	}
+	mgr := NewSessionManager(n)
+	defer mgr.Close()
+	b, err := Bind(naming.InterfaceRef{ID: ifaceID(7), Endpoint: eps[0]}, BindConfig{Sessions: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	const callers, callsEach, minFlips = 8, 2000, 20000
+	var closed atomic.Uint64
+	var finished atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer finished.Add(1)
+			for j := 0; j < callsEach; j++ {
+				if _, err := b.session(context.Background()); errors.Is(err, ErrClosed) {
+					closed.Add(1)
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for flips := 0; flips < minFlips || finished.Load() < callers; flips++ {
+		b.mu.Lock()
+		b.ref.Endpoint = eps[flips%2]
+		b.mu.Unlock()
+		runtime.Gosched()
+	}
+	wg.Wait()
+	if n := closed.Load(); n != 0 {
+		t.Fatalf("%d of %d session requests on an open binding failed with ErrClosed", n, callers*callsEach)
 	}
 }

@@ -49,7 +49,8 @@ type Locator interface {
 // location for an interface. Bindings call it on staleness evidence — a
 // server answering "no such interface", a dead endpoint — before
 // re-resolving, so the refresh reaches the authority instead of
-// re-reading the same stale cache line.
+// re-reading the same stale cache line. It is how a cache learns of a
+// move: nothing pushes one to it.
 type LocationInvalidator interface {
 	Invalidate(id naming.InterfaceID)
 }

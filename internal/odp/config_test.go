@@ -131,9 +131,9 @@ func TestConfigWiring(t *testing.T) {
 }
 
 // TestAllModesDeliverThroughShardedBus is the case that used to depend on
-// call order: with the bus sharded and cache, recovery and management all
-// on, relocations still reach the cache and liveness transitions still
-// reach the controller, and every layer has its instruments.
+// call order: with the bus sharded and recovery and management on,
+// liveness transitions still reach the controller, and every layer has
+// its instruments.
 func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 	s, err := New(allModes())
 	if err != nil {
@@ -144,23 +144,6 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SessionsFor("client")
-
-	// A move made at the relocator reaches the cache over TopicRelocated.
-	ref := naming.InterfaceRef{ID: naming.InterfaceID{Nonce: 7}, TypeName: "T", Endpoint: "sim://a"}
-	if err := s.Relocator.Register(ref); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Relocator.Move(ref.ID, "sim://b"); err != nil {
-		t.Fatal(err)
-	}
-	cache := s.RelocationCache()
-	got, err := cache.Lookup(ref.ID)
-	if err != nil || got.Endpoint != "sim://b" {
-		t.Fatalf("cache lookup after move = %+v, %v", got, err)
-	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("the move did not reach the cache over the bus: %+v", st)
-	}
 
 	// A detector verdict reaches the controller over TopicLiveness.
 	dead := make(chan string, 1)

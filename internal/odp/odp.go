@@ -47,11 +47,6 @@ var (
 const (
 	// TopicDeployed announces each successful Deploy.
 	TopicDeployed = "odp.deployed"
-	// TopicRelocated carries every relocator registration, move and
-	// removal, bridged from the relocator's callback interface: a record
-	// {ref, removed}. Relocation watchers (the client-side cache among
-	// them) subscribe here instead of holding a private callback.
-	TopicRelocated = "odp.relocated"
 	// TopicBreaker carries circuit-breaker transitions: a record
 	// {host, endpoint, state} published when a breaker trips open or
 	// re-closes.
@@ -132,17 +127,18 @@ type System struct {
 	// replica groups — multiplexes over one transport session per peer
 	// node instead of one connection per binding.
 	sessions map[string]*channel.SessionManager
-	// closers undo New, last first: detector, controller, subscriptions.
+	// closers undo New, last first: detector, then the controller and its
+	// subscription.
 	closers []func()
 }
 
 // New builds a system from cfg in the one order that works: the type
-// front-end, the trader reading through it, the bus, the relocator
-// bridge publishing on it, its subscribers (the relocation cache, the
-// recovery controller), then the detector publishing to them. The
-// management domain comes first and its bundles are nil-safe, so each
-// piece is instrumented — its Stats read through, its histograms and
-// tracer attached — as it is built, and a mode that is off costs nothing.
+// front-end, the trader reading through it, the bus, the relocation
+// cache, the bus's subscriber (the recovery controller), then the
+// detector publishing to it. The management domain comes first and its
+// bundles are nil-safe, so each piece is instrumented — its Stats read
+// through, its histograms and tracer attached — as it is built, and a
+// mode that is off costs nothing.
 func New(cfg Config) (*System, error) {
 	if min(cfg.TraderShards, cfg.BusShards, cfg.TypeReplicas) < 0 {
 		return nil, errors.New("odp: Config shard and replica counts must not be negative")
@@ -186,24 +182,12 @@ func New(cfg Config) (*System, error) {
 	s.Bus = coordination.NewShardedBus(cfg.BusShards)
 	s.Bus.Instrument(s.mgmt)
 
-	// Bridge the relocator's callback interface onto the event bus, so
-	// every relocation watcher in the system shares one subscription
-	// surface, sharded or not.
-	s.closers = append(s.closers, s.Relocator.Subscribe(func(ev relocator.Event) {
-		s.Bus.Publish(TopicRelocated, relocationToValue(ev))
-	}))
-	// Bindings locate through the client-side cache, which watches the bus
-	// bridge rather than a private relocator callback. Inline bus delivery
-	// is synchronous and per-topic ordered — what the cache's epoch fencing
-	// relies on — so moves and removals fence or invalidate entries at once;
-	// bindings invalidate on staleness evidence (channel.LocationInvalidator).
+	// Bindings locate through the client-side cache. Nothing pushes moves
+	// into it: a binding holding staleness evidence invalidates its entry
+	// and asks again (channel.LocationInvalidator), the one rule that works
+	// for a remote authority too.
 	s.cache = relocator.NewCache(s.Relocator, 0)
 	mgmt.Read(s.mgmt, "relocator.cache.", s.cache.Stats)
-	s.closers = append(s.closers, s.Bus.Subscribe(TopicRelocated, nil, func(ev coordination.Event) {
-		if rev, err := relocationFromValue(ev.Payload); err == nil {
-			s.cache.Observe(rev)
-		}
-	}))
 	// The self-healing layer (tutorial §9: failure transparency is a
 	// prescription, not a default). Sensing and acting are decoupled
 	// through the bus: the detector publishes on TopicLiveness, the
@@ -299,32 +283,6 @@ func (s *System) Detector() *health.Detector { return s.health }
 // Recovery returns the recovery controller, nil when disabled. Plans
 // (per endpoint or fallback) are installed on it by the caller.
 func (s *System) Recovery() *health.Controller { return s.recovery }
-
-// relocationToValue encodes a relocator event for the bus.
-func relocationToValue(ev relocator.Event) values.Value {
-	return values.Record(
-		values.F("ref", ev.Ref.ToValue()),
-		values.F("removed", values.Bool(ev.Removed)),
-	)
-}
-
-// relocationFromValue decodes an event published on TopicRelocated.
-func relocationFromValue(v values.Value) (relocator.Event, error) {
-	var ev relocator.Event
-	refV, ok := v.FieldByName("ref")
-	if !ok {
-		return ev, fmt.Errorf("odp: relocation event missing ref")
-	}
-	ref, err := naming.RefFromValue(refV)
-	if err != nil {
-		return ev, err
-	}
-	ev.Ref = ref
-	if remV, ok := v.FieldByName("removed"); ok {
-		ev.Removed, _ = remV.AsBool()
-	}
-	return ev, nil
-}
 
 // SessionsFor returns the client host's shared session manager, creating
 // it on first use. All of the host's bindings multiplex over it: one
@@ -522,8 +480,8 @@ func (s *System) Deploy(node *engineering.Node, tmpl core.ObjectTemplate, props 
 }
 
 // Env builds the transparency environment for a client at the given
-// host. It carries no Transport of its own: the host's session manager
-// already dials through the host's scheme-routed transport.
+// host: the host's session manager, which dials through the host's
+// scheme-routed transport, and the relocation cache.
 func (s *System) Env(clientHost string) transparency.Env {
 	return transparency.Env{
 		Sessions:    s.SessionsFor(clientHost),

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/core"
+	"repro/internal/engineering"
 	"repro/internal/naming"
+	"repro/internal/relocator"
 	"repro/internal/trader"
 	"repro/internal/transactions"
 	"repro/internal/values"
@@ -81,21 +83,86 @@ func TestRelocationCacheServesBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deployment registered locations; the subscription pre-warmed the
-	// cache, so the binding's locator lookup is a hit.
+	// Nothing pre-warms the cache: the first bind's lookup asks the
+	// relocator, and the second bind's is answered from the cache.
 	ref, _ := dep.Ref("BankManager")
-	b, err := s.Bind("client", ref, core.Contract{Require: core.TransparencySet(core.Location | core.Relocation)})
+	for i, want := range []relocator.CacheStats{{Misses: 1, Entries: 1}, {Hits: 1, Misses: 1, Entries: 1}} {
+		b, err := s.Bind("client", ref, core.Contract{Require: core.TransparencySet(core.Location | core.Relocation)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		term, _, err := b.Invoke(context.Background(), "CreateAccount", []values.Value{values.Str("alice")})
+		b.Close()
+		if err != nil || term != "OK" {
+			t.Fatalf("bind %d: invoke = %q, %v", i+1, term, err)
+		}
+		if got := cache.Stats(); got != want {
+			t.Fatalf("after bind %d: cache stats = %+v, want %+v", i+1, got, want)
+		}
+	}
+}
+
+// A host that bound before a migration and binds again after it finds the
+// interface through its binding, not through a pushed cache entry: the
+// second bind reads the stale cached location, and its first call follows
+// the old home's "no such interface" with exactly one relocation and no
+// error the caller sees.
+func TestRebindAfterMigrationRelocatesOnce(t *testing.T) {
+	s, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	if term, _, err := b.Invoke(context.Background(), "CreateAccount",
-		[]values.Value{values.Str("alice")}); err != nil || term != "OK" {
-		t.Fatalf("invoke = %q, %v", term, err)
+	defer s.Close()
+	coord := transactions.NewCoordinator()
+	store := transactions.NewStore("b", nil)
+	var nodes [2]*engineering.Node
+	for i, name := range []string{"alpha", "beta"} {
+		if nodes[i], err = s.CreateNode(name); err != nil {
+			t.Fatal(err)
+		}
+		bank.RegisterBehavior(nodes[i].Behaviors(), coord, store)
 	}
-	stats := cache.Stats()
-	if stats.Hits == 0 {
-		t.Fatalf("no cache hits: %+v", stats)
+	dep, err := s.Deploy(nodes[0], bank.Template("branch-cbd"), values.Null())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := dep.Ref("BankManager")
+	contract := core.Contract{Require: core.TransparencySet(core.Location | core.Relocation)}
+	ctx := context.Background()
+
+	first, err := s.Bind("client", ref, contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	if term, _, err := first.Invoke(ctx, "CreateAccount", []values.Value{values.Str("alice")}); err != nil || term != "OK" {
+		t.Fatalf("first binding: invoke = %q, %v", term, err)
+	}
+
+	capsule, err := nodes[1].CreateCapsule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dep.Cluster.MigrateTo(capsule); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := s.Bind("client", ref, contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := second.Ref().Endpoint; got != nodes[0].Endpoint() {
+		t.Fatalf("second bind resolved to %s; want the cached %s", got, nodes[0].Endpoint())
+	}
+	if term, _, err := second.Invoke(ctx, "CreateAccount", []values.Value{values.Str("bob")}); err != nil || term != "OK" {
+		t.Fatalf("second binding: invoke = %q, %v", term, err)
+	}
+	if n := second.Stats().Relocations; n != 1 {
+		t.Errorf("second binding relocated %d times, want 1", n)
+	}
+	if got := second.Ref().Endpoint; got != nodes[1].Endpoint() {
+		t.Errorf("second binding ends at %s, want %s", got, nodes[1].Endpoint())
 	}
 }
 

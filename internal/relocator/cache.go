@@ -1,18 +1,17 @@
-// Client-side relocation cache: the bounded, epoch-fenced lookaside that
-// sits between a binder and the (possibly sharded, possibly remote)
-// relocator, so the hot re-bind path pays a map read instead of a remote
-// lookup while its entry is fresh.
+// Client-side relocation cache: the bounded lookaside between a binder
+// and the (possibly sharded, possibly remote) relocator, so a re-bind
+// pays a map read instead of a remote lookup.
 //
-// Freshness is epoch-fenced, reusing the relocation-epoch ordering the
-// session layer already trusts: every InterfaceRef carries the count of
-// relocations it has survived, so once the cache learns that epoch e
-// exists for an interface, any ref with a smaller epoch is provably dead
-// and is never served from the cache again (Fence). Staleness signals —
-// a server answering "no such interface", a relocator rejecting a
-// registration with ErrStale — invalidate the entry (Invalidate), which
-// the binding layer calls through channel.LocationInvalidator so the
-// next refresh reaches the authority instead of re-reading the same
-// stale cache line.
+// It keeps the binder's one coherence rule (Section 9.2): an entry stands
+// until a binding holding staleness evidence — a server answering "no
+// such interface", a dead endpoint — drops it with Invalidate (through
+// channel.LocationInvalidator) and asks again. Nothing is pushed to it,
+// so the rule holds in front of any authority, local or remote. An
+// answer older than the epoch the cache holds for the interface (a
+// sharded authority can lag mid-drain), or to a lookup begun before an
+// Invalidate, is returned but not cached: a Lookup that starts after
+// Invalidate(id) returns never answers an epoch older than the one the
+// authority held then.
 package relocator
 
 import (
@@ -33,19 +32,17 @@ type CacheStats struct {
 	Hits        uint64
 	Misses      uint64 // lookups that went to the source
 	Evictions   uint64 // entries displaced by the capacity bound
-	Fenced      uint64 // cached refs dropped because a newer epoch was learned
 	Invalidated uint64 // entries dropped by staleness signals
-	Entries     int    // records currently held (cached refs + bare fences)
+	Entries     int    // records currently held, invalidated ones included
 }
 
 type cacheRecord struct {
-	ref    naming.InterfaceRef
-	hasRef bool
-	fence  uint64 // epochs below this are dead for the interface
-	token  uint64 // FIFO position for eviction
+	ref   naming.InterfaceRef // the newest answer cached; Invalidate keeps its epoch
+	valid bool                // ref may be served
+	token uint64              // FIFO position for eviction
 }
 
-// Cache is a bounded, epoch-fenced location cache in front of a Source.
+// Cache is a bounded location cache in front of a Source.
 // It satisfies channel.Locator (Lookup) and channel.LocationInvalidator
 // (Invalidate), and is safe for concurrent use.
 type Cache struct {
@@ -59,11 +56,13 @@ type Cache struct {
 	// live set, so memory stays bounded by the capacity.
 	order     []fifoSlot
 	nextToken uint64
+	// gen counts Invalidate calls; a lookup caches its answer only if
+	// none ran while it asked the source.
+	gen uint64
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	evictions   atomic.Uint64
-	fenced      atomic.Uint64
 	invalidated atomic.Uint64
 }
 
@@ -72,9 +71,8 @@ type fifoSlot struct {
 	token uint64
 }
 
-// NewCache creates a cache of at most capacity records (cached refs and
-// bare fence markers count alike) over the authoritative source.
-// capacity <= 0 selects 1024.
+// NewCache creates a cache of at most capacity records (1024 when
+// capacity <= 0) over the authoritative source.
 func NewCache(src Source, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = 1024
@@ -86,95 +84,56 @@ func NewCache(src Source, capacity int) *Cache {
 	}
 }
 
-// Lookup returns the cached location when fresh, otherwise asks the
-// source and caches the answer. An answer older than the interface's
-// fence is returned (the authority may genuinely lag) but never cached —
-// so the cache itself never serves a fenced epoch.
+// Lookup returns the cached location, or asks the source and caches its
+// answer unless a guard in the file comment refuses it.
 func (c *Cache) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
 	c.mu.Lock()
-	if rec, ok := c.records[id]; ok && rec.hasRef {
+	if rec, ok := c.records[id]; ok && rec.valid {
 		ref := rec.ref
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return ref, nil
 	}
+	gen := c.gen
 	c.mu.Unlock()
 	c.misses.Add(1)
 	ref, err := c.src.Lookup(id)
 	if err != nil {
 		return naming.InterfaceRef{}, err
 	}
-	c.store(ref)
+	c.store(ref, gen)
 	return ref, nil
 }
 
-// store caches ref unless its epoch is below the interface's fence, and
-// advances the fence to the ref's epoch (epochs are monotonic: seeing e
-// proves everything below e is dead).
-func (c *Cache) store(ref naming.InterfaceRef) {
+// store caches ref, the answer to a lookup begun at generation gen,
+// unless an Invalidate has run since or the cache holds a newer epoch
+// for the interface (epochs are monotonic: the authority lags).
+func (c *Cache) store(ref naming.InterfaceRef, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
 	rec, ok := c.records[ref.ID]
 	if !ok {
 		c.evictLocked(1)
 		rec = &cacheRecord{}
 		c.records[ref.ID] = rec
 		c.pushLocked(ref.ID, rec)
-	}
-	if ref.Epoch < rec.fence {
-		return // authority lagging behind a known-newer epoch: do not cache
-	}
-	rec.ref = ref
-	rec.hasRef = true
-	rec.fence = ref.Epoch
-}
-
-// Observe feeds a relocator event into the cache (wire it to
-// Relocator.Subscribe when the authority is co-resident): registrations
-// and moves refresh the entry and fence older epochs, removals drop it.
-func (c *Cache) Observe(ev Event) {
-	if ev.Removed {
-		c.Invalidate(ev.Ref.ID)
+	} else if ref.Epoch < rec.ref.Epoch {
 		return
 	}
-	c.store(ev.Ref)
-	c.Fence(ev.Ref.ID, ev.Ref.Epoch)
+	rec.ref, rec.valid = ref, true
 }
 
-// Fence records that epochs below epoch are dead for the interface,
-// dropping any older cached ref. The binding layer calls this when a
-// relocation is adopted; a bare fence (no cached ref yet) is retained so
-// a lagging authority cannot repopulate the dead epoch.
-func (c *Cache) Fence(id naming.InterfaceID, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := c.records[id]
-	if !ok {
-		c.evictLocked(1)
-		rec = &cacheRecord{fence: epoch}
-		c.records[id] = rec
-		c.pushLocked(id, rec)
-		return
-	}
-	if epoch > rec.fence {
-		rec.fence = epoch
-		if rec.hasRef && rec.ref.Epoch < epoch {
-			rec.hasRef = false
-			rec.ref = naming.InterfaceRef{}
-			c.fenced.Add(1)
-		}
-	}
-}
-
-// Invalidate drops the cached ref for the interface (the fence, if any,
-// survives). The binding layer calls this on staleness evidence so its
-// next refresh reaches the authority.
+// Invalidate drops the cached location for the interface, keeping its
+// epoch as the floor for what may be cached next. The binding layer calls
+// this on staleness evidence so its next refresh reaches the authority.
 func (c *Cache) Invalidate(id naming.InterfaceID) {
 	c.mu.Lock()
-	rec, ok := c.records[id]
-	if ok && rec.hasRef {
-		rec.hasRef = false
-		rec.ref = naming.InterfaceRef{}
+	c.gen++
+	if rec, ok := c.records[id]; ok && rec.valid {
+		rec.valid = false
 		c.invalidated.Add(1)
 	}
 	c.mu.Unlock()
@@ -220,7 +179,6 @@ func (c *Cache) Stats() CacheStats {
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
-		Fenced:      c.fenced.Load(),
 		Invalidated: c.invalidated.Load(),
 		Entries:     entries,
 	}

@@ -2,9 +2,13 @@ package relocator
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/naming"
 )
 
 func TestCacheHitMiss(t *testing.T) {
@@ -84,82 +88,109 @@ func TestCacheInvalidateForcesRefresh(t *testing.T) {
 	}
 }
 
-func TestCacheFenceBlocksOlderEpoch(t *testing.T) {
-	r := New()
-	in := ref(1, "sim://a", 0)
-	if err := r.Register(in); err != nil {
-		t.Fatal(err)
+// laggingSource answers whatever ref it holds, so a test can make the
+// authority lag behind what the cache has already seen.
+type laggingSource struct {
+	mu  sync.Mutex
+	ref naming.InterfaceRef
+}
+
+func (s *laggingSource) set(r naming.InterfaceRef) {
+	s.mu.Lock()
+	s.ref = r
+	s.mu.Unlock()
+}
+
+func (s *laggingSource) Lookup(naming.InterfaceID) (naming.InterfaceRef, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ref, nil
+}
+
+// An answer older than the epoch the cache holds is returned — the
+// authority may genuinely lag, mid-drain — but never cached; once the
+// authority catches up, caching resumes.
+func TestCacheLaggingAnswerIsNotCached(t *testing.T) {
+	src := &laggingSource{ref: ref(1, "sim://c", 3)}
+	c := NewCache(src, 8)
+	if got, _ := c.Lookup(src.ref.ID); got.Epoch != 3 {
+		t.Fatalf("first lookup = %+v", got)
 	}
-	c := NewCache(r, 8)
-	// The binding layer learns epoch 3 exists before the authority does.
-	c.Fence(in.ID, 3)
-	got, err := c.Lookup(in.ID)
-	if err != nil || got.Epoch != 0 {
-		t.Fatalf("lookup = %+v, %v", got, err)
+	c.Invalidate(src.ref.ID)
+	src.set(ref(1, "sim://a", 1))
+	for i := 0; i < 2; i++ {
+		if got, _ := c.Lookup(src.ref.ID); got.Epoch != 1 {
+			t.Fatalf("lagging lookup %d = %+v, want the source's epoch 1", i, got)
+		}
 	}
-	// The lagging answer was returned but must not have been cached.
-	if c.Stats().Hits != 0 {
-		t.Fatalf("stats = %+v", c.Stats())
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("a lagging answer was cached: %+v", st)
 	}
-	if _, err := c.Lookup(in.ID); err != nil {
-		t.Fatal(err)
+	src.set(ref(1, "sim://d", 4))
+	for i := 0; i < 2; i++ {
+		if got, _ := c.Lookup(src.ref.ID); got.Epoch != 4 {
+			t.Fatalf("caught-up lookup %d = %+v", i, got)
+		}
 	}
-	if c.Stats().Hits != 0 || c.Stats().Misses != 2 {
-		t.Fatalf("fenced epoch served from cache: %+v", c.Stats())
-	}
-	// Once the authority catches up to the fence, caching resumes.
-	caught := in
-	caught.Epoch = 3
-	caught.Endpoint = "sim://c"
-	if err := r.Register(caught); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.Lookup(in.ID); got != caught {
-		t.Fatalf("caught-up lookup = %+v", got)
-	}
-	if got, _ := c.Lookup(in.ID); got != caught {
-		t.Fatalf("cached caught-up lookup = %+v", got)
-	}
-	if c.Stats().Hits != 1 {
-		t.Fatalf("stats = %+v", c.Stats())
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("the caught-up answer was not cached: %+v", st)
 	}
 }
 
-func TestCacheObserveFollowsAuthority(t *testing.T) {
-	r := New()
-	c := NewCache(r, 8)
-	cancel := r.Subscribe(c.Observe)
-	defer cancel()
+// blockingSource answers from a relocator, but holds one lookup inside
+// the source until the test lets it go.
+type blockingSource struct {
+	r       *Relocator
+	entered chan struct{}
+	release chan struct{}
+}
 
+func (s *blockingSource) Lookup(id naming.InterfaceID) (naming.InterfaceRef, error) {
+	ref, err := s.r.Lookup(id)
+	if s.entered != nil {
+		close(s.entered)
+		s.entered = nil
+		<-s.release
+	}
+	return ref, err
+}
+
+// An answer to a lookup that began before an Invalidate is returned but
+// not cached: the move that prompted the Invalidate may postdate it.
+func TestCacheAnswerBegunBeforeInvalidateIsNotCached(t *testing.T) {
+	r := New()
 	in := ref(1, "sim://a", 0)
 	if err := r.Register(in); err != nil {
 		t.Fatal(err)
 	}
-	// The event stream pre-warmed the cache: first lookup is a hit.
-	if got, err := c.Lookup(in.ID); err != nil || got != in {
-		t.Fatalf("lookup = %+v, %v", got, err)
-	}
-	if c.Stats().Hits != 1 {
-		t.Fatalf("stats = %+v", c.Stats())
-	}
-	// A move refreshes the cached entry and fences the old epoch.
+	src := &blockingSource{r: r, entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewCache(src, 8)
+	entered := src.entered
+	done := make(chan naming.InterfaceRef)
+	go func() {
+		got, _ := c.Lookup(in.ID)
+		done <- got
+	}()
+	<-entered // the slow lookup has read epoch 0
 	moved, err := r.Move(in.ID, "sim://b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c.Lookup(in.ID); got != moved {
-		t.Fatalf("post-move lookup = %+v", got)
+	c.Invalidate(in.ID)
+	close(src.release)
+	if got := <-done; got != in {
+		t.Fatalf("slow lookup = %+v, want the epoch it read", got)
 	}
-	// A removal drops it.
-	r.Remove(in.ID)
-	if _, err := c.Lookup(in.ID); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("post-remove lookup = %v", err)
+	if got, err := c.Lookup(in.ID); err != nil || got != moved {
+		t.Fatalf("lookup after Invalidate = %+v, %v; want %+v", got, err, moved)
 	}
 }
 
-// TestCacheNeverServesFencedEpoch is the -race guarantee: concurrent
-// lookups racing a relocation never read an epoch the fence has killed.
-func TestCacheNeverServesFencedEpoch(t *testing.T) {
+// TestCacheLookupAfterInvalidateIsFresh is the pull rule's -race
+// property: while moves race lookups, a Lookup that starts after
+// Invalidate(id) returns never answers an epoch older than the one the
+// authority held at that Invalidate.
+func TestCacheLookupAfterInvalidateIsFresh(t *testing.T) {
 	r := New()
 	in := ref(1, "sim://a", 0)
 	if err := r.Register(in); err != nil {
@@ -167,48 +198,49 @@ func TestCacheNeverServesFencedEpoch(t *testing.T) {
 	}
 	c := NewCache(r, 8)
 
+	const moves = 2000
 	var stop atomic.Bool
-	var violations atomic.Uint64
-	fence := new(atomic.Uint64) // highest epoch the fencer has announced
+	var violations, lookups atomic.Uint64
+	floor := new(atomic.Uint64) // the authority's epoch at the last Invalidate
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				known := fence.Load()
+				known := floor.Load()
 				got, err := c.Lookup(in.ID)
 				if err != nil {
-					continue
+					t.Error(err)
+					return
 				}
-				// By the time the fencer publishes epoch e, the authority
-				// already holds e and the cache fence is set — so any answer
-				// below an epoch published BEFORE the lookup began, cached or
-				// sourced, is a stale read.
+				lookups.Add(1)
 				if got.Epoch < known {
 					violations.Add(1)
 				}
 			}
 		}()
 	}
-
-	for epoch := uint64(1); epoch <= 200; epoch++ {
-		moved, err := r.Move(in.ID, "sim://b")
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < moves; i++ {
+		// Let the readers cache each epoch before it goes stale.
+		for n := lookups.Load(); lookups.Load() < n+4 && !t.Failed(); {
+			runtime.Gosched()
 		}
-		c.Fence(in.ID, moved.Epoch)
-		fence.Store(moved.Epoch)
+		moved, err := r.Move(in.ID, naming.Endpoint(fmt.Sprintf("sim://n%d", i%2)))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		c.Invalidate(in.ID)
+		floor.Store(moved.Epoch)
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	if violations.Load() != 0 {
-		t.Fatalf("%d fenced-epoch reads served", violations.Load())
+	if n := violations.Load(); n != 0 {
+		t.Fatalf("%d lookups begun after an Invalidate answered an older epoch", n)
 	}
-	// Settled: the cache converges on the authority's final epoch.
-	got, err := c.Lookup(in.ID)
-	if err != nil || got.Epoch != 200 {
+	if got, err := c.Lookup(in.ID); err != nil || got.Epoch != moves {
 		t.Fatalf("settled lookup = %+v, %v", got, err)
 	}
 }

@@ -6,7 +6,9 @@
 // the relocator when a cached location turns out to be stale; that is the
 // mechanism behind location and relocation transparency (Section 9.2).
 // Every relocation bumps the interface's epoch, so a binder can tell a
-// fresh answer from the stale hint it already has.
+// fresh answer from the stale hint it already has. The relocator tells
+// nobody of a change: a binder learns of a move only from staleness
+// evidence, and then asks.
 //
 // A Relocator is safe for concurrent use.
 package relocator
@@ -44,18 +46,10 @@ func (e *StaleError) Error() string {
 // Unwrap makes errors.Is(err, ErrStale) hold.
 func (e *StaleError) Unwrap() error { return ErrStale }
 
-// Event describes one change to the location database.
-type Event struct {
-	Ref     naming.InterfaceRef
-	Removed bool
-}
-
 // Relocator is the white-pages repository of interface locations.
 type Relocator struct {
 	mu      sync.RWMutex
 	entries map[naming.InterfaceID]naming.InterfaceRef
-	nextSub int
-	subs    map[int]func(Event)
 
 	lookups   atomic.Uint64
 	misses    atomic.Uint64
@@ -64,10 +58,7 @@ type Relocator struct {
 
 // New returns an empty relocator.
 func New() *Relocator {
-	return &Relocator{
-		entries: make(map[naming.InterfaceID]naming.InterfaceRef),
-		subs:    make(map[int]func(Event)),
-	}
+	return &Relocator{entries: make(map[naming.InterfaceID]naming.InterfaceRef)}
 }
 
 // Register records the location of an interface. A later registration for
@@ -84,9 +75,7 @@ func (r *Relocator) Register(ref naming.InterfaceRef) error {
 		return &StaleError{ID: ref.ID, Current: cur.Epoch, Refused: ref.Epoch}
 	}
 	r.entries[ref.ID] = ref
-	subs := r.snapshot()
 	r.mu.Unlock()
-	notify(subs, Event{Ref: ref})
 	return nil
 }
 
@@ -120,9 +109,7 @@ func (r *Relocator) Move(id naming.InterfaceID, to naming.Endpoint) (naming.Inte
 	ref.Epoch++
 	r.entries[id] = ref
 	r.relocates.Add(1)
-	subs := r.snapshot()
 	r.mu.Unlock()
-	notify(subs, Event{Ref: ref})
 	return ref, nil
 }
 
@@ -130,31 +117,8 @@ func (r *Relocator) Move(id naming.InterfaceID, to naming.Endpoint) (naming.Inte
 // Removing an unknown interface is a no-op.
 func (r *Relocator) Remove(id naming.InterfaceID) {
 	r.mu.Lock()
-	ref, ok := r.entries[id]
-	if ok {
-		delete(r.entries, id)
-	}
-	subs := r.snapshot()
+	delete(r.entries, id)
 	r.mu.Unlock()
-	if ok {
-		notify(subs, Event{Ref: ref, Removed: true})
-	}
-}
-
-// Subscribe registers a callback invoked (synchronously, without internal
-// locks held) for every registration, move and removal. The returned
-// function cancels the subscription.
-func (r *Relocator) Subscribe(fn func(Event)) (cancel func()) {
-	r.mu.Lock()
-	id := r.nextSub
-	r.nextSub++
-	r.subs[id] = fn
-	r.mu.Unlock()
-	return func() {
-		r.mu.Lock()
-		delete(r.subs, id)
-		r.mu.Unlock()
-	}
 }
 
 // Entries returns a snapshot of all registrations, sorted by interface id.
@@ -179,18 +143,4 @@ type Stats struct {
 // Stats reports cumulative lookup, miss and relocation counts.
 func (r *Relocator) Stats() Stats {
 	return Stats{Lookups: r.lookups.Load(), Misses: r.misses.Load(), Relocates: r.relocates.Load()}
-}
-
-func (r *Relocator) snapshot() []func(Event) {
-	out := make([]func(Event), 0, len(r.subs))
-	for _, fn := range r.subs {
-		out = append(out, fn)
-	}
-	return out
-}
-
-func notify(subs []func(Event), ev Event) {
-	for _, fn := range subs {
-		fn(ev)
-	}
 }

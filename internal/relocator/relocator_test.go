@@ -133,47 +133,6 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	r := New()
-	var mu sync.Mutex
-	var events []Event
-	cancel := r.Subscribe(func(ev Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-	in := ref(1, "sim://alpha", 0)
-	if err := r.Register(in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Move(in.ID, "sim://beta"); err != nil {
-		t.Fatal(err)
-	}
-	r.Remove(in.ID)
-	mu.Lock()
-	n := len(events)
-	mu.Unlock()
-	if n != 3 {
-		t.Fatalf("events = %d, want 3", n)
-	}
-	if events[0].Removed || events[1].Removed || !events[2].Removed {
-		t.Errorf("event kinds wrong: %+v", events)
-	}
-	if events[1].Ref.Endpoint != "sim://beta" || events[1].Ref.Epoch != 1 {
-		t.Errorf("move event = %+v", events[1])
-	}
-
-	cancel()
-	if err := r.Register(ref(2, "sim://x", 0)); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 3 {
-		t.Errorf("events after cancel = %d, want 3", len(events))
-	}
-}
-
 func TestConcurrentRegisterAndLookup(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup

@@ -36,7 +36,6 @@ import (
 	"repro/internal/engineering"
 	"repro/internal/mgmt"
 	"repro/internal/naming"
-	"repro/internal/netsim"
 	"repro/internal/security"
 	"repro/internal/transactions"
 	"repro/internal/types"
@@ -48,19 +47,17 @@ import (
 var (
 	ErrNeedLocator   = errors.New("transparency: contract requires a locator (relocation/location/migration)")
 	ErrNeedCredseed  = errors.New("transparency: contract requires credentials (authenticated security)")
-	ErrNeedTransport = errors.New("transparency: environment provides no transport")
+	ErrNeedTransport = errors.New("transparency: environment provides no session manager")
 )
 
-// Env is what the engineering environment offers a binding: transport,
+// Env is what the engineering environment offers a binding: sessions,
 // relocator access, credentials and audit sink. The configurator combines
 // it with a contract to produce channel configurations.
 type Env struct {
-	Transport netsim.Transport
 	// Sessions multiplexes every binding created under this environment
 	// over shared per-endpoint transport sessions (one connection, one
 	// read loop and one send queue per remote node, however many bindings
-	// and replica proxies point there). Optional; nil gives each binding
-	// a private session.
+	// and replica proxies point there). Required.
 	Sessions *channel.SessionManager
 	Locator  channel.Locator
 	// Principal and Secret authenticate this end when the contract asks
@@ -83,11 +80,10 @@ func ClientConfig(contract core.Contract, env Env) (channel.BindConfig, error) {
 	if err := contract.Validate(); err != nil {
 		return channel.BindConfig{}, err
 	}
-	if env.Transport == nil && env.Sessions == nil {
+	if env.Sessions == nil {
 		return channel.BindConfig{}, ErrNeedTransport
 	}
 	cfg := channel.BindConfig{
-		Transport:   env.Transport,
 		Sessions:    env.Sessions,
 		Type:        env.Type,
 		Instruments: env.Instruments,

@@ -22,7 +22,7 @@ import (
 )
 
 func baseEnv() Env {
-	return Env{Transport: netsim.New(1)}
+	return Env{Sessions: channel.NewSessionManager(netsim.New(1))}
 }
 
 func TestClientConfigAccess(t *testing.T) {
@@ -126,7 +126,7 @@ func TestClientConfigValidation(t *testing.T) {
 		t.Errorf("bad contract = %v", err)
 	}
 	if _, err := ClientConfig(core.Contract{}, Env{}); !errors.Is(err, ErrNeedTransport) {
-		t.Errorf("no transport = %v", err)
+		t.Errorf("no session manager = %v", err)
 	}
 }
 
@@ -200,7 +200,9 @@ func TestBindWithContractEndToEnd(t *testing.T) {
 	// the configurator resolves through the relocator.
 	staleRef := ref
 	staleRef.Endpoint = "sim://nowhere"
-	env := Env{Transport: net.From("client"), Locator: reloc, Type: counterIface()}
+	sessions := channel.NewSessionManager(net.From("client"))
+	defer sessions.Close()
+	env := Env{Sessions: sessions, Locator: reloc, Type: counterIface()}
 	b, err := Bind(staleRef, contract, env)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +231,9 @@ func TestContractAloneSetsRetries(t *testing.T) {
 		{"no failure transparency", core.Contract{}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			env := Env{Transport: netsim.New(1), Principal: "client", Type: counterIface()}
+			sessions := channel.NewSessionManager(netsim.New(1))
+			defer sessions.Close()
+			env := Env{Sessions: sessions, Principal: "client", Type: counterIface()}
 			ref := naming.InterfaceRef{ID: naming.InterfaceID{Nonce: 7}, TypeName: "Counter", Endpoint: "sim://nowhere"}
 			b, err := Bind(ref, c.contract, env)
 			if err != nil {
@@ -280,7 +284,9 @@ func TestReplicateEndToEnd(t *testing.T) {
 		}
 		refs = append(refs, ref)
 	}
-	env := Env{Transport: net.From("client"), Locator: reloc}
+	sessions := channel.NewSessionManager(net.From("client"))
+	defer sessions.Close()
+	env := Env{Sessions: sessions, Locator: reloc}
 	// Too few replicas is an error.
 	if _, err := Replicate(refs[:2], contract, env); err == nil {
 		t.Error("undersized replica set should fail")

@@ -135,6 +135,20 @@ if grep -nE '" is gone"|restore\([^,)]*,' $(find internal/engineering -name '*.g
 	exit 1
 fi
 
+echo "== one-coherence-rule gate (a moved interface is found one way: the binding invalidates and asks) =="
+# A binding that holds staleness evidence invalidates the relocation
+# cache's entry and asks the relocator; that rule works for a remote
+# authority too, and nothing pushes a move into a cache. The relocator's
+# change events and subscriber list, the facade's relocation topic and its
+# codec, and the cache's push path (Observe, Fence) may not come back.
+if grep -rnE 'TopicRelocated|relocation(To|From)Value|relocator\.Event\b' --include='*.go' --exclude='*_test.go' \
+	--exclude-dir=bench --exclude-dir=.bench_build . ||
+	grep -nE '^type Event\b|func \([a-z]+ \*[A-Za-z]+\) (Subscribe|Observe|Fence)\(' \
+		$(find internal/relocator -name '*.go' ! -name '*_test.go'); then
+	echo "a relocation push path is back beside the binder's invalidate-and-ask (a cache learns of a move only from a binding's staleness evidence)"
+	exit 1
+fi
+
 echo "== fork gate (the data plane has one shape) =="
 # The channel decides how a frame is carried and nobody above it chooses:
 # the unbatched plane and the config type and constructor that selected it
@@ -313,6 +327,16 @@ echo "== combining send queue (nothing stranded, per-sender order, one binding's
 # times. TestOneBindingBatchesItsPipeline: 64 callers of one binding queue
 # behind a held write, which pins the write outside the binding's order lock.
 go test -race -count=20 -run 'TestFrameQueueStrandsNothing|TestOneBindingBatchesItsPipeline' ./internal/channel/
+
+echo "== a call follows its binding's move (20 times under the race detector; the bank demo's migrations, 50) =="
+# TestSessionFollowsASiblingsMove: eight callers ask a binding for its
+# session while the test flips it between two live servers; a caller whose
+# endpoint lost its last reference to a sibling's move must follow the
+# binding, never fail with ErrClosed. TestRunMigrationsAreInvisible: the
+# bank demo's customers see no failure through six live migrations (it
+# failed about once in 450 loaded runs while that answer was ErrClosed).
+go test -race -count=20 -run 'TestSessionFollowsASiblingsMove' ./internal/channel/
+go test -race -count=50 -run 'TestRunMigrationsAreInvisible' ./cmd/bankdemo/
 
 echo "== borrowed arguments (a delivery's values outlive its recycled message; 20 times under the race detector) =="
 # A decoded message's Args live in its own pooled buffer, valid until the
