@@ -59,8 +59,8 @@ func overTypeCarriers(t *testing.T, check func(t *testing.T, repo typerepo.Repos
 	}
 }
 
-// TestTypeErrorsKeepTheirIdentity: one failing call per sentinel, against
-// a repository holding BankTeller and BankManager. On every carrier the
+// TestTypeErrorsKeepTheirIdentity: one failing call per error path of
+// each operation, against a repository holding BankTeller and BankManager. On every carrier the
 // error satisfies errors.Is for the sentinel and reads as the local
 // store's does.
 func TestTypeErrorsKeepTheirIdentity(t *testing.T) {
@@ -70,16 +70,18 @@ func TestTypeErrorsKeepTheirIdentity(t *testing.T) {
 		call func(r typerepo.Repository) error
 	}{
 		{"not found", typerepo.ErrNotFound, func(r typerepo.Repository) error { _, err := r.LookupInterface("X"); return err }},
+		{"unknown subtype", typerepo.ErrNotFound, func(r typerepo.Repository) error { _, err := r.IsSubtype("Ghost", "BankTeller"); return err }},
+		{"unknown supertype", typerepo.ErrNotFound, func(r typerepo.Repository) error { _, err := r.IsSubtype("BankManager", "Ghost"); return err }},
 		{"conflict", typerepo.ErrConflict, func(r typerepo.Repository) error {
 			return r.RegisterInterface(types.OpInterface("BankTeller", types.Op("Different", types.Params(), types.Term("OK"))))
 		}},
 		{"unsound declaration", typerepo.ErrBadDecl, func(r typerepo.Repository) error { return r.DeclareSubtype("BankTeller", "BankManager") }},
-		{"empty name", typerepo.ErrBadName, func(r typerepo.Repository) error { return r.RegisterData("", values.TInt()) }},
+		{"undeclared name", typerepo.ErrNotFound, func(r typerepo.Repository) error { return r.DeclareSubtype("Ghost", "BankTeller") }},
 		{"invalid type", typerepo.ErrBadType, func(r typerepo.Repository) error {
 			op := types.Op("Twice", types.Params(), types.Term("OK"))
 			return r.RegisterInterface(types.OpInterface("Bad", op, op))
 		}},
-		{"unregistered endpoint", typerepo.ErrBadRelate, func(r typerepo.Repository) error { return r.Relate("audits", "BankManager", "Ghost") }},
+		{"nil type", typerepo.ErrBadType, func(r typerepo.Repository) error { return r.RegisterInterface(nil) }},
 	} {
 		var local error
 		for _, c := range typeCarriers {
@@ -110,15 +112,6 @@ func TestTypeGroupReplicatesRegistrations(t *testing.T) {
 		if err := repo.RegisterInterface(managerType()); err != nil {
 			t.Fatalf("RegisterInterface: %v", err)
 		}
-		if err := repo.DeclareSubtype("BankManager", "BankTeller"); err != nil {
-			t.Fatalf("DeclareSubtype: %v", err)
-		}
-		if err := repo.RegisterData("Money", values.TInt()); err != nil {
-			t.Fatalf("RegisterData: %v", err)
-		}
-		if err := repo.Relate("audits", "BankManager", "BankTeller"); err != nil {
-			t.Fatalf("Relate: %v", err)
-		}
 		// The writes reached every store behind the carrier identically.
 		for i, m := range backing {
 			ok, err := m.IsSubtype("BankManager", "BankTeller")
@@ -133,9 +126,6 @@ func TestTypeGroupReplicatesRegistrations(t *testing.T) {
 		if it, err := repo.LookupInterface("BankManager"); err != nil || it.Name != "BankManager" || len(it.Operations) != 2 {
 			t.Fatalf("LookupInterface = %v, %v", it, err)
 		}
-		if dt, err := repo.LookupData("Money"); err != nil || !dt.Equal(values.TInt()) {
-			t.Fatalf("LookupData = %v, %v", dt, err)
-		}
 		ok, err := repo.IsSubtype("BankManager", "BankTeller")
 		if err != nil || !ok {
 			t.Fatalf("IsSubtype = %v, %v", ok, err)
@@ -143,22 +133,8 @@ func TestTypeGroupReplicatesRegistrations(t *testing.T) {
 		if ok, err := repo.IsSubtype("BankTeller", "BankManager"); err != nil || ok {
 			t.Fatalf("IsSubtype reversed = %v, %v", ok, err)
 		}
-		for what, got := range map[string][]string{
-			"DeclaredSupertypes": repo.DeclaredSupertypes("BankManager"),
-			"Related":            repo.Related("audits", "BankManager"),
-		} {
-			if len(got) != 1 || got[0] != "BankTeller" {
-				t.Fatalf("%s = %v", what, got)
-			}
-		}
-		if got, err := repo.Supertypes("BankManager"); err != nil || len(got) != 1 || got[0] != "BankTeller" {
-			t.Fatalf("Supertypes = %v, %v", got, err)
-		}
-		if got, err := repo.Subtypes("BankTeller"); err != nil || len(got) != 1 || got[0] != "BankManager" {
-			t.Fatalf("Subtypes = %v, %v", got, err)
-		}
-		if got := repo.Interfaces(); len(got) != 2 {
-			t.Fatalf("Interfaces = %v", got)
+		if got, err := repo.Interfaces(); err != nil || len(got) != 2 {
+			t.Fatalf("Interfaces = %v, %v", got, err)
 		}
 		if repo.Gen() == 0 || repo.Gen() != backing[0].Gen() {
 			t.Fatalf("gen %d != store gen %d", repo.Gen(), backing[0].Gen())
@@ -167,8 +143,8 @@ func TestTypeGroupReplicatesRegistrations(t *testing.T) {
 		if _, err := repo.LookupInterface("NoSuch"); !errors.Is(err, typerepo.ErrNotFound) {
 			t.Fatalf("LookupInterface(NoSuch) = %v, want ErrNotFound", err)
 		}
-		if _, err := repo.Supertypes("NoSuch"); !errors.Is(err, typerepo.ErrNotFound) {
-			t.Fatalf("Supertypes(NoSuch) = %v, want ErrNotFound", err)
+		if _, err := repo.IsSubtype("NoSuch", "BankTeller"); !errors.Is(err, typerepo.ErrNotFound) {
+			t.Fatalf("IsSubtype(NoSuch, BankTeller) = %v, want ErrNotFound", err)
 		}
 		conflicting := types.OpInterface("BankTeller",
 			types.Op("Different", types.Params(), types.Term("OK")),
@@ -200,9 +176,44 @@ func TestTypeGroupBehindReplicatedFrontEnd(t *testing.T) {
 			t.Fatalf("replicated IsSubtype over the authority = %v, %v", ok, err)
 		}
 		for i, m := range backing {
-			if got := len(m.Interfaces()); got != 2 {
-				t.Fatalf("store %d holds %d interfaces, want 2", i, got)
+			if got, _ := m.Interfaces(); len(got) != 2 {
+				t.Fatalf("store %d holds %v, want 2 interfaces", i, got)
 			}
+		}
+	})
+}
+
+// TestDeclareSubtypeOnlyChecks: on every carrier a declaration is the
+// store's soundness check and nothing more. A sound claim returns nil and
+// leaves every store's generation where it was, so no replica resyncs for
+// it; an unsound claim is ErrBadDecl and an unknown name ErrNotFound.
+func TestDeclareSubtypeOnlyChecks(t *testing.T) {
+	overTypeCarriers(t, func(t *testing.T, repo typerepo.Repository, backing []*typerepo.Local) {
+		for _, it := range []*types.Interface{tellerType(), managerType()} {
+			if err := repo.RegisterInterface(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen := repo.Gen()
+		if err := repo.DeclareSubtype("BankManager", "BankTeller"); err != nil {
+			t.Fatalf("sound DeclareSubtype = %v", err)
+		}
+		if repo.Gen() != gen {
+			t.Errorf("a sound declaration moved the generation from %d to %d", gen, repo.Gen())
+		}
+		for i, m := range backing {
+			if m.Gen() != gen {
+				t.Errorf("store %d: generation %d after the declaration, want %d", i, m.Gen(), gen)
+			}
+		}
+		if err := repo.DeclareSubtype("BankTeller", "BankManager"); !errors.Is(err, typerepo.ErrBadDecl) {
+			t.Errorf("unsound DeclareSubtype = %v, want ErrBadDecl", err)
+		}
+		if err := repo.DeclareSubtype("Ghost", "BankTeller"); !errors.Is(err, typerepo.ErrNotFound) {
+			t.Errorf("DeclareSubtype(Ghost, BankTeller) = %v, want ErrNotFound", err)
+		}
+		if err := repo.DeclareSubtype("BankManager", "Ghost"); !errors.Is(err, typerepo.ErrNotFound) {
+			t.Errorf("DeclareSubtype(BankManager, Ghost) = %v, want ErrNotFound", err)
 		}
 	})
 }

@@ -12,8 +12,6 @@
 //   - environment contracts (Section 5.3): the required distribution
 //     transparencies and quality-of-service bounds for a binding, consumed
 //     by the transparency configurator;
-//   - activities (Section 5.2): sequential and parallel composition of
-//     actions, with dependent fork/join and independent spawn;
 //   - binding objects (Section 5): first-class objects that realise
 //     complex multi-party bindings, here a stream binding that fans a
 //     producer's flows out to any number of consumers.

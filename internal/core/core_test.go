@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,169 +123,5 @@ func TestSecurityLevelString(t *testing.T) {
 		if got := l.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(l), got, want)
 		}
-	}
-}
-
-func TestActivitySequence(t *testing.T) {
-	a := NewActivity(context.Background())
-	var order []int
-	err := a.Do(
-		func(context.Context) error { order = append(order, 1); return nil },
-		func(context.Context) error { order = append(order, 2); return nil },
-	)
-	if err != nil || len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Errorf("Do = %v, order = %v", err, order)
-	}
-	sentinel := errors.New("stop")
-	err = a.Do(
-		func(context.Context) error { return sentinel },
-		func(context.Context) error { order = append(order, 3); return nil },
-	)
-	if !errors.Is(err, sentinel) || len(order) != 2 {
-		t.Errorf("sequence should stop at first error: %v, %v", err, order)
-	}
-	if err := a.End(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestActivityForkJoin(t *testing.T) {
-	a := NewActivity(context.Background())
-	f, err := a.Fork(func(context.Context) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Join(); err != nil {
-		t.Errorf("Join = %v", err)
-	}
-	if err := f.Join(); !errors.Is(err, ErrJoined) {
-		t.Errorf("second Join = %v", err)
-	}
-	sentinel := errors.New("branch failed")
-	f2, err := a.Fork(func(context.Context) error { return sentinel })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Join(); !errors.Is(err, sentinel) {
-		t.Errorf("failed branch Join = %v", err)
-	}
-	if err := a.End(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Fork(func(context.Context) error { return nil }); !errors.Is(err, ErrActivityEnded) {
-		t.Errorf("fork after end = %v", err)
-	}
-	if err := a.End(); !errors.Is(err, ErrActivityEnded) {
-		t.Errorf("double end = %v", err)
-	}
-}
-
-func TestActivityEndJoinsOutstandingForks(t *testing.T) {
-	a := NewActivity(context.Background())
-	sentinel := errors.New("late failure")
-	if _, err := a.Fork(func(context.Context) error {
-		time.Sleep(5 * time.Millisecond)
-		return sentinel
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.End(); !errors.Is(err, sentinel) {
-		t.Errorf("End should surface unjoined fork error: %v", err)
-	}
-}
-
-func TestActivityParallel(t *testing.T) {
-	a := NewActivity(context.Background())
-	var n atomic.Int32
-	err := a.Parallel(
-		func(context.Context) error { n.Add(1); return nil },
-		func(context.Context) error { n.Add(1); return nil },
-		func(context.Context) error { n.Add(1); return nil },
-	)
-	if err != nil || n.Load() != 3 {
-		t.Errorf("Parallel = %v, n = %d", err, n.Load())
-	}
-	sentinel := errors.New("one failed")
-	err = a.Parallel(
-		func(context.Context) error { return nil },
-		func(context.Context) error { return sentinel },
-	)
-	if !errors.Is(err, sentinel) {
-		t.Errorf("Parallel error = %v", err)
-	}
-	if err := a.End(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Parallel(func(context.Context) error { return nil }); !errors.Is(err, ErrActivityEnded) {
-		t.Errorf("parallel after end = %v", err)
-	}
-}
-
-func TestActivitySpawnIsIndependent(t *testing.T) {
-	a := NewActivity(context.Background())
-	started := make(chan struct{})
-	cancelled := make(chan struct{})
-	if err := a.Spawn(func(ctx context.Context) {
-		close(started)
-		<-ctx.Done()
-		close(cancelled)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if err := a.End(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-cancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("spawned branch not cancelled by End")
-	}
-	a.drainSpawned()
-	if err := a.Spawn(func(context.Context) {}); !errors.Is(err, ErrActivityEnded) {
-		t.Errorf("spawn after end = %v", err)
-	}
-}
-
-func TestActivityContextCancellationStopsSequence(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	a := NewActivity(ctx)
-	cancel()
-	err := a.Do(func(context.Context) error {
-		t.Error("action should not run after cancellation")
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-type activityKey struct{}
-
-// TestActivityContext: the activity's context is the one its actions
-// run under — it carries the caller's values, is live while the activity
-// runs, and is cancelled when the activity ends.
-func TestActivityContext(t *testing.T) {
-	a := NewActivity(context.WithValue(context.Background(), activityKey{}, "teller"))
-	ctx := a.Context()
-	if got := ctx.Value(activityKey{}); got != "teller" {
-		t.Fatalf("activity context value = %v, want the caller's", got)
-	}
-	if err := a.Do(func(actx context.Context) error {
-		if actx != ctx {
-			t.Error("action ran under a context other than the activity's")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Err() != nil {
-		t.Fatal("activity context done before End")
-	}
-	if err := a.End(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(ctx.Err(), context.Canceled) {
-		t.Fatalf("activity context after End: %v, want canceled", ctx.Err())
 	}
 }

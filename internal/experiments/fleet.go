@@ -239,7 +239,7 @@ func (r *gatedRepo) LookupInterface(name string) (*types.Interface, error) {
 	return r.Repository.LookupInterface(name)
 }
 
-func (r *gatedRepo) Interfaces() []string {
+func (r *gatedRepo) Interfaces() ([]string, error) {
 	r.g.pass()
 	return r.Repository.Interfaces()
 }
@@ -247,31 +247,6 @@ func (r *gatedRepo) Interfaces() []string {
 func (r *gatedRepo) IsSubtype(sub, super string) (bool, error) {
 	r.g.pass()
 	return r.Repository.IsSubtype(sub, super)
-}
-
-func (r *gatedRepo) Supertypes(name string) ([]string, error) {
-	r.g.pass()
-	return r.Repository.Supertypes(name)
-}
-
-func (r *gatedRepo) Subtypes(name string) ([]string, error) {
-	r.g.pass()
-	return r.Repository.Subtypes(name)
-}
-
-func (r *gatedRepo) DeclaredSupertypes(name string) []string {
-	r.g.pass()
-	return r.Repository.DeclaredSupertypes(name)
-}
-
-func (r *gatedRepo) LookupData(name string) (*values.DataType, error) {
-	r.g.pass()
-	return r.Repository.LookupData(name)
-}
-
-func (r *gatedRepo) Related(relation, from string) []string {
-	r.g.pass()
-	return r.Repository.Related(relation, from)
 }
 
 // closedLoop drives fn from workers goroutines that pull call numbers

@@ -538,8 +538,8 @@ func benchShaped(t *testing.T, offers int) *ShardedTrader {
 			t.Fatal(err)
 		}
 	}
-	// Subtyping is structural, so each type adds a marker operation of its
-	// own; the declared hierarchy is the one imports follow.
+	// Subtyping is structural and imports follow it, so each type extends
+	// its parent's and adds a marker operation of its own.
 	base := types.OpInterface("SvcBase", types.Op("Query",
 		types.Params(types.P("q", values.TString())), types.Term("OK", types.P("answer", values.TString()))))
 	var names []string
@@ -559,11 +559,6 @@ func benchShaped(t *testing.T, offers int) *ShardedTrader {
 		it := types.Extend(name, super, types.Op("Mark"+name, types.Params(), types.Term("OK")))
 		if err := repo.RegisterInterface(it); err != nil {
 			t.Fatal(err)
-		}
-		if parent >= 0 {
-			if err := repo.DeclareSubtype(name, names[parent]); err != nil {
-				t.Fatal(err)
-			}
 		}
 		names, ifaces = append(names, name), append(ifaces, it)
 	}

@@ -23,9 +23,7 @@ var failures = stub.Failures{
 	{Term: "NotFound", Err: ErrNotFound},
 	{Term: "Conflict", Err: ErrConflict},
 	{Term: "BadDecl", Err: ErrBadDecl},
-	{Term: "BadName", Err: ErrBadName},
 	{Term: "BadType", Err: ErrBadType},
-	{Term: "BadRelate", Err: ErrBadRelate},
 }
 
 var contract = stub.Contract{Service: "typerepo", Type: InterfaceType(), Failures: failures}
@@ -35,22 +33,13 @@ var contract = stub.Contract{Service: "typerepo", Type: InterfaceType(), Failure
 func InterfaceType() *types.Interface {
 	str := func(name string) types.Parameter { return types.P(name, values.TString()) }
 	typ := types.P("type", values.TAny())
-	ok := types.Term("OK")
-	names := types.Term("OK", types.P("names", values.TSeq(values.TString())))
+	pair := types.Params(str("sub"), str("super"))
 	return types.OpInterface("odp.TypeRepository",
-		failures.Op("RegisterInterface", types.Params(typ), ok),
-		failures.Op("RegisterData", types.Params(str("name"), typ), ok),
-		failures.Op("DeclareSubtype", types.Params(str("sub"), str("super")), ok),
-		failures.Op("Relate", types.Params(str("relation"), str("from"), str("to")), ok),
+		failures.Op("RegisterInterface", types.Params(typ), types.Term("OK")),
 		failures.Op("LookupInterface", types.Params(str("name")), types.Term("OK", typ)),
-		failures.Op("LookupData", types.Params(str("name")), types.Term("OK", typ)),
-		failures.Op("IsSubtype", types.Params(str("sub"), str("super")),
-			types.Term("OK", types.P("verdict", values.TBool()))),
-		failures.Op("Interfaces", types.Params(), names),
-		failures.Op("Supertypes", types.Params(str("name")), names),
-		failures.Op("Subtypes", types.Params(str("name")), names),
-		failures.Op("DeclaredSupertypes", types.Params(str("name")), names),
-		failures.Op("Related", types.Params(str("relation"), str("from")), names),
+		failures.Op("Interfaces", types.Params(), types.Term("OK", types.P("names", values.TSeq(values.TString())))),
+		failures.Op("DeclareSubtype", pair, types.Term("OK")),
+		failures.Op("IsSubtype", pair, types.Term("OK", types.P("verdict", values.TBool()))),
 		failures.Op("Gen", types.Params(), types.Term("OK", types.P("gen", values.TInt()))),
 	)
 }
@@ -67,9 +56,6 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 		return contract.Reply(err)
 	}
 	str := func(i int) string { v, _ := args[i].AsString(); return v }
-	names := func(ss []string, err error) (string, []values.Value, error) {
-		return contract.Reply(err, stub.Seq(ss, values.Str))
-	}
 	switch op {
 	case "RegisterInterface":
 		it, err := types.InterfaceFromValue(stub.Bare(args[0]))
@@ -77,41 +63,20 @@ func (s *Servant) Invoke(_ context.Context, op string, args []values.Value) (str
 			return contract.Reply(fmt.Errorf("%w: %v", ErrBadType, err))
 		}
 		return contract.Reply(s.R.RegisterInterface(it))
-	case "RegisterData":
-		dt, err := types.DataTypeFromValue(stub.Bare(args[1]))
-		if err != nil {
-			return contract.Reply(fmt.Errorf("%w: %v", ErrBadType, err))
-		}
-		return contract.Reply(s.R.RegisterData(str(0), dt))
-	case "DeclareSubtype":
-		return contract.Reply(s.R.DeclareSubtype(str(0), str(1)))
-	case "Relate":
-		return contract.Reply(s.R.Relate(str(0), str(1), str(2)))
 	case "LookupInterface":
 		it, err := s.R.LookupInterface(str(0))
 		if err != nil {
 			return contract.Reply(err)
 		}
 		return contract.Reply(nil, stub.Any(it.ToValue()))
-	case "LookupData":
-		dt, err := s.R.LookupData(str(0))
-		if err != nil {
-			return contract.Reply(err)
-		}
-		return contract.Reply(nil, stub.Any(types.DataTypeToValue(dt)))
+	case "Interfaces":
+		names, err := s.R.Interfaces()
+		return contract.Reply(err, stub.Seq(names, values.Str))
+	case "DeclareSubtype":
+		return contract.Reply(s.R.DeclareSubtype(str(0), str(1)))
 	case "IsSubtype":
 		ok, err := s.R.IsSubtype(str(0), str(1))
 		return contract.Reply(err, values.Bool(ok))
-	case "Interfaces":
-		return names(s.R.Interfaces(), nil)
-	case "Supertypes":
-		return names(s.R.Supertypes(str(0)))
-	case "Subtypes":
-		return names(s.R.Subtypes(str(0)))
-	case "DeclaredSupertypes":
-		return names(s.R.DeclaredSupertypes(str(0)), nil)
-	case "Related":
-		return names(s.R.Related(str(0), str(1)), nil)
 	case "Gen":
 		return contract.Reply(nil, values.Int(int64(s.R.Gen())))
 	}
@@ -137,11 +102,6 @@ func NewRemote(c stub.Carrier) *Remote { return &Remote{c: contract.Client(c)} }
 // Close releases the carrier.
 func (r *Remote) Close() error { return r.c.Close() }
 
-func (r *Remote) write(op string, args ...values.Value) error {
-	_, err := r.c.Update(op, args...)
-	return err
-}
-
 // query returns the single result every read operation answers with.
 func (r *Remote) query(op string, args ...values.Value) (values.Value, error) {
 	res, err := r.c.Read(op, args...)
@@ -151,41 +111,14 @@ func (r *Remote) query(op string, args ...values.Value) (values.Value, error) {
 	return stub.Bare(res[0]), nil
 }
 
-// names is query for the operations that answer with a list of type
-// names.
-func (r *Remote) names(op string, args ...values.Value) ([]string, error) {
-	v, err := r.query(op, args...)
-	if err != nil {
-		return nil, err
-	}
-	return stub.Elems(v, func(e values.Value) (string, error) { s, _ := e.AsString(); return s, nil })
-}
-
 // RegisterInterface registers an interface type. A type the store would
 // refuse is refused before it travels, as the store would.
 func (r *Remote) RegisterInterface(it *types.Interface) error {
 	if err := checkInterface(it); err != nil {
 		return err
 	}
-	return r.write("RegisterInterface", stub.Any(it.ToValue()))
-}
-
-// RegisterData registers a named data type.
-func (r *Remote) RegisterData(name string, dt *values.DataType) error {
-	if dt == nil {
-		return fmt.Errorf("%w: nil data type", ErrBadType)
-	}
-	return r.write("RegisterData", values.Str(name), stub.Any(types.DataTypeToValue(dt)))
-}
-
-// DeclareSubtype records a declared subtype edge.
-func (r *Remote) DeclareSubtype(sub, super string) error {
-	return r.write("DeclareSubtype", values.Str(sub), values.Str(super))
-}
-
-// Relate records a named relationship between two types.
-func (r *Remote) Relate(relation, from, to string) error {
-	return r.write("Relate", values.Str(relation), values.Str(from), values.Str(to))
+	_, err := r.c.Update("RegisterInterface", stub.Any(it.ToValue()))
+	return err
 }
 
 // LookupInterface resolves an interface type.
@@ -197,13 +130,20 @@ func (r *Remote) LookupInterface(name string) (*types.Interface, error) {
 	return types.InterfaceFromValue(v)
 }
 
-// LookupData resolves a data type.
-func (r *Remote) LookupData(name string) (*values.DataType, error) {
-	v, err := r.query("LookupData", values.Str(name))
+// Interfaces enumerates the registered interface names.
+func (r *Remote) Interfaces() ([]string, error) {
+	v, err := r.query("Interfaces")
 	if err != nil {
 		return nil, err
 	}
-	return types.DataTypeFromValue(v)
+	return stub.Elems(v, func(e values.Value) (string, error) { s, _ := e.AsString(); return s, nil })
+}
+
+// DeclareSubtype checks a declared subtype claim. The check changes
+// nothing, so it travels as a read.
+func (r *Remote) DeclareSubtype(sub, super string) error {
+	_, err := r.c.Read("DeclareSubtype", values.Str(sub), values.Str(super))
+	return err
 }
 
 // IsSubtype asks for the substitutability verdict.
@@ -214,34 +154,6 @@ func (r *Remote) IsSubtype(sub, super string) (bool, error) {
 	}
 	ok, _ := v.AsBool()
 	return ok, nil
-}
-
-// Interfaces enumerates the registered interface names.
-func (r *Remote) Interfaces() []string {
-	out, _ := r.names("Interfaces")
-	return out
-}
-
-// Supertypes enumerates structural supertypes.
-func (r *Remote) Supertypes(name string) ([]string, error) {
-	return r.names("Supertypes", values.Str(name))
-}
-
-// Subtypes enumerates structural subtypes.
-func (r *Remote) Subtypes(name string) ([]string, error) {
-	return r.names("Subtypes", values.Str(name))
-}
-
-// DeclaredSupertypes enumerates declared supertypes.
-func (r *Remote) DeclaredSupertypes(name string) []string {
-	out, _ := r.names("DeclaredSupertypes", values.Str(name))
-	return out
-}
-
-// Related enumerates relationship targets.
-func (r *Remote) Related(relation, from string) []string {
-	out, _ := r.names("Related", values.Str(relation), values.Str(from))
-	return out
 }
 
 // Gen reads the generation fence (0 when the call fails). Members of a

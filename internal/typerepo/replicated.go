@@ -11,11 +11,11 @@
 package typerepo
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/types"
-	"repro/internal/values"
 )
 
 // Replicated serves Repository reads from gen-versioned local replicas
@@ -25,8 +25,8 @@ import (
 // while the authority's write lock is held, and a replica only marks its
 // copy current after confirming the generation did not move during the
 // copy. A read therefore never serves a memo from before a completed
-// write: once RegisterInterface (or DeclareSubtype, ...) has returned,
-// every subsequent read on any replica observes the new fact.
+// write: once RegisterInterface has returned, every subsequent read on
+// any replica observes the new type.
 type Replicated struct {
 	authority Repository
 	replicas  []*replica
@@ -37,10 +37,10 @@ type Replicated struct {
 	misses  atomic.Uint64 // reads that found their replica stale
 }
 
-// replica is one gen-fenced copy of the authority's interface universe
-// and declared hierarchy. local is swapped wholesale on resync so readers
-// never observe a half-built copy; synced holds authorityGen+1 (0 means
-// "never synced", which is distinct from a fresh authority's gen 0).
+// replica is one gen-fenced copy of the authority's interface types.
+// local is swapped wholesale on resync so readers never observe a
+// half-built copy; synced holds authorityGen+1 (0 means "never synced",
+// which is distinct from a fresh authority's gen 0).
 type replica struct {
 	mu     sync.Mutex // serialises resyncs of this replica
 	synced atomic.Uint64
@@ -64,9 +64,6 @@ func NewReplicated(authority Repository, n int) *Replicated {
 	return p
 }
 
-// Authority returns the backing write-path repository.
-func (p *Replicated) Authority() Repository { return p.authority }
-
 // Gen reports the authority's generation — the fence replicas sync to.
 func (p *Replicated) Gen() uint64 { return p.authority.Gen() }
 
@@ -88,13 +85,15 @@ func (p *Replicated) Stats() ReplicatedStats {
 }
 
 // view returns a replica copy that reflects at least the authority
-// generation observed at entry, rebuilding the copy if it is stale.
-func (p *Replicated) view() *Local {
+// generation observed at entry, rebuilding the copy if it is stale. A
+// rebuild that cannot read the authority returns the failure and leaves
+// the replica stale, so the next read tries again.
+func (p *Replicated) view() (*Local, error) {
 	rep := p.replicas[p.next.Add(1)%uint64(len(p.replicas))]
 	p.reads.Add(1)
 	gen := p.authority.Gen()
 	if rep.synced.Load() == gen+1 {
-		return rep.local.Load()
+		return rep.local.Load(), nil
 	}
 	p.misses.Add(1)
 
@@ -103,25 +102,25 @@ func (p *Replicated) view() *Local {
 	// A concurrent resync may have caught us up while we waited.
 	gen = p.authority.Gen()
 	if rep.synced.Load() == gen+1 {
-		return rep.local.Load()
+		return rep.local.Load(), nil
 	}
 
-	// Rebuild from the authority's public surface. The copy is built off
-	// to the side and swapped in whole; interfaces are registered first so
-	// declared edges always find their endpoints.
+	// Rebuild from the authority's public surface: one listing, then one
+	// lookup per name. The copy is built off to the side and swapped in
+	// whole.
 	p.resyncs.Add(1)
+	names, err := p.authority.Interfaces()
+	if err != nil {
+		return nil, fmt.Errorf("typerepo: replica resync: %w", err)
+	}
 	fresh := New()
-	names := p.authority.Interfaces()
 	for _, name := range names {
 		it, err := p.authority.LookupInterface(name)
-		if err != nil {
-			continue // raced a registration conflict rollback; next read refetches
+		if err == nil {
+			err = fresh.RegisterInterface(it)
 		}
-		_ = fresh.RegisterInterface(it)
-	}
-	for _, name := range names {
-		for _, super := range p.authority.DeclaredSupertypes(name) {
-			_ = fresh.DeclareSubtype(name, super)
+		if err != nil {
+			return nil, fmt.Errorf("typerepo: replica resync: %w", err)
 		}
 	}
 	after := p.authority.Gen()
@@ -134,43 +133,40 @@ func (p *Replicated) view() *Local {
 		// current — the next read will resync past the new write.
 		rep.synced.Store(0)
 	}
-	return fresh
+	return fresh, nil
 }
 
 // --- reads served from a replica copy ---
 
 // LookupInterface returns the interface type registered under name.
 func (p *Replicated) LookupInterface(name string) (*types.Interface, error) {
-	return p.view().LookupInterface(name)
+	v, err := p.view()
+	if err != nil {
+		return nil, err
+	}
+	return v.LookupInterface(name)
 }
 
 // Interfaces returns the sorted names of all registered interface types.
-func (p *Replicated) Interfaces() []string { return p.view().Interfaces() }
+func (p *Replicated) Interfaces() ([]string, error) {
+	v, err := p.view()
+	if err != nil {
+		return nil, err
+	}
+	return v.Interfaces()
+}
 
 // IsSubtype reports whether sub may substitute for super, served from a
 // replica's memo table.
 func (p *Replicated) IsSubtype(sub, super string) (bool, error) {
-	return p.view().IsSubtype(sub, super)
+	v, err := p.view()
+	if err != nil {
+		return false, err
+	}
+	return v.IsSubtype(sub, super)
 }
 
-// Supertypes returns the sorted names of all registered types that name
-// may substitute for (excluding itself).
-func (p *Replicated) Supertypes(name string) ([]string, error) {
-	return p.view().Supertypes(name)
-}
-
-// Subtypes returns the sorted names of all registered types that may
-// substitute for name (excluding itself).
-func (p *Replicated) Subtypes(name string) ([]string, error) {
-	return p.view().Subtypes(name)
-}
-
-// DeclaredSupertypes returns the sorted declared supertypes of name.
-func (p *Replicated) DeclaredSupertypes(name string) []string {
-	return p.view().DeclaredSupertypes(name)
-}
-
-// --- writes and cold reads, funnelled to the authority ---
+// --- writes and cold checks, funnelled to the authority ---
 
 // RegisterInterface registers it with the authority; replicas observe the
 // generation bump and resync on their next read.
@@ -178,29 +174,9 @@ func (p *Replicated) RegisterInterface(it *types.Interface) error {
 	return p.authority.RegisterInterface(it)
 }
 
-// RegisterData registers a named data type with the authority.
-func (p *Replicated) RegisterData(name string, dt *values.DataType) error {
-	return p.authority.RegisterData(name, dt)
-}
-
-// LookupData reads a data type from the authority (data types are bound
-// at interface-definition time, not per-invocation, so this read is cold
-// and not worth replicating).
-func (p *Replicated) LookupData(name string) (*values.DataType, error) {
-	return p.authority.LookupData(name)
-}
-
-// DeclareSubtype records a declared hierarchy edge with the authority.
+// DeclareSubtype checks a declared subtype claim at the authority. The
+// check changes nothing, so no replica resyncs for it, and a declaration
+// made just after a registration does not rebuild a copy.
 func (p *Replicated) DeclareSubtype(sub, super string) error {
 	return p.authority.DeclareSubtype(sub, super)
-}
-
-// Relate records a named relationship with the authority.
-func (p *Replicated) Relate(relation, from, to string) error {
-	return p.authority.Relate(relation, from, to)
-}
-
-// Related reads relationship targets from the authority.
-func (p *Replicated) Related(relation, from string) []string {
-	return p.authority.Related(relation, from)
 }

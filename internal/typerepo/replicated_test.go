@@ -1,6 +1,8 @@
 package typerepo
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,12 +40,8 @@ func TestReplicatedServesReads(t *testing.T) {
 	if _, err := rep.LookupInterface("LoansOfficer"); err != nil {
 		t.Fatalf("LookupInterface: %v", err)
 	}
-	if got := rep.Interfaces(); len(got) != 3 {
-		t.Fatalf("Interfaces() = %v, want 3 names", got)
-	}
-	supers, err := rep.Supertypes("BankManager")
-	if err != nil || len(supers) != 1 || supers[0] != "BankTeller" {
-		t.Fatalf("Supertypes(BankManager) = %v, %v", supers, err)
+	if got, err := rep.Interfaces(); err != nil || len(got) != 3 {
+		t.Fatalf("Interfaces() = %v, %v; want 3 names", got, err)
 	}
 	st := rep.Stats()
 	if st.Reads == 0 || st.Resyncs == 0 {
@@ -71,20 +69,17 @@ func TestReplicatedReadYourWrites(t *testing.T) {
 				t.Fatalf("after registering %s: IsSubtype = %v, %v; want true", it.Name, ok, err)
 			}
 		}
-		if err := rep.DeclareSubtype(it.Name, "BankTeller"); err != nil {
-			t.Fatalf("declare %s: %v", it.Name, err)
-		}
 		for r := 0; r < 2; r++ {
-			if got := rep.DeclaredSupertypes(it.Name); len(got) != 1 || got[0] != "BankTeller" {
-				t.Fatalf("after declaring %s <= BankTeller: DeclaredSupertypes = %v", it.Name, got)
+			if err := rep.DeclareSubtype(it.Name, "BankTeller"); err != nil {
+				t.Fatalf("after registering %s: DeclareSubtype = %v", it.Name, err)
 			}
 		}
 	}
 }
 
 // TestReplicatedGenFenceRace is the replication mirror of the trader's
-// closure-invalidation test: concurrent registrations and declared-edge
-// writes race replicated IsSubtype/DeclaredSupertypes reads, and no read
+// closure-invalidation test: concurrent registrations race replicated
+// IsSubtype and DeclareSubtype checks, and no read
 // may serve a stale memo across a gen bump — once a write has returned,
 // every subsequent read observes it. Run under -race this also proves
 // the replica swap itself is data-race free.
@@ -111,12 +106,8 @@ func TestReplicatedGenFenceRace(t *testing.T) {
 				t.Errorf("register %s: %v", it.Name, err)
 				return
 			}
-			if err := rep.DeclareSubtype(it.Name, "BankTeller"); err != nil {
-				t.Errorf("declare %s: %v", it.Name, err)
-				return
-			}
-			// Publish i only after both writes returned: readers that
-			// observe hi >= i must be served both facts.
+			// Publish i only after the write returned: readers that
+			// observe hi >= i must be served the new type.
 			hi.Store(int64(i))
 		}
 	}()
@@ -142,8 +133,8 @@ func TestReplicatedGenFenceRace(t *testing.T) {
 					t.Errorf("stale read: IsSubtype(%s, BankTeller) = %v, %v after write %d returned", name, ok, err, k)
 					return
 				}
-				if got := rep.DeclaredSupertypes(name); len(got) != 1 {
-					t.Errorf("stale read: DeclaredSupertypes(%s) = %v after declare returned", name, got)
+				if err := rep.DeclareSubtype(name, "BankTeller"); err != nil {
+					t.Errorf("stale read: DeclareSubtype(%s, BankTeller) = %v after write %d returned", name, err, k)
 					return
 				}
 			}
@@ -164,49 +155,150 @@ func TestReplicatedGenFenceRace(t *testing.T) {
 	}
 }
 
+// TestReplicatedDelegatesColdPaths: a registration and a declaration go to
+// the authority. The registration lands in the authority's store; the
+// declaration is answered by the authority's check, sound or not, and
+// leaves every replica current.
 func TestReplicatedDelegatesColdPaths(t *testing.T) {
 	auth := New()
 	rep := NewReplicated(auth, 2)
-	if err := rep.RegisterData("Money", values.TInt()); err != nil {
-		t.Fatalf("RegisterData: %v", err)
-	}
-	if _, err := rep.LookupData("Money"); err != nil {
-		t.Fatalf("LookupData: %v", err)
-	}
-	if err := rep.RegisterInterface(teller()); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := rep.Relate("describes", "Money", "BankTeller"); err != nil {
-		t.Fatalf("Relate: %v", err)
-	}
-	if got := rep.Related("describes", "Money"); len(got) != 1 || got[0] != "BankTeller" {
-		t.Fatalf("Related = %v", got)
-	}
-}
-
-// TestReplicatedSubtypesAndAuthority: the front-end answers the downward
-// query from a replica with the authority's answer, and hands back the
-// authority it writes through.
-func TestReplicatedSubtypesAndAuthority(t *testing.T) {
-	auth := New()
-	rep := NewReplicated(auth, 2)
-	if rep.Authority() != Repository(auth) {
-		t.Fatal("Authority() is not the wrapped repository")
-	}
-	for _, it := range []*types.Interface{teller(), manager(), loans()} {
+	for _, it := range []*types.Interface{teller(), manager()} {
 		if err := rep.RegisterInterface(it); err != nil {
 			t.Fatalf("RegisterInterface(%s): %v", it.Name, err)
 		}
+		if _, err := auth.LookupInterface(it.Name); err != nil {
+			t.Fatalf("authority LookupInterface(%s) after a replicated registration: %v", it.Name, err)
+		}
 	}
-	want, err := auth.Subtypes("BankTeller")
-	if err != nil || len(want) == 0 {
-		t.Fatalf("authority Subtypes(BankTeller) = %v, %v", want, err)
+	for i := 0; i < 2; i++ {
+		if _, err := rep.LookupInterface("BankTeller"); err != nil {
+			t.Fatalf("LookupInterface: %v", err)
+		}
 	}
-	got, err := rep.Subtypes("BankTeller")
-	if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Subtypes(BankTeller) = %v, %v; want %v", got, err, want)
+	before := rep.Stats().Resyncs
+	if err := rep.DeclareSubtype("BankManager", "BankTeller"); err != nil {
+		t.Fatalf("sound DeclareSubtype: %v", err)
 	}
-	if _, err := rep.Subtypes("Nope"); err == nil {
-		t.Fatal("Subtypes of an unknown type succeeded")
+	if err := rep.DeclareSubtype("BankTeller", "BankManager"); !errors.Is(err, ErrBadDecl) {
+		t.Fatalf("unsound DeclareSubtype = %v, want ErrBadDecl", err)
+	}
+	if err := rep.DeclareSubtype("Ghost", "BankTeller"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("DeclareSubtype(Ghost, BankTeller) = %v, want ErrNotFound", err)
+	}
+	for i := 0; i < 2; i++ {
+		if ok, err := rep.IsSubtype("BankManager", "BankTeller"); err != nil || !ok {
+			t.Fatalf("IsSubtype after the declarations = %v, %v", ok, err)
+		}
+	}
+	if got := rep.Stats().Resyncs; got != before {
+		t.Errorf("declarations caused %d resyncs, want none", got-before)
+	}
+}
+
+// countingCarrier carries a Remote's calls straight to a servant over a
+// local store. It counts every operation it carries, and fails the next
+// call of each operation named in fail with errCarrier.
+type countingCarrier struct {
+	s     Servant
+	mu    sync.Mutex
+	calls map[string]int
+	fail  map[string]bool
+}
+
+var errCarrier = errors.New("carrier: call lost")
+
+func newCountingCarrier() *countingCarrier {
+	return &countingCarrier{s: Servant{R: New()}, calls: map[string]int{}, fail: map[string]bool{}}
+}
+
+func (c *countingCarrier) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
+	c.mu.Lock()
+	c.calls[op]++
+	lost := c.fail[op]
+	delete(c.fail, op)
+	c.mu.Unlock()
+	if lost {
+		return "", nil, errCarrier
+	}
+	return c.s.Invoke(ctx, op, args)
+}
+
+func (c *countingCarrier) Close() error { return nil }
+
+// reads returns how many calls other than the generation fence the
+// carrier has carried, and resets the counts.
+func (c *countingCarrier) reads() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for op, k := range c.calls {
+		if op != "Gen" {
+			n += k
+		}
+	}
+	c.calls = map[string]int{}
+	return n
+}
+
+// TestReplicatedResyncReadsEachTypeOnce: a replica rebuilds its copy from
+// one listing and one lookup per registered interface, 1 + N authority
+// reads for N types, and nothing else.
+func TestReplicatedResyncReadsEachTypeOnce(t *testing.T) {
+	c := newCountingCarrier()
+	auth := NewRemote(c)
+	const n = 6
+	if err := auth.RegisterInterface(teller()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n-1; i++ {
+		if err := auth.RegisterInterface(variant(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := NewReplicated(auth, 1)
+	c.reads()
+	if ok, err := rep.IsSubtype("Teller_0", "BankTeller"); err != nil || !ok {
+		t.Fatalf("IsSubtype = %v, %v", ok, err)
+	}
+	if got := c.reads(); got != 1+n {
+		t.Errorf("one resync over %d types made %d authority reads, want %d", n, got, 1+n)
+	}
+	if st := rep.Stats(); st.Resyncs != 1 {
+		t.Errorf("resyncs = %d, want 1", st.Resyncs)
+	}
+}
+
+// TestReplicatedFailedResyncIsNotCurrent: a resync that loses one
+// authority read — the listing or one type's lookup — answers the reader
+// with that failure and leaves the replica stale, so the next read
+// resyncs and is served. A replica marked current after a lost read would
+// answer ErrNotFound for every registered type until the next
+// registration.
+func TestReplicatedFailedResyncIsNotCurrent(t *testing.T) {
+	for _, op := range []string{"Interfaces", "LookupInterface"} {
+		t.Run(op, func(t *testing.T) {
+			c := newCountingCarrier()
+			auth := NewRemote(c)
+			for _, it := range []*types.Interface{teller(), manager()} {
+				if err := auth.RegisterInterface(it); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep := NewReplicated(auth, 1)
+			c.mu.Lock()
+			c.fail[op] = true
+			c.mu.Unlock()
+			if _, err := rep.LookupInterface("BankTeller"); !errors.Is(err, errCarrier) {
+				t.Fatalf("read over a lost %s = %v, want the carrier's failure", op, err)
+			}
+			for i := 0; i < 3; i++ {
+				if it, err := rep.LookupInterface("BankTeller"); err != nil || it.Name != "BankTeller" {
+					t.Fatalf("read %d after the lost %s = %v, %v", i, op, it, err)
+				}
+			}
+			if ok, err := rep.IsSubtype("BankManager", "BankTeller"); err != nil || !ok {
+				t.Fatalf("IsSubtype after the lost %s = %v, %v", op, ok, err)
+			}
+		})
 	}
 }

@@ -4,10 +4,8 @@
 // "ODP systems must make type information available through the ODP system
 // itself; the primary need is to support type checking during trading and
 // interface binding." The repository registers named interface types and
-// data types, maintains the subtype hierarchy (both declared and
-// structurally discovered, with memoisation), and keeps arbitrary named
-// relationships between types — the general "relationship repository" the
-// tutorial mentions alongside it.
+// answers the subtype checks trading and binding make, structurally and
+// with memoisation.
 //
 // A Repository is safe for concurrent use.
 package typerepo
@@ -20,22 +18,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/types"
-	"repro/internal/values"
 )
 
 // Repository error sentinels.
 var (
-	ErrNotFound  = errors.New("typerepo: type not found")
-	ErrConflict  = errors.New("typerepo: conflicting registration")
-	ErrBadDecl   = errors.New("typerepo: declared subtype relation is structurally unsound")
-	ErrBadName   = errors.New("typerepo: empty type name")
-	ErrBadType   = errors.New("typerepo: invalid type")
-	ErrBadRelate = errors.New("typerepo: relationship endpoints must be registered")
+	ErrNotFound = errors.New("typerepo: type not found")
+	ErrConflict = errors.New("typerepo: conflicting registration")
+	ErrBadDecl  = errors.New("typerepo: declared subtype relation is structurally unsound")
+	ErrBadType  = errors.New("typerepo: invalid type")
 )
 
-// Repository is the type-repository service surface: registration of
-// interface and data types, the subtype hierarchy (declared and
-// structural), and named relationships between types. Two implementations
+// Repository is the type-repository service surface: registration and
+// lookup of interface types and the subtype check. Two implementations
 // exist: *Local, the in-process authority store, and *Replicated, a
 // read-mostly front-end serving gen-fenced reads from local replicas.
 // Call sites hold the interface so a singleton can be swapped for a
@@ -43,30 +37,19 @@ var (
 type Repository interface {
 	RegisterInterface(it *types.Interface) error
 	LookupInterface(name string) (*types.Interface, error)
-	Interfaces() []string
-	RegisterData(name string, dt *values.DataType) error
-	LookupData(name string) (*values.DataType, error)
+	Interfaces() ([]string, error)
 	DeclareSubtype(sub, super string) error
 	IsSubtype(sub, super string) (bool, error)
-	Supertypes(name string) ([]string, error)
-	Subtypes(name string) ([]string, error)
-	DeclaredSupertypes(name string) []string
-	Relate(relation, from, to string) error
-	Related(relation, from string) []string
 	Gen() uint64
 }
 
-// Local is the concrete single-store registry for interface types, data
-// types and the relationships between them. It is the authority behind
-// every Replicated front-end.
+// Local is the concrete single-store registry for interface types. It is
+// the authority behind every Replicated front-end.
 type Local struct {
 	mu         sync.RWMutex
 	interfaces map[string]*types.Interface
-	data       map[string]*values.DataType
-	declared   map[string]map[string]bool // sub -> set of declared supers
-	subCache   map[subKey]bool            // memoised structural results
-	relations  map[string]map[string]map[string]bool
-	gen        atomic.Uint64 // bumped whenever registered facts change
+	subCache   map[subKey]bool // memoised structural results
+	gen        atomic.Uint64   // bumped whenever a registration lands
 }
 
 type subKey struct{ sub, super string }
@@ -75,10 +58,7 @@ type subKey struct{ sub, super string }
 func New() *Local {
 	return &Local{
 		interfaces: make(map[string]*types.Interface),
-		data:       make(map[string]*values.DataType),
-		declared:   make(map[string]map[string]bool),
 		subCache:   make(map[subKey]bool),
-		relations:  make(map[string]map[string]map[string]bool),
 	}
 }
 
@@ -121,8 +101,7 @@ func checkInterface(it *types.Interface) error {
 }
 
 // Gen returns the repository's type-fact generation: it advances whenever
-// a successful mutation may have changed what readers observe (interface
-// and data registrations, declared subtype edges, relationships). Callers
+// a registration may have changed what readers observe. Callers
 // memoising derived facts (the trader's per-service-type subtype closure,
 // a Replicated front-end's per-replica copies) compare generations to
 // know when to rebuild. The bump happens while the write lock is still
@@ -142,7 +121,8 @@ func (r *Local) LookupInterface(name string) (*types.Interface, error) {
 }
 
 // Interfaces returns the sorted names of all registered interface types.
-func (r *Local) Interfaces() []string {
+// A local store always answers; the error is a remote store's.
+func (r *Local) Interfaces() ([]string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	names := make([]string, 0, len(r.interfaces))
@@ -150,68 +130,23 @@ func (r *Local) Interfaces() []string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return names
+	return names, nil
 }
 
-// RegisterData registers a named data type. The same idempotence and
-// conflict rules as RegisterInterface apply.
-func (r *Local) RegisterData(name string, dt *values.DataType) error {
-	if name == "" {
-		return ErrBadName
-	}
-	if dt == nil {
-		return fmt.Errorf("%w: nil data type", ErrBadType)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.data[name]; ok {
-		if existing.Equal(dt) {
-			return nil
-		}
-		return fmt.Errorf("%w: data type %q already registered with a different shape", ErrConflict, name)
-	}
-	r.data[name] = dt
-	r.gen.Add(1)
-	return nil
-}
-
-// LookupData returns the data type registered under name.
-func (r *Local) LookupData(name string) (*values.DataType, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	dt, ok := r.data[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: data type %q", ErrNotFound, name)
-	}
-	return dt, nil
-}
-
-// DeclareSubtype records that sub is a subtype of super, after verifying
-// the claim structurally — the repository never stores unsound hierarchy
-// edges. Both types must already be registered.
+// DeclareSubtype checks the claim that sub is a subtype of super: both
+// types must be registered, and the claim must hold structurally. It
+// stores nothing, since IsSubtype answers from the structure alone, so a
+// sound declaration changes no answer and advances no generation.
 func (r *Local) DeclareSubtype(sub, super string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	subT, ok := r.interfaces[sub]
-	if !ok {
-		return fmt.Errorf("%w: interface %q", ErrNotFound, sub)
-	}
-	superT, ok := r.interfaces[super]
-	if !ok {
-		return fmt.Errorf("%w: interface %q", ErrNotFound, super)
+	r.mu.RLock()
+	subT, superT, err := r.pair(sub, super)
+	r.mu.RUnlock()
+	if err != nil {
+		return err
 	}
 	if err := types.Subtype(subT, superT); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadDecl, err)
 	}
-	set, ok := r.declared[sub]
-	if !ok {
-		set = make(map[string]bool)
-		r.declared[sub] = set
-	}
-	set[super] = true
-	// Declared edges are read back through DeclaredSupertypes, so replicas
-	// mirroring this store must learn their copy went stale.
-	r.gen.Add(1)
 	return nil
 }
 
@@ -231,14 +166,10 @@ func (r *Local) IsSubtype(sub, super string) (bool, error) {
 		r.mu.RUnlock()
 		return res, nil
 	}
-	subT, okSub := r.interfaces[sub]
-	superT, okSuper := r.interfaces[super]
+	subT, superT, err := r.pair(sub, super)
 	r.mu.RUnlock()
-	if !okSub {
-		return false, fmt.Errorf("%w: interface %q", ErrNotFound, sub)
-	}
-	if !okSuper {
-		return false, fmt.Errorf("%w: interface %q", ErrNotFound, super)
+	if err != nil {
+		return false, err
 	}
 	res := types.IsSubtype(subT, superT)
 	r.mu.Lock()
@@ -247,112 +178,15 @@ func (r *Local) IsSubtype(sub, super string) (bool, error) {
 	return res, nil
 }
 
-// Supertypes returns the sorted names of all registered types that name
-// may substitute for (excluding itself).
-func (r *Local) Supertypes(name string) ([]string, error) {
-	it, err := r.LookupInterface(name)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	candidates := make(map[string]*types.Interface, len(r.interfaces))
-	for n, t := range r.interfaces {
-		candidates[n] = t
-	}
-	r.mu.RUnlock()
-	var out []string
-	for n, t := range candidates {
-		if n == name {
-			continue
-		}
-		if types.IsSubtype(it, t) {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Subtypes returns the sorted names of all registered types that may
-// substitute for name (excluding itself).
-func (r *Local) Subtypes(name string) ([]string, error) {
-	it, err := r.LookupInterface(name)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	candidates := make(map[string]*types.Interface, len(r.interfaces))
-	for n, t := range r.interfaces {
-		candidates[n] = t
-	}
-	r.mu.RUnlock()
-	var out []string
-	for n, t := range candidates {
-		if n == name {
-			continue
-		}
-		if types.IsSubtype(t, it) {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// DeclaredSupertypes returns the sorted supertypes explicitly declared for
-// name via DeclareSubtype (the curated hierarchy, as opposed to the
-// structural one).
-func (r *Local) DeclaredSupertypes(name string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for super := range r.declared[name] {
-		out = append(out, super)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Relate records a named relationship from one registered type to another
-// (e.g. "describes", "manages", "supersedes"). Both endpoints may be
-// interface or data type names.
-func (r *Local) Relate(relation, from, to string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.known(from) || !r.known(to) {
-		return fmt.Errorf("%w: %q -> %q", ErrBadRelate, from, to)
-	}
-	rel, ok := r.relations[relation]
+// pair looks up both ends of a subtype question; r.mu is held.
+func (r *Local) pair(sub, super string) (*types.Interface, *types.Interface, error) {
+	subT, ok := r.interfaces[sub]
 	if !ok {
-		rel = make(map[string]map[string]bool)
-		r.relations[relation] = rel
+		return nil, nil, fmt.Errorf("%w: interface %q", ErrNotFound, sub)
 	}
-	set, ok := rel[from]
+	superT, ok := r.interfaces[super]
 	if !ok {
-		set = make(map[string]bool)
-		rel[from] = set
+		return nil, nil, fmt.Errorf("%w: interface %q", ErrNotFound, super)
 	}
-	set[to] = true
-	r.gen.Add(1)
-	return nil
-}
-
-// Related returns the sorted targets related to from under relation.
-func (r *Local) Related(relation, from string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	for to := range r.relations[relation][from] {
-		out = append(out, to)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (r *Local) known(name string) bool {
-	if _, ok := r.interfaces[name]; ok {
-		return true
-	}
-	_, ok := r.data[name]
-	return ok
+	return subT, superT, nil
 }

@@ -15,8 +15,8 @@ import (
 // ErrBadTypeValue is wrapped by decoding failures.
 var ErrBadTypeValue = errors.New("types: malformed encoded type")
 
-// DataTypeToValue encodes a data type as a value.
-func DataTypeToValue(t *values.DataType) values.Value {
+// dataTypeToValue encodes a data type as a value.
+func dataTypeToValue(t *values.DataType) values.Value {
 	if t == nil {
 		return values.Null()
 	}
@@ -36,19 +36,19 @@ func DataTypeToValue(t *values.DataType) values.Value {
 		for i, f := range t.Fields {
 			fs[i] = values.Record(
 				values.F("name", values.Str(f.Name)),
-				values.F("type", DataTypeToValue(f.Type)),
+				values.F("type", dataTypeToValue(f.Type)),
 			)
 		}
 		fields = append(fields, values.F("fields", values.Seq(fs...)))
 	case values.KindSeq:
-		fields = append(fields, values.F("elem", DataTypeToValue(t.Elem)))
+		fields = append(fields, values.F("elem", dataTypeToValue(t.Elem)))
 	}
 	return values.Record(fields...)
 }
 
-// DataTypeFromValue decodes a data type previously encoded by
-// DataTypeToValue.
-func DataTypeFromValue(v values.Value) (*values.DataType, error) {
+// dataTypeFromValue decodes a data type previously encoded by
+// dataTypeToValue.
+func dataTypeFromValue(v values.Value) (*values.DataType, error) {
 	if v.IsNull() {
 		return nil, nil
 	}
@@ -104,7 +104,7 @@ func DataTypeFromValue(v values.Value) (*values.DataType, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: record field %q missing type", ErrBadTypeValue, fname)
 			}
-			ft, err := DataTypeFromValue(tv)
+			ft, err := dataTypeFromValue(tv)
 			if err != nil {
 				return nil, fmt.Errorf("record field %q: %w", fname, err)
 			}
@@ -115,7 +115,7 @@ func DataTypeFromValue(v values.Value) (*values.DataType, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: seq missing elem", ErrBadTypeValue)
 		}
-		elem, err := DataTypeFromValue(ev)
+		elem, err := dataTypeFromValue(ev)
 		if err != nil {
 			return nil, fmt.Errorf("seq elem: %w", err)
 		}
@@ -129,7 +129,7 @@ func paramsToValue(ps []Parameter) values.Value {
 	for i, p := range ps {
 		out[i] = values.Record(
 			values.F("name", values.Str(p.Name)),
-			values.F("type", DataTypeToValue(p.Type)),
+			values.F("type", dataTypeToValue(p.Type)),
 		)
 	}
 	return values.Seq(out...)
@@ -154,7 +154,7 @@ func paramsFromValue(v values.Value) ([]Parameter, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: parameter %q missing type", ErrBadTypeValue, name)
 		}
-		t, err := DataTypeFromValue(tv)
+		t, err := dataTypeFromValue(tv)
 		if err != nil {
 			return nil, fmt.Errorf("parameter %q: %w", name, err)
 		}
@@ -185,7 +185,7 @@ func (it *Interface) ToValue() values.Value {
 		flows[i] = values.Record(
 			values.F("name", values.Str(f.Name)),
 			values.F("direction", values.Uint(uint64(f.Direction))),
-			values.F("elem", DataTypeToValue(f.Elem)),
+			values.F("elem", dataTypeToValue(f.Elem)),
 		)
 	}
 	sigs := make([]values.Value, len(it.Signals))
@@ -283,7 +283,7 @@ func InterfaceFromValue(v values.Value) (*Interface, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: flow %q missing elem", ErrBadTypeValue, fname)
 			}
-			elem, err := DataTypeFromValue(ev)
+			elem, err := dataTypeFromValue(ev)
 			if err != nil {
 				return nil, fmt.Errorf("flow %q: %w", fname, err)
 			}

@@ -25,10 +25,10 @@ func TestDataTypeValueRoundTrip(t *testing.T) {
 		nil,
 	}
 	for _, dt := range cases {
-		v := DataTypeToValue(dt)
-		got, err := DataTypeFromValue(v)
+		v := dataTypeToValue(dt)
+		got, err := dataTypeFromValue(v)
 		if err != nil {
-			t.Fatalf("DataTypeFromValue(%s): %v", dt, err)
+			t.Fatalf("dataTypeFromValue(%s): %v", dt, err)
 		}
 		if dt == nil {
 			if got != nil {
@@ -58,7 +58,7 @@ func TestDataTypeFromValueErrors(t *testing.T) {
 		values.Record(values.F("kind", values.Uint(uint64(values.KindRecord))), values.F("fields", values.Seq(values.Record()))), // field missing name
 	}
 	for i, v := range bad {
-		if _, err := DataTypeFromValue(v); err == nil {
+		if _, err := dataTypeFromValue(v); err == nil {
 			t.Errorf("case %d: expected error for %v", i, v)
 		} else if !errors.Is(err, ErrBadTypeValue) {
 			t.Errorf("case %d: error %v should wrap ErrBadTypeValue", i, err)

@@ -280,6 +280,22 @@ if grep -rnE 'type Monitor\b|\bEnvelope\b|ViolationTopic|^[[:space:]]+QoS[[:spac
 	exit 1
 fi
 
+echo "== type-repository gate (the repository keeps the operations trading and binding use) =="
+# §8.3.1 gives the type repository one job: type checking during trading
+# and binding. It registers and looks up interface types and answers the
+# subtype check; DeclareSubtype is that check, storing nothing. The
+# data-type registry, the relationship repository, the hierarchy listings
+# and the declared-edge store had no caller but their own tests, and §5.2's
+# activities had none at all: none may come back unrun. Run a concept from
+# an example or a binary before it is declared again.
+tr_src=$(find internal/typerepo -name '*.go' ! -name '*_test.go')
+if grep -nE '^[[:space:]]*(func[[:space:]]+\([^)]*\)[[:space:]]+)?(RegisterData|LookupData|Supertypes|Subtypes|DeclaredSupertypes|Relate|Related)\(' $tr_src ||
+	grep -nE '^[[:space:]]+(declared|relations|data)[[:space:]]+[][*A-Za-z]' $tr_src ||
+	grep -nE '^(type)?[[:space:]]+Activity[[:space:]]' $(find internal/core -name '*.go' ! -name '*_test.go'); then
+	echo "an unrun §8.3.1 or §5.2 surface is back (run it from an example or a binary, or leave it out)"
+	exit 1
+fi
+
 echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read; every setting is set) =="
 # A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
 # the deadcode build tag, so tier 1 never builds it): an unreached
