@@ -26,6 +26,15 @@
 // parentheses nested at most 32 deep. Parse refuses a larger one with
 // ErrSyntax before it builds anything, so an expression that arrives off
 // the wire costs at most that much to parse and to evaluate.
+//
+// Parse memoises what it compiles. A source of at most 128 bytes is looked
+// up, by its text, in a direct-mapped table of 1,024 slots, and a hit
+// returns the Expr compiled for it before, which is immutable and so shared
+// by every caller. A source that collides with another takes its slot, a
+// syntax error is never kept, and a longer source is compiled on every
+// call. A slot holds at most a 48-byte Expr, its own copy of the source
+// and a program of one 40-byte node per byte of it, so the table never
+// keeps more than 1,024 × (48 + 128 + 128 × 40) B, about 5.2 MiB.
 package constraint
 
 import (
@@ -34,6 +43,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/values"
 )
@@ -65,9 +75,50 @@ type Expr struct {
 // String returns the original source text.
 func (e *Expr) String() string { return e.src }
 
-// Parse compiles a constraint expression. An empty string parses to the
+// The memo of compiled sources, bounded as the package comment says. An
+// import sends the same few constraints and preferences again and again,
+// and a hit costs a hash and a compare where a compilation allocates the
+// Expr and its program. A collision overwrites, so the table needs no
+// eviction.
+const (
+	memoSlots  = 1024 // power of two
+	memoMaxLen = 128  // bytes of source
+)
+
+var memo [memoSlots]atomic.Pointer[Expr]
+
+// memoSlot is the slot of src: an FNV-1a hash of it.
+func memoSlot(src string) *atomic.Pointer[Expr] {
+	h := uint32(2166136261)
+	for i := 0; i < len(src); i++ {
+		h = (h ^ uint32(src[i])) * 16777619
+	}
+	return &memo[h&(memoSlots-1)]
+}
+
+// Parse compiles a constraint expression, or returns the compilation of
+// the same source it made before. An empty string parses to the
 // always-true constraint.
 func Parse(src string) (*Expr, error) {
+	if len(src) > memoMaxLen {
+		return compile(src)
+	}
+	slot := memoSlot(src)
+	if e := slot.Load(); e != nil && e.src == src {
+		return e, nil
+	}
+	// The program's identifiers and strings point into its source, so the
+	// memo compiles a copy of it: a kept Expr holds no larger string the
+	// caller cut src from.
+	e, err := compile(strings.Clone(src))
+	if err == nil {
+		slot.Store(e)
+	}
+	return e, err
+}
+
+// compile is Parse without the memo.
+func compile(src string) (*Expr, error) {
 	if strings.TrimSpace(src) == "" {
 		return &Expr{src: src}, nil
 	}

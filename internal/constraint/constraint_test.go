@@ -192,11 +192,12 @@ func TestExprString(t *testing.T) {
 	}
 }
 
-// TestParseAllocBudget: a parse allocates the Expr and its program, one
-// array of nodes, whatever the expression's size — an identifier or a
+// TestParseAllocBudget: a compilation allocates the Expr and its program,
+// one array of nodes, whatever the expression's size — an identifier or a
 // string keeps its text as written, in the source — and the empty
-// constraint only the Expr. The rows are the trader bench's preference and
-// constraint shapes, and one of 59 nodes.
+// constraint only the Expr; a second Parse of a source the memo keeps
+// allocates nothing. The rows are the trader bench's preference and
+// constraint shapes, and one of 59 nodes, too long for the memo.
 func TestParseAllocBudget(t *testing.T) {
 	wide := strings.TrimSuffix(strings.Repeat("(load < 42 or load > 57) and region != 'fr' or ", 5), " or ")
 	for _, c := range []struct {
@@ -217,12 +218,19 @@ func TestParseAllocBudget(t *testing.T) {
 		{wide, 2},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := Parse(c.src); err != nil {
-				t.Fatalf("Parse(%q): %v", c.src, err)
+			if _, err := compile(c.src); err != nil {
+				t.Fatalf("compile(%q): %v", c.src, err)
 			}
 		})
 		if allocs > c.budget {
-			t.Errorf("Parse(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
+			t.Errorf("compile(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
+		}
+		want := 0.0
+		if len(c.src) > memoMaxLen {
+			want = allocs
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Parse(c.src) }); allocs != want {
+			t.Errorf("Parse(%q) = %v allocs, want %v", c.src, allocs, want)
 		}
 	}
 }

@@ -1,0 +1,151 @@
+package constraint
+
+import (
+	"errors"
+	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/values"
+)
+
+// sharingSlot returns a source, made by mk from some n > 0, whose memo slot
+// is the one of src.
+func sharingSlot(t *testing.T, src string, mk func(n int) string) string {
+	t.Helper()
+	for n := 1; n < 1<<20; n++ {
+		if other := mk(n); other != src && memoSlot(other) == memoSlot(src) {
+			return other
+		}
+	}
+	t.Fatalf("no source shares %q's slot", src)
+	return ""
+}
+
+// TestMemoMatchesFreshCompilation: over the reference test's seeded draws,
+// drawn twice so the second pass meets what the first left in the memo
+// (collisions included), Parse fails exactly when a fresh compilation
+// does, and otherwise evaluates to the same value or error on every
+// record.
+func TestMemoMatchesFreshCompilation(t *testing.T) {
+	for pass := 0; pass < 2; pass++ {
+		g := exprGen{rand.New(rand.NewSource(1))}
+		for i := 0; i < 5_000; i++ {
+			src := g.expr(g.r.Intn(6))
+			if g.r.Intn(4) == 0 {
+				src = g.mutate(src)
+			}
+			records := []values.Value{g.props(2), g.props(2), g.props(1), values.Record()}
+			got, gerr := Parse(src)
+			want, werr := compile(src)
+			if !sameErr(gerr, werr) {
+				t.Fatalf("Parse(%q) error = %v, fresh %v", src, gerr, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			if got.String() != src {
+				t.Fatalf("Parse(%q).String() = %q", src, got.String())
+			}
+			for _, props := range records {
+				gv, gerr := got.Eval(props)
+				wv, werr := want.Eval(props)
+				if !sameErr(gerr, werr) || gerr == nil && !same(gv, wv) {
+					t.Fatalf("Eval(%q) over %v = %v, %v; fresh %v, %v", src, props, gv, gerr, wv, werr)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoSharedSlotRace: eight goroutines parse two sources that share a
+// slot, so each overwrites the other's entry while the other reads it.
+// Every Expr returned is the one of the source asked for. Run it under
+// -race.
+func TestMemoSharedSlotRace(t *testing.T) {
+	const a = "1"
+	b := sharingSlot(t, a, strconv.Itoa)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2_000; i++ {
+				src := a
+				if (g+i)%2 == 1 {
+					src = b
+				}
+				e, err := Parse(src)
+				if err != nil {
+					t.Errorf("Parse(%q): %v", src, err)
+					return
+				}
+				want, _ := strconv.ParseInt(src, 10, 64)
+				if v, err := e.Eval(values.Record()); e.String() != src || err != nil || !v.Equal(values.Int(want)) {
+					t.Errorf("Parse(%q) = %q evaluating to %v, %v", src, e.String(), v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestMemoBound: a source of memoMaxLen bytes is kept and one byte longer
+// is compiled afresh on every call, and what a kept slot holds is within
+// the package comment's bound — a 48-byte Expr, the source, and at most
+// one 40-byte node per byte of it, which the longest kept chain of
+// one-byte operands reaches within a byte.
+func TestMemoBound(t *testing.T) {
+	if s := unsafe.Sizeof(Expr{}); s != 48 {
+		t.Errorf("an Expr is %d bytes, the bound says 48", s)
+	}
+	if s := unsafe.Sizeof(node{}); s != 40 {
+		t.Errorf("a node is %d bytes, the bound says 40", s)
+	}
+	chain := strings.Repeat("1+", (memoMaxLen-1)/2) + "1"
+	kept := chain + strings.Repeat(" ", memoMaxLen-len(chain))
+	e1, err := Parse(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2, _ := Parse(kept); e2 != e1 {
+		t.Errorf("a %d-byte source was compiled twice", len(kept))
+	}
+	if n := cap(e1.prog); n > len(kept) || n < len(kept)-1 {
+		t.Errorf("a %d-byte source kept %d nodes", len(kept), n)
+	}
+	long := kept + " "
+	if e1, e2 := mustParse(t, long), mustParse(t, long); e1 == e2 {
+		t.Errorf("a %d-byte source was kept", len(long))
+	}
+}
+
+func mustParse(t *testing.T, src string) *Expr {
+	t.Helper()
+	e, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	return e
+}
+
+// TestMemoKeepsNoError: a syntax error is refused on every parse, and the
+// refusal leaves the entry of the good source that shares its slot in
+// place.
+func TestMemoKeepsNoError(t *testing.T) {
+	const good = "cost"
+	bad := sharingSlot(t, good, func(n int) string { return "(" + strconv.Itoa(n) })
+	e := mustParse(t, good)
+	for i := 0; i < 2; i++ {
+		if got, err := Parse(bad); got != nil || !errors.Is(err, ErrSyntax) {
+			t.Fatalf("Parse(%q) = %v, %v; want ErrSyntax", bad, got, err)
+		}
+	}
+	if memoSlot(good).Load() != e || mustParse(t, good) != e {
+		t.Errorf("a refused source displaced %q from its slot", good)
+	}
+}

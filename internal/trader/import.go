@@ -101,7 +101,8 @@ func (c *importCore) begin(req ImportRequest) (importQuery, error) {
 
 // parsed returns the parse of src: carried when it was made from the same
 // source (an Expr is immutable, so the legs of one import share it across
-// goroutines), else a fresh one.
+// goroutines), else constraint.Parse's, which a recent import of the same
+// text has most likely left in its memo.
 func parsed(carried *constraint.Expr, src string) (*constraint.Expr, error) {
 	if carried != nil && carried.String() == src {
 		return carried, nil
@@ -253,7 +254,7 @@ func (l leg) query(q importQuery, sub ImportRequest, dst []hit) ([]hit, error) {
 // all in leg order: inline for one leg, so a store selects straight into
 // the merge; else bounded-parallel (maxLinkFanout) with the caller as one
 // of the workers, so the import costs the slowest leg, not their sum, each
-// leg selecting into its own stretch of one slab.
+// leg selecting into its own stretch of one slab of a pooled fanScratch.
 func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, all []hit) []hit {
 	switch len(legs) {
 	case 0:
@@ -267,28 +268,54 @@ func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, a
 	if k := sub.MaxMatches; k > 0 && k < mergeBuf {
 		w = k + 1
 	}
-	slab := make([]hit, len(legs)*w)
-	// A call carries its leg, so the closure, which escapes, captures calls
-	// alone, and legs and all stay on the caller's stack.
-	type call struct {
-		l    leg
-		hits []hit
-		err  error
+	s := fanScratches.Get().(*fanScratch)
+	s.q, s.sub = q, sub
+	s.slab = slices.Grow(s.slab[:0], len(legs)*w)[:len(legs)*w]
+	s.calls = slices.Grow(s.calls[:0], len(legs))[:len(legs)]
+	for i := range s.calls {
+		s.calls[i] = legCall{l: legs[i], hits: s.slab[i*w : i*w : (i+1)*w]}
 	}
-	calls := make([]call, len(legs))
-	for i := range calls {
-		calls[i] = call{l: legs[i], hits: slab[i*w : i*w : (i+1)*w]}
-	}
-	fanout.Do(len(calls), maxLinkFanout, func(i int) {
-		c := &calls[i]
-		c.hits, c.err = c.l.query(q, sub, c.hits)
-	})
-	for _, c := range calls {
+	fanout.Do(len(legs), maxLinkFanout, s.query)
+	for _, c := range s.calls {
 		res.asked(c.err)
 		all = append(all, c.hits...)
 	}
+	// fanout.Do has returned, so no leg holds the scratch any more. Cleared,
+	// it keeps no offer and no request alive in the pool.
+	clear(s.slab)
+	clear(s.calls)
+	s.q, s.sub = importQuery{}, ImportRequest{}
+	fanScratches.Put(s)
 	return all
 }
+
+// fanScratch is what a multi-leg import's fan-out works in: its query and
+// sub-request, one call per leg, and the slab the legs select into. A pool
+// keeps it between imports, and query, the function each worker runs, is
+// made once with it, so a fan-out allocates none of them.
+type fanScratch struct {
+	q     importQuery
+	sub   ImportRequest
+	calls []legCall
+	slab  []hit
+	query func(i int) // puts the sub-request to calls[i].l
+}
+
+// legCall is one leg of a fan-out and its answer.
+type legCall struct {
+	l    leg
+	hits []hit
+	err  error
+}
+
+var fanScratches = sync.Pool{New: func() any {
+	s := new(fanScratch)
+	s.query = func(i int) {
+		c := &s.calls[i]
+		c.hits, c.err = c.l.query(s.q, s.sub, c.hits)
+	}
+	return s
+}}
 
 // asked counts one leg asked and, if it did not answer, why: either cause
 // marks the view partial.

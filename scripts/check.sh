@@ -374,6 +374,12 @@ echo "== copy-on-write offers (an import copies stored offers after the read loc
 # write is a reported race, or a torn version in an answer.
 go test -race -count=20 -run 'TestModifyDuringMultiLegImport' ./internal/trader/
 
+echo "== constraint memo (two sources sharing one slot, 20 times under the race detector) =="
+# TestMemoSharedSlotRace: eight goroutines parse two sources that hash to
+# one memo slot, so each overwrites the other's entry while the other reads
+# it; every Expr returned must be the one of the source asked for.
+go test -race -count=20 -run 'TestMemoSharedSlotRace' ./internal/constraint/
+
 echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
 # TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
 # concurrent updaters against a retained member that fails once; it must
@@ -426,8 +432,9 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # leaf, mid-level and root import allocations and bytes and their flatness
 # in the number of matches in internal/trader (TestImportAllocBudget), with
 # a lone leg's parity with the bare store
-# (TestLoneLegCostsWhatTheStoreCosts), the parse allocations in
-# internal/constraint (TestParseAllocBudget), the bounded transaction log
+# (TestLoneLegCostsWhatTheStoreCosts), a compilation's allocations and a
+# memo hit's none in internal/constraint (TestParseAllocBudget), the
+# bounded transaction log
 # in internal/transactions (a warmed one-key commit allocating nothing in
 # the log, TestLogAppendSteadyStateAllocatesNothing, and 300,000 deposits
 # within the bound on an arena that stops growing, TestBoundedLogSoak), and
