@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -195,7 +196,9 @@ func TestExprString(t *testing.T) {
 // TestParseAllocBudget: a compilation allocates the Expr and its program,
 // one array of nodes, whatever the expression's size — an identifier or a
 // string keeps its text as written, in the source — and the empty
-// constraint only the Expr; a second Parse of a source the memo keeps
+// constraint only the Expr. A Parse the memo misses allocates the copy of
+// the source it keeps beside the compilation, one more than a compilation
+// (3 for a non-empty source), and a second Parse of a source the memo keeps
 // allocates nothing. The rows are the trader bench's preference and
 // constraint shapes, and one of 59 nodes, too long for the memo.
 func TestParseAllocBudget(t *testing.T) {
@@ -224,6 +227,18 @@ func TestParseAllocBudget(t *testing.T) {
 		})
 		if allocs > c.budget {
 			t.Errorf("compile(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
+		}
+		if c.src != "" && len(c.src) <= memoMaxLen {
+			// Two sources that share a slot evict each other, so every
+			// Parse of either is a miss.
+			other := sharingSlot(t, c.src, func(n int) string { return c.src + " or x" + strconv.Itoa(n) })
+			misses := testing.AllocsPerRun(100, func() {
+				Parse(c.src)
+				Parse(other)
+			}) / 2
+			if misses > c.budget+1 {
+				t.Errorf("Parse(%q) missing the memo = %v allocs, budget %v", c.src, misses, c.budget+1)
+			}
 		}
 		want := 0.0
 		if len(c.src) > memoMaxLen {

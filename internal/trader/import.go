@@ -254,7 +254,7 @@ func (l leg) query(q importQuery, sub ImportRequest, dst []hit) ([]hit, error) {
 // all in leg order: inline for one leg, so a store selects straight into
 // the merge; else bounded-parallel (maxLinkFanout) with the caller as one
 // of the workers, so the import costs the slowest leg, not their sum, each
-// leg selecting into its own stretch of one slab of a pooled fanScratch.
+// leg selecting into its own stretch of one slab of a reused fanScratch.
 func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, all []hit) []hit {
 	switch len(legs) {
 	case 0:
@@ -268,7 +268,7 @@ func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, a
 	if k := sub.MaxMatches; k > 0 && k < mergeBuf {
 		w = k + 1
 	}
-	s := fanScratches.Get().(*fanScratch)
+	s := takeFanScratch()
 	s.q, s.sub = q, sub
 	s.slab = slices.Grow(s.slab[:0], len(legs)*w)[:len(legs)*w]
 	s.calls = slices.Grow(s.calls[:0], len(legs))[:len(legs)]
@@ -281,18 +281,23 @@ func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, a
 		all = append(all, c.hits...)
 	}
 	// fanout.Do has returned, so no leg holds the scratch any more. Cleared,
-	// it keeps no offer and no request alive in the pool.
+	// it keeps no offer and no request alive while it waits to be reused.
 	clear(s.slab)
 	clear(s.calls)
 	s.q, s.sub = importQuery{}, ImportRequest{}
-	fanScratches.Put(s)
+	if len(legs) <= maxLinkFanout {
+		select {
+		case fanScratches <- s:
+		default: // enough wait already
+		}
+	}
 	return all
 }
 
 // fanScratch is what a multi-leg import's fan-out works in: its query and
-// sub-request, one call per leg, and the slab the legs select into. A pool
-// keeps it between imports, and query, the function each worker runs, is
-// made once with it, so a fan-out allocates none of them.
+// sub-request, one call per leg, and the slab the legs select into. It is
+// kept between imports, and query, the function each worker runs, is made
+// once with it, so a fan-out allocates none of them.
 type fanScratch struct {
 	q     importQuery
 	sub   ImportRequest
@@ -308,14 +313,27 @@ type legCall struct {
 	err  error
 }
 
-var fanScratches = sync.Pool{New: func() any {
+// fanScratches keeps up to 8 idle scratches. queryAll puts back only one
+// of at most maxLinkFanout legs, whose slab is at most 16 × 64 hits of
+// 32 B, so what waits here stays under 8 × 33 KiB. Unlike a sync.Pool, it
+// is neither emptied by a GC nor thinned at random under the race
+// detector, so a multi-leg import allocates the same every time.
+var fanScratches = make(chan *fanScratch, 8)
+
+// takeFanScratch returns a kept scratch, or a new one when none waits.
+func takeFanScratch() *fanScratch {
+	select {
+	case s := <-fanScratches:
+		return s
+	default:
+	}
 	s := new(fanScratch)
 	s.query = func(i int) {
 		c := &s.calls[i]
 		c.hits, c.err = c.l.query(s.q, s.sub, c.hits)
 	}
 	return s
-}}
+}
 
 // asked counts one leg asked and, if it did not answer, why: either cause
 // marks the view partial.

@@ -617,28 +617,23 @@ func importOnce(t *testing.T, front *ShardedTrader, serviceType, constraint stri
 // allocs_per_op and alloc_bytes_per_op: an import copies only the offers
 // it returns, once, so what it allocates depends on how many shards it
 // asks — a leaf type's one, a mid-level type's three buckets, a root's ten
-// — and not on how many offers match. A leg answers by reference, and the
-// constraint and the preference come from the parse memo, so a one-leg
-// import allocates only the ten offers it returns (1,680 B) and a
-// multi-leg one beside them only its fan-out's goroutines; the slab its
-// legs select into is pooled. Under the race detector sync.Pool drops
-// entries at random, so the multi-leg rows skip there.
+// — and not on how many offers match. A leg answers by reference, the
+// constraint and the preference come from the parse memo, and a multi-leg
+// fan-out reuses its scratch, so a one-leg import allocates only the ten
+// offers it returns (1,680 B) and a multi-leg one beside them only its
+// fan-out's goroutines.
 func TestImportAllocBudget(t *testing.T) {
 	front := benchShaped(t, 10_000)
 	const constraint = "load < 90 and region != 'fr'"
 	for _, row := range []struct {
 		name, serviceType string
 		allocs, bytes     float64
-		pooled            bool
 	}{
-		{"leaf", "SvcL0", 2, 2_000, false},     // 1 and 1,792 B: one shard, asked inline
-		{"mid-level", "SvcM0", 4, 2_050, true}, // 3 and 1,856 B: three buckets on two shards
-		{"root", "SvcR0", 6, 2_100, true},      // 5 and 1,888 B: four shards
+		{"leaf", "SvcL0", 2, 2_000},      // 1 and 1,792 B: one shard, asked inline
+		{"mid-level", "SvcM0", 4, 2_050}, // 3 and 1,856 B: three buckets on two shards
+		{"root", "SvcR0", 6, 2_100},      // 5 and 1,888 B: four shards
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			if row.pooled && raceEnabled {
-				t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
-			}
 			if allocs := importAllocs(t, front, row.serviceType, constraint); allocs > row.allocs {
 				t.Errorf("%s import = %v allocs, budget %v", row.serviceType, allocs, row.allocs)
 			}
@@ -648,9 +643,6 @@ func TestImportAllocBudget(t *testing.T) {
 		})
 	}
 	t.Run("flat in matches", func(t *testing.T) {
-		if raceEnabled {
-			t.Skip("under the race detector sync.Pool drops entries at random, so allocation counts vary")
-		}
 		small, large := importAllocs(t, benchShaped(t, 2_000), "SvcR0", ""), importAllocs(t, front, "SvcR0", "")
 		if small != large {
 			t.Errorf("root import = %v allocs over 2,000 offers, %v over 10,000", small, large)
@@ -658,28 +650,38 @@ func TestImportAllocBudget(t *testing.T) {
 	})
 }
 
-// TestPooledFanOutKeepsNothing: once a multi-leg import has merged, the
-// fan-out scratch it hands back to the pool holds no hit, no leg and no
-// request, so a pooled slab keeps no offer alive. The scratch the pool
-// hands out next is, barring a GC or a move to another P, the one the
-// import put back.
-func TestPooledFanOutKeepsNothing(t *testing.T) {
+// TestFanScratchKeepsNothing: once a multi-leg import has merged, every
+// fan-out scratch waiting to be reused holds no hit, no leg and no
+// request, so a kept slab keeps no offer alive.
+func TestFanScratchKeepsNothing(t *testing.T) {
 	front := benchShaped(t, 2_000)
 	importOnce(t, front, "SvcR0", "load < 90")()
-	s := fanScratches.Get().(*fanScratch)
-	defer fanScratches.Put(s)
-	for i, h := range s.slab[:cap(s.slab)] {
-		if h != (hit{}) {
-			t.Fatalf("slab[%d] = %+v after the merge", i, h)
-		}
+	var kept []*fanScratch
+	for len(fanScratches) > 0 {
+		kept = append(kept, <-fanScratches)
 	}
-	for i, c := range s.calls[:cap(s.calls)] {
-		if c.l != (leg{}) || c.hits != nil || c.err != nil {
-			t.Fatalf("calls[%d] = %+v after the merge", i, c)
+	defer func() {
+		for _, s := range kept {
+			fanScratches <- s
 		}
+	}()
+	if len(kept) == 0 {
+		t.Fatal("a multi-leg import kept no scratch")
 	}
-	if s.q != (importQuery{}) || s.sub != (ImportRequest{}) {
-		t.Errorf("the scratch keeps the import's query or request: %+v, %+v", s.q, s.sub)
+	for _, s := range kept {
+		for i, h := range s.slab[:cap(s.slab)] {
+			if h != (hit{}) {
+				t.Fatalf("slab[%d] = %+v after the merge", i, h)
+			}
+		}
+		for i, c := range s.calls[:cap(s.calls)] {
+			if c.l != (leg{}) || c.hits != nil || c.err != nil {
+				t.Fatalf("calls[%d] = %+v after the merge", i, c)
+			}
+		}
+		if s.q != (importQuery{}) || s.sub != (ImportRequest{}) {
+			t.Errorf("a scratch keeps the import's query or request: %+v, %+v", s.q, s.sub)
+		}
 	}
 }
 
