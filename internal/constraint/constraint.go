@@ -30,11 +30,15 @@
 // Parse memoises what it compiles. A source of at most 128 bytes is looked
 // up, by its text, in a direct-mapped table of 1,024 slots, and a hit
 // returns the Expr compiled for it before, which is immutable and so shared
-// by every caller. A source that collides with another takes its slot, a
-// syntax error is never kept, and a longer source is compiled on every
-// call. A slot holds at most a 48-byte Expr, its own copy of the source
-// and a program of one 40-byte node per byte of it, so the table never
-// keeps more than 1,024 × (48 + 128 + 128 × 40) B, about 5.2 MiB.
+// by every caller. A source is kept on its second sight: each slot also
+// remembers the 4-byte hash of the last source that missed it, and a miss
+// that does not match it is compiled, not kept, so a source that never
+// recurs costs no more than a compilation and displaces nothing. A source
+// seen again takes the slot from whichever held it, a syntax error is
+// never kept, and a longer source is compiled on every call. A slot holds
+// at most a 48-byte Expr, its own copy of the source and a program of one
+// 40-byte node per byte of it, so the table never keeps more than
+// 1,024 × (4 + 48 + 128 + 128 × 40) B, about 5.2 MiB.
 package constraint
 
 import (
@@ -85,15 +89,19 @@ const (
 	memoMaxLen = 128  // bytes of source
 )
 
-var memo [memoSlots]atomic.Pointer[Expr]
+var (
+	memo [memoSlots]atomic.Pointer[Expr]
+	// missed holds, per slot, the hash of the last source that missed it.
+	missed [memoSlots]atomic.Uint32
+)
 
-// memoSlot is the slot of src: an FNV-1a hash of it.
-func memoSlot(src string) *atomic.Pointer[Expr] {
+// memoHash is the FNV-1a hash of src; its low bits are src's slot.
+func memoHash(src string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(src); i++ {
 		h = (h ^ uint32(src[i])) * 16777619
 	}
-	return &memo[h&(memoSlots-1)]
+	return h
 }
 
 // Parse compiles a constraint expression, or returns the compilation of
@@ -103,16 +111,20 @@ func Parse(src string) (*Expr, error) {
 	if len(src) > memoMaxLen {
 		return compile(src)
 	}
-	slot := memoSlot(src)
-	if e := slot.Load(); e != nil && e.src == src {
+	h := memoHash(src)
+	slot := h & (memoSlots - 1)
+	if e := memo[slot].Load(); e != nil && e.src == src {
 		return e, nil
+	}
+	if missed[slot].Swap(h) != h {
+		return compile(src) // a first sight, as far as the slot remembers
 	}
 	// The program's identifiers and strings point into its source, so the
 	// memo compiles a copy of it: a kept Expr holds no larger string the
 	// caller cut src from.
 	e, err := compile(strings.Clone(src))
 	if err == nil {
-		slot.Store(e)
+		memo[slot].Store(e)
 	}
 	return e, err
 }

@@ -196,11 +196,12 @@ func TestExprString(t *testing.T) {
 // TestParseAllocBudget: a compilation allocates the Expr and its program,
 // one array of nodes, whatever the expression's size — an identifier or a
 // string keeps its text as written, in the source — and the empty
-// constraint only the Expr. A Parse the memo misses allocates the copy of
-// the source it keeps beside the compilation, one more than a compilation
-// (3 for a non-empty source), and a second Parse of a source the memo keeps
-// allocates nothing. The rows are the trader bench's preference and
-// constraint shapes, and one of 59 nodes, too long for the memo.
+// constraint only the Expr. A Parse that misses the memo on a source's
+// first sight allocates what a compilation does; on its second sight it
+// also allocates the copy of the source it keeps (3 for a non-empty
+// source); and a Parse of a source the memo keeps allocates nothing. The
+// rows are the trader bench's preference and constraint shapes, and one
+// of 59 nodes, too long for the memo.
 func TestParseAllocBudget(t *testing.T) {
 	wide := strings.TrimSuffix(strings.Repeat("(load < 42 or load > 57) and region != 'fr' or ", 5), " or ")
 	for _, c := range []struct {
@@ -229,21 +230,34 @@ func TestParseAllocBudget(t *testing.T) {
 			t.Errorf("compile(%q) = %v allocs, budget %v", c.src, allocs, c.budget)
 		}
 		if c.src != "" && len(c.src) <= memoMaxLen {
-			// Two sources that share a slot evict each other, so every
-			// Parse of either is a miss.
+			// Two sources that share a slot and alternate are each a first
+			// sight every time, so every Parse of either compiles and
+			// keeps nothing. Two that come twice in turn are each kept on
+			// their second sight and evict each other, so each Parse
+			// misses, every other one copying its source.
 			other := sharingSlot(t, c.src, func(n int) string { return c.src + " or x" + strconv.Itoa(n) })
-			misses := testing.AllocsPerRun(100, func() {
+			firsts := testing.AllocsPerRun(100, func() {
 				Parse(c.src)
 				Parse(other)
 			}) / 2
-			if misses > c.budget+1 {
-				t.Errorf("Parse(%q) missing the memo = %v allocs, budget %v", c.src, misses, c.budget+1)
+			if firsts > c.budget {
+				t.Errorf("Parse(%q) on a first sight = %v allocs, budget %v", c.src, firsts, c.budget)
+			}
+			pairs := testing.AllocsPerRun(100, func() {
+				Parse(c.src)
+				Parse(c.src)
+				Parse(other)
+				Parse(other)
+			}) / 2
+			if pairs > 2*c.budget+1 {
+				t.Errorf("Parse(%q) on a first and a second sight = %v allocs, budget %v", c.src, pairs, 2*c.budget+1)
 			}
 		}
 		want := 0.0
 		if len(c.src) > memoMaxLen {
 			want = allocs
 		}
+		Parse(c.src) // a first sight; AllocsPerRun's warm-up is the second
 		if allocs := testing.AllocsPerRun(100, func() { Parse(c.src) }); allocs != want {
 			t.Errorf("Parse(%q) = %v allocs, want %v", c.src, allocs, want)
 		}

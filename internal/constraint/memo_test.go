@@ -12,12 +12,15 @@ import (
 	"repro/internal/values"
 )
 
+// slotOf is src's memo slot.
+func slotOf(src string) uint32 { return memoHash(src) & (memoSlots - 1) }
+
 // sharingSlot returns a source, made by mk from some n > 0, whose memo slot
 // is the one of src.
 func sharingSlot(t *testing.T, src string, mk func(n int) string) string {
 	t.Helper()
 	for n := 1; n < 1<<20; n++ {
-		if other := mk(n); other != src && memoSlot(other) == memoSlot(src) {
+		if other := mk(n); other != src && slotOf(other) == slotOf(src) {
 			return other
 		}
 	}
@@ -94,12 +97,15 @@ func TestMemoSharedSlotRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMemoBound: a source of memoMaxLen bytes is kept and one byte longer
-// is compiled afresh on every call, and what a kept slot holds is within
-// the package comment's bound — a 48-byte Expr, the source, and at most
-// one 40-byte node per byte of it, which the longest kept chain of
-// one-byte operands reaches within a byte.
+// TestMemoBound: a source of memoMaxLen bytes is kept on its second
+// sight and one byte longer is compiled afresh on every call, and what a
+// kept slot holds is within the package comment's bound — a 4-byte hash,
+// a 48-byte Expr, the source, and at most one 40-byte node per byte of it,
+// which the longest kept chain of one-byte operands reaches within a byte.
 func TestMemoBound(t *testing.T) {
+	if s := unsafe.Sizeof(missed[0]); s != 4 {
+		t.Errorf("a missed hash is %d bytes, the bound says 4", s)
+	}
 	if s := unsafe.Sizeof(Expr{}); s != 48 {
 		t.Errorf("an Expr is %d bytes, the bound says 48", s)
 	}
@@ -108,19 +114,44 @@ func TestMemoBound(t *testing.T) {
 	}
 	chain := strings.Repeat("1+", (memoMaxLen-1)/2) + "1"
 	kept := chain + strings.Repeat(" ", memoMaxLen-len(chain))
-	e1, err := Parse(kept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2, _ := Parse(kept); e2 != e1 {
-		t.Errorf("a %d-byte source was compiled twice", len(kept))
+	mustParse(t, kept)
+	e1 := mustParse(t, kept)
+	if e2 := mustParse(t, kept); e2 != e1 {
+		t.Errorf("a %d-byte source was compiled three times", len(kept))
 	}
 	if n := cap(e1.prog); n > len(kept) || n < len(kept)-1 {
 		t.Errorf("a %d-byte source kept %d nodes", len(kept), n)
 	}
 	long := kept + " "
-	if e1, e2 := mustParse(t, long), mustParse(t, long); e1 == e2 {
+	if e1, e2, e3 := mustParse(t, long), mustParse(t, long), mustParse(t, long); e1 == e2 || e2 == e3 {
 		t.Errorf("a %d-byte source was kept", len(long))
+	}
+}
+
+// TestMemoKeepsASecondSight: a source parsed once is compiled and not
+// kept, so it leaves the source its slot holds in place; parsed a second
+// time, it is kept and takes the slot.
+func TestMemoKeepsASecondSight(t *testing.T) {
+	const held = "load < 4217 and region == 'kept'"
+	once := sharingSlot(t, held, func(n int) string { return "load < " + strconv.Itoa(n) })
+	mustParse(t, held)
+	h := mustParse(t, held)
+	if memo[slotOf(held)].Load() != h {
+		t.Fatalf("%q parsed twice is not kept", held)
+	}
+	e1 := mustParse(t, once)
+	if memo[slotOf(once)].Load() != h || mustParse(t, held) != h {
+		t.Errorf("%q parsed once displaced %q", once, held)
+	}
+	e2 := mustParse(t, once)
+	if e2 == e1 {
+		t.Errorf("%q parsed once was kept", once)
+	}
+	if memo[slotOf(once)].Load() != e2 || mustParse(t, once) != e2 {
+		t.Errorf("%q parsed twice is not kept", once)
+	}
+	if h2 := mustParse(t, held); h2 == h {
+		t.Errorf("%q kept its slot after %q took it", held, once)
 	}
 }
 
@@ -139,13 +170,14 @@ func mustParse(t *testing.T, src string) *Expr {
 func TestMemoKeepsNoError(t *testing.T) {
 	const good = "cost"
 	bad := sharingSlot(t, good, func(n int) string { return "(" + strconv.Itoa(n) })
+	mustParse(t, good)
 	e := mustParse(t, good)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if got, err := Parse(bad); got != nil || !errors.Is(err, ErrSyntax) {
 			t.Fatalf("Parse(%q) = %v, %v; want ErrSyntax", bad, got, err)
 		}
 	}
-	if memoSlot(good).Load() != e || mustParse(t, good) != e {
+	if memo[slotOf(good)].Load() != e || mustParse(t, good) != e {
 		t.Errorf("a refused source displaced %q from its slot", good)
 	}
 }

@@ -619,9 +619,9 @@ func importOnce(t *testing.T, front *ShardedTrader, serviceType, constraint stri
 // asks — a leaf type's one, a mid-level type's three buckets, a root's ten
 // — and not on how many offers match. A leg answers by reference, the
 // constraint and the preference come from the parse memo, and a multi-leg
-// fan-out reuses its scratch, so a one-leg import allocates only the ten
-// offers it returns (1,680 B) and a multi-leg one beside them only its
-// fan-out's goroutines.
+// fan-out reuses its scratch and hands its legs to parked workers, so
+// every import allocates only the ten offers it returns (1,680 B), in one
+// slice, whichever row and under -race too.
 func TestImportAllocBudget(t *testing.T) {
 	front := benchShaped(t, 10_000)
 	const constraint = "load < 90 and region != 'fr'"
@@ -629,9 +629,9 @@ func TestImportAllocBudget(t *testing.T) {
 		name, serviceType string
 		allocs, bytes     float64
 	}{
-		{"leaf", "SvcL0", 2, 2_000},      // 1 and 1,792 B: one shard, asked inline
-		{"mid-level", "SvcM0", 4, 2_050}, // 3 and 1,856 B: three buckets on two shards
-		{"root", "SvcR0", 6, 2_100},      // 5 and 1,888 B: four shards
+		{"leaf", "SvcL0", 1, 2_000},      // 1 and 1,792 B, the answer: one shard, asked inline
+		{"mid-level", "SvcM0", 1, 2_050}, // 1 and 1,792 B, the answer: three buckets on two shards
+		{"root", "SvcR0", 1, 2_100},      // 1 and 1,792 B, the answer: four shards
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if allocs := importAllocs(t, front, row.serviceType, constraint); allocs > row.allocs {
@@ -690,27 +690,29 @@ func TestFanScratchKeepsNothing(t *testing.T) {
 // and no per-leg answers — so it allocates exactly what the bare store
 // does: at a one-shard front-end over the store's own offers, and at the
 // bench-shaped four-shard one for every type whose closure one shard holds.
+// A multi-leg import, whose scratch is reused and whose legs run on parked
+// workers, allocates exactly what a bare store of every offer does.
 func TestLoneLegCostsWhatTheStoreCosts(t *testing.T) {
 	const constraint = "load < 90 and region != 'fr'"
 	four := benchShaped(t, 2_000)
-	t.Run("one shard", func(t *testing.T) {
-		bare := New("bare", four.types)
-		one := NewSharded("one", four.types, 0)
-		if err := one.AddShard("one-0", New("one-0", four.types)); err != nil {
-			t.Fatal(err)
-		}
-		for _, leg := range four.part.View().Members() {
-			for _, bucket := range leg.shard.(*Trader).buckets {
-				for _, e := range bucket {
-					if err := bare.Install(*e.offer); err != nil {
-						t.Fatal(err)
-					}
-					if err := one.Install(*e.offer); err != nil {
-						t.Fatal(err)
-					}
+	bare := New("bare", four.types)
+	one := NewSharded("one", four.types, 0)
+	if err := one.AddShard("one-0", New("one-0", four.types)); err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range four.part.View().Members() {
+		for _, bucket := range leg.shard.(*Trader).buckets {
+			for _, e := range bucket {
+				if err := bare.Install(*e.offer); err != nil {
+					t.Fatal(err)
+				}
+				if err := one.Install(*e.offer); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
+	}
+	t.Run("one shard", func(t *testing.T) {
 		for _, typ := range []string{"SvcL0", "SvcM0", "SvcR0"} {
 			if got, want := importAllocs(t, one, typ, constraint), storeAllocs(t, bare, typ, constraint); got != want {
 				t.Errorf("%s: one-shard front-end = %v allocs, the store %v", typ, got, want)
@@ -718,10 +720,15 @@ func TestLoneLegCostsWhatTheStoreCosts(t *testing.T) {
 		}
 	})
 	t.Run("four shards", func(t *testing.T) {
-		lone := 0
+		lone, multi := 0, 0
 		for typ := range four.advertised {
 			_, oldLegs, curLegs := four.targetShards(typ, nil)
 			if len(oldLegs)+len(curLegs) != 1 {
+				multi++
+				if got, want := importAllocs(t, four, typ, constraint), storeAllocs(t, bare, typ, constraint); got != want {
+					t.Errorf("%s: four-shard front-end over %d legs = %v allocs, the store of every offer %v",
+						typ, len(oldLegs)+len(curLegs), got, want)
+				}
 				continue
 			}
 			lone++
@@ -729,8 +736,8 @@ func TestLoneLegCostsWhatTheStoreCosts(t *testing.T) {
 				t.Errorf("%s: four-shard front-end = %v allocs, its one shard %v", typ, got, want)
 			}
 		}
-		if lone < 30 { // the 30 leaves at least
-			t.Errorf("%d of 50 types land on one shard", lone)
+		if lone < 30 || multi == 0 { // the 30 leaves at least, and the roots
+			t.Errorf("%d of 50 types land on one shard, %d on more", lone, multi)
 		}
 	})
 }

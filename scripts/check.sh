@@ -380,6 +380,15 @@ echo "== constraint memo (two sources sharing one slot, 20 times under the race 
 # it; every Expr returned must be the one of the source asked for.
 go test -race -count=20 -run 'TestMemoSharedSlotRace' ./internal/constraint/
 
+echo "== fan-out workers (parked, reused and retired; 20 times under the race detector) =="
+# TestDo and TestDoBackToBack: every index once and at most limit calls in
+# flight, over workers and pools earlier fan-outs parked and kept.
+# TestDoNested: a fan-out inside a fan-out finishes. TestDoIdleWorkersExit:
+# at most maxParked workers park and all exit once idle (1–2 s a run).
+# TestDoWarmAllocatesNothing and TestDoFreeListKeepsNoFn: a warm fan-out
+# allocates nothing, and a kept pool holds no fn.
+go test -race -count=20 -run 'TestDo' ./internal/fanout/
+
 echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
 # TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
 # concurrent updaters against a retained member that fails once; it must
@@ -431,9 +440,10 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # the flat allocations beside 255 sibling bindings in internal/channel, the
 # leaf, mid-level and root import allocations and bytes and their flatness
 # in the number of matches in internal/trader (TestImportAllocBudget), with
-# a lone leg's parity with the bare store
+# a lone leg's and a multi-leg fan-out's parity with the bare store
 # (TestLoneLegCostsWhatTheStoreCosts), a compilation's allocations and a
-# memo hit's none in internal/constraint (TestParseAllocBudget), the
+# memo hit's none in internal/constraint (TestParseAllocBudget), a warm
+# fan-out's none in internal/fanout (TestDoWarmAllocatesNothing), the
 # bounded transaction log
 # in internal/transactions (a warmed one-key commit allocating nothing in
 # the log, TestLogAppendSteadyStateAllocatesNothing, and 300,000 deposits
