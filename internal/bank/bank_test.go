@@ -210,6 +210,52 @@ func TestBranchErrorCases(t *testing.T) {
 	}
 }
 
+// TestOnlyMintedIdsNameAccounts: an account is stored under the id the
+// branch mints, beside the account counter, so an id of any other form —
+// the counter's own key, the "acct/" layout of old, the empty id, the bare
+// prefix — names no account. Every teller, manager and loans-officer
+// operation answers it "no such account" and leaves the store as it was,
+// and the next id minted is still the next one.
+func TestOnlyMintedIdsNameAccounts(t *testing.T) {
+	f := deployFigure2(t)
+	if _, res := call(t, f.manager, "CreateAccount", str("alice")); !res[0].Equal(str("acct-1")) {
+		t.Fatalf("first account = %v, want acct-1", res[0])
+	}
+	call(t, f.teller, "Deposit", str("alice"), str("acct-1"), amt(100))
+	before := f.store.Snapshot()
+	for _, id := range []string{"meta/next_account", "acct/acct-1", "", "acct-"} {
+		for _, c := range []struct {
+			b    *channel.Binding
+			op   string
+			args []values.Value
+		}{
+			{f.teller, "Deposit", []values.Value{str("alice"), str(id), amt(1)}},
+			{f.teller, "Withdraw", []values.Value{str("alice"), str(id), amt(1)}},
+			{f.teller, "Balance", []values.Value{str("alice"), str(id)}},
+			{f.manager, "CloseAccount", []values.Value{str(id)}},
+			{f.manager, "ResetDay", []values.Value{str(id)}},
+			{f.loans, "ApproveLoan", []values.Value{str("alice"), str(id), amt(1)}},
+		} {
+			term, res := call(t, c.b, c.op, c.args...)
+			if term != "Error" || len(res) != 1 || !res[0].Equal(str("no such account: "+id)) {
+				t.Errorf("%s(%q) = %q %v, want no such account", c.op, id, term, res)
+			}
+		}
+	}
+	after := f.store.Snapshot()
+	if len(after) != len(before) {
+		t.Errorf("store holds %d keys, had %d: %v", len(after), len(before), after)
+	}
+	for k, v := range before {
+		if !after[k].Equal(v) {
+			t.Errorf("store[%q] = %v, was %v", k, after[k], v)
+		}
+	}
+	if _, res := call(t, f.manager, "CreateAccount", str("bob")); !res[0].Equal(str("acct-2")) {
+		t.Errorf("second account = %v, want acct-2", res[0])
+	}
+}
+
 func TestConcurrentCustomersConserveMoney(t *testing.T) {
 	// Many customers hammer one account pair with transfers composed of
 	// Withdraw+Deposit in application code; the ACID refinement keeps each

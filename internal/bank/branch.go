@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/channel"
 	"repro/internal/engineering"
@@ -64,7 +66,29 @@ const (
 	fieldOwner     = "owner"
 )
 
-func accountKey(a string) string { return "acct/" + a }
+// accountPrefix begins every account id the branch mints: "acct-1",
+// "acct-2", … An account is stored under its id, beside the counter
+// nextAccount, so an operation refuses an id of any other form before it
+// reads the store: no key a client names reaches the counter.
+const (
+	accountPrefix = "acct-"
+	nextAccount   = "meta/next_account"
+)
+
+// minted reports whether a has the form of an id the branch mints: the
+// prefix and a decimal counter.
+func minted(a string) bool {
+	n, ok := strings.CutPrefix(a, accountPrefix)
+	if !ok || n == "" {
+		return false
+	}
+	for i := 0; i < len(n); i++ {
+		if n[i] < '0' || n[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
 
 // Invoke dispatches the branch operations. It expects the ambient
 // transaction installed by the Transactional refinement.
@@ -99,10 +123,13 @@ type account struct {
 	owner     string
 }
 
-// load reads the account stored under key (an accountKey value, computed
-// once per operation so load/save pairs share it).
-func (b *Branch) load(tx *transactions.Tx, key string) (account, error) {
-	v, err := tx.Read(b.store, key)
+// load reads the account stored under its id. An id the branch never
+// mints names no account, whatever the store holds under it.
+func (b *Branch) load(tx *transactions.Tx, id string) (account, error) {
+	if !minted(id) {
+		return account{}, transactions.ErrNotFound
+	}
+	v, err := tx.Read(b.store, id)
 	if err != nil {
 		return account{}, err
 	}
@@ -122,11 +149,11 @@ func (b *Branch) load(tx *transactions.Tx, key string) (account, error) {
 	return a, nil
 }
 
-func (b *Branch) save(tx *transactions.Tx, key string, a account) error {
+func (b *Branch) save(tx *transactions.Tx, id string, a account) error {
 	// The field slice is built solely for this record, so handing over
 	// ownership (no defensive copy) is safe and saves an allocation on the
 	// hottest write path in the repository.
-	return tx.Write(b.store, key, values.RecordOwned([]values.Field{
+	return tx.Write(b.store, id, values.RecordOwned([]values.Field{
 		values.F(fieldBalance, values.Int(a.balance)),
 		values.F(fieldWithdrawn, values.Int(a.withdrawn)),
 		values.F(fieldOpen, values.Bool(a.open)),
@@ -144,8 +171,7 @@ func (b *Branch) deposit(tx *transactions.Tx, args []values.Value) (string, []va
 	if d <= 0 {
 		return errorTerm("deposit amount must be positive")
 	}
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
@@ -155,7 +181,7 @@ func (b *Branch) deposit(tx *transactions.Tx, args []values.Value) (string, []va
 		return errorTerm("account closed: " + a)
 	}
 	acct.balance += d
-	if err := b.save(tx, key, acct); err != nil {
+	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
 	return "OK", []values.Value{values.Int(acct.balance)}, nil
@@ -167,8 +193,7 @@ func (b *Branch) withdraw(tx *transactions.Tx, args []values.Value) (string, []v
 	if d <= 0 {
 		return errorTerm("withdrawal amount must be positive")
 	}
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
@@ -188,7 +213,7 @@ func (b *Branch) withdraw(tx *transactions.Tx, args []values.Value) (string, []v
 	}
 	acct.balance -= d
 	acct.withdrawn += d
-	if err := b.save(tx, key, acct); err != nil {
+	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
 	return "OK", []values.Value{values.Int(acct.balance)}, nil
@@ -196,8 +221,7 @@ func (b *Branch) withdraw(tx *transactions.Tx, args []values.Value) (string, []v
 
 func (b *Branch) balance(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[1].AsString()
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
@@ -207,14 +231,14 @@ func (b *Branch) balance(tx *transactions.Tx, args []values.Value) (string, []va
 func (b *Branch) createAccount(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	c, _ := args[0].AsString()
 	next := int64(1)
-	if v, err := tx.Read(b.store, "meta/next_account"); err == nil {
+	if v, err := tx.Read(b.store, nextAccount); err == nil {
 		next, _ = v.AsInt()
 	}
-	id := fmt.Sprintf("acct-%d", next)
-	if err := tx.Write(b.store, "meta/next_account", values.Int(next+1)); err != nil {
+	id := accountPrefix + strconv.FormatInt(next, 10)
+	if err := tx.Write(b.store, nextAccount, values.Int(next+1)); err != nil {
 		return "", nil, err
 	}
-	if err := b.save(tx, accountKey(id), account{open: true, owner: c}); err != nil {
+	if err := b.save(tx, id, account{open: true, owner: c}); err != nil {
 		return "", nil, err
 	}
 	return "OK", []values.Value{values.Str(id)}, nil
@@ -222,13 +246,12 @@ func (b *Branch) createAccount(tx *transactions.Tx, args []values.Value) (string
 
 func (b *Branch) closeAccount(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[0].AsString()
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
 	acct.open = false
-	if err := b.save(tx, key, acct); err != nil {
+	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
 	return "OK", nil, nil
@@ -236,13 +259,12 @@ func (b *Branch) closeAccount(tx *transactions.Tx, args []values.Value) (string,
 
 func (b *Branch) resetDay(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[0].AsString()
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
 	acct.withdrawn = 0
-	if err := b.save(tx, key, acct); err != nil {
+	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
 	return "OK", nil, nil
@@ -254,8 +276,7 @@ func (b *Branch) approveLoan(tx *transactions.Tx, args []values.Value) (string, 
 	if amount <= 0 {
 		return errorTerm("loan amount must be positive")
 	}
-	key := accountKey(a)
-	acct, err := b.load(tx, key)
+	acct, err := b.load(tx, a)
 	if err != nil {
 		return errorTerm("no such account: " + a)
 	}
@@ -267,7 +288,7 @@ func (b *Branch) approveLoan(tx *transactions.Tx, args []values.Value) (string, 
 		return "Declined", []values.Value{values.Str("amount exceeds credit limit")}, nil
 	}
 	acct.balance += amount
-	if err := b.save(tx, key, acct); err != nil {
+	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
 	return "OK", []values.Value{values.Int(acct.balance)}, nil

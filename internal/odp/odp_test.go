@@ -221,35 +221,36 @@ func tellerCost(t *testing.T, op string, amount ...values.Value) (allocs, bytes 
 }
 
 // TestE2DepositAllocBudget keeps the single-binding hot path to what an
-// invocation hands on: the client's copy of its results, the store key,
-// the result and, for a write, the record (4, and 1 spare). The server
+// invocation hands on: the client's copy of its results, the servant's
+// result slice and, for a write, the record (3, and 1 spare). The server
 // reads the call's arguments from the request message's own buffer, the
-// Tx is recycled, the lone branch store commits in one phase with no
-// decision entry, and the log copies the write set into an arena its
-// checkpoints reuse, so none of them adds anything. At 40-byte values
-// that is 336 B (400 with spare, under the 464 B a freshly allocated
-// argument slice would cost).
+// branch stores the account under the id the call names, the Tx is
+// recycled, the lone branch store commits in one phase with no decision
+// entry, and the log copies the write set into an arena its checkpoints
+// reuse, so none of them adds anything. At 40-byte values that is 320 B
+// (384 with spare, under the 448 B a freshly allocated argument slice
+// would cost).
 func TestE2DepositAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Deposit", values.Int(1))
-	if allocs > 5 {
-		t.Errorf("E2 deposit = %d allocs/op, budget 5", allocs)
+	if allocs > 4 {
+		t.Errorf("E2 deposit = %d allocs/op, budget 4", allocs)
 	}
-	if bytes > 400 {
-		t.Errorf("E2 deposit = %d B/op, budget 400", bytes)
+	if bytes > 384 {
+		t.Errorf("E2 deposit = %d B/op, budget 384", bytes)
 	}
 }
 
-// TestE2BalanceAllocBudget: a read pays the same less the write's record
-// (3, and 1 spare) — no log record, no decision entry, no commit
-// machinery — and 112 B (140 with spare, under the 192 B a freshly
-// allocated argument slice would cost).
+// TestE2BalanceAllocBudget: a read pays the client's copy of its results
+// and the servant's result slice (2, and 1 spare) — no record, no log
+// record, no decision entry, no commit machinery — and 96 B (124 with
+// spare, under the 176 B a freshly allocated argument slice would cost).
 func TestE2BalanceAllocBudget(t *testing.T) {
 	allocs, bytes := tellerCost(t, "Balance")
-	if allocs > 4 {
-		t.Errorf("E2 balance = %d allocs/op, budget 4", allocs)
+	if allocs > 3 {
+		t.Errorf("E2 balance = %d allocs/op, budget 3", allocs)
 	}
-	if bytes > 140 {
-		t.Errorf("E2 balance = %d B/op, budget 140", bytes)
+	if bytes > 124 {
+		t.Errorf("E2 balance = %d B/op, budget 124", bytes)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -124,10 +125,14 @@ type ImportResult struct {
 
 // entry is one stored offer plus its export sequence number, which
 // recovers the global export order when matches from several buckets are
-// merged.
+// merged. An entry is allocated with the offer it was inserted with:
+// offer points at born until a Modify points it at a fresh copy. born is
+// never written once the entry is stored, so a modified entry keeps its
+// first offer until it is withdrawn.
 type entry struct {
 	offer *Offer
 	seq   uint64
+	born  Offer
 }
 
 // Trader is a repository of service offers with type-checked matching: the
@@ -162,7 +167,7 @@ func New(name string, repo typerepo.Repository) *Trader {
 // none). The advertised type and the interface's actual type must both be
 // registered, and the actual type must substitute for the advertised one.
 func (t *Trader) Export(serviceType string, ref naming.InterfaceRef, props values.Value) (string, error) {
-	return t.insert(&Offer{ServiceType: serviceType, Ref: ref, Properties: props})
+	return t.insert(Offer{ServiceType: serviceType, Ref: ref, Properties: props})
 }
 
 // Install inserts an offer under its existing identity. Where Export
@@ -175,7 +180,7 @@ func (t *Trader) Install(o Offer) error {
 	if o.ID == "" {
 		return fmt.Errorf("%w: install needs an offer id", ErrBadRequest)
 	}
-	_, err := t.insert(&o)
+	_, err := t.insert(o)
 	return err
 }
 
@@ -191,11 +196,10 @@ func recordProps(props *values.Value) error {
 	return nil
 }
 
-// insert type-checks an offer and stores it — the trader keeps o — at the
-// end of the export order: under its own id, replacing whatever held it,
-// or — when it has none yet — under a freshly minted one. It returns the
-// id.
-func (t *Trader) insert(o *Offer) (string, error) {
+// insert type-checks an offer and stores a copy of it at the end of the
+// export order: under its own id, replacing whatever held it, or — when it
+// has none yet — under a freshly minted one. It returns the id.
+func (t *Trader) insert(o Offer) (string, error) {
 	if err := recordProps(&o.Properties); err != nil {
 		return "", err
 	}
@@ -211,21 +215,23 @@ func (t *Trader) insert(o *Offer) (string, error) {
 			return "", fmt.Errorf("%w: %q as %q", ErrTypeMismatch, o.Ref.TypeName, o.ServiceType)
 		}
 	}
+	e := &entry{born: o}
+	e.offer = &e.born
 	t.mu.Lock()
 	t.nextID++
+	e.seq = t.nextID
 	if o.ID == "" {
-		o.ID = fmt.Sprintf("%s/%d", t.name, t.nextID)
+		var buf [48]byte
+		e.born.ID = string(strconv.AppendUint(append(append(buf[:0], t.name...), '/'), e.seq, 10))
 	} else if old, ok := t.offers[o.ID]; ok {
 		t.removeLocked(old)
 	}
-	id := o.ID // o is shared once stored
-	e := &entry{offer: o, seq: t.nextID}
-	t.offers[id] = e
+	t.offers[e.born.ID] = e
 	// A brand-new bucket type grows the universe the closure memo is
 	// versioned by, which is all the invalidation it needs.
 	t.buckets[o.ServiceType] = append(t.buckets[o.ServiceType], e)
 	t.mu.Unlock()
-	return id, nil
+	return e.born.ID, nil
 }
 
 // removeLocked unlinks an entry from the offer map and its bucket. Caller

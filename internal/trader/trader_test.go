@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -292,6 +293,38 @@ func TestWithdrawAndModify(t *testing.T) {
 	}
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
+	}
+}
+
+// TestExportAllocBudget: a warmed export allocates its entry, which holds
+// the offer, and its "<trader>/<seq>" id — 2, under -race too — whether the
+// interface offered is of the service type or of a subtype. A withdraw after
+// each export keeps the offer map and the bucket at the size the warm-up
+// grew them to.
+func TestExportAllocBudget(t *testing.T) {
+	for _, offered := range []string{"BankTeller", "BankManager"} {
+		t.Run(offered, func(t *testing.T) {
+			tr := New("T1", repoWithBank(t))
+			ref, props := refOf(offered, 1), rec(values.F("queue", values.Int(9)))
+			var seq uint64
+			export := func() {
+				id, err := tr.Export("BankTeller", ref, props)
+				seq++
+				var want [24]byte
+				if n, ok := strings.CutPrefix(id, "T1/"); err != nil || !ok || n != string(strconv.AppendUint(want[:0], seq, 10)) {
+					t.Fatalf("export %d = %q, %v; want T1/%d", seq, id, err, seq)
+				}
+				if err := tr.Withdraw(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 1_000; i++ {
+				export()
+			}
+			if allocs := testing.AllocsPerRun(200, export); allocs > 2 {
+				t.Errorf("export = %v allocs, budget 2", allocs)
+			}
+		})
 	}
 }
 

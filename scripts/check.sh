@@ -296,6 +296,16 @@ if grep -nE '^[[:space:]]*(func[[:space:]]+\([^)]*\)[[:space:]]+)?(RegisterData|
 	exit 1
 fi
 
+echo "== minted-key gate (an account is stored under its id; an offer id is minted without fmt) =="
+# The branch stores an account under the id it mints and refuses any other
+# id before it reads the store, so a call names no key but an account's;
+# the trader mints "<trader>/<seq>" into a stack buffer. Neither the
+# "acct/" key prefix nor a Sprintf on the export path may come back.
+if grep -n 'acct/' $(find internal/bank -name '*.go' ! -name '*_test.go') || grep -n 'fmt\.Sprintf' $(find internal/trader -name '*.go' ! -name '*_test.go'); then
+	echo 'internal/bank or internal/trader: an "acct/" store key or an fmt.Sprintf is back (key an account by its id; mint with strconv)'
+	exit 1
+fi
+
 echo "== reachability gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read; every setting is set) =="
 # A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
 # the deadcode build tag, so tier 1 never builds it): an unreached
@@ -333,7 +343,7 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/mgmt/ ./internal/relocator/ ./internal/policy/ \
 	./internal/hashring/ ./internal/odp/ ./internal/stream/ \
 	./internal/typerepo/ ./internal/health/ ./internal/fanout/ \
-	./internal/engineering/ ./internal/stub/ \
+	./internal/engineering/ ./internal/stub/ ./internal/bank/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
 
 echo "== combining send queue (nothing stranded, per-sender order, one binding's pipeline batched; 20 times under the race detector) =="
