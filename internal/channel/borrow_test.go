@@ -17,12 +17,12 @@ import (
 // the callee returns, and the values in it may be kept.
 
 // borrowServant keeps what a careless servant would keep: the args slices
-// of its calls and announcements themselves, and the values of its signals
-// (which the rule allows).
+// of its calls and announcements themselves, and the values of its Tally
+// announcements (which the rule allows).
 type borrowServant struct {
 	mu      sync.Mutex
 	kept    [][]values.Value
-	signals []values.Value
+	tallied []values.Value
 }
 
 func (s *borrowServant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
@@ -34,14 +34,13 @@ func (s *borrowServant) Invoke(_ context.Context, op string, args []values.Value
 		s.kept = append(s.kept, args)
 		s.mu.Unlock()
 		return "OK", nil, nil
+	case "Tally":
+		s.mu.Lock()
+		s.tallied = append(s.tallied, args...)
+		s.mu.Unlock()
+		return "", nil, nil
 	}
 	return "", nil, fmt.Errorf("unhandled op %q", op)
-}
-
-func (s *borrowServant) Signal(_ string, args []values.Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.signals = append(s.signals, args...)
 }
 
 func (s *borrowServant) keptCount() int {
@@ -134,33 +133,40 @@ func TestBorrowedArgsClearedAfterInvoke(t *testing.T) {
 	}
 }
 
-// TestBorrowedArgsSignalValuesIntact: a SignalReceiver that keeps the
-// values of its args (not the slice) keeps them intact across the
-// recycling of every signal's message.
-func TestBorrowedArgsSignalValuesIntact(t *testing.T) {
+// TestBorrowedArgsAnnouncementValuesIntact: a servant that keeps the
+// values of an announcement's args (not the slice) keeps them intact across
+// the recycling of every announcement's message. Announcements run on the
+// server's workers, so they may arrive in any order; each keeps its pair.
+func TestBorrowedArgsAnnouncementValuesIntact(t *testing.T) {
 	env, s, ref := borrowEnv(t)
 	b, err := Bind(ref, BindConfig{Transport: env.net})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	const signals = 200
-	var want []values.Value
-	for i := 0; i < signals; i++ {
-		args := []values.Value{values.Str(fmt.Sprintf("sig-%d", i)), values.Int(int64(i))}
-		want = append(want, args...)
-		if err := b.Signal(context.Background(), "tick", args); err != nil {
+	const notes = 200
+	for i := 0; i < notes; i++ {
+		args := []values.Value{values.Str(fmt.Sprintf("note-%d", i)), values.Int(int64(i))}
+		if err := b.Announce(context.Background(), "Tally", args); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.signals) == len(want)
+		return len(s.tallied) == 2*notes
 	})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !slices.EqualFunc(s.signals, want, values.Value.Equal) {
-		t.Errorf("signal values = %v, want %v", s.signals, want)
+	env.server.Close() // every message is recycled once the workers drain
+	seen := make([]bool, notes)
+	for i := 0; i < len(s.tallied); i += 2 {
+		name, _ := s.tallied[i].AsString()
+		n, ok := s.tallied[i+1].AsInt()
+		if !ok || n < 0 || n >= notes || seen[n] || name != fmt.Sprintf("note-%d", n) {
+			t.Fatalf("kept pair %d = %v, %v", i/2, s.tallied[i], s.tallied[i+1])
+		}
+		seen[n] = true
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Errorf("note-%d never kept", i)
 	}
 }

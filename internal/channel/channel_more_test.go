@@ -135,10 +135,8 @@ func TestServerRejectsBadOneWaysAndFlows(t *testing.T) {
 	if err := b.Flow(ctx, "video", values.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Flow with a mistyped element against a typed stream servant.
-	// Signal against a servant that accepts signals passes; against the
-	// typed echo servant it is delivered (echoServant implements
-	// SignalReceiver), so use an unknown target for the error path.
+	// A flow and an announcement to an interface the server does not
+	// serve: dropped and counted.
 	ghost := env.ref
 	ghost.ID.Nonce = 424242
 	gb, err := Bind(ghost, BindConfig{Transport: env.net})
@@ -146,16 +144,13 @@ func TestServerRejectsBadOneWaysAndFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gb.Close()
-	if err := gb.Signal(ctx, "sig", nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := gb.Flow(ctx, "f", values.Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := gb.Announce(ctx, "Notify", []values.Value{values.Str("x")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return env.server.Stats().Errors >= 3 })
+	waitFor(t, func() bool { return env.server.Stats().Errors == 5 })
 	// The good announcement path still works.
 	if err := b.Announce(ctx, "Notify", []values.Value{values.Str("ok")}); err != nil {
 		t.Fatal(err)
@@ -167,7 +162,31 @@ func TestServerRejectsBadOneWaysAndFlows(t *testing.T) {
 	})
 }
 
-// flowOnlyServant handles operations but not flows/signals.
+// An announcement to an interface the server does not serve has no
+// failure path back, so the server counts it in Errors, as it counts a flow
+// element that misses its interface; the caller still sees success.
+func TestAnnouncementToUnknownTargetCounted(t *testing.T) {
+	env := newEnv(t, ServerConfig{})
+	ghost := env.ref
+	ghost.ID.Nonce = 424242
+	b, err := Bind(ghost, BindConfig{Transport: env.net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Announce(context.Background(), "Notify", []values.Value{values.Str("x")}); err != nil {
+		t.Fatalf("Announce = %v, want nil (an announcement has no failure path back)", err)
+	}
+	waitFor(t, func() bool { return env.server.Stats().Errors == 1 })
+	if st := env.server.Stats(); st.OneWays != 1 {
+		t.Errorf("stats = %+v, want 1 one-way", st)
+	}
+	if env.servant.invokedCount() != 0 {
+		t.Errorf("the served interface's servant ran %d times, want 0", env.servant.invokedCount())
+	}
+}
+
+// flowlessServant handles operations but not flows.
 type flowlessServant struct{}
 
 func (flowlessServant) Invoke(context.Context, string, []values.Value) (string, []values.Value, error) {
@@ -197,7 +216,8 @@ func TestFlowToNonReceiverCountsError(t *testing.T) {
 	if err := b.Flow(ctx, "f", values.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Signal(ctx, "s", nil); err != nil {
+	// An announcement to a stream interface names no operation.
+	if err := b.Announce(ctx, "s", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Typed flow with a bad element type: rejected server-side.
@@ -296,8 +316,8 @@ func TestBadFrameCounted(t *testing.T) {
 }
 
 // retiredFrame encodes a bare frame of a kind the wire no longer defines:
-// 7 and 8 were a liveness probe and its acknowledgement, which a peer
-// built before their removal may still send.
+// 4 was a raw signal-interface primitive, 7 and 8 a liveness probe and its
+// acknowledgement, which a peer built before their removal may still send.
 func retiredFrame(t *testing.T, kind wire.MsgKind, binding, corr uint64) []byte {
 	t.Helper()
 	frame, err := (&wire.Message{Kind: kind, BindingID: binding, Correlation: corr}).EncodeAppend(nil, wire.Canonical)
@@ -310,7 +330,7 @@ func retiredFrame(t *testing.T, kind wire.MsgKind, binding, corr uint64) []byte 
 // A frame of a retired kind is a bad frame like any unknown kind: the
 // server counts it, answers nothing, and serves the connection's next call.
 func TestRetiredKindsAreBadFrames(t *testing.T) {
-	for _, kind := range []wire.MsgKind{7, 8} {
+	for _, kind := range []wire.MsgKind{4, 7, 8} {
 		t.Run(kind.String(), func(t *testing.T) {
 			env := newEnv(t, ServerConfig{})
 			conn, err := env.net.Dial(context.Background(), "sim://server")

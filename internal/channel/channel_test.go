@@ -32,12 +32,11 @@ func echoType() *types.Interface {
 	)
 }
 
-// echoServant implements Handler, FlowReceiver and SignalReceiver.
+// echoServant implements Handler and FlowReceiver.
 type echoServant struct {
 	mu       sync.Mutex
 	notified []string
 	flows    []values.Value
-	signals  []string
 	invoked  int
 }
 
@@ -73,12 +72,6 @@ func (e *echoServant) Flow(flow string, elem values.Value) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.flows = append(e.flows, elem)
-}
-
-func (e *echoServant) Signal(name string, _ []values.Value) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.signals = append(e.signals, name)
 }
 
 func (e *echoServant) invokedCount() int {
@@ -331,7 +324,7 @@ func TestConcurrentInvocations(t *testing.T) {
 	}
 }
 
-func TestFlowsAndSignals(t *testing.T) {
+func TestFlows(t *testing.T) {
 	streamType := types.StreamInterface("S", types.FlowOf("video", types.Producer, values.TBytes()))
 	n := netsim.New(1)
 	l, err := n.Listen("sim://server")
@@ -370,41 +363,21 @@ func TestFlowsAndSignals(t *testing.T) {
 		return len(servant.flows) == 3
 	})
 
-	// Signals go through an untyped binding (the stream type declares no
-	// signals, and a typed binding enforces that).
+	// A stream interface has no operations, so an announcement an untyped
+	// binding sends to it is refused by the server stub and counted; the
+	// servant never sees it.
 	ub, err := Bind(naming.InterfaceRef{ID: id, TypeName: "S", Endpoint: "sim://server"},
 		BindConfig{Transport: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ub.Close()
-	if err := ub.Signal(ctx, "connect", nil); err != nil {
+	if err := ub.Announce(ctx, "Notify", []values.Value{values.Str("x")}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool {
-		servant.mu.Lock()
-		defer servant.mu.Unlock()
-		return len(servant.signals) == 1
-	})
-}
-
-func TestSignalTypeCheck(t *testing.T) {
-	sigType := types.SignalInterface("G",
-		types.Sig("connect", types.Request, types.P("addr", values.TString())))
-	env := newEnv(t, ServerConfig{})
-	b := env.bind(t, BindConfig{Type: sigType})
-	ctx := context.Background()
-	if err := b.Signal(ctx, "nope", nil); !errors.Is(err, ErrTypeCheck) {
-		t.Errorf("unknown signal = %v", err)
-	}
-	if err := b.Signal(ctx, "connect", nil); !errors.Is(err, ErrTypeCheck) {
-		t.Errorf("arity = %v", err)
-	}
-	if err := b.Signal(ctx, "connect", []values.Value{values.Int(1)}); !errors.Is(err, ErrTypeCheck) {
-		t.Errorf("arg type = %v", err)
-	}
-	if err := b.Signal(ctx, "connect", []values.Value{values.Str("x")}); err != nil {
-		t.Errorf("valid signal = %v", err)
+	waitFor(t, func() bool { return srv.Stats().Errors == 1 })
+	if servant.invokedCount() != 0 {
+		t.Errorf("servant invoked %d times, want 0", servant.invokedCount())
 	}
 }
 

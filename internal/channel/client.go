@@ -85,9 +85,9 @@ type BindingStats struct {
 	// Reconnects counts session changes observed by this binding: the
 	// first session it joins, plus one per shared-session failover.
 	Reconnects uint64
-	// OneWayQueued counts announcements, flow elements and signals this
-	// binding handed to the session's batched send queue (each is still
-	// flushed before the call returns, so send errors stay observable).
+	// OneWayQueued counts announcements and flow elements this binding
+	// handed to the session's batched send queue (each is still flushed
+	// before the call returns, so send errors stay observable).
 	OneWayQueued uint64
 }
 
@@ -285,26 +285,11 @@ func (b *Binding) Flow(ctx context.Context, flow string, elem values.Value) erro
 	return err
 }
 
-// Signal emits one signal-interface primitive.
-func (b *Binding) Signal(ctx context.Context, name string, args []values.Value) error {
-	if b.cfg.Type != nil {
-		s, ok := b.cfg.Type.Signal(name)
-		if !ok {
-			return fmt.Errorf("%w: interface %s has no signal %q", ErrTypeCheck, b.cfg.Type.Name, name)
-		}
-		if err := (types.Operation{Name: name, Params: s.Params}).CheckArgs(args); err != nil {
-			return fmt.Errorf("%w: signal %v", ErrTypeCheck, err)
-		}
-	}
-	_, err := b.interact(ctx, wire.SignalMsg, name, args)
-	return err
-}
-
 // ---------------------------------------------------------------------------
 // the recovery loop
 
 // interact carries one interaction — an interrogation (kind Call, reply
-// returned) or a one-way (announcement, flow element, signal; nil reply) —
+// returned) or a one-way (announcement or flow element; nil reply) —
 // through the binding's recovery loop: attempt, and after a transport
 // failure or attempt timeout count the retry, back off and re-resolve the
 // location before the next one. A CodeNoSuchInterface answer is followed,

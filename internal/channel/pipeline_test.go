@@ -186,9 +186,9 @@ func TestBindingAdmitsEveryCaller(t *testing.T) {
 	}
 }
 
-// TestOneWayQueuedCounter sends announcements, flow elements and signals
-// through the batched plane and checks BindingStats.OneWayQueued counts
-// every frame handed to the send queue.
+// TestOneWayQueuedCounter sends announcements through the batched plane
+// and checks BindingStats.OneWayQueued counts every frame handed to the
+// send queue.
 func TestOneWayQueuedCounter(t *testing.T) {
 	env := newEnv(t, ServerConfig{})
 	mgr := NewSessionManager(env.net)

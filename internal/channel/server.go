@@ -41,12 +41,6 @@ type FlowReceiver interface {
 	Flow(flow string, elem values.Value)
 }
 
-// SignalReceiver is implemented by servants that accept raw signals.
-// Like Handler's, the args slice is borrowed until Signal returns.
-type SignalReceiver interface {
-	Signal(name string, args []values.Value)
-}
-
 // ServerConfig configures the server end of a channel.
 type ServerConfig struct {
 	// Stages are this end's stub/binder components; on inbound requests
@@ -85,7 +79,6 @@ type ServerStats struct {
 	Calls     uint64
 	OneWays   uint64
 	Flows     uint64
-	Signals   uint64
 	Errors    uint64
 	Replays   uint64
 	BadFrames uint64
@@ -135,7 +128,6 @@ type Server struct {
 	calls          atomic.Uint64
 	oneWays        atomic.Uint64
 	flows          atomic.Uint64
-	signals        atomic.Uint64
 	errCount       atomic.Uint64
 	replays        atomic.Uint64
 	badFrames      atomic.Uint64
@@ -278,7 +270,6 @@ func (s *Server) Stats() ServerStats {
 		Calls:          s.calls.Load(),
 		OneWays:        s.oneWays.Load(),
 		Flows:          s.flows.Load(),
-		Signals:        s.signals.Load(),
 		Errors:         s.errCount.Load(),
 		Replays:        s.replays.Load(),
 		BadFrames:      s.badFrames.Load(),
@@ -413,10 +404,6 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			s.flowBatches.Add(1)
 			s.handleFlowBatch(q, streams, m)
 			wire.PutMessage(m)
-		case wire.SignalMsg:
-			s.signals.Add(1)
-			s.handleSignal(m)
-			wire.PutMessage(m)
 		default:
 			s.badFrames.Add(1)
 			wire.PutMessage(m)
@@ -489,9 +476,12 @@ func (s *Server) handleCall(q *frameQueue, m *wire.Message) {
 }
 
 func (s *Server) handleOneWay(m *wire.Message) {
+	// An announcement has no failure path back, so a refused one is only
+	// counted.
 	e, ok := s.lookup(m.Target)
 	if !ok {
-		return // announcements have no failure path back
+		s.errCount.Add(1)
+		return
 	}
 	if e.typ != nil {
 		decl, ok := e.typ.Operation(m.Operation)
@@ -675,19 +665,6 @@ func (s *Server) sendGrant(q *frameQueue, binding, stream uint64, codecID wire.C
 		return
 	}
 	_ = q.enqueue(frame)
-}
-
-func (s *Server) handleSignal(m *wire.Message) {
-	e, ok := s.lookup(m.Target)
-	if !ok {
-		s.errCount.Add(1)
-		return
-	}
-	if sr, ok := e.handler.(SignalReceiver); ok {
-		sr.Signal(m.Operation, m.Args)
-		return
-	}
-	s.errCount.Add(1)
 }
 
 func (s *Server) sendErr(q *frameQueue, req *wire.Message, code, detail string) {

@@ -68,8 +68,8 @@ func (t *gateTransport) Listen(naming.Endpoint) (netsim.Listener, error) {
 // not hang, and not report success — and the error must keep matching
 // ErrDisconnected so retry policy treats it like any broken wire. The
 // Flow that found the queue idle is its writer: it stays in the wedged
-// write, and returns nil once the write (and the Signal's behind it)
-// does.
+// write, and returns nil once the write (and the announcement's behind
+// it) does.
 func TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing(t *testing.T) {
 	conn := newGateConn()
 	tr := &gateTransport{conn: conn}
@@ -96,8 +96,8 @@ func TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing(t *testing.T) {
 		t.Fatal("the writer never reached the wedged write")
 	}
 	// Second one-way: queued behind the wedged write, blocked in flush.
-	sigErr := make(chan error, 1)
-	go func() { sigErr <- b.Signal(ctx, "hangup", nil) }()
+	annErr := make(chan error, 1)
+	go func() { annErr <- b.Announce(ctx, "hangup", nil) }()
 	sess := mgr.peek("stub://peer")
 	if sess == nil {
 		t.Fatal("no live session")
@@ -108,20 +108,20 @@ func TestOneWaysStrandedAtTeardownSurfaceErrSessionClosing(t *testing.T) {
 		return len(sess.q.pend) == 1
 	})
 
-	// Graceful teardown with the Signal stranded: its flush must wake with
-	// the typed closing error immediately, not wait out the write.
+	// Graceful teardown with the announcement stranded: its flush must wake
+	// with the typed closing error immediately, not wait out the write.
 	mgr.Close()
 
 	select {
-	case err := <-sigErr:
+	case err := <-annErr:
 		if !errors.Is(err, ErrSessionClosing) {
-			t.Errorf("Signal stranded at teardown = %v, want ErrSessionClosing", err)
+			t.Errorf("announcement stranded at teardown = %v, want ErrSessionClosing", err)
 		}
 		if !errors.Is(err, ErrDisconnected) {
-			t.Errorf("Signal teardown error lost ErrDisconnected: %v", err)
+			t.Errorf("announcement teardown error lost ErrDisconnected: %v", err)
 		}
 	case <-ctx.Done():
-		t.Fatal("Signal never returned after session teardown")
+		t.Fatal("announcement never returned after session teardown")
 	}
 
 	// The Flow returns when its write does, and every frame it took on

@@ -11,9 +11,9 @@ import (
 // Behavior is the application code of a basic engineering object — the
 // "data and processing" the computational viewpoint says an object
 // encapsulates. A Behavior handles operation invocations; it may
-// additionally implement channel.FlowReceiver and channel.SignalReceiver
-// for stream and signal interfaces, and Checkpointable to participate in
-// the checkpoint, deactivation, migration and recovery functions.
+// additionally implement channel.FlowReceiver for stream interfaces, and
+// Checkpointable to participate in the checkpoint, deactivation, migration
+// and recovery functions.
 type Behavior interface {
 	channel.Handler
 }

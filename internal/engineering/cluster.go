@@ -514,9 +514,8 @@ type objectHandler struct {
 }
 
 var (
-	_ channel.Handler        = (*objectHandler)(nil)
-	_ channel.FlowReceiver   = (*objectHandler)(nil)
-	_ channel.SignalReceiver = (*objectHandler)(nil)
+	_ channel.Handler      = (*objectHandler)(nil)
+	_ channel.FlowReceiver = (*objectHandler)(nil)
 )
 
 func (h *objectHandler) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
@@ -534,14 +533,8 @@ func (h *objectHandler) Flow(flow string, elem values.Value) {
 	}
 }
 
-func (h *objectHandler) Signal(name string, args []values.Value) {
-	if sr, ok := h.object.current().(channel.SignalReceiver); ok {
-		sr.Signal(name, args)
-	}
-}
-
-// current returns the behaviour a flow element or signal goes to: on the
-// session's read loop, so never waiting at (or reactivating behind) the gate.
+// current returns the behaviour a flow element goes to: on the session's
+// read loop, so never waiting at (or reactivating behind) the gate.
 func (o *Object) current() Behavior {
 	k := o.cluster
 	k.mu.Lock()

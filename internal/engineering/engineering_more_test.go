@@ -11,16 +11,22 @@ import (
 	"repro/internal/values"
 )
 
-// mediaBehavior accepts flows and signals.
+// mediaBehavior accepts flows and Tick announcements.
 type mediaBehavior struct {
-	mu      sync.Mutex
-	flows   int
-	signals int
+	mu    sync.Mutex
+	flows int
+	ticks int
 }
 
 func newMedia(values.Value) (Behavior, error) { return &mediaBehavior{}, nil }
 
-func (m *mediaBehavior) Invoke(context.Context, string, []values.Value) (string, []values.Value, error) {
+func (m *mediaBehavior) Invoke(_ context.Context, op string, _ []values.Value) (string, []values.Value, error) {
+	if op == "Tick" {
+		m.mu.Lock()
+		m.ticks++
+		m.mu.Unlock()
+		return "", nil, nil
+	}
 	return "OK", nil, nil
 }
 
@@ -30,15 +36,9 @@ func (m *mediaBehavior) Flow(string, values.Value) {
 	m.mu.Unlock()
 }
 
-func (m *mediaBehavior) Signal(string, []values.Value) {
-	m.mu.Lock()
-	m.signals++
-	m.mu.Unlock()
-}
-
-func TestFlowsAndSignalsThroughObjects(t *testing.T) {
-	// Flows and signals route through the engineering object handler to
-	// behaviours that accept them, including across deactivation with
+func TestFlowsAndAnnouncementsThroughObjects(t *testing.T) {
+	// Flows and announcements route through the engineering object handler
+	// to behaviours that accept them, including across deactivation with
 	// auto-reactivation.
 	f := newFixture()
 	n := f.node(t, "alpha", NodeConfig{})
@@ -69,21 +69,25 @@ func TestFlowsAndSignalsThroughObjects(t *testing.T) {
 	if err := b.Flow(ctx, "video", values.BytesVal([]byte{1})); err != nil {
 		t.Fatal(err)
 	}
-	// Signals travel through an untyped binding (the stream type declares
-	// no signals, and a typed binding enforces that).
-	ub, err := n.Bind(ref, channel.BindConfig{Locator: f.reloc})
+	// Announcements go to an operational interface of the same object.
+	clock := types.OpInterface("Clock", types.Announce("Tick"))
+	clockRef, err := obj.AddInterface(clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ub.Close() })
-	if err := ub.Signal(ctx, "tick", nil); err != nil {
+	cb, err := n.Bind(clockRef, channel.BindConfig{Locator: f.reloc, Type: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cb.Close() })
+	if err := cb.Announce(ctx, "Tick", nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		m := obj.Behavior().(*mediaBehavior)
 		m.mu.Lock()
-		got := m.flows == 1 && m.signals == 1
+		got := m.flows == 1 && m.ticks == 1
 		m.mu.Unlock()
 		if got {
 			break
@@ -92,10 +96,10 @@ func TestFlowsAndSignalsThroughObjects(t *testing.T) {
 	}
 	m := obj.Behavior().(*mediaBehavior)
 	m.mu.Lock()
-	flows, signals := m.flows, m.signals
+	flows, ticks := m.flows, m.ticks
 	m.mu.Unlock()
-	if flows != 1 || signals != 1 {
-		t.Fatalf("flows=%d signals=%d", flows, signals)
+	if flows != 1 || ticks != 1 {
+		t.Fatalf("flows=%d ticks=%d", flows, ticks)
 	}
 
 	// Deactivate: the next flow reactivates the cluster on demand.

@@ -373,7 +373,6 @@ func E11Chaos(duration time.Duration, policyOn bool) (E11Report, error) {
 	// --- the fault script -----------------------------------------------
 	script, faultsAt, healAt := e11Script(duration)
 	chaos := netsim.NewChaos(net, netsim.ChaosConfig{
-		Seed: 411,
 		Crash: func(h string) error {
 			nodes[h].stop()
 			return nil

@@ -425,7 +425,6 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		netsim.LinkProfile{DropRate: 0.004}), cfg.WANScale)
 	wanBack := netsim.Scale(wan, 0.5) // asymmetric: the return path is faster
 	chaos := netsim.NewChaos(net, netsim.ChaosConfig{
-		Seed: cfg.Seed,
 		Domains: map[string][]string{
 			"west":    {"w0", "w1", "client"},
 			"east":    {"e0", "e1"},

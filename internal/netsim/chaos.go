@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -15,9 +14,9 @@ import (
 // do not occur on demand in a healthy sim, so experiments inject them
 // from a Script — node crashes and restarts, link flaps, partitions and
 // heals, latency spikes, bandwidth squeezes — at fixed offsets on the
-// harness clock. All randomness (wildcard host picks) comes from one
-// seeded RNG, so the same seed and script always produce the same event
-// log, byte for byte.
+// harness clock, each on the hosts it names. The harness draws nothing at
+// random, so the same script always produces the same event log, byte for
+// byte.
 
 // FaultKind enumerates the scripted fault types.
 type FaultKind int
@@ -64,14 +63,11 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", int(k))
 }
 
-// Fault is one injectable failure. Host "*" in A picks uniformly from
-// the config's Hosts with the harness RNG — "crash any node"; a "*"
-// restart revives the most recently crashed host, so crash/restart
-// pairs stay matched. A host of the form "dom:<name>" expands to the
-// members of that federated domain (ChaosConfig.Domains): a crash takes
-// the whole domain down, a partition splits the two domains pairwise.
-// The event log records the resolved names (wildcards pinned, domains
-// kept symbolic).
+// Fault is one injectable failure. A host of the form "dom:<name>"
+// expands to the members of that federated domain (ChaosConfig.Domains):
+// a crash takes the whole domain down, a partition splits the two domains
+// pairwise. The event log records the names as scripted (domains kept
+// symbolic).
 type Fault struct {
 	Kind    FaultKind
 	A, B    string
@@ -93,7 +89,7 @@ type Schedule struct {
 type Script []Schedule
 
 // ChaosEvent records one applied fault: when the clock said it fired,
-// the resolved host names (wildcards pinned), and any hook error.
+// the host names, and any hook error.
 type ChaosEvent struct {
 	At   time.Duration
 	Kind FaultKind
@@ -115,11 +111,6 @@ func (e ChaosEvent) String() string {
 
 // ChaosConfig parameterises a harness.
 type ChaosConfig struct {
-	// Hosts are the candidates a wildcard ("*") fault picks from.
-	Hosts []string
-	// Seed drives all harness randomness; equal seeds and scripts give
-	// byte-identical event logs.
-	Seed int64
 	// Domains names federated host sets: a fault addressed to
 	// "dom:<name>" applies to every member (crashes/restarts) or to
 	// every cross pair (partitions, heals, link faults). Unknown domain
@@ -140,13 +131,11 @@ type Chaos struct {
 	net *Network
 	cfg ChaosConfig
 
-	mu          sync.Mutex
-	script      Script // sorted stably by At
-	rng         *rand.Rand
-	next        int
-	now         time.Duration
-	events      []ChaosEvent
-	lastCrashed string // target of the most recent crash, for "*" restarts
+	mu     sync.Mutex
+	script Script // sorted stably by At
+	next   int
+	now    time.Duration
+	events []ChaosEvent
 
 	stopCh  chan struct{}
 	doneCh  chan struct{}
@@ -159,12 +148,7 @@ func NewChaos(n *Network, cfg ChaosConfig, script Script) *Chaos {
 	s := make(Script, len(script))
 	copy(s, script)
 	sort.SliceStable(s, func(i, j int) bool { return s[i].At < s[j].At })
-	return &Chaos{
-		net:    n,
-		cfg:    cfg,
-		script: s,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
+	return &Chaos{net: n, cfg: cfg, script: s}
 }
 
 // Advance moves the harness clock to offset `to`, applying every fault
@@ -269,13 +253,11 @@ func (c *Chaos) run(stop, done chan struct{}) {
 	}
 }
 
-// apply resolves wildcards and domains, injects the fault, and logs the
-// event.
+// apply resolves domains, injects the fault, and logs the event.
 func (c *Chaos) apply(s Schedule) {
 	f := s.Fault
-	a := c.resolveHost(f.Kind, f.A)
-	ev := ChaosEvent{At: s.At, Kind: f.Kind, A: a, B: f.B}
-	as := c.expandDomain(a)
+	ev := ChaosEvent{At: s.At, Kind: f.Kind, A: f.A, B: f.B}
+	as := c.expandDomain(f.A)
 	bs := c.expandDomain(f.B)
 	firstErr := func(err error) {
 		if err != nil && ev.Err == nil {
@@ -284,9 +266,6 @@ func (c *Chaos) apply(s Schedule) {
 	}
 	switch f.Kind {
 	case FaultCrash:
-		c.mu.Lock()
-		c.lastCrashed = as[len(as)-1]
-		c.mu.Unlock()
 		for _, h := range as {
 			c.net.CrashHost(h)
 			if c.cfg.Crash != nil {
@@ -329,22 +308,4 @@ func (c *Chaos) expandDomain(h string) []string {
 		}
 	}
 	return []string{h}
-}
-
-// resolveHost pins a wildcard to a concrete host with the seeded RNG.
-// A "*" restart revives the most recently crashed host rather than a
-// random one, so crash/restart pairs in a script stay matched.
-func (c *Chaos) resolveHost(kind FaultKind, h string) string {
-	if h != "*" {
-		return h
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if kind == FaultRestart && c.lastCrashed != "" {
-		return c.lastCrashed
-	}
-	if len(c.cfg.Hosts) == 0 {
-		return h
-	}
-	return c.cfg.Hosts[c.rng.Intn(len(c.cfg.Hosts))]
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,67 +12,53 @@ import (
 
 func chaosScript() Script {
 	return Script{
-		{At: 10 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "*"}},
+		{At: 10 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "n3"}},
 		{At: 20 * time.Millisecond, Fault: Fault{Kind: FaultPartition, A: "n1", B: "n2"}},
 		{At: 30 * time.Millisecond, Fault: Fault{Kind: FaultLink, A: "n1", B: "n3",
 			Profile: LinkProfile{Latency: 5 * time.Millisecond}}},
-		{At: 40 * time.Millisecond, Fault: Fault{Kind: FaultRestart, A: "*"}},
+		{At: 40 * time.Millisecond, Fault: Fault{Kind: FaultRestart, A: "n3"}},
 		{At: 50 * time.Millisecond, Fault: Fault{Kind: FaultHeal, A: "n1", B: "n2"}},
 		{At: 50 * time.Millisecond, Fault: Fault{Kind: FaultLinkClear, A: "n1", B: "n3"}},
-		{At: 60 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "*"}},
+		{At: 60 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "n4"}},
 	}
 }
 
-// TestChaosDeterminism: same seed + same script ⇒ byte-identical event
-// timeline, including every wildcard host pick.
+// TestChaosDeterminism: one script gives one timeline, byte for byte,
+// however the clock is stepped: each fault at its offset, on the hosts it
+// names, equal offsets in script order.
 func TestChaosDeterminism(t *testing.T) {
-	run := func() string {
+	run := func(steps ...time.Duration) string {
+		var hooked []string
 		c := NewChaos(New(1), ChaosConfig{
-			Hosts: []string{"n1", "n2", "n3", "n4"},
-			Seed:  42,
+			Crash:   func(h string) error { hooked = append(hooked, "crash "+h); return nil },
+			Restart: func(h string) error { hooked = append(hooked, "restart "+h); return nil },
 		}, chaosScript())
-		// Step the clock in uneven increments; only the fault offsets
-		// should matter.
-		for _, at := range []time.Duration{5 * time.Millisecond, 33 * time.Millisecond, time.Second} {
+		for _, at := range steps {
 			c.Advance(at)
 		}
 		if !c.Done() {
 			t.Fatal("script not exhausted")
 		}
+		if got := strings.Join(hooked, ", "); got != "crash n3, restart n3, crash n4" {
+			t.Errorf("hooks ran %q", got)
+		}
 		return c.Timeline()
 	}
-	a, b := run(), run()
-	if a != b {
+	// Step the clock in uneven increments; only the fault offsets matter.
+	a := run(5*time.Millisecond, 33*time.Millisecond, time.Second)
+	if b := run(time.Second); a != b {
 		t.Fatalf("timelines differ:\n%s\nvs\n%s", a, b)
 	}
-	if a == "" {
-		t.Fatal("empty timeline")
-	}
-	// A different seed picks different wildcard hosts (with 4 hosts and 3
-	// wildcard faults, collision of the whole log is vanishingly unlikely).
-	c := NewChaos(New(1), ChaosConfig{Hosts: []string{"n1", "n2", "n3", "n4"}, Seed: 1234}, chaosScript())
-	c.Advance(time.Second)
-	if c.Timeline() == a {
-		t.Fatal("different seed produced an identical timeline")
-	}
-}
-
-// TestChaosWildcardRestartMatchesCrash: a "*" restart revives the host
-// the preceding "*" crash killed.
-func TestChaosWildcardRestartMatchesCrash(t *testing.T) {
-	var crashed, restarted []string
-	c := NewChaos(New(1), ChaosConfig{
-		Hosts:   []string{"a", "b", "c"},
-		Seed:    7,
-		Crash:   func(h string) error { crashed = append(crashed, h); return nil },
-		Restart: func(h string) error { restarted = append(restarted, h); return nil },
-	}, Script{
-		{At: 0, Fault: Fault{Kind: FaultCrash, A: "*"}},
-		{At: time.Millisecond, Fault: Fault{Kind: FaultRestart, A: "*"}},
-	})
-	c.Advance(time.Second)
-	if len(crashed) != 1 || len(restarted) != 1 || crashed[0] != restarted[0] {
-		t.Fatalf("crash=%v restart=%v, want matched pair", crashed, restarted)
+	const want = `t=+10ms crash n3
+t=+20ms partition n1--n2
+t=+30ms link n1--n3
+t=+40ms restart n3
+t=+50ms heal n1--n2
+t=+50ms link-clear n1--n3
+t=+60ms crash n4
+`
+	if a != want {
+		t.Fatalf("timeline:\n%s\nwant:\n%s", a, want)
 	}
 }
 

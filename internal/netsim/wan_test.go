@@ -91,7 +91,7 @@ func TestChaosDomainFaults(t *testing.T) {
 		{At: 2 * time.Millisecond, Fault: Fault{Kind: FaultHeal, A: "dom:west", B: "dom:east"}},
 		{At: 3 * time.Millisecond, Fault: Fault{Kind: FaultLinkClear, A: "dom:west", B: "dom:east"}},
 		{At: 4 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "dom:west"}},
-		{At: 5 * time.Millisecond, Fault: Fault{Kind: FaultRestart, A: "*"}},
+		{At: 5 * time.Millisecond, Fault: Fault{Kind: FaultRestart, A: "dom:west"}},
 		{At: 6 * time.Millisecond, Fault: Fault{Kind: FaultCrash, A: "dom:nosuch"}},
 	})
 
@@ -126,11 +126,10 @@ func TestChaosDomainFaults(t *testing.T) {
 		t.Fatalf("crashed = %v, want [w1 w2]", crashed)
 	}
 
-	// A "*" restart revives the most recently crashed host — the last
-	// domain member.
+	// A domain restart revives every member, in order.
 	c.Advance(5 * time.Millisecond)
-	if len(restarted) != 1 || restarted[0] != "w2" {
-		t.Fatalf("restarted = %v, want [w2]", restarted)
+	if len(restarted) != 2 || restarted[0] != "w1" || restarted[1] != "w2" {
+		t.Fatalf("restarted = %v, want [w1 w2]", restarted)
 	}
 
 	// An unknown domain name falls back to the literal host string.

@@ -120,7 +120,7 @@ func (s *SignStage) Process(dir channel.Direction, m *wire.Message) error {
 		return nil
 	}
 	switch m.Kind {
-	case wire.Call, wire.OneWay, wire.FlowMsg, wire.SignalMsg:
+	case wire.Call, wire.OneWay, wire.FlowMsg:
 		m.Auth = encodeCredential(s.Principal, computeMAC(s.Secret, s.Principal, m))
 	}
 	return nil
@@ -153,7 +153,7 @@ func (s *VerifyStage) Process(dir channel.Direction, m *wire.Message) error {
 		return nil
 	}
 	switch m.Kind {
-	case wire.Call, wire.OneWay, wire.FlowMsg, wire.SignalMsg:
+	case wire.Call, wire.OneWay, wire.FlowMsg:
 	default:
 		return nil
 	}

@@ -48,12 +48,12 @@ func TestRecordsIsACopy(t *testing.T) {
 // once each has checkpointed a few times.
 type heldTx struct {
 	id     uint64
-	writes map[int]map[string]*int64 // store → key → value, nil for a delete
-	locked map[int]map[string]bool   // store → keys it read or wrote there
-	since  map[int]int               // store → its checkpoint count at the prepare
-	wait   int                       // checkpoints to wait at every store
-	commit bool                      // how decide resolves it
-	lost   bool                      // committed by the coordinator, its acknowledgement lost
+	writes map[int]map[string]int64 // store → key → value
+	locked map[int]map[string]bool  // store → keys it read or wrote there
+	since  map[int]int              // store → its checkpoint count at the prepare
+	wait   int                      // checkpoints to wait at every store
+	commit bool                     // how decide resolves it
+	lost   bool                     // committed by the coordinator, its acknowledgement lost
 }
 
 // lostAck is a store whose completion never reaches the coordinator: it
@@ -88,8 +88,8 @@ func (preparedVeto) Abort(uint64) error  { return nil }
 
 // TestRecoverAcrossCheckpoints is the bounded log's recovery property,
 // seeded: 20,000 transactions on one, two and three stores — writes,
-// deletes, reads, application aborts, vetoed commits, one-phase commits of
-// a lone store, and transactions left prepared across at least three
+// overwrites, reads, application aborts, vetoed commits, one-phase commits
+// of a lone store, and transactions left prepared across at least three
 // checkpoints before decide resolves them either way. Some of those the
 // coordinator committed, their acknowledgement lost: its decision must
 // outlive the checkpoints, and decide asks it. The reference is a map per
@@ -135,23 +135,15 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 		}
 		if extra != nil && extra.commit {
 			for k, v := range extra.writes[si] {
-				if v == nil {
-					delete(out, k)
-				} else {
-					out[k] = values.Int(*v)
-				}
+				out[k] = values.Int(v)
 			}
 		}
 		return out
 	}
-	applyRef := func(writes map[int]map[string]*int64) {
+	applyRef := func(writes map[int]map[string]int64) {
 		for si, ws := range writes {
 			for k, v := range ws {
-				if v == nil {
-					delete(ref[si], k)
-				} else {
-					ref[si][k] = *v
-				}
+				ref[si][k] = v
 			}
 		}
 	}
@@ -194,7 +186,7 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 
 	for i := 0; i < txs; i++ {
 		tx := c.Begin(ctx)
-		writes := map[int]map[string]*int64{}
+		writes := map[int]map[string]int64{}
 		touched := map[int]map[string]bool{} // store → keys read or written
 		for op := rng.Intn(4) + 1; op > 0; op-- {
 			// Draw the whole op first: a skipped op must not shift the
@@ -209,7 +201,7 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 			}
 			touched[si][key] = true
 			if writes[si] == nil && writer {
-				writes[si] = map[string]*int64{}
+				writes[si] = map[string]int64{}
 			}
 			var err error
 			switch {
@@ -218,13 +210,9 @@ func recoverAcrossCheckpoints(t *testing.T, n, txs int) {
 				if errors.Is(err, ErrNotFound) {
 					err = nil
 				}
-			case r < 4:
-				err = tx.Delete(stores[si], key)
-				writes[si][key] = nil
 			default:
-				v := int64(i)
-				err = tx.Write(stores[si], key, values.Int(v))
-				writes[si][key] = &v
+				err = tx.Write(stores[si], key, values.Int(int64(i)))
+				writes[si][key] = int64(i)
 			}
 			if err != nil {
 				t.Fatal(err)

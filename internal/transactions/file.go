@@ -128,7 +128,6 @@ func encodeRecord(r Record) ([]byte, error) {
 		writes[i] = values.Record(
 			values.F("key", values.Str(w.Key)),
 			values.F("value", values.Any(values.TypeOf(w.Value), w.Value)),
-			values.F("delete", values.Bool(w.Delete)),
 		)
 	}
 	v := values.Record(
@@ -177,9 +176,7 @@ func decodeRecord(frame []byte) (Record, error) {
 			} else {
 				val = valV
 			}
-			delV, _ := wv.FieldByName("delete")
-			del, _ := delV.AsBool()
-			r.Writes = append(r.Writes, WriteOp{Key: key, Value: val, Delete: del})
+			r.Writes = append(r.Writes, WriteOp{Key: key, Value: val})
 		}
 	}
 	return r, nil

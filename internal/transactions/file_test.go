@@ -209,7 +209,7 @@ func TestRecoverOnePhaseCommitFromFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Atomically(ctxT(), func(tx *Tx) error { return tx.Delete(store, "b") }); err != nil {
+	if err := write(store, "b", 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Atomically(ctxT(), func(tx *Tx) error {
@@ -255,7 +255,7 @@ func TestRecoverOnePhaseCommitFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl2.Close()
-	want := map[string]values.Value{"a": values.Int(2)}
+	want := map[string]values.Value{"a": values.Int(2), "b": values.Int(3)}
 	if got := recovered.Snapshot(); !sameState(got, want) || !sameState(store.Snapshot(), want) {
 		t.Fatalf("recovered %v, live %v, want %v", got, store.Snapshot(), want)
 	}
@@ -277,8 +277,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Kind: RecPrepare, TxID: 7, Writes: []WriteOp{
 			{Key: "a", Value: values.Int(1)},
-			{Key: "b", Value: values.Str("x"), Delete: false},
-			{Key: "c", Delete: true},
+			{Key: "b", Value: values.Str("x")},
+			{Key: "c", Value: values.Bool(true)},
 		}},
 		{Kind: RecCommit, TxID: 7},
 		{Kind: RecAbort, TxID: 9},
@@ -296,10 +296,10 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Errorf("round trip: %+v vs %+v", got, r)
 		}
 		for i := range r.Writes {
-			if got.Writes[i].Key != r.Writes[i].Key || got.Writes[i].Delete != r.Writes[i].Delete {
+			if got.Writes[i].Key != r.Writes[i].Key {
 				t.Errorf("write %d: %+v vs %+v", i, got.Writes[i], r.Writes[i])
 			}
-			if !r.Writes[i].Delete && !got.Writes[i].Value.Equal(r.Writes[i].Value) {
+			if !got.Writes[i].Value.Equal(r.Writes[i].Value) {
 				t.Errorf("write %d value: %v vs %v", i, got.Writes[i].Value, r.Writes[i].Value)
 			}
 		}

@@ -46,9 +46,8 @@ func (k RecordKind) String() string {
 
 // WriteOp is one redo operation in a record.
 type WriteOp struct {
-	Key    string
-	Value  values.Value
-	Delete bool
+	Key   string
+	Value values.Value
 }
 
 // Record is one write-ahead-log entry.

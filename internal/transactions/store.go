@@ -94,7 +94,7 @@ func (s *Store) get(ctx context.Context, txID uint64, key string) (values.Value,
 	ws := s.writeSets[txID]
 	for i := range ws {
 		if ws[i].Key == key {
-			v, ok = ws[i].Value, !ws[i].Delete
+			v, ok = ws[i].Value, true
 			break
 		}
 	}
@@ -104,22 +104,13 @@ func (s *Store) get(ctx context.Context, txID uint64, key string) (values.Value,
 	return v, nil
 }
 
-// put stages a write under an exclusive lock.
+// put stages a write under an exclusive lock, as the transaction's latest
+// word on its key.
 func (s *Store) put(ctx context.Context, txID uint64, key string, v values.Value) error {
-	return s.stage(ctx, txID, WriteOp{Key: key, Value: v})
-}
-
-// del stages a deletion under an exclusive lock.
-func (s *Store) del(ctx context.Context, txID uint64, key string) error {
-	return s.stage(ctx, txID, WriteOp{Key: key, Delete: true})
-}
-
-// stage takes the exclusive lock and records op as the transaction's
-// latest word on its key.
-func (s *Store) stage(ctx context.Context, txID uint64, op WriteOp) error {
-	if err := s.lm.acquire(ctx, txID, op.Key, lockExclusive); err != nil {
+	if err := s.lm.acquire(ctx, txID, key, lockExclusive); err != nil {
 		return err
 	}
+	op := WriteOp{Key: key, Value: v}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws, ok := s.writeSets[txID]
@@ -240,11 +231,7 @@ func (s *Store) Commit(txID uint64) error {
 // apply makes a write set committed state. Callers hold s.mu or own s.
 func (s *Store) apply(ws []WriteOp) {
 	for _, op := range ws {
-		if op.Delete {
-			delete(s.committed, op.Key)
-		} else {
-			s.committed[op.Key] = op.Value
-		}
+		s.committed[op.Key] = op.Value
 	}
 }
 

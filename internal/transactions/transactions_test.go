@@ -84,23 +84,27 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
+// TestReadMissingKey: a key no transaction wrote reads ErrNotFound, and
+// so does a key written only by a transaction that aborted.
+func TestReadMissingKey(t *testing.T) {
 	c, s := seeded(t, "bank", map[string]int64{"alice": 100})
 	tx := c.Begin(ctxT())
-	if err := tx.Delete(s, "alice"); err != nil {
+	if _, err := tx.Read(s, "bob"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("read of an unwritten key = %v, want ErrNotFound", err)
+	}
+	if err := tx.Write(s, "carol", values.Int(5)); err != nil {
 		t.Fatal(err)
 	}
-	// Deleted within the transaction.
-	if _, err := tx.Read(s, "alice"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("read of own delete = %v", err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := c.Begin(ctxT())
 	defer tx2.Abort()
-	if _, err := tx2.Read(s, "alice"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("read after committed delete = %v", err)
+	if _, err := tx2.Read(s, "carol"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("read of an aborted write = %v, want ErrNotFound", err)
+	}
+	if got := readInt(t, tx2, s, "alice"); got != 100 {
+		t.Errorf("alice = %d, want 100", got)
 	}
 }
 
@@ -121,9 +125,6 @@ func TestTxDoneGuards(t *testing.T) {
 	}
 	if err := tx.Write(s, "a", values.Int(2)); !errors.Is(err, ErrTxDone) {
 		t.Errorf("write after commit = %v", err)
-	}
-	if err := tx.Delete(s, "a"); !errors.Is(err, ErrTxDone) {
-		t.Errorf("delete after commit = %v", err)
 	}
 	if err := tx.Enlist(s); !errors.Is(err, ErrTxDone) {
 		t.Errorf("enlist after commit = %v", err)
@@ -177,9 +178,6 @@ func TestRetainedTxAnswersDone(t *testing.T) {
 		}
 		if err := tx.Write(s, "a", values.Int(9)); !errors.Is(err, ErrTxDone) {
 			t.Errorf("retained tx %d: Write = %v", i, err)
-		}
-		if err := tx.Delete(s, "a"); !errors.Is(err, ErrTxDone) {
-			t.Errorf("retained tx %d: Delete = %v", i, err)
 		}
 		if err := tx.Enlist(s); !errors.Is(err, ErrTxDone) {
 			t.Errorf("retained tx %d: Enlist = %v", i, err)
@@ -476,7 +474,7 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx1b := c.Begin(ctxT())
-	if err := tx1b.Delete(s, "bob"); err != nil {
+	if err := tx1b.Write(s, "bob", values.Int(44)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx1b.Commit(); err != nil {
@@ -499,8 +497,8 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 	if v, ok := snap["alice"]; !ok || !v.Equal(values.Int(77)) {
 		t.Errorf("alice = %v", snap["alice"])
 	}
-	if _, ok := snap["bob"]; ok {
-		t.Error("bob should stay deleted")
+	if v, ok := snap["bob"]; !ok || !v.Equal(values.Int(44)) {
+		t.Errorf("bob = %v, want the later commit's 44", snap["bob"])
 	}
 }
 

@@ -208,15 +208,6 @@ func (t *Tx) Write(s *Store, key string, v values.Value) error {
 	return s.put(t.amb.Context, t.id, key, v)
 }
 
-// Delete stages a deletion within the transaction.
-func (t *Tx) Delete(s *Store, key string) error {
-	if !t.active {
-		return ErrTxDone
-	}
-	t.enlist(s)
-	return s.del(t.amb.Context, t.id, key)
-}
-
 // maxCommitFanout bounds the goroutines a single commit or abort spawns;
 // wider participant lists are served by this many workers pulling from a
 // shared cursor.

@@ -29,13 +29,6 @@ func StreamInterface(name string, flows ...Flow) *Interface {
 	return &Interface{Name: name, Kind: Stream, Flows: cp}
 }
 
-// SignalInterface constructs a signal interface type.
-func SignalInterface(name string, signals ...SignalDecl) *Interface {
-	cp := make([]SignalDecl, len(signals))
-	copy(cp, signals)
-	return &Interface{Name: name, Kind: Signal, Signals: cp}
-}
-
 // Params collects operation parameters; it exists purely to make Op calls
 // read naturally.
 func Params(ps ...Parameter) []Parameter { return ps }
@@ -60,11 +53,6 @@ func Term(name string, results ...Parameter) Termination {
 // FlowOf constructs a flow with the given direction and element type.
 func FlowOf(name string, dir FlowDirection, elem *values.DataType) Flow {
 	return Flow{Name: name, Direction: dir, Elem: elem}
-}
-
-// Sig constructs a signal declaration.
-func Sig(name string, prim SignalPrimitive, params ...Parameter) SignalDecl {
-	return SignalDecl{Name: name, Primitive: prim, Params: params}
 }
 
 // Extend derives a subtype by copying base and appending the extra

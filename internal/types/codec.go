@@ -188,20 +188,11 @@ func (it *Interface) ToValue() values.Value {
 			values.F("elem", dataTypeToValue(f.Elem)),
 		)
 	}
-	sigs := make([]values.Value, len(it.Signals))
-	for i, s := range it.Signals {
-		sigs[i] = values.Record(
-			values.F("name", values.Str(s.Name)),
-			values.F("primitive", values.Uint(uint64(s.Primitive))),
-			values.F("params", paramsToValue(s.Params)),
-		)
-	}
 	return values.Record(
 		values.F("name", values.Str(it.Name)),
 		values.F("kind", values.Uint(uint64(it.Kind))),
 		values.F("operations", values.Seq(ops...)),
 		values.F("flows", values.Seq(flows...)),
-		values.F("signals", values.Seq(sigs...)),
 	)
 }
 
@@ -288,27 +279,6 @@ func InterfaceFromValue(v values.Value) (*Interface, error) {
 				return nil, fmt.Errorf("flow %q: %w", fname, err)
 			}
 			it.Flows = append(it.Flows, Flow{Name: fname, Direction: FlowDirection(du), Elem: elem})
-		}
-	}
-	if sv, ok := v.FieldByName("signals"); ok && sv.Kind() == values.KindSeq {
-		for i := 0; i < sv.Len(); i++ {
-			sgv := sv.ElemAt(i)
-			snv, _ := sgv.FieldByName("name")
-			sname, _ := snv.AsString()
-			prv, ok := sgv.FieldByName("primitive")
-			if !ok {
-				return nil, fmt.Errorf("%w: signal %q missing primitive", ErrBadTypeValue, sname)
-			}
-			pru, _ := prv.AsUint()
-			pv, ok := sgv.FieldByName("params")
-			if !ok {
-				return nil, fmt.Errorf("%w: signal %q missing params", ErrBadTypeValue, sname)
-			}
-			params, err := paramsFromValue(pv)
-			if err != nil {
-				return nil, fmt.Errorf("signal %q: %w", sname, err)
-			}
-			it.Signals = append(it.Signals, SignalDecl{Name: sname, Primitive: SignalPrimitive(pru), Params: params})
 		}
 	}
 	if err := it.Validate(); err != nil {

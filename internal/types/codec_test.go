@@ -75,16 +75,14 @@ func TestInterfaceValueRoundTrip(t *testing.T) {
 			FlowOf("video", Producer, values.TBytes()),
 			FlowOf("control", Consumer, values.TString()),
 		),
-		SignalInterface("OSI",
-			Sig("connect", Request, P("addr", values.TString())),
-			Sig("connectInd", Indicate, P("addr", values.TString())),
-			Sig("connectRsp", Response),
-			Sig("connectCnf", Confirm),
-		),
+		OpInterface("Notify", Announce("Tell", P("what", values.TString()))),
 		OpInterface("Empty"),
 	}
 	for _, it := range cases {
 		v := it.ToValue()
+		if _, ok := v.FieldByName("signals"); ok {
+			t.Errorf("%s: encoded with a signals field", it.Name)
+		}
 		got, err := InterfaceFromValue(v)
 		if err != nil {
 			t.Fatalf("InterfaceFromValue(%s): %v", it.Name, err)
@@ -96,9 +94,7 @@ func TestInterfaceValueRoundTrip(t *testing.T) {
 		if !Equal(got, it) {
 			t.Errorf("%s: decoded type not equal to original", it.Name)
 		}
-		if len(got.Operations) != len(it.Operations) ||
-			len(got.Flows) != len(it.Flows) ||
-			len(got.Signals) != len(it.Signals) {
+		if len(got.Operations) != len(it.Operations) || len(got.Flows) != len(it.Flows) {
 			t.Errorf("%s: member counts differ", it.Name)
 		}
 	}
@@ -138,7 +134,6 @@ func TestInterfaceFromValueValidates(t *testing.T) {
 			),
 		)),
 		values.F("flows", values.Seq()),
-		values.F("signals", values.Seq()),
 	)
 	if _, err := InterfaceFromValue(dup); err == nil {
 		t.Error("duplicate operations should be rejected at decode")

@@ -1,15 +1,18 @@
 // Package types implements RM-ODP computational interface types and the
 // structural subtype relation of Section 5.1.1 (Figure 3) of the tutorial.
 //
-// RM-ODP interfaces are strongly typed and come in three forms:
+// RM-ODP interfaces are strongly typed and come in two forms here:
 //
 //   - operational interfaces: named operations, each either an
 //     interrogation (returns one of a set of named terminations carrying
 //     results) or an announcement (returns nothing);
 //   - stream interfaces: named flows of typed elements between producer
-//     and consumer;
-//   - signal interfaces: the low-level primitives underlying both, modelled
-//     on the OSI service primitives REQUEST, INDICATE, RESPONSE, CONFIRM.
+//     and consumer.
+//
+// The tutorial's third form, signal interfaces, names the primitives that
+// lie underneath both; no interface of this repository is declared at that
+// level, so it has no kind (a Call/Reply exchange is itself the four OSI
+// primitives REQUEST, INDICATE, RESPONSE and CONFIRM).
 //
 // Subtyping is structural and substitutable: a subtype can be used wherever
 // a supertype is expected (a BankManager can serve as a BankTeller). The
@@ -33,14 +36,13 @@ var ErrNotSubtype = errors.New("types: not a subtype")
 // ErrBadInterface is wrapped by Validate failures.
 var ErrBadInterface = errors.New("types: invalid interface type")
 
-// InterfaceKind distinguishes the three forms of computational interface.
+// InterfaceKind distinguishes the forms of computational interface.
 type InterfaceKind int
 
-// The three interface kinds of the computational viewpoint.
+// The interface kinds of the computational viewpoint.
 const (
 	Operational InterfaceKind = iota + 1
 	Stream
-	Signal
 )
 
 // String returns the lower-case name of the kind.
@@ -50,8 +52,6 @@ func (k InterfaceKind) String() string {
 		return "operational"
 	case Stream:
 		return "stream"
-	case Signal:
-		return "signal"
 	}
 	return fmt.Sprintf("interfacekind(%d)", int(k))
 }
@@ -156,52 +156,13 @@ type Flow struct {
 	Elem      *values.DataType
 }
 
-// SignalPrimitive is one of the four OSI service primitives the tutorial
-// cites as examples of signals.
-type SignalPrimitive int
-
-// The OSI service primitives.
-const (
-	Request SignalPrimitive = iota + 1
-	Indicate
-	Response
-	Confirm
-)
-
-// String returns the upper-case OSI name of the primitive.
-func (p SignalPrimitive) String() string {
-	switch p {
-	case Request:
-		return "REQUEST"
-	case Indicate:
-		return "INDICATE"
-	case Response:
-		return "RESPONSE"
-	case Confirm:
-		return "CONFIRM"
-	}
-	return fmt.Sprintf("signalprimitive(%d)", int(p))
-}
-
-// Outgoing reports whether the primitive is emitted by the interface's
-// owner (REQUEST, RESPONSE) rather than delivered to it (INDICATE, CONFIRM).
-func (p SignalPrimitive) Outgoing() bool { return p == Request || p == Response }
-
-// SignalDecl is one signal of a signal interface.
-type SignalDecl struct {
-	Name      string
-	Primitive SignalPrimitive
-	Params    []Parameter
-}
-
 // Interface is a computational interface type. Exactly one of the
-// Operations, Flows or Signals sets is populated, according to Kind.
+// Operations or Flows sets is populated, according to Kind.
 type Interface struct {
 	Name       string
 	Kind       InterfaceKind
 	Operations []Operation
 	Flows      []Flow
-	Signals    []SignalDecl
 }
 
 // Operation returns the named operation, if declared.
@@ -224,16 +185,6 @@ func (it *Interface) Flow(name string) (Flow, bool) {
 	return Flow{}, false
 }
 
-// Signal returns the named signal, if declared.
-func (it *Interface) Signal(name string) (SignalDecl, bool) {
-	for _, s := range it.Signals {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return SignalDecl{}, false
-}
-
 // Validate checks internal consistency: a known kind, members only of the
 // matching sort, unique member names, unique termination names per
 // operation, and non-nil types throughout.
@@ -243,8 +194,8 @@ func (it *Interface) Validate() error {
 	}
 	switch it.Kind {
 	case Operational:
-		if len(it.Flows) != 0 || len(it.Signals) != 0 {
-			return fmt.Errorf("%w: %s: operational interface with flows or signals", ErrBadInterface, it.Name)
+		if len(it.Flows) != 0 {
+			return fmt.Errorf("%w: %s: operational interface with flows", ErrBadInterface, it.Name)
 		}
 		seen := map[string]bool{}
 		for _, op := range it.Operations {
@@ -273,8 +224,8 @@ func (it *Interface) Validate() error {
 			}
 		}
 	case Stream:
-		if len(it.Operations) != 0 || len(it.Signals) != 0 {
-			return fmt.Errorf("%w: %s: stream interface with operations or signals", ErrBadInterface, it.Name)
+		if len(it.Operations) != 0 {
+			return fmt.Errorf("%w: %s: stream interface with operations", ErrBadInterface, it.Name)
 		}
 		seen := map[string]bool{}
 		for _, f := range it.Flows {
@@ -290,28 +241,6 @@ func (it *Interface) Validate() error {
 			}
 			if f.Elem == nil {
 				return fmt.Errorf("%w: %s: flow %q has nil element type", ErrBadInterface, it.Name, f.Name)
-			}
-		}
-	case Signal:
-		if len(it.Operations) != 0 || len(it.Flows) != 0 {
-			return fmt.Errorf("%w: %s: signal interface with operations or flows", ErrBadInterface, it.Name)
-		}
-		seen := map[string]bool{}
-		for _, s := range it.Signals {
-			if s.Name == "" {
-				return fmt.Errorf("%w: %s: unnamed signal", ErrBadInterface, it.Name)
-			}
-			if seen[s.Name] {
-				return fmt.Errorf("%w: %s: duplicate signal %q", ErrBadInterface, it.Name, s.Name)
-			}
-			seen[s.Name] = true
-			switch s.Primitive {
-			case Request, Indicate, Response, Confirm:
-			default:
-				return fmt.Errorf("%w: %s: signal %q has invalid primitive", ErrBadInterface, it.Name, s.Name)
-			}
-			if err := validateParams(s.Params); err != nil {
-				return fmt.Errorf("%w: %s!%s: %v", ErrBadInterface, it.Name, s.Name, err)
 			}
 		}
 	default:
@@ -351,9 +280,7 @@ func validateParams(ps []Parameter) error {
 //     a shared operation must be a subset of super's, with covariant
 //     results (sub may also declare extra operations — width subtyping);
 //   - stream: sub must declare every flow of super with the same direction;
-//     producer flows are covariant, consumer flows contravariant;
-//   - signal: sub must declare every signal of super with the same
-//     primitive; outgoing signals are covariant, incoming contravariant.
+//     producer flows are covariant, consumer flows contravariant.
 func Subtype(sub, super *Interface) error { return subtype(sub, super, true) }
 
 // subtype is the one walk of the rules for Subtype and IsSubtype. Only
@@ -415,45 +342,6 @@ func subtype(sub, super *Interface, explain bool) error {
 						return fmt.Errorf("%w: consumer flow %q: %s not assignable to %s",
 							ErrNotSubtype, sf.Name, sf.Elem, bf.Elem)
 					})
-				}
-			}
-		}
-	case Signal:
-		for _, ss := range super.Signals {
-			bs, ok := sub.Signal(ss.Name)
-			if !ok {
-				return violated(explain, func() error {
-					return fmt.Errorf("%w: %s lacks signal %q required by %s",
-						ErrNotSubtype, sub.Name, ss.Name, super.Name)
-				})
-			}
-			if bs.Primitive != ss.Primitive {
-				return violated(explain, func() error {
-					return fmt.Errorf("%w: signal %q: primitive %v, want %v",
-						ErrNotSubtype, ss.Name, bs.Primitive, ss.Primitive)
-				})
-			}
-			if len(bs.Params) != len(ss.Params) {
-				return violated(explain, func() error {
-					return fmt.Errorf("%w: signal %q: arity %d, want %d",
-						ErrNotSubtype, ss.Name, len(bs.Params), len(ss.Params))
-				})
-			}
-			for i := range ss.Params {
-				if ss.Primitive.Outgoing() {
-					if !bs.Params[i].Type.AssignableTo(ss.Params[i].Type) {
-						return violated(explain, func() error {
-							return fmt.Errorf("%w: signal %q param %q: covariance violated",
-								ErrNotSubtype, ss.Name, ss.Params[i].Name)
-						})
-					}
-				} else {
-					if !ss.Params[i].Type.AssignableTo(bs.Params[i].Type) {
-						return violated(explain, func() error {
-							return fmt.Errorf("%w: signal %q param %q: contravariance violated",
-								ErrNotSubtype, ss.Name, ss.Params[i].Name)
-						})
-					}
 				}
 			}
 		}

@@ -189,7 +189,6 @@ func TestSubtypeErrors(t *testing.T) {
 // first violated rule without formatting why, for one failing pair of each
 // rule, while Subtype still explains the same pair.
 func TestIsSubtypeNegativeAllocatesNothing(t *testing.T) {
-	osi := SignalInterface("OSI", Sig("connect", Request, P("addr", values.TString())))
 	for _, c := range []struct {
 		name       string
 		sub, super *Interface
@@ -201,7 +200,12 @@ func TestIsSubtypeNegativeAllocatesNothing(t *testing.T) {
 			OpInterface("U", Op("Get", nil, Term("OK")))},
 		{"stream-direction", StreamInterface("S", FlowOf("video", Consumer, values.TBytes())),
 			StreamInterface("U", FlowOf("video", Producer, values.TBytes()))},
-		{"signal-primitive", SignalInterface("W", Sig("connect", Indicate, P("addr", values.TString()))), osi},
+		{"announcement", OpInterface("T", Op("Ping", nil, Term("OK"))), OpInterface("U", Announce("Ping"))},
+		{"contravariance", OpInterface("T", Announce("Tell", P("n", values.TEnum("E", "a")))),
+			OpInterface("U", Announce("Tell", P("n", values.TEnum("E", "a", "b"))))},
+		{"covariance", OpInterface("T", Op("Get", nil, Term("OK", P("n", values.TEnum("E", "a", "b"))))),
+			OpInterface("U", Op("Get", nil, Term("OK", P("n", values.TEnum("E", "a")))))},
+		{"kind", StreamInterface("S"), OpInterface("U")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if err := Subtype(c.sub, c.super); !errors.Is(err, ErrNotSubtype) || err == ErrNotSubtype {
@@ -266,63 +270,38 @@ func TestStreamSubtyping(t *testing.T) {
 	}
 }
 
-func TestSignalSubtyping(t *testing.T) {
-	osi := SignalInterface("OSI",
-		Sig("connect", Request, P("addr", values.TString())),
-		Sig("connectInd", Indicate, P("addr", values.TString())),
-	)
-	if err := osi.Validate(); err != nil {
+// TestAnnouncementSubtyping: an announcement is substitutable only by an
+// announcement, its parameters are contravariant like an interrogation's,
+// and a subtype may add announcements beside the ones it inherits.
+func TestAnnouncementSubtyping(t *testing.T) {
+	narrow := values.TEnum("E", "a")
+	wide := values.TEnum("E", "a", "b")
+	notify := OpInterface("Notify", Announce("Tell", P("what", narrow)))
+	if err := notify.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if err := Subtype(osi, osi); err != nil {
+	if err := Subtype(notify, notify); err != nil {
 		t.Errorf("reflexivity: %v", err)
 	}
-	// Extra signals in the subtype are fine.
-	ext := SignalInterface("OSIX",
-		Sig("connect", Request, P("addr", values.TString())),
-		Sig("connectInd", Indicate, P("addr", values.TString())),
-		Sig("reset", Request),
-	)
-	if err := Subtype(ext, osi); err != nil {
+	if err := Subtype(Extend("NotifyMore", notify, Announce("Reset")), notify); err != nil {
 		t.Errorf("extension: %v", err)
 	}
-	// Primitive mismatch fails.
-	wrongPrim := SignalInterface("W",
-		Sig("connect", Indicate, P("addr", values.TString())),
-		Sig("connectInd", Indicate, P("addr", values.TString())),
-	)
-	if IsSubtype(wrongPrim, osi) {
-		t.Error("primitive mismatch must fail")
+	// Accepting more than the supertype's clients send is fine; less is not.
+	accepting := OpInterface("Accepting", Announce("Tell", P("what", wide)))
+	if err := Subtype(accepting, notify); err != nil {
+		t.Errorf("contravariance: %v", err)
 	}
-	// Arity mismatch fails.
-	wrongArity := SignalInterface("W2",
-		Sig("connect", Request),
-		Sig("connectInd", Indicate, P("addr", values.TString())),
-	)
-	if IsSubtype(wrongArity, osi) {
-		t.Error("arity mismatch must fail")
+	if IsSubtype(notify, accepting) {
+		t.Error("contravariance reverse must fail")
 	}
-	// Outgoing covariance: emitting a subset enum is fine.
-	superOut := SignalInterface("SO", Sig("code", Request, P("c", values.TEnum("E", "a", "b"))))
-	subOut := SignalInterface("SU", Sig("code", Request, P("c", values.TEnum("E", "a"))))
-	if err := Subtype(subOut, superOut); err != nil {
-		t.Errorf("outgoing covariance: %v", err)
+	// An interrogation does not stand in for an announcement, nor the
+	// reverse: the client either waits for a termination or it does not.
+	asked := OpInterface("Asked", Op("Tell", Params(P("what", narrow)), Term("OK")))
+	if IsSubtype(asked, notify) || IsSubtype(notify, asked) {
+		t.Error("announcement/interrogation mismatch must fail")
 	}
-	if IsSubtype(superOut, subOut) {
-		t.Error("outgoing covariance reverse must fail")
-	}
-	// Incoming contravariance: accepting a superset enum is fine.
-	superIn := SignalInterface("SI", Sig("code", Indicate, P("c", values.TEnum("E", "a"))))
-	subIn := SignalInterface("SJ", Sig("code", Indicate, P("c", values.TEnum("E", "a", "b"))))
-	if err := Subtype(subIn, superIn); err != nil {
-		t.Errorf("incoming contravariance: %v", err)
-	}
-	if IsSubtype(superIn, subIn) {
-		t.Error("incoming contravariance reverse must fail")
-	}
-	// Missing signal fails.
-	if IsSubtype(SignalInterface("Empty"), osi) {
-		t.Error("missing signal must fail")
+	if IsSubtype(OpInterface("Empty"), notify) {
+		t.Error("missing announcement must fail")
 	}
 }
 
@@ -335,7 +314,8 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown-kind", &Interface{Name: "X", Kind: InterfaceKind(9)}},
 		{"operational-with-flows", &Interface{Name: "X", Kind: Operational, Flows: []Flow{{Name: "f", Direction: Producer, Elem: values.TInt()}}}},
 		{"stream-with-ops", &Interface{Name: "X", Kind: Stream, Operations: []Operation{Announce("a")}}},
-		{"signal-with-ops", &Interface{Name: "X", Kind: Signal, Operations: []Operation{Announce("a")}}},
+		{"zero-kind", &Interface{Name: "X"}},
+		{"retired-kind-3", &Interface{Name: "X", Kind: InterfaceKind(3)}},
 		{"dup-op", OpInterface("X", Announce("a"), Announce("a"))},
 		{"unnamed-op", OpInterface("X", Announce(""))},
 		{"dup-param", OpInterface("X", Announce("a", P("p", values.TInt()), P("p", values.TInt())))},
@@ -348,10 +328,8 @@ func TestValidateErrors(t *testing.T) {
 		{"unnamed-flow", StreamInterface("X", FlowOf("", Producer, values.TInt()))},
 		{"bad-flow-dir", StreamInterface("X", Flow{Name: "f", Elem: values.TInt()})},
 		{"nil-flow-elem", StreamInterface("X", Flow{Name: "f", Direction: Producer})},
-		{"dup-signal", SignalInterface("X", Sig("s", Request), Sig("s", Confirm))},
-		{"unnamed-signal", SignalInterface("X", Sig("", Request))},
-		{"bad-signal-prim", SignalInterface("X", SignalDecl{Name: "s"})},
-		{"bad-signal-param", SignalInterface("X", Sig("s", Request, P("", values.TInt())))},
+		{"dup-term-result", OpInterface("X", Op("a", nil, Term("T", P("r", values.TInt()), P("r", values.TInt()))))},
+		{"nil-term-result-type", OpInterface("X", Op("a", nil, Term("T", P("r", nil))))},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -394,18 +372,15 @@ func TestAccessors(t *testing.T) {
 	if _, ok := st.Flow("g"); ok {
 		t.Error("Flow(g) should not be found")
 	}
-	si := SignalInterface("G", Sig("s", Request))
-	if _, ok := si.Signal("s"); !ok {
-		t.Error("Signal(s) not found")
-	}
-	if _, ok := si.Signal("t"); ok {
-		t.Error("Signal(t) should not be found")
-	}
 }
 
 func TestEnumStrings(t *testing.T) {
-	if Operational.String() != "operational" || Stream.String() != "stream" || Signal.String() != "signal" {
+	if Operational.String() != "operational" || Stream.String() != "stream" {
 		t.Error("InterfaceKind strings")
+	}
+	// Kind 3 named signal interfaces, which are gone.
+	if got := InterfaceKind(3).String(); got != "interfacekind(3)" {
+		t.Errorf("retired kind 3 = %q", got)
 	}
 	if InterfaceKind(9).String() == "" {
 		t.Error("unknown kind string empty")
@@ -415,19 +390,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if FlowDirection(9).String() == "" {
 		t.Error("unknown direction string empty")
-	}
-	for p, want := range map[SignalPrimitive]string{
-		Request: "REQUEST", Indicate: "INDICATE", Response: "RESPONSE", Confirm: "CONFIRM",
-	} {
-		if p.String() != want {
-			t.Errorf("%v.String() = %q, want %q", int(p), p.String(), want)
-		}
-	}
-	if SignalPrimitive(9).String() == "" {
-		t.Error("unknown primitive string empty")
-	}
-	if !Request.Outgoing() || !Response.Outgoing() || Indicate.Outgoing() || Confirm.Outgoing() {
-		t.Error("Outgoing classification wrong")
 	}
 }
 

@@ -29,9 +29,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}},
 		{Kind: ErrReply, Termination: "Error",
 			Args: []values.Value{values.Str("detail")}},
-		// The unbatched one-way kinds: a signal primitive and a lone flow
-		// element.
-		{Kind: SignalMsg, BindingID: 3, Operation: "connect",
+		// A frame of retired kind 4 (once a raw signal) still parses, so a
+		// server can count it as a bad frame; and the unbatched one-way
+		// flow element.
+		{Kind: MsgKind(4), BindingID: 3, Operation: "connect",
 			Args: []values.Value{values.Str("peer"), values.Bool(false)}},
 		{Kind: FlowMsg, BindingID: 3, Operation: "video", Seq: 17,
 			Args: []values.Value{values.BytesVal([]byte{9, 8, 7})}},

@@ -42,16 +42,16 @@ const maxExtensionLen = 1024
 type MsgKind uint8
 
 // The frame kinds exchanged by protocol objects. Call/Reply carry
-// interrogations, OneWay carries announcements, SignalMsg carries raw
-// signal-interface primitives, FlowMsg carries stream elements, and ErrReply
-// carries infrastructure failures (as opposed to application terminations).
-// Liveness is not a frame kind: a peer is alive when it answers a dial or a
-// call. The values are the frame's kind byte and never move.
+// interrogations, OneWay carries announcements, FlowMsg carries stream
+// elements, and ErrReply carries infrastructure failures (as opposed to
+// application terminations). Liveness is not a frame kind: a peer is alive
+// when it answers a dial or a call. The values are the frame's kind byte
+// and never move.
 const (
 	Call MsgKind = iota + 1
 	Reply
 	OneWay
-	SignalMsg
+	_ // 4: retired (a raw signal-interface primitive)
 	FlowMsg
 	ErrReply
 	_ // 7: retired (a liveness probe)
@@ -90,8 +90,6 @@ func (k MsgKind) String() string {
 		return "reply"
 	case OneWay:
 		return "oneway"
-	case SignalMsg:
-		return "signal"
 	case FlowMsg:
 		return "flow"
 	case ErrReply:

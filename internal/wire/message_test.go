@@ -81,7 +81,7 @@ func TestMessageRoundTripVariants(t *testing.T) {
 		{Kind: OneWay, Operation: "Notify"},
 		{Kind: ErrReply, Termination: "ERR_NO_SUCH_OPERATION", Correlation: 9},
 		{Kind: FlowMsg, Operation: "video", Args: []values.Value{values.BytesVal([]byte{9})}},
-		{Kind: SignalMsg, Operation: "connect"},
+		{Kind: MsgKind(4), Operation: "connect"},
 	}
 	for _, m := range variants {
 		buf, err := m.EncodeAppend(nil, Canonical)
@@ -152,12 +152,15 @@ func TestDecodeRejectsBadFrames(t *testing.T) {
 func TestMsgKindString(t *testing.T) {
 	// The kind is the frame's fourth byte: a retired kind leaves a hole, so
 	// every remaining frame keeps its encoding.
-	if CreditGrant != 9 || FlowBatch != 10 {
-		t.Fatalf("CreditGrant = %d, FlowBatch = %d; want 9 and 10", CreditGrant, FlowBatch)
+	if Call != 1 || Reply != 2 || OneWay != 3 || FlowMsg != 5 || ErrReply != 6 || CreditGrant != 9 || FlowBatch != 10 {
+		t.Fatalf("Call, Reply, OneWay, FlowMsg, ErrReply, CreditGrant, FlowBatch = %d %d %d %d %d %d %d; want 1 2 3 5 6 9 10",
+			Call, Reply, OneWay, FlowMsg, ErrReply, CreditGrant, FlowBatch)
 	}
 	for k, want := range map[MsgKind]string{
-		Call: "call", Reply: "reply", OneWay: "oneway", SignalMsg: "signal",
+		Call: "call", Reply: "reply", OneWay: "oneway",
 		FlowMsg: "flow", ErrReply: "error",
+		CreditGrant: "creditgrant", FlowBatch: "flowbatch",
+		MsgKind(4): "msgkind(4)", MsgKind(7): "msgkind(7)", MsgKind(8): "msgkind(8)",
 		MsgKind(99): "msgkind(99)",
 	} {
 		if got := k.String(); got != want {

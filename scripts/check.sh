@@ -206,6 +206,20 @@ if grep -rnE 'MaxInFlight|\bFailFast\b|ErrTooManyInFlight|ErrNoCredit|probeShare
 	exit 1
 fi
 
+echo "== what-runs gate (no raw signal layer and no transactional delete) =="
+# §5.1's raw signal interfaces and §8.2.1's transactional delete were run by
+# no binary, example or bench row, and are deleted: the signal kind, its
+# frame kind (4 is a retired hole), its receiver, its server path and its
+# primitive trace, and Tx.Delete with the log's delete flag. The one-way
+# operation that runs is the announcement (examples/quickstart). None may
+# come back unrun — anywhere, bench/ included (it names none).
+if grep -rnE 'SignalMsg|SignalReceiver|SignalInterface|SignalTrace|handleSignal|func \([a-z]+ \*Tx\) Delete\(' --include='*.go' \
+	--exclude-dir=.bench_build . ||
+	grep -nE '^[[:space:]]+Delete[[:space:]]+bool' $(find internal/transactions -name '*.go' ! -name '*_test.go'); then
+	echo "a raw signal path or the transactional delete is back (run it from an example or a binary, or leave it out)"
+	exit 1
+fi
+
 echo "== count-once gate (Management reads the counters Stats() keeps) =="
 # A count a component's own Stats() already keeps — for one component or,
 # as a keyed set, for its members — reaches Management through one mgmt.Read
@@ -313,8 +327,10 @@ echo "== reachability gate (every declaration in internal/ is run by a binary, a
 # setting (an exported field of a *Config/*Options/*Policy struct or of
 # transparency.Env) that reached code reads and nothing outside its
 # package sets, that scripts/deadcode/allow.txt does not own, a stale
-# allow pattern, or a reason naming a test that does not exist fails. Its
-# four figures print with the line counts below.
+# allow pattern, a reason that does not start with its owner (ROADMAP item
+# N, test seam, test support or the experiments' own scales; a paper
+# section alone owns nothing), or a reason naming a test that does not
+# exist fails. Its four figures print with the line counts below.
 reach=$(go test -tags deadcode -count=1 -v ./scripts/deadcode/ 2>&1) || { echo "$reach"; exit 1; }
 
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination; internal/wire) and this script =="
@@ -371,8 +387,9 @@ echo "== borrowed arguments (a delivery's values outlive its recycled message; 2
 # answers 64 pipelined callers on one session correctly (the reply is
 # encoded before the request is recycled). TestBorrowedArgsClearedAfterInvoke:
 # a kept args slice reads zero once Invoke has returned.
-# TestBorrowedArgsSignalValuesIntact and TestBorrowedElemsConsumerValuesIntact:
-# a SignalReceiver and a stream consumer keep intact values.
+# TestBorrowedArgsAnnouncementValuesIntact and
+# TestBorrowedElemsConsumerValuesIntact: a servant that keeps an
+# announcement's values and a stream consumer keep intact values.
 go test -race -count=20 -run 'TestBorrowed' ./internal/channel/ ./internal/stream/
 
 echo "== copy-on-write offers (an import copies stored offers after the read lock; 20 times under the race detector) =="

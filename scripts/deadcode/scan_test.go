@@ -20,6 +20,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -744,27 +745,42 @@ func expand(pattern string) []string {
 	return out
 }
 
+// owner is what an allow reason must start with: the open ROADMAP item
+// that will run what the line matches, a seam or support code of named
+// tests, or the experiments' scales. A paper section alone owns nothing: a
+// reproduction is what runs.
+var owner = regexp.MustCompile(`^(ROADMAP items? [0-9]+|test seam|test support|the experiments' own scales)\b`)
+
 // check splits a scan against an allow list: the unreached declarations,
-// unread fields and knobs no pattern matches, and the patterns that match
-// none of them.
-func check(res *result, allow []allowEntry) (unowned []decl, stale []allowEntry) {
-	used := make([]bool, len(allow))
+// unread fields and knobs no owned pattern matches, the owned patterns that
+// match none of them, and the patterns whose reason names no owner (which
+// own nothing).
+func check(res *result, allow []allowEntry) (unowned []decl, stale, ownerless []allowEntry) {
+	owned := allow[:0:0]
+	for _, a := range allow {
+		if owner.MatchString(a.reason) {
+			owned = append(owned, a)
+		} else {
+			ownerless = append(ownerless, a)
+		}
+	}
+	used := make([]bool, len(owned))
 	all := append(append(res.unreached[:len(res.unreached):len(res.unreached)], res.unread...), res.knobs...)
 	for _, d := range all {
-		owned := false
-		for i, a := range allow {
+		matched := false
+		for i, a := range owned {
 			if ok, _ := path.Match(a.pattern, d.name); ok {
-				used[i], owned = true, true
+				used[i], matched = true, true
 			}
 		}
-		if !owned {
+		if !matched {
 			unowned = append(unowned, d)
 		}
 	}
-	for i, a := range allow {
+	for i, a := range owned {
 		if !used[i] {
 			stale = append(stale, a)
 		}
 	}
-	return unowned, stale
+	return unowned, stale, ownerless
 }

@@ -39,6 +39,10 @@ func Allowed() {}
 // AlsoAllowed is named by an alternative of an allow.txt line.
 func AlsoAllowed() {}
 
+// Cited is called by nothing, and allow.txt cites a paper section for it
+// but names no owner.
+func Cited() {}
+
 type unusedType struct{}
 
 func (unusedType) Twice(n int) int { return 2 * n }
