@@ -161,71 +161,72 @@ func (b *Branch) save(tx *transactions.Tx, id string, a account) error {
 	}))
 }
 
-func errorTerm(reason string) (string, []values.Value, error) {
-	return "Error", []values.Value{values.Str(reason)}, nil
+// errorTerm ends a call in the Error termination. Like every result the
+// branch returns, its reason is appended to args[len(args):]: a server
+// lends the spare capacity of a call's argument buffer for its results
+// (see channel.Handler), and where there is none append allocates.
+func errorTerm(args []values.Value, reason string) (string, []values.Value, error) {
+	return "Error", append(args[len(args):], values.Str(reason)), nil
 }
 
 func (b *Branch) deposit(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[1].AsString()
 	d, _ := args[2].AsInt()
 	if d <= 0 {
-		return errorTerm("deposit amount must be positive")
+		return errorTerm(args, "deposit amount must be positive")
 	}
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
 	if !acct.open {
 		// Enterprise permission: "money can be deposited into an open
 		// account" — the computational behaviour honours the policy.
-		return errorTerm("account closed: " + a)
+		return errorTerm(args, "account closed: "+a)
 	}
 	acct.balance += d
 	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
-	return "OK", []values.Value{values.Int(acct.balance)}, nil
+	return "OK", append(args[len(args):], values.Int(acct.balance)), nil
 }
 
 func (b *Branch) withdraw(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[1].AsString()
 	d, _ := args[2].AsInt()
 	if d <= 0 {
-		return errorTerm("withdrawal amount must be positive")
+		return errorTerm(args, "withdrawal amount must be positive")
 	}
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
 	if !acct.open {
-		return errorTerm("account closed: " + a)
+		return errorTerm(args, "account closed: "+a)
 	}
 	if acct.balance < d {
-		return errorTerm("insufficient funds")
+		return errorTerm(args, "insufficient funds")
 	}
 	if acct.withdrawn+d > b.limit {
 		// The information viewpoint's invariant surfaces computationally
 		// as the NotToday termination (Section 5.1's signature).
-		return "NotToday", []values.Value{
-			values.Int(acct.withdrawn),
-			values.Int(b.limit),
-		}, nil
+		return "NotToday", append(args[len(args):], values.Int(acct.withdrawn), values.Int(b.limit)), nil
 	}
 	acct.balance -= d
 	acct.withdrawn += d
 	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
-	return "OK", []values.Value{values.Int(acct.balance)}, nil
+	return "OK", append(args[len(args):], values.Int(acct.balance)), nil
 }
 
 func (b *Branch) balance(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[1].AsString()
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
-	return "OK", []values.Value{values.Int(acct.balance)}, nil
+	return "OK", append(args[len(args):], values.Int(acct.balance)), nil
 }
 
 func (b *Branch) createAccount(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
@@ -241,14 +242,14 @@ func (b *Branch) createAccount(tx *transactions.Tx, args []values.Value) (string
 	if err := b.save(tx, id, account{open: true, owner: c}); err != nil {
 		return "", nil, err
 	}
-	return "OK", []values.Value{values.Str(id)}, nil
+	return "OK", append(args[len(args):], values.Str(id)), nil
 }
 
 func (b *Branch) closeAccount(tx *transactions.Tx, args []values.Value) (string, []values.Value, error) {
 	a, _ := args[0].AsString()
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
 	acct.open = false
 	if err := b.save(tx, a, acct); err != nil {
@@ -261,7 +262,7 @@ func (b *Branch) resetDay(tx *transactions.Tx, args []values.Value) (string, []v
 	a, _ := args[0].AsString()
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
 	acct.withdrawn = 0
 	if err := b.save(tx, a, acct); err != nil {
@@ -274,22 +275,22 @@ func (b *Branch) approveLoan(tx *transactions.Tx, args []values.Value) (string, 
 	a, _ := args[1].AsString()
 	amount, _ := args[2].AsInt()
 	if amount <= 0 {
-		return errorTerm("loan amount must be positive")
+		return errorTerm(args, "loan amount must be positive")
 	}
 	acct, err := b.load(tx, a)
 	if err != nil {
-		return errorTerm("no such account: " + a)
+		return errorTerm(args, "no such account: "+a)
 	}
 	if !acct.open {
-		return errorTerm("account closed: " + a)
+		return errorTerm(args, "account closed: "+a)
 	}
 	// Credit policy: loans up to 10× the current balance.
 	if amount > acct.balance*10 {
-		return "Declined", []values.Value{values.Str("amount exceeds credit limit")}, nil
+		return "Declined", append(args[len(args):], values.Str("amount exceeds credit limit")), nil
 	}
 	acct.balance += amount
 	if err := b.save(tx, a, acct); err != nil {
 		return "", nil, err
 	}
-	return "OK", []values.Value{values.Int(acct.balance)}, nil
+	return "OK", append(args[len(args):], values.Int(acct.balance)), nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/naming"
@@ -14,21 +15,40 @@ import (
 
 // These tests pin the borrow rule of every delivery to a servant: the
 // argument slice lives in the received message's own buffer, valid until
-// the callee returns, and the values in it may be kept.
+// the callee returns, and the values in it may be kept. The buffer's spare
+// capacity is lent for the servant's results, valid until the reply is
+// encoded.
 
 // borrowServant keeps what a careless servant would keep: the args slices
-// of its calls and announcements themselves, and the values of its Tally
-// announcements (which the rule allows).
+// of its calls and announcements themselves, the results it appended into
+// a call's argument buffer, and the values of its Tally announcements
+// (which the rule allows).
 type borrowServant struct {
 	mu      sync.Mutex
 	kept    [][]values.Value
 	tallied []values.Value
+	inPlace atomic.Int64 // Tail calls whose results landed in the argument buffer
 }
 
 func (s *borrowServant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	switch op {
 	case "Echo":
 		return "OK", args, nil
+	case "Tail":
+		// Two results, computed from the arguments, appended past them.
+		name, _ := args[0].AsString()
+		n, _ := args[1].AsInt()
+		res := append(args[len(args):], values.Str(name+"!"), values.Int(2*n))
+		if cap(args)-len(args) >= len(res) {
+			s.inPlace.Add(1)
+		}
+		return "OK", res, nil
+	case "KeepResult":
+		res := append(args[len(args):], values.Str("kept"))
+		s.mu.Lock()
+		s.kept = append(s.kept, res)
+		s.mu.Unlock()
+		return "OK", res, nil
 	case "Keep", "KeepNote":
 		s.mu.Lock()
 		s.kept = append(s.kept, args)
@@ -168,5 +188,71 @@ func TestBorrowedArgsAnnouncementValuesIntact(t *testing.T) {
 	}
 	if i := slices.Index(seen, false); i >= 0 {
 		t.Errorf("note-%d never kept", i)
+	}
+}
+
+// TestBorrowedResultsAppendPipelined: a servant that appends its results
+// into the spare capacity of its arguments' buffer answers every one of 64
+// pipelined callers on one session with its own results — each reply is
+// encoded before its request, and the buffer its results live in, is
+// recycled — and every call's results land in that buffer.
+func TestBorrowedResultsAppendPipelined(t *testing.T) {
+	env, s, ref := borrowEnv(t)
+	mgr := NewSessionManager(env.net)
+	defer mgr.Close()
+	const callers, rounds = 64, 20
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		b, err := Bind(ref, BindConfig{Sessions: mgr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				name, n := fmt.Sprintf("caller-%d", c), int64(c*rounds+r)
+				term, res, err := b.Invoke(context.Background(), "Tail", []values.Value{values.Str(name), values.Int(n)})
+				if err != nil || term != "OK" {
+					t.Errorf("caller %d round %d: %q, %v", c, r, term, err)
+					return
+				}
+				want := []values.Value{values.Str(name + "!"), values.Int(2 * n)}
+				if !slices.EqualFunc(res, want, values.Value.Equal) {
+					t.Errorf("caller %d round %d: results = %v, want %v", c, r, res, want)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := s.inPlace.Load(); got != callers*rounds {
+		t.Errorf("%d of %d calls appended their results into the argument buffer", got, callers*rounds)
+	}
+}
+
+// TestBorrowedResultsClearedAfterInvoke: a servant that keeps the results
+// it appended into its arguments' buffer, without copying them, finds them
+// cleared once Invoke has returned, as a kept args slice is; the caller
+// got them intact in the reply. Closing the server drains its workers, so
+// the request has been recycled when the kept slice is read.
+func TestBorrowedResultsClearedAfterInvoke(t *testing.T) {
+	env, s, ref := borrowEnv(t)
+	b, err := Bind(ref, BindConfig{Transport: env.net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	term, res, err := b.Invoke(context.Background(), "KeepResult", []values.Value{values.Str("alice")})
+	if err != nil || term != "OK" || len(res) != 1 || !res[0].Equal(values.Str("kept")) {
+		t.Fatalf("KeepResult = %q %v, %v", term, res, err)
+	}
+	env.server.Close()
+	if len(s.kept) != 1 || len(s.kept[0]) != 1 {
+		t.Fatalf("kept = %v, want one slice of one result", s.kept)
+	}
+	if v := s.kept[0][0]; !reflect.DeepEqual(v, values.Value{}) {
+		t.Errorf("kept result = %v after Invoke returned, want the zero Value", v)
 	}
 }

@@ -24,6 +24,13 @@ import (
 // in the received message's own buffer, valid until Invoke returns (a
 // handler may return it as its results, which are encoded first). The
 // values in it may be kept; a handler that keeps the slice copies it.
+//
+// The buffer's spare capacity is lent as well: a handler may append its
+// results to args[len(args):], and they stay valid until the reply is
+// encoded, which happens before the request is recycled. Where args has
+// no spare capacity the append allocates, as a fresh slice would. A
+// caller that hands one args slice to several handlers at once (a fan-out)
+// clips it to args[:len(args):len(args)] first, so no two share a tail.
 type Handler interface {
 	Invoke(ctx context.Context, op string, args []values.Value) (termination string, results []values.Value, err error)
 }
@@ -360,9 +367,10 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			bindings[m.BindingID] = struct{}{}
 		}
 		if err := runStages(s.cfg.Stages, Inbound, m); err != nil {
-			s.errCount.Add(1)
 			if m.Kind == wire.Call {
-				s.sendErr(q, m, stageCode(err), err.Error())
+				s.sendErr(q, m, stageCode(err), err.Error()) // counts the error
+			} else {
+				s.errCount.Add(1)
 			}
 			wire.PutMessage(m)
 			continue

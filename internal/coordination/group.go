@@ -287,6 +287,7 @@ func invokeAll(ctx context.Context, tr *mgmt.Tracer, legs []member, op string, a
 		invokeLeg(ctx, tr, legs[0], &replies[0], op, args)
 		return replies
 	}
+	args = args[:len(args):len(args)] // legs run at once: no two may append into one tail
 	fanout.Do(len(legs), maxFanout, func(i int) { invokeLeg(ctx, tr, legs[i], &replies[i], op, args) })
 	return replies
 }

@@ -120,7 +120,7 @@ func (s *SignStage) Process(dir channel.Direction, m *wire.Message) error {
 		return nil
 	}
 	switch m.Kind {
-	case wire.Call, wire.OneWay, wire.FlowMsg:
+	case wire.Call, wire.OneWay, wire.FlowMsg, wire.FlowBatch:
 		m.Auth = encodeCredential(s.Principal, computeMAC(s.Secret, s.Principal, m))
 	}
 	return nil
@@ -153,7 +153,7 @@ func (s *VerifyStage) Process(dir channel.Direction, m *wire.Message) error {
 		return nil
 	}
 	switch m.Kind {
-	case wire.Call, wire.OneWay, wire.FlowMsg:
+	case wire.Call, wire.OneWay, wire.FlowMsg, wire.FlowBatch:
 	default:
 		return nil
 	}

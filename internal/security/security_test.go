@@ -2,7 +2,9 @@ package security
 
 import (
 	"context"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/naming"
@@ -301,5 +303,122 @@ func TestVerifyStagePassesRepliesThrough(t *testing.T) {
 	}
 	if err := s.Process(channel.Outbound, &wire.Message{Kind: wire.Call}); err != nil {
 		t.Errorf("outbound should pass: %v", err)
+	}
+}
+
+// kindServant counts the deliveries it sees by request kind: an
+// interrogation or announcement by its operation name ("Call", "OneWay"),
+// a single flow element as "FlowMsg", and every phase of a flow stream
+// (open, elements, close) as "FlowBatch".
+type kindServant struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (s *kindServant) see(kind string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seen[kind]++
+}
+
+func (s *kindServant) count(kind string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seen[kind]
+}
+
+func (s *kindServant) Invoke(_ context.Context, op string, _ []values.Value) (string, []values.Value, error) {
+	s.see(op)
+	return "OK", nil, nil
+}
+
+func (s *kindServant) Flow(string, values.Value) { s.see("FlowMsg") }
+
+func (s *kindServant) StreamBatch(channel.StreamBatch) { s.see("FlowBatch") }
+
+// eventually polls cond for up to five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestEveryRequestKindIsVerified: every kind of request a server accepts —
+// a call, an announcement, a flow element and a flow stream's frames —
+// passes the verifier. Without a credential each frame is refused and
+// counted once in the server's Errors, and the servant sees nothing; the same
+// frames from a signing client are delivered, with no error. Credit grants
+// travel from server to client and never reach a server's inbound stages.
+func TestEveryRequestKindIsVerified(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		kind   string
+		frames int // frames the request sends
+		send   func(b *channel.Binding) error
+	}{
+		{"Call", 1, func(b *channel.Binding) error { _, _, err := b.Invoke(ctx, "Call", nil); return err }},
+		{"OneWay", 1, func(b *channel.Binding) error { return b.Announce(ctx, "OneWay", nil) }},
+		{"FlowMsg", 1, func(b *channel.Binding) error { return b.Flow(ctx, "audio", values.Int(1)) }},
+		{"FlowBatch", 3, func(b *channel.Binding) error {
+			fs, err := b.OpenFlowStream(ctx, "video", func(uint64, uint64) {}, func(error) {})
+			if err != nil {
+				return err
+			}
+			if err := fs.SendBatch([]values.Value{values.Int(1), values.Int(2)}); err != nil {
+				return err
+			}
+			return fs.Close()
+		}},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			net, realm, policy := netsim.New(1), NewRealm(), NewPolicy()
+			realm.AddPrincipal("alice", []byte("alice-secret"))
+			policy.Allow("alice", "*")
+			l, err := net.Listen("sim://server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := channel.NewServer(l, channel.ServerConfig{Stages: []channel.Stage{&VerifyStage{Realm: realm, Policy: policy}}})
+			servant := &kindServant{seen: map[string]int{}}
+			id := naming.InterfaceID{Nonce: 7}
+			if err := srv.Register(id, nil, servant); err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			t.Cleanup(func() { srv.Close() })
+			bind := func(stages ...channel.Stage) *channel.Binding {
+				b, err := channel.Bind(naming.InterfaceRef{ID: id, Endpoint: "sim://server"}, channel.BindConfig{Transport: net, Stages: stages})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { b.Close() })
+				return b
+			}
+
+			if err := c.send(bind()); err != nil && !channel.IsRemote(err, channel.CodeAuth) {
+				t.Fatalf("credential-less %s: %v", c.kind, err)
+			}
+			eventually(t, "the server refuses every frame", func() bool { return srv.Stats().Errors >= uint64(c.frames) })
+			if got := srv.Stats().Errors; got != uint64(c.frames) {
+				t.Errorf("credential-less %s: %d errors, want %d", c.kind, got, c.frames)
+			}
+			if n := servant.count(c.kind); n != 0 {
+				t.Errorf("credential-less %s reached the servant %d times", c.kind, n)
+			}
+
+			if err := c.send(bind(&SignStage{Principal: "alice", Secret: []byte("alice-secret")})); err != nil {
+				t.Fatalf("signed %s: %v", c.kind, err)
+			}
+			eventually(t, "the servant sees every signed frame", func() bool { return servant.count(c.kind) >= c.frames })
+			if n := servant.count(c.kind); n != c.frames {
+				t.Errorf("signed %s reached the servant %d times, want %d", c.kind, n, c.frames)
+			}
+			if got := srv.Stats().Errors; got != uint64(c.frames) {
+				t.Errorf("signed %s: %d errors, want none beyond the %d refused", c.kind, got-uint64(c.frames), c.frames)
+			}
+		})
 	}
 }

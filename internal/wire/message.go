@@ -145,6 +145,11 @@ type Message struct {
 // before its values are read, and the capacity a recycled Message keeps.
 const maxArgReserve = 64
 
+// resultReserve is the spare capacity Decode leaves past a message's
+// arguments, within maxArgReserve: room for a servant to append its
+// results into the buffer its arguments are lent from (see pool.go).
+const resultReserve = 2
+
 // SizeHint returns a conservative estimate of the encoded frame size — an
 // upper bound for either codec — so encode buffers are right-sized on
 // first use instead of growing through several reallocations.
@@ -254,7 +259,7 @@ func (m *Message) decodeBody(r *reader) error {
 	argc := int(r.be16())
 	if argc > 0 && r.err == nil {
 		// A forged count must not reserve huge capacity.
-		if n := min(argc, maxArgReserve); cap(m.argBuf) < n {
+		if n := min(argc+resultReserve, maxArgReserve); cap(m.argBuf) < n {
 			m.argBuf = make([]values.Value, 0, n)
 		}
 		for i := 0; i < argc; i++ {

@@ -25,6 +25,14 @@ import (
 // by whoever reads the message and valid until its PutMessage; the values
 // in it own their payloads and may be kept. Whoever must keep the slice
 // (the client keeping a call's results) copies it.
+//
+// The buffer is lent past its arguments too: Decode leaves spare capacity
+// behind them, and a servant may append its results to Args[len(Args):].
+// Those results live until the same PutMessage, which the server calls
+// only once the reply is encoded. The tail belongs to one callee at a
+// time: whoever hands one Args slice to several callees at once (a
+// replica group's fan-out) clips it to its length first, so each callee's
+// append allocates a slice of its own.
 
 // GetFrame returns a pooled zero-length buffer with capacity at least
 // sizeHint, for use with Message.EncodeAppend.
@@ -66,17 +74,19 @@ func GetMessage() *Message { return messagePool.Get().(*Message) }
 
 // PutMessage recycles a Message. The caller must be the last holder of the
 // pointer, and the Args of a decoded message die with it: PutMessage
-// zeroes the argument buffer they point into, so a slice kept past it
-// reads zero Values (the values it held live on wherever they were
-// copied). Args set by a sender are never pooled, only the buffer Decode
-// filled; a buffer grown past decode's reservation clamp is dropped, so
-// one huge frame does not pin its arguments' capacity in the pool.
+// zeroes the argument buffer they point into, to its full capacity, so a
+// slice kept past it reads zero Values and no result a servant appended
+// past the arguments stays reachable from the pool (the values it held
+// live on wherever they were copied). Args set by a sender are never
+// pooled, only the buffer Decode filled; a buffer grown past decode's
+// reservation clamp is dropped, so one huge frame does not pin its
+// arguments' capacity in the pool.
 func PutMessage(m *Message) {
 	if m == nil {
 		return
 	}
 	buf := m.argBuf
-	clear(buf)
+	clear(buf[:cap(buf)])
 	*m = Message{}
 	if cap(buf) <= maxArgReserve {
 		m.argBuf = buf[:0]

@@ -244,6 +244,31 @@ func TestRetainedArgsReadZero(t *testing.T) {
 	}
 }
 
+// TestPutMessageKeepsNoResult: Decode leaves room past a message's
+// arguments for a servant's results, and a result appended there is zeroed
+// with the arguments when the message is recycled — every value up to the
+// buffer's capacity reads zero, so the pool keeps no result reachable.
+func TestPutMessageKeepsNoResult(t *testing.T) {
+	m, err := Decode(depositFrame(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := m.Args
+	if cap(args) < len(args)+resultReserve {
+		t.Fatalf("decoded %d arguments with capacity %d, want room for %d results", len(args), cap(args), resultReserve)
+	}
+	res := append(args[len(args):], values.Str("acct-7"))
+	if &res[0] != &args[:len(args)+1][len(args)] {
+		t.Fatal("the result was not appended into the argument buffer")
+	}
+	PutMessage(m)
+	for i, v := range args[:cap(args)] {
+		if !reflect.DeepEqual(v, values.Value{}) {
+			t.Errorf("buffer[%d] = %v after PutMessage, want the zero Value", i, v)
+		}
+	}
+}
+
 func TestFramePoolRoundTrip(t *testing.T) {
 	f := GetFrame(512)
 	if len(f) != 0 || cap(f) < 512 {

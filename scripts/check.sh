@@ -380,17 +380,25 @@ echo "== a call follows its binding's move (20 times under the race detector; th
 go test -race -count=20 -run 'TestSessionFollowsASiblingsMove' ./internal/channel/
 go test -race -count=50 -run 'TestRunMigrationsAreInvisible' ./cmd/bankdemo/
 
-echo "== borrowed arguments (a delivery's values outlive its recycled message; 20 times under the race detector) =="
+echo "== borrowed arguments and lent results (a delivery's values outlive its recycled message; 20 times under the race detector) =="
 # A decoded message's Args live in its own pooled buffer, valid until the
-# callee returns and zeroed when the message is recycled.
+# callee returns and zeroed, to its full capacity, when the message is
+# recycled; the buffer's spare capacity is lent for the servant's results.
 # TestBorrowedArgsEchoPipelined: a servant answering with its args slice
 # answers 64 pipelined callers on one session correctly (the reply is
 # encoded before the request is recycled). TestBorrowedArgsClearedAfterInvoke:
 # a kept args slice reads zero once Invoke has returned.
+# TestBorrowedResultsAppendPipelined: a servant appending its results into
+# the spare capacity of its args answers 64 pipelined callers correctly, each
+# call's results in its own buffer. TestBorrowedResultsClearedAfterInvoke: a
+# kept result slice reads zero once Invoke has returned.
 # TestBorrowedArgsAnnouncementValuesIntact and
 # TestBorrowedElemsConsumerValuesIntact: a servant that keeps an
 # announcement's values and a stream consumer keep intact values.
+# TestFanOutLegsOwnTheirResults: a replica group's concurrent legs, handed
+# one decoded args slice, never append into one tail (the fan-out clips it).
 go test -race -count=20 -run 'TestBorrowed' ./internal/channel/ ./internal/stream/
+go test -race -count=20 -run 'TestFanOutLegsOwnTheirResults' ./internal/coordination/
 
 echo "== copy-on-write offers (an import copies stored offers after the read lock; 20 times under the race detector) =="
 # TestModifyDuringMultiLegImport: an import merges pointers to stored offers
