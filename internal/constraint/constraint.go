@@ -39,6 +39,15 @@
 // at most a 48-byte Expr, its own copy of the source and a program of one
 // 40-byte node per byte of it, so the table never keeps more than
 // 1,024 × (4 + 48 + 128 + 128 × 40) B, about 5.2 MiB.
+//
+// What the memo does not keep, a caller can lend the room for: ParseInto
+// compiles a first sight, or a source too long for the memo, into a buffer
+// the caller owns, reusing its program, so once the buffer has grown to the
+// source's size the compilation allocates nothing. Only a second sight,
+// which the memo keeps, allocates: the Expr, its program and its copy of
+// the source. A trader lends one buffer per import, so an import whose
+// constraint is new allocates no more than one whose constraint the memo
+// holds.
 package constraint
 
 import (
@@ -72,7 +81,7 @@ type Expr struct {
 	// One flat program, immutable once parsed, so the legs of one import
 	// evaluate it concurrently.
 	src  string
-	prog []node // nil for the empty, always-true constraint
+	prog []node // empty for the empty, always-true constraint
 	root int32  // the node the program's value is
 }
 
@@ -106,33 +115,55 @@ func memoHash(src string) uint32 {
 
 // Parse compiles a constraint expression, or returns the compilation of
 // the same source it made before. An empty string parses to the
-// always-true constraint.
-func Parse(src string) (*Expr, error) {
-	if len(src) > memoMaxLen {
-		return compile(src)
+// always-true constraint. Parse is ParseInto with no buffer to lend.
+func Parse(src string) (*Expr, error) { return ParseInto(nil, src) }
+
+// ParseInto is Parse for a caller that owns a parse buffer, dst, and uses
+// the result only until it parses into dst again. A source the memo holds
+// returns the shared Expr, and a source kept on its second sight a new
+// one, as from Parse; any other — a first sight, or a source too long for
+// the memo — is compiled into dst, reusing the capacity of its program,
+// and returns dst. The empty source returns dst emptied to its whole
+// capacity, so a buffer put aside holds no text of the sources it has
+// compiled. A nil dst is a fresh buffer for each compilation.
+func ParseInto(dst *Expr, src string) (*Expr, error) {
+	if src == "" && dst != nil {
+		clear(dst.prog[:cap(dst.prog)])
+		*dst = Expr{prog: dst.prog[:0]}
+		return dst, nil
 	}
-	h := memoHash(src)
-	slot := h & (memoSlots - 1)
-	if e := memo[slot].Load(); e != nil && e.src == src {
-		return e, nil
+	if len(src) <= memoMaxLen {
+		h := memoHash(src)
+		slot := h & (memoSlots - 1)
+		if e := memo[slot].Load(); e != nil && e.src == src {
+			return e, nil
+		}
+		if missed[slot].Swap(h) == h {
+			// The program's identifiers and strings point into its source,
+			// so the memo compiles a copy of it: a kept Expr holds no larger
+			// string the caller cut src from.
+			e, err := compileInto(new(Expr), strings.Clone(src))
+			if err != nil {
+				return nil, err
+			}
+			memo[slot].Store(e)
+			return e, nil
+		}
+		// A first sight, as far as the slot remembers: compiled, not kept.
 	}
-	if missed[slot].Swap(h) != h {
-		return compile(src) // a first sight, as far as the slot remembers
+	if dst == nil {
+		dst = new(Expr)
 	}
-	// The program's identifiers and strings point into its source, so the
-	// memo compiles a copy of it: a kept Expr holds no larger string the
-	// caller cut src from.
-	e, err := compile(strings.Clone(src))
-	if err == nil {
-		memo[slot].Store(e)
-	}
-	return e, err
+	return compileInto(dst, src)
 }
 
-// compile is Parse without the memo.
-func compile(src string) (*Expr, error) {
+// compileInto is ParseInto without the memo: it compiles src into dst,
+// reusing dst's program when it has room for src's, and returns dst. On an
+// error dst holds a partial program, which its next compilation replaces.
+func compileInto(dst *Expr, src string) (*Expr, error) {
+	dst.src, dst.prog, dst.root = src, dst.prog[:0], 0
 	if strings.TrimSpace(src) == "" {
-		return &Expr{src: src}, nil
+		return dst, nil
 	}
 	// A first pass lexes the whole source, so a lexical error anywhere is
 	// reported before any grammatical one, and counts the nodes; the parse
@@ -141,21 +172,26 @@ func compile(src string) (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := parser{src: src, prog: make([]node, 0, n)}
+	if cap(dst.prog) < n {
+		dst.prog = make([]node, 0, n)
+	}
+	p := parser{src: src, prog: dst.prog}
 	p.next()
 	root, err := p.parse(orLevel)
+	dst.prog = p.prog
 	if err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokEnd {
 		return nil, fmt.Errorf("%w: trailing input at %q", ErrSyntax, p.text())
 	}
-	return &Expr{src: src, prog: p.prog, root: root}, nil
+	dst.root = root
+	return dst, nil
 }
 
 // Eval evaluates the expression against a property record.
 func (e *Expr) Eval(props values.Value) (values.Value, error) {
-	if e.prog == nil {
+	if len(e.prog) == 0 {
 		return values.Bool(true), nil
 	}
 	return e.eval(e.root, props)

@@ -193,17 +193,28 @@ func TestExprString(t *testing.T) {
 	}
 }
 
+// compiled keeps the last compilation a test measured, so its Expr is made
+// on the heap, as a Parse's is.
+var compiled *Expr
+
 // TestParseAllocBudget: a compilation allocates the Expr and its program,
 // one array of nodes, whatever the expression's size — an identifier or a
 // string keeps its text as written, in the source — and the empty
 // constraint only the Expr. A Parse that misses the memo on a source's
 // first sight allocates what a compilation does; on its second sight it
 // also allocates the copy of the source it keeps (3 for a non-empty
-// source); and a Parse of a source the memo keeps allocates nothing. The
-// rows are the trader bench's preference and constraint shapes, and one
-// of 59 nodes, too long for the memo.
+// source); and a Parse of a source the memo keeps allocates nothing. A
+// ParseInto that would compile — a first sight, or a source too long for
+// the memo — compiles into the buffer it is lent and, once that has grown
+// past the source's program, allocates nothing. The rows are the trader
+// bench's preference and constraint shapes, and one of 59 nodes, too long
+// for the memo.
 func TestParseAllocBudget(t *testing.T) {
 	wide := strings.TrimSuffix(strings.Repeat("(load < 42 or load > 57) and region != 'fr' or ", 5), " or ")
+	lent := new(Expr)
+	if _, err := ParseInto(lent, wide); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		src    string
 		budget float64
@@ -222,7 +233,8 @@ func TestParseAllocBudget(t *testing.T) {
 		{wide, 2},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := compile(c.src); err != nil {
+			var err error
+			if compiled, err = compileInto(new(Expr), c.src); err != nil {
 				t.Fatalf("compile(%q): %v", c.src, err)
 			}
 		})
@@ -243,6 +255,15 @@ func TestParseAllocBudget(t *testing.T) {
 			if firsts > c.budget {
 				t.Errorf("Parse(%q) on a first sight = %v allocs, budget %v", c.src, firsts, c.budget)
 			}
+			// Alternating from an empty slot, neither is ever a second sight.
+			memo[slotOf(c.src)].Store(nil)
+			missed[slotOf(c.src)].Store(0)
+			if firsts := testing.AllocsPerRun(100, func() {
+				ParseInto(lent, c.src)
+				ParseInto(lent, other)
+			}); firsts != 0 {
+				t.Errorf("ParseInto(%q) on a first sight into a grown buffer = %v allocs, want 0", c.src, firsts/2)
+			}
 			pairs := testing.AllocsPerRun(100, func() {
 				Parse(c.src)
 				Parse(c.src)
@@ -256,6 +277,9 @@ func TestParseAllocBudget(t *testing.T) {
 		want := 0.0
 		if len(c.src) > memoMaxLen {
 			want = allocs
+			if into := testing.AllocsPerRun(100, func() { ParseInto(lent, c.src) }); into != 0 {
+				t.Errorf("ParseInto(%q), too long for the memo, into a grown buffer = %v allocs, want 0", c.src, into)
+			}
 		}
 		Parse(c.src) // a first sight; AllocsPerRun's warm-up is the second
 		if allocs := testing.AllocsPerRun(100, func() { Parse(c.src) }); allocs != want {

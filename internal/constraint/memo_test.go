@@ -3,6 +3,7 @@ package constraint
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,29 +38,83 @@ func TestMemoMatchesFreshCompilation(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		g := exprGen{rand.New(rand.NewSource(1))}
 		for i := 0; i < 5_000; i++ {
-			src := g.expr(g.r.Intn(6))
-			if g.r.Intn(4) == 0 {
-				src = g.mutate(src)
+			matchesFresh(t, g, g.draw(), Parse)
+		}
+	}
+}
+
+// TestParseIntoMatchesFreshCompilation: the same draws, and an empty or a
+// blank source now and then, parsed in turn into one lent buffer, so its
+// program grows, shrinks and is left half-written by a syntax error before
+// the next source is compiled over it. Each result fails exactly when a
+// fresh compilation does and otherwise evaluates exactly as it does. The
+// seed is one no other test draws from, so the first pass meets an empty
+// memo; in either pass, over a thousand draws are first sights the memo
+// leaves to the buffer.
+func TestParseIntoMatchesFreshCompilation(t *testing.T) {
+	var lent Expr
+	compiled := 0
+	into := func(src string) (*Expr, error) {
+		e, err := ParseInto(&lent, src)
+		if e == &lent {
+			compiled++
+		}
+		return e, err
+	}
+	for pass := 0; pass < 2; pass++ {
+		g := exprGen{rand.New(rand.NewSource(7))}
+		for i := 0; i < 5_000; i++ {
+			src := g.draw()
+			switch g.r.Intn(40) {
+			case 0:
+				src = ""
+			case 1:
+				src = " \t "
 			}
-			records := []values.Value{g.props(2), g.props(2), g.props(1), values.Record()}
-			got, gerr := Parse(src)
-			want, werr := compile(src)
-			if !sameErr(gerr, werr) {
-				t.Fatalf("Parse(%q) error = %v, fresh %v", src, gerr, werr)
-			}
-			if gerr != nil {
-				continue
-			}
-			if got.String() != src {
-				t.Fatalf("Parse(%q).String() = %q", src, got.String())
-			}
-			for _, props := range records {
-				gv, gerr := got.Eval(props)
-				wv, werr := want.Eval(props)
-				if !sameErr(gerr, werr) || gerr == nil && !same(gv, wv) {
-					t.Fatalf("Eval(%q) over %v = %v, %v; fresh %v, %v", src, props, gv, gerr, wv, werr)
-				}
-			}
+			matchesFresh(t, g, src, into)
+		}
+		if compiled < 1_000 {
+			t.Errorf("pass %d compiled %d of 5,000 draws into the lent buffer", pass, compiled)
+		}
+		compiled = 0
+	}
+}
+
+// draw is a seeded source as the reference test draws it: an expression,
+// one in four of them mutated, mostly into a syntax error.
+func (g exprGen) draw() string {
+	src := g.expr(g.r.Intn(6))
+	if g.r.Intn(4) == 0 {
+		src = g.mutate(src)
+	}
+	return src
+}
+
+// matchesFresh checks parse(src) against a fresh compilation of src: the
+// same error, or an Expr of src with the same program, which evaluates to
+// the same value or error on each of four records g draws.
+func matchesFresh(t *testing.T, g exprGen, src string, parse func(string) (*Expr, error)) {
+	t.Helper()
+	records := []values.Value{g.props(2), g.props(2), g.props(1), values.Record()}
+	got, gerr := parse(src)
+	want, werr := compileInto(new(Expr), src)
+	if !sameErr(gerr, werr) {
+		t.Fatalf("parse(%q) error = %v, fresh %v", src, gerr, werr)
+	}
+	if gerr != nil {
+		return
+	}
+	if got.String() != src {
+		t.Fatalf("parse(%q).String() = %q", src, got.String())
+	}
+	if !slices.Equal(got.prog, want.prog) || got.root != want.root {
+		t.Fatalf("parse(%q) = program %v rooted at %d, fresh %v at %d", src, got.prog, got.root, want.prog, want.root)
+	}
+	for _, props := range records {
+		gv, gerr := got.Eval(props)
+		wv, werr := want.Eval(props)
+		if !sameErr(gerr, werr) || gerr == nil && !same(gv, wv) {
+			t.Fatalf("Eval(%q) over %v = %v, %v; fresh %v, %v", src, props, gv, gerr, wv, werr)
 		}
 	}
 }

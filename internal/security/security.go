@@ -4,7 +4,8 @@
 //
 // Authentication uses shared-secret HMAC credentials. The client end's
 // SignStage (a binder: no application semantics needed) attaches a
-// credential covering the message's identity-relevant header fields; the
+// credential covering the message's identity-relevant header fields and its
+// payload; the
 // server end's VerifyStage checks the credential against its Realm and
 // then enforces the access-control Policy. Together with the channel's
 // replay guard (sequence numbers in the binder, Section 6.1) this defends
@@ -65,25 +66,39 @@ func (r *Realm) secret(name string) ([]byte, bool) {
 	return s, ok
 }
 
-// mac computes the credential MAC over the fields that identify an
-// interaction: principal, target interface, operation, binding, sequence
-// and correlation. Covering seq and correlation ties the credential to
-// one transmission, so a captured credential cannot authenticate a
-// different (or replayed-with-new-seq) message.
-func computeMAC(secret []byte, principal string, m *wire.Message) []byte {
+// computeMAC computes the credential MAC over the message's identity and
+// its content: principal, target interface, operation, binding, sequence
+// and correlation, and the kind, the termination and every argument.
+// Covering seq and correlation ties the credential to one transmission, so
+// a captured credential cannot authenticate a different (or
+// replayed-with-new-seq) message; covering the payload binds it to what
+// that transmission says, so a changed argument, or a stream's open marker
+// replayed as its end, is refused. The fields are laid out in a pooled
+// frame buffer, each string behind its length and each argument in its
+// canonical encoding, and hashed in one write. An argument too deep to
+// encode has no MAC.
+func computeMAC(secret []byte, principal string, m *wire.Message) ([]byte, error) {
+	buf := wire.GetFrame(m.SizeHint() + len(principal) + 64)
+	defer func() { wire.PutFrame(buf) }()
+	for _, f := range [...]string{principal, m.Target.String(), m.Operation, m.Termination} {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
+	}
+	buf = append(buf, byte(m.Kind))
+	buf = binary.BigEndian.AppendUint64(buf, m.BindingID)
+	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, m.Correlation)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Args)))
+	for _, a := range m.Args {
+		next, err := wire.Canonical.AppendValue(buf, a)
+		if err != nil {
+			return nil, err
+		}
+		buf = next
+	}
 	h := hmac.New(sha256.New, secret)
-	h.Write([]byte(principal))
-	h.Write([]byte{0})
-	h.Write([]byte(m.Target.String()))
-	h.Write([]byte{0})
-	h.Write([]byte(m.Operation))
-	h.Write([]byte{0})
-	var buf [8 * 3]byte
-	binary.BigEndian.PutUint64(buf[0:], m.BindingID)
-	binary.BigEndian.PutUint64(buf[8:], m.Seq)
-	binary.BigEndian.PutUint64(buf[16:], m.Correlation)
-	h.Write(buf[:])
-	return h.Sum(nil)
+	h.Write(buf)
+	return h.Sum(nil), nil
 }
 
 func encodeCredential(principal string, mac []byte) []byte {
@@ -121,7 +136,11 @@ func (s *SignStage) Process(dir channel.Direction, m *wire.Message) error {
 	}
 	switch m.Kind {
 	case wire.Call, wire.OneWay, wire.FlowMsg, wire.FlowBatch:
-		m.Auth = encodeCredential(s.Principal, computeMAC(s.Secret, s.Principal, m))
+		mac, err := computeMAC(s.Secret, s.Principal, m)
+		if err != nil {
+			return err
+		}
+		m.Auth = encodeCredential(s.Principal, mac)
 	}
 	return nil
 }
@@ -177,8 +196,7 @@ func (s *VerifyStage) check(m *wire.Message) (Decision, error) {
 		d.Reason = "unknown principal"
 		return d, &channel.StageError{Code: channel.CodeAuth, Detail: d.Reason}
 	}
-	want := computeMAC(secret, principal, m)
-	if !hmac.Equal(mac, want) {
+	if want, err := computeMAC(secret, principal, m); err != nil || !hmac.Equal(mac, want) {
 		d.Reason = "bad credential"
 		return d, &channel.StageError{Code: channel.CodeAuth, Detail: d.Reason}
 	}

@@ -2,6 +2,8 @@ package security
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -270,14 +272,19 @@ func TestCredentialBoundToMessage(t *testing.T) {
 	secret := []byte("alice-secret")
 	m1 := &wire.Message{Kind: wire.Call, Operation: "Echo", BindingID: 1, Seq: 1, Correlation: 1}
 	m2 := &wire.Message{Kind: wire.Call, Operation: "Admin", BindingID: 1, Seq: 1, Correlation: 1}
-	mac1 := computeMAC(secret, "alice", m1)
-	mac2 := computeMAC(secret, "alice", m2)
-	if string(mac1) == string(mac2) {
+	mac := func(m *wire.Message) string {
+		b, err := computeMAC(secret, "alice", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if mac(m1) == mac(m2) {
 		t.Error("MACs for different operations must differ")
 	}
 	m3 := *m1
 	m3.Seq = 2
-	if string(computeMAC(secret, "alice", &m3)) == string(mac1) {
+	if mac(&m3) == mac(m1) {
 		t.Error("MACs for different sequence numbers must differ")
 	}
 }
@@ -418,6 +425,141 @@ func TestEveryRequestKindIsVerified(t *testing.T) {
 			}
 			if got := srv.Stats().Errors; got != uint64(c.frames) {
 				t.Errorf("signed %s: %d errors, want none beyond the %d refused", c.kind, got-uint64(c.frames), c.frames)
+			}
+		})
+	}
+}
+
+// tamperStage rewrites each outbound request after it is signed: it stands
+// between the signer and the wire, where a man in the middle would.
+type tamperStage func(m *wire.Message)
+
+func (f tamperStage) Process(dir channel.Direction, m *wire.Message) error {
+	if dir == channel.Outbound {
+		f(m)
+	}
+	return nil
+}
+
+// logServant records each delivery in order: a call by its operation and
+// its first argument, a stream phase by its name and sequence position.
+type logServant struct {
+	mu  sync.Mutex
+	log []string
+}
+
+func (s *logServant) add(e string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.log = append(s.log, e)
+}
+
+func (s *logServant) seen() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.log)
+}
+
+func (s *logServant) Invoke(_ context.Context, op string, args []values.Value) (string, []values.Value, error) {
+	s.add(fmt.Sprintf("%s(%v)", op, args))
+	return "OK", nil, nil
+}
+
+func (s *logServant) StreamBatch(b channel.StreamBatch) {
+	s.add(fmt.Sprintf("%s@%d", map[channel.StreamPhase]string{
+		channel.StreamOpen: "open", channel.StreamElems: "elems", channel.StreamClose: "close"}[b.Phase], b.Seq))
+}
+
+// TestCredentialBindsThePayload: a credential covers what a request says,
+// not only whom it is from and where it goes. Each signed request below is
+// tampered with between the signer and the wire — a withdrawal's amount
+// raised, a stream's open credential replayed on its end-of-stream frame,
+// an element batch's termination turned into an end of stream. The
+// tampered frame is refused with ERR_AUTH and counted once in the server's
+// Errors, and the servant sees every other frame and nothing of that one.
+func TestCredentialBindsThePayload(t *testing.T) {
+	ctx := context.Background()
+	openStream := func(b *channel.Binding) (*channel.FlowStream, error) {
+		return b.OpenFlowStream(ctx, "video", func(uint64, uint64) {}, func(error) {})
+	}
+	var openAuth []byte
+	for _, c := range []struct {
+		name   string
+		send   func(b *channel.Binding) error
+		tamper func(m *wire.Message)
+		want   []string // what the servant sees
+	}{
+		{"argument", func(b *channel.Binding) error {
+			_, _, err := b.Invoke(ctx, "Withdraw", []values.Value{values.Int(5)})
+			if !channel.IsRemote(err, channel.CodeAuth) {
+				return fmt.Errorf("tampered Withdraw = %v, want ERR_AUTH", err)
+			}
+			return nil
+		}, func(m *wire.Message) {
+			m.Args = []values.Value{values.Int(5000)}
+		}, nil},
+		{"replayed open", func(b *channel.Binding) error {
+			fs, err := openStream(b)
+			if err != nil {
+				return err
+			}
+			return fs.Close()
+		}, func(m *wire.Message) {
+			switch m.Termination {
+			case wire.StreamOpenMark:
+				openAuth = slices.Clone(m.Auth)
+			case wire.StreamEOSMark:
+				m.Auth = openAuth
+			}
+		}, []string{"open@0"}},
+		{"termination", func(b *channel.Binding) error {
+			fs, err := openStream(b)
+			if err != nil {
+				return err
+			}
+			if err := fs.SendBatch([]values.Value{values.Int(1), values.Int(2)}); err != nil {
+				return err
+			}
+			return fs.Close()
+		}, func(m *wire.Message) {
+			if m.Kind == wire.FlowBatch && m.Termination == "" {
+				m.Termination = wire.StreamEOSMark
+			}
+		}, []string{"open@0", "close@2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, realm, policy := netsim.New(1), NewRealm(), NewPolicy()
+			realm.AddPrincipal("alice", []byte("alice-secret"))
+			policy.Allow("alice", "*")
+			l, err := net.Listen("sim://server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := channel.NewServer(l, channel.ServerConfig{Stages: []channel.Stage{&VerifyStage{Realm: realm, Policy: policy}}})
+			servant := &logServant{}
+			id := naming.InterfaceID{Nonce: 7}
+			if err := srv.Register(id, nil, servant); err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			t.Cleanup(func() { srv.Close() })
+			b, err := channel.Bind(naming.InterfaceRef{ID: id, Endpoint: "sim://server"}, channel.BindConfig{Transport: net,
+				Stages: []channel.Stage{&SignStage{Principal: "alice", Secret: []byte("alice-secret")}, tamperStage(c.tamper)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { b.Close() })
+
+			if err := c.send(b); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the server refuses the tampered frame", func() bool { return srv.Stats().Errors >= 1 })
+			eventually(t, "the servant sees every other frame", func() bool { return len(servant.seen()) >= len(c.want) })
+			if got := srv.Stats().Errors; got != 1 {
+				t.Errorf("%d errors, want 1", got)
+			}
+			if got := servant.seen(); !slices.Equal(got, c.want) {
+				t.Errorf("the servant saw %q, want %q", got, c.want)
 			}
 		})
 	}

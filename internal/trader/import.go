@@ -57,6 +57,7 @@ type importQuery struct {
 	kind     PreferenceKind
 	expr     *constraint.Expr // the parsed constraint
 	prefExpr *constraint.Expr // the parsed preference expression, for PrefMax/PrefMin
+	scratch  *parseScratch    // what a parse the memo did not hold went into, nil when none did
 	latency  *mgmt.Histogram
 	start    time.Time // set when metered
 }
@@ -64,9 +65,11 @@ type importQuery struct {
 // begin validates a request before any store is consulted — a bad one
 // costs no query and is not counted — and opens its accounting. A request
 // that an import in this process made its legs' sub-request carries that
-// import's parse, which a leg takes instead of parsing again.
-func (c *importCore) begin(req ImportRequest) (importQuery, error) {
-	q := importQuery{kind: req.Preference.Kind}
+// import's parse, which a leg takes instead of parsing again. The query
+// may hold a parse scratch, which the caller gives back (release) once the
+// import has answered; a request begin refuses holds none.
+func (c *importCore) begin(req ImportRequest) (q importQuery, err error) {
+	q.kind = req.Preference.Kind
 	if req.ServiceType == "" {
 		return q, fmt.Errorf("%w: empty service type", ErrBadRequest)
 	}
@@ -76,14 +79,18 @@ func (c *importCore) begin(req ImportRequest) (importQuery, error) {
 	if req.MaxHops > maxHops {
 		return q, fmt.Errorf("%w: %d hops, at most %d", ErrBadRequest, req.MaxHops, maxHops)
 	}
-	var err error
-	if q.expr, err = parsed(req.expr, req.Constraint); err != nil {
+	defer func() {
+		if err != nil {
+			q.release()
+		}
+	}()
+	if q.expr, err = q.parse(0, req.expr, req.Constraint); err != nil {
 		return q, err
 	}
 	switch q.kind {
 	case PrefFirst, PrefRandom:
 	case PrefMax, PrefMin:
-		if q.prefExpr, err = parsed(req.prefExpr, req.Preference.Expr); err != nil {
+		if q.prefExpr, err = q.parse(1, req.prefExpr, req.Preference.Expr); err != nil {
 			return q, err
 		}
 	default:
@@ -99,15 +106,74 @@ func (c *importCore) begin(req ImportRequest) (importQuery, error) {
 	return q, nil
 }
 
-// parsed returns the parse of src: carried when it was made from the same
-// source (an Expr is immutable, so the legs of one import share it across
-// goroutines), else constraint.Parse's, which a recent import of the same
-// text has most likely left in its memo.
-func parsed(carried *constraint.Expr, src string) (*constraint.Expr, error) {
+// parse returns the parse of src: carried when it was made from the same
+// source (an Expr is immutable while the import runs, so its legs share
+// it across goroutines), else constraint.ParseInto's, which a recent import
+// of the same text has most likely left in its memo, and which compiles
+// any other source into buffer i of the query's parse scratch, taken here
+// on first need.
+func (q *importQuery) parse(i int, carried *constraint.Expr, src string) (*constraint.Expr, error) {
 	if carried != nil && carried.String() == src {
 		return carried, nil
 	}
-	return constraint.Parse(src)
+	if q.scratch == nil {
+		q.scratch = takeParseScratch()
+	}
+	return constraint.ParseInto(&q.scratch[i], src)
+}
+
+// release gives the query's parse scratch back. It is called once nothing
+// evaluates what was compiled into it: after finish at an origin, after
+// localMatches at a leg — fanout.Do has waited for every leg by then.
+func (q *importQuery) release() {
+	if q.scratch != nil {
+		putParseScratch(q.scratch)
+		q.scratch = nil
+	}
+}
+
+// parseScratch is the pair of buffers an import compiles its constraint
+// (0) and its preference (1) into when the memo does not hold them.
+type parseScratch [2]constraint.Expr
+
+// parseScratchMaxLen bounds what an idle parse scratch holds: a program
+// compiled from a longer source, which may have grown to one node per byte,
+// is dropped before its scratch is kept. So a kept program has at most 256
+// nodes of 40 B, and the 8 scratches parseScratches keeps hold under
+// 8 × 2 × 10 KiB.
+const parseScratchMaxLen = 256
+
+// parseScratches keeps up to 8 idle parse scratches: a bounded free list,
+// like fanScratches, so an import allocates the same every time, under the
+// race detector too.
+var parseScratches = make(chan *parseScratch, 8)
+
+// takeParseScratch returns a kept scratch, or a new one when none waits.
+func takeParseScratch() *parseScratch {
+	select {
+	case s := <-parseScratches:
+		return s
+	default:
+		return new(parseScratch)
+	}
+}
+
+// putParseScratch empties s and keeps it, unless enough wait already. A
+// program's strings point into the source of the request it was compiled
+// from, so each buffer is cleared to its whole capacity: a kept scratch
+// pins no request's text.
+func putParseScratch(s *parseScratch) {
+	for i := range s {
+		if len(s[i].String()) > parseScratchMaxLen {
+			s[i] = constraint.Expr{}
+		} else {
+			constraint.ParseInto(&s[i], "")
+		}
+	}
+	select {
+	case parseScratches <- s:
+	default:
+	}
 }
 
 // subRequest is the one request an import puts to each of its legs: the

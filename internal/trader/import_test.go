@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/constraint"
@@ -590,7 +593,12 @@ func importAllocs(t *testing.T, front *ShardedTrader, serviceType, constraint st
 // runs, measured as testing.AllocsPerRun counts allocations.
 func importBytes(t *testing.T, front *ShardedTrader, serviceType, constraint string) float64 {
 	t.Helper()
-	run := importOnce(t, front, serviceType, constraint)
+	return bytesPerRun(importOnce(t, front, serviceType, constraint))
+}
+
+// bytesPerRun is how many bytes run allocates, averaged over 200 runs
+// after one to warm up.
+func bytesPerRun(run func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	var before, after runtime.MemStats
@@ -604,12 +612,42 @@ func importBytes(t *testing.T, front *ShardedTrader, serviceType, constraint str
 
 // importOnce is one import of the best 10 by min cost at front.
 func importOnce(t *testing.T, front *ShardedTrader, serviceType, constraint string) func() {
-	req := ImportRequest{ServiceType: serviceType, Constraint: constraint,
+	return importEach(t, front, serviceType, func() string { return constraint })
+}
+
+// importEach is importOnce under the constraint text next returns for
+// each import.
+func importEach(t *testing.T, front *ShardedTrader, serviceType string, next func() string) func() {
+	req := ImportRequest{ServiceType: serviceType,
 		Preference: Preference{Kind: PrefMin, Expr: "cost"}, MaxMatches: 10}
 	return func() {
+		req.Constraint = next()
 		if res, err := front.ImportEx(req); err != nil || len(res.Offers) != 10 {
 			t.Fatalf("import %s: %d offers, %v", serviceType, len(res.Offers), err)
 		}
+	}
+}
+
+// firstSights numbers the texts tests make to be parsed for the first
+// time, so no two are alike, in one run or across -count runs.
+var firstSights atomic.Int64
+
+// firstSight returns a maker of n constraint texts, one per call, that no
+// import in this process has parsed before, each as selective as the
+// budget rows' constraint: every offer's cost is positive.
+func firstSight(t *testing.T, n int) func() string {
+	t.Helper()
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("load < 90 and region != 'fr' and cost != %d", -firstSights.Add(1))
+	}
+	return func() string {
+		if len(texts) == 0 {
+			t.Fatal("out of first sights")
+		}
+		src := texts[0]
+		texts = texts[1:]
+		return src
 	}
 }
 
@@ -621,7 +659,9 @@ func importOnce(t *testing.T, front *ShardedTrader, serviceType, constraint stri
 // constraint and the preference come from the parse memo, and a multi-leg
 // fan-out reuses its scratch and hands its legs to parked workers, so
 // every import allocates only the ten offers it returns (1,680 B), in one
-// slice, whichever row and under -race too.
+// slice, whichever row and under -race too. A constraint text the memo has
+// never seen is compiled into the import's reused parse scratch, so a
+// first sight allocates no more.
 func TestImportAllocBudget(t *testing.T) {
 	front := benchShaped(t, 10_000)
 	const constraint = "load < 90 and region != 'fr'"
@@ -639,6 +679,16 @@ func TestImportAllocBudget(t *testing.T) {
 			}
 			if bytes := importBytes(t, front, row.serviceType, constraint); bytes > row.bytes {
 				t.Errorf("%s import = %.0f B, budget %v", row.serviceType, bytes, row.bytes)
+			}
+		})
+		t.Run(row.name+" first sight", func(t *testing.T) {
+			// AllocsPerRun and bytesPerRun each run once to warm up and 200
+			// times measured.
+			if allocs := testing.AllocsPerRun(200, importEach(t, front, row.serviceType, firstSight(t, 201))); allocs > row.allocs {
+				t.Errorf("%s import of a new constraint = %v allocs, budget %v", row.serviceType, allocs, row.allocs)
+			}
+			if bytes := bytesPerRun(importEach(t, front, row.serviceType, firstSight(t, 201))); bytes > row.bytes {
+				t.Errorf("%s import of a new constraint = %.0f B, budget %v", row.serviceType, bytes, row.bytes)
 			}
 		})
 	}
@@ -683,6 +733,94 @@ func TestFanScratchKeepsNothing(t *testing.T) {
 			t.Errorf("a scratch keeps the import's query or request: %+v, %+v", s.q, s.sub)
 		}
 	}
+}
+
+// TestParseScratchKeepsNothing: once an import whose constraint and
+// preference the memo did not hold has answered, every parse scratch
+// waiting to be reused holds no source and no node string, so it pins no
+// request's text; it keeps the program it grew, but not one compiled from
+// a source longer than parseScratchMaxLen.
+func TestParseScratchKeepsNothing(t *testing.T) {
+	front := benchShaped(t, 2_000)
+	long := "load < 90" + strings.Repeat(" and load < 90", parseScratchMaxLen/14)
+	for _, c := range []struct {
+		constraint string
+		grown      bool
+	}{
+		{firstSight(t, 1)(), true},
+		{long, false},
+	} {
+		req := ImportRequest{ServiceType: "SvcR0", Constraint: c.constraint, MaxMatches: 10,
+			Preference: Preference{Kind: PrefMax, Expr: fmt.Sprintf("cost - %d", firstSights.Add(1))}}
+		if res, err := front.ImportEx(req); err != nil || len(res.Offers) != 10 {
+			t.Fatalf("import: %d offers, %v", len(res.Offers), err)
+		}
+		var kept []*parseScratch
+		for len(parseScratches) > 0 {
+			kept = append(kept, <-parseScratches)
+		}
+		if len(kept) == 0 {
+			t.Fatal("an import that compiled into its scratch kept none")
+		}
+		for k, s := range kept {
+			for i := range s {
+				v := reflect.ValueOf(&s[i]).Elem()
+				if src := v.FieldByName("src").String(); src != "" {
+					t.Errorf("buffer %d keeps the source %q", i, src)
+				}
+				prog := v.FieldByName("prog")
+				for n := 0; n < prog.Cap(); n++ {
+					if str := prog.Slice(0, prog.Cap()).Index(n).FieldByName("str").String(); str != "" {
+						t.Errorf("buffer %d's node %d keeps %q", i, n, str)
+					}
+				}
+				// The import's own scratch went back last.
+				if n := prog.Cap(); k == len(kept)-1 && i == 0 && (n > len(c.constraint) || c.grown != (n > 0)) {
+					t.Errorf("constraint %q: the kept buffer's program holds %d nodes", c.constraint, n)
+				}
+			}
+		}
+		for _, s := range kept {
+			parseScratches <- s
+		}
+	}
+}
+
+// TestFirstSightImportsRace: eight goroutines import root types, whose
+// closures span every shard of the bench-shaped front-end, each with a
+// constraint and a preference no import has parsed before, so every import
+// compiles both into its own parse scratch while its legs evaluate them on
+// other goroutines and other imports take and give back scratches. Each
+// answer is the copy-all reference's. scripts/check.sh runs it 20 times
+// under the race detector.
+func TestFirstSightImportsRace(t *testing.T) {
+	front := benchShaped(t, 2_000)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				n := firstSights.Add(1)
+				req := ImportRequest{
+					ServiceType: fmt.Sprintf("SvcR%d", (g+i)%5),
+					Constraint:  fmt.Sprintf("load < %d and cost != %d", 20+n%80, -n),
+					Preference:  Preference{Kind: PrefMax, Expr: fmt.Sprintf("cost - %d", n)},
+					MaxMatches:  1 + int(n%20),
+				}
+				res, err := front.ImportEx(req)
+				if err != nil || res.LinksQueried < 2 {
+					t.Errorf("import %+v: %d legs, %v; want a multi-leg import", req, res.LinksQueried, err)
+					return
+				}
+				if got, want := offerIDs(res.Offers), offerIDs(refImport(t, front, req)); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("import %+v:\n got %v\nwant %v", req, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestLoneLegCostsWhatTheStoreCosts: an import whose subtype closure lands

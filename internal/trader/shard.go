@@ -319,7 +319,9 @@ func (s *ShardedTrader) ImportEx(req ImportRequest) (ImportResult, error) {
 		sub.MaxHops = req.MaxHops - 1
 		all = s.federate(q, sub, &res, all)
 	}
-	return s.finish(q, req, res, all), nil
+	res = s.finish(q, req, res, all)
+	q.release()
+	return res, nil
 }
 
 // federate puts the sub-request, one hop shorter, to every federation link

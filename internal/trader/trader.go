@@ -315,7 +315,9 @@ func (t *Trader) ImportEx(req ImportRequest) (ImportResult, error) {
 		return ImportResult{}, err
 	}
 	var buf [mergeBuf]hit
-	return t.finish(q, req, ImportResult{}, t.localMatches(q, req.ServiceType, q.subRequest(req).MaxMatches, buf[:0])), nil
+	res := t.finish(q, req, ImportResult{}, t.localMatches(q, req.ServiceType, q.subRequest(req).MaxMatches, buf[:0]))
+	q.release()
+	return res, nil
 }
 
 // answerLeg is the store's import as a leg of an import in this process
@@ -328,6 +330,7 @@ func (t *Trader) answerLeg(sub ImportRequest, dst []hit) ([]hit, error) {
 	}
 	n := len(dst)
 	dst = t.localMatches(q, sub.ServiceType, sub.MaxMatches, dst)
+	q.release()
 	t.count(q, len(dst)-n)
 	return dst, nil
 }

@@ -415,6 +415,14 @@ echo "== constraint memo (two sources sharing one slot, 20 times under the race 
 # it; every Expr returned must be the one of the source asked for.
 go test -race -count=20 -run 'TestMemoSharedSlotRace' ./internal/constraint/
 
+echo "== lent parse buffers (first-sight imports across shards, 20 times under the race detector) =="
+# TestFirstSightImportsRace: eight goroutines make multi-leg imports at the
+# bench-shaped front-end, each with a constraint and a preference no import
+# has parsed, so each compiles both into a parse scratch its legs read on
+# other goroutines; a scratch given back while a leg still reads it is a
+# reported race, or an answer that is not the copy-all reference's.
+go test -race -count=20 -run 'TestFirstSightImportsRace' ./internal/trader/
+
 echo "== fan-out workers (parked, reused and retired; 20 times under the race detector) =="
 # TestDo and TestDoBackToBack: every index once and at most limit calls in
 # flight, over workers and pools earlier fan-outs parked and kept.
@@ -473,11 +481,13 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # budgets are tier-1 tests in the packages they pin: the E2 deposit and
 # balance allocations in internal/odp, disabled-instrumentation parity and
 # the flat allocations beside 255 sibling bindings in internal/channel, the
-# leaf, mid-level and root import allocations and bytes and their flatness
-# in the number of matches in internal/trader (TestImportAllocBudget), with
+# leaf, mid-level and root import allocations and bytes, under a known
+# constraint and a never-seen one, and their flatness in the number of
+# matches in internal/trader (TestImportAllocBudget), with
 # a lone leg's and a multi-leg fan-out's parity with the bare store
-# (TestLoneLegCostsWhatTheStoreCosts), a compilation's allocations and a
-# memo hit's none in internal/constraint (TestParseAllocBudget), a warm
+# (TestLoneLegCostsWhatTheStoreCosts), a compilation's allocations, a
+# memo hit's none and a lent buffer's none in internal/constraint
+# (TestParseAllocBudget), a warm
 # fan-out's none in internal/fanout (TestDoWarmAllocatesNothing), the
 # bounded transaction log
 # in internal/transactions (a warmed one-key commit allocating nothing in
