@@ -357,7 +357,10 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		}
 		m, err := wire.Decode(frame)
 		// Decode copies every escaping payload out of the frame, so the
-		// buffer can be recycled immediately, whatever the outcome.
+		// buffer can be recycled immediately, whatever the outcome. A
+		// stream element's bytes land in a shared 32 KiB chunk rather than
+		// an allocation of their own; a consumer that keeps the element
+		// pins that one chunk (see wire's pool.go).
 		wire.PutFrame(frame)
 		if err != nil {
 			s.badFrames.Add(1)

@@ -486,7 +486,10 @@ func (s *Session) readLoop() {
 		}
 		m, err := wire.Decode(frame)
 		// Decode copies every escaping payload out of the frame, so the
-		// buffer can be recycled immediately, whatever the outcome.
+		// buffer can be recycled immediately, whatever the outcome. A
+		// reply's bytes results get allocations of their own; only a
+		// stream element's are carved from a shared chunk (see wire's
+		// pool.go).
 		wire.PutFrame(frame)
 		if err != nil {
 			// A corrupt frame fails only its own call, by that call's

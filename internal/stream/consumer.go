@@ -210,8 +210,14 @@ type Inbound struct {
 	flow  string
 	grant func(cumElems, cumBytes uint64)
 
-	mu        sync.Mutex
-	queue     []values.Value
+	mu sync.Mutex
+	// ring buffers the elements awaiting Recv, queued of them from head
+	// on, wrapping. It is made at the consumer's window on the first
+	// batch, so a producer within its credit never grows it; a peer that
+	// overruns its credit is still buffered in full, on a ring grown to fit.
+	ring      []values.Value
+	head      int
+	queued    int
 	recvElems uint64 // wire-arrived elements, kept + dropped
 	consElems uint64 // consumed: read by the app, or dropped by the stub
 	consBytes uint64
@@ -242,8 +248,8 @@ func (in *Inbound) push(b channel.StreamBatch) {
 	if b.Seq != in.recvElems {
 		in.seqGaps++
 	}
-	in.queue = append(in.queue, b.Elems...)
-	if q := uint64(len(in.queue)); q > in.maxQueued {
+	in.enqueue(b.Elems)
+	if q := uint64(in.queued); q > in.maxQueued {
 		in.maxQueued = q
 	}
 	in.recvElems += uint64(len(b.Elems)) + b.DroppedElems
@@ -262,22 +268,39 @@ func (in *Inbound) push(b channel.StreamBatch) {
 	}
 }
 
+// enqueue copies elems onto the ring behind what is buffered. The caller
+// holds in.mu.
+func (in *Inbound) enqueue(elems []values.Value) {
+	if len(elems) == 0 {
+		return
+	}
+	if n := in.queued + len(elems); n > len(in.ring) {
+		grown := make([]values.Value, max(n, 2*len(in.ring), in.c.cfg.Window))
+		k := copy(grown, in.ring[in.head:min(in.head+in.queued, len(in.ring))])
+		copy(grown[k:], in.ring[:in.queued-k])
+		in.ring, in.head = grown, 0
+	}
+	k := copy(in.ring[(in.head+in.queued)%len(in.ring):], elems)
+	copy(in.ring, elems[k:])
+	in.queued += len(elems)
+}
+
 // Recv returns the next element, blocking until one arrives. At orderly
 // end-of-stream it returns io.EOF once the buffer drains; an abnormal
 // close returns the cause (matching channel.ErrDisconnected).
 func (in *Inbound) Recv(ctx context.Context) (values.Value, error) {
 	for {
 		in.mu.Lock()
-		if len(in.queue) > 0 {
-			v := in.queue[0]
-			in.queue[0] = values.Value{}
-			in.queue = in.queue[1:]
-			if len(in.queue) == 0 {
-				in.queue = nil // let the drained backing array go
+		if in.queued > 0 {
+			v := in.ring[in.head]
+			in.ring[in.head] = values.Value{}
+			if in.head++; in.head == len(in.ring) {
+				in.head = 0
 			}
+			in.queued--
 			in.consElems++
 			in.consBytes += uint64(wire.ValueSizeHint(v))
-			drained := in.done && in.queue == nil
+			drained := in.done && in.queued == 0
 			in.mu.Unlock()
 			if drained {
 				in.c.retire(in)
@@ -350,7 +373,7 @@ func (in *Inbound) finish(err error) {
 	}
 	in.done = true
 	in.err = err
-	drained := len(in.queue) == 0
+	drained := in.queued == 0
 	in.mu.Unlock()
 	if drained {
 		in.c.retire(in)
@@ -373,6 +396,6 @@ func (in *Inbound) Stats() InboundStats {
 		MaxQueued:    in.maxQueued,
 		GrantedElems: in.granted,
 		Batches:      in.batches,
-		Queued:       len(in.queue),
+		Queued:       in.queued,
 	}
 }

@@ -55,7 +55,7 @@ type Producer struct {
 // grant arrives; the first Send blocks for it (the open round-trip is the
 // stream's only latency cost — after it, credit pipelines with data).
 func Open(ctx context.Context, b *channel.Binding, flow string, _ ProducerConfig) (*Producer, error) {
-	gate := newCreditGate()
+	gate := new(creditGate)
 	fs, err := b.OpenFlowStream(ctx, flow, gate.grant, gate.fail)
 	if err != nil {
 		return nil, err

@@ -39,10 +39,14 @@ const (
 // from the consumer (via the session read loop) and Send debits against
 // them, blocking when the window is empty. All totals are cumulative
 // since stream open, matching the wire protocol, so the gate never needs
-// to reason about lost or reordered grants.
+// to reason about lost or reordered grants. The zero gate is a window
+// that nothing has been granted yet.
 type creditGate struct {
-	mu     sync.Mutex
-	notify chan struct{} // closed and replaced on every grant/failure
+	mu sync.Mutex
+	// notify is made by the first Send that parks and closed, and
+	// dropped, by the grant or failure that wakes it: a grant with no
+	// Send waiting makes no channel.
+	notify chan struct{}
 
 	grantedElems uint64
 	grantedBytes uint64
@@ -53,10 +57,6 @@ type creditGate struct {
 
 	stalls  uint64
 	stallNs uint64
-}
-
-func newCreditGate() *creditGate {
-	return &creditGate{notify: make(chan struct{})}
 }
 
 // grant folds in a cumulative grant. Regressions are ignored (stale
@@ -73,8 +73,7 @@ func (g *creditGate) grant(cumElems, cumBytes uint64) {
 		moved = true
 	}
 	if moved {
-		close(g.notify)
-		g.notify = make(chan struct{})
+		g.wake()
 	}
 	g.mu.Unlock()
 }
@@ -84,10 +83,17 @@ func (g *creditGate) fail(err error) {
 	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
-		close(g.notify)
-		g.notify = make(chan struct{})
+		g.wake()
 	}
 	g.mu.Unlock()
+}
+
+// wake releases every parked Send, if any. The caller holds g.mu.
+func (g *creditGate) wake() {
+	if g.notify != nil {
+		close(g.notify)
+		g.notify = nil
+	}
 }
 
 // acquire debits credit for one element of the given size, blocking until
@@ -116,6 +122,9 @@ func (g *creditGate) acquire(ctx context.Context, bytes uint64) error {
 			}
 			g.mu.Unlock()
 			return nil
+		}
+		if g.notify == nil {
+			g.notify = make(chan struct{})
 		}
 		ch := g.notify
 		if stallStart.IsZero() {

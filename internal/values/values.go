@@ -82,7 +82,8 @@ type Value struct {
 	//
 	//   - bool, int, uint, float: num;
 	//   - string, enum: str;
-	//   - bytes: str, holding octets BytesVal copied in once;
+	//   - bytes: str, holding octets BytesVal copied in once (or that
+	//     BytesOwned took over);
 	//   - record, seq: num is the length and tail points at the first Field
 	//     or Value of the backing array (Record and Seq copy into it, the
 	//     *Owned constructors take it over);
@@ -129,6 +130,15 @@ func Str(v string) Value { return Value{kind: KindString, str: v} }
 
 // BytesVal constructs an opaque octet-sequence value. The input is copied.
 func BytesVal(v []byte) Value { return Value{kind: KindBytes, str: string(v)} }
+
+// BytesOwned constructs an opaque octet-sequence value that takes
+// ownership of b: the octets are not copied, and the caller must never
+// write them again, whatever larger buffer b was carved from. Decoders use
+// this to lend a value a region of a shared chunk; everyone else should
+// prefer BytesVal. See RecordOwned.
+func BytesOwned(b []byte) Value {
+	return Value{kind: KindBytes, str: unsafe.String(unsafe.SliceData(b), len(b))}
+}
 
 // Enum constructs an enumeration value holding the given symbol.
 func Enum(symbol string) Value { return Value{kind: KindEnum, str: symbol} }

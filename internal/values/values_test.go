@@ -133,6 +133,26 @@ func TestBytesCopiedOnConstruction(t *testing.T) {
 	}
 }
 
+// TestBytesOwnedTakesItsOctets: BytesOwned makes a value over the octets it
+// is handed, with no copy, equal to BytesVal of the same octets; an empty
+// slice is the empty bytes value.
+func TestBytesOwnedTakesItsOctets(t *testing.T) {
+	chunk := []byte{1, 2, 3, 4, 5, 6}
+	v := BytesOwned(chunk[2:4])
+	if got, _ := v.BytesView(); &got[0] != &chunk[2] || len(got) != 2 {
+		t.Errorf("BytesOwned copied its octets: %v", got)
+	}
+	if !v.Equal(BytesVal([]byte{3, 4})) {
+		t.Errorf("BytesOwned = %v, want bytes 3 4", v)
+	}
+	if !BytesOwned(nil).Equal(BytesVal(nil)) {
+		t.Error("BytesOwned(nil) differs from the empty bytes value")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v = BytesOwned(chunk) }); allocs != 0 {
+		t.Errorf("BytesOwned = %v allocs, want 0", allocs)
+	}
+}
+
 func TestRecordFields(t *testing.T) {
 	v := Record(F("a", Int(1)), F("b", Str("two")))
 	if v.NumFields() != 2 {

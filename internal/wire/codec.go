@@ -250,7 +250,8 @@ type reader struct {
 	data  []byte
 	off   int
 	codec Codec
-	depth int // levels of nesting open above the next read
+	depth int  // levels of nesting open above the next read
+	carve bool // bytes payloads go to shared chunks (a FlowBatch's elements)
 	err   error
 }
 
@@ -390,7 +391,11 @@ func (r *reader) value() values.Value {
 	case values.KindEnum:
 		v = values.Enum(internBytes(r.opaque()))
 	case values.KindBytes:
-		v = values.BytesVal(r.opaque())
+		if b := r.opaque(); r.carve && len(b) <= carveMax {
+			v = values.BytesOwned(carveBytes(b))
+		} else {
+			v = values.BytesVal(b)
+		}
 	case values.KindRecord:
 		v = r.record()
 	case values.KindSeq:

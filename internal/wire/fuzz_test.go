@@ -56,6 +56,10 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{Kind: FlowBatch, BindingID: 4, Operation: "ticks",
 			Correlation: 0x51, Seq: 128, Args: []values.Value{
 				values.Int(1), values.Int(2), values.Int(3)}},
+		// Its bytes elements are carved from shared chunks.
+		{Kind: FlowBatch, BindingID: 4, Operation: "frames",
+			Correlation: 0x52, Seq: 2, Args: []values.Value{
+				values.BytesVal([]byte{1, 2, 3}), values.BytesVal(make([]byte, 64))}},
 		{Kind: FlowBatch, BindingID: 4, Operation: "ticks",
 			Correlation: 0x51, Seq: 131, Termination: StreamEOSMark},
 	}

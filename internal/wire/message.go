@@ -206,32 +206,39 @@ func (m *Message) EncodeAppend(dst []byte, codec Codec) ([]byte, error) {
 
 // Decode parses a frame produced by Encode, selecting the payload codec
 // from the header. Every string and byte payload is copied out of data, so
-// the caller may recycle the frame (PutFrame) as soon as Decode returns.
+// the caller may recycle the frame (PutFrame) as soon as Decode returns;
+// a FlowBatch's small bytes payloads are copied into shared chunks (see
+// pool.go).
 // The Message itself comes from a pool, and Args lives in its own buffer:
 // a caller that remains its last holder hands it back with PutMessage,
 // which ends the life of Args too.
 func Decode(data []byte) (*Message, error) {
-	if len(data) < 6 {
-		return nil, ErrTruncated
-	}
-	if binary.BigEndian.Uint16(data) != frameMagic {
-		return nil, ErrBadMagic
-	}
-	if data[2] != frameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, data[2])
-	}
-	codec, err := ByID(CodecID(data[3]))
-	if err != nil {
-		return nil, err
-	}
 	m := GetMessage()
-	m.Kind = MsgKind(data[4])
-	m.Codec = codec.ID()
-	if err := m.decodeBody(&reader{data: data, off: 6, codec: codec}); err != nil {
+	if err := m.decode(data); err != nil {
 		PutMessage(m) // a corrupt frame must cost no more than a good one
 		return nil, err
 	}
 	return m, nil
+}
+
+// decode parses a whole frame into m, which is zeroed or reset.
+func (m *Message) decode(data []byte) error {
+	if len(data) < 6 {
+		return ErrTruncated
+	}
+	if binary.BigEndian.Uint16(data) != frameMagic {
+		return ErrBadMagic
+	}
+	if data[2] != frameVersion {
+		return fmt.Errorf("%w: %d", ErrBadVersion, data[2])
+	}
+	codec, err := ByID(CodecID(data[3]))
+	if err != nil {
+		return err
+	}
+	m.Kind = MsgKind(data[4])
+	m.Codec = codec.ID()
+	return m.decodeBody(&reader{data: data, off: 6, codec: codec, carve: m.Kind == FlowBatch})
 }
 
 // decodeBody parses everything after the fixed six-byte prefix into m.

@@ -20,6 +20,16 @@ import (
 // decoding. Whoever must remember a frame's bytes (the replay guard does)
 // copies them; nothing retains a frame past its PutFrame.
 //
+// Where a payload is copied to depends on the frame. A Call's, a Reply's
+// or a OneWay's bytes argument, which servants and stores keep, gets an
+// allocation of its own. A FlowBatch's stream elements, which a consumer
+// mostly reads once and drops, are carved: each bytes payload of at most
+// 4 KiB is copied into a region of a shared 32 KiB chunk (carveBytes), and
+// its value is a string over that region. The region is the value's for
+// good: no one writes it again, and the value may be kept like any other.
+// What keeping it costs is its chunk: an element the consumer keeps pins
+// the one 32 KiB chunk it was carved from, and never more.
+//
 // A decoded Message is owned the same way: Decode hands it out, PutMessage
 // ends it. Its Args slice is the message's own argument buffer, borrowed
 // by whoever reads the message and valid until its PutMessage; the values
@@ -85,13 +95,18 @@ func PutMessage(m *Message) {
 	if m == nil {
 		return
 	}
+	m.reset()
+	messagePool.Put(m)
+}
+
+// reset zeroes m as PutMessage describes, keeping its argument buffer.
+func (m *Message) reset() {
 	buf := m.argBuf
 	clear(buf[:cap(buf)])
 	*m = Message{}
 	if cap(buf) <= maxArgReserve {
 		m.argBuf = buf[:0]
 	}
-	messagePool.Put(m)
 }
 
 var fieldScratchPool = sync.Pool{

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,6 +144,42 @@ func TestInternBytesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestInternSharedBucketBothHit: two ids that hash to one bucket, decoded
+// in turn as a busy client's customer and account ids are, both hit once
+// each has been seen; with one string per bucket each evicted the other
+// and every lookup allocated. A third id in the bucket still reads back
+// as itself.
+func TestInternSharedBucketBothHit(t *testing.T) {
+	var ids [][]byte
+	seen := map[uint32]string{}
+	for i := 0; len(ids) < 3; i++ {
+		id := fmt.Sprintf("shared-bucket-%d", i)
+		bucket := internHash([]byte(id)) & (internBuckets - 1)
+		if first, ok := seen[bucket]; !ok {
+			seen[bucket] = id
+		} else if len(ids) == 0 {
+			ids = append(ids, []byte(first), []byte(id))
+		} else if internHash(ids[0])&(internBuckets-1) == bucket {
+			ids = append(ids, []byte(id))
+		}
+	}
+	both := func() {
+		if internBytes(ids[0]) != string(ids[0]) || internBytes(ids[1]) != string(ids[1]) {
+			t.Fatal("interned string differs from its input")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, both); allocs != 0 {
+		t.Errorf("two ids sharing a bucket = %v allocs after warm-up, want 0", allocs)
+	}
+	for i := 0; i < 3; i++ {
+		for _, id := range ids {
+			if got := internBytes(id); got != string(id) {
+				t.Fatalf("internBytes(%q) = %q", id, got)
+			}
+		}
+	}
 }
 
 func TestMessagePoolZeroes(t *testing.T) {

@@ -37,7 +37,7 @@ func refCodecs() map[Codec]refCodec {
 // reference's bytes and both decoders read them back alike.
 func TestCodecMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
-	vs := sampleValues()
+	vs := append(sampleValues(), flowElemValues()...)
 	for i := 0; i < 20000; i++ {
 		vs = append(vs, randomValue(r, 4))
 	}
@@ -66,7 +66,7 @@ func TestCodecMatchesReference(t *testing.T) {
 // `go test -run='^$' -fuzz=FuzzCodecMatchesReference ./internal/wire/`.
 func FuzzCodecMatchesReference(f *testing.F) {
 	for c := range refCodecs() {
-		for _, v := range sampleValues() {
+		for _, v := range append(sampleValues(), flowElemValues()...) {
 			b, err := c.AppendValue(nil, v)
 			if err != nil {
 				f.Fatal(err)
@@ -88,35 +88,56 @@ func FuzzCodecMatchesReference(f *testing.F) {
 // fail with the same sentinel, or both succeed at the same offset with
 // values whose encodings — by c and by the reference — are one byte
 // string. Comparing encodings rather than Equal also holds NaNs and data
-// type names to account.
+// type names to account. c decodes twice: as a call's argument, and as a
+// FlowBatch's element, whose bytes payloads it carves.
 func agree(t testing.TB, c Codec, ref refCodec, data []byte) {
 	t.Helper()
-	v, off, err := c.ReadValue(data, 0)
 	rv, roff, rerr := ref.ReadValue(data, 0)
-	for _, sentinel := range []error{ErrTruncated, ErrBadTag, ErrTooLarge} {
-		if errors.Is(err, sentinel) != errors.Is(rerr, sentinel) {
-			t.Fatalf("%s: %x: decoded with %v, reference %v", codecName(c), data, err, rerr)
+	for _, carve := range []bool{false, true} {
+		name := codecName(c)
+		if carve {
+			name += " carving"
+		}
+		r := reader{data: data, codec: c, carve: carve}
+		v := r.value()
+		off, err := r.off, r.err
+		for _, sentinel := range []error{ErrTruncated, ErrBadTag, ErrTooLarge} {
+			if errors.Is(err, sentinel) != errors.Is(rerr, sentinel) {
+				t.Fatalf("%s: %x: decoded with %v, reference %v", name, data, err, rerr)
+			}
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%s: %x: decoded with %v, reference %v", name, data, err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if off != roff {
+			t.Fatalf("%s: %x: read to %d, reference to %d", name, data, off, roff)
+		}
+		got, err := c.AppendValue(nil, v)
+		if err != nil {
+			t.Fatalf("%s: re-encode %v: %v", name, v, err)
+		}
+		want, err := ref.AppendValue(nil, rv)
+		if err != nil {
+			t.Fatalf("%s: reference re-encode %v: %v", name, rv, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %x: read %v, reference %v", name, data, v, rv)
 		}
 	}
-	if (err == nil) != (rerr == nil) {
-		t.Fatalf("%s: %x: decoded with %v, reference %v", codecName(c), data, err, rerr)
-	}
-	if err != nil {
-		return
-	}
-	if off != roff {
-		t.Fatalf("%s: %x: read to %d, reference to %d", codecName(c), data, off, roff)
-	}
-	got, err := c.AppendValue(nil, v)
-	if err != nil {
-		t.Fatalf("%s: re-encode %v: %v", codecName(c), v, err)
-	}
-	want, err := ref.AppendValue(nil, rv)
-	if err != nil {
-		t.Fatalf("%s: reference re-encode %v: %v", codecName(c), rv, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: %x: read %v, reference %v", codecName(c), data, v, rv)
+}
+
+// flowElemValues are the shapes of a FlowBatch's elements: bytes payloads
+// up to, at and past the largest that is carved, and a stream of records
+// that carry bytes.
+func flowElemValues() []values.Value {
+	payload := func(n int) values.Value { return values.BytesVal(bytes.Repeat([]byte{0xa5}, n)) }
+	return []values.Value{
+		payload(1), payload(7), payload(1024), payload(carveMax), payload(carveMax + 1),
+		values.Seq(payload(3), payload(1024), payload(carveMax+1)),
+		values.Record(values.F("frame", payload(1021)), values.F("pts", values.Int(40))),
 	}
 }
 

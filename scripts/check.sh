@@ -423,6 +423,14 @@ echo "== lent parse buffers (first-sight imports across shards, 20 times under t
 # reported race, or an answer that is not the copy-all reference's.
 go test -race -count=20 -run 'TestFirstSightImportsRace' ./internal/trader/
 
+echo "== carved stream elements (eight decoders share the chunks, frames recycled at once; 20 times under the race detector) =="
+# TestCarvedPayloadsRace: eight goroutines decode FlowBatch frames whose
+# bytes elements are carved from the shared 32 KiB chunks, and recycle each
+# frame as soon as it is decoded; two regions handed out twice, or a region
+# still read from the frame, is a reported race or a kept element whose
+# CRC fails, and a region off an 8-byte boundary fails too.
+go test -race -count=20 -run TestCarvedPayloadsRace ./internal/wire/
+
 echo "== fan-out workers (parked, reused and retired; 20 times under the race detector) =="
 # TestDo and TestDoBackToBack: every index once and at most limit calls in
 # flight, over workers and pools earlier fan-outs parked and kept.
@@ -487,7 +495,9 @@ echo "== experiment gates (E12 pipelining, E13 sharding, E14 streams, E15 de-sin
 # a lone leg's and a multi-leg fan-out's parity with the bare store
 # (TestLoneLegCostsWhatTheStoreCosts), a compilation's allocations, a
 # memo hit's none and a lent buffer's none in internal/constraint
-# (TestParseAllocBudget), a warm
+# (TestParseAllocBudget), a FlowBatch of 32 elements of 1 KiB filling one
+# carved chunk and nothing else in internal/wire
+# (TestFlowBatchDecodeAllocBudget), a warm
 # fan-out's none in internal/fanout (TestDoWarmAllocatesNothing), the
 # bounded transaction log
 # in internal/transactions (a warmed one-key commit allocating nothing in
