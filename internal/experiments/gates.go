@@ -71,13 +71,15 @@ var Gates = []Gate{
 	{Section: "e15", Pick: Pick{Scenario: "crash-rebalance", Key: "crash_events"}, Op: ">", Value: 0},
 	{Section: "e15", Pick: Pick{Scenario: "crash-rebalance", Key: "misses"}, Op: "==", Value: 0},
 
-	// With recovery on the storm loses no lookup and no object, rescues
-	// victims and keeps both replicas of the failed-over group; the
-	// recovery-off control shows the degradation is real.
+	// With recovery on the storm loses no lookup, object or recovery
+	// action, rescues victims, re-admits the restarted host and keeps both
+	// replicas; the recovery-off control shows the degradation is real.
 	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "lost_lookups"}, Op: "==", Value: 0},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "dead_objects"}, Op: "==", Value: 0},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "rescues"}, Op: ">", Value: 0},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "group_size"}, Op: "==", Value: 2},
+	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "recovery_failures"}, Op: "==", Value: 0},
+	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "readmissions"}, Op: ">", Value: 0},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-on", Key: "migrations"}, Op: ">=", Value: 100},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-off", Key: "dead_objects"}, Op: ">", Value: 0},
 	{Section: "e16", Pick: Pick{Scenario: "recovery-off", Key: "availability"}, Op: "<", Value: 1,

@@ -263,10 +263,7 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		ConsecutiveFailures: 1,
 		OpenFor:             4 * cfg.Unit,
 	})
-	ctl := health.NewController(health.ControllerConfig{
-		Breakers:   breakers,
-		RetryDelay: time.Millisecond,
-	})
+	ctl := health.NewController(health.ControllerConfig{Breakers: breakers})
 	defer ctl.Close()
 
 	// rep0's plan: the automatic shard failover. Drop the dead member,
@@ -332,7 +329,6 @@ func E16MigrationStorm(cfg E16Config) (E16Report, error) {
 		// flapping host is re-admitted at most once per open interval.
 		OnAlive: func(ctx context.Context, ep string) error { return nil },
 	})
-	ctl.SetFallbackPlan(health.Plan{})
 
 	det := health.New(health.Config{
 		Interval:     cfg.Unit / 4,

@@ -2,9 +2,7 @@ package health
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/policy"
@@ -24,17 +22,15 @@ type Plan struct {
 	// (drop the dead group member, promote a standby, re-replicate).
 	OnDead func(ctx context.Context, endpoint string) error
 	// OnAlive runs when a previously suspect/dead endpoint heals: the
-	// re-admission (catch the member up, rejoin the ring). When the
-	// controller has Breakers, OnAlive is gated by the endpoint's
-	// breaker: a half-open probe is claimed for the attempt, Record
-	// reports its outcome, and ReturnProbe hands an unused probe back.
+	// re-admission (catch the member up, rejoin the ring). With Breakers,
+	// the heal waits while the endpoint's breaker is open, then claims its
+	// half-open probe, Record reports the outcome, and ReturnProbe hands
+	// an unused probe back.
 	OnAlive func(ctx context.Context, endpoint string) error
 }
 
 // ControllerConfig parameterises a Controller.
 type ControllerConfig struct {
-	// RetryDelay separates attempts (default 5ms).
-	RetryDelay time.Duration
 	// Breakers, when set, gates OnAlive re-admission per endpoint: heal
 	// actions claim the breaker's half-open probe so a flapping endpoint
 	// is re-admitted at most once per breaker open interval.
@@ -43,45 +39,45 @@ type ControllerConfig struct {
 
 // ControllerStats counts recovery activity.
 type ControllerStats struct {
-	Handled      uint64 // transitions accepted onto the queue
 	Actions      uint64 // plan hooks that ran and succeeded
-	Failures     uint64 // plan hooks that exhausted their retries
-	Dropped      uint64 // transitions dropped at a full queue or with no plan
+	Failures     uint64 // verdicts whose plan failed its attempts, once each
 	Readmissions uint64 // successful breaker-gated OnAlive actions
+	Pending      int    // endpoints whose latest verdict's plan has not succeeded
 }
 
 // Controller is the self-healing layer's acting half: it consumes
-// liveness transitions (wired to the detector directly or via the event
-// bus) and executes per-endpoint recovery plans on one serial worker.
+// liveness transitions (from the detector or the event bus) and, on one
+// worker, retries the plan of each endpoint's latest verdict (wanted)
+// until it succeeds (done). A newer verdict overwrites an older one.
 type Controller struct {
 	cfg ControllerConfig
 
-	mu       sync.Mutex
-	plans    map[string]Plan
-	fallback *Plan
+	mu    sync.Mutex
+	plans map[string]Plan
+	eps   map[string]*level // the endpoints not known to be reconciled
+	stats ControllerStats   // but Pending, which is counted from eps
 
-	q      chan Transition
+	wake   chan struct{} // one slot: Handle pokes the worker
 	done   chan struct{}
 	cancel context.CancelFunc
-	closed atomic.Bool
+}
 
-	handled      atomic.Uint64
-	actions      atomic.Uint64
-	failures     atomic.Uint64
-	dropped      atomic.Uint64
-	readmissions atomic.Uint64
+// level is an endpoint's latest verdict; Handle never changes one in place.
+type level struct {
+	wanted, done State
+	next         time.Time     // not tried before: a backoff or a breaker wait
+	backoff      time.Duration // doubles from retryDelay up to maxBackoff
+	failed       bool          // this verdict's failure has been counted
 }
 
 // NewController creates a controller and starts its worker.
 func NewController(cfg ControllerConfig) *Controller {
 	ctx, cancel := context.WithCancel(context.Background())
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 5 * time.Millisecond
-	}
 	c := &Controller{
 		cfg:    cfg,
 		plans:  make(map[string]Plan),
-		q:      make(chan Transition, transitionQueue),
+		eps:    make(map[string]*level),
+		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		cancel: cancel,
 	}
@@ -90,141 +86,145 @@ func NewController(cfg ControllerConfig) *Controller {
 }
 
 // SetPlan installs endpoint's recovery plan, replacing any previous one.
+// A verdict whose hook is missing is done as soon as the worker sees it.
 func (c *Controller) SetPlan(endpoint string, p Plan) {
 	c.mu.Lock()
 	c.plans[endpoint] = p
 	c.mu.Unlock()
 }
 
-// SetFallbackPlan installs the plan used by endpoints without their own.
-func (c *Controller) SetFallbackPlan(p Plan) {
-	c.mu.Lock()
-	c.fallback = &p
-	c.mu.Unlock()
-}
-
-// Handle enqueues one transition; it never blocks. Full queue or a
-// closed controller drops the transition (counted): the detector keeps
-// probing and will report the condition again.
+// Handle makes t.To the endpoint's wanted state, due at once, and wakes
+// the worker; it never blocks. An endpoint without an entry is done where
+// t.From says.
 func (c *Controller) Handle(t Transition) {
-	if c.closed.Load() {
-		c.dropped.Add(1)
-		return
+	c.mu.Lock()
+	if l := c.eps[t.Endpoint]; l != nil {
+		t.From = l.done
 	}
+	c.eps[t.Endpoint] = &level{wanted: t.To, done: t.From}
+	c.mu.Unlock()
 	select {
-	case c.q <- t:
-		c.handled.Add(1)
+	case c.wake <- struct{}{}:
 	default:
-		c.dropped.Add(1)
 	}
 }
 
 // Stats returns the controller's activity counters.
 func (c *Controller) Stats() ControllerStats {
-	return ControllerStats{
-		Handled:      c.handled.Load(),
-		Actions:      c.actions.Load(),
-		Failures:     c.failures.Load(),
-		Dropped:      c.dropped.Load(),
-		Readmissions: c.readmissions.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats
+	for _, l := range c.eps {
+		if l.wanted != l.done {
+			st.Pending++
+		}
 	}
+	return st
 }
 
-// Close stops the worker; queued transitions are abandoned.
+// Close stops the worker; pending verdicts are abandoned.
 func (c *Controller) Close() {
-	if c.closed.Swap(true) {
-		return
-	}
 	c.cancel()
 	<-c.done
 }
 
 func (c *Controller) run(ctx context.Context) {
 	defer close(c.done)
-	for {
+	for ctx.Err() == nil {
+		ep, l, p, timer := c.pick(time.Now())
+		if l != nil {
+			c.serve(ctx, ep, l, p)
+			continue
+		}
 		select {
 		case <-ctx.Done():
-			return
-		case t := <-c.q:
-			c.act(ctx, t)
+		case <-c.wake:
+		case <-timer:
 		}
 	}
 }
 
-func (c *Controller) plan(endpoint string) (Plan, bool) {
+// pick forgets reconciled endpoints (only the worker removes entries) and
+// returns a due one with its plan, or a timer for the first one waiting.
+// A served endpoint settles or moves into the future, so each due one runs.
+func (c *Controller) pick(now time.Time) (string, *level, Plan, <-chan time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p, ok := c.plans[endpoint]; ok {
-		return p, true
+	var wait time.Duration
+	for ep, l := range c.eps {
+		d := l.next.Sub(now)
+		switch {
+		case l.wanted == l.done:
+			delete(c.eps, ep)
+		case d <= 0:
+			return ep, l, c.plans[ep], nil
+		case wait == 0 || d < wait:
+			wait = d
+		}
 	}
-	if c.fallback != nil {
-		return *c.fallback, true
+	if wait == 0 {
+		return "", nil, Plan{}, nil
 	}
-	return Plan{}, false
+	return "", nil, Plan{}, time.After(wait)
 }
 
-func (c *Controller) act(ctx context.Context, t Transition) {
-	p, ok := c.plan(t.Endpoint)
-	if !ok {
-		c.dropped.Add(1)
-		return
-	}
-	var hook func(context.Context, string) error
-	switch t.To {
-	case Suspect:
-		hook = p.OnSuspect
-	case Dead:
-		hook = p.OnDead
-	case Alive:
-		hook = p.OnAlive
-	}
-	if hook == nil {
-		return
-	}
+// serve tries p's hook for ep's wanted state once and records the outcome.
+func (c *Controller) serve(ctx context.Context, ep string, l *level, p Plan) {
+	hook := [...]func(context.Context, string) error{Alive: p.OnAlive, Suspect: p.OnSuspect, Dead: p.OnDead}[l.wanted]
 
-	// Heal actions are breaker-gated: claim the half-open probe for the
-	// attempt; hand it back untouched if the breaker refuses (still
-	// open), so re-admission of a flapping endpoint is paced by the
-	// breaker, not by the detector's transition rate.
+	// A heal waits while its breaker is open (State refuses nobody, so
+	// waiting adds nothing to Rejected), then claims the half-open probe,
+	// handing it back untouched at shutdown.
 	var br *policy.Breaker
-	if t.To == Alive && c.cfg.Breakers != nil {
-		br = c.cfg.Breakers.For(t.Endpoint)
-		allowed, probe := br.Allow()
-		if !allowed {
-			c.failures.Add(1)
+	ok, probe := true, false
+	if hook != nil && l.wanted == Alive && c.cfg.Breakers != nil {
+		br = c.cfg.Breakers.For(ep)
+		if ok = br.State() != policy.Open; ok {
+			ok, probe = br.Allow()
+		}
+		if probe && ctx.Err() != nil {
+			br.ReturnProbe()
 			return
 		}
-		if !probe {
-			br = nil // breaker closed: nothing to report back
-		} else if ctx.Err() != nil {
-			br.ReturnProbe() // shutting down: hand the unused probe back
-			return
+	}
+	var err error
+	if hook != nil && ok {
+		if err = c.attempt(ctx, hook, ep); probe {
+			br.Record(err == nil)
 		}
 	}
 
-	err := c.attempt(ctx, hook, t.Endpoint)
-	if br != nil {
-		br.Record(err == nil)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
-	case err == nil:
-		c.actions.Add(1)
-		if t.To == Alive && br != nil {
-			c.readmissions.Add(1)
+	case err == nil && ok: // done moves to l.wanted; a verdict that came meanwhile is due at once
+		if hook != nil {
+			c.stats.Actions++
 		}
-	case ctx.Err() == nil: // an action cut short by shutdown is not a failure
-		c.failures.Add(1)
+		if probe {
+			c.stats.Readmissions++
+		}
+		c.eps[ep].done = l.wanted
+	case err != nil && ctx.Err() != nil: // cut short by shutdown: not a failure
+	default: // open breaker or failed plan: put off, a failure counted once per verdict
+		if err != nil && !l.failed {
+			l.failed = true
+			c.stats.Failures++
+		}
+		l.backoff = min(max(2*l.backoff, retryDelay), maxBackoff)
+		l.next = time.Now().Add(l.backoff)
 	}
 }
 
-func (c *Controller) attempt(ctx context.Context, hook func(context.Context, string) error, ep string) error {
-	var err error
+// attempt runs hook up to actionAttempts times, retryDelay apart, each
+// attempt bounded by actionTimeout.
+func (c *Controller) attempt(ctx context.Context, hook func(context.Context, string) error, ep string) (err error) {
 	for i := 0; i < actionAttempts; i++ {
 		if i > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(c.cfg.RetryDelay):
+			case <-time.After(retryDelay):
 			}
 		}
 		actx, cancel := context.WithTimeout(ctx, actionTimeout)
@@ -234,5 +234,5 @@ func (c *Controller) attempt(ctx context.Context, hook func(context.Context, str
 			return nil
 		}
 	}
-	return fmt.Errorf("health: %d attempts: %w", actionAttempts, err)
+	return err
 }

@@ -98,10 +98,6 @@ const (
 	// window holds: 32 probes forget a past regime in under a second at
 	// the default Interval.
 	rttWindow = 32
-	// transitionQueue bounds the controller's pending transitions. When it
-	// is full Handle drops the transition and counts it — the detector
-	// fires again if the condition persists.
-	transitionQueue = 64
 	// actionAttempts is how often the controller tries a failing action
 	// before counting a failure: two retries ride out a ring change or a
 	// promotion racing the action.
@@ -109,6 +105,10 @@ const (
 	// actionTimeout bounds one attempt: a plan hook is a handful of
 	// control-plane calls, so one still running after 5s is stuck.
 	actionTimeout = 5 * time.Second
+	// retryDelay separates a plan's attempts and starts the backoff of a
+	// verdict put off, which doubles up to maxBackoff.
+	retryDelay = time.Millisecond
+	maxBackoff = 100 * time.Millisecond
 )
 
 func (c Config) withDefaults() Config {

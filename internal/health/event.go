@@ -51,8 +51,8 @@ func TransitionFromValue(v values.Value) (Transition, error) {
 		return t, fmt.Errorf("health: transition event missing from")
 	}
 	to, ok := num("to")
-	if !ok {
-		return t, fmt.Errorf("health: transition event missing to")
+	if !ok || min(from, to) < int64(Alive) || max(from, to) > int64(Dead) {
+		return t, fmt.Errorf("health: transition event missing to, or a state out of range (%d to %d)", from, to)
 	}
 	t.From, t.To = State(from), State(to)
 	if pm, ok := num("suspicion_pm"); ok {

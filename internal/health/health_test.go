@@ -14,6 +14,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/mgmt"
 	"repro/internal/policy"
+	"repro/internal/values"
 )
 
 // flakyProbe is a controllable probe: failing decides the outcome, rtt
@@ -328,6 +329,20 @@ func TestTransitionValueRoundTrip(t *testing.T) {
 	if out != in {
 		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
+
+	// A record the decoder cannot read as a transition is refused, never
+	// handed on: the controller indexes its plan's hooks by state.
+	for name, v := range map[string]values.Value{
+		"unknown state": Transition{Endpoint: "rep0", To: State(7)}.ToValue(),
+		"negative":      Transition{Endpoint: "rep0", From: State(-1)}.ToValue(),
+		"no to":         values.Record(values.F("endpoint", values.Str("rep0")), values.F("from", values.Int(0))),
+		"no endpoint":   values.Record(values.F("from", values.Int(0)), values.F("to", values.Int(2))),
+		"not a record":  values.Int(2),
+	} {
+		if got, err := TransitionFromValue(v); err == nil {
+			t.Errorf("%s: decoded as %+v", name, got)
+		}
+	}
 }
 
 func TestControllerRunsPlanOnTransitions(t *testing.T) {
@@ -369,91 +384,254 @@ func TestControllerRunsPlanOnTransitions(t *testing.T) {
 	}
 }
 
+// TestControllerRetriesThenFails: a plan that fails its attempts is
+// counted once for its verdict after its third attempt, stays pending
+// and keeps being retried on the backoff, and is settled the first time
+// it succeeds.
 func TestControllerRetriesThenFails(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
-	var calls atomic.Int64
-	ctl := NewController(ControllerConfig{RetryDelay: time.Millisecond})
+	var fixed atomic.Bool
+	var mu sync.Mutex
+	var seen []uint64 // Failures as each call starts
+	ctl := NewController(ControllerConfig{})
 	defer ctl.Close()
-	ctl.SetFallbackPlan(Plan{
+	ctl.SetPlan("m9", Plan{
 		OnDead: func(context.Context, string) error {
-			calls.Add(1)
+			f := ctl.Stats().Failures // the worker holds no lock while a hook runs
+			mu.Lock()
+			seen = append(seen, f)
+			mu.Unlock()
+			if fixed.Load() {
+				return nil
+			}
 			return errors.New("still broken")
 		},
 	})
+	calls := func() int { mu.Lock(); defer mu.Unlock(); return len(seen) }
 	ctl.Handle(Transition{Endpoint: "m9", From: Suspect, To: Dead})
-	waitFor(t, "retries exhausted", func() bool { return ctl.Stats().Failures == 1 })
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", got)
+	waitFor(t, "three rounds of attempts", func() bool { return calls() >= 3*actionAttempts })
+	if st := ctl.Stats(); st.Failures != 1 || st.Pending != 1 || st.Actions != 0 {
+		t.Fatalf("stats = %+v, want 1 failure (once per verdict), 1 pending, 0 actions", st)
+	}
+	mu.Lock()
+	for i, f := range seen {
+		if want := uint64(min(i/actionAttempts, 1)); f != want {
+			t.Errorf("call %d saw %d failures, want %d: %d attempts a round, one count a verdict", i+1, f, want, actionAttempts)
+		}
+	}
+	mu.Unlock()
+	fixed.Store(true)
+	waitFor(t, "the retried plan succeeds", func() bool { return ctl.Stats().Pending == 0 })
+	if st := ctl.Stats(); st.Failures != 1 || st.Actions != 1 {
+		t.Fatalf("stats = %+v, want 1 failure and 1 action", st)
 	}
 }
 
-// TestControllerBounds pins the controller's queue and per-attempt
-// deadline: behind one blocked action 64 transitions queue and the 65th is
-// dropped and counted, and every attempt's context expires in 5s.
+// TestControllerOverwrittenFailureCountedOnce: a Dead verdict fails its
+// first round and is counted; during its second round the endpoint heals.
+// The second round fails too, but the verdict is not counted again, and
+// the heal, back at the state the plan never left, needs no action.
+func TestControllerOverwrittenFailureCountedOnce(t *testing.T) {
+	defer leakcheck.Guard(t, 2, 5*time.Second)()
+	var calls, heals atomic.Int64
+	ctl := NewController(ControllerConfig{})
+	defer ctl.Close()
+	ctl.SetPlan("m9", Plan{
+		OnDead: func(context.Context, string) error {
+			if calls.Add(1) == actionAttempts+1 {
+				ctl.Handle(Transition{Endpoint: "m9", From: Dead, To: Alive})
+			}
+			return errors.New("still broken")
+		},
+		OnAlive: func(context.Context, string) error { heals.Add(1); return nil },
+	})
+	ctl.SetPlan("marker", Plan{OnSuspect: func(context.Context, string) error { return nil }})
+	ctl.Handle(Transition{Endpoint: "m9", From: Alive, To: Dead})
+	waitFor(t, "the second round's last attempt", func() bool { return calls.Load() >= 2*actionAttempts })
+	// One worker serves both: the marker's action runs after m9's round is recorded.
+	ctl.Handle(Transition{Endpoint: "marker", From: Alive, To: Suspect})
+	waitFor(t, "the marker's action", func() bool { return ctl.Stats().Actions == 1 })
+	if st := ctl.Stats(); st.Failures != 1 || st.Pending != 0 || heals.Load() != 0 || calls.Load() != 2*actionAttempts {
+		t.Fatalf("stats = %+v, %d calls, %d heals: want 1 failure, 0 pending, %d calls, 0 heals", st, calls.Load(), heals.Load(), 2*actionAttempts)
+	}
+}
+
+// TestControllerBounds pins what a busy worker does with verdicts and the
+// per-attempt deadline: 104 transitions for four endpoints land while the
+// worker is blocked in a hook, none is dropped, and after the release
+// each endpoint's last verdict is acted on exactly once. Every attempt's
+// context expires in 5s.
 func TestControllerBounds(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
 	ctl := NewController(ControllerConfig{})
 	defer ctl.Close()
 	started, release := make(chan time.Duration, 1), make(chan struct{})
-	ctl.SetFallbackPlan(Plan{OnDead: func(ctx context.Context, _ string) error {
+	ctl.SetPlan("blocker", Plan{OnDead: func(ctx context.Context, _ string) error {
 		dl, _ := ctx.Deadline()
-		select {
-		case started <- time.Until(dl):
-		default:
-		}
+		started <- time.Until(dl)
 		<-release
 		return nil
 	}})
-	ctl.Handle(Transition{Endpoint: "m0", To: Dead})
+	var mu sync.Mutex
+	acted := map[string][]State{}
+	record := func(s State) func(context.Context, string) error {
+		return func(_ context.Context, ep string) error {
+			mu.Lock()
+			acted[ep] = append(acted[ep], s)
+			mu.Unlock()
+			return nil
+		}
+	}
+	const endpoints, each = 4, 26
+	for i := 0; i < endpoints; i++ {
+		ctl.SetPlan(fmt.Sprintf("m%d", i), Plan{OnSuspect: record(Suspect), OnDead: record(Dead), OnAlive: record(Alive)})
+	}
+	ctl.Handle(Transition{Endpoint: "blocker", To: Dead})
 	if left := <-started; left > 5*time.Second || left < 4*time.Second {
 		t.Fatalf("action deadline %v away, want 5s", left)
 	}
-	for i := 0; i < 65; i++ { // the worker is busy: these only queue
-		ctl.Handle(Transition{Endpoint: "m0", To: Dead})
+
+	// The worker is busy: each endpoint walks alive → suspect → dead →
+	// alive … from its own starting state, so the last verdicts differ.
+	last := map[string]State{}
+	for k := 0; k < each; k++ {
+		for i := 0; i < endpoints; i++ {
+			ep := fmt.Sprintf("m%d", i)
+			from, to := State((i+k)%3), State((i+k+1)%3)
+			ctl.Handle(Transition{Endpoint: ep, From: from, To: to})
+			last[ep] = to
+		}
 	}
-	if st := ctl.Stats(); st.Handled != 65 || st.Dropped != 1 {
-		t.Fatalf("stats = %+v, want 65 handled (1 running + 64 queued) and 1 dropped", st)
+	if st := ctl.Stats(); st.Pending != endpoints+1 || st.Actions != 0 {
+		t.Fatalf("stats = %+v, want %d pending (the blocker and every endpoint) and 0 actions", st, endpoints+1)
 	}
 	close(release)
-	waitFor(t, "queue drained", func() bool { return ctl.Stats().Actions == 65 })
+	waitFor(t, "every last verdict acted on", func() bool { return ctl.Stats().Pending == 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	for ep, to := range last {
+		if got := acted[ep]; !slices.Equal(got, []State{to}) {
+			t.Errorf("%s: acted on %v, want its last verdict %v once", ep, got, to)
+		}
+	}
+	if st := ctl.Stats(); st.Actions != endpoints+1 || st.Failures != 0 {
+		t.Fatalf("stats = %+v, want %d actions and no failure", st, endpoints+1)
+	}
 }
 
+// fakeBreakers is a breaker set on a clock the test moves, which counts
+// its readings: a controller waiting on a breaker reads it on every poll.
+type fakeBreakers struct {
+	*policy.BreakerSet
+	now, reads atomic.Int64
+}
+
+func newFakeBreakers(openFor time.Duration) *fakeBreakers {
+	f := &fakeBreakers{}
+	f.now.Store(time.Unix(1000, 0).UnixNano())
+	f.BreakerSet = policy.NewBreakerSet(policy.BreakerConfig{
+		ConsecutiveFailures: 1,
+		OpenFor:             openFor,
+		Clock: func() time.Time {
+			f.reads.Add(1)
+			return time.Unix(0, f.now.Load())
+		},
+	})
+	return f
+}
+
+// TestControllerBreakerGatedReadmission: an endpoint dies, its failover
+// trips its breaker, and it heals inside the breaker's OpenFor. The heal
+// is neither run nor counted as a failure while the breaker is open: it
+// waits, pending, without a refusal on the breaker. Once the breaker's
+// clock passes OpenFor the heal runs with no second verdict, its success
+// is recorded, and the breaker re-closes.
 func TestControllerBreakerGatedReadmission(t *testing.T) {
 	defer leakcheck.Guard(t, 2, 5*time.Second)()
-	bs := policy.NewBreakerSet(policy.BreakerConfig{
-		ConsecutiveFailures: 1,
-		OpenFor:             10 * time.Millisecond,
-	})
+	const openFor = time.Minute
+	bs := newFakeBreakers(openFor)
 	br := bs.For("rep0")
-	br.Record(false) // trip it: rep0 just died
+
+	var heals atomic.Int64
+	ctl := NewController(ControllerConfig{Breakers: bs.BreakerSet})
+	defer ctl.Close()
+	ctl.SetPlan("rep0", Plan{
+		OnDead: func(_ context.Context, ep string) error {
+			bs.For(ep).Record(false) // the failover trips the breaker
+			return nil
+		},
+		OnAlive: func(context.Context, string) error { heals.Add(1); return nil },
+	})
+	ctl.Handle(Transition{Endpoint: "rep0", From: Alive, To: Dead})
+	waitFor(t, "failover", func() bool { return ctl.Stats().Actions == 1 })
 	if br.State() != policy.Open {
 		t.Fatalf("breaker state = %v, want open", br.State())
 	}
 
-	var heals atomic.Int64
-	ctl := NewController(ControllerConfig{Breakers: bs, RetryDelay: time.Millisecond})
-	defer ctl.Close()
-	ctl.SetPlan("rep0", Plan{
-		OnAlive: func(context.Context, string) error { heals.Add(1); return nil },
-	})
-
-	// While the breaker is freshly open the heal is deferred, not run.
 	ctl.Handle(Transition{Endpoint: "rep0", From: Dead, To: Alive})
-	waitFor(t, "deferred heal", func() bool { return ctl.Stats().Failures == 1 })
-	if heals.Load() != 0 {
-		t.Fatal("heal ran through an open breaker")
+	reads := bs.reads.Load()
+	waitFor(t, "the heal polls the breaker", func() bool { return bs.reads.Load() >= reads+3 })
+	if st := ctl.Stats(); heals.Load() != 0 || st.Failures != 0 || st.Pending != 1 {
+		t.Fatalf("heals = %d, stats = %+v: want the heal waiting (0 heals, 0 failures, 1 pending)", heals.Load(), st)
+	}
+	if st := br.Stats(); st.Rejected != 0 {
+		t.Fatalf("breaker rejected %d calls, want 0: waiting is not a refusal", st.Rejected)
 	}
 
-	// After OpenFor the breaker grants its half-open probe: the heal
-	// runs, its success is recorded, and the breaker re-closes — the
-	// ReturnProbe/Record re-admission path.
-	waitFor(t, "half-open", func() bool { return br.State() == policy.HalfOpen })
-	ctl.Handle(Transition{Endpoint: "rep0", From: Dead, To: Alive})
+	bs.now.Add(int64(openFor))
 	waitFor(t, "re-admitted", func() bool { return ctl.Stats().Readmissions == 1 })
-	if heals.Load() != 1 {
-		t.Fatalf("heals = %d, want 1", heals.Load())
+	if st := ctl.Stats(); heals.Load() != 1 || st.Failures != 0 || st.Pending != 0 {
+		t.Fatalf("heals = %d, stats = %+v: want 1 heal, 0 failures, 0 pending", heals.Load(), st)
 	}
-	waitFor(t, "breaker closed", func() bool { return br.State() == policy.Closed })
+	if br.State() != policy.Closed {
+		t.Fatalf("breaker state = %v, want closed", br.State())
+	}
+}
+
+// TestControllerBreakerWaitHoldsUpNoOne: while one endpoint's heal waits
+// on its open breaker, with its backoff at the cap, twenty other
+// endpoints die one after another, and each one's OnDead runs as soon as
+// the worker is poked, not at the waiting heal's next poll.
+func TestControllerBreakerWaitHoldsUpNoOne(t *testing.T) {
+	defer leakcheck.Guard(t, 2, 5*time.Second)()
+	bs := newFakeBreakers(time.Hour)
+	bs.For("waiting").Record(false)
+	ctl := NewController(ControllerConfig{Breakers: bs.BreakerSet})
+	defer ctl.Close()
+	ctl.SetPlan("waiting", Plan{OnAlive: func(context.Context, string) error { return nil }})
+	died := make(chan string)
+	const deaths = 20
+	for i := 0; i < deaths; i++ {
+		ctl.SetPlan(fmt.Sprintf("dying%d", i), Plan{OnDead: func(ctx context.Context, ep string) error {
+			select {
+			case died <- ep:
+			case <-ctx.Done():
+			}
+			return nil
+		}})
+	}
+	ctl.Handle(Transition{Endpoint: "waiting", From: Dead, To: Alive})
+	reads := bs.reads.Load()
+	waitFor(t, "the heal's backoff reaches its cap", func() bool { return bs.reads.Load() >= reads+10 })
+
+	// A worker that slept out the heal's backoff would hold each death up
+	// by maxBackoff/2 on average, 1s over the twenty.
+	start := time.Now()
+	for i := 0; i < deaths; i++ {
+		ctl.Handle(Transition{Endpoint: fmt.Sprintf("dying%d", i), To: Dead})
+		select {
+		case <-died:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("death %d never failed over", i)
+		}
+	}
+	if took, bound := time.Since(start), deaths*maxBackoff/4; took > bound {
+		t.Fatalf("%d failovers took %v behind a waiting heal, want under %v", deaths, took, bound)
+	}
+	waitFor(t, "every failover counted", func() bool { return ctl.Stats().Actions == deaths })
+	if st := ctl.Stats(); st.Pending != 1 {
+		t.Fatalf("stats = %+v, want the heal still pending", st)
+	}
 }
 
 func TestDetectorWatchErrors(t *testing.T) {

@@ -179,7 +179,7 @@ func TestAllModesDeliverThroughShardedBus(t *testing.T) {
 		"relocator.lookups",
 		"relocator.cache.evictions",
 		"typerepo.resyncs",
-		"recovery.dropped",
+		"recovery.pending",
 	} {
 		if !strings.Contains(dump, name) {
 			t.Errorf("no %s instrument in the management dump", name)

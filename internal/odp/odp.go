@@ -190,14 +190,14 @@ func New(cfg Config) (*System, error) {
 	mgmt.Read(s.mgmt, "relocator.cache.", s.cache.Stats)
 	// The self-healing layer (tutorial §9: failure transparency is a
 	// prescription, not a default). Sensing and acting are decoupled
-	// through the bus: the detector publishes on TopicLiveness, the
-	// controller subscribes there, behind a bounded queue so a burst of
-	// transitions never stalls the bus.
+	// through the bus: the detector publishes on TopicLiveness, and the
+	// controller subscribes there inline, since Handle never blocks and
+	// never drops a verdict.
 	if cfg.Recovery != nil {
 		ctl := health.NewController(*cfg.Recovery)
 		mgmt.Read(s.mgmt, "recovery.", ctl.Stats)
 		s.recovery = ctl
-		s.closers = append(s.closers, ctl.Close, s.Bus.SubscribeQueued(TopicLiveness, nil, 256, func(ev coordination.Event) {
+		s.closers = append(s.closers, ctl.Close, s.Bus.Subscribe(TopicLiveness, nil, func(ev coordination.Event) {
 			if t, err := health.TransitionFromValue(ev.Payload); err == nil {
 				ctl.Handle(t)
 			}

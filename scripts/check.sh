@@ -362,6 +362,13 @@ go test -race ./internal/values/ ./internal/types/ \
 	./internal/engineering/ ./internal/stub/ ./internal/bank/ \
 	./cmd/odpnode/ ./cmd/odptrader/ ./cmd/odpbench/ ./cmd/odpstat/ ./cmd/bankdemo/
 
+echo "== recovery reconciles (a heal waits out its breaker, a busy worker drops no verdict, a failing plan is retried; 20 times under the race detector) =="
+# The controller keeps each endpoint's latest verdict and the state whose
+# plan last succeeded, and drives the two together: a lost verdict, a heal
+# dropped at an open breaker, a plan given up after one round or a waiting
+# endpoint that holds up another is a failing test here.
+go test -race -count=20 -run 'TestController' ./internal/health/
+
 echo "== combining send queue (nothing stranded, per-sender order, one binding's pipeline batched; 20 times under the race detector) =="
 # TestFrameQueueStrandsNothing: 32 goroutines enqueue and flush through one
 # queue whose byte bound and batch cap are small enough to park enqueuers
