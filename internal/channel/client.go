@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	mathrand "math/rand/v2"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,6 +204,9 @@ func (b *Binding) Close() error {
 // arguments and blocks until a termination arrives. Application
 // terminations are returned as (name, results, nil); infrastructure
 // failures as a non-nil error (possibly *RemoteError).
+// The results are the caller's for good, their capacity their length.
+// A few flat results are carved from a shared 3,200 B chunk, which
+// keeping them pins (wire.CloneValues).
 func (b *Binding) Invoke(ctx context.Context, op string, args []values.Value) (string, []values.Value, error) {
 	if err := b.typeCheckCall(op, args, false); err != nil {
 		return "", nil, err
@@ -247,7 +249,7 @@ func (b *Binding) invoke(ctx context.Context, op string, args []values.Value) (s
 		if err := b.typeCheckReply(op, reply); err != nil {
 			return "", nil, err
 		}
-		return reply.Termination, slices.Clone(reply.Args), nil
+		return reply.Termination, wire.CloneValues(reply.Args), nil
 	case wire.ErrReply:
 		return "", nil, b.remoteError(reply)
 	default:

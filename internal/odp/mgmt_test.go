@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -342,4 +343,39 @@ func dumpValues(dump string, busShards []string) map[string]string {
 		out[name] = strconv.FormatInt(v, 10)
 	}
 	return out
+}
+
+// TestManagementReadsRuntime: Management shows the process's allocation
+// counts, GC cycles and goroutines, read from runtime/metrics at each
+// dump, and the three counts never fall between two dumps.
+func TestManagementReadsRuntime(t *testing.T) {
+	s, err := New(Config{Management: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	names := []string{"runtime.heap_allocs", "runtime.heap_alloc_bytes", "runtime.gc_cycles", "runtime.goroutines"}
+	read := func() []int64 {
+		live := dumpValues(s.Mgmt().Registry.Dump(), nil)
+		out := make([]int64, len(names))
+		for i, name := range names {
+			v, err := strconv.ParseInt(live[name], 10, 64)
+			if err != nil {
+				t.Fatalf("%s = %q: %v", name, live[name], err)
+			}
+			out[i] = v
+		}
+		return out
+	}
+	first := read()
+	runtime.GC()
+	second := read()
+	for i, name := range names[:3] {
+		if second[i] < first[i] {
+			t.Errorf("%s fell from %d to %d between two dumps", name, first[i], second[i])
+		}
+	}
+	if first[0] == 0 || first[1] == 0 || second[2] == 0 || second[3] < 1 {
+		t.Errorf("runtime counts %v then %v: want allocations, a GC cycle and a goroutine", first, second)
+	}
 }

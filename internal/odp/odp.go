@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -34,6 +35,32 @@ import (
 	"repro/internal/typerepo"
 	"repro/internal/values"
 )
+
+// runtimeStats is what the Go runtime counts for the whole process, so an
+// operator can see the allocation rate of a live node: the heap objects
+// and bytes allocated so far (freed ones included; the runtime adds a
+// small object when its per-P cache hands back the span it came from, so
+// the counts lag a little), the GC cycles completed, and the goroutines
+// live now (a level, so a gauge).
+type runtimeStats struct {
+	HeapAllocs, HeapAllocBytes, GCCycles uint64
+	Goroutines                           int64
+}
+
+var runtimeMetrics = [...]string{
+	"/gc/heap/allocs:objects", "/gc/heap/allocs:bytes", "/gc/cycles/total:gc-cycles", "/sched/goroutines:goroutines",
+}
+
+// readRuntime reads runtimeStats from runtime/metrics. Management calls it
+// only when it dumps.
+func readRuntime() runtimeStats {
+	var s [len(runtimeMetrics)]metrics.Sample
+	for i, name := range runtimeMetrics {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return runtimeStats{s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), int64(s[3].Value.Uint64())}
+}
 
 // Facade error sentinels.
 var (
@@ -156,6 +183,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.Management {
 		s.mgmt = mgmt.New()
 	}
+	mgmt.Read(s.mgmt, "runtime.", readRuntime)
 	if scheme := cfg.Listen.Scheme(); scheme == "" || scheme == "sim" {
 		sim := netsim.New(cfg.Seed)
 		mgmt.Read(s.mgmt, "net.sim.", sim.Stats)

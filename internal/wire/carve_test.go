@@ -59,9 +59,9 @@ func bytesPerRun(f func()) float64 {
 
 // carvedTail is how much of the current chunk is left to carve.
 func carvedTail() int {
-	carver.mu.Lock()
-	defer carver.mu.Unlock()
-	return len(carver.tail)
+	byteCarver.mu.Lock()
+	defer byteCarver.mu.Unlock()
+	return len(byteCarver.tail)
 }
 
 // TestFlowBatchDecodeAllocBudget is the absolute floor under

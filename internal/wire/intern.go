@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/values"
 )
 
 // The decode hot path turns the same handful of byte strings — operation
@@ -55,40 +58,75 @@ func internHash(b []byte) uint32 {
 	return h
 }
 
-// Stream elements are the one payload that is mostly transient and comes
-// in bulk: a FlowBatch frame carries up to 64 of them, and a consumer
-// reads each once and drops it. Decode copies a FlowBatch's bytes payloads
-// of at most carveMax bytes into shared chunks instead of giving each its
-// own allocation. A chunk is exactly carveChunk bytes, one of the
-// allocator's size classes, so it wastes nothing: 32 elements of 1 KiB
-// fill it, and a received element costs 1/32 of an allocation. (A chunk
-// sized to its frame, about 33 KiB for 32 such elements, would round up to
-// the 40 KiB class.) Chunks are shared by consecutive frames and by every
-// read loop; carving takes the mutex, the copy does not.
+// Two kinds of payload are copied into regions carved from shared chunks
+// instead of allocated one by one. A FlowBatch's bytes elements, which a
+// consumer mostly reads once and drops, go to chunks of exactly
+// carveChunk bytes, one of the allocator's size classes, so 32 elements of
+// 1 KiB fill one and each costs 1/32 of an allocation (a chunk sized to
+// its frame, about 33 KiB, would round up to the 40 KiB class). A call's
+// results, when they are a few flat values (CloneValues), go to chunks of
+// valueChunk values, 3,200 B, also a size class.
 const (
-	carveChunk = 32 << 10 // bytes per chunk: a size class, and the most a kept element pins
-	carveMax   = 4 << 10  // a larger payload keeps an allocation of its own
+	carveChunk     = 32 << 10 // bytes per chunk: a size class, and the most a kept element pins
+	carveMax       = 4 << 10  // a larger payload keeps an allocation of its own
+	valueChunk     = 80       // values per chunk: 3,200 B, a size class
+	carveMaxValues = 8        // a longer result list keeps an allocation of its own
 )
 
-var carver struct {
-	mu   sync.Mutex
-	tail []byte // the current chunk's uncarved remainder
+// A carver hands out disjoint regions of a shared chunk of T, each
+// starting on a multiple of step elements (a power of two). A region is
+// cut with a full slice expression, so an append to it reallocates
+// instead of writing into the next one, and nothing writes it again once
+// its copy is made. Carving takes the mutex, the copy does not.
+type carver[T any] struct {
+	mu          sync.Mutex
+	tail        []T // the current chunk's uncarved remainder
+	chunk, step int
 }
 
-// carveBytes returns a copy of b, at most carveMax bytes, in a region of
-// the current chunk. Each region starts on an 8-byte boundary, so no two
-// payloads share a word, and nothing writes a region again once its copy
-// is made: the caller hands it to values.BytesOwned. The result never
-// aliases b.
-func carveBytes(b []byte) []byte {
-	n := len(b)
-	carver.mu.Lock()
-	if len(carver.tail) < n {
-		carver.tail = make([]byte, carveChunk)
+var (
+	byteCarver  = carver[byte]{chunk: carveChunk, step: 8} // no two payloads share a word
+	valueCarver = carver[values.Value]{chunk: valueChunk, step: 1}
+)
+
+// carve returns a copy of src, at most c.chunk elements, in a region of
+// the current chunk, starting a new chunk when src does not fit.
+func (c *carver[T]) carve(src []T) []T {
+	n := len(src)
+	c.mu.Lock()
+	if len(c.tail) < n {
+		c.tail = make([]T, c.chunk)
 	}
-	dst := carver.tail[:n:n]
-	carver.tail = carver.tail[min((n+7)&^7, len(carver.tail)):]
-	carver.mu.Unlock()
-	copy(dst, b)
+	dst := c.tail[:n:n]
+	c.tail = c.tail[min((n+c.step-1)&^(c.step-1), len(c.tail)):]
+	c.mu.Unlock()
+	copy(dst, src)
 	return dst
+}
+
+// carveBytes returns a copy of b, at most carveMax bytes, for
+// values.BytesOwned.
+func carveBytes(b []byte) []byte { return byteCarver.carve(b) }
+
+// CloneValues returns a copy of vs that the caller owns, of the same
+// length and nil-ness as slices.Clone's. At most carveMaxValues flat
+// values (scalars, and strings, enums and bytes of at most internMaxLen
+// bytes) are carved: keeping them pins one 3,200 B chunk and its other
+// values' short payloads. Anything else (a record, a seq, an any or a
+// longer payload among vs) gets a slice of its own, so a kept result
+// never pins another caller's large value.
+func CloneValues(vs []values.Value) []values.Value {
+	if len(vs) == 0 || len(vs) > carveMaxValues {
+		return slices.Clone(vs)
+	}
+	for _, v := range vs {
+		s, _ := v.AsString()
+		e, _ := v.AsEnum()
+		b, _ := v.BytesView()
+		if k := v.Kind(); k == values.KindRecord || k == values.KindSeq || k == values.KindAny ||
+			len(s)+len(e)+len(b) > internMaxLen {
+			return slices.Clone(vs)
+		}
+	}
+	return valueCarver.carve(vs)
 }

@@ -34,7 +34,9 @@ import (
 // ends it. Its Args slice is the message's own argument buffer, borrowed
 // by whoever reads the message and valid until its PutMessage; the values
 // in it own their payloads and may be kept. Whoever must keep the slice
-// (the client keeping a call's results) copies it.
+// copies it with CloneValues: the client keeping a call's results does,
+// and a reply of a few flat values is carved from a shared chunk of 80
+// values, which a kept result pins.
 //
 // The buffer is lent past its arguments too: Decode leaves spare capacity
 // behind them, and a servant may append its results to Args[len(Args):].
