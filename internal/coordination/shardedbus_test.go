@@ -12,106 +12,6 @@ import (
 	"repro/internal/values"
 )
 
-// Bounded-queue delivery preserves per-subscriber publication order even
-// with racing publishers: events are enqueued under the lock that
-// assigns their Seq, so the queue is drained in strictly ascending Seq
-// order.
-func TestQueuedSubscriberPreservesOrder(t *testing.T) {
-	b := NewBus()
-	var mu sync.Mutex
-	var seqs []uint64
-	cancel := b.SubscribeQueued("tick", nil, 2048, func(ev Event) {
-		mu.Lock()
-		seqs = append(seqs, ev.Seq)
-		mu.Unlock()
-	})
-
-	const publishers, per = 4, 100
-	var wg sync.WaitGroup
-	for p := 0; p < publishers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				b.Publish("tick", values.Int(int64(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	cancel() // blocks until the backlog is drained
-
-	if len(seqs) != publishers*per {
-		t.Fatalf("delivered %d events, want %d", len(seqs), publishers*per)
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] <= seqs[i-1] {
-			t.Fatalf("delivery out of order at %d: seq %d after %d", i, seqs[i], seqs[i-1])
-		}
-	}
-	if st := totals(b); st.Dropped != 0 || st.Queued != 0 {
-		t.Fatalf("unexpected queue stats: %+v", st)
-	}
-}
-
-// A full bounded queue drops new events for that subscriber (counted)
-// instead of stalling the publisher, and the drops are visible in both
-// Stats and the management dump (the singleton's one shard is named "bus").
-func TestQueuedSubscriberDropsWhenFull(t *testing.T) {
-	b := NewBus()
-	m := mgmt.New()
-	b.Instrument(m)
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var delivered int
-	var mu sync.Mutex
-	cancel := b.SubscribeQueued("tick", nil, 1, func(ev Event) {
-		mu.Lock()
-		delivered++
-		first := delivered == 1
-		mu.Unlock()
-		if first {
-			close(entered)
-			<-release
-		}
-	})
-
-	b.Publish("tick", values.Int(0))
-	<-entered // the drain goroutine is now wedged inside the callback
-	b.Publish("tick", values.Int(1))
-	// The queue (capacity 1) now holds event 1; everything below drops.
-	const extra = 8
-	for i := 0; i < extra; i++ {
-		if got := b.Publish("tick", values.Int(int64(2+i))); got != 0 {
-			t.Fatalf("full-queue Publish reported %d deliveries, want 0", got)
-		}
-	}
-	st := totals(b)
-	if st.Dropped != extra {
-		t.Fatalf("Dropped = %d, want %d", st.Dropped, extra)
-	}
-	if st.Stalls != extra {
-		t.Fatalf("Stalls = %d, want %d", st.Stalls, extra)
-	}
-	if got := dumped(t, m, "bus.bus.queued"); got != 1 {
-		t.Fatalf("bus.bus.queued = %d while one event queued, want 1", got)
-	}
-	close(release)
-	cancel()
-	mu.Lock()
-	got := delivered
-	mu.Unlock()
-	if got != 2 {
-		t.Fatalf("delivered %d events, want 2 (wedged + queued)", got)
-	}
-	if got := dumped(t, m, "bus.bus.queued"); got != 0 {
-		t.Fatalf("bus.bus.queued = %d after drain, want 0", got)
-	}
-	if got := dumped(t, m, "bus.bus.dropped"); got != extra {
-		t.Fatalf("bus.bus.dropped = %d, want %d", got, extra)
-	}
-}
-
 // dumped is the value Management's dump shows for a counter or gauge.
 func dumped(t *testing.T, m *mgmt.Management, name string) int64 {
 	t.Helper()
@@ -126,38 +26,6 @@ func dumped(t *testing.T, m *mgmt.Management, name string) int64 {
 	}
 	t.Fatalf("no %s in the management dump", name)
 	return 0
-}
-
-// A slow queued subscriber must not stall publishers or other
-// subscribers: while one consumer is wedged, publishes keep completing
-// and an inline subscriber keeps receiving.
-func TestSlowQueuedSubscriberDoesNotStallBus(t *testing.T) {
-	b := NewBus()
-	wedged := make(chan struct{})
-	release := make(chan struct{})
-	cancelSlow := b.SubscribeQueued("tick", nil, 1, func(Event) {
-		select {
-		case <-wedged:
-		default:
-			close(wedged)
-		}
-		<-release
-	})
-	var fast int
-	cancelFast := b.Subscribe("tick", nil, func(Event) { fast++ })
-
-	for i := 0; i < 100; i++ {
-		b.Publish("tick", values.Int(int64(i)))
-	}
-	if fast != 100 {
-		t.Fatalf("inline subscriber received %d events, want 100", fast)
-	}
-	close(release)
-	cancelSlow()
-	cancelFast()
-	if st := totals(b); st.Dropped == 0 {
-		t.Fatalf("expected drops at the wedged subscriber, got %+v", st)
-	}
 }
 
 // Topic routing is a pure function of the ring's membership: the same
@@ -217,7 +85,7 @@ func TestShardedBusTopicDelivery(t *testing.T) {
 	topics := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for _, topic := range topics {
 		topic := topic
-		cancels = append(cancels, sb.Subscribe(topic, nil, func(ev Event) {
+		cancels = append(cancels, sb.Subscribe(topic, func(ev Event) {
 			mu.Lock()
 			got[topic] = append(got[topic], ev.Seq)
 			mu.Unlock()
@@ -263,7 +131,7 @@ func TestShardedBusWildcardSeesAllShards(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []rec
-	cancel := sb.Subscribe("", nil, func(ev Event) {
+	cancel := sb.Subscribe("", func(ev Event) {
 		mu.Lock()
 		events = append(events, rec{shard: sb.ShardFor(ev.Topic), seq: ev.Seq, topic: ev.Topic})
 		mu.Unlock()
@@ -297,21 +165,6 @@ func TestShardedBusWildcardSeesAllShards(t *testing.T) {
 		lastSeq[e.shard] = e.seq
 	}
 
-	// A queued wildcard subscriber gets one bounded queue per shard.
-	var n int
-	var nmu sync.Mutex
-	qcancel := sb.SubscribeQueued("", nil, 64, func(Event) {
-		nmu.Lock()
-		n++
-		nmu.Unlock()
-	})
-	for _, topic := range topics {
-		sb.Publish(topic, values.Int(0))
-	}
-	qcancel()
-	if n != len(topics) {
-		t.Fatalf("queued wildcard received %d events, want %d", n, len(topics))
-	}
 }
 
 // A many-shard bus sums its stats across shards and shows each shard's
@@ -321,7 +174,7 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 	m := mgmt.New()
 	sb.Instrument(m)
 	var seen int
-	cancel := sb.Subscribe("", nil, func(Event) { seen++ })
+	cancel := sb.Subscribe("", func(Event) { seen++ })
 	sb.Publish("a", values.Int(1))
 	sb.Publish("b", values.Int(2))
 	cancel()
@@ -342,13 +195,12 @@ func TestShardedBusStatsAndInstruments(t *testing.T) {
 
 // TestBusOneShardAndManyShardsAgree is the bus's differential oracle, the
 // counterpart of the trader's TestSingletonOneShardAndManyShardsAgree: one
-// script of named-topic, wildcard, filtered, inline and queued
-// subscriptions, publishes, a cancel and a full-queue drop runs against
-// the singleton, a one-shard and a four-shard bus. Every subscriber's
-// per-topic delivery sequence and the final Stats are identical across
-// the three; the singleton and the one-shard bus also agree on every Seq;
-// and a wildcard subscriber sees each shard's events in that shard's Seq
-// order.
+// script of named-topic and wildcard subscriptions, publishes and a cancel
+// runs against the singleton, a one-shard and a four-shard bus. Every
+// subscriber's per-topic delivery sequence and the final Stats are
+// identical across the three; the singleton and the one-shard bus also
+// agree on every Seq; and a wildcard subscriber sees each shard's events
+// in that shard's Seq order.
 func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 	type delivery struct {
 		payload int64
@@ -377,18 +229,13 @@ func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 				lastSeq[k] = ev.Seq
 			}
 		}
-		even := func(ev Event) bool { n, _ := ev.Payload.AsInt(); return n%2 == 0 }
 
 		var cancels []func()
 		for _, topic := range topics {
-			cancels = append(cancels, b.Subscribe(topic, nil, record("named")))
+			cancels = append(cancels, b.Subscribe(topic, record("named")))
 		}
-		cancels = append(cancels,
-			b.Subscribe("", nil, record("wildcard")),
-			b.Subscribe("alpha", even, record("filtered")),
-			b.SubscribeQueued("beta", nil, 256, record("queued")),
-			b.SubscribeQueued("", even, 256, record("queued-wildcard")))
-		cancelDelta := b.Subscribe("delta", nil, record("cancelled"))
+		cancels = append(cancels, b.Subscribe("", record("wildcard")))
+		cancelDelta := b.Subscribe("delta", record("cancelled"))
 
 		publishAll := func(from, to int64) {
 			for n := from; n < to; n++ {
@@ -404,22 +251,6 @@ func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 			t.Error("Publish with a wildcard subscriber reached nobody")
 		}
 
-		// The full-queue drop: a capacity-1 subscriber wedged in its first
-		// callback holds one more event queued; the next two are dropped.
-		entered, release := make(chan struct{}), make(chan struct{})
-		var once sync.Once
-		wedged := record("wedged")
-		cancelWedged := b.SubscribeQueued("gamma", nil, 1, func(ev Event) {
-			wedged(ev)
-			once.Do(func() { close(entered); <-release })
-		})
-		b.Publish("gamma", values.Int(100))
-		<-entered
-		for n := int64(101); n <= 103; n++ {
-			b.Publish("gamma", values.Int(n))
-		}
-		close(release)
-		cancelWedged()
 		for _, c := range cancels {
 			c()
 		}
@@ -437,11 +268,9 @@ func TestBusOneShardAndManyShardsAgree(t *testing.T) {
 		t.Fatalf("script topics cover %d of 4 shards", len(hit))
 	}
 	single, one, four := run(t, NewBus()), run(t, NewShardedBus(1)), run(t, fourBus)
-	if n := len(single.got["wedged/gamma"]); n != 2 {
-		t.Fatalf("wedged subscriber received %d events, want 2 (wedged + queued)", n)
-	}
-	if st := single.stats; st.Dropped != 2 || st.Stalls != 2 || st.Queued != 0 {
-		t.Fatalf("singleton stats = %+v, want 2 drops, 2 stalls, nothing queued", st)
+	// 120 named + 121 wildcard (the unnamed topic too) + 10 before the cancel.
+	if st := single.stats; st.Published != 122 || st.Delivered != 251 {
+		t.Fatalf("singleton stats = %+v, want 122 published, 251 delivered", st)
 	}
 	payloads := func(ds []delivery) []int64 {
 		out := make([]int64, len(ds))

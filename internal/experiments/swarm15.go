@@ -155,7 +155,7 @@ func e15BusRow(mode string, shards, events int, bus *coordination.Bus) E15BusRow
 		brokers[n] = &gate{tau: e15Tau}
 	}
 	// One wildcard subscriber, so every publish also delivers.
-	cancel := bus.Subscribe("", nil, func(coordination.Event) {})
+	cancel := bus.Subscribe("", func(coordination.Event) {})
 	defer cancel()
 
 	topics := make([]string, e15Services)

@@ -35,7 +35,7 @@ func TestShardedBusAndReplicatedTypesServeSystem(t *testing.T) {
 	}
 
 	var deployed int
-	cancelDep := s.Bus.Subscribe(TopicDeployed, nil, func(coordination.Event) { deployed++ })
+	cancelDep := s.Bus.Subscribe(TopicDeployed, func(coordination.Event) { deployed++ })
 	defer cancelDep()
 
 	node, err := s.CreateNode("alpha")
@@ -78,7 +78,7 @@ func TestBreakerTransitionsPublishOnBus(t *testing.T) {
 	}
 	defer s.Close()
 	var events []string
-	cancel := s.Bus.Subscribe(TopicBreaker, nil, func(ev coordination.Event) {
+	cancel := s.Bus.Subscribe(TopicBreaker, func(ev coordination.Event) {
 		stV, _ := ev.Payload.FieldByName("state")
 		st, _ := stV.AsString()
 		events = append(events, st)

@@ -219,13 +219,13 @@ func New(cfg Config) (*System, error) {
 	// The self-healing layer (tutorial §9: failure transparency is a
 	// prescription, not a default). Sensing and acting are decoupled
 	// through the bus: the detector publishes on TopicLiveness, and the
-	// controller subscribes there inline, since Handle never blocks and
-	// never drops a verdict.
+	// controller subscribes there. Delivery is synchronous, which suits
+	// Handle: it never blocks and never drops a verdict.
 	if cfg.Recovery != nil {
 		ctl := health.NewController(*cfg.Recovery)
 		mgmt.Read(s.mgmt, "recovery.", ctl.Stats)
 		s.recovery = ctl
-		s.closers = append(s.closers, ctl.Close, s.Bus.Subscribe(TopicLiveness, nil, func(ev coordination.Event) {
+		s.closers = append(s.closers, ctl.Close, s.Bus.Subscribe(TopicLiveness, func(ev coordination.Event) {
 			if t, err := health.TransitionFromValue(ev.Payload); err == nil {
 				ctl.Handle(t)
 			}

@@ -329,7 +329,7 @@ func TestBusSeesDeployments(t *testing.T) {
 	s := NewSystem(1)
 	defer s.Close()
 	var seen []string
-	s.Bus.Subscribe("odp.deployed", nil, func(ev coordination.Event) {
+	s.Bus.Subscribe("odp.deployed", func(ev coordination.Event) {
 		name, _ := ev.Payload.FieldByName("template")
 		str, _ := name.AsString()
 		seen = append(seen, str)

@@ -181,16 +181,17 @@ if grep -lE "$gostmt" $ch_src | grep -vxE 'internal/channel/(session|server)\.go
 	exit 1
 fi
 
-echo "== option gate (one value in use is a constant; the bus is one type) =="
+echo "== option gate (one value in use is a constant; the bus is one type with one delivery path) =="
 # The tunables no binary, example, experiment or benchmark ever set are
 # constants beside the code that uses them, and the event bus is one type
-# at any shard count: neither the fields nor the second bus type and the
-# interface that hid which one a zero selected may come back — anywhere,
-# bench/ included (it names none). NewShardedBus, the constructor, stays:
-# the \b in front keeps it and the TestShardedBus* names out of the match.
-if grep -rnE 'ReplyCacheSize|MaxGuardBindings|MaxBackoff|RTTFactor|WindowBytes|coordination\.EventBus|\bShardedBus\b|QueueStats' --include='*.go' \
+# at any shard count with one delivery path: neither the fields, the second
+# bus type and the interface that hid which one a zero selected, nor the
+# queued subscriber and the filter no caller passed may come back —
+# anywhere, bench/ included (it names none). NewShardedBus stays: the \b
+# in front keeps it and the TestShardedBus* names out of the match.
+if grep -rnE 'ReplyCacheSize|MaxGuardBindings|MaxBackoff|RTTFactor|WindowBytes|coordination\.EventBus|\bShardedBus\b|QueueStats|SubscribeQueued|type Filter func' --include='*.go' \
 	--exclude-dir=.bench_build .; then
-	echo "a removed option or the second bus type is back (state the bound as a constant; NewShardedBus(n) is the bus at n shards)"
+	echo "a removed option, the second bus type or a second delivery mode is back (state the bound as a constant; NewShardedBus(n) is the bus at n shards; a subscriber filters in its callback)"
 	exit 1
 fi
 
