@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 // The bounds of the idle workers. A worker that has finished its part of a
@@ -25,12 +27,10 @@ var (
 	handoff = make(chan *pool)
 	parked  atomic.Int32 // workers on their way to handoff or on it
 
-	// pools keeps up to 8 idle pools, as the trader keeps its fan-out
-	// scratches: enough for 8 fan-outs at once, past which a fan-out
-	// allocates its pool, and what waits stays under 8 × 48 B. Unlike a
-	// sync.Pool, it is neither emptied by a GC nor thinned at random under
-	// the race detector, so a fan-out allocates the same every time.
-	pools = make(chan *pool, 8)
+	// pools keeps up to 8 idle pools: enough for 8 fan-outs at once, past
+	// which a fan-out allocates its pool, and what waits stays under
+	// 8 × 48 B.
+	pools = make(bufpool.List[*pool], 8)
 )
 
 // Do calls fn(i) once for every i in [0, n) on at most limit goroutines,
@@ -42,7 +42,7 @@ var (
 // workers share, so it escapes to the heap: a caller that builds fn once
 // allocates nothing per fan-out once the workers are parked.
 func Do(n, limit int, fn func(i int)) {
-	p := takePool()
+	p := pools.Get(func() *pool { return new(pool) })
 	p.n, p.fn = n, fn
 	for w := 1; w < min(n, limit); w++ {
 		p.wg.Add(1)
@@ -58,20 +58,7 @@ func Do(n, limit int, fn func(i int)) {
 	// fn, and so nothing fn captured, while it waits to be reused.
 	p.cursor.Store(0)
 	p.fn = nil
-	select {
-	case pools <- p:
-	default: // enough wait already
-	}
-}
-
-// takePool returns a kept pool, or a new one when none waits.
-func takePool() *pool {
-	select {
-	case p := <-pools:
-		return p
-	default:
-		return new(pool)
-	}
+	pools.Put(p)
 }
 
 // worker does its part of p's fan-out, then parks for the next one until

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/constraint"
 	"repro/internal/fanout"
 	"repro/internal/mgmt"
@@ -117,19 +118,31 @@ func (q *importQuery) parse(i int, carried *constraint.Expr, src string) (*const
 		return carried, nil
 	}
 	if q.scratch == nil {
-		q.scratch = takeParseScratch()
+		q.scratch = parseScratches.Get(func() *parseScratch { return new(parseScratch) })
 	}
 	return constraint.ParseInto(&q.scratch[i], src)
 }
 
-// release gives the query's parse scratch back. It is called once nothing
-// evaluates what was compiled into it: after finish at an origin, after
-// localMatches at a leg — fanout.Do has waited for every leg by then.
+// release empties the query's parse scratch and gives it back. It is
+// called once nothing evaluates what was compiled into it: after finish at
+// an origin, after localMatches at a leg — fanout.Do has waited for every
+// leg by then. A program's strings point into the source of the request it
+// was compiled from, so each buffer is cleared to its whole capacity: a
+// kept scratch pins no request's text.
 func (q *importQuery) release() {
-	if q.scratch != nil {
-		putParseScratch(q.scratch)
-		q.scratch = nil
+	s := q.scratch
+	if s == nil {
+		return
 	}
+	for i := range s {
+		if len(s[i].String()) > parseScratchMaxLen {
+			s[i] = constraint.Expr{}
+		} else {
+			constraint.ParseInto(&s[i], "")
+		}
+	}
+	parseScratches.Put(s)
+	q.scratch = nil
 }
 
 // parseScratch is the pair of buffers an import compiles its constraint
@@ -143,38 +156,8 @@ type parseScratch [2]constraint.Expr
 // 8 × 2 × 10 KiB.
 const parseScratchMaxLen = 256
 
-// parseScratches keeps up to 8 idle parse scratches: a bounded free list,
-// like fanScratches, so an import allocates the same every time, under the
-// race detector too.
-var parseScratches = make(chan *parseScratch, 8)
-
-// takeParseScratch returns a kept scratch, or a new one when none waits.
-func takeParseScratch() *parseScratch {
-	select {
-	case s := <-parseScratches:
-		return s
-	default:
-		return new(parseScratch)
-	}
-}
-
-// putParseScratch empties s and keeps it, unless enough wait already. A
-// program's strings point into the source of the request it was compiled
-// from, so each buffer is cleared to its whole capacity: a kept scratch
-// pins no request's text.
-func putParseScratch(s *parseScratch) {
-	for i := range s {
-		if len(s[i].String()) > parseScratchMaxLen {
-			s[i] = constraint.Expr{}
-		} else {
-			constraint.ParseInto(&s[i], "")
-		}
-	}
-	select {
-	case parseScratches <- s:
-	default:
-	}
-}
+// parseScratches keeps up to 8 idle parse scratches.
+var parseScratches = make(bufpool.List[*parseScratch], 8)
 
 // subRequest is the one request an import puts to each of its legs: the
 // shards and the federation links of a front-end, or a trader's own store. A leg answers with its best MaxMatches under the caller's
@@ -334,7 +317,7 @@ func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, a
 	if k := sub.MaxMatches; k > 0 && k < mergeBuf {
 		w = k + 1
 	}
-	s := takeFanScratch()
+	s := fanScratches.Get(newFanScratch)
 	s.q, s.sub = q, sub
 	s.slab = slices.Grow(s.slab[:0], len(legs)*w)[:len(legs)*w]
 	s.calls = slices.Grow(s.calls[:0], len(legs))[:len(legs)]
@@ -352,10 +335,7 @@ func queryAll(q importQuery, legs []leg, sub ImportRequest, res *ImportResult, a
 	clear(s.calls)
 	s.q, s.sub = importQuery{}, ImportRequest{}
 	if len(legs) <= maxLinkFanout {
-		select {
-		case fanScratches <- s:
-		default: // enough wait already
-		}
+		fanScratches.Put(s)
 	}
 	return all
 }
@@ -381,18 +361,10 @@ type legCall struct {
 
 // fanScratches keeps up to 8 idle scratches. queryAll puts back only one
 // of at most maxLinkFanout legs, whose slab is at most 16 × 64 hits of
-// 32 B, so what waits here stays under 8 × 33 KiB. Unlike a sync.Pool, it
-// is neither emptied by a GC nor thinned at random under the race
-// detector, so a multi-leg import allocates the same every time.
-var fanScratches = make(chan *fanScratch, 8)
+// 32 B, so what waits here stays under 8 × 33 KiB.
+var fanScratches = make(bufpool.List[*fanScratch], 8)
 
-// takeFanScratch returns a kept scratch, or a new one when none waits.
-func takeFanScratch() *fanScratch {
-	select {
-	case s := <-fanScratches:
-		return s
-	default:
-	}
+func newFanScratch() *fanScratch {
 	s := new(fanScratch)
 	s.query = func(i int) {
 		c := &s.calls[i]

@@ -26,6 +26,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/bufpool"
 )
 
 // ErrDeadlock is returned when granting a lock would close a waits-for
@@ -60,16 +62,18 @@ type lockManager struct {
 	locks map[string]*lockEntry
 	// waits[a] is the set of transactions a is currently waiting on.
 	waits map[uint64]map[uint64]struct{}
-	// free recycles lock entries: strict 2PL creates and destroys an entry
-	// per key per transaction lifetime, so reuse (keeping the holders map's
-	// buckets) makes acquire/release allocation-free in steady state.
-	free []*lockEntry
+	// free keeps up to 64 idle lock entries: strict 2PL creates and
+	// destroys an entry per key per transaction lifetime, so reuse (keeping
+	// the holders map's buckets) makes acquire/release allocation-free in
+	// steady state while at most 64 keys are locked and released together.
+	free bufpool.List[*lockEntry]
 }
 
 func newLockManager() *lockManager {
 	return &lockManager{
 		locks: make(map[string]*lockEntry),
 		waits: make(map[uint64]map[uint64]struct{}),
+		free:  make(bufpool.List[*lockEntry], 64),
 	}
 }
 
@@ -81,12 +85,7 @@ func (lm *lockManager) acquire(ctx context.Context, tx uint64, key string, mode 
 	lm.mu.Lock()
 	e, ok := lm.locks[key]
 	if !ok {
-		if n := len(lm.free); n > 0 {
-			e = lm.free[n-1]
-			lm.free = lm.free[:n-1]
-		} else {
-			e = &lockEntry{holders: make(map[uint64]lockMode)}
-		}
+		e = lm.free.Get(func() *lockEntry { return &lockEntry{holders: make(map[uint64]lockMode)} })
 		lm.locks[key] = e
 	}
 	if lm.grantable(e, tx, mode) {
@@ -226,11 +225,7 @@ func (lm *lockManager) releaseAll(tx uint64) {
 		lm.grantQueued(e)
 		if len(e.holders) == 0 && len(e.queue) == 0 {
 			delete(lm.locks, key)
-			if len(lm.free) < 64 {
-				clear(e.holders)
-				e.queue = e.queue[:0]
-				lm.free = append(lm.free, e)
-			}
+			lm.free.Put(e) // empty already: no holder, no waiter
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/fanout"
 	"repro/internal/mgmt"
 	"repro/internal/values"
@@ -37,7 +38,7 @@ type Coordinator struct {
 	mu        sync.Mutex
 	nextTx    uint64
 	decisions map[uint64]bool
-	free      []*Tx // finished Atomically transactions, zeroed, for reuse
+	free      bufpool.List[*Tx] // finished Atomically transactions, zeroed: 64, so up to 64 at once allocate no Tx
 
 	commits uint64
 	aborts  uint64
@@ -54,22 +55,18 @@ func (c *Coordinator) Instrument(ins *mgmt.TxInstruments) {
 
 // NewCoordinator returns a coordinator with an empty decision log.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{decisions: make(map[uint64]bool)}
+	return &Coordinator{decisions: make(map[uint64]bool), free: make(bufpool.List[*Tx], 64)}
 }
 
 // Begin starts a transaction. The context bounds every lock wait inside
 // the transaction.
 func (c *Coordinator) Begin(ctx context.Context) *Tx {
+	t := c.free.Get(func() *Tx { return new(Tx) })
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.nextTx++
-	var t *Tx
-	if n := len(c.free); n > 0 {
-		t, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		t = new(Tx)
-	}
-	t.id, t.coord, t.active = c.nextTx, c, true
+	t.id = c.nextTx
+	c.mu.Unlock()
+	t.coord, t.active = c, true
 	t.amb = ambient{Context: ctx, tx: t}
 	t.participants = t.partBuf[:0]
 	return t
@@ -79,11 +76,7 @@ func (c *Coordinator) Begin(ctx context.Context) *Tx {
 // keeps no caller context alive — and keeps it for a later Begin.
 func (c *Coordinator) recycle(t *Tx) {
 	*t = Tx{amb: ambient{Context: context.Background()}}
-	c.mu.Lock()
-	if len(c.free) < 64 {
-		c.free = append(c.free, t)
-	}
-	c.mu.Unlock()
+	c.free.Put(t)
 }
 
 // Decided reports the recorded outcome of a transaction: committed, and

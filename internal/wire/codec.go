@@ -422,7 +422,7 @@ func (r *reader) value() values.Value {
 // defensive copy.
 func (r *reader) record() values.Value {
 	n := r.count("record fields")
-	sp := getFieldScratch()
+	sp := fieldScratch.get()
 	scratch := (*sp)[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		name := internBytes(r.opaque())
@@ -434,14 +434,14 @@ func (r *reader) record() values.Value {
 		copy(out, scratch)
 		v = values.RecordOwned(out)
 	}
-	putFieldScratch(sp, scratch)
+	fieldScratch.put(sp, scratch)
 	return v
 }
 
 // seq is record for sequences; see there.
 func (r *reader) seq() values.Value {
 	n := r.count("elements")
-	sp := getValueScratch()
+	sp := valueScratch.get()
 	scratch := (*sp)[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		scratch = append(scratch, r.value())
@@ -452,7 +452,7 @@ func (r *reader) seq() values.Value {
 		copy(out, scratch)
 		v = values.SeqOwned(out)
 	}
-	putValueScratch(sp, scratch)
+	valueScratch.put(sp, scratch)
 	return v
 }
 

@@ -111,26 +111,28 @@ func (m *Message) reset() {
 	}
 }
 
-var fieldScratchPool = sync.Pool{
-	New: func() any { s := make([]values.Field, 0, 16); return &s },
+// scratchPool lends decode a slice of T to parse a composite into, 16
+// elements to start with. It is a sync.Pool, not a bufpool.List, because
+// what it keeps is a pointer, which boxes without an allocation.
+type scratchPool[T any] struct{ pool sync.Pool }
+
+var (
+	fieldScratch scratchPool[values.Field]
+	valueScratch scratchPool[values.Value]
+)
+
+func (s *scratchPool[T]) get() *[]T {
+	if p, ok := s.pool.Get().(*[]T); ok {
+		return p
+	}
+	p := make([]T, 0, 16)
+	return &p
 }
 
-var valueScratchPool = sync.Pool{
-	New: func() any { s := make([]values.Value, 0, 16); return &s },
-}
-
-func getFieldScratch() *[]values.Field { return fieldScratchPool.Get().(*[]values.Field) }
-
-func putFieldScratch(p *[]values.Field, used []values.Field) {
-	clear(used) // drop references so pooled scratch does not pin decoded data
-	*p = used[:0]
-	fieldScratchPool.Put(p)
-}
-
-func getValueScratch() *[]values.Value { return valueScratchPool.Get().(*[]values.Value) }
-
-func putValueScratch(p *[]values.Value, used []values.Value) {
+// put keeps p, grown to used's capacity, with used cleared so a kept
+// scratch does not pin decoded data.
+func (s *scratchPool[T]) put(p *[]T, used []T) {
 	clear(used)
 	*p = used[:0]
-	valueScratchPool.Put(p)
+	s.pool.Put(p)
 }

@@ -408,9 +408,9 @@ func refReadRecordValue(data []byte, off int, order binary.ByteOrder, padded boo
 		return values.Value{}, off, fmt.Errorf("%w: %d record fields", ErrTooLarge, n)
 	}
 	off = off2
-	sp := getFieldScratch()
+	sp := fieldScratch.get()
 	scratch := (*sp)[:0]
-	defer func() { putFieldScratch(sp, scratch) }()
+	defer func() { fieldScratch.put(sp, scratch) }()
 	for i := uint32(0); i < n; i++ {
 		nameB, offN, err := refReadBytes(data, off, order, padded)
 		if err != nil {
@@ -438,9 +438,9 @@ func refReadSeqValue(data []byte, off int, order binary.ByteOrder, padded bool) 
 		return values.Value{}, off, fmt.Errorf("%w: %d elements", ErrTooLarge, n)
 	}
 	off = off2
-	sp := getValueScratch()
+	sp := valueScratch.get()
 	scratch := (*sp)[:0]
-	defer func() { putValueScratch(sp, scratch) }()
+	defer func() { valueScratch.put(sp, scratch) }()
 	for i := uint32(0); i < n; i++ {
 		ev, offE, err := refReadValue(data, off, order, padded)
 		if err != nil {

@@ -388,30 +388,16 @@ echo "== a call follows its binding's move (20 times under the race detector; th
 go test -race -count=20 -run 'TestSessionFollowsASiblingsMove' ./internal/channel/
 go test -race -count=50 -run 'TestRunMigrationsAreInvisible' ./cmd/bankdemo/
 
-echo "== borrowed arguments and lent results (a delivery's values outlive its recycled message; 20 times under the race detector) =="
-# A decoded message's Args live in its own pooled buffer, valid until the
-# callee returns and zeroed, to its full capacity, when the message is
-# recycled; the buffer's spare capacity is lent for the servant's results.
-# TestBorrowedArgsEchoPipelined: a servant answering with its args slice
-# answers 64 pipelined callers on one session correctly (the reply is
-# encoded before the request is recycled). TestBorrowedArgsClearedAfterInvoke:
-# a kept args slice reads zero once Invoke has returned.
-# TestBorrowedResultsAppendPipelined: a servant appending its results into
-# the spare capacity of its args answers 64 pipelined callers correctly, each
-# call's results in its own buffer. TestBorrowedResultsClearedAfterInvoke: a
-# kept result slice reads zero once Invoke has returned.
-# TestBorrowedArgsAnnouncementValuesIntact and
-# TestBorrowedElemsConsumerValuesIntact: a servant that keeps an
-# announcement's values and a stream consumer keep intact values.
-# TestFanOutLegsOwnTheirResults: a replica group's concurrent legs, handed
-# one decoded args slice, never append into one tail (the fan-out clips it).
-# TestCarvedResults*: the client's results, carved from shared chunks, are
-# the caller's for good — 8 bindings' kept results read unchanged after
-# 10,000 concurrent calls that append to every result, an append never
-# writes a neighbour's region, only flat results are carved, a kept one
-# pins one chunk, and empty and error replies are unchanged.
-go test -race -count=20 -run 'TestBorrowed|TestCarvedResults' ./internal/channel/ ./internal/stream/
-go test -race -count=20 -run 'TestFanOutLegsOwnTheirResults' ./internal/coordination/
+echo "== reuse rules (lent and carved values, the constraint memo, lent parse buffers, fan-out workers, bounded free lists; 20 times under the race detector) =="
+# The tests' own doc comments say what each holds: TestBorrowed* and
+# TestCarvedResults* (channel, stream), TestFanOutLegsOwnTheirResults,
+# TestMemoSharedSlotRace, TestFirstSightImportsRace, TestCarvedPayloadsRace,
+# TestDo* (fanout; TestDoIdleWorkersExit waits 1–2 s a run), TestList* and
+# TestConcurrentChurn (bufpool). The pattern is anchored, so it runs no
+# other test of these packages.
+go test -race -count=20 -run '^(TestBorrowed|TestCarvedResults|TestCarvedPayloadsRace$|TestFanOutLegsOwnTheirResults$|TestMemoSharedSlotRace$|TestFirstSightImportsRace$|TestDo|TestList|TestConcurrentChurn$)' \
+	./internal/channel/ ./internal/stream/ ./internal/coordination/ ./internal/constraint/ \
+	./internal/trader/ ./internal/wire/ ./internal/fanout/ ./internal/bufpool/
 
 echo "== copy-on-write offers (an import copies stored offers after the read lock; 20 times under the race detector) =="
 # TestModifyDuringMultiLegImport: an import merges pointers to stored offers
@@ -421,37 +407,6 @@ echo "== copy-on-write offers (an import copies stored offers after the read loc
 # imports span all four shards of a bench-shaped front-end; an in-place
 # write is a reported race, or a torn version in an answer.
 go test -race -count=20 -run 'TestModifyDuringMultiLegImport' ./internal/trader/
-
-echo "== constraint memo (two sources sharing one slot, 20 times under the race detector) =="
-# TestMemoSharedSlotRace: eight goroutines parse two sources that hash to
-# one memo slot, so each overwrites the other's entry while the other reads
-# it; every Expr returned must be the one of the source asked for.
-go test -race -count=20 -run 'TestMemoSharedSlotRace' ./internal/constraint/
-
-echo "== lent parse buffers (first-sight imports across shards, 20 times under the race detector) =="
-# TestFirstSightImportsRace: eight goroutines make multi-leg imports at the
-# bench-shaped front-end, each with a constraint and a preference no import
-# has parsed, so each compiles both into a parse scratch its legs read on
-# other goroutines; a scratch given back while a leg still reads it is a
-# reported race, or an answer that is not the copy-all reference's.
-go test -race -count=20 -run 'TestFirstSightImportsRace' ./internal/trader/
-
-echo "== carved stream elements (eight decoders share the chunks, frames recycled at once; 20 times under the race detector) =="
-# TestCarvedPayloadsRace: eight goroutines decode FlowBatch frames whose
-# bytes elements are carved from the shared 32 KiB chunks, and recycle each
-# frame as soon as it is decoded; two regions handed out twice, or a region
-# still read from the frame, is a reported race or a kept element whose
-# CRC fails, and a region off an 8-byte boundary fails too.
-go test -race -count=20 -run TestCarvedPayloadsRace ./internal/wire/
-
-echo "== fan-out workers (parked, reused and retired; 20 times under the race detector) =="
-# TestDo and TestDoBackToBack: every index once and at most limit calls in
-# flight, over workers and pools earlier fan-outs parked and kept.
-# TestDoNested: a fan-out inside a fan-out finishes. TestDoIdleWorkersExit:
-# at most maxParked workers park and all exit once idle (1–2 s a run).
-# TestDoWarmAllocatesNothing and TestDoFreeListKeepsNoFn: a warm fan-out
-# allocates nothing, and a kept pool holds no fn.
-go test -race -count=20 -run 'TestDo' ./internal/fanout/
 
 echo "== group slot (a failed member misses every later update; the rejoin race, 50 times under the race detector) =="
 # TestRetainedFailureMissesNoLaterUpdate: 300 seeded trials of four
