@@ -84,10 +84,9 @@ func (s *streamBinding) Invoke(_ context.Context, op string, args []values.Value
 			return "Error", []values.Value{values.Str(err.Error())}, nil
 		}
 		s.mu.Lock()
-		if old, dup := s.sinks[ref.ID]; dup {
+		if _, dup := s.sinks[ref.ID]; dup {
 			s.mu.Unlock()
 			_ = sender.Close()
-			_ = old
 			return "Error", []values.Value{values.Str("sink already attached")}, nil
 		}
 		s.sinks[ref.ID] = sinkEntry{ref: ref, sender: sender}

@@ -15,7 +15,8 @@ import (
 // TestInternalReachability is the gate: every declaration in internal/
 // that no binary (cmd/), example (examples/) or bench row (bench/) runs
 // is named by a pattern of allow.txt, whose reason starts with its owner,
-// and every pattern still matches something.
+// and every pattern still matches something; and nothing retired.txt
+// retires is back (see retired_test.go).
 func TestInternalReachability(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -34,6 +35,14 @@ func TestInternalReachability(t *testing.T) {
 	fmt.Printf("deadcode: %d exported names in internal/ used only inside their own package\n", res.ownOnly)
 	fmt.Printf("deadcode: %d unexported struct fields in internal/ never read\n", len(res.unread))
 	fmt.Printf("deadcode: %d settings in internal/ read but set only by their own package\n", len(res.knobs))
+	probs, n, err := retired(config{root: root, module: "repro"}, "retired.txt", "allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Printf("deadcode: %d retired patterns checked\n", n)
+	for _, pr := range probs {
+		t.Errorf("retired.txt:%s", pr)
+	}
 	unowned, stale, ownerless := check(res, allow)
 	for _, a := range ownerless {
 		t.Errorf("allow.txt:%d: the reason for %s names no owner: start it with ROADMAP item N, test seam, test support or the experiments' own scales",
@@ -97,7 +106,8 @@ func testNames(root string) (map[string]bool, error) {
 // TestScanFixture runs the scan on testdata/fixture, a module whose one
 // binary reaches some of a library, writes a field nothing reads and leaves
 // a setting to the library alone, and whose allow list cites a paper section
-// without an owner, so the gate cannot pass vacuously.
+// without an owner, so the gate cannot pass vacuously. Its package legacy
+// brings back, one form each, what its retired.txt retires.
 func TestScanFixture(t *testing.T) {
 	root, err := filepath.Abs("testdata/fixture")
 	if err != nil {
@@ -145,7 +155,27 @@ func TestScanFixture(t *testing.T) {
 			t.Errorf("lib.Unused counted %d lines, want 3", d.lines)
 		}
 	}
+
+	// Each row of testdata/fixture/retired.txt says whether it must fail, and how.
+	probs, _, err := retired(config{root: root, module: "fixture"}, filepath.Join(root, "retired.txt"), filepath.Join(root, "allow.txt"))
+	rows, err2 := readAllow(filepath.Join(root, "retired.txt"))
+	if err != nil || err2 != nil {
+		t.Fatal(err, err2)
+	}
+	fails := map[string]string{} // a line's messages
+	for _, pr := range probs {
+		line, msg, _ := strings.Cut(pr, ": ")
+		fails[line] += msg + "\n"
+	}
+	for _, row := range rows {
+		msgs, want := fails[fmt.Sprint(row.line)], mustFail.FindStringSubmatch(row.reason)
+		if want == nil && msgs != "" || want != nil && !strings.Contains(msgs, want[1]) {
+			t.Errorf("retired.txt:%d %s: failed with %q, want %q", row.line, row.pattern, msgs, want)
+		}
+	}
 }
+
+var mustFail = regexp.MustCompile(`must fail \((.*)\)$`)
 
 func rel(root, pos string) string {
 	return strings.TrimPrefix(pos, root+string(filepath.Separator))

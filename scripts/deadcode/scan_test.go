@@ -21,6 +21,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -52,12 +53,13 @@ type result struct {
 	knobs     []decl // configuration fields reached code reads and only their own package sets, sorted by name
 }
 
-// pkg is one type-checked package of the module (non-test files only).
+// pkg is one type-checked package of the module: its non-test files, and
+// its test files parsed but not type-checked.
 type pkg struct {
-	path  string
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
+	path         string
+	files, tests []*ast.File
+	types        *types.Package
+	info         *types.Info
 }
 
 // program loads the module's packages from source, one *types.Package per
@@ -120,13 +122,15 @@ func (p *program) load(importPath string) (*pkg, error) {
 		Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{},
 	}}
-	for _, name := range bp.GoFiles {
+	var files []*ast.File
+	for _, name := range slices.Concat(bp.GoFiles, bp.TestGoFiles, bp.XTestGoFiles) {
 		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		pk.files = append(pk.files, f)
+		files = append(files, f)
 	}
+	pk.files, pk.tests = files[:len(bp.GoFiles)], files[len(bp.GoFiles):]
 	conf := types.Config{Importer: p}
 	pk.types, err = conf.Check(importPath, p.fset, pk.files, pk.info)
 	if err != nil {
@@ -136,15 +140,16 @@ func (p *program) load(importPath string) (*pkg, error) {
 	return pk, nil
 }
 
-// loadTree loads every package in the directories under rel (testdata and
-// directories without non-test Go files skipped) and returns them.
+// loadTree loads every package in the directories under rel (testdata,
+// dot directories and directories without Go files skipped) and returns them.
 func (p *program) loadTree(rel string) ([]*pkg, error) {
 	var out []*pkg
-	err := filepath.WalkDir(filepath.Join(p.cfg.root, rel), func(dir string, d os.DirEntry, err error) error {
+	start := filepath.Join(p.cfg.root, rel)
+	err := filepath.WalkDir(start, func(dir string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.Name() == "testdata" {
+		if d.Name() == "testdata" || dir != start && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
 		if _, err := p.ctxt.ImportDir(dir, 0); err != nil {
@@ -713,24 +718,28 @@ func readAllow(file string) ([]allowEntry, error) {
 	var out []allowEntry
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if line == "" {
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		// A pattern is one field, or "! x" and "x -> y" (retired.txt's forms).
+		fields, n := strings.Fields(line), 1
+		for n < len(fields) && (fields[n-1] == "!" || fields[n-1] == "->" || fields[n] == "->") {
+			n++
+		}
+		if len(fields) <= n {
 			return nil, fmt.Errorf("%s:%d: want \"pattern  reason\"", file, i+1)
 		}
-		for _, pattern := range expand(fields[0]) {
+		for _, pattern := range expand(strings.Join(fields[:n], " ")) {
 			if _, err := path.Match(pattern, ""); err != nil {
 				return nil, fmt.Errorf("%s:%d: %v", file, i+1, err)
 			}
-			out = append(out, allowEntry{pattern: pattern, reason: strings.Join(fields[1:], " "), line: i + 1})
+			out = append(out, allowEntry{pattern: pattern, reason: strings.Join(fields[n:], " "), line: i + 1})
 		}
 	}
 	return out, nil
 }
 
-// expand spells out a pattern's one {a,b} group: T.{A,B} is T.A and T.B,
+// expand spells out a pattern's {a,b} groups: T.{A,B} is T.A and T.B,
 // each of which must match something, so a line can name exactly the
 // methods its reason owns.
 func expand(pattern string) []string {
@@ -740,7 +749,7 @@ func expand(pattern string) []string {
 	}
 	var out []string
 	for _, alt := range strings.Split(pattern[open+1:end], ",") {
-		out = append(out, pattern[:open]+alt+pattern[end+1:])
+		out = append(out, expand(pattern[:open]+alt+pattern[end+1:])...)
 	}
 	return out
 }
