@@ -62,13 +62,10 @@ if src internal/channel | xargs grep -lE "$gostmt" | grep -vxE 'internal/channel
 fi
 
 echo "== reachability and retired-names gate (every declaration in internal/ is run by a binary, an example or a bench row, or has an owner; every field is read; every setting is set; nothing retired comes back) =="
-# A go/types scan from main/init of cmd/*, examples/* and bench/ (behind
-# the deadcode build tag, so tier 1 never builds it): an unreached
-# declaration, an unread unexported field or a setting only its own package
-# sets that scripts/deadcode/allow.txt does not own fails, and so does a
-# stale or ownerless allow pattern; so does anything
-# scripts/deadcode/retired.txt retires, declared or referred to again, or a
-# line of it that names nothing in the tree. Its five figures print below.
+# A go/types scan (behind the deadcode build tag, so tier 1 never builds it)
+# fails on what scripts/deadcode/allow.txt does not own, on a stale or
+# ownerless allow line, and on what scripts/deadcode/retired.txt retires,
+# or a line of it that names nothing. Its five figures print below.
 reach=$(go test -tags deadcode -count=1 -v ./scripts/deadcode/ 2>&1) || { echo "$reach"; exit 1; }
 
 echo "== non-test Go lines (excluding bench/; internal/experiments alone; internal/odp + cmd/odp{node,trader,stat}; cmd/odpbench; internal/channel; internal/trader + internal/relocator + internal/hashring; internal/policy + internal/health; internal/stream; internal/coordination; internal/wire) and this script =="
@@ -76,15 +73,10 @@ echo "== non-test Go lines (excluding bench/; internal/experiments alone; intern
 # followed by the scan's five figures.
 src . ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 echo "$reach" | grep '^deadcode:'
-find internal/experiments -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-src internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go | xargs cat | wc -l
-find cmd/odpbench -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/channel -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/trader internal/relocator internal/hashring -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/policy internal/health -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/stream -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/coordination -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
-find internal/wire -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+for dirs in internal/experiments 'internal/odp cmd/odpnode cmd/odptrader cmd/odpstat/main.go' cmd/odpbench internal/channel \
+	'internal/trader internal/relocator internal/hashring' 'internal/policy internal/health' internal/stream internal/coordination internal/wire; do
+	src $dirs | xargs cat | wc -l
+done
 wc -l scripts/check.sh
 
 echo "== race detector (hot-path and fan-out packages) =="

@@ -22,7 +22,8 @@ func TestInternalReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scan(config{root: root, module: "repro", roots: []string{"cmd", "examples", "bench"}, scanned: "internal"})
+	p := newProgram(config{root: root, module: "repro", roots: []string{"cmd", "examples", "bench"}, scanned: "internal"})
+	res, err := scan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestInternalReachability(t *testing.T) {
 	fmt.Printf("deadcode: %d exported names in internal/ used only inside their own package\n", res.ownOnly)
 	fmt.Printf("deadcode: %d unexported struct fields in internal/ never read\n", len(res.unread))
 	fmt.Printf("deadcode: %d settings in internal/ read but set only by their own package\n", len(res.knobs))
-	probs, n, err := retired(config{root: root, module: "repro"}, "retired.txt", "allow.txt")
+	probs, n, err := retired(p, "retired.txt", "allow.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,8 @@ func TestScanFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := scan(config{root: root, module: "fixture", roots: []string{"cmd"}, scanned: "internal"})
+	p := newProgram(config{root: root, module: "fixture", roots: []string{"cmd"}, scanned: "internal"})
+	res, err := scan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestScanFixture(t *testing.T) {
 	}
 
 	// Each row of testdata/fixture/retired.txt says whether it must fail, and how.
-	probs, _, err := retired(config{root: root, module: "fixture"}, filepath.Join(root, "retired.txt"), filepath.Join(root, "allow.txt"))
+	probs, _, err := retired(p, filepath.Join(root, "retired.txt"), filepath.Join(root, "allow.txt"))
 	rows, err2 := readAllow(filepath.Join(root, "retired.txt"))
 	if err != nil || err2 != nil {
 		t.Fatal(err, err2)

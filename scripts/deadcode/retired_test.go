@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"path"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -31,19 +33,12 @@ func like(pattern string, names ...string) bool {
 	return slices.ContainsFunc(names, func(n string) bool { ok, _ := path.Match(pattern, n); return ok })
 }
 
-// within reports whether pattern matches name or a declaration name is inside.
-func within(pattern, name string) bool {
-	i := strings.LastIndexByte(name, '.')
-	return like(pattern, name) || i > 0 && within(pattern, name[:i])
-}
-
-// retired checks the tree under cfg.root against the list in file, whose
+// retired checks the tree under p.cfg.root against the list in file, whose
 // declarations allowFile may not own, and returns what fails, each as "line:
-// why", and the number of patterns checked.
-func retired(cfg config, file, allowFile string) ([]string, int, error) {
+// why", and the number of patterns checked. It loads what p has not.
+func retired(p *program, file, allowFile string) ([]string, int, error) {
 	entries, err1 := readAllow(file)
 	allow, err2 := readAllow(allowFile)
-	p := newProgram(cfg)
 	pkgs, err := p.loadTree(".")
 	if err := errors.Join(err1, err2, err); err != nil {
 		return nil, 0, err
@@ -79,7 +74,7 @@ func retired(cfg config, file, allowFile string) ([]string, int, error) {
 			if (r.from == "") != (from == nil) || from != nil && (r.object != (verb == "refers to") || !like(r.from, from...)) {
 				return false
 			}
-			return r.except && from == nil && within(r.to, to[0]) || like(r.to, to...)
+			return like(r.to, to...)
 		}
 		for _, r := range rules {
 			if r.except || !matches(r) {
@@ -92,53 +87,73 @@ func retired(cfg config, file, allowFile string) ([]string, int, error) {
 				}
 			}
 			if !exempt {
-				fail(r, "%s: %s %s", strings.TrimPrefix(rel(cfg.root, p.fset.Position(pos).String()), "internal/"), verb, to[0])
+				fail(r, "%s: %s %s", strings.TrimPrefix(rel(p.cfg.root, p.fset.Position(pos).String()), "internal/"), verb, to[0])
 			}
 		}
 	}
-	var known []string                 // the keys of the tree's packages, non-test files and declarations
-	names := map[types.Object]string{} // the declared objects of non-test files and their keys
+	var known []string                 // the keys of the tree's packages, files and declarations, and of what it imports
+	names := map[types.Object]string{} // the objects type-checked files declare and their keys
+	parsed := map[*pkg][]*ast.File{}   // the files the type-check leaves out: _test.go files and those behind a build tag
+	seen := map[*types.Package]bool{}
 	for _, pk := range pkgs {
-		short := key(p.short(pk.path))
-		known = append(known, short, key(pk.path))
-		for i, f := range slices.Concat(pk.files, pk.tests) {
-			declared(short, f, func(name string, id *ast.Ident) {
+		known = append(known, key(p.short(pk.path)), key(pk.path))
+		for _, imp := range pk.types.Imports() { // an edge may name an imported name or method
+			if seen[imp] {
+				continue
+			}
+			seen[imp] = true
+			for _, n := range imp.Scope().Names() {
+				known = append(known, key(p.short(imp.Path())+"."+n))
+				if t, ok := imp.Scope().Lookup(n).Type().(*types.Named); ok {
+					for i := range t.NumMethods() {
+						known = append(known, key(p.short(imp.Path())+"."+n+"."+t.Method(i).Name()))
+					}
+				}
+			}
+		}
+		for _, name := range slices.Concat(pk.bp.TestGoFiles, pk.bp.XTestGoFiles, pk.bp.IgnoredGoFiles) {
+			f, err := parser.ParseFile(p.fset, filepath.Join(pk.bp.Dir, name), nil, 0)
+			if err != nil {
+				return nil, 0, err
+			}
+			parsed[pk] = append(parsed[pk], f)
+		}
+		for _, f := range slices.Concat(pk.files, parsed[pk]) {
+			declared(key(p.short(pk.path)), f, func(name string, id *ast.Ident) {
 				known, names[pk.info.Defs[id]] = append(known, name), name
 				hit(id.Pos(), nil, []string{name}, "declares")
 			})
-			if i < len(pk.files) {
-				continue
-			}
-			imports := map[string]string{} // the test file's import names and the packages they name
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ImportSpec:
-					ip, _ := strconv.Unquote(n.Path.Value)
-					imports[path.Base(ip)] = key(p.short(ip))
-					if n.Name != nil {
-						imports[n.Name.Name] = imports[path.Base(ip)]
-					}
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
-						hit(n.Sel.Pos(), nil, []string{imports[x.Name] + "." + n.Sel.Name}, "names")
-					}
-				}
-				return true
-			})
 		}
 	}
-	delete(names, nil) // what test files declare
+	delete(names, nil) // what parsed files declare
 	for _, pk := range pkgs {
-		for _, f := range pk.files {
-			from := []string{key(p.short(pk.path)), key(strings.TrimPrefix(rel(cfg.root, p.fset.Position(f.Pos()).Filename), "internal/"))}
+		// What a parsed file names through an import counts as declared, and
+		// a non-test one's imports and names are edges.
+		for i, f := range slices.Concat(pk.files, parsed[pk]) {
+			file := rel(p.cfg.root, p.fset.Position(f.Pos()).Filename)
+			from, typed, test := []string{key(p.short(pk.path)), key(strings.TrimPrefix(file, "internal/"))}, i < len(pk.files), strings.HasSuffix(file, "_test.go")
 			known = append(known, from[1])
+			imports := map[string]string{} // a parsed file's import names and the packages they name
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.ImportSpec:
 					ip, _ := strconv.Unquote(n.Path.Value)
-					known = append(known, key(ip))
-					hit(n.Pos(), from, []string{key(p.short(ip)), key(ip)}, "imports")
-				case *ast.Ident:
+					known, imports[path.Base(ip)] = append(known, key(ip)), key(p.short(ip))
+					if n.Name != nil {
+						imports[n.Name.Name] = key(p.short(ip))
+					}
+					if !test {
+						hit(n.Pos(), from, []string{key(p.short(ip)), key(ip)}, "imports")
+					}
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && !typed && x.Obj == nil && imports[x.Name] != "" {
+						to := []string{imports[x.Name] + "." + n.Sel.Name}
+						hit(n.Sel.Pos(), nil, to, "names")
+						if !test {
+							hit(n.Sel.Pos(), from, to, "refers to")
+						}
+					}
+				case *ast.Ident: // in a parsed file, n uses nothing
 					obj := canon(pk.info.Uses[n])
 					if name := names[obj]; name == "" && tracked(obj) {
 						names[obj] = key(p.short(obj.Pkg().Path()) + "." + declName(obj))
@@ -153,10 +168,14 @@ func retired(cfg config, file, allowFile string) ([]string, int, error) {
 	}
 
 	for _, r := range rules {
-		// An object's package, and its type when it names a member, must exist.
+		// What a line names must exist: its from, and an edge's object, or
+		// else the package it names or the type whose member it names.
 		s := strings.SplitN(r.to, ".", 3)
 		if len(s) == 3 {
 			s[0] += "." + s[1]
+		}
+		if r.object {
+			s[0] = r.to
 		}
 		for _, head := range []string{r.from, s[0]} {
 			if head != "" && !like(head, known...) {

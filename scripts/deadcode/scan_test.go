@@ -21,7 +21,6 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -53,13 +52,13 @@ type result struct {
 	knobs     []decl // configuration fields reached code reads and only their own package sets, sorted by name
 }
 
-// pkg is one type-checked package of the module: its non-test files, and
-// its test files parsed but not type-checked.
+// pkg is one type-checked package of the module (non-test files only).
 type pkg struct {
-	path         string
-	files, tests []*ast.File
-	types        *types.Package
-	info         *types.Info
+	path  string
+	bp    *build.Package // what go/build found in its directory, test files included
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 // program loads the module's packages from source, one *types.Package per
@@ -112,25 +111,25 @@ func (p *program) load(importPath string) (*pkg, error) {
 	if p.loading[importPath] {
 		return nil, fmt.Errorf("import cycle through %s", importPath)
 	}
-	p.loading[importPath] = true
 	dir := filepath.Join(p.cfg.root, filepath.FromSlash(strings.TrimPrefix(importPath, p.cfg.module)))
 	bp, err := p.ctxt.ImportDir(dir, 0)
-	if err != nil {
+	if _, ok := err.(*build.NoGoError); ok && len(bp.IgnoredGoFiles) == 0 {
+		return nil, err // no Go file; a directory of files behind a build tag loads empty
+	} else if err != nil && !ok {
 		return nil, fmt.Errorf("%s: %w", importPath, err)
 	}
-	pk := &pkg{path: importPath, info: &types.Info{
+	p.loading[importPath] = true
+	pk := &pkg{path: importPath, bp: bp, info: &types.Info{
 		Defs: map[*ast.Ident]types.Object{},
 		Uses: map[*ast.Ident]types.Object{},
 	}}
-	var files []*ast.File
-	for _, name := range slices.Concat(bp.GoFiles, bp.TestGoFiles, bp.XTestGoFiles) {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		pk.files = append(pk.files, f)
 	}
-	pk.files, pk.tests = files[:len(bp.GoFiles)], files[len(bp.GoFiles):]
 	conf := types.Config{Importer: p}
 	pk.types, err = conf.Check(importPath, p.fset, pk.files, pk.info)
 	if err != nil {
@@ -152,26 +151,14 @@ func (p *program) loadTree(rel string) ([]*pkg, error) {
 		if d.Name() == "testdata" || dir != start && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
-		if _, err := p.ctxt.ImportDir(dir, 0); err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				return nil
-			}
-			return err
+		sub, _ := filepath.Rel(p.cfg.root, dir) // dir is under the root
+		pk, err := p.load(path.Join(p.cfg.module, filepath.ToSlash(sub)))
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err == nil {
+			out = append(out, pk)
 		}
-		sub, err := filepath.Rel(p.cfg.root, dir)
-		if err != nil {
-			return err
-		}
-		importPath := p.cfg.module
-		if sub != "." {
-			importPath += "/" + filepath.ToSlash(sub)
-		}
-		pk, err := p.load(importPath)
-		if err != nil {
-			return err
-		}
-		out = append(out, pk)
-		return nil
+		return err
 	})
 	return out, err
 }
@@ -223,9 +210,9 @@ func refsIn(info *types.Info, n ast.Node) []types.Object {
 	return out
 }
 
-// scan runs the reachability analysis for cfg.
-func scan(cfg config) (*result, error) {
-	p := newProgram(cfg)
+// scan runs the reachability analysis for p.cfg.
+func scan(p *program) (*result, error) {
+	cfg := p.cfg
 	var rootPkgs []*pkg
 	for _, r := range cfg.roots {
 		pks, err := p.loadTree(r)

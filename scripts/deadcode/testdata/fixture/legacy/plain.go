@@ -20,3 +20,7 @@ var inc = c.Inc // a method value
 var todo = context.TODO // a function value
 
 var ran = fmt.Sprint(lib.Run(lib.Config{Size: 1}))
+
+var moving = map[string]bool{} // a package-level var
+
+func carry() { type carrier interface{} } // a type local to a function
