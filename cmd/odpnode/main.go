@@ -166,7 +166,8 @@ func runServe(ctx context.Context, sys *odp.System, stdout io.Writer, nodeName, 
 	}
 	// With -mgmt the node registered a Management interface when it was
 	// created; it goes last.
-	for _, ref := range sys.Relocator.Entries() {
+	refs, _ := sys.Relocator.Snapshot()
+	for _, ref := range refs {
 		if ref.TypeName == mgmt.InterfaceTypeName {
 			fmt.Fprintf(stdout, "%s %s %s\n", ref.ID, ref.TypeName, ref.Endpoint)
 		}

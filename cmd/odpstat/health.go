@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/health"
 )
@@ -24,8 +25,10 @@ type endpointHealth struct {
 	suspicion   int64 // per-mille, 0..1000
 	probes      int64
 	misses      int64
+	missRun     int64 // consecutive misses right now
 	transitions int64
-	rtt         string // histogram summary as dumped, "" when unprobed
+	windowRTT   time.Duration // the window's mean round trip, which sets the probe timeout
+	rtt         string        // histogram summary as dumped, "" when unprobed
 }
 
 // breakerHealth is one host's breaker-set summary.
@@ -64,8 +67,12 @@ func renderHealth(metrics string) string {
 				e.probes = n
 			case "misses":
 				e.misses = n
+			case "miss_run":
+				e.missRun = n
 			case "transitions":
 				e.transitions = n
+			case "window_rtt_ns":
+				e.windowRTT = time.Duration(n)
 			}
 			continue
 		}
@@ -97,17 +104,17 @@ func renderHealth(metrics string) string {
 	if len(eps) == 0 {
 		b.WriteString("no health instruments — is the failure detector enabled on this node?\n")
 	} else {
-		fmt.Fprintf(&b, "%-24s %-8s %9s %8s %8s %6s  %s\n",
-			"endpoint", "state", "suspicion", "probes", "misses", "trans", "rtt")
+		fmt.Fprintf(&b, "%-24s %-8s %9s %8s %8s %5s %6s %10s  %s\n",
+			"endpoint", "state", "suspicion", "probes", "misses", "run", "trans", "window", "rtt")
 		for _, n := range sortedKeys(eps) {
 			e := eps[n]
 			rtt := e.rtt
 			if rtt == "" {
 				rtt = "-"
 			}
-			fmt.Fprintf(&b, "%-24s %-8s %8.1f%% %8d %8d %6d  %s\n",
+			fmt.Fprintf(&b, "%-24s %-8s %8.1f%% %8d %8d %5d %6d %10s  %s\n",
 				e.endpoint, stateName(e.state), float64(e.suspicion)/10,
-				e.probes, e.misses, e.transitions, rtt)
+				e.probes, e.misses, e.missRun, e.transitions, e.windowRTT, rtt)
 		}
 	}
 	if len(brs) > 0 {

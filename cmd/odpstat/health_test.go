@@ -21,9 +21,9 @@ func TestRenderHealth(t *testing.T) {
 	rtt.Observe(250_000)
 	mgmt.Read(m, "health.", func() map[string]health.EndpointStats {
 		return map[string]health.EndpointStats{
-			"n1": {State: health.Alive, Probes: 120, Transitions: 1, RTTNs: rtt.Snapshot()},
+			"n1": {State: health.Alive, Probes: 120, Transitions: 1, WindowRTTNs: 250_000, RTTNs: rtt.Snapshot()},
 			// A dotted watch key must not split wrong.
-			"10.0.0.2:9000": {State: health.Dead, Suspicion: 1000, Probes: 80, Misses: 6, Transitions: 2},
+			"10.0.0.2:9000": {State: health.Dead, Suspicion: 1000, Probes: 80, Misses: 7, MissRun: 6, Transitions: 2, WindowRTTNs: 1_500_000},
 		}
 	})
 
@@ -56,12 +56,13 @@ func TestRenderHealth(t *testing.T) {
 		return ""
 	}
 
-	if l := find("n1 "); !strings.Contains(l, "alive") || !strings.Contains(l, "0.0%") ||
-		!strings.Contains(l, "120") || !strings.Contains(l, "p50") {
+	// endpoint, state, suspicion, probes, misses, miss run, transitions,
+	// window RTT, then the RTT histogram.
+	if l := find("n1 "); !strings.HasPrefix(strings.Join(strings.Fields(l), " "), "n1 alive 0.0% 120 0 0 1 250µs ") ||
+		!strings.Contains(l, "p50") {
 		t.Fatalf("n1 row wrong: %q", l)
 	}
-	if l := find("10.0.0.2:9000 "); !strings.Contains(l, "dead") || !strings.Contains(l, "100.0%") ||
-		!strings.Contains(l, "6") {
+	if l := strings.Join(strings.Fields(find("10.0.0.2:9000 ")), " "); !strings.HasPrefix(l, "10.0.0.2:9000 dead 100.0% 80 7 6 2 1.5ms ") {
 		t.Fatalf("dotted-endpoint row wrong: %q", l)
 	}
 	if l := strings.Fields(find("client ")); strings.Join(l[1:], " ") != "1 1 0 0 14" {

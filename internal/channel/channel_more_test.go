@@ -259,7 +259,7 @@ func TestExpiredCallLeavesNoWaiter(t *testing.T) {
 	if _, _, err := mute.Invoke(ctx, "Echo", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call to a mute peer = %v, want DeadlineExceeded", err)
 	}
-	sess := mute.Sessions().peek("sim://mute")
+	sess := mute.sessions.peek("sim://mute")
 	if sess == nil {
 		t.Fatal("no session to the mute peer")
 	}

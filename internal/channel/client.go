@@ -163,10 +163,6 @@ func (b *Binding) Ref() naming.InterfaceRef {
 	return b.ref
 }
 
-// Sessions returns the session manager this binding multiplexes over —
-// its own private one, or the shared manager supplied at Bind.
-func (b *Binding) Sessions() *SessionManager { return b.sessions }
-
 // Stats returns a snapshot of the binding's counters.
 func (b *Binding) Stats() BindingStats {
 	return BindingStats{

@@ -257,7 +257,7 @@ func TestOneWayRecoveryReachesManagement(t *testing.T) {
 	if st.Retries == 0 || st.Relocations == 0 {
 		t.Fatalf("announcement crossed a killed session without recovery: %+v", st)
 	}
-	ss := b.Sessions().Stats()
+	ss := b.sessions.Stats()
 	if ss.Retries != st.Retries || ss.Relocations != st.Relocations || ss.Invocations != st.Invocations {
 		t.Errorf("session manager counts %+v, the binding %+v", ss, st)
 	}

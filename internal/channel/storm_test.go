@@ -141,12 +141,12 @@ func TestSessionDeathStorm(t *testing.T) {
 	}
 	// Each dead endpoint's breaker is open and tripped exactly once —
 	// 16 bindings' worth of failures collapsed into one transition.
+	breakers := bs.Snapshot()
 	for i := 0; i < deadN; i++ {
-		br := bs.Peek(fmt.Sprintf("sim://s%d", i))
-		if br == nil {
+		st, minted := breakers[fmt.Sprintf("sim://s%d", i)]
+		if !minted {
 			t.Fatalf("no breaker minted for dead host s%d", i)
 		}
-		st := br.Stats()
 		if st.State != policy.Open {
 			t.Errorf("dead host s%d breaker = %v, want open", i, st.State)
 		}

@@ -719,7 +719,8 @@ func TestNodeCloseIsIdempotentAndTearsDown(t *testing.T) {
 func TestRegisterServant(t *testing.T) {
 	f := newFixture()
 	n := f.node(t, "a", NodeConfig{})
-	before := len(f.reloc.Entries())
+	registered := func() int { refs, _ := f.reloc.Snapshot(); return len(refs) }
+	before := registered()
 	ref, err := n.RegisterServant(counterType(), &counterBehavior{})
 	if err != nil {
 		t.Fatal(err)
@@ -737,7 +738,7 @@ func TestRegisterServant(t *testing.T) {
 	if _, err := n.RegisterServant(&types.Interface{Kind: types.Operational}, &counterBehavior{}); err == nil {
 		t.Fatal("an unnamed interface type was accepted")
 	}
-	if got := len(f.reloc.Entries()); got != before+2 {
+	if got := registered(); got != before+2 {
 		t.Fatalf("registry holds %d new entries, want 2", got-before)
 	}
 

@@ -17,7 +17,6 @@ package health
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -127,15 +126,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// EndpointStatus is one row of a detector snapshot.
-type EndpointStatus struct {
-	Endpoint  string
-	State     State
-	Suspicion float64
-	RTT       time.Duration // smoothed window round trip
-	Misses    int           // consecutive misses right now
-}
-
 // EndpointStats is one watched endpoint's counters, as Stats reports them.
 type EndpointStats struct {
 	State       State
@@ -143,6 +133,8 @@ type EndpointStats struct {
 	Probes      uint64 // probes completed (active and passive samples)
 	Misses      uint64 // probes that failed or exceeded the adaptive timeout
 	Transitions uint64 // liveness transitions
+	MissRun     int64  // consecutive misses right now
+	WindowRTTNs int64  // the smoothing window's mean round trip, which drives the adaptive timeout
 	RTTNs       mgmt.HistogramSnapshot
 }
 
@@ -242,39 +234,6 @@ func (d *Detector) Close() {
 	}
 }
 
-// State reports an endpoint's current liveness and suspicion; ok is
-// false when the endpoint is not watched.
-func (d *Detector) State(endpoint string) (st State, suspicion float64, ok bool) {
-	d.mu.Lock()
-	e := d.eps[endpoint]
-	d.mu.Unlock()
-	if e == nil {
-		return Alive, 0, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.state, e.suspicionLocked(d.cfg), true
-}
-
-// Snapshot lists every watched endpoint's status, sorted by name.
-func (d *Detector) Snapshot() []EndpointStatus {
-	eps := d.watched()
-	out := make([]EndpointStatus, 0, len(eps))
-	for _, e := range eps {
-		e.mu.Lock()
-		out = append(out, EndpointStatus{
-			Endpoint:  e.name,
-			State:     e.state,
-			Suspicion: e.suspicionLocked(d.cfg),
-			RTT:       e.meanLocked(),
-			Misses:    e.misses,
-		})
-		e.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
-}
-
 // Stats returns every watched endpoint's counters, keyed by endpoint; an
 // endpoint leaves it at Unwatch.
 func (d *Detector) Stats() map[string]EndpointStats {
@@ -288,6 +247,8 @@ func (d *Detector) Stats() map[string]EndpointStats {
 			Probes:      e.probes,
 			Misses:      e.missed,
 			Transitions: e.transitions,
+			MissRun:     int64(e.misses),
+			WindowRTTNs: int64(e.meanLocked()),
 			RTTNs:       e.rtt.Snapshot(),
 		}
 		e.mu.Unlock()

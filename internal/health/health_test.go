@@ -81,22 +81,19 @@ func TestDetectorCrashTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "first success", func() bool {
-		st, _, ok := d.State("m0")
-		return ok && st == Alive
+		st := d.Stats()["m0"]
+		return st.State == Alive && st.WindowRTTNs > 0
 	})
 
 	probe.failing.Store(true)
-	waitFor(t, "dead", func() bool {
-		st, _, _ := d.State("m0")
-		return st == Dead
-	})
-	if _, susp, _ := d.State("m0"); susp != 1 {
-		t.Fatalf("dead endpoint suspicion = %v, want 1", susp)
+	waitFor(t, "dead", func() bool { return d.Stats()["m0"].State == Dead })
+	if susp := d.Stats()["m0"].Suspicion; susp != 1000 {
+		t.Fatalf("dead endpoint suspicion = %d‰, want 1000", susp)
 	}
 
 	probe.failing.Store(false)
 	// OnTransition runs after the new state is published, outside the
-	// detector's locks, so State can read Alive before the log has the
+	// detector's locks, so Stats can read Alive before the log has the
 	// transition: wait for the log itself.
 	waitFor(t, "the recovery transition", func() bool {
 		return slices.ContainsFunc(log.snapshot(), func(tr Transition) bool { return tr.To == Alive })
@@ -136,12 +133,8 @@ func TestDetectorRTTWindowDrivesSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "window warm", func() bool {
-		for _, st := range d.Snapshot() {
-			if st.Endpoint == "wan" && st.RTT > 0 && st.State == Alive {
-				return true
-			}
-		}
-		return false
+		st := d.Stats()["wan"]
+		return st.WindowRTTNs > 0 && st.State == Alive
 	})
 
 	// A latency regime shift: probes still "succeed" but report round
@@ -149,15 +142,15 @@ func TestDetectorRTTWindowDrivesSuspicion(t *testing.T) {
 	// detector must count them as misses and raise suspicion.
 	probe.rtt.Store(int64(500 * time.Millisecond))
 	waitFor(t, "suspect on slow probes", func() bool {
-		st, susp, _ := d.State("wan")
-		return st == Suspect && susp > 0
+		st := d.Stats()["wan"]
+		return st.State == Suspect && st.Suspicion > 0
 	})
 
 	// Back to the old regime: suspicion resets.
 	probe.rtt.Store(int64(time.Millisecond))
 	waitFor(t, "alive again", func() bool {
-		st, susp, _ := d.State("wan")
-		return st == Alive && susp == 0
+		st := d.Stats()["wan"]
+		return st.State == Alive && st.Suspicion == 0
 	})
 }
 
@@ -202,23 +195,23 @@ func TestDetectorAdaptiveTimeoutBounds(t *testing.T) {
 	// report feeds one round trip and returns the endpoint's status once
 	// the detector has judged it (the next probe has begun).
 	<-p.entered
-	report := func(rtt time.Duration) EndpointStatus {
+	report := func(rtt time.Duration) EndpointStats {
 		p.rtt <- rtt
 		<-p.entered
-		return d.Snapshot()[0]
+		return d.Stats()["wan"]
 	}
-	var st EndpointStatus
+	var st EndpointStats
 	for i := 0; i < 32; i++ {
 		st = report(10 * time.Millisecond)
 	}
-	if st.RTT != 10*time.Millisecond || st.Misses != 0 {
-		t.Fatalf("after 32×10ms: %+v, want RTT 10ms and no misses", st)
+	if time.Duration(st.WindowRTTNs) != 10*time.Millisecond || st.MissRun != 0 {
+		t.Fatalf("after 32×10ms: %+v, want window RTT 10ms and no miss run", st)
 	}
-	if st = report(41 * time.Millisecond); st.Misses != 1 {
-		t.Fatalf("41ms against a 10ms window: misses = %d, want 1 (timeout is 4×RTT = 40ms)", st.Misses)
+	if st = report(41 * time.Millisecond); st.MissRun != 1 {
+		t.Fatalf("41ms against a 10ms window: miss run = %d, want 1 (timeout is 4×RTT = 40ms)", st.MissRun)
 	}
-	if st = report(40 * time.Millisecond); st.Misses != 0 {
-		t.Fatalf("40ms against a 10ms window: misses = %d, want 0 (within 4×RTT)", st.Misses)
+	if st = report(40 * time.Millisecond); st.MissRun != 0 {
+		t.Fatalf("40ms against a 10ms window: miss run = %d, want 0 (within 4×RTT)", st.MissRun)
 	}
 	// The window now holds 31×10ms and, newest, one 40ms (a miss is not a
 	// sample). 31 samples of 2ms leave only that 40ms of the old regime;
@@ -226,11 +219,11 @@ func TestDetectorAdaptiveTimeoutBounds(t *testing.T) {
 	for i := 0; i < 31; i++ {
 		st = report(2 * time.Millisecond)
 	}
-	if want := (40 + 31*2) * time.Millisecond / 32; st.RTT != want {
-		t.Fatalf("after 31 newer samples: RTT = %v, want %v (one old sample left)", st.RTT, want)
+	if want := (40 + 31*2) * time.Millisecond / 32; time.Duration(st.WindowRTTNs) != want {
+		t.Fatalf("after 31 newer samples: window RTT = %v, want %v (one old sample left)", time.Duration(st.WindowRTTNs), want)
 	}
-	if st = report(2 * time.Millisecond); st.RTT != 2*time.Millisecond {
-		t.Fatalf("after 32 newer samples: RTT = %v, want 2ms (old regime forgotten)", st.RTT)
+	if st = report(2 * time.Millisecond); time.Duration(st.WindowRTTNs) != 2*time.Millisecond {
+		t.Fatalf("after 32 newer samples: window RTT = %v, want 2ms (old regime forgotten)", time.Duration(st.WindowRTTNs))
 	}
 }
 
@@ -248,24 +241,24 @@ func TestDetectorPassiveObserve(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "first success", func() bool {
-		st, _, ok := d.State("m1")
-		return ok && st == Alive
+		st := d.Stats()["m1"]
+		return st.State == Alive && st.WindowRTTNs > 0
 	})
 
 	// Application traffic reports failures: no active probe needed.
 	for i := 0; i < 4; i++ {
 		d.Observe("m1", 0, errors.New("invoke failed"))
 	}
-	if st, _, _ := d.State("m1"); st != Dead {
+	if st := d.Stats()["m1"].State; st != Dead {
 		t.Fatalf("state after 4 passive failures = %v, want dead", st)
 	}
 	d.Observe("m1", time.Millisecond, nil)
-	if st, _, _ := d.State("m1"); st != Alive {
+	if st := d.Stats()["m1"].State; st != Alive {
 		t.Fatalf("state after passive success = %v, want alive", st)
 	}
 	// Unwatched endpoints are ignored, not created.
 	d.Observe("ghost", 0, errors.New("x"))
-	if _, _, ok := d.State("ghost"); ok {
+	if _, ok := d.Stats()["ghost"]; ok {
 		t.Fatal("Observe must not create endpoints")
 	}
 }
@@ -368,7 +361,7 @@ func TestControllerRunsPlanOnTransitions(t *testing.T) {
 	if err := d.Watch("m0", probe.fn()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "warm", func() bool { st, _, ok := d.State("m0"); return ok && st == Alive })
+	waitFor(t, "warm", func() bool { st := d.Stats()["m0"]; return st.State == Alive && st.WindowRTTNs > 0 })
 
 	probe.failing.Store(true)
 	waitFor(t, "failover ran", func() bool { return deaths.Load() == 1 })

@@ -215,7 +215,7 @@ func TestWatchNodeUnknownNode(t *testing.T) {
 	if err := s.WatchNode("typo"); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("WatchNode of a node that was never created = %v, want ErrNoSuchNode", err)
 	}
-	if _, _, watched := s.Detector().State("typo"); watched {
+	if _, watched := s.Detector().Stats()["typo"]; watched {
 		t.Fatal("the detector is probing an endpoint that does not exist")
 	}
 }
@@ -285,7 +285,8 @@ func TestFacadeOverTCP(t *testing.T) {
 
 	// The node's Management interface is served over the same socket.
 	var mref naming.InterfaceRef
-	for _, ref := range s.Relocator.Entries() {
+	refs, _ := s.Relocator.Snapshot()
+	for _, ref := range refs {
 		if ref.TypeName == mgmt.InterfaceTypeName {
 			mref = ref
 		}
@@ -308,14 +309,11 @@ func TestFacadeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitOdp(t, "alive", func() bool {
-		st, _, ok := s.Detector().State("alpha")
-		return ok && st == health.Alive
+		st := s.Detector().Stats()["alpha"]
+		return st.State == health.Alive && st.WindowRTTNs > 0
 	})
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitOdp(t, "dead", func() bool {
-		st, _, _ := s.Detector().State("alpha")
-		return st == health.Dead
-	})
+	waitOdp(t, "dead", func() bool { return s.Detector().Stats()["alpha"].State == health.Dead })
 }

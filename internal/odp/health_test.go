@@ -2,6 +2,7 @@ package odp
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,8 +62,8 @@ func TestHealthDetectsAndRecovers(t *testing.T) {
 	}
 
 	waitOdp(t, "warm", func() bool {
-		st, _, ok := s.Detector().State("n1")
-		return ok && st == health.Alive
+		st := s.Detector().Stats()["n1"]
+		return st.State == health.Alive && st.WindowRTTNs > 0
 	})
 
 	// Crash at the transport level: the listener dies, dial probes fail.
@@ -72,13 +73,25 @@ func TestHealthDetectsAndRecovers(t *testing.T) {
 	if g := state(); g != "2" {
 		t.Fatalf("health.n1.state gauge = %s, want 2 (dead)", g)
 	}
+	// The dead node's run of misses has reached DeadAfter, and its window
+	// still holds the round trips of the probes that succeeded before.
+	dead := dumpValues(m.Registry.Dump(), nil)
+	if run, _ := strconv.Atoi(dead["health.n1.miss_run"]); run < 4 {
+		t.Fatalf("health.n1.miss_run gauge = %q, want at least 4 (DeadAfter)", dead["health.n1.miss_run"])
+	}
+	if rtt, _ := strconv.Atoi(dead["health.n1.window_rtt_ns"]); rtt <= 0 {
+		t.Fatalf("health.n1.window_rtt_ns gauge = %q, want the warm probes' mean", dead["health.n1.window_rtt_ns"])
+	}
 
 	// "Restart" the process: listen again; probes succeed, plan heals.
 	if _, err := s.Net.Listen("sim://n1"); err != nil {
 		t.Fatal(err)
 	}
 	waitOdp(t, "heal plan ran", func() bool { return heals.Load() == 1 })
-	waitOdp(t, "alive gauge", func() bool { return state() == "0" })
+	waitOdp(t, "alive gauges", func() bool {
+		alive := dumpValues(m.Registry.Dump(), nil)
+		return alive["health.n1.state"] == "0" && alive["health.n1.miss_run"] == "0"
+	})
 	if st := ctl.Stats(); st.Failures != 0 {
 		t.Fatalf("controller failures = %d, want 0", st.Failures)
 	}

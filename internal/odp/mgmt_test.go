@@ -146,9 +146,10 @@ func TestManagementReadsStats(t *testing.T) {
 				return
 			}
 			for i := 0; i < v.NumField(); i++ {
-				var b strings.Builder
-				for j, c := range v.Type().Field(i).Name {
-					if j > 0 && unicode.IsUpper(c) {
+				var b strings.Builder // a run of capitals is one word: WindowRTTNs is window_rtt_ns
+				name := v.Type().Field(i).Name
+				for j, c := range name {
+					if j > 0 && unicode.IsUpper(c) && (!unicode.IsUpper(rune(name[j-1])) || j+1 < len(name) && unicode.IsLower(rune(name[j+1]))) {
 						b.WriteByte('_')
 					}
 					b.WriteRune(unicode.ToLower(c))

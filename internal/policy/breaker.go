@@ -298,13 +298,6 @@ func (s *BreakerSet) For(key string) *Breaker {
 	return b
 }
 
-// Peek returns the breaker for key without minting one, or nil.
-func (s *BreakerSet) Peek(key string) *Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[key]
-}
-
 // BreakerSetStats sums the counters of every breaker in a set.
 type BreakerSetStats struct {
 	Opens    uint64 // transitions into Open

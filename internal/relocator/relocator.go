@@ -121,8 +121,9 @@ func (r *Relocator) Remove(id naming.InterfaceID) {
 	r.mu.Unlock()
 }
 
-// Entries returns a snapshot of all registrations, sorted by interface id.
-func (r *Relocator) Entries() []naming.InterfaceRef {
+// Snapshot returns every registration, sorted by interface id. It never
+// fails: the error is Enumerable's, for a store reached over the network.
+func (r *Relocator) Snapshot() ([]naming.InterfaceRef, error) {
 	r.mu.RLock()
 	out := make([]naming.InterfaceRef, 0, len(r.entries))
 	for _, ref := range r.entries {
@@ -130,7 +131,7 @@ func (r *Relocator) Entries() []naming.InterfaceRef {
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.String() < out[j].ID.String() })
-	return out
+	return out, nil
 }
 
 // Stats counts a Relocator's traffic since it was created.

@@ -124,7 +124,7 @@ func TestEntriesSorted(t *testing.T) {
 	if err := r.Register(a); err != nil {
 		t.Fatal(err)
 	}
-	es := r.Entries()
+	es, _ := r.Snapshot()
 	if len(es) != 2 {
 		t.Fatalf("entries = %v", es)
 	}

@@ -43,12 +43,9 @@ type Enumerable interface {
 var (
 	_ Store      = (*Relocator)(nil)
 	_ Store      = (*Remote)(nil)
+	_ Enumerable = (*Relocator)(nil)
 	_ Enumerable = (*Remote)(nil)
 )
-
-// Snapshot adapts the local relocator's Entries to the Enumerable
-// capability (same data, error-bearing signature).
-func (r *Relocator) Snapshot() ([]naming.InterfaceRef, error) { return r.Entries(), nil }
 
 // Sharded partitions the location database over named shards by
 // consistent hashing of the interface id. It satisfies Store (and

@@ -80,13 +80,14 @@ func TestShardedAddShardDrains(t *testing.T) {
 			t.Fatalf("lookup %d after add: %v", i, err)
 		}
 	}
-	if len(w2.Entries()) == 0 {
+	if moved, _ := w2.Snapshot(); len(moved) == 0 {
 		t.Fatal("no registrations migrated")
 	}
 	// No entry is duplicated across shards after the drain settles.
 	total := 0
 	for _, st := range stores {
-		total += len(st.Entries())
+		held, _ := st.Snapshot()
+		total += len(held)
 	}
 	refs, _ := s.Snapshot()
 	if len(refs) != n || total > n {

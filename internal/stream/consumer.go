@@ -29,9 +29,8 @@ type Consumer struct {
 
 	mu sync.Mutex
 	// streams holds every stream from open until it is finished and
-	// drained; then its final counts move into retired.
+	// drained.
 	streams map[streamKey]*Inbound
-	retired ConsumerStats
 	pending []*Inbound    // opened, not yet Accepted
 	notify  chan struct{} // signalled when pending grows
 	closed  bool
@@ -146,46 +145,12 @@ func (c *Consumer) Close() {
 	}
 }
 
-// ConsumerStats sums a consumer's streams, finished ones included.
-type ConsumerStats struct {
-	Streams  int    // streams open, or finished with elements still buffered
-	Received uint64 // elements arrived from the wire (including dropped)
-	Consumed uint64 // elements the application has read, or the stub dropped
-	Dropped  uint64 // mistyped elements the server stub removed
-	SeqGaps  uint64 // batches arriving out of FIFO position
-	Batches  uint64 // flow-batch frames delivered
-	Queued   int64  // elements buffered awaiting Recv
-}
-
-func (s *ConsumerStats) add(in InboundStats) {
-	s.Received += in.Received
-	s.Consumed += in.Consumed
-	s.Dropped += in.Dropped
-	s.SeqGaps += in.SeqGaps
-	s.Batches += in.Batches
-	s.Queued += int64(in.Queued)
-}
-
-// Stats sums the accounting of every stream the consumer has had.
-func (c *Consumer) Stats() ConsumerStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.retired
-	out.Streams = len(c.streams)
-	for _, in := range c.streams {
-		out.add(in.Stats())
-	}
-	return out
-}
-
-// retire moves a finished, drained stream's final counts out of the
-// stream table. The caller must not hold in.mu.
+// retire deletes a finished, drained stream from the stream table.
 func (c *Consumer) retire(in *Inbound) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.streams[in.key] == in {
 		delete(c.streams, in.key)
-		c.retired.add(in.Stats())
 	}
 }
 

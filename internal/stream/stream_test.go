@@ -199,10 +199,10 @@ func TestBorrowedElemsConsumerValuesIntact(t *testing.T) {
 	}
 }
 
-// TestConsumerStatsSumsStreams: a consumer's Stats sum its streams, a
-// finished stream keeps counting after it leaves the stream table, and
-// Streams and Queued follow what is still buffered.
-func TestConsumerStatsSumsStreams(t *testing.T) {
+// TestDrainedStreamLeavesTheTable: a finished stream stays in its
+// consumer's stream table while elements are buffered and leaves it with
+// the last Recv, and each stream's counts follow what was read from it.
+func TestDrainedStreamLeavesTheTable(t *testing.T) {
 	e := newEnv(t, ConsumerConfig{Window: 32})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -225,9 +225,17 @@ func TestConsumerStatsSumsStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		waitFor(t, func() bool { return in.Stats().Received == n }, "elements never arrived: %+v", in.Stats())
 		ins = append(ins, in)
 	}
-	waitFor(t, func() bool { return e.cons.Stats().Received == 2*n }, "elements never arrived: %+v", e.cons.Stats())
+	tabled := func(in *Inbound) bool {
+		e.cons.mu.Lock()
+		defer e.cons.mu.Unlock()
+		return e.cons.streams[in.key] == in
+	}
+	if !tabled(ins[0]) || !tabled(ins[1]) {
+		t.Fatal("a stream with elements buffered left the stream table")
+	}
 	drain := func(in *Inbound) {
 		t.Helper()
 		for j := 0; j < n; j++ {
@@ -237,14 +245,19 @@ func TestConsumerStatsSumsStreams(t *testing.T) {
 		}
 	}
 	drain(ins[0])
-	waitFor(t, func() bool { return e.cons.Stats().Streams == 1 }, "first stream never retired: %+v", e.cons.Stats())
-	batches := ins[0].Stats().Batches + ins[1].Stats().Batches
-	if st := e.cons.Stats(); st.Received != 2*n || st.Consumed != n || st.Queued != n || st.Batches != batches {
-		t.Fatalf("one stream drained: %+v, want %d batches", st, batches)
+	waitFor(t, func() bool { return !tabled(ins[0]) }, "first stream never left the table")
+	if !tabled(ins[1]) {
+		t.Fatal("draining one stream took the other out of the table")
+	}
+	if st := ins[0].Stats(); st.Received != n || st.Consumed != n || st.Queued != 0 || st.Batches == 0 {
+		t.Fatalf("drained stream: %+v", st)
+	}
+	if st := ins[1].Stats(); st.Received != n || st.Consumed != 0 || st.Queued != n || st.Batches == 0 {
+		t.Fatalf("undrained stream: %+v", st)
 	}
 	drain(ins[1])
-	waitFor(t, func() bool { return e.cons.Stats().Streams == 0 }, "second stream never retired: %+v", e.cons.Stats())
-	if st := e.cons.Stats(); st.Streams != 0 || st.Received != 2*n || st.Consumed != 2*n || st.Queued != 0 || st.Batches != batches {
+	waitFor(t, func() bool { return !tabled(ins[1]) }, "second stream never left the table")
+	if st := ins[1].Stats(); st.Received != n || st.Consumed != n || st.Queued != 0 {
 		t.Fatalf("both drained: %+v", st)
 	}
 }

@@ -22,6 +22,13 @@ type rule struct {
 	allowEntry
 	except, used, object bool   // a "! " line; a line's exception took effect; an edge to an object
 	from, to             string // keys; from is empty for a declaration
+	prefix, lit          string // text every name to matches starts with, and contains
+}
+
+// hits reports whether to matches one of names. A name without the
+// pattern's longest literal text cannot match, so path.Match rarely runs.
+func (r *rule) hits(names []string) bool {
+	return slices.ContainsFunc(names, func(n string) bool { return strings.Contains(n, r.lit) && like(r.to, n) })
 }
 
 var retiredBy = regexp.MustCompile(`^PR [0-9]+:`)
@@ -60,29 +67,28 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 			fail(r, "the reason for %s does not start with \"PR <n>:\", the change that retired it", e.pattern)
 		}
 		r.except, r.to = except, parts[len(parts)-1]
+		if !strings.ContainsAny(r.to, `?[\`) { // then only * is special
+			chunks := strings.Split(r.to, "*")
+			r.prefix, r.lit = chunks[0], slices.MaxFunc(chunks, func(a, b string) int { return len(a) - len(b) })
+		}
 		if len(parts) == 2 {
 			r.from, r.object = parts[0], strings.Contains(r.to[strings.LastIndexByte(r.to, 0)+1:], ".") // a dot after the last slash
 		}
 		rules = append(rules, r)
 	}
 
-	// hit fails each rule a site breaks that no exception lets stand: the
-	// declaration of to[0] (from is nil), or an edge from one of the names in
-	// from to one of the names in to, an object (pkg.Name) or a package.
-	hit := func(pos token.Pos, from, to []string, verb string) {
-		matches := func(r *rule) bool {
-			if (r.from == "") != (from == nil) || from != nil && (r.object != (verb == "refers to") || !like(r.from, from...)) {
-				return false
-			}
-			return like(r.to, to...)
-		}
-		for _, r := range rules {
-			if r.except || !matches(r) {
+	// hit fails each rule of rs a site breaks that no exception of rs lets
+	// stand: the declaration of to[0], or an edge to one of the names in to,
+	// an object (pkg.Name) or a package. rs holds the rules that can apply
+	// to the site: declsIn's for a declaration, edgesFrom's for an edge.
+	hit := func(pos token.Pos, rs []*rule, to []string, verb string) {
+		for _, r := range rs {
+			if r.except || !r.hits(to) {
 				continue
 			}
 			exempt := false
-			for _, e := range rules {
-				if e.except && matches(e) {
+			for _, e := range rs {
+				if e.except && e.hits(to) {
 					e.used, exempt = true, true
 				}
 			}
@@ -90,6 +96,35 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 				fail(r, "%s: %s %s", strings.TrimPrefix(rel(p.cfg.root, p.fset.Position(pos).String()), "internal/"), verb, to[0])
 			}
 		}
+	}
+	// declsIn returns the declaration rules that can match a name in package
+	// pkg: a name starts with "pkg.", so the pattern's prefix must agree.
+	decls := map[string][]*rule{}
+	declsIn := func(pkg string) []*rule {
+		rs, ok := decls[pkg]
+		if !ok {
+			for _, r := range rules {
+				if r.from == "" && (strings.HasPrefix(r.prefix, pkg+".") || strings.HasPrefix(pkg+".", r.prefix)) {
+					rs = append(rs, r)
+				}
+			}
+			decls[pkg] = rs
+		}
+		return rs
+	}
+	// edgesFrom returns the edge rules whose from matches a file or its
+	// package, split into package edges and object edges.
+	edgesFrom := func(from []string) (imports, refers []*rule) {
+		for _, r := range rules {
+			if r.from != "" && like(r.from, from...) {
+				if r.object {
+					refers = append(refers, r)
+				} else {
+					imports = append(imports, r)
+				}
+			}
+		}
+		return imports, refers
 	}
 	var known []string                 // the keys of the tree's packages, files and declarations, and of what it imports
 	names := map[types.Object]string{} // the objects type-checked files declare and their keys
@@ -118,10 +153,11 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 			}
 			parsed[pk] = append(parsed[pk], f)
 		}
+		pkgKey := key(p.short(pk.path))
 		for _, f := range slices.Concat(pk.files, parsed[pk]) {
-			declared(key(p.short(pk.path)), f, func(name string, id *ast.Ident) {
+			declared(pkgKey, f, func(name string, id *ast.Ident) {
 				known, names[pk.info.Defs[id]] = append(known, name), name
-				hit(id.Pos(), nil, []string{name}, "declares")
+				hit(id.Pos(), declsIn(pkgKey), []string{name}, "declares")
 			})
 		}
 	}
@@ -133,6 +169,7 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 			file := rel(p.cfg.root, p.fset.Position(f.Pos()).Filename)
 			from, typed, test := []string{key(p.short(pk.path)), key(strings.TrimPrefix(file, "internal/"))}, i < len(pk.files), strings.HasSuffix(file, "_test.go")
 			known = append(known, from[1])
+			importRules, referRules := edgesFrom(from)
 			imports := map[string]string{} // a parsed file's import names and the packages they name
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -143,14 +180,14 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 						imports[n.Name.Name] = key(p.short(ip))
 					}
 					if !test {
-						hit(n.Pos(), from, []string{key(p.short(ip)), key(ip)}, "imports")
+						hit(n.Pos(), importRules, []string{key(p.short(ip)), key(ip)}, "imports")
 					}
 				case *ast.SelectorExpr:
 					if x, ok := n.X.(*ast.Ident); ok && !typed && x.Obj == nil && imports[x.Name] != "" {
 						to := []string{imports[x.Name] + "." + n.Sel.Name}
-						hit(n.Sel.Pos(), nil, to, "names")
+						hit(n.Sel.Pos(), declsIn(imports[x.Name]), to, "names")
 						if !test {
-							hit(n.Sel.Pos(), from, to, "refers to")
+							hit(n.Sel.Pos(), referRules, to, "refers to")
 						}
 					}
 				case *ast.Ident: // in a parsed file, n uses nothing
@@ -159,7 +196,7 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 						names[obj] = key(p.short(obj.Pkg().Path()) + "." + declName(obj))
 					}
 					if name := names[obj]; name != "" {
-						hit(n.Pos(), from, []string{name}, "refers to")
+						hit(n.Pos(), referRules, []string{name}, "refers to")
 					}
 				}
 				return true
@@ -167,6 +204,10 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 		}
 	}
 
+	isKnown := make(map[string]bool, len(known))
+	for _, k := range known {
+		isKnown[k] = true
+	}
 	for _, r := range rules {
 		// What a line names must exist: its from, and an edge's object, or
 		// else the package it names or the type whose member it names.
@@ -178,7 +219,7 @@ func retired(p *program, file, allowFile string) ([]string, int, error) {
 			s[0] = r.to
 		}
 		for _, head := range []string{r.from, s[0]} {
-			if head != "" && !like(head, known...) {
+			if head != "" && !isKnown[head] && (!strings.ContainsAny(head, `*?[\`) || !like(head, known...)) {
 				fail(r, "%s: %s names nothing in the tree", r.pattern, head)
 			}
 		}
